@@ -271,14 +271,15 @@ class DDMGNNPreconditioner(Preconditioner):
     def apply_columns(self, residuals: np.ndarray) -> np.ndarray:
         """Apply DDM-GNN to all ``k`` columns of an ``(n, k)`` residual block.
 
-        One fused sweep serves every column: a single gather/normalisation
-        pass over the ``(total, k)`` stacked residuals, **one** DSS forward
-        per inference batch (``infer_columns``, k-wide SpMMs and gathers with
-        per-column GEMMs) and one gluing SpMM.  Column ``i`` of the result is
-        bit-identical to ``apply(residuals[:, i])`` — the contract
-        :func:`repro.krylov.block.lockstep_pcg` relies on — because every
-        fused kernel accumulates each column in exactly the single-column
-        order.  This is what stops lockstep CG from serializing on the GNN.
+        One sweep serves every column: a single gather/normalisation pass
+        over the ``(total, k)`` stacked residuals, one ``infer_columns`` per
+        inference batch and one gluing SpMM.  In f64, column ``i`` of the
+        result is bit-identical to ``apply(residuals[:, i])`` — the contract
+        :func:`repro.krylov.block.lockstep_pcg` relies on: the surrounding
+        kernels accumulate each column in exactly the single-column order,
+        and ``infer_columns`` runs the f64 columns one at a time through the
+        very kernel ``infer`` runs.  In f32 the DSS forward is one k-wide
+        sweep, which is what stops lockstep CG from serializing on the GNN.
         """
         residuals = np.asarray(residuals, dtype=np.float64)
         if residuals.ndim != 2:
@@ -382,8 +383,8 @@ class DDMGNNPreconditioner(Preconditioner):
         Every step is the column-parallel form of the single-column op —
         row gathers, per-column ``reduceat`` norms, elementwise broadcasts,
         one ``infer_columns`` per inference batch, one gluing SpMM — and each
-        accumulates per column in the single-column order, so column ``i`` is
-        bit-identical to ``_local_correction_fast(residuals[:, i])``.
+        accumulates per column in the single-column order, so in f64 column
+        ``i`` is bit-identical to ``_local_correction_fast(residuals[:, i])``.
         """
         scratch = self._columns_scratch(residuals.shape[1])
         stacked = scratch["local"]
@@ -406,8 +407,8 @@ class DDMGNNPreconditioner(Preconditioner):
             np.take(norms, self._segment_ids, axis=0, out=scratch["per_row"])
             np.multiply(scratch["source"], scratch["per_row"], out=scratch["source"])
 
-        # all local problems × all columns: one fused forward per batch (the
-        # f32 boundary lives inside infer_columns; outputs upcast on store)
+        # all local problems × all columns: one infer_columns per batch (the
+        # f32 boundary lives inside it; outputs upcast on store)
         outputs = scratch["outputs"]
         for plan, members in zip(self._plans, self._batch_membership):
             lo = self._offsets[members[0]]

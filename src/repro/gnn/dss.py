@@ -192,26 +192,27 @@ class DSS(Module):
         """Run the forward pass on a precompiled plan, without the tape.
 
         Numerically pinned to :meth:`predict` on the same batch (parity at
-        1e-12) but allocation- and loop-free per call.  The returned array is
-        a view of a plan buffer, overwritten by the next call on this plan.
+        1e-12) but allocation- and loop-free per call — the ``k = 1`` case of
+        :meth:`infer_columns`.  The returned array is a view of a plan
+        buffer, overwritten by the next call on this plan.
         """
         if source is not None:
             plan.load_source(source)
         return plan.run()
 
     def infer_columns(self, plan: InferencePlan, sources: np.ndarray) -> np.ndarray:
-        """Run one forward pass for ``k`` source columns on a precompiled plan.
+        """Run the forward pass for ``k`` source columns on a precompiled plan.
 
-        ``sources`` is ``(num_nodes, k)``; the result is ``(num_nodes, k)``
-        with column ``c`` bit-identical (at plan precision ``"f64"``) to
-        ``infer(plan, source=sources[:, c])``.  One sweep over the network
-        serves every column: the gathers and the aggregation SpMM fuse across
-        columns, which is what the lockstep multi-RHS solver batches on.  The
-        returned array is a view of a per-``k`` workspace, overwritten by the
-        next ``infer_columns`` with the same column count.
+        ``sources`` is ``(num_nodes, k)``; the result is ``(num_nodes, k)``.
+        At plan precision ``"f64"`` the columns run one at a time through the
+        very kernel :meth:`infer` runs, so column ``c`` is bit-identical to
+        ``infer(plan, source=sources[:, c])`` — the contract the lockstep
+        multi-RHS solver relies on.  ``"f32"`` plans sweep all ``k`` columns
+        at once (one BLAS call per layer, k-wide SpMMs) and match the
+        single-column result to float32 tolerance.  The returned array is a
+        view of plan buffers, overwritten by the next call on this plan.
         """
-        workspace = plan.load_source_columns(sources)
-        return plan.run_columns(workspace.k)
+        return plan.run_columns(plan.load_source_columns(sources))
 
     def training_loss(self, problem: Union[GraphProblem, GraphBatch]) -> Tensor:
         """Sum of the residual losses of all intermediate states (paper Eq. 23)."""

@@ -1,4 +1,4 @@
-"""Allocation-free DSS inference engine.
+"""Allocation-free DSS inference engine: one folded forward for every plan.
 
 ``DSS.forward`` runs through the autodiff :class:`~repro.nn.tensor.Tensor`
 machinery: even under ``no_grad`` every operation allocates fresh arrays and
@@ -8,98 +8,85 @@ evaluated hundreds of times with only the per-node source changing, so all of
 that per-call work is invariant.
 
 :class:`InferencePlan` binds a structural :class:`~repro.gnn.batch.BatchPlan`
-to one model and precompiles everything the forward pass reuses:
+to one model and runs **one** forward (:meth:`InferencePlan._forward`) for
+both precisions and every column count.  The forward is memory-bound (a few
+FLOPs per byte streamed over the ``E``-row edge arrays), so everything below
+exists to move fewer bytes per sweep; all of it is fixed at compile time:
 
 * **per-node projections** — the hidden edge layer ``W₁ [h_dst | h_src | e]``
   is split along its disjoint weight column blocks; the latent parts become
-  two ``(n × d)`` GEMMs *before* gathering to edges, shrinking the dominant
-  GEMM from ``E`` rows × ``2d+|e|`` columns to ``n`` rows × ``d``;
-* **static edge terms** — the attribute contribution ``e @ W₁ₑᵀ + b₁`` of
-  every block and direction depends only on the (fixed) edge attributes, so
-  it is evaluated once at compile time (falling back to on-the-fly
-  evaluation above a memory budget);
-* **aggregate-then-project** — summing messages onto destination nodes is a
-  single CSR SpMM with a precomputed ``(n × E)`` incidence operator ``S``,
-  and because aggregation is linear the output layer commutes with it:
-  ``S (H W₂ᵀ + b₂) = (S H) W₂ᵀ + deg ⊗ b₂``, so the output GEMM runs on
-  ``n`` rows instead of ``E`` (the per-node bias term ``deg ⊗ b₂`` is
-  precompiled);
-* **prestaged weights and buffer reuse** — all weight matrices are stored as
-  contiguous transposes (what the GEMMs actually consume) and every GEMM runs
-  with ``out=`` into persistent scratch; the latent state, node input and
-  both aggregation targets are column views of the single ``ψ``-input
-  matrix, so writing an aggregation result *is* preparing the next MLP input.
+  ``n``-row GEMMs *before* gathering to edges instead of an
+  ``E``-row × ``2d+|e|``-column GEMM after;
+* **direction stacking** — both message directions live side by side along
+  the last axis (``[fwd | bwd]``, width ``2d``): one pair of double-width
+  projection GEMMs, one prefill, one gather SpMM, one ReLU and one
+  aggregation SpMM serve both, and the aggregation result is already the
+  contiguous ``ψ`` GEMM operand;
+* **static edge terms** — the attribute contribution ``e @ W₁ₑᵀ + b₁`` depends
+  only on the fixed edge attributes, so it is evaluated once per block as one
+  ``(E, 2d)`` array (the backward direction's sign-reversed relative
+  positions are folded into its weights: ``(−a)·w = a·(−w)`` exactly, so both
+  directions read the same attribute array).  Above a memory budget the same
+  GEMM runs per sweep into a scratch instead.  The edge buffer is *prefilled*
+  with these terms and a two-ones CSR operator (row ``e`` = ``[dst_e,
+  n + src_e]``) accumulates ``proj_dst[dst] + proj_src[src]`` on top in one
+  SpMM — no separate gathers, no addition passes;
+* **folded output layers** — aggregation is linear, so each direction's
+  output layer commutes with it and then merges into ``ψ``'s first layer:
+  ``(S H) W₂ᵀ ψ₁ₐᵀ = (S H) (ψ₁ₐ W₂)ᵀ``.  The per-direction output GEMMs and
+  bias passes disappear; both aggregated output biases (``deg ⊗ b₂`` pushed
+  through ``ψ₁ₐ``), ``ψ``'s own bias and the ``ψ`` contribution of the
+  column-invariant κ channels collapse into one per-node ``bias_node``, and
+  the damping ``α`` is folded into ``ψ``'s second layer.  ``ψ``'s hidden layer
+  is three ``beta=1`` GEMMs accumulated onto the prefilled bias, and the
+  ResNet update is a ``beta=1`` GEMM straight onto the latent state.
 
-Splitting dot products into partial sums and re-ordering commutative message
-sums only moves floating-point results at the few-ulp level; the parity tests
-pin ``DSS.infer`` to the tape forward at 1e-12, orders of magnitude tighter
-than anything visible to the preconditioned solver.
+The folds are computed in float64 from the model weights (and cast once for
+f32 plans), so they re-associate the forward's dot products and commutative
+sums and nothing else: the f64 forward agrees with the tape forward to a few
+ulp (~1e-15 relative observed; the parity tests pin 1e-12), orders of
+magnitude tighter than anything visible to the preconditioned solver.
 
 Because the weights are prestaged, a plan captures the model parameters *at
 compile time*: recompile after any further training or ``load_state_dict``.
 
-**Multi-column inference.**  :meth:`InferencePlan.run_columns` evaluates the
-same forward pass for ``k`` independent source columns in one sweep over the
-network.  The fused buffers are laid out ``(k, rows, d)`` — column-major over
-``k`` — so every per-column slab is a C-contiguous matrix with exactly the
-single-column shape.  Three kernel choices uphold the per-column bit-identity
-contract the lockstep CG relies on while still fusing the expensive stages:
+**Columns.**  Buffers are laid out ``(rows, k, ·)`` with the column axis
+inside each row block: GEMMs run on ``(rows·k, ·)`` reshape views, the SpMMs
+carry the columns in their dense dimension (``n_vecs = k·2d`` — the operators
+are k-independent and every sparse row moves one contiguous block), and the
+workspace for any ``k <= k_max`` is a reshape view of the same flat
+allocations, so a lockstep solve whose active set shrinks allocates nothing.
+``run()`` is the ``k = 1`` case of ``run_columns(k)``.
 
-* **GEMMs run per column** on the contiguous slabs: a fused ``(n·k, d)``
-  GEMM is *not* bitwise-stable against the ``(n, d)`` single-column call
-  (BLAS kernel selection depends on the row count), while the slab GEMM has
-  the identical shape, leading dimension and packing (the same reason the
-  Nicolaides coarse space applies its K×K inverse one column at a time);
-* **edge gathers run as one two-ones CSR SpMM**: a block-diagonal operator
-  with rows ``[dst_e, n + src_e]`` evaluates
-  ``proj_dst[dst] + proj_src[src]`` for all columns in a single kernel call,
-  accumulating dst-then-src per edge — the exact addition the sequential
-  path performs after its two ``np.take`` gathers, at a fraction of the
-  passes over the edge arrays;
-* **aggregation is one block-diagonal CSR SpMM** over all columns; CSR
-  accumulation is per-row sequential, so each column block sums its messages
-  in the same order as the single-column SpMM.
+* **f32** plans sweep all ``k`` columns at once (one BLAS call per layer).
+  f32 carries no bit-identity contract — the preconditioner only has to stay
+  a fixed SPD-consistent function of the residual (see DESIGN.md) — and the
+  k-wide sweep is pinned against ``k`` single-column sweeps by tolerance.
+* **f64** plans run the ``k`` columns *one at a time* through the ``k = 1``
+  kernel and the same workspace.  A fused ``(n·k, d)`` GEMM is not bit-stable
+  against the ``(n, d)`` single-column call (BLAS picks row-count-dependent
+  kernels — the same reason the Nicolaides coarse space applies its K×K
+  inverse one column at a time), and the lockstep CG needs column ``c`` of
+  ``infer_columns`` bit-identical to ``infer`` on column ``c``.  Running the
+  identical kernel on identical buffers gives that by construction.  The
+  layout this replaced — ``(k, rows, d)`` slabs with per-slab GEMMs and
+  block-diagonal SpMMs, kept bitwise by hand — bought 1.05× over sequential
+  single-column applies on the ledger (313 ms vs 8 × 41 ms on ``gnn-batch``);
+  ``k`` folded passes take ~200 ms.
 
-The block-diagonal operators and workspaces are allocated once at the
-largest ``k`` seen and *prefix-sliced* for smaller column counts (the first
-``k`` blocks of a ``(k_max, rows, d)`` buffer are exactly the ``k``-column
-workspace), so a lockstep solve whose active set shrinks as columns converge
-reuses one set of buffers and allocates nothing per application.
-
-**Precision.**  Plans compile at ``precision="f64"`` (default, bit-compatible
-with the tape forward) or ``"f32"``: weights, static edge terms and every
-scratch buffer are staged in float32 and the sources/outputs are cast at the
-plan boundary.  Because f32 drops the bit-identity contract (the
-preconditioner only has to stay a fixed SPD-consistent function of the
-residual — see DESIGN.md), its multi-column path switches to an
-**interleaved ``(rows, k, d)`` layout** that the f64 path cannot use:
-
-* GEMMs run **fully fused** on ``(n·k, d)`` reshape views — one BLAS call
-  per layer instead of ``k``, sidestepping the per-call packing overhead
-  that dominates skinny GEMMs;
-* the gather-add and aggregation SpMMs carry the column axis in ``n_vecs``
-  (``k·d`` dense columns), so every sparse row touches one contiguous
-  ``k·d``-wide block instead of ``k`` scattered ``d``-wide ones, and the
-  operators themselves are k-independent;
-* the edge buffer is *prefilled* with the static attribute term and the
-  gather SpMM accumulates on top — one fewer pass over the largest arrays;
-* every buffer is C-contiguous, so workspaces for every active-set size are
-  reshape views of one flat allocation (no extra memory as lockstep
-  compaction shrinks ``k``).
-
-The few-ulp reorderings this introduces are far below float32 rounding; the
-f32 fused path is pinned against the f32 sequential path by tolerance, not
-bytes.
+**Precision.**  ``precision="f32"`` stages weights, static edge terms and
+every buffer in float32; sources and outputs are cast at the plan boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
 
+from ..nn.functional import relu_
 from .batch import BatchPlan, GraphBatch
 
 __all__ = ["InferencePlan"]
@@ -108,8 +95,9 @@ __all__ = ["InferencePlan"]
 PRECISION_DTYPES = {"f64": np.float64, "f32": np.float32}
 
 #: cap on the total memory (bytes) spent on precomputed static edge terms;
-#: above it they are recomputed per iteration (one small GEMM) instead
+#: above it they are recomputed per sweep (one small GEMM per block) instead
 STATIC_EDGE_TERM_BUDGET = 96 * 1024 * 1024
+
 
 def _validated_csr_matvecs():
     """The private scipy kernel for allocation-free CSR SpMM (``Y += A @ X``).
@@ -142,372 +130,146 @@ def _validated_csr_matvecs():
 _csr_matvecs = _validated_csr_matvecs()
 
 try:
-    from scipy.linalg.blas import sgemm as _sgemm
+    from scipy.linalg.blas import dgemm, sgemm
+
+    _BLAS_GEMM = {np.dtype(np.float64): dgemm, np.dtype(np.float32): sgemm}
 except ImportError:  # pragma: no cover - scipy built without BLAS wrappers
-    _sgemm = None
+    _BLAS_GEMM = {}
 
 
-def _sgemm_acc(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
-    """``c += a @ b`` for C-contiguous float32 operands, no scratch pass.
+def _gemm_acc(a: np.ndarray, b: np.ndarray, c: np.ndarray, scratch: np.ndarray) -> None:
+    """``c += a @ b`` for C-contiguous operands of one dtype, allocation-free.
 
     BLAS GEMM's ``beta=1`` accumulation fuses the product and the addition
     into one sweep over ``c``; the C-ordered arrays are handed over as their
     F-contiguous transpose views (``cᵀ = bᵀ aᵀ + cᵀ``), which ``overwrite_c``
-    updates in place.
+    updates in place.  Without the scipy BLAS wrappers the product lands in
+    ``scratch`` (same shape as ``c``) first.
     """
-    if _sgemm is not None:
-        _sgemm(1.0, b.T, a.T, beta=1.0, c=c.T, overwrite_c=1)
-    else:  # pragma: no cover - scipy built without BLAS wrappers
-        c += a @ b
+    gemm = _BLAS_GEMM.get(c.dtype)
+    if gemm is not None:
+        gemm(1.0, b.T, a.T, beta=1.0, c=c.T, overwrite_c=1)
+    else:
+        np.matmul(a, b, out=scratch)
+        c += scratch
 
 
-@dataclass
-class _CompiledDirection:
-    """Prestaged arrays for one message direction of one block."""
-
-    w_dst_T: np.ndarray            # (d, d) — latent-of-destination weight block, transposed
-    w_src_T: np.ndarray            # (d, d) — latent-of-source weight block, transposed
-    w_out_T: np.ndarray            # (d, d) — output layer, transposed
-    agg_bias: Optional[np.ndarray]  # (n, d) — in-degree ⊗ output bias
-    static: Optional[np.ndarray]   # (E, d) — attr @ W₁ₑᵀ + b₁, if within budget
-    w_attr_T: Optional[np.ndarray] = None   # fallback pieces when static is None
-    attr: Optional[np.ndarray] = None
-    b_hidden: Optional[np.ndarray] = None
+def _spmm_acc(matrix: sp.csr_matrix, x_flat: np.ndarray, y_flat: np.ndarray, n_vecs: int) -> None:
+    """``Y += A @ X`` on the flat views of C-contiguous ``(·, n_vecs)`` arrays."""
+    rows, cols = matrix.shape
+    if _csr_matvecs is not None:
+        _csr_matvecs(rows, cols, n_vecs, matrix.indptr, matrix.indices, matrix.data, x_flat, y_flat)
+    else:
+        y = y_flat.reshape(rows, n_vecs)
+        y += matrix @ x_flat.reshape(cols, n_vecs)
 
 
 @dataclass
 class _CompiledBlock:
-    """Prestaged arrays for one message-passing block."""
+    """One message-passing block, staged for the folded forward.
 
-    forward_dir: _CompiledDirection
-    backward_dir: _CompiledDirection
-    psi_w1_T: np.ndarray
-    psi_b1: Optional[np.ndarray]
-    psi_w2_T: np.ndarray
-    psi_b2: Optional[np.ndarray]
+    ``[fwd | bwd]`` marks arrays that stack both message directions along
+    their last axis; see the module docstring for the folds.
+    """
+
+    w_dst_T: np.ndarray         # (d, 2d) — [fwd | bwd] latent-of-destination projections
+    w_src_T: np.ndarray         # (d, 2d) — [fwd | bwd] latent-of-source projections
+    w_attr_T: np.ndarray        # (|e|, 2d) — [fwd | bwd] attribute weights, bwd sign-folded
+    b_hidden: np.ndarray        # (2d,) — [fwd | bwd] hidden-layer biases
+    static: Optional[np.ndarray]  # (E, 2d) — attr @ w_attr_T + b_hidden, if within budget
+    w_psi_agg_T: np.ndarray     # (2d, d) — ψ agg columns with each direction's W₂ folded in
+    w_psi_latent_T: np.ndarray  # (d, d)
+    w_source_T: np.ndarray      # (1, d) — ψ weight column of the residual input
+    bias_node: np.ndarray       # (n, d) — ψ b₁ + aggregated output biases + κ-channel terms
+    w2_alpha_T: np.ndarray      # (d, d) — α · ψ W₂ᵀ
+    b2_alpha: np.ndarray        # (d,) — α · ψ b₂
 
 
 @dataclass
 class _CompiledDecoder:
     w1_T: np.ndarray
-    b1: Optional[np.ndarray]
+    b1: np.ndarray
     w2_T: np.ndarray
-    b2: Optional[np.ndarray]
-
-
-def _contiguous_T(weight, dtype=np.float64) -> np.ndarray:
-    return np.ascontiguousarray(np.asarray(weight, dtype=dtype).T)
-
-
-def _matmul_slabs(stacked: np.ndarray, weight_T: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out[c] = stacked[c] @ weight_T`` for every column slab ``c``.
-
-    Each slab is a matrix with the exact logical shape, row count and leading
-    dimension of the single-column GEMM, so BLAS packs and accumulates
-    identically — a fused ``(n·k, d)`` alternative selects row-count-dependent
-    kernels and breaks per-column bit-identity (same reason the Nicolaides
-    coarse space applies its K×K inverse one column at a time).
-    """
-    for c in range(stacked.shape[0]):
-        np.matmul(stacked[c], weight_T, out=out[c])
-    return out
+    b2: np.ndarray
 
 
 @dataclass
-class _ColumnWorkspace:
-    """Prefix views of the plan's fused buffers for one column count ``k``.
+class _Workspace:
+    """Reshape views of one :class:`_Buffers` allocation for ``k`` columns.
 
-    All arrays are views of a :class:`_FusedBuffers` allocation (the first
-    ``k`` column blocks), so distinct active-set sizes of one lockstep solve
-    share a single set of buffers.  ``latent``/``node_input``/``agg_fwd``/
-    ``agg_bwd`` are last-axis views of ``node_cat``, mirroring the
-    single-column scratch layout: writing an aggregation result *is*
-    preparing the next ``ψ`` input.  The ``gather_*``/``agg_*`` arrays are
-    the prefix-sliced block-diagonal CSR operators (two-ones edge gather-add
-    and destination-sum respectively).
+    Views for different ``k`` alias each other, which is harmless: after the
+    compile-time folds the only per-call input is the residual sources,
+    staged fresh by every ``load_source_columns``.  The ``*2d`` fields are
+    the ``(rows·k, ·)`` GEMM views, the ``*_flat`` fields the 1-D views the
+    CSR kernel consumes.
     """
 
     k: int
-    node_cat: np.ndarray       # (k, n, 3d+ni)
-    latent: np.ndarray         # (k, n, d)
-    node_input: np.ndarray     # (k, n, ni)
-    agg_fwd: np.ndarray        # (k, n, d)
-    agg_bwd: np.ndarray        # (k, n, d)
-    proj: np.ndarray           # (k, 2, n, d) — [c, 0] dst-proj, [c, 1] src-proj
-    proj_dst: np.ndarray       # (k, n, d) — view of proj[:, 0]
-    proj_src: np.ndarray       # (k, n, d) — view of proj[:, 1]
-    edge_hidden: np.ndarray    # (k, E, d)
-    agg_pre: np.ndarray        # (k, n, d)
-    node_hidden: np.ndarray    # (k, n, d)
-    update: np.ndarray         # (k, n, d)
-    output: np.ndarray         # (k, n, 1)
-    gather_indptr: np.ndarray
-    gather_indices: np.ndarray
-    gather_data: np.ndarray
-    agg_indptr: np.ndarray
-    agg_indices: np.ndarray
-    agg_data: np.ndarray
-
-
-class _FusedBuffers:
-    """Multi-column scratch + block-diagonal operators, allocated at ``k_max``.
-
-    The ``(k, rows, d)`` layout makes the ``k``-column workspace for any
-    ``k <= k_max`` a *prefix* of these arrays: buffer views slice the first
-    ``k`` blocks, and the block-diagonal CSR operators slice the first
-    ``k`` row blocks of ``indptr`` (their column indices only reference the
-    first ``k`` input blocks, so the full ``indices``/``data`` arrays can be
-    shared — the kernel never reads past ``indptr[n_row]``).
-    """
-
-    def __init__(self, plan: "InferencePlan", k_max: int) -> None:
-        n, num_edges = plan.num_nodes, plan.plan.num_edges
-        d, ni = plan.latent_dim, plan.node_input_dim
-        dtype = plan.dtype
-        k = int(k_max)
-        self.k_max = k
-        width = 3 * d + ni
-        self.node_cat = np.zeros((k, n, width), dtype=dtype)
-        self.proj = np.empty((k, 2, n, d), dtype=dtype)
-        self.edge_hidden = np.empty((k, num_edges, d), dtype=dtype)
-        self.agg_pre = np.empty((k, n, d), dtype=dtype)
-        self.node_hidden = np.empty((k, n, d), dtype=dtype)
-        self.update = np.empty((k, n, d), dtype=dtype)
-        self.output = np.empty((k, n, 1), dtype=dtype)
-        # static node features (κ channels) are column-invariant
-        self.node_cat[:, :, d:d + ni] = plan._static_node_input[None, :, :]
-
-        # two-ones gather-add operator: row e of column block c sums
-        # proj[c, 0, dst_e] and proj[c, 1, src_e] (dst listed first, so the
-        # accumulation order matches the sequential dst-gather += src-gather)
-        arange_k = np.arange(k, dtype=np.int64)
-        base = np.empty(2 * num_edges, dtype=np.int64)
-        base[0::2] = plan.dst
-        base[1::2] = n + plan.src
-        self.gather_indices = (base[None, :] + (2 * n * arange_k)[:, None]).ravel()
-        self.gather_indptr = 2 * np.arange(k * num_edges + 1, dtype=np.int64)
-        self.gather_data = np.ones(2 * num_edges * k, dtype=dtype)
-
-        # block-diagonal destination-sum operator: k copies of the plan's
-        # (n × E) incidence matrix along the diagonal
-        agg = plan._agg_matrix
-        indptr = np.asarray(agg.indptr, dtype=np.int64)
-        indices = np.asarray(agg.indices, dtype=np.int64)
-        nnz = np.int64(indptr[-1])
-        self.agg_indptr = np.concatenate([
-            (indptr[:-1][None, :] + (nnz * arange_k)[:, None]).ravel(),
-            np.array([nnz * k], dtype=np.int64),
-        ])
-        self.agg_indices = (indices[None, :] + (np.int64(num_edges) * arange_k)[:, None]).ravel()
-        self.agg_data = np.ones(int(nnz) * k, dtype=dtype)
-
-        self._num_edges = num_edges
-        self._num_nodes = n
-        self._views: Dict[int, _ColumnWorkspace] = {}
-        self._fallback_matrices: Dict[int, tuple] = {}
-
-    def view(self, k: int) -> _ColumnWorkspace:
-        workspace = self._views.get(k)
-        if workspace is not None:
-            return workspace
-        d = self.proj.shape[3]
-        ni = self.node_cat.shape[2] - 3 * d
-        node_cat = self.node_cat[:k]
-        workspace = _ColumnWorkspace(
-            k=k,
-            node_cat=node_cat,
-            latent=node_cat[:, :, :d],
-            node_input=node_cat[:, :, d:d + ni],
-            agg_fwd=node_cat[:, :, d + ni:2 * d + ni],
-            agg_bwd=node_cat[:, :, 2 * d + ni:],
-            proj=self.proj[:k],
-            proj_dst=self.proj[:k, 0],
-            proj_src=self.proj[:k, 1],
-            edge_hidden=self.edge_hidden[:k],
-            agg_pre=self.agg_pre[:k],
-            node_hidden=self.node_hidden[:k],
-            update=self.update[:k],
-            output=self.output[:k],
-            gather_indptr=self.gather_indptr[:k * self._num_edges + 1],
-            gather_indices=self.gather_indices,
-            gather_data=self.gather_data,
-            agg_indptr=self.agg_indptr[:k * self._num_nodes + 1],
-            agg_indices=self.agg_indices,
-            agg_data=self.agg_data,
-        )
-        self._views[k] = workspace
-        return workspace
-
-    def fallback_matrices(self, k: int) -> tuple:
-        """``(gather, agg)`` scipy matrices for the public-operator fallback."""
-        cached = self._fallback_matrices.get(k)
-        if cached is None:
-            n, num_edges = self._num_nodes, self._num_edges
-            gather = sp.csr_matrix(
-                (self.gather_data[:2 * k * num_edges],
-                 self.gather_indices[:2 * k * num_edges],
-                 self.gather_indptr[:k * num_edges + 1]),
-                shape=(k * num_edges, 2 * k * n),
-            )
-            nnz_per_block = len(self.agg_indices) // self.k_max
-            agg = sp.csr_matrix(
-                (self.agg_data[:k * nnz_per_block],
-                 self.agg_indices[:k * nnz_per_block],
-                 self.agg_indptr[:k * n + 1]),
-                shape=(k * n, k * num_edges),
-            )
-            cached = (gather, agg)
-            self._fallback_matrices[k] = cached
-        return cached
-
-
-@dataclass
-class _InterleavedBlock:
-    """One block's weights restaged for the f32 interleaved forward.
-
-    Because aggregation is linear and f32 has no bit-identity contract, each
-    direction's output layer is folded into ``ψ``'s first layer:
-    ``(S H) W₂ᵀ W₁ₐᵀ = (S H) (W₁ₐ W₂)ᵀ``, so the per-direction output GEMM
-    and bias pass disappear and ``ψ``'s hidden layer reads the raw
-    aggregation result directly.  Both message directions are stacked along
-    the last axis (``[fwd | bwd]``): one double-width projection GEMM pair,
-    one prefill, one gather SpMM, one ReLU and one aggregation SpMM serve
-    both, and the aggregation output *is* a contiguous ``ψ`` GEMM operand.
-    All position-independent bias terms (``ψ b₁`` plus both directions'
-    aggregated output biases pushed through ``W₁ₐ``) collapse into one
-    per-node ``bias_node``, which also absorbs the ``ψ`` contribution of the
-    column-invariant static node features (κ channels) — the per-column input
-    reduces to the residual sources alone; the damping ``α`` is folded into
-    ``ψ``'s second layer.
-    """
-
-    w_dst_T: np.ndarray            # (d, 2d) — [fwd | bwd] destination projections
-    w_src_T: np.ndarray            # (d, 2d)
-    static: Optional[np.ndarray]   # (E, 2d) — [fwd | bwd] static edge terms
-    w_psi_latent_T: np.ndarray     # (d, d)
-    w_source_T: np.ndarray         # (1, d) — ψ weight column of the residual input
-    w_psi_agg_T: np.ndarray        # (2d, d) — ψ agg columns with W₂ folded in
-    bias_node: Optional[np.ndarray]  # (n, d) — ψ b₁ + folded static/bias terms
-    w2_alpha_T: np.ndarray         # (d, d) — α · ψ W₂ᵀ
-    b2_alpha: Optional[np.ndarray]  # (d,) — α · ψ b₂
-
-
-@dataclass
-class _InterleavedWorkspace:
-    """Reshape views of one :class:`_InterleavedBuffers` allocation for ``k``.
-
-    The f32 layout keeps the column axis *inside* each row block —
-    ``(rows, k, ·)`` — so a buffer's ``k``-column workspace for any
-    ``k <= k_max`` occupies the first elements of the same flat allocation:
-    no extra memory across active-set sizes.  Interleavings for different
-    ``k`` alias each other, which is harmless because the only per-column
-    input left after the compile-time folds is the residual sources, written
-    fresh by every ``load_source_columns``.  The ``*2d`` fields are the
-    ``(rows·k, ·)`` GEMM views, the ``*_flat`` fields the 1-D views the CSR
-    kernel consumes.
-    """
-
-    k: int
-    latent: np.ndarray       # (n, k, d)
     latent2d: np.ndarray     # (n·k, d)
     sources: np.ndarray      # (n, k) — the residual inputs, one per column
     input2d: np.ndarray      # (n·k, 1)
-    proj: np.ndarray         # (2n, k, 2d) — dst block stacked over src block
-    proj_dst2d: np.ndarray   # (n·k, 2d)
-    proj_src2d: np.ndarray   # (n·k, 2d)
+    proj_dst2d: np.ndarray   # (n·k, 2d) — rows [0, n) of the gather operand
+    proj_src2d: np.ndarray   # (n·k, 2d) — rows [n, 2n) of the gather operand
     proj_flat: np.ndarray
     edge_hidden: np.ndarray  # (E, k, 2d) — [fwd | bwd] messages
     edge_flat: np.ndarray
-    psi_pre: np.ndarray      # (n, k, 2d) — raw [fwd | bwd] aggregation sums
-    pre2d: np.ndarray        # (n·k, 2d)
+    pre2d: np.ndarray        # (n·k, 2d) — raw [fwd | bwd] aggregation sums
     pre_flat: np.ndarray
     hidden2d: np.ndarray     # (n·k, d)
     hidden3: np.ndarray      # (n, k, d)
+    scratch2d: np.ndarray    # (n·k, d) — _gemm_acc fallback scratch (aliases proj)
     output2d: np.ndarray     # (n·k, 1)
     output: np.ndarray       # (n, k)
 
 
-class _InterleavedBuffers:
-    """f32 multi-column scratch: flat allocations + k-independent operators.
-
-    Unlike the slab layout, the gather-add and aggregation operators here are
-    independent of the column count — ``k`` rides in the SpMM's dense column
-    dimension (``n_vecs = k·2d``), so one ``(E × 2n)`` two-ones matrix and
-    the plan's ``(n × E)`` incidence matrix serve every active-set size, and
-    each sparse row moves one contiguous ``k·2d``-wide block of memory.
-    """
+class _Buffers:
+    """Forward-pass scratch: flat allocations sized for ``k_max`` columns."""
 
     def __init__(self, plan: "InferencePlan", k_max: int) -> None:
-        n, num_edges = plan.num_nodes, plan.plan.num_edges
-        d, ni = plan.latent_dim, plan.node_input_dim
+        n, num_edges, d = plan.num_nodes, plan.plan.num_edges, plan.latent_dim
         dtype = plan.dtype
         k = int(k_max)
         self.k_max = k
-        self._latent = np.zeros(n * k * d, dtype=dtype)
-        self._input = np.zeros(n * k, dtype=dtype)
+        self._latent = np.empty(n * k * d, dtype=dtype)
+        self._input = np.empty(n * k, dtype=dtype)
         self._proj = np.empty(2 * n * k * 2 * d, dtype=dtype)
         self._edge = np.empty(num_edges * k * 2 * d, dtype=dtype)
         self._pre = np.empty(n * k * 2 * d, dtype=dtype)
         self._hidden = np.empty(n * k * d, dtype=dtype)
         self._output = np.empty(n * k, dtype=dtype)
+        self._dims = (n, num_edges, d)
+        self._views: Dict[int, _Workspace] = {}
 
-        # two-ones gather-add operator: row e sums proj[dst_e] (dst block)
-        # and proj[n + src_e] (src block) — all columns at once via n_vecs
-        indices = np.empty(2 * num_edges, dtype=np.int64)
-        indices[0::2] = plan.dst
-        indices[1::2] = n + plan.src
-        self.gather_indices = indices
-        self.gather_indptr = 2 * np.arange(num_edges + 1, dtype=np.int64)
-        self.gather_data = np.ones(2 * num_edges, dtype=dtype)
-
-        self._dims = (n, num_edges, d, ni)
-        self._views: Dict[int, _InterleavedWorkspace] = {}
-        self._gather_matrix: Optional[sp.csr_matrix] = None
-
-    def view(self, k: int) -> _InterleavedWorkspace:
+    def view(self, k: int) -> _Workspace:
         workspace = self._views.get(k)
         if workspace is not None:
             return workspace
-        n, num_edges, d, ni = self._dims
-        latent = self._latent[:n * k * d].reshape(n, k, d)
-        sources = self._input[:n * k].reshape(n, k)
+        n, num_edges, d = self._dims
         proj = self._proj[:2 * n * k * 2 * d].reshape(2 * n, k, 2 * d)
-        edge = self._edge[:num_edges * k * 2 * d].reshape(num_edges, k, 2 * d)
-        pre = self._pre[:n * k * 2 * d].reshape(n, k, 2 * d)
         hidden = self._hidden[:n * k * d].reshape(n * k, d)
         output = self._output[:n * k].reshape(n * k, 1)
-        workspace = _InterleavedWorkspace(
+        workspace = _Workspace(
             k=k,
-            latent=latent,
-            latent2d=latent.reshape(n * k, d),
-            sources=sources,
-            input2d=sources.reshape(n * k, 1),
-            proj=proj,
+            latent2d=self._latent[:n * k * d].reshape(n * k, d),
+            sources=self._input[:n * k].reshape(n, k),
+            input2d=self._input[:n * k].reshape(n * k, 1),
             proj_dst2d=proj[:n].reshape(n * k, 2 * d),
             proj_src2d=proj[n:].reshape(n * k, 2 * d),
             proj_flat=proj.reshape(-1),
-            edge_hidden=edge,
-            edge_flat=edge.reshape(-1),
-            psi_pre=pre,
-            pre2d=pre.reshape(n * k, 2 * d),
-            pre_flat=pre.reshape(-1),
+            edge_hidden=self._edge[:num_edges * k * 2 * d].reshape(num_edges, k, 2 * d),
+            edge_flat=self._edge[:num_edges * k * 2 * d],
+            pre2d=self._pre[:n * k * 2 * d].reshape(n * k, 2 * d),
+            pre_flat=self._pre[:n * k * 2 * d],
             hidden2d=hidden,
             hidden3=hidden.reshape(n, k, d),
+            # the projections are dead between the gather SpMM and the next
+            # block's projection GEMMs — exactly where _gemm_acc runs
+            scratch2d=self._proj[:n * k * d].reshape(n * k, d),
             output2d=output,
             output=output.reshape(n, k),
         )
         self._views[k] = workspace
         return workspace
-
-    def gather_matrix(self) -> sp.csr_matrix:
-        """The ``(E × 2n)`` operator for the public-``@`` fallback."""
-        if self._gather_matrix is None:
-            n, num_edges = self._dims[0], self._dims[1]
-            self._gather_matrix = sp.csr_matrix(
-                (self.gather_data, self.gather_indices, self.gather_indptr),
-                shape=(num_edges, 2 * n),
-            )
-        return self._gather_matrix
 
 
 def _check_compilable(mlp) -> None:
@@ -519,22 +281,27 @@ def _check_compilable(mlp) -> None:
         )
 
 
-def _bias(layer, dtype=np.float64) -> Optional[np.ndarray]:
+def _weight(layer) -> np.ndarray:
+    return np.asarray(layer.weight.data, dtype=np.float64)
+
+
+def _bias(layer) -> np.ndarray:
     if layer.bias is None:
-        return None
-    return np.asarray(layer.bias.data, dtype=dtype)
+        return np.zeros(layer.weight.data.shape[0])
+    return np.asarray(layer.bias.data, dtype=np.float64)
 
 
 class InferencePlan:
     """A :class:`BatchPlan` bound to one DSS model, with reusable scratch buffers.
 
     Build one via ``model.compile_plan(batch)``; run it via
-    ``model.infer(plan, source)``.  The returned output array is a view of an
-    internal buffer, valid until the next ``run`` on the same plan.  Weights
-    are captured at compile time — recompile after training.
+    ``model.infer(plan, source)`` / ``model.infer_columns(plan, sources)``.
+    The returned output array is a view of an internal buffer, valid until
+    the next run on the same plan.  Weights are captured at compile time —
+    recompile after training.
 
     **Ownership / thread safety.**  A plan is single-flight mutable state:
-    every ``run`` writes through the same scratch GEMM buffers, so a plan
+    every run writes through the same scratch GEMM buffers, so a plan
     must only ever be driven by one thread at a time.  The repository's
     concurrency model keeps this implicit invariant explicit — plans are
     owned by the preconditioner that compiled them, the preconditioner by
@@ -560,187 +327,120 @@ class InferencePlan:
         cfg = model.config
         n, num_edges = plan.num_nodes, plan.num_edges
         d = cfg.latent_dim
-        ni = cfg.node_input_dim
         self.latent_dim = d
-        self.node_input_dim = ni
+        self.node_input_dim = cfg.node_input_dim
 
-        self.src = np.ascontiguousarray(plan.edge_index[0])
-        self.dst = np.ascontiguousarray(plan.edge_index[1])
+        src = plan.edge_index[0]
+        dst = plan.edge_index[1]
+
+        # two-ones gather-add operator: row e sums proj[dst_e] (dst block) and
+        # proj[n + src_e] (src block) — all columns at once via n_vecs (data
+        # staged at the plan precision: the CSR kernel requires dtype-
+        # consistent operands)
+        gather_indices = np.empty(2 * num_edges, dtype=np.int64)
+        gather_indices[0::2] = dst
+        gather_indices[1::2] = n + src
+        self._gather_matrix = sp.csr_matrix(
+            (np.ones(2 * num_edges, dtype=dtype), gather_indices,
+             2 * np.arange(num_edges + 1, dtype=np.int64)),
+            shape=(num_edges, 2 * n),
+        )
 
         # aggregation operator: out = S @ messages sums every directed edge's
-        # message onto its destination node in one SpMM (data staged at the
-        # plan precision — the CSR kernel requires dtype-consistent operands)
+        # message onto its destination node in one SpMM
         incidence = sp.csr_matrix(
-            (np.ones(num_edges, dtype=dtype), self.dst, np.arange(num_edges + 1, dtype=np.int64)),
+            (np.ones(num_edges, dtype=dtype), dst, np.arange(num_edges + 1, dtype=np.int64)),
             shape=(num_edges, n),
         )
         self._agg_matrix = incidence.T.tocsr()
         self._agg_matrix.sort_indices()
 
-        # ψ input [latent | node_input | agg_fwd | agg_bwd]; the pieces are
-        # views, so updating them updates the MLP input in place
-        self.node_cat = np.zeros((n, 3 * d + ni), dtype=dtype)
-        self.latent = self.node_cat[:, :d]
-        self.node_input = self.node_cat[:, d:d + ni]
-        self.agg_fwd = self.node_cat[:, d + ni:2 * d + ni]
-        self.agg_bwd = self.node_cat[:, 2 * d + ni:]
+        # edge attributes at the model's width; static node features (κ
+        # channels — everything except the residual column 0) and in-degrees
+        # feed the compile-time folds only
+        self._edge_attr = np.ascontiguousarray(model._prepare_edge_attr(plan.edge_attr), dtype=dtype)
+        node_features = np.asarray(model._prepare_node_input(plan), dtype=np.float64)[:, 1:]
+        indegree = np.bincount(dst, minlength=n).astype(np.float64).reshape(-1, 1)
 
-        # static node features (κ channels): everything except the residual
-        # column is invariant across applications; kept in f64 so the cached
-        # multi-column workspaces can restage them at any time
-        self._static_node_input = np.asarray(model._prepare_node_input(plan), dtype=np.float64)
-        self.node_input[...] = self._static_node_input
-
-        # forward and sign-reversed edge attributes at the model's width
-        attr_fwd = np.ascontiguousarray(model._prepare_edge_attr(plan.edge_attr), dtype=dtype)
-        attr_bwd = attr_fwd.copy()
-        attr_bwd[:, :2] *= -1.0
-
-        # in-degree of every node (for the precompiled aggregated-bias terms)
-        indegree = np.bincount(self.dst, minlength=n).astype(np.float64).reshape(-1, 1)
-
-        # prestage the weights (and, within budget, the static edge terms)
-        k_bar = len(model.blocks)
-        static_bytes = 2 * k_bar * num_edges * d * 8
+        # stage the weights (and, within budget, the static edge terms)
+        static_bytes = 2 * len(model.blocks) * num_edges * d * 8
         with_static = static_bytes <= STATIC_EDGE_TERM_BUDGET
-        self.compiled_blocks: List[_CompiledBlock] = []
-        for block in model.blocks:
-            for mlp in (block.phi_forward, block.phi_backward, block.psi):
-                _check_compilable(mlp)
-            self.compiled_blocks.append(
-                _CompiledBlock(
-                    forward_dir=self._compile_direction(block.phi_forward, attr_fwd, indegree, d, with_static, dtype),
-                    backward_dir=self._compile_direction(block.phi_backward, attr_bwd, indegree, d, with_static, dtype),
-                    psi_w1_T=_contiguous_T(block.psi.layers[0].weight.data, dtype),
-                    psi_b1=_bias(block.psi.layers[0], dtype),
-                    psi_w2_T=_contiguous_T(block.psi.layers[1].weight.data, dtype),
-                    psi_b2=_bias(block.psi.layers[1], dtype),
-                )
-            )
+        self._static_scratch = (
+            None if with_static else np.empty((num_edges, 2 * d), dtype=dtype)
+        )
+        self.compiled_blocks: List[_CompiledBlock] = [
+            self._compile_block(block, node_features, indegree, with_static)
+            for block in model.blocks
+        ]
         decoder = model.decoders[-1].mlp
         _check_compilable(decoder)
         self.compiled_decoder = _CompiledDecoder(
-            w1_T=_contiguous_T(decoder.layers[0].weight.data, dtype),
-            b1=_bias(decoder.layers[0], dtype),
-            w2_T=_contiguous_T(decoder.layers[1].weight.data, dtype),
-            b2=_bias(decoder.layers[1], dtype),
+            w1_T=self._stage(_weight(decoder.layers[0]).T),
+            b1=self._stage(_bias(decoder.layers[0])),
+            w2_T=self._stage(_weight(decoder.layers[1]).T),
+            b2=self._stage(_bias(decoder.layers[1])),
         )
 
-        # GEMM scratch
-        self.proj_dst = np.empty((n, d), dtype=dtype)
-        self.proj_src = np.empty((n, d), dtype=dtype)
-        self.edge_hidden = np.empty((num_edges, d), dtype=dtype)
-        self.edge_scratch = np.empty((num_edges, d), dtype=dtype)
-        self.agg_pre = np.empty((n, d), dtype=dtype)
-        self.node_hidden = np.empty((n, d), dtype=dtype)
-        self.update = np.empty((n, d), dtype=dtype)
-        self.output = np.empty((n, 1), dtype=dtype)
+        # forward-pass buffers, allocated lazily at the largest column count
+        # seen and view-sliced for smaller ones (lockstep solves shrink their
+        # active set as columns converge); f64 plans only ever sweep k = 1
+        # and stage multi-column sources/outputs in _column_io
+        self._buffers: Optional[_Buffers] = None
+        self._io = np.empty(0)
 
-        # multi-column buffers, allocated lazily at the largest column count
-        # seen and view-sliced for smaller ones (lockstep solves shrink
-        # their active set as columns converge); f64 uses the slab layout,
-        # f32 the interleaved one (see the module docstring)
-        self._fused: Optional[_FusedBuffers] = None
-        self._interleaved: Optional[_InterleavedBuffers] = None
-        self._alphas = [float(block.alpha) for block in model.blocks]
-        self._interleaved_blocks: Optional[List[_InterleavedBlock]] = None
-        if dtype == np.float32:
-            self._interleaved_blocks = self._compile_interleaved_blocks(model, indegree)
+    def _stage(self, array: np.ndarray) -> np.ndarray:
+        """A float64 fold result as a contiguous array at the plan precision."""
+        return np.ascontiguousarray(array, dtype=self.dtype)
 
-    @staticmethod
-    def _compile_direction(
-        mlp, attr: np.ndarray, indegree: np.ndarray, d: int, with_static: bool, dtype
-    ) -> _CompiledDirection:
-        first, last = mlp.layers
-        w1 = first.weight.data
-        b1 = _bias(first, dtype)
-        b_out = _bias(last, dtype)
-        compiled = _CompiledDirection(
-            w_dst_T=_contiguous_T(w1[:, :d], dtype),
-            w_src_T=_contiguous_T(w1[:, d:2 * d], dtype),
-            w_out_T=_contiguous_T(last.weight.data, dtype),
-            agg_bias=None if b_out is None else indegree.astype(dtype) * b_out,
+    def _compile_block(
+        self, block, node_features: np.ndarray, indegree: np.ndarray, with_static: bool
+    ) -> _CompiledBlock:
+        """Fold one block's weights (in float64, cast once) — see the module docstring."""
+        d, ni = self.latent_dim, self.node_input_dim
+        phis = (block.phi_forward, block.phi_backward)
+        for mlp in (*phis, block.psi):
+            _check_compilable(mlp)
+        hidden = [_weight(phi.layers[0]) for phi in phis]          # (d, 2d+|e|) each
+        # the backward direction sees sign-reversed relative positions
+        attr_sign = np.ones(hidden[0].shape[1] - 2 * d)
+        attr_sign[:2] = -1.0
+        psi1 = _weight(block.psi.layers[0])                        # (d, 3d+ni)
+        bias_node = np.tile(_bias(block.psi.layers[0]), (self.num_nodes, 1))
+        psi_agg_T = []
+        for phi, offset in zip(phis, (d + ni, 2 * d + ni)):
+            psi1_cols = psi1[:, offset:offset + d]
+            # fold the direction's output layer into ψ's agg columns:
+            # (S H) W₂ᵀ ψ₁ₐᵀ = (S H) (ψ₁ₐ W₂)ᵀ, bias: S (1 ⊗ b₂) = deg ⊗ b₂
+            psi_agg_T.append((psi1_cols @ _weight(phi.layers[1])).T)
+            bias_node += (indegree * _bias(phi.layers[1])) @ psi1_cols.T
+        # the κ channels never change between applications, so their ψ
+        # contribution is a fixed per-node vector, leaving the residual
+        # sources as the only per-column input
+        if ni > 1:
+            bias_node += node_features @ psi1[:, d + 1:d + ni].T
+        alpha = float(block.alpha)
+        compiled = _CompiledBlock(
+            w_dst_T=self._stage(np.hstack([w[:, :d].T for w in hidden])),
+            w_src_T=self._stage(np.hstack([w[:, d:2 * d].T for w in hidden])),
+            w_attr_T=self._stage(np.hstack([hidden[0][:, 2 * d:].T, (hidden[1][:, 2 * d:] * attr_sign).T])),
+            b_hidden=self._stage(np.concatenate([_bias(phi.layers[0]) for phi in phis])),
             static=None,
+            w_psi_agg_T=self._stage(np.vstack(psi_agg_T)),
+            w_psi_latent_T=self._stage(psi1[:, :d].T),
+            w_source_T=self._stage(psi1[:, d:d + 1].T),
+            bias_node=self._stage(bias_node),
+            w2_alpha_T=self._stage(alpha * _weight(block.psi.layers[1]).T),
+            b2_alpha=self._stage(alpha * _bias(block.psi.layers[1])),
         )
-        w_attr_T = _contiguous_T(w1[:, 2 * d:], dtype)
         if with_static:
-            static = attr @ w_attr_T
-            if b1 is not None:
-                static += b1
-            compiled.static = static
-        else:
-            compiled.w_attr_T = w_attr_T
-            compiled.attr = attr
-            compiled.b_hidden = b1
+            compiled.static = self._static_terms(compiled)
         return compiled
 
-    def _compile_interleaved_blocks(self, model, indegree: np.ndarray) -> List[_InterleavedBlock]:
-        """Restage every block for the f32 interleaved forward.
-
-        The weight folds (output layer into ``ψ``, both biases into one
-        per-node term, ``α`` into ``ψ W₂``) are computed in float64 from the
-        original model weights and cast once, so the staging itself adds no
-        rounding beyond the final f32 quantisation.
-        """
-        d, ni = self.latent_dim, self.node_input_dim
-        dtype = self.dtype
-        staged: List[_InterleavedBlock] = []
-        for block, ops, alpha in zip(model.blocks, self.compiled_blocks, self._alphas):
-            psi1 = np.asarray(block.psi.layers[0].weight.data, dtype=np.float64)
-            psi_b1 = block.psi.layers[0].bias
-            psi_b1 = None if psi_b1 is None else np.asarray(psi_b1.data, dtype=np.float64)
-            psi2 = np.asarray(block.psi.layers[1].weight.data, dtype=np.float64)
-            psi_b2 = block.psi.layers[1].bias
-            psi_b2 = None if psi_b2 is None else np.asarray(psi_b2.data, dtype=np.float64)
-            psi1_agg = {}
-            bias_node = None if psi_b1 is None else np.broadcast_to(
-                psi_b1, (self.num_nodes, d)
-            ).copy()
-            for key, phi, offset in (
-                ("fwd", block.phi_forward, d + ni),
-                ("bwd", block.phi_backward, 2 * d + ni),
-            ):
-                w_out = np.asarray(phi.layers[1].weight.data, dtype=np.float64)
-                b_out = phi.layers[1].bias
-                psi1_cols = psi1[:, offset:offset + d]            # (d_out, d)
-                # fold the direction's output layer into ψ's agg columns:
-                # (S H) W₂ᵀ ψ₁ᵀ = (S H) (ψ₁ W₂)ᵀ
-                psi1_agg[key] = np.ascontiguousarray((psi1_cols @ w_out).T)
-                if b_out is not None:
-                    term = (indegree * np.asarray(b_out.data, dtype=np.float64)) @ psi1_cols.T
-                    bias_node = term if bias_node is None else bias_node + term
-            # the κ channels never change between applications, so their ψ
-            # contribution is a fixed per-node vector — folded into bias_node,
-            # leaving the residual sources as the only per-column input
-            psi1_input = psi1[:, d:d + ni]                        # (d_out, ni)
-            if ni > 1:
-                term = self._static_node_input[:, 1:] @ psi1_input[:, 1:].T
-                bias_node = term if bias_node is None else bias_node + term
-            static = None
-            if ops.forward_dir.static is not None and ops.backward_dir.static is not None:
-                static = np.ascontiguousarray(
-                    np.hstack([ops.forward_dir.static, ops.backward_dir.static])
-                )
-            staged.append(
-                _InterleavedBlock(
-                    w_dst_T=np.ascontiguousarray(
-                        np.hstack([ops.forward_dir.w_dst_T, ops.backward_dir.w_dst_T])
-                    ),
-                    w_src_T=np.ascontiguousarray(
-                        np.hstack([ops.forward_dir.w_src_T, ops.backward_dir.w_src_T])
-                    ),
-                    static=static,
-                    w_psi_latent_T=np.ascontiguousarray(psi1[:, :d].T.astype(dtype)),
-                    w_source_T=np.ascontiguousarray(psi1_input[:, :1].T.astype(dtype)),
-                    w_psi_agg_T=np.ascontiguousarray(
-                        np.vstack([psi1_agg["fwd"], psi1_agg["bwd"]]).astype(dtype)
-                    ),
-                    bias_node=None if bias_node is None else bias_node.astype(dtype),
-                    w2_alpha_T=np.ascontiguousarray((alpha * psi2.T).astype(dtype)),
-                    b2_alpha=None if psi_b2 is None else (alpha * psi_b2).astype(dtype),
-                )
-            )
-        return staged
+    def _static_terms(self, block: _CompiledBlock, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """``(E, 2d)`` ``[fwd | bwd]`` hidden-layer contribution of the edge attributes."""
+        static = np.matmul(self._edge_attr, block.w_attr_T, out=out)
+        static += block.b_hidden
+        return static
 
     # ------------------------------------------------------------------ #
     @property
@@ -752,55 +452,45 @@ class InferencePlan:
         return self.plan.num_graphs
 
     def load_source(self, values: np.ndarray) -> None:
-        """Scatter the current per-node inputs into the preallocated buffers.
+        """Copy the current per-node inputs into the structural plan's buffer.
 
-        Keeps the structural plan's ``source`` in sync so the tape forward can
-        be run on the very same plan (the parity tests rely on this).
+        The plan's ``source`` is what :meth:`run` stages, and keeping it
+        current lets the tape forward run on the very same plan (the parity
+        tests rely on this).
         """
         self.plan.load_source(values)
-        self.node_input[:, 0] = self.plan.source
 
     def split_node_values(self, values: np.ndarray):
         return self.plan.split_node_values(values)
 
     # ------------------------------------------------------------------ #
-    # multi-column (lockstep) path
-    # ------------------------------------------------------------------ #
-    def column_workspace(self, k: int) -> _ColumnWorkspace:
-        """The cached ``k``-column workspace (prefix views of the fused buffers).
+    def workspace(self, k: int) -> _Workspace:
+        """The cached ``k``-column workspace (flat-backed reshape views).
 
         Allocation happens on the first call and again only when ``k`` grows
         past every previously seen value; shrinking column counts (lockstep
-        compaction) reuse prefixes of the same arrays.
+        compaction) reuse the same arrays.
         """
         if k < 1:
             raise ValueError(f"column count must be >= 1, got {k}")
-        fused = self._fused
-        if fused is None or k > fused.k_max:
-            fused = _FusedBuffers(self, k)
-            self._fused = fused
-        return fused.view(k)
-
-    def _static_scratch(self) -> np.ndarray:
-        """Lazily allocated ``(E, 2d)`` buffer for over-budget static terms."""
-        scratch = getattr(self, "_static_scratch_buf", None)
-        if scratch is None:
-            scratch = np.empty((self.plan.num_edges, 2 * self.latent_dim), dtype=self.dtype)
-            self._static_scratch_buf = scratch
-        return scratch
-
-    def interleaved_workspace(self, k: int) -> _InterleavedWorkspace:
-        """The cached ``k``-column f32 workspace (flat-backed reshape views)."""
-        if k < 1:
-            raise ValueError(f"column count must be >= 1, got {k}")
-        buffers = self._interleaved
+        buffers = self._buffers
         if buffers is None or k > buffers.k_max:
-            buffers = _InterleavedBuffers(self, k)
-            self._interleaved = buffers
+            buffers = _Buffers(self, k)
+            self._buffers = buffers
         return buffers.view(k)
 
-    def load_source_columns(self, sources: np.ndarray):
-        """Stage ``k`` per-node source columns into the k-column workspace.
+    def _column_io(self, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """f64 staging: the ``(n, k)`` sources and outputs around the k=1 sweeps.
+
+        Views of one flat allocation grown to the largest ``k`` seen.
+        """
+        size = self.num_nodes * k
+        if self._io.size < 2 * size:
+            self._io = np.empty(2 * size)
+        return (self._io[:size].reshape(-1, k), self._io[size:2 * size].reshape(-1, k))
+
+    def load_source_columns(self, sources: np.ndarray) -> int:
+        """Stage ``k`` per-node source columns; returns ``k``.
 
         ``sources`` is ``(n, k)`` — column ``c`` is what ``load_source`` would
         receive for the corresponding single-column run.  Casting to the plan
@@ -812,222 +502,74 @@ class InferencePlan:
                 f"sources must be (num_nodes, k) = ({self.num_nodes}, k), "
                 f"got shape {sources.shape}"
             )
+        k = sources.shape[1]
         if self.dtype == np.float32:
-            workspace = self.interleaved_workspace(sources.shape[1])
-            workspace.sources[...] = sources
+            self.workspace(k).sources[...] = sources
         else:
-            workspace = self.column_workspace(sources.shape[1])
-            workspace.node_input[:, :, 0] = sources.T
-        return workspace
-
-    def gather_add_columns(self, workspace: _ColumnWorkspace, direction: _CompiledDirection) -> np.ndarray:
-        """Fused edge hidden-layer input for all columns, one SpMM.
-
-        Evaluates ``proj_dst[c][dst] + proj_src[c][src] + static`` into
-        ``workspace.edge_hidden`` via the block-diagonal two-ones gather-add
-        operator.  In f64 the static term is added *after* the SpMM (the
-        sequential addition order, upholding bit-identity); in f32 the edge
-        buffer is prefilled with it and the SpMM accumulates on top — one
-        fewer pass over the largest arrays of the whole forward.
-        """
-        k, d, n = workspace.k, self.latent_dim, self.num_nodes
-        num_edges = self.plan.num_edges
-        edge_hidden = workspace.edge_hidden
-        prefill = direction.static if self.dtype == np.float32 else None
-        if _csr_matvecs is not None:
-            if prefill is not None:
-                np.copyto(edge_hidden, prefill[None, :, :])
-            else:
-                edge_hidden.fill(0.0)
-            _csr_matvecs(
-                k * num_edges, 2 * k * n, d,
-                workspace.gather_indptr, workspace.gather_indices, workspace.gather_data,
-                workspace.proj.reshape(-1, d).ravel(), edge_hidden.ravel(),
-            )
-        else:  # pragma: no cover - exercised only on exotic scipy builds
-            gather, _ = self._fused.fallback_matrices(k)
-            edge_hidden[...] = (gather @ workspace.proj.reshape(-1, d)).reshape(k, num_edges, d)
-            prefill = None
-        if prefill is None:
-            if direction.static is not None:
-                edge_hidden += direction.static[None, :, :]
-            else:
-                # above the static-term budget: the attribute term is
-                # column-invariant, so one (E × |e|) GEMM serves every column
-                np.matmul(direction.attr, direction.w_attr_T, out=self.edge_scratch)
-                edge_hidden += self.edge_scratch[None, :, :]
-                if direction.b_hidden is not None:
-                    edge_hidden += direction.b_hidden
-        return edge_hidden
-
-    def aggregate_columns(self, workspace: _ColumnWorkspace, direction: _CompiledDirection, out: np.ndarray) -> np.ndarray:
-        """Multi-column ``aggregate``: one block-diagonal SpMM, slab GEMMs.
-
-        The CSR kernel walks each column block's sparse rows in the same
-        nonzero order as the single-column SpMM, so column ``c`` of the sum
-        is bit-identical to ``aggregate`` on column ``c`` alone; the output
-        projection runs per-column slab (see :func:`_matmul_slabs`).
-        """
-        k, d, n = workspace.k, self.latent_dim, self.num_nodes
-        num_edges = self.plan.num_edges
-        pre = workspace.agg_pre
-        if _csr_matvecs is not None:
-            pre.fill(0.0)
-            _csr_matvecs(
-                k * n, k * num_edges, d,
-                workspace.agg_indptr, workspace.agg_indices, workspace.agg_data,
-                workspace.edge_hidden.reshape(-1, d).ravel(), pre.ravel(),
-            )
-        else:  # pragma: no cover - exercised only on exotic scipy builds
-            _, agg = self._fused.fallback_matrices(k)
-            pre[...] = (agg @ workspace.edge_hidden.reshape(-1, d)).reshape(k, n, d)
-        _matmul_slabs(pre, direction.w_out_T, out)
-        if direction.agg_bias is not None:
-            out += direction.agg_bias[None, :, :]
-        return out
+            self._column_io(k)[0][...] = sources
+        return k
 
     def run_columns(self, k: int) -> np.ndarray:
-        """Execute the forward pass for all ``k`` staged source columns at once.
+        """Execute the forward pass for the ``k`` staged source columns.
 
-        Returns the ``(n, k)`` per-node outputs — a view of the k-column
-        workspace, overwritten by the next ``run_columns`` with the same
-        ``k``.  Column ``c`` is bit-identical to ``run()`` after
-        ``load_source`` of column ``c`` when the plan precision is ``"f64"``;
-        f32 plans take the interleaved fused path, which matches the f32
-        sequential path to tolerance rather than bytes.
+        Returns the ``(n, k)`` per-node outputs — a view of plan buffers,
+        overwritten by the next run.  f32 plans sweep all columns at once;
+        f64 plans run them one at a time through the ``k = 1`` kernel, so
+        column ``c`` is bit-identical to ``run()`` on column ``c`` (see the
+        module docstring).
         """
         if self.dtype == np.float32:
-            return self._run_columns_interleaved(k)
-        workspace = self.column_workspace(k)
-        model = self.model
-        workspace.latent.fill(0.0)
-        for block, ops in zip(model.blocks, self.compiled_blocks):
-            block.infer_columns_into(self, workspace, ops)
-        model.decoders[-1].infer_columns_into(self, workspace, self.compiled_decoder)
-        return workspace.output[:, :, 0].T
+            return self._forward(self.workspace(k))
+        staged, outputs = self._column_io(k)
+        single = self.workspace(1)
+        for c in range(k):
+            single.sources[:, 0] = staged[:, c]
+            outputs[:, c] = self._forward(single)[:, 0]
+        return outputs
 
-    def _run_columns_interleaved(self, k: int) -> np.ndarray:
-        """The f32 fused forward: interleaved layout, direction-stacked ops.
+    def run(self) -> np.ndarray:
+        """``run_columns(1)`` on the plan's current source, as a flat array."""
+        self.load_source_columns(self.plan.source[:, None])
+        return self.run_columns(1)[:, 0]
+
+    def _forward(self, ws: _Workspace) -> np.ndarray:
+        """The folded k̄-iteration forward on workspace ``ws``; returns ``ws.output``.
 
         Per block: two double-width projection GEMMs, one static prefill, one
         gather SpMM, one ReLU and one aggregation SpMM serve *both* message
-        directions (stacked ``[fwd | bwd]`` along the last axis); ``ψ``'s
-        hidden layer then reads the raw aggregation sums directly through the
-        folded weights of :class:`_InterleavedBlock`.  Every GEMM runs once
-        on an ``(n·k, ·)`` reshape view and the SpMMs carry ``n_vecs = k·2d``
-        contiguous dense columns.
+        directions; ``ψ``'s hidden layer reads the raw aggregation sums
+        through the folded weights of :class:`_CompiledBlock`.
         """
-        from ..nn.functional import relu_
-
-        ws = self.interleaved_workspace(k)
-        buffers = self._interleaved
-        n, d = self.num_nodes, self.latent_dim
-        num_edges = self.plan.num_edges
-        agg_matrix = self._agg_matrix
-        ws.latent.fill(0.0)
-        for block, ops in zip(self._interleaved_blocks, self.compiled_blocks):
+        n_vecs = ws.k * 2 * self.latent_dim
+        ws.latent2d.fill(0.0)
+        for block in self.compiled_blocks:
             np.matmul(ws.latent2d, block.w_dst_T, out=ws.proj_dst2d)
             np.matmul(ws.latent2d, block.w_src_T, out=ws.proj_src2d)
             # prefill the edge buffer with the column-invariant static terms;
             # the two-ones gather SpMM accumulates the projections on top
             static = block.static
             if static is None:
-                # above the static-term budget: two (E × |e|) GEMMs
-                static = self._static_scratch()
-                for half, direction in (
-                    (slice(0, d), ops.forward_dir),
-                    (slice(d, 2 * d), ops.backward_dir),
-                ):
-                    np.matmul(direction.attr, direction.w_attr_T, out=self.edge_scratch)
-                    if direction.b_hidden is not None:
-                        self.edge_scratch += direction.b_hidden
-                    static[:, half] = self.edge_scratch
+                static = self._static_terms(block, out=self._static_scratch)
             np.copyto(ws.edge_hidden, static[:, None, :])
-            if _csr_matvecs is not None:
-                _csr_matvecs(
-                    num_edges, 2 * n, k * 2 * d,
-                    buffers.gather_indptr, buffers.gather_indices, buffers.gather_data,
-                    ws.proj_flat, ws.edge_flat,
-                )
-            else:  # pragma: no cover - exercised only on exotic scipy builds
-                gathered = buffers.gather_matrix() @ ws.proj.reshape(2 * n, k * 2 * d)
-                ws.edge_hidden += gathered.reshape(num_edges, k, 2 * d)
-            relu_(ws.edge_hidden)
-            if _csr_matvecs is not None:
-                ws.psi_pre.fill(0.0)
-                _csr_matvecs(
-                    n, num_edges, k * 2 * d,
-                    agg_matrix.indptr, agg_matrix.indices, agg_matrix.data,
-                    ws.edge_flat, ws.pre_flat,
-                )
-            else:  # pragma: no cover
-                ws.psi_pre[...] = (
-                    agg_matrix @ ws.edge_hidden.reshape(num_edges, k * 2 * d)
-                ).reshape(n, k, 2 * d)
+            _spmm_acc(self._gather_matrix, ws.proj_flat, ws.edge_flat, n_vecs)
+            relu_(ws.edge_flat)
+            ws.pre_flat.fill(0.0)
+            _spmm_acc(self._agg_matrix, ws.edge_flat, ws.pre_flat, n_vecs)
             # ψ hidden = bias_node + pre W_agg + latent Wₗ + sources w₀, the
             # products GEMM-accumulated (beta=1) straight onto the prefilled
-            # bias — no scratch array, no separate addition passes
-            if block.bias_node is not None:
-                np.copyto(ws.hidden3, block.bias_node[:, None, :])
-                _sgemm_acc(ws.pre2d, block.w_psi_agg_T, ws.hidden2d)
-            else:
-                np.matmul(ws.pre2d, block.w_psi_agg_T, out=ws.hidden2d)
-            _sgemm_acc(ws.latent2d, block.w_psi_latent_T, ws.hidden2d)
-            _sgemm_acc(ws.input2d, block.w_source_T, ws.hidden2d)
+            # bias — no separate addition passes
+            np.copyto(ws.hidden3, block.bias_node[:, None, :])
+            _gemm_acc(ws.pre2d, block.w_psi_agg_T, ws.hidden2d, ws.scratch2d)
+            _gemm_acc(ws.latent2d, block.w_psi_latent_T, ws.hidden2d, ws.scratch2d)
+            _gemm_acc(ws.input2d, block.w_source_T, ws.hidden2d, ws.scratch2d)
             relu_(ws.hidden2d)
             # damped ResNet update, accumulated directly into the latent
-            _sgemm_acc(ws.hidden2d, block.w2_alpha_T, ws.latent2d)
-            if block.b2_alpha is not None:
-                ws.latent2d += block.b2_alpha
+            _gemm_acc(ws.hidden2d, block.w2_alpha_T, ws.latent2d, ws.scratch2d)
+            ws.latent2d += block.b2_alpha
         decoder = self.compiled_decoder
         np.matmul(ws.latent2d, decoder.w1_T, out=ws.hidden2d)
-        if decoder.b1 is not None:
-            ws.hidden2d += decoder.b1
+        ws.hidden2d += decoder.b1
         relu_(ws.hidden2d)
         np.matmul(ws.hidden2d, decoder.w2_T, out=ws.output2d)
-        if decoder.b2 is not None:
-            ws.output2d += decoder.b2
+        ws.output2d += decoder.b2
         return ws.output
-
-    def aggregate(self, edge_values: np.ndarray, direction: _CompiledDirection, out: np.ndarray) -> np.ndarray:
-        """``out = (S @ edge_values) @ W₂ᵀ + deg ⊗ b₂`` — sum-then-project.
-
-        One CSR SpMM onto the destination nodes followed by an ``(n × d)``
-        GEMM; equal (to a few ulp) to projecting every edge message first and
-        summing afterwards, but with the output layer running on ``n`` rows
-        instead of ``E``.
-        """
-        if _csr_matvecs is not None:
-            pre = self.agg_pre
-            pre.fill(0.0)
-            matrix = self._agg_matrix
-            _csr_matvecs(
-                matrix.shape[0],
-                matrix.shape[1],
-                edge_values.shape[1],
-                matrix.indptr,
-                matrix.indices,
-                matrix.data,
-                edge_values.ravel(),
-                pre.ravel(),
-            )
-        else:
-            pre = self._agg_matrix @ edge_values
-        np.matmul(pre, direction.w_out_T, out=out)
-        if direction.agg_bias is not None:
-            out += direction.agg_bias
-        return out
-
-    # ------------------------------------------------------------------ #
-    def run(self) -> np.ndarray:
-        """Execute the full k̄-iteration forward pass on the current source.
-
-        Returns the flat per-node output — a view of an internal buffer that
-        the next ``run`` overwrites.
-        """
-        model = self.model
-        self.latent.fill(0.0)
-        for block, ops in zip(model.blocks, self.compiled_blocks):
-            block.infer_into(self, ops)
-        model.decoders[-1].infer_into(self, self.compiled_decoder)
-        return self.output.ravel()

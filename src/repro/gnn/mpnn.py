@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..nn.functional import concatenate, gather, relu_, segment_sum
+from ..nn.functional import concatenate, gather, segment_sum
 from ..nn.modules import MLP, Module
 from ..nn.tensor import Tensor
 
@@ -97,106 +97,6 @@ class DSSBlock(Module):
         update = self.psi(concatenate([latent, node_input, agg_fwd, agg_bwd], axis=1))
         return latent + self.alpha * update
 
-    # ------------------------------------------------------------------ #
-    # inference fast path (raw ndarrays, reused buffers, no tape)
-    # ------------------------------------------------------------------ #
-    def infer_into(self, ws, ops) -> None:
-        """Advance ``ws.latent`` by one message-passing iteration in place.
-
-        ``ws`` is an :class:`~repro.gnn.infer.InferencePlan` workspace and
-        ``ops`` its prestaged weights for this block.  The latent state and
-        both aggregation targets are column views of the persistent ``ψ``
-        input buffer, so the only per-iteration work is GEMMs into reused
-        scratch, two contiguous gathers per message direction, and one SpMM
-        aggregation each — no tape, no per-call allocations.
-        """
-        self._messages_into(ws, ops.forward_dir, ws.agg_fwd)
-        self._messages_into(ws, ops.backward_dir, ws.agg_bwd)
-
-        # ψ reads [latent | node_input | agg_fwd | agg_bwd] — all column views
-        # of ws.node_cat, already up to date — and the damped ResNet update
-        # lands back in the latent view
-        np.matmul(ws.node_cat, ops.psi_w1_T, out=ws.node_hidden)
-        if ops.psi_b1 is not None:
-            ws.node_hidden += ops.psi_b1
-        relu_(ws.node_hidden)
-        np.matmul(ws.node_hidden, ops.psi_w2_T, out=ws.update)
-        if ops.psi_b2 is not None:
-            ws.update += ops.psi_b2
-        np.multiply(ws.update, self.alpha, out=ws.update)
-        ws.latent += ws.update
-
-    @staticmethod
-    def _messages_into(ws, direction, agg_out: np.ndarray) -> None:
-        """One message direction: Φ on every edge, summed onto destinations.
-
-        The hidden layer ``W₁ [h_dst | h_src | e] + b₁`` is evaluated as
-        per-node projections of the two disjoint latent weight blocks —
-        ``(n × d)`` GEMMs instead of an ``(E × 2d+|e|)`` one — gathered to the
-        edges and combined with the precompiled static attribute term.
-        """
-        np.matmul(ws.latent, direction.w_dst_T, out=ws.proj_dst)
-        np.matmul(ws.latent, direction.w_src_T, out=ws.proj_src)
-        # mode="clip" skips numpy's slow bounds-checked out= path; the plan's
-        # edge indices are in range by construction
-        np.take(ws.proj_dst, ws.dst, axis=0, out=ws.edge_hidden, mode="clip")
-        np.take(ws.proj_src, ws.src, axis=0, out=ws.edge_scratch, mode="clip")
-        ws.edge_hidden += ws.edge_scratch
-        if direction.static is not None:
-            ws.edge_hidden += direction.static
-        else:
-            # above the static-term memory budget: one small (E × |e|) GEMM
-            np.matmul(direction.attr, direction.w_attr_T, out=ws.edge_scratch)
-            ws.edge_hidden += ws.edge_scratch
-            if direction.b_hidden is not None:
-                ws.edge_hidden += direction.b_hidden
-        relu_(ws.edge_hidden)
-        # aggregation onto the destination nodes fused with the output layer
-        ws.aggregate(ws.edge_hidden, direction, agg_out)
-
-    # ------------------------------------------------------------------ #
-    # multi-column inference (k sources per node, one network sweep)
-    # ------------------------------------------------------------------ #
-    def infer_columns_into(self, ws, cw, ops) -> None:
-        """Advance all ``k`` latent columns of workspace ``cw`` by one iteration.
-
-        The structure mirrors :meth:`infer_into` exactly; the gather-add, the
-        aggregation SpMM and every elementwise op are fused across columns
-        (all exact per column), the GEMMs run per contiguous column slab (the
-        bitwise-safe form — see :mod:`repro.gnn.infer`).
-        """
-        from .infer import _matmul_slabs
-
-        self._messages_columns_into(ws, cw, ops.forward_dir, cw.agg_fwd)
-        self._messages_columns_into(ws, cw, ops.backward_dir, cw.agg_bwd)
-
-        _matmul_slabs(cw.node_cat, ops.psi_w1_T, cw.node_hidden)
-        if ops.psi_b1 is not None:
-            cw.node_hidden += ops.psi_b1
-        relu_(cw.node_hidden)
-        _matmul_slabs(cw.node_hidden, ops.psi_w2_T, cw.update)
-        if ops.psi_b2 is not None:
-            cw.update += ops.psi_b2
-        np.multiply(cw.update, self.alpha, out=cw.update)
-        cw.latent += cw.update
-
-    @staticmethod
-    def _messages_columns_into(ws, cw, direction, agg_out: np.ndarray) -> None:
-        """Multi-column :meth:`_messages_into`: slab GEMMs, one gather SpMM.
-
-        The per-node projections land in the ``(k, 2, n, d)`` projection
-        buffer whose flattened rows are exactly the columns of the
-        block-diagonal two-ones gather operator; one SpMM then replaces the
-        two per-column ``np.take`` gathers *and* their addition.
-        """
-        from .infer import _matmul_slabs
-
-        _matmul_slabs(cw.latent, direction.w_dst_T, cw.proj_dst)
-        _matmul_slabs(cw.latent, direction.w_src_T, cw.proj_src)
-        ws.gather_add_columns(cw, direction)
-        relu_(cw.edge_hidden)
-        ws.aggregate_columns(cw, direction, agg_out)
-
 
 class Decoder(Module):
     """Per-iteration decoder ``D_θ^{k}`` mapping the latent state to a scalar field."""
@@ -208,27 +108,3 @@ class Decoder(Module):
 
     def forward(self, latent: Tensor) -> Tensor:
         return self.mlp(latent)
-
-    def infer_into(self, ws, ops) -> np.ndarray:
-        """Decode ``ws.latent`` into ``ws.output`` (raw-ndarray fast path)."""
-        np.matmul(ws.latent, ops.w1_T, out=ws.node_hidden)
-        if ops.b1 is not None:
-            ws.node_hidden += ops.b1
-        relu_(ws.node_hidden)
-        np.matmul(ws.node_hidden, ops.w2_T, out=ws.output)
-        if ops.b2 is not None:
-            ws.output += ops.b2
-        return ws.output
-
-    def infer_columns_into(self, ws, cw, ops) -> np.ndarray:
-        """Decode all ``k`` latent columns into ``cw.output`` at once."""
-        from .infer import _matmul_slabs
-
-        _matmul_slabs(cw.latent, ops.w1_T, cw.node_hidden)
-        if ops.b1 is not None:
-            cw.node_hidden += ops.b1
-        relu_(cw.node_hidden)
-        _matmul_slabs(cw.node_hidden, ops.w2_T, cw.output)
-        if ops.b2 is not None:
-            cw.output += ops.b2
-        return cw.output

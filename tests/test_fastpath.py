@@ -120,19 +120,20 @@ KAPPA_CONFIG = DSSConfig(num_iterations=4, latent_dim=5, seed=3, edge_attr_dim=4
 COLUMN_COUNTS = [1, 2, 7, 16]
 
 
+def _model_and_batch(config, toy_batch, kappa_batch):
+    batch = kappa_batch if config.node_input_dim > 1 else toy_batch
+    model = DSS(config)
+    model.eval()
+    return model, batch
+
+
 class TestMultiColumnParity:
     """``infer_columns(k)`` against ``k`` sequential ``infer`` calls.
 
     The f64 contract is *bitwise* (the lockstep CG relies on it); the f32
-    interleaved path trades bit-identity for fusion and is pinned by
-    tolerance against the f32 sequential path instead.
+    k-wide sweep trades bit-identity for fusion and is pinned by tolerance
+    against the f32 single-column sweeps instead.
     """
-
-    def _model_and_batch(self, config, toy_batch, kappa_batch):
-        batch = kappa_batch if config.node_input_dim > 1 else toy_batch
-        model = DSS(config)
-        model.eval()
-        return model, batch
 
     def _sequential(self, model, plan, sources):
         return np.stack(
@@ -143,7 +144,7 @@ class TestMultiColumnParity:
     @pytest.mark.parametrize("config", [PLAIN_CONFIG, KAPPA_CONFIG])
     @pytest.mark.parametrize("k", COLUMN_COUNTS)
     def test_f64_columns_bitwise_match_sequential(self, toy_batch, kappa_batch, config, k):
-        model, batch = self._model_and_batch(config, toy_batch, kappa_batch)
+        model, batch = _model_and_batch(config, toy_batch, kappa_batch)
         plan = model.compile_plan(batch)
         sources = np.random.default_rng(100 + k).normal(size=(batch.num_nodes, k))
         fused = model.infer_columns(plan, sources).copy()
@@ -152,7 +153,7 @@ class TestMultiColumnParity:
     @pytest.mark.parametrize("config", [PLAIN_CONFIG, KAPPA_CONFIG])
     @pytest.mark.parametrize("k", COLUMN_COUNTS)
     def test_f32_columns_match_f32_sequential_to_tolerance(self, toy_batch, kappa_batch, config, k):
-        model, batch = self._model_and_batch(config, toy_batch, kappa_batch)
+        model, batch = _model_and_batch(config, toy_batch, kappa_batch)
         plan32 = model.compile_plan(batch, precision="f32")
         rng = np.random.default_rng(200 + k)
         sources = rng.normal(size=(batch.num_nodes, k))
@@ -163,44 +164,59 @@ class TestMultiColumnParity:
         assert np.allclose(fused, sequential, rtol=1e-4, atol=1e-5 * max(scale, 1.0))
 
     @pytest.mark.parametrize("precision", ["f64", "f32"])
-    def test_shrinking_column_counts_reuse_buffers(self, toy_batch, precision):
-        """Lockstep compaction shrinks k mid-solve; the plan must serve every
-        smaller count from the buffers allocated at the largest one, without
-        losing per-column correctness."""
+    def test_shrinking_column_counts_stay_correct(self, toy_batch, precision):
+        """Lockstep compaction shrinks k mid-solve, and the workspaces of all
+        column counts alias one allocation: every smaller count served after
+        the largest one must still match single-column ``infer``."""
         model = DSS(PLAIN_CONFIG)
         model.eval()
         plan = model.compile_plan(toy_batch, precision=precision)
         rng = np.random.default_rng(31)
-        sources16 = rng.normal(size=(toy_batch.num_nodes, 16))
-        model.infer_columns(plan, sources16)
-        buffers = plan._fused if precision == "f64" else plan._interleaved
-        assert buffers is not None and buffers.k_max == 16
-        for k in (7, 2, 1):
+        model.infer_columns(plan, rng.normal(size=(toy_batch.num_nodes, 16)))
+        for k in (9, 5, 2, 1):
             sources = rng.normal(size=(toy_batch.num_nodes, k))
             fused = model.infer_columns(plan, sources).copy()
-            sequential = self._sequential(model, plan, sources)
-            if precision == "f64":
-                assert np.array_equal(fused, sequential)
-            else:
-                assert np.allclose(fused, sequential, rtol=1e-4, atol=1e-6)
-            # same buffer object: shrinking k never reallocates
-            assert (plan._fused if precision == "f64" else plan._interleaved) is buffers
+            for c in range(k):
+                single = model.infer(plan, sources[:, c])
+                if precision == "f64":
+                    assert np.array_equal(fused[:, c], single)
+                else:
+                    assert np.allclose(fused[:, c], single, rtol=1e-4, atol=1e-6)
 
     @pytest.mark.parametrize("precision", ["f64", "f32"])
-    def test_no_per_call_allocation_growth(self, toy_batch, precision):
-        """Repeated fused calls reuse one workspace: outputs are views of the
-        same memory and no new buffer objects appear after warm-up."""
+    def test_no_allocation_growth(self, toy_batch, precision):
+        """After warm-up, calls of any mix of column counts allocate nothing
+        that outlives them, and transiently nothing beyond numpy's bounded
+        broadcast-iterator buffer (8192 elements = 64 KiB, well below the
+        plan's per-edge buffers)."""
+        import tracemalloc
+
         model = DSS(PLAIN_CONFIG)
         model.eval()
         plan = model.compile_plan(toy_batch, precision=precision)
         rng = np.random.default_rng(37)
-        first = model.infer_columns(plan, rng.normal(size=(toy_batch.num_nodes, 5)))
-        buffers = plan._fused if precision == "f64" else plan._interleaved
-        second = model.infer_columns(plan, rng.normal(size=(toy_batch.num_nodes, 5)))
-        third = model.infer_columns(plan, rng.normal(size=(toy_batch.num_nodes, 3)))
-        assert np.shares_memory(first, second)
-        assert np.shares_memory(first, third)
-        assert (plan._fused if precision == "f64" else plan._interleaved) is buffers
+        sources5 = rng.normal(size=(toy_batch.num_nodes, 5))
+        sources3 = rng.normal(size=(toy_batch.num_nodes, 3))
+        first = model.infer_columns(plan, sources5)
+        expected = first.copy()
+        model.infer_columns(plan, sources3)
+        model.infer(plan, sources3[:, 0])
+        assert plan.workspace(5).edge_hidden.nbytes > 96 * 1024
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for _ in range(50):
+                model.infer_columns(plan, sources3)
+                model.infer(plan, sources3[:, 0])
+                again = model.infer_columns(plan, sources5)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(first, again)
+        assert np.array_equal(again, expected)
+        assert after - before < 4096
+        assert peak - before < 96 * 1024
 
     def test_load_source_columns_validates_shape(self, toy_batch):
         model = DSS(PLAIN_CONFIG)
@@ -218,6 +234,74 @@ class TestMultiColumnParity:
         source = np.random.default_rng(41).normal(size=toy_batch.num_nodes)
         fused = model.infer_columns(plan, source[:, None]).copy()
         assert np.array_equal(fused[:, 0], model.infer(plan, source))
+
+
+class TestKernelFallbacks:
+    """The code paths no default run reaches: scipy without its BLAS wrappers
+    or without the private CSR kernel, and plans above the static-term
+    budget.  Each must agree with the default path (and, in f64, the tape)."""
+
+    @pytest.mark.parametrize("patched", ["_BLAS_GEMM", "_csr_matvecs"])
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_forced_fallback_matches_default(self, monkeypatch, toy_batch, patched, precision):
+        from repro.gnn import infer as engine
+
+        model = DSS(PLAIN_CONFIG)
+        model.eval()
+        plan = model.compile_plan(toy_batch, precision=precision)
+        sources = np.random.default_rng(61).normal(size=(toy_batch.num_nodes, 3))
+        default = model.infer_columns(plan, sources).copy()
+        monkeypatch.setattr(engine, patched, {} if patched == "_BLAS_GEMM" else None)
+        fallback = model.infer_columns(plan, sources)
+        tolerance = 1e-12 if precision == "f64" else 1e-4
+        assert np.allclose(fallback, default, rtol=tolerance, atol=tolerance)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_gemm_acc_fallback_uses_the_scratch(self, monkeypatch, dtype):
+        """Without the BLAS wrappers ``c += a @ b`` must not allocate the product."""
+        import tracemalloc
+
+        from repro.gnn import infer as engine
+
+        rng = np.random.default_rng(63)
+        a = rng.normal(size=(20000, 6)).astype(dtype)
+        b = rng.normal(size=(6, 10)).astype(dtype)
+        c = rng.normal(size=(20000, 10)).astype(dtype)
+        scratch = np.empty_like(c)
+        expected = c.copy()
+        engine._gemm_acc(a, b, expected, scratch)
+        monkeypatch.setattr(engine, "_BLAS_GEMM", {})
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            engine._gemm_acc(a, b, c, scratch)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < c.nbytes // 4
+        assert np.allclose(c, expected, rtol=1e-12 if dtype == np.float64 else 1e-5)
+
+    @pytest.mark.parametrize("config", [PLAIN_CONFIG, KAPPA_CONFIG])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_over_budget_static_terms(self, monkeypatch, toy_batch, kappa_batch, config, k):
+        from repro.gnn import infer as engine
+
+        model, batch = _model_and_batch(config, toy_batch, kappa_batch)
+        sources = np.random.default_rng(67 + k).normal(size=(batch.num_nodes, k))
+        in_budget32 = model.infer_columns(
+            model.compile_plan(batch, precision="f32"), sources).copy()
+        monkeypatch.setattr(engine, "STATIC_EDGE_TERM_BUDGET", 0)
+        plan = model.compile_plan(batch)
+        assert all(block.static is None for block in plan.compiled_blocks)
+        over = model.infer_columns(plan, sources).copy()
+        for c in range(k):
+            assert np.array_equal(over[:, c], model.infer(plan, sources[:, c]))
+            batch.source = sources[:, c]
+            assert np.allclose(over[:, c], model.predict(batch), rtol=1e-12, atol=1e-12)
+        over32 = model.infer_columns(model.compile_plan(batch, precision="f32"), sources)
+        scale = np.abs(in_budget32).max()
+        assert np.allclose(over32, in_budget32, rtol=1e-4, atol=1e-5 * max(scale, 1.0))
 
 
 class TestPreconditionerApplyColumns:
@@ -255,6 +339,32 @@ class TestPreconditionerApplyColumns:
             single = pre.apply(R[:, j])
             scale = np.abs(single).max()
             assert np.allclose(fused[:, j], single, rtol=1e-4, atol=1e-5 * max(scale, 1.0))
+
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_interleaved_column_counts_leak_no_state(
+        self, random_problem, small_decomposition, tiny_dss_model, precision
+    ):
+        """``apply``, ``apply_columns(k=8)``, ``apply_columns(k=3)``, ``apply``
+        on ONE preconditioner: the workspaces of all column counts alias one
+        allocation, so every call must restage all the state it reads."""
+        pre = self._build(random_problem, small_decomposition, tiny_dss_model, precision=precision)
+        rng = np.random.default_rng(59)
+        r = rng.normal(size=random_problem.num_dofs)
+        R8 = rng.normal(size=(random_problem.num_dofs, 8))
+        R3 = rng.normal(size=(random_problem.num_dofs, 3))
+        first = pre.apply(r)
+        fused8 = pre.apply_columns(R8)
+        fused3 = pre.apply_columns(R3)
+        assert np.array_equal(pre.apply(r), first)
+        assert np.array_equal(pre.apply_columns(R8), fused8)
+        for block, fused in ((R8, fused8), (R3, fused3)):
+            for j in range(block.shape[1]):
+                single = pre.apply(block[:, j])
+                if precision == "f64":
+                    assert np.array_equal(fused[:, j], single)
+                else:
+                    scale = np.abs(single).max()
+                    assert np.allclose(fused[:, j], single, rtol=1e-4, atol=1e-5 * max(scale, 1.0))
 
     def test_fused_application_counter(self, random_problem, small_decomposition, tiny_dss_model):
         pre = self._build(random_problem, small_decomposition, tiny_dss_model)
@@ -552,8 +662,8 @@ class TestRandomizedLockstep:
             assert a.iterations == b.iterations
             assert a.converged == b.converged
 
-        # f32: fused vs sequential run the same float32 inference through
-        # different (interleaved vs single-column) layouts — tolerance only
+        # f32: fused vs sequential run the same float32 forward at different
+        # widths (one k-wide sweep vs k single-column sweeps) — tolerance only
         f32_fused = self._session(problem_seed, "f32", "fused",
                                   trained_dss_model).solve_many(B, mode="fused")
         f32_seq = self._session(problem_seed, "f32", "sequential",
