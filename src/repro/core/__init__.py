@@ -1,17 +1,16 @@
-"""Core package: the paper's contribution (DDM-GNN) and the end-to-end solver.
+"""Core package: the paper's contribution (DDM-GNN) and its training data.
 
 Public surface:
 
 * :class:`~repro.core.ddm_gnn.DDMGNNPreconditioner` — the multi-level GNN
   preconditioner (paper Sec. III-A).
-* :class:`~repro.core.hybrid_solver.HybridSolver`,
-  :class:`~repro.core.hybrid_solver.HybridSolverConfig` — legacy one-shot
-  facade (thin shim over :mod:`repro.solvers` sessions; new code should use
-  :func:`repro.solvers.prepare`).
 * :func:`~repro.core.dataset.generate_dataset`,
   :func:`~repro.core.dataset.harvest_local_problems`,
   :class:`~repro.core.dataset.LocalProblemDataset`,
   :func:`~repro.core.dataset.build_subdomain_geometries` — training data.
+
+The end-to-end hybrid solve is :func:`repro.solvers.prepare` with
+``preconditioner="ddm-gnn"``.
 """
 
 from .dataset import (
@@ -22,12 +21,9 @@ from .dataset import (
     harvest_local_problems,
 )
 from .ddm_gnn import DDMGNNPreconditioner
-from .hybrid_solver import HybridSolver, HybridSolverConfig
 
 __all__ = [
     "DDMGNNPreconditioner",
-    "HybridSolver",
-    "HybridSolverConfig",
     "LocalProblemDataset",
     "SubdomainGeometry",
     "build_subdomain_geometries",

@@ -15,9 +15,10 @@ Registered faults:
 
 ``gnn-nan-apply``
     :class:`~repro.core.ddm_gnn.DDMGNNPreconditioner` emits NaN corrections
-    (all entries, or a seeded random subset) starting at call ``after_calls``.
-    Exercises the Krylov ``non_finite_preconditioner`` guard and the
-    degradation ladder end-to-end.
+    (all entries, or a seeded random subset) on calls ``after_calls`` up to
+    (not including) ``until_calls``.  Exercises the Krylov
+    ``non_finite_preconditioner`` guard and the degradation ladder
+    end-to-end.
 ``local-solver-raise``
     :class:`~repro.ddm.local_solvers.LULocalSolver` raises
     :class:`FaultInjected` from its solve entry points starting at call
@@ -28,9 +29,10 @@ Registered faults:
     serve cache's miss path and breaker accounting for setup failures.
 ``worker-stall``
     :class:`~repro.solvers.session.SolverSession.solve`/``solve_many`` block
-    on an event (bounded by ``max_stall_s``) until :meth:`Fault.release` or
-    fault deactivation.  Exercises deadlines: the reaper must fail the
-    caller's future on time even though the worker thread is wedged.
+    on an event (bounded by ``max_stall_s``) on calls ``after_calls`` up to
+    ``until_calls``, until :meth:`Fault.release` or fault deactivation.
+    Exercises deadlines: the reaper must fail the caller's future on time
+    even though the worker thread is wedged.
 
 Usage::
 
@@ -88,7 +90,16 @@ class Fault:
 
     name: str = "?"
 
-    def __init__(self) -> None:
+    def __init__(self, after_calls: int = 0, until_calls: Optional[int] = None) -> None:
+        if after_calls < 0:
+            raise ValueError("after_calls must be >= 0")
+        if until_calls is not None and until_calls <= after_calls:
+            raise ValueError("until_calls must be > after_calls")
+        #: the fault fires on calls ``after_calls <= index < until_calls``.
+        #: A bounded window is how a fault installed inside a worker process
+        #: (where no test can reach it to deactivate it) clears by itself.
+        self.after_calls = int(after_calls)
+        self.until_calls = until_calls
         self._patches: List[Tuple[object, str, object]] = []
         self._active = False
         self._lock = threading.Lock()
@@ -106,6 +117,12 @@ class Fault:
             index = self.calls
             self.calls += 1
             return index
+
+    def _fires(self) -> bool:
+        """Count this call; whether it falls inside the fault's call window."""
+        index = self._count()
+        return index >= self.after_calls and (
+            self.until_calls is None or index < self.until_calls)
 
     # -- lifecycle ------------------------------------------------------- #
     def activate(self) -> "Fault":
@@ -225,13 +242,11 @@ class GNNNaNApplyFault(Fault):
     enough to trip the Krylov non-finite guard); the default poisons all.
     """
 
-    def __init__(self, after_calls: int = 0, fraction: float = 1.0, seed: int = 0) -> None:
-        super().__init__()
-        if after_calls < 0:
-            raise ValueError("after_calls must be >= 0")
+    def __init__(self, after_calls: int = 0, fraction: float = 1.0, seed: int = 0,
+                 until_calls: Optional[int] = None) -> None:
+        super().__init__(after_calls, until_calls)
         if not 0.0 < fraction <= 1.0:
             raise ValueError("fraction must be in (0, 1]")
-        self.after_calls = int(after_calls)
         self.fraction = float(fraction)
         self.rng = np.random.default_rng(seed)
 
@@ -256,13 +271,13 @@ class GNNNaNApplyFault(Fault):
 
         def apply(self, residual):
             z = original_apply(self, residual)
-            if fault._count() >= fault.after_calls:
+            if fault._fires():
                 z = fault._poison(z)
             return z
 
         def apply_columns(self, residuals):
             z = original_columns(self, residuals)
-            if fault._count() >= fault.after_calls:
+            if fault._fires():
                 z = fault._poison(z)
             return z
 
@@ -275,10 +290,7 @@ class LocalSolverRaiseFault(Fault):
     """Make every LU local-solver entry point raise from call ``after_calls``."""
 
     def __init__(self, after_calls: int = 0) -> None:
-        super().__init__()
-        if after_calls < 0:
-            raise ValueError("after_calls must be >= 0")
-        self.after_calls = int(after_calls)
+        super().__init__(after_calls)
 
     def _install(self) -> None:
         from .ddm.local_solvers import LULocalSolver
@@ -287,7 +299,7 @@ class LocalSolverRaiseFault(Fault):
 
         def wrap(original):
             def solve(self, *args, **kwargs):
-                if fault._count() >= fault.after_calls:
+                if fault._fires():
                     raise FaultInjected("injected LU local-solver failure")
                 return original(self, *args, **kwargs)
 
@@ -329,8 +341,9 @@ class WorkerStallFault(Fault):
     :meth:`release`; deactivation always releases.
     """
 
-    def __init__(self, max_stall_s: float = 30.0) -> None:
-        super().__init__()
+    def __init__(self, max_stall_s: float = 30.0, after_calls: int = 0,
+                 until_calls: Optional[int] = None) -> None:
+        super().__init__(after_calls, until_calls)
         if max_stall_s <= 0:
             raise ValueError("max_stall_s must be positive")
         self.max_stall_s = float(max_stall_s)
@@ -350,8 +363,8 @@ class WorkerStallFault(Fault):
 
         def wrap(original):
             def solve(self, *args, **kwargs):
-                fault._count()
-                fault._event.wait(fault.max_stall_s)
+                if fault._fires():
+                    fault._event.wait(fault.max_stall_s)
                 return original(self, *args, **kwargs)
 
             return solve

@@ -2,7 +2,7 @@
 
 :class:`Problem` bundles a mesh, the assembled system ``A u = b`` and helpers
 to evaluate residuals, solve directly and compute error norms.  It is the
-object the whole solver stack (:class:`~repro.core.hybrid_solver.HybridSolver`,
+object the whole solver stack (:class:`~repro.solvers.session.SolverSession`,
 the DDM preconditioners, the dataset harvester) operates on; none of those
 layers assume more than the attributes defined here.
 

@@ -9,15 +9,21 @@ per RHS), and measure the tail latency the ROADMAP's serving story is about.
 Components:
 
 * :class:`~repro.serve.service.SolveService` /
-  :class:`~repro.serve.service.ServeConfig` — the service itself: session
-  cache, micro-batching queue, pinned worker pool, metrics.
+  :class:`~repro.serve.service.ServeConfig` — the serving core: **one**
+  request lifecycle (admit → key → route → execute → settle) with the
+  breakers, the deadline reaper and the outcome accounting defined once.
+  Routing and execution are delegated to an executor; the default
+  :class:`~repro.serve.service.ThreadExecutor` (session cache,
+  micro-batching queues, pinned worker threads) makes it the in-process
+  service.
 * :class:`~repro.serve.shard.ShardedSolveService` /
-  :class:`~repro.serve.shard.ShardConfig` — the same surface over a
-  pre-fork *process* pool: sessions shard by fingerprint via consistent
-  hashing, checkpoint weights and installed operators live once in shared
-  memory, a supervisor restarts dead workers
-  (:class:`~repro.serve.errors.WorkerCrashed` types their in-flight
-  failures).
+  :class:`~repro.serve.shard.ShardConfig` — the same service with the
+  :class:`~repro.serve.shard.ProcessExecutor` plugged in: a pre-fork
+  *process* pool whose workers each host a thread executor directly.
+  Sessions shard by fingerprint via consistent hashing, checkpoint weights
+  and installed operators live once in shared memory, a supervisor restarts
+  dead workers (:class:`~repro.serve.errors.WorkerCrashed` types their
+  in-flight failures).
 * :mod:`repro.serve.proto` — the length-prefixed binary frame format (JSON
   header + raw aligned array blocks) used by the binary ``/solve`` path and
   the parent↔worker pipes; zero-copy on decode, bitwise-exact.

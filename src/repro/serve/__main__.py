@@ -94,30 +94,22 @@ def main(argv=None) -> int:
         checkpoint=args.checkpoint if args.preconditioner == "ddm-gnn" else None,
         fallback=args.fallback or [],
     )
+    # the same service either way; only the executor differs
+    serve_config = ServeConfig(
+        workers=args.workers if args.in_process else args.threads_per_worker,
+        max_batch=args.max_batch,
+        max_wait_ms=args.max_wait_ms,
+        cache_capacity=args.cache_capacity,
+        max_queue=args.max_queue,
+        default_deadline_ms=args.deadline_ms,
+    )
     if args.in_process:
-        service = SolveService(
-            ServeConfig(
-                workers=args.workers,
-                max_batch=args.max_batch,
-                max_wait_ms=args.max_wait_ms,
-                cache_capacity=args.cache_capacity,
-                max_queue=args.max_queue,
-                default_deadline_ms=args.deadline_ms,
-            ),
-            model=model,
-            default_solver_config=solver_config,
-        )
+        service = SolveService(serve_config, model=model,
+                               default_solver_config=solver_config)
         pool = f"threads={args.workers}"
     else:
         service = ShardedSolveService(
-            ServeConfig(
-                workers=args.threads_per_worker,
-                max_batch=args.max_batch,
-                max_wait_ms=args.max_wait_ms,
-                cache_capacity=args.cache_capacity,
-                max_queue=args.max_queue,
-                default_deadline_ms=args.deadline_ms,
-            ),
+            serve_config,
             model=model,
             default_solver_config=solver_config,
             shard_config=ShardConfig(

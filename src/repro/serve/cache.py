@@ -117,35 +117,6 @@ class SessionCache:
         with self._lock:
             return key in self._entries
 
-    def keys(self):
-        with self._lock:
-            return list(self._entries.keys())
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def prune(self, predicate: Callable[[SolverSession], bool]) -> int:
-        """Drop every *ready* entry whose session satisfies ``predicate``.
-
-        The shared-memory lifecycle hook: before a sharded parent unlinks an
-        installed problem's segment, workers prune the sessions built over it
-        so no solver keeps dereferencing a withdrawn operator.  Entries still
-        building are left alone (their builder holds its own references);
-        in-flight requests likewise finish on their own session reference.
-        Returns the number of entries dropped.
-        """
-        with self._lock:
-            victims = [
-                key for key, entry in self._entries.items()
-                if entry.ready.is_set() and entry.session is not None
-                and predicate(entry.session)
-            ]
-            for key in victims:
-                del self._entries[key]
-            self._evictions += len(victims)
-        return len(victims)
-
     # ------------------------------------------------------------------ #
     @property
     def hits(self) -> int:

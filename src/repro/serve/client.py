@@ -44,8 +44,9 @@ _RETRYABLE_STATUSES = frozenset({503})
 def _parse_error_payload(raw: bytes) -> Tuple[str, Optional[str], Optional[str]]:
     """Extract (message, code, trace_id) from an error body.
 
-    Understands both the structured shape ``{"error": {"code", "message",
-    "trace_id"}}`` and the legacy flat shape ``{"error": "message"}``.
+    Understands the structured shape ``{"error": {"code", "message",
+    "trace_id"}}``; any other body (a proxy's, a foreign server's) is
+    reported verbatim as the message.
     """
     try:
         payload = json.loads(raw.decode("utf-8"))
@@ -56,8 +57,6 @@ def _parse_error_payload(raw: bytes) -> Tuple[str, Optional[str], Optional[str]]
         trace_id = detail.get("trace_id")
         return (str(detail.get("message", detail)), detail.get("code"),
                 trace_id if isinstance(trace_id, str) else None)
-    if detail is not None:
-        return str(detail), None, None
     return str(payload), None, None
 
 
@@ -66,7 +65,7 @@ class ServeClientError(RuntimeError):
 
     ``status`` is the HTTP status, ``code`` the server's stable error code
     (``invalid_request``, ``overloaded``, ``deadline_exceeded``, ...; None
-    for legacy/unstructured errors), ``retry_after_s`` the parsed
+    for unstructured errors), ``retry_after_s`` the parsed
     ``Retry-After`` hint when the server sent one, and ``trace_id`` the
     server-side trace of the failed request (from the error body or the
     ``X-Trace-Id`` response header) — quote it when filing a report against

@@ -101,11 +101,12 @@ class _Handler(BaseHTTPRequestHandler):
         self._retry_of = proto._clean_trace_id(self.headers.get("X-Retry-Of"))
 
     # -- helpers --------------------------------------------------------- #
-    def _send_json(self, payload: dict, status: int = 200,
+    def _send_body(self, body: bytes, content_type: str, status: int = 200,
                    retry_after_s: Optional[float] = None) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        """Every response goes out through here, so every one carries the
+        ``X-Trace-Id`` header."""
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         trace_id = getattr(self, "_trace_id", None)
         if trace_id is not None:
@@ -114,6 +115,11 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Retry-After", str(max(0, math.ceil(retry_after_s))))
         self.end_headers()
         self.wfile.write(body)
+
+    def _send_json(self, payload: dict, status: int = 200,
+                   retry_after_s: Optional[float] = None) -> None:
+        self._send_body(json.dumps(payload).encode("utf-8"), "application/json",
+                        status, retry_after_s)
 
     def _send_error_json(self, code: str, message: str, status: int,
                          retry_after_s: Optional[float] = None) -> None:
@@ -190,20 +196,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send_metrics(self) -> None:
         """Render the service's metrics registry as Prometheus text."""
-        snapshot_fn = getattr(self.service, "metrics_snapshot", None)
-        if callable(snapshot_fn):
-            snapshot = snapshot_fn()
-        else:  # duck-typed service without the aggregating method
-            snapshot = self.service.metrics.registry.snapshot()
-        body = render_prometheus(snapshot).encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", METRICS_CONTENT_TYPE)
-        self.send_header("Content-Length", str(len(body)))
-        trace_id = getattr(self, "_trace_id", None)
-        if trace_id is not None:
-            self.send_header("X-Trace-Id", trace_id)
-        self.end_headers()
-        self.wfile.write(body)
+        body = render_prometheus(self.service.metrics_snapshot()).encode("utf-8")
+        self._send_body(body, METRICS_CONTENT_TYPE)
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
         self._begin_request()
@@ -278,16 +272,6 @@ class _Handler(BaseHTTPRequestHandler):
         if length <= 0:
             raise InvalidRequest("binary request needs a non-empty body")
         return proto.decode_frame(self.rfile.read(length))
-
-    def _send_frame(self, frame_bytes: bytes) -> None:
-        self.send_response(200)
-        self.send_header("Content-Type", proto.CONTENT_TYPE)
-        self.send_header("Content-Length", str(len(frame_bytes)))
-        trace_id = getattr(self, "_trace_id", None)
-        if trace_id is not None:
-            self.send_header("X-Trace-Id", trace_id)
-        self.end_headers()
-        self.wfile.write(frame_bytes)
 
     def _solve_binary(self) -> None:
         """The zero-copy path: raw f64 blocks both ways, errors stay JSON."""
@@ -378,13 +362,13 @@ class _Handler(BaseHTTPRequestHandler):
                     arrays["residual_history"] = np.asarray(
                         results[0].residual_history, dtype=np.float64
                     )
-                self._send_frame(proto.encode_frame("result", {
+                self._send_body(proto.encode_frame("result", {
                     "k": len(results),
                     "converged": [bool(r.converged) for r in results],
                     "iterations": [int(r.iterations) for r in results],
                     "elapsed_s": [float(r.elapsed_time) for r in results],
                     "serve": [self._serve_info(r) for r in results],
-                }, arrays))
+                }, arrays), proto.CONTENT_TYPE)
             root.add_event("result", k=len(results),
                            converged=[bool(r.converged) for r in results])
 
@@ -392,10 +376,9 @@ class _Handler(BaseHTTPRequestHandler):
 class ServeHTTPServer:
     """A :class:`SolveService` behind a threading HTTP server.
 
-    ``service`` is duck-typed: the single-process
-    :class:`~repro.serve.service.SolveService` and the multi-process
-    :class:`~repro.serve.shard.ShardedSolveService` both fit (``solve``,
-    ``submit``, ``health``, ``stats``, ``metrics``).
+    ``service`` is a :class:`~repro.serve.service.SolveService` over either
+    executor — in-process, or the multi-process
+    :class:`~repro.serve.shard.ShardedSolveService`.
 
     ``port=0`` binds an ephemeral port (the bound address is available as
     :attr:`address` after construction) — used by the tests.  ``debug=True``

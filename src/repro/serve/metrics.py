@@ -247,6 +247,7 @@ class ServeMetrics:
             "worker_crashes": int(self._worker_crashes.total()),
             "throughput_rps": requests / elapsed,
             "batches": batches,
+            "batched_requests": batched,
             "mean_batch_size": window_stat(batched / batches if batches else None, batches),
             "max_batch_size": window_stat(max_batch, batches),
             "latency_ms": {

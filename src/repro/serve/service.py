@@ -1,54 +1,52 @@
-"""The concurrent solve service: session cache + micro-batching worker pool.
+"""The serving core: one request lifecycle, two places a solve can run.
 
-:class:`SolveService` is the serving layer the ROADMAP's "heavy traffic"
-north star asks for, built directly on the setup/solve split of
-:mod:`repro.solvers`:
+Every request — in-process or sharded — goes through the same five stages,
+and each stage exists exactly once, in :class:`SolveService`:
 
-1. **Session cache** — requests are keyed by
-   :func:`repro.solvers.fingerprint.session_key` (problem bytes × solver
-   config × model/checkpoint content); the expensive setup (partition,
-   factorisations, coarse space, compiled DSS plans) is paid once per key
-   and amortised over the request stream (:class:`~repro.serve.cache.SessionCache`).
-   The solver config hash covers the inference ``precision``, so float32 and
-   float64 requests always resolve to distinct cached sessions — a request
-   can never be answered at a precision it did not ask for.
-2. **Micro-batching queue** — concurrent single-RHS requests for the *same*
-   session are coalesced into one
-   :meth:`~repro.solvers.session.SolverSession.solve_many` call, bounded by
-   ``max_batch`` and ``max_wait_ms``.  With the lockstep multi-RHS Krylov
-   path this turns k solves' SpMVs into SpMMs and batches the preconditioner
-   applications — for ddm-gnn, one fused multi-column DSS forward per
-   inference batch instead of k sequential ones — **bit-identical per RHS**
-   to sequential ``session.solve`` (the lockstep contract), so batching is
-   purely a throughput optimisation.
-3. **Worker pool** — sessions are *pinned* to workers by key hash, so one
-   session is only ever driven from one thread and the per-session scratch
-   buffers (``InferencePlan``, stacked-restriction arrays) stay safe; the
-   session lock remains as defence in depth for out-of-band callers.
-4. **Metrics** — per-request queue/solve/total latency histograms
-   (p50/p95/p99), throughput and cache hit-rate via :meth:`SolveService.stats`.
+1. **admit** — closed check, problem/config resolution, deadline and vector
+   validation (:func:`validate_vector`).  Malformed input raises
+   :class:`~repro.serve.errors.InvalidRequest` synchronously, before
+   anything is enqueued.
+2. **key** — :func:`repro.solvers.fingerprint.session_key` (problem bytes ×
+   solver config × model/checkpoint content; the config hash covers the
+   inference ``precision``, so a request can never be answered at a
+   precision it did not ask for), then the per-primary-key
+   :class:`~repro.serve.breaker.CircuitBreaker`: while it is open, a request
+   whose config names a fallback ladder is rerouted onto the first rung (a
+   distinct session key).
+3. **route** and 4. **execute** — delegated to an *executor*.  The
+   :class:`ThreadExecutor` here runs solves in this process: a
+   :class:`~repro.serve.cache.SessionCache` pays setup once per key, sessions
+   are *pinned* to worker threads by key hash (so the per-session scratch
+   buffers are only ever driven from one thread), and each worker coalesces
+   concurrent same-session requests into one
+   :meth:`~repro.solvers.session.SolverSession.solve_many` call bounded by
+   ``max_batch`` and ``max_wait_ms`` — **bit-identical per RHS** to
+   sequential ``session.solve`` (the lockstep contract), so batching is
+   purely a throughput optimisation.  The process executor in
+   :mod:`repro.serve.shard` ships the ticket over a pipe to a worker process
+   that hosts a :class:`ThreadExecutor` of its own.
+5. **settle** — info flags, :class:`~repro.serve.metrics.ServeMetrics`,
+   breaker outcome, the span's terminal event and the future's resolution
+   (:meth:`SolveService._settle_result` / :meth:`SolveService._settle_error`).
 
-Failure domain (the robustness layer):
+Failure domain (where each typed failure is raised, and settled — once):
 
-* **Validation at the boundary** — ``submit`` checks ``b``/``x0`` shape,
-  dtype and finiteness and raises :class:`~repro.serve.errors.InvalidRequest`
-  before anything is enqueued; malformed input never reaches a worker.
-* **Bounded queues + load shedding** — each worker queue holds at most
-  ``max_queue`` requests; beyond that ``submit`` raises
+* **Validation** — admit stage, synchronous, never reaches an executor.
+* **Bounded queues + load shedding** — each worker thread's queue holds at
+  most ``max_queue`` tickets; beyond that the executor raises
   :class:`~repro.serve.errors.ServiceOverloaded` (HTTP 503 with
   ``Retry-After``) instead of buffering unboundedly.
 * **Per-request deadlines** — ``submit(deadline_ms=...)`` registers the
-  future with a reaper thread that fails it with
+  ticket with the one :class:`_Reaper`, which fails the future with
   :class:`~repro.serve.errors.DeadlineExceeded` the moment the deadline
   passes, even if the owning worker is stalled mid-solve.  No injected fault
   leaves a future unresolved past its deadline.
-* **Circuit breakers** — one :class:`~repro.serve.breaker.CircuitBreaker`
-  per *primary* session key.  ``breaker_failures`` consecutive primary
-  failures open it; while open, requests whose config names a fallback
-  ladder are routed straight onto the first rung (a distinct cached
-  session), and half-open probes re-admit the primary once it recovers.
-* **Health** — :meth:`health` reports worker liveness, queue depths and
-  breaker states (the ``/healthz`` payload).
+* **Circuit breakers** — ``breaker_failures`` consecutive primary failures
+  (failed solves, failed session builds, crashed workers) open the key's
+  breaker; half-open probes re-admit the primary once it recovers.
+* **Health** — :meth:`SolveService.health` reports worker liveness, queue
+  depths and breaker states (the ``/healthz`` payload).
 
 Typical use::
 
@@ -68,7 +66,7 @@ import time
 from collections import deque
 from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple, Union
+from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -76,22 +74,23 @@ from ..fem.problem import Problem
 from ..krylov.result import SolveResult
 from ..obs import events as obs_events
 from ..obs import trace as obs_trace
+from ..obs.metrics import merge_snapshots
 from ..solvers.config import SolverConfig
 from ..solvers.fingerprint import session_key
 from ..solvers.session import SolverSession
 from .breaker import CircuitBreaker
 from .cache import SessionCache
-from .errors import DeadlineExceeded, InvalidRequest, ServiceOverloaded
+from .errors import DeadlineExceeded, InvalidRequest, ServiceOverloaded, WorkerCrashed
 from .metrics import ServeMetrics
-from .problems import ProblemCache
+from .problems import ProblemCache, _normalise_spec
 
-__all__ = ["ServeConfig", "SolveService", "validate_vector"]
+__all__ = ["ServeConfig", "SolveService", "ThreadExecutor", "validate_vector"]
 
 
 def validate_vector(
     name: str, vector: Optional[np.ndarray], num_dofs: int
 ) -> Optional[np.ndarray]:
-    """Boundary validation shared by the in-process and sharded services.
+    """Boundary validation of a right-hand side or initial guess.
 
     Checks shape, dtype coercibility and finiteness, raising
     :class:`~repro.serve.errors.InvalidRequest` so malformed input never
@@ -128,14 +127,6 @@ class ServeConfig:
         requests before executing.  Bounds the latency cost of batching.
     cache_capacity:
         LRU capacity of the prepared-session cache.
-    problem_cache_capacity:
-        LRU capacity for spec-resolved problems (HTTP requests).
-    latency_window:
-        Samples retained per latency histogram.
-    solve_mode:
-        Forwarded to ``solve_many`` for batched execution: "auto" (default;
-        lockstep-fused when the Krylov method supports it), "fused" or
-        "sequential".
     max_queue:
         Bound on each worker's queue.  A submit that would exceed it is shed
         with :class:`~repro.serve.errors.ServiceOverloaded` instead of
@@ -156,9 +147,6 @@ class ServeConfig:
     max_batch: int = 8
     max_wait_ms: float = 2.0
     cache_capacity: int = 8
-    problem_cache_capacity: int = 16
-    latency_window: int = 8192
-    solve_mode: str = "auto"
     max_queue: int = 64
     default_deadline_ms: Optional[float] = None
     breaker_failures: int = 5
@@ -172,8 +160,6 @@ class ServeConfig:
             raise ValueError("max_batch must be >= 1")
         if self.max_wait_ms < 0:
             raise ValueError("max_wait_ms must be >= 0")
-        if self.solve_mode not in ("auto", "fused", "sequential"):
-            raise ValueError("solve_mode must be 'auto', 'fused' or 'sequential'")
         if self.max_queue < 1:
             raise ValueError("max_queue must be >= 1")
         if self.default_deadline_ms is not None and self.default_deadline_ms <= 0:
@@ -214,28 +200,64 @@ class ServeConfig:
         return cls(**data)
 
 
-class _Request:
-    __slots__ = ("key", "session", "b", "x0", "future", "enqueued_at",
-                 "dequeued_at", "breaker_key", "rerouted", "deadline_at",
-                 "span")
+class _Ticket:
+    """One admitted request, from the key stage to settle, in either executor.
 
-    def __init__(self, key: str, session: SolverSession, b: Optional[np.ndarray],
-                 x0: Optional[np.ndarray]) -> None:
+    The lifecycle fills the identity fields; ``slot`` (the worker thread or
+    shard the ticket was routed to), ``session``, ``req_id`` and ``meta`` are
+    scratch space of whichever executor carries it.
+    """
+
+    __slots__ = ("key", "breaker_key", "rerouted", "b", "x0", "future", "span",
+                 "deadline_at", "enqueued_at", "dequeued_at", "slot", "session",
+                 "req_id", "meta")
+
+    def __init__(self, key: str, breaker_key: str = "", rerouted: bool = False,
+                 b: Optional[np.ndarray] = None, x0: Optional[np.ndarray] = None,
+                 span: Optional[obs_trace.Span] = None,
+                 deadline_ms: Optional[float] = None) -> None:
+        #: session key the solve runs under (the fallback rung's when rerouted)
         self.key = key
-        self.session = session
+        #: the *primary* session key — the breaker identity even when the
+        #: request was rerouted onto a fallback rung's session ("" = none)
+        self.breaker_key = breaker_key
+        self.rerouted = rerouted
         self.b = b
         self.x0 = x0
-        self.future: "Future[SolveResult]" = Future()
+        self.future: Future = Future()
+        #: the caller's active span at submit time (None when tracing is
+        #: off); executors attach retrospective children to it
+        self.span = span
+        #: time.monotonic() deadline (None = the request has none)
+        self.deadline_at = (
+            None if deadline_ms is None else time.monotonic() + deadline_ms / 1e3)
+        #: perf_counter() when routing ended and the ticket was handed over
         self.enqueued_at = time.perf_counter()
         self.dequeued_at = 0.0
-        #: the *primary* session key — the breaker identity even when the
-        #: request was rerouted onto a fallback rung's session
-        self.breaker_key = key
-        self.rerouted = False
-        self.deadline_at: Optional[float] = None  # time.monotonic() deadline
-        #: the caller's active span at submit time (None when tracing is off);
-        #: the worker attaches retrospective queue/solve children to it
-        self.span = obs_trace.current_span()
+        self.slot = None
+        self.session: Optional[SolverSession] = None
+        self.req_id: Optional[int] = None
+        self.meta: Optional[Dict[str, object]] = None
+
+    def expired(self) -> bool:
+        return self.deadline_at is not None and time.monotonic() >= self.deadline_at
+
+
+def _resolve(future: Future, result=None, error: Optional[BaseException] = None) -> bool:
+    """Resolve ``future`` unless someone got there first; True when it took.
+
+    A ticket's future has several would-be resolvers — the executor's
+    completion, the deadline reaper, a crashed shard's drain, the caller's
+    own ``cancel()`` — and only the first may win.
+    """
+    try:
+        if error is not None:
+            future.set_exception(error)
+        else:
+            future.set_result(result)
+    except InvalidStateError:
+        return False
+    return True
 
 
 class _Reaper(threading.Thread):
@@ -244,22 +266,22 @@ class _Reaper(threading.Thread):
     Workers may stall mid-solve (a hung BLAS call, an injected fault); the
     reaper guarantees the *caller* still gets a
     :class:`~repro.serve.errors.DeadlineExceeded` on time — the future fails
-    fast even though the worker thread is still busy.
+    fast even though the worker thread (or process) is still busy.
     """
 
-    def __init__(self, service: "SolveService") -> None:
+    def __init__(self, metrics: ServeMetrics) -> None:
         super().__init__(name="repro-serve-reaper", daemon=True)
-        self.service = service
+        self.metrics = metrics
         self.condition = threading.Condition()
-        self._heap: List[Tuple[float, int, _Request]] = []
+        self._heap: List[Tuple[float, int, _Ticket]] = []
         self._seq = 0
         self.stopping = False
 
-    def watch(self, request: _Request) -> None:
-        if request.deadline_at is None:
+    def watch(self, ticket: _Ticket) -> None:
+        if ticket.deadline_at is None:
             return
         with self.condition:
-            heapq.heappush(self._heap, (request.deadline_at, self._seq, request))
+            heapq.heappush(self._heap, (ticket.deadline_at, self._seq, ticket))
             self._seq += 1
             self.condition.notify()
 
@@ -279,52 +301,48 @@ class _Reaper(threading.Thread):
                 if not self._heap:
                     self.condition.wait()
                     continue
-                deadline, _, request = self._heap[0]
+                deadline, _, ticket = self._heap[0]
                 now = time.monotonic()
                 if deadline > now:
                     self.condition.wait(deadline - now)
                     continue
                 heapq.heappop(self._heap)
-            # fail the future outside the lock; the worker's own set_result
-            # (if it ever finishes) is guarded against InvalidStateError
-            try:
-                request.future.set_exception(
-                    DeadlineExceeded("request deadline exceeded")
-                )
-            except InvalidStateError:
+            # fail the future outside the lock; a late completion from the
+            # executor loses the race in _resolve
+            if not _resolve(ticket.future, error=DeadlineExceeded("request deadline exceeded")):
                 continue  # resolved in the meantime
-            span = getattr(request, "span", None)
-            if span is not None:
-                span.add_event("deadline_exceeded")
-            self.service.metrics.observe_deadline_timeout()
-            self.service.metrics.observe_error()
+            if ticket.span is not None:
+                ticket.span.add_event("deadline_exceeded")
+            self.metrics.observe_deadline_timeout()
+            self.metrics.observe_error()
 
 
 class _Worker(threading.Thread):
     """One serving thread: drains its queue, coalescing same-session runs."""
 
-    def __init__(self, service: "SolveService", index: int) -> None:
+    def __init__(self, executor: "ThreadExecutor", index: int) -> None:
         super().__init__(name=f"repro-serve-worker-{index}", daemon=True)
-        self.service = service
+        self.executor = executor
         self.index = index
-        self.queue: Deque[_Request] = deque()
+        self.queue: Deque[_Ticket] = deque()
         self.condition = threading.Condition()
         self.stopping = False
         #: monotonic timestamp of the last main-loop heartbeat (healthz)
         self.last_beat = time.monotonic()
 
     # -- producer side -------------------------------------------------- #
-    def submit(self, request: _Request, max_queue: int) -> None:
+    def submit(self, ticket: _Ticket) -> None:
+        config = self.executor.config
         with self.condition:
             if self.stopping:
                 raise RuntimeError("service is closed")
-            if len(self.queue) >= max_queue:
+            if len(self.queue) >= config.max_queue:
                 raise ServiceOverloaded(
                     f"worker {self.index} queue is full "
-                    f"({len(self.queue)}/{max_queue} requests)",
-                    retry_after_s=self.service.config.shed_retry_after_s,
+                    f"({len(self.queue)}/{config.max_queue} requests)",
+                    retry_after_s=config.shed_retry_after_s,
                 )
-            self.queue.append(request)
+            self.queue.append(ticket)
             self.condition.notify()
 
     def stop(self) -> None:
@@ -333,25 +351,25 @@ class _Worker(threading.Thread):
             self.condition.notify_all()
 
     # -- consumer side --------------------------------------------------- #
-    def _take_batchable(self, first: _Request, limit: int) -> List[_Request]:
-        """Pull queued requests that can join ``first``'s batch (same session,
+    def _take_batchable(self, first: _Ticket, limit: int) -> List[_Ticket]:
+        """Pull queued tickets that can join ``first``'s batch (same session,
         no per-request initial guess), preserving FIFO order of the rest."""
-        taken: List[_Request] = []
-        remaining: Deque[_Request] = deque()
+        taken: List[_Ticket] = []
+        remaining: Deque[_Ticket] = deque()
         while self.queue and len(taken) < limit:
             candidate = self.queue.popleft()
             if candidate.key == first.key and candidate.x0 is None:
                 taken.append(candidate)
             else:
                 remaining.append(candidate)
-        # put non-matching requests back in their original order
+        # put non-matching tickets back in their original order
         remaining.extend(self.queue)
         self.queue.clear()
         self.queue.extend(remaining)
         return taken
 
     def run(self) -> None:
-        config = self.service.config
+        config = self.executor.config
         while True:
             with self.condition:
                 self.last_beat = time.monotonic()
@@ -378,83 +396,143 @@ class _Worker(threading.Thread):
 
             self._execute(batch)
 
-    def _execute(self, batch: List[_Request]) -> None:
-        service = self.service
-        # requests already failed by the deadline reaper (or cancelled) are
-        # dropped before the expensive solve
-        batch = [request for request in batch if not request.future.done()]
+    def _execute(self, batch: List[_Ticket]) -> None:
+        executor = self.executor
+        # tickets already failed by the deadline reaper (or cancelled), or
+        # whose deadline passed while they queued, are dropped before the
+        # expensive solve.  The expiry is reported: a worker process has no
+        # reaper of its own, and its reply is what releases the front
+        # process's in-flight slot.
+        live = []
+        for ticket in batch:
+            if ticket.expired():
+                executor.on_error(ticket, DeadlineExceeded("request deadline exceeded"))
+            elif not ticket.future.done():
+                live.append(ticket)
+        batch = live
         if not batch:
             return
         now = time.perf_counter()
-        for request in batch:
-            request.dequeued_at = now
+        for ticket in batch:
+            ticket.dequeued_at = now
         session = batch[0].session
         solve_start = time.perf_counter()
         try:
             # in-session child spans (session.solve, precond.apply) attach to
-            # the first request's trace; batch-mates get retrospective
+            # the first ticket's trace; batch-mates get retrospective
             # queue/solve children of their own below
             with obs_trace.use_span(batch[0].span):
                 if len(batch) == 1:
-                    request = batch[0]
-                    results = [session.solve(request.b, x0=request.x0)]
+                    results = [session.solve(batch[0].b, x0=batch[0].x0)]
                 else:
                     vectors = [
-                        request.b if request.b is not None else session.problem.rhs
-                        for request in batch
+                        ticket.b if ticket.b is not None else session.problem.rhs
+                        for ticket in batch
                     ]
-                    results = session.solve_many(
-                        np.stack(vectors), mode=service.config.solve_mode
-                    ).results
+                    results = session.solve_many(np.stack(vectors)).results
         except BaseException as error:  # noqa: BLE001 - delivered to the callers
-            service.metrics.observe_error()
             solve_end = time.perf_counter()
-            for request in batch:
-                service._record_outcome(request, ok=False)
-                if request.span is not None:
-                    self._stamp_span(request, solve_start, solve_end, len(batch))
-                    request.span.add_event("error", error_type=type(error).__name__)
-                try:
-                    request.future.set_exception(error)
-                except InvalidStateError:
-                    pass  # deadline reaper got there first
+            for ticket in batch:
+                self._stamp_span(ticket, solve_start, solve_end, len(batch))
+                executor.on_error(ticket, error)
             return
         solve_end = time.perf_counter()
         solve_ms = (solve_end - solve_start) * 1e3
-        service.metrics.observe_batch(len(batch))
-        for request, result in zip(batch, results):
-            queue_ms = (request.dequeued_at - request.enqueued_at) * 1e3
+        executor.metrics.observe_batch(len(batch))
+        for ticket, result in zip(batch, results):
+            queue_ms = (ticket.dequeued_at - ticket.enqueued_at) * 1e3
             result.info["queue_s"] = queue_ms / 1e3
             result.info["batch_size"] = len(batch)
             result.info["worker"] = self.index
-            if request.rerouted:
-                result.info["breaker_rerouted"] = True
-            degraded = bool(result.info.get("degraded"))
-            if degraded or request.rerouted:
-                service.metrics.observe_degraded()
-            service._record_outcome(
-                request, ok=result.converged and not degraded
-            )
-            service.metrics.observe_request(queue_ms, solve_ms)
-            if request.span is not None:
-                self._stamp_span(request, solve_start, solve_end, len(batch))
-                request.span.add_event(
-                    "result", converged=bool(result.converged),
-                    iterations=int(result.iterations),
-                )
-            try:
-                request.future.set_result(result)
-            except InvalidStateError:
-                pass  # deadline reaper got there first
+            self._stamp_span(ticket, solve_start, solve_end, len(batch))
+            executor.on_result(ticket, result, queue_ms, solve_ms)
 
-    def _stamp_span(self, request: _Request, solve_start: float,
+    def _stamp_span(self, ticket: _Ticket, solve_start: float,
                     solve_end: float, batch_size: int) -> None:
-        """Attach retrospective queue/solve children to the request's span."""
-        span = request.span
-        span.child("serve.queue", start=request.enqueued_at,
-                   end=request.dequeued_at, worker=self.index)
+        """Attach retrospective queue/solve children to the ticket's span."""
+        span = ticket.span
+        if span is None:
+            return
+        span.child("serve.queue", start=ticket.enqueued_at,
+                   end=ticket.dequeued_at, worker=self.index)
         span.child("serve.solve", start=solve_start, end=solve_end,
                    worker=self.index, batch_size=batch_size)
+
+
+class ThreadExecutor:
+    """Runs tickets in this process: session cache + micro-batching threads.
+
+    The zero-shard executor of :class:`SolveService`, and — hosted directly
+    by :func:`repro.serve.shard._shard_worker_main` — what every worker
+    process of the sharded service runs.  ``on_result(ticket, result,
+    queue_ms, solve_ms)`` and ``on_error(ticket, error)`` are called from
+    the worker threads, once per ticket: the service's settle methods in the
+    front process, reply-frame writers inside a worker process.
+    """
+
+    def __init__(self, config: ServeConfig, model, metrics: ServeMetrics,
+                 on_result: Callable[..., None], on_error: Callable[..., None]) -> None:
+        self.config = config
+        self.model = model
+        self.metrics = metrics
+        self.on_result = on_result
+        self.on_error = on_error
+        self.sessions = SessionCache(config.cache_capacity)
+        self._workers = [_Worker(self, i) for i in range(config.workers)]
+        for worker in self._workers:
+            worker.start()
+
+    def route(self, ticket: _Ticket, problem: Problem, spec: Optional[Dict],
+              config: SolverConfig) -> Dict[str, int]:
+        """Resolve the ticket's session (setup is paid here, synchronously,
+        on the first request for a key) and pin it to a worker thread.
+        ``spec`` is for executors that ship the problem elsewhere."""
+        ticket.session = self.sessions.get_or_create(
+            ticket.key, lambda: SolverSession(problem, config, model=self.model)
+        )
+        ticket.slot = self._workers[int(ticket.key[:8], 16) % len(self._workers)]
+        return {"worker": ticket.slot.index}
+
+    def execute(self, ticket: _Ticket) -> None:
+        """Enqueue on the pinned worker; a full queue sheds."""
+        ticket.slot.submit(ticket)
+
+    def health(self) -> Dict[str, object]:
+        now = time.monotonic()
+        workers = [
+            {
+                "name": worker.name,
+                "alive": worker.is_alive(),
+                "queue_depth": len(worker.queue),
+                "last_beat_age_s": max(0.0, now - worker.last_beat),
+            }
+            for worker in self._workers
+        ]
+        alive = all(w["alive"] for w in workers)
+        return {"status": "ok" if alive else "unhealthy", "workers": workers}
+
+    def stats(self) -> Dict[str, object]:
+        cache = self.sessions.stats()
+        return {"cache": cache, "cache_hit_rate": cache["hit_rate"],
+                "workers": len(self._workers)}
+
+    def observe(self, registry) -> List[Dict[str, object]]:
+        """Refresh this executor's gauges on ``registry`` at read time."""
+        depth = registry.gauge(
+            "repro_serve_queue_depth", "Requests waiting per worker thread.")
+        for worker in self._workers:
+            depth.set(len(worker.queue), worker=str(worker.index))
+        registry.gauge(
+            "repro_serve_cached_sessions", "Prepared sessions in the LRU cache."
+        ).set(self.sessions.stats()["size"])
+        return []
+
+    def close(self, timeout: float) -> None:
+        """Stop accepting work and join the workers (queued work is drained)."""
+        for worker in self._workers:
+            worker.stop()
+        for worker in self._workers:
+            worker.join(timeout)
 
 
 class SolveService:
@@ -473,23 +551,41 @@ class SolveService:
         self.default_solver_config = default_solver_config or SolverConfig(
             preconditioner="ddm-lu"
         )
-        self.sessions = SessionCache(self.config.cache_capacity)
-        self.problems = ProblemCache(self.config.problem_cache_capacity)
-        self.metrics = ServeMetrics(self.config.latency_window)
+        self.problems = ProblemCache()
+        self.metrics = ServeMetrics()
         self._closed = False
+        self._close_lock = threading.Lock()
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._breakers_lock = threading.Lock()
-        self._workers = [_Worker(self, i) for i in range(self.config.workers)]
-        for worker in self._workers:
-            worker.start()
-        self._reaper = _Reaper(self)
+        self._executor = self._build_executor()
+        self._reaper = _Reaper(self.metrics)
         self._reaper.start()
 
-    # ------------------------------------------------------------------ #
-    def _resolve_problem(self, problem: Union[Problem, Dict, None]) -> Problem:
+    def _build_executor(self):
+        """The executor this service routes to (the process pool overrides)."""
+        return ThreadExecutor(self.config, self.model, self.metrics,
+                              self._settle_result, self._settle_error)
+
+    @property
+    def sessions(self) -> SessionCache:
+        """The prepared-session cache of the in-process executor."""
+        return self._executor.sessions
+
+    # -- admit ----------------------------------------------------------- #
+    def _resolve_problem(
+        self, problem: Union[Problem, Dict, None]
+    ) -> Tuple[Problem, Optional[Dict]]:
+        """Resolve to (assembled problem, spec-or-None).
+
+        A spec re-resolves deterministically wherever it is sent (same seed
+        → same fingerprint), so a process executor ships only the tiny spec
+        dict; a directly passed ``Problem`` has no spec and is installed
+        through shared memory instead.
+        """
         if isinstance(problem, Problem):
-            return problem
-        return self.problems.resolve(problem)
+            return problem, None
+        spec = _normalise_spec(problem)
+        return self.problems.resolve(spec), spec
 
     def _resolve_config(self, solver_config: Union[SolverConfig, Dict, None]) -> SolverConfig:
         if solver_config is None:
@@ -497,26 +593,6 @@ class SolveService:
         if isinstance(solver_config, dict):
             return SolverConfig.from_dict(solver_config)
         return solver_config
-
-    def session_for(
-        self,
-        problem: Union[Problem, Dict, None],
-        solver_config: Union[SolverConfig, Dict, None] = None,
-    ) -> SolverSession:
-        """The cached prepared session for (problem, config) — built on miss."""
-        problem = self._resolve_problem(problem)
-        config = self._resolve_config(solver_config)
-        key = session_key(problem, config, self.model)
-        return self.sessions.get_or_create(
-            key, lambda: SolverSession(problem, config, model=self.model)
-        )
-
-    # -- validation ------------------------------------------------------ #
-    def _validate_vector(
-        self, name: str, vector: Optional[np.ndarray], num_dofs: int
-    ) -> Optional[np.ndarray]:
-        """Boundary validation: shape, dtype and finiteness, as InvalidRequest."""
-        return validate_vector(name, vector, num_dofs)
 
     # -- circuit breakers ------------------------------------------------ #
     def _breaker_for(self, key: str) -> CircuitBreaker:
@@ -530,17 +606,17 @@ class SolveService:
                 self._breakers[key] = breaker
             return breaker
 
-    def _record_outcome(self, request: _Request, ok: bool) -> None:
+    def _record_outcome(self, ticket: _Ticket, ok: bool) -> None:
         """Feed a request's outcome to its breaker.
 
         Only requests that actually attempted the *primary* configuration
         count: rerouted (breaker-open) requests ran a fallback rung and say
         nothing about the primary's health.
         """
-        if request.rerouted:
+        if ticket.rerouted:
             return
         with self._breakers_lock:
-            breaker = self._breakers.get(request.breaker_key)
+            breaker = self._breakers.get(ticket.breaker_key)
         if breaker is None:
             return
         if ok:
@@ -548,7 +624,18 @@ class SolveService:
         else:
             breaker.record_failure()
 
-    # ------------------------------------------------------------------ #
+    def _breaker_block(self) -> Dict[str, object]:
+        with self._breakers_lock:
+            by_key = {key: b.snapshot() for key, b in self._breakers.items()}
+        states = [b["state"] for b in by_key.values()]
+        return {
+            "total": len(states),
+            "open": states.count("open"),
+            "half_open": states.count("half_open"),
+            "by_key": by_key,
+        }
+
+    # -- the lifecycle ---------------------------------------------------- #
     def submit(
         self,
         problem: Union[Problem, Dict, None],
@@ -561,23 +648,27 @@ class SolveService:
 
         ``problem`` is an assembled :class:`~repro.fem.problem.Problem`, a
         problem-spec dict (see :mod:`repro.serve.problems`), or None for the
-        service's default spec.  Setup cost is paid synchronously on the
-        first request for a new session key (subsequent requests are pure
-        cache hits); the solve itself runs on the session's pinned worker,
-        micro-batched with any concurrent same-session requests.
+        service's default spec.  With the in-process executor, setup cost is
+        paid synchronously on the first request for a new session key
+        (subsequent requests are pure cache hits) and a full worker queue
+        sheds synchronously with
+        :class:`~repro.serve.errors.ServiceOverloaded`; behind the process
+        executor both happen inside the worker and surface *through the
+        future*, as does :class:`~repro.serve.errors.WorkerCrashed` when the
+        worker dies with the request in flight.
 
         ``deadline_ms`` (or ``config.default_deadline_ms``) bounds how long
         the returned future may stay unresolved: past the deadline it fails
         with :class:`~repro.serve.errors.DeadlineExceeded` even if the worker
-        is still busy.  A full worker queue sheds the request immediately
-        with :class:`~repro.serve.errors.ServiceOverloaded`.
+        is still busy.
         """
+        # admit
         if self._closed:
             raise RuntimeError("service is closed")
         caller_span = obs_trace.current_span()
         route_start = time.perf_counter()
         try:
-            resolved = self._resolve_problem(problem)
+            resolved, spec = self._resolve_problem(problem)
             config = self._resolve_config(solver_config)
         except InvalidRequest:
             raise
@@ -587,65 +678,55 @@ class SolveService:
             deadline_ms = self.config.default_deadline_ms
         elif deadline_ms <= 0:
             raise InvalidRequest(f"deadline_ms must be positive, got {deadline_ms!r}")
-        b = self._validate_vector("right-hand side", b, resolved.num_dofs)
-        x0 = self._validate_vector("initial guess", x0, resolved.num_dofs)
+        b = validate_vector("right-hand side", b, resolved.num_dofs)
+        x0 = validate_vector("initial guess", x0, resolved.num_dofs)
 
+        # key
         key = session_key(resolved, config, self.model)
         use_config, use_key, rerouted = config, key, False
-        if config.fallback:
-            breaker = self._breaker_for(key)
-            if not breaker.allow_primary():
-                # breaker open: skip the failing primary entirely and serve
-                # from the first fallback rung's (cached) session
-                use_config = dataclasses.replace(
-                    config,
-                    preconditioner=config.fallback[0],
-                    fallback=list(config.fallback[1:]),
-                )
-                use_key = session_key(resolved, use_config, self.model)
-                rerouted = True
-                if caller_span is not None:
-                    caller_span.add_event(
-                        "breaker_reroute", rung=use_config.preconditioner
-                    )
-                if config.obs:
-                    obs_events.get_ring().emit(
-                        "breaker", action="reroute", key=key[:16],
-                        rung=use_config.preconditioner,
-                    )
-
-        try:
-            session = self.sessions.get_or_create(
-                use_key, lambda: SolverSession(resolved, use_config, model=self.model)
+        if config.fallback and not self._breaker_for(key).allow_primary():
+            # breaker open: skip the failing primary entirely and serve
+            # from the first fallback rung's (cached) session
+            use_config = dataclasses.replace(
+                config,
+                preconditioner=config.fallback[0],
+                fallback=list(config.fallback[1:]),
             )
-        except Exception:
-            # a failed session build is a primary failure too (e.g. a
-            # poisoned checkpoint): the breaker must see it so repeated
-            # build failures eventually reroute to the fallback rung
-            self.metrics.observe_error()
-            if not rerouted and config.fallback:
-                self._breaker_for(key).record_failure()
-            raise
+            use_key = session_key(resolved, use_config, self.model)
+            rerouted = True
+            if caller_span is not None:
+                caller_span.add_event(
+                    "breaker_reroute", rung=use_config.preconditioner
+                )
+            if config.obs:
+                obs_events.get_ring().emit(
+                    "breaker", action="reroute", key=key[:16],
+                    rung=use_config.preconditioner,
+                )
+        ticket = _Ticket(use_key, key, rerouted, b, x0, caller_span, deadline_ms)
 
-        request = _Request(use_key, session, b, x0)
-        request.breaker_key = key
-        request.rerouted = rerouted
-        if deadline_ms is not None:
-            request.deadline_at = time.monotonic() + deadline_ms / 1e3
-        worker = self._workers[int(use_key[:8], 16) % len(self._workers)]
-        if caller_span is not None:
-            # routing covers validation, session resolution and worker pick
-            caller_span.child("serve.route", start=route_start,
-                              end=time.perf_counter(), worker=worker.index,
-                              cache_key=use_key[:16], rerouted=rerouted)
+        # route + execute
         try:
-            worker.submit(request, self.config.max_queue)
-        except ServiceOverloaded:
-            self.metrics.observe_shed()
+            where = self._executor.route(ticket, resolved, spec, use_config)
+            ticket.enqueued_at = time.perf_counter()
+            if caller_span is not None:
+                # routing covers validation, keying and the executor's pick
+                # of (and setup on) the worker that will run the solve
+                caller_span.child("serve.route", start=route_start,
+                                  end=ticket.enqueued_at, cache_key=use_key[:16],
+                                  rerouted=rerouted, **where)
+            self._executor.execute(ticket)
+        except Exception as error:
+            # refused at the door (a full queue, a failed session build, an
+            # unreachable worker): settled like any failure that comes back
+            # from an executor — a failed build (e.g. a poisoned checkpoint)
+            # is a primary failure the breaker must see, so repeated ones
+            # eventually reroute to the fallback rung — then raised
+            self._settle_error(ticket, error)
             raise
-        # register with the reaper only after the queue accepted the request
-        self._reaper.watch(request)
-        return request.future
+        # register with the reaper only after the executor accepted the ticket
+        self._reaper.watch(ticket)
+        return ticket.future
 
     def solve(
         self,
@@ -662,99 +743,103 @@ class SolveService:
         )
         return future.result(timeout)
 
-    # ------------------------------------------------------------------ #
-    def health(self) -> Dict[str, object]:
-        """Liveness view: worker health, queue depths, breaker states.
+    # -- settle ----------------------------------------------------------- #
+    def _settle_result(self, ticket: _Ticket, result: SolveResult,
+                       queue_ms: float, solve_ms: float, **where) -> None:
+        """A ticket's solve came back: account it, then resolve the future."""
+        if ticket.rerouted:
+            result.info["breaker_rerouted"] = True
+        degraded = bool(result.info.get("degraded"))
+        if degraded or ticket.rerouted:
+            self.metrics.observe_degraded()
+        self._record_outcome(ticket, ok=result.converged and not degraded)
+        self.metrics.observe_request(queue_ms, solve_ms)
+        if ticket.span is not None:
+            ticket.span.add_event(
+                "result", converged=bool(result.converged),
+                iterations=int(result.iterations), **where,
+            )
+        _resolve(ticket.future, result)
 
-        ``status`` is ``"ok"`` when every worker thread is alive and no
-        breaker is open, ``"degraded"`` when the service still serves but a
-        breaker is open (primary path down, fallback serving), and
-        ``"unhealthy"`` when a worker thread has died.
-        """
-        now = time.monotonic()
-        workers = [
-            {
-                "name": worker.name,
-                "alive": worker.is_alive(),
-                "queue_depth": len(worker.queue),
-                "last_beat_age_s": max(0.0, now - worker.last_beat),
-            }
-            for worker in self._workers
-        ]
-        with self._breakers_lock:
-            breakers = {key: b.snapshot() for key, b in self._breakers.items()}
-        open_breakers = sum(1 for b in breakers.values() if b["state"] == "open")
-        all_alive = all(w["alive"] for w in workers)
-        if not all_alive or not self._reaper.is_alive():
-            status = "unhealthy"
-        elif open_breakers:
-            status = "degraded"
+    def _settle_error(self, ticket: _Ticket, error: BaseException, **where) -> None:
+        """A ticket failed in (or on the way into) its executor: account it,
+        then fail the future."""
+        if isinstance(error, DeadlineExceeded):
+            # an executor noticed the deadline at dequeue; the reaper fires
+            # on the same deadline and is the one that fails and counts it
+            return
+        code = getattr(error, "code", "internal")
+        self.metrics.observe_error()
+        if code == ServiceOverloaded.code:
+            # load shed is not evidence against the primary configuration,
+            # so it never feeds the breaker; everything else does
+            self.metrics.observe_shed()
         else:
-            status = "ok"
-        return {
-            "status": status,
-            "workers": workers,
-            "reaper_alive": self._reaper.is_alive(),
-            "breakers": {
-                "total": len(breakers),
-                "open": open_breakers,
-                "half_open": sum(
-                    1 for b in breakers.values() if b["state"] == "half_open"
-                ),
-                "by_key": breakers,
-            },
-            "closed": self._closed,
-        }
+            self._record_outcome(ticket, ok=False)
+        if ticket.span is not None:
+            ticket.span.add_event(
+                "worker_crashed" if code == WorkerCrashed.code else "error",
+                error_type=type(error).__name__, code=code, **where,
+            )
+        _resolve(ticket.future, error=error)
+
+    # -- views ------------------------------------------------------------ #
+    def health(self) -> Dict[str, object]:
+        """Liveness view: workers, queue depths / in-flight counts, breakers.
+
+        ``status`` is ``"ok"`` when every worker is alive and no breaker is
+        open, ``"degraded"`` when the service still serves but a breaker is
+        open (primary path down, fallback serving) or a worker process was
+        restarted, and ``"unhealthy"`` when a worker (or the reaper) has
+        died for good or does not answer its health probe.
+        """
+        view = self._executor.health()
+        breakers = self._breaker_block()
+        reaper_alive = self._reaper.is_alive()
+        if not reaper_alive:
+            view["status"] = "unhealthy"
+        elif view["status"] == "ok" and breakers["open"]:
+            view["status"] = "degraded"
+        view.update(reaper_alive=reaper_alive, breakers=breakers, closed=self._closed)
+        return view
 
     def stats(self) -> Dict[str, object]:
         """One consistent view of throughput, latency SLOs and cache health."""
         snapshot = self.metrics.snapshot()
-        snapshot["cache"] = self.sessions.stats()
-        snapshot["cache_hit_rate"] = snapshot["cache"]["hit_rate"]
-        snapshot["problem_cache_size"] = len(self.problems)
-        snapshot["workers"] = len(self._workers)
-        with self._breakers_lock:
-            states = [b.snapshot()["state"] for b in self._breakers.values()]
-        snapshot["breakers"] = {
-            "total": len(states),
-            "open": states.count("open"),
-            "half_open": states.count("half_open"),
-        }
+        executor = self._executor.stats()
         snapshot["config"] = {
             "max_batch": self.config.max_batch,
             "max_wait_ms": self.config.max_wait_ms,
-            "solve_mode": self.config.solve_mode,
             "max_queue": self.config.max_queue,
             "default_deadline_ms": self.config.default_deadline_ms,
+            **executor.pop("config", {}),
         }
+        snapshot.update(executor)
+        snapshot["problem_cache_size"] = len(self.problems)
+        snapshot["breakers"] = self._breaker_block()
         return snapshot
 
     def metrics_snapshot(self) -> Dict[str, object]:
-        """Registry snapshot for ``/metrics`` (gauges refreshed at read time)."""
+        """Registry snapshot for ``/metrics`` (gauges refreshed at read time).
+
+        Behind the process executor this is the front process's registry
+        merged with every responsive worker's; counters and histograms sum
+        element-wise (fixed buckets make the merge exact).
+        """
         registry = self.metrics.registry
-        depth = registry.gauge(
-            "repro_serve_queue_depth", "Requests waiting per worker thread.")
-        for worker in self._workers:
-            depth.set(len(worker.queue), worker=str(worker.index))
-        registry.gauge(
-            "repro_serve_cached_sessions", "Prepared sessions in the LRU cache."
-        ).set(self.sessions.stats()["size"])
-        with self._breakers_lock:
-            states = [b.snapshot()["state"] for b in self._breakers.values()]
         registry.gauge(
             "repro_serve_breakers_open", "Circuit breakers currently open."
-        ).set(states.count("open"))
-        return registry.snapshot()
+        ).set(self._breaker_block()["open"])
+        workers = self._executor.observe(registry)
+        return merge_snapshots([registry.snapshot(), *workers])
 
     def close(self, timeout: float = 10.0) -> None:
-        """Stop accepting work and join the workers (queued work is drained)."""
-        if self._closed:
-            return
-        self._closed = True
-        for worker in self._workers:
-            worker.stop()
-        for worker in self._workers:
-            worker.join(timeout)
+        """Stop accepting work, let the executor drain, stop the reaper."""
+        with self._close_lock:
+            if self._closed:
+                return
+            self._closed = True
+        self._executor.close(timeout)
         self._reaper.stop()
         self._reaper.join(timeout)
 

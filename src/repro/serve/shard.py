@@ -1,10 +1,13 @@
-"""Pre-fork sharded solve service: one session cache per worker *process*.
+"""The process executor: a pre-fork pool of worker processes behind pipes.
 
 PR 5 pinned sessions to worker *threads*; the GIL still serialised every
 CPU-bound SpMV/SpMM, so single-process throughput plateaus at one core.
-:class:`ShardedSolveService` lifts the same pinning idea over processes:
+:class:`ProcessExecutor` lifts the same pinning idea over processes, and
+:class:`ShardedSolveService` is :class:`~repro.serve.service.SolveService`
+with that executor plugged in — admit, key, breakers, the deadline reaper
+and settle are the base class's, run once per request in the front process:
 
-* **Consistent-hash sharding** — requests route by their
+* **Consistent-hash sharding** — tickets route by their
   :func:`~repro.solvers.fingerprint.session_key` over a virtual-node hash
   ring (:func:`build_ring`), so one session key always lands on one worker
   (sessions are never rebuilt in two processes) and adding a shard moves
@@ -20,26 +23,23 @@ CPU-bound SpMV/SpMM, so single-process throughput plateaus at one core.
   (:mod:`repro.serve.proto`): raw f64 blocks both ways, so the process
   boundary adds no float-text cost and results stay **bitwise** identical
   to in-process solves.
-* **PR-7 semantics survive the boundary** — each worker runs a full
-  :class:`~repro.serve.service.SolveService` inside (micro-batching,
-  bounded queues + shedding, per-request deadlines, worker-local breakers,
-  degradation ladder); the parent adds its own layer: per-primary-key
-  breakers that count crashes, a deadline reaper over the futures it hands
-  out, per-shard pending caps, and a supervisor that **restarts a dead
-  worker** and fails its in-flight futures with the typed
-  :class:`~repro.serve.errors.WorkerCrashed`.
-
-The public surface duck-types :class:`~repro.serve.service.SolveService`
-(``submit``/``solve``/``stats``/``health``/``metrics``/``close``), so the
-HTTP front end and the benchmarks drive either service unchanged.
+* **What crosses the pipe is an admitted, keyed ticket** — the worker
+  (:func:`_shard_worker_main`) hosts a
+  :class:`~repro.serve.service.ThreadExecutor` directly (session cache,
+  micro-batching, bounded queues + shedding) and trusts the frame: it does
+  not validate, hash, consult a breaker or run a reaper again, it only drops
+  tickets whose frame-carried deadline has already passed when it dequeues
+  them.  The front process adds a per-shard in-flight cap and a supervisor
+  that **restarts a dead worker** and fails its in-flight futures with the
+  typed :class:`~repro.serve.errors.WorkerCrashed`.
 
 Supervision model: the per-shard receiver thread blocks on the worker's
 pipe; a worker that exits (or is ``kill -9``-ed) closes its end, the
 receiver sees EOF and runs the death protocol — fail in-flight futures
 typed, feed the breakers, respawn the process (up to
 ``ShardConfig.max_restarts``) with a cleared install table.  A worker that
-*wedges* without dying is covered by deadlines: the parent reaper fails its
-futures on time and the per-shard pending cap sheds further traffic.
+*wedges* without dying is covered by deadlines: the reaper fails its
+futures on time and the per-shard in-flight cap sheds further traffic.
 """
 
 from __future__ import annotations
@@ -53,21 +53,17 @@ import os
 import pickle
 import threading
 import time
-from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..fem.problem import Problem
 from ..krylov.result import SolveResult
 from ..obs import trace as obs_trace
-from ..obs.metrics import merge_snapshots
 from ..solvers.config import SolverConfig
-from ..solvers.fingerprint import session_key
 from ..solvers.registry import preconditioner_spec
 from ..solvers.shm import SharedArrayBundle, model_to_shm, problem_to_shm
-from .breaker import CircuitBreaker
 from .errors import (
     InvalidRequest,
     ServeError,
@@ -84,11 +80,15 @@ from .proto import (
     extract_trace_meta,
     make_trace_meta,
 )
-from .service import ServeConfig, SolveService, _Reaper, validate_vector
+from .service import ServeConfig, SolveService, ThreadExecutor, _resolve, _Ticket
 
-__all__ = ["ShardConfig", "ShardedSolveService", "build_ring", "route"]
+__all__ = ["ShardConfig", "ShardedSolveService", "ProcessExecutor", "build_ring", "route"]
 
 _START_METHOD_PREFERENCE = ("fork", "spawn")
+
+#: how long ``stats``/``health`` wait for a worker's reply before reporting
+#: it unresponsive
+_ADMIN_TIMEOUT_S = 10.0
 
 
 def _shard_context(start_method: Optional[str]) -> mp.context.BaseContext:
@@ -155,28 +155,16 @@ class ShardConfig:
         Worker *processes*.  Sessions shard across them by consistent
         hashing of the session key.
     threads_per_worker:
-        Serving threads of each worker's inner
-        :class:`~repro.serve.service.SolveService` (1 keeps a worker
+        Serving threads of each worker's
+        :class:`~repro.serve.service.ThreadExecutor` (1 keeps a worker
         strictly single-threaded; micro-batching still applies).
-    virtual_nodes:
-        Ring points per shard; more points → smoother key balance.
     start_method:
         Multiprocessing start method (None = first supported of
         ``fork``/``spawn``).
-    restart_workers:
-        Whether the supervisor respawns a dead worker.
     max_restarts:
-        Restart budget per shard slot; beyond it the slot is marked dead and
-        its requests fail fast with
+        Restart budget per shard slot (0 = never respawn); beyond it the
+        slot is marked dead and its requests fail fast with
         :class:`~repro.serve.errors.WorkerCrashed`.
-    max_pending_per_shard:
-        Parent-side cap on in-flight requests per shard (None = derived from
-        the serve config's ``max_queue`` × ``threads_per_worker`` × 2).  The
-        cap bounds pipe backlog onto a wedged worker; beyond it ``submit``
-        sheds with :class:`~repro.serve.errors.ServiceOverloaded`.
-    admin_timeout_s:
-        How long ``stats``/``health`` wait for a worker's reply before
-        reporting it unresponsive.
     faults:
         Cross-process chaos: ``(name, kwargs)`` specs from
         :mod:`repro.faults`, installed inside every worker at bootstrap
@@ -185,12 +173,8 @@ class ShardConfig:
 
     workers: int = 2
     threads_per_worker: int = 1
-    virtual_nodes: int = 64
     start_method: Optional[str] = None
-    restart_workers: bool = True
     max_restarts: int = 3
-    max_pending_per_shard: Optional[int] = None
-    admin_timeout_s: float = 10.0
     faults: Sequence[Tuple[str, Dict[str, object]]] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
@@ -198,14 +182,8 @@ class ShardConfig:
             raise ValueError("workers must be >= 1")
         if self.threads_per_worker < 1:
             raise ValueError("threads_per_worker must be >= 1")
-        if self.virtual_nodes < 1:
-            raise ValueError("virtual_nodes must be >= 1")
         if self.max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")
-        if self.max_pending_per_shard is not None and self.max_pending_per_shard < 1:
-            raise ValueError("max_pending_per_shard must be >= 1 or None")
-        if self.admin_timeout_s <= 0:
-            raise ValueError("admin_timeout_s must be positive")
         self.faults = tuple((str(name), dict(kwargs)) for name, kwargs in self.faults)
 
 
@@ -251,18 +229,50 @@ def _error_frame(req_id: Optional[int], error: BaseException,
     return encode_frame("error", meta)
 
 
+def _finished_trace(root: Optional[obs_trace.Span]) -> Optional[Dict[str, object]]:
+    """Close a worker-side root span and serialise it for the reply frame."""
+    if root is None:
+        return None
+    root.finish()
+    try:
+        return root.to_dict()
+    except Exception:  # never let telemetry break the reply
+        return None
+
+
 def _shard_worker_main(conn, bootstrap: Dict[str, object]) -> None:
     """Worker entry point: serve binary frames from the parent pipe.
 
-    Bootstraps faults, the (shared-memory) model and an inner
-    :class:`SolveService`, then loops on the pipe.  Solve frames are
-    submitted *asynchronously* to the inner service — concurrent requests
-    for one session still coalesce in its micro-batching queue — and each
-    future's completion sends one result/error frame back.  The loop exits
-    on a ``shutdown`` frame or pipe EOF (parent gone); exit is via
-    ``os._exit`` so shared-memory finalisers never race interpreter
+    Bootstraps faults, the (shared-memory) model and a
+    :class:`~repro.serve.service.ThreadExecutor`, then loops on the pipe.
+    A solve frame is an already admitted and keyed ticket: it is handed to
+    the executor *asynchronously* — concurrent requests for one session
+    still coalesce in its micro-batching queue — and the executor's
+    completion callbacks send one result/error frame back per ticket.  The
+    loop exits on a ``shutdown`` frame or pipe EOF (parent gone); exit is
+    via ``os._exit`` so shared-memory finalisers never race interpreter
     teardown.
     """
+    send_lock = threading.Lock()
+
+    def send(frame_bytes: bytes) -> None:
+        with send_lock:
+            try:
+                conn.send_bytes(frame_bytes)
+            except (BrokenPipeError, OSError):
+                os._exit(0)  # parent is gone; nothing left to serve
+
+    def send_result(ticket: _Ticket, result: SolveResult,
+                    queue_ms: float, solve_ms: float) -> None:
+        trace = _finished_trace(ticket.span)
+        try:
+            send(_result_frame(ticket.req_id, result, trace=trace))
+        except Exception as error:  # unserialisable info — still answer typed
+            send(_error_frame(ticket.req_id, error))
+
+    def send_error(ticket: _Ticket, error: BaseException) -> None:
+        send(_error_frame(ticket.req_id, error, trace=_finished_trace(ticket.span)))
+
     installed_faults = []
     try:
         if bootstrap.get("trace_enabled"):
@@ -282,11 +292,12 @@ def _shard_worker_main(conn, bootstrap: Dict[str, object]) -> None:
             model = model_from_shm(bootstrap["model_manifest"])
         elif bootstrap.get("model_pickle") is not None:
             model = pickle.loads(bootstrap["model_pickle"])
-        service = SolveService(
-            ServeConfig.from_dict(bootstrap["serve_config"]),
-            model=model,
-            default_solver_config=bootstrap.get("default_solver_config"),
-        )
+        config = ServeConfig.from_dict(bootstrap["serve_config"])
+        # worker-local: batch occupancy only — requests are counted where
+        # they are settled, in the front process
+        metrics = ServeMetrics()
+        executor = ThreadExecutor(config, model, metrics, send_result, send_error)
+        spec_problems = ProblemCache()
     except BaseException as error:  # noqa: BLE001 - reported to the parent
         try:
             conn.send_bytes(encode_frame("fatal", {
@@ -298,33 +309,6 @@ def _shard_worker_main(conn, bootstrap: Dict[str, object]) -> None:
         os._exit(1)
 
     problems: Dict[str, Problem] = {}  # installed shm problems by fingerprint
-    send_lock = threading.Lock()
-
-    def send(frame_bytes: bytes) -> None:
-        with send_lock:
-            try:
-                conn.send_bytes(frame_bytes)
-            except (BrokenPipeError, OSError):
-                os._exit(0)  # parent is gone; nothing left to serve
-
-    def finish(req_id: int, future: "Future[SolveResult]",
-               root: Optional[obs_trace.Span] = None) -> None:
-        trace_payload = None
-        if root is not None:
-            root.finish()
-            try:
-                trace_payload = root.to_dict()
-            except Exception:  # never let telemetry break the reply
-                trace_payload = None
-        try:
-            result = future.result()
-        except BaseException as error:  # noqa: BLE001 - serialised to the parent
-            send(_error_frame(req_id, error, trace=trace_payload))
-            return
-        try:
-            send(_result_frame(req_id, result, trace=trace_payload))
-        except Exception as error:  # unserialisable info — still answer typed
-            send(_error_frame(req_id, error))
 
     running = True
     while running:
@@ -342,15 +326,13 @@ def _shard_worker_main(conn, bootstrap: Dict[str, object]) -> None:
         if frame.kind == "solve":
             try:
                 ref = meta.get("problem_ref")
-                if ref is not None:
-                    try:
-                        problem: Union[Problem, Dict, None] = problems[ref]
-                    except KeyError:
-                        raise InvalidRequest(
-                            f"problem {ref[:12]}… is not installed on this worker"
-                        ) from None
+                if ref is None:
+                    problem = spec_problems.resolve(meta.get("problem_spec"))
+                elif ref in problems:
+                    problem = problems[ref]
                 else:
-                    problem = meta.get("problem_spec")
+                    raise InvalidRequest(
+                        f"problem {ref[:12]}… is not installed on this worker")
                 # re-root the parent's trace inside this process: a valid
                 # trace meta yields a worker-local root whose finished tree
                 # ships back in the reply frame; malformed meta is dropped
@@ -363,20 +345,17 @@ def _shard_worker_main(conn, bootstrap: Dict[str, object]) -> None:
                         parent_id=trace_meta["parent_span_id"],
                         pid=os.getpid(),
                     )
+                ticket = _Ticket(meta["key"], b=frame.arrays.get("b"),
+                                 x0=frame.arrays.get("x0"), span=root,
+                                 deadline_ms=meta.get("deadline_ms"))
+                ticket.req_id = req_id
                 with obs_trace.use_span(root):
-                    future = service.submit(
-                        problem,
-                        b=frame.arrays.get("b"),
-                        x0=frame.arrays.get("x0"),
-                        solver_config=meta.get("config"),
-                        deadline_ms=meta.get("deadline_ms"),
-                    )
+                    executor.route(ticket, problem, None,
+                                   SolverConfig.from_dict(meta["config"]))
+                ticket.enqueued_at = time.perf_counter()
+                executor.execute(ticket)
             except BaseException as error:  # noqa: BLE001 - serialised to the parent
                 send(_error_frame(req_id, error))
-            else:
-                future.add_done_callback(
-                    lambda done, rid=req_id, sp=root: finish(rid, done, sp)
-                )
         elif frame.kind == "install_problem":
             try:
                 from ..solvers.shm import problem_from_shm
@@ -385,35 +364,24 @@ def _shard_worker_main(conn, bootstrap: Dict[str, object]) -> None:
                 problems[problem.fingerprint()] = problem
             except BaseException as error:  # noqa: BLE001
                 send(_error_frame(req_id, error))
-        elif frame.kind == "uninstall_problem":
-            fingerprint = meta.get("fingerprint")
-            dropped = problems.pop(fingerprint, None)
-            service.sessions.prune(
-                lambda s: s.problem.fingerprint() == fingerprint
-            )
-            if dropped is not None:
-                bundle = getattr(dropped, "_shm_bundle", None)
-                if bundle is not None:
-                    bundle.close()
-        elif frame.kind == "stats":
-            send(encode_frame("stats_result",
-                              {"req_id": req_id, "payload": service.stats()}))
-        elif frame.kind == "metrics":
-            # registry snapshot piggybacked on the stats admin path — the
-            # parent merges it with its own for /metrics exposition
-            send(encode_frame("metrics_result",
-                              {"req_id": req_id,
-                               "payload": service.metrics_snapshot()}))
-        elif frame.kind == "health":
-            send(encode_frame("health_result",
-                              {"req_id": req_id, "payload": service.health()}))
+        elif frame.kind == "status":
+            # the one admin frame: the front picks what it needs (stats,
+            # health, or the registry snapshot it merges into /metrics)
+            executor.observe(metrics.registry)
+            send(encode_frame("status_result", {"req_id": req_id, "payload": {
+                "stats": {**metrics.snapshot(), **executor.stats()},
+                "health": executor.health(),
+                "metrics": metrics.registry.snapshot(),
+            }}))
         elif frame.kind == "shutdown":
             running = False
         # unknown kinds are ignored: an older worker keeps serving what it knows
 
-    service.close()
+    # chaos ends with the service: a stall fault left active would hold the
+    # drain below for its whole stall bound
     for fault in reversed(installed_faults):
         fault.deactivate()
+    executor.close(10.0)
     try:
         conn.close()
     except Exception:
@@ -424,26 +392,6 @@ def _shard_worker_main(conn, bootstrap: Dict[str, object]) -> None:
 # --------------------------------------------------------------------------- #
 # parent side
 # --------------------------------------------------------------------------- #
-class _Pending:
-    """One in-flight request on a shard (duck-types the reaper's interface)."""
-
-    __slots__ = ("future", "breaker_key", "rerouted", "deadline_at",
-                 "enqueued_at", "admin", "span", "sent_at")
-
-    def __init__(self, breaker_key: str = "", rerouted: bool = False,
-                 admin: bool = False) -> None:
-        self.future: Future = Future()
-        self.breaker_key = breaker_key
-        self.rerouted = rerouted
-        self.deadline_at: Optional[float] = None
-        self.enqueued_at = time.perf_counter()
-        self.admin = admin
-        #: caller's span at submit time (parent side); the reply handler
-        #: attaches the shard round-trip child and grafts the worker subtree
-        self.span = None if admin else obs_trace.current_span()
-        self.sent_at = self.enqueued_at
-
-
 class _Shard:
     """Parent-side state of one worker slot: process, pipe, in-flight table."""
 
@@ -451,9 +399,12 @@ class _Shard:
         self.slot = slot
         self.process: Optional[mp.process.BaseProcess] = None
         self.conn = None
-        self.lock = threading.Lock()  # guards pending/installed/generation
+        self.lock = threading.Lock()  # guards pending/generation/restarts/dead
+        #: serialises writers of ``conn`` and guards ``installed``: marking a
+        #: problem installed and sending its install frame are one critical
+        #: section, so no solve frame can overtake the install it relies on
         self.send_lock = threading.Lock()
-        self.pending: Dict[int, _Pending] = {}
+        self.pending: Dict[int, _Ticket] = {}
         self.installed: set = set()
         self.generation = 0
         self.restarts = 0
@@ -470,58 +421,63 @@ class _Shard:
         process = self.process
         return process is not None and process.is_alive()
 
+    def describe(self) -> Dict[str, object]:
+        """The supervisor's view of this slot (a stats/health entry)."""
+        return {
+            "slot": self.slot,
+            "pid": self.pid,
+            "alive": self.alive(),
+            "dead": self.dead,
+            "restarts": self.restarts,
+            "pending": len(self.pending),
+            "installed_problems": len(self.installed),
+        }
 
-class ShardedSolveService:
-    """A pre-fork pool of :class:`SolveService` workers behind one facade.
 
-    Duck-types the single-process service: ``submit`` returns a future,
-    ``solve`` blocks, ``stats``/``health`` aggregate the shards,
-    ``metrics`` is the parent-side :class:`~repro.serve.metrics.ServeMetrics`.
-    Construction forks the workers immediately (pre-fork: all shared-memory
-    segments and the model are prepared *before* the first fork, so every
-    worker inherits or attaches the same bytes).
+def _shard_send(shard: _Shard, frame_bytes: bytes) -> None:
+    """Write one frame to the shard's pipe; the caller holds ``send_lock``."""
+    try:
+        shard.conn.send_bytes(frame_bytes)
+    except (BrokenPipeError, OSError) as error:
+        raise WorkerCrashed(
+            f"worker {shard.slot} is unreachable ({type(error).__name__}); "
+            f"the supervisor is restarting it — retry the request"
+        ) from error
+
+
+class ProcessExecutor:
+    """Runs tickets in a pre-fork pool of worker processes.
+
+    Owns the hash ring, the shards (process, pipe, in-flight table, receiver
+    thread), the shared-memory bundles and the supervisor.  Construction
+    forks the workers immediately (pre-fork: all shared-memory segments and
+    the model are prepared *before* the first fork, so every worker inherits
+    or attaches the same bytes).  ``on_result``/``on_error`` are the
+    service's settle methods, called from the receiver threads.
     """
 
-    def __init__(
-        self,
-        config: Optional[ServeConfig] = None,
-        model=None,
-        default_solver_config: Union[SolverConfig, Dict, None] = None,
-        shard_config: Optional[ShardConfig] = None,
-    ) -> None:
-        self.config = config or ServeConfig()
-        self.shard_config = shard_config or ShardConfig()
-        if isinstance(default_solver_config, dict):
-            default_solver_config = SolverConfig.from_dict(default_solver_config)
-        self.default_solver_config = default_solver_config or SolverConfig(
-            preconditioner="ddm-lu"
-        )
-        self.metrics = ServeMetrics(self.config.latency_window)
-        self.problems = ProblemCache(self.config.problem_cache_capacity)
-        self._ctx = _shard_context(self.shard_config.start_method)
-        self._ring = build_ring(self.shard_config.workers,
-                                self.shard_config.virtual_nodes)
+    def __init__(self, config: ServeConfig, shard_config: "ShardConfig", model,
+                 metrics: ServeMetrics, on_result: Callable[..., None],
+                 on_error: Callable[..., None]) -> None:
+        self.config = config
+        self.shard_config = shard_config
+        self.metrics = metrics
+        self.on_result = on_result
+        self.on_error = on_error
+        self._ctx = _shard_context(shard_config.start_method)
+        self._ring = build_ring(shard_config.workers)
         self._req_ids = itertools.count(1)
-        self._closed = False
-        self._close_lock = threading.Lock()
-        self._breakers: Dict[str, CircuitBreaker] = {}
-        self._breakers_lock = threading.Lock()
-        self._problem_bundles: Dict[str, SharedArrayBundle] = {}
+        #: installed problems' segments by fingerprint.  Unbounded: nothing
+        #: evicts a bundle, because a worker may still be reading it (see
+        #: DESIGN.md, "Shared memory ownership")
+        self.problem_bundles: Dict[str, SharedArrayBundle] = {}
         self._bundles_lock = threading.Lock()
-        cap = self.shard_config.max_pending_per_shard
-        if cap is None:
-            cap = max(2 * self.config.max_queue * self.shard_config.threads_per_worker, 8)
-        self._max_pending = int(cap)
+        # the cap bounds pipe backlog onto a wedged worker; a healthy one
+        # sheds from its own (tighter) queues first
+        self._max_pending = max(2 * config.max_queue * shard_config.threads_per_worker, 8)
 
-        # the model is prepared ONCE, before any fork: shared memory when it
-        # is a DSS (weights attach zero-copy in every worker), pickle bytes
-        # as the fallback for duck-typed models
-        if model is None and self.default_solver_config.checkpoint and \
-                preconditioner_spec(self.default_solver_config.preconditioner).needs_model:
-            from ..gnn.checkpoint import load_model
-
-            model = load_model(self.default_solver_config.checkpoint)
-        self.model = model
+        # shared memory when the model is a DSS (weights attach zero-copy in
+        # every worker), pickle bytes as the fallback for duck-typed models
         self._model_bundle: Optional[SharedArrayBundle] = None
         model_manifest = None
         model_pickle = None
@@ -531,29 +487,24 @@ class ShardedSolveService:
                 model_manifest = self._model_bundle.manifest
             except ValueError:
                 model_pickle = pickle.dumps(model)
-        inner_config = dataclasses.replace(
-            self.config, workers=self.shard_config.threads_per_worker
-        )
+        worker_config = dataclasses.replace(config, workers=shard_config.threads_per_worker)
         self._bootstrap = {
-            "serve_config": inner_config.to_dict(),
-            "default_solver_config": self.default_solver_config.to_dict(),
+            "serve_config": worker_config.to_dict(),
             "model_manifest": model_manifest,
             "model_pickle": model_pickle,
-            "fault_specs": tuple(self.shard_config.faults),
+            "fault_specs": tuple(shard_config.faults),
             # snapshotted at construction: enable tracing BEFORE building the
             # pool if worker-side session spans are wanted
             "trace_enabled": obs_trace.trace_enabled(),
         }
 
-        self._shards = [_Shard(slot) for slot in range(self.shard_config.workers)]
+        self.shards = [_Shard(slot) for slot in range(shard_config.workers)]
         # pre-fork: spawn every process before any receiver thread runs, so
         # fork never snapshots a parent thread mid-critical-section
-        for shard in self._shards:
+        for shard in self.shards:
             self._spawn_locked(shard)
-        for shard in self._shards:
+        for shard in self.shards:
             self._start_receiver(shard)
-        self._reaper = _Reaper(self)
-        self._reaper.start()
 
     # -- process lifecycle ---------------------------------------------- #
     def _spawn_locked(self, shard: _Shard) -> None:
@@ -566,10 +517,11 @@ class ShardedSolveService:
         )
         process.start()
         child_conn.close()  # the parent's copy; EOF detection needs it closed
-        shard.conn = parent_conn
+        with shard.send_lock:  # the pipe and its install table change together
+            shard.conn = parent_conn
+            shard.installed = set()
         shard.process = process
         shard.generation += 1
-        shard.installed = set()
 
     def _start_receiver(self, shard: _Shard) -> None:
         thread = threading.Thread(
@@ -601,69 +553,45 @@ class ShardedSolveService:
             shard.dead_reason = str(meta.get("message", "worker bootstrap failed"))
             return  # EOF follows; _on_shard_exit handles the fallout
         with shard.lock:
-            pending = shard.pending.pop(req_id, None) if req_id is not None else None
-        if pending is None:
-            return  # reaped, duplicate, or a protocol-level error frame
-        if pending.span is not None and frame.kind in ("result", "error"):
-            roundtrip = pending.span.child(
-                "shard.roundtrip", start=pending.sent_at,
-                end=time.perf_counter(), shard=shard.slot,
+            ticket = shard.pending.pop(req_id, None) if req_id is not None else None
+        if ticket is None:
+            return  # duplicate, or a protocol-level error frame
+        if frame.kind == "status_result":
+            _resolve(ticket.future, meta.get("payload"))
+            return
+        if frame.kind not in ("result", "error"):
+            return
+        now = time.perf_counter()
+        if ticket.span is not None:
+            roundtrip = ticket.span.child(
+                "shard.roundtrip", start=ticket.enqueued_at, end=now, shard=shard.slot,
             )
             worker_trace = meta.get(TRACE_META_KEY)
             if isinstance(worker_trace, dict):
                 roundtrip.graft(worker_trace)
-        if frame.kind == "result":
-            result = SolveResult(
-                solution=frame.arrays["solution"],
-                converged=bool(meta["converged"]),
-                iterations=int(meta["iterations"]),
-                residual_history=[float(v) for v in frame.arrays["residual_history"]],
-                elapsed_time=float(meta["elapsed_s"]),
-                preconditioner_time=float(meta["preconditioner_s"]),
-                info=dict(meta.get("info") or {}),
-                failure_reason=meta.get("failure_reason"),
-            )
-            result.info["shard"] = shard.slot
-            if pending.rerouted:
-                result.info["breaker_rerouted"] = True
-            degraded = bool(result.info.get("degraded"))
-            if degraded or pending.rerouted:
-                self.metrics.observe_degraded()
-            self._record_outcome(pending, ok=result.converged and not degraded)
-            total_ms = (time.perf_counter() - pending.enqueued_at) * 1e3
-            solve_ms = min(float(meta["elapsed_s"]) * 1e3, total_ms)
-            self.metrics.observe_request(total_ms - solve_ms, solve_ms)
-            if pending.span is not None:
-                pending.span.add_event(
-                    "result", converged=bool(result.converged),
-                    iterations=int(result.iterations), shard=shard.slot,
-                )
-            try:
-                pending.future.set_result(result)
-            except InvalidStateError:
-                pass  # the parent reaper got there first
-        elif frame.kind == "error":
-            error = error_from_code(
+        if frame.kind == "error":
+            self.on_error(ticket, error_from_code(
                 str(meta.get("code") or "internal"),
                 str(meta.get("message") or "worker error"),
                 retry_after_s=meta.get("retry_after_s"),
-            )
-            if pending.span is not None:
-                pending.span.add_event("error", code=error.code, shard=shard.slot)
-            self.metrics.observe_error()
-            if error.code == "overloaded":
-                self.metrics.observe_shed()
-            if error.code not in ("overloaded", "deadline_exceeded") and not pending.admin:
-                self._record_outcome(pending, ok=False)
-            try:
-                pending.future.set_exception(error)
-            except InvalidStateError:
-                pass
-        elif frame.kind in ("stats_result", "health_result", "metrics_result"):
-            try:
-                pending.future.set_result(meta.get("payload"))
-            except InvalidStateError:
-                pass
+            ), shard=shard.slot)
+            return
+        result = SolveResult(
+            solution=frame.arrays["solution"],
+            converged=bool(meta["converged"]),
+            iterations=int(meta["iterations"]),
+            residual_history=[float(v) for v in frame.arrays["residual_history"]],
+            elapsed_time=float(meta["elapsed_s"]),
+            preconditioner_time=float(meta["preconditioner_s"]),
+            info=dict(meta.get("info") or {}),
+            failure_reason=meta.get("failure_reason"),
+        )
+        result.info["shard"] = shard.slot
+        # seen from this side of the pipe, everything that is not the solve
+        # (frame encode, pipe, the worker's queue) is time spent waiting
+        total_ms = (now - ticket.enqueued_at) * 1e3
+        solve_ms = min(float(meta["elapsed_s"]) * 1e3, total_ms)
+        self.on_result(ticket, result, total_ms - solve_ms, solve_ms, shard=shard.slot)
 
     def _on_shard_exit(self, shard: _Shard, generation: int) -> None:
         """Death protocol: fail in-flight work typed, feed breakers, respawn."""
@@ -672,10 +600,8 @@ class ShardedSolveService:
                 return  # a stale receiver of an already-replaced process
             drained = list(shard.pending.values())
             shard.pending.clear()
-            shard.installed = set()
-            stopping = shard.stopping or self._closed
+            stopping = shard.stopping
             restart = (not stopping
-                       and self.shard_config.restart_workers
                        and shard.dead_reason is None
                        and shard.restarts < self.shard_config.max_restarts)
             if restart:
@@ -688,435 +614,188 @@ class ShardedSolveService:
                         f"worker {shard.slot} died and exhausted its "
                         f"{self.shard_config.max_restarts} restart(s)"
                     )
-        reason = shard.dead_reason or f"worker {shard.slot} died mid-request"
-        if not stopping:
+        if stopping:
+            reason = "service closed before the request completed"
+        else:
             self.metrics.observe_worker_crash()
-        for pending in drained:
-            error = WorkerCrashed(
-                "service closed before the request completed" if stopping
-                else f"{reason}; the request was in flight and may be retried"
-            )
-            if pending.span is not None and not stopping:
-                pending.span.add_event("worker_crashed", shard=shard.slot)
-            if not stopping:
-                self.metrics.observe_error()
-                if not pending.admin:
-                    self._record_outcome(pending, ok=False)
-            try:
-                pending.future.set_exception(error)
-            except InvalidStateError:
-                pass
+            cause = shard.dead_reason or f"worker {shard.slot} died mid-request"
+            reason = f"{cause}; the request was in flight and may be retried"
+        for ticket in drained:
+            self.on_error(ticket, WorkerCrashed(reason), shard=shard.slot)
         if restart:
             self.metrics.observe_worker_restart()
             self._start_receiver(shard)
 
-    # -- breakers (parent layer: crash + end-to-end outcome accounting) -- #
-    def _breaker_for(self, key: str) -> CircuitBreaker:
-        with self._breakers_lock:
-            breaker = self._breakers.get(key)
-            if breaker is None:
-                breaker = CircuitBreaker(
-                    failure_threshold=self.config.breaker_failures,
-                    reset_after_s=self.config.breaker_reset_s,
-                )
-                self._breakers[key] = breaker
-            return breaker
-
-    def _record_outcome(self, pending: _Pending, ok: bool) -> None:
-        if pending.rerouted or not pending.breaker_key:
-            return
-        with self._breakers_lock:
-            breaker = self._breakers.get(pending.breaker_key)
-        if breaker is None:
-            return
-        if ok:
-            breaker.record_success()
-        else:
-            breaker.record_failure()
-
-    # -- request path ---------------------------------------------------- #
-    def _resolve_problem(
-        self, problem: Union[Problem, Dict, None]
-    ) -> Tuple[Problem, Optional[Dict]]:
-        """Resolve to (assembled problem, spec-or-None).
-
-        Spec-described problems re-resolve deterministically inside the
-        worker (same seed → same fingerprint), so only the tiny spec dict
-        crosses the pipe; direct ``Problem`` objects are installed once via
-        shared memory instead.
-        """
-        if isinstance(problem, Problem):
-            return problem, None
-        from .problems import _normalise_spec
-
-        spec = _normalise_spec(problem)
-        return self.problems.resolve(spec), spec
-
-    def _resolve_config(
-        self, solver_config: Union[SolverConfig, Dict, None]
-    ) -> SolverConfig:
-        if solver_config is None:
-            return self.default_solver_config
-        if isinstance(solver_config, dict):
-            return SolverConfig.from_dict(solver_config)
-        return solver_config
-
-    def _shard_send(self, shard: _Shard, frame_bytes: bytes) -> None:
-        try:
-            with shard.send_lock:
-                shard.conn.send_bytes(frame_bytes)
-        except (BrokenPipeError, OSError) as error:
-            raise WorkerCrashed(
-                f"worker {shard.slot} is unreachable ({type(error).__name__}); "
-                f"the supervisor is restarting it — retry the request"
-            ) from error
-
+    # -- route + execute -------------------------------------------------- #
     def _ensure_installed(self, shard: _Shard, problem: Problem) -> str:
         """Install a directly-passed problem's operator on a shard (once).
 
         The parent packs the arrays into shared memory on first sight of the
         fingerprint (one copy total) and sends each shard a manifest-only
-        install frame before the first solve that references it; pipe FIFO
-        ordering makes install-then-solve race-free without acks.
+        install frame before the first solve that references it.  Marking
+        and sending happen under the shard's send lock, so every solve frame
+        that finds the fingerprint marked is written after its install frame
+        and pipe FIFO ordering makes install-then-solve race-free without
+        acks.
         """
         fingerprint = problem.fingerprint()
         with self._bundles_lock:
-            if fingerprint not in self._problem_bundles:
-                self._problem_bundles[fingerprint] = problem_to_shm(problem)
-            manifest = self._problem_bundles[fingerprint].manifest
-        with shard.lock:
-            needs_install = fingerprint not in shard.installed
-            if needs_install:
+            if fingerprint not in self.problem_bundles:
+                self.problem_bundles[fingerprint] = problem_to_shm(problem)
+            manifest = self.problem_bundles[fingerprint].manifest
+        with shard.send_lock:
+            if fingerprint not in shard.installed:
+                _shard_send(shard, encode_frame("install_problem", {"manifest": manifest}))
                 shard.installed.add(fingerprint)
-        if needs_install:
-            try:
-                self._shard_send(shard, encode_frame(
-                    "install_problem", {"manifest": manifest}
-                ))
-            except WorkerCrashed:
-                with shard.lock:
-                    shard.installed.discard(fingerprint)
-                raise
         return fingerprint
 
-    def submit(
-        self,
-        problem: Union[Problem, Dict, None],
-        b: Optional[np.ndarray] = None,
-        x0: Optional[np.ndarray] = None,
-        solver_config: Union[SolverConfig, Dict, None] = None,
-        deadline_ms: Optional[float] = None,
-    ) -> "Future[SolveResult]":
-        """Enqueue one solve on the owning shard; returns a future.
-
-        Mirrors :meth:`SolveService.submit
-        <repro.serve.service.SolveService.submit>` exactly, with two
-        process-boundary differences: worker-side failures (including load
-        shed inside a worker) surface *through the future* rather than
-        synchronously, and a worker crash fails the future with the typed
-        :class:`~repro.serve.errors.WorkerCrashed` while the supervisor
-        restarts the process.
-        """
-        if self._closed:
-            raise RuntimeError("service is closed")
-        caller_span = obs_trace.current_span()
-        route_start = time.perf_counter()
-        try:
-            resolved, spec = self._resolve_problem(problem)
-            config = self._resolve_config(solver_config)
-        except InvalidRequest:
-            raise
-        except (TypeError, ValueError, KeyError) as error:
-            raise InvalidRequest(str(error)) from error
-        if deadline_ms is None:
-            deadline_ms = self.config.default_deadline_ms
-        elif deadline_ms <= 0:
-            raise InvalidRequest(f"deadline_ms must be positive, got {deadline_ms!r}")
-        b = validate_vector("right-hand side", b, resolved.num_dofs)
-        x0 = validate_vector("initial guess", x0, resolved.num_dofs)
-
-        key = session_key(resolved, config, self.model)
-        use_config, use_key, rerouted = config, key, False
-        if config.fallback:
-            breaker = self._breaker_for(key)
-            if not breaker.allow_primary():
-                use_config = dataclasses.replace(
-                    config,
-                    preconditioner=config.fallback[0],
-                    fallback=list(config.fallback[1:]),
-                )
-                use_key = session_key(resolved, use_config, self.model)
-                rerouted = True
-                if caller_span is not None:
-                    caller_span.add_event(
-                        "breaker_reroute", rung=use_config.preconditioner
-                    )
-
-        shard = self._shards[route(self._ring, use_key)]
+    def route(self, ticket: _Ticket, problem: Problem, spec: Optional[Dict],
+              config: SolverConfig) -> Dict[str, int]:
+        """Pick the owning shard and make sure it can resolve the problem."""
+        shard = self.shards[route(self._ring, ticket.key)]
         if shard.dead:
-            self.metrics.observe_error()
-            raise WorkerCrashed(shard.dead_reason or
-                                f"worker {shard.slot} is down")
-        with shard.lock:
-            if len(shard.pending) >= self._max_pending:
-                depth = len(shard.pending)
-                overloaded = True
-            else:
-                overloaded = False
-        if overloaded:
-            self.metrics.observe_shed()
+            raise WorkerCrashed(shard.dead_reason or f"worker {shard.slot} is down")
+        ticket.slot = shard
+        ticket.req_id = next(self._req_ids)
+        ticket.meta = {
+            "req_id": ticket.req_id,
+            "key": ticket.key,
+            "problem_spec": spec,
+            "problem_ref": self._ensure_installed(shard, problem) if spec is None else None,
+            "config": config.to_dict(),
+        }
+        return {"shard": shard.slot}
+
+    def execute(self, ticket: _Ticket) -> None:
+        """Write the ticket's solve frame to its shard's pipe."""
+        shard, meta = ticket.slot, ticket.meta
+        # the worker gets what is left of the deadline, not a clock reading
+        meta["deadline_ms"] = (
+            None if ticket.deadline_at is None
+            else (ticket.deadline_at - time.monotonic()) * 1e3
+        )
+        if ticket.span is not None:
+            # trace context crosses the fork in the frame header meta; the
+            # worker re-roots under (trace_id, this span) and ships its
+            # finished subtree back in the reply
+            meta[TRACE_META_KEY] = make_trace_meta(
+                ticket.span.trace_id, ticket.span.span_id
+            )
+        arrays = {name: vector for name, vector in (("b", ticket.b), ("x0", ticket.x0))
+                  if vector is not None}
+        frame_bytes = encode_frame("solve", meta, arrays)
+        with shard.lock:  # cap check and insert are one step: no overshoot
+            depth = len(shard.pending)
+            if depth < self._max_pending:
+                shard.pending[ticket.req_id] = ticket
+        if depth >= self._max_pending:
             raise ServiceOverloaded(
                 f"shard {shard.slot} has {depth} requests in flight "
                 f"(cap {self._max_pending})",
                 retry_after_s=self.config.shed_retry_after_s,
             )
-
-        problem_ref = None
-        if spec is None:
-            problem_ref = self._ensure_installed(shard, resolved)
-
-        req_id = next(self._req_ids)
-        pending = _Pending(breaker_key=key, rerouted=rerouted)
-        if deadline_ms is not None:
-            pending.deadline_at = time.monotonic() + deadline_ms / 1e3
-        meta = {
-            "req_id": req_id,
-            "problem_spec": spec,
-            "problem_ref": problem_ref,
-            "config": use_config.to_dict(),
-            "deadline_ms": deadline_ms,
-        }
-        if caller_span is not None:
-            # trace context crosses the fork in the frame header meta; the
-            # worker re-roots under (trace_id, this span) and ships its
-            # finished subtree back in the reply
-            meta[TRACE_META_KEY] = make_trace_meta(
-                caller_span.trace_id, caller_span.span_id
-            )
-            caller_span.child(
-                "serve.route", start=route_start, end=time.perf_counter(),
-                shard=shard.slot, cache_key=use_key[:16], rerouted=rerouted,
-            )
-        arrays: Dict[str, np.ndarray] = {}
-        if b is not None:
-            arrays["b"] = b
-        if x0 is not None:
-            arrays["x0"] = x0
-        frame_bytes = encode_frame("solve", meta, arrays)
-        pending.sent_at = time.perf_counter()
-        with shard.lock:
-            shard.pending[req_id] = pending
         try:
-            self._shard_send(shard, frame_bytes)
+            with shard.send_lock:
+                _shard_send(shard, frame_bytes)
         except WorkerCrashed:
             with shard.lock:
-                shard.pending.pop(req_id, None)
-            self.metrics.observe_error()
+                shard.pending.pop(ticket.req_id, None)
             raise
-        self._reaper.watch(pending)
-        return pending.future
-
-    def solve(
-        self,
-        problem: Union[Problem, Dict, None],
-        b: Optional[np.ndarray] = None,
-        x0: Optional[np.ndarray] = None,
-        solver_config: Union[SolverConfig, Dict, None] = None,
-        timeout: Optional[float] = None,
-        deadline_ms: Optional[float] = None,
-    ) -> SolveResult:
-        """Blocking convenience wrapper around :meth:`submit`."""
-        future = self.submit(
-            problem, b=b, x0=x0, solver_config=solver_config, deadline_ms=deadline_ms
-        )
-        return future.result(timeout)
 
     # -- admin: aggregated stats & health -------------------------------- #
-    def _admin_request(self, shard: _Shard, kind: str):
+    def _status(self, shard: _Shard) -> Dict[str, Dict[str, object]]:
+        """Ask a worker for its stats/health/metrics ({} when unresponsive)."""
         if shard.dead or shard.stopping:
-            return None
-        req_id = next(self._req_ids)
-        pending = _Pending(admin=True)
+            return {}
+        ticket = _Ticket("")
+        ticket.req_id = next(self._req_ids)
         with shard.lock:
-            shard.pending[req_id] = pending
+            shard.pending[ticket.req_id] = ticket
         try:
-            self._shard_send(shard, encode_frame(kind, {"req_id": req_id}))
-            return pending.future.result(self.shard_config.admin_timeout_s)
+            with shard.send_lock:
+                _shard_send(shard, encode_frame("status", {"req_id": ticket.req_id}))
+            return ticket.future.result(_ADMIN_TIMEOUT_S)
         except Exception:
-            return None
+            return {}
         finally:
             with shard.lock:
-                shard.pending.pop(req_id, None)
+                shard.pending.pop(ticket.req_id, None)
 
     def stats(self) -> Dict[str, object]:
-        """Parent metrics + per-shard worker stats, aggregated.
+        """Per-shard worker stats, aggregated.
 
         ``cache_hit_rate`` and ``mean_batch_size`` aggregate across the
-        shards' inner services (the quantities the benchmarks track);
-        ``shards`` carries each worker's full stats payload (or an
-        ``unresponsive`` marker) for debugging.
+        workers' executors (the quantities the benchmarks track); ``shards``
+        carries each worker's full stats payload (or an ``unresponsive``
+        marker) for debugging.
         """
-        snapshot = self.metrics.snapshot()
-        shard_payloads: List[Dict[str, object]] = []
-        hits = misses = batches = batched = 0
-        for shard in self._shards:
-            payload = self._admin_request(shard, "stats")
-            entry: Dict[str, object] = {
-                "slot": shard.slot,
-                "pid": shard.pid,
-                "alive": shard.alive(),
-                "restarts": shard.restarts,
-                "pending": len(shard.pending),
-            }
-            if isinstance(payload, dict):
-                entry["stats"] = payload
-                cache = payload.get("cache") or {}
-                hits += int(cache.get("hits") or 0)
-                misses += int(cache.get("misses") or 0)
-                nbatches = int(payload.get("batches") or 0)
-                mean = payload.get("mean_batch_size")
-                batches += nbatches
-                if mean is not None:
-                    batched += int(round(float(mean) * nbatches))
-            else:
-                entry["stats"] = {"error": "unresponsive"}
-            shard_payloads.append(entry)
-        lookups = hits + misses
-        snapshot["workers"] = len(self._shards)
-        snapshot["threads_per_worker"] = self.shard_config.threads_per_worker
-        snapshot["shards"] = shard_payloads
-        snapshot["cache"] = {
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": (hits / lookups) if lookups else None,
-        }
-        snapshot["cache_hit_rate"] = snapshot["cache"]["hit_rate"]
-        snapshot["mean_batch_size"] = (batched / batches) if batches else None
-        snapshot["problem_cache_size"] = len(self.problems)
-        with self._breakers_lock:
-            states = [b.snapshot()["state"] for b in self._breakers.values()]
-        snapshot["breakers"] = {
-            "total": len(states),
-            "open": states.count("open"),
-            "half_open": states.count("half_open"),
-        }
-        snapshot["config"] = {
-            "max_batch": self.config.max_batch,
-            "max_wait_ms": self.config.max_wait_ms,
-            "solve_mode": self.config.solve_mode,
-            "max_queue": self.config.max_queue,
-            "default_deadline_ms": self.config.default_deadline_ms,
-            "shard_workers": self.shard_config.workers,
+        shards = [dict(shard.describe(),
+                       stats=self._status(shard).get("stats") or {"error": "unresponsive"})
+                  for shard in self.shards]
+        answered = [entry["stats"] for entry in shards if "error" not in entry["stats"]]
+        hits = sum(stats["cache"]["hits"] for stats in answered)
+        misses = sum(stats["cache"]["misses"] for stats in answered)
+        batches = sum(stats["batches"] for stats in answered)
+        batched = sum(stats["batched_requests"] for stats in answered)
+        hit_rate = hits / (hits + misses) if hits + misses else None
+        return {
+            "workers": len(self.shards),
             "threads_per_worker": self.shard_config.threads_per_worker,
-            "max_pending_per_shard": self._max_pending,
+            "shards": shards,
+            "cache": {"hits": hits, "misses": misses, "hit_rate": hit_rate},
+            "cache_hit_rate": hit_rate,
+            "mean_batch_size": batched / batches if batches else None,
+            "config": {
+                "shard_workers": self.shard_config.workers,
+                "threads_per_worker": self.shard_config.threads_per_worker,
+                "max_pending_per_shard": self._max_pending,
+            },
         }
-        return snapshot
 
-    def metrics_snapshot(self) -> Dict[str, object]:
-        """Merged registry snapshot: parent + every responsive shard.
-
-        Counters and histograms sum element-wise (fixed buckets make the
-        merge exact); the ``/metrics`` endpoint renders the result, so one
-        scrape sees the whole pool.  An unresponsive shard contributes
-        nothing — the parent's own counters still cover its crashes.
-        """
-        registry = self.metrics.registry
+    def observe(self, registry) -> List[Dict[str, object]]:
+        """Refresh the in-flight gauges; returns every responsive worker's
+        registry snapshot.  An unresponsive shard contributes nothing — the
+        front process's own counters still cover its crashes."""
         depth = registry.gauge(
             "repro_serve_pending_requests", "In-flight requests per shard.")
-        for shard in self._shards:
+        for shard in self.shards:
             depth.set(len(shard.pending), shard=str(shard.slot))
-        with self._breakers_lock:
-            states = [b.snapshot()["state"] for b in self._breakers.values()]
-        registry.gauge(
-            "repro_serve_breakers_open", "Circuit breakers currently open."
-        ).set(states.count("open"))
-        snapshots = [registry.snapshot()]
-        for shard in self._shards:
-            payload = self._admin_request(shard, "metrics")
-            if isinstance(payload, dict):
-                snapshots.append(payload)
-        return merge_snapshots(snapshots)
+        snapshots = (self._status(shard).get("metrics") for shard in self.shards)
+        return [snapshot for snapshot in snapshots if snapshot]
 
     def health(self) -> Dict[str, object]:
-        """Aggregated liveness: shard processes, restart counts, breakers.
-
-        ``status`` is ``"unhealthy"`` when any shard slot is permanently
-        dead (restart budget exhausted) or unresponsive to a health probe,
-        ``"degraded"`` when a parent breaker is open or a shard has been
-        restarted, else ``"ok"``.
-        """
-        workers = []
-        any_dead = False
-        any_restarted = False
-        for shard in self._shards:
-            payload = self._admin_request(shard, "health")
-            alive = shard.alive()
-            entry: Dict[str, object] = {
-                "slot": shard.slot,
-                "pid": shard.pid,
-                "alive": alive,
-                "dead": shard.dead,
-                "restarts": shard.restarts,
-                "pending": len(shard.pending),
-                "installed_problems": len(shard.installed),
-                "worker_health": payload if isinstance(payload, dict)
-                else {"status": "unresponsive"},
-            }
-            workers.append(entry)
-            any_dead = any_dead or shard.dead or not alive or payload is None
-            any_restarted = any_restarted or shard.restarts > 0
-        with self._breakers_lock:
-            breakers = {key: b.snapshot() for key, b in self._breakers.items()}
-        open_breakers = sum(1 for b in breakers.values() if b["state"] == "open")
-        if any_dead or not self._reaper.is_alive():
+        """Shard liveness: ``"unhealthy"`` when any slot is permanently dead
+        (restart budget exhausted) or unresponsive to a health probe,
+        ``"degraded"`` when a shard has been restarted, else ``"ok"``."""
+        workers = [dict(shard.describe(),
+                        worker_health=self._status(shard).get("health")
+                        or {"status": "unresponsive"})
+                   for shard in self.shards]
+        if any(w["dead"] or not w["alive"] or w["worker_health"]["status"] == "unresponsive"
+               for w in workers):
             status = "unhealthy"
-        elif open_breakers or any_restarted:
-            status = "degraded"
         else:
-            status = "ok"
-        return {
-            "status": status,
-            "sharded": True,
-            "workers": workers,
-            "reaper_alive": self._reaper.is_alive(),
-            "breakers": {
-                "total": len(breakers),
-                "open": open_breakers,
-                "half_open": sum(
-                    1 for b in breakers.values() if b["state"] == "half_open"
-                ),
-                "by_key": breakers,
-            },
-            "closed": self._closed,
-        }
-
-    def pids(self) -> List[Optional[int]]:
-        """The live worker process IDs by slot (None for a dead slot)."""
-        return [shard.pid for shard in self._shards]
+            status = "degraded" if any(w["restarts"] for w in workers) else "ok"
+        return {"status": status, "sharded": True, "workers": workers}
 
     # -- shutdown -------------------------------------------------------- #
-    def close(self, timeout: float = 10.0) -> None:
+    def close(self, timeout: float) -> None:
         """Stop the pool: drain workers, join processes, release shared memory.
 
-        Workers drain their queues (their inner ``SolveService.close``
-        semantics), so already-accepted requests resolve before exit; a
-        worker that ignores the deadline is terminated.  The parent owns
-        every shared-memory segment and unlinks them last — after no worker
-        can still be dereferencing the views.
+        Workers drain their queues, so already-accepted requests resolve
+        before exit; a worker that ignores the deadline is terminated.  The
+        parent owns every shared-memory segment and unlinks them last —
+        after no worker can still be dereferencing the views.
         """
-        with self._close_lock:
-            if self._closed:
-                return
-            self._closed = True
-        for shard in self._shards:
+        for shard in self.shards:
             shard.stopping = True
             try:
                 with shard.send_lock:
-                    shard.conn.send_bytes(encode_frame("shutdown", {}))
-            except (BrokenPipeError, OSError):
+                    _shard_send(shard, encode_frame("shutdown", {}))
+            except WorkerCrashed:
                 pass
         deadline = time.monotonic() + timeout
-        for shard in self._shards:
+        for shard in self.shards:
             process = shard.process
             if process is None:
                 continue
@@ -1127,23 +806,55 @@ class ShardedSolveService:
             if process.is_alive():  # pragma: no cover - last resort
                 process.kill()
                 process.join(1.0)
-        for shard in self._shards:
+        for shard in self.shards:
             try:
                 shard.conn.close()
             except Exception:
                 pass
-        self._reaper.stop()
-        self._reaper.join(timeout)
         with self._bundles_lock:
-            for bundle in self._problem_bundles.values():
+            for bundle in self.problem_bundles.values():
                 bundle.close()
-            self._problem_bundles.clear()
+            self.problem_bundles.clear()
         if self._model_bundle is not None:
             self._model_bundle.close()
             self._model_bundle = None
 
-    def __enter__(self) -> "ShardedSolveService":
-        return self
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+class ShardedSolveService(SolveService):
+    """:class:`~repro.serve.service.SolveService` over a pre-fork process pool.
+
+    The same lifecycle and public surface (``submit`` returns a future,
+    ``solve`` blocks, ``stats``/``health``/``metrics_snapshot`` aggregate the
+    shards) with a :class:`ProcessExecutor` in place of the in-process
+    thread pool, so the HTTP front end and the benchmarks drive either
+    service unchanged.  ``config.workers`` is ignored here: each worker
+    process runs ``shard_config.threads_per_worker`` serving threads.
+    """
+
+    def __init__(
+        self,
+        config: Optional[ServeConfig] = None,
+        model=None,
+        default_solver_config: Union[SolverConfig, Dict, None] = None,
+        shard_config: Optional[ShardConfig] = None,
+    ) -> None:
+        self.shard_config = shard_config or ShardConfig()
+        super().__init__(config, model, default_solver_config)
+
+    def _build_executor(self) -> ProcessExecutor:
+        # the model is prepared ONCE, before any fork, so every worker keys
+        # and serves the same weights the front process hashed
+        if self.model is None and self.default_solver_config.checkpoint and \
+                preconditioner_spec(self.default_solver_config.preconditioner).needs_model:
+            from ..gnn.checkpoint import load_model
+
+            self.model = load_model(self.default_solver_config.checkpoint)
+        executor = ProcessExecutor(self.config, self.shard_config, self.model, self.metrics,
+                                   self._settle_result, self._settle_error)
+        # the supervisor's tables, for tests and debuggers (same objects)
+        self._shards, self._problem_bundles = executor.shards, executor.problem_bundles
+        return executor
+
+    def pids(self) -> List[Optional[int]]:
+        """The live worker process IDs by slot (None for a dead slot)."""
+        return [shard.pid for shard in self._shards]

@@ -28,9 +28,6 @@ Typical usage::
                                             krylov="gmres", tolerance=1e-8))
     result = session.solve()              # first RHS (setup already paid)
     batch = session.solve_many(B)         # 16 more RHS, zero re-setup
-
-:class:`repro.core.HybridSolver` remains as a thin backwards-compatible shim
-over a session.
 """
 
 from . import methods, preconditioners  # noqa: F401  (populate the registries)

@@ -10,9 +10,6 @@ through the same code path::
     config = SolverConfig(preconditioner="ddm-lu", krylov="gmres",
                           krylov_kwargs={"restart": 30})
     config = SolverConfig.from_dict(json.load(open("solver.json")))
-
-``HybridSolverConfig`` in :mod:`repro.core.hybrid_solver` is an alias of this
-class, so pre-existing call sites keep working unchanged.
 """
 
 from __future__ import annotations

@@ -488,7 +488,6 @@ class SolverSession:
         if result.failure_reason is not None:
             result.info["failure_reason"] = result.failure_reason
         result.info["setup_s"] = setup_s
-        result.info["setup_time"] = setup_s  # legacy key of HybridSolver.solve
         result.info["stage_timings"] = {
             "partition_s": self.setup_timings["partition_s"] if first else 0.0,
             "preconditioner_s": self.setup_timings["preconditioner_s"] if first else 0.0,

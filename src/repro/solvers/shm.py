@@ -290,7 +290,7 @@ def problem_from_shm(manifest: Dict[str, object]) -> Problem:
     a = bundle.arrays
     matrix = _unpack_csr(a, "matrix", meta["matrix_shape"])
     stiffness = _unpack_csr(a, "stiffness", meta["stiffness_shape"])
-    cells = a.get("cells", a.get("triangles"))  # legacy manifests use "triangles"
+    cells = a["cells"]
     if meta.get("mesh_kind", "tri") == "tet":
         from ..mesh.tet import TetrahedralMesh
 

@@ -91,3 +91,47 @@ def trained_dss_model():
     trainer.fit(graphs, verbose=False)
     model.eval()
     return model
+
+
+@pytest.fixture(params=["thread", "process"])
+def executor(request):
+    """Where solves run: the in-process thread pool or a worker process."""
+    return request.param
+
+
+@pytest.fixture
+def serving(executor):
+    """Start the same service over the parametrised executor.
+
+    ``serving(serve_config, faults=[(name, kwargs), ...], **service_kwargs)``
+    returns a :class:`~repro.serve.SolveService` (``thread``) or a one-shard
+    :class:`~repro.serve.ShardedSolveService` (``process``) with the fault
+    specs installed where its solves run — in this process, or inside the
+    worker at bootstrap, where no test can reach them afterwards (so specs
+    bound themselves: ``until_calls``, ``after_calls``, ``max_stall_s``).
+    Everything started is torn down with the test.
+    """
+    from repro.faults import install_from_specs
+    from repro.serve import ShardConfig, ShardedSolveService, SolveService
+
+    started = []
+
+    def start(serve_config, faults=(), **service_kwargs):
+        if executor == "thread":
+            installed = install_from_specs(faults)
+            service = SolveService(serve_config, **service_kwargs)
+        else:
+            installed = []
+            service = ShardedSolveService(
+                serve_config, shard_config=ShardConfig(workers=1, faults=faults),
+                **service_kwargs)
+        started.append((service, installed))
+        return service
+
+    yield start
+    for service, installed in reversed(started):
+        # faults first: deactivating a stall releases the wedged worker
+        # thread that close() is about to join
+        for fault in reversed(installed):
+            fault.deactivate()
+        service.close()

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core import DDMGNNPreconditioner, HybridSolver, HybridSolverConfig
+from repro.core import DDMGNNPreconditioner
 from repro.gnn import (
     DSS,
     DSSConfig,
@@ -33,6 +33,7 @@ from repro.mesh import structured_rectangle_mesh
 from repro.nn.optim import SGD, Adam
 from repro.nn.schedulers import ReduceLROnPlateau, StepLR
 from repro.partition import OverlappingDecomposition, partition_mesh_target_size
+from repro.solvers import SolverConfig, prepare
 
 
 def _toy_graph(seed: int = 0):
@@ -329,20 +330,20 @@ class TestRejection:
 # core-layer loading
 # --------------------------------------------------------------------------- #
 class TestCoreLoading:
-    def test_hybrid_solver_from_checkpoint(self, tmp_path, random_problem):
+    def test_session_from_checkpoint(self, tmp_path, random_problem):
         model = DSS(TINY)
         path = tmp_path / "solver.npz"
         save_checkpoint(path, model)
-        solver = HybridSolver.from_checkpoint(
-            str(path),
-            HybridSolverConfig(preconditioner="ddm-gnn", subdomain_size=80,
-                               tolerance=1e-1, max_iterations=50),
+        session = prepare(
+            random_problem,
+            SolverConfig(preconditioner="ddm-gnn", checkpoint=str(path),
+                         subdomain_size=80, tolerance=1e-1, max_iterations=50),
         )
-        assert solver.model is not None
-        assert solver.model.config == TINY
+        assert session.model is not None
+        assert session.model.config == TINY
         graph = _toy_graph()
-        assert np.array_equal(solver.model.predict(graph), model.predict(graph))
-        preconditioner = solver.build_preconditioner(random_problem)
+        assert np.array_equal(session.model.predict(graph), model.predict(graph))
+        preconditioner = session.preconditioner
         z = preconditioner.apply(random_problem.rhs)
         assert z.shape == random_problem.rhs.shape
         assert np.all(np.isfinite(z))

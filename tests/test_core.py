@@ -1,5 +1,5 @@
 """Integration tests of the core package: dataset generation, the DDM-GNN
-preconditioner and the hybrid solver facade (repro.core)."""
+preconditioner and the end-to-end hybrid solve (repro.core, repro.solvers)."""
 
 from __future__ import annotations
 
@@ -9,8 +9,6 @@ import scipy.sparse.linalg as spla
 
 from repro.core import (
     DDMGNNPreconditioner,
-    HybridSolver,
-    HybridSolverConfig,
     LocalProblemDataset,
     build_subdomain_geometries,
     generate_dataset,
@@ -19,6 +17,7 @@ from repro.core import (
 from repro.ddm import AdditiveSchwarzPreconditioner
 from repro.gnn import GraphBatch
 from repro.krylov import preconditioned_conjugate_gradient
+from repro.solvers import SolverConfig, prepare
 
 
 class _ExactLocalModel:
@@ -85,8 +84,7 @@ class TestHarvesting:
         problems = harvest_local_problems(
             random_problem, subdomain_size=80, overlap=2, tolerance=1e-4, rng=np.random.default_rng(0)
         )
-        asm_solver = HybridSolver(HybridSolverConfig(preconditioner="ddm-lu", subdomain_size=80, overlap=2, tolerance=1e-4))
-        result = asm_solver.solve(random_problem)
+        result = prepare(random_problem, SolverConfig(preconditioner="ddm-lu", subdomain_size=80, overlap=2, tolerance=1e-4)).solve()
         k = result.info["num_subdomains"]
         # one application before the loop + one per iteration (minus possibly the converged last)
         assert abs(len(problems) - (result.iterations + 1) * k) <= 2 * k
@@ -218,61 +216,57 @@ class TestDDMGNNPreconditioner:
 
 
 # --------------------------------------------------------------------------- #
-# hybrid solver facade
+# the hybrid solve end to end
 # --------------------------------------------------------------------------- #
-class TestHybridSolver:
+class TestHybridSolve:
     @pytest.mark.parametrize("kind", ["none", "ic0", "ddm-lu", "ddm-jacobi"])
     def test_all_classical_preconditioners_converge(self, random_problem, kind):
-        solver = HybridSolver(HybridSolverConfig(preconditioner=kind, subdomain_size=80, tolerance=1e-6))
-        result = solver.solve(random_problem)
+        result = prepare(random_problem, SolverConfig(preconditioner=kind, subdomain_size=80, tolerance=1e-6)).solve()
         assert result.converged
         assert random_problem.relative_residual_norm(result.solution) < 1e-5
 
     def test_solutions_agree_across_preconditioners(self, random_problem):
         reference = random_problem.solve_direct()
         for kind in ("none", "ddm-lu", "ic0"):
-            solver = HybridSolver(HybridSolverConfig(preconditioner=kind, subdomain_size=80, tolerance=1e-10))
-            result = solver.solve(random_problem)
+            result = prepare(random_problem, SolverConfig(preconditioner=kind, subdomain_size=80, tolerance=1e-10)).solve()
             assert np.linalg.norm(result.solution - reference) / np.linalg.norm(reference) < 1e-6
 
     def test_ddm_lu_fewer_iterations_than_cg(self, random_problem):
-        cg = HybridSolver(HybridSolverConfig(preconditioner="none", tolerance=1e-6)).solve(random_problem)
-        lu = HybridSolver(HybridSolverConfig(preconditioner="ddm-lu", subdomain_size=80, tolerance=1e-6)).solve(random_problem)
+        cg = prepare(random_problem, SolverConfig(preconditioner="none", tolerance=1e-6)).solve()
+        lu = prepare(random_problem, SolverConfig(preconditioner="ddm-lu", subdomain_size=80, tolerance=1e-6)).solve()
         assert lu.iterations < cg.iterations
 
-    def test_ddm_gnn_requires_model(self):
+    def test_ddm_gnn_requires_model(self, random_problem):
         with pytest.raises(ValueError):
-            HybridSolver(HybridSolverConfig(preconditioner="ddm-gnn"))
+            prepare(random_problem, SolverConfig(preconditioner="ddm-gnn"))
 
     def test_ddm_gnn_with_untrained_model_runs(self, random_problem, tiny_dss_model):
         """Even an untrained DSS yields a runnable (if poor) preconditioner."""
-        solver = HybridSolver(
-            HybridSolverConfig(preconditioner="ddm-gnn", subdomain_size=80, tolerance=1e-3, max_iterations=50),
+        result = prepare(
+            random_problem,
+            SolverConfig(preconditioner="ddm-gnn", subdomain_size=80, tolerance=1e-3, max_iterations=50),
             model=tiny_dss_model,
-        )
-        result = solver.solve(random_problem)
+        ).solve()
         assert result.iterations <= 50
         assert "gnn_stats" in result.info
 
     def test_explicit_num_subdomains(self, random_problem):
-        solver = HybridSolver(HybridSolverConfig(preconditioner="ddm-lu", num_subdomains=4, tolerance=1e-6))
-        result = solver.solve(random_problem)
+        result = prepare(random_problem, SolverConfig(preconditioner="ddm-lu", num_subdomains=4, tolerance=1e-6)).solve()
         assert result.info["num_subdomains"] == 4
 
     def test_info_contains_decomposition_details(self, random_problem):
-        solver = HybridSolver(HybridSolverConfig(preconditioner="ddm-lu", subdomain_size=80, overlap=3, tolerance=1e-6))
-        result = solver.solve(random_problem)
+        result = prepare(random_problem, SolverConfig(preconditioner="ddm-lu", subdomain_size=80, overlap=3, tolerance=1e-6)).solve()
         assert result.info["overlap"] == 3
         assert len(result.info["subdomain_sizes"]) == result.info["num_subdomains"]
 
     def test_unknown_preconditioner_rejected(self, random_problem):
-        solver = HybridSolver(HybridSolverConfig(preconditioner="none"))
-        solver.config.preconditioner = "whatever"
+        config = SolverConfig(preconditioner="none")
+        config.preconditioner = "whatever"
         with pytest.raises(ValueError):
-            solver.build_preconditioner(random_problem)
+            prepare(random_problem, config)
 
     def test_larger_overlap_not_slower(self, random_problem):
         """Paper Table I: larger overlap reduces (or keeps) the iteration count."""
-        base = HybridSolver(HybridSolverConfig(preconditioner="ddm-lu", subdomain_size=80, overlap=1, tolerance=1e-8)).solve(random_problem)
-        wide = HybridSolver(HybridSolverConfig(preconditioner="ddm-lu", subdomain_size=80, overlap=4, tolerance=1e-8)).solve(random_problem)
+        base = prepare(random_problem, SolverConfig(preconditioner="ddm-lu", subdomain_size=80, overlap=1, tolerance=1e-8)).solve()
+        wide = prepare(random_problem, SolverConfig(preconditioner="ddm-lu", subdomain_size=80, overlap=4, tolerance=1e-8)).solve()
         assert wide.iterations <= base.iterations

@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, wait
 
 import numpy as np
 import pytest
@@ -155,23 +155,24 @@ class TestLadderEndToEnd:
 # deadlines: no fault leaves a future unresolved past its deadline
 # --------------------------------------------------------------------------- #
 class TestDeadlines:
-    def test_stalled_worker_never_blocks_past_deadline(self, random_problem):
+    def test_stalled_worker_never_blocks_past_deadline(self, random_problem, serving):
         config = SolverConfig(preconditioner="ddm-lu", subdomain_size=80,
                               tolerance=1e-6, seed=0)
-        with SolveService(ServeConfig(workers=1, max_batch=1)) as service:
-            # warm the session cache so the stall hits the solve, not setup
-            service.solve(random_problem, solver_config=config)
-            with faults.inject("worker-stall", max_stall_s=20.0) as fault:
-                start = time.perf_counter()
-                future = service.submit(random_problem, solver_config=config,
-                                        deadline_ms=300)
-                with pytest.raises(DeadlineExceeded):
-                    future.result(timeout=10.0)
-                elapsed = time.perf_counter() - start
-                fault.release()
-            # failed fast at the deadline, nowhere near the stall bound
-            assert 0.2 <= elapsed < 5.0
-            assert service.stats()["deadline_timeouts"] >= 1
+        # the first solve passes — it warms the session cache so the stall
+        # hits the solve, not setup — and every later one wedges its worker
+        service = serving(
+            ServeConfig(workers=1, max_batch=1),
+            faults=[("worker-stall", {"max_stall_s": 20.0, "after_calls": 1})])
+        service.solve(random_problem, solver_config=config)
+        start = time.perf_counter()
+        future = service.submit(random_problem, solver_config=config,
+                                deadline_ms=300)
+        with pytest.raises(DeadlineExceeded):
+            future.result(timeout=10.0)
+        elapsed = time.perf_counter() - start
+        # failed fast at the deadline, nowhere near the stall bound
+        assert 0.2 <= elapsed < 5.0
+        assert service.stats()["deadline_timeouts"] >= 1
 
     def test_deadline_not_hit_when_solve_is_fast(self, random_problem):
         config = SolverConfig(preconditioner="ddm-lu", subdomain_size=80,
@@ -192,47 +193,52 @@ class TestDeadlines:
 # overload: bounded queues shed, accepted requests still complete
 # --------------------------------------------------------------------------- #
 class TestOverload:
-    def test_bounded_queue_sheds_with_retry_after(self, random_problem):
+    def test_bounded_queue_sheds_with_retry_after(self, random_problem, serving):
         config = SolverConfig(preconditioner="ddm-lu", subdomain_size=80,
                               tolerance=1e-6, seed=0)
-        service = SolveService(ServeConfig(workers=1, max_batch=1, max_queue=2,
-                                           shed_retry_after_s=0.25))
-        try:
-            # warm the cache, then wedge the single worker so the queue
-            # fills deterministically
-            service.solve(random_problem, solver_config=config)
-            with faults.inject("worker-stall", max_stall_s=20.0) as fault:
-                accepted: list[Future] = []
-                shed = 0
-                deadline_budget_s = 15.0
-                for _ in range(6):
-                    try:
-                        accepted.append(service.submit(
-                            random_problem, solver_config=config,
-                            deadline_ms=deadline_budget_s * 1e3))
-                    except ServiceOverloaded as error:
-                        shed += 1
-                        assert error.retry_after_s == 0.25
-                        assert error.http_status == 503
-                    # give the worker a beat to dequeue the first request
-                    time.sleep(0.05)
-                assert shed >= 1
-                assert len(accepted) >= 3  # in-flight + the queue bound
-                fault.release()
-                # every accepted request completes well inside its deadline
-                start = time.perf_counter()
-                for future in accepted:
-                    result = future.result(timeout=deadline_budget_s)
-                    assert result.converged
-                drain_s = time.perf_counter() - start
-                assert drain_s < deadline_budget_s
-            stats = service.stats()
-            assert stats["shed"] == shed
-            assert stats["requests"] == 1 + len(accepted)
-            # accepted-request p99 stayed bounded (all samples recorded)
-            assert stats["latency_ms"]["total"]["p99_ms"] < deadline_budget_s * 1e3
-        finally:
-            service.close()
+        # warm the cache (the first solve passes), then the second solve
+        # wedges the single worker so the queue fills deterministically;
+        # the stall clears by itself and the accepted requests drain
+        service = serving(
+            ServeConfig(workers=1, max_batch=1, max_queue=2,
+                        shed_retry_after_s=0.25),
+            faults=[("worker-stall", {"max_stall_s": 3.0, "after_calls": 1,
+                                      "until_calls": 2})])
+        service.solve(random_problem, solver_config=config)
+        accepted: list[Future] = []
+        shed = 0
+        deadline_budget_s = 15.0
+        for _ in range(6):
+            try:
+                future = service.submit(
+                    random_problem, solver_config=config,
+                    deadline_ms=deadline_budget_s * 1e3)
+                # give the worker a beat to dequeue the first request — or,
+                # when its queue is on the far side of a pipe, to refuse
+                # this one: that shed arrives through the future
+                wait([future], timeout=0.25)
+                refusal = future.exception() if future.done() else None
+                if refusal is not None:
+                    raise refusal
+                accepted.append(future)
+            except ServiceOverloaded as error:
+                shed += 1
+                assert error.retry_after_s == 0.25
+                assert error.http_status == 503
+        assert shed >= 1
+        assert len(accepted) >= 3  # in-flight + the queue bound
+        # every accepted request completes well inside its deadline
+        start = time.perf_counter()
+        for future in accepted:
+            result = future.result(timeout=deadline_budget_s)
+            assert result.converged
+        drain_s = time.perf_counter() - start
+        assert drain_s < deadline_budget_s
+        stats = service.stats()
+        assert stats["shed"] == shed
+        assert stats["requests"] == 1 + len(accepted)
+        # accepted-request p99 stayed bounded (all samples recorded)
+        assert stats["latency_ms"]["total"]["p99_ms"] < deadline_budget_s * 1e3
 
 
 # --------------------------------------------------------------------------- #
@@ -240,38 +246,37 @@ class TestOverload:
 # --------------------------------------------------------------------------- #
 class TestCircuitBreaker:
     def test_breaker_opens_reroutes_and_recovers(self, random_problem,
-                                                 trained_dss_model):
+                                                 trained_dss_model, serving):
         primary = SolverConfig(fallback=["ddm-lu"], **GNN_CONFIG)
-        service = SolveService(
+        # the poison fires on the first two GNN applies — one per primary
+        # attempt, the non-finite guard stops each at its first — and then
+        # the fault is gone
+        service = serving(
             ServeConfig(workers=1, breaker_failures=2, breaker_reset_s=3600.0),
-            model=trained_dss_model,
-        )
-        try:
-            with faults.inject("gnn-nan-apply", seed=0):
-                # two consecutive primary failures (served via the ladder)
-                for _ in range(2):
-                    result = service.solve(random_problem, solver_config=primary)
-                    assert result.converged and result.info["degraded"]
-                    assert "breaker_rerouted" not in result.info
-                assert service.health()["breakers"]["open"] == 1
-                assert service.health()["status"] == "degraded"
-                # breaker open: the next request skips the primary entirely
-                rerouted = service.solve(random_problem, solver_config=primary)
-                assert rerouted.converged
-                assert rerouted.info["breaker_rerouted"] is True
-                assert "ladder_attempts" not in rerouted.info  # no primary try
+            faults=[("gnn-nan-apply", {"seed": 0, "until_calls": 2})],
+            model=trained_dss_model)
+        # two consecutive primary failures (served via the ladder)
+        for _ in range(2):
+            result = service.solve(random_problem, solver_config=primary)
+            assert result.converged and result.info["degraded"]
+            assert "breaker_rerouted" not in result.info
+        assert service.health()["breakers"]["open"] == 1
+        assert service.health()["status"] == "degraded"
+        # breaker open: the next request skips the primary entirely
+        rerouted = service.solve(random_problem, solver_config=primary)
+        assert rerouted.converged
+        assert rerouted.info["breaker_rerouted"] is True
+        assert "ladder_attempts" not in rerouted.info  # no primary try
 
-            # fault gone; force the half-open window and probe the primary
-            (breaker,) = service._breakers.values()
-            assert breaker.state == "open"
-            breaker.reset_after_s = 0.0
-            probe = service.solve(random_problem, solver_config=primary)
-            assert probe.converged
-            assert not probe.info["degraded"]          # primary served it
-            assert breaker.state == "closed"
-            assert service.health()["status"] == "ok"
-        finally:
-            service.close()
+        # fault gone; force the half-open window and probe the primary
+        (breaker,) = service._breakers.values()
+        assert breaker.state == "open"
+        breaker.reset_after_s = 0.0
+        probe = service.solve(random_problem, solver_config=primary)
+        assert probe.converged
+        assert not probe.info["degraded"]          # primary served it
+        assert breaker.state == "closed"
+        assert service.health()["status"] == "ok"
 
     def test_failed_probe_reopens(self):
         from repro.serve.breaker import CircuitBreaker
@@ -332,22 +337,22 @@ class TestSessionBuildFailure:
 # request validation at the service boundary
 # --------------------------------------------------------------------------- #
 class TestValidation:
-    def test_shape_dtype_finiteness(self, random_problem):
+    def test_shape_dtype_finiteness(self, random_problem, serving):
         n = random_problem.num_dofs
-        with SolveService(ServeConfig(workers=1)) as service:
-            with pytest.raises(InvalidRequest, match="right-hand side"):
-                service.submit(random_problem, b=np.zeros(n + 1))
-            with pytest.raises(InvalidRequest, match="non-finite"):
-                bad = np.zeros(n)
-                bad[0] = np.nan
-                service.submit(random_problem, b=bad)
-            with pytest.raises(InvalidRequest, match="numeric"):
-                service.submit(random_problem, b=["x"] * n)
-            with pytest.raises(InvalidRequest, match="initial guess"):
-                service.submit(random_problem, x0=np.zeros(n - 1))
-            with pytest.raises(InvalidRequest, match="unknown solver-config"):
-                service.submit(random_problem, solver_config={"bogus": 1})
-            assert service.stats()["requests"] == 0  # nothing was enqueued
+        service = serving(ServeConfig(workers=1))
+        with pytest.raises(InvalidRequest, match="right-hand side"):
+            service.submit(random_problem, b=np.zeros(n + 1))
+        with pytest.raises(InvalidRequest, match="non-finite"):
+            bad = np.zeros(n)
+            bad[0] = np.nan
+            service.submit(random_problem, b=bad)
+        with pytest.raises(InvalidRequest, match="numeric"):
+            service.submit(random_problem, b=["x"] * n)
+        with pytest.raises(InvalidRequest, match="initial guess"):
+            service.submit(random_problem, x0=np.zeros(n - 1))
+        with pytest.raises(InvalidRequest, match="unknown solver-config"):
+            service.submit(random_problem, solver_config={"bogus": 1})
+        assert service.stats()["requests"] == 0  # nothing was enqueued
 
     def test_invalid_request_maps_to_http_400(self):
         assert InvalidRequest("x").http_status == 400

@@ -538,6 +538,9 @@ class TestRequestTraces:
             for stage in ("serve.route", "shard.roundtrip", "worker.request",
                           "serve.solve", "session.solve"):
                 assert stage in timings, f"missing stage {stage}"
+            # admitted and routed once, in the front process — the worker
+            # does not run a second lifecycle under its own root
+            assert len(root.find("serve.route")) == 1
             # the worker subtree crossed the fork and is marked remote
             (worker_span,) = root.find("worker.request")
             assert worker_span.attributes.get("remote") is True
@@ -602,28 +605,31 @@ class TestChaosTraces:
             service.close()
 
     def test_breaker_reroute_trace_is_complete(self, random_problem,
-                                               trained_dss_model):
-        primary = SolverConfig(fallback=["ddm-lu"], **GNN_CONFIG)
-        service = SolveService(
+                                               trained_dss_model, serving):
+        primary = SolverConfig(fallback=["ddm-lu"], obs={"convergence": True},
+                               **GNN_CONFIG)
+        service = serving(
             ServeConfig(workers=1, breaker_failures=2, breaker_reset_s=3600.0),
+            faults=[("gnn-nan-apply", {"seed": 0, "until_calls": 2})],
             model=trained_dss_model)
-        try:
-            with faults.inject("gnn-nan-apply", seed=0):
-                for _ in range(2):  # open the breaker via the ladder
-                    assert service.solve(random_problem,
-                                         solver_config=primary).converged
-                obs_trace.enable_tracing()
-                with obs_trace.trace_root("chaos.reroute") as root:
-                    rerouted = service.solve(random_problem,
-                                             solver_config=primary)
-            assert rerouted.info["breaker_rerouted"] is True
-            reroutes = [e for e in root.events if e["kind"] == "breaker_reroute"]
-            assert len(reroutes) == 1
-            assert reroutes[0]["rung"] == "ddm-lu"
-            assert root.terminal_events() == ["result"]
-            assert_complete(root)
-        finally:
-            service.close()
+        for _ in range(2):  # open the breaker via the ladder
+            assert service.solve(random_problem,
+                                 solver_config=primary).converged
+        obs_trace.enable_tracing()
+        with capture_events(capacity=4096) as ring:
+            with obs_trace.trace_root("chaos.reroute") as root:
+                rerouted = service.solve(random_problem,
+                                         solver_config=primary)
+        assert rerouted.info["breaker_rerouted"] is True
+        reroutes = [e for e in root.events if e["kind"] == "breaker_reroute"]
+        assert len(reroutes) == 1
+        assert reroutes[0]["rung"] == "ddm-lu"
+        assert root.terminal_events() == ["result"]
+        assert_complete(root)
+        # the reroute is a telemetry event too, wherever the solve then runs
+        (event,) = [e for e in ring.tail() if e["kind"] == "breaker"]
+        assert event["action"] == "reroute"
+        assert event["rung"] == "ddm-lu"
 
 
 # --------------------------------------------------------------------------- #

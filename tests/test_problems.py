@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from repro.core import HybridSolver, HybridSolverConfig, build_subdomain_geometries, generate_dataset
+from repro.core import build_subdomain_geometries, generate_dataset
 from repro.core.ddm_gnn import DDMGNNPreconditioner
 from repro.ddm import AdditiveSchwarzPreconditioner
 from repro.fem import (
@@ -30,6 +30,7 @@ from repro.gnn.graph import graph_from_mesh
 from repro.mesh import random_domain_mesh, structured_rectangle_mesh
 from repro.partition import OverlappingDecomposition, partition_mesh_target_size
 from repro.problems import available_problems, make_problem, problem_spec, register_problem
+from repro.solvers import SolverConfig, prepare
 
 
 # --------------------------------------------------------------------------- #
@@ -347,11 +348,11 @@ class TestKappaAwareGraphs:
             "diffusion-checkerboard", mesh=unit_square_mesh, rng=np.random.default_rng(0), contrast=100.0
         )
         for flag, expect in ((None, True), (False, False), (True, True)):
-            solver = HybridSolver(
-                HybridSolverConfig(preconditioner="ddm-gnn", subdomain_size=60, gnn_equilibrate=flag),
+            preconditioner = prepare(
+                problem,
+                SolverConfig(preconditioner="ddm-gnn", subdomain_size=60, gnn_equilibrate=flag),
                 model=tiny_dss_model,
-            )
-            preconditioner = solver.build_preconditioner(problem)
+            ).preconditioner
             has_equilibration = all(g.equilibration is not None for g in preconditioner.geometries)
             assert has_equilibration is expect, f"gnn_equilibrate={flag}"
 
@@ -454,8 +455,9 @@ class TestHeterogeneousHybridSolve:
         reference = problem.solve_direct()
         iterations = {}
         for kind in ("ddm-gnn", "ic0"):
-            solver = HybridSolver(
-                HybridSolverConfig(
+            result = prepare(
+                problem,
+                SolverConfig(
                     preconditioner=kind,
                     subdomain_size=110,
                     overlap=2,
@@ -463,8 +465,7 @@ class TestHeterogeneousHybridSolve:
                     max_iterations=600,
                 ),
                 model=heterogeneous_dss_model if kind == "ddm-gnn" else None,
-            )
-            result = solver.solve(problem)
+            ).solve()
             assert result.converged, f"{kind} did not reach 1e-6"
             assert result.final_relative_residual < 1e-6
             assert problem.relative_residual_norm(result.solution) < 2e-6
@@ -472,7 +473,7 @@ class TestHeterogeneousHybridSolve:
             iterations[kind] = result.iterations
         # both converge; the learned preconditioner needs more iterations than
         # exact factorisations but stays far below unpreconditioned CG
-        cg = HybridSolver(
-            HybridSolverConfig(preconditioner="none", tolerance=1e-6, max_iterations=6000)
-        ).solve(problem)
+        cg = prepare(
+            problem, SolverConfig(preconditioner="none", tolerance=1e-6, max_iterations=6000)
+        ).solve()
         assert iterations["ddm-gnn"] < cg.iterations

@@ -15,6 +15,8 @@ import os
 import pickle
 import signal
 import struct
+import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -31,6 +33,7 @@ from repro.serve import (
     ServeConfig,
     ServeError,
     ServeHTTPServer,
+    ServiceOverloaded,
     ShardConfig,
     ShardedSolveService,
     SolveService,
@@ -39,7 +42,6 @@ from repro.serve import (
     encode_frame,
     error_from_code,
 )
-from repro.serve.cache import SessionCache
 from repro.serve.proto import CONTENT_TYPE, MAGIC
 from repro.serve.shard import build_ring, route
 from repro.solvers import SolverConfig, session_key
@@ -262,23 +264,6 @@ class TestServeConfigDict:
             ServeConfig.from_dict({"workres": 2})
 
 
-class TestSessionCachePrune:
-    def test_prune_drops_matching_ready_entries(self, random_problem):
-        from repro.solvers import prepare
-
-        cache = SessionCache(capacity=4)
-        session = cache.get_or_create(
-            "k1", lambda: prepare(random_problem, DDM_LU))
-        fingerprint = random_problem.fingerprint()
-        assert cache.prune(
-            lambda s: s.problem.fingerprint() == "nope") == 0
-        assert cache.prune(
-            lambda s: s.problem.fingerprint() == fingerprint) == 1
-        assert "k1" not in cache
-        assert cache.evictions == 1
-        assert session.problem is random_problem  # callers keep their reference
-
-
 class TestInstallFromSpecs:
     def test_installs_and_rolls_back_on_failure(self):
         faults = install_from_specs([("worker-stall", {"max_stall_s": 0.01})])
@@ -474,6 +459,133 @@ class TestCrossProcessChaos:
             assert service.health()["status"] == "unhealthy"
         finally:
             service.close()
+
+
+# --------------------------------------------------------------------------- #
+# shared state between submitters: the install table and the in-flight cap
+# --------------------------------------------------------------------------- #
+class TestConcurrentSubmitters:
+    def test_install_frame_precedes_every_solve_that_needs_it(
+            self, random_problem, monkeypatch):
+        """Two first submitters of a never-seen ``Problem``: whoever loses
+        the race to install it must not get its solve frame onto the pipe
+        before the winner's install frame."""
+        from repro.serve import shard as shard_module
+        from repro.solvers import prepare
+
+        real_send = shard_module._shard_send
+
+        def slow_install(shard, frame_bytes):
+            if decode_frame(frame_bytes).kind == "install_problem":
+                time.sleep(0.3)  # widen the window between marking and sending
+            real_send(shard, frame_bytes)
+
+        monkeypatch.setattr(shard_module, "_shard_send", slow_install)
+        service = ShardedSolveService(
+            ServeConfig(workers=1), default_solver_config=DDM_LU,
+            shard_config=ShardConfig(workers=1))
+        try:
+            rng = np.random.default_rng(12)
+            rhs = [rng.standard_normal(random_problem.num_dofs) for _ in range(2)]
+            barrier = threading.Barrier(2)
+            outcomes = [None, None]
+
+            def client(index):
+                barrier.wait()
+                try:
+                    outcomes[index] = service.solve(random_problem, b=rhs[index],
+                                                    timeout=120)
+                except Exception as error:  # asserted on below
+                    outcomes[index] = error
+
+            threads = [threading.Thread(target=client, args=(i,)) for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(150)
+            assert not any(thread.is_alive() for thread in threads)
+            session = prepare(random_problem, DDM_LU)
+            for b, outcome in zip(rhs, outcomes):
+                assert not isinstance(outcome, Exception), repr(outcome)
+                assert outcome.converged
+                assert outcome.solution.tobytes() == session.solve(b).solution.tobytes()
+        finally:
+            service.close()
+
+    def test_in_flight_cap_is_never_overshot(self, monkeypatch):
+        """16 threads race 64 submissions at a wedged worker: exactly the
+        cap is accepted, the rest shed."""
+        from repro.serve import shard as shard_module
+
+        def dawdling_encode(*args, **kwargs):
+            time.sleep(0.002)  # submitters overlap wherever the code lets them
+            return encode_frame(*args, **kwargs)
+
+        monkeypatch.setattr(shard_module, "encode_frame", dawdling_encode)
+        service = ShardedSolveService(
+            ServeConfig(workers=1, max_queue=2), default_solver_config=DDM_LU,
+            shard_config=ShardConfig(workers=1))
+        shard = service._shards[0]
+        try:
+            service.solve(SPEC, timeout=120)
+            cap = service.stats()["config"]["max_pending_per_shard"]
+            # stopped, not dead: nothing is answered, frames pile up in the pipe
+            os.kill(shard.pid, signal.SIGSTOP)
+            barrier = threading.Barrier(16)
+            outcomes = []
+
+            def submitter():
+                barrier.wait()
+                for _ in range(4):
+                    try:
+                        service.submit(SPEC)
+                        outcomes.append("accepted")
+                    except ServiceOverloaded:
+                        outcomes.append("shed")
+
+            threads = [threading.Thread(target=submitter) for _ in range(16)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert outcomes.count("accepted") == cap
+            assert len(shard.pending) == cap
+            assert service.metrics.snapshot()["shed"] == len(outcomes) - cap
+        finally:
+            os.kill(shard.pid, signal.SIGCONT)
+            service.close()
+
+
+# --------------------------------------------------------------------------- #
+# one serving core: the lifecycle exists once, the worker hosts no second one
+# --------------------------------------------------------------------------- #
+class TestOneServingCore:
+    def test_worker_module_constructs_no_service(self):
+        import ast
+        import inspect
+
+        from repro.serve import shard as shard_module
+
+        calls = {
+            getattr(node.func, "id", getattr(node.func, "attr", None))
+            for node in ast.walk(ast.parse(inspect.getsource(shard_module)))
+            if isinstance(node, ast.Call)
+        }
+        assert "SolveService" not in calls
+        assert "ThreadExecutor" in calls  # what a worker process hosts instead
+
+    def test_sharded_service_runs_the_same_lifecycle_code(self):
+        for name in ("submit", "solve", "_resolve_problem", "_resolve_config",
+                     "_breaker_for", "_record_outcome", "_settle_result",
+                     "_settle_error", "health", "stats", "metrics_snapshot",
+                     "close"):
+            assert getattr(ShardedSolveService, name) is getattr(SolveService, name), name
 
 
 # --------------------------------------------------------------------------- #

@@ -1,7 +1,7 @@
 """Tests of the ``repro.solvers`` subsystem: the Krylov/preconditioner
 registries, setup/solve-split sessions (amortisation invariants), multi-RHS
 serving parity, config round-trips, the nonsymmetric convection-diffusion
-smoke workload and the backwards-compatible ``HybridSolver`` shim."""
+smoke workload."""
 
 from __future__ import annotations
 
@@ -9,14 +9,12 @@ import numpy as np
 import pytest
 
 import repro.solvers.preconditioners as precond_module
-from repro.core import HybridSolver, HybridSolverConfig
 from repro.fem import assemble_convection
 from repro.mesh import structured_rectangle_mesh
 from repro.problems import make_problem
 from repro.solvers import (
     MultiSolveResult,
     SolverConfig,
-    SolverSession,
     available_krylov_methods,
     available_preconditioners,
     krylov_spec,
@@ -322,11 +320,11 @@ class TestConfig:
         assert isinstance(session.config, SolverConfig)
         assert session.solve().converged
 
-    def test_default_configs_are_not_shared(self, tiny_dss_model):
-        """The shared-mutable-default footgun: every solver/session gets its
-        own config instance."""
-        a = HybridSolver(model=tiny_dss_model)
-        b = HybridSolver(model=tiny_dss_model)
+    def test_default_configs_are_not_shared(self, random_problem, tiny_dss_model):
+        """The shared-mutable-default footgun: every session gets its own
+        config instance."""
+        a = prepare(random_problem, model=tiny_dss_model)
+        b = prepare(random_problem, model=tiny_dss_model)
         assert a.config is not b.config
         a.config.tolerance = 1e-1
         assert b.config.tolerance == 1e-6
@@ -503,37 +501,19 @@ class TestPrecision:
 
 
 # --------------------------------------------------------------------------- #
-# the backwards-compatible facade
+# construction-time checks and Krylov selection through prepare()
 # --------------------------------------------------------------------------- #
-class TestHybridSolverShim:
-    def test_config_alias(self):
-        assert HybridSolverConfig is SolverConfig
-
-    def test_shim_matches_session(self, random_problem):
-        config = SolverConfig(preconditioner="ddm-lu", subdomain_size=80, tolerance=1e-8)
-        old = HybridSolver(config).solve(random_problem)
-        new = prepare(random_problem, config).solve()
-        assert np.array_equal(old.solution, new.solution)
-        assert old.iterations == new.iterations
-        assert old.info["num_subdomains"] == new.info["num_subdomains"]
-
-    def test_shim_records_setup_counters(self, random_problem):
-        solver = HybridSolver(SolverConfig(preconditioner="ddm-lu", subdomain_size=80))
-        preconditioner = solver.build_preconditioner(random_problem)
-        assert solver.setup_time > 0.0
-        assert solver.last_preconditioner is preconditioner
-        assert solver.last_decomposition is not None
-        assert isinstance(solver.last_session, SolverSession)
-
-    def test_shim_requires_model_eagerly(self):
+class TestPrepareContract:
+    def test_requires_model_eagerly(self, random_problem):
         with pytest.raises(ValueError, match="requires a DSS model"):
-            HybridSolver(SolverConfig(preconditioner="ddm-gnn"))
+            prepare(random_problem, SolverConfig(preconditioner="ddm-gnn"))
 
-    def test_shim_forwards_krylov_selection(self, random_problem):
-        result = HybridSolver(
+    def test_forwards_krylov_selection(self, random_problem):
+        result = prepare(
+            random_problem,
             SolverConfig(preconditioner="ddm-lu", subdomain_size=80,
-                         krylov="bicgstab", tolerance=1e-8)
-        ).solve(random_problem)
+                         krylov="bicgstab", tolerance=1e-8),
+        ).solve()
         assert result.converged
         assert result.info["krylov"] == "bicgstab"
         assert result.info["solver"] == "bicgstab"
