@@ -303,7 +303,7 @@ class DDMGNNPreconditioner(Preconditioner):
         return np.asfortranarray(correction)
 
     def apply_reference(self, residual: np.ndarray) -> np.ndarray:
-        """The pre-fast-path implementation (per-sub-domain loops, tape forward).
+        """The pre-fast-path implementation (per-sub-domain loops, ``DSS.predict_batched``).
 
         Kept verbatim so benchmarks can measure the fast-path speedup and the
         regression tests can pin the two paths against each other.  Does not

@@ -6,12 +6,15 @@ Public surface:
   solver (paper Fig. 3).
 * :class:`~repro.gnn.graph.GraphProblem`,
   :func:`~repro.gnn.graph.graph_from_mesh` — graph-structured local problems.
-* :class:`~repro.gnn.batch.GraphBatch` — disjoint-union batching.
+* :class:`~repro.gnn.batch.GraphBatch` — disjoint-union batching;
+  :func:`~repro.gnn.batch.message_operators` — the gather/aggregation CSR
+  pair every forward (differentiable or compiled) runs on.
 * :class:`~repro.gnn.batch.BatchPlan`,
   :class:`~repro.gnn.infer.InferencePlan` — precompiled iteration-time fast
   path (``DSS.compile_plan`` / ``DSS.infer``).
 * :class:`~repro.gnn.mpnn.DSSBlock`, :class:`~repro.gnn.mpnn.Decoder` —
-  message-passing building blocks.
+  message-passing building blocks (a block is one tape primitive with a
+  hand-written VJP).
 * :func:`~repro.gnn.loss.residual_loss`, :func:`~repro.gnn.loss.relative_error`
   — the physics-informed loss and metrics.
 * :class:`~repro.gnn.training.DSSTrainer`,

@@ -10,14 +10,14 @@ computations into one large vectorised computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from .graph import GraphProblem
 
-__all__ = ["GraphBatch", "BatchPlan"]
+__all__ = ["GraphBatch", "BatchPlan", "MessageOperators", "message_operators"]
 
 
 def _pad_columns(array: np.ndarray, width: int) -> np.ndarray:
@@ -29,6 +29,63 @@ def _pad_columns(array: np.ndarray, width: int) -> np.ndarray:
     padded = np.zeros((array.shape[0], width))
     padded[:, : array.shape[1]] = array
     return padded
+
+
+class MessageOperators(NamedTuple):
+    """The sparse operators of one message-passing sweep over a fixed edge list.
+
+    ``gather_T`` and ``destination`` are the two transposes the training VJP
+    multiplies by; both are views of what the forward operators already hold.
+    """
+
+    gather: sp.csr_matrix     # (E, 2n) — row e holds ones at columns dst_e and n + src_e
+    aggregate: sp.csr_matrix  # (n, E) — row i holds a one for every edge arriving at node i
+    gather_T: sp.csc_matrix   # (2n, E) — gatherᵀ, the CSC view of the same arrays
+    destination: np.ndarray   # (E,) dst_e — aggregateᵀ has one unit entry per row: aggregateᵀ @ X = X[destination]
+    indegree: np.ndarray      # (n,) float64 — number of edges arriving at each node
+
+
+def message_operators(edge_index: np.ndarray, num_nodes: int, dtype=np.float64) -> MessageOperators:
+    """Build the gather and aggregation operators of the ``(2, E)`` edges ``src → dst``.
+
+    The one place they are constructed: :class:`~repro.gnn.infer.InferencePlan`
+    (at its plan precision) and the differentiable ``DSS.forward`` (which
+    hands them to every :class:`~repro.gnn.mpnn.DSSBlock`) both call it.  The
+    transposes cost nothing to carry: a ``.T`` view and the ``dst`` row.
+
+    >>> ops = message_operators(np.array([[0, 1], [1, 0]]), num_nodes=2)
+    >>> ops.gather.toarray()       # edge 0 is 0 → 1: columns [dst | n + src] = 1 and 2
+    array([[0., 1., 1., 0.],
+           [1., 0., 0., 1.]])
+    >>> ops.aggregate.toarray()    # node 0 receives edge 1, node 1 receives edge 0
+    array([[0., 1.],
+           [1., 0.]])
+    """
+    n = int(num_nodes)
+    src, dst = edge_index[0], edge_index[1]
+    num_edges = src.shape[0]
+    # two-ones gather-add operator: row e sums proj[dst_e] (dst block) and
+    # proj[n + src_e] (src block) — all columns at once via the dense
+    # dimension (data staged at the caller's precision: the CSR kernel
+    # requires dtype-consistent operands)
+    gather_indices = np.empty(2 * num_edges, dtype=np.int64)
+    gather_indices[0::2] = dst
+    gather_indices[1::2] = n + src
+    gather = sp.csr_matrix(
+        (np.ones(2 * num_edges, dtype=dtype), gather_indices,
+         2 * np.arange(num_edges + 1, dtype=np.int64)),
+        shape=(num_edges, 2 * n),
+    )
+    # aggregation operator: out = S @ messages sums every directed edge's
+    # message onto its destination node in one SpMM
+    incidence = sp.csr_matrix(
+        (np.ones(num_edges, dtype=dtype), dst, np.arange(num_edges + 1, dtype=np.int64)),
+        shape=(num_edges, n),
+    )
+    aggregate = incidence.T.tocsr()
+    aggregate.sort_indices()
+    indegree = np.bincount(dst, minlength=n).astype(np.float64)
+    return MessageOperators(gather, aggregate, gather.T, dst, indegree)
 
 
 @dataclass
@@ -204,7 +261,7 @@ class BatchPlan:
     The field layout is duck-compatible with :class:`GraphBatch` (``source``,
     ``edge_index``, ``edge_attr``, ``node_attr``, ``num_nodes``), so a plan
     can be fed straight to ``DSS.forward`` — the parity tests pin the
-    allocation-free engine against exactly that tape forward.
+    allocation-free engine against exactly that forward.
 
     The directed edges are re-sorted by destination node (a stable sort, so
     the graph is unchanged up to summation order of the incoming messages):

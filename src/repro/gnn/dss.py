@@ -24,7 +24,7 @@ import numpy as np
 
 from ..nn.modules import Module
 from ..nn.tensor import Tensor, no_grad
-from .batch import BatchPlan, GraphBatch, _pad_columns
+from .batch import BatchPlan, GraphBatch, _pad_columns, message_operators
 from .graph import GraphProblem
 from .infer import InferencePlan
 from .loss import residual_loss
@@ -103,17 +103,20 @@ class DSS(Module):
 
         Returns the final decoded state (n, 1), or the list of all k̄
         intermediate decoded states when ``return_intermediate`` is True
-        (needed by the training loss, Eq. 23).
+        (needed by the training loss, Eq. 23).  This is the one
+        differentiable forward: each block is a single tape primitive (see
+        :mod:`repro.gnn.mpnn`) on operators built once here; under
+        ``no_grad`` the same code runs and records nothing.
         """
         num_nodes = problem.num_nodes
-        edge_index = problem.edge_index
+        operators = message_operators(problem.edge_index, num_nodes)
         edge_attr = self._prepare_edge_attr(problem.edge_attr)
         node_input = Tensor(self._prepare_node_input(problem))
 
         latent = Tensor(np.zeros((num_nodes, self.config.latent_dim)))
         outputs: List[Tensor] = []
         for block, decoder in zip(self.blocks, self.decoders):
-            latent = block(latent, node_input, edge_index, edge_attr)
+            latent = block(latent, node_input, operators, edge_attr)
             if return_intermediate:
                 outputs.append(decoder(latent))
         if return_intermediate:
@@ -146,7 +149,7 @@ class DSS(Module):
     # convenience inference / training helpers
     # ------------------------------------------------------------------ #
     def predict(self, problem: Union[GraphProblem, GraphBatch, BatchPlan]) -> np.ndarray:
-        """Inference without building the autodiff graph; returns a flat array."""
+        """:meth:`forward` under ``no_grad`` (nothing recorded or retained); returns a flat array."""
         with no_grad():
             out = self.forward(problem, return_intermediate=False)
         return out.numpy().ravel()
@@ -182,14 +185,14 @@ class DSS(Module):
         All structure (edge index, padded attributes, feature preparation) and
         every forward-pass buffer are fixed once; subsequent
         :meth:`infer` calls only rewrite the per-node source.  ``precision``
-        selects the staging dtype of the plan: ``"f64"`` (default, pinned to
-        the tape forward) or ``"f32"`` (half the memory traffic; sources and
-        outputs are cast at the plan boundary).
+        selects the staging dtype of the plan: ``"f64"`` (default, agreeing
+        with :meth:`predict` to 1e-12) or ``"f32"`` (half the memory traffic;
+        sources and outputs are cast at the plan boundary).
         """
         return InferencePlan(self, batch, precision=precision)
 
     def infer(self, plan: InferencePlan, source: Optional[np.ndarray] = None) -> np.ndarray:
-        """Run the forward pass on a precompiled plan, without the tape.
+        """Run the folded forward pass on a precompiled plan.
 
         Numerically pinned to :meth:`predict` on the same batch (parity at
         1e-12) but allocation- and loop-free per call — the ``k = 1`` case of

@@ -1,11 +1,11 @@
 """Allocation-free DSS inference engine: one folded forward for every plan.
 
-``DSS.forward`` runs through the autodiff :class:`~repro.nn.tensor.Tensor`
-machinery: even under ``no_grad`` every operation allocates fresh arrays and
-Python wrapper objects, and every message-passing block re-copies the reversed
-edge attributes.  Inside a Krylov solve the same batch of sub-domain graphs is
-evaluated hundreds of times with only the per-node source changing, so all of
-that per-call work is invariant.
+``DSS.forward`` — the differentiable forward, also what ``DSS.predict`` runs
+under ``no_grad`` — evaluates each block on freshly allocated arrays from the
+model's current weights.  Inside a Krylov solve the same batch of sub-domain
+graphs is evaluated hundreds of times with only the per-node source changing
+and the weights frozen, so every allocation, every weight-only product and
+every term that depends on the fixed edge attributes alone is invariant.
 
 :class:`InferencePlan` binds a structural :class:`~repro.gnn.batch.BatchPlan`
 to one model and runs **one** forward (:meth:`InferencePlan._forward`) for
@@ -41,11 +41,15 @@ exists to move fewer bytes per sweep; all of it is fixed at compile time:
   is three ``beta=1`` GEMMs accumulated onto the prefilled bias, and the
   ResNet update is a ``beta=1`` GEMM straight onto the latent state.
 
-The folds are computed in float64 from the model weights (and cast once for
-f32 plans), so they re-associate the forward's dot products and commutative
-sums and nothing else: the f64 forward agrees with the tape forward to a few
-ulp (~1e-15 relative observed; the parity tests pin 1e-12), orders of
-magnitude tighter than anything visible to the preconditioned solver.
+The first three are shared with the differentiable forward
+(:meth:`repro.gnn.mpnn.DSSBlock.forward` runs the same operators in the same
+order, with the output layers applied after aggregation but not merged into
+``ψ``); the folds are the inference-only step, applied to trained weights.
+They are computed in float64 from the model weights (and cast once for f32
+plans), so they re-associate the forward's dot products and commutative sums
+and nothing else: the f64 forward agrees with ``DSS.predict`` to a few ulp
+(~1e-15 relative observed; the parity tests pin 1e-12), orders of magnitude
+tighter than anything visible to the preconditioned solver.
 
 Because the weights are prestaged, a plan captures the model parameters *at
 compile time*: recompile after any further training or ``load_state_dict``.
@@ -87,7 +91,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..nn.functional import relu_
-from .batch import BatchPlan, GraphBatch
+from .batch import BatchPlan, GraphBatch, message_operators
 
 __all__ = ["InferencePlan"]
 
@@ -273,11 +277,15 @@ class _Buffers:
 
 
 def _check_compilable(mlp) -> None:
-    """The engine hard-codes the DSS architecture's single-hidden ReLU MLPs."""
+    """The model's one architecture check: single-hidden-layer ReLU MLPs.
+
+    The paper's architecture (Sec. III-B) and the only one the block
+    primitive of :mod:`repro.gnn.mpnn` and the folds below are written for.
+    """
     if len(mlp.layers) != 2 or mlp.activation != "relu" or mlp.final_activation != "none":
         raise NotImplementedError(
-            "the inference engine supports the DSS architecture's single-hidden-layer "
-            "ReLU MLPs only; use DSS.predict for modified architectures"
+            "the DSS forward (differentiable and compiled alike) supports the paper's "
+            "single-hidden-layer ReLU MLPs only (Sec. III-B)"
         )
 
 
@@ -330,37 +338,18 @@ class InferencePlan:
         self.latent_dim = d
         self.node_input_dim = cfg.node_input_dim
 
-        src = plan.edge_index[0]
-        dst = plan.edge_index[1]
-
-        # two-ones gather-add operator: row e sums proj[dst_e] (dst block) and
-        # proj[n + src_e] (src block) — all columns at once via n_vecs (data
-        # staged at the plan precision: the CSR kernel requires dtype-
-        # consistent operands)
-        gather_indices = np.empty(2 * num_edges, dtype=np.int64)
-        gather_indices[0::2] = dst
-        gather_indices[1::2] = n + src
-        self._gather_matrix = sp.csr_matrix(
-            (np.ones(2 * num_edges, dtype=dtype), gather_indices,
-             2 * np.arange(num_edges + 1, dtype=np.int64)),
-            shape=(num_edges, 2 * n),
-        )
-
-        # aggregation operator: out = S @ messages sums every directed edge's
-        # message onto its destination node in one SpMM
-        incidence = sp.csr_matrix(
-            (np.ones(num_edges, dtype=dtype), dst, np.arange(num_edges + 1, dtype=np.int64)),
-            shape=(num_edges, n),
-        )
-        self._agg_matrix = incidence.T.tocsr()
-        self._agg_matrix.sort_indices()
+        # the two-ones gather-add and the aggregation operator, staged at the
+        # plan precision — the same pair the differentiable forward builds
+        operators = message_operators(plan.edge_index, n, dtype=dtype)
+        self._gather_matrix = operators.gather
+        self._agg_matrix = operators.aggregate
 
         # edge attributes at the model's width; static node features (κ
         # channels — everything except the residual column 0) and in-degrees
         # feed the compile-time folds only
         self._edge_attr = np.ascontiguousarray(model._prepare_edge_attr(plan.edge_attr), dtype=dtype)
         node_features = np.asarray(model._prepare_node_input(plan), dtype=np.float64)[:, 1:]
-        indegree = np.bincount(dst, minlength=n).astype(np.float64).reshape(-1, 1)
+        indegree = operators.indegree.reshape(-1, 1)
 
         # stage the weights (and, within budget, the static edge terms)
         static_bytes = 2 * len(model.blocks) * num_edges * d * 8
@@ -455,7 +444,7 @@ class InferencePlan:
         """Copy the current per-node inputs into the structural plan's buffer.
 
         The plan's ``source`` is what :meth:`run` stages, and keeping it
-        current lets the tape forward run on the very same plan (the parity
+        current lets ``DSS.forward`` run on the very same plan (the parity
         tests rely on this).
         """
         self.plan.load_source(values)

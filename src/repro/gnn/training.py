@@ -9,6 +9,7 @@ this repository use the same code path.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence
@@ -134,9 +135,22 @@ class DSSTrainer:
             self.optimizer.zero_grad()
             loss = self.model.training_loss(batch)
             loss.backward()
-            clip_grad_norm(self.optimizer.parameters, self.config.gradient_clip)
+            value = loss.item()
+            # drop the tape now: a reference held until the next
+            # ``training_loss`` returns keeps two steps' graphs alive at once
+            del loss
+            grad_norm = clip_grad_norm(self.optimizer.parameters, self.config.gradient_clip)
+            # ``nan > max_norm`` is false, so clipping lets a non-finite
+            # gradient through and Adam would write it into every weight and
+            # both moment slots; stop before the step, with the model intact
+            if not (math.isfinite(value) and math.isfinite(grad_norm)):
+                raise FloatingPointError(
+                    f"non-finite training step {len(losses) + 1} of epoch {self.epochs_done + 1}: "
+                    f"loss {value}, gradient norm {grad_norm}; weights and optimizer state "
+                    "are those of the last finite step"
+                )
             self.optimizer.step()
-            losses.append(loss.item())
+            losses.append(value)
         return float(np.mean(losses)) if losses else 0.0
 
     def fit(

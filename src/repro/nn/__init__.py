@@ -3,7 +3,10 @@
 Public surface:
 
 * :class:`~repro.nn.tensor.Tensor`, :class:`~repro.nn.tensor.no_grad` —
-  reverse-mode autodiff on NumPy arrays.
+  reverse-mode autodiff on NumPy arrays: general ops with one backward
+  closure per parent, and fused primitives that register a single
+  vector-Jacobian product for all their parents (the DSS block in
+  :mod:`repro.gnn.mpnn`).
 * :class:`~repro.nn.modules.Module`, :class:`~repro.nn.modules.Linear`,
   :class:`~repro.nn.modules.MLP`, :class:`~repro.nn.modules.Sequential`,
   :class:`~repro.nn.modules.Parameter` — module system.
@@ -11,7 +14,7 @@ Public surface:
   :func:`~repro.nn.optim.clip_grad_norm` — optimisers.
 * :class:`~repro.nn.schedulers.ReduceLROnPlateau` — LR scheduling.
 * :mod:`repro.nn.functional` — functional ops (segment_sum, gather,
-  sparse_matvec, ...).
+  sparse_matvec, ...) and the in-place raw-array ``relu_``.
 * :mod:`repro.nn.init` — Xavier & co.
 """
 

@@ -3,11 +3,10 @@
 These are thin, composable wrappers used by the neural-network modules and by
 the physics-informed loss of the Deep Statistical Solver.
 
-The ``*_into`` / trailing-underscore variants at the bottom are the raw-NumPy
-inference fast path: they operate on plain ``ndarray``s, write into
-preallocated buffers (``out=`` kwargs) and build no autodiff graph.  They are
-kept numerically bit-compatible with their tape counterparts so
-``DSS.infer`` can be pinned against the tape forward.
+The trailing-underscore variant at the bottom is a raw-NumPy kernel: it
+works in place on a plain ``ndarray`` and builds no autodiff graph.  The
+inference engine and the DSS block primitive (``repro.gnn.infer`` /
+``repro.gnn.mpnn``) run their ReLUs through it.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .tensor import Tensor, _scatter_add_rows
+from .tensor import Tensor
 
 __all__ = [
     "relu",
@@ -29,7 +28,6 @@ __all__ = [
     "gather",
     "sparse_matvec",
     "relu_",
-    "segment_sum_into",
 ]
 
 
@@ -90,20 +88,9 @@ def sparse_matvec(matrix: sp.spmatrix, u: Tensor) -> Tensor:
 
 
 # --------------------------------------------------------------------------- #
-# raw-NumPy inference fast path (no Tensor, no tape, reused buffers)
+# raw-NumPy kernel (no Tensor, no tape, in place)
 # --------------------------------------------------------------------------- #
 def relu_(x: np.ndarray) -> np.ndarray:
     """In-place rectified linear unit on a raw array."""
     np.maximum(x, 0.0, out=x)
     return x
-
-
-def segment_sum_into(values: np.ndarray, segment_ids: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Raw-array segment sum into a preallocated ``(num_segments, d)`` buffer.
-
-    Shares the per-column ``np.bincount`` kernel with the tape's
-    :meth:`~repro.nn.tensor.Tensor.index_add`, so per-segment accumulation
-    order (ascending row index) — and therefore the floating-point result —
-    is identical to the autograd forward pass.
-    """
-    return _scatter_add_rows(values, segment_ids, out.shape[0], out=out)

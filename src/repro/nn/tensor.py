@@ -17,9 +17,11 @@ shapes) so the engine is reusable:
   ``index_add``) — the primitives behind message passing aggregation.
 
 The design follows the classic tape-based approach: every non-leaf tensor
-stores its parent tensors and a closure computing the contribution of the
-output gradient to each parent gradient.  Gradients are accumulated in
-topological order.
+stores its parent tensors and the rule mapping the output gradient to the
+parents' gradients — one closure per parent for the elementary ops here, or a
+single vector-Jacobian product returning every parent's cotangent at once for
+a fused primitive (the DSS message-passing block, :mod:`repro.gnn.mpnn`).
+Gradients are accumulated in topological order.
 """
 
 from __future__ import annotations
@@ -78,40 +80,23 @@ def _as_array(value: ArrayLike) -> np.ndarray:
     return np.asarray(value, dtype=np.float64)
 
 
-def _scatter_add_rows(
-    values: np.ndarray,
-    index: np.ndarray,
-    num_rows: int,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
+def _scatter_add_rows(values: np.ndarray, index: np.ndarray, num_rows: int) -> np.ndarray:
     """Sum rows of ``values`` into ``num_rows`` bins given by ``index``.
 
     ``np.add.at`` is correct but slow; per-column ``np.bincount`` is an order
     of magnitude faster for the (rows, few-columns) arrays used by message
     passing, and falls back to ``np.add.at`` for higher-dimensional data.
-
-    ``out`` (2-D case only) lets the inference fast path reuse a preallocated
-    buffer; both the tape backward pass and :meth:`Tensor.index_add` share this
-    kernel, so the fast path is bit-identical to the autograd forward.
     """
     if values.ndim == 1:
-        result = np.bincount(index, weights=values, minlength=num_rows)
-        if out is None:
-            return result
-        out[...] = result
-        return out
+        return np.bincount(index, weights=values, minlength=num_rows)
     if values.ndim == 2:
-        if out is None:
-            out = np.empty((num_rows, values.shape[1]))
+        out = np.empty((num_rows, values.shape[1]))
         for col in range(values.shape[1]):
             out[:, col] = np.bincount(index, weights=values[:, col], minlength=num_rows)
         return out
     result = np.zeros((num_rows,) + values.shape[1:])
     np.add.at(result, index, values)
-    if out is None:
-        return result
-    out[...] = result
-    return out
+    return result
 
 
 class Tensor:
@@ -126,7 +111,7 @@ class Tensor:
         during :meth:`backward`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fns", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fns", "_vjp", "name")
 
     def __init__(self, data: ArrayLike, requires_grad: bool = False, name: str = "") -> None:
         self.data: np.ndarray = np.asarray(data, dtype=np.float64)
@@ -134,6 +119,7 @@ class Tensor:
         self.requires_grad: bool = bool(requires_grad)
         self._parents: Tuple["Tensor", ...] = ()
         self._backward_fns: Tuple[Callable[[np.ndarray], np.ndarray], ...] = ()
+        self._vjp: Optional[Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]] = None
         self.name = name
 
     # ------------------------------------------------------------------ #
@@ -193,14 +179,23 @@ class Tensor:
     def _make(
         data: np.ndarray,
         parents: Sequence["Tensor"],
-        backward_fns: Sequence[Callable[[np.ndarray], np.ndarray]],
+        backward_fns: Sequence[Callable[[np.ndarray], np.ndarray]] = (),
+        vjp: Optional[Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]] = None,
     ) -> "Tensor":
-        """Create a non-leaf tensor recording its parents and backward rules."""
+        """Create a non-leaf tensor recording its parents and backward rules.
+
+        The rules are either one closure per parent (``backward_fns``) or a
+        single ``vjp`` mapping the output gradient to the cotangents of *all*
+        parents in order (``None`` where a parent needs none) — a primitive
+        with many parents then costs one backward call sharing its
+        intermediates, not one closure per parent recomputing them.
+        """
         out = Tensor(data)
         if _GRAD_ENABLED and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward_fns = tuple(backward_fns)
+            out._vjp = vjp
         return out
 
     # ------------------------------------------------------------------ #
@@ -456,18 +451,21 @@ class Tensor:
                 if node.grad is None:
                     node.grad = np.zeros_like(node.data)
                 node.grad += node_grad
-            for parent, backward_fn in zip(node._parents, node._backward_fns):
-                if not parent.requires_grad:
+            if node._vjp is not None:
+                contributions = node._vjp(node_grad)
+            else:
+                contributions = [
+                    fn(node_grad) if parent.requires_grad else None
+                    for parent, fn in zip(node._parents, node._backward_fns)
+                ]
+            for parent, contribution in zip(node._parents, contributions):
+                if contribution is None or not parent.requires_grad:
                     continue
-                contribution = backward_fn(node_grad)
                 existing = grads.get(id(parent))
                 if existing is None:
                     grads[id(parent)] = contribution
                 else:
                     grads[id(parent)] = existing + contribution
-            # also handle non-leaf tensors explicitly marked requires_grad with parents
-            if node.requires_grad and node._parents and node.grad is not None:
-                pass
 
     def zero_grad(self) -> None:
         self.grad = None

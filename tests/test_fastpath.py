@@ -22,8 +22,6 @@ from repro.gnn import DSS, DSSConfig, GraphBatch
 from repro.gnn.graph import graph_from_mesh
 from repro.krylov import preconditioned_conjugate_gradient
 from repro.krylov.result import SolveResult
-from repro.nn.functional import segment_sum_into
-from repro.nn.tensor import Tensor
 from repro.utils import format_timing_split
 
 
@@ -392,15 +390,6 @@ class TestRawKernels:
         model.blocks[0].psi = MLP(10, [3, 3], 3, rng=np.random.default_rng(0))
         with pytest.raises(NotImplementedError):
             model.compile_plan(toy_batch)
-
-    def test_segment_sum_into_matches_tape(self):
-        rng = np.random.default_rng(6)
-        values = rng.normal(size=(20, 3))
-        index = rng.integers(0, 5, size=20)
-        out = np.empty((5, 3))
-        segment_sum_into(values, index, out)
-        tape = Tensor(values).index_add(index, 5).numpy()
-        assert np.array_equal(out, tape)
 
 
 # --------------------------------------------------------------------------- #

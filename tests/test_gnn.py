@@ -20,6 +20,7 @@ from repro.gnn import (
     relative_error,
     residual_loss,
 )
+from repro.gnn.batch import message_operators
 from repro.gnn.mpnn import Decoder, DSSBlock
 from repro.mesh import structured_rectangle_mesh
 from repro.nn import Tensor
@@ -142,7 +143,8 @@ class TestBlocks:
         g = _toy_graph()
         block = DSSBlock(latent_dim=6, rng=np.random.default_rng(0))
         latent = Tensor(np.zeros((g.num_nodes, 6)))
-        out = block(latent, Tensor(g.source.reshape(-1, 1)), g.edge_index, g.edge_attr)
+        operators = message_operators(g.edge_index, g.num_nodes)
+        out = block(latent, Tensor(g.source.reshape(-1, 1)), operators, g.edge_attr)
         assert out.shape == (g.num_nodes, 6)
 
     def test_dss_block_residual_update_small_alpha(self):
@@ -150,7 +152,8 @@ class TestBlocks:
         g = _toy_graph()
         block = DSSBlock(latent_dim=4, alpha=1e-8, rng=np.random.default_rng(1))
         latent = Tensor(np.random.default_rng(2).normal(size=(g.num_nodes, 4)))
-        out = block(latent, Tensor(g.source.reshape(-1, 1)), g.edge_index, g.edge_attr)
+        operators = message_operators(g.edge_index, g.num_nodes)
+        out = block(latent, Tensor(g.source.reshape(-1, 1)), operators, g.edge_attr)
         assert np.allclose(out.numpy(), latent.numpy(), atol=1e-5)
 
     def test_decoder_output_shape(self):
@@ -330,3 +333,56 @@ class TestTraining:
             return model.predict(graphs[0])
 
         assert np.allclose(run(), run())
+
+    def test_two_step_epoch_peaks_like_a_one_step_epoch(self):
+        """A step's tape is released before the next batch is built: two steps
+        on the same batch must not hold two graphs at once."""
+        import tracemalloc
+
+        from repro.fem import assemble_stiffness
+
+        mesh = structured_rectangle_mesh(10, 10)
+        matrix = (assemble_stiffness(mesh) + sp.identity(mesh.num_nodes)).tocsr()
+        rng = np.random.default_rng(0)
+        graphs = [graph_from_mesh(mesh, source=rng.normal(size=mesh.num_nodes), matrix=matrix)
+                  for _ in range(4)]
+
+        def epoch_peak(problems) -> int:
+            model = DSS(DSSConfig(num_iterations=8, latent_dim=8, alpha=0.1, seed=0))
+            trainer = DSSTrainer(model, TrainingConfig(batch_size=len(graphs), shuffle=False))
+            trainer.train_epoch(problems, np.random.default_rng(0))       # warm-up
+            tracemalloc.start()
+            try:
+                trainer.train_epoch(problems, np.random.default_rng(0))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert epoch_peak(graphs + graphs) <= 1.1 * epoch_peak(graphs)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_step_raises_and_leaves_model_and_optimizer_untouched(self, tmp_path):
+        """One ``inf`` in one sample must not reach the weights, the Adam
+        moments or a checkpoint (``nan > max_norm`` is false, so clipping
+        alone lets it through)."""
+        graphs = [_toy_graph(seed=i) for i in range(4)]
+        model = DSS(DSSConfig(num_iterations=2, latent_dim=3, alpha=0.1, seed=5))
+        trainer = DSSTrainer(model, TrainingConfig(epochs=3, batch_size=4, seed=3))
+        trainer.fit(graphs, epochs=1)                                     # Adam slots are live
+        graphs[2].source[1] = np.inf
+        weights = model.state_dict()
+        optimizer = trainer.optimizer.state_dict()
+        checkpoint = tmp_path / "run.npz"
+
+        with pytest.raises(FloatingPointError, match=r"step 1 of epoch 2"):
+            trainer.fit(graphs, checkpoint_path=str(checkpoint))
+
+        assert trainer.epochs_done == 1 and len(trainer.history) == 1
+        assert not checkpoint.exists()
+        for name, value in model.state_dict().items():
+            assert np.array_equal(value, weights[name]), name
+        after = trainer.optimizer.state_dict()
+        assert after["step_count"] == optimizer["step_count"] and after["lr"] == optimizer["lr"]
+        for slot in ("m", "v"):
+            for before, now in zip(optimizer["slots"][slot], after["slots"][slot]):
+                assert np.array_equal(before, now)

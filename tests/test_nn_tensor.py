@@ -148,6 +148,34 @@ class TestGradients:
         y.sum().backward()
         assert np.isclose(x.grad[0], 2 * 2.0 + 3.0)
 
+    def test_node_with_one_vjp_for_all_parents(self):
+        """A primitive may register a single VJP returning every parent's
+        cotangent; ``None`` entries and parents without grad are skipped."""
+        rng = np.random.default_rng(11)
+        a = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        b = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        c = Tensor(rng.normal(size=(3, 2)))                       # constant parent
+        calls = []
+
+        def vjp(g):
+            calls.append(g)
+            return g * b.data * c.data, g * a.data * c.data, g * a.data * b.data
+
+        fused = Tensor._make(a.data * b.data * c.data, (a, b, c), vjp=vjp)
+        (fused * fused).sum().backward()
+        fused_grads = a.grad.copy(), b.grad.copy()
+        a.zero_grad(), b.zero_grad()
+        composed = a * b * c
+        (composed * composed).sum().backward()
+        assert len(calls) == 1 and c.grad is None
+        assert np.allclose(fused_grads[0], a.grad) and np.allclose(fused_grads[1], b.grad)
+
+        a.zero_grad(), b.zero_grad()
+        Tensor._make(a.data + b.data, (a, b), vjp=lambda g: (g, None)).sum().backward()
+        assert np.array_equal(a.grad, np.ones((3, 2))) and b.grad is None
+        with no_grad():
+            assert Tensor._make(a.data, (a,), vjp=lambda g: (g,))._vjp is None
+
     def test_zero_grad(self):
         x = Tensor(np.ones(2), requires_grad=True)
         (x * x).sum().backward()
