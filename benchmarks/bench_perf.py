@@ -79,6 +79,7 @@ class _ReferenceAdapter:
 
     def __init__(self, preconditioner) -> None:
         self._preconditioner = preconditioner
+        self.linear = preconditioner.linear  # same Krylov recurrence as the fast path
 
     def apply(self, residual: np.ndarray) -> np.ndarray:
         return self._preconditioner.apply_reference(residual)

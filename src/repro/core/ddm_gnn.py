@@ -13,9 +13,14 @@ paper's three steps:
 3. **Gluing** (Eq. 16): ``z = r_c + Σ_i R_iᵀ ‖R_i r‖ ũ_i``.
 
 The preconditioner is deliberately *not* exactly symmetric (the GNN is a
-nonlinear map), but because each application is a fixed function of the
-residual, PCG in practice behaves exactly as the paper reports: slightly more
-iterations than DDM-LU, convergence to any tolerance.
+nonlinear map), and it says so: ``linear = False``.  The Krylov layer reads
+that flag and runs its flexible recurrences (FCG / FGMRES,
+:mod:`repro.krylov.flexible`) instead of the short ones that are only optimal
+for a fixed linear SPD ``M`` — under Algorithm 1's Fletcher–Reeves update the
+DSS needed ~30 iterations where ~24 suffice on the ledger operator (DESIGN.md,
+"Krylov recurrence").  Each application is still a fixed function of the
+residual, so solves are deterministic and converge to any tolerance, in more
+iterations than DDM-LU.
 
 Everything that is invariant across a Krylov solve is compiled once at
 construction: the stacked restriction operator ``R = [R_1; …; R_K]``, the
@@ -74,8 +79,14 @@ class DDMGNNPreconditioner(Preconditioner):
         Maximum number of sub-domain graphs solved per DSS inference call
         (the paper's Nb batching).  None (default) picks a chunk size that
         keeps each batch's edge buffers cache-resident (~2k stacked nodes
-        per inference), which measures faster than one monolithic batch on
-        large decompositions; results are batching-invariant either way.
+        per inference), which measured faster than one monolithic batch on
+        large decompositions when it was introduced (PR 2's per-edge
+        kernels).  With the folded forward it no longer matters at ledger
+        scale: on the K=19 operator the edge buffer fits L2 at every chunk
+        size, and every chunk of ≥ 2 sub-domains — the default included —
+        applies within noise of every other (f64 ≈ 26–29 ms; DESIGN.md,
+        "Measured floor of the apply").  Results are batching-invariant
+        either way.
     normalize_local_residuals:
         The paper's residual normalisation.  Disabling it (ablation) shows the
         stagnation the paper describes in Sec. III-A.
@@ -94,10 +105,13 @@ class DDMGNNPreconditioner(Preconditioner):
         (default) or ``"f32"``.  In float32 mode the residual normalisation,
         scaling and gluing stay in float64 — only the network forward runs in
         float32, with casts at the source/output boundary — so the
-        preconditioner remains a fixed (SPD-consistent) function of the
-        residual and PCG converges with a small, gated iteration drift.
+        preconditioner remains a fixed function of the residual and the
+        flexible recurrence converges with a small, gated iteration drift.
         Requires the compiled fast path (a real DSS model).
     """
+
+    #: the DSS is a nonlinear map of the residual — Krylov goes flexible
+    linear = False
 
     def __init__(
         self,

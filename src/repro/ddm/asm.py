@@ -33,6 +33,11 @@ __all__ = ["AdditiveSchwarzPreconditioner", "Preconditioner", "IdentityPrecondit
 class Preconditioner:
     """Minimal preconditioner interface: ``apply`` a residual, get a correction."""
 
+    #: whether ``apply`` is a fixed linear map.  The Krylov layer reads it to
+    #: pick its recurrence: short (PCG, GMRES) when True, flexible (FCG,
+    #: FGMRES) when False.  Proxies forward it from what they wrap.
+    linear = True
+
     def apply(self, residual: np.ndarray) -> np.ndarray:  # pragma: no cover - interface
         raise NotImplementedError
 

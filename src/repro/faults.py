@@ -418,6 +418,11 @@ class PoisonedPreconditioner:
     def shape(self):
         return self.inner.shape
 
+    @property
+    def linear(self) -> bool:
+        """Forwarded, so the Krylov recurrence is the wrapped preconditioner's."""
+        return getattr(self.inner, "linear", True)
+
     def apply(self, residual: np.ndarray) -> np.ndarray:
         z = self.inner.apply(residual)
         if self._next_call() == self.on_call and 0 in self.columns:

@@ -64,7 +64,7 @@ allocations, so a lockstep solve whose active set shrinks allocates nothing.
 
 * **f32** plans sweep all ``k`` columns at once (one BLAS call per layer).
   f32 carries no bit-identity contract — the preconditioner only has to stay
-  a fixed SPD-consistent function of the residual (see DESIGN.md) — and the
+  a fixed function of the residual (see DESIGN.md) — and the
   k-wide sweep is pinned against ``k`` single-column sweeps by tolerance.
 * **f64** plans run the ``k`` columns *one at a time* through the ``k = 1``
   kernel and the same workspace.  A fused ``(n·k, d)`` GEMM is not bit-stable

@@ -9,6 +9,8 @@ Public surface:
   additional Krylov methods.
 * :func:`~repro.krylov.block.lockstep_pcg` — fused multi-RHS PCG, bit-identical
   per column to the single-RHS solver (the micro-batching fast path).
+* :mod:`~repro.krylov.flexible` — the direction update PCG and lockstep PCG
+  share when the preconditioner declares ``linear = False`` (flexible CG).
 * :class:`~repro.krylov.ic.IncompleteCholeskyPreconditioner`,
   :func:`~repro.krylov.ic.incomplete_cholesky` — IC(0) baseline of Table III.
 * :class:`~repro.krylov.result.SolveResult` — common result object.

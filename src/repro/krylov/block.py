@@ -25,6 +25,12 @@ evaluated by the same kernels in the same order as the single-RHS path:
 * the ``alpha``/``beta`` scalar recurrences are computed per column and applied
   with elementwise broadcasts, which perform the identical multiply-add per
   element;
+* the direction update is chosen exactly as in the single-RHS solver — the
+  Fletcher–Reeves ``beta`` update for a ``linear`` preconditioner, otherwise
+  the flexible recurrence — and the flexible one is *the same code*:
+  :class:`repro.krylov.flexible.DirectionWindow` works on column blocks and
+  the single-RHS solver calls it with one column, so there is no second
+  ladder to keep in sync (its stored blocks are compacted with X/R/P);
 * a column leaves the active set the moment it converges (or breaks down or
   hits the iteration cap); the survivors are compacted into fresh F-ordered
   arrays (exact copies), so later iterations never touch finished columns.
@@ -52,6 +58,7 @@ import scipy.sparse as sp
 
 from ..ddm.asm import IdentityPreconditioner, Preconditioner
 from . import failures
+from .flexible import DirectionWindow, recurrence_of
 from .result import SolveResult
 
 __all__ = ["lockstep_pcg"]
@@ -124,8 +131,10 @@ def lockstep_pcg(
     start = time.perf_counter()
     precond_time = 0.0
 
+    recurrence = recurrence_of(precond)
+
     def base_info() -> dict:
-        return {"solver": "pcg", "tolerance": tolerance}
+        return {"solver": "pcg", "tolerance": tolerance, "recurrence": recurrence}
 
     results: List[Optional[SolveResult]] = [None] * num_rhs
 
@@ -212,6 +221,9 @@ def lockstep_pcg(
             else:
                 keep.append(i)
 
+        # direction history of the flexible recurrence; never built for a linear M
+        window = DirectionWindow() if recurrence == "flexible" else None
+
         def compact(keep_idx: List[int]) -> None:
             nonlocal X, R, P, rho, rhs_norms, cols, histories, best_rel, since_best
             X = np.asfortranarray(X[:, keep_idx])
@@ -223,6 +235,8 @@ def lockstep_pcg(
             histories = [histories[i] for i in keep_idx]
             best_rel = best_rel[keep_idx]
             since_best = since_best[keep_idx]
+            if window is not None:
+                window.compact(keep_idx)
 
         if len(keep) != k:
             compact(keep)
@@ -258,6 +272,8 @@ def lockstep_pcg(
                 a = len(cols)
 
             alpha = rho / denom
+            if window is not None:
+                window.push(P, Q, denom)
             X += alpha[None, :] * P
             R -= alpha[None, :] * Q
             iteration += 1
@@ -330,9 +346,12 @@ def lockstep_pcg(
                 compact(survivors)
                 a = len(cols)
 
-            beta = rho_next / rho
+            if window is None:
+                beta = rho_next / rho
+                P = np.asfortranarray(Z + beta[None, :] * P)
+            else:
+                P = window.next_direction(Z)
             rho = rho_next
-            P = np.asfortranarray(Z + beta[None, :] * P)
 
         # columns never entered the loop (e.g. max_iterations == 0)
         for i, col in enumerate(cols):

@@ -1,8 +1,13 @@
 """Conjugate Gradient and Preconditioned Conjugate Gradient solvers.
 
-:func:`preconditioned_conjugate_gradient` is a line-for-line implementation of
-Algorithm 1 in the paper (the stopping test is on the *relative* residual norm
-``‖r‖/‖b‖``, which is the criterion used in all the paper's experiments).
+:func:`preconditioned_conjugate_gradient` is Algorithm 1 of the paper (the
+stopping test is on the *relative* residual norm ``‖r‖/‖b‖``, which is the
+criterion used in all the paper's experiments) — line for line when the
+preconditioner is ``linear``.  Algorithm 1's direction update
+``p = z + (ρ₊/ρ) p`` assumes a fixed linear SPD ``M``; for a preconditioner
+that declares ``linear = False`` (DDM-GNN) the direction is instead
+A-orthogonalised against the last few stored ones (flexible CG, see
+:mod:`repro.krylov.flexible`), and ``info["recurrence"]`` says which ran.
 :func:`conjugate_gradient` is the unpreconditioned "CG" baseline column of
 Table I / Fig. 5.
 """
@@ -17,6 +22,7 @@ import scipy.sparse as sp
 
 from ..ddm.asm import IdentityPreconditioner, Preconditioner
 from . import failures
+from .flexible import DirectionWindow, recurrence_of
 from .result import SolveResult
 
 __all__ = ["conjugate_gradient", "preconditioned_conjugate_gradient"]
@@ -82,6 +88,8 @@ def preconditioned_conjugate_gradient(
     matvec = _as_matvec(matrix)
     precond = preconditioner if preconditioner is not None else IdentityPreconditioner(n)
     max_iterations = max_iterations if max_iterations is not None else 10 * n
+    recurrence = recurrence_of(precond)
+    info = {"solver": "pcg", "tolerance": tolerance, "recurrence": recurrence}
 
     rhs_norm = np.linalg.norm(rhs)
     if rhs_norm == 0.0:
@@ -90,7 +98,7 @@ def preconditioned_conjugate_gradient(
             converged=True,
             iterations=0,
             residual_history=[0.0],
-            info={"solver": "pcg", "tolerance": tolerance},
+            info=info,
         )
     if not np.isfinite(rhs_norm):
         return SolveResult(
@@ -99,7 +107,7 @@ def preconditioned_conjugate_gradient(
             converged=False,
             iterations=0,
             residual_history=[float("inf")],
-            info={"solver": "pcg", "tolerance": tolerance},
+            info=info,
             failure_reason=failures.NON_FINITE_RHS,
         )
 
@@ -133,6 +141,8 @@ def preconditioned_conjugate_gradient(
 
     best_rel = residual_history[-1]
     since_best = 0
+    # direction history of the flexible recurrence; never built for a linear M
+    window = DirectionWindow() if recurrence == "flexible" else None
 
     while not converged and failure is None and iteration < max_iterations:
         q = matvec(p)
@@ -148,6 +158,8 @@ def preconditioned_conjugate_gradient(
             failure = failures.INDEFINITE_OPERATOR
             break
         alpha = rho / denom
+        if window is not None:
+            window.push(p[:, None], q[:, None], np.array([denom]))
         u += alpha * p
         r -= alpha * q
         iteration += 1
@@ -179,9 +191,12 @@ def preconditioned_conjugate_gradient(
         if rho_next == 0.0 or not np.isfinite(rho_next):
             failure = failures.RHO_BREAKDOWN
             break
-        beta = rho_next / rho
+        if window is None:
+            beta = rho_next / rho
+            p = z + beta * p
+        else:
+            p = window.next_direction(z[:, None])[:, 0]
         rho = rho_next
-        p = z + beta * p
 
     if not converged and failure is None:
         failure = failures.MAX_ITERATIONS
@@ -194,7 +209,7 @@ def preconditioned_conjugate_gradient(
         residual_history=residual_history,
         elapsed_time=elapsed,
         preconditioner_time=precond_time,
-        info={"solver": "pcg", "tolerance": tolerance, "preconditioner": type(precond).__name__},
+        info={**info, "preconditioner": type(precond).__name__},
         failure_reason=failure,
     )
 

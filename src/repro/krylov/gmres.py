@@ -15,6 +15,7 @@ import scipy.sparse as sp
 
 from ..ddm.asm import IdentityPreconditioner, Preconditioner
 from . import failures
+from .flexible import recurrence_of
 from .result import SolveResult
 
 __all__ = ["gmres"]
@@ -33,6 +34,12 @@ def gmres(
     stagnation_window: Optional[int] = None,
 ) -> SolveResult:
     """Right-preconditioned restarted GMRES(m) with Givens rotations.
+
+    The cycle's update ``x += M(V y)`` equals ``Σ y_j M(v_j)`` only for a
+    linear ``M``.  For a preconditioner with ``linear = False`` the vectors
+    ``z_j = M(v_j)`` are kept and the update is ``x += Zᵀ y`` (flexible GMRES,
+    Saad 1993), so the Givens residual estimate stays the true residual — and
+    the extra apply per cycle is saved; ``info["recurrence"]`` says which ran.
 
     Non-finite preconditioner/matvec output, a singular projected system and
     (when ``stagnation_window`` is set) stagnation all terminate the iteration
@@ -57,16 +64,19 @@ def gmres(
     precond = preconditioner if preconditioner is not None else IdentityPreconditioner(n)
     max_iterations = max_iterations if max_iterations is not None else 10 * n
     restart = max(1, min(restart, n))
+    recurrence = recurrence_of(precond)
+    flexible = recurrence == "flexible"
 
     rhs_norm = np.linalg.norm(rhs)
     if rhs_norm == 0.0:
-        return SolveResult(np.zeros(n), True, 0, [0.0], info={"solver": "gmres"})
+        return SolveResult(np.zeros(n), True, 0, [0.0],
+                           info={"solver": "gmres", "recurrence": recurrence})
     if not np.isfinite(rhs_norm):
         return SolveResult(
             np.zeros(n) if initial_guess is None
             else np.asarray(initial_guess, dtype=np.float64).copy(),
             False, 0, [float("inf")],
-            info={"solver": "gmres"},
+            info={"solver": "gmres", "recurrence": recurrence},
             failure_reason=failures.NON_FINITE_RHS,
         )
 
@@ -96,6 +106,8 @@ def gmres(
 
         # Arnoldi with modified Gram-Schmidt on the preconditioned operator A M^{-1}
         basis = np.zeros((restart + 1, n))
+        # z_j = M(v_j), kept only when M is not linear (flexible GMRES)
+        preconditioned = np.empty((restart, n)) if flexible else None
         hessenberg = np.zeros((restart + 1, restart))
         givens_c = np.zeros(restart)
         givens_s = np.zeros(restart)
@@ -115,6 +127,8 @@ def gmres(
                 # `completed` valid columns built before it
                 failure = failures.NON_FINITE_PRECONDITIONER
                 break
+            if flexible:
+                preconditioned[j] = z
             w = matvec(z)
             if not np.isfinite(w).all():
                 failure = failures.NON_FINITE_OPERATOR
@@ -174,10 +188,13 @@ def gmres(
                 if failure is None:
                     failure = failures.BREAKDOWN
                 break
-            update = basis[:completed].T @ y
-            t0 = time.perf_counter()
-            correction = precond.apply(update)
-            precond_time += time.perf_counter() - t0
+            if flexible:
+                correction = preconditioned[:completed].T @ y
+            else:
+                update = basis[:completed].T @ y
+                t0 = time.perf_counter()
+                correction = precond.apply(update)
+                precond_time += time.perf_counter() - t0
             if not np.isfinite(correction).all():
                 if failure is None:
                     failure = failures.NON_FINITE_PRECONDITIONER
@@ -201,6 +218,7 @@ def gmres(
         residual_history=residual_history,
         elapsed_time=time.perf_counter() - start,
         preconditioner_time=precond_time,
-        info={"solver": "gmres", "tolerance": tolerance, "restart": restart},
+        info={"solver": "gmres", "tolerance": tolerance, "restart": restart,
+              "recurrence": recurrence},
         failure_reason=failure,
     )

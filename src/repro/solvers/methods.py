@@ -19,7 +19,8 @@ __all__ = []  # methods are consumed through the registry, not imported
 
 register_krylov(
     "cg",
-    description="Preconditioned Conjugate Gradient (paper Algorithm 1; SPD operators)",
+    description="Preconditioned Conjugate Gradient (paper Algorithm 1; flexible for a "
+                "nonlinear preconditioner; SPD operators)",
     symmetric_only=True,
     lockstep=lockstep_pcg,
 )(preconditioned_conjugate_gradient)

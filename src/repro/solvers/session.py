@@ -319,6 +319,7 @@ class SolverSession:
             if result.converged or not self.config.fallback:
                 span.set_attribute("converged", bool(result.converged))
                 span.set_attribute("iterations", int(result.iterations))
+                span.set_attribute("recurrence", result.info.get("recurrence"))
                 return result
             return self._degrade(b, x0, primary_result=result, primary_error=None)
 
@@ -360,6 +361,7 @@ class SolverSession:
             residual=float(result.residual_history[-1])
             if result.residual_history else None,
             preconditioner=self.config.preconditioner,
+            recurrence=result.info.get("recurrence"),
         )
 
     def _solve_locked(self, b: np.ndarray, x0: Optional[np.ndarray]) -> SolveResult:

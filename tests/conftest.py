@@ -93,6 +93,30 @@ def trained_dss_model():
     return model
 
 
+class DeclaredLinearity:
+    """Forward a preconditioner, overriding the ``linear`` flag it declares.
+
+    The Krylov layer picks its recurrence from that flag alone, so this is how
+    a test runs the *other* recurrence over the very same applies.
+    """
+
+    def __init__(self, inner, linear: bool) -> None:
+        self.inner = inner
+        self.linear = linear
+
+    def apply(self, residual):
+        return self.inner.apply(residual)
+
+    def apply_columns(self, residuals):
+        return self.inner.apply_columns(residuals)
+
+
+@pytest.fixture(scope="session")
+def declare_linearity():
+    """``declare_linearity(preconditioner, linear)`` -> :class:`DeclaredLinearity`."""
+    return DeclaredLinearity
+
+
 @pytest.fixture(params=["thread", "process"])
 def executor(request):
     """Where solves run: the in-process thread pool or a worker process."""

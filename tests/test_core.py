@@ -270,3 +270,106 @@ class TestHybridSolve:
         base = prepare(random_problem, SolverConfig(preconditioner="ddm-lu", subdomain_size=80, overlap=1, tolerance=1e-8)).solve()
         wide = prepare(random_problem, SolverConfig(preconditioner="ddm-lu", subdomain_size=80, overlap=4, tolerance=1e-8)).solve()
         assert wide.iterations <= base.iterations
+
+
+# --------------------------------------------------------------------------- #
+# the Krylov layer stops assuming the DSS is linear
+# --------------------------------------------------------------------------- #
+class TestFlexibleRecurrence:
+    """DDM-GNN declares ``linear = False``; PCG and GMRES go flexible over it."""
+
+    TOLERANCE = 1e-3
+
+    @staticmethod
+    def _session(problem, model, precision="f64"):
+        return prepare(problem, SolverConfig(preconditioner="ddm-gnn", subdomain_size=80,
+                                             tolerance=TestFlexibleRecurrence.TOLERANCE,
+                                             precision=precision), model=model)
+
+    @staticmethod
+    def _staggered_block(problem):
+        """Right-hand sides of different smoothness: they converge at different iterations."""
+        a, n = problem.matrix, problem.num_dofs
+        rng = np.random.default_rng(0)
+        return np.stack([problem.rhs, rng.normal(size=n), a @ rng.normal(size=n), a @ np.ones(n)])
+
+    @staticmethod
+    def _assert_bitwise(fused, single):
+        assert fused.solution.tobytes() == single.solution.tobytes()
+        assert fused.iterations == single.iterations
+        assert fused.residual_history == single.residual_history
+        assert fused.failure_reason == single.failure_reason
+
+    def test_lockstep_bitwise_under_staggered_convergence(self, random_problem, trained_dss_model):
+        session = self._session(random_problem, trained_dss_model)
+        assert not session.preconditioner.linear
+        block = self._staggered_block(random_problem)
+        fused = session.solve_many(block, mode="fused").results
+        assert len({result.iterations for result in fused}) > 1      # history is compacted
+        for b, result in zip(block, fused):
+            assert result.converged and result.info["recurrence"] == "flexible"
+            self._assert_bitwise(result, session.solve(b))
+
+        # f32: one k-wide sweep vs k single-column sweeps — tolerance only, as before
+        session32 = self._session(random_problem, trained_dss_model, precision="f32")
+        for b, result in zip(block, session32.solve_many(block, mode="fused").results):
+            single = session32.solve(b)
+            assert result.converged and single.converged
+            assert np.linalg.norm(result.solution - single.solution) < \
+                1e-3 * np.linalg.norm(single.solution)
+
+    def test_lockstep_bitwise_with_a_column_poisoned_mid_solve(self, random_problem,
+                                                                trained_dss_model):
+        from repro.faults import PoisonedPreconditioner
+        from repro.krylov import failures
+        from repro.krylov.block import lockstep_pcg
+
+        precond = self._session(random_problem, trained_dss_model).preconditioner
+        a, block = random_problem.matrix, self._staggered_block(random_problem)
+        # call 5 = the apply after iteration 5: five directions are stored when
+        # column 1 leaves, so the survivors' history is sliced mid-window
+        fused = lockstep_pcg(a, block, tolerance=self.TOLERANCE,
+                             preconditioner=PoisonedPreconditioner(precond, columns=(1,), on_call=5))
+        assert fused[1].failure_reason == failures.NON_FINITE_PRECONDITIONER
+        assert fused[1].iterations == 5
+        for j, b in enumerate(block):
+            alone = PoisonedPreconditioner(precond, columns=(0,), on_call=5) if j == 1 else precond
+            self._assert_bitwise(fused[j], preconditioned_conjugate_gradient(
+                a, b, preconditioner=alone, tolerance=self.TOLERANCE))
+
+    @pytest.mark.parametrize("tolerance", [1e-3, 1e-6])
+    def test_flexible_needs_no_more_iterations_than_standard(self, random_problem,
+                                                             trained_dss_model,
+                                                             declare_linearity, tolerance):
+        precond = self._session(random_problem, trained_dss_model).preconditioner
+        a, b = random_problem.matrix, random_problem.rhs
+        flexible = preconditioned_conjugate_gradient(a, b, preconditioner=precond,
+                                                     tolerance=tolerance)
+        standard = preconditioned_conjugate_gradient(
+            a, b, preconditioner=declare_linearity(precond, linear=True), tolerance=tolerance)
+        assert (flexible.info["recurrence"], standard.info["recurrence"]) == \
+            ("flexible", "standard")
+        for result in (flexible, standard):
+            assert result.converged
+            assert random_problem.relative_residual_norm(result.solution) < tolerance
+        assert flexible.iterations <= standard.iterations
+
+    def test_gmres_estimate_is_the_true_residual(self, random_problem, trained_dss_model,
+                                                 declare_linearity):
+        """FGMRES: the Givens estimate is honest, so one cycle and no extra apply."""
+        from repro.krylov import gmres
+
+        precond = self._session(random_problem, trained_dss_model).preconditioner
+        a, b = random_problem.matrix, random_problem.rhs
+        before = precond.inference_stats()["applications"]
+        flexible = gmres(a, b, preconditioner=precond, tolerance=1e-6)
+        applies = precond.inference_stats()["applications"] - before
+        estimate, recomputed = flexible.residual_history[-2:]
+        assert flexible.converged and flexible.info["recurrence"] == "flexible"
+        assert abs(estimate - recomputed) <= 1e-8 * recomputed
+        assert flexible.iterations <= flexible.info["restart"]          # one cycle
+        assert applies == flexible.iterations                            # x += Zᵀy, no M(Vy)
+        # the same applies under x += M(Vy): the estimate lies and cycles repeat
+        standard = gmres(a, b, preconditioner=declare_linearity(precond, linear=True),
+                         tolerance=1e-6)
+        assert standard.iterations > flexible.iterations

@@ -417,3 +417,118 @@ class TestLockstepFailureParity:
             assert results[j].failure_reason == failures.STAGNATION == single.failure_reason
             assert results[j].iterations == single.iterations
             assert np.array_equal(results[j].solution, single.solution)
+
+
+# --------------------------------------------------------------------------- #
+# one recurrence contract: standard for a linear M, flexible otherwise
+# --------------------------------------------------------------------------- #
+def _textbook_pcg(a, b, precond, tolerance):
+    """Algorithm 1 of the paper, kept here as the byte-level reference."""
+    u = np.zeros_like(b)
+    r = b - a @ u
+    z = precond.apply(r)
+    p = z.copy()
+    rho = float(r @ z)
+    b_norm = np.linalg.norm(b)
+    history = [float(np.linalg.norm(r) / b_norm)]
+    while history[-1] >= tolerance:
+        q = a @ p
+        alpha = rho / float(p @ q)
+        u += alpha * p
+        r -= alpha * q
+        history.append(float(np.linalg.norm(r) / b_norm))
+        if history[-1] < tolerance:
+            break
+        z = precond.apply(r)
+        rho_next = float(r @ z)
+        p = z + (rho_next / rho) * p
+        rho = rho_next
+    return u, history
+
+
+class TestRecurrenceContract:
+    TOLERANCE = 1e-8
+
+    @staticmethod
+    def _session(problem, kind):
+        from repro.solvers import SolverConfig, prepare
+
+        return prepare(problem, SolverConfig(preconditioner=kind, subdomain_size=80,
+                                             tolerance=TestRecurrenceContract.TOLERANCE))
+
+    @pytest.mark.parametrize("kind", ["none", "ic0", "ddm-lu", "ddm-jacobi"])
+    def test_linear_preconditioners_run_textbook_pcg(self, random_problem, kind, monkeypatch):
+        """Byte-identical to Algorithm 1, single and lockstep, with no history."""
+        from repro.krylov import block, cg
+
+        def no_history():
+            raise AssertionError("a linear preconditioner allocated a direction history")
+
+        monkeypatch.setattr(cg, "DirectionWindow", no_history)
+        monkeypatch.setattr(block, "DirectionWindow", no_history)
+        precond = self._session(random_problem, kind).preconditioner
+        assert precond.linear
+        a = random_problem.matrix
+        batch = np.stack([random_problem.rhs,
+                          np.random.default_rng(5).normal(size=random_problem.num_dofs)])
+        lockstep = lockstep_pcg(a, batch, preconditioner=precond, tolerance=self.TOLERANCE)
+        for b, fused in zip(batch, lockstep):
+            solution, history = _textbook_pcg(a, b, precond, self.TOLERANCE)
+            single = preconditioned_conjugate_gradient(a, b, preconditioner=precond,
+                                                       tolerance=self.TOLERANCE)
+            for result in (single, fused):
+                assert result.info["recurrence"] == "standard"
+                assert result.solution.tobytes() == solution.tobytes()
+                assert result.residual_history == history
+                assert result.iterations == len(history) - 1
+
+    def test_flexible_reduces_to_standard_for_a_linear_spd_preconditioner(
+            self, random_problem, declare_linearity):
+        """Consistency anchor: FCG over DDM-LU is PCG up to round-off."""
+        precond = self._session(random_problem, "ddm-lu").preconditioner
+        a, b = random_problem.matrix, random_problem.rhs
+        standard = preconditioned_conjugate_gradient(a, b, preconditioner=precond,
+                                                     tolerance=self.TOLERANCE)
+        flexible = preconditioned_conjugate_gradient(
+            a, b, preconditioner=declare_linearity(precond, linear=False),
+            tolerance=self.TOLERANCE)
+        assert (standard.info["recurrence"], flexible.info["recurrence"]) == \
+            ("standard", "flexible")
+        assert flexible.converged and flexible.iterations == standard.iterations
+        scale = np.linalg.norm(standard.solution)
+        assert np.linalg.norm(flexible.solution - standard.solution) <= 1e-10 * scale
+
+    def test_direction_window_orthogonalises_and_slides(self):
+        from repro.krylov.flexible import FLEXIBLE_WINDOW, DirectionWindow
+
+        a = _spd_matrix(40, 23).toarray()
+        rng = np.random.default_rng(24)
+        window = DirectionWindow()
+        directions = []
+        for _ in range(FLEXIBLE_WINDOW + 3):
+            p = window.next_direction(rng.normal(size=(40, 2))) if directions \
+                else np.asfortranarray(rng.normal(size=(40, 2)))
+            q = np.asfortranarray(a @ p)
+            window.push(p, q, np.einsum("ij,ij->j", p, q))
+            directions.append((p, q))
+        p = window.next_direction(rng.normal(size=(40, 2)))
+        assert p.flags.f_contiguous
+        inner = [np.abs(np.einsum("ij,ij->j", p, q)).max() for _, q in directions]
+        scale = np.abs(np.einsum("ij,ij->j", p, a @ p)).max()
+        # A-orthogonal to the last FLEXIBLE_WINDOW directions, not to older ones
+        assert max(inner[-FLEXIBLE_WINDOW:]) < 1e-10 * scale
+        assert min(inner[:-FLEXIBLE_WINDOW]) > 1e-6 * scale
+
+    def test_poisoned_wrapper_forwards_linearity(self, declare_linearity):
+        from repro.faults import PoisonedPreconditioner
+
+        a = _spd_matrix(20, 25)
+        inner = _DiagPrecond(a.diagonal())
+        assert PoisonedPreconditioner(inner).linear            # duck-typed: linear
+        assert not PoisonedPreconditioner(declare_linearity(inner, linear=False)).linear
+
+    def test_gmres_reports_standard_for_a_linear_preconditioner(self, random_problem):
+        precond = self._session(random_problem, "ddm-lu").preconditioner
+        result = gmres(random_problem.matrix, random_problem.rhs, preconditioner=precond,
+                       tolerance=self.TOLERANCE)
+        assert result.converged and result.info["recurrence"] == "standard"

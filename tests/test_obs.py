@@ -481,6 +481,23 @@ class TestObservationIsFree:
         assert terminal[0]["converged"] is True
         assert terminal[0]["iterations"] == result.iterations
 
+    def test_terminal_event_and_span_report_the_recurrence(self, tiny_dss_model):
+        """Why 24 iterations here and 30 there: the trace says which recurrence ran."""
+        problem = build_problem_from_spec(SPEC)
+        obs_trace.enable_tracing()
+        for kind, model, expected in (("ddm-lu", None, "standard"),
+                                      ("ddm-gnn", tiny_dss_model, "flexible")):
+            config = SolverConfig(preconditioner=kind, tolerance=1e-2, max_iterations=4,
+                                  obs={"convergence": True})
+            with capture_events(capacity=64) as ring:
+                with obs_trace.trace_root("recurrence.request") as root:
+                    result = prepare(problem, config, model=model).solve()
+            terminal = [e for e in ring.tail() if e["kind"] == "terminal"]
+            solve_span = next(s for s in root.walk() if s.name == "session.solve")
+            assert result.info["recurrence"] == expected
+            assert [e["recurrence"] for e in terminal] == [expected]
+            assert solve_span.attributes["recurrence"] == expected
+
     def test_obs_off_emits_nothing(self):
         problem = build_problem_from_spec(SPEC)
         b = np.random.default_rng(6).standard_normal(problem.num_dofs)

@@ -5,6 +5,8 @@ smoke workload."""
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -517,3 +519,52 @@ class TestPrepareContract:
         assert result.converged
         assert result.info["krylov"] == "bicgstab"
         assert result.info["solver"] == "bicgstab"
+
+
+# --------------------------------------------------------------------------- #
+# an iteration budget that needs no stopwatch
+# --------------------------------------------------------------------------- #
+class TestIterationBudget:
+    """DDM-GNN iteration counts on the ledger's smoke operator, pinned.
+
+    The frozen ledger checkpoint on a seeded operator with manufactured
+    right-hand sides gives counts that repeat exactly, so a change that costs
+    Krylov iterations fails here without a timing gate.  The pins are upper
+    bounds: lowering them is how an iteration saving is recorded (the
+    Fletcher–Reeves recurrence needed 17–18 per solve and up to 19 lockstep
+    sweeps on these inputs).
+    """
+
+    CHECKPOINT = Path(__file__).resolve().parents[1] / "benchmarks" / "ledger" / "dss_k20_d10.npz"
+    SPEC = {"family": "poisson", "target_n": 400, "element_size": 0.07, "seed": 0}
+    #: seed -> iterations of ``solve`` (f64) on the seed's first right-hand side
+    SOLVE = {0: 13, 1: 12, 2: 13}
+    #: seed -> per-column iterations of the 8-column f32 ``solve_many``
+    SOLVE_MANY_F32 = {
+        0: [13, 13, 14, 12, 13, 13, 13, 13],
+        1: [12, 13, 13, 13, 13, 13, 13, 13],
+        2: [13, 13, 13, 13, 13, 13, 13, 14],
+    }
+
+    def test_ledger_smoke_operator_iteration_counts(self):
+        from repro.gnn.checkpoint import load_model
+        from repro.serve import build_problem_from_spec
+
+        problem = build_problem_from_spec(self.SPEC)
+        model = load_model(str(self.CHECKPOINT))
+        sessions = {
+            precision: prepare(problem, SolverConfig(
+                preconditioner="ddm-gnn", subdomain_size=110, overlap=2, tolerance=1e-3,
+                precision=precision), model=model)
+            for precision in ("f64", "f32")
+        }
+        for seed in self.SOLVE:
+            exact = np.random.default_rng(seed).normal(size=(8, problem.num_dofs))
+            rhs = (problem.matrix @ exact.T).T
+            single = sessions["f64"].solve(rhs[0])
+            block = sessions["f32"].solve_many(rhs, mode="fused")
+            assert single.converged and block.converged
+            assert single.iterations <= self.SOLVE[seed], (seed, single.iterations)
+            counts = [result.iterations for result in block.results]
+            assert all(got <= pin for got, pin in zip(counts, self.SOLVE_MANY_F32[seed])), \
+                (seed, counts)
