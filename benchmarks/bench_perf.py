@@ -12,12 +12,8 @@ Solvers covered:
 
 * ``ic0``         — incomplete Cholesky PCG,
 * ``ddm-lu``      — two-level ASM with exact local LU solves,
-* ``ddm-gnn``     — the paper's GNN preconditioner on the inference fast path
-  (precompiled plans, stacked restrictions, allocation-free DSS engine),
-* ``ddm-gnn-ref`` — the same preconditioner through the pre-fast-path
-  reference implementation (per-sub-domain loops, tape forward), kept so the
-  fast-path speedup is measured rather than assumed (no resolve metric — the
-  reference path is benched per-apply only).
+* ``ddm-gnn``     — the paper's GNN preconditioner (precompiled plans,
+  stacked restrictions, allocation-free DSS engine).
 
 The ddm-gnn rows additionally cover the precision/fused trajectory: a second
 session served in float32 (``precision: "f32"`` records — same schema, its
@@ -59,7 +55,6 @@ except ImportError:  # running from a checkout without `pip install -e .`
 import numpy as np
 
 from repro.fem import random_poisson_problem
-from repro.krylov import preconditioned_conjugate_gradient
 from repro.mesh import mesh_for_target_size
 from repro.solvers import SolverConfig, prepare
 from repro.utils import format_table, format_timing_split
@@ -74,21 +69,6 @@ SMOKE_TARGET_N = 640
 FUSED_K = 8
 
 
-class _ReferenceAdapter:
-    """Expose a DDM-GNN preconditioner through its pre-fast-path apply."""
-
-    def __init__(self, preconditioner) -> None:
-        self._preconditioner = preconditioner
-        self.linear = preconditioner.linear  # same Krylov recurrence as the fast path
-
-    def apply(self, residual: np.ndarray) -> np.ndarray:
-        return self._preconditioner.apply_reference(residual)
-
-    @property
-    def shape(self) -> tuple:
-        return self._preconditioner.shape
-
-
 def median_apply_ms(apply_fn, residual: np.ndarray, repeats: int) -> float:
     """Median wall time of one preconditioner application, in milliseconds."""
     apply_fn(residual)  # warm-up (first call may fault in buffers)
@@ -98,26 +78,6 @@ def median_apply_ms(apply_fn, residual: np.ndarray, repeats: int) -> float:
         apply_fn(residual)
         times.append(time.perf_counter() - t0)
     return float(np.median(times) * 1e3)
-
-
-def median_apply_ms_paired(fn_a, fn_b, residual: np.ndarray, repeats: int):
-    """Median apply times of two implementations, measured interleaved.
-
-    Alternating the calls keeps machine drift (frequency scaling, cache
-    pressure from neighbouring processes) from biasing one side, which
-    matters for the fast-vs-reference speedup ratio.
-    """
-    fn_a(residual)
-    fn_b(residual)
-    times_a, times_b = [], []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn_a(residual)
-        times_a.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        fn_b(residual)
-        times_b.append(time.perf_counter() - t0)
-    return float(np.median(times_a) * 1e3), float(np.median(times_b) * 1e3)
 
 
 def median_columns_ms(preconditioner, residuals: np.ndarray, repeats: int) -> float:
@@ -197,13 +157,7 @@ def bench_problem(problem, model, repeats: int, resolve_repeats: int, max_iterat
             model=model if kind == "ddm-gnn" else None,
         )
         preconditioner = session.preconditioner
-        if kind == "ddm-gnn":
-            reference = _ReferenceAdapter(preconditioner)
-            apply_ms, ref_apply_ms = median_apply_ms_paired(
-                preconditioner.apply, reference.apply, problem.rhs, repeats
-            )
-        else:
-            apply_ms = median_apply_ms(preconditioner.apply, problem.rhs, repeats)
+        apply_ms = median_apply_ms(preconditioner.apply, problem.rhs, repeats)
         result = session.solve()
         resolve_ms = median_resolve_ms(session, resolve_rng, resolve_repeats)
         solves[kind] = result
@@ -219,26 +173,6 @@ def bench_problem(problem, model, repeats: int, resolve_repeats: int, max_iterat
             "total_s": round(result.elapsed_time, 6),
         })
         if kind == "ddm-gnn":
-            # the same preconditioner, driven through the pre-PR apply path
-            ref_result = preconditioned_conjugate_gradient(
-                problem.matrix,
-                problem.rhs,
-                preconditioner=reference,
-                tolerance=TOLERANCE,
-                max_iterations=max_iterations,
-            )
-            solves["ddm-gnn-ref"] = ref_result
-            records.append({
-                "solver": "ddm-gnn-ref",
-                "precision": "f64",
-                "n": n,
-                "K": int(preconditioner.num_subdomains),
-                "setup_s": round(session.setup_time, 6),
-                "apply_ms_p50": round(ref_apply_ms, 4),
-                "iters": int(ref_result.iterations),
-                "total_s": round(ref_result.elapsed_time, 6),
-            })
-
             # ---- precision trajectory: the same model served in float32 ----
             f32_session = prepare(problem, make_config(kind, "f32", max_iterations),
                                   model=model)
@@ -311,7 +245,6 @@ def main(argv=None) -> int:
     rng = np.random.default_rng(1)
 
     all_records = []
-    speedups = {}
     lockstep_speedups = {}
     for target_n in sizes:
         mesh = mesh_for_target_size(target_n, element_size=ELEMENT_SIZE, rng=rng)
@@ -319,8 +252,6 @@ def main(argv=None) -> int:
         records, solves = bench_problem(problem, model, repeats, resolve_repeats)
         all_records.extend(records)
         by_solver = {record_label(r): r for r in records}
-        speedup = by_solver["ddm-gnn-ref"]["apply_ms_p50"] / by_solver["ddm-gnn"]["apply_ms_p50"]
-        speedups[problem.num_dofs] = speedup
         print(f"\nn={problem.num_dofs}  (K={by_solver['ddm-gnn']['K']}, tolerance={TOLERANCE:g})")
         print(format_table(
             ["solver", "setup_s", "apply_ms_p50", "resolve_ms_p50", "iters", "total_s", "timing split"],
@@ -336,7 +267,6 @@ def main(argv=None) -> int:
                 for r in records
             ],
         ))
-        print(f"DDM-GNN fast-path apply speedup vs pre-PR path: {speedup:.2f}x")
         fused = {r["precision"]: r for r in records if r["solver"] == "ddm-gnn-fused"}
         print(f"DDM-GNN fused apply_columns (f32, k={FUSED_K}): "
               f"{fused['f32']['fused_apply_speedup']:.2f}x vs {FUSED_K} sequential applies")
@@ -367,7 +297,6 @@ def main(argv=None) -> int:
                    "resolve_ms_p50", "iters", "total_s", "k", "seq_apply_ms_p50",
                    "fused_apply_speedup"],
         "records": all_records,
-        "fastpath_apply_speedup": {str(n): round(s, 3) for n, s in speedups.items()},
         "fused_apply_speedup": {
             f"{r['n']}/{r['precision']}": r["fused_apply_speedup"]
             for r in all_records if "fused_apply_speedup" in r

@@ -6,7 +6,7 @@ committed ``BENCH_perf.json``.  The check fails (exit 1) when
 ``apply_ms_p50``, ``total_s`` or ``resolve_ms_p50`` (the amortised
 repeated-RHS serving cost of a prepared session) regresses more than
 ``--threshold`` (default 2×) for any solver; a metric absent from either
-side of a record pair (e.g. ``resolve_ms_p50`` on ``ddm-gnn-ref`` or on a
+side of a record pair (e.g. ``resolve_ms_p50`` on ``ddm-gnn-fused`` or on a
 pre-split baseline) is skipped, not failed.
 
 The comparison is deliberately noise-tolerant:
@@ -94,7 +94,7 @@ SERVE_GATED_METRICS = ("lat_ms_p50",)
 #: gated metrics; resolve_ms_p50 (the amortised repeated-RHS serving cost of a
 #: prepared SolverSession) and step_ms_p50 (the amortised per-step cost of a
 #: time march) are skipped for records that don't carry them (e.g.
-#: ddm-gnn-ref, steady-solver records, or baselines predating either split)
+#: ddm-gnn-fused, steady-solver records, or baselines predating either split)
 GATED_METRICS = ("apply_ms_p50", "total_s", "resolve_ms_p50", "step_ms_p50")
 
 

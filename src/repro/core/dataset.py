@@ -175,14 +175,15 @@ class _HarvestingPreconditioner(AdditiveSchwarzPreconditioner):
         self._geometries = list(geometries)
         self.harvested: List[GraphProblem] = []
 
-    def apply(self, residual: np.ndarray) -> np.ndarray:
-        stacked = self.stacked_restriction.extract(np.asarray(residual, dtype=np.float64))
-        for geometry, local in zip(self._geometries, self.stacked_restriction.split(stacked)):
-            source, norm = geometry.source_from_residual(local)
-            if norm <= 0.0:
-                continue
-            self.harvested.append(geometry.make_graph(source, scaling=norm))
-        return super().apply(residual)
+    def apply_columns(self, residuals: np.ndarray) -> np.ndarray:
+        stacked = self.stacked_restriction.extract(np.asarray(residuals, dtype=np.float64))
+        for column in stacked.T:  # column by column, the order sequential applies would harvest in
+            for geometry, local in zip(self._geometries, self.stacked_restriction.split(column)):
+                source, norm = geometry.source_from_residual(local)
+                if norm <= 0.0:
+                    continue
+                self.harvested.append(geometry.make_graph(source, scaling=norm))
+        return super().apply_columns(residuals)
 
 
 def harvest_local_problems(

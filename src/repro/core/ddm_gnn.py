@@ -25,29 +25,31 @@ iterations than DDM-LU.
 Everything that is invariant across a Krylov solve is compiled once at
 construction: the stacked restriction operator ``R = [R_1; …; R_K]``, the
 per-batch :class:`~repro.gnn.infer.InferencePlan` of the DSS model, and the
-stacked equilibration/normalisation vectors.  Each ``apply`` is then
-loop-free — one gather, segmented norms via ``reduceat``, a few ``infer``
-calls on preallocated plans, and one gluing SpMV.  Duck-typed models that
-only provide ``predict`` (the test doubles, custom local solvers) fall back
-to the classical batched path, which is also kept available as
-:meth:`apply_reference` so benchmarks can measure the fast-path speedup
-against the original implementation.
+stacked equilibration vector.  There is **one** application,
+:meth:`DDMGNNPreconditioner.apply_columns`, on ``(n, k)`` residual blocks —
+``apply(r)`` is its one-column case, a lockstep Krylov block its wide one.
+The sweep is loop-free: one gather, segmented norms via ``reduceat``, one
+model call per inference batch, and one gluing product, all on preallocated
+``(total_rows, k)`` scratch.  Duck-typed models that only provide ``predict``
+(the test doubles, custom local solvers) are served by the very same sweep;
+the duck-typing lives only at the model call.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Literal, Optional
+from typing import List, Literal, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..ddm.asm import Preconditioner
 from ..ddm.coarse import NicolaidesCoarseSpace
-from ..ddm.restriction import StackedRestriction, build_restrictions
+from ..ddm.restriction import ColumnScratch, StackedRestriction
 from ..gnn.batch import GraphBatch
 from ..gnn.dss import DSS
 from ..mesh.mesh import TriangularMesh
+from ..obs import trace as obs_trace
 from ..partition.overlap import OverlappingDecomposition
 from .dataset import SubdomainGeometry, build_subdomain_geometries
 
@@ -70,23 +72,24 @@ class DDMGNNPreconditioner(Preconditioner):
         Overlapping decomposition into K sub-domains.
     model:
         A (trained) :class:`~repro.gnn.dss.DSS` model.  Duck-typed objects
-        exposing only ``predict(batch)`` are accepted and served by the
-        classical batched path.
+        exposing only ``predict(batch)`` are accepted: the same sweep calls
+        ``predict`` per inference batch and column instead of a compiled plan.
     levels:
         2 (default) adds the Nicolaides coarse correction; 1 disables it
         (one-level ablation).
     batch_size:
-        Maximum number of sub-domain graphs solved per DSS inference call
-        (the paper's Nb batching).  None (default) picks a chunk size that
-        keeps each batch's edge buffers cache-resident (~2k stacked nodes
-        per inference), which measured faster than one monolithic batch on
-        large decompositions when it was introduced (PR 2's per-edge
-        kernels).  With the folded forward it no longer matters at ledger
-        scale: on the K=19 operator the edge buffer fits L2 at every chunk
-        size, and every chunk of ≥ 2 sub-domains — the default included —
-        applies within noise of every other (f64 ≈ 26–29 ms; DESIGN.md,
-        "Measured floor of the apply").  Results are batching-invariant
-        either way.
+        Maximum number of sub-domain graphs solved per model call (the
+        paper's Nb batching).  None (default) picks a chunk size that keeps
+        each batch's edge buffers cache-resident (~2k stacked nodes per
+        inference), which measured faster than one monolithic batch on large
+        decompositions when it was introduced (PR 2's per-edge kernels).
+        With the folded forward it no longer matters at ledger scale: on the
+        K=19 operator the edge buffer fits L2 at every chunk size, and every
+        chunk of ≥ 2 sub-domains — the default included — applies within
+        noise of every other (f64 ≈ 26–29 ms; DESIGN.md, "Measured floor of
+        the apply"), which is why sessions always use the default and
+        ``SolverConfig`` has no field for it.  Results are
+        batching-invariant either way (the invariance tests pass it here).
     normalize_local_residuals:
         The paper's residual normalisation.  Disabling it (ablation) shows the
         stagnation the paper describes in Sec. III-A.
@@ -107,7 +110,7 @@ class DDMGNNPreconditioner(Preconditioner):
         float32, with casts at the source/output boundary — so the
         preconditioner remains a fixed function of the residual and the
         flexible recurrence converges with a small, gated iteration drift.
-        Requires the compiled fast path (a real DSS model).
+        Requires compiled plans (a real DSS model).
     """
 
     #: the DSS is a nonlinear map of the residual — Krylov goes flexible
@@ -142,7 +145,6 @@ class DDMGNNPreconditioner(Preconditioner):
 
         n = self.matrix.shape[0]
         subdomains = decomposition.subdomain_nodes
-        self.restrictions = build_restrictions(subdomains, n)
         self.stacked_restriction = StackedRestriction(subdomains, n)
         self.geometries: List[SubdomainGeometry] = build_subdomain_geometries(
             mesh,
@@ -179,9 +181,9 @@ class DDMGNNPreconditioner(Preconditioner):
             )
             self._batch_membership.append(members)
 
-        # Compile the inference fast path when the model supports it (a real
-        # DSS); duck-typed `predict`-only models use the batched path.
-        if hasattr(model, "compile_plan") and hasattr(model, "infer"):
+        # Compile an inference plan per batch when the model supports it (a
+        # real DSS); duck-typed `predict`-only models get the batch itself.
+        if hasattr(model, "compile_plan") and hasattr(model, "infer_columns"):
             if self.precision == "f64":
                 self._plans = [model.compile_plan(batch) for batch in self._batches]
             else:
@@ -192,9 +194,9 @@ class DDMGNNPreconditioner(Preconditioner):
         else:
             if self.precision != "f64":
                 raise ValueError(
-                    "precision='f32' requires the compiled inference fast path "
-                    "(a model with compile_plan/infer); duck-typed predict-only "
-                    "models run the float64 batched path"
+                    "precision='f32' requires compiled inference plans (a model "
+                    "with compile_plan/infer_columns); duck-typed predict-only "
+                    "models run in float64"
                 )
             self._plans = None
 
@@ -205,24 +207,21 @@ class DDMGNNPreconditioner(Preconditioner):
             self._equilibration: Optional[np.ndarray] = np.concatenate([
                 g.equilibration if g.equilibration is not None else np.ones(len(g.positions))
                 for g in self.geometries
-            ])
+            ])[:, None]
         else:
             self._equilibration = None
         self._segment_ids = self.stacked_restriction.segment_ids
         self._offsets = self.stacked_restriction.offsets
-        self._local = np.empty(total)       # stacked (equilibrated) local residuals
-        self._squares = np.empty(total)
-        self._source = np.empty(total)      # stacked normalised DSS inputs
-        self._outputs = np.empty(total)     # stacked DSS outputs
-        self._per_row = np.empty(total)     # per-row norm/scale expansion
-        k = len(self.geometries)
-        self._norms = np.empty(k)
-        self._denominators = np.empty(k)
-        self._scales = np.empty(k)
-
-        # multi-column scratch, cached per column count (lockstep active sets
-        # shrink as right-hand sides converge, so a few k values recur)
-        self._column_scratch: Dict[int, Dict[str, np.ndarray]] = {}
+        self._scratch = ColumnScratch(
+            local=total,        # stacked (equilibrated) local residuals
+            squares=total,
+            source=total,       # stacked normalised DSS inputs
+            outputs=total,      # stacked DSS outputs
+            per_row=total,      # per-row norm/scale expansion
+            norms=self.num_subdomains,
+            denominators=self.num_subdomains,
+            scales=self.num_subdomains,
+        )
 
         # bookkeeping for the performance tables
         self.num_applications = 0
@@ -261,218 +260,122 @@ class DDMGNNPreconditioner(Preconditioner):
         return len(self.geometries)
 
     # ------------------------------------------------------------------ #
-    def apply(self, residual: np.ndarray) -> np.ndarray:
-        """Apply DDM-GNN to a global residual and return the correction z."""
-        residual = np.asarray(residual, dtype=np.float64)
-        correction = np.zeros_like(residual)
-        self.num_applications += 1
-
-        # 1. coarse correction (exact, LU)
-        if self.coarse_space is not None:
-            t0 = time.perf_counter()
-            correction += self.coarse_space.apply(residual)
-            self.total_coarse_time += time.perf_counter() - t0
-
-        # 2. + 3. batched local GNN solves, rescaled and glued back
-        t0 = time.perf_counter()
-        if self._plans is not None:
-            correction += self._local_correction_fast(residual)
-        else:
-            correction += self._local_correction_batched(residual)
-        self.total_inference_time += time.perf_counter() - t0
-        return correction
-
     def apply_columns(self, residuals: np.ndarray) -> np.ndarray:
         """Apply DDM-GNN to all ``k`` columns of an ``(n, k)`` residual block.
 
-        One sweep serves every column: a single gather/normalisation pass
-        over the ``(total, k)`` stacked residuals, one ``infer_columns`` per
-        inference batch and one gluing SpMM.  In f64, column ``i`` of the
-        result is bit-identical to ``apply(residuals[:, i])`` — the contract
-        :func:`repro.krylov.block.lockstep_pcg` relies on: the surrounding
-        kernels accumulate each column in exactly the single-column order,
-        and ``infer_columns`` runs the f64 columns one at a time through the
-        very kernel ``infer`` runs.  In f32 the DSS forward is one k-wide
-        sweep, which is what stops lockstep CG from serializing on the GNN.
+        The one application (:meth:`apply` is its ``k = 1`` case): coarse
+        correction, then one gather → normalise → model call → rescale → glue
+        sweep over the ``(total_rows, k)`` stacked residuals.  In f64 a
+        column's bytes do not depend on ``k`` — the contract
+        :func:`repro.krylov.block.lockstep_pcg` relies on: every kernel
+        around the model accumulates each column in the one-column order,
+        and ``infer_columns`` runs f64 columns one at a time through a single
+        kernel.  In f32 the DSS forward is one k-wide sweep, which is what
+        stops lockstep CG from serializing on the GNN; ``k = 1`` is then
+        bitwise the single-column result and ``k > 1`` matches it to float32
+        tolerance.
         """
+        # a buffered leaf on the enclosing span, as in the ASM preconditioner
+        parent = obs_trace.current_span()
+        start = time.perf_counter() if parent is not None else 0.0
         residuals = np.asarray(residuals, dtype=np.float64)
         if residuals.ndim != 2:
             raise ValueError(f"apply_columns expects an (n, k) block, got shape {residuals.shape}")
-        if self._plans is None or not hasattr(self.model, "infer_columns"):
-            # batched / duck-typed path: the trivially-correct per-column loop
-            return super().apply_columns(residuals)
         k = residuals.shape[1]
         correction = np.zeros(residuals.shape)
         self.num_applications += k
         self.num_fused_applications += 1
 
+        # 1. coarse correction (exact, LU)
         if self.coarse_space is not None:
             t0 = time.perf_counter()
             correction += self.coarse_space.apply_columns(residuals)
             self.total_coarse_time += time.perf_counter() - t0
 
+        # 2. + 3. batched local GNN solves, rescaled and glued back
         t0 = time.perf_counter()
-        correction += self._local_correction_fast_columns(residuals)
+        correction += self._local_correction(residuals)
         self.total_inference_time += time.perf_counter() - t0
+        if parent is not None:
+            parent.record_leaf("precond.apply", start, time.perf_counter(), {"k": k})
         return np.asfortranarray(correction)
 
-    def apply_reference(self, residual: np.ndarray) -> np.ndarray:
-        """The pre-fast-path implementation (per-sub-domain loops, ``DSS.predict_batched``).
-
-        Kept verbatim so benchmarks can measure the fast-path speedup and the
-        regression tests can pin the two paths against each other.  Does not
-        update the timing counters.
-        """
-        residual = np.asarray(residual, dtype=np.float64)
-        correction = np.zeros_like(residual)
-        if self.coarse_space is not None:
-            correction += self.coarse_space.apply(residual)
-        correction += self._local_correction_batched(residual)
-        return correction
-
     # ------------------------------------------------------------------ #
-    def _local_correction_fast(self, residual: np.ndarray) -> np.ndarray:
-        """Loop-free local corrections: gather → normalise → infer → glue.
+    def _local_correction(self, residuals: np.ndarray) -> np.ndarray:
+        """Loop-free local corrections of a block: gather → normalise → model → glue.
 
-        Works entirely on stacked vectors in preallocated buffers; the only
-        allocations are the glued result and whatever the SpMV produces.
+        Works entirely on stacked ``(total_rows, k)`` arrays in preallocated
+        buffers; the only allocations are the glued result and whatever the
+        SpMM produces.  Every step is column-parallel — row gathers,
+        per-column ``reduceat`` norms, elementwise broadcasts, one gluing
+        SpMM — and accumulates each column in the one-column order.
         """
-        stacked = self.stacked_restriction.extract(residual, out=self._local)
+        scratch = self._scratch.views(residuals.shape[1])
+        stacked = self.stacked_restriction.extract(residuals, out=scratch["local"])
         if self._equilibration is not None:
             np.multiply(stacked, self._equilibration, out=stacked)
 
-        # ‖R_i r‖ for every sub-domain, one reduceat over the stacked squares
-        self.stacked_restriction.segment_norms(stacked, out=self._norms, squares=self._squares)
+        # ‖R_i r_j‖ for every sub-domain × column, one reduceat over the rows
+        norms = self.stacked_restriction.segment_norms(
+            stacked, out=scratch["norms"], squares=scratch["squares"]
+        )
 
         # normalised sources (zero-norm segments are zero vectors already)
-        np.copyto(self._denominators, self._norms)
-        self._denominators[self._denominators == 0.0] = 1.0
-        np.take(self._denominators, self._segment_ids, out=self._per_row)
-        np.divide(stacked, self._per_row, out=self._source)
-        if not self.normalize_local_residuals:
-            # ablation: undo the normalisation, feed raw (equilibrated) residuals
-            np.take(self._norms, self._segment_ids, out=self._per_row)
-            np.multiply(self._source, self._per_row, out=self._source)
-
-        # all local problems in a few allocation-free DSS inferences
-        for plan, members in zip(self._plans, self._batch_membership):
-            lo = self._offsets[members[0]]
-            hi = self._offsets[members[-1] + 1]
-            self._outputs[lo:hi] = self.model.infer(plan, source=self._source[lo:hi])
-
-        # rescale by ‖R_i r‖ (zero-norm segments contribute nothing), undo the
-        # equilibration, and glue all extensions with one SpMV
-        if self.normalize_local_residuals:
-            np.copyto(self._scales, self._norms)
-        else:
-            np.sign(self._norms, out=self._scales)  # 1 where ‖R_i r‖ > 0, else 0
-        np.take(self._scales, self._segment_ids, out=self._per_row)
-        np.multiply(self._outputs, self._per_row, out=self._outputs)
-        if self._equilibration is not None:
-            np.multiply(self._outputs, self._equilibration, out=self._outputs)
-        return self.stacked_restriction.glue(self._outputs)
-
-    def _columns_scratch(self, k: int) -> Dict[str, np.ndarray]:
-        """Preallocated ``(total, k)`` / ``(K, k)`` buffers for ``k`` columns."""
-        scratch = self._column_scratch.get(k)
-        if scratch is None:
-            total = self.stacked_restriction.total_rows
-            num_subdomains = len(self.geometries)
-            scratch = {
-                "local": np.empty((total, k)),
-                "squares": np.empty((total, k)),
-                "source": np.empty((total, k)),
-                "outputs": np.empty((total, k)),
-                "per_row": np.empty((total, k)),
-                "norms": np.empty((num_subdomains, k)),
-                "denominators": np.empty((num_subdomains, k)),
-                "scales": np.empty((num_subdomains, k)),
-            }
-            self._column_scratch[k] = scratch
-        return scratch
-
-    def _local_correction_fast_columns(self, residuals: np.ndarray) -> np.ndarray:
-        """Multi-column :meth:`_local_correction_fast`: one fused sweep for all k.
-
-        Every step is the column-parallel form of the single-column op —
-        row gathers, per-column ``reduceat`` norms, elementwise broadcasts,
-        one ``infer_columns`` per inference batch, one gluing SpMM — and each
-        accumulates per column in the single-column order, so in f64 column
-        ``i`` is bit-identical to ``_local_correction_fast(residuals[:, i])``.
-        """
-        scratch = self._columns_scratch(residuals.shape[1])
-        stacked = scratch["local"]
-        np.take(residuals, self.stacked_restriction.node_indices, axis=0, out=stacked)
-        if self._equilibration is not None:
-            stacked *= self._equilibration[:, None]
-
-        # ‖R_i r_j‖ for every sub-domain × column, one reduceat over the rows
-        norms = scratch["norms"]
-        np.multiply(stacked, stacked, out=scratch["squares"])
-        np.add.reduceat(scratch["squares"], self._offsets[:-1], axis=0, out=norms)
-        np.sqrt(norms, out=norms)
-
-        denominators = scratch["denominators"]
+        denominators, per_row, source = scratch["denominators"], scratch["per_row"], scratch["source"]
         np.copyto(denominators, norms)
         denominators[denominators == 0.0] = 1.0
-        np.take(denominators, self._segment_ids, axis=0, out=scratch["per_row"])
-        np.divide(stacked, scratch["per_row"], out=scratch["source"])
+        np.take(denominators, self._segment_ids, axis=0, out=per_row)
+        np.divide(stacked, per_row, out=source)
         if not self.normalize_local_residuals:
-            np.take(norms, self._segment_ids, axis=0, out=scratch["per_row"])
-            np.multiply(scratch["source"], scratch["per_row"], out=scratch["source"])
+            # ablation: undo the normalisation, feed raw (equilibrated) residuals
+            np.take(norms, self._segment_ids, axis=0, out=per_row)
+            np.multiply(source, per_row, out=source)
 
-        # all local problems × all columns: one infer_columns per batch (the
-        # f32 boundary lives inside it; outputs upcast on store)
+        # all local problems × all columns in a few model calls
         outputs = scratch["outputs"]
-        for plan, members in zip(self._plans, self._batch_membership):
+        for index, members in enumerate(self._batch_membership):
             lo = self._offsets[members[0]]
             hi = self._offsets[members[-1] + 1]
-            outputs[lo:hi, :] = self.model.infer_columns(plan, scratch["source"][lo:hi, :])
+            outputs[lo:hi, :] = self._solve_batch(index, source[lo:hi, :])
 
+        # rescale by ‖R_i r_j‖ (zero-norm segments contribute nothing), undo
+        # the equilibration, and glue all extensions with one SpMM
+        scales = scratch["scales"]
         if self.normalize_local_residuals:
-            np.copyto(scratch["scales"], norms)
+            np.copyto(scales, norms)
         else:
-            np.sign(norms, out=scratch["scales"])  # 1 where ‖R_i r_j‖ > 0, else 0
-        np.take(scratch["scales"], self._segment_ids, axis=0, out=scratch["per_row"])
-        np.multiply(outputs, scratch["per_row"], out=outputs)
+            np.sign(norms, out=scales)  # 1 where ‖R_i r_j‖ > 0, else 0
+        np.take(scales, self._segment_ids, axis=0, out=per_row)
+        np.multiply(outputs, per_row, out=outputs)
         if self._equilibration is not None:
-            outputs *= self._equilibration[:, None]
+            np.multiply(outputs, self._equilibration, out=outputs)
         return self.stacked_restriction.glue(outputs)
 
-    def _local_correction_batched(self, residual: np.ndarray) -> np.ndarray:
-        """Classical batched path (per-sub-domain loops through ``model.predict``)."""
-        correction = np.zeros_like(residual)
-        local_residuals: List[np.ndarray] = [r_i @ residual for r_i in self.restrictions]
-        # equilibrated residuals and their norms (identity transform when κ ≡ 1)
-        sources_and_norms = [
-            self.geometries[i].source_from_residual(lr) for i, lr in enumerate(local_residuals)
-        ]
-        norms = np.array([norm for _, norm in sources_and_norms])
+    def _solve_batch(self, index: int, sources: np.ndarray) -> np.ndarray:
+        """The model call: inference batch ``index`` on ``(batch_nodes, k)`` sources.
 
-        for batch, members in zip(self._batches, self._batch_membership):
-            # refresh the node inputs of the pre-built batch in place
-            sources = []
-            for i in members:
-                normalised, norm = sources_and_norms[i]
-                if self.normalize_local_residuals and norm > 0.0:
-                    sources.append(normalised)
-                else:
-                    sources.append(normalised * norm)  # undo the normalisation (ablation)
-            batch.source = np.concatenate(sources)
-            predictions = self.model.predict(batch)
-            per_graph = batch.split_node_values(predictions)
-            for i, local_solution in zip(members, per_graph):
-                scale = norms[i] if (self.normalize_local_residuals and norms[i] > 0.0) else 1.0
-                if norms[i] == 0.0:
-                    continue
-                correction += self.restrictions[i].T @ self.geometries[i].solution_from_output(
-                    local_solution, scale
-                )
-        return correction
+        The only place that knows which kind of model it serves.  A compiled
+        plan takes all columns at once (the f32 boundary lives inside it;
+        outputs upcast on store); a ``predict``-only model sees the pre-built
+        batch once per column, its node inputs refreshed in place.
+        """
+        if self._plans is not None:
+            return self.model.infer_columns(self._plans[index], sources)
+        batch = self._batches[index]
+        outputs = np.empty(sources.shape)
+        for c in range(sources.shape[1]):
+            batch.source = sources[:, c].copy()  # its own array, not a view of the scratch
+            outputs[:, c] = self.model.predict(batch)
+        return outputs
 
     # ------------------------------------------------------------------ #
     def inference_stats(self) -> dict:
-        """Timing counters accumulated over all applications (Table III columns)."""
+        """Timing counters accumulated over all applications (Table III columns).
+
+        ``applications`` counts residual columns, ``fused_applications`` the
+        sweeps that served them (one per :meth:`apply_columns` call, whatever
+        its width).
+        """
         return {
             "applications": self.num_applications,
             "fused_applications": self.num_fused_applications,

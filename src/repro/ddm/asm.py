@@ -8,8 +8,13 @@ The :class:`AdditiveSchwarzPreconditioner` is both:
   :mod:`repro.core.ddm_gnn`, which swaps the local LU solves for batched DSS
   inference while keeping the coarse solve and the gluing identical.
 
-All preconditioners expose ``apply(r) -> z`` and an ``aslinearoperator()``
-helper so they can be plugged into any Krylov routine.
+All preconditioners expose ``apply(r) -> z``, its block form
+``apply_columns(R) -> Z`` and an ``aslinearoperator()`` helper so they can be
+plugged into any Krylov routine.  A class implements **one** of the two
+(:class:`Preconditioner` derives the other); the Schwarz family implements
+the block form, so a single residual runs the ``k = 1`` case of the very
+pipeline a lockstep block runs — gather, local solves, gluing and coarse
+correction each exist once.
 """
 
 from __future__ import annotations
@@ -25,31 +30,49 @@ from ..obs import trace as obs_trace
 from ..partition.overlap import OverlappingDecomposition
 from .coarse import NicolaidesCoarseSpace
 from .local_solvers import LocalSolver, LULocalSolver, extract_local_matrices
-from .restriction import StackedRestriction, build_restrictions, partition_of_unity
+from .restriction import ColumnScratch, StackedRestriction, build_restrictions, partition_of_unity
 
 __all__ = ["AdditiveSchwarzPreconditioner", "Preconditioner", "IdentityPreconditioner"]
 
 
 class Preconditioner:
-    """Minimal preconditioner interface: ``apply`` a residual, get a correction."""
+    """Minimal preconditioner interface: ``apply`` a residual, get a correction.
+
+    ``apply`` (one residual) and ``apply_columns`` (an ``(n, k)`` block of
+    them) are one operation at two widths, and each defaults to the other: a
+    subclass overrides exactly **one**.  Kernels that batch (the Schwarz
+    family) implement ``apply_columns`` and get ``apply`` as its one-column
+    case; inherently single-vector ones (IC(0), identity) implement ``apply``
+    and get the per-column loop.  Either way column ``j`` of
+    ``apply_columns(R)`` is ``apply(R[:, j])`` by construction.
+    """
 
     #: whether ``apply`` is a fixed linear map.  The Krylov layer reads it to
     #: pick its recurrence: short (PCG, GMRES) when True, flexible (FCG,
     #: FGMRES) when False.  Proxies forward it from what they wrap.
     linear = True
 
-    def apply(self, residual: np.ndarray) -> np.ndarray:  # pragma: no cover - interface
-        raise NotImplementedError
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if cls.apply is Preconditioner.apply and cls.apply_columns is Preconditioner.apply_columns:
+            raise TypeError(
+                f"{cls.__name__} must override apply or apply_columns "
+                "(each defaults to the other)"
+            )
+
+    def apply(self, residual: np.ndarray) -> np.ndarray:
+        """Apply to one residual: the one-column case of :meth:`apply_columns`."""
+        return self.apply_columns(np.asarray(residual, dtype=np.float64)[:, None])[:, 0]
 
     def apply_columns(self, residuals: np.ndarray) -> np.ndarray:
         """Apply to every column of an ``(n, k)`` residual block.
 
         Contract (relied on by :func:`repro.krylov.block.lockstep_pcg`):
         column ``i`` of the result is **bit-identical** to
-        ``apply(residuals[:, i])``.  The base implementation is a per-column
-        loop, which satisfies the contract trivially; subclasses may override
-        it with genuinely batched kernels as long as they preserve it.  The
-        result is Fortran-ordered so each column stays a contiguous vector.
+        ``apply(residuals[:, i])``.  This default is a per-column loop over
+        an overridden :meth:`apply`, which satisfies the contract trivially
+        (and serves duck-typed objects that only have ``apply``).  The result
+        is Fortran-ordered so each column stays a contiguous vector.
         """
         residuals = np.asarray(residuals, dtype=np.float64)
         out = np.empty(residuals.shape, order="F")
@@ -127,15 +150,16 @@ class AdditiveSchwarzPreconditioner(Preconditioner):
         self.local_matrices = extract_local_matrices(self.matrix, subdomains)
         self.local_solver = (local_solver or LULocalSolver()).setup(self.local_matrices)
         self._pou = partition_of_unity(subdomains, n) if variant == "ras" else None
-        # stacked partition-of-unity weights (one row per stacked local dof)
+        # stacked partition-of-unity weights (one row per stacked local dof,
+        # as a column so they broadcast over a block)
         self._pou_weights = (
-            np.concatenate([d.diagonal() for d in self._pou]) if self._pou is not None else None
+            np.concatenate([d.diagonal() for d in self._pou])[:, None]
+            if self._pou is not None else None
         )
-        # per-application scratch buffers (reused; `apply` allocates nothing
+        # per-application scratch (reused; an application allocates nothing
         # beyond the glued result and the coarse correction)
         total = self.stacked_restriction.total_rows
-        self._stacked_residual = np.empty(total)
-        self._stacked_solution = np.empty(total)
+        self._scratch = ColumnScratch(residual=total, solution=total)
 
         self.coarse_space: Optional[NicolaidesCoarseSpace] = None
         if self.levels == 2:
@@ -155,62 +179,39 @@ class AdditiveSchwarzPreconditioner(Preconditioner):
         """Restrict a global residual to every sub-domain (``R_i r``)."""
         return self.stacked_restriction.split(self.stacked_restriction.extract(residual))
 
-    def apply(self, residual: np.ndarray) -> np.ndarray:
-        """Apply the preconditioner: ``z = M⁻¹ r`` (Eq. 6 or 7).
+    def apply_columns(self, residuals: np.ndarray) -> np.ndarray:
+        """Apply the preconditioner, ``Z = M⁻¹ R`` (Eq. 6 or 7), to an ``(n, k)`` block.
 
-        The hot path is loop-free: one stacked gather extracts every local
-        residual, the local solver fills one stacked solution buffer, and one
-        SpMV (``Rᵀ w``) glues all sub-domain corrections — numerically
-        bit-identical to the classical per-sub-domain loop.
+        The one pipeline — :meth:`apply` is its ``k = 1`` case and the
+        lockstep multi-RHS CG (:func:`repro.krylov.block.lockstep_pcg`) its
+        wide one, where the fixed per-call cost is amortised over the block.
+        It is loop-free: one stacked gather extracts every local residual,
+        the local solver fills one stacked solution buffer, and one CSR
+        product (``Rᵀ W``) glues all sub-domain corrections — numerically
+        bit-identical to the classical per-sub-domain loop.  No step lets a
+        column's bytes depend on ``k``: the gather copies values, the local
+        solver keeps columns independent, and the gluing and coarse products
+        accumulate each column in SpMV order.
         """
         # Traced as a buffered leaf (one tuple append on the parent span, no
         # context-manager dispatch): this runs once per Krylov iteration, so
         # it is the instrumentation point the ≤2% overhead gate leans on.
         parent = obs_trace.current_span()
         start = time.perf_counter() if parent is not None else 0.0
-        residual = np.asarray(residual, dtype=np.float64)
-        stacked = self.stacked_restriction.extract(residual, out=self._stacked_residual)
-        solutions = self.local_solver.solve_stacked(
-            stacked, self.stacked_restriction.offsets, out=self._stacked_solution
-        )
+        residuals = np.asarray(residuals, dtype=np.float64)
+        if residuals.ndim != 2:
+            raise ValueError(f"apply_columns expects an (n, k) block, got shape {residuals.shape}")
+        scratch = self._scratch.views(residuals.shape[1])
+        stacked = self.stacked_restriction.extract(residuals, out=scratch["residual"])
+        solutions = self.local_solver.solve_stacked_columns(stacked, out=scratch["solution"])
         if self._pou_weights is not None:
             np.multiply(solutions, self._pou_weights, out=solutions)
-        correction = self.stacked_restriction.glue(solutions)
-
-        if self.coarse_space is not None:
-            correction += self.coarse_space.apply(residual)
-        if parent is not None:
-            parent.record_leaf("precond.apply", start, time.perf_counter())
-        return correction
-
-    def apply_columns(self, residuals: np.ndarray) -> np.ndarray:
-        """Batched multi-column application (one gather/solve/glue per block).
-
-        Column ``i`` is bit-identical to ``apply(residuals[:, i])``: the
-        stacked gather copies values exactly, the local solver's multi-RHS
-        solve processes each column through the same factor substitutions,
-        and the gluing SpMM accumulates each column in the same per-node
-        order as the single-column SpMV.  Used by the lockstep multi-RHS CG
-        (:func:`repro.krylov.block.lockstep_pcg`), where it amortises the
-        fixed per-call cost of the gather/solve/glue pipeline over the batch.
-        """
-        residuals = np.asarray(residuals, dtype=np.float64)
-        if residuals.ndim == 1:
-            return np.asfortranarray(self.apply(residuals)[:, None])
-        parent = obs_trace.current_span()
-        start = time.perf_counter() if parent is not None else 0.0
-        stacked = self.stacked_restriction.extract_columns(residuals)
-        solutions = self.local_solver.solve_stacked_columns(
-            stacked, self.stacked_restriction.offsets
-        )
-        if self._pou_weights is not None:
-            np.multiply(solutions, self._pou_weights[:, None], out=solutions)
         correction = np.asfortranarray(self.stacked_restriction.glue(solutions))
         if self.coarse_space is not None:
             correction += self.coarse_space.apply_columns(residuals)
         if parent is not None:
-            parent.record_leaf("precond.apply_columns", start, time.perf_counter(),
-                               {"k": int(residuals.shape[1])})
+            parent.record_leaf("precond.apply", start, time.perf_counter(),
+                               {"k": residuals.shape[1]})
         return correction
 
     # ------------------------------------------------------------------ #

@@ -5,6 +5,10 @@ The classical ASM/DDM-LU preconditioner solves every local problem
 once (paper Sec. II-A and the DDM-LU baseline of Sec. IV).  The abstract
 interface also covers approximate local solvers, of which the GNN-based DSS
 solver (in :mod:`repro.core.ddm_gnn`) is the paper's contribution.
+
+A solver has **one** solve, on stacked ``(total_rows, k)`` blocks
+(:meth:`LocalSolver.solve_stacked_columns`); ``solve_all`` is a derived
+per-sub-domain view of it kept for tests and ad-hoc use.
 """
 
 from __future__ import annotations
@@ -30,64 +34,67 @@ def extract_local_matrices(matrix: sp.spmatrix, subdomain_nodes: Sequence[np.nda
 
 
 class LocalSolver(ABC):
-    """Solves all local sub-domain systems for a given decomposition."""
+    """Solves all local sub-domain systems for a given decomposition.
 
-    @abstractmethod
-    def solve_all(self, local_residuals: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """Return the local corrections ``v_i ≈ A_i⁻¹ r_i`` for every sub-domain."""
+    There is one solve: :meth:`solve_stacked_columns`, on ``(total_rows, k)``
+    stacked blocks — a single residual is the ``k = 1`` block.  Implementations
+    keep every column's arithmetic independent of ``k``, so column ``j`` of a
+    k-wide solve is bit-identical to solving that column alone.
+    """
+
+    def __init__(self) -> None:
+        self._offsets: np.ndarray = np.zeros(1, dtype=np.int64)
+
+    @property
+    def num_blocks(self) -> int:
+        return len(self._offsets) - 1
 
     @abstractmethod
     def setup(self, local_matrices: Sequence[sp.spmatrix]) -> "LocalSolver":
         """Prepare (e.g. factorise) the local operators; returns self."""
 
-    def solve_stacked(
-        self,
-        stacked_residuals: np.ndarray,
-        offsets: np.ndarray,
-        out: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Solve all local systems given one stacked residual vector.
-
-        Segment ``i`` of ``stacked_residuals`` (delimited by ``offsets``) is the
-        residual of sub-domain ``i``; the solutions are written back in the same
-        layout, into ``out`` when given (the preconditioner hot path reuses one
-        buffer across iterations).  The base implementation delegates to
-        :meth:`solve_all`; solvers can override it to avoid the intermediate
-        list entirely.
-        """
-        stacked_residuals = np.asarray(stacked_residuals, dtype=np.float64)
-        if out is None:
-            out = np.empty_like(stacked_residuals)
-        segments = [
-            stacked_residuals[offsets[i]:offsets[i + 1]] for i in range(len(offsets) - 1)
-        ]
-        for i, solution in enumerate(self.solve_all(segments)):
-            out[offsets[i]:offsets[i + 1]] = solution
-        return out
-
+    @abstractmethod
     def solve_stacked_columns(
-        self,
-        stacked_columns: np.ndarray,
-        offsets: np.ndarray,
-        out: Optional[np.ndarray] = None,
+        self, stacked_columns: np.ndarray, out: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """Solve all local systems for every column of a stacked block.
 
-        ``stacked_columns`` is ``(total_rows, k)`` — one stacked residual
-        vector per column.  Column ``i`` of the result is **bit-identical**
-        to ``solve_stacked(stacked_columns[:, i], offsets)`` (the contract
-        :meth:`AdditiveSchwarzPreconditioner.apply_columns` relies on).  The
-        base implementation loops columns; solvers with factor objects that
-        handle multiple right-hand sides natively override it.
+        ``stacked_columns`` is ``(total_rows, k)``: segment ``i`` of a column
+        (in the order and sizes of the matrices given to :meth:`setup`) is
+        the residual of sub-domain ``i``.  The corrections ``v_i ≈ A_i⁻¹ r_i``
+        come back in the same layout, written into ``out`` when given (the
+        preconditioner hot path reuses one buffer across iterations).
         """
-        stacked_columns = np.asarray(stacked_columns, dtype=np.float64)
-        if out is None:
-            out = np.empty_like(stacked_columns)
-        for c in range(stacked_columns.shape[1]):
-            out[:, c] = self.solve_stacked(
-                np.ascontiguousarray(stacked_columns[:, c]), offsets
+
+    def _block_diagonal(self, local_matrices: Sequence[sp.spmatrix], format: str) -> sp.spmatrix:
+        """Record the segment layout; return ``block_diag(A_1, …, A_K)`` in ``format``."""
+        if not len(local_matrices):
+            raise ValueError("need at least one local matrix")
+        sizes = np.array([m.shape[0] for m in local_matrices], dtype=np.int64)
+        self._offsets = np.concatenate([[0], np.cumsum(sizes)])
+        if len(local_matrices) == 1:
+            return local_matrices[0].asformat(format)
+        return sp.block_diag(local_matrices, format=format)
+
+    def _stacked_block(self, stacked_columns: np.ndarray) -> np.ndarray:
+        """The input as a float64 ``(total_rows, k)`` array, checked against the set-up layout."""
+        if not self.num_blocks:
+            raise RuntimeError("local solver not set up; call setup(local_matrices) first")
+        block = np.asarray(stacked_columns, dtype=np.float64)
+        if block.ndim != 2 or block.shape[0] != self._offsets[-1]:
+            raise ValueError(
+                f"expected a ({self._offsets[-1]}, k) stacked block, got shape {block.shape}"
             )
-        return out
+        return block
+
+    def solve_all(self, local_residuals: Sequence[np.ndarray]) -> List[np.ndarray]:
+        """Per-sub-domain view of the one solve: ``v_i ≈ A_i⁻¹ r_i`` for every sub-domain."""
+        sizes = [len(residual) for residual in local_residuals]
+        if self.num_blocks and sizes != np.diff(self._offsets).tolist():
+            raise ValueError(f"residual lengths {sizes} do not match the sub-domain sizes")
+        stacked = np.concatenate([np.asarray(r, dtype=np.float64) for r in local_residuals])
+        solution = self.solve_stacked_columns(stacked[:, None])[:, 0]
+        return [solution[self._offsets[i]:self._offsets[i + 1]] for i in range(self.num_blocks)]
 
 
 class LULocalSolver(LocalSolver):
@@ -98,91 +105,33 @@ class LULocalSolver(LocalSolver):
     uncoupled, so the factor has no cross-block fill-in and one
     ``factor.solve`` call performs all K substitutions — the per-sub-domain
     Python loop (and its K-fold call overhead) disappears from the
-    preconditioner hot path.  ``solve_all``, ``solve_stacked`` and
-    ``solve_stacked_columns`` all route through the same factor object, so
-    the three access paths stay bit-identical to each other.
+    preconditioner hot path.
     """
 
     def __init__(self) -> None:
+        super().__init__()
         self._factor: Optional[spla.SuperLU] = None
-        self._sizes: np.ndarray = np.zeros(0, dtype=np.int64)
-        self._offsets: np.ndarray = np.zeros(1, dtype=np.int64)
-
-    @property
-    def num_blocks(self) -> int:
-        return int(len(self._sizes))
 
     def setup(self, local_matrices: Sequence[sp.spmatrix]) -> "LULocalSolver":
-        if not len(local_matrices):
-            raise ValueError("need at least one local matrix")
-        self._sizes = np.array([m.shape[0] for m in local_matrices], dtype=np.int64)
-        self._offsets = np.concatenate([[0], np.cumsum(self._sizes)])
-        if len(local_matrices) == 1:
-            block = local_matrices[0].tocsc()
-        else:
-            block = sp.block_diag(local_matrices, format="csc")
-        self._factor = spla.splu(block)
+        self._factor = spla.splu(self._block_diagonal(local_matrices, "csc"))
         return self
 
-    def _require_factor(self) -> spla.SuperLU:
-        if self._factor is None:
-            raise RuntimeError("local solver not set up; call setup(local_matrices) first")
-        return self._factor
-
-    def solve_all(self, local_residuals: Sequence[np.ndarray]) -> List[np.ndarray]:
-        factor = self._require_factor()
-        if len(local_residuals) != self.num_blocks:
-            raise ValueError("number of residuals does not match the number of factorised sub-domains")
-        for i, residual in enumerate(local_residuals):
-            if len(residual) != self._sizes[i]:
-                raise ValueError(
-                    f"residual {i} has length {len(residual)}, expected {self._sizes[i]}"
-                )
-        stacked = np.concatenate([np.asarray(r, dtype=np.float64) for r in local_residuals])
-        solution = factor.solve(stacked)
-        return [
-            solution[self._offsets[i]:self._offsets[i + 1]] for i in range(self.num_blocks)
-        ]
-
-    def solve_stacked(
-        self,
-        stacked_residuals: np.ndarray,
-        offsets: np.ndarray,
-        out: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        factor = self._require_factor()
-        if len(offsets) - 1 != self.num_blocks:
-            raise ValueError("number of segments does not match the number of factorised sub-domains")
-        stacked_residuals = np.ascontiguousarray(stacked_residuals, dtype=np.float64)
-        solution = factor.solve(stacked_residuals)
-        if out is None:
-            return solution
-        out[...] = solution
-        return out
-
     def solve_stacked_columns(
-        self,
-        stacked_columns: np.ndarray,
-        offsets: np.ndarray,
-        out: Optional[np.ndarray] = None,
+        self, stacked_columns: np.ndarray, out: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """One block-diagonal solve per column.
 
         The substitutions deliberately run **one column at a time** even
         though SuperLU accepts multiple right-hand sides: its multi-RHS path
         accumulates supernode updates in a different order than its
-        single-RHS path (observed ~1-ulp drift), which would break the
-        bit-identity contract of
-        :meth:`AdditiveSchwarzPreconditioner.apply_columns`.
+        single-RHS path (observed ~1-ulp drift), which would make a column's
+        bytes depend on how many columns ride along.
         """
-        factor = self._require_factor()
-        if len(offsets) - 1 != self.num_blocks:
-            raise ValueError("number of segments does not match the number of factorised sub-domains")
-        stacked_columns = np.asarray(stacked_columns, dtype=np.float64)
+        stacked_columns = self._stacked_block(stacked_columns)
         if out is None:
             out = np.empty_like(stacked_columns)
         for c in range(stacked_columns.shape[1]):
-            out[:, c] = factor.solve(np.ascontiguousarray(stacked_columns[:, c]))
+            out[:, c] = self._factor.solve(np.ascontiguousarray(stacked_columns[:, c]))
         return out
 
 
@@ -195,99 +144,38 @@ class JacobiLocalSolver(LocalSolver):
     without requiring a trained network.
 
     Like :class:`LULocalSolver`, the K local matrices are assembled into one
-    block-diagonal operator at setup, so a sweep over *all* sub-domains is a
-    single SpMV (or, for a multi-column batch, a single SpMM) — CSR row
-    accumulation within a block is bit-identical to the per-sub-domain loop,
-    and every sweep is otherwise elementwise, which makes the whole solver
-    exactly batchable: column ``i`` of :meth:`solve_stacked_columns` is
-    bit-identical to a single-column :meth:`solve_stacked`.
+    block-diagonal operator at setup, so a sweep over *all* sub-domains and
+    all columns is a single SpMM — CSR row accumulation within a block is
+    bit-identical to the per-sub-domain loop and runs each column in SpMV
+    order, and every sweep is otherwise elementwise, which makes the whole
+    solver exactly batchable.
     """
 
     def __init__(self, sweeps: int = 10, damping: float = 0.6) -> None:
         if sweeps < 1:
             raise ValueError("sweeps must be >= 1")
+        super().__init__()
         self.sweeps = int(sweeps)
         self.damping = float(damping)
         self._block: Optional[sp.csr_matrix] = None
-        self._inv_diagonal: np.ndarray = np.zeros(0)
-        self._sizes: np.ndarray = np.zeros(0, dtype=np.int64)
-        self._offsets: np.ndarray = np.zeros(1, dtype=np.int64)
-
-    @property
-    def num_blocks(self) -> int:
-        return int(len(self._sizes))
+        self._inv_diagonal: np.ndarray = np.zeros((0, 1))
 
     def setup(self, local_matrices: Sequence[sp.spmatrix]) -> "JacobiLocalSolver":
-        if not len(local_matrices):
-            raise ValueError("need at least one local matrix")
-        self._sizes = np.array([m.shape[0] for m in local_matrices], dtype=np.int64)
-        self._offsets = np.concatenate([[0], np.cumsum(self._sizes)])
-        if len(local_matrices) == 1:
-            self._block = local_matrices[0].tocsr()
-        else:
-            self._block = sp.block_diag(local_matrices, format="csr")
+        self._block = self._block_diagonal(local_matrices, "csr")
         diag = self._block.diagonal()
         if np.any(diag == 0.0):
             raise ValueError("zero diagonal entry; Jacobi local solver not applicable")
-        self._inv_diagonal = 1.0 / diag
+        self._inv_diagonal = (1.0 / diag)[:, None]
         return self
 
-    def solve_all(self, local_residuals: Sequence[np.ndarray]) -> List[np.ndarray]:
-        if self._block is None:
-            raise RuntimeError("local solver not set up; call setup(local_matrices) first")
-        if len(local_residuals) != self.num_blocks:
-            raise ValueError("number of residuals does not match the number of sub-domains")
-        for i, residual in enumerate(local_residuals):
-            if len(residual) != self._sizes[i]:
-                raise ValueError(
-                    f"residual {i} has length {len(residual)}, expected {self._sizes[i]}"
-                )
-        stacked = np.concatenate([np.asarray(r, dtype=np.float64) for r in local_residuals])
-        solution = self.solve_stacked(stacked, self._offsets)
-        return [
-            solution[self._offsets[i]:self._offsets[i + 1]] for i in range(self.num_blocks)
-        ]
-
-    def solve_stacked(
-        self,
-        stacked_residuals: np.ndarray,
-        offsets: np.ndarray,
-        out: Optional[np.ndarray] = None,
+    def solve_stacked_columns(
+        self, stacked_columns: np.ndarray, out: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        if self._block is None:
-            raise RuntimeError("local solver not set up; call setup(local_matrices) first")
-        if len(offsets) - 1 != self.num_blocks:
-            raise ValueError("number of segments does not match the number of sub-domains")
-        rhs = np.ascontiguousarray(stacked_residuals, dtype=np.float64)
+        """All sweeps for every column at once: ``sweeps`` SpMMs total."""
+        rhs = self._stacked_block(stacked_columns)
         x = np.zeros_like(rhs)
         for _ in range(self.sweeps):
             x = x + self.damping * self._inv_diagonal * (rhs - self._block @ x)
-        if out is None:
-            return x
-        out[...] = x
-        return out
-
-    def solve_stacked_columns(
-        self,
-        stacked_columns: np.ndarray,
-        offsets: np.ndarray,
-        out: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """All sweeps for every column at once: ``sweeps`` SpMMs total.
-
-        Bit-identical per column to :meth:`solve_stacked` — the SpMM
-        accumulates each column in SpMV order and the damping/diagonal
-        scalings are elementwise.
-        """
-        if self._block is None:
-            raise RuntimeError("local solver not set up; call setup(local_matrices) first")
-        if len(offsets) - 1 != self.num_blocks:
-            raise ValueError("number of segments does not match the number of sub-domains")
-        rhs = np.asarray(stacked_columns, dtype=np.float64)
-        x = np.zeros_like(rhs)
-        inv_diag = self._inv_diagonal[:, None]
-        for _ in range(self.sweeps):
-            x = x + self.damping * inv_diag * (rhs - self._block @ x)
         if out is None:
             return x
         out[...] = x

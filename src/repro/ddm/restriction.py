@@ -8,13 +8,15 @@ extension by the inverse multiplicity of each node.
 
 :class:`StackedRestriction` assembles all K operators into one block matrix
 ``R = [R_1; …; R_K]`` so the whole restriction step of a Schwarz application
-is a single gather and the gluing step a single SpMV — this replaces the
-per-sub-domain Python loops on the preconditioner hot path.
+is a single gather and the gluing step a single SpMM — this replaces the
+per-sub-domain Python loops on the preconditioner hot path.  Every operation
+takes a vector or an ``(·, k)`` block alike; the preconditioners only ever
+pass blocks, a single residual being the ``k = 1`` block.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,6 +26,7 @@ __all__ = [
     "build_restrictions",
     "partition_of_unity",
     "StackedRestriction",
+    "ColumnScratch",
 ]
 
 
@@ -54,12 +57,19 @@ class StackedRestriction:
     a single unit entry:
 
     * ``extract`` (``R @ v``, all local residuals at once) degenerates to a
-      pure gather, so with an ``out=`` buffer it is allocation-free;
-    * ``glue`` (``Rᵀ @ w``, the Σ_i R_iᵀ w_i extension) is one CSR SpMV whose
-      per-node accumulation order matches the classical ascending-sub-domain
-      loop bit for bit (the transpose is stored with sorted indices).
+      pure row gather, so with an ``out=`` buffer it is allocation-free;
+    * ``glue`` (``Rᵀ @ w``, the Σ_i R_iᵀ w_i extension) is one CSR product
+      whose per-node accumulation order matches the classical
+      ascending-sub-domain loop bit for bit (the transpose is stored with
+      sorted indices).
 
-    ``offsets`` delimit the per-sub-domain segments of a stacked vector:
+    Both take a vector or an ``(·, k)`` block; every column of a block goes
+    through exactly the arithmetic a lone vector would (gathers copy values,
+    scipy's CSR kernels accumulate each column in SpMV order), which is what
+    makes column ``j`` of a k-wide preconditioner application bit-identical
+    to the 1-wide one.
+
+    ``offsets`` delimit the per-sub-domain segments of a stacked array:
     segment ``i`` is ``stacked[offsets[i]:offsets[i + 1]]``.
     """
 
@@ -95,29 +105,20 @@ class StackedRestriction:
         return self.matrix.shape
 
     # ------------------------------------------------------------------ #
-    def extract(self, global_vector: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """``R @ v``: every local residual, concatenated into one vector."""
-        v = np.asarray(global_vector, dtype=np.float64)
-        return np.take(v, self.node_indices, out=out)
-
-    def extract_columns(self, global_columns: np.ndarray) -> np.ndarray:
-        """``R @ V`` for an ``(n, k)`` block: a row gather, one array op.
-
-        Column ``i`` of the result equals ``extract(global_columns[:, i])``
-        exactly (gathers copy values bit-for-bit).
-        """
-        v = np.asarray(global_columns, dtype=np.float64)
-        return np.take(v, self.node_indices, axis=0)
+    def extract(self, global_values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """``R @ v``: every local residual, stacked — of a vector or of each column of a block."""
+        v = np.asarray(global_values, dtype=np.float64)
+        return np.take(v, self.node_indices, axis=0, out=out)
 
     def split(self, stacked: np.ndarray) -> List[np.ndarray]:
-        """Views of the per-sub-domain segments of a stacked vector."""
+        """Views of the per-sub-domain segments of a stacked vector or block."""
         return [
             stacked[self.offsets[i]:self.offsets[i + 1]]
             for i in range(self.num_subdomains)
         ]
 
     def glue(self, stacked_values: np.ndarray) -> np.ndarray:
-        """``Rᵀ @ w``: sum every sub-domain's extended contribution (one SpMV)."""
+        """``Rᵀ @ w``: sum every sub-domain's extended contribution (one CSR product)."""
         return self._transpose @ np.asarray(stacked_values, dtype=np.float64)
 
     def segment_norms(
@@ -128,20 +129,55 @@ class StackedRestriction:
     ) -> np.ndarray:
         """Euclidean norm of every per-sub-domain segment (``‖R_i r‖`` for all i).
 
-        ``out`` (K,) and ``squares`` (total_rows,) are optional scratch
-        buffers; the preconditioner hot path passes both so the per-iteration
-        norm computation allocates nothing.
+        ``stacked`` is a stacked vector or ``(total_rows, k)`` block; the
+        result has one row per sub-domain.  ``out`` and ``squares`` (shaped
+        like the result and like ``stacked``) are optional scratch buffers;
+        the preconditioner hot path passes both so the per-iteration norm
+        computation allocates nothing.
         """
         stacked = np.asarray(stacked, dtype=np.float64)
-        if squares is None:
-            squares = stacked * stacked
-        else:
-            np.multiply(stacked, stacked, out=squares)
-        if out is None:
-            return np.sqrt(np.add.reduceat(squares, self.offsets[:-1]))
-        np.add.reduceat(squares, self.offsets[:-1], out=out)
-        np.sqrt(out, out=out)
-        return out
+        squares = np.multiply(stacked, stacked, out=squares)
+        out = np.add.reduceat(squares, self.offsets[:-1], axis=0, out=out)
+        return np.sqrt(out, out=out)
+
+
+class ColumnScratch:
+    """Reusable ``(rows, k)`` work arrays for the block pipelines.
+
+    One flat buffer per named array, sized for the largest ``k`` seen so far;
+    :meth:`views` hands out C-ordered ``(rows, k)`` reshape views of their
+    leading parts (the idiom of :class:`repro.gnn.infer.InferencePlan`'s
+    workspace).  A lockstep block that sheds one column at a time visits
+    every ``k`` below its width, so memory is set by the widest block — not
+    by the sum over the widths seen — and a call at a ``k`` seen before
+    allocates nothing.  Views for different ``k`` alias each other, which is
+    harmless: an application overwrites every array it reads.
+    """
+
+    def __init__(self, **rows: int) -> None:
+        self._rows = rows
+        self._k_max = 0
+        self._flat: Dict[str, np.ndarray] = {}
+        self._views: Dict[int, Dict[str, np.ndarray]] = {}
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the flat buffers."""
+        return sum(flat.nbytes for flat in self._flat.values())
+
+    def views(self, k: int) -> Dict[str, np.ndarray]:
+        """The named ``(rows, k)`` arrays for a ``k``-column application."""
+        views = self._views.get(k)
+        if views is None:
+            if k > self._k_max:
+                self._k_max = k
+                self._flat = {name: np.empty(rows * k) for name, rows in self._rows.items()}
+                self._views = {}
+            views = self._views[k] = {
+                name: self._flat[name][:rows * k].reshape(rows, k)
+                for name, rows in self._rows.items()
+            }
+        return views
 
 
 def partition_of_unity(subdomain_nodes: Sequence[np.ndarray], num_global: int) -> List[sp.csr_matrix]:

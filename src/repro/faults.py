@@ -3,9 +3,9 @@
 Robustness claims are only as good as the failures they were tested against.
 This module is a small, **seedable** chaos harness: each named fault is a
 context-managed patch of one production seam (the GNN preconditioner's
-``apply``, a local subdomain solver, session construction, the session solve
-itself), installed for exactly the duration of a ``with`` block and removed
-afterwards even when the block raises.
+``apply_columns``, a local subdomain solver, session construction, the
+session solve itself), installed for exactly the duration of a ``with`` block
+and removed afterwards even when the block raises.
 
 All randomness is driven by ``numpy.random.default_rng(seed)``, so a chaos
 test that fails replays bit-identically from its seed — there is no
@@ -16,12 +16,13 @@ Registered faults:
 ``gnn-nan-apply``
     :class:`~repro.core.ddm_gnn.DDMGNNPreconditioner` emits NaN corrections
     (all entries, or a seeded random subset) on calls ``after_calls`` up to
-    (not including) ``until_calls``.  Exercises the Krylov
+    (not including) ``until_calls`` — a call being one ``apply_columns``
+    sweep, which a single-vector ``apply`` is too.  Exercises the Krylov
     ``non_finite_preconditioner`` guard and the degradation ladder
     end-to-end.
 ``local-solver-raise``
     :class:`~repro.ddm.local_solvers.LULocalSolver` raises
-    :class:`FaultInjected` from its solve entry points starting at call
+    :class:`FaultInjected` from its (one) block solve starting at call
     ``after_calls``.  Exercises exception-path degradation.
 ``session-build-fail``
     :class:`~repro.solvers.session.SolverSession` construction raises
@@ -57,6 +58,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from .ddm.asm import Preconditioner
 
 __all__ = [
     "FaultInjected",
@@ -266,28 +269,20 @@ class GNNNaNApplyFault(Fault):
         from .core.ddm_gnn import DDMGNNPreconditioner
 
         fault = self
-        original_apply = DDMGNNPreconditioner.apply
-        original_columns = DDMGNNPreconditioner.apply_columns
-
-        def apply(self, residual):
-            z = original_apply(self, residual)
-            if fault._fires():
-                z = fault._poison(z)
-            return z
+        original = DDMGNNPreconditioner.apply_columns
 
         def apply_columns(self, residuals):
-            z = original_columns(self, residuals)
+            z = original(self, residuals)
             if fault._fires():
                 z = fault._poison(z)
             return z
 
-        self.patch(DDMGNNPreconditioner, "apply", apply)
         self.patch(DDMGNNPreconditioner, "apply_columns", apply_columns)
 
 
 @register_fault("local-solver-raise", "LU local subdomain solver raises")
 class LocalSolverRaiseFault(Fault):
-    """Make every LU local-solver entry point raise from call ``after_calls``."""
+    """Make the LU local solver's block solve raise from call ``after_calls``."""
 
     def __init__(self, after_calls: int = 0) -> None:
         super().__init__(after_calls)
@@ -296,17 +291,14 @@ class LocalSolverRaiseFault(Fault):
         from .ddm.local_solvers import LULocalSolver
 
         fault = self
+        original = LULocalSolver.solve_stacked_columns
 
-        def wrap(original):
-            def solve(self, *args, **kwargs):
-                if fault._fires():
-                    raise FaultInjected("injected LU local-solver failure")
-                return original(self, *args, **kwargs)
+        def solve_stacked_columns(self, *args, **kwargs):
+            if fault._fires():
+                raise FaultInjected("injected LU local-solver failure")
+            return original(self, *args, **kwargs)
 
-            return solve
-
-        for attr in ("solve_all", "solve_stacked", "solve_stacked_columns"):
-            self.patch(LULocalSolver, attr, wrap(getattr(LULocalSolver, attr)))
+        self.patch(LULocalSolver, "solve_stacked_columns", solve_stacked_columns)
 
 
 @register_fault("session-build-fail", "SolverSession construction fails")
@@ -376,16 +368,16 @@ class WorkerStallFault(Fault):
 # --------------------------------------------------------------------------- #
 # deterministic per-column poisoning for lockstep tests
 # --------------------------------------------------------------------------- #
-class PoisonedPreconditioner:
+class PoisonedPreconditioner(Preconditioner):
     """Wrap a preconditioner, poisoning chosen columns of one apply call.
 
-    On call number ``on_call`` (counting ``apply`` and ``apply_columns``
-    together), the selected ``columns`` of the result are set to ``value``
-    (NaN by default); ``apply`` poisons the whole vector when ``0`` is among
-    the poisoned columns.  All other calls pass through untouched, so in a
-    lockstep run poisoned columns fail with ``non_finite_preconditioner``
-    while the survivors' arithmetic is untouched — the basis of the
-    bit-identity chaos tests.
+    On call number ``on_call`` — a call being one ``apply_columns`` block,
+    which a single-vector ``apply`` is too (its one column is column ``0``)
+    — the selected ``columns`` of the result are set to ``value`` (NaN by
+    default).  All other calls pass through untouched, so in a lockstep run
+    poisoned columns fail with ``non_finite_preconditioner`` while the
+    survivors' arithmetic is untouched — the basis of the bit-identity chaos
+    tests.
 
     >>> import numpy as np
     >>> class Ident:
@@ -423,19 +415,8 @@ class PoisonedPreconditioner:
         """Forwarded, so the Krylov recurrence is the wrapped preconditioner's."""
         return getattr(self.inner, "linear", True)
 
-    def apply(self, residual: np.ndarray) -> np.ndarray:
-        z = self.inner.apply(residual)
-        if self._next_call() == self.on_call and 0 in self.columns:
-            z = np.array(z, dtype=np.float64, copy=True)
-            z[...] = self.value
-        return z
-
     def apply_columns(self, residuals: np.ndarray) -> np.ndarray:
-        if hasattr(self.inner, "apply_columns"):
-            z = self.inner.apply_columns(residuals)
-        else:  # pragma: no cover - exercised only by apply-only inners
-            z = np.stack([self.inner.apply(residuals[:, j])
-                          for j in range(residuals.shape[1])], axis=1)
+        z = self.inner.apply_columns(residuals)
         if self._next_call() == self.on_call:
             z = np.array(z, dtype=np.float64, copy=True)
             for column in self.columns:

@@ -36,10 +36,13 @@ evaluated by the same kernels in the same order as the single-RHS path:
   arrays (exact copies), so later iterations never touch finished columns.
 
 Preconditioners participate through ``apply_columns(R) -> Z`` (see
-:class:`repro.ddm.asm.Preconditioner`), whose own contract is per-column
-bit-identity with ``apply``.  The whole DDM family batches genuinely:
+:class:`repro.ddm.asm.Preconditioner`), and the single-RHS solver's
+``apply(r)`` is that same method at ``k = 1`` — or, for a preconditioner that
+only implements ``apply``, ``apply_columns`` is the interface's per-column
+loop over it — so per-column bit-identity holds by construction rather than
+by a mirrored second pipeline.  The whole DDM family batches genuinely:
 DDM-LU/Jacobi solve all stacked locals at once, and DDM-GNN runs **one**
-fused multi-column DSS forward per inference batch
+multi-column DSS forward per inference batch
 (:meth:`repro.core.ddm_gnn.DDMGNNPreconditioner.apply_columns`), so a
 lockstep iteration costs one network sweep instead of k.
 
@@ -50,6 +53,7 @@ and ``info["lockstep"]`` records the batch-level totals.
 
 from __future__ import annotations
 
+import functools
 import time
 from typing import Callable, Dict, List, Optional, Union
 
@@ -64,23 +68,6 @@ from .result import SolveResult
 __all__ = ["lockstep_pcg"]
 
 MatrixLike = Union[np.ndarray, sp.spmatrix]
-
-
-def _apply_columns(precond, residuals: np.ndarray) -> np.ndarray:
-    """Multi-column preconditioner application, F-ordered output.
-
-    Uses the preconditioner's ``apply_columns`` when available (the batched
-    fast path of the DDM family); duck-typed preconditioners exposing only
-    ``apply`` are served by a per-column loop, which is trivially
-    bit-identical.
-    """
-    batched = getattr(precond, "apply_columns", None)
-    if batched is not None:
-        return np.asfortranarray(batched(residuals))
-    out = np.empty(residuals.shape, order="F")
-    for i in range(residuals.shape[1]):
-        out[:, i] = precond.apply(residuals[:, i])
-    return out
 
 
 def lockstep_pcg(
@@ -126,6 +113,9 @@ def lockstep_pcg(
     num_rhs, n = rhs_batch.shape
     csr = matrix.tocsr() if sp.issparse(matrix) else np.asarray(matrix)
     precond = preconditioner if preconditioner is not None else IdentityPreconditioner(n)
+    apply_columns = getattr(precond, "apply_columns", None)
+    if apply_columns is None:  # duck-typed, `apply` only: the interface's per-column default
+        apply_columns = functools.partial(Preconditioner.apply_columns, precond)
     max_iterations = max_iterations if max_iterations is not None else 10 * n
 
     start = time.perf_counter()
@@ -188,7 +178,7 @@ def lockstep_pcg(
         rhs_norms = rhs_norms_all[cols]
 
         t0 = time.perf_counter()
-        Z = _apply_columns(precond, R)
+        Z = np.asfortranarray(apply_columns(R))
         precond_time += time.perf_counter() - t0
         P = Z.copy(order="F")
 
@@ -320,7 +310,7 @@ def lockstep_pcg(
                 a = len(cols)
 
             t0 = time.perf_counter()
-            Z = _apply_columns(precond, R)
+            Z = np.asfortranarray(apply_columns(R))
             precond_time += time.perf_counter() - t0
             rho_next = np.array([float(R[:, i] @ Z[:, i]) for i in range(a)])
 

@@ -51,8 +51,6 @@ class SolverConfig:
         Relative residual stopping threshold of the Krylov method.
     max_iterations:
         Iteration cap of the Krylov method.
-    gnn_batch_size:
-        Number of sub-domain graphs per DSS inference call (None = automatic).
     gnn_equilibrate:
         Diagonal equilibration of the DDM-GNN local solves; None (default)
         enables it exactly when the problem carries a κ field.
@@ -107,7 +105,6 @@ class SolverConfig:
     levels: int = 2
     tolerance: float = 1e-6
     max_iterations: Optional[int] = None
-    gnn_batch_size: Optional[int] = None
     gnn_equilibrate: Optional[bool] = None
     jacobi_sweeps: int = 10
     precision: str = "f64"

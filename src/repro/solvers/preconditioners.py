@@ -44,7 +44,6 @@ def _build_ddm_gnn(
         decomposition,
         model,
         levels=config.levels,
-        batch_size=config.gnn_batch_size,
         global_dirichlet_mask=getattr(problem, "dirichlet_mask", None),
         node_diffusion=getattr(problem, "node_diffusion", None),
         equilibrate=config.gnn_equilibrate,

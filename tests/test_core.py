@@ -139,8 +139,9 @@ class TestDDMGNNPreconditioner:
             levels=2,
         )
         asm_pre = AdditiveSchwarzPreconditioner(random_problem.matrix, small_decomposition, levels=2)
-        r = np.random.default_rng(0).normal(size=random_problem.num_dofs)
-        assert np.allclose(gnn_pre.apply(r), asm_pre.apply(r), atol=1e-8)
+        block = np.random.default_rng(0).normal(size=(random_problem.num_dofs, 3))
+        assert np.allclose(gnn_pre.apply(block[:, 0]), asm_pre.apply(block[:, 0]), atol=1e-8)
+        assert np.allclose(gnn_pre.apply_columns(block), asm_pre.apply_columns(block), atol=1e-8)
 
     def test_exact_local_model_same_pcg_iterations(self, random_problem, small_decomposition):
         gnn_pre = DDMGNNPreconditioner(

@@ -474,21 +474,51 @@ class TestExactSolverRegression:
         assert np.array_equal(new.solution, old.solution)
         assert new.residual_history == old.residual_history
 
-    def test_lu_solve_stacked_matches_solve_all(self, random_problem, small_decomposition):
+    def test_lu_solve_all_is_a_view_of_the_block_solve(self, random_problem, small_decomposition):
         subdomains = small_decomposition.subdomain_nodes
         matrices = extract_local_matrices(random_problem.matrix, subdomains)
         solver = LULocalSolver().setup(matrices)
         rng = np.random.default_rng(4)
         residuals = [rng.normal(size=m.shape[0]) for m in matrices]
         offsets = np.concatenate([[0], np.cumsum([len(r) for r in residuals])])
-        stacked = solver.solve_stacked(np.concatenate(residuals), offsets)
+        other = rng.normal(size=offsets[-1])
+        block = np.stack([np.concatenate(residuals), other], axis=1)
+        stacked = solver.solve_stacked_columns(block)
         for i, v in enumerate(solver.solve_all(residuals)):
-            assert np.array_equal(stacked[offsets[i]:offsets[i + 1]], v)
+            assert np.array_equal(stacked[offsets[i]:offsets[i + 1], 0], v)
+        # a column's bytes do not depend on what rides along, nor on `out=`
+        alone = solver.solve_stacked_columns(block[:, :1], out=np.empty((offsets[-1], 1)))
+        assert np.array_equal(alone[:, 0], stacked[:, 0])
 
 
 # --------------------------------------------------------------------------- #
 # DDM-GNN fast path
 # --------------------------------------------------------------------------- #
+def equation_reference(pre: DDMGNNPreconditioner, residual: np.ndarray) -> np.ndarray:
+    """Eqs. 13–16 as a per-sub-domain loop, written from the paper — the
+    reference the production sweep is pinned against."""
+    z = np.zeros(len(residual))
+    if pre.coarse_space is not None:                                # Eq. 13
+        r0 = pre.coarse_space.r0
+        z += r0.T @ np.linalg.solve(pre.coarse_space.coarse_matrix, r0 @ residual)
+    for geometry in pre.geometries:
+        local = residual[geometry.nodes]                            # R_i r
+        if geometry.equilibration is not None:
+            local = geometry.equilibration * local
+        norm = np.linalg.norm(local)
+        if norm == 0.0:
+            continue
+        normalise = pre.normalize_local_residuals
+        source = local / norm if normalise else local              # Eq. 14
+        u = pre.model.predict(geometry.make_graph(source))          # Eq. 15
+        if normalise:
+            u = norm * u
+        if geometry.equilibration is not None:
+            u = geometry.equilibration * u
+        np.add.at(z, geometry.nodes, u)                             # Eq. 16: Σ R_iᵀ
+    return z
+
+
 class TestDDMGNNFastPath:
     def _build(self, problem, decomposition, model, **kwargs):
         return DDMGNNPreconditioner(
@@ -499,15 +529,25 @@ class TestDDMGNNFastPath:
         pre = self._build(random_problem, small_decomposition, tiny_dss_model)
         assert pre._plans is not None
 
-    def test_duck_typed_model_uses_batched_path(self, random_problem, small_decomposition):
+    def test_duck_typed_model_served_by_the_sweep(self, random_problem, small_decomposition):
         class PredictOnly:
+            calls = 0
+
             def predict(self, batch):
+                self.calls += 1
                 return np.zeros(batch.num_nodes)
 
-        pre = self._build(random_problem, small_decomposition, PredictOnly(), levels=1)
-        assert pre._plans is None
-        r = np.random.default_rng(5).normal(size=random_problem.num_dofs)
-        assert np.allclose(pre.apply(r), 0.0)
+        model = PredictOnly()
+        pre = self._build(random_problem, small_decomposition, model, levels=1)
+        rng = np.random.default_rng(5)
+        assert np.allclose(pre.apply(rng.normal(size=random_problem.num_dofs)), 0.0)
+        assert model.calls == len(pre._batch_membership)
+        # one `predict` per inference batch and column, through the same sweep
+        block = rng.normal(size=(random_problem.num_dofs, 3))
+        assert np.allclose(pre.apply_columns(block), 0.0)
+        assert model.calls == 4 * len(pre._batch_membership)
+        with pytest.raises(ValueError, match="precision='f32'"):
+            self._build(random_problem, small_decomposition, model, precision="f32")
 
     @pytest.mark.parametrize("normalize", [True, False])
     def test_fast_apply_matches_reference(self, random_problem, small_decomposition, tiny_dss_model, normalize):
@@ -517,7 +557,7 @@ class TestDDMGNNFastPath:
         )
         r = np.random.default_rng(6).normal(size=random_problem.num_dofs)
         fast = pre.apply(r)
-        reference = pre.apply_reference(r)
+        reference = equation_reference(pre, r)
         scale = np.abs(reference).max()
         assert np.allclose(fast, reference, rtol=1e-10, atol=1e-10 * max(scale, 1.0))
 
@@ -526,8 +566,8 @@ class TestDDMGNNFastPath:
         assert np.allclose(pre.apply(np.zeros(random_problem.num_dofs)), 0.0)
 
     def test_exact_local_model_through_stacked_plumbing(self, random_problem, small_decomposition):
-        """Duck-typed exact solver (batched path) still reproduces DDM-LU after
-        the refactor — the consistency anchor of the stacked restriction."""
+        """Duck-typed exact solver reproduces DDM-LU through the production
+        sweep, one column or three — the consistency anchor of the plumbing."""
 
         class ExactLocal:
             def predict(self, batch):
@@ -535,8 +575,9 @@ class TestDDMGNNFastPath:
 
         gnn = self._build(random_problem, small_decomposition, ExactLocal(), levels=2)
         asm = AdditiveSchwarzPreconditioner(random_problem.matrix, small_decomposition, levels=2)
-        r = np.random.default_rng(8).normal(size=random_problem.num_dofs)
-        assert np.allclose(gnn.apply(r), asm.apply(r), atol=1e-8)
+        block = np.random.default_rng(8).normal(size=(random_problem.num_dofs, 3))
+        assert np.allclose(gnn.apply(block[:, 0]), asm.apply(block[:, 0]), atol=1e-8)
+        assert np.allclose(gnn.apply_columns(block), asm.apply_columns(block), atol=1e-8)
 
 
 # --------------------------------------------------------------------------- #

@@ -59,10 +59,10 @@ class TestHarness:
     def test_patches_restored_after_block(self):
         from repro.ddm.local_solvers import LULocalSolver
 
-        original = LULocalSolver.solve_all
+        original = LULocalSolver.solve_stacked_columns
         with faults.inject("local-solver-raise"):
-            assert LULocalSolver.solve_all is not original
-        assert LULocalSolver.solve_all is original
+            assert LULocalSolver.solve_stacked_columns is not original
+        assert LULocalSolver.solve_stacked_columns is original
 
     def test_patches_restored_on_exception(self):
         original = SolverSession.__init__

@@ -567,6 +567,56 @@ class TestRequestTraces:
 
 
 # --------------------------------------------------------------------------- #
+# one leaf per preconditioner sweep, whatever the class or the width
+# --------------------------------------------------------------------------- #
+class TestPreconditionerLeaves:
+    """Both Schwarz preconditioners have one entry point, so both record the
+    same buffered leaf — ``precond.apply`` with its column count ``k``."""
+
+    @pytest.fixture(scope="class")
+    def gnn_session(self, random_problem, trained_dss_model):
+        return prepare(random_problem, SolverConfig(**GNN_CONFIG), model=trained_dss_model)
+
+    def test_ddm_gnn_solve_shows_every_application(self, random_problem, gnn_session):
+        b = np.random.default_rng(11).standard_normal(random_problem.num_dofs)
+        untraced = gnn_session.solve(b)
+        stats = gnn_session.preconditioner.inference_stats
+        before = stats()["applications"]
+        obs_trace.enable_tracing()
+        with obs_trace.trace_root("gnn.request") as root:
+            traced = gnn_session.solve(b)
+        leaves = root.find("session.solve")[0].find("precond.apply")
+        assert len(leaves) == stats()["applications"] - before == traced.iterations
+        assert {leaf.attributes["k"] for leaf in leaves} == {1}
+        assert_complete(root)
+        # obs-on ≡ obs-off
+        assert traced.solution.tobytes() == untraced.solution.tobytes()
+        assert traced.residual_history == untraced.residual_history
+
+    @pytest.mark.parametrize("kind", ["ddm-gnn", "ddm-lu"])
+    def test_fused_solve_many_leaves_carry_the_active_column_counts(
+            self, random_problem, gnn_session, kind):
+        session = gnn_session if kind == "ddm-gnn" else prepare(
+            random_problem, SolverConfig(**{**GNN_CONFIG, "preconditioner": kind}))
+        # a smooth, a rough and two noisy right-hand sides: they converge at
+        # different iterations, so the lockstep block shrinks along the way
+        rng = np.random.default_rng(12)
+        block = np.stack([random_problem.rhs, random_problem.matrix @ rng.standard_normal(
+            random_problem.num_dofs), *rng.standard_normal((2, random_problem.num_dofs))])
+        untraced = session.solve_many(block, mode="fused")
+        obs_trace.enable_tracing()
+        with obs_trace.trace_root("gnn.block") as root:
+            traced = session.solve_many(block, mode="fused")
+        widths = [leaf.attributes["k"] for leaf in root.find("precond.apply")]
+        assert widths[0] == len(block) and widths == sorted(widths, reverse=True)
+        assert len(set(widths)) > 1, "the block never shrank; pick rougher right-hand sides"
+        assert len(widths) == max(traced.iterations)
+        assert sum(widths) == sum(traced.iterations)
+        for a, b in zip(traced.results, untraced.results):
+            assert a.solution.tobytes() == b.solution.tobytes()
+
+
+# --------------------------------------------------------------------------- #
 # span invariants under chaos
 # --------------------------------------------------------------------------- #
 class TestChaosTraces:

@@ -407,8 +407,9 @@ class TestEquilibrationConsistency:
             node_diffusion=problem.node_diffusion,
         )
         asm_pre = AdditiveSchwarzPreconditioner(problem.matrix, decomposition, levels=2)
-        r = np.random.default_rng(0).normal(size=problem.num_dofs)
-        assert np.allclose(gnn_pre.apply(r), asm_pre.apply(r), atol=1e-8)
+        block = np.random.default_rng(0).normal(size=(problem.num_dofs, 3))
+        assert np.allclose(gnn_pre.apply(block[:, 0]), asm_pre.apply(block[:, 0]), atol=1e-8)
+        assert np.allclose(gnn_pre.apply_columns(block), asm_pre.apply_columns(block), atol=1e-8)
 
 
 # --------------------------------------------------------------------------- #

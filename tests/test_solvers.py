@@ -316,6 +316,9 @@ class TestConfig:
     def test_unknown_fields_rejected(self):
         with pytest.raises(ValueError, match="unknown solver-config fields"):
             SolverConfig.from_dict({"preconditioner": "ic0", "not_a_field": 1})
+        # a removed option is an unknown one (the DSS batch size is a constant now)
+        with pytest.raises(ValueError, match="gnn_batch_size"):
+            SolverConfig.from_dict({"preconditioner": "ddm-gnn", "gnn_batch_size": 4})
 
     def test_prepare_accepts_plain_dict(self, random_problem):
         session = prepare(random_problem, {"preconditioner": "ic0", "tolerance": 1e-8})
