@@ -1,26 +1,29 @@
 """The DDM-GNN preconditioner — the paper's primary contribution (Sec. III-A).
 
-DDM-GNN mirrors the two-level Additive Schwarz preconditioner but solves the
+DDM-GNN follows the two-level Additive Schwarz preconditioner but solves the
 local sub-domain problems with a trained Deep Statistical Solver instead of a
-sparse LU factorisation.  Applying it to a global residual ``r`` performs the
-paper's three steps:
+sparse LU factorisation.  Applying it to a global residual ``r``:
 
-1. **Coarse problem** (Eq. 13): ``r_c = R_0ᵀ (R_0 A R_0ᵀ)⁻¹ R_0 r`` by LU.
-2. **Local problems** (Eqs. 14–15): every local residual is *normalised*
-   (``R_i r / ‖R_i r‖``) — this keeps the inputs inside the DSS training
-   distribution even as PCG drives the residual to zero — and all K local
-   problems are solved in a few batched DSS inferences.
-3. **Gluing** (Eq. 16): ``z = r_c + Σ_i R_iᵀ ‖R_i r‖ ũ_i``.
+1. **Local problems** (Eqs. 14–15): every local residual (on the full overlapping
+   sub-domain) is *normalised* (``R_i r / ‖R_i r‖``) — this keeps the inputs inside
+   the DSS training distribution even as PCG drives the residual to zero — and
+   all K local problems are solved in a few batched DSS inferences.
+2. **Restricted gluing**: ``z₁ = Σ_i R̃_iᵀ ‖R_i r‖ ũ_i`` — a node's correction
+   is taken only from the sub-domain whose non-overlapping core owns it, not
+   from the rows next to an artificial interface, where a local solve is worst.
+3. **Coarse solve, last**: ``z = z₁ + R_0ᵀ (R_0 A R_0ᵀ)⁻¹ R_0 (r − A z₁)`` by
+   LU, on the residual the local sweep leaves, so ``R_0 (r − A z) = 0``.
 
-The preconditioner is deliberately *not* exactly symmetric (the GNN is a
-nonlinear map), and it says so: ``linear = False``.  The Krylov layer reads
-that flag and runs its flexible recurrences (FCG / FGMRES,
-:mod:`repro.krylov.flexible`) instead of the short ones that are only optimal
-for a fixed linear SPD ``M`` — under Algorithm 1's Fletcher–Reeves update the
-DSS needed ~30 iterations where ~24 suffice on the ledger operator (DESIGN.md,
-"Krylov recurrence").  Each application is still a fixed function of the
-residual, so solves are deterministic and converge to any tolerance, in more
-iterations than DDM-LU.
+The paper's Eqs. 13 and 16 are the additive, symmetric form of steps 2–3
+(``z = Q r + Σ_i R_iᵀ ‖R_i r‖ ũ_i``).  The GNN is a nonlinear map, so the
+preconditioner is not symmetric either way, and it says so: ``linear =
+False``.  The Krylov layer reads that flag and runs its flexible recurrences
+(FCG / FGMRES, :mod:`repro.krylov.flexible`), which assume nothing about
+``M``; that frees steps 2–3: on the ledger operator the frozen DSS needs 9
+iterations, about DDM-LU's count, where the additive form needed ~24
+(DESIGN.md, "The apply after the flexible recurrence").  Each application is
+still a fixed function of the residual, so solves are deterministic and
+converge to any tolerance.
 
 Everything that is invariant across a Krylov solve is compiled once at
 construction: the stacked restriction operator ``R = [R_1; …; R_K]``, the
@@ -29,7 +32,7 @@ stacked equilibration vector.  There is **one** application,
 :meth:`DDMGNNPreconditioner.apply_columns`, on ``(n, k)`` residual blocks —
 ``apply(r)`` is its one-column case, a lockstep Krylov block its wide one.
 The sweep is loop-free: one gather, segmented norms via ``reduceat``, one
-model call per inference batch, and one gluing product, all on preallocated
+model call per inference batch, and one owner gather, all on preallocated
 ``(total_rows, k)`` scratch.  Duck-typed models that only provide ``predict``
 (the test doubles, custom local solvers) are served by the very same sweep;
 the duck-typing lives only at the model call.
@@ -69,14 +72,14 @@ class DDMGNNPreconditioner(Preconditioner):
     mesh:
         The global mesh (needed for sub-mesh geometry fed to the GNN).
     decomposition:
-        Overlapping decomposition into K sub-domains.
+        Overlapping decomposition into K sub-domains (its ``core_nodes`` own the nodes).
     model:
         A (trained) :class:`~repro.gnn.dss.DSS` model.  Duck-typed objects
         exposing only ``predict(batch)`` are accepted: the same sweep calls
         ``predict`` per inference batch and column instead of a compiled plan.
     levels:
-        2 (default) adds the Nicolaides coarse correction; 1 disables it
-        (one-level ablation).
+        2 (default) ends the apply with the Nicolaides coarse solve; 1 drops
+        it (one-level ablation).
     batch_size:
         Maximum number of sub-domain graphs solved per model call (the
         paper's Nb batching).  None (default) picks a chunk size that keeps
@@ -145,7 +148,7 @@ class DDMGNNPreconditioner(Preconditioner):
 
         n = self.matrix.shape[0]
         subdomains = decomposition.subdomain_nodes
-        self.stacked_restriction = StackedRestriction(subdomains, n)
+        self.stacked_restriction = StackedRestriction(subdomains, n, core_nodes=decomposition.core_nodes)
         self.geometries: List[SubdomainGeometry] = build_subdomain_geometries(
             mesh,
             self.matrix,
@@ -263,9 +266,10 @@ class DDMGNNPreconditioner(Preconditioner):
     def apply_columns(self, residuals: np.ndarray) -> np.ndarray:
         """Apply DDM-GNN to all ``k`` columns of an ``(n, k)`` residual block.
 
-        The one application (:meth:`apply` is its ``k = 1`` case): coarse
-        correction, then one gather → normalise → model call → rescale → glue
-        sweep over the ``(total_rows, k)`` stacked residuals.  In f64 a
+        The one application (:meth:`apply` is its ``k = 1`` case): one
+        gather → normalise → model call → rescale → owner gather sweep over
+        the ``(total_rows, k)`` stacked residuals, then the coarse solve on
+        the residual that sweep leaves.  In f64 a
         column's bytes do not depend on ``k`` — the contract
         :func:`repro.krylov.block.lockstep_pcg` relies on: every kernel
         around the model accumulates each column in the one-column order,
@@ -282,33 +286,31 @@ class DDMGNNPreconditioner(Preconditioner):
         if residuals.ndim != 2:
             raise ValueError(f"apply_columns expects an (n, k) block, got shape {residuals.shape}")
         k = residuals.shape[1]
-        correction = np.zeros(residuals.shape)
         self.num_applications += k
         self.num_fused_applications += 1
 
-        # 1. coarse correction (exact, LU)
+        # 1. + 2. batched local GNN solves, rescaled and glued by ownership
+        t0 = time.perf_counter()
+        correction = self._local_correction(residuals)
+        self.total_inference_time += time.perf_counter() - t0
+        # 3. coarse solve (exact, LU) on the residual the local sweep leaves
         if self.coarse_space is not None:
             t0 = time.perf_counter()
-            correction += self.coarse_space.apply_columns(residuals)
+            correction += self.coarse_space.apply_columns(residuals - self.matrix @ correction)
             self.total_coarse_time += time.perf_counter() - t0
-
-        # 2. + 3. batched local GNN solves, rescaled and glued back
-        t0 = time.perf_counter()
-        correction += self._local_correction(residuals)
-        self.total_inference_time += time.perf_counter() - t0
         if parent is not None:
             parent.record_leaf("precond.apply", start, time.perf_counter(), {"k": k})
         return np.asfortranarray(correction)
 
     # ------------------------------------------------------------------ #
     def _local_correction(self, residuals: np.ndarray) -> np.ndarray:
-        """Loop-free local corrections of a block: gather → normalise → model → glue.
+        """Loop-free local corrections of a block: gather → normalise → model → owner gather.
 
         Works entirely on stacked ``(total_rows, k)`` arrays in preallocated
-        buffers; the only allocations are the glued result and whatever the
-        SpMM produces.  Every step is column-parallel — row gathers,
-        per-column ``reduceat`` norms, elementwise broadcasts, one gluing
-        SpMM — and accumulates each column in the one-column order.
+        buffers; the only allocation is the glued result.  Every step is
+        column-parallel — row gathers, per-column ``reduceat`` norms,
+        elementwise broadcasts — and accumulates each column in the
+        one-column order.
         """
         scratch = self._scratch.views(residuals.shape[1])
         stacked = self.stacked_restriction.extract(residuals, out=scratch["local"])
@@ -339,7 +341,7 @@ class DDMGNNPreconditioner(Preconditioner):
             outputs[lo:hi, :] = self._solve_batch(index, source[lo:hi, :])
 
         # rescale by ‖R_i r_j‖ (zero-norm segments contribute nothing), undo
-        # the equilibration, and glue all extensions with one SpMM
+        # the equilibration, and take every node from the sub-domain owning it
         scales = scratch["scales"]
         if self.normalize_local_residuals:
             np.copyto(scales, norms)
@@ -374,7 +376,8 @@ class DDMGNNPreconditioner(Preconditioner):
 
         ``applications`` counts residual columns, ``fused_applications`` the
         sweeps that served them (one per :meth:`apply_columns` call, whatever
-        its width).
+        its width).  ``total_coarse_time`` is step 3 whole: the residual
+        product ``r − A z₁`` and the coarse solve on it.
         """
         return {
             "applications": self.num_applications,

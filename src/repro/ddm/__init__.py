@@ -11,16 +11,16 @@ Public surface:
   :class:`~repro.ddm.local_solvers.JacobiLocalSolver`,
   :class:`~repro.ddm.local_solvers.LocalSolver` — local sub-domain solvers.
 * :func:`~repro.ddm.restriction.restriction_matrix`,
-  :func:`~repro.ddm.restriction.build_restrictions`,
-  :func:`~repro.ddm.restriction.partition_of_unity` — R_i operators.
+  :func:`~repro.ddm.restriction.build_restrictions` — R_i operators.
 * :class:`~repro.ddm.restriction.StackedRestriction` — all R_i stacked into
-  one block operator (the loop-free preconditioner hot path).
+  one block operator (the loop-free preconditioner hot path), gluing
+  additively (``Σ R_iᵀ``) or by core ownership (``Σ R̃_iᵀ``, restricted).
 """
 
 from .asm import AdditiveSchwarzPreconditioner, IdentityPreconditioner, Preconditioner
 from .coarse import NicolaidesCoarseSpace
 from .local_solvers import JacobiLocalSolver, LocalSolver, LULocalSolver, extract_local_matrices
-from .restriction import StackedRestriction, build_restrictions, partition_of_unity, restriction_matrix
+from .restriction import StackedRestriction, build_restrictions, restriction_matrix
 
 __all__ = [
     "AdditiveSchwarzPreconditioner",
@@ -33,6 +33,5 @@ __all__ = [
     "extract_local_matrices",
     "restriction_matrix",
     "build_restrictions",
-    "partition_of_unity",
     "StackedRestriction",
 ]

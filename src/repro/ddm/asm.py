@@ -4,9 +4,10 @@ The :class:`AdditiveSchwarzPreconditioner` is both:
 
 * the **DDM-LU** baseline of the paper's experiments (local problems solved
   exactly by LU), and
-* the template mirrored by the **DDM-GNN** preconditioner in
+* the template of the **DDM-GNN** preconditioner in
   :mod:`repro.core.ddm_gnn`, which swaps the local LU solves for batched DSS
-  inference while keeping the coarse solve and the gluing identical.
+  inference on the same restrictions and coarse space (glued as in
+  ``variant="ras"`` and coarse-corrected last: flexible Krylov lets it).
 
 All preconditioners expose ``apply(r) -> z``, its block form
 ``apply_columns(R) -> Z`` and an ``aslinearoperator()`` helper so they can be
@@ -30,7 +31,7 @@ from ..obs import trace as obs_trace
 from ..partition.overlap import OverlappingDecomposition
 from .coarse import NicolaidesCoarseSpace
 from .local_solvers import LocalSolver, LULocalSolver, extract_local_matrices
-from .restriction import ColumnScratch, StackedRestriction, build_restrictions, partition_of_unity
+from .restriction import ColumnScratch, StackedRestriction, build_restrictions
 
 __all__ = ["AdditiveSchwarzPreconditioner", "Preconditioner", "IdentityPreconditioner"]
 
@@ -119,9 +120,11 @@ class AdditiveSchwarzPreconditioner(Preconditioner):
         1 → one-level ASM (Eq. 6); 2 → two-level with Nicolaides coarse space
         (Eq. 7).  The paper always uses two levels.
     variant:
-        "asm" (symmetric, Eq. 6/7) or "ras" (Restricted Additive Schwarz,
-        partition-of-unity weighted extension — an extension for ablations;
-        note RAS is non-symmetric so it should not be used with plain CG).
+        "asm" (symmetric, Eq. 6/7: ``Σ_i R_iᵀ A_i⁻¹ R_i``) or "ras"
+        (Restricted Additive Schwarz, ``Σ_i R̃_iᵀ A_i⁻¹ R_i``: a sub-domain
+        solves on its full overlapping residual but only writes the nodes of
+        its own ``decomposition.core_nodes`` — DDM-GNN's gluing; non-symmetric,
+        so not for plain CG).
     """
 
     def __init__(
@@ -146,16 +149,11 @@ class AdditiveSchwarzPreconditioner(Preconditioner):
 
         subdomains = decomposition.subdomain_nodes
         self.restrictions = build_restrictions(subdomains, n)
-        self.stacked_restriction = StackedRestriction(subdomains, n)
+        self.stacked_restriction = StackedRestriction(
+            subdomains, n, core_nodes=decomposition.core_nodes if variant == "ras" else None
+        )
         self.local_matrices = extract_local_matrices(self.matrix, subdomains)
         self.local_solver = (local_solver or LULocalSolver()).setup(self.local_matrices)
-        self._pou = partition_of_unity(subdomains, n) if variant == "ras" else None
-        # stacked partition-of-unity weights (one row per stacked local dof,
-        # as a column so they broadcast over a block)
-        self._pou_weights = (
-            np.concatenate([d.diagonal() for d in self._pou])[:, None]
-            if self._pou is not None else None
-        )
         # per-application scratch (reused; an application allocates nothing
         # beyond the glued result and the coarse correction)
         total = self.stacked_restriction.total_rows
@@ -186,9 +184,10 @@ class AdditiveSchwarzPreconditioner(Preconditioner):
         lockstep multi-RHS CG (:func:`repro.krylov.block.lockstep_pcg`) its
         wide one, where the fixed per-call cost is amortised over the block.
         It is loop-free: one stacked gather extracts every local residual,
-        the local solver fills one stacked solution buffer, and one CSR
-        product (``Rᵀ W``) glues all sub-domain corrections — numerically
-        bit-identical to the classical per-sub-domain loop.  No step lets a
+        the local solver fills one stacked solution buffer, and one ``glue``
+        combines all sub-domain corrections — the CSR product ``Rᵀ W``,
+        bit-identical to the classical per-sub-domain loop ("asm"), or the
+        owner gather ``Σ_i R̃_iᵀ W_i`` ("ras").  No step lets a
         column's bytes depend on ``k``: the gather copies values, the local
         solver keeps columns independent, and the gluing and coarse products
         accumulate each column in SpMV order.
@@ -204,8 +203,6 @@ class AdditiveSchwarzPreconditioner(Preconditioner):
         scratch = self._scratch.views(residuals.shape[1])
         stacked = self.stacked_restriction.extract(residuals, out=scratch["residual"])
         solutions = self.local_solver.solve_stacked_columns(stacked, out=scratch["solution"])
-        if self._pou_weights is not None:
-            np.multiply(solutions, self._pou_weights, out=solutions)
         correction = np.asfortranarray(self.stacked_restriction.glue(solutions))
         if self.coarse_space is not None:
             correction += self.coarse_space.apply_columns(residuals)
@@ -218,16 +215,16 @@ class AdditiveSchwarzPreconditioner(Preconditioner):
     def as_matrix(self) -> np.ndarray:
         """Assemble the dense preconditioner matrix (tests / small problems only).
 
-        Directly evaluates Eq. (6)/(7):
-        ``M⁻¹ = Σ_i R_iᵀ (R_i A R_iᵀ)⁻¹ R_i  [+ R_0ᵀ (R_0 A R_0ᵀ)⁻¹ R_0]``.
+        Evaluates Eq. (6)/(7) with explicit inverses,
+        ``M⁻¹ = Σ_i R_iᵀ (R_i A R_iᵀ)⁻¹ R_i  [+ R_0ᵀ (R_0 A R_0ᵀ)⁻¹ R_0]``,
+        glued by the variant's rule (``R̃_iᵀ`` for ``R_iᵀ`` under "ras").
         """
         n = self.matrix.shape[0]
         if n > 2000:
             raise ValueError("as_matrix() is meant for small validation problems only")
-        result = np.zeros((n, n))
-        for r_i, a_i in zip(self.restrictions, self.local_matrices):
-            inv = np.linalg.inv(a_i.toarray())
-            result += r_i.T.toarray() @ inv @ r_i.toarray()
+        inverses = sp.block_diag([np.linalg.inv(a_i.toarray()) for a_i in self.local_matrices])
+        stacked = self.stacked_restriction
+        result = stacked.glue(inverses @ stacked.extract(np.eye(n)))
         if self.coarse_space is not None:
             r0 = self.coarse_space.r0.toarray()
             inv0 = np.linalg.inv(self.coarse_space.coarse_matrix)

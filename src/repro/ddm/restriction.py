@@ -3,15 +3,16 @@
 For an overlapping decomposition into K sub-domains, the boolean restriction
 matrix ``R_i`` (paper Sec. II-A) selects the rows of a global vector that
 belong to sub-domain ``i``; its transpose extends a local vector by zero.
-A partition-of-unity variant (used by Restricted Additive Schwarz) weights the
-extension by the inverse multiplicity of each node.
+The restricted extension ``R̃_iᵀ`` (Cai & Sarkis 1999) keeps only the rows of
+the sub-domain's non-overlapping core: one owner per node, ``Σ_i R̃_iᵀ R_i = I``.
 
 :class:`StackedRestriction` assembles all K operators into one block matrix
 ``R = [R_1; …; R_K]`` so the whole restriction step of a Schwarz application
-is a single gather and the gluing step a single SpMM — this replaces the
-per-sub-domain Python loops on the preconditioner hot path.  Every operation
-takes a vector or an ``(·, k)`` block alike; the preconditioners only ever
-pass blocks, a single residual being the ``k = 1`` block.
+is a single gather and the gluing step a single SpMM (or, restricted, a second
+gather) — this replaces the per-sub-domain Python loops on the preconditioner
+hot path.  Every operation takes a vector or an ``(·, k)`` block alike; the
+preconditioners only ever pass blocks, a single residual being the ``k = 1``
+block.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import scipy.sparse as sp
 __all__ = [
     "restriction_matrix",
     "build_restrictions",
-    "partition_of_unity",
     "StackedRestriction",
     "ColumnScratch",
 ]
@@ -51,17 +51,19 @@ def build_restrictions(subdomain_nodes: Sequence[np.ndarray], num_global: int) -
 
 
 class StackedRestriction:
-    """All K restriction operators stacked into one CSR block matrix.
+    """All K restriction operators stacked into one block ``R = [R_1; …; R_K]``.
 
-    ``R = [R_1; …; R_K]`` has shape ``(Σ_i k_i, n)``.  Because every row holds
-    a single unit entry:
+    ``R`` has shape ``(Σ_i k_i, n)``.  Because every row holds a single unit
+    entry:
 
     * ``extract`` (``R @ v``, all local residuals at once) degenerates to a
       pure row gather, so with an ``out=`` buffer it is allocation-free;
     * ``glue`` (``Rᵀ @ w``, the Σ_i R_iᵀ w_i extension) is one CSR product
       whose per-node accumulation order matches the classical
       ascending-sub-domain loop bit for bit (the transpose is stored with
-      sorted indices).
+      sorted indices).  Built with the decomposition's ``core_nodes`` it is
+      *restricted* instead: ``Σ_i R̃_iᵀ w_i``, a second row gather that takes
+      every node from the sub-domain whose core owns it.
 
     Both take a vector or an ``(·, k)`` block; every column of a block goes
     through exactly the arithmetic a lone vector would (gathers copy values,
@@ -73,7 +75,8 @@ class StackedRestriction:
     segment ``i`` is ``stacked[offsets[i]:offsets[i + 1]]``.
     """
 
-    def __init__(self, subdomain_nodes: Sequence[np.ndarray], num_global: int) -> None:
+    def __init__(self, subdomain_nodes: Sequence[np.ndarray], num_global: int,
+                 core_nodes: Optional[Sequence[np.ndarray]] = None) -> None:
         nodes = [np.asarray(n, dtype=np.int64) for n in subdomain_nodes]
         if not nodes:
             raise ValueError("cannot stack an empty list of sub-domains")
@@ -86,23 +89,34 @@ class StackedRestriction:
             raise ValueError("node index out of range for stacked restriction")
         #: sub-domain id of every stacked row (for per-segment scatter/gather)
         self.segment_ids = np.repeat(np.arange(len(nodes)), self.sizes)
-        indptr = np.arange(self.total_rows + 1, dtype=np.int64)
-        self.matrix = sp.csr_matrix(
-            (np.ones(self.total_rows), self.node_indices.copy(), indptr),
-            shape=(self.total_rows, self.num_global),
-        )
-        # Rᵀ in CSR with sorted indices: row = global node, columns = its
-        # stacked positions in ascending sub-domain order (the loop order).
-        self._transpose = self.matrix.T.tocsr()
-        self._transpose.sort_indices()
+        #: stacked row that owns each global node (restricted gluing), or None
+        self.owner_rows = None if core_nodes is None else self._owner_rows(nodes, core_nodes)
+        if core_nodes is None:
+            # Rᵀ in CSR with sorted indices: row = global node, columns = its
+            # stacked positions in ascending sub-domain order (the loop order).
+            entries = (np.ones(self.total_rows), (self.node_indices, np.arange(self.total_rows)))
+            self._transpose = sp.csr_matrix(entries, shape=(self.num_global, self.total_rows))
+            self._transpose.sort_indices()
+
+    def _owner_rows(self, nodes: List[np.ndarray], core_nodes: Sequence[np.ndarray]) -> np.ndarray:
+        """Stacked row of every global node in the sub-domain whose core holds it; cores that
+        leave their sub-domain, overlap or miss a node raise (a decomposition is outside input)."""
+        owned = [np.isin(sub, core) for sub, core in zip(nodes, core_nodes)]
+        for i, (mask, core) in enumerate(zip(owned, core_nodes)):
+            if np.count_nonzero(mask) != len(core):
+                raise ValueError(f"core {i} is not a duplicate-free subset of sub-domain {i}")
+        rows = np.flatnonzero(np.concatenate(owned))
+        owners = np.bincount(self.node_indices[rows], minlength=self.num_global)
+        if np.any(owners != 1):
+            bad = int(np.argmax(owners != 1))
+            raise ValueError(f"cores must partition the nodes: node {bad} is in {owners[bad]} cores")
+        owner_rows = np.empty(self.num_global, dtype=np.int64)
+        owner_rows[self.node_indices[rows]] = rows
+        return owner_rows
 
     @property
     def num_subdomains(self) -> int:
         return int(len(self.sizes))
-
-    @property
-    def shape(self) -> tuple:
-        return self.matrix.shape
 
     # ------------------------------------------------------------------ #
     def extract(self, global_values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -118,8 +132,12 @@ class StackedRestriction:
         ]
 
     def glue(self, stacked_values: np.ndarray) -> np.ndarray:
-        """``Rᵀ @ w``: sum every sub-domain's extended contribution (one CSR product)."""
-        return self._transpose @ np.asarray(stacked_values, dtype=np.float64)
+        """Combine all sub-domain contributions: ``Rᵀ @ w`` (one CSR product), or with
+        owners ``Σ_i R̃_iᵀ w_i`` (one row gather of each node from its owner)."""
+        w = np.asarray(stacked_values, dtype=np.float64)
+        if self.owner_rows is None:
+            return self._transpose @ w
+        return np.take(w, self.owner_rows, axis=0)
 
     def segment_norms(
         self,
@@ -178,21 +196,3 @@ class ColumnScratch:
                 for name, rows in self._rows.items()
             }
         return views
-
-
-def partition_of_unity(subdomain_nodes: Sequence[np.ndarray], num_global: int) -> List[sp.csr_matrix]:
-    """Diagonal partition-of-unity weights ``D_i`` with ``Σ_i R_iᵀ D_i R_i = I``.
-
-    Each node's weight in sub-domain ``i`` is one over the number of
-    sub-domains containing it.  Used by the Restricted Additive Schwarz (RAS)
-    variant provided as an extension/ablation.
-    """
-    multiplicity = np.zeros(num_global)
-    for nodes in subdomain_nodes:
-        multiplicity[np.asarray(nodes, dtype=np.int64)] += 1.0
-    weights: List[sp.csr_matrix] = []
-    for nodes in subdomain_nodes:
-        nodes = np.asarray(nodes, dtype=np.int64)
-        w = 1.0 / multiplicity[nodes]
-        weights.append(sp.diags(w).tocsr())
-    return weights

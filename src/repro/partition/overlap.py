@@ -52,8 +52,8 @@ class OverlappingDecomposition:
 
     * ``subdomain_nodes[i]`` — the sorted global node indices of the
       *overlapping* sub-domain (the ``R_i`` index set);
-    * ``core_nodes[i]`` — the nodes of the original non-overlapping part
-      (useful for restricted additive Schwarz and diagnostics).
+    * ``core_nodes[i]`` — the nodes of the original non-overlapping part; the cores
+      partition the mesh and own its nodes under restricted gluing (DDM-GNN, ASM "ras").
     """
 
     def __init__(

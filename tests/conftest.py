@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.ddm import AdditiveSchwarzPreconditioner, NicolaidesCoarseSpace
 from repro.fem import PoissonProblem, manufactured_solution, random_poisson_problem
 from repro.gnn import DSS, DSSConfig
 from repro.mesh import disk_mesh, random_domain_mesh, structured_rectangle_mesh
@@ -115,6 +116,24 @@ class DeclaredLinearity:
 def declare_linearity():
     """``declare_linearity(preconditioner, linear)`` -> :class:`DeclaredLinearity`."""
     return DeclaredLinearity
+
+
+def exact_local_ddm_gnn(matrix, decomposition, residuals):
+    """What DDM-GNN computes when its local solves are exact, from DDM-LU's pieces.
+
+    ``z₁ = Σ_i R̃_iᵀ A_i⁻¹ R_i r`` (one-level RAS of the LU class), then the
+    coarse solve on the residual it leaves: ``z = z₁ + Q (r − A z₁)``.
+    """
+    ras = AdditiveSchwarzPreconditioner(matrix, decomposition, levels=1, variant="ras")
+    coarse = NicolaidesCoarseSpace(decomposition.subdomain_nodes, matrix.shape[0]).factorize(matrix)
+    local = ras.apply_columns(residuals)
+    return local + coarse.apply_columns(residuals - matrix @ local)
+
+
+@pytest.fixture(scope="session")
+def exact_local_reference():
+    """``exact_local_reference(matrix, decomposition, residuals)`` -> :func:`exact_local_ddm_gnn`."""
+    return exact_local_ddm_gnn
 
 
 @pytest.fixture(params=["thread", "process"])

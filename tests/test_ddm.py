@@ -12,9 +12,9 @@ from repro.ddm import (
     JacobiLocalSolver,
     LULocalSolver,
     NicolaidesCoarseSpace,
+    StackedRestriction,
     build_restrictions,
     extract_local_matrices,
-    partition_of_unity,
     restriction_matrix,
 )
 from repro.krylov import conjugate_gradient, preconditioned_conjugate_gradient
@@ -51,14 +51,16 @@ class TestRestriction:
             assert np.allclose(np.asarray(r.sum(axis=1)).ravel(), 1.0)
 
     def test_partition_of_unity_sums_to_identity(self, small_decomposition):
+        """Core ownership is a Boolean partition of unity: ``Σ_i R̃_iᵀ R_i = I``."""
         n = small_decomposition.mesh.num_nodes
-        subs = small_decomposition.subdomain_nodes
-        rs = build_restrictions(subs, n)
-        ds = partition_of_unity(subs, n)
+        subs, cores = small_decomposition.subdomain_nodes, small_decomposition.core_nodes
         total = sp.csr_matrix((n, n))
-        for r, d in zip(rs, ds):
-            total = total + r.T @ d @ r
-        assert np.allclose(total.toarray(), np.eye(n), atol=1e-12)
+        for r, sub, core in zip(build_restrictions(subs, n), subs, cores):
+            total = total + r.T @ sp.diags(np.isin(sub, core).astype(float)) @ r
+        assert np.array_equal(total.toarray(), np.eye(n))
+        # ... and it is what the stacked operator's restricted gluing applies
+        restricted = StackedRestriction(subs, n, core_nodes=cores)
+        assert np.array_equal(restricted.glue(restricted.extract(np.eye(n))), np.eye(n))
 
 
 # --------------------------------------------------------------------------- #
@@ -150,6 +152,18 @@ class TestASM:
         dense = asm.as_matrix()
         r = np.random.default_rng(1).normal(size=random_problem.num_dofs)
         assert np.allclose(asm.apply(r), dense @ r, atol=1e-8)
+
+    @pytest.mark.parametrize("levels", [1, 2])
+    @pytest.mark.parametrize("variant", ["asm", "ras"])
+    def test_as_matrix_is_the_apply(self, random_problem, small_decomposition, variant, levels):
+        """``as_matrix()`` honours the variant: it is the operator ``apply`` applies."""
+        asm = AdditiveSchwarzPreconditioner(
+            random_problem.matrix, small_decomposition, levels=levels, variant=variant
+        )
+        dense = asm.as_matrix()
+        r = np.random.default_rng(3).normal(size=random_problem.num_dofs)
+        assert np.allclose(dense @ r, asm.apply(r), rtol=0.0, atol=1e-10)
+        assert np.allclose(dense, dense.T, atol=1e-10) == (variant == "asm")
 
     def test_preconditioner_matrix_spd(self, random_problem, small_decomposition):
         asm = AdditiveSchwarzPreconditioner(random_problem.matrix, small_decomposition, levels=2)

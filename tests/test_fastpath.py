@@ -22,6 +22,7 @@ from repro.gnn import DSS, DSSConfig, GraphBatch
 from repro.gnn.graph import graph_from_mesh
 from repro.krylov import preconditioned_conjugate_gradient
 from repro.krylov.result import SolveResult
+from repro.partition import OverlappingDecomposition, partition_mesh_target_size
 from repro.utils import format_timing_split
 
 
@@ -429,6 +430,38 @@ class TestStackedRestriction:
         with pytest.raises(ValueError):
             StackedRestriction([np.array([0, 5])], 4)
 
+    def test_owner_glue_takes_each_node_from_its_core(self, small_decomposition):
+        n = small_decomposition.mesh.num_nodes
+        subs, cores = small_decomposition.subdomain_nodes, small_decomposition.core_nodes
+        stacked = StackedRestriction(subs, n, core_nodes=cores)
+        values = np.random.default_rng(3).normal(size=(stacked.total_rows, 3))
+        reference = np.full((n, 3), np.nan)
+        for nodes, core, part in zip(subs, cores, stacked.split(values)):
+            reference[core] = part[np.searchsorted(nodes, core)]
+        assert np.array_equal(stacked.glue(values), reference)
+        assert np.array_equal(stacked.glue(values[:, 0]), reference[:, 0])
+
+    def test_without_overlap_owner_glue_is_the_additive_glue(self, random_mesh):
+        partition = partition_mesh_target_size(random_mesh, 80, rng=np.random.default_rng(0))
+        flat = OverlappingDecomposition(random_mesh, partition, overlap=0)
+        n = random_mesh.num_nodes
+        owners = StackedRestriction(flat.subdomain_nodes, n, core_nodes=flat.core_nodes)
+        additive = StackedRestriction(flat.subdomain_nodes, n)
+        values = np.random.default_rng(4).normal(size=(n, 3))
+        assert np.array_equal(owners.glue(values), additive.glue(values))
+        assert np.array_equal(owners.glue(values[:, 0]), additive.glue(values[:, 0]))
+
+    @pytest.mark.parametrize("cores, message", [
+        ([[0, 1], [1, 2, 3]], "node 1 is in 2 cores"),          # cores overlap
+        ([[0, 1], [3]], "node 2 is in 0 cores"),                # a node nobody owns
+        ([[0, 1, 3], [2]], "core 0 is not a duplicate-free subset of sub-domain 0"),
+    ])
+    def test_bad_ownership_rejected(self, cores, message):
+        """A decomposition is outside input: bad cores raise, they do not index garbage."""
+        subdomains = [np.array([0, 1, 2]), np.array([1, 2, 3])]
+        with pytest.raises(ValueError, match=message):
+            StackedRestriction(subdomains, 4, core_nodes=[np.array(c) for c in cores])
+
 
 # --------------------------------------------------------------------------- #
 # exact solvers stay bit-identical to the classical loops
@@ -495,13 +528,12 @@ class TestExactSolverRegression:
 # DDM-GNN fast path
 # --------------------------------------------------------------------------- #
 def equation_reference(pre: DDMGNNPreconditioner, residual: np.ndarray) -> np.ndarray:
-    """Eqs. 13–16 as a per-sub-domain loop, written from the paper — the
+    """The apply as a per-sub-domain loop, written from its equations
+    (Eqs. 14–15 per sub-domain, restricted gluing, coarse solve last) — the
     reference the production sweep is pinned against."""
     z = np.zeros(len(residual))
-    if pre.coarse_space is not None:                                # Eq. 13
-        r0 = pre.coarse_space.r0
-        z += r0.T @ np.linalg.solve(pre.coarse_space.coarse_matrix, r0 @ residual)
-    for geometry in pre.geometries:
+    cores = pre.decomposition.core_nodes
+    for geometry, core in zip(pre.geometries, cores):
         local = residual[geometry.nodes]                            # R_i r
         if geometry.equilibration is not None:
             local = geometry.equilibration * local
@@ -515,7 +547,12 @@ def equation_reference(pre: DDMGNNPreconditioner, residual: np.ndarray) -> np.nd
             u = norm * u
         if geometry.equilibration is not None:
             u = geometry.equilibration * u
-        np.add.at(z, geometry.nodes, u)                             # Eq. 16: Σ R_iᵀ
+        owned = np.isin(geometry.nodes, core)                       # R̃_iᵀ: the core's rows only
+        z[geometry.nodes[owned]] = u[owned]
+    if pre.coarse_space is not None:                                # Eq. 13 on r − A z₁
+        r0 = pre.coarse_space.r0
+        left = residual - pre.matrix @ z
+        z += r0.T @ np.linalg.solve(pre.coarse_space.coarse_matrix, r0 @ left)
     return z
 
 
@@ -565,19 +602,21 @@ class TestDDMGNNFastPath:
         pre = self._build(random_problem, small_decomposition, tiny_dss_model, levels=1)
         assert np.allclose(pre.apply(np.zeros(random_problem.num_dofs)), 0.0)
 
-    def test_exact_local_model_through_stacked_plumbing(self, random_problem, small_decomposition):
-        """Duck-typed exact solver reproduces DDM-LU through the production
-        sweep, one column or three — the consistency anchor of the plumbing."""
+    def test_exact_local_model_through_stacked_plumbing(self, random_problem, small_decomposition,
+                                                        exact_local_reference):
+        """Duck-typed exact solver reproduces restricted, coarse-corrected DDM-LU
+        through the production sweep, one column or three — the consistency
+        anchor of the plumbing."""
 
         class ExactLocal:
             def predict(self, batch):
                 return spla.spsolve(batch.block_diagonal_matrix().tocsc(), batch.source)
 
         gnn = self._build(random_problem, small_decomposition, ExactLocal(), levels=2)
-        asm = AdditiveSchwarzPreconditioner(random_problem.matrix, small_decomposition, levels=2)
         block = np.random.default_rng(8).normal(size=(random_problem.num_dofs, 3))
-        assert np.allclose(gnn.apply(block[:, 0]), asm.apply(block[:, 0]), atol=1e-8)
-        assert np.allclose(gnn.apply_columns(block), asm.apply_columns(block), atol=1e-8)
+        expected = exact_local_reference(random_problem.matrix, small_decomposition, block)
+        assert np.allclose(gnn.apply(block[:, 0]), expected[:, 0], atol=1e-8)
+        assert np.allclose(gnn.apply_columns(block), expected, atol=1e-8)
 
 
 # --------------------------------------------------------------------------- #

@@ -535,18 +535,22 @@ class TestIterationBudget:
     Krylov iterations fails here without a timing gate.  The pins are upper
     bounds: lowering them is how an iteration saving is recorded (the
     Fletcher–Reeves recurrence needed 17–18 per solve and up to 19 lockstep
-    sweeps on these inputs).
+    sweeps on these inputs; flexible CG on the additive Eq. 13/16 apply 12–13
+    and up to 14, FGMRES 11; the restricted, coarse-corrected apply the
+    counts below).
     """
 
     CHECKPOINT = Path(__file__).resolve().parents[1] / "benchmarks" / "ledger" / "dss_k20_d10.npz"
     SPEC = {"family": "poisson", "target_n": 400, "element_size": 0.07, "seed": 0}
     #: seed -> iterations of ``solve`` (f64) on the seed's first right-hand side
-    SOLVE = {0: 13, 1: 12, 2: 13}
+    SOLVE = {0: 8, 1: 8, 2: 8}
+    #: seed -> iterations of the same solve under ``krylov="gmres"`` (FGMRES)
+    SOLVE_GMRES = {0: 7, 1: 7, 2: 7}
     #: seed -> per-column iterations of the 8-column f32 ``solve_many``
     SOLVE_MANY_F32 = {
-        0: [13, 13, 14, 12, 13, 13, 13, 13],
-        1: [12, 13, 13, 13, 13, 13, 13, 13],
-        2: [13, 13, 13, 13, 13, 13, 13, 14],
+        0: [8, 7, 8, 7, 8, 8, 7, 7],
+        1: [8, 8, 7, 8, 8, 7, 7, 7],
+        2: [8, 8, 8, 7, 8, 8, 8, 8],
     }
 
     def test_ledger_smoke_operator_iteration_counts(self):
@@ -556,18 +560,20 @@ class TestIterationBudget:
         problem = build_problem_from_spec(self.SPEC)
         model = load_model(str(self.CHECKPOINT))
         sessions = {
-            precision: prepare(problem, SolverConfig(
+            (precision, krylov): prepare(problem, SolverConfig(
                 preconditioner="ddm-gnn", subdomain_size=110, overlap=2, tolerance=1e-3,
-                precision=precision), model=model)
-            for precision in ("f64", "f32")
+                precision=precision, krylov=krylov), model=model)
+            for precision, krylov in (("f64", "cg"), ("f32", "cg"), ("f64", "gmres"))
         }
         for seed in self.SOLVE:
             exact = np.random.default_rng(seed).normal(size=(8, problem.num_dofs))
             rhs = (problem.matrix @ exact.T).T
-            single = sessions["f64"].solve(rhs[0])
-            block = sessions["f32"].solve_many(rhs, mode="fused")
-            assert single.converged and block.converged
+            single = sessions["f64", "cg"].solve(rhs[0])
+            gmres = sessions["f64", "gmres"].solve(rhs[0])
+            block = sessions["f32", "cg"].solve_many(rhs, mode="fused")
+            assert single.converged and gmres.converged and block.converged
             assert single.iterations <= self.SOLVE[seed], (seed, single.iterations)
+            assert gmres.iterations <= self.SOLVE_GMRES[seed], (seed, gmres.iterations)
             counts = [result.iterations for result in block.results]
             assert all(got <= pin for got, pin in zip(counts, self.SOLVE_MANY_F32[seed])), \
                 (seed, counts)
