@@ -10,7 +10,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro-ddm-gnn",
-    version="1.8.0",
+    version="1.21.0",
     description=(
         "NumPy reproduction of 'Multi-Level GNN Preconditioner for Solving "
         "Large Scale Problems' (DDM-GNN / Deep Statistical Solver), with a "
@@ -23,6 +23,8 @@ setup(
     license="MIT",
     package_dir={"": "src"},
     packages=find_packages("src"),
+    # the fused edge kernel is compiled on first use from its shipped source
+    package_data={"repro.gnn": ["_edge_pass.c"]},
     python_requires=">=3.9",
     install_requires=[
         "numpy>=1.22",

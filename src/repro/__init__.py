@@ -67,7 +67,7 @@ from . import (
     utils,
 )
 
-__version__ = "1.8.0"
+__version__ = "1.21.0"
 
 __all__ = [
     "nn",

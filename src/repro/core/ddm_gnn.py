@@ -58,7 +58,8 @@ from .dataset import SubdomainGeometry, build_subdomain_geometries
 
 __all__ = ["DDMGNNPreconditioner"]
 
-#: stacked-node budget per automatic inference batch (``batch_size=None``)
+#: stacked-node budget per inference batch (the paper's Nb batching): a
+#: constant, every chunk of ≥ 2 sub-domains measured alike (DESIGN.md)
 _AUTO_BATCH_TARGET_NODES = 2048
 
 
@@ -80,19 +81,6 @@ class DDMGNNPreconditioner(Preconditioner):
     levels:
         2 (default) ends the apply with the Nicolaides coarse solve; 1 drops
         it (one-level ablation).
-    batch_size:
-        Maximum number of sub-domain graphs solved per model call (the
-        paper's Nb batching).  None (default) picks a chunk size that keeps
-        each batch's edge buffers cache-resident (~2k stacked nodes per
-        inference), which measured faster than one monolithic batch on large
-        decompositions when it was introduced (PR 2's per-edge kernels).
-        With the folded forward it no longer matters at ledger scale: on the
-        K=19 operator the edge buffer fits L2 at every chunk size, and every
-        chunk of ≥ 2 sub-domains — the default included — applies within
-        noise of every other (f64 ≈ 26–29 ms; DESIGN.md, "Measured floor of
-        the apply"), which is why sessions always use the default and
-        ``SolverConfig`` has no field for it.  Results are
-        batching-invariant either way (the invariance tests pass it here).
     normalize_local_residuals:
         The paper's residual normalisation.  Disabling it (ablation) shows the
         stagnation the paper describes in Sec. III-A.
@@ -126,7 +114,6 @@ class DDMGNNPreconditioner(Preconditioner):
         decomposition: OverlappingDecomposition,
         model: DSS,
         levels: Literal[1, 2] = 2,
-        batch_size: Optional[int] = None,
         normalize_local_residuals: bool = True,
         global_dirichlet_mask: Optional[np.ndarray] = None,
         node_diffusion: Optional[np.ndarray] = None,
@@ -142,7 +129,6 @@ class DDMGNNPreconditioner(Preconditioner):
         self.decomposition = decomposition
         self.model = model
         self.levels = int(levels)
-        self.batch_size = batch_size
         self.normalize_local_residuals = bool(normalize_local_residuals)
         self.precision = precision
 
@@ -168,14 +154,8 @@ class DDMGNNPreconditioner(Preconditioner):
         edge_dim, node_dim = GraphBatch.feature_dims(self.geometries)
         self._batches: List[GraphBatch] = []
         self._batch_membership: List[List[int]] = []
-        if self.batch_size is not None:
-            chunk = self.batch_size
-        else:
-            # automatic Nb: target ~2k stacked nodes per inference call so the
-            # engine's edge buffers stay cache-resident
-            average_size = max(1, self.stacked_restriction.total_rows // k)
-            chunk = max(1, _AUTO_BATCH_TARGET_NODES // average_size)
-        chunk = max(1, int(chunk))
+        average_size = max(1, self.stacked_restriction.total_rows // k)
+        chunk = max(1, _AUTO_BATCH_TARGET_NODES // average_size)
         for start in range(0, k, chunk):
             members = list(range(start, min(start + chunk, k)))
             graphs = [self.geometries[i].make_graph(np.zeros(len(self.geometries[i].positions))) for i in members]
@@ -377,9 +357,11 @@ class DDMGNNPreconditioner(Preconditioner):
         ``applications`` counts residual columns, ``fused_applications`` the
         sweeps that served them (one per :meth:`apply_columns` call, whatever
         its width).  ``total_coarse_time`` is step 3 whole: the residual
-        product ``r − A z₁`` and the coarse solve on it.
+        product ``r − A z₁`` and the coarse solve on it.  ``kernel`` is the
+        plans' edge-pass body (``"native"`` / ``"numpy"``; None without plans).
         """
         return {
+            "kernel": self._plans[0].kernel if self._plans else None,
             "applications": self.num_applications,
             "fused_applications": self.num_fused_applications,
             "total_inference_time": self.total_inference_time,

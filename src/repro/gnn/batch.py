@@ -266,7 +266,7 @@ class BatchPlan:
     The directed edges are re-sorted by destination node (a stable sort, so
     the graph is unchanged up to summation order of the incoming messages):
     gathers and aggregations indexed by destination then walk memory almost
-    sequentially, and the engine's aggregation SpMM gets contiguous rows.
+    sequentially, and the engine's edge pass aggregates over an ``indptr``.
     """
 
     edge_index: np.ndarray

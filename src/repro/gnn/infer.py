@@ -19,18 +19,25 @@ exists to move fewer bytes per sweep; all of it is fixed at compile time:
   ``E``-row × ``2d+|e|``-column GEMM after;
 * **direction stacking** — both message directions live side by side along
   the last axis (``[fwd | bwd]``, width ``2d``): one pair of double-width
-  projection GEMMs, one prefill, one gather SpMM, one ReLU and one
-  aggregation SpMM serve both, and the aggregation result is already the
-  contiguous ``ψ`` GEMM operand;
+  projection GEMMs and one edge pass serve both, and the aggregation result
+  is already the contiguous ``ψ`` GEMM operand;
 * **static edge terms** — the attribute contribution ``e @ W₁ₑᵀ + b₁`` depends
   only on the fixed edge attributes, so it is evaluated once per block as one
   ``(E, 2d)`` array (the backward direction's sign-reversed relative
   positions are folded into its weights: ``(−a)·w = a·(−w)`` exactly, so both
   directions read the same attribute array).  Above a memory budget the same
-  GEMM runs per sweep into a scratch instead.  The edge buffer is *prefilled*
-  with these terms and a two-ones CSR operator (row ``e`` = ``[dst_e,
-  n + src_e]``) accumulates ``proj_dst[dst] + proj_src[src]`` on top in one
-  SpMM — no separate gathers, no addition passes;
+  GEMM runs per sweep into a scratch instead;
+* **one edge pass** — ``pre[i] = Σ_{e → i} relu(static[e] + proj_dst[i] +
+  proj_src[src_e])`` over edges stable-sorted by destination at compile time,
+  in two bodies on that one layout.  The *native* body (``_edge_pass.c``,
+  compiled on first use by :mod:`repro.gnn._native`) is a single sweep that
+  never materialises the ``(E, k, 2d)`` messages.  The *numpy* body — the
+  reference, and what runs without a C compiler — prefills a message buffer
+  with the static terms, accumulates the projections through a two-ones CSR
+  operator (row ``e`` = ``[dst_e, n + src_e]``), applies the ReLU and
+  aggregates with a second SpMM.  Same additions in the same order, no
+  multiply: they agree **bit for bit** in both precisions and for every
+  ``k``, so which one ran (``InferencePlan.kernel``) never changes a result;
 * **folded output layers** — aggregation is linear, so each direction's
   output layer commutes with it and then merges into ``ψ``'s first layer:
   ``(S H) W₂ᵀ ψ₁ₐᵀ = (S H) (ψ₁ₐ W₂)ᵀ``.  The per-direction output GEMMs and
@@ -55,10 +62,10 @@ Because the weights are prestaged, a plan captures the model parameters *at
 compile time*: recompile after any further training or ``load_state_dict``.
 
 **Columns.**  Buffers are laid out ``(rows, k, ·)`` with the column axis
-inside each row block: GEMMs run on ``(rows·k, ·)`` reshape views, the SpMMs
-carry the columns in their dense dimension (``n_vecs = k·2d`` — the operators
-are k-independent and every sparse row moves one contiguous block), and the
-workspace for any ``k <= k_max`` is a reshape view of the same flat
+inside each row block: GEMMs run on ``(rows·k, ·)`` reshape views, the edge
+pass carries the columns as a loop bound (the numpy body's SpMMs in their
+dense dimension, ``n_vecs = k·2d``: every row moves one contiguous block), and
+the workspace for any ``k <= k_max`` is a reshape view of the same flat
 allocations, so a lockstep solve whose active set shrinks allocates nothing.
 ``run()`` is the ``k = 1`` case of ``run_columns(k)``.
 
@@ -72,11 +79,7 @@ allocations, so a lockstep solve whose active set shrinks allocates nothing.
   kernels — the same reason the Nicolaides coarse space applies its K×K
   inverse one column at a time), and the lockstep CG needs column ``c`` of
   ``infer_columns`` bit-identical to ``infer`` on column ``c``.  Running the
-  identical kernel on identical buffers gives that by construction.  The
-  layout this replaced — ``(k, rows, d)`` slabs with per-slab GEMMs and
-  block-diagonal SpMMs, kept bitwise by hand — bought 1.05× over sequential
-  single-column applies on the ledger (313 ms vs 8 × 41 ms on ``gnn-batch``);
-  ``k`` folded passes take ~200 ms.
+  identical kernel on identical buffers gives that by construction.
 
 **Precision.**  ``precision="f32"`` stages weights, static edge terms and
 every buffer in float32; sources and outputs are cast at the plan boundary.
@@ -91,6 +94,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..nn.functional import relu_
+from ._native import edge_kernels
 from .batch import BatchPlan, GraphBatch, message_operators
 
 __all__ = ["InferencePlan"]
@@ -205,20 +209,20 @@ class _Workspace:
     compile-time folds the only per-call input is the residual sources,
     staged fresh by every ``load_source_columns``.  The ``*2d`` fields are
     the ``(rows·k, ·)`` GEMM views, the ``*_flat`` fields the 1-D views the
-    CSR kernel consumes.
+    edge pass consumes.
     """
 
     k: int
     latent2d: np.ndarray     # (n·k, d)
     sources: np.ndarray      # (n, k) — the residual inputs, one per column
     input2d: np.ndarray      # (n·k, 1)
-    proj_dst2d: np.ndarray   # (n·k, 2d) — rows [0, n) of the gather operand
-    proj_src2d: np.ndarray   # (n·k, 2d) — rows [n, 2n) of the gather operand
+    proj_dst2d: np.ndarray   # (n·k, 2d) — rows [0, n) of the (2n, k, 2d) projections
+    proj_src2d: np.ndarray   # (n·k, 2d) — rows [n, 2n)
     proj_flat: np.ndarray
-    edge_hidden: np.ndarray  # (E, k, 2d) — [fwd | bwd] messages
-    edge_flat: np.ndarray
+    proj_pointer: int        # address of proj_flat, for the native edge pass
     pre2d: np.ndarray        # (n·k, 2d) — raw [fwd | bwd] aggregation sums
     pre_flat: np.ndarray
+    pre_pointer: int
     hidden2d: np.ndarray     # (n·k, d)
     hidden3: np.ndarray      # (n, k, d)
     scratch2d: np.ndarray    # (n·k, d) — _gemm_acc fallback scratch (aliases proj)
@@ -237,7 +241,7 @@ class _Buffers:
         self._latent = np.empty(n * k * d, dtype=dtype)
         self._input = np.empty(n * k, dtype=dtype)
         self._proj = np.empty(2 * n * k * 2 * d, dtype=dtype)
-        self._edge = np.empty(num_edges * k * 2 * d, dtype=dtype)
+        self._edge: Optional[np.ndarray] = None  # (E, k_max, 2d) messages: the numpy edge pass only
         self._pre = np.empty(n * k * 2 * d, dtype=dtype)
         self._hidden = np.empty(n * k * d, dtype=dtype)
         self._output = np.empty(n * k, dtype=dtype)
@@ -260,13 +264,13 @@ class _Buffers:
             proj_dst2d=proj[:n].reshape(n * k, 2 * d),
             proj_src2d=proj[n:].reshape(n * k, 2 * d),
             proj_flat=proj.reshape(-1),
-            edge_hidden=self._edge[:num_edges * k * 2 * d].reshape(num_edges, k, 2 * d),
-            edge_flat=self._edge[:num_edges * k * 2 * d],
+            proj_pointer=proj.ctypes.data,
             pre2d=self._pre[:n * k * 2 * d].reshape(n * k, 2 * d),
             pre_flat=self._pre[:n * k * 2 * d],
+            pre_pointer=self._pre.ctypes.data,
             hidden2d=hidden,
             hidden3=hidden.reshape(n, k, d),
-            # the projections are dead between the gather SpMM and the next
+            # the projections are dead between the edge pass and the next
             # block's projection GEMMs — exactly where _gemm_acc runs
             scratch2d=self._proj[:n * k * d].reshape(n * k, d),
             output2d=output,
@@ -338,18 +342,25 @@ class InferencePlan:
         self.latent_dim = d
         self.node_input_dim = cfg.node_input_dim
 
-        # the two-ones gather-add and the aggregation operator, staged at the
-        # plan precision — the same pair the differentiable forward builds
-        operators = message_operators(plan.edge_index, n, dtype=dtype)
-        self._gather_matrix = operators.gather
-        self._agg_matrix = operators.aggregate
+        # one edge layout for both edge-pass bodies: stable-sorted by destination
+        # (the identity after ``BatchPlan.from_batch``), so the aggregation is an
+        # ``indptr`` and every destination sums in ascending edge id
+        if num_edges and not (0 <= plan.edge_index.min() and plan.edge_index.max() < n):
+            raise ValueError(f"edge_index must hold node ids in [0, {n})")
+        order = np.argsort(plan.edge_index[1], kind="stable")
+        self._edge_index = np.ascontiguousarray(plan.edge_index[:, order], dtype=np.int64)
+        indegree = np.bincount(self._edge_index[1], minlength=n)
+        self._indptr = np.concatenate(([0], np.cumsum(indegree)), dtype=np.int64)
+        self._edge_pointers = (self._indptr.ctypes.data, self._edge_index[0].ctypes.data)
+        self._operators = None  # the numpy body's CSR pair, built on its first use
 
-        # edge attributes at the model's width; static node features (κ
-        # channels — everything except the residual column 0) and in-degrees
-        # feed the compile-time folds only
-        self._edge_attr = np.ascontiguousarray(model._prepare_edge_attr(plan.edge_attr), dtype=dtype)
+        # edge attributes at the model's width, in that order; static node
+        # features (κ channels — everything except the residual column 0) and
+        # in-degrees feed the compile-time folds only
+        self._edge_attr = np.ascontiguousarray(
+            model._prepare_edge_attr(plan.edge_attr)[order], dtype=dtype)
         node_features = np.asarray(model._prepare_node_input(plan), dtype=np.float64)[:, 1:]
-        indegree = operators.indegree.reshape(-1, 1)
+        indegree = indegree.astype(np.float64).reshape(-1, 1)
 
         # stage the weights (and, within budget, the static edge terms)
         static_bytes = 2 * len(model.blocks) * num_edges * d * 8
@@ -521,29 +532,50 @@ class InferencePlan:
         self.load_source_columns(self.plan.source[:, None])
         return self.run_columns(1)[:, 0]
 
+    @property
+    def kernel(self) -> str:
+        """Which edge-pass body this process runs: ``"native"`` or ``"numpy"`` (same bytes)."""
+        return "numpy" if edge_kernels() is None else "native"
+
+    def _edge_pass(self, ws: _Workspace, static: np.ndarray) -> None:
+        """``pre[i] = Σ_{e → i} relu(static[e] + proj_dst[i] + proj_src[src_e])`` into ``ws.pre2d``.
+
+        One C sweep if the kernel loaded; else (and as its bitwise reference)
+        prefill → two-ones gather SpMM → ReLU → aggregation SpMM in numpy/scipy.
+        """
+        kernels = edge_kernels()  # resolved (compiled, loaded, self-checked) once per process
+        num_edges, width = static.shape
+        if kernels is not None:
+            kernels[static.dtype](self.num_nodes, ws.k, width, *self._edge_pointers,
+                                  static.ctypes.data, ws.proj_pointer, ws.pre_pointer)
+            return
+        buffers, n_vecs = self._buffers, ws.k * width
+        if self._operators is None:
+            self._operators = message_operators(self._edge_index, self.num_nodes, dtype=self.dtype)
+        if buffers._edge is None:
+            buffers._edge = np.empty(num_edges * buffers.k_max * width, dtype=self.dtype)
+        messages = buffers._edge[:num_edges * n_vecs]
+        np.copyto(messages.reshape(num_edges, ws.k, width), static[:, None, :])
+        _spmm_acc(self._operators.gather, ws.proj_flat, messages, n_vecs)
+        relu_(messages)
+        ws.pre_flat.fill(0.0)
+        _spmm_acc(self._operators.aggregate, messages, ws.pre_flat, n_vecs)
+
     def _forward(self, ws: _Workspace) -> np.ndarray:
         """The folded k̄-iteration forward on workspace ``ws``; returns ``ws.output``.
 
-        Per block: two double-width projection GEMMs, one static prefill, one
-        gather SpMM, one ReLU and one aggregation SpMM serve *both* message
-        directions; ``ψ``'s hidden layer reads the raw aggregation sums
-        through the folded weights of :class:`_CompiledBlock`.
+        Per block: two double-width projection GEMMs and one edge pass serve
+        *both* message directions; ``ψ``'s hidden layer reads the raw
+        aggregation sums through the folded weights of :class:`_CompiledBlock`.
         """
-        n_vecs = ws.k * 2 * self.latent_dim
         ws.latent2d.fill(0.0)
         for block in self.compiled_blocks:
             np.matmul(ws.latent2d, block.w_dst_T, out=ws.proj_dst2d)
             np.matmul(ws.latent2d, block.w_src_T, out=ws.proj_src2d)
-            # prefill the edge buffer with the column-invariant static terms;
-            # the two-ones gather SpMM accumulates the projections on top
             static = block.static
             if static is None:
                 static = self._static_terms(block, out=self._static_scratch)
-            np.copyto(ws.edge_hidden, static[:, None, :])
-            _spmm_acc(self._gather_matrix, ws.proj_flat, ws.edge_flat, n_vecs)
-            relu_(ws.edge_flat)
-            ws.pre_flat.fill(0.0)
-            _spmm_acc(self._agg_matrix, ws.edge_flat, ws.pre_flat, n_vecs)
+            self._edge_pass(ws, static)
             # ψ hidden = bias_node + pre W_agg + latent Wₗ + sources w₀, the
             # products GEMM-accumulated (beta=1) straight onto the prefilled
             # bias — no separate addition passes

@@ -320,6 +320,7 @@ class SolverSession:
                 span.set_attribute("converged", bool(result.converged))
                 span.set_attribute("iterations", int(result.iterations))
                 span.set_attribute("recurrence", result.info.get("recurrence"))
+                span.set_attribute("kernel", result.info.get("kernel"))
                 return result
             return self._degrade(b, x0, primary_result=result, primary_error=None)
 
@@ -504,6 +505,7 @@ class SolverSession:
             result.info["overlap"] = config.overlap
         if isinstance(self.preconditioner, DDMGNNPreconditioner):
             result.info["gnn_stats"] = self.preconditioner.inference_stats()
+            result.info["kernel"] = result.info["gnn_stats"]["kernel"]
 
     def solve_many(
         self,

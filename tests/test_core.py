@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from repro.core import ddm_gnn as ddm_gnn_module
 from repro.core import (
     DDMGNNPreconditioner,
     LocalProblemDataset,
@@ -183,7 +184,7 @@ class TestDDMGNNPreconditioner:
 
         model = Recording()
         pre = DDMGNNPreconditioner(
-            random_problem.matrix, random_problem.mesh, small_decomposition, model, batch_size=2
+            random_problem.matrix, random_problem.mesh, small_decomposition, model
         )
         r = np.random.default_rng(7).normal(size=random_problem.num_dofs)
         pre.apply(r)
@@ -208,15 +209,20 @@ class TestDDMGNNPreconditioner:
         r = np.random.default_rng(2).normal(size=random_problem.num_dofs)
         assert np.allclose(pre.apply(r), 0.0)
 
-    def test_batch_size_does_not_change_result(self, random_problem, small_decomposition, tiny_dss_model):
+    def test_batch_size_does_not_change_result(self, monkeypatch, random_problem, small_decomposition,
+                                               tiny_dss_model):
+        """The inference-batch size is a constant of the module, not an
+        argument; shrinking it must still not change the result."""
         r = np.random.default_rng(3).normal(size=random_problem.num_dofs)
         full = DDMGNNPreconditioner(
-            random_problem.matrix, random_problem.mesh, small_decomposition, tiny_dss_model, batch_size=None
-        ).apply(r)
+            random_problem.matrix, random_problem.mesh, small_decomposition, tiny_dss_model
+        )
+        monkeypatch.setattr(ddm_gnn_module, "_AUTO_BATCH_TARGET_NODES", 2 * max(small_decomposition.sizes()))
         chunked = DDMGNNPreconditioner(
-            random_problem.matrix, random_problem.mesh, small_decomposition, tiny_dss_model, batch_size=2
-        ).apply(r)
-        assert np.allclose(full, chunked, atol=1e-10)
+            random_problem.matrix, random_problem.mesh, small_decomposition, tiny_dss_model
+        )
+        assert len(full._plans) == 1 < len(chunked._plans)
+        assert np.allclose(full.apply(r), chunked.apply(r), atol=1e-10)
 
     def test_zero_residual_gives_zero_correction_from_locals(self, random_problem, small_decomposition, tiny_dss_model):
         pre = DDMGNNPreconditioner(

@@ -4,6 +4,12 @@ that keep the exact solvers bit-identical to the classical loops."""
 
 from __future__ import annotations
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -11,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DDMGNNPreconditioner
+from repro.core import ddm_gnn as ddm_gnn_module
 from repro.ddm import (
     AdditiveSchwarzPreconditioner,
     LULocalSolver,
@@ -18,11 +25,13 @@ from repro.ddm import (
     build_restrictions,
     extract_local_matrices,
 )
-from repro.gnn import DSS, DSSConfig, GraphBatch
-from repro.gnn.graph import graph_from_mesh
+from repro.gnn import DSS, DSSConfig, GraphBatch, _native
+from repro.gnn import infer as engine
+from repro.gnn.graph import GraphProblem, graph_from_mesh
 from repro.krylov import preconditioned_conjugate_gradient
 from repro.krylov.result import SolveResult
 from repro.partition import OverlappingDecomposition, partition_mesh_target_size
+from repro.solvers import SolverConfig, prepare
 from repro.utils import format_timing_split
 
 
@@ -186,8 +195,8 @@ class TestMultiColumnParity:
     def test_no_allocation_growth(self, toy_batch, precision):
         """After warm-up, calls of any mix of column counts allocate nothing
         that outlives them, and transiently nothing beyond numpy's bounded
-        broadcast-iterator buffer (8192 elements = 64 KiB, well below the
-        plan's per-edge buffers)."""
+        broadcast-iterator buffer (8192 elements = 64 KiB, well below any of
+        the plan's per-edge arrays)."""
         import tracemalloc
 
         model = DSS(PLAIN_CONFIG)
@@ -200,7 +209,7 @@ class TestMultiColumnParity:
         expected = first.copy()
         model.infer_columns(plan, sources3)
         model.infer(plan, sources3[:, 0])
-        assert plan.workspace(5).edge_hidden.nbytes > 96 * 1024
+        assert plan.compiled_blocks[0].static.nbytes > 96 * 1024
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -243,8 +252,6 @@ class TestKernelFallbacks:
     @pytest.mark.parametrize("patched", ["_BLAS_GEMM", "_csr_matvecs"])
     @pytest.mark.parametrize("precision", ["f64", "f32"])
     def test_forced_fallback_matches_default(self, monkeypatch, toy_batch, patched, precision):
-        from repro.gnn import infer as engine
-
         model = DSS(PLAIN_CONFIG)
         model.eval()
         plan = model.compile_plan(toy_batch, precision=precision)
@@ -259,8 +266,6 @@ class TestKernelFallbacks:
     def test_gemm_acc_fallback_uses_the_scratch(self, monkeypatch, dtype):
         """Without the BLAS wrappers ``c += a @ b`` must not allocate the product."""
         import tracemalloc
-
-        from repro.gnn import infer as engine
 
         rng = np.random.default_rng(63)
         a = rng.normal(size=(20000, 6)).astype(dtype)
@@ -284,8 +289,6 @@ class TestKernelFallbacks:
     @pytest.mark.parametrize("config", [PLAIN_CONFIG, KAPPA_CONFIG])
     @pytest.mark.parametrize("k", [1, 3])
     def test_over_budget_static_terms(self, monkeypatch, toy_batch, kappa_batch, config, k):
-        from repro.gnn import infer as engine
-
         model, batch = _model_and_batch(config, toy_batch, kappa_batch)
         sources = np.random.default_rng(67 + k).normal(size=(batch.num_nodes, k))
         in_budget32 = model.infer_columns(
@@ -303,22 +306,238 @@ class TestKernelFallbacks:
         assert np.allclose(over32, in_budget32, rtol=1e-4, atol=1e-5 * max(scale, 1.0))
 
 
+# --------------------------------------------------------------------------- #
+# the edge pass: one layout, two bodies, the same bytes
+# --------------------------------------------------------------------------- #
+LEDGER_CHECKPOINT = Path(__file__).resolve().parents[1] / "benchmarks" / "ledger" / "dss_k20_d10.npz"
+
+@pytest.fixture
+def native_body():
+    """Skip where the kernel cannot load (resolved here, at run time, not at collection)."""
+    if _native.edge_kernels() is None:
+        pytest.skip("no C compiler here: the numpy body is the only one")
+
+
+def _random_graph(rng, n=40, edges=200):
+    """A seeded multigraph whose last two nodes are isolated (and some others of in-degree 1)."""
+    edge_index = rng.integers(0, n - 2, size=(2, edges))
+    return GraphProblem(positions=rng.normal(size=(n, 2)), edge_index=edge_index,
+                        edge_attr=rng.normal(size=(edges, 3)), source=np.zeros(n),
+                        dirichlet_mask=np.zeros(n, dtype=bool))
+
+
+@pytest.fixture(scope="module")
+def edge_cases(toy_batch):
+    """``name -> (model, batch)``: 2D with the frozen ledger weights, 3D, and degenerate degrees."""
+    from repro.gnn.checkpoint import load_model
+    from repro.problems import make_problem
+
+    solid = make_problem("poisson3d", rng=np.random.default_rng(4), target_nodes=216)
+    model3d = DSS(DSSConfig(num_iterations=2, latent_dim=4, edge_attr_dim=4, seed=0))
+    config = SolverConfig(preconditioner="ddm-gnn", subdomain_size=90)
+    (batch3d,) = prepare(solid, config, model=model3d).preconditioner._batches
+    # node 0 isolated, node 1 of in-degree 1, node 2 of in-degree 2, node 3 a pure source
+    degenerate = GraphProblem(
+        positions=np.zeros((4, 2)), edge_index=np.array([[3, 1, 3], [1, 2, 2]]),
+        edge_attr=np.random.default_rng(0).normal(size=(3, 3)), source=np.zeros(4),
+        dirichlet_mask=np.zeros(4, dtype=bool))
+    return {
+        "disk2d": (load_model(str(LEDGER_CHECKPOINT)), toy_batch),
+        "poisson3d": (model3d, batch3d),
+        "degenerate": (DSS(PLAIN_CONFIG),
+                       GraphBatch.from_graphs([degenerate, _random_graph(np.random.default_rng(1))])),
+    }
+
+
+@pytest.fixture
+def numpy_body(monkeypatch):
+    """Fail the loader for this test: every plan runs the numpy edge pass."""
+    monkeypatch.setattr(_native, "_kernels", None)
+
+
+class TestEdgeKernel:
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    @pytest.mark.parametrize("graph", ["disk2d", "poisson3d", "degenerate"])
+    @pytest.mark.parametrize("budget", ["static", "over-budget"])
+    def test_native_is_bitwise_the_numpy_body(self, native_body, monkeypatch, edge_cases, graph, precision, k,
+                                              budget):
+        model, batch = edge_cases[graph]
+        if budget == "over-budget":
+            monkeypatch.setattr(engine, "STATIC_EDGE_TERM_BUDGET", 0)
+        sources = np.random.default_rng(k).normal(size=(batch.num_nodes, k))
+        plan = model.compile_plan(batch, precision=precision)
+        assert plan.kernel == "native" and plan._buffers is None
+        native = model.infer_columns(plan, sources).copy()
+        assert plan._buffers._edge is None            # the message buffer was never allocated
+        monkeypatch.setattr(_native, "_kernels", None)
+        plan = model.compile_plan(batch, precision=precision)
+        assert plan.kernel == "numpy"
+        assert np.isfinite(native).all() and np.array_equal(model.infer_columns(plan, sources), native)
+
+    #: sha256[:16] of the edge section's output at the commit before the edge
+    #: sort and the native kernel (PR 20), on the inputs below.  The section
+    #: only adds and takes maxima, so the bytes do not depend on the BLAS or
+    #: the machine — unlike a whole forward, whose GEMMs do.
+    PARENT_DIGESTS = {("f64", 1): "ced85c51d4d28a43", ("f64", 3): "31e8b7ef7a971045",
+                      ("f32", 1): "600fc71cdbfa7bfc", ("f32", 3): "6e46bab5e97aab0c"}
+
+    @pytest.mark.parametrize("body", ["default", "numpy"])
+    @pytest.mark.parametrize("precision,k", sorted(PARENT_DIGESTS))
+    def test_edge_pass_reproduces_the_parent_bytes(self, request, body, precision, k):
+        if body == "numpy":
+            request.getfixturevalue("numpy_body")
+        rng = np.random.default_rng(2024)
+        batch = GraphBatch.from_graphs([_random_graph(rng), _random_graph(rng)])
+        plan = DSS(DSSConfig(num_iterations=1, latent_dim=5, seed=0)).compile_plan(batch, precision=precision)
+        ws = plan.workspace(k)
+        ws.proj_flat[...] = rng.normal(size=ws.proj_flat.shape)
+        static = rng.normal(size=(batch.num_edges, 10)).astype(plan.dtype)
+        plan._edge_pass(ws, static)
+        assert hashlib.sha256(ws.pre_flat.tobytes()).hexdigest()[:16] == self.PARENT_DIGESTS[precision, k]
+
+    def test_static_terms_do_not_depend_on_row_position(self, random_mesh):
+        """The static terms are computed on the destination-sorted attribute
+        rows directly, never permuted afterwards (one copy resident).  Those
+        are the edge-ordered rows permuted only if the BLAS computes a GEMM
+        row from that row alone — checked, not assumed, on every registry
+        family, from the unsorted edges of its sub-domain batches."""
+        from repro.problems import available_problems, make_problem, problem_spec
+
+        model = DSS(DSSConfig(num_iterations=1, latent_dim=10, edge_attr_dim=4, node_input_dim=2, seed=0))
+        for name in available_problems():
+            if int(problem_spec(name).default_kwargs.get("dim", 2)) == 3:
+                problem = make_problem(name, rng=np.random.default_rng(1), target_nodes=216)
+            else:
+                problem = make_problem(name, mesh=random_mesh, rng=np.random.default_rng(1))
+            config = SolverConfig(preconditioner="ddm-gnn", krylov="gmres", subdomain_size=90)
+            preconditioner = prepare(problem, config, model=model).preconditioner
+            for batch, plan in zip(preconditioner._batches, preconditioner._plans):
+                order = np.argsort(batch.edge_index[1], kind="stable")
+                assert (np.diff(order) < 0).any(), "the batch is already sorted: nothing checked"
+                (block,) = plan.compiled_blocks
+                for dtype in (np.float32, np.float64):
+                    attr = np.ascontiguousarray(model._prepare_edge_attr(batch.edge_attr), dtype=dtype)
+                    weights, bias = block.w_attr_T.astype(dtype), block.b_hidden.astype(dtype)
+                    edge_ordered = attr @ weights + bias
+                    assert np.array_equal(np.ascontiguousarray(attr[order]) @ weights + bias,
+                                          edge_ordered[order]), (name, dtype)
+                # and the (float64) plan holds exactly those rows
+                assert np.array_equal(block.static, edge_ordered[order]), name
+
+    @pytest.mark.parametrize("body", ["default", "numpy"])
+    def test_a_nan_source_ends_the_solve_with_the_typed_reason(self, request, monkeypatch, body, random_problem,
+                                                               tiny_dss_model):
+        """NaN goes through the ReLU of both bodies (``0 > NaN`` is false, as
+        ``np.maximum`` propagates it), so the Krylov guard sees it either way."""
+        if body == "numpy":
+            request.getfixturevalue("numpy_body")
+        config = SolverConfig(preconditioner="ddm-gnn", subdomain_size=80)
+        session = prepare(random_problem, config, model=tiny_dss_model)
+        (plan,) = session.preconditioner._plans
+        sources = np.zeros((plan.num_nodes, 2))
+        sources[5, 1] = np.nan
+        outputs = tiny_dss_model.infer_columns(plan, sources)
+        assert np.isfinite(outputs[:, 0]).all() and np.isnan(outputs[:, 1]).any()
+
+        solve_batch = DDMGNNPreconditioner._solve_batch
+
+        def poisoned(self, index, sources):
+            sources[5, :] = np.nan
+            return solve_batch(self, index, sources)
+
+        monkeypatch.setattr(DDMGNNPreconditioner, "_solve_batch", poisoned)
+        result = session.solve()
+        assert not result.converged and result.iterations == 0
+        assert result.failure_reason == "non_finite_preconditioner"
+        assert result.info["kernel"] == session.preconditioner.inference_stats()["kernel"] == plan.kernel
+
+
+class TestNativeLoader:
+    """``repro.gnn._native``: compile once into the cache, reuse it, and fall
+    back to numpy — silently, for the rest of the process — on any failure."""
+
+    @pytest.fixture
+    def fresh(self, monkeypatch, tmp_path):
+        """An unresolved loader whose first cache root is an empty directory."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(_native, "_kernels", _native._UNRESOLVED)
+        return tmp_path
+
+    def test_compiles_once_and_forked_workers_inherit_it(self, native_body, fresh, random_problem, tiny_dss_model):
+        from repro.serve import ServeConfig, ShardConfig, ShardedSolveService
+
+        model = DSS(PLAIN_CONFIG)
+        assert not list(fresh.rglob("*.so"))
+        plan = model.compile_plan(GraphBatch.from_graphs([_random_graph(np.random.default_rng(0))]))
+        assert not list(fresh.rglob("*")), "compiling a plan must not run the compiler"
+        model.infer(plan, np.ones(plan.num_nodes))
+        (library,) = fresh.rglob("*.so")
+        assert plan.kernel == "native" and [path.name for path in library.parent.iterdir()] == [library.name]
+        published = library.stat().st_mtime_ns
+
+        _native._kernels = _native._UNRESOLVED          # a second process: the cache answers
+        assert _native.edge_kernels() is not None and library.stat().st_mtime_ns == published
+
+        config = SolverConfig(preconditioner="ddm-gnn", subdomain_size=80, tolerance=1e-2, max_iterations=3)
+        with ShardedSolveService(ServeConfig(workers=1), model=tiny_dss_model,
+                                 shard_config=ShardConfig(workers=1)) as service:
+            result = service.solve(random_problem, solver_config=config)
+        assert result.info["kernel"] == result.info["gnn_stats"]["kernel"] == "native"
+        assert [path.name for path in library.parent.iterdir()] == [library.name]
+        assert library.stat().st_mtime_ns == published
+
+    @pytest.mark.parametrize("failure", ["CC=false", "no compiler", "wrong answer", "unloadable"])
+    def test_any_failure_selects_the_numpy_body_for_good(self, fresh, monkeypatch, failure, toy_batch):
+        if failure == "CC=false":
+            monkeypatch.setenv("CC", "false")
+        elif failure == "no compiler":
+            monkeypatch.setenv("CC", str(fresh / "no-such-compiler"))
+        elif failure == "wrong answer":                  # compiles and loads, but forgot the ReLU
+            wrong = fresh / "wrong.c"
+            wrong.write_text(_native.SOURCE.read_text().replace("(T)0 > t ? (T)0 : t", "t"))
+            monkeypatch.setattr(_native, "SOURCE", wrong)
+        else:
+            monkeypatch.setattr(_native.ctypes, "CDLL", lambda path: (_ for _ in ()).throw(OSError(path)))
+        model = DSS(PLAIN_CONFIG)
+        plan = model.compile_plan(toy_batch)
+        source = np.random.default_rng(3).normal(size=toy_batch.num_nodes)
+        output = model.infer(plan, source).copy()
+        # None, not unresolved: nothing in this process asks the loader again
+        assert plan.kernel == "numpy" and _native._kernels is None
+        toy_batch.source = source
+        assert np.allclose(output, model.predict(toy_batch), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.skipif(os.environ.get("CC") == "false", reason="already running without a compiler")
+    def test_this_whole_file_passes_without_a_compiler(self):
+        """The fallback is a supported configuration: every test above, on the numpy body."""
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "CC": "false",
+               "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", __file__],
+                             cwd=root, env=env, capture_output=True, text=True, timeout=600)
+        assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]
+        assert " skipped" in run.stdout                  # the native-only cells, and this test
+
+
 class TestPreconditionerApplyColumns:
     """``DDMGNNPreconditioner.apply_columns`` against per-column ``apply``,
-    including ragged last inference batches (``batch_size`` not dividing the
-    sub-domain count)."""
+    including ragged last inference batches (a batch budget of ``chunk``
+    sub-domains, not dividing the sub-domain count)."""
 
-    def _build(self, problem, decomposition, model, **kwargs):
+    def _build(self, problem, decomposition, model, chunk=None, monkeypatch=None, **kwargs):
+        if chunk is not None:
+            average = int(sum(decomposition.sizes())) // decomposition.num_subdomains
+            monkeypatch.setattr(ddm_gnn_module, "_AUTO_BATCH_TARGET_NODES", chunk * average)
         return DDMGNNPreconditioner(
             problem.matrix, problem.mesh, decomposition, model, **kwargs
         )
 
-    @pytest.mark.parametrize("batch_size", [None, 4])
-    def test_f64_apply_columns_bitwise(self, random_problem, small_decomposition, tiny_dss_model, batch_size):
-        pre = self._build(
-            random_problem, small_decomposition, tiny_dss_model, batch_size=batch_size
-        )
-        if batch_size is not None:
+    @pytest.mark.parametrize("chunk", [None, 4])
+    def test_f64_apply_columns_bitwise(self, monkeypatch, random_problem, small_decomposition,
+                                       tiny_dss_model, chunk):
+        pre = self._build(random_problem, small_decomposition, tiny_dss_model, chunk, monkeypatch)
+        if chunk is not None:
             # the point of the parametrization: a ragged last inference batch
             assert len({len(m) for m in pre._batch_membership}) > 1
         R = np.random.default_rng(43).normal(size=(random_problem.num_dofs, 5))
@@ -326,11 +545,11 @@ class TestPreconditionerApplyColumns:
         for j in range(R.shape[1]):
             assert np.array_equal(fused[:, j], pre.apply(R[:, j]))
 
-    @pytest.mark.parametrize("batch_size", [None, 4])
-    def test_f32_apply_columns_tolerance(self, random_problem, small_decomposition, tiny_dss_model, batch_size):
+    @pytest.mark.parametrize("chunk", [None, 4])
+    def test_f32_apply_columns_tolerance(self, monkeypatch, random_problem, small_decomposition,
+                                         tiny_dss_model, chunk):
         pre = self._build(
-            random_problem, small_decomposition, tiny_dss_model,
-            batch_size=batch_size, precision="f32",
+            random_problem, small_decomposition, tiny_dss_model, chunk, monkeypatch, precision="f32",
         )
         R = np.random.default_rng(47).normal(size=(random_problem.num_dofs, 5))
         fused = pre.apply_columns(R)

@@ -497,6 +497,9 @@ class TestObservationIsFree:
             assert result.info["recurrence"] == expected
             assert [e["recurrence"] for e in terminal] == [expected]
             assert solve_span.attributes["recurrence"] == expected
+            # ... and, beside it, which edge-pass body the GNN ran (None without one)
+            assert solve_span.attributes["kernel"] == result.info.get("kernel")
+            assert (result.info.get("kernel") in ("native", "numpy")) == (kind == "ddm-gnn")
 
     def test_obs_off_emits_nothing(self):
         problem = build_problem_from_spec(SPEC)

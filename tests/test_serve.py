@@ -246,6 +246,26 @@ class TestFingerprints:
         b = session_key(serve_problem, config, other_model)
         assert a != b
 
+    def test_edge_kernel_enters_no_key(self, monkeypatch, serve_problem, tiny_dss_model):
+        """Which edge-pass body ran is reported (``info["kernel"]``), never keyed."""
+        from repro.gnn import _native
+
+        config = SolverConfig(preconditioner="ddm-gnn", subdomain_size=80, tolerance=1e-2, max_iterations=3)
+        keys, fingerprints, solutions = [], [], []
+        for body in ("default", "numpy"):
+            if body == "numpy":
+                monkeypatch.setattr(_native, "_kernels", None)
+            session = prepare(serve_problem, config, model=tiny_dss_model)
+            result = session.solve()
+            assert result.info["kernel"] == session.diagnostics()["gnn_stats"]["kernel"]
+            keys.append(session_key(serve_problem, config, tiny_dss_model))
+            fingerprints.append((session.fingerprint(), config.config_hash()))
+            solutions.append(result.solution)
+        assert result.info["kernel"] == "numpy"
+        assert keys[0] == keys[1] and fingerprints[0] == fingerprints[1]
+        assert np.array_equal(solutions[0], solutions[1])
+        assert "kernel" not in config.to_dict()
+
     def test_levels_config_threaded_through_factories(self, serve_problem):
         one = prepare(serve_problem, SolverConfig(preconditioner="ddm-lu",
                                                   subdomain_size=80, levels=1))
@@ -508,6 +528,7 @@ class TestHTTP:
                                                       "subdomain_size": 80})
         assert response["converged"] is True
         assert response["serve"]["batch_size"] >= 1
+        assert "kernel" not in response and "kernel" not in response["serve"]
         direct = build_problem_from_spec(spec)
         solution = np.asarray(response["solution"])
         assert solution.shape == (direct.num_dofs,)
