@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -77,29 +77,23 @@ class TriangularMesh:
     # topology
     # ------------------------------------------------------------------ #
     @cached_property
+    def _edge_counts(self) -> Tuple[np.ndarray, np.ndarray]:
+        return unique_edges(self.triangles, ((0, 1), (1, 2), (2, 0)), self.num_nodes)
+
+    @property
     def edges(self) -> np.ndarray:
         """Unique undirected edges, shape (E, 2), each row sorted (i < j)."""
-        tri = self.triangles
-        raw = np.vstack([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
-        raw.sort(axis=1)
-        return np.unique(raw, axis=0)
+        return self._edge_counts[0]
 
     @cached_property
     def edge_counts(self) -> Dict[Tuple[int, int], int]:
         """Number of triangles sharing each undirected edge (1 = boundary edge)."""
-        tri = self.triangles
-        raw = np.vstack([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
-        raw.sort(axis=1)
-        uniq, counts = np.unique(raw, axis=0, return_counts=True)
-        return {(int(a), int(b)): int(c) for (a, b), c in zip(uniq, counts)}
+        return {(int(a), int(b)): int(c) for (a, b), c in zip(*self._edge_counts)}
 
     @cached_property
     def boundary_edges(self) -> np.ndarray:
         """Edges that belong to exactly one triangle, shape (Eb, 2)."""
-        tri = self.triangles
-        raw = np.vstack([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
-        raw.sort(axis=1)
-        uniq, counts = np.unique(raw, axis=0, return_counts=True)
+        uniq, counts = self._edge_counts
         return uniq[counts == 1]
 
     @cached_property
@@ -204,15 +198,18 @@ class TriangularMesh:
         best = 0
         sources = rng.choice(self.num_nodes, size=min(n_sources, self.num_nodes), replace=False)
         for s in sources:
-            dist = _bfs_distances(adj, int(s))
-            far = int(np.argmax(dist))
-            dist2 = _bfs_distances(adj, far)
+            dist = _hop_distances(adj, int(s))
+            dist2 = _hop_distances(adj, int(np.argmax(dist)))
             best = max(best, int(dist2.max()))
         return best
 
     # ------------------------------------------------------------------ #
     # sub-mesh extraction
     # ------------------------------------------------------------------ #
+    @cached_property
+    def _node_cells(self) -> sp.csr_matrix:
+        return node_cell_incidence(self.triangles, self.num_nodes)
+
     def submesh(self, node_indices: Sequence[int]) -> Tuple["TriangularMesh", np.ndarray]:
         """Extract the sub-mesh induced by ``node_indices``.
 
@@ -220,13 +217,8 @@ class TriangularMesh:
         local node (the local → global map).  Only triangles whose three
         vertices are all selected are retained.
         """
-        node_indices = np.asarray(sorted(set(int(i) for i in node_indices)), dtype=np.int64)
-        global_to_local = -np.ones(self.num_nodes, dtype=np.int64)
-        global_to_local[node_indices] = np.arange(len(node_indices))
-        tri_mask = np.all(global_to_local[self.triangles] >= 0, axis=1)
-        local_triangles = global_to_local[self.triangles[tri_mask]]
-        sub = TriangularMesh(self.nodes[node_indices], local_triangles)
-        return sub, node_indices
+        node_indices, local_triangles = induced_cells(self, node_indices)
+        return TriangularMesh(self.nodes[node_indices], local_triangles), node_indices
 
     # ------------------------------------------------------------------ #
     # transformations
@@ -240,22 +232,78 @@ class TriangularMesh:
         return TriangularMesh(self.nodes + np.asarray(offset, dtype=np.float64), self.triangles.copy())
 
 
-def _bfs_distances(adjacency: sp.csr_matrix, source: int) -> np.ndarray:
-    """Hop distances from ``source`` using BFS on a CSR adjacency matrix."""
-    n = adjacency.shape[0]
-    dist = np.full(n, -1, dtype=np.int64)
+def unique_edges(cells: np.ndarray, pairs, num_nodes: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Unique undirected edges of ``cells`` — one per vertex-slot pair in ``pairs`` — and how many
+    cells share each: rows sorted (i < j) in lexicographic order, found by sorting one integer
+    key ``i * n + j`` per edge rather than the rows themselves."""
+    first = np.concatenate([cells[:, a] for a, _ in pairs])
+    second = np.concatenate([cells[:, b] for _, b in pairs])
+    base = max(int(num_nodes), 1)
+    keys, counts = np.unique(np.minimum(first, second) * base + np.maximum(first, second), return_counts=True)
+    return np.column_stack(np.divmod(keys, base)), counts
+
+
+#: hop distance of a node no BFS has reached yet
+UNREACHED = np.iinfo(np.int64).max
+
+
+def csr_neighbours(adjacency: sp.csr_matrix, nodes: np.ndarray) -> np.ndarray:
+    """The CSR rows of ``nodes`` concatenated: every neighbour, duplicates kept.
+
+    One vectorised gather — the frontier expansion shared by the hop-distance
+    BFS below, the partitioner's seeding and growing waves and the overlap
+    layers, each of which filters the result by its own "not yet taken" test.
+    """
+    nodes = np.asarray(nodes)
+    starts = adjacency.indptr[nodes]
+    counts = adjacency.indptr[nodes + 1] - starts
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return adjacency.indices[np.arange(total) + np.repeat(starts - (ends - counts), counts)]
+
+
+def node_cell_incidence(cells: np.ndarray, num_nodes: int) -> sp.csr_matrix:
+    """Node → cell incidence in CSR form: row ``i`` lists the cells that have node ``i`` as a vertex."""
+    cell_ids = np.repeat(np.arange(len(cells)), cells.shape[1])
+    ones = np.ones(cells.size, dtype=np.int8)  # only the pattern is read
+    return sp.csr_matrix((ones, (cells.ravel(), cell_ids)), shape=(num_nodes, len(cells)))
+
+
+def induced_cells(mesh, node_indices: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """The sorted unique ``node_indices`` and the cells they induce, renumbered locally.
+
+    Only the cells touching the selection are looked at (through the mesh's
+    cached ``_node_cells`` incidence) and kept in cell order, so extracting K
+    sub-meshes costs their total size, not K sweeps of the whole mesh.
+    """
+    node_indices = np.unique(np.asarray(node_indices, dtype=np.int64))
+    cells = mesh.cells[np.unique(csr_neighbours(mesh._node_cells, node_indices))]
+    local = np.minimum(np.searchsorted(node_indices, cells), len(node_indices) - 1)
+    return node_indices, local[np.all(node_indices[local] == cells, axis=1)]
+
+
+def relax_hop_distances(adjacency: sp.csr_matrix, source: int, dist: np.ndarray) -> None:
+    """Lower ``dist`` in place to ``min(dist, hops from source)`` by a pruned BFS.
+
+    A level keeps only the neighbours whose distance improves.  When ``dist``
+    changes by at most one along every edge (true of ``UNREACHED`` everywhere
+    and of any minimum of hop distances) the predecessor of an improved node on
+    a shortest path improves too, so the result equals the full BFS minimum
+    while touching only the nodes nearer to ``source`` than to anything before.
+    """
     dist[source] = 0
     frontier = np.array([source], dtype=np.int64)
     level = 0
-    indptr, indices = adjacency.indptr, adjacency.indices
     while len(frontier):
         level += 1
-        nxt: List[int] = []
-        for u in frontier:
-            neigh = indices[indptr[u]:indptr[u + 1]]
-            new = neigh[dist[neigh] < 0]
-            dist[new] = level
-            nxt.extend(new.tolist())
-        frontier = np.array(nxt, dtype=np.int64)
-    dist[dist < 0] = 0
+        neigh = csr_neighbours(adjacency, frontier)
+        frontier = np.unique(neigh[dist[neigh] > level])
+        dist[frontier] = level
+
+
+def _hop_distances(adjacency: sp.csr_matrix, source: int) -> np.ndarray:
+    """Hop distances from ``source`` (0 for nodes in another component)."""
+    dist = np.full(adjacency.shape[0], UNREACHED, dtype=np.int64)
+    relax_hop_distances(adjacency, source, dist)
+    dist[dist == UNREACHED] = 0
     return dist

@@ -25,6 +25,8 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
+from .mesh import induced_cells, node_cell_incidence, unique_edges
+
 __all__ = ["TetrahedralMesh", "structured_box_mesh", "box_mesh_for_target_size"]
 
 #: the six Kuhn tetrahedra of the unit cube: vertex paths from (0,0,0) to
@@ -81,11 +83,8 @@ class TetrahedralMesh:
     @cached_property
     def edges(self) -> np.ndarray:
         """Unique undirected edges (6 per tet), shape (E, 2), rows sorted."""
-        t = self.cells
-        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-        raw = np.vstack([t[:, [a, b]] for a, b in pairs])
-        raw.sort(axis=1)
-        return np.unique(raw, axis=0)
+        pairs = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+        return unique_edges(self.cells, pairs, self.num_nodes)[0]
 
     @cached_property
     def _face_counts(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -173,6 +172,10 @@ class TetrahedralMesh:
     # ------------------------------------------------------------------ #
     # sub-mesh extraction
     # ------------------------------------------------------------------ #
+    @cached_property
+    def _node_cells(self) -> sp.csr_matrix:
+        return node_cell_incidence(self.cells, self.num_nodes)
+
     def submesh(self, node_indices: Sequence[int]) -> Tuple["TetrahedralMesh", np.ndarray]:
         """Extract the sub-mesh induced by ``node_indices``.
 
@@ -180,13 +183,8 @@ class TetrahedralMesh:
         vertices are all selected are retained, and the local → global node
         index map is returned alongside the sub-mesh.
         """
-        node_indices = np.asarray(sorted(set(int(i) for i in node_indices)), dtype=np.int64)
-        global_to_local = -np.ones(self.num_nodes, dtype=np.int64)
-        global_to_local[node_indices] = np.arange(len(node_indices))
-        cell_mask = np.all(global_to_local[self.cells] >= 0, axis=1)
-        local_cells = global_to_local[self.cells[cell_mask]]
-        sub = TetrahedralMesh(self.nodes[node_indices], local_cells)
-        return sub, node_indices
+        node_indices, local_cells = induced_cells(self, node_indices)
+        return TetrahedralMesh(self.nodes[node_indices], local_cells), node_indices
 
     # ------------------------------------------------------------------ #
     # transformations

@@ -12,7 +12,7 @@ from typing import List
 import numpy as np
 import scipy.sparse as sp
 
-from ..mesh.mesh import TriangularMesh
+from ..mesh.mesh import TriangularMesh, csr_neighbours
 from .partitioner import Partition
 
 __all__ = ["expand_overlap", "overlapping_subdomains", "OverlappingDecomposition"]
@@ -30,19 +30,15 @@ def expand_overlap(
     if overlap < 0:
         raise ValueError("overlap must be >= 0")
     adjacency = adjacency.tocsr()
-    n = adjacency.shape[0]
-    selected = np.zeros(n, dtype=bool)
-    selected[np.asarray(nodes, dtype=np.int64)] = True
-    frontier = selected.copy()
+    selected = frontier = np.unique(np.asarray(nodes, dtype=np.int64))
     for _ in range(overlap):
-        # all neighbours of the current frontier
-        reached = (adjacency @ frontier.astype(np.float64)) > 0
-        new = reached & ~selected
-        if not new.any():
+        # one frontier step over the set's own rows: nothing here is as long as the graph
+        reached = np.unique(csr_neighbours(adjacency, frontier))
+        frontier = np.setdiff1d(reached, selected, assume_unique=True)
+        if not len(frontier):
             break
-        selected |= new
-        frontier = new
-    return np.flatnonzero(selected)
+        selected = np.union1d(selected, frontier)
+    return selected
 
 
 class OverlappingDecomposition:
@@ -66,12 +62,10 @@ class OverlappingDecomposition:
         self.partition = partition
         self.overlap = int(overlap)
         adjacency = mesh.adjacency
-        self.core_nodes: List[np.ndarray] = []
-        self.subdomain_nodes: List[np.ndarray] = []
-        for part in range(partition.num_parts):
-            core = partition.part_nodes(part)
-            self.core_nodes.append(core)
-            self.subdomain_nodes.append(expand_overlap(adjacency, core, overlap))
+        self.core_nodes: List[np.ndarray] = partition.all_part_nodes()
+        self.subdomain_nodes: List[np.ndarray] = [
+            expand_overlap(adjacency, core, overlap) for core in self.core_nodes
+        ]
 
     @property
     def num_subdomains(self) -> int:

@@ -25,7 +25,7 @@ from typing import List, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from ..mesh.mesh import TriangularMesh
+from ..mesh.mesh import UNREACHED, TriangularMesh, csr_neighbours, relax_hop_distances
 
 __all__ = ["Partition", "partition_graph", "partition_mesh", "partition_mesh_target_size"]
 
@@ -54,6 +54,11 @@ class Partition:
         """Node indices belonging to partition ``part`` (no overlap)."""
         return np.flatnonzero(self.assignment == part)
 
+    def all_part_nodes(self) -> List[np.ndarray]:
+        """``part_nodes`` of every part, from one stable sort of the assignment."""
+        order = np.argsort(self.assignment, kind="stable")
+        return np.split(order, np.cumsum(self.sizes())[:-1])
+
     def sizes(self) -> np.ndarray:
         """Size of every partition."""
         return np.bincount(self.assignment, minlength=self.num_parts)
@@ -69,63 +74,24 @@ class Partition:
         return int(np.sum(self.assignment[coo.row] != self.assignment[coo.col]))
 
 
-def _csr_neighbours(adjacency: sp.csr_matrix, node: int) -> np.ndarray:
-    return adjacency.indices[adjacency.indptr[node]:adjacency.indptr[node + 1]]
-
-
-def _bfs_order(adjacency: sp.csr_matrix, source: int) -> np.ndarray:
-    """Nodes in BFS order from ``source`` (unreached nodes appended at the end)."""
-    n = adjacency.shape[0]
-    visited = np.zeros(n, dtype=bool)
-    order = np.empty(n, dtype=np.int64)
-    count = 0
-    queue = [source]
-    visited[source] = True
-    while queue:
-        nxt: List[int] = []
-        for u in queue:
-            order[count] = u
-            count += 1
-            for v in _csr_neighbours(adjacency, u):
-                if not visited[v]:
-                    visited[v] = True
-                    nxt.append(int(v))
-        queue = nxt
-    if count < n:
-        rest = np.flatnonzero(~visited)
-        order[count:] = rest
-    return order
-
-
 def _farthest_point_seeds(adjacency: sp.csr_matrix, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Pick k seeds spread out over the graph via iterated BFS distances."""
-    n = adjacency.shape[0]
-    seeds = [int(rng.integers(n))]
-    dist = _bfs_distances(adjacency, seeds[0])
-    for _ in range(1, k):
-        candidate = int(np.argmax(dist))
-        seeds.append(candidate)
-        dist = np.minimum(dist, _bfs_distances(adjacency, candidate))
-    return np.asarray(seeds, dtype=np.int64)
+    """Pick k seeds spread out over the graph: each new seed is the node farthest from all others.
 
-
-def _bfs_distances(adjacency: sp.csr_matrix, source: int) -> np.ndarray:
-    n = adjacency.shape[0]
-    dist = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-    dist[source] = 0
-    queue = [source]
-    level = 0
-    while queue:
-        level += 1
-        nxt: List[int] = []
-        for u in queue:
-            for v in _csr_neighbours(adjacency, u):
-                if dist[v] > level:
-                    dist[v] = level
-                    nxt.append(int(v))
-        queue = nxt
-    dist[dist == np.iinfo(np.int64).max] = level + 1
-    return dist
+    One distance-to-nearest-seed array is relaxed incrementally: the pruned
+    BFS of :func:`~repro.mesh.mesh.relax_hop_distances` visits roughly the new
+    seed's own Voronoi cell, so seeding costs about one sweep of the graph
+    plus an ``argmax`` per seed, not k full sweeps.  On a connected graph the
+    seeds are those of k full BFS sweeps exactly.  On a disconnected one they
+    are valid but not those of earlier versions (which capped unreached nodes
+    at eccentricity + 2): unreached nodes stay infinitely far, so every
+    component receives a seed before any component receives its second.
+    """
+    dist = np.full(adjacency.shape[0], UNREACHED, dtype=np.int64)
+    seeds = np.empty(k, dtype=np.int64)
+    for i in range(k):
+        seeds[i] = np.argmax(dist) if i else rng.integers(len(dist))
+        relax_hop_distances(adjacency, int(seeds[i]), dist)
+    return seeds
 
 
 def partition_graph(
@@ -146,47 +112,35 @@ def partition_graph(
     rng = rng if rng is not None else np.random.default_rng(0)
     adjacency = adjacency.tocsr()
 
-    assignment = -np.ones(n, dtype=np.int64)
+    assignment = np.full(n, -1, dtype=np.int64)
     seeds = _farthest_point_seeds(adjacency, num_parts, rng)
-    frontiers: List[List[int]] = []
-    sizes = np.zeros(num_parts, dtype=np.int64)
+    frontiers = [np.empty(0, dtype=np.int64)] * num_parts
+    # a part's size while it can still grow, +inf once a wave grabbed nothing
+    growable = np.zeros(num_parts)
     for p, s in enumerate(seeds):
         if assignment[s] < 0:
             assignment[s] = p
-            sizes[p] = 1
-            frontiers.append([int(s)])
-        else:
-            frontiers.append([])
+            growable[p] = 1
+            frontiers[p] = seeds[p:p + 1]
 
-    # greedy growing: always expand the smallest partition that still has a frontier
-    active = set(range(num_parts))
-    while active:
-        # pick the smallest active partition
-        p = min(active, key=lambda q: sizes[q])
-        frontier = frontiers[p]
-        new_frontier: List[int] = []
-        grabbed = False
-        for u in frontier:
-            for v in _csr_neighbours(adjacency, u):
-                if assignment[v] < 0:
-                    assignment[v] = p
-                    sizes[p] += 1
-                    new_frontier.append(int(v))
-                    grabbed = True
-        frontiers[p] = new_frontier
-        if not grabbed and not new_frontier:
-            active.discard(p)
+    # greedy growing: the smallest part that can still grow (lowest id on ties)
+    # takes every unassigned neighbour of its frontier in one wave
+    while True:
+        p = int(np.argmin(growable))
+        if growable[p] == np.inf:
+            break
+        neigh = csr_neighbours(adjacency, frontiers[p])
+        frontiers[p] = grabbed = np.unique(neigh[assignment[neigh] < 0])
+        assignment[grabbed] = p
+        growable[p] = (growable[p] + len(grabbed)) if len(grabbed) else np.inf
 
-    # any unassigned nodes (disconnected graph): give them to the smallest part via BFS order
-    unassigned = np.flatnonzero(assignment < 0)
-    for u in unassigned:
-        neigh = _csr_neighbours(adjacency, u)
-        neigh_parts = assignment[neigh]
+    # nodes no seed reaches (more components than parts): majority part of the
+    # neighbours already assigned, else the smallest part
+    sizes = np.bincount(assignment[assignment >= 0], minlength=num_parts)
+    for u in np.flatnonzero(assignment < 0):
+        neigh_parts = assignment[adjacency.indices[adjacency.indptr[u]:adjacency.indptr[u + 1]]]
         neigh_parts = neigh_parts[neigh_parts >= 0]
-        if len(neigh_parts):
-            p = int(np.bincount(neigh_parts, minlength=num_parts).argmax())
-        else:
-            p = int(np.argmin(sizes))
+        p = int(np.bincount(neigh_parts).argmax()) if len(neigh_parts) else int(np.argmin(sizes))
         assignment[u] = p
         sizes[p] += 1
 
@@ -199,36 +153,42 @@ def partition_graph(
 
 
 def _refine_boundary(adjacency: sp.csr_matrix, partition: Partition, balance_tolerance: float) -> int:
-    """One KL-style sweep: move boundary nodes to reduce the cut while staying balanced."""
+    """One KL-style sweep: move boundary nodes to reduce the cut while staying balanced.
+
+    Boundary nodes are visited in index order and a move changes what its
+    neighbours see, so the sweep is sequential — but a node can only move when
+    another part holds more of its neighbours than its own, which needs more
+    than half of them outside its part or a neighbour that moved earlier in
+    the sweep.  Only those nodes are evaluated; the rest are a flag test.
+    """
     assignment = partition.assignment
-    num_parts = partition.num_parts
-    sizes = np.bincount(assignment, minlength=num_parts).astype(np.int64)
+    indptr, indices = adjacency.indptr, adjacency.indices
     n = adjacency.shape[0]
-    max_size = int(np.ceil(balance_tolerance * n / num_parts))
+    sizes = partition.sizes()
+    max_size = int(np.ceil(balance_tolerance * n / partition.num_parts))
+    degree = np.diff(indptr)
+    rows = np.repeat(np.arange(n), degree)
+    outside = np.bincount(rows[assignment[rows] != assignment[indices]], minlength=n)
+    pending = bytearray((2 * outside > degree).tobytes())
     moved = 0
-    coo = sp.triu(adjacency, k=1).tocoo()
-    boundary_nodes = np.unique(
-        np.concatenate(
-            [
-                coo.row[assignment[coo.row] != assignment[coo.col]],
-                coo.col[assignment[coo.row] != assignment[coo.col]],
-            ]
-        )
-    )
-    for u in boundary_nodes:
+    for u in np.flatnonzero(outside).tolist():
+        if not pending[u]:
+            continue
         current = assignment[u]
         if sizes[current] <= 1:
             continue
-        neigh = _csr_neighbours(adjacency, int(u))
-        neigh_parts = assignment[neigh]
-        counts = np.bincount(neigh_parts, minlength=num_parts)
-        best = int(np.argmax(counts))
+        neigh = indices[indptr[u]:indptr[u + 1]]
+        parts, counts = np.unique(assignment[neigh], return_counts=True)
+        top = np.argmax(counts)  # lowest part id on ties
+        best = parts[top]
         # gain = edges to best part - edges kept in current part
-        if best != current and counts[best] > counts[current] and sizes[best] < max_size:
+        if best != current and counts[top] > counts[parts == current].sum() and sizes[best] < max_size:
             assignment[u] = best
             sizes[current] -= 1
             sizes[best] += 1
             moved += 1
+            for v in neigh.tolist():
+                pending[v] = 1
     return moved
 
 

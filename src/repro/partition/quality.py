@@ -48,8 +48,7 @@ class PartitionReport:
 def _num_connected_parts(adjacency: sp.csr_matrix, partition: Partition) -> int:
     """Count how many partitions induce a connected subgraph."""
     connected = 0
-    for part in range(partition.num_parts):
-        nodes = partition.part_nodes(part)
+    for nodes in partition.all_part_nodes():
         if len(nodes) == 0:
             continue
         sub = adjacency[np.ix_(nodes, nodes)].tocsr()

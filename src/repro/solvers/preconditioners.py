@@ -19,7 +19,7 @@ from ..ddm.local_solvers import JacobiLocalSolver
 from ..fem.problem import Problem
 from ..krylov.ic import IncompleteCholeskyPreconditioner
 from ..partition.overlap import OverlappingDecomposition
-from ..partition.partitioner import partition_mesh, partition_mesh_target_size
+from ..partition.partitioner import Partition, partition_mesh, partition_mesh_target_size
 from .config import SolverConfig
 from .registry import register_preconditioner
 
@@ -111,11 +111,14 @@ def _build_identity(
     return IdentityPreconditioner(problem.num_dofs)
 
 
-def build_decomposition(problem: Problem, config: SolverConfig) -> OverlappingDecomposition:
-    """Partition the problem's mesh per the config (the DDM setup stage)."""
+def build_partition(problem: Problem, config: SolverConfig) -> Partition:
+    """Partition the problem's mesh per the config (non-overlapping cores)."""
     rng = np.random.default_rng(config.seed)
     if config.num_subdomains is not None:
-        partition = partition_mesh(problem.mesh, config.num_subdomains, rng=rng)
-    else:
-        partition = partition_mesh_target_size(problem.mesh, config.subdomain_size, rng=rng)
-    return OverlappingDecomposition(problem.mesh, partition, overlap=config.overlap)
+        return partition_mesh(problem.mesh, config.num_subdomains, rng=rng)
+    return partition_mesh_target_size(problem.mesh, config.subdomain_size, rng=rng)
+
+
+def build_decomposition(problem: Problem, config: SolverConfig) -> OverlappingDecomposition:
+    """Partition the mesh and grow the overlap (the DDM setup stage)."""
+    return OverlappingDecomposition(problem.mesh, build_partition(problem, config), overlap=config.overlap)
