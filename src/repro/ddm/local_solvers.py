@@ -24,12 +24,25 @@ __all__ = ["LocalSolver", "LULocalSolver", "JacobiLocalSolver", "extract_local_m
 
 
 def extract_local_matrices(matrix: sp.spmatrix, subdomain_nodes: Sequence[np.ndarray]) -> List[sp.csr_matrix]:
-    """Extract the local Dirichlet matrices ``A_i = R_i A R_iᵀ`` for every sub-domain."""
+    """Extract the local Dirichlet matrices ``A_i = R_i A R_iᵀ`` for every sub-domain (of distinct nodes).
+
+    ``csr[idx][:, idx]``, entry for entry, without the n-length column map scipy
+    allocates per call (O(K·n) over a decomposition): one map serves every
+    sub-domain, only its own entries set and reset.
+    """
     csr = matrix.tocsr()
+    local_of = np.full(csr.shape[1], -1, dtype=csr.indices.dtype)
     locals_: List[sp.csr_matrix] = []
     for nodes in subdomain_nodes:
         idx = np.asarray(nodes, dtype=np.int64)
-        locals_.append(csr[idx][:, idx].tocsr())
+        rows = csr[idx]                                   # the sub-domain's rows, every column
+        local_of[idx] = np.arange(len(idx), dtype=local_of.dtype)
+        columns = local_of[rows.indices]
+        local_of[idx] = -1
+        keep = columns >= 0
+        kept_before = np.concatenate(([0], np.cumsum(keep, dtype=local_of.dtype)))
+        locals_.append(sp.csr_matrix((rows.data[keep], columns[keep], kept_before[rows.indptr]),
+                                     shape=(len(idx), len(idx))))
     return locals_
 
 

@@ -17,7 +17,7 @@ import shlex
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -58,33 +58,39 @@ def _library() -> ctypes.CDLL:
     raise OSError("no writable cache directory")
 
 
-def _checked(function, dtype) -> Callable:
+def _checked(function, dtype, width: int) -> Callable:
     """Declare the C signature, then demand numpy's bytes on a 3-node graph
     (isolated, in-degree 1, in-degree 2; two columns, three units)."""
-    function.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 5
+    function.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 7
     function.restype = None
     rng = np.random.default_rng(0)
     indptr, src = np.array([0, 0, 1, 3], dtype=np.int64), np.array([2, 0, 1], dtype=np.int64)
-    static, proj = rng.normal(size=(3, 3)).astype(dtype), rng.normal(size=(6, 2, 3)).astype(dtype)
+    attr, weights, bias, proj = (rng.normal(size=shape).astype(dtype)
+                                 for shape in ((3, width), (width, 3), (3,), (6, 2, 3)))
+    static = attr[:, :1] * weights[0]
+    for j in range(1, width):
+        static += attr[:, j:j + 1] * weights[j]
+    static += bias
     expected = np.zeros((3, 2, 3), dtype=dtype)
     for edge, node in enumerate((1, 2, 2)):
         expected[node] += np.maximum(static[edge] + proj[node] + proj[3 + src[edge]], 0.0)
     result = np.full_like(expected, np.nan)
-    function(3, 2, 3, indptr.ctypes.data, src.ctypes.data, static.ctypes.data, proj.ctypes.data,
-             result.ctypes.data)
+    function(3, 2, 3, indptr.ctypes.data, src.ctypes.data, attr.ctypes.data, weights.ctypes.data,
+             bias.ctypes.data, proj.ctypes.data, result.ctypes.data)
     if not np.array_equal(result, expected):
         raise ValueError("the compiled edge kernel failed its self-check")
     return function
 
 
-def edge_kernels() -> Optional[Dict[np.dtype, Callable]]:
-    """``{dtype: edge_pass(n, k, w, indptr, src, static, proj, pre)}``, or None for numpy."""
+def edge_kernels() -> Optional[Dict[Tuple[str, int], Callable]]:
+    """``{(precision, |e|): edge_pass(n, k, w, indptr, src, attr, weights, bias, proj, pre)}``
+    for the instantiated attribute widths, or None for numpy."""
     global _kernels
     if _kernels is _UNRESOLVED:
         try:
             library = _library()
-            _kernels = {np.dtype(dtype): _checked(getattr(library, f"edge_pass_{name}"), dtype)
-                        for name, dtype in (("f64", np.float64), ("f32", np.float32))}
+            _kernels = {(name, width): _checked(getattr(library, f"edge_pass_{name}_{width}"), dtype, width)
+                        for name, dtype in (("f64", np.float64), ("f32", np.float32)) for width in (3, 4)}
         except Exception:  # the contract above: whatever went wrong, numpy runs
             _kernels = None
     return _kernels

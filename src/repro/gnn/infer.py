@@ -21,23 +21,26 @@ exists to move fewer bytes per sweep; all of it is fixed at compile time:
   the last axis (``[fwd | bwd]``, width ``2d``): one pair of double-width
   projection GEMMs and one edge pass serve both, and the aggregation result
   is already the contiguous ``ψ`` GEMM operand;
-* **static edge terms** — the attribute contribution ``e @ W₁ₑᵀ + b₁`` depends
-  only on the fixed edge attributes, so it is evaluated once per block as one
-  ``(E, 2d)`` array (the backward direction's sign-reversed relative
-  positions are folded into its weights: ``(−a)·w = a·(−w)`` exactly, so both
-  directions read the same attribute array).  Above a memory budget the same
-  GEMM runs per sweep into a scratch instead;
+* **static edge terms** — the attribute contribution ``e W₁ₑᵀ + b₁`` depends
+  only on the fixed edge attributes, and is never stored: a plan holds its one
+  ``(E, |e|)`` attribute array and each block its ``(|e|, 2d)`` weights and
+  ``(2d,)`` bias (the backward direction's sign-reversed relative positions
+  folded into the weights, ``(−a)·w = a·(−w)`` exactly, so both directions
+  read the same attributes), and the edge pass forms an edge's term as it gets
+  there, once for all ``k`` columns — plan memory is ``O(E + n·d·k̄)``;
 * **one edge pass** — ``pre[i] = Σ_{e → i} relu(static[e] + proj_dst[i] +
-  proj_src[src_e])`` over edges stable-sorted by destination at compile time,
-  in two bodies on that one layout.  The *native* body (``_edge_pass.c``,
-  compiled on first use by :mod:`repro.gnn._native`) is a single sweep that
-  never materialises the ``(E, k, 2d)`` messages.  The *numpy* body — the
-  reference, and what runs without a C compiler — prefills a message buffer
-  with the static terms, accumulates the projections through a two-ones CSR
-  operator (row ``e`` = ``[dst_e, n + src_e]``), applies the ReLU and
-  aggregates with a second SpMM.  Same additions in the same order, no
-  multiply: they agree **bit for bit** in both precisions and for every
-  ``k``, so which one ran (``InferencePlan.kernel``) never changes a result;
+  proj_src[src_e])``, ``static[e] = ((a₀ W₀ + a₁ W₁) + a₂ W₂ …) + b``, over
+  edges stable-sorted by destination at compile time, in two bodies on that
+  one layout.  The *native* body (``_edge_pass.c``, compiled on first use by
+  :mod:`repro.gnn._native` for ``|e|`` = 3 and 4) is a single sweep that never
+  materialises the ``(E, k, 2d)`` messages.  The *numpy* body — the reference,
+  and what runs without a C compiler or at another ``|e|`` — builds the terms
+  column by column in a scratch, prefills a message buffer with them,
+  accumulates the projections through a two-ones CSR operator (row ``e`` =
+  ``[dst_e, n + src_e]``), applies the ReLU and aggregates with a second SpMM.
+  Same products and sums in the same order, each rounded on its own: they
+  agree **bit for bit** in both precisions and for every ``k``, so which one
+  ran (``InferencePlan.kernel``) never changes a result;
 * **folded output layers** — aggregation is linear, so each direction's
   output layer commutes with it and then merges into ``ψ``'s first layer:
   ``(S H) W₂ᵀ ψ₁ₐᵀ = (S H) (ψ₁ₐ W₂)ᵀ``.  The per-direction output GEMMs and
@@ -81,7 +84,7 @@ allocations, so a lockstep solve whose active set shrinks allocates nothing.
   ``infer_columns`` bit-identical to ``infer`` on column ``c``.  Running the
   identical kernel on identical buffers gives that by construction.
 
-**Precision.**  ``precision="f32"`` stages weights, static edge terms and
+**Precision.**  ``precision="f32"`` stages weights, edge attributes and
 every buffer in float32; sources and outputs are cast at the plan boundary.
 """
 
@@ -101,10 +104,6 @@ __all__ = ["InferencePlan"]
 
 #: dtypes of the supported plan precisions
 PRECISION_DTYPES = {"f64": np.float64, "f32": np.float32}
-
-#: cap on the total memory (bytes) spent on precomputed static edge terms;
-#: above it they are recomputed per sweep (one small GEMM per block) instead
-STATIC_EDGE_TERM_BUDGET = 96 * 1024 * 1024
 
 
 def _validated_csr_matvecs():
@@ -184,7 +183,6 @@ class _CompiledBlock:
     w_src_T: np.ndarray         # (d, 2d) — [fwd | bwd] latent-of-source projections
     w_attr_T: np.ndarray        # (|e|, 2d) — [fwd | bwd] attribute weights, bwd sign-folded
     b_hidden: np.ndarray        # (2d,) — [fwd | bwd] hidden-layer biases
-    static: Optional[np.ndarray]  # (E, 2d) — attr @ w_attr_T + b_hidden, if within budget
     w_psi_agg_T: np.ndarray     # (2d, d) — ψ agg columns with each direction's W₂ folded in
     w_psi_latent_T: np.ndarray  # (d, d)
     w_source_T: np.ndarray      # (1, d) — ψ weight column of the residual input
@@ -241,7 +239,8 @@ class _Buffers:
         self._latent = np.empty(n * k * d, dtype=dtype)
         self._input = np.empty(n * k, dtype=dtype)
         self._proj = np.empty(2 * n * k * 2 * d, dtype=dtype)
-        self._edge: Optional[np.ndarray] = None  # (E, k_max, 2d) messages: the numpy edge pass only
+        # the numpy edge pass only: (E, k_max, 2d) messages, then the (E, 2d) static terms in flight
+        self._edge: Optional[np.ndarray] = None
         self._pre = np.empty(n * k * 2 * d, dtype=dtype)
         self._hidden = np.empty(n * k * d, dtype=dtype)
         self._output = np.empty(n * k, dtype=dtype)
@@ -351,7 +350,6 @@ class InferencePlan:
         self._edge_index = np.ascontiguousarray(plan.edge_index[:, order], dtype=np.int64)
         indegree = np.bincount(self._edge_index[1], minlength=n)
         self._indptr = np.concatenate(([0], np.cumsum(indegree)), dtype=np.int64)
-        self._edge_pointers = (self._indptr.ctypes.data, self._edge_index[0].ctypes.data)
         self._operators = None  # the numpy body's CSR pair, built on its first use
 
         # edge attributes at the model's width, in that order; static node
@@ -359,18 +357,13 @@ class InferencePlan:
         # in-degrees feed the compile-time folds only
         self._edge_attr = np.ascontiguousarray(
             model._prepare_edge_attr(plan.edge_attr)[order], dtype=dtype)
+        self._edge_pointers = (
+            self._indptr.ctypes.data, self._edge_index[0].ctypes.data, self._edge_attr.ctypes.data)
         node_features = np.asarray(model._prepare_node_input(plan), dtype=np.float64)[:, 1:]
         indegree = indegree.astype(np.float64).reshape(-1, 1)
 
-        # stage the weights (and, within budget, the static edge terms)
-        static_bytes = 2 * len(model.blocks) * num_edges * d * 8
-        with_static = static_bytes <= STATIC_EDGE_TERM_BUDGET
-        self._static_scratch = (
-            None if with_static else np.empty((num_edges, 2 * d), dtype=dtype)
-        )
         self.compiled_blocks: List[_CompiledBlock] = [
-            self._compile_block(block, node_features, indegree, with_static)
-            for block in model.blocks
+            self._compile_block(block, node_features, indegree) for block in model.blocks
         ]
         decoder = model.decoders[-1].mlp
         _check_compilable(decoder)
@@ -392,9 +385,7 @@ class InferencePlan:
         """A float64 fold result as a contiguous array at the plan precision."""
         return np.ascontiguousarray(array, dtype=self.dtype)
 
-    def _compile_block(
-        self, block, node_features: np.ndarray, indegree: np.ndarray, with_static: bool
-    ) -> _CompiledBlock:
+    def _compile_block(self, block, node_features: np.ndarray, indegree: np.ndarray) -> _CompiledBlock:
         """Fold one block's weights (in float64, cast once) — see the module docstring."""
         d, ni = self.latent_dim, self.node_input_dim
         phis = (block.phi_forward, block.phi_backward)
@@ -419,12 +410,11 @@ class InferencePlan:
         if ni > 1:
             bias_node += node_features @ psi1[:, d + 1:d + ni].T
         alpha = float(block.alpha)
-        compiled = _CompiledBlock(
+        return _CompiledBlock(
             w_dst_T=self._stage(np.hstack([w[:, :d].T for w in hidden])),
             w_src_T=self._stage(np.hstack([w[:, d:2 * d].T for w in hidden])),
             w_attr_T=self._stage(np.hstack([hidden[0][:, 2 * d:].T, (hidden[1][:, 2 * d:] * attr_sign).T])),
             b_hidden=self._stage(np.concatenate([_bias(phi.layers[0]) for phi in phis])),
-            static=None,
             w_psi_agg_T=self._stage(np.vstack(psi_agg_T)),
             w_psi_latent_T=self._stage(psi1[:, :d].T),
             w_source_T=self._stage(psi1[:, d:d + 1].T),
@@ -432,15 +422,6 @@ class InferencePlan:
             w2_alpha_T=self._stage(alpha * _weight(block.psi.layers[1]).T),
             b2_alpha=self._stage(alpha * _bias(block.psi.layers[1])),
         )
-        if with_static:
-            compiled.static = self._static_terms(compiled)
-        return compiled
-
-    def _static_terms(self, block: _CompiledBlock, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """``(E, 2d)`` ``[fwd | bwd]`` hidden-layer contribution of the edge attributes."""
-        static = np.matmul(self._edge_attr, block.w_attr_T, out=out)
-        static += block.b_hidden
-        return static
 
     # ------------------------------------------------------------------ #
     @property
@@ -532,30 +513,45 @@ class InferencePlan:
         self.load_source_columns(self.plan.source[:, None])
         return self.run_columns(1)[:, 0]
 
+    def _native_pass(self):
+        """The C edge pass for this plan's precision and attribute width, if it loaded."""
+        kernels = edge_kernels()  # resolved (compiled, loaded, self-checked) once per process
+        return None if kernels is None else kernels.get((self.precision, self._edge_attr.shape[1]))
+
     @property
     def kernel(self) -> str:
-        """Which edge-pass body this process runs: ``"native"`` or ``"numpy"`` (same bytes)."""
-        return "numpy" if edge_kernels() is None else "native"
+        """Which edge-pass body this plan runs: ``"native"`` or ``"numpy"`` (same bytes)."""
+        return "numpy" if self._native_pass() is None else "native"
 
-    def _edge_pass(self, ws: _Workspace, static: np.ndarray) -> None:
-        """``pre[i] = Σ_{e → i} relu(static[e] + proj_dst[i] + proj_src[src_e])`` into ``ws.pre2d``.
+    def _edge_pass(self, ws: _Workspace, block: _CompiledBlock) -> None:
+        """``pre[i] = Σ_{e → i} relu(static[e] + proj_dst[i] + proj_src[src_e])`` into ``ws.pre2d``,
+        ``static[e] = ((a₀ W₀ + a₁ W₁) + a₂ W₂ …) + b`` from the attribute row of edge ``e``.
 
         One C sweep if the kernel loaded; else (and as its bitwise reference)
-        prefill → two-ones gather SpMM → ReLU → aggregation SpMM in numpy/scipy.
+        terms → prefill → two-ones gather SpMM → ReLU → aggregation SpMM in numpy/scipy.
         """
-        kernels = edge_kernels()  # resolved (compiled, loaded, self-checked) once per process
-        num_edges, width = static.shape
-        if kernels is not None:
-            kernels[static.dtype](self.num_nodes, ws.k, width, *self._edge_pointers,
-                                  static.ctypes.data, ws.proj_pointer, ws.pre_pointer)
+        attr, weights, bias = self._edge_attr, block.w_attr_T, block.b_hidden
+        (num_edges, attr_width), width = attr.shape, bias.size
+        native = self._native_pass()
+        if native is not None:
+            native(self.num_nodes, ws.k, width, *self._edge_pointers, weights.ctypes.data,
+                   bias.ctypes.data, ws.proj_pointer, ws.pre_pointer)
             return
         buffers, n_vecs = self._buffers, ws.k * width
         if self._operators is None:
             self._operators = message_operators(self._edge_index, self.num_nodes, dtype=self.dtype)
         if buffers._edge is None:
-            buffers._edge = np.empty(num_edges * buffers.k_max * width, dtype=self.dtype)
+            buffers._edge = np.empty(num_edges * (buffers.k_max + 1) * width, dtype=self.dtype)
         messages = buffers._edge[:num_edges * n_vecs]
-        np.copyto(messages.reshape(num_edges, ws.k, width), static[:, None, :])
+        # terms and products unit-major, (2d, E): numpy's inner loops then run over E, not 2d
+        static = buffers._edge[num_edges * buffers.k_max * width:].reshape(width, num_edges)
+        product = messages[:num_edges * width].reshape(width, num_edges)  # dead before the prefill
+        np.multiply(weights[0][:, None], attr[:, 0], out=static)
+        for j in range(1, attr_width):
+            np.multiply(weights[j][:, None], attr[:, j], out=product)
+            static += product
+        static += bias[:, None]
+        np.copyto(messages.reshape(num_edges, ws.k, width), static.T[:, None, :])
         _spmm_acc(self._operators.gather, ws.proj_flat, messages, n_vecs)
         relu_(messages)
         ws.pre_flat.fill(0.0)
@@ -572,10 +568,7 @@ class InferencePlan:
         for block in self.compiled_blocks:
             np.matmul(ws.latent2d, block.w_dst_T, out=ws.proj_dst2d)
             np.matmul(ws.latent2d, block.w_src_T, out=ws.proj_src2d)
-            static = block.static
-            if static is None:
-                static = self._static_terms(block, out=self._static_scratch)
-            self._edge_pass(ws, static)
+            self._edge_pass(ws, block)
             # ψ hidden = bias_node + pre W_agg + latent Wₗ + sources w₀, the
             # products GEMM-accumulated (beta=1) straight onto the prefilled
             # bias — no separate addition passes

@@ -146,7 +146,9 @@ class TestOneApply:
     def test_retired_symbols_stay_retired(self, trees):
         retired = {"apply_reference", "_local_correction_batched", "_local_correction_fast",
                    "_local_correction_fast_columns", "extract_columns", "solve_stacked",
-                   "_apply_columns", "gnn_batch_size"}
+                   "_apply_columns", "gnn_batch_size",
+                   # PR 23: the edge pass forms the static edge terms; nothing stores or budgets them
+                   "STATIC_EDGE_TERM_BUDGET", "_static_scratch", "with_static", "_static_terms"}
         for path, tree in trees.items():
             names = {node.name for node in ast.walk(tree)
                      if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
@@ -178,20 +180,26 @@ class TestScratchMemory:
         assert shrinking._scratch.nbytes == widest._scratch.nbytes > 0
 
     def test_mixed_widths_allocate_nothing_once_warm(self, preconditioners, random_problem, case):
+        """Three windows of 50 calls, judged by the quietest: a leak of this preconditioner grows in every
+        window, while scipy's process-wide SuperLU allocation registry — a dict keyed by live blocks, so
+        sized by every LU factor *other* tests keep alive — rebuilds into a larger table (9–74 kB, charged
+        to whichever ``factor.solve`` ran out of slots) once, in at most one of them."""
         pre = preconditioners[case]
         widths = [int(k) for k in np.random.default_rng(3).integers(1, 9, size=50)]
         blocks = self._blocks(random_problem.num_dofs, widths)
         for block in self._blocks(random_problem.num_dofs, range(8, 0, -1)):
             pre.apply_columns(block)                      # every width seen once
+        growth = []
         tracemalloc.start()
         try:
             for block in blocks[:5]:
                 pre.apply_columns(block)                  # tracemalloc's own warm-up
-            before, _ = tracemalloc.get_traced_memory()
-            for block in blocks:
-                pre.apply_columns(block)
-            after, _ = tracemalloc.get_traced_memory()
+            for _ in range(3):
+                before, _ = tracemalloc.get_traced_memory()
+                for block in blocks:
+                    pre.apply_columns(block)
+                growth.append(tracemalloc.get_traced_memory()[0] - before)
         finally:
             tracemalloc.stop()
         one_column = 8 * pre.stacked_restriction.total_rows
-        assert after - before < one_column, f"grew by {after - before} bytes over 50 calls"
+        assert min(growth) < one_column, f"grew by {growth} bytes over three windows of 50 calls"

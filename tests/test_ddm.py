@@ -135,6 +135,29 @@ class TestLocalSolvers:
         for m, nodes in zip(locals_, small_decomposition.subdomain_nodes):
             assert m.shape == (len(nodes), len(nodes))
 
+    def test_extract_local_matrices_equals_scipy_double_indexing(self, random_mesh):
+        """``csr[idx][:, idx]`` entry for entry — ``indptr``, ``indices``, ``data`` and their dtypes — on every
+        registry family, for sorted node sets (a decomposition's) and shuffled ones: no LU factor moves."""
+        from repro.problems import available_problems, make_problem, problem_spec
+        from repro.solvers import SolverConfig, prepare
+
+        for name in available_problems():
+            if int(problem_spec(name).default_kwargs.get("dim", 2)) == 3:
+                problem = make_problem(name, rng=np.random.default_rng(1), target_nodes=216)
+            else:
+                problem = make_problem(name, mesh=random_mesh, rng=np.random.default_rng(1))
+            config = SolverConfig(preconditioner="ddm-lu", krylov="gmres", subdomain_size=90)
+            sorted_sets = prepare(problem, config).decomposition.subdomain_nodes
+            shuffled = [np.random.default_rng(2).permutation(nodes) for nodes in sorted_sets]
+            csr = problem.matrix.tocsr()
+            for node_sets in (sorted_sets, shuffled):
+                for nodes, local in zip(node_sets, extract_local_matrices(problem.matrix, node_sets)):
+                    expected = csr[nodes][:, nodes]
+                    assert local.shape == expected.shape
+                    for field in ("indptr", "indices", "data"):
+                        ours, theirs = getattr(local, field), getattr(expected, field)
+                        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), (name, field)
+
 
 # --------------------------------------------------------------------------- #
 # Additive Schwarz preconditioner

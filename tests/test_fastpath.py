@@ -140,7 +140,8 @@ class TestMultiColumnParity:
 
     The f64 contract is *bitwise* (the lockstep CG relies on it); the f32
     k-wide sweep trades bit-identity for fusion and is pinned by tolerance
-    against the f32 single-column sweeps instead.
+    against the f32 single-column sweeps instead.  Both hold on either body of
+    the edge pass (|e| = 3 and the κ-aware |e| = 4).
     """
 
     def _sequential(self, model, plan, sources):
@@ -151,7 +152,7 @@ class TestMultiColumnParity:
 
     @pytest.mark.parametrize("config", [PLAIN_CONFIG, KAPPA_CONFIG])
     @pytest.mark.parametrize("k", COLUMN_COUNTS)
-    def test_f64_columns_bitwise_match_sequential(self, toy_batch, kappa_batch, config, k):
+    def test_f64_columns_bitwise_match_sequential(self, toy_batch, kappa_batch, config, k, body):
         model, batch = _model_and_batch(config, toy_batch, kappa_batch)
         plan = model.compile_plan(batch)
         sources = np.random.default_rng(100 + k).normal(size=(batch.num_nodes, k))
@@ -160,7 +161,7 @@ class TestMultiColumnParity:
 
     @pytest.mark.parametrize("config", [PLAIN_CONFIG, KAPPA_CONFIG])
     @pytest.mark.parametrize("k", COLUMN_COUNTS)
-    def test_f32_columns_match_f32_sequential_to_tolerance(self, toy_batch, kappa_batch, config, k):
+    def test_f32_columns_match_f32_sequential_to_tolerance(self, toy_batch, kappa_batch, config, k, body):
         model, batch = _model_and_batch(config, toy_batch, kappa_batch)
         plan32 = model.compile_plan(batch, precision="f32")
         rng = np.random.default_rng(200 + k)
@@ -209,7 +210,6 @@ class TestMultiColumnParity:
         expected = first.copy()
         model.infer_columns(plan, sources3)
         model.infer(plan, sources3[:, 0])
-        assert plan.compiled_blocks[0].static.nbytes > 96 * 1024
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -246,8 +246,7 @@ class TestMultiColumnParity:
 
 class TestKernelFallbacks:
     """The code paths no default run reaches: scipy without its BLAS wrappers
-    or without the private CSR kernel, and plans above the static-term
-    budget.  Each must agree with the default path (and, in f64, the tape)."""
+    or without the private CSR kernel.  Each must agree with the default path."""
 
     @pytest.mark.parametrize("patched", ["_BLAS_GEMM", "_csr_matvecs"])
     @pytest.mark.parametrize("precision", ["f64", "f32"])
@@ -286,24 +285,50 @@ class TestKernelFallbacks:
         assert peak < c.nbytes // 4
         assert np.allclose(c, expected, rtol=1e-12 if dtype == np.float64 else 1e-5)
 
-    @pytest.mark.parametrize("config", [PLAIN_CONFIG, KAPPA_CONFIG])
-    @pytest.mark.parametrize("k", [1, 3])
-    def test_over_budget_static_terms(self, monkeypatch, toy_batch, kappa_batch, config, k):
-        model, batch = _model_and_batch(config, toy_batch, kappa_batch)
-        sources = np.random.default_rng(67 + k).normal(size=(batch.num_nodes, k))
-        in_budget32 = model.infer_columns(
-            model.compile_plan(batch, precision="f32"), sources).copy()
-        monkeypatch.setattr(engine, "STATIC_EDGE_TERM_BUDGET", 0)
-        plan = model.compile_plan(batch)
-        assert all(block.static is None for block in plan.compiled_blocks)
-        over = model.infer_columns(plan, sources).copy()
-        for c in range(k):
-            assert np.array_equal(over[:, c], model.infer(plan, sources[:, c]))
-            batch.source = sources[:, c]
-            assert np.allclose(over[:, c], model.predict(batch), rtol=1e-12, atol=1e-12)
-        over32 = model.infer_columns(model.compile_plan(batch, precision="f32"), sources)
-        scale = np.abs(in_budget32).max()
-        assert np.allclose(over32, in_budget32, rtol=1e-4, atol=1e-5 * max(scale, 1.0))
+
+def _owned_arrays(obj, seen):
+    """Every ndarray reachable from ``obj`` through attributes and containers, views resolved to their owners."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        if isinstance(obj.base, np.ndarray):
+            yield from _owned_arrays(obj.base, seen)
+        else:
+            yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _owned_arrays(value, seen)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from _owned_arrays(value, seen)
+    elif hasattr(obj, "__dict__"):
+        yield from _owned_arrays(vars(obj), seen)
+
+
+class TestPlanMemory:
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_plan_memory_is_linear_in_edges_plus_nodes_times_blocks(self, toy_batch, precision):
+        """A plan owns O(E) edge data once and O(n·d) per block — never an ``(E, 2d)`` array per block (the
+        precomputed static edge terms this replaced were 28 of the 39 kB of RSS per DOF).  Summed over
+        every array reachable from the plan after a run, for the ledger's model shape (k̄ = 20, d = 10)."""
+        blocks, d, k = 20, 10, 2
+        model = DSS(DSSConfig(num_iterations=blocks, latent_dim=d, seed=5))
+        plan = model.compile_plan(toy_batch, precision=precision)
+        model.infer_columns(plan, np.random.default_rng(5).normal(size=(plan.num_nodes, k)))
+        model.infer(plan, np.ones(plan.num_nodes))
+        n, num_edges = plan.num_nodes, toy_batch.num_edges
+        attr_width, itemsize = toy_batch.edge_attr.shape[1], np.dtype(plan.dtype).itemsize
+        owned = sum(array.nbytes for array in _owned_arrays({**vars(plan), "model": None}, set()))
+        edges = 6 * num_edges * (attr_width + 2) * itemsize          # attributes and index, plan and BatchPlan
+        per_block = 2 * n * d * blocks * itemsize                    # bias_node, and the O(d²) weights
+        workspace = 2 * n * k * (8 * d + 2) * itemsize               # every (n, k, ·) buffer of a sweep
+        # the numpy body's own E-row operands exist once per plan, whatever the block count:
+        # (k_max + 1) message/term slabs and the two-ones CSR pair
+        numpy_body = 0 if plan.kernel == "native" else num_edges * ((k + 1) * 2 * d * itemsize + 7 * 8)
+        bound = edges + per_block + workspace + numpy_body
+        assert blocks * num_edges * 2 * d * itemsize > bound         # (E, 2d) terms per block would not fit
+        assert owned < bound, (owned, bound)
 
 
 # --------------------------------------------------------------------------- #
@@ -327,8 +352,9 @@ def _random_graph(rng, n=40, edges=200):
 
 
 @pytest.fixture(scope="module")
-def edge_cases(toy_batch):
-    """``name -> (model, batch)``: 2D with the frozen ledger weights, 3D, and degenerate degrees."""
+def edge_cases(toy_batch, kappa_batch):
+    """``name -> (model, batch)``: 2D with the frozen ledger weights (|e| = 3), κ-aware 2D and 3D (|e| = 4),
+    and degenerate degrees."""
     from repro.gnn.checkpoint import load_model
     from repro.problems import make_problem
 
@@ -343,6 +369,7 @@ def edge_cases(toy_batch):
         dirichlet_mask=np.zeros(4, dtype=bool))
     return {
         "disk2d": (load_model(str(LEDGER_CHECKPOINT)), toy_batch),
+        "kappa2d": (DSS(KAPPA_CONFIG), kappa_batch),
         "poisson3d": (model3d, batch3d),
         "degenerate": (DSS(PLAIN_CONFIG),
                        GraphBatch.from_graphs([degenerate, _random_graph(np.random.default_rng(1))])),
@@ -355,16 +382,38 @@ def numpy_body(monkeypatch):
     monkeypatch.setattr(_native, "_kernels", None)
 
 
+@pytest.fixture(params=["default", "numpy"])
+def body(request):
+    """Run the test on whichever edge-pass body this process resolves, then on the numpy body."""
+    if request.param == "numpy":
+        request.getfixturevalue("numpy_body")
+    return request.param
+
+
+def _contract_terms(attr, weights, bias):
+    """Static edge terms in the order both bodies use: ``((a₀ W₀ + a₁ W₁) + a₂ W₂ …) + b``, each op rounded."""
+    terms = attr[:, :1] * weights[0]
+    for j in range(1, attr.shape[1]):
+        terms += attr[:, j:j + 1] * weights[j]
+    return terms + bias
+
+
+def _edge_section_reference(edge_index, terms, proj):
+    """``pre`` of the edge pass from per-edge ``terms`` and the ``(2n, k, 2d)`` projections: messages in the
+    given edge order, summed per destination in ascending edge id (``np.add.at`` is sequential)."""
+    src, dst = edge_index
+    n = proj.shape[0] // 2
+    pre = np.zeros_like(proj[:n])
+    np.add.at(pre, dst, np.maximum((terms[:, None, :] + proj[dst]) + proj[n + src], 0.0))
+    return pre
+
+
 class TestEdgeKernel:
     @pytest.mark.parametrize("k", [1, 3, 8])
     @pytest.mark.parametrize("precision", ["f64", "f32"])
-    @pytest.mark.parametrize("graph", ["disk2d", "poisson3d", "degenerate"])
-    @pytest.mark.parametrize("budget", ["static", "over-budget"])
-    def test_native_is_bitwise_the_numpy_body(self, native_body, monkeypatch, edge_cases, graph, precision, k,
-                                              budget):
+    @pytest.mark.parametrize("graph", ["disk2d", "kappa2d", "poisson3d", "degenerate"])
+    def test_native_is_bitwise_the_numpy_body(self, native_body, monkeypatch, edge_cases, graph, precision, k):
         model, batch = edge_cases[graph]
-        if budget == "over-budget":
-            monkeypatch.setattr(engine, "STATIC_EDGE_TERM_BUDGET", 0)
         sources = np.random.default_rng(k).normal(size=(batch.num_nodes, k))
         plan = model.compile_plan(batch, precision=precision)
         assert plan.kernel == "native" and plan._buffers is None
@@ -375,33 +424,54 @@ class TestEdgeKernel:
         assert plan.kernel == "numpy"
         assert np.isfinite(native).all() and np.array_equal(model.infer_columns(plan, sources), native)
 
-    #: sha256[:16] of the edge section's output at the commit before the edge
-    #: sort and the native kernel (PR 20), on the inputs below.  The section
-    #: only adds and takes maxima, so the bytes do not depend on the BLAS or
-    #: the machine — unlike a whole forward, whose GEMMs do.
-    PARENT_DIGESTS = {("f64", 1): "ced85c51d4d28a43", ("f64", 3): "31e8b7ef7a971045",
-                      ("f32", 1): "600fc71cdbfa7bfc", ("f32", 3): "6e46bab5e97aab0c"}
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_an_uninstantiated_attribute_width_runs_the_numpy_body(self, toy_batch, precision):
+        """The kernel exists for |e| = 3 and 4; any other width is served — by the numpy body, compiler or
+        not — and says so."""
+        model = DSS(DSSConfig(num_iterations=3, latent_dim=4, seed=9, edge_attr_dim=5))
+        model.eval()
+        plan = model.compile_plan(toy_batch, precision=precision)
+        assert plan.kernel == "numpy" and plan._edge_attr.shape[1] == 5
+        sources = np.random.default_rng(9).normal(size=(toy_batch.num_nodes, 3))
+        outputs = model.infer_columns(plan, sources).copy()
+        for c in range(3):
+            toy_batch.source = sources[:, c]
+            tolerance = 1e-12 if precision == "f64" else 1e-4
+            assert np.allclose(outputs[:, c], model.predict(toy_batch), rtol=tolerance, atol=tolerance)
 
-    @pytest.mark.parametrize("body", ["default", "numpy"])
-    @pytest.mark.parametrize("precision,k", sorted(PARENT_DIGESTS))
-    def test_edge_pass_reproduces_the_parent_bytes(self, request, body, precision, k):
-        if body == "numpy":
-            request.getfixturevalue("numpy_body")
+    #: sha256[:16] of the edge section's output on the inputs below, under the
+    #: arithmetic contract of ``_edge_pass.c``.  Pinned anew when the static term
+    #: moved into the pass (PR 23): until then it was a BLAS GEMM, whose K = 3
+    #: summation order no C loop reproduces, and the section only added and took
+    #: maxima.  Every product, sum and maximum is rounded on its own, so the
+    #: bytes do not depend on the BLAS or the machine — unlike a whole forward.
+    EDGE_SECTION_DIGESTS = {("f64", 1): "ec077b4880525297", ("f64", 3): "6967402fa612c889",
+                            ("f32", 1): "c731e9bd238eccc7", ("f32", 3): "ca43424bcf812b49"}
+
+    @pytest.mark.parametrize("precision,k", sorted(EDGE_SECTION_DIGESTS))
+    def test_edge_pass_reproduces_the_pinned_bytes(self, body, precision, k):
         rng = np.random.default_rng(2024)
         batch = GraphBatch.from_graphs([_random_graph(rng), _random_graph(rng)])
         plan = DSS(DSSConfig(num_iterations=1, latent_dim=5, seed=0)).compile_plan(batch, precision=precision)
-        ws = plan.workspace(k)
+        ws, (block,) = plan.workspace(k), plan.compiled_blocks
         ws.proj_flat[...] = rng.normal(size=ws.proj_flat.shape)
-        static = rng.normal(size=(batch.num_edges, 10)).astype(plan.dtype)
-        plan._edge_pass(ws, static)
-        assert hashlib.sha256(ws.pre_flat.tobytes()).hexdigest()[:16] == self.PARENT_DIGESTS[precision, k]
+        block.w_attr_T[...] = rng.normal(size=block.w_attr_T.shape)
+        block.b_hidden[...] = rng.normal(size=block.b_hidden.shape)
+        plan._edge_pass(ws, block)
+        assert hashlib.sha256(ws.pre_flat.tobytes()).hexdigest()[:16] == self.EDGE_SECTION_DIGESTS[precision, k]
+        # and the formulation it replaced — the term as one GEMM — is the same number to rounding
+        gemm_terms = plan._edge_attr @ block.w_attr_T + block.b_hidden
+        replaced = _edge_section_reference(plan._edge_index, gemm_terms, ws.proj_flat.reshape(-1, k, 10))
+        tolerance = (1e-12 if precision == "f64" else 1e-5) * np.abs(replaced).max()
+        assert np.allclose(ws.pre_flat, replaced.ravel(), rtol=0.0, atol=tolerance)
 
-    def test_static_terms_do_not_depend_on_row_position(self, random_mesh):
-        """The static terms are computed on the destination-sorted attribute
-        rows directly, never permuted afterwards (one copy resident).  Those
-        are the edge-ordered rows permuted only if the BLAS computes a GEMM
-        row from that row alone — checked, not assumed, on every registry
-        family, from the unsorted edges of its sub-domain batches."""
+    def test_the_edge_pass_does_not_depend_on_row_position(self, random_mesh):
+        """An edge's message is a function of its own attribute row, its source
+        and its destination, wherever the destination sort put it.  On every
+        registry family, from the *unsorted* edges of its sub-domain batches:
+        the plan holds exactly the permuted rows (one copy, never the
+        edge-ordered one), and one edge pass equals — bit for bit, in both
+        precisions — a per-edge reference that walks the batch's own order."""
         from repro.problems import available_problems, make_problem, problem_spec
 
         model = DSS(DSSConfig(num_iterations=1, latent_dim=10, edge_attr_dim=4, node_input_dim=2, seed=0))
@@ -411,27 +481,25 @@ class TestEdgeKernel:
             else:
                 problem = make_problem(name, mesh=random_mesh, rng=np.random.default_rng(1))
             config = SolverConfig(preconditioner="ddm-gnn", krylov="gmres", subdomain_size=90)
-            preconditioner = prepare(problem, config, model=model).preconditioner
-            for batch, plan in zip(preconditioner._batches, preconditioner._plans):
+            for batch in prepare(problem, config, model=model).preconditioner._batches:
                 order = np.argsort(batch.edge_index[1], kind="stable")
                 assert (np.diff(order) < 0).any(), "the batch is already sorted: nothing checked"
-                (block,) = plan.compiled_blocks
-                for dtype in (np.float32, np.float64):
-                    attr = np.ascontiguousarray(model._prepare_edge_attr(batch.edge_attr), dtype=dtype)
-                    weights, bias = block.w_attr_T.astype(dtype), block.b_hidden.astype(dtype)
-                    edge_ordered = attr @ weights + bias
-                    assert np.array_equal(np.ascontiguousarray(attr[order]) @ weights + bias,
-                                          edge_ordered[order]), (name, dtype)
-                # and the (float64) plan holds exactly those rows
-                assert np.array_equal(block.static, edge_ordered[order]), name
+                for precision in ("f64", "f32"):
+                    plan = model.compile_plan(batch, precision=precision)
+                    attr = np.ascontiguousarray(model._prepare_edge_attr(batch.edge_attr), dtype=plan.dtype)
+                    assert np.array_equal(plan._edge_attr, attr[order]), (name, precision)
+                    assert np.array_equal(plan._edge_index, batch.edge_index[:, order]), (name, precision)
+                    ws, (block,) = plan.workspace(2), plan.compiled_blocks
+                    ws.proj_flat[...] = np.random.default_rng(2).normal(size=ws.proj_flat.shape)
+                    plan._edge_pass(ws, block)
+                    terms = _contract_terms(attr, block.w_attr_T, block.b_hidden)
+                    expected = _edge_section_reference(batch.edge_index, terms, ws.proj_flat.reshape(-1, 2, 20))
+                    assert np.array_equal(ws.pre_flat, expected.ravel()), (name, precision)
 
-    @pytest.mark.parametrize("body", ["default", "numpy"])
-    def test_a_nan_source_ends_the_solve_with_the_typed_reason(self, request, monkeypatch, body, random_problem,
+    def test_a_nan_source_ends_the_solve_with_the_typed_reason(self, monkeypatch, body, random_problem,
                                                                tiny_dss_model):
         """NaN goes through the ReLU of both bodies (``0 > NaN`` is false, as
         ``np.maximum`` propagates it), so the Krylov guard sees it either way."""
-        if body == "numpy":
-            request.getfixturevalue("numpy_body")
         config = SolverConfig(preconditioner="ddm-gnn", subdomain_size=80)
         session = prepare(random_problem, config, model=tiny_dss_model)
         (plan,) = session.preconditioner._plans
