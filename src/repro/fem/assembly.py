@@ -416,7 +416,6 @@ def apply_dirichlet(
     mask = np.zeros(n, dtype=bool)
     mask[boundary_nodes] = True
 
-    A = stiffness.tolil(copy=True)
     b = load.astype(np.float64).copy()
 
     if mode == "symmetric":
@@ -429,9 +428,8 @@ def apply_dirichlet(
         keep = sp.diags((~mask).astype(np.float64))
         A = keep @ csr @ keep
         A = (A + sp.diags(mask.astype(np.float64))).tocsr()
-        b[boundary_nodes] = boundary_values
-        b[~mask] = b[~mask]  # interior already adjusted
-        return A.tocsr(), b
+        b[boundary_nodes] = boundary_values  # interior rows were adjusted above
+        return A, b
 
     if mode == "row":
         csr = stiffness.tocsr(copy=True).tolil()

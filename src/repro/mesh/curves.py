@@ -121,6 +121,22 @@ def circle_curve(radius: float = 1.0, n_points: int = 24, center: Tuple[float, f
 def polygon_contains(polygon: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Vectorised even-odd rule point-in-polygon test.
 
+    A point is inside when its ray towards +x crosses an odd number of polygon
+    segments.  Segment ``(xa, ya) -> (xb, yb)`` can cross the ray of a point
+    only when ``(ya > y) != (yb > y)``, i.e. ``min(ya, yb) <= y < max(ya, yb)``
+    — a contiguous slice of the queries once they are sorted by ``y``.  Two
+    ``searchsorted`` calls give every segment its slice, and the crossing test
+    ``x < xa + (y - ya) * (xb - xa) / (yb - ya)`` runs on that slice only: a
+    query meets the two to four segments that span its row instead of all M,
+    O((P + M) log P + crossings tested) where testing every pair is O(M * P).
+
+    The (point, segment) pairs tested, and the float expression evaluated on
+    each, are exactly those of the loop that tests every pair (kept as the
+    reference in ``tests/test_mesh.py``), and XOR commutes, so the booleans
+    are identical — by construction, not to a tolerance.  A horizontal
+    segment has an empty slice; a NaN ``y`` sorts last, falls in no slice and
+    is outside; a NaN ``x`` compares False and is outside.
+
     Parameters
     ----------
     polygon:
@@ -134,15 +150,17 @@ def polygon_contains(polygon: np.ndarray, points: np.ndarray) -> np.ndarray:
     """
     polygon = np.asarray(polygon, dtype=np.float64)
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    x, y = points[:, 0], points[:, 1]
-    inside = np.zeros(len(points), dtype=bool)
+    order = np.argsort(points[:, 1], kind="stable")
+    x, y = points[order, 0], points[order, 1]
     x1, y1 = polygon[:, 0], polygon[:, 1]
     x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
-    for xa, ya, xb, yb in zip(x1, y1, x2, y2):
-        crosses = ((ya > y) != (yb > y))
-        if not np.any(crosses):
-            continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_intersect = xa + (y - ya) * (xb - xa) / (yb - ya)
-        inside ^= crosses & (x < x_intersect)
+    lower = np.searchsorted(y, np.minimum(y1, y2))
+    upper = np.searchsorted(y, np.maximum(y1, y2))
+    crossed = np.zeros(len(points), dtype=bool)  # in sorted order
+    for xa, ya, xb, yb, a, b in zip(x1, y1, x2, y2, lower, upper):
+        if a < b:
+            x_intersect = xa + (y[a:b] - ya) * (xb - xa) / (yb - ya)
+            crossed[a:b] ^= x[a:b] < x_intersect
+    inside = np.empty(len(points), dtype=bool)
+    inside[order] = crossed
     return inside

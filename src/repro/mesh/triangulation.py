@@ -15,6 +15,15 @@ The generator follows a classical point-seeding + Delaunay approach:
 The output quality is adequate for P1 finite elements and matches the mesh
 size distribution of the paper's GMSH meshes (6k–8k nodes for a unit-radius
 random domain with the default ``h``).
+
+Every step is near-linear in the number of lattice points P: the inside
+tests of steps 2 and 4 visit a point once per boundary segment that spans its
+row (:func:`repro.mesh.curves.polygon_contains`), the boundary clearance of
+step 2 is one k-d tree query per point (:func:`_clear_of_polygon`), and what
+is left is Qhull's O(P log P).  Both replaced an all-pairs pass — every
+segment against every point, every point against every boundary vertex,
+O(P^1.5) at fixed ``h`` — and both return the all-pairs masks exactly, so the
+generator places the same nodes and triangles it always did.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.spatial import Delaunay
+from scipy.spatial import Delaunay, cKDTree
 
 from .curves import ClosedCurve, polygon_contains
 from .mesh import TriangularMesh
@@ -59,12 +68,12 @@ def _hex_lattice(min_xy: np.ndarray, max_xy: np.ndarray, spacing: float) -> np.n
 
 
 def _min_distance_to_polygon(points: np.ndarray, polygon: np.ndarray) -> np.ndarray:
-    """Distance from each point to the closest vertex of the polygon.
+    """Distance from each point to the closest vertex of the polygon, all pairs.
 
-    A vertex-based distance is a cheap, adequate proxy here because the
-    polygon is resampled at the element size before the call.
+    O(P * B) time and a ``(chunk, B, 2)`` temporary: :func:`_clear_of_polygon`
+    calls it on the few points (normally none) a nearest-vertex query cannot
+    decide.
     """
-    # chunk to bound memory for large point sets
     out = np.empty(len(points))
     chunk = 4096
     for start in range(0, len(points), chunk):
@@ -72,6 +81,31 @@ def _min_distance_to_polygon(points: np.ndarray, polygon: np.ndarray) -> np.ndar
         d = np.linalg.norm(block[:, None, :] - polygon[None, :, :], axis=2)
         out[start:start + chunk] = d.min(axis=1)
     return out
+
+
+def _clear_of_polygon(points: np.ndarray, polygon: np.ndarray, clearance: float) -> np.ndarray:
+    """Mask of the points farther than ``clearance`` from every polygon vertex.
+
+    A vertex-based distance is a cheap, adequate proxy here because the
+    polygon is resampled at the element size before the call.
+
+    A k-d tree names a nearest vertex per point in O(log B); the distance to
+    that vertex is then recomputed with the expression of
+    :func:`_min_distance_to_polygon`, so it is one of the values the all-pairs
+    minimum ranges over, bit for bit.  The tree rounds its own distances
+    differently and may, on a near-tie, name a vertex that is a few ulps from
+    nearest: the recomputed distance is then above the true minimum by a
+    relative 1e-15 or so, and the mask can differ from the all-pairs one only
+    when ``clearance`` falls in that gap.  Every point whose recomputed
+    distance is within a relative 1e-9 of ``clearance`` is therefore decided
+    by the all-pairs minimum instead; for all others the two masks agree by
+    construction, not by luck of tie-breaking.
+    """
+    _, nearest = cKDTree(polygon).query(points)
+    dist = np.linalg.norm(points - polygon[nearest], axis=1)
+    undecided = np.abs(dist - clearance) <= 1e-9 * clearance
+    dist[undecided] = _min_distance_to_polygon(points[undecided], polygon)
+    return dist > clearance
 
 
 def triangulate(
@@ -126,8 +160,8 @@ def triangulate(
     # keep interior points away from all boundary polylines
     all_boundary_pts = np.vstack([boundary_pts] + hole_pts_list) if hole_pts_list else boundary_pts
     if len(candidates):
-        dist = _min_distance_to_polygon(candidates, all_boundary_pts)
-        candidates = candidates[dist > interior_margin * element_size]
+        clear = _clear_of_polygon(candidates, all_boundary_pts, interior_margin * element_size)
+        candidates = candidates[clear]
 
     points = np.vstack([boundary_pts] + hole_pts_list + ([candidates] if len(candidates) else []))
     n_boundary = len(boundary_pts) + sum(len(p) for p in hole_pts_list)
