@@ -267,7 +267,8 @@ def main(argv=None) -> int:
     parser.add_argument("--max-batch", type=int, default=8,
                         help="micro-batch bound of the batched cells (default 8)")
     parser.add_argument("--max-wait-ms", type=float, default=2.0,
-                        help="micro-batch coalescing window (default 2ms)")
+                        help="longest contended wait for more same-session requests "
+                             "(default 2ms; a lone request never waits)")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes: 1 = in-process SolveService "
                              "(the JSON-path baseline), N > 1 = sharded pool "

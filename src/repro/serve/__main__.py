@@ -65,7 +65,9 @@ def main(argv=None) -> int:
     parser.add_argument("--max-batch", type=int, default=8,
                         help="micro-batch size bound (1 disables batching; default 8)")
     parser.add_argument("--max-wait-ms", type=float, default=2.0,
-                        help="micro-batch coalescing window in ms (default 2)")
+                        help="longest wait in ms for more same-session requests, "
+                             "taken only after a batch that had company — a lone "
+                             "request dispatches at once (default 2)")
     parser.add_argument("--cache-capacity", type=int, default=8,
                         help="prepared-session LRU capacity (default 8)")
     parser.add_argument("--max-queue", type=int, default=64,

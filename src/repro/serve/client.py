@@ -248,8 +248,9 @@ class ServeClient:
         """POST one solve as a binary frame; floats never transit as text.
 
         ``b`` may be a 1-D right-hand side or a 2-D ``(n, k)`` block whose
-        columns fan out into ``k`` concurrent solves server-side (they
-        coalesce in the service's micro-batching queue).  Returns the JSON
+        columns the server validates as a whole and solves as one lockstep
+        batch (``k <= max_batch``; larger blocks run in ``max_batch``
+        chunks), each column bit-identical to its own solve.  Returns the JSON
         response shape with ``solution`` (and per-column lists for blocks)
         as numpy arrays decoded zero-copy from the response frame —
         bitwise identical to the server's solve output.  Retry semantics

@@ -13,8 +13,11 @@ Endpoints:
     Body: one :mod:`repro.serve.proto` frame of kind ``"solve"`` —
     ``meta`` holds ``problem``/``config``/``deadline_ms`` and the arrays
     block holds ``b`` (one right-hand side) *or* ``B`` (an ``(n, k)``
-    multi-column block that fans out into ``k`` concurrent submissions and
-    coalesces in the service's micro-batching queue), plus optional ``x0``.
+    multi-column block, handed to
+    :meth:`~repro.serve.service.SolveService.submit_columns`: validated
+    whole, routed once and run as one lockstep batch of ``k`` columns for
+    ``k <= max_batch`` — by construction, not by timing), plus optional
+    ``x0``.
     The response is a ``"result"`` frame: raw f64 ``solution`` (``(n,)`` or
     ``(n, k)``), ``final_relative_residual`` and ``residual_history`` (for
     ``k == 1``) blocks, convergence lists in the header.  No float ever
@@ -315,34 +318,24 @@ class _Handler(BaseHTTPRequestHandler):
                 if block is not None:
                     if b is not None:
                         raise InvalidRequest("send either 'b' or 'B', not both")
-                    if block.ndim != 2 or block.shape[1] < 1:
-                        raise InvalidRequest(
-                            f"'B' must be a 2-D (n, k) block, got shape {block.shape}"
-                        )
                     if x0 is not None:
                         raise InvalidRequest(
                             "'x0' applies to single-column requests only"
                         )
-                    columns = [np.ascontiguousarray(block[:, j], dtype=np.float64)
-                               for j in range(block.shape[1])]
-                else:
-                    columns = [b]
-                for _ in columns:
+                k = 1 if block is None or block.ndim != 2 else block.shape[1]
+                for _ in range(k):
                     self.service.metrics.observe_proto("binary")
-                # fan the columns out concurrently: same-session columns
-                # coalesce in the micro-batching queue exactly like
-                # concurrent clients do
+                # a block is admitted, validated and routed once and reaches
+                # its worker in one hand-over: one lockstep batch
                 with obs_trace.span("serve.dispatch"):
-                    futures = [
-                        self.service.submit(
-                            meta.get("problem"),
-                            b=column,
-                            x0=x0,
-                            solver_config=meta.get("config"),
-                            deadline_ms=deadline_ms,
-                        )
-                        for column in columns
-                    ]
+                    if block is None:
+                        futures = [self.service.submit(
+                            meta.get("problem"), b=b, x0=x0,
+                            solver_config=meta.get("config"), deadline_ms=deadline_ms)]
+                    else:
+                        futures = self.service.submit_columns(
+                            meta.get("problem"), block,
+                            solver_config=meta.get("config"), deadline_ms=deadline_ms)
                     results = [future.result() for future in futures]
             except BaseException as error:  # noqa: BLE001 - mapped to JSON errors
                 self._send_exception(error)

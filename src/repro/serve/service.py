@@ -19,13 +19,17 @@ and each stage exists exactly once, in :class:`SolveService`:
    :class:`~repro.serve.cache.SessionCache` pays setup once per key, sessions
    are *pinned* to worker threads by key hash (so the per-session scratch
    buffers are only ever driven from one thread), and each worker coalesces
-   concurrent same-session requests into one
+   queued same-session tickets into one
    :meth:`~repro.solvers.session.SolverSession.solve_many` call bounded by
-   ``max_batch`` and ``max_wait_ms`` — **bit-identical per RHS** to
-   sequential ``session.solve`` (the lockstep contract), so batching is
-   purely a throughput optimisation.  The process executor in
-   :mod:`repro.serve.shard` ships the ticket over a pipe to a worker process
-   that hosts a :class:`ThreadExecutor` of its own.
+   ``max_batch`` — **bit-identical per RHS** to sequential
+   ``session.solve`` (the lockstep contract), so batching is purely a
+   throughput optimisation.  A request's tickets (one, or the ``k`` columns
+   of :meth:`SolveService.submit_columns`) are handed over in one step, so
+   a block is one batch by construction; a worker waits up to
+   ``max_wait_ms`` for company only when its previous batch had some.  The
+   process executor in :mod:`repro.serve.shard` ships the tickets over a
+   pipe, as one frame, to a worker process that hosts a
+   :class:`ThreadExecutor` of its own.
 5. **settle** — info flags, :class:`~repro.serve.metrics.ServeMetrics`,
    breaker outcome, the span's terminal event and the future's resolution
    (:meth:`SolveService._settle_result` / :meth:`SolveService._settle_error`).
@@ -53,6 +57,7 @@ Typical use::
     service = SolveService(model=model)
     result = service.solve(problem, b)                  # blocking
     future = service.submit(problem, b, deadline_ms=500)
+    futures = service.submit_columns(problem, B)        # (n, k): one batch
     print(service.stats()["latency_ms"]["total"]["p99_ms"])
     service.close()
 """
@@ -123,8 +128,11 @@ class ServeConfig:
         Maximum requests coalesced into one ``solve_many`` call (1 disables
         micro-batching: one solve per request).
     max_wait_ms:
-        How long a freshly started batch waits for more same-session
-        requests before executing.  Bounds the latency cost of batching.
+        Bound on the *contended* wait: after a batch that had company
+        (tickets of more than one request, or a same-key request queued
+        when it finished), the next batch waits up to this long for more
+        same-session requests.  A batch without that evidence dispatches at
+        once, so a lone client never pays it.
     cache_capacity:
         LRU capacity of the prepared-session cache.
     max_queue:
@@ -205,17 +213,20 @@ class _Ticket:
 
     The lifecycle fills the identity fields; ``slot`` (the worker thread or
     shard the ticket was routed to), ``session``, ``req_id`` and ``meta`` are
-    scratch space of whichever executor carries it.
+    scratch space of whichever executor carries it.  The column tickets of
+    one ``(n, k)`` request share one ``request`` token, which is how a
+    serving thread tells a block's own columns from company.
     """
 
     __slots__ = ("key", "breaker_key", "rerouted", "b", "x0", "future", "span",
                  "deadline_at", "enqueued_at", "dequeued_at", "slot", "session",
-                 "req_id", "meta")
+                 "req_id", "meta", "request")
 
     def __init__(self, key: str, breaker_key: str = "", rerouted: bool = False,
                  b: Optional[np.ndarray] = None, x0: Optional[np.ndarray] = None,
                  span: Optional[obs_trace.Span] = None,
-                 deadline_ms: Optional[float] = None) -> None:
+                 deadline_ms: Optional[float] = None,
+                 request: Optional[object] = None) -> None:
         #: session key the solve runs under (the fallback rung's when rerouted)
         self.key = key
         #: the *primary* session key — the breaker identity even when the
@@ -238,6 +249,8 @@ class _Ticket:
         self.session: Optional[SolverSession] = None
         self.req_id: Optional[int] = None
         self.meta: Optional[Dict[str, object]] = None
+        #: identity of the request this ticket is a column of
+        self.request = object() if request is None else request
 
     def expired(self) -> bool:
         return self.deadline_at is not None and time.monotonic() >= self.deadline_at
@@ -318,7 +331,16 @@ class _Reaper(threading.Thread):
 
 
 class _Worker(threading.Thread):
-    """One serving thread: drains its queue, coalescing same-session runs."""
+    """One serving thread: drains its queue, coalescing same-session runs.
+
+    A popped ticket takes every batchable ticket already queued — so the k
+    columns of one request, which arrive in one critical section, run as
+    one lockstep batch — and dispatches at once.  It waits up to
+    ``max_wait_ms`` for more only when the *previous* batch was contended:
+    it held tickets of more than one request, or a same-key ticket of
+    another request was queued when it finished.  A lone client never pays
+    the window; closed-loop clients on one key keep filling batches.
+    """
 
     def __init__(self, executor: "ThreadExecutor", index: int) -> None:
         super().__init__(name=f"repro-serve-worker-{index}", daemon=True)
@@ -331,18 +353,19 @@ class _Worker(threading.Thread):
         self.last_beat = time.monotonic()
 
     # -- producer side -------------------------------------------------- #
-    def submit(self, ticket: _Ticket) -> None:
+    def submit(self, tickets: List[_Ticket]) -> None:
+        """Enqueue a request's tickets together, or shed them all."""
         config = self.executor.config
         with self.condition:
             if self.stopping:
                 raise RuntimeError("service is closed")
-            if len(self.queue) >= config.max_queue:
+            if len(self.queue) + len(tickets) > config.max_queue:
                 raise ServiceOverloaded(
-                    f"worker {self.index} queue is full "
+                    f"worker {self.index} queue cannot take {len(tickets)} more "
                     f"({len(self.queue)}/{config.max_queue} requests)",
                     retry_after_s=config.shed_retry_after_s,
                 )
-            self.queue.append(ticket)
+            self.queue.extend(tickets)
             self.condition.notify()
 
     def stop(self) -> None:
@@ -368,8 +391,20 @@ class _Worker(threading.Thread):
         self.queue.extend(remaining)
         return taken
 
+    def _contended(self, batch: List[_Ticket]) -> bool:
+        """Did ``batch`` have company: another request in it, or one for
+        its key queued behind it?  A block's own columns never count."""
+        requests = {ticket.request for ticket in batch}
+        if len(requests) > 1:
+            return True
+        key = batch[0].key
+        with self.condition:
+            return any(ticket.key == key and ticket.request not in requests
+                       for ticket in self.queue)
+
     def run(self) -> None:
         config = self.executor.config
+        contended = False
         while True:
             with self.condition:
                 self.last_beat = time.monotonic()
@@ -382,7 +417,9 @@ class _Worker(threading.Thread):
 
             batch = [first]
             if config.max_batch > 1 and first.x0 is None:
-                deadline = time.perf_counter() + config.max_wait_ms / 1e3
+                # take what is queued; wait for more only after a contended batch
+                window = config.max_wait_ms / 1e3 if contended else 0.0
+                deadline = time.perf_counter() + window
                 while len(batch) < config.max_batch:
                     with self.condition:
                         extracted = self._take_batchable(first, config.max_batch - len(batch))
@@ -395,6 +432,7 @@ class _Worker(threading.Thread):
                     batch.extend(extracted)
 
             self._execute(batch)
+            contended = self._contended(batch)
 
     def _execute(self, batch: List[_Ticket]) -> None:
         executor = self.executor
@@ -482,20 +520,24 @@ class ThreadExecutor:
         for worker in self._workers:
             worker.start()
 
-    def route(self, ticket: _Ticket, problem: Problem, spec: Optional[Dict],
+    def route(self, tickets: List[_Ticket], problem: Problem, spec: Optional[Dict],
               config: SolverConfig) -> Dict[str, int]:
-        """Resolve the ticket's session (setup is paid here, synchronously,
-        on the first request for a key) and pin it to a worker thread.
-        ``spec`` is for executors that ship the problem elsewhere."""
-        ticket.session = self.sessions.get_or_create(
-            ticket.key, lambda: SolverSession(problem, config, model=self.model)
+        """Resolve the request's session (setup is paid here, synchronously,
+        on the first request for a key) and pin its tickets — all of one
+        key — to one worker thread.  ``spec`` is for executors that ship
+        the problem elsewhere."""
+        key = tickets[0].key
+        session = self.sessions.get_or_create(
+            key, lambda: SolverSession(problem, config, model=self.model)
         )
-        ticket.slot = self._workers[int(ticket.key[:8], 16) % len(self._workers)]
-        return {"worker": ticket.slot.index}
+        worker = self._workers[int(key[:8], 16) % len(self._workers)]
+        for ticket in tickets:
+            ticket.session, ticket.slot = session, worker
+        return {"worker": worker.index}
 
-    def execute(self, ticket: _Ticket) -> None:
-        """Enqueue on the pinned worker; a full queue sheds."""
-        ticket.slot.submit(ticket)
+    def execute(self, tickets: List[_Ticket]) -> None:
+        """Enqueue on the pinned worker in one step; a full queue sheds all."""
+        tickets[0].slot.submit(tickets)
 
     def health(self) -> Dict[str, object]:
         now = time.monotonic()
@@ -662,6 +704,30 @@ class SolveService:
         with :class:`~repro.serve.errors.DeadlineExceeded` even if the worker
         is still busy.
         """
+        return self._submit(problem, b, None, x0, solver_config, deadline_ms)[0]
+
+    def submit_columns(
+        self,
+        problem: Union[Problem, Dict, None],
+        B: np.ndarray,
+        solver_config: Union[SolverConfig, Dict, None] = None,
+        deadline_ms: Optional[float] = None,
+    ) -> "List[Future[SolveResult]]":
+        """Enqueue the ``k`` columns of an ``(n, k)`` block; one future each.
+
+        The request is admitted, keyed and routed once, every column is
+        validated before anything is enqueued, and the ``k`` column tickets
+        reach their worker in one hand-over — so for ``k <= max_batch`` the
+        block runs as one lockstep batch whatever the timing, and a full
+        queue or in-flight cap sheds the whole block.  Each column settles
+        (metrics, breaker, future) like a request of its own, and is
+        **bit-identical** to ``session.solve`` of that column.
+        """
+        return self._submit(problem, None, B, None, solver_config, deadline_ms)
+
+    def _submit(self, problem, b, B, x0, solver_config, deadline_ms) -> List[Future]:
+        """The lifecycle behind :meth:`submit` (``b``) and
+        :meth:`submit_columns` (``B``): one ticket per right-hand side."""
         # admit
         if self._closed:
             raise RuntimeError("service is closed")
@@ -678,7 +744,18 @@ class SolveService:
             deadline_ms = self.config.default_deadline_ms
         elif deadline_ms <= 0:
             raise InvalidRequest(f"deadline_ms must be positive, got {deadline_ms!r}")
-        b = validate_vector("right-hand side", b, resolved.num_dofs)
+        if B is None:
+            columns = [validate_vector("right-hand side", b, resolved.num_dofs)]
+        else:
+            try:
+                B = np.asarray(B, dtype=np.float64)
+            except (TypeError, ValueError) as error:
+                raise InvalidRequest(f"'B' must be a numeric block: {error}") from error
+            if B.ndim != 2 or B.shape[1] < 1:
+                raise InvalidRequest(f"'B' must be a 2-D (n, k) block, got shape {B.shape}")
+            columns = [validate_vector(f"right-hand side column {j}",
+                                       np.ascontiguousarray(B[:, j]), resolved.num_dofs)
+                       for j in range(B.shape[1])]
         x0 = validate_vector("initial guess", x0, resolved.num_dofs)
 
         # key
@@ -703,30 +780,36 @@ class SolveService:
                     "breaker", action="reroute", key=key[:16],
                     rung=use_config.preconditioner,
                 )
-        ticket = _Ticket(use_key, key, rerouted, b, x0, caller_span, deadline_ms)
+        request = object()
+        tickets = [_Ticket(use_key, key, rerouted, column, x0, caller_span, deadline_ms, request)
+                   for column in columns]
 
         # route + execute
         try:
-            where = self._executor.route(ticket, resolved, spec, use_config)
-            ticket.enqueued_at = time.perf_counter()
+            where = self._executor.route(tickets, resolved, spec, use_config)
+            enqueued_at = time.perf_counter()
+            for ticket in tickets:
+                ticket.enqueued_at = enqueued_at
             if caller_span is not None:
                 # routing covers validation, keying and the executor's pick
                 # of (and setup on) the worker that will run the solve
                 caller_span.child("serve.route", start=route_start,
-                                  end=ticket.enqueued_at, cache_key=use_key[:16],
+                                  end=enqueued_at, cache_key=use_key[:16],
                                   rerouted=rerouted, **where)
-            self._executor.execute(ticket)
+            self._executor.execute(tickets)
         except Exception as error:
             # refused at the door (a full queue, a failed session build, an
             # unreachable worker): settled like any failure that comes back
             # from an executor — a failed build (e.g. a poisoned checkpoint)
             # is a primary failure the breaker must see, so repeated ones
             # eventually reroute to the fallback rung — then raised
-            self._settle_error(ticket, error)
+            for ticket in tickets:
+                self._settle_error(ticket, error)
             raise
-        # register with the reaper only after the executor accepted the ticket
-        self._reaper.watch(ticket)
-        return ticket.future
+        # register with the reaper only after the executor accepted the tickets
+        for ticket in tickets:
+            self._reaper.watch(ticket)
+        return [ticket.future for ticket in tickets]
 
     def solve(
         self,

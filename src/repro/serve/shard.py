@@ -23,7 +23,8 @@ and settle are the base class's, run once per request in the front process:
   (:mod:`repro.serve.proto`): raw f64 blocks both ways, so the process
   boundary adds no float-text cost and results stay **bitwise** identical
   to in-process solves.
-* **What crosses the pipe is an admitted, keyed ticket** — the worker
+* **What crosses the pipe is an admitted, keyed request** — one frame per
+  request, carrying one ``req_id`` per right-hand side — the worker
   (:func:`_shard_worker_main`) hosts a
   :class:`~repro.serve.service.ThreadExecutor` directly (session cache,
   micro-batching, bounded queues + shedding) and trusts the frame: it does
@@ -245,10 +246,12 @@ def _shard_worker_main(conn, bootstrap: Dict[str, object]) -> None:
 
     Bootstraps faults, the (shared-memory) model and a
     :class:`~repro.serve.service.ThreadExecutor`, then loops on the pipe.
-    A solve frame is an already admitted and keyed ticket: it is handed to
-    the executor *asynchronously* — concurrent requests for one session
-    still coalesce in its micro-batching queue — and the executor's
-    completion callbacks send one result/error frame back per ticket.  The
+    A solve frame is one already admitted and keyed request — a ``b`` or an
+    ``(n, k)`` block ``B`` with one ``req_id`` per column: its tickets are
+    handed to the executor *asynchronously* and together, so a block is one
+    batch and concurrent requests for one session still coalesce in its
+    micro-batching queue — and the executor's completion callbacks send
+    one result/error frame back per ticket.  The
     loop exits on a ``shutdown`` frame or pipe EOF (parent gone); exit is
     via ``os._exit`` so shared-memory finalisers never race interpreter
     teardown.
@@ -324,6 +327,7 @@ def _shard_worker_main(conn, bootstrap: Dict[str, object]) -> None:
         meta = frame.meta
         req_id = meta.get("req_id")
         if frame.kind == "solve":
+            req_ids = meta.get("req_ids") or [None]
             try:
                 ref = meta.get("problem_ref")
                 if ref is None:
@@ -333,29 +337,41 @@ def _shard_worker_main(conn, bootstrap: Dict[str, object]) -> None:
                 else:
                     raise InvalidRequest(
                         f"problem {ref[:12]}… is not installed on this worker")
+                block = frame.arrays.get("B")
+                columns = ([frame.arrays.get("b")] if block is None else
+                           [np.ascontiguousarray(block[:, j]) for j in range(block.shape[1])])
+                if len(columns) != len(req_ids):
+                    raise InvalidRequest(
+                        f"{len(columns)} right-hand sides for {len(req_ids)} request ids")
                 # re-root the parent's trace inside this process: a valid
-                # trace meta yields a worker-local root whose finished tree
-                # ships back in the reply frame; malformed meta is dropped
+                # trace meta yields a worker-local root per ticket whose
+                # finished tree ships back in its reply frame; malformed
+                # meta is dropped
                 trace_meta = extract_trace_meta(meta)
-                root = None
-                if trace_meta is not None and obs_trace.trace_enabled():
+                traced = trace_meta is not None and obs_trace.trace_enabled()
+                request = object()
+                tickets = []
+                for ticket_id, b in zip(req_ids, columns):
                     root = obs_trace.Span(
                         "worker.request",
                         trace_id=trace_meta["trace_id"],
                         parent_id=trace_meta["parent_span_id"],
                         pid=os.getpid(),
-                    )
-                ticket = _Ticket(meta["key"], b=frame.arrays.get("b"),
-                                 x0=frame.arrays.get("x0"), span=root,
-                                 deadline_ms=meta.get("deadline_ms"))
-                ticket.req_id = req_id
-                with obs_trace.use_span(root):
-                    executor.route(ticket, problem, None,
+                    ) if traced else None
+                    ticket = _Ticket(meta["key"], b=b, x0=frame.arrays.get("x0"), span=root,
+                                     deadline_ms=meta.get("deadline_ms"), request=request)
+                    ticket.req_id = ticket_id
+                    tickets.append(ticket)
+                with obs_trace.use_span(tickets[0].span):
+                    executor.route(tickets, problem, None,
                                    SolverConfig.from_dict(meta["config"]))
-                ticket.enqueued_at = time.perf_counter()
-                executor.execute(ticket)
+                enqueued_at = time.perf_counter()
+                for ticket in tickets:
+                    ticket.enqueued_at = enqueued_at
+                executor.execute(tickets)
             except BaseException as error:  # noqa: BLE001 - serialised to the parent
-                send(_error_frame(req_id, error))
+                for ticket_id in req_ids:
+                    send(_error_frame(ticket_id, error))
         elif frame.kind == "install_problem":
             try:
                 from ..solvers.shm import problem_from_shm
@@ -649,49 +665,56 @@ class ProcessExecutor:
                 shard.installed.add(fingerprint)
         return fingerprint
 
-    def route(self, ticket: _Ticket, problem: Problem, spec: Optional[Dict],
+    def route(self, tickets: List[_Ticket], problem: Problem, spec: Optional[Dict],
               config: SolverConfig) -> Dict[str, int]:
-        """Pick the owning shard and make sure it can resolve the problem."""
-        shard = self.shards[route(self._ring, ticket.key)]
+        """Pick the owning shard of the request's key, make sure it can
+        resolve the problem, and give every ticket its own ``req_id``."""
+        shard = self.shards[route(self._ring, tickets[0].key)]
         if shard.dead:
             raise WorkerCrashed(shard.dead_reason or f"worker {shard.slot} is down")
-        ticket.slot = shard
-        ticket.req_id = next(self._req_ids)
-        ticket.meta = {
-            "req_id": ticket.req_id,
-            "key": ticket.key,
+        meta = {
+            "key": tickets[0].key,
             "problem_spec": spec,
             "problem_ref": self._ensure_installed(shard, problem) if spec is None else None,
             "config": config.to_dict(),
         }
+        for ticket in tickets:
+            ticket.slot, ticket.meta = shard, meta
+            ticket.req_id = next(self._req_ids)
         return {"shard": shard.slot}
 
-    def execute(self, ticket: _Ticket) -> None:
-        """Write the ticket's solve frame to its shard's pipe."""
-        shard, meta = ticket.slot, ticket.meta
+    def execute(self, tickets: List[_Ticket]) -> None:
+        """Write the request's one solve frame — ``b``, or the ``(n, k)``
+        block ``B`` with ``k`` req_ids — to its shard's pipe."""
+        first = tickets[0]
+        shard = first.slot
+        meta = dict(first.meta, req_ids=[ticket.req_id for ticket in tickets])
         # the worker gets what is left of the deadline, not a clock reading
         meta["deadline_ms"] = (
-            None if ticket.deadline_at is None
-            else (ticket.deadline_at - time.monotonic()) * 1e3
+            None if first.deadline_at is None
+            else (first.deadline_at - time.monotonic()) * 1e3
         )
-        if ticket.span is not None:
+        if first.span is not None:
             # trace context crosses the fork in the frame header meta; the
             # worker re-roots under (trace_id, this span) and ships its
             # finished subtree back in the reply
-            meta[TRACE_META_KEY] = make_trace_meta(
-                ticket.span.trace_id, ticket.span.span_id
-            )
-        arrays = {name: vector for name, vector in (("b", ticket.b), ("x0", ticket.x0))
-                  if vector is not None}
+            meta[TRACE_META_KEY] = make_trace_meta(first.span.trace_id, first.span.span_id)
+        if len(tickets) == 1:
+            arrays = {name: vector for name, vector in (("b", first.b), ("x0", first.x0))
+                      if vector is not None}
+        else:
+            arrays = {"B": np.stack([ticket.b for ticket in tickets], axis=1)}
         frame_bytes = encode_frame("solve", meta, arrays)
-        with shard.lock:  # cap check and insert are one step: no overshoot
+        # cap check and insert are one step, all k or none: no overshoot
+        with shard.lock:
             depth = len(shard.pending)
-            if depth < self._max_pending:
-                shard.pending[ticket.req_id] = ticket
-        if depth >= self._max_pending:
+            fits = depth + len(tickets) <= self._max_pending
+            if fits:
+                shard.pending.update((ticket.req_id, ticket) for ticket in tickets)
+        if not fits:
             raise ServiceOverloaded(
                 f"shard {shard.slot} has {depth} requests in flight "
-                f"(cap {self._max_pending})",
+                f"(cap {self._max_pending}); {len(tickets)} more do not fit",
                 retry_after_s=self.config.shed_retry_after_s,
             )
         try:
@@ -699,7 +722,8 @@ class ProcessExecutor:
                 _shard_send(shard, frame_bytes)
         except WorkerCrashed:
             with shard.lock:
-                shard.pending.pop(ticket.req_id, None)
+                for ticket in tickets:
+                    shard.pending.pop(ticket.req_id, None)
             raise
 
     # -- admin: aggregated stats & health -------------------------------- #

@@ -5,18 +5,23 @@ the JSON-over-HTTP front end on an ephemeral port."""
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.krylov import lockstep_pcg, preconditioned_conjugate_gradient
+from repro.obs import trace as obs_trace
 from repro.serve import (
+    InvalidRequest,
     LatencyHistogram,
     ServeClient,
     ServeClientError,
     ServeConfig,
     ServeHTTPServer,
+    ServiceOverloaded,
     SessionCache,
     SolveService,
     build_problem_from_spec,
@@ -432,6 +437,194 @@ class TestSolveService:
         service.close()
         with pytest.raises(RuntimeError, match="closed"):
             service.submit(serve_problem)
+
+
+# --------------------------------------------------------------------------- #
+# dispatch when ready: one hand-over per request, wait only under contention
+# --------------------------------------------------------------------------- #
+DDM_LU = SolverConfig(preconditioner="ddm-lu", tolerance=1e-8)
+SPEC = {"family": "poisson", "target_n": 300, "seed": 1}
+
+
+@pytest.fixture(scope="module")
+def spec_reference():
+    """``reference(b)``: what every served column must equal bit for bit."""
+    session = prepare(build_problem_from_spec(SPEC), DDM_LU)
+    return lambda b: session.solve(b).solution
+
+
+@pytest.fixture
+def http_stack(serving):
+    """``http_stack(serve_config)`` -> (service, binary client) over the
+    parametrised executor, serving ``SPEC`` requests under ``DDM_LU``."""
+    servers = []
+
+    def start(serve_config):
+        service = serving(serve_config, default_solver_config=DDM_LU)
+        servers.append(ServeHTTPServer(service, port=0).start())
+        return service, ServeClient(servers[-1].url, timeout=120.0)
+
+    yield start
+    for server in servers:
+        server.stop()
+
+
+def _block(k, seed=0):
+    n = build_problem_from_spec(SPEC).num_dofs
+    return np.random.default_rng(seed).standard_normal((n, k))
+
+
+class TestDispatchWhenReady:
+    def test_lone_client_never_waits(self, http_stack, spec_reference):
+        """A window of 500 ms is never paid without company: the parent
+        waited it out on every request."""
+        _, client = http_stack(ServeConfig(workers=1, max_wait_ms=500.0))
+        client.solve_binary(problem=SPEC)                       # session set-up
+        block = _block(5, seed=1)
+        start = time.perf_counter()
+        responses = [client.solve_binary(problem=SPEC, b=np.ascontiguousarray(block[:, j]))
+                     for j in range(5)]
+        wall = time.perf_counter() - start
+        for j, response in enumerate(responses):
+            assert response["serve"][0]["queue_s"] < 0.05
+            assert np.array_equal(response["solution"], spec_reference(block[:, j]))
+        assert wall < 1.0
+
+    @pytest.mark.parametrize("max_wait_ms", [0.0, 500.0])
+    def test_block_is_one_batch_regardless_of_timing(self, http_stack, spec_reference,
+                                                     max_wait_ms):
+        """k <= max_batch columns run as one batch; k = 5 over max_batch = 2
+        as three — and the request is routed once either way."""
+        cases = ((ServeConfig(workers=1, max_wait_ms=max_wait_ms), 4, [4, 4, 4, 4]),
+                 (ServeConfig(workers=1, max_batch=2, max_wait_ms=max_wait_ms), 5,
+                  [1, 2, 2, 2, 2]))
+        obs_trace.enable_tracing()              # before the service: workers inherit it
+        try:
+            for config, k, batch_sizes in cases:
+                _, client = http_stack(config)
+                client.solve_binary(problem=SPEC)               # session set-up
+                _http_roots(1)
+                block = _block(k, seed=k)
+                response = client.solve_binary(problem=SPEC, b=block)
+                assert sorted(s["batch_size"] for s in response["serve"]) == batch_sizes
+                for j in range(k):
+                    assert np.array_equal(response["solution"][:, j],
+                                          spec_reference(block[:, j]))
+                (root,) = _http_roots(1)
+                assert len(root.find("serve.route")) == 1
+        finally:
+            obs_trace.disable_tracing()
+
+    def test_block_with_a_bad_column_enqueues_nothing(self, http_stack):
+        """A NaN in column 2 is a 400 for the whole block: columns 0 and 1
+        neither run nor count (they used to do both)."""
+        service, client = http_stack(ServeConfig(workers=1))
+        client.solve_binary(problem=SPEC)
+        before = service.stats()["requests"]
+        block = _block(4)
+        block[7, 2] = np.nan
+        with pytest.raises(ServeClientError) as excinfo:
+            client.solve_binary(problem=SPEC, b=block)
+        assert excinfo.value.status == 400
+        with pytest.raises(InvalidRequest, match="column 2"):
+            service.submit_columns(SPEC, block)
+        # FIFO per worker: once a later request is answered, anything the
+        # bad block had enqueued would have been answered and counted too
+        client.solve_binary(problem=SPEC)
+        assert service.stats()["requests"] == before + 1
+
+    def test_block_that_does_not_fit_is_shed_whole(self, serving):
+        service = serving(ServeConfig(workers=1, max_queue=3), default_solver_config=DDM_LU)
+        service.solve(SPEC, timeout=120)
+        before = service.stats()
+        try:
+            futures = service.submit_columns(SPEC, _block(4))
+        except ServiceOverloaded:               # in-process: refused at the door
+            futures = []
+        for future in futures:                  # a worker process's queue: via the futures
+            with pytest.raises(ServiceOverloaded):
+                future.result(60)
+        after = service.stats()
+        assert after["requests"] == before["requests"]
+        assert after["shed"] - before["shed"] == 4
+
+    def test_concurrent_blocks_stay_whole(self, spec_reference):
+        """Blocks racing onto one worker queue never interleave: with
+        ``max_batch`` a multiple of ``k``, every batch is whole blocks, so
+        all columns of a block report one batch size of 4 or 8."""
+        blocks = [_block(4, seed=10 + tid) for tid in range(6)]
+        wants = [[spec_reference(block[:, j]) for j in range(4)] for block in blocks]
+        outcomes = []
+        with SolveService(ServeConfig(workers=1, max_batch=8),
+                          default_solver_config=DDM_LU) as service:
+            service.solve(SPEC)                                 # session set-up
+            barrier = threading.Barrier(len(blocks))
+
+            def client(tid):
+                barrier.wait()
+                for _ in range(5):
+                    futures = service.submit_columns(SPEC, blocks[tid])
+                    outcomes.append((tid, [future.result(60) for future in futures]))
+
+            threads = [threading.Thread(target=client, args=(t,)) for t in range(len(blocks))]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+        assert len(outcomes) == 5 * len(blocks)
+        for tid, results in outcomes:
+            assert len({result.info["batch_size"] for result in results}) == 1
+            assert results[0].info["batch_size"] in (4, 8)
+            for result, want in zip(results, wants[tid]):
+                assert np.array_equal(result.solution, want)
+
+    @pytest.mark.parametrize("clients", [2, 4, 8])
+    def test_occupancy_under_contention(self, clients):
+        """Closed-loop clients on one key keep filling batches: the rule
+        waits whenever the previous batch had company."""
+        spec = {"family": "poisson", "target_n": 1000, "element_size": 0.07, "seed": 0}
+        config = SolverConfig(preconditioner="ddm-lu", subdomain_size=110, tolerance=1e-6)
+        pool = np.random.default_rng(3).standard_normal(
+            (8, build_problem_from_spec(spec).num_dofs))
+        with SolveService(ServeConfig(workers=1, max_batch=8),
+                          default_solver_config=config) as service:
+            service.solve(spec)                                 # session set-up
+            barrier = threading.Barrier(clients)
+            errors = []
+
+            def client(tid):
+                barrier.wait()
+                for i in range(12):
+                    result = service.solve(spec, pool[(tid + i) % len(pool)], timeout=120)
+                    if not result.converged:
+                        errors.append((tid, i))
+
+            threads = [threading.Thread(target=client, args=(t,)) for t in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            stats = service.stats()
+        assert not errors
+        # 1.98 / 3.93 / 7.83 measured; the lone warm-up solve is one batch of 1
+        assert stats["mean_batch_size"] >= 0.75 * clients
+
+
+def _http_roots(count, timeout=10.0):
+    """The next ``count`` finished ``http.request`` traces (a root finishes
+    just after its response is written, so it may trail the client)."""
+    roots = []
+    deadline = time.monotonic() + timeout
+    while len(roots) < count and time.monotonic() < deadline:
+        roots += [root for root in obs_trace.drain_traces() if root.name == "http.request"]
+        time.sleep(0.005)
+    return roots
 
 
 # --------------------------------------------------------------------------- #

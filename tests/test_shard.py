@@ -561,6 +561,29 @@ class TestConcurrentSubmitters:
             os.kill(shard.pid, signal.SIGCONT)
             service.close()
 
+    def test_block_takes_all_its_slots_or_none(self):
+        """A block that does not fit the in-flight cap is shed whole: the
+        table never holds part of a request."""
+        service = ShardedSolveService(
+            ServeConfig(workers=1, max_queue=2), default_solver_config=DDM_LU,
+            shard_config=ShardConfig(workers=1))
+        shard = service._shards[0]
+        try:
+            service.solve(SPEC, timeout=120)
+            cap = service.stats()["config"]["max_pending_per_shard"]
+            n = service.problems.resolve(SPEC).num_dofs
+            os.kill(shard.pid, signal.SIGSTOP)  # nothing is answered from here on
+            for _ in range(cap - 3):
+                service.submit(SPEC)
+            with pytest.raises(ServiceOverloaded, match="4 more do not fit"):
+                service.submit_columns(SPEC, np.ones((n, 4)))
+            assert len(shard.pending) == cap - 3
+            service.submit_columns(SPEC, np.ones((n, 3)))
+            assert len(shard.pending) == cap
+        finally:
+            os.kill(shard.pid, signal.SIGCONT)
+            service.close()
+
 
 # --------------------------------------------------------------------------- #
 # one serving core: the lifecycle exists once, the worker hosts no second one
@@ -581,7 +604,8 @@ class TestOneServingCore:
         assert "ThreadExecutor" in calls  # what a worker process hosts instead
 
     def test_sharded_service_runs_the_same_lifecycle_code(self):
-        for name in ("submit", "solve", "_resolve_problem", "_resolve_config",
+        for name in ("submit", "submit_columns", "_submit", "solve",
+                     "_resolve_problem", "_resolve_config",
                      "_breaker_for", "_record_outcome", "_settle_result",
                      "_settle_error", "health", "stats", "metrics_snapshot",
                      "close"):
@@ -620,7 +644,7 @@ class TestBinaryHTTP:
         assert binary_response["converged"] == [json_response["converged"]]
         assert binary_response["iterations"] == [json_response["iterations"]]
 
-    def test_multi_column_block_fans_out(self, stack):
+    def test_multi_column_block_is_one_batch(self, stack):
         server, client = stack
         reference = SolveService(ServeConfig(workers=1),
                                  default_solver_config=DDM_LU)
@@ -631,6 +655,7 @@ class TestBinaryHTTP:
         reference.close()
         response = client.solve_binary(problem=SPEC, b=block)
         assert response["k"] == 3
+        assert [serve["batch_size"] for serve in response["serve"]] == [3, 3, 3]
         assert response["solution"].shape == (n, 3)
         for j in range(3):
             assert response["solution"][:, j].tobytes() == \
