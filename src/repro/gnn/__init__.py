@@ -6,15 +6,16 @@ Public surface:
   solver (paper Fig. 3).
 * :class:`~repro.gnn.graph.GraphProblem`,
   :func:`~repro.gnn.graph.graph_from_mesh` — graph-structured local problems.
-* :class:`~repro.gnn.batch.GraphBatch` — disjoint-union batching;
-  :func:`~repro.gnn.batch.message_operators` — the gather/aggregation CSR
-  pair every forward (differentiable or compiled) runs on.
+* :class:`~repro.gnn.batch.GraphBatch` — disjoint-union batching.
+* :class:`~repro.gnn.infer.EdgeLayout` — the destination-sorted edges and
+  the one edge pass (and its VJP) every forward, differentiable or
+  compiled, runs on.
 * :class:`~repro.gnn.batch.BatchPlan`,
   :class:`~repro.gnn.infer.InferencePlan` — precompiled iteration-time fast
   path (``DSS.compile_plan`` / ``DSS.infer``).
 * :class:`~repro.gnn.mpnn.DSSBlock`, :class:`~repro.gnn.mpnn.Decoder` —
   message-passing building blocks (a block is one tape primitive with a
-  hand-written VJP).
+  hand-written VJP, ``block(latent, node_input, edges)``).
 * :func:`~repro.gnn.loss.residual_loss`, :func:`~repro.gnn.loss.relative_error`
   — the physics-informed loss and metrics.
 * :class:`~repro.gnn.training.DSSTrainer`,
@@ -39,7 +40,7 @@ from .checkpoint import (
 )
 from .dss import DSS, DSSConfig
 from .graph import GraphProblem, graph_from_mesh
-from .infer import InferencePlan
+from .infer import EdgeLayout, InferencePlan
 from .loss import relative_error, residual_loss
 from .mpnn import Decoder, DSSBlock
 from .training import DSSTrainer, EvaluationMetrics, EpochStats, TrainingConfig, evaluate_model
@@ -51,6 +52,7 @@ __all__ = [
     "graph_from_mesh",
     "GraphBatch",
     "BatchPlan",
+    "EdgeLayout",
     "InferencePlan",
     "DSSBlock",
     "Decoder",

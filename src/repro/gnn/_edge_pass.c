@@ -1,4 +1,5 @@
-/* The fused edge pass of the DSS inference forward (repro/gnn/infer.py).
+/* The fused edge pass of the DSS forward and its vector-Jacobian product
+ * (repro/gnn/infer.py, EdgeLayout).
  *
  *   stat[e, :]   = ((a[e,0] W[0,:] + a[e,1] W[1,:]) + a[e,2] W[2,:] (+ a[e,3] W[3,:])) + b
  *   pre[i, c, :] = sum over edges e -> i, ascending e, of
@@ -6,7 +7,7 @@
  *
  * One sweep over the destination-sorted edges.  The static term of an edge —
  * the hidden-layer contribution of its attribute row a[e], the same for every
- * column — is formed here, once per edge, from the plan's one (E, |e|)
+ * column — is formed here, once per edge, from the layout's one (E, |e|)
  * attribute array and the block's (|e|, w) weights and (w,) bias, and reused
  * over the k columns: no (E, w) operand per block exists anywhere.  The
  * (E, k, w) message buffer of the numpy body is never written either.  That
@@ -23,8 +24,9 @@
  * FMA), so the result is bitwise the numpy body's, in float64 and float32,
  * for every k.
  *
- * Built by repro/gnn/_native.py with `cc -O3 -ffp-contract=off -shared -fPIC`:
- * no -ffast-math, and no -march=native — the cached .so may be shared between
+ * Built by repro/gnn/_native.py with
+ * `cc -O3 -ffp-contract=off -falign-functions=64 -shared -fPIC`: no
+ * -ffast-math, and no -march=native — the cached .so may be shared between
  * machines.  Measured on the ledger operator while sizing it (DESIGN.md,
  * "Measured floor of the apply"):
  *
@@ -39,6 +41,10 @@
  *     term.  Any other width runs the numpy body.
  *   - the term goes through a stack array: folded into the message expression
  *     it is recomputed per column, 1.5x slower at k = 8 for 4% at k = 1.
+ *   - every function starts on a 64-byte boundary.  Otherwise its address
+ *     depends on what precedes .text: adding the VJP below pulled memcpy into
+ *     the PLT, moved the pass by 16 bytes and made the same machine code 4%
+ *     slower at f64 k = 1 and 4% faster at f32 k = 8.
  */
 #include <stdint.h>
 
@@ -87,3 +93,78 @@ DEFINE_EDGE_PASS(edge_pass_f64_3, double, 3)
 DEFINE_EDGE_PASS(edge_pass_f64_4, double, 4)
 DEFINE_EDGE_PASS(edge_pass_f32_3, float, 3)
 DEFINE_EDGE_PASS(edge_pass_f32_4, float, 4)
+
+/* The VJP of the k = 1 pass in float64 — the training forward's backward.
+ * Given g_pre = dL/dpre (n, w), one sweep over the same edges recomputes every
+ * pre-activation t[e] = (stat[e] + proj[dst_e]) + proj[n + src_e] in the
+ * pass's exact association (so its sign is the forward's), and writes
+ *
+ *   g_t[e]          = t[e] > 0 ? g_pre[dst_e] : 0         through the ReLU
+ *   g_proj[i]       = sum over edges e -> i of g_t[e]      ascending e, onto zeros
+ *   g_proj[n + j]   = sum over edges e with src_e = j      ascending e, onto zeros
+ *   g_weights[j, :] = sum over every edge of a[e,j] g_t[e] ascending e, onto zeros
+ *
+ * (the bias gradient is 1^T g_proj[:n], taken by the caller).  The numpy body
+ * of EdgeLayout.edge_vjp does the same operations in the same order, bit for
+ * bit.  What keeps the inner loop vectorised (gcc 12, -O3), measured on the
+ * ledger's training step (6,647 nodes, 32,005 edges, w = 20) at 1.3 ms per
+ * block for |e| = 3 and 1.6 ms for |e| = 4:
+ *
+ *   - g_pre is loaded unconditionally, then selected: `t > 0 ? g_pre[q] : 0`
+ *     is a conditional load, which gcc refuses to vectorise ("control flow in
+ *     loop"): 6.6 / 7.8 ms.  `g * (t > 0 ? 1 : 0)` is refused too.
+ *   - every accumulator is a local: the destination sums in g_dst, the weight
+ *     sums in one stack row per attribute for the whole sweep, the attribute
+ *     row copied in.  Through the output pointers gcc cannot prove the rows
+ *     apart and leaves the loop scalar; as offsets j * w of one array it gives
+ *     up on the alias checks at |e| = 4 (2.6 ms).
+ */
+#define ACC_3(g, a, q, v) g[0][q] += a[0] * v; g[1][q] += a[1] * v; g[2][q] += a[2] * v
+#define ACC_4(g, a, q, v) ACC_3(g, a, q, v); g[3][q] += a[3] * v
+
+#define DEFINE_EDGE_VJP(NAME, WIDTH)                                          \
+    void NAME(                                                                \
+        int64_t n, int64_t w, const int64_t *indptr, const int64_t *src,      \
+        const double *attr, const double *weights, const double *bias,        \
+        const double *proj, const double *g_pre, double *g_proj,              \
+        double *g_weights)                                                    \
+    {                                                                         \
+        const double *proj_src = proj + n * w;                                \
+        double *g_src = g_proj + n * w;                                       \
+        double g_dst[w], g_attr[WIDTH][w];                                    \
+        for (int j = 0; j < WIDTH; ++j)                                       \
+            for (int64_t q = 0; q < w; ++q)                                   \
+                g_attr[j][q] = 0.0;                                           \
+        for (int64_t q = 0; q < n * w; ++q)                                   \
+            g_src[q] = 0.0;                                                   \
+        for (int64_t i = 0; i < n; ++i) {                                     \
+            const double *restrict dst_row = proj + i * w;                    \
+            const double *restrict g_row = g_pre + i * w;                     \
+            for (int64_t q = 0; q < w; ++q)                                   \
+                g_dst[q] = 0.0;                                               \
+            for (int64_t e = indptr[i]; e < indptr[i + 1]; ++e) {             \
+                double a[WIDTH];                                              \
+                for (int j = 0; j < WIDTH; ++j)                               \
+                    a[j] = attr[e * WIDTH + j];                               \
+                const double *restrict src_row = proj_src + src[e] * w;       \
+                double *restrict g_src_row = g_src + src[e] * w;              \
+                for (int64_t q = 0; q < w; ++q) {                             \
+                    const double s = TERM_##WIDTH(a, weights, w, q) + bias[q]; \
+                    const double t = s + dst_row[q] + src_row[q];             \
+                    const double g = g_row[q];                                \
+                    const double v = t > 0.0 ? g : 0.0;                       \
+                    g_dst[q] += v;                                            \
+                    g_src_row[q] += v;                                        \
+                    ACC_##WIDTH(g_attr, a, q, v);                             \
+                }                                                             \
+            }                                                                 \
+            for (int64_t q = 0; q < w; ++q)                                   \
+                g_proj[i * w + q] = g_dst[q];                                 \
+        }                                                                     \
+        for (int j = 0; j < WIDTH; ++j)                                       \
+            for (int64_t q = 0; q < w; ++q)                                   \
+                g_weights[j * w + q] = g_attr[j][q];                          \
+    }
+
+DEFINE_EDGE_VJP(edge_vjp_f64_3, 3)
+DEFINE_EDGE_VJP(edge_vjp_f64_4, 4)

@@ -32,26 +32,19 @@ def _pad_columns(array: np.ndarray, width: int) -> np.ndarray:
 
 
 class MessageOperators(NamedTuple):
-    """The sparse operators of one message-passing sweep over a fixed edge list.
-
-    ``gather_T`` and ``destination`` are the two transposes the training VJP
-    multiplies by; both are views of what the forward operators already hold.
-    """
+    """The sparse operators of the numpy edge pass over a fixed edge list."""
 
     gather: sp.csr_matrix     # (E, 2n) — row e holds ones at columns dst_e and n + src_e
     aggregate: sp.csr_matrix  # (n, E) — row i holds a one for every edge arriving at node i
-    gather_T: sp.csc_matrix   # (2n, E) — gatherᵀ, the CSC view of the same arrays
-    destination: np.ndarray   # (E,) dst_e — aggregateᵀ has one unit entry per row: aggregateᵀ @ X = X[destination]
-    indegree: np.ndarray      # (n,) float64 — number of edges arriving at each node
 
 
 def message_operators(edge_index: np.ndarray, num_nodes: int, dtype=np.float64) -> MessageOperators:
     """Build the gather and aggregation operators of the ``(2, E)`` edges ``src → dst``.
 
-    The one place they are constructed: :class:`~repro.gnn.infer.InferencePlan`
-    (at its plan precision) and the differentiable ``DSS.forward`` (which
-    hands them to every :class:`~repro.gnn.mpnn.DSSBlock`) both call it.  The
-    transposes cost nothing to carry: a ``.T`` view and the ``dst`` row.
+    Only the numpy body of the edge pass and its VJP use them
+    (:class:`~repro.gnn.infer.EdgeLayout` builds them on that body's first
+    use, at the layout's precision); the VJP's ``Gᵀ`` is the free CSC view
+    ``gather.T``.
 
     >>> ops = message_operators(np.array([[0, 1], [1, 0]]), num_nodes=2)
     >>> ops.gather.toarray()       # edge 0 is 0 → 1: columns [dst | n + src] = 1 and 2
@@ -84,8 +77,7 @@ def message_operators(edge_index: np.ndarray, num_nodes: int, dtype=np.float64) 
     )
     aggregate = incidence.T.tocsr()
     aggregate.sort_indices()
-    indegree = np.bincount(dst, minlength=n).astype(np.float64)
-    return MessageOperators(gather, aggregate, gather.T, dst, indegree)
+    return MessageOperators(gather, aggregate)
 
 
 @dataclass

@@ -24,9 +24,9 @@ import numpy as np
 
 from ..nn.modules import Module
 from ..nn.tensor import Tensor, no_grad
-from .batch import BatchPlan, GraphBatch, _pad_columns, message_operators
+from .batch import BatchPlan, GraphBatch, _pad_columns
 from .graph import GraphProblem
-from .infer import InferencePlan
+from .infer import EdgeLayout, InferencePlan
 from .loss import residual_loss
 from .mpnn import Decoder, DSSBlock
 
@@ -105,18 +105,18 @@ class DSS(Module):
         intermediate decoded states when ``return_intermediate`` is True
         (needed by the training loss, Eq. 23).  This is the one
         differentiable forward: each block is a single tape primitive (see
-        :mod:`repro.gnn.mpnn`) on operators built once here; under
-        ``no_grad`` the same code runs and records nothing.
+        :mod:`repro.gnn.mpnn`) on the edge layout built once here, whose
+        constructor rejects an edge id outside ``[0, n)`` before any kernel
+        reads one; under ``no_grad`` the same code runs and records nothing.
         """
         num_nodes = problem.num_nodes
-        operators = message_operators(problem.edge_index, num_nodes)
-        edge_attr = self._prepare_edge_attr(problem.edge_attr)
+        edges = EdgeLayout(problem.edge_index, self._prepare_edge_attr(problem.edge_attr), num_nodes)
         node_input = Tensor(self._prepare_node_input(problem))
 
         latent = Tensor(np.zeros((num_nodes, self.config.latent_dim)))
         outputs: List[Tensor] = []
         for block, decoder in zip(self.blocks, self.decoders):
-            latent = block(latent, node_input, operators, edge_attr)
+            latent = block(latent, node_input, edges)
             if return_intermediate:
                 outputs.append(decoder(latent))
         if return_intermediate:

@@ -30,10 +30,10 @@ exists to move fewer bytes per sweep; all of it is fixed at compile time:
   there, once for all ``k`` columns — plan memory is ``O(E + n·d·k̄)``;
 * **one edge pass** — ``pre[i] = Σ_{e → i} relu(static[e] + proj_dst[i] +
   proj_src[src_e])``, ``static[e] = ((a₀ W₀ + a₁ W₁) + a₂ W₂ …) + b``, over
-  edges stable-sorted by destination at compile time, in two bodies on that
-  one layout.  The *native* body (``_edge_pass.c``, compiled on first use by
-  :mod:`repro.gnn._native` for ``|e|`` = 3 and 4) is a single sweep that never
-  materialises the ``(E, k, 2d)`` messages.  The *numpy* body — the reference,
+  the edges of one :class:`EdgeLayout` (stable-sorted by destination), in two
+  bodies on that one layout.  The *native* body (``_edge_pass.c``, compiled on
+  first use by :mod:`repro.gnn._native` for ``|e|`` = 3 and 4) is a single
+  sweep that never materialises the ``(E, k, 2d)`` messages.  The *numpy* body — the reference,
   and what runs without a C compiler or at another ``|e|`` — builds the terms
   column by column in a scratch, prefills a message buffer with them,
   accumulates the projections through a two-ones CSR operator (row ``e`` =
@@ -51,15 +51,19 @@ exists to move fewer bytes per sweep; all of it is fixed at compile time:
   is three ``beta=1`` GEMMs accumulated onto the prefilled bias, and the
   ResNet update is a ``beta=1`` GEMM straight onto the latent state.
 
-The first three are shared with the differentiable forward
-(:meth:`repro.gnn.mpnn.DSSBlock.forward` runs the same operators in the same
-order, with the output layers applied after aggregation but not merged into
-``ψ``); the folds are the inference-only step, applied to trained weights.
-They are computed in float64 from the model weights (and cast once for f32
-plans), so they re-associate the forward's dot products and commutative sums
-and nothing else: the f64 forward agrees with ``DSS.predict`` to a few ulp
-(~1e-15 relative observed; the parity tests pin 1e-12), orders of magnitude
-tighter than anything visible to the preconditioned solver.
+The differentiable forward shares all of it but the compile-time staging:
+:meth:`repro.gnn.mpnn.DSSBlock.forward` builds the same projections, calls
+the same :meth:`EdgeLayout.edge_pass` (``k = 1``, float64, on a layout built
+once per ``DSS.forward``) and folds both output layers into ``ψ`` in the same
+algebra, from the current weights on every call; its VJP is
+:meth:`EdgeLayout.edge_vjp`, the pass run backwards over the same layout.
+What stays inference-only is what a frozen model allows: the per-node
+``bias_node`` with the κ channels folded in, and prestaged, reused buffers.
+The folds are computed in float64 from the model weights (and cast once for
+f32 plans), so they re-associate the forward's dot products and commutative
+sums and nothing else: the f64 forward agrees with ``DSS.predict`` to a few
+ulp (~1e-15 relative observed; the parity tests pin 1e-12), orders of
+magnitude tighter than anything visible to the preconditioned solver.
 
 Because the weights are prestaged, a plan captures the model parameters *at
 compile time*: recompile after any further training or ``load_state_dict``.
@@ -91,16 +95,16 @@ every buffer in float32; sources and outputs are cast at the plan boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..nn.functional import relu_
 from ._native import edge_kernels
-from .batch import BatchPlan, GraphBatch, message_operators
+from .batch import BatchPlan, GraphBatch, MessageOperators, message_operators
 
-__all__ = ["InferencePlan"]
+__all__ = ["EdgeLayout", "InferencePlan"]
 
 #: dtypes of the supported plan precisions
 PRECISION_DTYPES = {"f64": np.float64, "f32": np.float32}
@@ -171,6 +175,127 @@ def _spmm_acc(matrix: sp.csr_matrix, x_flat: np.ndarray, y_flat: np.ndarray, n_v
         y += matrix @ x_flat.reshape(cols, n_vecs)
 
 
+class EdgeLayout:
+    """The directed edges ``src → dst`` of a graph, stable-sorted by destination:
+    the one layout both bodies of the edge pass, and its VJP, read.
+
+    ``indptr`` bounds the edges arriving at each node (every destination then
+    sums in ascending edge id), ``edge_index`` and ``attr`` are the permuted
+    rows, contiguous, at the layout's precision.  The ids are checked here,
+    before any pointer goes to C.  :class:`InferencePlan` builds one per plan,
+    ``DSS.forward`` one per forward (float64, ``k = 1``); the numpy body's CSR
+    operators are built on its first use only.
+
+    >>> edges = EdgeLayout(np.array([[0, 2, 1], [1, 0, 0]]), np.arange(6.0).reshape(3, 2), num_nodes=3)
+    >>> edges.edge_index, edges.indptr          # node 0 receives edges 2 → 0 and 1 → 0, node 1 receives 0 → 1
+    (array([[2, 1, 0],
+           [0, 0, 1]]), array([0, 2, 3, 3]))
+    """
+
+    def __init__(self, edge_index: np.ndarray, edge_attr: np.ndarray, num_nodes: int,
+                 precision: str = "f64") -> None:
+        n = int(num_nodes)
+        edge_index = np.asarray(edge_index)
+        if edge_index.size and not (0 <= edge_index.min() and edge_index.max() < n):
+            raise ValueError(f"edge_index must hold node ids in [0, {n})")
+        order = np.argsort(edge_index[1], kind="stable")
+        self.num_nodes = n
+        self.precision = precision
+        self.edge_index = np.ascontiguousarray(edge_index[:, order], dtype=np.int64)
+        self.attr = np.ascontiguousarray(np.asarray(edge_attr)[order], dtype=PRECISION_DTYPES[precision])
+        indegree = np.bincount(self.edge_index[1], minlength=n)
+        self.indptr = np.concatenate(([0], np.cumsum(indegree)), dtype=np.int64)
+        self.indegree = indegree.astype(np.float64)
+        self._pointers = (self.indptr.ctypes.data, self.edge_index[0].ctypes.data, self.attr.ctypes.data)
+        self._operators: Optional[MessageOperators] = None
+
+    def _native(self, kind: str):
+        """The C ``edge_{kind}`` for this precision and attribute width, if it loaded."""
+        kernels = edge_kernels()  # resolved (compiled, loaded, self-checked) once per process
+        return None if kernels is None else kernels.get(f"edge_{kind}_{self.precision}_{self.attr.shape[1]}")
+
+    @property
+    def kernel(self) -> str:
+        """Which body the edge pass (and, in float64, its VJP) runs: ``"native"`` or ``"numpy"`` (same bytes)."""
+        return "numpy" if self._native("pass") is None else "native"
+
+    def _operators_for_numpy(self) -> MessageOperators:
+        if self._operators is None:
+            self._operators = message_operators(self.edge_index, self.num_nodes, dtype=self.attr.dtype)
+        return self._operators
+
+    def _pre_activations(self, weights, bias, proj, k: int, scratch: np.ndarray) -> np.ndarray:
+        """The numpy body's ``(E, k, w)`` pre-activations ``(static + proj_dst) + proj_src``, in the head of
+        ``scratch`` (``E·(k+1)·w`` items; the ``(w, E)`` terms are built in its tail)."""
+        (num_edges, attr_width), width = self.attr.shape, bias.size
+        messages = scratch[:num_edges * k * width]
+        # terms and products unit-major, (w, E): numpy's inner loops then run over E, not w
+        static = scratch[scratch.size - num_edges * width:].reshape(width, num_edges)
+        product = messages[:num_edges * width].reshape(width, num_edges)  # dead before the prefill
+        np.multiply(weights[0][:, None], self.attr[:, 0], out=static)
+        for j in range(1, attr_width):
+            np.multiply(weights[j][:, None], self.attr[:, j], out=product)
+            static += product
+        static += bias[:, None]
+        np.copyto(messages.reshape(num_edges, k, width), static.T[:, None, :])
+        _spmm_acc(self._operators_for_numpy().gather, proj.reshape(-1), messages, k * width)
+        return messages
+
+    def edge_pass(self, weights: np.ndarray, bias: np.ndarray, proj: np.ndarray, pre: np.ndarray,
+                  k: int = 1, scratch: Optional[Callable[[], np.ndarray]] = None) -> None:
+        """``pre[i] = Σ_{e → i} relu(static[e] + proj_dst[i] + proj_src[src_e])`` for ``k`` columns,
+        ``static[e] = ((a₀ W₀ + a₁ W₁) + a₂ W₂ …) + b`` from the attribute row of edge ``e``.
+
+        ``weights`` ``(|e|, w)``, ``bias`` ``(w,)``, ``proj`` ``(2n, k, w)`` and ``pre`` ``(n, k, w)`` are
+        C-contiguous at the layout's precision; ``pre`` is overwritten.  One C sweep if the kernel loaded;
+        else (and as its bitwise reference) terms → prefill → two-ones gather SpMM → ReLU → aggregation SpMM,
+        in the flat buffer ``scratch()`` returns (allocated here when None).
+        """
+        native = self._native("pass")
+        if native is not None:
+            native(self.num_nodes, k, bias.size, *self._pointers, weights.ctypes.data, bias.ctypes.data,
+                   proj.ctypes.data, pre.ctypes.data)
+            return
+        size = self.attr.shape[0] * (k + 1) * bias.size
+        messages = self._pre_activations(weights, bias, proj, k,
+                                         np.empty(size, dtype=self.attr.dtype) if scratch is None else scratch())
+        relu_(messages)
+        pre = pre.reshape(-1)
+        pre.fill(0.0)
+        _spmm_acc(self._operators_for_numpy().aggregate, messages, pre, k * bias.size)
+
+    def edge_vjp(self, weights: np.ndarray, bias: np.ndarray, proj: np.ndarray,
+                 g_pre: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Cotangents ``(g_proj (2n, w), g_weights (|e|, w))`` of the ``k = 1`` :meth:`edge_pass`, given
+        ``g_pre`` ``(n, w)``; the bias cotangent is ``1ᵀ g_proj[:n]``.
+
+        Each edge's pre-activation is recomputed in the pass's association,
+        ``g_t[e] = t[e] > 0 ? g_pre[dst_e] : 0`` is summed by destination into
+        ``g_proj[:n]``, by source into ``g_proj[n:]`` and, times the attribute
+        row, over every edge into ``g_weights`` — each sum in ascending edge
+        id onto zeros.  One C sweep in float64 if the kernel loaded; else the
+        numpy body, bit for bit: the ``Gᵀ`` SpMM (the free CSC view of the
+        gather) and a ones-row SpMM per attribute over the products, both
+        sequential in edge order with exact unit coefficients.
+        """
+        n, (num_edges, attr_width), width = self.num_nodes, self.attr.shape, bias.size
+        native = self._native("vjp")
+        if native is not None:
+            g_proj, g_weights = np.empty((2 * n, width)), np.empty((attr_width, width))
+            native(n, width, *self._pointers, weights.ctypes.data, bias.ctypes.data, proj.ctypes.data,
+                   g_pre.ctypes.data, g_proj.ctypes.data, g_weights.ctypes.data)
+            return g_proj, g_weights
+        scratch = np.empty(num_edges * 2 * width, dtype=self.attr.dtype)
+        t = self._pre_activations(weights, bias, proj, 1, scratch).reshape(num_edges, width)
+        g_edge = np.where(t > 0.0, np.take(g_pre, self.edge_index[1], axis=0), 0.0)
+        every_edge = sp.csr_matrix((np.ones(num_edges), np.arange(num_edges), [0, num_edges]), shape=(1, num_edges))
+        g_weights, product = np.zeros((attr_width, width)), t          # t is dead now
+        for j in range(attr_width):
+            np.multiply(self.attr[:, j:j + 1], g_edge, out=product)
+            _spmm_acc(every_edge, product.reshape(-1), g_weights[j], width)
+        return self._operators_for_numpy().gather.T @ g_edge, g_weights
+
+
 @dataclass
 class _CompiledBlock:
     """One message-passing block, staged for the folded forward.
@@ -217,10 +342,8 @@ class _Workspace:
     proj_dst2d: np.ndarray   # (n·k, 2d) — rows [0, n) of the (2n, k, 2d) projections
     proj_src2d: np.ndarray   # (n·k, 2d) — rows [n, 2n)
     proj_flat: np.ndarray
-    proj_pointer: int        # address of proj_flat, for the native edge pass
     pre2d: np.ndarray        # (n·k, 2d) — raw [fwd | bwd] aggregation sums
     pre_flat: np.ndarray
-    pre_pointer: int
     hidden2d: np.ndarray     # (n·k, d)
     hidden3: np.ndarray      # (n, k, d)
     scratch2d: np.ndarray    # (n·k, d) — _gemm_acc fallback scratch (aliases proj)
@@ -263,10 +386,8 @@ class _Buffers:
             proj_dst2d=proj[:n].reshape(n * k, 2 * d),
             proj_src2d=proj[n:].reshape(n * k, 2 * d),
             proj_flat=proj.reshape(-1),
-            proj_pointer=proj.ctypes.data,
             pre2d=self._pre[:n * k * 2 * d].reshape(n * k, 2 * d),
             pre_flat=self._pre[:n * k * 2 * d],
-            pre_pointer=self._pre.ctypes.data,
             hidden2d=hidden,
             hidden3=hidden.reshape(n, k, d),
             # the projections are dead between the edge pass and the next
@@ -277,6 +398,13 @@ class _Buffers:
         )
         self._views[k] = workspace
         return workspace
+
+    def edge_scratch(self) -> np.ndarray:
+        """The numpy edge pass's ``(E, k_max, 2d)`` messages and ``(2d, E)`` terms, allocated on its first use."""
+        if self._edge is None:
+            n, num_edges, d = self._dims
+            self._edge = np.empty(num_edges * (self.k_max + 1) * 2 * d, dtype=self._pre.dtype)
+        return self._edge
 
 
 def _check_compilable(mlp) -> None:
@@ -334,33 +462,19 @@ class InferencePlan:
         self.plan = plan
         self.precision = precision
         self.dtype = PRECISION_DTYPES[precision]
-        dtype = self.dtype
         cfg = model.config
-        n, num_edges = plan.num_nodes, plan.num_edges
+        n = plan.num_nodes
         d = cfg.latent_dim
         self.latent_dim = d
         self.node_input_dim = cfg.node_input_dim
 
-        # one edge layout for both edge-pass bodies: stable-sorted by destination
-        # (the identity after ``BatchPlan.from_batch``), so the aggregation is an
-        # ``indptr`` and every destination sums in ascending edge id
-        if num_edges and not (0 <= plan.edge_index.min() and plan.edge_index.max() < n):
-            raise ValueError(f"edge_index must hold node ids in [0, {n})")
-        order = np.argsort(plan.edge_index[1], kind="stable")
-        self._edge_index = np.ascontiguousarray(plan.edge_index[:, order], dtype=np.int64)
-        indegree = np.bincount(self._edge_index[1], minlength=n)
-        self._indptr = np.concatenate(([0], np.cumsum(indegree)), dtype=np.int64)
-        self._operators = None  # the numpy body's CSR pair, built on its first use
-
-        # edge attributes at the model's width, in that order; static node
-        # features (κ channels — everything except the residual column 0) and
-        # in-degrees feed the compile-time folds only
-        self._edge_attr = np.ascontiguousarray(
-            model._prepare_edge_attr(plan.edge_attr)[order], dtype=dtype)
-        self._edge_pointers = (
-            self._indptr.ctypes.data, self._edge_index[0].ctypes.data, self._edge_attr.ctypes.data)
+        # one edge layout for both edge-pass bodies (the sort is the identity
+        # after ``BatchPlan.from_batch``), edge attributes at the model's width;
+        # static node features (κ channels — everything except the residual
+        # column 0) and in-degrees feed the compile-time folds only
+        self._edges = EdgeLayout(plan.edge_index, model._prepare_edge_attr(plan.edge_attr), n, precision)
         node_features = np.asarray(model._prepare_node_input(plan), dtype=np.float64)[:, 1:]
-        indegree = indegree.astype(np.float64).reshape(-1, 1)
+        indegree = self._edges.indegree.reshape(-1, 1)
 
         self.compiled_blocks: List[_CompiledBlock] = [
             self._compile_block(block, node_features, indegree) for block in model.blocks
@@ -513,49 +627,23 @@ class InferencePlan:
         self.load_source_columns(self.plan.source[:, None])
         return self.run_columns(1)[:, 0]
 
-    def _native_pass(self):
-        """The C edge pass for this plan's precision and attribute width, if it loaded."""
-        kernels = edge_kernels()  # resolved (compiled, loaded, self-checked) once per process
-        return None if kernels is None else kernels.get((self.precision, self._edge_attr.shape[1]))
-
     @property
     def kernel(self) -> str:
         """Which edge-pass body this plan runs: ``"native"`` or ``"numpy"`` (same bytes)."""
-        return "numpy" if self._native_pass() is None else "native"
+        return self._edges.kernel
+
+    @property
+    def _edge_index(self) -> np.ndarray:
+        return self._edges.edge_index
+
+    @property
+    def _edge_attr(self) -> np.ndarray:
+        return self._edges.attr
 
     def _edge_pass(self, ws: _Workspace, block: _CompiledBlock) -> None:
-        """``pre[i] = Σ_{e → i} relu(static[e] + proj_dst[i] + proj_src[src_e])`` into ``ws.pre2d``,
-        ``static[e] = ((a₀ W₀ + a₁ W₁) + a₂ W₂ …) + b`` from the attribute row of edge ``e``.
-
-        One C sweep if the kernel loaded; else (and as its bitwise reference)
-        terms → prefill → two-ones gather SpMM → ReLU → aggregation SpMM in numpy/scipy.
-        """
-        attr, weights, bias = self._edge_attr, block.w_attr_T, block.b_hidden
-        (num_edges, attr_width), width = attr.shape, bias.size
-        native = self._native_pass()
-        if native is not None:
-            native(self.num_nodes, ws.k, width, *self._edge_pointers, weights.ctypes.data,
-                   bias.ctypes.data, ws.proj_pointer, ws.pre_pointer)
-            return
-        buffers, n_vecs = self._buffers, ws.k * width
-        if self._operators is None:
-            self._operators = message_operators(self._edge_index, self.num_nodes, dtype=self.dtype)
-        if buffers._edge is None:
-            buffers._edge = np.empty(num_edges * (buffers.k_max + 1) * width, dtype=self.dtype)
-        messages = buffers._edge[:num_edges * n_vecs]
-        # terms and products unit-major, (2d, E): numpy's inner loops then run over E, not 2d
-        static = buffers._edge[num_edges * buffers.k_max * width:].reshape(width, num_edges)
-        product = messages[:num_edges * width].reshape(width, num_edges)  # dead before the prefill
-        np.multiply(weights[0][:, None], attr[:, 0], out=static)
-        for j in range(1, attr_width):
-            np.multiply(weights[j][:, None], attr[:, j], out=product)
-            static += product
-        static += bias[:, None]
-        np.copyto(messages.reshape(num_edges, ws.k, width), static.T[:, None, :])
-        _spmm_acc(self._operators.gather, ws.proj_flat, messages, n_vecs)
-        relu_(messages)
-        ws.pre_flat.fill(0.0)
-        _spmm_acc(self._operators.aggregate, messages, ws.pre_flat, n_vecs)
+        """:meth:`EdgeLayout.edge_pass` of one block into ``ws.pre2d``, numpy scratch from the plan's buffers."""
+        self._edges.edge_pass(block.w_attr_T, block.b_hidden, ws.proj_flat, ws.pre_flat, ws.k,
+                              self._buffers.edge_scratch)
 
     def _forward(self, ws: _Workspace) -> np.ndarray:
         """The folded k̄-iteration forward on workspace ``ws``; returns ``ws.output``.

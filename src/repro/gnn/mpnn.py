@@ -14,28 +14,33 @@ All MLPs have a single hidden layer whose width equals the latent dimension
 (e.g. k̄=30, d=10 → 37 530 weights).
 
 **One block is one tape primitive.**  :meth:`DSSBlock.forward` evaluates the
-block on raw arrays in the order the inference engine uses before its
-compile-time folds (:mod:`repro.gnn.infer`) and records a single tape node
-whose hand-written vector-Jacobian product returns the cotangents of the
-latent state and all twelve parameters in one call:
+block on raw arrays with the operators of the inference engine
+(:mod:`repro.gnn.infer`) and records a single tape node whose hand-written
+vector-Jacobian product returns the cotangents of the latent state and all
+twelve parameters in one call:
 
 * the hidden edge layer ``W₁ [h_dst | h_src | e] + b₁`` is split along its
   weight column blocks, both directions stacked ``[fwd | bwd]``: two ``n``-row
-  projection GEMMs, the attribute term ``e W₁ₑᵀ + b₁`` (the backward
+  projection GEMMs, then the edge pass of :class:`~repro.gnn.infer.EdgeLayout`
+  — the one :class:`~repro.gnn.infer.InferencePlan` runs, at ``k = 1`` in
+  float64 — forms each edge's attribute term ``e W₁ₑᵀ + b₁`` (the backward
   direction's sign-reversed relative positions folded into its weights,
-  ``(−a)·w = a·(−w)``), and the two-ones gather SpMM accumulating
-  ``proj_dst[dst] + proj_src[src]`` on top of it;
-* one ReLU, one aggregation SpMM; aggregation is linear, so each direction's
-  output layer is applied *after* it on ``n`` rows —
-  ``S (M W₂ᵀ + 1 ⊗ b₂) = (S M) W₂ᵀ + deg ⊗ b₂`` — and the post-ReLU messages
-  are never needed again: the only ``E``-row array the VJP keeps is the
-  boolean mask ``Z > 0``;
-* ``Ψ`` and the damped ResNet update on ``n`` rows.
+  ``(−a)·w = a·(−w)``), adds both projections, applies the ReLU and sums onto
+  the destination: ``A`` ``(n, 2d)``, with no edge-row array of any dtype;
+* aggregation is linear, so each direction's output layer commutes with it
+  and folds into ``ψ``'s first layer — ``ψ``'s hidden pre-activation is
+  ``A Mᵀ + H Ψ₁ₕᵀ + c Ψ₁꜀ᵀ + deg ⊗ v + ψb₁`` with
+  ``M = [Ψ₁→ W₂→ │ Ψ₁← W₂←]`` and ``v = Ψ₁→ b₂→ + Ψ₁← b₂←``, the fold the
+  inference engine applies at compile time;
+* the damped ResNet update on ``n`` rows.
 
-The VJP runs the same operators transposed: ``Gᵀ`` is the free CSC view of
-``G``, and ``Sᵀ`` — one unit entry per row — is a row gather by destination.
-Under ``no_grad`` nothing is recorded or retained.  DESIGN.md ("The training
-forward") writes both passes out.
+The VJP maps ``g_M`` and ``g_v`` back to ``Ψ₁``, ``W₂`` and ``b₂`` through
+``d × 2d`` products and hands ``g_A`` to :meth:`EdgeLayout.edge_vjp`, one
+sweep over the same edges that recomputes each pre-activation.  Between the
+two passes a block keeps ``H``, the projections ``P``, ``A`` and ``ψ``'s
+hidden layer ``h`` — ``n``-row arrays only.  Under ``no_grad`` nothing is
+recorded or retained.  DESIGN.md ("The training forward") writes both passes
+out.
 """
 
 from __future__ import annotations
@@ -43,13 +48,11 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from ..nn.functional import relu_
 from ..nn.modules import MLP, Module
 from ..nn.tensor import Tensor
-from .batch import MessageOperators
-from .infer import _check_compilable, _spmm_acc
+from .infer import EdgeLayout, _check_compilable
 
 __all__ = ["DSSBlock", "Decoder"]
 
@@ -86,13 +89,7 @@ class DSSBlock(Module):
         self.phi_backward = MLP(edge_in, [d], d, activation="relu", rng=rng)
         self.psi = MLP(update_in, [d], d, activation="relu", rng=rng)
 
-    def forward(
-        self,
-        latent: Tensor,
-        node_input: Tensor,
-        operators: MessageOperators,
-        edge_attr: np.ndarray,
-    ) -> Tensor:
+    def forward(self, latent: Tensor, node_input: Tensor, edges: EdgeLayout) -> Tensor:
         """Advance the latent state by one message-passing iteration.
 
         Parameters
@@ -103,20 +100,18 @@ class DSSBlock(Module):
             (n, node_input_dim) node inputs — the normalised residual ``c``,
             plus extra per-node features (e.g. log κ) when configured.
             Treated as data: no gradient flows to it.
-        operators:
-            :func:`~repro.gnn.batch.message_operators` of the graph's directed
-            edges ``src → dst``, built once per problem and shared by all
-            blocks.
-        edge_attr:
-            (E, edge_attr_dim) attributes: ``(dx, dy, ‖d‖)`` of the vector
-            from source to destination node, plus optional extra columns.
+        edges:
+            float64 :class:`~repro.gnn.infer.EdgeLayout` of the graph's
+            directed edges ``src → dst`` with their ``(E, edge_attr_dim)``
+            attributes — ``(dx, dy, ‖d‖)`` of the vector from source to
+            destination node, plus optional extra columns — built once per
+            problem and shared by all blocks.
 
         A graph of two nodes joined by the edges ``0 → 1`` and ``1 → 0``, with
         weights set so that a message is its source's latent state and ``Ψ``
         passes the aggregated forward messages through — each node ends with
         its own state plus ``α`` times the other's:
 
-        >>> from repro.gnn.batch import message_operators
         >>> block = DSSBlock(latent_dim=1, alpha=0.5)
         >>> for p in block.parameters():
         ...     p.data[...] = 0.0
@@ -124,9 +119,9 @@ class DSSBlock(Module):
         >>> block.phi_forward.layers[1].weight.data[0, 0] = 1.0   # message = hidden
         >>> block.psi.layers[0].weight.data[0, 2] = 1.0           # ψ reads agg_fwd
         >>> block.psi.layers[1].weight.data[0, 0] = 1.0
-        >>> operators = message_operators(np.array([[0, 1], [1, 0]]), num_nodes=2)
+        >>> edges = EdgeLayout(np.array([[0, 1], [1, 0]]), np.zeros((2, 3)), num_nodes=2)
         >>> latent = Tensor(np.array([[2.0], [5.0]]))
-        >>> block(latent, Tensor(np.zeros((2, 1))), operators, np.zeros((2, 3))).numpy()
+        >>> block(latent, Tensor(np.zeros((2, 1))), edges).numpy()
         array([[4.5],
                [6. ]])
         """
@@ -137,33 +132,38 @@ class DSSBlock(Module):
         w1_fwd, b1_fwd, w2_fwd, b2_fwd, w1_bwd, b1_bwd, w2_bwd, b2_bwd, p1, pb1, p2, pb2 = (
             p.data for p in params
         )
-        gather, aggregate, gather_T, destination, indegree = operators
-        h = latent.data
+        h, c, deg = latent.data, node_input.data, edges.indegree
         n, d, ni, alpha = h.shape[0], self.latent_dim, self.node_input_dim, self.alpha
         record = latent._needs_graph(*params)
 
-        # both directions' layers stacked [fwd ; bwd]; the backward direction
-        # sees sign-reversed relative positions, folded into its weights so
-        # both read the same attribute array
+        # both directions' hidden layers stacked [fwd ; bwd]; the backward
+        # direction sees sign-reversed relative positions, folded into its
+        # weights so both read the same attributes
         flip = np.ones(2 * d + self.edge_attr_dim)
         flip[2 * d:2 * d + 2] = -1.0
         w1 = np.vstack([w1_fwd, w1_bwd * flip])                  # (2d, 2d+|e|)
-        w2 = block_diag(w2_fwd, w2_bwd)                          # (2d, 2d)
+        w_attr = np.ascontiguousarray(w1[:, 2 * d:].T)           # (|e|, 2d)
+        b1 = np.concatenate([b1_fwd, b1_bwd])
         proj = np.empty((2 * n, 2 * d))                          # [proj_dst ; proj_src]
         np.matmul(h, w1[:, :d].T, out=proj[:n])
         np.matmul(h, w1[:, d:2 * d].T, out=proj[n:])
-        # every edge gathers exactly one proj_dst row, so the hidden bias
-        # rides on those n rows instead of costing a pass over E rows
-        proj[:n] += np.concatenate([b1_fwd, b1_bwd])
-        edge_hidden = edge_attr @ w1[:, 2 * d:].T                # (E, 2d) static attribute term
-        _spmm_acc(gather, proj.reshape(-1), edge_hidden.reshape(-1), 2 * d)
-        mask = edge_hidden > 0.0 if record else None
-        agg = aggregate @ relu_(edge_hidden)                     # (n, 2d) raw [fwd | bwd] sums
-        messages = agg @ w2.T
-        messages += np.outer(indegree, np.concatenate([b2_fwd, b2_bwd]))
-        psi_in = np.hstack([h, node_input.data, messages])
-        hidden = relu_(psi_in @ p1.T + pb1)
-        out = h + alpha * (hidden @ p2.T + pb2)
+        agg = np.empty((n, 2 * d))                               # raw [fwd | bwd] sums
+        edges.edge_pass(w_attr, b1, proj, agg)
+        # ψ with both output layers folded in: M = [Ψ₁→ W₂→ │ Ψ₁← W₂←], v = Ψ₁→ b₂→ + Ψ₁← b₂←
+        psi_fwd, psi_bwd = p1[:, d + ni:2 * d + ni], p1[:, 2 * d + ni:]
+        fold = np.hstack([psi_fwd @ w2_fwd, psi_bwd @ w2_bwd])   # (d, 2d)
+        v = psi_fwd @ b2_fwd + psi_bwd @ b2_bwd
+        # numpy's BLAS only: interleaved with scipy's (the inference engine's
+        # beta=1 GEMMs), two OpenBLAS thread pools contend for the cores
+        hidden = agg @ fold.T
+        hidden += h @ p1[:, :d].T
+        hidden += c @ p1[:, d:d + ni].T
+        hidden += deg[:, None] * v
+        hidden += pb1
+        relu_(hidden)
+        out = hidden @ (alpha * p2).T                            # the damped ResNet update
+        out += h
+        out += alpha * pb2
         if not record:
             return Tensor(out)
 
@@ -171,21 +171,22 @@ class DSSBlock(Module):
             """Cotangents of ``(latent, *params)``: the forward's operators, transposed."""
             g_update = alpha * g
             g_hidden = (g_update @ p2) * (hidden > 0.0)
-            g_psi_in = g_hidden @ p1
-            g_messages = g_psi_in[:, d + ni:]
-            g_edge = np.take(g_messages @ w2, destination, axis=0)   # aggregateᵀ @ ·
-            np.multiply(g_edge, mask, out=g_edge)                # through the ReLU
-            g_proj = gather_T @ g_edge                           # (2n, 2d)
-            g_w1 = np.vstack([h.T @ g_proj[:n], h.T @ g_proj[n:], edge_attr.T @ g_edge]).T
+            g_fold, g_v = g_hidden.T @ agg, deg @ g_hidden       # (d, 2d), (d,)
+            g_proj, g_w_attr = edges.edge_vjp(w_attr, b1, proj, g_hidden @ fold)
+            g_w1 = np.vstack([h.T @ g_proj[:n], h.T @ g_proj[n:], g_w_attr]).T
             g_b1 = _column_sums(g_proj[:n])
-            g_w2 = g_messages.T @ agg                            # its diagonal blocks are the two directions'
-            g_b2 = indegree @ g_messages
-            g_latent = g + g_psi_in[:, :d] + g_proj[:n] @ w1[:, :d] + g_proj[n:] @ w1[:, d:2 * d]
+            g_latent = g_hidden @ p1[:, :d]
+            g_latent += g_proj[:n] @ w1[:, :d]
+            g_latent += g_proj[n:] @ w1[:, d:2 * d]
+            g_latent += g
+            g_psi_fwd = g_fold[:, :d] @ w2_fwd.T + np.outer(g_v, b2_fwd)
+            g_psi_bwd = g_fold[:, d:] @ w2_bwd.T + np.outer(g_v, b2_bwd)
             return (
                 g_latent,
-                g_w1[:d], g_b1[:d], g_w2[:d, :d], g_b2[:d],
-                g_w1[d:] * flip, g_b1[d:], g_w2[d:, d:], g_b2[d:],
-                g_hidden.T @ psi_in, _column_sums(g_hidden), g_update.T @ hidden, _column_sums(g_update),
+                g_w1[:d], g_b1[:d], psi_fwd.T @ g_fold[:, :d], psi_fwd.T @ g_v,
+                g_w1[d:] * flip, g_b1[d:], psi_bwd.T @ g_fold[:, d:], psi_bwd.T @ g_v,
+                np.hstack([g_hidden.T @ h, g_hidden.T @ c, g_psi_fwd, g_psi_bwd]), _column_sums(g_hidden),
+                g_update.T @ hidden, _column_sums(g_update),
             )
 
         return Tensor._make(out, (latent, *params), vjp=vjp)

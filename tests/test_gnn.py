@@ -12,6 +12,7 @@ from repro.gnn import (
     DSS,
     DSSConfig,
     DSSTrainer,
+    EdgeLayout,
     GraphBatch,
     GraphProblem,
     TrainingConfig,
@@ -20,7 +21,6 @@ from repro.gnn import (
     relative_error,
     residual_loss,
 )
-from repro.gnn.batch import message_operators
 from repro.gnn.mpnn import Decoder, DSSBlock
 from repro.mesh import structured_rectangle_mesh
 from repro.nn import Tensor
@@ -143,8 +143,8 @@ class TestBlocks:
         g = _toy_graph()
         block = DSSBlock(latent_dim=6, rng=np.random.default_rng(0))
         latent = Tensor(np.zeros((g.num_nodes, 6)))
-        operators = message_operators(g.edge_index, g.num_nodes)
-        out = block(latent, Tensor(g.source.reshape(-1, 1)), operators, g.edge_attr)
+        edges = EdgeLayout(g.edge_index, g.edge_attr, g.num_nodes)
+        out = block(latent, Tensor(g.source.reshape(-1, 1)), edges)
         assert out.shape == (g.num_nodes, 6)
 
     def test_dss_block_residual_update_small_alpha(self):
@@ -152,8 +152,8 @@ class TestBlocks:
         g = _toy_graph()
         block = DSSBlock(latent_dim=4, alpha=1e-8, rng=np.random.default_rng(1))
         latent = Tensor(np.random.default_rng(2).normal(size=(g.num_nodes, 4)))
-        operators = message_operators(g.edge_index, g.num_nodes)
-        out = block(latent, Tensor(g.source.reshape(-1, 1)), operators, g.edge_attr)
+        edges = EdgeLayout(g.edge_index, g.edge_attr, g.num_nodes)
+        out = block(latent, Tensor(g.source.reshape(-1, 1)), edges)
         assert np.allclose(out.numpy(), latent.numpy(), atol=1e-5)
 
     def test_decoder_output_shape(self):
