@@ -1,5 +1,6 @@
 /* The fused edge pass of the DSS forward and its vector-Jacobian product
- * (repro/gnn/infer.py, EdgeLayout).
+ * (repro/gnn/infer.py, EdgeLayout), and the prefill of psi's hidden layer
+ * (InferencePlan._prefill, at the end of this file).
  *
  *   stat[e, :]   = ((a[e,0] W[0,:] + a[e,1] W[1,:]) + a[e,2] W[2,:] (+ a[e,3] W[3,:])) + b
  *   pre[i, c, :] = sum over edges e -> i, ascending e, of
@@ -45,8 +46,17 @@
  *     depends on what precedes .text: adding the VJP below pulled memcpy into
  *     the PLT, moved the pass by 16 bytes and made the same machine code 4%
  *     slower at f64 k = 1 and 4% faster at f32 k = 8.
+ *   - the hidden width w = 2d = 20 (the paper's d = 10, the shipped model's)
+ *     is an instantiation; every other width a loop bound.  Each exported
+ *     pass and VJP is a dispatcher over one always-inlined body, called with
+ *     the constant HIDDEN or with w: with a runtime bound gcc 12 neither
+ *     unrolls nor fully vectorises the 20-wide inner loops.  Same operations
+ *     in the same order, so the same bytes; the float32 k = 8 pass went from
+ *     610-680 to 415-455 us per ledger block, the float64 k = 1 one ~5-10%.
  */
 #include <stdint.h>
+
+#define HIDDEN 20
 
 #define TERM_3(a, W, w, q) ((a[0] * W[q] + a[1] * W[w + q]) + a[2] * W[2 * w + q])
 #define TERM_4(a, W, w, q) (TERM_3(a, W, w, q) + a[3] * W[3 * w + q])
@@ -60,7 +70,7 @@
  *   pre     (n, k, w)   output: raw aggregation sums, overwritten
  */
 #define DEFINE_EDGE_PASS(NAME, T, WIDTH)                                      \
-    void NAME(                                                                \
+    static inline __attribute__((always_inline)) void NAME##_body(            \
         int64_t n, int64_t k, int64_t w, const int64_t *indptr,               \
         const int64_t *src, const T *attr, const T *weights, const T *bias,   \
         const T *proj, T *pre)                                                \
@@ -87,6 +97,16 @@
                 }                                                             \
             }                                                                 \
         }                                                                     \
+    }                                                                         \
+    void NAME(                                                                \
+        int64_t n, int64_t k, int64_t w, const int64_t *indptr,               \
+        const int64_t *src, const T *attr, const T *weights, const T *bias,   \
+        const T *proj, T *pre)                                                \
+    {                                                                         \
+        if (w == HIDDEN)                                                      \
+            NAME##_body(n, k, HIDDEN, indptr, src, attr, weights, bias, proj, pre); \
+        else                                                                  \
+            NAME##_body(n, k, w, indptr, src, attr, weights, bias, proj, pre); \
     }
 
 DEFINE_EDGE_PASS(edge_pass_f64_3, double, 3)
@@ -123,7 +143,7 @@ DEFINE_EDGE_PASS(edge_pass_f32_4, float, 4)
 #define ACC_4(g, a, q, v) ACC_3(g, a, q, v); g[3][q] += a[3] * v
 
 #define DEFINE_EDGE_VJP(NAME, WIDTH)                                          \
-    void NAME(                                                                \
+    static inline __attribute__((always_inline)) void NAME##_body(            \
         int64_t n, int64_t w, const int64_t *indptr, const int64_t *src,      \
         const double *attr, const double *weights, const double *bias,        \
         const double *proj, const double *g_pre, double *g_proj,              \
@@ -164,7 +184,51 @@ DEFINE_EDGE_PASS(edge_pass_f32_4, float, 4)
         for (int j = 0; j < WIDTH; ++j)                                       \
             for (int64_t q = 0; q < w; ++q)                                   \
                 g_weights[j * w + q] = g_attr[j][q];                          \
+    }                                                                         \
+    void NAME(                                                                \
+        int64_t n, int64_t w, const int64_t *indptr, const int64_t *src,      \
+        const double *attr, const double *weights, const double *bias,        \
+        const double *proj, const double *g_pre, double *g_proj,              \
+        double *g_weights)                                                    \
+    {                                                                         \
+        if (w == HIDDEN)                                                      \
+            NAME##_body(n, HIDDEN, indptr, src, attr, weights, bias, proj,    \
+                        g_pre, g_proj, g_weights);                            \
+        else                                                                  \
+            NAME##_body(n, w, indptr, src, attr, weights, bias, proj,         \
+                        g_pre, g_proj, g_weights);                            \
     }
 
 DEFINE_EDGE_VJP(edge_vjp_f64_3, 3)
 DEFINE_EDGE_VJP(edge_vjp_f64_4, 4)
+
+/* The prefill of psi's hidden layer, before its two beta = 1 GEMMs:
+ *
+ *   hidden[i, c, :] = s[i, c] * w0 + bias_node[i, :]     product, then sum
+ *
+ * for n nodes, k columns, d units: sources s (n, k), the residual's weight
+ * column w0 (d), the folded per-node bias (n, d), hidden (n, k, d)
+ * overwritten.  numpy's `np.multiply(s[..., None], w0, out=hidden);
+ * hidden += bias_node[:, None]` rounds the same two operations in the same
+ * order, so the bytes agree.  It replaces a bias copy and a K = 1 BLAS GEMM,
+ * 4x slower together at float32, k = 8.  Instantiating d = 10 here as well
+ * gained 5 us in a 60 ms sweep: not done.
+ */
+#define DEFINE_NODE_PREFILL(NAME, T)                                          \
+    void NAME(                                                                \
+        int64_t n, int64_t k, int64_t d, const T *sources, const T *w0,       \
+        const T *bias_node, T *hidden)                                        \
+    {                                                                         \
+        for (int64_t i = 0; i < n; ++i) {                                     \
+            const T *restrict b = bias_node + i * d;                          \
+            for (int64_t c = 0; c < k; ++c) {                                 \
+                const T s = sources[i * k + c];                               \
+                T *restrict out = hidden + (i * k + c) * d;                   \
+                for (int64_t q = 0; q < d; ++q)                               \
+                    out[q] = s * w0[q] + b[q];                                \
+            }                                                                 \
+        }                                                                     \
+    }
+
+DEFINE_NODE_PREFILL(node_prefill_f64, double)
+DEFINE_NODE_PREFILL(node_prefill_f32, float)

@@ -32,7 +32,8 @@ exists to move fewer bytes per sweep; all of it is fixed at compile time:
   proj_src[src_e])``, ``static[e] = ((a₀ W₀ + a₁ W₁) + a₂ W₂ …) + b``, over
   the edges of one :class:`EdgeLayout` (stable-sorted by destination), in two
   bodies on that one layout.  The *native* body (``_edge_pass.c``, compiled on
-  first use by :mod:`repro.gnn._native` for ``|e|`` = 3 and 4) is a single
+  first use by :mod:`repro.gnn._native` for ``|e|`` = 3 and 4, and for the
+  hidden width ``2d = 20`` besides the generic one) is a single
   sweep that never materialises the ``(E, k, 2d)`` messages.  The *numpy* body — the reference,
   and what runs without a C compiler or at another ``|e|`` — builds the terms
   column by column in a scratch, prefills a message buffer with them,
@@ -48,8 +49,11 @@ exists to move fewer bytes per sweep; all of it is fixed at compile time:
   through ``ψ₁ₐ``), ``ψ``'s own bias and the ``ψ`` contribution of the
   column-invariant κ channels collapse into one per-node ``bias_node``, and
   the damping ``α`` is folded into ``ψ``'s second layer.  ``ψ``'s hidden layer
-  is three ``beta=1`` GEMMs accumulated onto the prefilled bias, and the
-  ResNet update is a ``beta=1`` GEMM straight onto the latent state.
+  is one prefill sweep, ``s w₀ + bias_node`` (the rank-1 source term and the
+  bias, in C when the kernels loaded — a bias copy plus a K = 1 GEMM cost
+  more than the latent GEMM beside them), and two ``beta=1`` GEMMs
+  accumulated onto it; the ResNet update is a ``beta=1`` GEMM straight onto
+  the latent state.
 
 The differentiable forward shares all of it but the compile-time staging:
 :meth:`repro.gnn.mpnn.DSSBlock.forward` builds the same projections, calls
@@ -310,7 +314,7 @@ class _CompiledBlock:
     b_hidden: np.ndarray        # (2d,) — [fwd | bwd] hidden-layer biases
     w_psi_agg_T: np.ndarray     # (2d, d) — ψ agg columns with each direction's W₂ folded in
     w_psi_latent_T: np.ndarray  # (d, d)
-    w_source_T: np.ndarray      # (1, d) — ψ weight column of the residual input
+    w_source: np.ndarray        # (d,) — ψ weight column of the residual input
     bias_node: np.ndarray       # (n, d) — ψ b₁ + aggregated output biases + κ-channel terms
     w2_alpha_T: np.ndarray      # (d, d) — α · ψ W₂ᵀ
     b2_alpha: np.ndarray        # (d,) — α · ψ b₂
@@ -338,7 +342,6 @@ class _Workspace:
     k: int
     latent2d: np.ndarray     # (n·k, d)
     sources: np.ndarray      # (n, k) — the residual inputs, one per column
-    input2d: np.ndarray      # (n·k, 1)
     proj_dst2d: np.ndarray   # (n·k, 2d) — rows [0, n) of the (2n, k, 2d) projections
     proj_src2d: np.ndarray   # (n·k, 2d) — rows [n, 2n)
     proj_flat: np.ndarray
@@ -382,7 +385,6 @@ class _Buffers:
             k=k,
             latent2d=self._latent[:n * k * d].reshape(n * k, d),
             sources=self._input[:n * k].reshape(n, k),
-            input2d=self._input[:n * k].reshape(n * k, 1),
             proj_dst2d=proj[:n].reshape(n * k, 2 * d),
             proj_src2d=proj[n:].reshape(n * k, 2 * d),
             proj_flat=proj.reshape(-1),
@@ -531,7 +533,7 @@ class InferencePlan:
             b_hidden=self._stage(np.concatenate([_bias(phi.layers[0]) for phi in phis])),
             w_psi_agg_T=self._stage(np.vstack(psi_agg_T)),
             w_psi_latent_T=self._stage(psi1[:, :d].T),
-            w_source_T=self._stage(psi1[:, d:d + 1].T),
+            w_source=self._stage(psi1[:, d]),
             bias_node=self._stage(bias_node),
             w2_alpha_T=self._stage(alpha * _weight(block.psi.layers[1]).T),
             b2_alpha=self._stage(alpha * _bias(block.psi.layers[1])),
@@ -645,6 +647,18 @@ class InferencePlan:
         self._edges.edge_pass(block.w_attr_T, block.b_hidden, ws.proj_flat, ws.pre_flat, ws.k,
                               self._buffers.edge_scratch)
 
+    def _prefill(self, ws: _Workspace, block: _CompiledBlock) -> None:
+        """``hidden[i, c] = s[i, c]·w₀ + bias_node[i]`` — product, then sum, each rounded on its own: one C
+        sweep if the kernels loaded, else the same two numpy operations (the same bytes)."""
+        kernels = edge_kernels()
+        if kernels is not None:
+            kernels[f"node_prefill_{self.precision}"](
+                self.num_nodes, ws.k, self.latent_dim, ws.sources.ctypes.data, block.w_source.ctypes.data,
+                block.bias_node.ctypes.data, ws.hidden3.ctypes.data)
+            return
+        np.multiply(ws.sources[..., None], block.w_source, out=ws.hidden3)
+        ws.hidden3 += block.bias_node[:, None, :]
+
     def _forward(self, ws: _Workspace) -> np.ndarray:
         """The folded k̄-iteration forward on workspace ``ws``; returns ``ws.output``.
 
@@ -657,13 +671,12 @@ class InferencePlan:
             np.matmul(ws.latent2d, block.w_dst_T, out=ws.proj_dst2d)
             np.matmul(ws.latent2d, block.w_src_T, out=ws.proj_src2d)
             self._edge_pass(ws, block)
-            # ψ hidden = bias_node + pre W_agg + latent Wₗ + sources w₀, the
-            # products GEMM-accumulated (beta=1) straight onto the prefilled
-            # bias — no separate addition passes
-            np.copyto(ws.hidden3, block.bias_node[:, None, :])
+            # ψ hidden = (sources w₀ + bias_node) + pre W_agg + latent Wₗ: the
+            # rank-1 source term and the bias in one prefill sweep, the two
+            # products GEMM-accumulated (beta=1) straight onto it
+            self._prefill(ws, block)
             _gemm_acc(ws.pre2d, block.w_psi_agg_T, ws.hidden2d, ws.scratch2d)
             _gemm_acc(ws.latent2d, block.w_psi_latent_T, ws.hidden2d, ws.scratch2d)
-            _gemm_acc(ws.input2d, block.w_source_T, ws.hidden2d, ws.scratch2d)
             relu_(ws.hidden2d)
             # damped ResNet update, accumulated directly into the latent
             _gemm_acc(ws.hidden2d, block.w2_alpha_T, ws.latent2d, ws.scratch2d)

@@ -124,6 +124,8 @@ class TestInferParity:
 # --------------------------------------------------------------------------- #
 PLAIN_CONFIG = DSSConfig(num_iterations=3, latent_dim=4, seed=1)
 KAPPA_CONFIG = DSSConfig(num_iterations=4, latent_dim=5, seed=3, edge_attr_dim=4, node_input_dim=2)
+#: the paper's d = 10: the width the C instantiates (every other d runs its generic loop bound)
+D10_CONFIG = DSSConfig(num_iterations=3, latent_dim=10, seed=2)
 
 COLUMN_COUNTS = [1, 2, 7, 16]
 
@@ -150,7 +152,7 @@ class TestMultiColumnParity:
             axis=1,
         )
 
-    @pytest.mark.parametrize("config", [PLAIN_CONFIG, KAPPA_CONFIG])
+    @pytest.mark.parametrize("config", [PLAIN_CONFIG, KAPPA_CONFIG, D10_CONFIG])
     @pytest.mark.parametrize("k", COLUMN_COUNTS)
     def test_f64_columns_bitwise_match_sequential(self, toy_batch, kappa_batch, config, k, body):
         model, batch = _model_and_batch(config, toy_batch, kappa_batch)
@@ -354,7 +356,7 @@ def _random_graph(rng, n=40, edges=200):
 @pytest.fixture(scope="module")
 def edge_cases(toy_batch, kappa_batch):
     """``name -> (model, batch)``: 2D with the frozen ledger weights (|e| = 3), κ-aware 2D and 3D (|e| = 4),
-    and degenerate degrees."""
+    and degenerate degrees at a generic d and at the instantiated d = 10."""
     from repro.gnn.checkpoint import load_model
     from repro.problems import make_problem
 
@@ -367,12 +369,13 @@ def edge_cases(toy_batch, kappa_batch):
         positions=np.zeros((4, 2)), edge_index=np.array([[3, 1, 3], [1, 2, 2]]),
         edge_attr=np.random.default_rng(0).normal(size=(3, 3)), source=np.zeros(4),
         dirichlet_mask=np.zeros(4, dtype=bool))
+    degenerate_batch = GraphBatch.from_graphs([degenerate, _random_graph(np.random.default_rng(1))])
     return {
         "disk2d": (load_model(str(LEDGER_CHECKPOINT)), toy_batch),
         "kappa2d": (DSS(KAPPA_CONFIG), kappa_batch),
         "poisson3d": (model3d, batch3d),
-        "degenerate": (DSS(PLAIN_CONFIG),
-                       GraphBatch.from_graphs([degenerate, _random_graph(np.random.default_rng(1))])),
+        "degenerate": (DSS(PLAIN_CONFIG), degenerate_batch),
+        "degenerate-d10": (DSS(D10_CONFIG), degenerate_batch),
     }
 
 
@@ -411,7 +414,7 @@ def _edge_section_reference(edge_index, terms, proj):
 class TestEdgeKernel:
     @pytest.mark.parametrize("k", [1, 3, 8])
     @pytest.mark.parametrize("precision", ["f64", "f32"])
-    @pytest.mark.parametrize("graph", ["disk2d", "kappa2d", "poisson3d", "degenerate"])
+    @pytest.mark.parametrize("graph", ["disk2d", "kappa2d", "poisson3d", "degenerate", "degenerate-d10"])
     def test_native_is_bitwise_the_numpy_body(self, native_body, monkeypatch, edge_cases, graph, precision, k):
         model, batch = edge_cases[graph]
         sources = np.random.default_rng(k).normal(size=(batch.num_nodes, k))
@@ -423,6 +426,26 @@ class TestEdgeKernel:
         plan = model.compile_plan(batch, precision=precision)
         assert plan.kernel == "numpy"
         assert np.isfinite(native).all() and np.array_equal(model.infer_columns(plan, sources), native)
+
+    @pytest.mark.parametrize("graph", ["degenerate", "degenerate-d10"])
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_the_native_prefill_is_bitwise_the_numpy_body(self, native_body, monkeypatch, edge_cases, graph,
+                                                          precision):
+        """ψ's prefill ``s w₀ + bias_node`` — product, then sum — on a batch with isolated nodes (whose
+        ``bias_node`` lacks the aggregated output biases), at d = 4 and d = 10, three columns."""
+        model, batch = edge_cases[graph]
+        plan = model.compile_plan(batch, precision=precision)
+        ws, block = plan.workspace(3), plan.compiled_blocks[0]
+        ws.sources[...] = np.random.default_rng(8).normal(size=ws.sources.shape)
+        expected = ws.sources[..., None] * block.w_source + block.bias_node[:, None]
+        filled = []
+        for kernels in (_native.edge_kernels(), None):
+            monkeypatch.setattr(_native, "_kernels", kernels)
+            ws.hidden3.fill(np.nan)
+            plan._prefill(ws, block)
+            filled.append(ws.hidden3.copy())
+        assert expected.shape == (batch.num_nodes, 3, model.config.latent_dim)
+        assert np.array_equal(filled[0], expected) and np.array_equal(filled[1], expected)
 
     @pytest.mark.parametrize("precision", ["f64", "f32"])
     def test_an_uninstantiated_attribute_width_runs_the_numpy_body(self, toy_batch, precision):
@@ -445,23 +468,30 @@ class TestEdgeKernel:
     #: summation order no C loop reproduces, and the section only added and took
     #: maxima.  Every product, sum and maximum is rounded on its own, so the
     #: bytes do not depend on the BLAS or the machine — unlike a whole forward.
-    EDGE_SECTION_DIGESTS = {("f64", 1): "ec077b4880525297", ("f64", 3): "6967402fa612c889",
-                            ("f32", 1): "c731e9bd238eccc7", ("f32", 3): "ca43424bcf812b49"}
+    #: d = 10 (hidden width 20) runs the kernel's instantiated width, d = 5 its
+    #: generic loop bound; the d = 10 digests were taken on the generic body.
+    EDGE_SECTION_DIGESTS = {(5, "f64", 1): "ec077b4880525297", (5, "f64", 3): "6967402fa612c889",
+                            (5, "f32", 1): "c731e9bd238eccc7", (5, "f32", 3): "ca43424bcf812b49",
+                            (10, "f64", 1): "9982645f6ee41ec0", (10, "f64", 3): "f427ade54def6bb9",
+                            (10, "f32", 1): "ea6cea710cb69784", (10, "f32", 3): "6f71028efe169192",
+                            (10, "f32", 8): "52647d7939e7208a"}
 
-    @pytest.mark.parametrize("precision,k", sorted(EDGE_SECTION_DIGESTS))
-    def test_edge_pass_reproduces_the_pinned_bytes(self, body, precision, k):
+    @pytest.mark.parametrize("d,precision,k", sorted(EDGE_SECTION_DIGESTS),
+                             ids=[f"{p}-{k}" if d == 5 else f"d{d}-{p}-{k}"
+                                  for d, p, k in sorted(EDGE_SECTION_DIGESTS)])
+    def test_edge_pass_reproduces_the_pinned_bytes(self, body, d, precision, k):
         rng = np.random.default_rng(2024)
         batch = GraphBatch.from_graphs([_random_graph(rng), _random_graph(rng)])
-        plan = DSS(DSSConfig(num_iterations=1, latent_dim=5, seed=0)).compile_plan(batch, precision=precision)
+        plan = DSS(DSSConfig(num_iterations=1, latent_dim=d, seed=0)).compile_plan(batch, precision=precision)
         ws, (block,) = plan.workspace(k), plan.compiled_blocks
         ws.proj_flat[...] = rng.normal(size=ws.proj_flat.shape)
         block.w_attr_T[...] = rng.normal(size=block.w_attr_T.shape)
         block.b_hidden[...] = rng.normal(size=block.b_hidden.shape)
         plan._edge_pass(ws, block)
-        assert hashlib.sha256(ws.pre_flat.tobytes()).hexdigest()[:16] == self.EDGE_SECTION_DIGESTS[precision, k]
+        assert hashlib.sha256(ws.pre_flat.tobytes()).hexdigest()[:16] == self.EDGE_SECTION_DIGESTS[d, precision, k]
         # and the formulation it replaced — the term as one GEMM — is the same number to rounding
         gemm_terms = plan._edge_attr @ block.w_attr_T + block.b_hidden
-        replaced = _edge_section_reference(plan._edge_index, gemm_terms, ws.proj_flat.reshape(-1, k, 10))
+        replaced = _edge_section_reference(plan._edge_index, gemm_terms, ws.proj_flat.reshape(-1, k, 2 * d))
         tolerance = (1e-12 if precision == "f64" else 1e-5) * np.abs(replaced).max()
         assert np.allclose(ws.pre_flat, replaced.ravel(), rtol=0.0, atol=tolerance)
 

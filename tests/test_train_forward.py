@@ -79,6 +79,7 @@ CONFIGS = {
     "k3-d4": DSSConfig(num_iterations=3, latent_dim=4, alpha=0.1, seed=1),
     "k4-d5-kappa": DSSConfig(num_iterations=4, latent_dim=5, alpha=0.1, seed=3, edge_attr_dim=4, node_input_dim=2),
     "k1-d1": DSSConfig(num_iterations=1, latent_dim=1, alpha=0.1, seed=2),   # a seed whose lone units fire
+    "k2-d10": DSSConfig(num_iterations=2, latent_dim=10, alpha=0.1, seed=5),  # the width the C instantiates
 }
 
 
@@ -272,12 +273,14 @@ def _edge_vjp_reference(edges: EdgeLayout, weights, bias, proj, g_pre):
 
 
 class TestEdgeVJP:
-    @pytest.mark.parametrize("attr_width", [3, 4])
-    def test_native_is_bitwise_the_numpy_body(self, native_body, monkeypatch, attr_width):
+    @pytest.mark.parametrize("attr_width,width", [(3, 6), (4, 6), (3, 20), (4, 20)],
+                             ids=["3", "4", "3-w20", "4-w20"])
+    def test_native_is_bitwise_the_numpy_body(self, native_body, monkeypatch, attr_width, width):
         """Node 0 isolated, node 1 of in-degree 1, node 2 a pure source, then a seeded multigraph; one edge's
-        pre-activation is exactly 0 in unit 0 (zero attributes and bias, opposite projections)."""
+        pre-activation is exactly 0 in unit 0 (zero attributes and bias, opposite projections).  At a
+        generic hidden width and at 2d = 20, the one the C instantiates."""
         rng = np.random.default_rng(attr_width)
-        n, width = 40, 6
+        n = 40
         edge_index = np.hstack([[[2], [1]], rng.integers(3, n, size=(2, 300))])
         attr = rng.normal(size=(edge_index.shape[1], attr_width))
         attr[0] = 0.0
