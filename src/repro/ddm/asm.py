@@ -29,11 +29,14 @@ import scipy.sparse.linalg as spla
 
 from ..obs import trace as obs_trace
 from ..partition.overlap import OverlappingDecomposition
+from ._native import SchwarzApply, schwarz_kernels
 from .coarse import NicolaidesCoarseSpace
 from .local_solvers import LocalSolver, LULocalSolver, extract_local_matrices
-from .restriction import ColumnScratch, StackedRestriction, build_restrictions
+from .restriction import ColumnScratch, StackedRestriction
 
 __all__ = ["AdditiveSchwarzPreconditioner", "Preconditioner", "IdentityPreconditioner"]
+
+_UNRESOLVED = object()
 
 
 class Preconditioner:
@@ -148,7 +151,6 @@ class AdditiveSchwarzPreconditioner(Preconditioner):
             raise ValueError("matrix size does not match the mesh of the decomposition")
 
         subdomains = decomposition.subdomain_nodes
-        self.restrictions = build_restrictions(subdomains, n)
         self.stacked_restriction = StackedRestriction(
             subdomains, n, core_nodes=decomposition.core_nodes if variant == "ras" else None
         )
@@ -162,11 +164,41 @@ class AdditiveSchwarzPreconditioner(Preconditioner):
         self.coarse_space: Optional[NicolaidesCoarseSpace] = None
         if self.levels == 2:
             self.coarse_space = NicolaidesCoarseSpace(subdomains, n).factorize(self.matrix)
+        self._native = _UNRESOLVED  # the native body: decided on the first apply, never here
 
     # ------------------------------------------------------------------ #
     @property
     def shape(self) -> tuple:
         return self.matrix.shape
+
+    @property
+    def kernel(self) -> str:
+        """Which body :meth:`apply_columns` runs: ``"native"`` (``ddm/_schwarz.c``) or ``"numpy"``.
+
+        Reported (``SolveResult.info["kernel"]``), never an input.  Reading it
+        before the first apply makes the decision that apply would make.
+        """
+        return "numpy" if self._native_body() is None else "native"
+
+    def _native_body(self) -> Optional[SchwarzApply]:
+        """The native apply, or None for the numpy body; decided once, on first use.
+
+        Only DDM-LU has one — ``variant="asm"`` with exact LU local solves, at
+        one or two levels — and only where the kernel loaded.  Building it
+        hands the LU factor over to the kernel's arrays and drops SuperLU's
+        object, so an instance that went native stays native.
+        """
+        if self._native is _UNRESOLVED:
+            self._native = None
+            exact_lu = self.variant == "asm" and type(self.local_solver) is LULocalSolver
+            kernels = schwarz_kernels() if exact_lu else None
+            if kernels is not None:
+                coarse = self.coarse_space
+                self._native = SchwarzApply(
+                    kernels["schwarz_apply"], self.local_solver.release_factor(),
+                    self.stacked_restriction.node_indices, self.stacked_restriction._transpose,
+                    None if coarse is None else coarse.r0, None if coarse is None else coarse._inverse)
+        return self._native
 
     @property
     def num_subdomains(self) -> int:
@@ -191,6 +223,15 @@ class AdditiveSchwarzPreconditioner(Preconditioner):
         column's bytes depend on ``k``: the gather copies values, the local
         solver keeps columns independent, and the gluing and coarse products
         accumulate each column in SpMV order.
+
+        That numpy pipeline is the reference and the body without a C
+        compiler.  DDM-LU (``variant="asm"``, exact LU) has a native body too
+        (:attr:`kernel`): gather, substitution over the factor, glue and
+        coarse correction in one C call per block, every column through the
+        same arithmetic — so column ``j`` of a k-wide call is still the
+        1-wide call bit for bit, and agrees with the numpy body to ~1e-16
+        relative (SuperLU's supernodal substitution order is not
+        reproducible).
         """
         # Traced as a buffered leaf (one tuple append on the parent span, no
         # context-manager dispatch): this runs once per Krylov iteration, so
@@ -200,12 +241,16 @@ class AdditiveSchwarzPreconditioner(Preconditioner):
         residuals = np.asarray(residuals, dtype=np.float64)
         if residuals.ndim != 2:
             raise ValueError(f"apply_columns expects an (n, k) block, got shape {residuals.shape}")
-        scratch = self._scratch.views(residuals.shape[1])
-        stacked = self.stacked_restriction.extract(residuals, out=scratch["residual"])
-        solutions = self.local_solver.solve_stacked_columns(stacked, out=scratch["solution"])
-        correction = np.asfortranarray(self.stacked_restriction.glue(solutions))
-        if self.coarse_space is not None:
-            correction += self.coarse_space.apply_columns(residuals)
+        native = self._native_body()
+        if native is not None:
+            correction = native.apply_columns(residuals)
+        else:
+            scratch = self._scratch.views(residuals.shape[1])
+            stacked = self.stacked_restriction.extract(residuals, out=scratch["residual"])
+            solutions = self.local_solver.solve_stacked_columns(stacked, out=scratch["solution"])
+            correction = np.asfortranarray(self.stacked_restriction.glue(solutions))
+            if self.coarse_space is not None:
+                correction += self.coarse_space.apply_columns(residuals)
         if parent is not None:
             parent.record_leaf("precond.apply", start, time.perf_counter(),
                                {"k": residuals.shape[1]})

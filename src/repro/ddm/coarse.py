@@ -3,8 +3,12 @@
 The paper uses a Nicolaides coarse space: the coarse basis contains one vector
 per sub-domain, equal to (a partition-of-unity weighting of) the constant
 function restricted to that sub-domain.  The coarse operator
-``A_0 = R_0 A R_0ᵀ`` is a dense K×K (tiny) matrix factorised once with LU and
-reused at every preconditioner application (paper Eq. 13).
+``A_0 = R_0 A R_0ᵀ`` is assembled once, stored as a dense K×K matrix and
+inverted outright (``np.linalg.inv``); every application (paper Eq. 13) is then
+one K×K GEMV per column, here or — reading the same inverse — inside the
+native DDM-LU apply (``ddm/_schwarz.c``).  ``A_0`` is sparse and the dense
+inverse costs O(K³) set-up and K² bytes: DESIGN.md, "The DDM-LU apply", has
+it measured against a sparse LU through the native substitution.
 """
 
 from __future__ import annotations
@@ -68,12 +72,13 @@ class NicolaidesCoarseSpace:
     def factorize(self, matrix: sp.spmatrix) -> "NicolaidesCoarseSpace":
         """Assemble and invert the coarse operator ``A_0 = R_0 A R_0ᵀ``.
 
-        The coarse matrix is a tiny dense K×K SPD system, so its inverse is
-        precomputed outright: each application is then one K×K GEMV (~1µs)
-        instead of a SuperLU triangular solve whose per-call overhead
-        dominates at this size — which matters on the preconditioner hot
-        path, where the lockstep multi-RHS solver applies the coarse
-        correction once per right-hand side per iteration.
+        The inverse is precomputed outright, dense: each application is one
+        K×K GEMV per column, ~2 µs at K = 19.  That was chosen over SuperLU
+        for its per-call overhead; the native substitution of
+        ``ddm/_schwarz.c`` has none, and a sparse LU of ``A_0`` through it
+        is 7× faster per column at K = 1,172 and 32× at K = 4,678, with a
+        set-up of milliseconds instead of 0.21 / 8.2 s (DESIGN.md, "The
+        DDM-LU apply").  Replacing this is ROADMAP's coarse-space item.
         """
         coarse = (self.r0 @ matrix @ self.r0.T).tocsc()
         self._coarse_matrix = coarse.toarray()

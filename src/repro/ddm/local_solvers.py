@@ -8,7 +8,9 @@ solver (in :mod:`repro.core.ddm_gnn`) is the paper's contribution.
 
 A solver has **one** solve, on stacked ``(total_rows, k)`` blocks
 (:meth:`LocalSolver.solve_stacked_columns`); ``solve_all`` is a derived
-per-sub-domain view of it kept for tests and ad-hoc use.
+per-sub-domain view of it kept for tests and ad-hoc use.  DDM-LU's apply does
+not call it where its native body runs: that body performs the LU
+substitutions itself, on the factor :class:`LULocalSolver` hands over.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+from ._native import SchwarzApply, TriangularFactor, schwarz_kernels
 
 __all__ = ["LocalSolver", "LULocalSolver", "JacobiLocalSolver", "extract_local_matrices"]
 
@@ -116,18 +120,43 @@ class LULocalSolver(LocalSolver):
     All K local matrices are factorised as **one block-diagonal SuperLU
     factorisation** ``block_diag(A_1, …, A_K)``: the sub-domains are
     uncoupled, so the factor has no cross-block fill-in and one
-    ``factor.solve`` call performs all K substitutions — the per-sub-domain
-    Python loop (and its K-fold call overhead) disappears from the
-    preconditioner hot path.
+    substitution per column performs all K local solves — the
+    per-sub-domain Python loop (and its K-fold call overhead) disappears
+    from the preconditioner hot path.
+
+    The factor is held **once**, in one of two forms.  As set up it is
+    SuperLU's object, and a solve is SuperLU's substitution.  The native
+    DDM-LU apply (``ddm/_schwarz.c``, which
+    :class:`~repro.ddm.asm.AdditiveSchwarzPreconditioner` resolves on its
+    first apply) takes it over with :meth:`release_factor`: from then on it
+    is that kernel's index and value arrays
+    (:class:`~repro.ddm._native.TriangularFactor`), SuperLU's object is
+    dropped, and a solve here is the kernel's substitution alone — no
+    gather, glue or coarse step.
     """
 
     def __init__(self) -> None:
         super().__init__()
         self._factor: Optional[spla.SuperLU] = None
+        self._triangular: Optional[TriangularFactor] = None
+        self._substitution: Optional[SchwarzApply] = None
 
     def setup(self, local_matrices: Sequence[sp.spmatrix]) -> "LULocalSolver":
         self._factor = spla.splu(self._block_diagonal(local_matrices, "csc"))
+        self._triangular = self._substitution = None
         return self
+
+    def release_factor(self) -> TriangularFactor:
+        """The factor as the native kernel's arrays, SuperLU's object dropped (idempotent)."""
+        if self._triangular is None:
+            if self._factor is None:
+                raise RuntimeError("local solver not set up; call setup(local_matrices) first")
+            factor, self._factor = self._factor, None
+            lower, upper = factor.L, factor.U
+            perm_r, perm_c = np.array(factor.perm_r), np.array(factor.perm_c)  # views would keep it alive
+            del factor  # SuperLU's memory is freed before the kernel's arrays are allocated, which may reuse it
+            self._triangular = TriangularFactor(lower, upper, perm_r, perm_c)
+        return self._triangular
 
     def solve_stacked_columns(
         self, stacked_columns: np.ndarray, out: Optional[np.ndarray] = None
@@ -138,11 +167,20 @@ class LULocalSolver(LocalSolver):
         though SuperLU accepts multiple right-hand sides: its multi-RHS path
         accumulates supernode updates in a different order than its
         single-RHS path (observed ~1-ulp drift), which would make a column's
-        bytes depend on how many columns ride along.
+        bytes depend on how many columns ride along.  After
+        :meth:`release_factor` the kernel's substitution runs instead, one
+        column at a time as well.
         """
         stacked_columns = self._stacked_block(stacked_columns)
         if out is None:
             out = np.empty_like(stacked_columns)
+        if self._factor is None:
+            if self._substitution is None:
+                rows = self._triangular.rows
+                self._substitution = SchwarzApply(schwarz_kernels()["schwarz_apply"], self._triangular,
+                                                  np.arange(rows), sp.identity(rows, format="csr"))
+            out[...] = self._substitution.apply_columns(stacked_columns)
+            return out
         for c in range(stacked_columns.shape[1]):
             out[:, c] = self._factor.solve(np.ascontiguousarray(stacked_columns[:, c]))
         return out

@@ -23,7 +23,9 @@ Registered faults:
 ``local-solver-raise``
     :class:`~repro.ddm.local_solvers.LULocalSolver` raises
     :class:`FaultInjected` from its (one) block solve starting at call
-    ``after_calls``.  Exercises exception-path degradation.
+    ``after_calls`` — SuperLU's substitutions, or the native DDM-LU apply
+    that runs them (:class:`~repro.ddm._native.SchwarzApply`).  Exercises
+    exception-path degradation.
 ``session-build-fail``
     :class:`~repro.solvers.session.SolverSession` construction raises
     :class:`FaultInjected` for the first ``builds`` attempts.  Exercises the
@@ -288,17 +290,20 @@ class LocalSolverRaiseFault(Fault):
         super().__init__(after_calls)
 
     def _install(self) -> None:
+        from .ddm._native import SchwarzApply
         from .ddm.local_solvers import LULocalSolver
 
         fault = self
-        original = LULocalSolver.solve_stacked_columns
 
-        def solve_stacked_columns(self, *args, **kwargs):
-            if fault._fires():
-                raise FaultInjected("injected LU local-solver failure")
-            return original(self, *args, **kwargs)
+        def raising(original):
+            def solve(self, *args, **kwargs):
+                if fault._fires():
+                    raise FaultInjected("injected LU local-solver failure")
+                return original(self, *args, **kwargs)
+            return solve
 
-        self.patch(LULocalSolver, "solve_stacked_columns", solve_stacked_columns)
+        self.patch(LULocalSolver, "solve_stacked_columns", raising(LULocalSolver.solve_stacked_columns))
+        self.patch(SchwarzApply, "apply_columns", raising(SchwarzApply.apply_columns))
 
 
 @register_fault("session-build-fail", "SolverSession construction fails")

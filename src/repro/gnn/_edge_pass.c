@@ -25,7 +25,7 @@
  * FMA), so the result is bitwise the numpy body's, in float64 and float32,
  * for every k.
  *
- * Built by repro/gnn/_native.py with
+ * Built by repro/utils/native.py (for repro/gnn/_native.py) with
  * `cc -O3 -ffp-contract=off -falign-functions=64 -shared -fPIC`: no
  * -ffast-math, and no -march=native — the cached .so may be shared between
  * machines.  Measured on the ledger operator while sizing it (DESIGN.md,

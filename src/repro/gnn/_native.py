@@ -1,64 +1,31 @@
-"""Compile-on-first-use loader of the fused edge kernels and ψ's prefill (``_edge_pass.c``).
+"""The fused edge kernels and ψ's prefill (``_edge_pass.c``): their signatures, self-checks and resolution.
 
 :func:`edge_kernels` resolves once per process, on the first edge pass — never
-at plan construction, so no timed set-up contains a compiler run.  The pass and
-its VJP and the prefill are one library: all of them load and pass their
-self-checks — at a generic hidden width and at the one the C instantiates — or
-none runs.  Any failure (no ``cc``, ``CC=false``, no writable cache, a load error,
-a wrong answer on a self-check) selects the numpy body, silently and for good.
-The functions live in a module global, not on a plan: forked shard workers
-inherit them, spawned ones find the cached file.
+at plan construction, so no timed set-up contains a compiler run — through the
+shared loader :func:`repro.utils.native.resolve`.  The pass and its VJP and the
+prefill are one library: all of them load and pass their self-checks — at a
+generic hidden width and at the one the C instantiates — or none runs.  Any
+failure (no ``cc``, ``CC=false``, no writable cache, a load error, a wrong
+answer on a self-check) selects the numpy body, silently and for good, and
+leaves every other native library alone.  The functions live in a module
+global, not on a plan: forked shard workers inherit them, spawned ones find the
+cached file.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import shlex
-import subprocess
-import tempfile
 from pathlib import Path
 from typing import Callable, Dict, Optional
 
 import numpy as np
 
+from ..utils import native
+
 SOURCE = Path(__file__).with_name("_edge_pass.c")
-#: fixed here, not tuned to the machine: the cache directory may be shared
-FLAGS = ["-O3", "-ffp-contract=off", "-falign-functions=64", "-shared", "-fPIC"]
 
 _UNRESOLVED = object()
 _kernels = _UNRESOLVED  # {C name: function} once loaded; None = the numpy body
-
-
-def _library() -> ctypes.CDLL:
-    """The shared object from the first usable cache root, compiled if absent."""
-    cc = shlex.split(os.environ.get("CC") or "cc")
-    version = subprocess.run(cc + ["--version"], capture_output=True, check=True, timeout=60).stdout
-    digest = hashlib.sha256(SOURCE.read_bytes() + version + " ".join(FLAGS).encode()).hexdigest()[:20]
-    roots = (os.environ.get("XDG_CACHE_HOME"), os.path.expanduser("~/.cache"), tempfile.gettempdir())
-    for root in filter(None, roots):
-        target = Path(root, "repro-ddm-gnn", f"edge_pass-{digest}.so")
-        try:
-            target.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
-            status = target.parent.stat()
-            if status.st_uid != os.getuid() or status.st_mode & 0o022:
-                continue  # a directory others can write is no place to load code from
-            if target.exists():
-                return ctypes.CDLL(str(target))
-            handle, scratch = tempfile.mkstemp(dir=target.parent, suffix=".so")
-            os.close(handle)
-        except OSError:
-            continue  # read-only root or unloadable file: try the next one
-        try:
-            subprocess.run(cc + FLAGS + [str(SOURCE), "-o", scratch], capture_output=True, check=True, timeout=300)
-            os.replace(scratch, target)  # atomic: a racing worker never loads a half-written file
-        finally:
-            if os.path.exists(scratch):
-                os.unlink(scratch)
-        return ctypes.CDLL(str(target))
-    raise OSError("no writable cache directory")
-
 
 #: the self-check graph: node 0 isolated, node 1 of in-degree 1, node 2 of in-degree 2
 _INDPTR, _SRC, _DST = np.array([0, 0, 1, 3], dtype=np.int64), np.array([2, 0, 1], dtype=np.int64), (1, 2, 2)
@@ -135,6 +102,18 @@ def _checked_prefill(function, dtype) -> Callable:
     return function
 
 
+def _checked_library(library: ctypes.CDLL) -> Dict[str, Callable]:
+    """Every function of the library, declared and self-checked; raises on the first wrong answer."""
+    precisions = (("f64", np.float64), ("f32", np.float32))
+    kernels = {f"edge_pass_{name}_{width}": _checked_pass(getattr(library, f"edge_pass_{name}_{width}"), dtype, width)
+               for name, dtype in precisions for width in (3, 4)}
+    for width in (3, 4):
+        kernels[f"edge_vjp_f64_{width}"] = _checked_vjp(getattr(library, f"edge_vjp_f64_{width}"), width)
+    for name, dtype in precisions:
+        kernels[f"node_prefill_{name}"] = _checked_prefill(getattr(library, f"node_prefill_{name}"), dtype)
+    return kernels
+
+
 def edge_kernels() -> Optional[Dict[str, Callable]]:
     """The kernels by C name, or None for numpy: for the instantiated attribute widths,
     ``edge_pass_{f64,f32}_{3,4}(n, k, w, indptr, src, attr, weights, bias, proj, pre)`` and
@@ -142,17 +121,5 @@ def edge_kernels() -> Optional[Dict[str, Callable]]:
     and ``node_prefill_{f64,f32}(n, k, d, sources, w0, bias_node, hidden)``."""
     global _kernels
     if _kernels is _UNRESOLVED:
-        try:
-            library = _library()
-            precisions = (("f64", np.float64), ("f32", np.float32))
-            kernels = {f"edge_pass_{name}_{width}": _checked_pass(getattr(library, f"edge_pass_{name}_{width}"),
-                                                                  dtype, width)
-                       for name, dtype in precisions for width in (3, 4)}
-            for width in (3, 4):
-                kernels[f"edge_vjp_f64_{width}"] = _checked_vjp(getattr(library, f"edge_vjp_f64_{width}"), width)
-            for name, dtype in precisions:
-                kernels[f"node_prefill_{name}"] = _checked_prefill(getattr(library, f"node_prefill_{name}"), dtype)
-            _kernels = kernels
-        except Exception:  # the contract above: whatever went wrong, numpy runs
-            _kernels = None
+        _kernels = native.resolve(SOURCE, _checked_library)
     return _kernels

@@ -37,7 +37,7 @@ from typing import Dict, Iterable, List, Optional, Union
 import numpy as np
 
 from ..core.ddm_gnn import DDMGNNPreconditioner
-from ..ddm.asm import Preconditioner
+from ..ddm.asm import AdditiveSchwarzPreconditioner, Preconditioner
 from ..fem.problem import Problem
 from ..krylov.result import SolveResult
 from ..obs import events as obs_events
@@ -511,6 +511,8 @@ class SolverSession:
         if isinstance(self.preconditioner, DDMGNNPreconditioner):
             result.info["gnn_stats"] = self.preconditioner.inference_stats()
             result.info["kernel"] = result.info["gnn_stats"]["kernel"]
+        elif isinstance(self.preconditioner, AdditiveSchwarzPreconditioner):
+            result.info["kernel"] = self.preconditioner.kernel
 
     def solve_many(
         self,

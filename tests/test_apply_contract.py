@@ -19,16 +19,33 @@ import pytest
 
 import repro
 from repro.ddm import AdditiveSchwarzPreconditioner, Preconditioner
+from repro.ddm import _native as ddm_native
 from repro.solvers import SolverConfig, available_preconditioners, prepare
 
 SRC = Path(repro.__file__).resolve().parent
 
-#: every registered kind, plus the ASM variants no registry entry reaches
-CASES = ["ddm-gnn", "ddm-gnn[f32]", "ddm-lu", "ddm-jacobi", "ic0", "none", "asm-ras", "asm-one-level"]
+#: every registered kind, plus the ASM variants no registry entry reaches, and DDM-LU's numpy body
+#: (``ddm-lu`` itself runs the native one wherever the C compiles)
+CASES = ["ddm-gnn", "ddm-gnn[f32]", "ddm-lu", "ddm-lu[numpy]", "ddm-jacobi", "ic0", "none", "asm-ras",
+         "asm-one-level"]
 
 
 def test_cases_cover_the_registry():
     assert set(available_preconditioners()) <= set(CASES)
+
+
+def build_case(case, problem, model):
+    """The preconditioner of one case; ``ddm-lu[numpy]`` resolves its body with the kernel unavailable,
+    and an ASM keeps the body it resolved to."""
+    if case == "ddm-lu[numpy]":
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ddm_native, "_kernels", None)
+            pre = build_case("ddm-lu", problem, model)
+            assert pre.kernel == "numpy"
+        return pre
+    kind, _, precision = case.partition("[")
+    config = SolverConfig(preconditioner=kind, subdomain_size=80, precision=precision.rstrip("]") or "f64")
+    return prepare(problem, config, model=model).preconditioner
 
 
 @pytest.fixture(scope="module")
@@ -38,9 +55,7 @@ def preconditioners(random_problem, small_decomposition, trained_dss_model):
             return AdditiveSchwarzPreconditioner(random_problem.matrix, small_decomposition, variant="ras")
         if case == "asm-one-level":
             return AdditiveSchwarzPreconditioner(random_problem.matrix, small_decomposition, levels=1)
-        kind, _, precision = case.partition("[")
-        config = SolverConfig(preconditioner=kind, subdomain_size=80, precision=precision.rstrip("]") or "f64")
-        return prepare(random_problem, config, model=trained_dss_model).preconditioner
+        return build_case(case, random_problem, trained_dss_model)
 
     return {case: build(case) for case in CASES}
 
@@ -160,7 +175,7 @@ class TestOneApply:
 # --------------------------------------------------------------------------- #
 # scratch memory follows the widest block, not the sum of the widths seen
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("case", ["ddm-gnn", "ddm-lu"])
+@pytest.mark.parametrize("case", ["ddm-gnn", "ddm-lu", "ddm-lu[numpy]"])
 class TestScratchMemory:
     def _blocks(self, n, widths):
         rng = np.random.default_rng(7)
@@ -168,16 +183,16 @@ class TestScratchMemory:
 
     def test_a_shrinking_block_holds_what_its_widest_width_needs(
             self, random_problem, small_decomposition, tiny_dss_model, case):
-        def build():
-            config = SolverConfig(preconditioner=case, subdomain_size=80)
-            return prepare(random_problem, config, model=tiny_dss_model).preconditioner
-
-        widest, shrinking = build(), build()
+        widest, shrinking = (build_case(case, random_problem, tiny_dss_model) for _ in range(2))
         n = random_problem.num_dofs
         widest.apply_columns(self._blocks(n, [16])[0])
         for block in self._blocks(n, range(16, 0, -1)):
             shrinking.apply_columns(block)
-        assert shrinking._scratch.nbytes == widest._scratch.nbytes > 0
+        if getattr(widest, "kernel", None) == "native":    # DDM-LU's native body: one column of work, any k
+            assert shrinking._scratch.nbytes == widest._scratch.nbytes == 0
+            assert shrinking._native.arrays["work"].nbytes == widest._native.arrays["work"].nbytes > 0
+        else:
+            assert shrinking._scratch.nbytes == widest._scratch.nbytes > 0
 
     def test_mixed_widths_allocate_nothing_once_warm(self, preconditioners, random_problem, case):
         """Three windows of 50 calls, judged by the quietest: a leak of this preconditioner grows in every

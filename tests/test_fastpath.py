@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core import DDMGNNPreconditioner
 from repro.core import ddm_gnn as ddm_gnn_module
+from repro.ddm import _native as ddm_native
 from repro.ddm import (
     AdditiveSchwarzPreconditioner,
     LULocalSolver,
@@ -606,6 +607,26 @@ class TestNativeLoader:
         toy_batch.source = source
         assert np.allclose(output, model.predict(toy_batch), rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("broken", ["edge", "schwarz"])
+    def test_one_failed_library_leaves_the_other_alone(self, native_body, native_schwarz, fresh, monkeypatch,
+                                                       broken, random_problem, small_decomposition, toy_batch):
+        """Two libraries, resolved independently: the one whose source lost a term (the edge pass its ReLU,
+        the Schwarz substitution a partial sum) fails its self-check and runs numpy; the other compiles,
+        loads and runs native."""
+        module, needle, wrong_text = {
+            "edge": (_native, "(T)0 > t ? (T)0 : t", "t"),
+            "schwarz": (ddm_native, "(s0 + s1) + (s2 + s3)", "(s0 + s1) + s2"),
+        }[broken]
+        wrong = fresh / "wrong.c"
+        wrong.write_text(module.SOURCE.read_text().replace(needle, wrong_text))
+        monkeypatch.setattr(module, "SOURCE", wrong)
+        monkeypatch.setattr(ddm_native, "_kernels", ddm_native._UNRESOLVED)
+        asm = AdditiveSchwarzPreconditioner(random_problem.matrix, small_decomposition)
+        asm.apply(np.ones(random_problem.num_dofs))
+        plan = DSS(PLAIN_CONFIG).compile_plan(toy_batch)
+        assert (plan.kernel, asm.kernel) == (("numpy", "native") if broken == "edge" else ("native", "numpy"))
+        assert (asm.local_solver._factor is None) == (broken == "edge")
+
     @pytest.mark.skipif(os.environ.get("CC") == "false", reason="already running without a compiler")
     def test_this_whole_file_passes_without_a_compiler(self):
         """The fallback is a supported configuration: every test above, on the numpy body."""
@@ -789,20 +810,28 @@ class _ReferenceASM:
     def __init__(self, asm: AdditiveSchwarzPreconditioner) -> None:
         self._asm = asm
         self.shape = asm.shape
+        self._restrictions = build_restrictions(asm.decomposition.subdomain_nodes, asm.shape[0])
 
     def apply(self, residual: np.ndarray) -> np.ndarray:
         asm = self._asm
         residual = np.asarray(residual, dtype=np.float64)
-        local_rhs = [r_i @ residual for r_i in asm.restrictions]
+        local_rhs = [r_i @ residual for r_i in self._restrictions]
         local_solutions = asm.local_solver.solve_all(local_rhs)
         correction = np.zeros_like(residual)
-        for r_i, v_i in zip(asm.restrictions, local_solutions):
+        for r_i, v_i in zip(self._restrictions, local_solutions):
             correction += r_i.T @ v_i
         if asm.coarse_space is not None:
             correction += asm.coarse_space.apply(residual)
         return correction
 
 
+@pytest.fixture
+def numpy_schwarz(monkeypatch):
+    """Fail the Schwarz loader for this test: every ASM built in it runs the numpy body."""
+    monkeypatch.setattr(ddm_native, "_kernels", None)
+
+
+@pytest.mark.usefixtures("numpy_schwarz")
 class TestExactSolverRegression:
     @pytest.mark.parametrize("levels", [1, 2])
     def test_asm_apply_bit_identical(self, random_problem, small_decomposition, levels):
@@ -839,6 +868,147 @@ class TestExactSolverRegression:
         # a column's bytes do not depend on what rides along, nor on `out=`
         alone = solver.solve_stacked_columns(block[:, :1], out=np.empty((offsets[-1], 1)))
         assert np.array_equal(alone[:, 0], stacked[:, 0])
+
+
+# --------------------------------------------------------------------------- #
+# the DDM-LU apply: one native call, the numpy pipeline its reference
+# --------------------------------------------------------------------------- #
+@pytest.fixture
+def native_schwarz():
+    """Skip where the Schwarz kernel cannot load (resolved here, at run time, not at collection)."""
+    if ddm_native.schwarz_kernels() is None:
+        pytest.skip("no C compiler here: the numpy Schwarz body is the only one")
+
+
+def _four_sums(indptr, indices, data, i, x):
+    """Row ``i`` dotted with ``x`` as ``_schwarz.c`` adds it: entry m onto partial sum m % 4, each from 0,
+    then ``((s0 + s1) + (s2 + s3))``."""
+    sums = [0.0, 0.0, 0.0, 0.0]
+    for m, e in enumerate(range(indptr[i], indptr[i + 1])):
+        sums[m % 4] += data[e] * x[indices[e]]
+    return (sums[0] + sums[1]) + (sums[2] + sums[3])
+
+
+def schwarz_loop_reference(asm: AdditiveSchwarzPreconditioner, residual: np.ndarray) -> np.ndarray:
+    """One column of the native DDM-LU apply as a Python loop, in the order ``_schwarz.c`` writes down:
+    gather into the factor's row order, forward then back substitution, the coarse restriction and the dense
+    inverse, then per node its stacked rows (ascending, read through ``perm_c``) plus its ``R₀ᵀ`` row."""
+    factor = asm.local_solver.release_factor()
+    lower = (factor.l_indptr.tolist(), factor.l_indices.tolist(), factor.l_data.tolist())
+    upper = (factor.u_indptr.tolist(), factor.u_indices.tolist(), factor.u_data.tolist())
+    r, nodes = residual.tolist(), asm.stacked_restriction.node_indices.tolist()
+    y = [r[nodes[s]] for s in factor.row_source.tolist()]
+    for i in range(factor.rows):
+        y[i] = y[i] - _four_sums(*lower, i, y)
+    for i in reversed(range(factor.rows)):
+        y[i] = (y[i] - _four_sums(*upper, i, y)) / float(factor.u_diag[i])
+    coarse = asm.coarse_space
+    if coarse is not None:
+        r0, r0t = coarse.r0, coarse.r0.T.tocsr()
+        r0t.sort_indices()
+        s = []
+        for q in range(r0.shape[0]):
+            total = 0.0
+            for m in range(r0.indptr[q], r0.indptr[q + 1]):
+                total += float(r0.data[m]) * r[r0.indices[m]]
+            s.append(total)
+        columns = list(range(len(s)))
+        e = [_four_sums([0, len(s)], columns, row.tolist(), 0, s) for row in coarse._inverse]
+    glue, perm_c = asm.stacked_restriction._transpose, factor.perm_c.tolist()
+    out = []
+    for i in range(asm.shape[0]):
+        g = 0.0
+        for m in range(glue.indptr[i], glue.indptr[i + 1]):
+            g += y[perm_c[glue.indices[m]]]
+        if coarse is not None:
+            h = 0.0
+            for m in range(r0t.indptr[i], r0t.indptr[i + 1]):
+                h += float(r0t.data[m]) * e[r0t.indices[m]]
+            g = g + h
+        out.append(g)
+    return np.array(out)
+
+
+@pytest.mark.usefixtures("native_schwarz")
+class TestNativeSchwarz:
+    """``ddm/_schwarz.c``: DDM-LU's apply in one C call — bitwise its loop reference, the numpy body to
+    rounding, the factor held once, run only for an exact-LU ``"asm"`` apply, reported and never keyed."""
+
+    def _pair(self, problem, decomposition, **kwargs):
+        """The same ASM on both bodies: ``(native, numpy)``."""
+        native = AdditiveSchwarzPreconditioner(problem.matrix, decomposition, **kwargs)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ddm_native, "_kernels", None)
+            numpy_body = AdditiveSchwarzPreconditioner(problem.matrix, decomposition, **kwargs)
+            assert numpy_body.kernel == "numpy"
+        assert native.kernel == "native"
+        return native, numpy_body
+
+    @pytest.mark.parametrize("levels", [1, 2])
+    def test_native_is_bitwise_the_loop_reference(self, random_problem, small_decomposition, levels):
+        asm = AdditiveSchwarzPreconditioner(random_problem.matrix, small_decomposition, levels=levels)
+        block = np.random.default_rng(levels).normal(size=(random_problem.num_dofs, 3))
+        native = asm.apply_columns(block)
+        assert asm.kernel == "native"
+        for c in range(3):
+            assert np.array_equal(native[:, c], schwarz_loop_reference(asm, block[:, c]))
+
+    @pytest.mark.parametrize("levels", [1, 2])
+    def test_native_is_the_numpy_body_to_rounding(self, random_problem, small_decomposition, levels):
+        """SuperLU's supernodal order cannot be reproduced: ≤ 1e-13 relative per apply, not bitwise — and
+        PCG takes the same iterations on both bodies."""
+        native, numpy_body = self._pair(random_problem, small_decomposition, levels=levels)
+        block = np.random.default_rng(5).normal(size=(random_problem.num_dofs, 4))
+        got, expected = native.apply_columns(block), numpy_body.apply_columns(block)
+        assert np.all(np.linalg.norm(got - expected, axis=0) <= 1e-13 * np.linalg.norm(expected, axis=0))
+        solves = [preconditioned_conjugate_gradient(random_problem.matrix, random_problem.rhs, pre, tolerance=1e-10)
+                  for pre in (native, numpy_body)]
+        assert solves[0].iterations == solves[1].iterations
+        assert np.linalg.norm(solves[0].solution - solves[1].solution) <= 1e-10 * np.linalg.norm(solves[1].solution)
+
+    def test_the_factor_is_held_once(self, random_problem, small_decomposition):
+        """The kernel takes SuperLU's factor over; the local solver's own solve then runs the kernel's
+        substitution on it."""
+        native, numpy_body = self._pair(random_problem, small_decomposition)
+        solver = native.local_solver
+        assert solver._factor is None and numpy_body.local_solver._factor is not None
+        assert native._native.factor is solver.release_factor()
+        held = [*native._native.arrays.values(), *vars(solver.release_factor()).values()]
+        for array in held:                                         # nothing keeps the SuperLU object alive
+            while array is not None:
+                assert not isinstance(array, spla.SuperLU)
+                array = getattr(array, "base", None)
+        stacked = np.random.default_rng(6).normal(size=(native.stacked_restriction.total_rows, 2))
+        got = solver.solve_stacked_columns(stacked)
+        expected = numpy_body.local_solver.solve_stacked_columns(stacked)
+        assert np.allclose(got, expected, rtol=0.0, atol=1e-13 * np.abs(expected).max())
+        assert np.array_equal(solver.solve_stacked_columns(stacked[:, 1:])[:, 0], got[:, 1])
+
+    def test_only_an_exact_lu_asm_runs_native(self, random_problem, small_decomposition):
+        from repro.ddm import JacobiLocalSolver
+
+        matrix = random_problem.matrix
+        assert AdditiveSchwarzPreconditioner(matrix, small_decomposition, variant="ras").kernel == "numpy"
+        jacobi = AdditiveSchwarzPreconditioner(matrix, small_decomposition, local_solver=JacobiLocalSolver())
+        assert jacobi.kernel == "numpy"
+        assert AdditiveSchwarzPreconditioner(matrix, small_decomposition, levels=1).kernel == "native"
+
+    def test_which_body_ran_is_reported_never_keyed(self, monkeypatch, random_problem):
+        config = SolverConfig(preconditioner="ddm-lu", subdomain_size=80)
+        results, keys = [], []
+        for kernels in (ddm_native.schwarz_kernels(), None):
+            monkeypatch.setattr(ddm_native, "_kernels", kernels)
+            session = prepare(random_problem, config)
+            results.append(session.solve())
+            keys.append((session.fingerprint(), config.config_hash()))
+        assert [result.info["kernel"] for result in results] == ["native", "numpy"]
+        assert keys[0] == keys[1] and results[0].iterations == results[1].iterations
+        assert "kernel" not in config.to_dict()
+
+    def test_a_short_residual_is_refused_before_the_kernel_reads_it(self, random_problem, small_decomposition):
+        asm = AdditiveSchwarzPreconditioner(random_problem.matrix, small_decomposition)
+        with pytest.raises(ValueError, match="block"):
+            asm.apply_columns(np.zeros((random_problem.num_dofs - 1, 2)))
 
 
 # --------------------------------------------------------------------------- #

@@ -6,8 +6,9 @@ The contract under test is the observability PR's acceptance bar:
   carries exactly the typed terminal event its outcome implies, and stays
   complete under chaos (a worker killed with SIGKILL mid-solve, a deadline
   firing against a stalled worker, a breaker rerouting off a poisoned rung);
-* a sharded binary-path request yields ONE connected trace whose per-stage
-  durations tile the request wall time (±5%);
+* a sharded binary-path request yields ONE connected trace whose stages
+  tile the request wall time up to the front process's own sub-millisecond
+  bookkeeping;
 * observation never perturbs the payload: ``obs``/tracing on changes no
   session key and no response bytes (bitwise parity);
 * the ``/metrics`` exposition is strictly grammatical Prometheus text 0.0.4;
@@ -497,9 +498,9 @@ class TestObservationIsFree:
             assert result.info["recurrence"] == expected
             assert [e["recurrence"] for e in terminal] == [expected]
             assert solve_span.attributes["recurrence"] == expected
-            # ... and, beside it, which edge-pass body the GNN ran (None without one)
+            # ... and, beside it, which body the preconditioner ran: the GNN's edge pass, DDM-LU's apply
             assert solve_span.attributes["kernel"] == result.info.get("kernel")
-            assert (result.info.get("kernel") in ("native", "numpy")) == (kind == "ddm-gnn")
+            assert result.info.get("kernel") in ("native", "numpy")
 
     def test_obs_off_emits_nothing(self):
         problem = build_problem_from_spec(SPEC)
@@ -513,6 +514,14 @@ class TestObservationIsFree:
 # one request, one connected trace — in-process and sharded
 # --------------------------------------------------------------------------- #
 class TestRequestTraces:
+    #: ms of a sharded request's wall time that neither of its two stages (``serve.route``, then
+    #: ``shard.roundtrip`` from the enqueue on) covers: the front process's admission before routing and
+    #: the caller's wake-up after the reply frame.  A fixed cost, not a share — the solve inside the
+    #: round trip can be any length.  Measured on a 2-CPU host over 120 requests on the native and the
+    #: numpy DDM-LU bodies: 0.12–0.37 ms (median 0.18–0.23), single requests 0.67 and 1.84 ms when the
+    #: scheduler preempted them, which best-of-3 absorbs.
+    UNCOVERED_MS = 1.0
+
     def test_in_process_request_trace_shape(self):
         obs_trace.enable_tracing()
         with SolveService(ServeConfig(workers=1),
@@ -541,19 +550,18 @@ class TestRequestTraces:
             shard_config=ShardConfig(workers=2))
         try:
             service.solve(spec, timeout=120)  # warm: session install is setup
-            best = None
+            gaps = []
             for _ in range(3):  # best-of-3 absorbs scheduler preemption
                 with obs_trace.trace_root("accept.request") as root:
                     result = service.solve(spec, timeout=120)
                 assert result.converged
                 assert_complete(root)
-                covered = sum(c.duration_ms for c in root.children)
-                gap = abs(1.0 - covered / root.duration_ms)
-                best = gap if best is None else min(best, gap)
-                if gap <= 0.05:
+                # the stages run back to back inside the root: what they leave uncovered is >= 0
+                gaps.append(root.duration_ms - sum(c.duration_ms for c in root.children))
+                assert gaps[-1] >= 0.0, f"stages overlap by {-gaps[-1]:.3f} ms"
+                if gaps[-1] <= self.UNCOVERED_MS:
                     break
-            # per-stage durations tile the request wall time within ±5%
-            assert best <= 0.05, f"stage sum off by {best:.1%}"
+            assert min(gaps) <= self.UNCOVERED_MS, f"{min(gaps):.3f} ms outside every stage"
             timings = root.stage_timings()
             for stage in ("serve.route", "shard.roundtrip", "worker.request",
                           "serve.solve", "session.solve"):

@@ -577,3 +577,30 @@ class TestIterationBudget:
             counts = [result.iterations for result in block.results]
             assert all(got <= pin for got, pin in zip(counts, self.SOLVE_MANY_F32[seed])), \
                 (seed, counts)
+
+    #: ``serve-lu``'s operators and config (poisson, T=1000, seeds 0-3, 110-node sub-domains, overlap 2, tol
+    #: 1e-6): seed -> iterations of ``ddm-lu``'s ``solve`` and of its k = 4 ``solve_many``, right-hand sides
+    #: ``normal(size=(4, n))`` from the seed.  Equal on the native and the numpy body, and pinned exactly: a
+    #: linear preconditioner's counts do not wander, so a substitution that costs one fails here.
+    LU_SOLVE = {0: 21, 1: 21, 2: 24, 3: 20}
+    LU_SOLVE_MANY = {0: [21, 21, 21, 20], 1: [21, 22, 21, 22], 2: [24, 24, 24, 24], 3: [20, 21, 20, 20]}
+
+    @pytest.mark.parametrize("body", ["default", "numpy"])
+    def test_ddm_lu_iteration_counts_on_the_serve_operators(self, monkeypatch, body):
+        from repro.ddm import _native as ddm_native
+        from repro.serve import build_problem_from_spec
+
+        if body == "numpy":
+            monkeypatch.setattr(ddm_native, "_kernels", None)
+        expected_kernel = "numpy" if ddm_native.schwarz_kernels() is None else "native"
+        config = SolverConfig(preconditioner="ddm-lu", subdomain_size=110, overlap=2, tolerance=1e-6)
+        for seed in self.LU_SOLVE:
+            problem = build_problem_from_spec({"family": "poisson", "target_n": 1000, "element_size": 0.07,
+                                               "seed": seed})
+            session = prepare(problem, config)
+            rhs = np.random.default_rng(seed).normal(size=(4, problem.num_dofs))
+            single = session.solve(rhs[0])
+            block = session.solve_many(rhs, mode="fused")
+            assert single.converged and block.converged and single.info["kernel"] == expected_kernel
+            assert single.iterations == self.LU_SOLVE[seed], (seed, single.iterations)
+            assert [result.iterations for result in block.results] == self.LU_SOLVE_MANY[seed], seed
