@@ -36,7 +36,7 @@ Components:
 * :class:`~repro.serve.http.ServeHTTPServer` — stdlib HTTP front end
   (``python -m repro.serve``), JSON debug path + binary frame path;
   :class:`~repro.serve.client.ServeClient` is the matching client
-  (``solve`` / ``solve_binary``).
+  (``solve`` / ``solve_binary``; one kept-alive connection per thread).
 * :mod:`repro.serve.problems` — deterministic problem-spec resolution for
   HTTP requests.
 * :mod:`repro.serve.errors` — typed failures with stable codes

@@ -22,18 +22,25 @@ exponential backoff and deterministic jitter, honouring the server's
 request, 404, 500, 504 deadline) surface immediately as
 :class:`ServeClientError` with the server's stable error ``code``.
 
-Uses :mod:`urllib.request` only, so scripts and load generators need no
-third-party HTTP stack.
+Connections: each calling thread keeps one persistent HTTP/1.1
+:mod:`http.client` connection and sends every endpoint over it; the server
+closes idle ones, and a request that finds its reused connection closed
+before any response byte is re-sent once on a fresh one.  ``close()`` (or a
+``with`` block) releases them.  Standard library only, so scripts and load
+generators need no third-party HTTP stack.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
+import socket
+import threading
 import time
-import urllib.error
-import urllib.request
+import weakref
 from typing import Dict, Optional, Sequence, Tuple
+from urllib.parse import urlsplit
 
 __all__ = ["ServeClient", "ServeClientError"]
 
@@ -60,6 +67,21 @@ def _parse_error_payload(raw: bytes) -> Tuple[str, Optional[str], Optional[str]]
     return str(payload), None, None
 
 
+def _error_from_response(status: int, reason: str, headers,
+                         raw: bytes) -> "ServeClientError":
+    """The :class:`ServeClientError` of an error-status response."""
+    message, code, trace_id = _parse_error_payload(raw)
+    if trace_id is None:
+        trace_id = headers.get("X-Trace-Id")
+    retry_after = headers.get("Retry-After")
+    try:
+        retry_after_s = float(retry_after) if retry_after else None
+    except ValueError:
+        retry_after_s = None
+    return ServeClientError(status, message or str(reason), code=code,
+                            retry_after_s=retry_after_s, trace_id=trace_id)
+
+
 class ServeClientError(RuntimeError):
     """Raised when the server answers with an error payload or bad status.
 
@@ -82,43 +104,116 @@ class ServeClientError(RuntimeError):
         self.trace_id = trace_id
 
 
+class _Connection(http.client.HTTPConnection):
+    """A thread's kept-alive connection; closed when that thread ends or
+    the client is dropped, whichever frees it first."""
+
+    def __del__(self) -> None:
+        self.close()
+
+
 class ServeClient:
-    """Thin JSON client bound to one serve endpoint.
+    """Thin client bound to one serve endpoint.
+
+    Each calling thread keeps one persistent HTTP/1.1 connection and sends
+    every endpoint over it, so a request pays no TCP handshake and the
+    server no thread start.  The client is safe to share between threads;
+    :meth:`close` (or leaving a ``with`` block) closes every connection.
 
     ``retries`` bounds how many times a retryable failure (503, connection
     refused/reset) is retried per request; backoff sleeps
     ``backoff_s * 2**attempt`` plus deterministic jitter from ``seed``, or
-    the server's ``Retry-After`` when larger.
+    the server's ``Retry-After`` when larger.  A request that fails on a
+    *reused* connection before any response byte arrives (the server closed
+    it while idle) is re-sent once on a fresh connection, outside that
+    budget.
     """
 
     def __init__(self, base_url: str, timeout: float = 60.0, retries: int = 2,
                  backoff_s: float = 0.05, seed: int = 0) -> None:
         self.base_url = base_url.rstrip("/")
+        parts = urlsplit(self.base_url)
+        if parts.scheme != "http" or not parts.hostname:
+            raise ValueError(f"expected an http://host[:port] URL, got {base_url!r}")
+        self._netloc = parts.netloc
+        self._prefix = parts.path
         self.timeout = float(timeout)
         if retries < 0:
             raise ValueError("retries must be >= 0")
         self.retries = int(retries)
         self.backoff_s = float(backoff_s)
         self._jitter = random.Random(seed)
+        self._local = threading.local()
+        #: every live thread's connection, for close()
+        self._connections: "weakref.WeakSet[_Connection]" = weakref.WeakSet()
+        self._connections_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _error_from_http(error: urllib.error.HTTPError) -> ServeClientError:
-        message, code, trace_id = _parse_error_payload(error.read())
-        if trace_id is None:
-            trace_id = error.headers.get("X-Trace-Id")
-        retry_after = error.headers.get("Retry-After")
-        try:
-            retry_after_s = float(retry_after) if retry_after else None
-        except ValueError:
-            retry_after_s = None
-        return ServeClientError(error.code, message or str(error.reason),
-                                code=code, retry_after_s=retry_after_s,
-                                trace_id=trace_id)
+    def _connection(self) -> "_Connection":
+        """The calling thread's connection (created on its first request)."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = _Connection(self._netloc, timeout=self.timeout)
+            self._local.connection = connection
+            with self._connections_lock:
+                self._connections.add(connection)
+        return connection
+
+    def close(self) -> None:
+        """Close every thread's connection; a later request reconnects."""
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            connection.close()
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _exchange(self, method: str, path: str, body: Optional[bytes] = None,
+                  headers: Optional[Dict[str, str]] = None) -> bytes:
+        """One request/response on this thread's connection; the body bytes.
+
+        An error status raises :class:`ServeClientError` (the body parsed as
+        the server's structured error).  Any transport failure closes the
+        connection, so the next request starts on a fresh one.
+        """
+        resent = False
+        while True:
+            connection = self._connection()
+            reused = connection.sock is not None
+            try:
+                if not reused:
+                    connection.connect()
+                    # headers and body go out in two sends: do not let
+                    # Nagle hold the second one for the server's ACK
+                    connection.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                connection.request(method, self._prefix + path, body=body,
+                                   headers=headers or {})
+                response = connection.getresponse()
+            except (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError):
+                connection.close()
+                if reused and not resent:
+                    resent = True  # the server closed it while idle: nothing was served
+                    continue
+                raise
+            except BaseException:
+                connection.close()
+                raise
+            try:
+                data = response.read()
+            except BaseException:
+                connection.close()
+                raise
+            if response.status >= 400:
+                raise _error_from_response(response.status, response.reason,
+                                           response.headers, data)
+            return data
 
     def _request_once(self, path: str, payload: Optional[Dict],
                       retry_of: Optional[str] = None) -> Dict:
-        url = self.base_url + path
         data = None
         headers = {"Accept": "application/json"}
         if retry_of is not None:
@@ -127,12 +222,8 @@ class ServeClient:
         if payload is not None:
             data = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(url, data=data, headers=headers)
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                body = json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as error:
-            raise self._error_from_http(error) from None
+        body = json.loads(self._exchange("POST" if data is not None else "GET",
+                                         path, data, headers).decode("utf-8"))
         if isinstance(body, dict) and "error" in body:
             detail = body["error"]
             if isinstance(detail, dict):
@@ -159,16 +250,7 @@ class ServeClient:
         headers = {"Content-Type": CONTENT_TYPE, "Accept": CONTENT_TYPE}
         if retry_of is not None:
             headers["X-Retry-Of"] = retry_of
-        request = urllib.request.Request(
-            self.base_url + path,
-            data=frame_bytes,
-            headers=headers,
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return response.read()
-        except urllib.error.HTTPError as error:
-            raise self._error_from_http(error) from None
+        return self._exchange("POST", path, frame_bytes, headers)
 
     def _with_retries(self, attempt_fn):
         """The shared retry loop: 503 + connection errors, capped backoff.
@@ -188,8 +270,8 @@ class ServeClient:
                 delay = error.retry_after_s
                 if error.trace_id is not None:
                     retry_of = error.trace_id
-            except urllib.error.URLError:
-                # connection-level failure (refused, reset, DNS)
+            except (OSError, http.client.HTTPException):
+                # connection-level failure (refused, reset, timed out)
                 if attempt >= self.retries:
                     raise
                 delay = None
@@ -211,9 +293,7 @@ class ServeClient:
 
     def metrics(self) -> str:
         """Fetch ``GET /metrics`` (Prometheus text exposition, not JSON)."""
-        request = urllib.request.Request(self.base_url + "/metrics")
-        with urllib.request.urlopen(request, timeout=self.timeout) as response:
-            return response.read().decode("utf-8")
+        return self._exchange("GET", "/metrics").decode("utf-8")
 
     def solve(
         self,

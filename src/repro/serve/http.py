@@ -51,22 +51,31 @@ stable machine-readable ``code`` (see :mod:`repro.serve.errors`).  Overload
 exception details are never leaked unless the server was constructed with
 ``debug=True``.
 
-Built on :class:`http.server.ThreadingHTTPServer` — one thread per in-flight
-request, which is exactly what lets concurrent HTTP clients coalesce in the
-service's micro-batching queue.  This front end is deliberately dependency
-free; production deployments would put a real ASGI server in front of the
-same :class:`SolveService`.
+Connections are persistent HTTP/1.1: one handler thread per open connection
+(which is what lets concurrent HTTP clients coalesce in the service's
+micro-batching queue), serving request after request until the client
+closes it, it sits idle for :attr:`_Handler.timeout` seconds, or the server
+stops.  A response sent before its request body was read drains the body
+first (or, when the body's end is unknown or it is large, closes the
+connection), so the next request on the connection parses from its first
+byte.  ``TCP_NODELAY`` is set on every connection: a response goes out as
+two sends (headers, body), and with Nagle's algorithm the second waits for
+the client's delayed ACK — about 40 ms per request on a kept-alive
+connection.  This front end is deliberately dependency free; production
+deployments would put a real ASGI server in front of the same
+:class:`SolveService`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import socket
 import threading
 import time
 import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -81,10 +90,18 @@ __all__ = ["ServeHTTPServer"]
 #: content type of the Prometheus text exposition format
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
+#: an unread request body up to this size is drained before an early
+#: response; a larger one closes the connection instead
+_DRAIN_MAX_BYTES = 1 << 20
+
 
 class _Handler(BaseHTTPRequestHandler):
     # the service is attached to the server object by ServeHTTPServer
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    #: seconds a connection may wait for its next request (or stall inside
+    #: one) before the server closes it
+    timeout = 30.0
 
     @property
     def service(self) -> SolveService:
@@ -102,15 +119,50 @@ class _Handler(BaseHTTPRequestHandler):
         incoming = proto._clean_trace_id(self.headers.get("X-Trace-Id"))
         self._trace_id = incoming or obs_trace.new_trace_id()
         self._retry_of = proto._clean_trace_id(self.headers.get("X-Retry-Of"))
+        # the request body still on the wire; ``_body_error`` when its
+        # length is unknowable, and then the connection cannot be reused
+        raw_length = self.headers.get("Content-Length")
+        self._body_error = None
+        try:
+            self._unread = int(raw_length) if raw_length is not None else 0
+            if self._unread < 0:
+                raise ValueError
+        except ValueError:
+            self._unread = 0
+            self._body_error = f"malformed Content-Length {raw_length!r}"
+        if self._body_error is not None or "Transfer-Encoding" in self.headers:
+            self.close_connection = True
+
+    def _read_body(self) -> bytes:
+        """The request body (empty when it has none)."""
+        if self._body_error is not None:
+            raise InvalidRequest(self._body_error)
+        length, self._unread = self._unread, 0
+        return self.rfile.read(length) if length else b""
+
+    def _drain(self) -> None:
+        """Consume what is left of the body before an early response, so
+        the next request on this connection starts at its first byte."""
+        if self._unread > _DRAIN_MAX_BYTES:
+            self.close_connection = True
+        while self._unread and not self.close_connection:
+            chunk = self.rfile.read(min(self._unread, 1 << 16))
+            if not chunk:
+                self.close_connection = True
+            self._unread -= len(chunk)
 
     # -- helpers --------------------------------------------------------- #
     def _send_body(self, body: bytes, content_type: str, status: int = 200,
                    retry_after_s: Optional[float] = None) -> None:
         """Every response goes out through here, so every one carries the
-        ``X-Trace-Id`` header."""
+        ``X-Trace-Id`` header and leaves the connection at a request
+        boundary (or announces that it closes)."""
+        self._drain()
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         trace_id = getattr(self, "_trace_id", None)
         if trace_id is not None:
             self.send_header("X-Trace-Id", trace_id)
@@ -164,10 +216,9 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_error_json("internal", message, 500)
 
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0))
-        if length == 0:
+        raw = self._read_body()
+        if not raw:
             return {}
-        raw = self.rfile.read(length)
         payload = json.loads(raw.decode("utf-8"))
         if not isinstance(payload, dict):
             raise ValueError("request body must be a JSON object")
@@ -271,10 +322,10 @@ class _Handler(BaseHTTPRequestHandler):
                            iterations=int(result.iterations))
 
     def _read_frame(self) -> "proto.Frame":
-        length = int(self.headers.get("Content-Length", 0))
-        if length <= 0:
+        raw = self._read_body()
+        if not raw:
             raise InvalidRequest("binary request needs a non-empty body")
-        return proto.decode_frame(self.rfile.read(length))
+        return proto.decode_frame(raw)
 
     def _solve_binary(self) -> None:
         """The zero-copy path: raw f64 blocks both ways, errors stay JSON."""
@@ -366,6 +417,50 @@ class _Handler(BaseHTTPRequestHandler):
                            converged=[bool(r.converged) for r in results])
 
 
+class _ThreadingServer(ThreadingHTTPServer):
+    """One handler thread per connection, each tracked until it ends, so
+    :meth:`ServeHTTPServer.stop` can let go of every connection."""
+
+    block_on_close = False  # stop() joins the handlers itself, with a bound
+
+    def __init__(self, address, handler) -> None:
+        super().__init__(address, handler)
+        self._connections_lock = threading.Lock()
+        self.connections = {}  # open socket -> its handler thread
+        #: connections accepted since start
+        self.accepted = 0
+
+    def process_request(self, request, client_address) -> None:
+        thread = threading.Thread(
+            target=self.process_request_thread, args=(request, client_address),
+            name=f"repro-serve-http-{self.server_address[1]}-conn-{self.accepted}",
+            daemon=True)
+        with self._connections_lock:
+            self.accepted += 1
+            self.connections[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self.connections.pop(request, None)
+        super().shutdown_request(request)
+
+    def release_connections(self) -> List[threading.Thread]:
+        """Shut the read side of every open connection; their handlers.
+
+        A handler waiting for its connection's next request reads EOF and
+        ends; one answering a request still writes its response first.
+        """
+        with self._connections_lock:
+            open_connections = list(self.connections.items())
+        for connection, _ in open_connections:
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # the client closed it already
+        return [thread for _, thread in open_connections]
+
+
 class ServeHTTPServer:
     """A :class:`SolveService` behind a threading HTTP server.
 
@@ -382,8 +477,7 @@ class ServeHTTPServer:
     def __init__(self, service: SolveService, host: str = "127.0.0.1",
                  port: int = 8780, debug: bool = False) -> None:
         self.service = service
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        self._httpd.daemon_threads = True
+        self._httpd = _ThreadingServer((host, port), _Handler)
         self._httpd.service = service  # type: ignore[attr-defined]
         self._httpd.debug = bool(debug)  # type: ignore[attr-defined]
         self._thread: Optional[threading.Thread] = None
@@ -412,9 +506,23 @@ class ServeHTTPServer:
         """Serve on the calling thread (the CLI entry point)."""
         self._httpd.serve_forever()
 
+    @property
+    def connections_accepted(self) -> int:
+        """TCP connections accepted so far (a kept-alive client opens one)."""
+        return self._httpd.accepted
+
     def stop(self) -> None:
+        """Stop accepting, let go of every open connection, join handlers.
+
+        Nothing the server started outlives it: an idle kept-alive
+        connection would otherwise hold its handler thread — and through
+        it this server and its service — until the client disconnects.
+        """
         self._httpd.shutdown()
+        handlers = self._httpd.release_connections()
         self._httpd.server_close()
+        for thread in handlers:
+            thread.join(5.0)
         if self._thread is not None:
             self._thread.join(5.0)
             self._thread = None

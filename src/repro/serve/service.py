@@ -6,11 +6,15 @@ and each stage exists exactly once, in :class:`SolveService`:
 1. **admit** — closed check, problem/config resolution, deadline and vector
    validation (:func:`validate_vector`).  Malformed input raises
    :class:`~repro.serve.errors.InvalidRequest` synchronously, before
-   anything is enqueued.
+   anything is enqueued.  A problem spec and config given as plain dicts
+   (the HTTP paths) are resolved once per distinct pair — problem, config
+   and session key kept in an LRU of ``cache_capacity`` entries; the
+   deadline and every right-hand side are checked per request.
 2. **key** — :func:`repro.solvers.fingerprint.session_key` (problem bytes ×
    solver config × model/checkpoint content; the config hash covers the
    inference ``precision``, so a request can never be answered at a
-   precision it did not ask for), then the per-primary-key
+   precision it did not ask for; a config naming a checkpoint file re-hashes
+   per request, so a retrained file changes the key), then the per-primary-key
    :class:`~repro.serve.breaker.CircuitBreaker`: while it is open, a request
    whose config names a fallback ladder is rerouted onto the first rung (a
    distinct session key).
@@ -66,9 +70,10 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import json
 import threading
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
@@ -82,6 +87,7 @@ from ..obs import trace as obs_trace
 from ..obs.metrics import merge_snapshots
 from ..solvers.config import SolverConfig
 from ..solvers.fingerprint import session_key
+from ..solvers.registry import preconditioner_spec
 from ..solvers.session import SolverSession
 from .breaker import CircuitBreaker
 from .cache import SessionCache
@@ -134,7 +140,8 @@ class ServeConfig:
         same-session requests.  A batch without that evidence dispatches at
         once, so a lone client never pays it.
     cache_capacity:
-        LRU capacity of the prepared-session cache.
+        LRU capacity of the prepared-session cache, and of the memo of
+        resolved (problem spec, solver config) pairs.
     max_queue:
         Bound on each worker's queue.  A submit that would exceed it is shed
         with :class:`~repro.serve.errors.ServiceOverloaded` instead of
@@ -206,6 +213,27 @@ class ServeConfig:
                 f"unknown serve-config fields: {unknown} (known: {sorted(known)})"
             )
         return cls(**data)
+
+
+class _Resolved:
+    """A (problem, solver config) pair resolved for serving.
+
+    ``spec`` is the normalised problem spec (None for a directly passed
+    ``Problem``); ``key`` the session key, None when it must be recomputed
+    per request (a config that names a checkpoint file, whose content may
+    change).  ``route_meta`` is the executor's to fill on first use: what
+    it derives from the pair alone.
+    """
+
+    __slots__ = ("problem", "spec", "config", "key", "route_meta")
+
+    def __init__(self, problem: Problem, spec: Optional[Dict], config: SolverConfig,
+                 key: Optional[str]) -> None:
+        self.problem = problem
+        self.spec = spec
+        self.config = config
+        self.key = key
+        self.route_meta: Optional[Dict[str, object]] = None
 
 
 class _Ticket:
@@ -520,15 +548,14 @@ class ThreadExecutor:
         for worker in self._workers:
             worker.start()
 
-    def route(self, tickets: List[_Ticket], problem: Problem, spec: Optional[Dict],
-              config: SolverConfig) -> Dict[str, int]:
+    def route(self, tickets: List[_Ticket], request: _Resolved) -> Dict[str, int]:
         """Resolve the request's session (setup is paid here, synchronously,
-        on the first request for a key) and pin its tickets — all of one
-        key — to one worker thread.  ``spec`` is for executors that ship
-        the problem elsewhere."""
+        on the first request for a key — the only time ``request.problem``
+        and ``request.config`` are read) and pin its tickets — all of one
+        key — to one worker thread."""
         key = tickets[0].key
         session = self.sessions.get_or_create(
-            key, lambda: SolverSession(problem, config, model=self.model)
+            key, lambda: SolverSession(request.problem, request.config, model=self.model)
         )
         worker = self._workers[int(key[:8], 16) % len(self._workers)]
         for ticket in tickets:
@@ -594,6 +621,8 @@ class SolveService:
             preconditioner="ddm-lu"
         )
         self.problems = ProblemCache()
+        self._resolutions: "OrderedDict[str, _Resolved]" = OrderedDict()
+        self._resolutions_lock = threading.Lock()
         self.metrics = ServeMetrics()
         self._closed = False
         self._close_lock = threading.Lock()
@@ -635,6 +664,38 @@ class SolveService:
         if isinstance(solver_config, dict):
             return SolverConfig.from_dict(solver_config)
         return solver_config
+
+    def _resolve_request(self, problem, solver_config) -> _Resolved:
+        """Resolve ``(problem, solver_config)``, once per distinct pair.
+
+        A spec dict (or None) with a config dict (or None) — every HTTP
+        request — is memoised under the pair's canonical JSON in an LRU of
+        ``cache_capacity`` entries.  An assembled ``Problem`` or a
+        ``SolverConfig`` object is not JSON, and is resolved per call.
+        """
+        try:
+            memo_key = json.dumps([problem, solver_config], sort_keys=True)
+        except (TypeError, ValueError):
+            memo_key = None
+        if memo_key is not None:
+            with self._resolutions_lock:
+                resolved = self._resolutions.get(memo_key)
+                if resolved is not None:
+                    self._resolutions.move_to_end(memo_key)
+                    return resolved
+        assembled, spec = self._resolve_problem(problem)
+        config = self._resolve_config(solver_config)
+        key = None
+        if not (config.checkpoint and self.model is None
+                and preconditioner_spec(config.preconditioner).needs_model):
+            key = session_key(assembled, config, self.model)
+        resolved = _Resolved(assembled, spec, config, key)
+        if memo_key is not None:
+            with self._resolutions_lock:
+                self._resolutions[memo_key] = resolved
+                while len(self._resolutions) > self.config.cache_capacity:
+                    self._resolutions.popitem(last=False)
+        return resolved
 
     # -- circuit breakers ------------------------------------------------ #
     def _breaker_for(self, key: str) -> CircuitBreaker:
@@ -734,8 +795,7 @@ class SolveService:
         caller_span = obs_trace.current_span()
         route_start = time.perf_counter()
         try:
-            resolved, spec = self._resolve_problem(problem)
-            config = self._resolve_config(solver_config)
+            resolved = self._resolve_request(problem, solver_config)
         except InvalidRequest:
             raise
         except (TypeError, ValueError, KeyError) as error:
@@ -744,8 +804,9 @@ class SolveService:
             deadline_ms = self.config.default_deadline_ms
         elif deadline_ms <= 0:
             raise InvalidRequest(f"deadline_ms must be positive, got {deadline_ms!r}")
+        num_dofs = resolved.problem.num_dofs
         if B is None:
-            columns = [validate_vector("right-hand side", b, resolved.num_dofs)]
+            columns = [validate_vector("right-hand side", b, num_dofs)]
         else:
             try:
                 B = np.asarray(B, dtype=np.float64)
@@ -754,13 +815,14 @@ class SolveService:
             if B.ndim != 2 or B.shape[1] < 1:
                 raise InvalidRequest(f"'B' must be a 2-D (n, k) block, got shape {B.shape}")
             columns = [validate_vector(f"right-hand side column {j}",
-                                       np.ascontiguousarray(B[:, j]), resolved.num_dofs)
+                                       np.ascontiguousarray(B[:, j]), num_dofs)
                        for j in range(B.shape[1])]
-        x0 = validate_vector("initial guess", x0, resolved.num_dofs)
+        x0 = validate_vector("initial guess", x0, num_dofs)
 
         # key
-        key = session_key(resolved, config, self.model)
-        use_config, use_key, rerouted = config, key, False
+        config = resolved.config
+        key = resolved.key or session_key(resolved.problem, config, self.model)
+        use_key, rerouted = key, False
         if config.fallback and not self._breaker_for(key).allow_primary():
             # breaker open: skip the failing primary entirely and serve
             # from the first fallback rung's (cached) session
@@ -769,7 +831,8 @@ class SolveService:
                 preconditioner=config.fallback[0],
                 fallback=list(config.fallback[1:]),
             )
-            use_key = session_key(resolved, use_config, self.model)
+            use_key = session_key(resolved.problem, use_config, self.model)
+            resolved = _Resolved(resolved.problem, resolved.spec, use_config, use_key)
             rerouted = True
             if caller_span is not None:
                 caller_span.add_event(
@@ -786,7 +849,7 @@ class SolveService:
 
         # route + execute
         try:
-            where = self._executor.route(tickets, resolved, spec, use_config)
+            where = self._executor.route(tickets, resolved)
             enqueued_at = time.perf_counter()
             for ticket in tickets:
                 ticket.enqueued_at = enqueued_at

@@ -30,9 +30,11 @@ and settle are the base class's, run once per request in the front process:
   micro-batching, bounded queues + shedding) and trusts the frame: it does
   not validate, hash, consult a breaker or run a reaper again, it only drops
   tickets whose frame-carried deadline has already passed when it dequeues
-  them.  The front process adds a per-shard in-flight cap and a supervisor
-  that **restarts a dead worker** and fails its in-flight futures with the
-  typed :class:`~repro.serve.errors.WorkerCrashed`.
+  them.  It resolves the frame's spec and config only to build a session
+  (:class:`_FrameRequest`), so a session-cache hit resolves nothing.  The
+  front process adds a per-shard in-flight cap and a supervisor that
+  **restarts a dead worker** and fails its in-flight futures with the typed
+  :class:`~repro.serve.errors.WorkerCrashed`.
 
 Supervision model: the per-shard receiver thread blocks on the worker's
 pipe; a worker that exits (or is ``kill -9``-ed) closes its end, the
@@ -81,7 +83,7 @@ from .proto import (
     extract_trace_meta,
     make_trace_meta,
 )
-from .service import ServeConfig, SolveService, ThreadExecutor, _resolve, _Ticket
+from .service import ServeConfig, SolveService, ThreadExecutor, _resolve, _Resolved, _Ticket
 
 __all__ = ["ShardConfig", "ShardedSolveService", "ProcessExecutor", "build_ring", "route"]
 
@@ -241,6 +243,34 @@ def _finished_trace(root: Optional[obs_trace.Span]) -> Optional[Dict[str, object
         return None
 
 
+class _FrameRequest:
+    """A solve frame's problem and solver config, resolved when first read.
+
+    :meth:`~repro.serve.service.ThreadExecutor.route` reads them only to
+    build a session, so a session-cache hit never resolves the spec or
+    parses the config: it goes from decode straight to the queue.
+    """
+
+    def __init__(self, meta: Dict[str, object], installed: Dict[str, Problem],
+                 spec_problems: ProblemCache) -> None:
+        self._meta = meta
+        self._installed = installed
+        self._spec_problems = spec_problems
+
+    @property
+    def problem(self) -> Problem:
+        ref = self._meta.get("problem_ref")
+        if ref is None:
+            return self._spec_problems.resolve(self._meta.get("problem_spec"))
+        if ref not in self._installed:
+            raise InvalidRequest(f"problem {ref[:12]}… is not installed on this worker")
+        return self._installed[ref]
+
+    @property
+    def config(self) -> SolverConfig:
+        return SolverConfig.from_dict(self._meta["config"])
+
+
 def _shard_worker_main(conn, bootstrap: Dict[str, object]) -> None:
     """Worker entry point: serve binary frames from the parent pipe.
 
@@ -329,14 +359,6 @@ def _shard_worker_main(conn, bootstrap: Dict[str, object]) -> None:
         if frame.kind == "solve":
             req_ids = meta.get("req_ids") or [None]
             try:
-                ref = meta.get("problem_ref")
-                if ref is None:
-                    problem = spec_problems.resolve(meta.get("problem_spec"))
-                elif ref in problems:
-                    problem = problems[ref]
-                else:
-                    raise InvalidRequest(
-                        f"problem {ref[:12]}… is not installed on this worker")
                 block = frame.arrays.get("B")
                 columns = ([frame.arrays.get("b")] if block is None else
                            [np.ascontiguousarray(block[:, j]) for j in range(block.shape[1])])
@@ -363,8 +385,7 @@ def _shard_worker_main(conn, bootstrap: Dict[str, object]) -> None:
                     ticket.req_id = ticket_id
                     tickets.append(ticket)
                 with obs_trace.use_span(tickets[0].span):
-                    executor.route(tickets, problem, None,
-                                   SolverConfig.from_dict(meta["config"]))
+                    executor.route(tickets, _FrameRequest(meta, problems, spec_problems))
                 enqueued_at = time.perf_counter()
                 for ticket in tickets:
                     ticket.enqueued_at = enqueued_at
@@ -665,18 +686,22 @@ class ProcessExecutor:
                 shard.installed.add(fingerprint)
         return fingerprint
 
-    def route(self, tickets: List[_Ticket], problem: Problem, spec: Optional[Dict],
-              config: SolverConfig) -> Dict[str, int]:
+    def route(self, tickets: List[_Ticket], request: _Resolved) -> Dict[str, int]:
         """Pick the owning shard of the request's key, make sure it can
-        resolve the problem, and give every ticket its own ``req_id``."""
+        resolve the problem, and give every ticket its own ``req_id``.
+        The frame meta's spec and config dict are derived once per
+        resolved pair."""
         shard = self.shards[route(self._ring, tickets[0].key)]
         if shard.dead:
             raise WorkerCrashed(shard.dead_reason or f"worker {shard.slot} is down")
+        if request.route_meta is None:
+            request.route_meta = {"problem_spec": request.spec,
+                                  "config": request.config.to_dict()}
         meta = {
             "key": tickets[0].key,
-            "problem_spec": spec,
-            "problem_ref": self._ensure_installed(shard, problem) if spec is None else None,
-            "config": config.to_dict(),
+            "problem_ref": (self._ensure_installed(shard, request.problem)
+                            if request.spec is None else None),
+            **request.route_meta,
         }
         for ticket in tickets:
             ticket.slot, ticket.meta = shard, meta

@@ -754,3 +754,221 @@ class TestHTTP:
         with pytest.raises(ServeClientError) as excinfo:
             client._request("/nope")
         assert excinfo.value.status == 404
+
+
+# --------------------------------------------------------------------------- #
+# kept-alive connections: one per client thread, released by stop()
+# --------------------------------------------------------------------------- #
+HTTP_SPEC = {"family": "poisson", "target_n": 150, "seed": 4}
+HTTP_CONFIG = {"preconditioner": "ddm-lu", "subdomain_size": 80, "tolerance": 1e-8}
+
+
+def _handler_threads(server):
+    """The server's live connection-handler threads."""
+    prefix = f"repro-serve-http-{server.address[1]}-conn-"
+    return [thread for thread in threading.enumerate() if thread.name.startswith(prefix)]
+
+
+class TestKeepAlive:
+    @pytest.fixture()
+    def server(self):
+        service = SolveService(ServeConfig(workers=1))
+        server = ServeHTTPServer(service, port=0).start()
+        yield server
+        server.stop()
+        service.close()
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        problem = build_problem_from_spec(HTTP_SPEC)
+        b = np.random.default_rng(8).normal(size=problem.num_dofs)
+        return b, prepare(problem, SolverConfig.from_dict(HTTP_CONFIG)).solve(b).solution
+
+    def test_early_404_drains_the_body(self, server, reference):
+        """A 404 sent before the body was read must not leave the body on
+        the wire: the next requests on the connection parse cleanly."""
+        import http.client
+        import json
+
+        from repro.serve import decode_frame, encode_frame
+        from repro.serve.proto import CONTENT_TYPE
+
+        b, want = reference
+        connection = http.client.HTTPConnection(*server.address, timeout=60)
+        try:
+            connection.request("POST", "/nope", body=b"x" * 5000,
+                               headers={"Content-Type": "application/json"})
+            response = connection.getresponse()
+            assert response.status == 404
+            assert json.loads(response.read())["error"]["code"] == "not_found"
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["status"] == "ok"
+            frame = encode_frame("solve", {"problem": HTTP_SPEC, "config": HTTP_CONFIG}, {"b": b})
+            connection.request("POST", "/solve", body=frame,
+                               headers={"Content-Type": CONTENT_TYPE})
+            response = connection.getresponse()
+            assert response.status == 200
+            solution = decode_frame(response.read()).arrays["solution"]
+            assert solution.tobytes() == want.tobytes()
+        finally:
+            connection.close()
+        assert server.connections_accepted == 1
+
+    def test_bad_content_length_answers_json_400_and_closes(self, server):
+        import json
+        import socket
+
+        with socket.create_connection(server.address, timeout=30) as sock:
+            sock.sendall(b"POST /solve HTTP/1.1\r\nHost: test\r\n"
+                         b"Content-Type: application/json\r\nContent-Length: 12x\r\n\r\n{}")
+            raw = b""
+            while True:  # the server closes the connection after answering
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                raw += chunk
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400")
+        assert b"Connection: close" in head
+        assert json.loads(body)["error"]["code"] == "invalid_request"
+
+    def test_one_connection_per_client_thread(self, server, reference):
+        b, want = reference
+        with ServeClient(server.url) as client:
+            for _ in range(5):
+                response = client.solve_binary(problem=HTTP_SPEC, b=b, config=HTTP_CONFIG)
+                assert response["solution"].tobytes() == want.tobytes()
+            client.healthz()
+            client.stats()
+            assert "repro_serve" in client.metrics()
+        assert server.connections_accepted == 1
+
+    def test_idle_close_is_survived_without_retries(self, server, reference, monkeypatch):
+        """The server closes a connection idle past its timeout; the next
+        request finds it closed before any response byte and is re-sent
+        once on a fresh one — outside a zero retry budget."""
+        from repro.serve.http import _Handler
+
+        monkeypatch.setattr(_Handler, "timeout", 0.2)
+        b, want = reference
+        with ServeClient(server.url, retries=0) as client:
+            assert client.healthz()["status"] == "ok"
+            deadline = time.monotonic() + 10.0
+            while _handler_threads(server) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _handler_threads(server), "the idle connection was never closed"
+            response = client.solve_binary(problem=HTTP_SPEC, b=b, config=HTTP_CONFIG)
+            assert response["solution"].tobytes() == want.tobytes()
+        assert server.connections_accepted == 2
+
+    def test_close_releases_the_connection(self, server):
+        with ServeClient(server.url) as client:
+            client.healthz()
+            assert len(_handler_threads(server)) == 1
+        deadline = time.monotonic() + 10.0
+        while _handler_threads(server) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _handler_threads(server)
+
+    def test_stopped_server_lets_go_of_its_connections(self):
+        """Kept-alive connections must not keep handler threads — and
+        through them the service — alive past stop() and close()."""
+        import gc
+        import weakref
+
+        service = SolveService(ServeConfig(workers=1))
+        server = ServeHTTPServer(service, port=0).start()
+        client = ServeClient(server.url)
+        answered, release = threading.Barrier(4, timeout=30), threading.Event()
+
+        def caller():  # a live thread keeps its connection open
+            client.healthz()
+            answered.wait()
+            release.wait(30)
+
+        threads = [threading.Thread(target=caller) for _ in range(3)]
+        for thread in threads:
+            thread.start()
+        try:
+            client.healthz()
+            answered.wait()
+            assert len(_handler_threads(server)) == 4   # idle, waiting on their clients
+            server.stop()
+            assert not _handler_threads(server)
+        finally:
+            release.set()
+            for thread in threads:
+                thread.join(30)
+            client.close()
+            service.close()
+        assert not any(thread.is_alive() for thread in threads)
+        alive = weakref.ref(service)
+        del service, server
+        gc.collect()
+        assert alive() is None
+
+
+# --------------------------------------------------------------------------- #
+# the resolution memo: each distinct (spec, config) pair resolved once
+# --------------------------------------------------------------------------- #
+class TestResolutionMemo:
+    def test_memo_yields_the_session_key(self):
+        with SolveService(ServeConfig(workers=1)) as service:
+            first = service._resolve_request(HTTP_SPEC, HTTP_CONFIG)
+            assert service._resolve_request(dict(HTTP_SPEC), dict(HTTP_CONFIG)) is first
+            want = session_key(build_problem_from_spec(HTTP_SPEC),
+                               SolverConfig.from_dict(HTTP_CONFIG))
+            assert first.key == want
+            service.solve(HTTP_SPEC, solver_config=HTTP_CONFIG)
+            assert want in service.sessions
+
+    def test_memo_is_bounded_by_cache_capacity(self):
+        with SolveService(ServeConfig(workers=1, cache_capacity=2)) as service:
+            for seed in range(5):
+                service._resolve_request(dict(HTTP_SPEC, seed=seed, target_n=40), None)
+                assert len(service._resolutions) <= 2
+            assert len(service._resolutions) == 2
+
+    def test_invalid_rhs_still_checked_on_a_memo_hit(self):
+        with SolveService(ServeConfig(workers=1)) as service:
+            n = service.solve(HTTP_SPEC, solver_config=HTTP_CONFIG).solution.size
+            for bad in (np.ones(n + 1), np.full(n, np.nan)):
+                with pytest.raises(InvalidRequest):
+                    service.submit(HTTP_SPEC, b=bad, solver_config=HTTP_CONFIG)
+            with pytest.raises(InvalidRequest):
+                service.submit(HTTP_SPEC, solver_config=HTTP_CONFIG, deadline_ms=-1)
+
+    def test_breaker_reroute_on_a_memo_hit(self):
+        config = dict(HTTP_CONFIG, fallback=["ddm-jacobi"])
+        with SolveService(ServeConfig(workers=1, breaker_failures=1)) as service:
+            assert "breaker_rerouted" not in service.solve(HTTP_SPEC, solver_config=config).info
+            key = service._resolve_request(HTTP_SPEC, config).key
+            service._breaker_for(key).record_failure()        # open it
+            rerouted = service.solve(HTTP_SPEC, solver_config=config)
+            assert rerouted.info["breaker_rerouted"] is True
+            problem = build_problem_from_spec(HTTP_SPEC)
+            rung = SolverConfig.from_dict(dict(config, preconditioner="ddm-jacobi", fallback=[]))
+            assert session_key(problem, rung) in service.sessions
+            assert np.array_equal(rerouted.solution, prepare(problem, rung).solve().solution)
+
+    def test_checkpoint_content_is_checked_per_request(self, tmp_path, tiny_dss_model):
+        """A retrained checkpoint saved over the same path changes the key."""
+        from repro.gnn import DSS, DSSConfig
+        from repro.gnn.checkpoint import save_checkpoint
+
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, tiny_dss_model)
+        config = {"preconditioner": "ddm-gnn", "checkpoint": str(path), "subdomain_size": 80,
+                  "tolerance": 1e-2, "max_iterations": 3}
+        problem = build_problem_from_spec(HTTP_SPEC)
+        with SolveService(ServeConfig(workers=1)) as service:
+            service.solve(HTTP_SPEC, solver_config=config)
+            before = session_key(problem, SolverConfig.from_dict(config))
+            assert before in service.sessions
+            save_checkpoint(path, DSS(DSSConfig(num_iterations=3, latent_dim=4, seed=7)))
+            service.solve(HTTP_SPEC, solver_config=config)
+            after = session_key(problem, SolverConfig.from_dict(config))
+            assert after != before
+            assert after in service.sessions

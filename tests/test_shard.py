@@ -38,13 +38,14 @@ from repro.serve import (
     ShardedSolveService,
     SolveService,
     WorkerCrashed,
+    build_problem_from_spec,
     decode_frame,
     encode_frame,
     error_from_code,
 )
 from repro.serve.proto import CONTENT_TYPE, MAGIC
 from repro.serve.shard import build_ring, route
-from repro.solvers import SolverConfig, session_key
+from repro.solvers import SolverConfig, prepare, session_key
 
 DDM_LU = SolverConfig(preconditioner="ddm-lu", tolerance=1e-8)
 SPEC = {"family": "poisson", "target_n": 300, "seed": 1}
@@ -682,6 +683,47 @@ class TestBinaryHTTP:
             urllib.request.urlopen(request, timeout=30)
         assert excinfo.value.code == 400
 
+    def test_twenty_solves_share_one_connection(self, stack):
+        server, _ = stack
+        problem = build_problem_from_spec(SPEC)
+        session = prepare(problem, DDM_LU)
+        pool = np.random.default_rng(9).standard_normal((4, problem.num_dofs))
+        before = server.connections_accepted
+        with ServeClient(server.url, timeout=120.0) as client:
+            for i in range(20):
+                response = client.solve_binary(problem=SPEC, b=pool[i % 4])
+                assert response["solution"].tobytes() == \
+                    session.solve(pool[i % 4]).solution.tobytes()
+        assert server.connections_accepted - before == 1
+
+    def test_six_threads_share_one_client(self, stack):
+        server, _ = stack
+        problem = build_problem_from_spec(SPEC)
+        session = prepare(problem, DDM_LU)
+        pool = np.random.default_rng(10).standard_normal((6, problem.num_dofs))
+        want = [session.solve(b).solution for b in pool]
+        answers = []
+        before = server.connections_accepted
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)   # interleave the threads' client calls
+        try:
+            with ServeClient(server.url, timeout=120.0) as client:
+                def caller(tid):
+                    for _ in range(3):
+                        response = client.solve_binary(problem=SPEC, b=pool[tid])
+                        answers.append(response["solution"].tobytes() == want[tid].tobytes())
+
+                threads = [threading.Thread(target=caller, args=(t,)) for t in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(120)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert answers == [True] * 18
+        assert server.connections_accepted - before == 6
+
     def test_proto_counters_split_json_and_binary(self, stack):
         server, client = stack
         before = client.stats()["proto"]
@@ -690,3 +732,60 @@ class TestBinaryHTTP:
         after = client.stats()["proto"]
         assert after["binary"] == before["binary"] + 1
         assert after["json"] == before["json"] + 1
+
+
+# --------------------------------------------------------------------------- #
+# the worker resolves a request's spec and config only to build its session
+# --------------------------------------------------------------------------- #
+class TestWorkerResolution:
+    def test_session_hit_resolves_nothing(self, monkeypatch):
+        import multiprocessing as mp
+
+        from repro.serve.problems import ProblemCache
+
+        if "fork" not in mp.get_all_start_methods():
+            pytest.skip("counting inside a worker needs fork")
+        counts = mp.get_context("fork").RawArray("i", 2)   # shared with the workers
+        front = os.getpid()
+        resolve, from_dict = ProblemCache.resolve, SolverConfig.from_dict.__func__
+
+        def counting_resolve(self, spec):
+            if os.getpid() != front:
+                counts[0] += 1
+            return resolve(self, spec)
+
+        def counting_from_dict(cls, data):
+            if os.getpid() != front:
+                counts[1] += 1
+            return from_dict(cls, data)
+
+        monkeypatch.setattr(ProblemCache, "resolve", counting_resolve)
+        monkeypatch.setattr(SolverConfig, "from_dict", classmethod(counting_from_dict))
+        problem = build_problem_from_spec(SPEC)
+        session = prepare(problem, DDM_LU)
+        pool = np.random.default_rng(11).standard_normal((4, problem.num_dofs))
+        config = DDM_LU.to_dict()
+        service = ShardedSolveService(
+            ServeConfig(workers=1), default_solver_config=DDM_LU,
+            shard_config=ShardConfig(workers=1, start_method="fork"))
+        try:
+            service.solve(SPEC, pool[0], solver_config=config)      # the worker's cache miss
+            assert counts[0] == 1 and counts[1] >= 1
+            after_miss = list(counts)
+            for b in pool:
+                result = service.solve(SPEC, b, solver_config=config)
+                assert result.solution.tobytes() == session.solve(b).solution.tobytes()
+            assert list(counts) == after_miss
+
+            # a restarted worker starts with an empty cache and still resolves
+            pid = service.pids()[0]
+            os.kill(pid, signal.SIGKILL)
+            deadline = time.monotonic() + 30.0
+            while service.pids()[0] in (pid, None) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert service.pids()[0] != pid
+            result = service.solve(SPEC, pool[1], solver_config=config, timeout=60)
+            assert result.solution.tobytes() == session.solve(pool[1]).solution.tobytes()
+            assert counts[0] == after_miss[0] + 1
+        finally:
+            service.close()
