@@ -9,10 +9,11 @@ can be changed through environment variables without touching the code:
 ``REPRO_BENCH_EPOCHS``
     Number of epochs used when a DSS model has to be (re)trained by a bench.
 
-The DSS model used by the solver benches is loaded from
-``benchmarks/artifacts/dss_k20_d10.npz`` (produced by ``examples/train_dss.py``
-or by a previous bench run); if the artifact is missing a model is trained on
-the spot with the scaled-down recipe and cached there.
+The DSS model used by the solver benches is loaded from the versioned
+checkpoint ``benchmarks/artifacts/dss_k20_d10.ckpt.npz`` (written by a previous
+bench run); if the artifact is missing a model is trained on the spot with the
+scaled-down recipe and cached there.  ``--checkpoint`` points the benches at
+any other checkpoint, e.g. one written by ``examples/train_dss.py``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from repro.core import generate_dataset
 from repro.gnn import DSS, DSSConfig, DSSTrainer, TrainingConfig
-from repro.gnn.checkpoint import CheckpointError, load_model
+from repro.gnn.checkpoint import load_model, save_checkpoint
 from repro.gnn.training import evaluate_model
 
 ARTIFACT_DIR = Path(__file__).resolve().parent / "artifacts"
@@ -39,7 +40,7 @@ HET_CHECKPOINT_ENV = "REPRO_BENCH_HET_CHECKPOINT"
 
 #: configuration of the reference pretrained model used by the solver benches
 PRETRAINED_CONFIG = DSSConfig(num_iterations=20, latent_dim=10, alpha=0.1, seed=0)
-PRETRAINED_PATH = ARTIFACT_DIR / "dss_k20_d10.npz"
+PRETRAINED_PATH = ARTIFACT_DIR / "dss_k20_d10.ckpt.npz"
 
 #: reference model for the heterogeneous (variable-coefficient) benches —
 #: same architecture, trained on equilibrated checkerboard-κ local problems.
@@ -49,7 +50,7 @@ PRETRAINED_PATH = ARTIFACT_DIR / "dss_k20_d10.npz"
 #: residual 0.049 vs 0.032, non-convergent at 1e-6); pass edge_attr_dim=4,
 #: node_input_dim=2 to explore them at larger budgets.
 HETEROGENEOUS_CONFIG = DSSConfig(num_iterations=20, latent_dim=10, alpha=0.1, seed=0)
-HETEROGENEOUS_PATH = ARTIFACT_DIR / "dss_het_k20_d10.npz"
+HETEROGENEOUS_PATH = ARTIFACT_DIR / "dss_het_k20_d10.ckpt.npz"
 #: training recipe proven to reach 1e-6 on checkerboard contrast 1e4
 HET_ELEMENT_SIZE = 0.08
 HET_SUBDOMAIN_SIZE = 110
@@ -185,39 +186,23 @@ def train_model(
     return model
 
 
-def _model_from_checkpoint(path: Path, fallback_config: DSSConfig) -> DSS:
-    """Load a model from a versioned checkpoint, or a legacy weights-only file.
-
-    Versioned checkpoints (``repro.gnn.checkpoint``) are self-describing —
-    the architecture comes from the embedded config; legacy flat ``.npz``
-    files are assumed to match ``fallback_config``.
-    """
-    try:
-        return load_model(path)
-    except CheckpointError:
-        model = DSS(fallback_config)
-        model.load(str(path))
-        model.eval()
-        return model
-
-
 def get_pretrained_model(checkpoint: Optional[str] = None) -> DSS:
     """The reference DSS model used by the solver benches.
 
     An explicit ``checkpoint`` path (or the ``REPRO_BENCH_CHECKPOINT``
-    environment variable — how the CI perf-smoke job injects its cached,
-    experiment-harness-trained artifact) takes precedence.  Otherwise the
-    cached artifact is loaded when present, or a model is trained with the
-    scaled-down recipe and stored so later benches (and examples) reuse it.
+    environment variable, which the ``--checkpoint`` pytest option sets)
+    takes precedence.  Otherwise the cached artifact is loaded when present,
+    or a model is trained with the scaled-down recipe and stored so later
+    benches (and examples) reuse it.  Every path is a versioned checkpoint:
+    a legacy weights-only file raises
+    :class:`~repro.gnn.checkpoint.CheckpointError`.
     """
     checkpoint = checkpoint or os.environ.get(CHECKPOINT_ENV)
     if checkpoint:
-        return _model_from_checkpoint(Path(checkpoint), PRETRAINED_CONFIG)
-    model = DSS(PRETRAINED_CONFIG)
+        return load_model(checkpoint)
     if PRETRAINED_PATH.exists():
-        model.load(str(PRETRAINED_PATH))
-        model.eval()
-        return model
+        return load_model(PRETRAINED_PATH)
+    model = DSS(PRETRAINED_CONFIG)
     dataset = get_bench_dataset()
     trainer = DSSTrainer(
         model,
@@ -232,7 +217,7 @@ def get_pretrained_model(checkpoint: Optional[str] = None) -> DSS:
     )
     trainer.fit(dataset.train[: bench_scale().train_samples], dataset.validation[:60], verbose=False)
     model.eval()
-    model.save(str(PRETRAINED_PATH))
+    save_checkpoint(PRETRAINED_PATH, model)
     return model
 
 
@@ -248,12 +233,10 @@ def get_heterogeneous_model(checkpoint: Optional[str] = None) -> DSS:
     """
     checkpoint = checkpoint or os.environ.get(HET_CHECKPOINT_ENV)
     if checkpoint:
-        return _model_from_checkpoint(Path(checkpoint), HETEROGENEOUS_CONFIG)
-    model = DSS(HETEROGENEOUS_CONFIG)
+        return load_model(checkpoint)
     if HETEROGENEOUS_PATH.exists():
-        model.load(str(HETEROGENEOUS_PATH))
-        model.eval()
-        return model
+        return load_model(HETEROGENEOUS_PATH)
+    model = DSS(HETEROGENEOUS_CONFIG)
     rng = np.random.default_rng(0)
     dataset = generate_dataset(
         num_global_problems=4,
@@ -277,7 +260,7 @@ def get_heterogeneous_model(checkpoint: Optional[str] = None) -> DSS:
     )
     trainer.fit(dataset.train, dataset.validation[:40], verbose=False)
     model.eval()
-    model.save(str(HETEROGENEOUS_PATH))
+    save_checkpoint(HETEROGENEOUS_PATH, model)
     return model
 
 

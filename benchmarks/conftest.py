@@ -35,7 +35,7 @@ def pytest_addoption(parser):
 
 def pytest_configure(config):
     # delivered through the environment so `common.py` stays import-order
-    # agnostic (it is also used by the plain argparse benches)
+    # agnostic (the examples import it outside pytest too)
     checkpoint = config.getoption("--checkpoint", default=None)
     het_checkpoint = config.getoption("--het-checkpoint", default=None)
     if checkpoint:

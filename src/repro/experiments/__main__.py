@@ -8,9 +8,8 @@ Sub-commands::
               pipeline (resumes from an existing matching checkpoint)
 
     hash  --spec spec.json [--full]
-              print the spec's config hash (the artifact directory name and
-              the CI cache key) and exit — used by the workflow to key
-              ``actions/cache`` before anything is trained
+              print the spec's config hash (the artifact directory name, usable
+              as a cache key) and exit before anything is trained
 
     show  --spec spec.json
               print the resolved spec, its hash and artifact paths
@@ -34,42 +33,6 @@ def _add_spec_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--spec", type=Path, required=True, help="path to the experiment spec JSON")
 
 
-def _show_march_records(bench_path: Path) -> None:
-    """Print the amortised time-marching records from ``BENCH_perf.json``.
-
-    ``benchmarks/bench_march.py`` appends records whose ``solver`` starts with
-    ``march`` (e.g. ``march-ddm-lu``); this renders their steps-aware summary
-    the same way :meth:`MarchResult.summary` does, so ``repro.experiments
-    show`` surfaces the amortised per-step cost next to the other bench
-    artifacts.
-    """
-    if not bench_path.exists():
-        return
-    try:
-        payload = json.loads(bench_path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, OSError):
-        return
-    records = [
-        r for r in payload.get("records", [])
-        if str(r.get("solver", "")).startswith("march")
-    ]
-    if not records:
-        return
-    print("\ntime marching (amortized per step):")
-    for record in records:
-        line = (
-            f"  {record.get('solver', '?'):<14} n={record.get('n', '?'):<6} "
-            f"steps={record.get('steps', '?'):<4} "
-            f"{float(record.get('step_ms_p50', float('nan'))):8.3f} ms/step"
-        )
-        speedup = record.get("amortized_speedup")
-        if speedup is not None:
-            line += f"  ({float(speedup):.1f}x vs fresh prepare+solve)"
-        if record.get("bit_identical") is True:
-            line += "  [bit-identical]"
-        print(line)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
@@ -86,7 +49,7 @@ def main(argv=None) -> int:
     run.add_argument("--skip-bench", action="store_true", help="stop after training + metrics")
     run.add_argument("--quiet", action="store_true", help="suppress progress output")
 
-    hash_cmd = sub.add_parser("hash", help="print the spec's config hash (CI cache key)")
+    hash_cmd = sub.add_parser("hash", help="print the spec's config hash (the artifact directory name)")
     _add_spec_argument(hash_cmd)
     hash_cmd.add_argument("--full", action="store_true", help="print the full 64-char digest")
 
@@ -139,16 +102,12 @@ def main(argv=None) -> int:
         print(f"checkpoint  : {harness.checkpoint_path}"
               + ("  (exists)" if harness.checkpoint_path.exists() else "  (not trained yet)"))
         print("\nbench artifacts:")
-        repo_root = Path(__file__).resolve().parents[3]
         for label, path in (
             ("run bench   ", harness.artifact_dir / "bench.json"),
             ("run report  ", harness.artifact_dir / "report.md"),
-            ("perf bench  ", repo_root / "BENCH_perf.json"),
-            ("serve bench ", repo_root / "BENCH_serve.json"),
         ):
             status = "exists" if path.exists() else "missing"
             print(f"  {label}: {path}  ({status})")
-        _show_march_records(repo_root / "BENCH_perf.json")
         return 0
 
     harness = ExperimentHarness(spec, artifacts_root=args.artifacts_root)

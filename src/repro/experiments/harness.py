@@ -8,7 +8,7 @@ directory::
         spec.json         the resolved spec + full config hash
         checkpoint.npz    versioned model+trainer checkpoint (repro.gnn.checkpoint)
         metrics.json      test-set metrics + per-epoch training history
-        bench.json        solver records (same schema as benchmarks/bench_perf.py)
+        bench.json        per-solver setup / apply / iteration / re-solve records
         events.jsonl      convergence telemetry of the bench solves
                           (repro.obs events; inspect with ``python -m repro.obs``)
         report.md         human-readable summary of all of the above
@@ -16,8 +16,8 @@ directory::
 Runs are resumable and cache-friendly: an existing checkpoint whose embedded
 spec hash matches is picked up where it left off (training continues from the
 saved epoch, bit-matching an uninterrupted run), and a checkpoint already at
-the target epoch count skips training entirely — which is what lets CI
-restore the artifact from ``actions/cache`` and go straight to benching.
+the target epoch count skips training entirely — so a restored artifact
+directory goes straight to benching.
 """
 
 from __future__ import annotations
@@ -210,7 +210,7 @@ class ExperimentHarness:
         return model, trainer, 0
 
     def _bench(self, model: DSS, say) -> List[Dict]:
-        """Per-solver setup/apply/iteration records, bench_perf-compatible.
+        """Per-solver setup/apply/iteration records (``bench.json``).
 
         Sessions are built through ``spec.solver_config`` — the same code
         path the benchmarks use — and benched on two axes: the classical

@@ -20,8 +20,8 @@ Every field that influences the trained artifact (dataset recipe, model
 architecture, training hyper-parameters, seed) feeds the spec's
 ``config_hash``; cosmetic fields (``name``) and bench-only fields do not, so
 re-benching the same model never invalidates a cached checkpoint.  The hash
-is the directory name under which all artifacts of the run live — and the
-``actions/cache`` key CI uses to reuse trained checkpoints across pushes.
+is the directory name under which all artifacts of the run live, and a
+cache key that reuses a trained checkpoint until its recipe changes.
 """
 
 from __future__ import annotations
@@ -112,10 +112,10 @@ class ExperimentSpec:
     def solver_config(self, preconditioner: str, krylov: str = "cg") -> SolverConfig:
         """The :class:`~repro.solvers.config.SolverConfig` this spec benches with.
 
-        This is the single construction path shared with the benchmark
-        harnesses: ``prepare(problem, spec.solver_config(kind), model=...)``
-        builds the same session whether the caller is the experiment harness,
-        ``bench_perf.py`` or an ad-hoc script.
+        This is the single construction path:
+        ``prepare(problem, spec.solver_config(kind), model=...)`` builds the
+        same session whether the caller is the experiment harness or an
+        ad-hoc script.
         """
         return SolverConfig(
             preconditioner=preconditioner,
@@ -140,7 +140,7 @@ class ExperimentSpec:
 
     @property
     def short_hash(self) -> str:
-        """First 12 hex chars — the artifact directory name and CI cache key."""
+        """First 12 hex chars — the artifact directory name."""
         return self.config_hash[:12]
 
     # -- (de)serialisation ----------------------------------------------------

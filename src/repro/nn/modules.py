@@ -98,26 +98,6 @@ class Module:
                 raise ValueError(f"shape mismatch for '{name}': {value.shape} vs {param.data.shape}")
             param.data[...] = value
 
-    def save(self, path: str) -> None:
-        """Save parameters to a flat ``.npz`` file (weights only).
-
-        This is the legacy weight format kept for the committed bench
-        artifacts; new code should prefer :mod:`repro.gnn.checkpoint`, which
-        adds a schema-versioned header, the model/optimizer/trainer state and
-        a config hash in a single file.
-        """
-        np.savez(path, **self.state_dict())
-
-    def load(self, path: str) -> None:
-        """Load parameters from an ``.npz`` produced by :meth:`save` — or from
-        a versioned :mod:`repro.gnn.checkpoint` file, whose model parameters
-        are stored under a ``model/`` key prefix next to the JSON header."""
-        with np.load(path) as data:
-            state = {k: data[k] for k in data.files}
-        if any(k.startswith("model/") for k in state):
-            state = {k[len("model/"):]: v for k, v in state.items() if k.startswith("model/")}
-        self.load_state_dict(state)
-
     # -- call protocol ----------------------------------------------------------
     def forward(self, *args, **kwargs):  # pragma: no cover - abstract
         raise NotImplementedError

@@ -14,7 +14,7 @@ Design constraints, in priority order:
    disabled (the default), every instrumentation point reduces to one module
    attribute read and returns a shared no-op span — no allocation, no
    ``ContextVar`` lookup.  This is what keeps the ≤2% ``resolve_ms_p50``
-   overhead gate honest (``check_perf.py --obs-overhead``).
+   overhead gate honest (``benchmarks/check_obs_overhead.py``).
 2. **Never perturb the payload.**  Spans observe; they do not touch result
    bytes, session keys, or the Krylov guard order.  Mutating methods only
    append to lists (atomic under the GIL), so concurrent writers (worker

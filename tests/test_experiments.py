@@ -1,10 +1,8 @@
-"""Tests of the experiment harness (repro.experiments) and the perf gate."""
+"""Tests of the experiment harness (repro.experiments)."""
 
 from __future__ import annotations
 
 import json
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +12,6 @@ from repro.core import generate_dataset
 from repro.experiments import ExperimentHarness, ExperimentSpec
 from repro.experiments.__main__ import main as experiments_main
 from repro.gnn import DSS, DSSTrainer, load_checkpoint
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: smallest spec that exercises every pipeline stage in a couple of seconds
 TINY_SPEC = dict(
@@ -194,56 +190,3 @@ class TestCLI:
         out = capsys.readouterr().out
         assert ExperimentSpec.from_dict(TINY_SPEC).short_hash in out
         assert "tiny" in out
-
-
-# --------------------------------------------------------------------------- #
-# perf-regression gate (benchmarks/check_perf.py)
-# --------------------------------------------------------------------------- #
-class TestCheckPerf:
-    def _payload(self, apply_ms: float, total_s: float) -> dict:
-        return {
-            "records": [
-                {"solver": solver, "n": 800, "K": 7, "setup_s": 0.1,
-                 "apply_ms_p50": apply_ms * factor, "iters": 10, "total_s": total_s * factor}
-                for solver, factor in (("ic0", 1.0), ("ddm-lu", 0.5), ("ddm-gnn", 20.0))
-            ]
-        }
-
-    def _run_gate(self, tmp_path, fresh: dict, baseline: dict, *extra: str):
-        fresh_path = tmp_path / "fresh.json"
-        baseline_path = tmp_path / "baseline.json"
-        fresh_path.write_text(json.dumps(fresh))
-        baseline_path.write_text(json.dumps(baseline))
-        return subprocess.run(
-            [sys.executable, str(REPO_ROOT / "benchmarks" / "check_perf.py"),
-             "--fresh", str(fresh_path), "--baseline", str(baseline_path), *extra],
-            capture_output=True, text=True,
-        )
-
-    def test_identical_runs_pass(self, tmp_path):
-        payload = self._payload(1.0, 0.1)
-        result = self._run_gate(tmp_path, payload, payload)
-        assert result.returncode == 0, result.stdout + result.stderr
-
-    def test_uniform_machine_slowdown_passes(self, tmp_path):
-        """3x slower hardware must not trip the gate (normalisation)."""
-        result = self._run_gate(tmp_path, self._payload(3.0, 0.3), self._payload(1.0, 0.1))
-        assert result.returncode == 0, result.stdout + result.stderr
-
-    def test_single_solver_regression_fails(self, tmp_path):
-        fresh = self._payload(1.0, 0.1)
-        for record in fresh["records"]:
-            if record["solver"] == "ddm-gnn":
-                record["apply_ms_p50"] *= 5.0
-        result = self._run_gate(tmp_path, fresh, self._payload(1.0, 0.1))
-        assert result.returncode == 1
-        assert "REGRESSION" in result.stdout
-        assert "ddm-gnn" in result.stdout
-
-    def test_threshold_flag_respected(self, tmp_path):
-        fresh = self._payload(1.0, 0.1)
-        for record in fresh["records"]:
-            if record["solver"] == "ddm-gnn":
-                record["apply_ms_p50"] *= 5.0
-        result = self._run_gate(tmp_path, fresh, self._payload(1.0, 0.1), "--threshold", "50")
-        assert result.returncode == 0, result.stdout + result.stderr

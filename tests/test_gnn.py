@@ -18,8 +18,10 @@ from repro.gnn import (
     TrainingConfig,
     evaluate_model,
     graph_from_mesh,
+    load_model,
     relative_error,
     residual_loss,
+    save_checkpoint,
 )
 from repro.gnn.mpnn import Decoder, DSSBlock
 from repro.mesh import structured_rectangle_mesh
@@ -234,10 +236,9 @@ class TestDSS:
 
     def test_save_load_roundtrip(self, tiny_dss_model, tmp_path):
         g = _toy_graph()
-        path = str(tmp_path / "dss.npz")
-        tiny_dss_model.save(path)
-        clone = DSS(tiny_dss_model.config)
-        clone.load(path)
+        path = tmp_path / "dss.npz"
+        save_checkpoint(path, tiny_dss_model)
+        clone = load_model(path)
         assert np.allclose(clone.predict(g), tiny_dss_model.predict(g))
 
     def test_invalid_config(self):

@@ -351,6 +351,9 @@ class TestShardedService:
             assert result.solution.tobytes() == expected.solution.tobytes()
             assert result.residual_history == expected.residual_history
             assert "shard" in result.info
+        # seeds 0-2 route to both shards: sharding that serialises through
+        # one worker fails here, with no stopwatch
+        assert {result.info["shard"] for result in got} == {0, 1}
 
     def test_direct_problem_installs_via_shared_memory(self, sharded_service,
                                                        random_problem):

@@ -459,8 +459,8 @@ class TestPrecision:
     def test_f32_iteration_drift_within_gate(self, random_problem,
                                              manufactured_problem, trained_dss_model,
                                              problem_fixture):
-        """f32 inference may cost iterations, but no more than the +20% the
-        perf gate (benchmarks/check_perf.py) enforces on the benchmark records."""
+        """f32 inference may cost iterations, but no more than +20% over f64:
+        this test is the repo's gate on f32 iteration drift."""
         problem = (
             random_problem if problem_fixture == "random_problem"
             else manufactured_problem[0]
