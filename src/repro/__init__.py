@@ -2,7 +2,7 @@
 
 The package is organised bottom-up (see DESIGN.md):
 
-* :mod:`repro.nn` — NumPy autodiff + neural-network substrate (PyTorch substitute);
+* :mod:`repro.nn` — NumPy neural-network substrate on plain arrays (PyTorch substitute);
 * :mod:`repro.mesh` — random-domain generation and unstructured triangulation (GMSH substitute);
 * :mod:`repro.fem` — P1 finite elements for Poisson and variable-coefficient
   diffusion with mixed Dirichlet/Neumann/Robin boundary conditions;

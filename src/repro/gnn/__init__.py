@@ -8,16 +8,17 @@ Public surface:
   :func:`~repro.gnn.graph.graph_from_mesh` — graph-structured local problems.
 * :class:`~repro.gnn.batch.GraphBatch` — disjoint-union batching.
 * :class:`~repro.gnn.infer.EdgeLayout` — the destination-sorted edges and
-  the one edge pass (and its VJP) every forward, differentiable or
-  compiled, runs on.
+  the one edge pass (and its VJP) every forward, training or compiled,
+  runs on.
 * :class:`~repro.gnn.batch.BatchPlan`,
   :class:`~repro.gnn.infer.InferencePlan` — precompiled iteration-time fast
   path (``DSS.compile_plan`` / ``DSS.infer``).
 * :class:`~repro.gnn.mpnn.DSSBlock`, :class:`~repro.gnn.mpnn.Decoder` —
-  message-passing building blocks (a block is one tape primitive with a
-  hand-written VJP, ``block(latent, node_input, edges)``).
+  message-passing building blocks; ``block(latent, node_input, edges)``
+  returns the new latent state and its hand-written backward.
 * :func:`~repro.gnn.loss.residual_loss`, :func:`~repro.gnn.loss.relative_error`
-  — the physics-informed loss and metrics.
+  — the physics-informed loss and metrics; :class:`~repro.gnn.loss.TrainingLoss`
+  — what ``DSS.training_loss`` returns (``.item()``, ``.backward()``).
 * :class:`~repro.gnn.training.DSSTrainer`,
   :class:`~repro.gnn.training.TrainingConfig`,
   :func:`~repro.gnn.training.evaluate_model` — training pipeline.

@@ -18,17 +18,16 @@ of 500–2000 nodes with a model trained on 1000-node sub-domains.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
 from ..nn.modules import Module
-from ..nn.tensor import Tensor, no_grad
 from .batch import BatchPlan, GraphBatch, _pad_columns
 from .graph import GraphProblem
 from .infer import EdgeLayout, InferencePlan
-from .loss import residual_loss
-from .mpnn import Decoder, DSSBlock
+from .loss import TrainingLoss
+from .mpnn import Decoder, DSSBlock, Forward
 
 __all__ = ["DSSConfig", "DSS"]
 
@@ -94,34 +93,35 @@ class DSS(Module):
     # ------------------------------------------------------------------ #
     # forward passes
     # ------------------------------------------------------------------ #
+    def _blocks(self, problem: Union[GraphProblem, GraphBatch, BatchPlan]) -> Iterator[Forward]:
+        """The block chain, one block at a time: yields ``(H_k, backward_k)`` for k = 1 … k̄.
+
+        The edge layout is built once here, and its constructor rejects an
+        edge id outside ``[0, n)`` before any kernel reads one.
+        """
+        num_nodes = problem.num_nodes
+        edges = EdgeLayout(problem.edge_index, self._prepare_edge_attr(problem.edge_attr), num_nodes)
+        node_input = self._prepare_node_input(problem)
+        latent = np.zeros((num_nodes, self.config.latent_dim))
+        for block in self.blocks:
+            latent, backward = block(latent, node_input, edges)
+            yield latent, backward
+
     def forward(
         self,
         problem: Union[GraphProblem, GraphBatch, BatchPlan],
         return_intermediate: bool = False,
-    ) -> Union[Tensor, List[Tensor]]:
+    ) -> Union[np.ndarray, List[np.ndarray]]:
         """Run the full iterative architecture on a graph (or batch of graphs).
 
         Returns the final decoded state (n, 1), or the list of all k̄
-        intermediate decoded states when ``return_intermediate`` is True
-        (needed by the training loss, Eq. 23).  This is the one
-        differentiable forward: each block is a single tape primitive (see
-        :mod:`repro.gnn.mpnn`) on the edge layout built once here, whose
-        constructor rejects an edge id outside ``[0, n)`` before any kernel
-        reads one; under ``no_grad`` the same code runs and records nothing.
+        intermediate decoded states when ``return_intermediate`` is True.
+        This is the one forward: :meth:`training_loss` runs the same blocks
+        and decoders and keeps the backward each returns, prediction drops it.
         """
-        num_nodes = problem.num_nodes
-        edges = EdgeLayout(problem.edge_index, self._prepare_edge_attr(problem.edge_attr), num_nodes)
-        node_input = Tensor(self._prepare_node_input(problem))
-
-        latent = Tensor(np.zeros((num_nodes, self.config.latent_dim)))
-        outputs: List[Tensor] = []
-        for block, decoder in zip(self.blocks, self.decoders):
-            latent = block(latent, node_input, edges)
-            if return_intermediate:
-                outputs.append(decoder(latent))
-        if return_intermediate:
-            return outputs
-        return self.decoders[-1](latent)
+        decoded = [self.decoders[k](latent)[0] for k, (latent, _) in enumerate(self._blocks(problem))
+                   if return_intermediate or k == self.config.num_iterations - 1]
+        return decoded if return_intermediate else decoded[0]
 
     # ------------------------------------------------------------------ #
     # feature preparation (κ-aware ↔ κ-unaware interoperability)
@@ -149,10 +149,8 @@ class DSS(Module):
     # convenience inference / training helpers
     # ------------------------------------------------------------------ #
     def predict(self, problem: Union[GraphProblem, GraphBatch, BatchPlan]) -> np.ndarray:
-        """:meth:`forward` under ``no_grad`` (nothing recorded or retained); returns a flat array."""
-        with no_grad():
-            out = self.forward(problem, return_intermediate=False)
-        return out.numpy().ravel()
+        """:meth:`forward`'s final decoded state as a flat array."""
+        return self.forward(problem).ravel()
 
     def predict_batched(self, graphs: Sequence[GraphProblem], batch_size: Optional[int] = None) -> List[np.ndarray]:
         """Solve many local problems, batching them ``batch_size`` at a time.
@@ -217,13 +215,18 @@ class DSS(Module):
         """
         return plan.run_columns(plan.load_source_columns(sources))
 
-    def training_loss(self, problem: Union[GraphProblem, GraphBatch]) -> Tensor:
-        """Sum of the residual losses of all intermediate states (paper Eq. 23)."""
-        intermediates = self.forward(problem, return_intermediate=True)
-        total = residual_loss(intermediates[0], problem)
-        for out in intermediates[1:]:
-            total = total + residual_loss(out, problem)
-        return total
+    def training_loss(self, problem: Union[GraphProblem, GraphBatch]) -> TrainingLoss:
+        """Sum of the residual losses of all intermediate states (paper Eq. 23).
+
+        Runs the forward once, keeping each block's and decoder's backward;
+        ``.item()`` is the value, ``.backward()`` adds every parameter's
+        gradient to its ``.grad`` (see :class:`~repro.gnn.loss.TrainingLoss`).
+        """
+        loss = TrainingLoss(problem)
+        for (latent, block_backward), decoder in zip(self._blocks(problem), self.decoders):
+            decoded, decoder_backward = decoder(latent)
+            loss.add(decoded, decoder_backward, block_backward)
+        return loss
 
     # ------------------------------------------------------------------ #
     def summary(self) -> str:

@@ -1,11 +1,12 @@
 """Allocation-free DSS inference engine: one folded forward for every plan.
 
-``DSS.forward`` — the differentiable forward, also what ``DSS.predict`` runs
-under ``no_grad`` — evaluates each block on freshly allocated arrays from the
-model's current weights.  Inside a Krylov solve the same batch of sub-domain
-graphs is evaluated hundreds of times with only the per-node source changing
-and the weights frozen, so every allocation, every weight-only product and
-every term that depends on the fixed edge attributes alone is invariant.
+``DSS.forward`` — the one forward of prediction and training, what
+``DSS.predict`` and ``DSS.training_loss`` run — evaluates each block on
+freshly allocated arrays from the model's current weights.  Inside a Krylov
+solve the same batch of sub-domain graphs is evaluated hundreds of times with
+only the per-node source changing and the weights frozen, so every
+allocation, every weight-only product and every term that depends on the
+fixed edge attributes alone is invariant.
 
 :class:`InferencePlan` binds a structural :class:`~repro.gnn.batch.BatchPlan`
 to one model and runs **one** forward (:meth:`InferencePlan._forward`) for
@@ -55,7 +56,7 @@ exists to move fewer bytes per sweep; all of it is fixed at compile time:
   accumulated onto it; the ResNet update is a ``beta=1`` GEMM straight onto
   the latent state.
 
-The differentiable forward shares all of it but the compile-time staging:
+The training forward shares all of it but the compile-time staging:
 :meth:`repro.gnn.mpnn.DSSBlock.forward` builds the same projections, calls
 the same :meth:`EdgeLayout.edge_pass` (``k = 1``, float64, on a layout built
 once per ``DSS.forward``) and folds both output layers into ``ψ`` in the same
@@ -104,7 +105,6 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 import scipy.sparse as sp
 
-from ..nn.functional import relu_
 from ._native import edge_kernels
 from .batch import BatchPlan, GraphBatch, MessageOperators, message_operators
 
@@ -112,6 +112,12 @@ __all__ = ["EdgeLayout", "InferencePlan"]
 
 #: dtypes of the supported plan precisions
 PRECISION_DTYPES = {"f64": np.float64, "f32": np.float32}
+
+
+def relu_(x: np.ndarray) -> np.ndarray:
+    """In-place rectified linear unit on a raw array (this engine's and the block's ReLU)."""
+    np.maximum(x, 0.0, out=x)
+    return x
 
 
 def _validated_csr_matvecs():
@@ -409,26 +415,11 @@ class _Buffers:
         return self._edge
 
 
-def _check_compilable(mlp) -> None:
-    """The model's one architecture check: single-hidden-layer ReLU MLPs.
-
-    The paper's architecture (Sec. III-B) and the only one the block
-    primitive of :mod:`repro.gnn.mpnn` and the folds below are written for.
-    """
-    if len(mlp.layers) != 2 or mlp.activation != "relu" or mlp.final_activation != "none":
-        raise NotImplementedError(
-            "the DSS forward (differentiable and compiled alike) supports the paper's "
-            "single-hidden-layer ReLU MLPs only (Sec. III-B)"
-        )
-
-
 def _weight(layer) -> np.ndarray:
     return np.asarray(layer.weight.data, dtype=np.float64)
 
 
 def _bias(layer) -> np.ndarray:
-    if layer.bias is None:
-        return np.zeros(layer.weight.data.shape[0])
     return np.asarray(layer.bias.data, dtype=np.float64)
 
 
@@ -482,7 +473,6 @@ class InferencePlan:
             self._compile_block(block, node_features, indegree) for block in model.blocks
         ]
         decoder = model.decoders[-1].mlp
-        _check_compilable(decoder)
         self.compiled_decoder = _CompiledDecoder(
             w1_T=self._stage(_weight(decoder.layers[0]).T),
             b1=self._stage(_bias(decoder.layers[0])),
@@ -505,8 +495,6 @@ class InferencePlan:
         """Fold one block's weights (in float64, cast once) — see the module docstring."""
         d, ni = self.latent_dim, self.node_input_dim
         phis = (block.phi_forward, block.phi_backward)
-        for mlp in (*phis, block.psi):
-            _check_compilable(mlp)
         hidden = [_weight(phi.layers[0]) for phi in phis]          # (d, 2d+|e|) each
         # the backward direction sees sign-reversed relative positions
         attr_sign = np.ones(hidden[0].shape[1] - 2 * d)

@@ -3,42 +3,84 @@
 ``L_res(u, G) = 1/n Σ_i ( −c_i + Σ_j a_ij u_j )²``
 
 The loss is evaluated with the *local* sparse operator of each graph (or the
-block-diagonal operator of a batch), differentiable through the autodiff
-engine's sparse matvec.  No ground-truth solutions are needed, which is what
-lets the dataset be harvested directly from PCG iterations.
+block-diagonal operator of a batch); its gradient is ``∂L/∂u = Aᵀ (2/n · r)``,
+one transposed SpMV.  No ground-truth solutions are needed, which is what lets
+the dataset be harvested directly from PCG iterations.  :class:`TrainingLoss`
+sums it over every decoded state of one forward (Eq. 23) and runs the
+backward of that forward.
 """
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Callable, List, Tuple, Union
 
 import numpy as np
+import scipy.sparse as sp
 
-from ..nn.functional import sparse_matvec
-from ..nn.tensor import Tensor
 from .batch import GraphBatch
 from .graph import GraphProblem
 
-__all__ = ["residual_loss", "relative_error"]
+__all__ = ["residual_loss", "relative_error", "TrainingLoss"]
 
 
-def residual_loss(prediction: Tensor, problem: Union[GraphProblem, GraphBatch]) -> Tensor:
-    """Mean-squared residual of a predicted state on a graph problem or a batch.
-
-    ``prediction`` has shape (n, 1) or (n,); the result is a scalar tensor.
-    """
+def _operator(problem) -> Tuple[sp.csr_matrix, np.ndarray]:
+    """``(A, c)`` of Eq. 11: a graph's matrix, a batch's block-diagonal one, or the ``matrix`` of any other view."""
     if isinstance(problem, GraphBatch):
         matrix = problem.block_diagonal_matrix()
-        target = problem.source
     else:
-        if problem.matrix is None:
+        matrix = getattr(problem, "matrix", None)
+        if matrix is None:
             raise ValueError("graph problem carries no matrix; cannot evaluate the residual loss")
-        matrix = problem.matrix
-        target = problem.source
+    if not (sp.issparse(matrix) and matrix.format == "csr"):
+        matrix = matrix.tocsr()
+    return matrix, problem.source
 
-    flat = prediction.reshape(prediction.shape[0]) if prediction.ndim == 2 else prediction
-    residual = sparse_matvec(matrix, flat) - Tensor(target)
-    return (residual * residual).mean()
+
+def _mean_square(residual: np.ndarray) -> float:
+    return (residual * residual).sum() * (1.0 / residual.size)
+
+
+def residual_loss(prediction: np.ndarray, problem: Union[GraphProblem, GraphBatch]) -> float:
+    """Mean-squared residual of a predicted state (shape (n, 1) or (n,)) on a graph problem or a batch."""
+    matrix, target = _operator(problem)
+    return float(_mean_square(matrix @ np.reshape(prediction, -1) - target))
+
+
+class TrainingLoss:
+    """Eq. 23 over one forward: the sum of every decoded state's Eq. 11 loss.
+
+    :meth:`add` takes each block's decoded state with the backward of its
+    decoder and of its block, in forward order; :meth:`backward` then walks
+    them in reverse — decoder, Eq. 11 gradient, and the sum of the decoder's
+    and the next block's latent cotangent into this block's backward —
+    adding every parameter's gradient to its ``.grad``, and releases them.
+    """
+
+    def __init__(self, problem) -> None:
+        self._matrix, self._target = _operator(problem)
+        self._value = 0.0
+        self._steps: List[Tuple[np.ndarray, Callable, Callable]] = []
+
+    def add(self, decoded: np.ndarray, decoder_backward: Callable, block_backward: Callable) -> None:
+        residual = self._matrix @ decoded.reshape(-1) - self._target
+        self._value += _mean_square(residual)
+        self._steps.append((residual, decoder_backward, block_backward))
+
+    def item(self) -> float:
+        return float(self._value)
+
+    def backward(self) -> None:
+        if self._steps is None:
+            raise RuntimeError("backward() already ran on this loss; its forward was released")
+        steps, self._steps = self._steps, None
+        g_latent = None
+        while steps:
+            residual, decoder_backward, block_backward = steps.pop()
+            g_decoded = self._matrix.T @ (residual * (2.0 / residual.size))
+            g = decoder_backward(g_decoded.reshape(-1, 1))
+            if g_latent is not None:
+                g += g_latent
+            g_latent = block_backward(g)
 
 
 def relative_error(prediction: np.ndarray, exact: np.ndarray) -> float:

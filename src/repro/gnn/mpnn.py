@@ -13,11 +13,11 @@ All MLPs have a single hidden layer whose width equals the latent dimension
 ``d``; this reproduces exactly the parameter counts of the paper's Table II
 (e.g. k̄=30, d=10 → 37 530 weights).
 
-**One block is one tape primitive.**  :meth:`DSSBlock.forward` evaluates the
-block on raw arrays with the operators of the inference engine
-(:mod:`repro.gnn.infer`) and records a single tape node whose hand-written
-vector-Jacobian product returns the cotangents of the latent state and all
-twelve parameters in one call:
+**One block, one hand-written backward.**  :meth:`DSSBlock.forward` evaluates
+the block on raw arrays with the operators of the inference engine
+(:mod:`repro.gnn.infer`) and returns, beside the new latent state, its
+vector-Jacobian product: one call that adds the cotangents of all twelve
+parameters to their ``.grad`` and returns the latent state's.  The forward:
 
 * the hidden edge layer ``W₁ [h_dst | h_src | e] + b₁`` is split along its
   weight column blocks, both directions stacked ``[fwd | bwd]``: two ``n``-row
@@ -38,21 +38,22 @@ The VJP maps ``g_M`` and ``g_v`` back to ``Ψ₁``, ``W₂`` and ``b₂`` throug
 ``d × 2d`` products and hands ``g_A`` to :meth:`EdgeLayout.edge_vjp`, one
 sweep over the same edges that recomputes each pre-activation.  Between the
 two passes a block keeps ``H``, the projections ``P``, ``A`` and ``ψ``'s
-hidden layer ``h`` — ``n``-row arrays only.  Under ``no_grad`` nothing is
-recorded or retained.  DESIGN.md ("The training forward") writes both passes
-out.
+hidden layer ``h`` — ``n``-row arrays only, referenced by the backward and
+freed with it: prediction drops it at once.  DESIGN.md ("The training
+forward") writes both passes out.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from ..nn.functional import relu_
 from ..nn.modules import MLP, Module
-from ..nn.tensor import Tensor
-from .infer import EdgeLayout, _check_compilable
+from .infer import EdgeLayout, relu_
+
+#: what a forward returns: the output and its backward (output cotangent -> input cotangent)
+Forward = Tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]
 
 __all__ = ["DSSBlock", "Decoder"]
 
@@ -85,12 +86,12 @@ class DSSBlock(Module):
         d = self.latent_dim
         edge_in = 2 * d + self.edge_attr_dim      # h_dst, h_src, (dx, dy, ||d||, extras)
         update_in = 3 * d + self.node_input_dim   # h, c (+ node extras), phi_fwd, phi_bwd
-        self.phi_forward = MLP(edge_in, [d], d, activation="relu", rng=rng)
-        self.phi_backward = MLP(edge_in, [d], d, activation="relu", rng=rng)
-        self.psi = MLP(update_in, [d], d, activation="relu", rng=rng)
+        self.phi_forward = MLP(edge_in, d, d, rng=rng)
+        self.phi_backward = MLP(edge_in, d, d, rng=rng)
+        self.psi = MLP(update_in, d, d, rng=rng)
 
-    def forward(self, latent: Tensor, node_input: Tensor, edges: EdgeLayout) -> Tensor:
-        """Advance the latent state by one message-passing iteration.
+    def forward(self, latent: np.ndarray, node_input: np.ndarray, edges: EdgeLayout) -> Forward:
+        """Advance the latent state by one message-passing iteration: ``(H', backward)``.
 
         Parameters
         ----------
@@ -107,6 +108,9 @@ class DSSBlock(Module):
             destination node, plus optional extra columns — built once per
             problem and shared by all blocks.
 
+        ``backward(g)`` takes ``g = ∂L/∂H'``, adds the twelve parameter
+        cotangents to their ``.grad`` and returns ``∂L/∂H``.
+
         A graph of two nodes joined by the edges ``0 → 1`` and ``1 → 0``, with
         weights set so that a message is its source's latent state and ``Ψ``
         passes the aggregated forward messages through — each node ends with
@@ -120,21 +124,22 @@ class DSSBlock(Module):
         >>> block.psi.layers[0].weight.data[0, 2] = 1.0           # ψ reads agg_fwd
         >>> block.psi.layers[1].weight.data[0, 0] = 1.0
         >>> edges = EdgeLayout(np.array([[0, 1], [1, 0]]), np.zeros((2, 3)), num_nodes=2)
-        >>> latent = Tensor(np.array([[2.0], [5.0]]))
-        >>> block(latent, Tensor(np.zeros((2, 1))), edges).numpy()
+        >>> out, backward = block(np.array([[2.0], [5.0]]), np.zeros((2, 1)), edges)
+        >>> out
         array([[4.5],
                [6. ]])
+        >>> backward(np.array([[1.0], [0.0]]))                      # ∂H'₀/∂H: itself, and α of node 1
+        array([[1. ],
+               [0.5]])
+        >>> float(block.psi.layers[0].weight.grad[0, 2])          # ∂H'₀/∂Ψ₁ = α · agg_fwd₀ = 0.5 · 5
+        2.5
         """
-        mlps = (self.phi_forward, self.phi_backward, self.psi)
-        for mlp in mlps:
-            _check_compilable(mlp)
-        params = [p for mlp in mlps for layer in mlp.layers for p in (layer.weight, layer.bias)]
+        params = self.parameters()
         w1_fwd, b1_fwd, w2_fwd, b2_fwd, w1_bwd, b1_bwd, w2_bwd, b2_bwd, p1, pb1, p2, pb2 = (
             p.data for p in params
         )
-        h, c, deg = latent.data, node_input.data, edges.indegree
+        h, c, deg = latent, node_input, edges.indegree
         n, d, ni, alpha = h.shape[0], self.latent_dim, self.node_input_dim, self.alpha
-        record = latent._needs_graph(*params)
 
         # both directions' hidden layers stacked [fwd ; bwd]; the backward
         # direction sees sign-reversed relative positions, folded into its
@@ -164,11 +169,9 @@ class DSSBlock(Module):
         out = hidden @ (alpha * p2).T                            # the damped ResNet update
         out += h
         out += alpha * pb2
-        if not record:
-            return Tensor(out)
 
-        def vjp(g: np.ndarray):
-            """Cotangents of ``(latent, *params)``: the forward's operators, transposed."""
+        def backward(g: np.ndarray) -> np.ndarray:
+            """The forward's operators, transposed: parameter cotangents into ``.grad``, the latent's returned."""
             g_update = alpha * g
             g_hidden = (g_update @ p2) * (hidden > 0.0)
             g_fold, g_v = g_hidden.T @ agg, deg @ g_hidden       # (d, 2d), (d,)
@@ -181,15 +184,17 @@ class DSSBlock(Module):
             g_latent += g
             g_psi_fwd = g_fold[:, :d] @ w2_fwd.T + np.outer(g_v, b2_fwd)
             g_psi_bwd = g_fold[:, d:] @ w2_bwd.T + np.outer(g_v, b2_bwd)
-            return (
-                g_latent,
+            grads = (
                 g_w1[:d], g_b1[:d], psi_fwd.T @ g_fold[:, :d], psi_fwd.T @ g_v,
                 g_w1[d:] * flip, g_b1[d:], psi_bwd.T @ g_fold[:, d:], psi_bwd.T @ g_v,
                 np.hstack([g_hidden.T @ h, g_hidden.T @ c, g_psi_fwd, g_psi_bwd]), _column_sums(g_hidden),
                 g_update.T @ hidden, _column_sums(g_update),
             )
+            for p, grad in zip(params, grads):
+                p.accumulate(grad)
+            return g_latent
 
-        return Tensor._make(out, (latent, *params), vjp=vjp)
+        return out, backward
 
 
 class Decoder(Module):
@@ -198,7 +203,8 @@ class Decoder(Module):
     def __init__(self, latent_dim: int, rng: Optional[np.random.Generator] = None) -> None:
         super().__init__()
         d = int(latent_dim)
-        self.mlp = MLP(d, [d], 1, activation="relu", rng=rng)
+        self.mlp = MLP(d, d, 1, rng=rng)
 
-    def forward(self, latent: Tensor) -> Tensor:
+    def forward(self, latent: np.ndarray) -> Forward:
+        """``(u, backward)``: the decoded ``(n, 1)`` state and the MLP's backward."""
         return self.mlp(latent)

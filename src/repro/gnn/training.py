@@ -41,6 +41,12 @@ class TrainingConfig:
     seed: int = 0
     log_every: int = 1
 
+    def __post_init__(self) -> None:
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.log_every < 1:
+            raise ValueError(f"log_every must be >= 1, got {self.log_every}")
+
 
 @dataclass
 class EpochStats:
@@ -126,7 +132,7 @@ class DSSTrainer:
         if self.config.shuffle:
             rng.shuffle(order)
         losses: List[float] = []
-        batch_size = max(1, self.config.batch_size)
+        batch_size = self.config.batch_size
         # one feature-width scan for the whole epoch instead of one per chunk
         edge_dim, node_dim = GraphBatch.feature_dims(problems) if problems else (3, 0)
         for start in range(0, len(problems), batch_size):
@@ -134,11 +140,8 @@ class DSSTrainer:
             batch = GraphBatch.from_graphs(chunk, edge_attr_dim=edge_dim, node_attr_dim=node_dim)
             self.optimizer.zero_grad()
             loss = self.model.training_loss(batch)
-            loss.backward()
+            loss.backward()                                  # releases the forward's cache
             value = loss.item()
-            # drop the tape now: a reference held until the next
-            # ``training_loss`` returns keeps two steps' graphs alive at once
-            del loss
             grad_norm = clip_grad_norm(self.optimizer.parameters, self.config.gradient_clip)
             # ``nan > max_norm`` is false, so clipping lets a non-finite
             # gradient through and Adam would write it into every weight and

@@ -1,45 +1,32 @@
-"""NumPy-based neural-network substrate (PyTorch substitute).
+"""NumPy neural-network substrate (PyTorch substitute), on plain arrays.
 
 Public surface:
 
-* :class:`~repro.nn.tensor.Tensor`, :class:`~repro.nn.tensor.no_grad` —
-  reverse-mode autodiff on NumPy arrays: general ops with one backward
-  closure per parent, and fused primitives that register a single
-  vector-Jacobian product for all their parents (the DSS block in
-  :mod:`repro.gnn.mpnn`).
-* :class:`~repro.nn.modules.Module`, :class:`~repro.nn.modules.Linear`,
-  :class:`~repro.nn.modules.MLP`, :class:`~repro.nn.modules.Sequential`,
-  :class:`~repro.nn.modules.Parameter` — module system.
-* :class:`~repro.nn.optim.Adam`, :class:`~repro.nn.optim.SGD`,
-  :func:`~repro.nn.optim.clip_grad_norm` — optimisers.
+* :class:`~repro.nn.modules.Module`, :class:`~repro.nn.modules.Parameter`,
+  :class:`~repro.nn.modules.Linear`, :class:`~repro.nn.modules.MLP` — the
+  module system and the model's one perceptron (one hidden ReLU layer),
+  whose forward returns its output and a hand-written backward.
+* :class:`~repro.nn.optim.Adam`, :func:`~repro.nn.optim.clip_grad_norm` —
+  the optimiser.
 * :class:`~repro.nn.schedulers.ReduceLROnPlateau` — LR scheduling.
-* :mod:`repro.nn.functional` — functional ops (segment_sum, gather,
-  sparse_matvec, ...) and the in-place raw-array ``relu_``.
-* :mod:`repro.nn.init` — Xavier & co.
+* :mod:`repro.nn.init` — Xavier-uniform weights, zero biases.
+
+There is no autodiff engine: the DSS writes its own backward
+(:mod:`repro.gnn.mpnn`, :meth:`repro.gnn.dss.DSS.training_loss`).
 """
 
-from . import functional, init
-from .modules import MLP, Identity, Linear, Module, Parameter, Sequential
-from .optim import SGD, Adam, Optimizer, clip_grad_norm
-from .schedulers import ReduceLROnPlateau, StepLR
-from .tensor import Tensor, is_grad_enabled, no_grad
+from . import init
+from .modules import MLP, Linear, Module, Parameter
+from .optim import Adam, clip_grad_norm
+from .schedulers import ReduceLROnPlateau
 
 __all__ = [
-    "Tensor",
-    "no_grad",
-    "is_grad_enabled",
     "Module",
     "Parameter",
     "Linear",
     "MLP",
-    "Sequential",
-    "Identity",
-    "Optimizer",
-    "SGD",
     "Adam",
     "clip_grad_norm",
     "ReduceLROnPlateau",
-    "StepLR",
-    "functional",
     "init",
 ]

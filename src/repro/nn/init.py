@@ -1,15 +1,14 @@
 """Parameter initialisation schemes.
 
-The paper initialises all DSS weights with Xavier (Glorot) initialisation;
-both the uniform and normal variants are provided, along with simple zero and
-constant initialisers for biases.
+The paper initialises all DSS weights with Xavier (Glorot) uniform
+initialisation; biases start at zero.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["xavier_uniform", "xavier_normal", "zeros", "constant", "kaiming_uniform"]
+__all__ = ["xavier_uniform", "zeros"]
 
 
 def xavier_uniform(shape: tuple[int, ...], gain: float = 1.0, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -20,27 +19,6 @@ def xavier_uniform(shape: tuple[int, ...], gain: float = 1.0, rng: np.random.Gen
     return rng.uniform(-bound, bound, size=shape)
 
 
-def xavier_normal(shape: tuple[int, ...], gain: float = 1.0, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Glorot/Xavier normal initialisation ``N(0, gain^2 * 2/(fan_in+fan_out))``."""
-    rng = rng if rng is not None else np.random.default_rng()
-    fan_out, fan_in = shape[0], shape[-1]
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
-def kaiming_uniform(shape: tuple[int, ...], rng: np.random.Generator | None = None) -> np.ndarray:
-    """He/Kaiming uniform initialisation suited to ReLU activations."""
-    rng = rng if rng is not None else np.random.default_rng()
-    fan_in = shape[-1]
-    bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
 def zeros(shape: tuple[int, ...]) -> np.ndarray:
     """All-zero initialisation (used for biases)."""
     return np.zeros(shape)
-
-
-def constant(shape: tuple[int, ...], value: float) -> np.ndarray:
-    """Constant initialisation."""
-    return np.full(shape, float(value))

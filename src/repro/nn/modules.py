@@ -1,30 +1,47 @@
 """Neural-network module system (substitute for ``torch.nn``).
 
 Provides a :class:`Module` base class with recursive parameter discovery,
-:class:`Linear` layers, multi-layer perceptrons (:class:`MLP`) and a
-:class:`Sequential` container — everything required by the DSS architecture
-of the paper (Sec. III-B: all MLPs have one hidden layer with ReLU).
+:class:`Parameter` (a learnable array and its gradient), :class:`Linear`
+layers and the model's one perceptron, :class:`MLP` — everything required by
+the DSS architecture of the paper (Sec. III-B: all MLPs have one hidden layer
+with ReLU).  Everything computes on plain ``numpy`` arrays: a forward returns
+its output and a closure, the backward, that adds the parameter cotangents to
+``Parameter.grad`` and returns the input's.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from . import init as init_schemes
-from .functional import linear, relu, tanh
-from .tensor import Tensor
 
-__all__ = ["Parameter", "Module", "Linear", "MLP", "Sequential", "Identity"]
+__all__ = ["Parameter", "Module", "Linear", "MLP"]
 
 
-class Parameter(Tensor):
-    """A tensor flagged as a learnable parameter (``requires_grad=True``)."""
+class Parameter:
+    """A learnable array ``data`` and its gradient ``grad`` (``None`` until a backward adds one)."""
 
-    def __init__(self, data: np.ndarray, name: str = "") -> None:
-        super().__init__(data, requires_grad=True, name=name)
+    __slots__ = ("data", "grad")
+
+    def __init__(self, data: np.ndarray) -> None:
+        self.data: np.ndarray = np.asarray(data, dtype=np.float64)
+        self.grad: Optional[np.ndarray] = None
+
+    @property
+    def size(self) -> int:
+        return self.data.size
+
+    def accumulate(self, grad: np.ndarray) -> None:
+        """Add ``grad`` into ``.grad`` (allocated as zeros on the first call)."""
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+        self.grad += grad
+
+    def zero_grad(self) -> None:
+        self.grad = None
 
 
 class Module:
@@ -106,100 +123,58 @@ class Module:
         return self.forward(*args, **kwargs)
 
 
-class Identity(Module):
-    """A no-op module, occasionally useful as a placeholder."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x
-
-
 class Linear(Module):
-    """Affine layer ``y = x W^T + b`` with Xavier-uniform initialised weights."""
+    """Affine layer ``y = x Wᵀ + b`` with Xavier-uniform weights and a zero bias."""
 
-    def __init__(
-        self,
-        in_features: int,
-        out_features: int,
-        bias: bool = True,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
+    def __init__(self, in_features: int, out_features: int, rng: Optional[np.random.Generator] = None) -> None:
         super().__init__()
-        self.in_features = in_features
-        self.out_features = out_features
-        rng = rng if rng is not None else np.random.default_rng()
-        self.weight = Parameter(init_schemes.xavier_uniform((out_features, in_features), rng=rng), name="weight")
-        if bias:
-            self.bias: Optional[Parameter] = Parameter(init_schemes.zeros((out_features,)), name="bias")
-        else:
-            self.bias = None
+        self.weight = Parameter(init_schemes.xavier_uniform((out_features, in_features), rng=rng))
+        self.bias = Parameter(init_schemes.zeros((out_features,)))
 
-    def forward(self, x: Tensor) -> Tensor:
-        return linear(x, self.weight, self.bias)
-
-
-_ACTIVATIONS = {
-    "relu": relu,
-    "tanh": tanh,
-    "none": lambda x: x,
-}
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return x @ self.weight.data.T + self.bias.data
 
 
 class MLP(Module):
-    """Multi-layer perceptron with a configurable activation.
+    """The model's one perceptron: a hidden ReLU layer ``layer_0`` and a linear output ``layer_1``.
 
-    The paper's DSS uses MLPs with exactly one hidden layer of width equal to
-    the latent dimension and ReLU activations; this class supports an
-    arbitrary list of hidden widths so the same code serves ablations.
+    The paper's DSS uses exactly this MLP everywhere (Sec. III-B), with the
+    hidden width equal to the latent dimension.
     """
 
     def __init__(
         self,
         in_features: int,
-        hidden_features: Sequence[int],
+        hidden_features: int,
         out_features: int,
-        activation: str = "relu",
-        final_activation: str = "none",
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
-        if activation not in _ACTIVATIONS or final_activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation; choose from {sorted(_ACTIVATIONS)}")
-        self.activation = activation
-        self.final_activation = final_activation
         rng = rng if rng is not None else np.random.default_rng()
+        self.layer_0 = Linear(in_features, hidden_features, rng=rng)
+        self.layer_1 = Linear(hidden_features, out_features, rng=rng)
+        self.layers = (self.layer_0, self.layer_1)
 
-        dims = [in_features, *hidden_features, out_features]
-        self.layers: List[Linear] = []
-        for i, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
-            layer = Linear(d_in, d_out, rng=rng)
-            setattr(self, f"layer_{i}", layer)
-            self.layers.append(layer)
+    def forward(self, x: np.ndarray) -> Tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+        """``(y, backward)``: the output and its backward, which adds the four
+        parameter cotangents to ``.grad`` and returns ``∂L/∂x`` given ``g = ∂L/∂y``.
 
-    def forward(self, x: Tensor) -> Tensor:
-        act = _ACTIVATIONS[self.activation]
-        final_act = _ACTIVATIONS[self.final_activation]
-        for layer in self.layers[:-1]:
-            x = act(layer(x))
-        return final_act(self.layers[-1](x))
+        The backward keeps ``x`` and the hidden layer ``h``; it needs nothing
+        else (the ReLU's derivative is the sign of ``h``).
+        """
+        hidden = self.layer_0(x)
+        np.maximum(hidden, 0.0, out=hidden)
 
+        def backward(g: np.ndarray) -> np.ndarray:
+            # weight cotangents as (aᵀ g)ᵀ, not gᵀ a: BLAS may round the two apart,
+            # and this order is the one every training run so far was made with
+            (w1, b1), (w2, b2) = ((layer.weight, layer.bias) for layer in self.layers)
+            b2.accumulate(g.sum(axis=0))
+            w2.accumulate((hidden.T @ g).T)
+            g_hidden = g @ w2.data
+            g_hidden *= hidden > 0.0
+            b1.accumulate(g_hidden.sum(axis=0))
+            w1.accumulate((x.T @ g_hidden).T)
+            return g_hidden @ w1.data
 
-class Sequential(Module):
-    """Chain of modules applied in order."""
-
-    def __init__(self, *modules: Module) -> None:
-        super().__init__()
-        self._sequence: List[Module] = []
-        for i, module in enumerate(modules):
-            setattr(self, f"module_{i}", module)
-            self._sequence.append(module)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for module in self._sequence:
-            x = module(x)
-        return x
-
-    def __len__(self) -> int:
-        return len(self._sequence)
-
-    def __getitem__(self, index: int) -> Module:
-        return self._sequence[index]
+        return self.layer_1(hidden), backward

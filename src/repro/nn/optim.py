@@ -1,8 +1,7 @@
-"""Optimisers and gradient utilities (substitute for ``torch.optim``).
+"""Optimiser and gradient clipping (substitute for ``torch.optim``).
 
 The paper trains DSS with Adam (lr=1e-2), gradient clipping at 1e-2 and a
-``ReduceLROnPlateau`` scheduler; all three are provided here, plus plain SGD
-for tests and ablations.
+``ReduceLROnPlateau`` scheduler (:mod:`repro.nn.schedulers`).
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import numpy as np
 
 from .modules import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "clip_grad_norm"]
+__all__ = ["Adam", "clip_grad_norm"]
 
 
 def clip_grad_norm(parameters: Sequence[Parameter], max_norm: float) -> float:
@@ -33,87 +32,8 @@ def clip_grad_norm(parameters: Sequence[Parameter], max_norm: float) -> float:
     return total_norm
 
 
-class Optimizer:
-    """Base optimiser interface: ``zero_grad`` + ``step``."""
-
-    def __init__(self, parameters: Iterable[Parameter], lr: float) -> None:
-        self.parameters: List[Parameter] = list(parameters)
-        if not self.parameters:
-            raise ValueError("optimiser received no parameters")
-        self.lr = float(lr)
-
-    def zero_grad(self) -> None:
-        for p in self.parameters:
-            p.zero_grad()
-
-    def step(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    # -- state dict (checkpointing) -----------------------------------------
-    def state_dict(self) -> Dict:
-        """Serialisable optimiser state: scalars + per-parameter slot arrays.
-
-        Slot arrays are keyed by parameter index (the order of
-        ``self.parameters``, which matches ``Module.named_parameters`` when
-        the optimiser was built from ``model.parameters()``).
-        """
-        return {"type": type(self).__name__, "lr": self.lr, "slots": {}}
-
-    def load_state_dict(self, state: Dict) -> None:
-        """Restore state produced by :meth:`state_dict` (shapes must match)."""
-        if state.get("type") != type(self).__name__:
-            raise ValueError(
-                f"optimizer state is for '{state.get('type')}', not '{type(self).__name__}'"
-            )
-        self.lr = float(state["lr"])
-        self._load_slots(state.get("slots", {}))
-
-    def _load_slots(self, slots: Dict[str, List[np.ndarray]]) -> None:
-        for name, arrays in slots.items():
-            target = getattr(self, f"_{name}", None)
-            if target is None or len(arrays) != len(self.parameters):
-                raise ValueError(f"optimizer slot '{name}' does not match the parameter list")
-            for buf, value, p in zip(target, arrays, self.parameters):
-                value = np.asarray(value, dtype=np.float64)
-                if value.shape != p.data.shape:
-                    raise ValueError(
-                        f"optimizer slot '{name}' shape mismatch: {value.shape} vs {p.data.shape}"
-                    )
-                buf[...] = value
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, parameters: Iterable[Parameter], lr: float = 1e-2, momentum: float = 0.0) -> None:
-        super().__init__(parameters, lr)
-        self.momentum = float(momentum)
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for p, v in zip(self.parameters, self._velocity):
-            if p.grad is None:
-                continue
-            if self.momentum > 0.0:
-                v *= self.momentum
-                v += p.grad
-                p.data -= self.lr * v
-            else:
-                p.data -= self.lr * p.grad
-
-    def state_dict(self) -> Dict:
-        state = super().state_dict()
-        state["momentum"] = self.momentum
-        state["slots"] = {"velocity": [v.copy() for v in self._velocity]}
-        return state
-
-    def load_state_dict(self, state: Dict) -> None:
-        super().load_state_dict(state)
-        self.momentum = float(state.get("momentum", 0.0))
-
-
-class Adam(Optimizer):
-    """Adam optimiser (Kingma & Ba, 2015) with bias correction."""
+class Adam:
+    """Adam optimiser (Kingma & Ba, 2015) with bias correction: ``zero_grad`` + ``step``."""
 
     def __init__(
         self,
@@ -123,13 +43,20 @@ class Adam(Optimizer):
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ) -> None:
-        super().__init__(parameters, lr)
+        self.parameters: List[Parameter] = list(parameters)
+        if not self.parameters:
+            raise ValueError("optimiser received no parameters")
+        self.lr = float(lr)
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
         self._step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.parameters]
         self._v = [np.zeros_like(p.data) for p in self.parameters]
+
+    def zero_grad(self) -> None:
+        for p in self.parameters:
+            p.zero_grad()
 
     def step(self) -> None:
         self._step_count += 1
@@ -150,23 +77,47 @@ class Adam(Optimizer):
             v_hat = v / bias_c2
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
+    # -- state dict (checkpointing) -----------------------------------------
     def state_dict(self) -> Dict:
-        state = super().state_dict()
-        state.update({
+        """Serialisable optimiser state: scalars + per-parameter moment arrays.
+
+        The moment arrays are listed in the order of ``self.parameters``,
+        which matches ``Module.named_parameters`` when the optimiser was built
+        from ``model.parameters()``.
+        """
+        return {
+            "type": type(self).__name__,
+            "lr": self.lr,
+            "slots": {"m": [m.copy() for m in self._m], "v": [v.copy() for v in self._v]},
             "beta1": self.beta1,
             "beta2": self.beta2,
             "eps": self.eps,
             "weight_decay": self.weight_decay,
             "step_count": self._step_count,
-        })
-        state["slots"] = {
-            "m": [m.copy() for m in self._m],
-            "v": [v.copy() for v in self._v],
         }
-        return state
 
     def load_state_dict(self, state: Dict) -> None:
-        super().load_state_dict(state)
+        """Restore state produced by :meth:`state_dict` (type and shapes must match).
+
+        The state comes from a checkpoint file, i.e. from outside the program,
+        so its ``type`` is checked before anything is read.
+        """
+        if state.get("type") != type(self).__name__:
+            raise ValueError(
+                f"optimizer state is for '{state.get('type')}', not '{type(self).__name__}'"
+            )
+        self.lr = float(state["lr"])
+        for name, arrays in state.get("slots", {}).items():
+            target = getattr(self, f"_{name}", None)
+            if target is None or len(arrays) != len(self.parameters):
+                raise ValueError(f"optimizer slot '{name}' does not match the parameter list")
+            for buf, value, p in zip(target, arrays, self.parameters):
+                value = np.asarray(value, dtype=np.float64)
+                if value.shape != p.data.shape:
+                    raise ValueError(
+                        f"optimizer slot '{name}' shape mismatch: {value.shape} vs {p.data.shape}"
+                    )
+                buf[...] = value
         self.beta1 = float(state["beta1"])
         self.beta2 = float(state["beta2"])
         self.eps = float(state["eps"])

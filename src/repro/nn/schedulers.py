@@ -1,16 +1,15 @@
-"""Learning-rate schedulers.
+"""Learning-rate scheduling.
 
-The paper uses PyTorch's ``ReduceLROnPlateau`` with a reduction factor of 0.1;
-a step decay scheduler is also provided for ablations.
+The paper uses PyTorch's ``ReduceLROnPlateau`` with a reduction factor of 0.1.
 """
 
 from __future__ import annotations
 
 from typing import Dict
 
-from .optim import Optimizer
+from .optim import Adam
 
-__all__ = ["ReduceLROnPlateau", "StepLR"]
+__all__ = ["ReduceLROnPlateau"]
 
 
 class ReduceLROnPlateau:
@@ -32,7 +31,7 @@ class ReduceLROnPlateau:
 
     def __init__(
         self,
-        optimizer: Optimizer,
+        optimizer: Adam,
         factor: float = 0.1,
         patience: int = 10,
         threshold: float = 1e-4,
@@ -88,32 +87,3 @@ class ReduceLROnPlateau:
         self.num_bad_epochs = int(state["num_bad_epochs"])
         self.num_reductions = int(state["num_reductions"])
 
-
-class StepLR:
-    """Decay the learning rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1) -> None:
-        self.optimizer = optimizer
-        self.step_size = step_size
-        self.gamma = gamma
-        self.epoch = 0
-
-    def step(self) -> None:
-        self.epoch += 1
-        if self.epoch % self.step_size == 0:
-            self.optimizer.lr *= self.gamma
-
-    def state_dict(self) -> Dict:
-        return {
-            "type": type(self).__name__,
-            "step_size": self.step_size,
-            "gamma": self.gamma,
-            "epoch": self.epoch,
-        }
-
-    def load_state_dict(self, state: Dict) -> None:
-        if state.get("type") != type(self).__name__:
-            raise ValueError(f"scheduler state is for '{state.get('type')}', not '{type(self).__name__}'")
-        self.step_size = int(state["step_size"])
-        self.gamma = float(state["gamma"])
-        self.epoch = int(state["epoch"])

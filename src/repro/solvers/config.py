@@ -58,7 +58,7 @@ class SolverConfig:
         Sweeps of the Jacobi local solver (``ddm-jacobi`` only).
     precision:
         Inference precision of the DDM-GNN local solves: ``"f64"`` (default,
-        bit-compatible with the tape forward) or ``"f32"`` (float32-staged
+        agreeing with ``DSS.predict`` to 1e-12) or ``"f32"`` (float32-staged
         weights and scratch, casts at the source/output boundary; the Krylov
         iteration itself always runs in float64).  Other preconditioner
         families are exact solvers and ignore it.  The field enters

@@ -30,8 +30,8 @@ from repro.gnn import (
 )
 from repro.gnn.checkpoint import CHECKPOINT_SCHEMA_VERSION, CheckpointError
 from repro.mesh import structured_rectangle_mesh
-from repro.nn.optim import SGD, Adam
-from repro.nn.schedulers import ReduceLROnPlateau, StepLR
+from repro.nn.optim import Adam
+from repro.nn.schedulers import ReduceLROnPlateau
 from repro.partition import OverlappingDecomposition, partition_mesh_target_size
 from repro.solvers import SolverConfig, prepare
 
@@ -107,10 +107,11 @@ class TestOptimizerState:
             assert np.array_equal(p.data, q.data)
 
     def test_wrong_optimizer_type_rejected(self):
+        """A checkpoint header comes from outside the program: another optimizer's state is refused."""
         model = DSS(TINY)
-        adam_state = Adam(model.parameters()).state_dict()
+        forged = {**Adam(model.parameters()).state_dict(), "type": "SGD", "momentum": 0.9}
         with pytest.raises(ValueError, match="Adam"):
-            SGD(model.parameters()).load_state_dict(adam_state)
+            Adam(model.parameters()).load_state_dict(forged)
 
     def test_slot_shape_mismatch_rejected(self):
         model = DSS(TINY)
@@ -132,16 +133,11 @@ class TestOptimizerState:
         assert clone.num_reductions == scheduler.num_reductions
         assert clone.patience == 1 and clone.factor == 0.5
 
-    def test_steplr_round_trip_and_type_check(self):
-        optimizer = Adam(DSS(TINY).parameters())
-        scheduler = StepLR(optimizer, step_size=2, gamma=0.5)
-        scheduler.step()
-        state = scheduler.state_dict()
-        clone = StepLR(optimizer, step_size=9)
-        clone.load_state_dict(state)
-        assert clone.epoch == 1 and clone.step_size == 2
-        with pytest.raises(ValueError):
-            ReduceLROnPlateau(optimizer).load_state_dict(state)
+    def test_wrong_scheduler_type_rejected(self):
+        scheduler = ReduceLROnPlateau(Adam(DSS(TINY).parameters()))
+        forged = {"type": "StepLR", "step_size": 2, "gamma": 0.5, "epoch": 1}
+        with pytest.raises(ValueError, match="StepLR"):
+            scheduler.load_state_dict(forged)
 
 
 # --------------------------------------------------------------------------- #

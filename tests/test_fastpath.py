@@ -60,7 +60,7 @@ def kappa_batch(small_disk_mesh):
 
 
 # --------------------------------------------------------------------------- #
-# DSS.infer vs tape-forward parity
+# DSS.infer vs DSS.forward parity
 # --------------------------------------------------------------------------- #
 class TestInferParity:
     @pytest.mark.parametrize("config", [
@@ -68,18 +68,18 @@ class TestInferParity:
         DSSConfig(num_iterations=30, latent_dim=10, seed=2),
         DSSConfig(num_iterations=4, latent_dim=5, seed=3, edge_attr_dim=4, node_input_dim=2),
     ])
-    def test_infer_matches_tape_forward(self, toy_batch, config):
+    def test_infer_matches_forward(self, toy_batch, config):
         model = DSS(config)
         model.eval()
         plan = model.compile_plan(toy_batch)
         source = np.random.default_rng(7).normal(size=toy_batch.num_nodes)
         fast = model.infer(plan, source).copy()
         toy_batch.source = source
-        tape = model.predict(toy_batch)
-        assert np.allclose(fast, tape, rtol=1e-12, atol=1e-12)
-        # and against the tape running on the very same (edge-sorted) plan
-        tape_on_plan = model.predict(plan.plan)
-        assert np.allclose(fast, tape_on_plan, rtol=1e-12, atol=1e-12)
+        forward = model.predict(toy_batch)
+        assert np.allclose(fast, forward, rtol=1e-12, atol=1e-12)
+        # and against the forward running on the very same (edge-sorted) plan
+        forward_on_plan = model.predict(plan.plan)
+        assert np.allclose(fast, forward_on_plan, rtol=1e-12, atol=1e-12)
 
     def test_buffer_reuse_across_sources(self, toy_batch):
         """Repeated infer calls on one plan must not leak state between sources."""
@@ -711,7 +711,7 @@ class TestPreconditionerApplyColumns:
 
 
 # --------------------------------------------------------------------------- #
-# raw-ndarray kernels shared with the tape
+# the raw-ndarray CSR kernel
 # --------------------------------------------------------------------------- #
 class TestRawKernels:
     def test_validated_csr_matvecs_available(self):
@@ -721,14 +721,6 @@ class TestRawKernels:
         from repro.gnn.infer import _csr_matvecs, _validated_csr_matvecs
 
         assert _validated_csr_matvecs() is _csr_matvecs or _csr_matvecs is None
-
-    def test_modified_architecture_rejected_by_compile(self, toy_batch):
-        from repro.nn.modules import MLP
-
-        model = DSS(DSSConfig(num_iterations=2, latent_dim=3, seed=1))
-        model.blocks[0].psi = MLP(10, [3, 3], 3, rng=np.random.default_rng(0))
-        with pytest.raises(NotImplementedError):
-            model.compile_plan(toy_batch)
 
 
 # --------------------------------------------------------------------------- #

@@ -25,7 +25,6 @@ from repro.gnn import (
 )
 from repro.gnn.mpnn import Decoder, DSSBlock
 from repro.mesh import structured_rectangle_mesh
-from repro.nn import Tensor
 
 
 def _toy_graph(n: int = 12, seed: int = 0, with_matrix: bool = True) -> GraphProblem:
@@ -144,23 +143,23 @@ class TestBlocks:
     def test_dss_block_shapes(self):
         g = _toy_graph()
         block = DSSBlock(latent_dim=6, rng=np.random.default_rng(0))
-        latent = Tensor(np.zeros((g.num_nodes, 6)))
+        latent = np.zeros((g.num_nodes, 6))
         edges = EdgeLayout(g.edge_index, g.edge_attr, g.num_nodes)
-        out = block(latent, Tensor(g.source.reshape(-1, 1)), edges)
+        out, _ = block(latent, g.source.reshape(-1, 1), edges)
         assert out.shape == (g.num_nodes, 6)
 
     def test_dss_block_residual_update_small_alpha(self):
         """With a tiny α the block is close to the identity on the latent state."""
         g = _toy_graph()
         block = DSSBlock(latent_dim=4, alpha=1e-8, rng=np.random.default_rng(1))
-        latent = Tensor(np.random.default_rng(2).normal(size=(g.num_nodes, 4)))
+        latent = np.random.default_rng(2).normal(size=(g.num_nodes, 4))
         edges = EdgeLayout(g.edge_index, g.edge_attr, g.num_nodes)
-        out = block(latent, Tensor(g.source.reshape(-1, 1)), edges)
-        assert np.allclose(out.numpy(), latent.numpy(), atol=1e-5)
+        out, _ = block(latent, g.source.reshape(-1, 1), edges)
+        assert np.allclose(out, latent, atol=1e-5)
 
     def test_decoder_output_shape(self):
         dec = Decoder(latent_dim=5, rng=np.random.default_rng(0))
-        out = dec(Tensor(np.zeros((7, 5))))
+        out, _ = dec(np.zeros((7, 5)))
         assert out.shape == (7, 1)
 
     def test_block_invalid_latent_dim(self):
@@ -223,7 +222,7 @@ class TestDSS:
     def test_training_loss_positive_scalar(self, tiny_dss_model):
         g = _toy_graph()
         loss = tiny_dss_model.training_loss(g)
-        assert loss.size == 1
+        assert isinstance(loss.item(), float)
         assert loss.item() > 0.0
 
     def test_gradients_flow_to_all_parameters(self, tiny_dss_model):
@@ -233,6 +232,14 @@ class TestDSS:
         grads = [p.grad for p in tiny_dss_model.parameters()]
         assert all(g is not None for g in grads)
         assert any(np.abs(g).max() > 0 for g in grads)
+
+    def test_backward_runs_once_per_loss(self, tiny_dss_model):
+        """The backward releases the forward's cache: a second call raises instead of adding nothing."""
+        loss = tiny_dss_model.training_loss(_toy_graph())
+        loss.backward()
+        with pytest.raises(RuntimeError, match="already ran"):
+            loss.backward()
+        assert loss.item() > 0.0
 
     def test_save_load_roundtrip(self, tiny_dss_model, tmp_path):
         g = _toy_graph()
@@ -258,19 +265,18 @@ class TestLossAndMetrics:
     def test_residual_loss_zero_for_exact_solution(self):
         g = _toy_graph()
         exact = sp.linalg.spsolve(g.matrix.tocsc(), g.source)
-        loss = residual_loss(Tensor(exact.reshape(-1, 1)), g)
-        assert loss.item() < 1e-20
+        assert residual_loss(exact.reshape(-1, 1), g) < 1e-20
 
     def test_residual_loss_matches_manual(self):
         g = _toy_graph()
         u = np.random.default_rng(0).normal(size=g.num_nodes)
         manual = np.mean((g.matrix @ u - g.source) ** 2)
-        assert residual_loss(Tensor(u), g).item() == pytest.approx(manual)
+        assert residual_loss(u, g) == pytest.approx(manual)
 
     def test_residual_loss_requires_matrix(self):
         g = _toy_graph(with_matrix=False)
         with pytest.raises(ValueError):
-            residual_loss(Tensor(np.zeros((g.num_nodes, 1))), g)
+            residual_loss(np.zeros((g.num_nodes, 1)), g)
 
     def test_relative_error_basic(self):
         assert relative_error(np.array([1.0, 1.0]), np.array([1.0, 1.0])) == 0.0
@@ -287,10 +293,10 @@ class TestLossAndMetrics:
         rng = np.random.default_rng(seed)
         u1 = rng.normal(size=g1.num_nodes)
         u2 = rng.normal(size=g2.num_nodes)
-        l1 = residual_loss(Tensor(u1), g1).item()
-        l2 = residual_loss(Tensor(u2), g2).item()
+        l1 = residual_loss(u1, g1)
+        l2 = residual_loss(u2, g2)
         batch = GraphBatch.from_graphs([g1, g2])
-        lb = residual_loss(Tensor(np.concatenate([u1, u2])), batch).item()
+        lb = residual_loss(np.concatenate([u1, u2]), batch)
         assert min(l1, l2) - 1e-12 <= lb <= max(l1, l2) + 1e-12
 
 
@@ -314,6 +320,14 @@ class TestTraining:
         assert history[0].validation_residual is not None
         assert history[0].validation_relative_error is not None
 
+    @pytest.mark.parametrize("field", ["batch_size", "log_every"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_config_rejects_a_step_below_one(self, field, value):
+        """Refused up front: batch size 0 used to train on single graphs, then fail in validation with
+        ``range() arg 3 must not be zero``; ``log_every=0`` divided by zero in ``fit(verbose=True)``."""
+        with pytest.raises(ValueError, match=field):
+            TrainingConfig(**{field: value})
+
     def test_evaluate_model_metrics(self, tiny_dss_model):
         graphs = [_toy_graph(seed=i) for i in range(4)]
         metrics = evaluate_model(tiny_dss_model, graphs)
@@ -336,8 +350,8 @@ class TestTraining:
         assert np.allclose(run(), run())
 
     def test_two_step_epoch_peaks_like_a_one_step_epoch(self):
-        """A step's tape is released before the next batch is built: two steps
-        on the same batch must not hold two graphs at once."""
+        """A step's forward cache is released by its backward, before the next
+        batch is built: two steps on the same batch must not hold two at once."""
         import tracemalloc
 
         from repro.fem import assemble_stiffness

@@ -1,52 +1,15 @@
-"""Additional cross-module coverage: remaining tensor ops, Krylov × DDM
-combinations, and solver behaviour on alternative geometries."""
+"""Additional cross-module coverage: Krylov × DDM combinations, and solver
+behaviour on alternative geometries."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.ddm import AdditiveSchwarzPreconditioner, JacobiLocalSolver
 from repro.fem import PoissonProblem, constant_field, random_poisson_problem
 from repro.krylov import bicgstab, gmres, preconditioned_conjugate_gradient
 from repro.mesh import lshape_mesh, structured_rectangle_mesh
-from repro.nn import Tensor
 from repro.partition import OverlappingDecomposition, partition_mesh_target_size
-
-
-class TestRemainingTensorOps:
-    def test_sigmoid_range_and_grad(self):
-        x = Tensor(np.linspace(-4, 4, 9), requires_grad=True)
-        y = x.sigmoid()
-        assert np.all((y.numpy() > 0) & (y.numpy() < 1))
-        y.sum().backward()
-        # derivative of sigmoid is at most 0.25
-        assert np.all(x.grad <= 0.25 + 1e-12)
-
-    def test_exp_log_inverse(self):
-        x = Tensor(np.array([0.5, 1.0, 2.0]))
-        assert np.allclose(x.exp().log().numpy(), x.numpy())
-
-    def test_abs_gradient_sign(self):
-        x = Tensor(np.array([-2.0, 3.0]), requires_grad=True)
-        x.abs().sum().backward()
-        assert np.allclose(x.grad, [-1.0, 1.0])
-
-    def test_sqrt_matches_numpy(self):
-        x = Tensor(np.array([4.0, 9.0]), requires_grad=True)
-        y = x.sqrt()
-        assert np.allclose(y.numpy(), [2.0, 3.0])
-        y.sum().backward()
-        assert np.allclose(x.grad, [0.25, 1.0 / 6.0])
-
-    def test_pow_rejects_tensor_exponent(self):
-        with pytest.raises(TypeError):
-            Tensor(np.ones(2)) ** np.ones(2)
-
-    def test_detach_cuts_graph(self):
-        x = Tensor(np.ones(3), requires_grad=True)
-        y = (x * 2).detach()
-        assert y.requires_grad is False
 
 
 class TestKrylovWithDDM:

@@ -1,53 +1,92 @@
-"""The differentiable DSS forward (one tape primitive per block on the shared
-edge pass) against the per-edge formulation it replaced, kept here as the
-permanent reference, on both bodies of the edge pass and its VJP."""
+"""The training forward and its hand-written backward (one VJP per block on
+the shared edge pass, one per decoder, the Eq. 11 gradient) against the
+per-edge formulation the block replaced, kept here as the permanent
+reference in plain numpy, on both bodies of the edge pass and its VJP."""
 
 from __future__ import annotations
 
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from test_nn_tensor import finite_difference
 
 from repro.fem import assemble_stiffness
-from repro.gnn import DSS, DSSConfig, EdgeLayout, GraphBatch, _native, graph_from_mesh, residual_loss
+from repro.gnn import DSS, DSSConfig, EdgeLayout, GraphBatch, _native, graph_from_mesh
 from repro.gnn.mpnn import DSSBlock
 from repro.mesh import structured_rectangle_mesh
-from repro.nn import Tensor, no_grad
 
 
 # --------------------------------------------------------------------------- #
-# the per-edge reference: gather ×2 → concatenate → Φ MLP → segment sum, composed
-# from the general tape ops (what ``DSSBlock.forward`` was until PR 17)
+# the per-edge reference: gather ×2 → concatenate → Φ MLP → segment sum, in
+# plain numpy on a name -> array dict of the weights (real, or complex for the
+# complex-step derivative); what ``DSSBlock.forward`` was until PR 17
 # --------------------------------------------------------------------------- #
-def reference_block(block: DSSBlock, latent: Tensor, node_input: Tensor,
-                    edge_index: np.ndarray, edge_attr: np.ndarray) -> Tensor:
-    src, dst = edge_index
-    num_nodes = latent.shape[0]
-    h_src, h_dst = latent.index_select(src), latent.index_select(dst)
+def _mlp(weights: dict, prefix: str, x: np.ndarray) -> np.ndarray:
+    z = x @ weights[f"{prefix}.layer_0.weight"].T + weights[f"{prefix}.layer_0.bias"]
+    hidden = np.where(z.real > 0.0, z, 0.0)            # ReLU, analytic in the imaginary part
+    return hidden @ weights[f"{prefix}.layer_1.weight"].T + weights[f"{prefix}.layer_1.bias"]
+
+
+def reference_forward(model: DSS, problem, weights: dict) -> list:
+    """``model.forward(problem, return_intermediate=True)`` on the per-edge block."""
+    src, dst = problem.edge_index
+    n, num_edges = problem.num_nodes, src.size
+    edge_attr = model._prepare_edge_attr(problem.edge_attr)
     # reversed relative position, same distance, for the "incoming" messages
     reversed_attr = edge_attr.copy()
     reversed_attr[:, :2] *= -1.0
-    msg_fwd = block.phi_forward(Tensor.concatenate([h_dst, h_src, Tensor(edge_attr)], axis=1))
-    msg_bwd = block.phi_backward(Tensor.concatenate([h_dst, h_src, Tensor(reversed_attr)], axis=1))
-    agg_fwd = msg_fwd.index_add(dst, num_nodes)
-    agg_bwd = msg_bwd.index_add(dst, num_nodes)
-    update = block.psi(Tensor.concatenate([latent, node_input, agg_fwd, agg_bwd], axis=1))
-    return latent + block.alpha * update
-
-
-def reference_forward(model: DSS, problem) -> list:
-    """``model.forward(problem, return_intermediate=True)`` on the per-edge block."""
-    edge_attr = model._prepare_edge_attr(problem.edge_attr)
-    node_input = Tensor(model._prepare_node_input(problem))
-    latent = Tensor(np.zeros((problem.num_nodes, model.config.latent_dim)))
+    node_input = model._prepare_node_input(problem)
+    segment_sum = sp.csr_matrix((np.ones(num_edges), (dst, np.arange(num_edges))), shape=(n, num_edges))
+    latent = np.zeros((n, model.config.latent_dim))
     outputs = []
-    for block, decoder in zip(model.blocks, model.decoders):
-        latent = reference_block(block, latent, node_input, problem.edge_index, edge_attr)
-        outputs.append(decoder(latent))
+    for k in range(model.config.num_iterations):
+        block = f"block_{k}"
+        msg_fwd = _mlp(weights, f"{block}.phi_forward", np.hstack([latent[dst], latent[src], edge_attr]))
+        msg_bwd = _mlp(weights, f"{block}.phi_backward", np.hstack([latent[dst], latent[src], reversed_attr]))
+        update = _mlp(weights, f"{block}.psi",
+                      np.hstack([latent, node_input, segment_sum @ msg_fwd, segment_sum @ msg_bwd]))
+        latent = latent + model.config.alpha * update
+        outputs.append(_mlp(weights, f"decoder_{k}.mlp", latent))
     return outputs
+
+
+def reference_loss(outputs: list, matrix, target: np.ndarray):
+    """Eq. 23: the sum over decoded states of ``mean(r²)``, ``r = A u − c`` (``r·r``, not ``|r|²``)."""
+    residuals = [matrix @ out[:, 0] - target for out in outputs]
+    return sum((r * r).mean() for r in residuals)
+
+
+def complex_step_gradients(model: DSS, problem, matrix, target, entries: dict) -> dict:
+    """``∂L/∂w`` of the reference at ``entries`` (name -> index list): ``Im L(w + ih e) / h``, ``h = 1e-30``,
+    exact to rounding — no subtraction, so no cancellation."""
+    weights = {name: p.data.astype(complex) for name, p in model.named_parameters()}
+    step, grads = 1e-30, {}
+    for name, indices in entries.items():
+        grads[name] = []
+        for index in indices:
+            weights[name][index] += step * 1j
+            grads[name].append(reference_loss(reference_forward(model, problem, weights), matrix, target).imag / step)
+            weights[name][index] -= step * 1j
+    return {name: np.array(values) for name, values in grads.items()}
+
+
+def finite_difference(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
+    """Central finite-difference gradient of a scalar function of an array."""
+    grad = np.zeros_like(x, dtype=np.float64)
+    it = np.nditer(x, flags=["multi_index"])
+    while not it.finished:
+        idx = it.multi_index
+        orig = x[idx]
+        x[idx] = orig + eps
+        fp = f(x)
+        x[idx] = orig - eps
+        fm = f(x)
+        x[idx] = orig
+        grad[idx] = (fp - fm) / (2 * eps)
+        it.iternext()
+    return grad
 
 
 # --------------------------------------------------------------------------- #
@@ -81,28 +120,42 @@ CONFIGS = {
     "k1-d1": DSSConfig(num_iterations=1, latent_dim=1, alpha=0.1, seed=2),   # a seed whose lone units fire
     "k2-d10": DSSConfig(num_iterations=2, latent_dim=10, alpha=0.1, seed=5),  # the width the C instantiates
 }
+#: plus five attribute columns: no kernel is instantiated for it, so the numpy body runs, compiler or not
+EVERY_CONFIG = {**CONFIGS, "k2-d3-e5": DSSConfig(num_iterations=2, latent_dim=3, alpha=0.1, seed=4, edge_attr_dim=5)}
 
 
 def _views(config: DSSConfig) -> dict:
-    """view name -> (what the forward runs on, what the residual loss is taken on)."""
+    """view name -> what the forward and the residual loss run on.  A plan carries no matrices: it is
+    handed its batch's block-diagonal one, the loss operator of the same nodes."""
     graphs = [_graph(nx, ny, seed, config) for seed, (nx, ny) in enumerate([(3, 4), (5, 3), (4, 4)])]
     batch = GraphBatch.from_graphs(graphs)
     plan = batch.compile_plan()          # edges re-sorted by destination, nodes unchanged
     plan.load_source(batch.source)
-    return {"problem": (graphs[0], graphs[0]), "batch": (batch, batch), "plan": (plan, batch)}
+    plan.matrix = batch.block_diagonal_matrix()
+    return {"problem": graphs[0], "batch": batch, "plan": plan}
 
 
-def _loss(outputs, problem) -> Tensor:
-    total = residual_loss(outputs[0], problem)
-    for out in outputs[1:]:
-        total = total + residual_loss(out, problem)
-    return total
-
-
-def _gradients(model: DSS, loss: Tensor) -> dict:
+def _gradients(model: DSS, loss) -> dict:
     model.zero_grad()
     loss.backward()
     return {name: p.grad.copy() for name, p in model.named_parameters()}
+
+
+#: complex-step entries per parameter array: its largest gradient plus a few seeded others
+ENTRIES_PER_ARRAY = 4
+
+
+@functools.lru_cache(maxsize=None)
+def _reference(config_name: str, view: str, entries: tuple) -> tuple:
+    """(decoded states, loss, complex-step gradients at ``entries``) of the reference, once per body pair."""
+    config = EVERY_CONFIG[config_name]
+    model, problem = _model(config), _views(config)[view]
+    weights = {name: p.data for name, p in model.named_parameters()}
+    outputs = reference_forward(model, problem, weights)
+    matrix = problem.block_diagonal_matrix() if isinstance(problem, GraphBatch) else problem.matrix
+    target = problem.source
+    gradients = complex_step_gradients(model, problem, matrix, target, dict(entries))
+    return outputs, reference_loss(outputs, matrix, target), gradients
 
 
 @pytest.fixture
@@ -120,26 +173,33 @@ def body(request, monkeypatch):
     return request.param
 
 
-def _assert_matches_reference(model: DSS, forward_on, loss_on, check_training_loss: bool) -> None:
-    """Forward within 1e-12 and every parameter gradient within 1e-10 of the per-edge reference."""
-    config = model.config
-    outputs = model.forward(forward_on, return_intermediate=True)
-    reference = reference_forward(model, forward_on)
+def _assert_matches_reference(config_name: str, view: str) -> None:
+    """Forward within 1e-12, loss within 1e-12 and every parameter array's gradient within 1e-10 of the
+    per-edge reference (at ``ENTRIES_PER_ARRAY`` entries each, by complex step)."""
+    config = EVERY_CONFIG[config_name]
+    model, problem = _model(config), _views(config)[view]
+    outputs = model.forward(problem, return_intermediate=True)
+    loss = model.training_loss(problem)
+    grads = _gradients(model, loss)
+    assert set(grads) == {name for name, _ in model.named_parameters()}
+
+    rng = np.random.default_rng(0)
+    entries = []
+    for name, grad in grads.items():
+        picks = {np.unravel_index(np.argmax(np.abs(grad)), grad.shape)}
+        while len(picks) < min(ENTRIES_PER_ARRAY, grad.size):
+            picks.add(tuple(int(rng.integers(size)) for size in grad.shape))
+        entries.append((name, tuple(sorted(picks))))
+    reference, reference_loss_value, reference_grads = _reference(config_name, view, tuple(entries))
+
     assert len(outputs) == len(reference) == config.num_iterations
     for out, ref in zip(outputs, reference):
-        assert np.allclose(out.numpy(), ref.numpy(), rtol=1e-12, atol=1e-12)
-
-    loss, reference_loss = _loss(outputs, loss_on), _loss(reference, loss_on)
-    assert loss.item() == pytest.approx(reference_loss.item(), rel=1e-12, abs=1e-12)
-    if check_training_loss:
-        assert model.training_loss(forward_on).item() == pytest.approx(
-            reference_loss.item(), rel=1e-12, abs=1e-12)
-
-    grads, reference_grads = _gradients(model, loss), _gradients(model, reference_loss)
-    assert set(grads) == {name for name, _ in model.named_parameters()}
-    for name, ref in reference_grads.items():
+        assert np.allclose(out, ref, rtol=1e-12, atol=1e-12)
+    assert loss.item() == pytest.approx(reference_loss_value, rel=1e-12, abs=1e-12)
+    for name, indices in entries:
+        got, ref = np.array([grads[name][index] for index in indices]), reference_grads[name]
         assert np.abs(ref).max() > 0.0, f"{name}: dead in the reference, nothing compared"
-        assert np.abs(grads[name] - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max()), name
+        assert np.abs(got - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max()), name
 
 
 # --------------------------------------------------------------------------- #
@@ -149,23 +209,19 @@ class TestParityWithPerEdgeReference:
     @pytest.mark.parametrize("view", ["problem", "batch", "plan"])
     @pytest.mark.parametrize("config_name", list(CONFIGS))
     def test_forward_loss_and_every_gradient(self, body, config_name, view):
-        config = CONFIGS[config_name]
-        forward_on, loss_on = _views(config)[view]
-        # a BatchPlan carries no matrices
-        _assert_matches_reference(_model(config), forward_on, loss_on, check_training_loss=view != "plan")
+        _assert_matches_reference(config_name, view)
 
     def test_an_uninstantiated_attribute_width_runs_the_numpy_body(self):
         """The kernels exist for |e| = 3 and 4; a model reading five attribute columns trains on the numpy
         body, compiler or not, and says so."""
-        config = DSSConfig(num_iterations=2, latent_dim=3, alpha=0.1, seed=4, edge_attr_dim=5)
-        batch, _ = _views(config)["batch"]
+        batch = _views(EVERY_CONFIG["k2-d3-e5"])["batch"]
         assert EdgeLayout(batch.edge_index, batch.edge_attr, batch.num_nodes).kernel == "numpy"
-        _assert_matches_reference(_model(config), batch, batch, check_training_loss=True)
+        _assert_matches_reference("k2-d3-e5", "batch")
 
     @pytest.mark.parametrize("config_name", list(CONFIGS))
     def test_one_training_step_is_bitwise_the_same_on_both_bodies(self, native_body, monkeypatch, config_name):
         config = CONFIGS[config_name]
-        batch, _ = _views(config)["batch"]
+        batch = _views(config)["batch"]
         model = _model(config)
         steps = []
         for kernels in (_native.edge_kernels(), None):
@@ -201,36 +257,32 @@ def _five_node_block():
     for p in block.parameters():
         p.data += 0.3 * rng.normal(size=p.data.shape)
     return (block, EdgeLayout(edge_index, rng.normal(size=(edge_index.shape[1], 4)), 5),
-            rng.normal(size=(5, 2)), Tensor(rng.normal(size=(5, 2))), rng.normal(size=(5, 2)))
+            rng.normal(size=(5, 2)), rng.normal(size=(5, 2)), rng.normal(size=(5, 2)))
 
 
 class TestBlockPrimitive:
     def test_vjp_matches_central_finite_differences(self, body):
-        block, edges, latent0, node_input, weights = _five_node_block()
-        latent = Tensor(latent0.copy(), requires_grad=True)
+        block, edges, latent, node_input, weights = _five_node_block()
 
-        def scalar() -> Tensor:
-            return (block(latent, node_input, edges) * Tensor(weights)).sum()
+        def scalar(_=None) -> float:
+            return float((block(latent, node_input, edges)[0] * weights).sum())
 
         block.zero_grad()
-        scalar().backward()
-        with no_grad():
-            for name, tensor in [("latent", latent), *block.named_parameters()]:
-                numeric = finite_difference(lambda _: scalar().item(), tensor.data)
-                assert np.allclose(tensor.grad, numeric, rtol=1e-6, atol=1e-8), name
+        g_latent = block(latent, node_input, edges)[1](weights)
+        for name, value, grad in [("latent", latent, g_latent),
+                                  *((name, p.data, p.grad) for name, p in block.named_parameters())]:
+            assert np.allclose(grad, finite_difference(scalar, value), rtol=1e-6, atol=1e-8), name
 
-    def test_one_tape_node_that_keeps_no_edge_row_array(self):
-        block, edges, latent0, node_input, _ = _five_node_block()
-        latent = Tensor(latent0, requires_grad=True)
-        out = block(latent, node_input, edges)
-        assert out._parents == (latent, *block.parameters()) and out._backward_fns == ()
-        kept = [cell.cell_contents for cell in out._vjp.__closure__]
+    def test_the_backward_keeps_no_edge_row_array(self):
+        block, edges, latent, node_input, _ = _five_node_block()
+        _, backward = block(latent, node_input, edges)
+        kept = [cell.cell_contents for cell in backward.__closure__]
         num_edges = edges.attr.shape[0]
         # the layout's own rows are the forward's input, shared by every block; the block adds none
         assert any(item is edges for item in kept)
         assert not [a for a in kept if isinstance(a, np.ndarray) and a.ndim and a.shape[0] == num_edges]
 
-    def test_no_grad_records_nothing_and_the_native_body_allocates_no_edge_buffer(self, native_body):
+    def test_the_native_body_allocates_no_edge_buffer(self, native_body):
         # complete digraph on 300 nodes: E = 299 n, so one float per edge dwarfs
         # every n-row array a block makes (a (E, 2d) bool mask is twice that)
         n, d = 300, 8
@@ -238,18 +290,16 @@ class TestBlockPrimitive:
         src, dst = np.nonzero(~np.eye(n, dtype=bool))
         edges = EdgeLayout(np.vstack([src, dst]), rng.normal(size=(src.size, 3)), n)
         block = DSSBlock(latent_dim=d, alpha=0.1, rng=rng)
-        latent, node_input = Tensor(rng.normal(size=(n, d))), Tensor(rng.normal(size=(n, 1)))
-        with no_grad():
-            block(latent, node_input, edges)                      # warm imports and caches
-            tracemalloc.start()
-            try:
-                out = block(latent, node_input, edges)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert out._parents == () and out._vjp is None and not out.requires_grad
+        latent, node_input = rng.normal(size=(n, d)), rng.normal(size=(n, 1))
+        block(latent, node_input, edges)                          # warm imports and caches
+        tracemalloc.start()
+        try:
+            out, backward = block(latent, node_input, edges)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak < src.size * 8, peak
-        assert np.array_equal(out.numpy(), block(latent, node_input, edges).numpy())   # same bytes, tape on
+        assert np.array_equal(out, block(latent, node_input, edges)[0])
 
 
 # --------------------------------------------------------------------------- #
@@ -317,10 +367,10 @@ def _step_peak(config: DSSConfig, batch: GraphBatch) -> int:
         tracemalloc.stop()
 
 
-def test_tape_growth_per_block_has_no_float_edge_array():
+def test_backward_cache_growth_per_block_has_no_float_edge_array():
     """Ten more blocks may cost ten blocks' n-row arrays (≈ 13 n·d floats each
-    measured) — a float ``(E, 2d)`` array back on the tape (E ≈ 3.8 n here:
-    7.7 n·d floats per block) fails this; the closure test catches any dtype."""
+    measured) — a float ``(E, 2d)`` array back in a block's cache (E ≈ 3.8 n
+    here: 7.7 n·d floats per block) fails this; the closure test catches any dtype."""
     batch = GraphBatch.from_graphs([_graph(9, 9, seed, DSSConfig()) for seed in range(4)])
     n, d = batch.num_nodes, 10
     peaks = {k: _step_peak(DSSConfig(num_iterations=k, latent_dim=d, alpha=0.1), batch) for k in (2, 12)}
