@@ -21,7 +21,7 @@ from repro.mesh import structured_rectangle_mesh
 # --------------------------------------------------------------------------- #
 # the per-edge reference: gather ×2 → concatenate → Φ MLP → segment sum, in
 # plain numpy on a name -> array dict of the weights (real, or complex for the
-# complex-step derivative); what ``DSSBlock.forward`` was until PR 17
+# complex-step derivative); the formulation the fused block replaced
 # --------------------------------------------------------------------------- #
 def _mlp(weights: dict, prefix: str, x: np.ndarray) -> np.ndarray:
     z = x @ weights[f"{prefix}.layer_0.weight"].T + weights[f"{prefix}.layer_0.bias"]
