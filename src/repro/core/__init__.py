@@ -3,7 +3,8 @@
 Public surface:
 
 * :class:`~repro.core.ddm_gnn.DDMGNNPreconditioner` — the multi-level GNN
-  preconditioner (paper Sec. III-A).
+  preconditioner (paper Sec. III-A): the ``"ras"`` Schwarz apply with
+  :class:`~repro.core.ddm_gnn.DSSLocalSolver` local solves.
 * :func:`~repro.core.dataset.generate_dataset`,
   :func:`~repro.core.dataset.harvest_local_problems`,
   :class:`~repro.core.dataset.LocalProblemDataset`,
@@ -20,10 +21,11 @@ from .dataset import (
     generate_dataset,
     harvest_local_problems,
 )
-from .ddm_gnn import DDMGNNPreconditioner
+from .ddm_gnn import DDMGNNPreconditioner, DSSLocalSolver
 
 __all__ = [
     "DDMGNNPreconditioner",
+    "DSSLocalSolver",
     "LocalProblemDataset",
     "SubdomainGeometry",
     "build_subdomain_geometries",

@@ -99,11 +99,6 @@ class SubdomainGeometry:
             return z / norm, norm
         return z, norm
 
-    def solution_from_output(self, output: np.ndarray, scaling: float = 1.0) -> np.ndarray:
-        """Map a GNN output back to the local solution (undo the equilibration)."""
-        u = scaling * output
-        return u if self.equilibration is None else self.equilibration * u
-
 
 def build_subdomain_geometries(
     mesh: TriangularMesh,

@@ -1,12 +1,15 @@
 """The DDM-GNN preconditioner — the paper's primary contribution (Sec. III-A).
 
-DDM-GNN follows the two-level Additive Schwarz preconditioner but solves the
-local sub-domain problems with a trained Deep Statistical Solver instead of a
-sparse LU factorisation.  Applying it to a global residual ``r``:
+DDM-GNN is the two-level Schwarz preconditioner with one change: a trained
+Deep Statistical Solver replaces the LU local solves.  So this module adds a
+local solver, :class:`DSSLocalSolver`, and nothing else: gathering, gluing
+and the coarse correction are :class:`~repro.ddm.asm.AdditiveSchwarzPreconditioner`'s,
+in its ``"ras"`` skeleton.  Applying DDM-GNN to a global residual ``r``:
 
-1. **Local problems** (Eqs. 14–15): every local residual (on the full overlapping
-   sub-domain) is *normalised* (``R_i r / ‖R_i r‖``) — this keeps the inputs inside
-   the DSS training distribution even as PCG drives the residual to zero — and
+1. **Local problems** (Eqs. 14–15, :class:`DSSLocalSolver`): every local
+   residual (on the full overlapping sub-domain) is *normalised*
+   (``R_i r / ‖R_i r‖``) — this keeps the inputs inside the DSS training
+   distribution even as the Krylov solve drives the residual to zero — and
    all K local problems are solved in a few batched DSS inferences.
 2. **Restricted gluing**: ``z₁ = Σ_i R̃_iᵀ ‖R_i r‖ ũ_i`` — a node's correction
    is taken only from the sub-domain whose non-overlapping core owns it, not
@@ -25,46 +28,179 @@ iterations, about DDM-LU's count, where the additive form needed ~24
 still a fixed function of the residual, so solves are deterministic and
 converge to any tolerance.
 
-Everything that is invariant across a Krylov solve is compiled once at
-construction: the stacked restriction operator ``R = [R_1; …; R_K]``, the
-per-batch :class:`~repro.gnn.infer.InferencePlan` of the DSS model, and the
-stacked equilibration vector.  There is **one** application,
-:meth:`DDMGNNPreconditioner.apply_columns`, on ``(n, k)`` residual blocks —
-``apply(r)`` is its one-column case, a lockstep Krylov block its wide one.
-The sweep is loop-free: one gather, segmented norms via ``reduceat``, one
-model call per inference batch, and one owner gather, all on preallocated
-``(total_rows, k)`` scratch.  Duck-typed models that only provide ``predict``
-(the test doubles, custom local solvers) are served by the very same sweep;
-the duck-typing lives only at the model call.
+The DSS is called through its two-method plan protocol only —
+``compile_plan(batch, precision=)`` once per inference batch at set-up and
+``infer_columns(plan, sources)`` per apply — so a stand-in model (a test
+double, an exact solver) implements those two methods.
 """
 
 from __future__ import annotations
 
-import time
-from typing import List, Literal, Optional
+from typing import Iterator, List, Literal, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from ..ddm.asm import Preconditioner
-from ..ddm.coarse import NicolaidesCoarseSpace
-from ..ddm.restriction import ColumnScratch, StackedRestriction
+from ..ddm.asm import AdditiveSchwarzPreconditioner
+from ..ddm.local_solvers import LocalSolver
+from ..ddm.restriction import ColumnScratch, segment_norms
 from ..gnn.batch import GraphBatch
 from ..gnn.dss import DSS
 from ..mesh.mesh import TriangularMesh
-from ..obs import trace as obs_trace
 from ..partition.overlap import OverlappingDecomposition
 from .dataset import SubdomainGeometry, build_subdomain_geometries
 
-__all__ = ["DDMGNNPreconditioner"]
+__all__ = ["DDMGNNPreconditioner", "DSSLocalSolver"]
 
 #: stacked-node budget per inference batch (the paper's Nb batching): a
 #: constant, every chunk of ≥ 2 sub-domains measured alike (DESIGN.md)
 _AUTO_BATCH_TARGET_NODES = 2048
 
 
-class DDMGNNPreconditioner(Preconditioner):
-    """Multi-level GNN preconditioner (DDM-GNN).
+class DSSLocalSolver(LocalSolver):
+    """All K local problems solved by batched DSS inference (paper Eqs. 14–15).
+
+    The stacked block is equilibrated, normalised per sub-domain segment and
+    column, run through one plan forward per inference batch, rescaled by
+    the segment norms and un-equilibrated — every step column-parallel on
+    preallocated ``(total_rows, k)`` scratch, accumulating each column in the
+    one-column order.  In f64 a column's bytes therefore do not depend on
+    ``k``: ``infer_columns`` runs f64 columns one at a time through a single
+    kernel.  In f32 the DSS forward is one k-wide sweep, which is what stops
+    lockstep CG from serializing on the GNN; ``k = 1`` is then bitwise the
+    single-column result and ``k > 1`` matches it to float32 tolerance.
+
+    Parameters
+    ----------
+    model:
+        The (trained) DSS, or any object with ``compile_plan(batch,
+        precision=)`` and ``infer_columns(plan, sources)``.  Read at every
+        solve, so assigning a wrapper to ``model`` reaches the model call.
+    geometries:
+        The sub-domains' static data, in the order of the local matrices
+        :meth:`setup` receives.
+    precision:
+        Staging precision of the compiled plans: ``"f64"`` or ``"f32"``.
+        Normalisation, scaling and gluing stay in float64 either way.
+    normalize_local_residuals:
+        The paper's residual normalisation.  Disabling it (ablation) shows the
+        stagnation the paper describes in Sec. III-A.
+    """
+
+    def __init__(
+        self,
+        model: DSS,
+        geometries: Sequence[SubdomainGeometry],
+        precision: str = "f64",
+        normalize_local_residuals: bool = True,
+    ) -> None:
+        if precision not in ("f64", "f32"):
+            raise ValueError(f"precision must be 'f64' or 'f32', got {precision!r}")
+        super().__init__()
+        self.model = model
+        self.geometries = list(geometries)
+        self.precision = precision
+        self.normalize_local_residuals = bool(normalize_local_residuals)
+        #: one compiled plan per inference batch, and the batches' sub-domain ranges
+        self.plans: list = []
+        self.batch_ranges: List[range] = []
+        #: residual columns served, and the solves that served them
+        self.num_applications = 0
+        self.num_fused_applications = 0
+
+    def setup(self, local_matrices: Sequence[sp.spmatrix]) -> "DSSLocalSolver":
+        sizes = self._record_layout(local_matrices)
+        if sizes.tolist() != [len(g.positions) for g in self.geometries]:
+            raise ValueError("local matrices do not match the sub-domain geometries")
+        k, total = len(sizes), int(self._offsets[-1])
+        self._segment_ids = np.repeat(np.arange(k), sizes)
+
+        # Compile a plan per inference batch once; only the per-node source
+        # changes between applications.
+        chunk = max(1, _AUTO_BATCH_TARGET_NODES // max(1, total // k))
+        self.batch_ranges = [range(start, min(start + chunk, k)) for start in range(0, k, chunk)]
+        self.plans = [self.model.compile_plan(batch, precision=self.precision)
+                      for batch in self.inference_batches()]
+
+        self._equilibration: Optional[np.ndarray] = None
+        if any(g.equilibration is not None for g in self.geometries):
+            self._equilibration = np.concatenate([
+                g.equilibration if g.equilibration is not None else np.ones(len(g.positions))
+                for g in self.geometries
+            ])[:, None]
+        self._scratch = ColumnScratch(
+            squares=total,
+            source=total,       # stacked (equilibrated, normalised) DSS inputs
+            per_row=total,      # per-row norm/scale expansion
+            norms=k,
+            denominators=k,
+            scales=k,
+        )
+        return self
+
+    def inference_batches(self) -> Iterator[GraphBatch]:
+        """The graph batch of every inference batch, built anew from the geometries, one at a time.
+
+        Set-up compiles each into a plan and keeps only the plan.  Feature
+        widths are scanned once over the geometries instead of once per batch.
+        """
+        edge_dim, node_dim = GraphBatch.feature_dims(self.geometries)
+        for members in self.batch_ranges:
+            graphs = [self.geometries[i].make_graph(np.zeros(len(self.geometries[i].positions))) for i in members]
+            yield GraphBatch.from_graphs(graphs, edge_attr_dim=edge_dim, node_attr_dim=node_dim)
+
+    @property
+    def kernel(self) -> str:
+        """The plans' edge-pass body: ``"native"`` or ``"numpy"``."""
+        return self.plans[0].kernel
+
+    def solve_stacked_columns(
+        self, stacked_columns: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Equilibrate → normalise → one plan forward per inference batch → rescale → un-equilibrate."""
+        stacked = self._stacked_block(stacked_columns)
+        if out is None:
+            out = np.empty_like(stacked)
+        self.num_applications += stacked.shape[1]
+        self.num_fused_applications += 1
+        scratch = self._scratch.views(stacked.shape[1])
+        source, per_row = scratch["source"], scratch["per_row"]
+        if self._equilibration is not None:
+            stacked = np.multiply(stacked, self._equilibration, out=source)
+
+        # ‖R_i r_j‖ for every sub-domain × column, one reduceat over the rows
+        norms = segment_norms(stacked, self._offsets, out=scratch["norms"], squares=scratch["squares"])
+
+        # normalised sources (zero-norm segments are zero vectors already)
+        denominators = scratch["denominators"]
+        np.copyto(denominators, norms)
+        denominators[denominators == 0.0] = 1.0
+        np.take(denominators, self._segment_ids, axis=0, out=per_row)
+        np.divide(stacked, per_row, out=source)
+        if not self.normalize_local_residuals:
+            # ablation: undo the normalisation, feed raw (equilibrated) residuals
+            np.take(norms, self._segment_ids, axis=0, out=per_row)
+            np.multiply(source, per_row, out=source)
+
+        # all local problems × all columns in a few model calls (f32 outputs upcast on store)
+        for plan, members in zip(self.plans, self.batch_ranges):
+            rows = slice(self._offsets[members.start], self._offsets[members.stop])
+            out[rows, :] = self.model.infer_columns(plan, source[rows, :])
+
+        # rescale by ‖R_i r_j‖ (zero-norm segments contribute nothing) and undo the equilibration
+        if self.normalize_local_residuals:
+            scales = norms
+        else:
+            scales = np.sign(norms, out=scratch["scales"])  # 1 where ‖R_i r_j‖ > 0, else 0
+        np.take(scales, self._segment_ids, axis=0, out=per_row)
+        np.multiply(out, per_row, out=out)
+        if self._equilibration is not None:
+            np.multiply(out, self._equilibration, out=out)
+        return out
+
+
+class DDMGNNPreconditioner(AdditiveSchwarzPreconditioner):
+    """Multi-level GNN preconditioner (DDM-GNN): the ``"ras"`` Schwarz apply with DSS local solves.
 
     Parameters
     ----------
@@ -75,15 +211,13 @@ class DDMGNNPreconditioner(Preconditioner):
     decomposition:
         Overlapping decomposition into K sub-domains (its ``core_nodes`` own the nodes).
     model:
-        A (trained) :class:`~repro.gnn.dss.DSS` model.  Duck-typed objects
-        exposing only ``predict(batch)`` are accepted: the same sweep calls
-        ``predict`` per inference batch and column instead of a compiled plan.
+        A (trained) :class:`~repro.gnn.dss.DSS` model, or any object with its
+        plan protocol (see :class:`DSSLocalSolver`).
     levels:
         2 (default) ends the apply with the Nicolaides coarse solve; 1 drops
         it (one-level ablation).
     normalize_local_residuals:
-        The paper's residual normalisation.  Disabling it (ablation) shows the
-        stagnation the paper describes in Sec. III-A.
+        The paper's residual normalisation (see :class:`DSSLocalSolver`).
     global_dirichlet_mask:
         Physical Dirichlet node mask of the problem (defaults to the whole
         mesh boundary; mixed-BC problems pass their own).
@@ -101,7 +235,6 @@ class DDMGNNPreconditioner(Preconditioner):
         float32, with casts at the source/output boundary — so the
         preconditioner remains a fixed function of the residual and the
         flexible recurrence converges with a small, gated iteration drift.
-        Requires compiled plans (a real DSS model).
     """
 
     #: the DSS is a nonlinear map of the residual — Krylov goes flexible
@@ -120,99 +253,19 @@ class DDMGNNPreconditioner(Preconditioner):
         equilibrate: Optional[bool] = None,
         precision: str = "f64",
     ) -> None:
-        if levels not in (1, 2):
-            raise ValueError("levels must be 1 or 2")
-        if precision not in ("f64", "f32"):
-            raise ValueError(f"precision must be 'f64' or 'f32', got {precision!r}")
-        self.matrix = matrix.tocsr()
+        matrix = matrix.tocsr()
         self.mesh = mesh
-        self.decomposition = decomposition
-        self.model = model
-        self.levels = int(levels)
-        self.normalize_local_residuals = bool(normalize_local_residuals)
-        self.precision = precision
-
-        n = self.matrix.shape[0]
-        subdomains = decomposition.subdomain_nodes
-        self.stacked_restriction = StackedRestriction(subdomains, n, core_nodes=decomposition.core_nodes)
         self.geometries: List[SubdomainGeometry] = build_subdomain_geometries(
             mesh,
-            self.matrix,
+            matrix,
             decomposition,
             global_dirichlet_mask=global_dirichlet_mask,
             node_diffusion=node_diffusion,
             equilibrate=equilibrate,
         )
-        self.coarse_space: Optional[NicolaidesCoarseSpace] = None
-        if self.levels == 2:
-            self.coarse_space = NicolaidesCoarseSpace(subdomains, n).factorize(self.matrix)
+        local_solver = DSSLocalSolver(model, self.geometries, precision, normalize_local_residuals)
+        super().__init__(matrix, decomposition, local_solver, levels=levels, variant="ras")
 
-        # Pre-build the batched graph structures once; only the per-node source
-        # changes between preconditioner applications.  Feature widths are
-        # scanned once over the geometries instead of once per batch.
-        k = len(self.geometries)
-        edge_dim, node_dim = GraphBatch.feature_dims(self.geometries)
-        self._batches: List[GraphBatch] = []
-        self._batch_membership: List[List[int]] = []
-        average_size = max(1, self.stacked_restriction.total_rows // k)
-        chunk = max(1, _AUTO_BATCH_TARGET_NODES // average_size)
-        for start in range(0, k, chunk):
-            members = list(range(start, min(start + chunk, k)))
-            graphs = [self.geometries[i].make_graph(np.zeros(len(self.geometries[i].positions))) for i in members]
-            self._batches.append(
-                GraphBatch.from_graphs(graphs, edge_attr_dim=edge_dim, node_attr_dim=node_dim)
-            )
-            self._batch_membership.append(members)
-
-        # Compile an inference plan per batch when the model supports it (a
-        # real DSS); duck-typed `predict`-only models get the batch itself.
-        if hasattr(model, "compile_plan") and hasattr(model, "infer_columns"):
-            if self.precision == "f64":
-                self._plans = [model.compile_plan(batch) for batch in self._batches]
-            else:
-                self._plans = [
-                    model.compile_plan(batch, precision=self.precision)
-                    for batch in self._batches
-                ]
-        else:
-            if self.precision != "f64":
-                raise ValueError(
-                    "precision='f32' requires compiled inference plans (a model "
-                    "with compile_plan/infer_columns); duck-typed predict-only "
-                    "models run in float64"
-                )
-            self._plans = None
-
-        # Stacked residual-independent vectors and per-application scratch:
-        # segment layout follows the stacked restriction (sub-domain order).
-        total = self.stacked_restriction.total_rows
-        if any(g.equilibration is not None for g in self.geometries):
-            self._equilibration: Optional[np.ndarray] = np.concatenate([
-                g.equilibration if g.equilibration is not None else np.ones(len(g.positions))
-                for g in self.geometries
-            ])[:, None]
-        else:
-            self._equilibration = None
-        self._segment_ids = self.stacked_restriction.segment_ids
-        self._offsets = self.stacked_restriction.offsets
-        self._scratch = ColumnScratch(
-            local=total,        # stacked (equilibrated) local residuals
-            squares=total,
-            source=total,       # stacked normalised DSS inputs
-            outputs=total,      # stacked DSS outputs
-            per_row=total,      # per-row norm/scale expansion
-            norms=self.num_subdomains,
-            denominators=self.num_subdomains,
-            scales=self.num_subdomains,
-        )
-
-        # bookkeeping for the performance tables
-        self.num_applications = 0
-        self.num_fused_applications = 0
-        self.total_inference_time = 0.0
-        self.total_coarse_time = 0.0
-
-    # ------------------------------------------------------------------ #
     @classmethod
     def from_checkpoint(
         cls,
@@ -235,136 +288,34 @@ class DDMGNNPreconditioner(Preconditioner):
 
     # ------------------------------------------------------------------ #
     @property
-    def shape(self) -> tuple:
-        return self.matrix.shape
+    def model(self) -> DSS:
+        """The DSS the local solver calls; assigning one (or a wrapper) replaces it there."""
+        return self.local_solver.model
+
+    @model.setter
+    def model(self, model: DSS) -> None:
+        self.local_solver.model = model
 
     @property
-    def num_subdomains(self) -> int:
-        return len(self.geometries)
+    def kernel(self) -> str:
+        """The DSS plans' edge-pass body (``"native"`` / ``"numpy"``); the Schwarz steps run numpy."""
+        return self.local_solver.kernel
 
-    # ------------------------------------------------------------------ #
-    def apply_columns(self, residuals: np.ndarray) -> np.ndarray:
-        """Apply DDM-GNN to all ``k`` columns of an ``(n, k)`` residual block.
-
-        The one application (:meth:`apply` is its ``k = 1`` case): one
-        gather → normalise → model call → rescale → owner gather sweep over
-        the ``(total_rows, k)`` stacked residuals, then the coarse solve on
-        the residual that sweep leaves.  In f64 a
-        column's bytes do not depend on ``k`` — the contract
-        :func:`repro.krylov.block.lockstep_pcg` relies on: every kernel
-        around the model accumulates each column in the one-column order,
-        and ``infer_columns`` runs f64 columns one at a time through a single
-        kernel.  In f32 the DSS forward is one k-wide sweep, which is what
-        stops lockstep CG from serializing on the GNN; ``k = 1`` is then
-        bitwise the single-column result and ``k > 1`` matches it to float32
-        tolerance.
-        """
-        # a buffered leaf on the enclosing span, as in the ASM preconditioner
-        parent = obs_trace.current_span()
-        start = time.perf_counter() if parent is not None else 0.0
-        residuals = np.asarray(residuals, dtype=np.float64)
-        if residuals.ndim != 2:
-            raise ValueError(f"apply_columns expects an (n, k) block, got shape {residuals.shape}")
-        k = residuals.shape[1]
-        self.num_applications += k
-        self.num_fused_applications += 1
-
-        # 1. + 2. batched local GNN solves, rescaled and glued by ownership
-        t0 = time.perf_counter()
-        correction = self._local_correction(residuals)
-        self.total_inference_time += time.perf_counter() - t0
-        # 3. coarse solve (exact, LU) on the residual the local sweep leaves
-        if self.coarse_space is not None:
-            t0 = time.perf_counter()
-            correction += self.coarse_space.apply_columns(residuals - self.matrix @ correction)
-            self.total_coarse_time += time.perf_counter() - t0
-        if parent is not None:
-            parent.record_leaf("precond.apply", start, time.perf_counter(), {"k": k})
-        return np.asfortranarray(correction)
-
-    # ------------------------------------------------------------------ #
-    def _local_correction(self, residuals: np.ndarray) -> np.ndarray:
-        """Loop-free local corrections of a block: gather → normalise → model → owner gather.
-
-        Works entirely on stacked ``(total_rows, k)`` arrays in preallocated
-        buffers; the only allocation is the glued result.  Every step is
-        column-parallel — row gathers, per-column ``reduceat`` norms,
-        elementwise broadcasts — and accumulates each column in the
-        one-column order.
-        """
-        scratch = self._scratch.views(residuals.shape[1])
-        stacked = self.stacked_restriction.extract(residuals, out=scratch["local"])
-        if self._equilibration is not None:
-            np.multiply(stacked, self._equilibration, out=stacked)
-
-        # ‖R_i r_j‖ for every sub-domain × column, one reduceat over the rows
-        norms = self.stacked_restriction.segment_norms(
-            stacked, out=scratch["norms"], squares=scratch["squares"]
-        )
-
-        # normalised sources (zero-norm segments are zero vectors already)
-        denominators, per_row, source = scratch["denominators"], scratch["per_row"], scratch["source"]
-        np.copyto(denominators, norms)
-        denominators[denominators == 0.0] = 1.0
-        np.take(denominators, self._segment_ids, axis=0, out=per_row)
-        np.divide(stacked, per_row, out=source)
-        if not self.normalize_local_residuals:
-            # ablation: undo the normalisation, feed raw (equilibrated) residuals
-            np.take(norms, self._segment_ids, axis=0, out=per_row)
-            np.multiply(source, per_row, out=source)
-
-        # all local problems × all columns in a few model calls
-        outputs = scratch["outputs"]
-        for index, members in enumerate(self._batch_membership):
-            lo = self._offsets[members[0]]
-            hi = self._offsets[members[-1] + 1]
-            outputs[lo:hi, :] = self._solve_batch(index, source[lo:hi, :])
-
-        # rescale by ‖R_i r_j‖ (zero-norm segments contribute nothing), undo
-        # the equilibration, and take every node from the sub-domain owning it
-        scales = scratch["scales"]
-        if self.normalize_local_residuals:
-            np.copyto(scales, norms)
-        else:
-            np.sign(norms, out=scales)  # 1 where ‖R_i r_j‖ > 0, else 0
-        np.take(scales, self._segment_ids, axis=0, out=per_row)
-        np.multiply(outputs, per_row, out=outputs)
-        if self._equilibration is not None:
-            np.multiply(outputs, self._equilibration, out=outputs)
-        return self.stacked_restriction.glue(outputs)
-
-    def _solve_batch(self, index: int, sources: np.ndarray) -> np.ndarray:
-        """The model call: inference batch ``index`` on ``(batch_nodes, k)`` sources.
-
-        The only place that knows which kind of model it serves.  A compiled
-        plan takes all columns at once (the f32 boundary lives inside it;
-        outputs upcast on store); a ``predict``-only model sees the pre-built
-        batch once per column, its node inputs refreshed in place.
-        """
-        if self._plans is not None:
-            return self.model.infer_columns(self._plans[index], sources)
-        batch = self._batches[index]
-        outputs = np.empty(sources.shape)
-        for c in range(sources.shape[1]):
-            batch.source = sources[:, c].copy()  # its own array, not a view of the scratch
-            outputs[:, c] = self.model.predict(batch)
-        return outputs
-
-    # ------------------------------------------------------------------ #
     def inference_stats(self) -> dict:
         """Timing counters accumulated over all applications (Table III columns).
 
         ``applications`` counts residual columns, ``fused_applications`` the
         sweeps that served them (one per :meth:`apply_columns` call, whatever
-        its width).  ``total_coarse_time`` is step 3 whole: the residual
-        product ``r − A z₁`` and the coarse solve on it.  ``kernel`` is the
-        plans' edge-pass body (``"native"`` / ``"numpy"``; None without plans).
+        its width).  ``total_inference_time`` is the local sweep — gather, DSS
+        solves, glue — and ``total_coarse_time`` the coarse step whole: the
+        residual product ``r − A z₁`` and the coarse solve on it.
         """
+        solver = self.local_solver
         return {
-            "kernel": self._plans[0].kernel if self._plans else None,
-            "applications": self.num_applications,
-            "fused_applications": self.num_fused_applications,
-            "total_inference_time": self.total_inference_time,
-            "total_coarse_time": self.total_coarse_time,
-            "mean_inference_time": self.total_inference_time / max(self.num_applications, 1),
+            "kernel": self.kernel,
+            "applications": solver.num_applications,
+            "fused_applications": solver.num_fused_applications,
+            "total_inference_time": self.local_time,
+            "total_coarse_time": self.coarse_time,
+            "mean_inference_time": self.local_time / max(solver.num_applications, 1),
         }

@@ -1,13 +1,18 @@
-"""Additive Schwarz preconditioners (one- and two-level), paper Eqs. (6)–(7).
+"""Schwarz preconditioners (one- and two-level), paper Eqs. (6)–(7) and 13–16.
 
-The :class:`AdditiveSchwarzPreconditioner` is both:
+:class:`AdditiveSchwarzPreconditioner` is the one Schwarz apply of the repo:
+gather every local residual, hand the stacked block to a
+:class:`~repro.ddm.local_solvers.LocalSolver`, glue the local corrections and
+add the coarse correction.  The local solver is the only thing the paper
+varies, and ``variant`` names the rest of the skeleton:
 
-* the **DDM-LU** baseline of the paper's experiments (local problems solved
-  exactly by LU), and
-* the template of the **DDM-GNN** preconditioner in
-  :mod:`repro.core.ddm_gnn`, which swaps the local LU solves for batched DSS
-  inference on the same restrictions and coarse space (glued as in
-  ``variant="ras"`` and coarse-corrected last: flexible Krylov lets it).
+* ``"asm"`` — the symmetric Eq. 7, ``z = Σ_i R_iᵀ v_i + Q r``.  With exact LU
+  local solves it is the **DDM-LU** baseline of the paper's experiments;
+* ``"ras"`` — restricted glue ``z₁ = Σ_i R̃_iᵀ v_i`` and the coarse solve last,
+  ``z = z₁ + Q (r − A z₁)``.  With the DSS local solver
+  (:class:`~repro.core.ddm_gnn.DSSLocalSolver`) it is **DDM-GNN**
+  (:class:`~repro.core.ddm_gnn.DDMGNNPreconditioner`); flexible Krylov lets
+  it be non-symmetric.
 
 All preconditioners expose ``apply(r) -> z``, its block form
 ``apply_columns(R) -> Z`` and an ``aslinearoperator()`` helper so they can be
@@ -21,7 +26,7 @@ correction each exist once.
 from __future__ import annotations
 
 import time
-from typing import List, Literal, Optional
+from typing import Literal, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -109,7 +114,7 @@ class IdentityPreconditioner(Preconditioner):
 
 
 class AdditiveSchwarzPreconditioner(Preconditioner):
-    """Multi-level Additive Schwarz preconditioner.
+    """Multi-level Schwarz preconditioner: the one gather → local solve → glue → coarse apply.
 
     Parameters
     ----------
@@ -120,14 +125,17 @@ class AdditiveSchwarzPreconditioner(Preconditioner):
     local_solver:
         How local problems are solved; defaults to exact LU (DDM-LU).
     levels:
-        1 → one-level ASM (Eq. 6); 2 → two-level with Nicolaides coarse space
+        1 → one-level (Eq. 6); 2 → two-level with the Nicolaides coarse space
         (Eq. 7).  The paper always uses two levels.
     variant:
-        "asm" (symmetric, Eq. 6/7: ``Σ_i R_iᵀ A_i⁻¹ R_i``) or "ras"
-        (Restricted Additive Schwarz, ``Σ_i R̃_iᵀ A_i⁻¹ R_i``: a sub-domain
-        solves on its full overlapping residual but only writes the nodes of
-        its own ``decomposition.core_nodes`` — DDM-GNN's gluing; non-symmetric,
-        so not for plain CG).
+        The skeleton around the local solves.  "asm" (symmetric, Eq. 6/7:
+        ``Σ_i R_iᵀ A_i⁻¹ R_i [+ Q]``, the coarse term additive) or "ras"
+        (Restricted Additive Schwarz, ``z₁ = Σ_i R̃_iᵀ A_i⁻¹ R_i r``: a
+        sub-domain solves on its full overlapping residual but only writes
+        the nodes of its own ``decomposition.core_nodes``; at two levels the
+        coarse solve comes last, ``z = z₁ + Q (r − A z₁)``, so
+        ``R_0 (r − A z) = 0`` — DDM-GNN's skeleton; non-symmetric, so not
+        for plain CG).
     """
 
     def __init__(
@@ -154,8 +162,8 @@ class AdditiveSchwarzPreconditioner(Preconditioner):
         self.stacked_restriction = StackedRestriction(
             subdomains, n, core_nodes=decomposition.core_nodes if variant == "ras" else None
         )
-        self.local_matrices = extract_local_matrices(self.matrix, subdomains)
-        self.local_solver = (local_solver or LULocalSolver()).setup(self.local_matrices)
+        local_matrices = extract_local_matrices(self.matrix, subdomains)
+        self.local_solver = (local_solver or LULocalSolver()).setup(local_matrices)
         # per-application scratch (reused; an application allocates nothing
         # beyond the glued result and the coarse correction)
         total = self.stacked_restriction.total_rows
@@ -165,6 +173,10 @@ class AdditiveSchwarzPreconditioner(Preconditioner):
         if self.levels == 2:
             self.coarse_space = NicolaidesCoarseSpace(subdomains, n).factorize(self.matrix)
         self._native = _UNRESOLVED  # the native body: decided on the first apply, never here
+        #: seconds the numpy body spent in the local sweep (gather → solve →
+        #: glue) and in the coarse step (for "ras", with its ``r − A z₁``)
+        self.local_time = 0.0
+        self.coarse_time = 0.0
 
     # ------------------------------------------------------------------ #
     @property
@@ -205,24 +217,22 @@ class AdditiveSchwarzPreconditioner(Preconditioner):
         return self.decomposition.num_subdomains
 
     # ------------------------------------------------------------------ #
-    def local_residuals(self, residual: np.ndarray) -> List[np.ndarray]:
-        """Restrict a global residual to every sub-domain (``R_i r``)."""
-        return self.stacked_restriction.split(self.stacked_restriction.extract(residual))
-
     def apply_columns(self, residuals: np.ndarray) -> np.ndarray:
-        """Apply the preconditioner, ``Z = M⁻¹ R`` (Eq. 6 or 7), to an ``(n, k)`` block.
+        """Apply the preconditioner, ``Z = M⁻¹ R``, to an ``(n, k)`` block.
 
-        The one pipeline — :meth:`apply` is its ``k = 1`` case and the
-        lockstep multi-RHS CG (:func:`repro.krylov.block.lockstep_pcg`) its
-        wide one, where the fixed per-call cost is amortised over the block.
-        It is loop-free: one stacked gather extracts every local residual,
-        the local solver fills one stacked solution buffer, and one ``glue``
-        combines all sub-domain corrections — the CSR product ``Rᵀ W``,
-        bit-identical to the classical per-sub-domain loop ("asm"), or the
-        owner gather ``Σ_i R̃_iᵀ W_i`` ("ras").  No step lets a
-        column's bytes depend on ``k``: the gather copies values, the local
-        solver keeps columns independent, and the gluing and coarse products
-        accumulate each column in SpMV order.
+        The one Schwarz pipeline — :meth:`apply` is its ``k = 1`` case and
+        the lockstep multi-RHS CG (:func:`repro.krylov.block.lockstep_pcg`)
+        its wide one, where the fixed per-call cost is amortised over the
+        block.  It is loop-free: one stacked gather extracts every local
+        residual, the local solver fills one stacked solution buffer, and one
+        ``glue`` combines all sub-domain corrections — the CSR product
+        ``Rᵀ W``, bit-identical to the classical per-sub-domain loop ("asm"),
+        or the owner gather ``Σ_i R̃_iᵀ W_i`` ("ras").  The coarse correction
+        is added on ``R`` ("asm") or on the residual the local sweep leaves,
+        ``R − A Z₁`` ("ras").  No step lets a column's bytes depend on ``k``
+        unless the local solver does: the gather copies values, the gluing
+        and the sparse and coarse products accumulate each column in SpMV
+        order.
 
         That numpy pipeline is the reference and the body without a C
         compiler.  DDM-LU (``variant="asm"``, exact LU) has a native body too
@@ -237,64 +247,48 @@ class AdditiveSchwarzPreconditioner(Preconditioner):
         # context-manager dispatch): this runs once per Krylov iteration, so
         # it is the instrumentation point the ≤2% overhead gate leans on.
         parent = obs_trace.current_span()
-        start = time.perf_counter() if parent is not None else 0.0
+        start = time.perf_counter()
         residuals = np.asarray(residuals, dtype=np.float64)
         if residuals.ndim != 2:
             raise ValueError(f"apply_columns expects an (n, k) block, got shape {residuals.shape}")
         native = self._native_body()
         if native is not None:
             correction = native.apply_columns(residuals)
+            end = time.perf_counter()
         else:
             scratch = self._scratch.views(residuals.shape[1])
             stacked = self.stacked_restriction.extract(residuals, out=scratch["residual"])
             solutions = self.local_solver.solve_stacked_columns(stacked, out=scratch["solution"])
             correction = np.asfortranarray(self.stacked_restriction.glue(solutions))
+            glued = time.perf_counter()
             if self.coarse_space is not None:
-                correction += self.coarse_space.apply_columns(residuals)
+                left = residuals if self.variant == "asm" else residuals - self.matrix @ correction
+                correction += self.coarse_space.apply_columns(left)
+            end = time.perf_counter()
+            self.local_time += glued - start
+            self.coarse_time += end - glued
         if parent is not None:
-            parent.record_leaf("precond.apply", start, time.perf_counter(),
-                               {"k": residuals.shape[1]})
+            parent.record_leaf("precond.apply", start, end, {"k": residuals.shape[1]})
         return correction
 
     # ------------------------------------------------------------------ #
     def as_matrix(self) -> np.ndarray:
-        """Assemble the dense preconditioner matrix (tests / small problems only).
+        """Assemble the dense preconditioner matrix with exact local inverses (tests / small problems only).
 
-        Evaluates Eq. (6)/(7) with explicit inverses,
-        ``M⁻¹ = Σ_i R_iᵀ (R_i A R_iᵀ)⁻¹ R_i  [+ R_0ᵀ (R_0 A R_0ᵀ)⁻¹ R_0]``,
-        glued by the variant's rule (``R̃_iᵀ`` for ``R_iᵀ`` under "ras").
+        ``Z₁ = Σ_i R_iᵀ (R_i A R_iᵀ)⁻¹ R_i`` glued by the variant's rule
+        (``R̃_iᵀ`` for ``R_iᵀ`` under "ras"); at two levels, with
+        ``Q = R_0ᵀ (R_0 A R_0ᵀ)⁻¹ R_0``, ``Z₁ + Q`` under "asm" (Eq. 7) and
+        the coarse-last ``Z₁ + Q (I − A Z₁)`` under "ras".
         """
         n = self.matrix.shape[0]
         if n > 2000:
             raise ValueError("as_matrix() is meant for small validation problems only")
-        inverses = sp.block_diag([np.linalg.inv(a_i.toarray()) for a_i in self.local_matrices])
+        local_matrices = extract_local_matrices(self.matrix, self.decomposition.subdomain_nodes)
+        inverses = sp.block_diag([np.linalg.inv(a_i.toarray()) for a_i in local_matrices])
         stacked = self.stacked_restriction
         result = stacked.glue(inverses @ stacked.extract(np.eye(n)))
         if self.coarse_space is not None:
             r0 = self.coarse_space.r0.toarray()
-            inv0 = np.linalg.inv(self.coarse_space.coarse_matrix)
-            result += r0.T @ inv0 @ r0
+            coarse = r0.T @ np.linalg.inv(self.coarse_space.coarse_matrix) @ r0
+            result += coarse if self.variant == "asm" else coarse @ (np.eye(n) - self.matrix @ result)
         return result
-
-    def fixed_point_iteration(
-        self,
-        rhs: np.ndarray,
-        initial_guess: Optional[np.ndarray] = None,
-        iterations: int = 10,
-        relaxation: Optional[float] = None,
-    ) -> np.ndarray:
-        """Run the stationary Schwarz iteration ``u ← u + θ M⁻¹ (b − A u)`` (Eq. 8).
-
-        Provided for completeness/tests; the paper always uses ASM as a
-        preconditioner inside PCG rather than as a stationary solver.  The
-        undamped additive iteration (θ=1) can diverge when sub-domains overlap
-        (corrections are added once per covering sub-domain), so the default
-        relaxation is one over the maximum node multiplicity of the
-        decomposition, which restores convergence.
-        """
-        if relaxation is None:
-            relaxation = 1.0 / float(self.decomposition.multiplicity().max())
-        u = np.zeros(self.matrix.shape[0]) if initial_guess is None else np.asarray(initial_guess, dtype=np.float64).copy()
-        for _ in range(iterations):
-            u = u + relaxation * self.apply(rhs - self.matrix @ u)
-        return u

@@ -1,10 +1,14 @@
 """Local sub-domain solvers for Schwarz preconditioners.
 
-The classical ASM/DDM-LU preconditioner solves every local problem
+The local solver is the one thing that varies between the paper's
+preconditioners; :class:`~repro.ddm.asm.AdditiveSchwarzPreconditioner` owns
+everything around it (gather, glue, coarse correction).  The classical
+ASM/DDM-LU preconditioner solves every local problem
 ``(R_i A R_iᵀ) v_i = R_i r`` exactly with a sparse LU factorisation computed
-once (paper Sec. II-A and the DDM-LU baseline of Sec. IV).  The abstract
-interface also covers approximate local solvers, of which the GNN-based DSS
-solver (in :mod:`repro.core.ddm_gnn`) is the paper's contribution.
+once (:class:`LULocalSolver`; paper Sec. II-A and the DDM-LU baseline of
+Sec. IV).  :class:`JacobiLocalSolver` is an inexact baseline, and
+:class:`~repro.core.ddm_gnn.DSSLocalSolver` — batched inference of a trained
+Deep Statistical Solver — is the paper's contribution.
 
 A solver has **one** solve, on stacked ``(total_rows, k)`` blocks
 (:meth:`LocalSolver.solve_stacked_columns`); ``solve_all`` is a derived
@@ -83,12 +87,17 @@ class LocalSolver(ABC):
         preconditioner hot path reuses one buffer across iterations).
         """
 
-    def _block_diagonal(self, local_matrices: Sequence[sp.spmatrix], format: str) -> sp.spmatrix:
-        """Record the segment layout; return ``block_diag(A_1, …, A_K)`` in ``format``."""
+    def _record_layout(self, local_matrices: Sequence[sp.spmatrix]) -> np.ndarray:
+        """Record the segment layout of the stacked blocks; return the segment sizes."""
         if not len(local_matrices):
             raise ValueError("need at least one local matrix")
         sizes = np.array([m.shape[0] for m in local_matrices], dtype=np.int64)
         self._offsets = np.concatenate([[0], np.cumsum(sizes)])
+        return sizes
+
+    def _block_diagonal(self, local_matrices: Sequence[sp.spmatrix], format: str) -> sp.spmatrix:
+        """Record the segment layout; return ``block_diag(A_1, …, A_K)`` in ``format``."""
+        self._record_layout(local_matrices)
         if len(local_matrices) == 1:
             return local_matrices[0].asformat(format)
         return sp.block_diag(local_matrices, format=format)
@@ -104,12 +113,12 @@ class LocalSolver(ABC):
             )
         return block
 
-    def solve_all(self, local_residuals: Sequence[np.ndarray]) -> List[np.ndarray]:
+    def solve_all(self, residuals: Sequence[np.ndarray]) -> List[np.ndarray]:
         """Per-sub-domain view of the one solve: ``v_i ≈ A_i⁻¹ r_i`` for every sub-domain."""
-        sizes = [len(residual) for residual in local_residuals]
+        sizes = [len(residual) for residual in residuals]
         if self.num_blocks and sizes != np.diff(self._offsets).tolist():
             raise ValueError(f"residual lengths {sizes} do not match the sub-domain sizes")
-        stacked = np.concatenate([np.asarray(r, dtype=np.float64) for r in local_residuals])
+        stacked = np.concatenate([np.asarray(r, dtype=np.float64) for r in residuals])
         solution = self.solve_stacked_columns(stacked[:, None])[:, 0]
         return [solution[self._offsets[i]:self._offsets[i + 1]] for i in range(self.num_blocks)]
 

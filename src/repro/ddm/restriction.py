@@ -27,6 +27,7 @@ __all__ = [
     "build_restrictions",
     "StackedRestriction",
     "ColumnScratch",
+    "segment_norms",
 ]
 
 
@@ -139,24 +140,25 @@ class StackedRestriction:
             return self._transpose @ w
         return np.take(w, self.owner_rows, axis=0)
 
-    def segment_norms(
-        self,
-        stacked: np.ndarray,
-        out: Optional[np.ndarray] = None,
-        squares: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Euclidean norm of every per-sub-domain segment (``‖R_i r‖`` for all i).
 
-        ``stacked`` is a stacked vector or ``(total_rows, k)`` block; the
-        result has one row per sub-domain.  ``out`` and ``squares`` (shaped
-        like the result and like ``stacked``) are optional scratch buffers;
-        the preconditioner hot path passes both so the per-iteration norm
-        computation allocates nothing.
-        """
-        stacked = np.asarray(stacked, dtype=np.float64)
-        squares = np.multiply(stacked, stacked, out=squares)
-        out = np.add.reduceat(squares, self.offsets[:-1], axis=0, out=out)
-        return np.sqrt(out, out=out)
+def segment_norms(
+    stacked: np.ndarray,
+    offsets: np.ndarray,
+    out: Optional[np.ndarray] = None,
+    squares: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Euclidean norm of every per-sub-domain segment (``‖R_i r‖`` for all i).
+
+    ``stacked`` is a stacked vector or ``(total_rows, k)`` block whose
+    segment ``i`` is ``stacked[offsets[i]:offsets[i + 1]]``; the result has
+    one row per sub-domain.  ``out`` and ``squares`` (shaped like the result
+    and like ``stacked``) are optional scratch buffers; the DSS local solve
+    passes both so the per-iteration norm computation allocates nothing.
+    """
+    stacked = np.asarray(stacked, dtype=np.float64)
+    squares = np.multiply(stacked, stacked, out=squares)
+    out = np.add.reduceat(squares, offsets[:-1], axis=0, out=out)
+    return np.sqrt(out, out=out)
 
 
 class ColumnScratch:

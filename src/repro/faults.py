@@ -84,6 +84,9 @@ class FaultInjected(RuntimeError):
     """
 
 
+_INHERITED = object()  # marks a patched attribute its object did not define itself
+
+
 class Fault:
     """Base class: reversible class-attribute patching with bookkeeping.
 
@@ -112,8 +115,13 @@ class Fault:
 
     # -- bookkeeping ----------------------------------------------------- #
     def patch(self, obj: object, attr: str, replacement: object) -> None:
-        """Replace ``obj.attr``, remembering the original for deactivation."""
-        self._patches.append((obj, attr, getattr(obj, attr)))
+        """Replace ``obj.attr``, remembering the original for deactivation.
+
+        An attribute ``obj`` only inherits is remembered as absent, so
+        deactivation deletes the patch instead of pinning the inherited value
+        on ``obj``.
+        """
+        self._patches.append((obj, attr, vars(obj).get(attr, _INHERITED)))
         setattr(obj, attr, replacement)
 
     def _count(self) -> int:
@@ -143,7 +151,10 @@ class Fault:
         self._on_deactivate()
         while self._patches:
             obj, attr, original = self._patches.pop()
-            setattr(obj, attr, original)
+            if original is _INHERITED:
+                delattr(obj, attr)
+            else:
+                setattr(obj, attr, original)
         self._active = False
 
     def _install(self) -> None:

@@ -40,11 +40,13 @@ Preconditioners participate through ``apply_columns(R) -> Z`` (see
 ``apply(r)`` is that same method at ``k = 1`` — or, for a preconditioner that
 only implements ``apply``, ``apply_columns`` is the interface's per-column
 loop over it — so per-column bit-identity holds by construction rather than
-by a mirrored second pipeline.  The whole DDM family batches genuinely:
-DDM-LU/Jacobi solve all stacked locals at once, and DDM-GNN runs **one**
-multi-column DSS forward per inference batch
-(:meth:`repro.core.ddm_gnn.DDMGNNPreconditioner.apply_columns`), so a
-lockstep iteration costs one network sweep instead of k.
+by a mirrored second pipeline.  The whole DDM family batches genuinely: it
+is one Schwarz apply
+(:meth:`repro.ddm.asm.AdditiveSchwarzPreconditioner.apply_columns`) whose
+local solver takes the stacked block — DDM-LU/Jacobi solve all stacked locals
+at once, and DDM-GNN's :class:`~repro.core.ddm_gnn.DSSLocalSolver` runs
+**one** multi-column DSS forward per inference batch, so a lockstep iteration
+costs one network sweep instead of k.
 
 Per-column timing is reported amortised: each :class:`SolveResult` carries
 ``batch_elapsed / num_rhs`` (the honest per-RHS share of the lockstep sweep)

@@ -510,8 +510,7 @@ class SolverSession:
             result.info["overlap"] = config.overlap
         if isinstance(self.preconditioner, DDMGNNPreconditioner):
             result.info["gnn_stats"] = self.preconditioner.inference_stats()
-            result.info["kernel"] = result.info["gnn_stats"]["kernel"]
-        elif isinstance(self.preconditioner, AdditiveSchwarzPreconditioner):
+        if isinstance(self.preconditioner, AdditiveSchwarzPreconditioner):
             result.info["kernel"] = self.preconditioner.kernel
 
     def solve_many(

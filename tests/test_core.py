@@ -16,13 +16,14 @@ from repro.core import (
     harvest_local_problems,
 )
 from repro.ddm import AdditiveSchwarzPreconditioner, StackedRestriction
+from repro.ddm.restriction import segment_norms
 from repro.gnn import GraphBatch
 from repro.krylov import preconditioned_conjugate_gradient
 from repro.solvers import SolverConfig, prepare
 
 
 class _ExactLocalModel:
-    """Duck-typed 'DSS' that solves every local problem exactly with sparse LU.
+    """Stand-in 'DSS' on the plan protocol that solves every local problem exactly with sparse LU.
 
     Plugging it into :class:`DDMGNNPreconditioner` must make the hybrid
     preconditioner numerically identical to DDM-LU's own pieces composed the
@@ -31,16 +32,21 @@ class _ExactLocalModel:
     normalisation, rescaling, owner gather, residual, coarse solve).
     """
 
-    def predict(self, batch: GraphBatch) -> np.ndarray:
-        matrix = batch.block_diagonal_matrix()
-        return spla.spsolve(matrix.tocsc(), batch.source)
+    def compile_plan(self, batch: GraphBatch, precision: str = "f64"):
+        return batch.block_diagonal_matrix().tocsc()
+
+    def infer_columns(self, plan, sources: np.ndarray) -> np.ndarray:
+        return spla.spsolve(plan, sources).reshape(sources.shape)
 
 
 class _ZeroModel:
     """A 'DSS' that always returns zero corrections (worst-case local solver)."""
 
-    def predict(self, batch: GraphBatch) -> np.ndarray:
-        return np.zeros(batch.num_nodes)
+    def compile_plan(self, batch: GraphBatch, precision: str = "f64"):
+        return batch
+
+    def infer_columns(self, plan, sources: np.ndarray) -> np.ndarray:
+        return np.zeros(sources.shape)
 
 
 # --------------------------------------------------------------------------- #
@@ -174,13 +180,13 @@ class TestDDMGNNPreconditioner:
         sub-domains, byte for byte what the additive apply fed it: neither the
         restricted gluing nor the coarse solve reaches them."""
 
-        class Recording:
+        class Recording(_ZeroModel):
             def __init__(self):
                 self.sources = []
 
-            def predict(self, batch):
-                self.sources.append(batch.source.copy())
-                return np.zeros(batch.num_nodes)
+            def infer_columns(self, plan, sources):
+                self.sources.append(sources.copy())
+                return super().infer_columns(plan, sources)
 
         model = Recording()
         pre = DDMGNNPreconditioner(
@@ -190,8 +196,40 @@ class TestDDMGNNPreconditioner:
         pre.apply(r)
         additive = StackedRestriction(small_decomposition.subdomain_nodes, random_problem.num_dofs)
         local = additive.extract(r)
-        expected = local / np.repeat(additive.segment_norms(local), additive.sizes)
-        assert np.array_equal(np.concatenate(model.sources), expected)
+        expected = local / np.repeat(segment_norms(local, additive.offsets), additive.sizes)
+        assert np.array_equal(np.concatenate(model.sources)[:, 0], expected)
+
+    def test_assigned_layers_are_the_ones_the_apply_calls(self, random_problem, small_decomposition,
+                                                          tiny_dss_model):
+        """``model``, ``stacked_restriction`` and ``coarse_space`` are read at call time: a wrapper
+        assigned to any of them (a timing proxy, say) is what the next apply calls."""
+
+        class Counting:
+            def __init__(self, target, *methods):
+                self.target, self.calls = target, dict.fromkeys(methods, 0)
+
+            def __getattr__(self, name):
+                attribute = getattr(self.target, name)
+                if name not in self.calls:
+                    return attribute
+
+                def counted(*args, **kwargs):
+                    self.calls[name] += 1
+                    return attribute(*args, **kwargs)
+                return counted
+
+        pre = DDMGNNPreconditioner(random_problem.matrix, random_problem.mesh, small_decomposition,
+                                   tiny_dss_model)
+        r = np.random.default_rng(8).normal(size=random_problem.num_dofs)
+        expected = pre.apply(r)
+        pre.model = Counting(pre.model, "infer_columns")
+        pre.stacked_restriction = Counting(pre.stacked_restriction, "extract", "glue")
+        pre.coarse_space = Counting(pre.coarse_space, "apply_columns")
+        assert np.array_equal(pre.apply_columns(np.stack([r, r], axis=1))[:, 1], expected)
+        assert pre.local_solver.model is pre.model
+        assert pre.model.calls == {"infer_columns": len(pre.local_solver.plans)}
+        assert pre.stacked_restriction.calls == {"extract": 1, "glue": 1}
+        assert pre.coarse_space.calls == {"apply_columns": 1}
 
     def test_zero_model_reduces_to_coarse_only(self, random_problem, small_decomposition):
         """With a zero local solver the correction is exactly the coarse correction."""
@@ -221,7 +259,7 @@ class TestDDMGNNPreconditioner:
         chunked = DDMGNNPreconditioner(
             random_problem.matrix, random_problem.mesh, small_decomposition, tiny_dss_model
         )
-        assert len(full._plans) == 1 < len(chunked._plans)
+        assert len(full.local_solver.plans) == 1 < len(chunked.local_solver.plans)
         assert np.allclose(full.apply(r), chunked.apply(r), atol=1e-10)
 
     def test_zero_residual_gives_zero_correction_from_locals(self, random_problem, small_decomposition, tiny_dss_model):

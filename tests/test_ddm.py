@@ -219,10 +219,15 @@ class TestASM:
         direct = random_problem.solve_direct()
         assert np.linalg.norm(result.solution - direct) / np.linalg.norm(direct) < 1e-6
 
-    def test_fixed_point_iteration_reduces_residual(self, random_problem, small_decomposition):
-        asm = AdditiveSchwarzPreconditioner(random_problem.matrix, small_decomposition, levels=2)
-        u = asm.fixed_point_iteration(random_problem.rhs, iterations=5)
-        assert random_problem.relative_residual_norm(u) < 1.0
+    def test_ras_puts_the_coarse_solve_last(self, random_problem, small_decomposition, exact_local_reference):
+        """Two-level "ras" is DDM-GNN's skeleton: owner glue, then the coarse solve on ``r − A z₁`` —
+        bit for bit the composition from one-level RAS and the coarse space, so ``R₀ (r − A z) = 0``."""
+        ras = AdditiveSchwarzPreconditioner(random_problem.matrix, small_decomposition, variant="ras")
+        block = np.random.default_rng(4).normal(size=(random_problem.num_dofs, 3))
+        result = ras.apply_columns(block)
+        assert np.array_equal(result, exact_local_reference(random_problem.matrix, small_decomposition, block))
+        left = ras.coarse_space.r0 @ (block - random_problem.matrix @ result)
+        assert np.linalg.norm(left) <= 1e-10 * np.linalg.norm(block)
 
     def test_ras_variant_with_jacobi(self, random_problem, small_decomposition):
         asm = AdditiveSchwarzPreconditioner(

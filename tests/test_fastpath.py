@@ -26,6 +26,7 @@ from repro.ddm import (
     build_restrictions,
     extract_local_matrices,
 )
+from repro.ddm.restriction import segment_norms
 from repro.gnn import DSS, DSSConfig, GraphBatch, _native
 from repro.gnn import infer as engine
 from repro.gnn.graph import GraphProblem, graph_from_mesh
@@ -364,7 +365,7 @@ def edge_cases(toy_batch, kappa_batch):
     solid = make_problem("poisson3d", rng=np.random.default_rng(4), target_nodes=216)
     model3d = DSS(DSSConfig(num_iterations=2, latent_dim=4, edge_attr_dim=4, seed=0))
     config = SolverConfig(preconditioner="ddm-gnn", subdomain_size=90)
-    (batch3d,) = prepare(solid, config, model=model3d).preconditioner._batches
+    (batch3d,) = prepare(solid, config, model=model3d).preconditioner.local_solver.inference_batches()
     # node 0 isolated, node 1 of in-degree 1, node 2 of in-degree 2, node 3 a pure source
     degenerate = GraphProblem(
         positions=np.zeros((4, 2)), edge_index=np.array([[3, 1, 3], [1, 2, 2]]),
@@ -512,7 +513,7 @@ class TestEdgeKernel:
             else:
                 problem = make_problem(name, mesh=random_mesh, rng=np.random.default_rng(1))
             config = SolverConfig(preconditioner="ddm-gnn", krylov="gmres", subdomain_size=90)
-            for batch in prepare(problem, config, model=model).preconditioner._batches:
+            for batch in prepare(problem, config, model=model).preconditioner.local_solver.inference_batches():
                 order = np.argsort(batch.edge_index[1], kind="stable")
                 assert (np.diff(order) < 0).any(), "the batch is already sorted: nothing checked"
                 for precision in ("f64", "f32"):
@@ -527,25 +528,26 @@ class TestEdgeKernel:
                     expected = _edge_section_reference(batch.edge_index, terms, ws.proj_flat.reshape(-1, 2, 20))
                     assert np.array_equal(ws.pre_flat, expected.ravel()), (name, precision)
 
-    def test_a_nan_source_ends_the_solve_with_the_typed_reason(self, monkeypatch, body, random_problem,
+    def test_a_nan_source_ends_the_solve_with_the_typed_reason(self, body, random_problem,
                                                                tiny_dss_model):
         """NaN goes through the ReLU of both bodies (``0 > NaN`` is false, as
         ``np.maximum`` propagates it), so the Krylov guard sees it either way."""
         config = SolverConfig(preconditioner="ddm-gnn", subdomain_size=80)
         session = prepare(random_problem, config, model=tiny_dss_model)
-        (plan,) = session.preconditioner._plans
+        (plan,) = session.preconditioner.local_solver.plans
         sources = np.zeros((plan.num_nodes, 2))
         sources[5, 1] = np.nan
         outputs = tiny_dss_model.infer_columns(plan, sources)
         assert np.isfinite(outputs[:, 0]).all() and np.isnan(outputs[:, 1]).any()
 
-        solve_batch = DDMGNNPreconditioner._solve_batch
+        class Poisoned:
+            """The model on its plan protocol, with row 5 of every source block made NaN."""
 
-        def poisoned(self, index, sources):
-            sources[5, :] = np.nan
-            return solve_batch(self, index, sources)
+            def infer_columns(self, plan, sources):
+                sources[5, :] = np.nan
+                return tiny_dss_model.infer_columns(plan, sources)
 
-        monkeypatch.setattr(DDMGNNPreconditioner, "_solve_batch", poisoned)
+        session.preconditioner.model = Poisoned()
         result = session.solve()
         assert not result.converged and result.iterations == 0
         assert result.failure_reason == "non_finite_preconditioner"
@@ -658,7 +660,7 @@ class TestPreconditionerApplyColumns:
         pre = self._build(random_problem, small_decomposition, tiny_dss_model, chunk, monkeypatch)
         if chunk is not None:
             # the point of the parametrization: a ragged last inference batch
-            assert len({len(m) for m in pre._batch_membership}) > 1
+            assert len({len(m) for m in pre.local_solver.batch_ranges}) > 1
         R = np.random.default_rng(43).normal(size=(random_problem.num_dofs, 5))
         fused = pre.apply_columns(R)
         for j in range(R.shape[1]):
@@ -752,7 +754,7 @@ class TestStackedRestriction:
         n = small_decomposition.mesh.num_nodes
         stacked = StackedRestriction(small_decomposition.subdomain_nodes, n)
         v = np.random.default_rng(2).normal(size=stacked.total_rows)
-        norms = stacked.segment_norms(v)
+        norms = segment_norms(v, stacked.offsets)
         for norm, part in zip(norms, stacked.split(v)):
             assert np.isclose(norm, np.linalg.norm(part), rtol=1e-14)
 
@@ -1019,7 +1021,7 @@ def equation_reference(pre: DDMGNNPreconditioner, residual: np.ndarray) -> np.nd
         norm = np.linalg.norm(local)
         if norm == 0.0:
             continue
-        normalise = pre.normalize_local_residuals
+        normalise = pre.local_solver.normalize_local_residuals
         source = local / norm if normalise else local              # Eq. 14
         u = pre.model.predict(geometry.make_graph(source))          # Eq. 15
         if normalise:
@@ -1043,27 +1045,38 @@ class TestDDMGNNFastPath:
 
     def test_fast_path_compiled_for_dss(self, random_problem, small_decomposition, tiny_dss_model):
         pre = self._build(random_problem, small_decomposition, tiny_dss_model)
-        assert pre._plans is not None
+        assert len(pre.local_solver.plans) == len(pre.local_solver.batch_ranges) > 0
+        assert pre.kernel == pre.local_solver.plans[0].kernel
 
     def test_duck_typed_model_served_by_the_sweep(self, random_problem, small_decomposition):
-        class PredictOnly:
-            calls = 0
+        class PlanOnly:
+            """A stand-in with nothing but the DSS plan protocol."""
 
-            def predict(self, batch):
-                self.calls += 1
-                return np.zeros(batch.num_nodes)
+            def __init__(self):
+                self.compiled, self.widths = [], []
 
-        model = PredictOnly()
+            def compile_plan(self, batch, precision="f64"):
+                self.compiled.append(precision)
+                return batch
+
+            def infer_columns(self, plan, sources):
+                self.widths.append(sources.shape[1])
+                return np.zeros(sources.shape)
+
+        model = PlanOnly()
         pre = self._build(random_problem, small_decomposition, model, levels=1)
+        batches = len(pre.local_solver.batch_ranges)
+        assert model.compiled == ["f64"] * batches                  # one plan per inference batch, at set-up
         rng = np.random.default_rng(5)
         assert np.allclose(pre.apply(rng.normal(size=random_problem.num_dofs)), 0.0)
-        assert model.calls == len(pre._batch_membership)
-        # one `predict` per inference batch and column, through the same sweep
+        assert model.widths == [1] * batches
+        # one model call per inference batch, every column at once, through the same sweep
         block = rng.normal(size=(random_problem.num_dofs, 3))
         assert np.allclose(pre.apply_columns(block), 0.0)
-        assert model.calls == 4 * len(pre._batch_membership)
-        with pytest.raises(ValueError, match="precision='f32'"):
-            self._build(random_problem, small_decomposition, model, precision="f32")
+        assert model.widths == [1] * batches + [3] * batches
+        f32 = PlanOnly()
+        self._build(random_problem, small_decomposition, f32, precision="f32")
+        assert f32.compiled == ["f32"] * batches
 
     @pytest.mark.parametrize("normalize", [True, False])
     def test_fast_apply_matches_reference(self, random_problem, small_decomposition, tiny_dss_model, normalize):
@@ -1083,13 +1096,16 @@ class TestDDMGNNFastPath:
 
     def test_exact_local_model_through_stacked_plumbing(self, random_problem, small_decomposition,
                                                         exact_local_reference):
-        """Duck-typed exact solver reproduces restricted, coarse-corrected DDM-LU
+        """A stand-in exact solver on the plan protocol reproduces restricted, coarse-corrected DDM-LU
         through the production sweep, one column or three — the consistency
         anchor of the plumbing."""
 
         class ExactLocal:
-            def predict(self, batch):
-                return spla.spsolve(batch.block_diagonal_matrix().tocsc(), batch.source)
+            def compile_plan(self, batch, precision="f64"):
+                return batch.block_diagonal_matrix().tocsc()
+
+            def infer_columns(self, plan, sources):
+                return spla.spsolve(plan, sources).reshape(sources.shape)
 
         gnn = self._build(random_problem, small_decomposition, ExactLocal(), levels=2)
         block = np.random.default_rng(8).normal(size=(random_problem.num_dofs, 3))

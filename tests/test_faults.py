@@ -64,6 +64,20 @@ class TestHarness:
             assert LULocalSolver.solve_stacked_columns is not original
         assert LULocalSolver.solve_stacked_columns is original
 
+    def test_an_inherited_seam_is_unpatched_by_deletion(self):
+        """``DDMGNNPreconditioner`` inherits its apply from the Schwarz class: toggling the fault
+        must leave its own attributes as they were, not pin the inherited apply on it."""
+        from repro.core import DDMGNNPreconditioner
+        from repro.ddm import AdditiveSchwarzPreconditioner
+
+        before = dict(vars(DDMGNNPreconditioner))
+        assert "apply_columns" not in before
+        fault = faults.fault_spec("gnn-nan-apply").factory().activate()
+        assert "apply_columns" in vars(DDMGNNPreconditioner)
+        fault.deactivate()
+        assert dict(vars(DDMGNNPreconditioner)) == before
+        assert DDMGNNPreconditioner.apply_columns is AdditiveSchwarzPreconditioner.apply_columns
+
     def test_patches_restored_on_exception(self):
         original = SolverSession.__init__
         with pytest.raises(RuntimeError, match="boom"):

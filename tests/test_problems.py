@@ -378,11 +378,13 @@ class TestKappaAwareGraphs:
 # equilibration consistency: exact local solves must reproduce classical ASM
 # --------------------------------------------------------------------------- #
 class _ExactLocalModel:
-    """Duck-typed 'DSS' solving every (equilibrated) local problem exactly."""
+    """Stand-in 'DSS' on the plan protocol solving every (equilibrated) local problem exactly."""
 
-    def predict(self, batch: GraphBatch) -> np.ndarray:
-        matrix = batch.block_diagonal_matrix()
-        return spla.spsolve(matrix.tocsc(), batch.source)
+    def compile_plan(self, batch: GraphBatch, precision: str = "f64"):
+        return batch.block_diagonal_matrix().tocsc()
+
+    def infer_columns(self, plan, sources: np.ndarray) -> np.ndarray:
+        return spla.spsolve(plan, sources).reshape(sources.shape)
 
 
 class TestEquilibrationConsistency:

@@ -207,9 +207,9 @@ class TestAmortisation:
         compile_calls = {"n": 0}
         original = type(tiny_dss_model).compile_plan
 
-        def counting_compile(self, batch):
+        def counting_compile(self, batch, precision="f64"):
             compile_calls["n"] += 1
-            return original(self, batch)
+            return original(self, batch, precision=precision)
 
         monkeypatch.setattr(type(tiny_dss_model), "compile_plan", counting_compile)
         session = prepare(
@@ -577,6 +577,29 @@ class TestIterationBudget:
             counts = [result.iterations for result in block.results]
             assert all(got <= pin for got, pin in zip(counts, self.SOLVE_MANY_F32[seed])), \
                 (seed, counts)
+
+    #: tolerance -> seed -> iterations of exact LU local solves in ``ddm-gnn``'s own skeleton (owner glue,
+    #: coarse solve last, flexible CG) on the same operator and first right-hand side as ``SOLVE``: the
+    #: floor a perfect DSS would reach (``ddm-gnn`` 8 at 1e-3; ``ddm-lu``, additive under CG, 5-6)
+    EXACT_LOCAL = {1e-3: {0: 3, 1: 3, 2: 4}, 1e-6: {0: 7, 1: 7, 2: 7}}
+
+    def test_exact_local_solves_in_the_ddm_gnn_skeleton(self, declare_linearity):
+        from repro.ddm import AdditiveSchwarzPreconditioner, LULocalSolver
+        from repro.krylov import preconditioned_conjugate_gradient
+        from repro.serve import build_problem_from_spec
+
+        problem = build_problem_from_spec(self.SPEC)
+        decomposition = prepare(problem, SolverConfig(preconditioner="ddm-lu", subdomain_size=110,
+                                                      overlap=2)).decomposition
+        exact = AdditiveSchwarzPreconditioner(problem.matrix, decomposition, LULocalSolver(), levels=2,
+                                              variant="ras")
+        for tolerance, pins in self.EXACT_LOCAL.items():
+            for seed, pin in pins.items():
+                rhs = problem.matrix @ np.random.default_rng(seed).normal(size=(8, problem.num_dofs))[0]
+                result = preconditioned_conjugate_gradient(
+                    problem.matrix, rhs, declare_linearity(exact, False), tolerance=tolerance)
+                assert result.converged and result.info["recurrence"] == "flexible"
+                assert result.iterations == pin, (tolerance, seed, result.iterations)
 
     #: ``serve-lu``'s operators and config (poisson, T=1000, seeds 0-3, 110-node sub-domains, overlap 2, tol
     #: 1e-6): seed -> iterations of ``ddm-lu``'s ``solve`` and of its k = 4 ``solve_many``, right-hand sides
