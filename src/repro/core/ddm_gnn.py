@@ -306,16 +306,19 @@ class DDMGNNPreconditioner(AdditiveSchwarzPreconditioner):
 
         ``applications`` counts residual columns, ``fused_applications`` the
         sweeps that served them (one per :meth:`apply_columns` call, whatever
-        its width).  ``total_inference_time`` is the local sweep — gather, DSS
-        solves, glue — and ``total_coarse_time`` the coarse step whole: the
-        residual product ``r − A z₁`` and the coarse solve on it.
+        its width).  The times are reads of the apply's lifetime record
+        (``self.steps``): ``total_inference_time`` sums its ``ddm.local``
+        leaves — gather, DSS solves, glue — and ``total_coarse_time`` its
+        ``ddm.coarse`` leaves, the coarse step whole: the residual product
+        ``r − A z₁`` and the coarse solve on it.
         """
         solver = self.local_solver
+        local = self.steps.total("ddm.local")
         return {
             "kernel": self.kernel,
             "applications": solver.num_applications,
             "fused_applications": solver.num_fused_applications,
-            "total_inference_time": self.local_time,
-            "total_coarse_time": self.coarse_time,
-            "mean_inference_time": self.local_time / max(solver.num_applications, 1),
+            "total_inference_time": local,
+            "total_coarse_time": self.steps.total("ddm.coarse"),
+            "mean_inference_time": local / max(solver.num_applications, 1),
         }

@@ -25,7 +25,6 @@ correction each exist once.
 
 from __future__ import annotations
 
-import time
 from typing import Literal, Optional
 
 import numpy as np
@@ -173,10 +172,10 @@ class AdditiveSchwarzPreconditioner(Preconditioner):
         if self.levels == 2:
             self.coarse_space = NicolaidesCoarseSpace(subdomains, n).factorize(self.matrix)
         self._native = _UNRESOLVED  # the native body: decided on the first apply, never here
-        #: seconds the numpy body spent in the local sweep (gather → solve →
-        #: glue) and in the coarse step (for "ras", with its ``r − A z₁``)
-        self.local_time = 0.0
-        self.coarse_time = 0.0
+        #: the numpy body's lifetime record, never exported: one ``ddm.local``
+        #: leaf (gather → solve → glue) and one ``ddm.coarse`` leaf (for "ras"
+        #: with its ``r − A z₁``) per apply; ``inference_stats()`` reads its totals
+        self.steps = obs_trace.detached("schwarz.steps")
 
     # ------------------------------------------------------------------ #
     @property
@@ -243,33 +242,28 @@ class AdditiveSchwarzPreconditioner(Preconditioner):
         relative (SuperLU's supernodal substitution order is not
         reproducible).
         """
-        # Traced as a buffered leaf (one tuple append on the parent span, no
-        # context-manager dispatch): this runs once per Krylov iteration, so
-        # it is the instrumentation point the ≤2% overhead gate leans on.
-        parent = obs_trace.current_span()
-        start = time.perf_counter()
         residuals = np.asarray(residuals, dtype=np.float64)
         if residuals.ndim != 2:
             raise ValueError(f"apply_columns expects an (n, k) block, got shape {residuals.shape}")
         native = self._native_body()
         if native is not None:
-            correction = native.apply_columns(residuals)
-            end = time.perf_counter()
-        else:
-            scratch = self._scratch.views(residuals.shape[1])
-            stacked = self.stacked_restriction.extract(residuals, out=scratch["residual"])
-            solutions = self.local_solver.solve_stacked_columns(stacked, out=scratch["solution"])
-            correction = np.asfortranarray(self.stacked_restriction.glue(solutions))
-            glued = time.perf_counter()
-            if self.coarse_space is not None:
-                left = residuals if self.variant == "asm" else residuals - self.matrix @ correction
-                correction += self.coarse_space.apply_columns(left)
-            end = time.perf_counter()
-            self.local_time += glued - start
-            self.coarse_time += end - glued
-        if parent is not None:
-            parent.record_leaf("precond.apply", start, end, {"k": residuals.shape[1]})
+            return native.apply_columns(residuals)
+        correction = self.steps.measure("ddm.local", self._local_sweep, residuals)
+        if self.coarse_space is not None:
+            correction += self.steps.measure("ddm.coarse", self._coarse_step, residuals, correction)
         return correction
+
+    def _local_sweep(self, residuals: np.ndarray) -> np.ndarray:
+        """Gather → local solves → glue: the one-level correction ``Z₁``."""
+        scratch = self._scratch.views(residuals.shape[1])
+        stacked = self.stacked_restriction.extract(residuals, out=scratch["residual"])
+        solutions = self.local_solver.solve_stacked_columns(stacked, out=scratch["solution"])
+        return np.asfortranarray(self.stacked_restriction.glue(solutions))
+
+    def _coarse_step(self, residuals: np.ndarray, correction: np.ndarray) -> np.ndarray:
+        """The coarse correction: on ``R`` ("asm"), or on ``R − A Z₁`` ("ras")."""
+        left = residuals if self.variant == "asm" else residuals - self.matrix @ correction
+        return self.coarse_space.apply_columns(left)
 
     # ------------------------------------------------------------------ #
     def as_matrix(self) -> np.ndarray:

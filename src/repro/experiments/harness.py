@@ -23,7 +23,6 @@ directory goes straight to benching.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -36,6 +35,7 @@ from ..gnn.dss import DSS
 from ..gnn.training import DSSTrainer, evaluate_model
 from ..mesh.shapes import mesh_for_target_size
 from ..obs import events as obs_events
+from ..obs import trace as obs_trace
 from ..problems import make_problem
 from ..solvers import prepare, preconditioner_spec
 from .spec import ExperimentSpec
@@ -98,25 +98,25 @@ class ExperimentHarness:
 
         # -- dataset + training ---------------------------------------------
         if trainer.epochs_done < spec.epochs:
-            t0 = time.perf_counter()
             say(f"[{spec.name}] harvesting dataset: {spec.num_global_problems} "
                 f"'{spec.problem_family}' problems, element size {spec.mesh_element_size}")
-            dataset = self._generate_dataset()
-            elapsed["dataset_s"] = time.perf_counter() - t0
+            with obs_trace.record("experiment.dataset") as stage:
+                dataset = self._generate_dataset()
+            elapsed["dataset_s"] = stage.seconds
             train = dataset.train[: spec.max_train_samples] if spec.max_train_samples else dataset.train
             validation = dataset.validation[: spec.max_validation_samples]
             say(f"[{spec.name}] training epochs {trainer.epochs_done + 1}..{spec.epochs} "
                 f"on {len(train)} local problems ({model.summary()})")
-            t0 = time.perf_counter()
-            trainer.fit(
-                train,
-                validation,
-                epochs=spec.epochs,
-                verbose=verbose,
-                checkpoint_path=str(self.checkpoint_path),
-                checkpoint_metadata={"spec_hash": spec.config_hash, "spec_name": spec.name},
-            )
-            elapsed["train_s"] = time.perf_counter() - t0
+            with obs_trace.record("experiment.train") as stage:
+                trainer.fit(
+                    train,
+                    validation,
+                    epochs=spec.epochs,
+                    verbose=verbose,
+                    checkpoint_path=str(self.checkpoint_path),
+                    checkpoint_metadata={"spec_hash": spec.config_hash, "spec_name": spec.name},
+                )
+            elapsed["train_s"] = stage.seconds
             test = dataset.test[: spec.max_validation_samples]
             metrics = evaluate_model(model, test).as_dict() if test else {}
         else:
@@ -126,10 +126,10 @@ class ExperimentHarness:
                 # a previous run was interrupted after the final checkpoint but
                 # before metrics.json landed — recompute instead of losing them
                 say(f"[{spec.name}] stored metrics missing — re-evaluating the checkpointed model")
-                t0 = time.perf_counter()
-                test = self._generate_dataset().test[: spec.max_validation_samples]
-                metrics = evaluate_model(model, test).as_dict() if test else {}
-                elapsed["evaluate_s"] = time.perf_counter() - t0
+                with obs_trace.record("experiment.evaluate") as stage:
+                    test = self._generate_dataset().test[: spec.max_validation_samples]
+                    metrics = evaluate_model(model, test).as_dict() if test else {}
+                elapsed["evaluate_s"] = stage.seconds
 
         self._write_json("metrics.json", {
             "config_hash": spec.config_hash,
@@ -146,13 +146,13 @@ class ExperimentHarness:
         # -- bench ------------------------------------------------------------
         bench_records: List[Dict] = []
         if not skip_bench:
-            t0 = time.perf_counter()
             # bench solves run with convergence telemetry on; the captured
             # event stream becomes part of the artifact (events.jsonl)
-            with obs_events.capture_events() as ring:
-                bench_records = self._bench(model, say)
-            ring.dump_jsonl(self.artifact_dir / "events.jsonl")
-            elapsed["bench_s"] = time.perf_counter() - t0
+            with obs_trace.record("experiment.bench") as stage:
+                with obs_events.capture_events() as ring:
+                    bench_records = self._bench(model, say)
+                ring.dump_jsonl(self.artifact_dir / "events.jsonl")
+            elapsed["bench_s"] = stage.seconds
             self._write_json("bench.json", {
                 "config_hash": spec.config_hash,
                 "tolerance": spec.tolerance,
@@ -249,16 +249,16 @@ class ExperimentHarness:
                 preconditioner.apply(problem.rhs)  # warm-up
                 times = []
                 for _ in range(max(1, spec.bench_repeats)):
-                    t0 = time.perf_counter()
-                    preconditioner.apply(problem.rhs)
-                    times.append(time.perf_counter() - t0)
+                    with obs_trace.record("bench.apply") as apply_record:
+                        preconditioner.apply(problem.rhs)
+                    times.append(apply_record.seconds)
                 result = session.solve()
                 resolve_times = []
                 for _ in range(max(1, spec.bench_repeats)):
                     fresh_rhs = resolve_rng.normal(size=problem.num_dofs)
-                    t0 = time.perf_counter()
-                    session.solve(fresh_rhs)
-                    resolve_times.append(time.perf_counter() - t0)
+                    with obs_trace.record("bench.resolve") as resolve_record:
+                        session.solve(fresh_rhs)
+                    resolve_times.append(resolve_record.seconds)
                 records.append({
                     "solver": kind,
                     "n": int(problem.num_dofs),

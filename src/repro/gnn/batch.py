@@ -222,17 +222,6 @@ class GraphBatch:
         object.__setattr__(self, "_block_matrix", matrix)
         return matrix
 
-    def as_single_graph(self) -> GraphProblem:
-        """View the whole batch as one :class:`GraphProblem` (no matrix attached)."""
-        return GraphProblem(
-            positions=self.positions,
-            edge_index=self.edge_index,
-            edge_attr=self.edge_attr,
-            source=self.source,
-            dirichlet_mask=self.dirichlet_mask,
-            node_attr=self.node_attr,
-        )
-
     def compile_plan(self) -> "BatchPlan":
         """Freeze this batch into a :class:`BatchPlan` for iteration-time reuse."""
         return BatchPlan.from_batch(self)

@@ -10,7 +10,6 @@ this repository use the same code path.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -18,6 +17,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from ..nn.optim import Adam, clip_grad_norm
+from ..obs import trace as obs_trace
 from ..nn.schedulers import ReduceLROnPlateau
 from .batch import GraphBatch
 from .dss import DSS
@@ -181,13 +181,13 @@ class DSSTrainer:
         epochs = epochs if epochs is not None else self.config.epochs
         self.model.train()
         for epoch in range(self.epochs_done + 1, epochs + 1):
-            start = time.perf_counter()
-            train_loss = self.train_epoch(train_problems, rng)
+            with obs_trace.record("train.epoch", epoch=epoch) as record:
+                train_loss = self.train_epoch(train_problems, rng)
             stats = EpochStats(
                 epoch=epoch,
                 train_loss=train_loss,
                 learning_rate=self.optimizer.lr,
-                elapsed_time=time.perf_counter() - start,
+                elapsed_time=record.seconds,
             )
             if validation_problems:
                 self.model.eval()

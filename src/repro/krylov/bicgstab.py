@@ -8,15 +8,15 @@ completeness, for non-symmetric variants of the preconditioned operator
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..ddm.asm import IdentityPreconditioner, Preconditioner
+from ..obs import trace as obs_trace
 from . import failures
-from .result import SolveResult
+from .result import PRECOND_APPLY, SolveResult, apply_preconditioner
 
 __all__ = ["bicgstab"]
 
@@ -68,100 +68,94 @@ def bicgstab(
             failure_reason=failures.NON_FINITE_RHS,
         )
 
-    start = time.perf_counter()
-    precond_time = 0.0
-
-    x = np.zeros(n) if initial_guess is None else np.asarray(initial_guess, dtype=np.float64).copy()
-    r = rhs - matvec(x)
-    r_hat = r.copy()
-    rho_prev = alpha = omega = 1.0
-    v = np.zeros(n)
-    p = np.zeros(n)
-    residual_history = [float(np.linalg.norm(r) / rhs_norm)]
-    converged = residual_history[-1] < tolerance
-    iteration = 0
-    failure: Optional[str] = None
-    if not converged and not np.isfinite(residual_history[-1]):
-        failure = failures.NON_FINITE_RESIDUAL
-    best_rel = residual_history[-1]
-    since_best = 0
-
-    while not converged and failure is None and iteration < max_iterations:
-        rho = float(r_hat @ r)
-        if rho == 0.0 or not np.isfinite(rho):
-            failure = failures.RHO_BREAKDOWN
-            break
-        beta = (rho / rho_prev) * (alpha / omega) if iteration > 0 else 0.0
-        p = r + beta * (p - omega * v)
-        t0 = time.perf_counter()
-        p_hat = precond.apply(p)
-        precond_time += time.perf_counter() - t0
-        if not np.isfinite(p_hat).all():
-            failure = failures.NON_FINITE_PRECONDITIONER
-            break
-        v = matvec(p_hat)
-        if not np.isfinite(v).all():
-            failure = failures.NON_FINITE_OPERATOR
-            break
-        denom = float(r_hat @ v)
-        if denom == 0.0 or not np.isfinite(denom):
-            failure = failures.RHO_BREAKDOWN
-            break
-        alpha = rho / denom
-        s = r - alpha * v
-        if np.linalg.norm(s) / rhs_norm < tolerance:
-            x += alpha * p_hat
-            iteration += 1
-            residual_history.append(float(np.linalg.norm(s) / rhs_norm))
-            converged = True
-            break
-        t0 = time.perf_counter()
-        s_hat = precond.apply(s)
-        precond_time += time.perf_counter() - t0
-        if not np.isfinite(s_hat).all():
-            failure = failures.NON_FINITE_PRECONDITIONER
-            break
-        t = matvec(s_hat)
-        if not np.isfinite(t).all():
-            failure = failures.NON_FINITE_OPERATOR
-            break
-        tt = float(t @ t)
-        omega = float(t @ s) / tt if tt > 0.0 else 0.0
-        x += alpha * p_hat + omega * s_hat
-        r = s - omega * t
-        rho_prev = rho
-        iteration += 1
-        rel = float(np.linalg.norm(r) / rhs_norm)
-        residual_history.append(rel)
-        if not np.isfinite(rel):
+    with obs_trace.record("krylov.solve", solver="bicgstab") as record:
+        x = np.zeros(n) if initial_guess is None else np.asarray(initial_guess, dtype=np.float64).copy()
+        r = rhs - matvec(x)
+        r_hat = r.copy()
+        rho_prev = alpha = omega = 1.0
+        v = np.zeros(n)
+        p = np.zeros(n)
+        residual_history = [float(np.linalg.norm(r) / rhs_norm)]
+        converged = residual_history[-1] < tolerance
+        iteration = 0
+        failure: Optional[str] = None
+        if not converged and not np.isfinite(residual_history[-1]):
             failure = failures.NON_FINITE_RESIDUAL
-            break
-        if rel < tolerance:
-            converged = True
-            break
-        if omega == 0.0:
-            # omega breakdown: the stabilisation step degenerated
-            failure = failures.BREAKDOWN
-            break
-        if rel < best_rel:
-            best_rel = rel
-            since_best = 0
-        else:
-            since_best += 1
-            if stagnation_window is not None and since_best >= stagnation_window:
-                failure = failures.STAGNATION
-                break
+        best_rel = residual_history[-1]
+        since_best = 0
 
-    if not converged and failure is None:
-        failure = failures.MAX_ITERATIONS
+        while not converged and failure is None and iteration < max_iterations:
+            rho = float(r_hat @ r)
+            if rho == 0.0 or not np.isfinite(rho):
+                failure = failures.RHO_BREAKDOWN
+                break
+            beta = (rho / rho_prev) * (alpha / omega) if iteration > 0 else 0.0
+            p = r + beta * (p - omega * v)
+            p_hat = apply_preconditioner(record, precond.apply, p)
+            if not np.isfinite(p_hat).all():
+                failure = failures.NON_FINITE_PRECONDITIONER
+                break
+            v = matvec(p_hat)
+            if not np.isfinite(v).all():
+                failure = failures.NON_FINITE_OPERATOR
+                break
+            denom = float(r_hat @ v)
+            if denom == 0.0 or not np.isfinite(denom):
+                failure = failures.RHO_BREAKDOWN
+                break
+            alpha = rho / denom
+            s = r - alpha * v
+            if np.linalg.norm(s) / rhs_norm < tolerance:
+                x += alpha * p_hat
+                iteration += 1
+                residual_history.append(float(np.linalg.norm(s) / rhs_norm))
+                converged = True
+                break
+            s_hat = apply_preconditioner(record, precond.apply, s)
+            if not np.isfinite(s_hat).all():
+                failure = failures.NON_FINITE_PRECONDITIONER
+                break
+            t = matvec(s_hat)
+            if not np.isfinite(t).all():
+                failure = failures.NON_FINITE_OPERATOR
+                break
+            tt = float(t @ t)
+            omega = float(t @ s) / tt if tt > 0.0 else 0.0
+            x += alpha * p_hat + omega * s_hat
+            r = s - omega * t
+            rho_prev = rho
+            iteration += 1
+            rel = float(np.linalg.norm(r) / rhs_norm)
+            residual_history.append(rel)
+            if not np.isfinite(rel):
+                failure = failures.NON_FINITE_RESIDUAL
+                break
+            if rel < tolerance:
+                converged = True
+                break
+            if omega == 0.0:
+                # omega breakdown: the stabilisation step degenerated
+                failure = failures.BREAKDOWN
+                break
+            if rel < best_rel:
+                best_rel = rel
+                since_best = 0
+            else:
+                since_best += 1
+                if stagnation_window is not None and since_best >= stagnation_window:
+                    failure = failures.STAGNATION
+                    break
+
+        if not converged and failure is None:
+            failure = failures.MAX_ITERATIONS
 
     return SolveResult(
         solution=x,
         converged=converged,
         iterations=iteration,
         residual_history=residual_history,
-        elapsed_time=time.perf_counter() - start,
-        preconditioner_time=precond_time,
+        elapsed_time=record.seconds,
+        preconditioner_time=record.total(PRECOND_APPLY),
         info={"solver": "bicgstab", "tolerance": tolerance},
         failure_reason=failure,
     )

@@ -48,24 +48,25 @@ at once, and DDM-GNN's :class:`~repro.core.ddm_gnn.DSSLocalSolver` runs
 **one** multi-column DSS forward per inference batch, so a lockstep iteration
 costs one network sweep instead of k.
 
-Per-column timing is reported amortised: each :class:`SolveResult` carries
-``batch_elapsed / num_rhs`` (the honest per-RHS share of the lockstep sweep)
-and ``info["lockstep"]`` records the batch-level totals.
+Per-column timing is reported amortised: the sweep is one ``krylov.solve``
+record, each :class:`SolveResult` carries its duration and its
+``precond.apply`` total divided by ``num_rhs`` (the honest per-RHS share of
+the lockstep sweep), and ``info["lockstep"]`` the undivided batch totals.
 """
 
 from __future__ import annotations
 
 import functools
-import time
 from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..ddm.asm import IdentityPreconditioner, Preconditioner
+from ..obs import trace as obs_trace
 from . import failures
 from .flexible import DirectionWindow, recurrence_of
-from .result import SolveResult
+from .result import PRECOND_APPLY, SolveResult, apply_preconditioner
 
 __all__ = ["lockstep_pcg"]
 
@@ -120,9 +121,6 @@ def lockstep_pcg(
         apply_columns = functools.partial(Preconditioner.apply_columns, precond)
     max_iterations = max_iterations if max_iterations is not None else 10 * n
 
-    start = time.perf_counter()
-    precond_time = 0.0
-
     recurrence = recurrence_of(precond)
 
     def base_info() -> dict:
@@ -169,194 +167,190 @@ def lockstep_pcg(
             failure_reason=failure_reason,
         )
 
-    if cols:
-        k = len(cols)
-        X = np.zeros((n, k), order="F")
-        if initial_guess is not None:
-            x0 = np.asarray(initial_guess, dtype=np.float64)
+    with obs_trace.record("krylov.solve", solver="lockstep", num_rhs=num_rhs) as record:
+        if cols:
+            k = len(cols)
+            X = np.zeros((n, k), order="F")
+            if initial_guess is not None:
+                x0 = np.asarray(initial_guess, dtype=np.float64)
+                for i in range(k):
+                    X[:, i] = x0
+            R = np.asfortranarray(rhs_batch[cols].T - (csr @ X))
+            rhs_norms = rhs_norms_all[cols]
+
+            Z = np.asfortranarray(apply_preconditioner(record, apply_columns, R))
+            P = Z.copy(order="F")
+
+            histories: List[List[float]] = [
+                [float(np.linalg.norm(R[:, i]) / rhs_norms[i])] for i in range(k)
+            ]
+            rho = np.array([float(R[:, i] @ Z[:, i]) for i in range(k)])
+
+            # per-column stagnation trackers (mirroring the single-RHS solver's
+            # best-so-far counters)
+            best_rel = np.array([histories[i][0] for i in range(k)])
+            since_best = np.zeros(k, dtype=np.int64)
+
+            # pre-loop checks, in the single-RHS guard order: convergence at
+            # iteration 0, then non-finite residual / preconditioner output /
+            # vanishing rho
+            keep = []
             for i in range(k):
-                X[:, i] = x0
-        R = np.asfortranarray(rhs_batch[cols].T - (csr @ X))
-        rhs_norms = rhs_norms_all[cols]
-
-        t0 = time.perf_counter()
-        Z = np.asfortranarray(apply_columns(R))
-        precond_time += time.perf_counter() - t0
-        P = Z.copy(order="F")
-
-        histories: List[List[float]] = [
-            [float(np.linalg.norm(R[:, i]) / rhs_norms[i])] for i in range(k)
-        ]
-        rho = np.array([float(R[:, i] @ Z[:, i]) for i in range(k)])
-
-        # per-column stagnation trackers (mirroring the single-RHS solver's
-        # best-so-far counters)
-        best_rel = np.array([histories[i][0] for i in range(k)])
-        since_best = np.zeros(k, dtype=np.int64)
-
-        # pre-loop checks, in the single-RHS guard order: convergence at
-        # iteration 0, then non-finite residual / preconditioner output /
-        # vanishing rho
-        keep = []
-        for i in range(k):
-            if histories[i][0] < tolerance:
-                finalize(cols[i], X[:, i], True, 0, histories[i])
-            elif not np.isfinite(histories[i][0]):
-                finalize(cols[i], X[:, i], False, 0, histories[i],
-                         failures.NON_FINITE_RESIDUAL)
-            elif not np.isfinite(Z[:, i]).all():
-                finalize(cols[i], X[:, i], False, 0, histories[i],
-                         failures.NON_FINITE_PRECONDITIONER)
-            elif rho[i] == 0.0 or not np.isfinite(rho[i]):
-                finalize(cols[i], X[:, i], False, 0, histories[i],
-                         failures.RHO_BREAKDOWN)
-            else:
-                keep.append(i)
-
-        # direction history of the flexible recurrence; never built for a linear M
-        window = DirectionWindow() if recurrence == "flexible" else None
-
-        def compact(keep_idx: List[int]) -> None:
-            nonlocal X, R, P, rho, rhs_norms, cols, histories, best_rel, since_best
-            X = np.asfortranarray(X[:, keep_idx])
-            R = np.asfortranarray(R[:, keep_idx])
-            P = np.asfortranarray(P[:, keep_idx])
-            rho = rho[keep_idx]
-            rhs_norms = rhs_norms[keep_idx]
-            cols = [cols[i] for i in keep_idx]
-            histories = [histories[i] for i in keep_idx]
-            best_rel = best_rel[keep_idx]
-            since_best = since_best[keep_idx]
-            if window is not None:
-                window.compact(keep_idx)
-
-        if len(keep) != k:
-            compact(keep)
-
-        iteration = 0
-        while cols and iteration < max_iterations:
-            a = len(cols)
-            Q = np.asfortranarray(csr @ P)
-            denom = np.array([float(P[:, i] @ Q[:, i]) for i in range(a)])
-
-            # pre-update breakdowns (mirroring cg.py's guard order: non-finite
-            # matvec output, non-finite denom, then p'Ap <= 0): the single-RHS
-            # solver breaks *before* the update, keeping the current iterate
-            pre_reason: List[Optional[str]] = [None] * a
-            for i in range(a):
-                if not np.isfinite(Q[:, i]).all():
-                    pre_reason[i] = failures.NON_FINITE_OPERATOR
-                elif not np.isfinite(denom[i]):
-                    pre_reason[i] = failures.NON_FINITE_OPERATOR
-                elif denom[i] <= 0.0:
-                    pre_reason[i] = failures.INDEFINITE_OPERATOR
-            if any(reason is not None for reason in pre_reason):
-                survivors = [i for i in range(a) if pre_reason[i] is None]
-                for i in range(a):
-                    if pre_reason[i] is not None:
-                        finalize(cols[i], X[:, i], False, iteration, histories[i],
-                                 pre_reason[i])
-                if not survivors:
-                    break
-                Q = np.asfortranarray(Q[:, survivors])
-                denom = denom[survivors]
-                compact(survivors)
-                a = len(cols)
-
-            alpha = rho / denom
-            if window is not None:
-                window.push(P, Q, denom)
-            X += alpha[None, :] * P
-            R -= alpha[None, :] * Q
-            iteration += 1
-
-            rels = np.array([float(np.linalg.norm(R[:, i]) / rhs_norms[i]) for i in range(a)])
-            for i in range(a):
-                histories[i].append(float(rels[i]))
-            if callback is not None:
-                callback(iteration, {cols[i]: float(rels[i]) for i in range(a)})
-
-            # post-update checks in the single-RHS order: non-finite residual,
-            # convergence, stagnation
-            post_reason: List[Optional[str]] = [None] * a
-            done = [False] * a
-            for i in range(a):
-                rel = float(rels[i])
-                if not np.isfinite(rel):
-                    post_reason[i] = failures.NON_FINITE_RESIDUAL
-                elif rel < tolerance:
-                    done[i] = True
-                elif rel < best_rel[i]:
-                    best_rel[i] = rel
-                    since_best[i] = 0
+                if histories[i][0] < tolerance:
+                    finalize(cols[i], X[:, i], True, 0, histories[i])
+                elif not np.isfinite(histories[i][0]):
+                    finalize(cols[i], X[:, i], False, 0, histories[i],
+                             failures.NON_FINITE_RESIDUAL)
+                elif not np.isfinite(Z[:, i]).all():
+                    finalize(cols[i], X[:, i], False, 0, histories[i],
+                             failures.NON_FINITE_PRECONDITIONER)
+                elif rho[i] == 0.0 or not np.isfinite(rho[i]):
+                    finalize(cols[i], X[:, i], False, 0, histories[i],
+                             failures.RHO_BREAKDOWN)
                 else:
-                    since_best[i] += 1
-                    if stagnation_window is not None and since_best[i] >= stagnation_window:
-                        post_reason[i] = failures.STAGNATION
-            survivors = [i for i in range(a) if not done[i] and post_reason[i] is None]
-            for i in range(a):
-                if done[i]:
-                    finalize(cols[i], X[:, i], True, iteration, histories[i])
-                elif post_reason[i] is not None:
-                    finalize(cols[i], X[:, i], False, iteration, histories[i],
-                             post_reason[i])
-            if not survivors:
-                break
-            if iteration >= max_iterations:
-                for i in survivors:
-                    finalize(cols[i], X[:, i], False, iteration, histories[i],
-                             failures.MAX_ITERATIONS)
-                break
-            if len(survivors) != a:
-                compact(survivors)
+                    keep.append(i)
+
+            # direction history of the flexible recurrence; never built for a linear M
+            window = DirectionWindow() if recurrence == "flexible" else None
+
+            def compact(keep_idx: List[int]) -> None:
+                nonlocal X, R, P, rho, rhs_norms, cols, histories, best_rel, since_best
+                X = np.asfortranarray(X[:, keep_idx])
+                R = np.asfortranarray(R[:, keep_idx])
+                P = np.asfortranarray(P[:, keep_idx])
+                rho = rho[keep_idx]
+                rhs_norms = rhs_norms[keep_idx]
+                cols = [cols[i] for i in keep_idx]
+                histories = [histories[i] for i in keep_idx]
+                best_rel = best_rel[keep_idx]
+                since_best = since_best[keep_idx]
+                if window is not None:
+                    window.compact(keep_idx)
+
+            if len(keep) != k:
+                compact(keep)
+
+            iteration = 0
+            while cols and iteration < max_iterations:
                 a = len(cols)
+                Q = np.asfortranarray(csr @ P)
+                denom = np.array([float(P[:, i] @ Q[:, i]) for i in range(a)])
 
-            t0 = time.perf_counter()
-            Z = np.asfortranarray(apply_columns(R))
-            precond_time += time.perf_counter() - t0
-            rho_next = np.array([float(R[:, i] @ Z[:, i]) for i in range(a)])
-
-            # post-apply guards (cg.py order): a poisoned preconditioner
-            # column or a vanishing rho leaves the batch with the current
-            # iterate; survivors continue bit-identically
-            apply_reason: List[Optional[str]] = [None] * a
-            for i in range(a):
-                if not np.isfinite(Z[:, i]).all():
-                    apply_reason[i] = failures.NON_FINITE_PRECONDITIONER
-                elif rho_next[i] == 0.0 or not np.isfinite(rho_next[i]):
-                    apply_reason[i] = failures.RHO_BREAKDOWN
-            if any(reason is not None for reason in apply_reason):
-                survivors = [i for i in range(a) if apply_reason[i] is None]
+                # pre-update breakdowns (mirroring cg.py's guard order: non-finite
+                # matvec output, non-finite denom, then p'Ap <= 0): the single-RHS
+                # solver breaks *before* the update, keeping the current iterate
+                pre_reason: List[Optional[str]] = [None] * a
                 for i in range(a):
-                    if apply_reason[i] is not None:
+                    if not np.isfinite(Q[:, i]).all():
+                        pre_reason[i] = failures.NON_FINITE_OPERATOR
+                    elif not np.isfinite(denom[i]):
+                        pre_reason[i] = failures.NON_FINITE_OPERATOR
+                    elif denom[i] <= 0.0:
+                        pre_reason[i] = failures.INDEFINITE_OPERATOR
+                if any(reason is not None for reason in pre_reason):
+                    survivors = [i for i in range(a) if pre_reason[i] is None]
+                    for i in range(a):
+                        if pre_reason[i] is not None:
+                            finalize(cols[i], X[:, i], False, iteration, histories[i],
+                                     pre_reason[i])
+                    if not survivors:
+                        break
+                    Q = np.asfortranarray(Q[:, survivors])
+                    denom = denom[survivors]
+                    compact(survivors)
+                    a = len(cols)
+
+                alpha = rho / denom
+                if window is not None:
+                    window.push(P, Q, denom)
+                X += alpha[None, :] * P
+                R -= alpha[None, :] * Q
+                iteration += 1
+
+                rels = np.array([float(np.linalg.norm(R[:, i]) / rhs_norms[i]) for i in range(a)])
+                for i in range(a):
+                    histories[i].append(float(rels[i]))
+                if callback is not None:
+                    callback(iteration, {cols[i]: float(rels[i]) for i in range(a)})
+
+                # post-update checks in the single-RHS order: non-finite residual,
+                # convergence, stagnation
+                post_reason: List[Optional[str]] = [None] * a
+                done = [False] * a
+                for i in range(a):
+                    rel = float(rels[i])
+                    if not np.isfinite(rel):
+                        post_reason[i] = failures.NON_FINITE_RESIDUAL
+                    elif rel < tolerance:
+                        done[i] = True
+                    elif rel < best_rel[i]:
+                        best_rel[i] = rel
+                        since_best[i] = 0
+                    else:
+                        since_best[i] += 1
+                        if stagnation_window is not None and since_best[i] >= stagnation_window:
+                            post_reason[i] = failures.STAGNATION
+                survivors = [i for i in range(a) if not done[i] and post_reason[i] is None]
+                for i in range(a):
+                    if done[i]:
+                        finalize(cols[i], X[:, i], True, iteration, histories[i])
+                    elif post_reason[i] is not None:
                         finalize(cols[i], X[:, i], False, iteration, histories[i],
-                                 apply_reason[i])
+                                 post_reason[i])
                 if not survivors:
                     break
-                Z = np.asfortranarray(Z[:, survivors])
-                rho_next = rho_next[survivors]
-                compact(survivors)
-                a = len(cols)
+                if iteration >= max_iterations:
+                    for i in survivors:
+                        finalize(cols[i], X[:, i], False, iteration, histories[i],
+                                 failures.MAX_ITERATIONS)
+                    break
+                if len(survivors) != a:
+                    compact(survivors)
+                    a = len(cols)
 
-            if window is None:
-                beta = rho_next / rho
-                P = np.asfortranarray(Z + beta[None, :] * P)
-            else:
-                P = window.next_direction(Z)
-            rho = rho_next
+                Z = np.asfortranarray(apply_preconditioner(record, apply_columns, R))
+                rho_next = np.array([float(R[:, i] @ Z[:, i]) for i in range(a)])
 
-        # columns never entered the loop (e.g. max_iterations == 0)
-        for i, col in enumerate(cols):
-            if results[col] is None:
-                finalize(col, X[:, i], False, iteration, histories[i],
-                         failures.MAX_ITERATIONS)
+                # post-apply guards (cg.py order): a poisoned preconditioner
+                # column or a vanishing rho leaves the batch with the current
+                # iterate; survivors continue bit-identically
+                apply_reason: List[Optional[str]] = [None] * a
+                for i in range(a):
+                    if not np.isfinite(Z[:, i]).all():
+                        apply_reason[i] = failures.NON_FINITE_PRECONDITIONER
+                    elif rho_next[i] == 0.0 or not np.isfinite(rho_next[i]):
+                        apply_reason[i] = failures.RHO_BREAKDOWN
+                if any(reason is not None for reason in apply_reason):
+                    survivors = [i for i in range(a) if apply_reason[i] is None]
+                    for i in range(a):
+                        if apply_reason[i] is not None:
+                            finalize(cols[i], X[:, i], False, iteration, histories[i],
+                                     apply_reason[i])
+                    if not survivors:
+                        break
+                    Z = np.asfortranarray(Z[:, survivors])
+                    rho_next = rho_next[survivors]
+                    compact(survivors)
+                    a = len(cols)
 
-    elapsed = time.perf_counter() - start
-    share = elapsed / num_rhs
-    precond_share = precond_time / num_rhs
+                if window is None:
+                    beta = rho_next / rho
+                    P = np.asfortranarray(Z + beta[None, :] * P)
+                else:
+                    P = window.next_direction(Z)
+                rho = rho_next
+
+            # columns never entered the loop (e.g. max_iterations == 0)
+            for i, col in enumerate(cols):
+                if results[col] is None:
+                    finalize(col, X[:, i], False, iteration, histories[i],
+                             failures.MAX_ITERATIONS)
+
+    # the lockstep sweep is one record; each column reports its per-RHS share
+    elapsed, precond_time = record.seconds, record.total(PRECOND_APPLY)
     for result in results:
-        result.elapsed_time = share
-        result.preconditioner_time = precond_share
+        result.elapsed_time = elapsed / num_rhs
+        result.preconditioner_time = precond_time / num_rhs
         result.info["lockstep"] = {
             "num_rhs": num_rhs,
             "batch_elapsed_s": elapsed,

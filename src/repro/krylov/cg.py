@@ -14,16 +14,16 @@ Table I / Fig. 5.
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..ddm.asm import IdentityPreconditioner, Preconditioner
+from ..obs import trace as obs_trace
 from . import failures
 from .flexible import DirectionWindow, recurrence_of
-from .result import SolveResult
+from .result import PRECOND_APPLY, SolveResult, apply_preconditioner
 
 __all__ = ["conjugate_gradient", "preconditioned_conjugate_gradient"]
 
@@ -111,104 +111,97 @@ def preconditioned_conjugate_gradient(
             failure_reason=failures.NON_FINITE_RHS,
         )
 
-    start = time.perf_counter()
-    precond_time = 0.0
+    with obs_trace.record("krylov.solve", solver="pcg") as record:
+        u = np.zeros(n) if initial_guess is None else np.asarray(initial_guess, dtype=np.float64).copy()
+        r = rhs - matvec(u)
 
-    u = np.zeros(n) if initial_guess is None else np.asarray(initial_guess, dtype=np.float64).copy()
-    r = rhs - matvec(u)
+        z = apply_preconditioner(record, precond.apply, r)
+        p = z.copy()
 
-    t0 = time.perf_counter()
-    z = precond.apply(r)
-    precond_time += time.perf_counter() - t0
-    p = z.copy()
+        residual_history = [float(np.linalg.norm(r) / rhs_norm)]
+        rho = float(r @ z)
+        converged = residual_history[-1] < tolerance
+        iteration = 0
+        failure: Optional[str] = None
 
-    residual_history = [float(np.linalg.norm(r) / rhs_norm)]
-    rho = float(r @ z)
-    converged = residual_history[-1] < tolerance
-    iteration = 0
-    failure: Optional[str] = None
+        # pre-loop guards, mirroring the per-iteration ones below (the guard
+        # ORDER here is part of the lockstep bit-identity contract — block.py
+        # checks the same quantities in the same sequence)
+        if not converged:
+            if not np.isfinite(residual_history[-1]):
+                failure = failures.NON_FINITE_RESIDUAL
+            elif not np.isfinite(z).all():
+                failure = failures.NON_FINITE_PRECONDITIONER
+            elif rho == 0.0 or not np.isfinite(rho):
+                failure = failures.RHO_BREAKDOWN
 
-    # pre-loop guards, mirroring the per-iteration ones below (the guard
-    # ORDER here is part of the lockstep bit-identity contract — block.py
-    # checks the same quantities in the same sequence)
-    if not converged:
-        if not np.isfinite(residual_history[-1]):
-            failure = failures.NON_FINITE_RESIDUAL
-        elif not np.isfinite(z).all():
-            failure = failures.NON_FINITE_PRECONDITIONER
-        elif rho == 0.0 or not np.isfinite(rho):
-            failure = failures.RHO_BREAKDOWN
+        best_rel = residual_history[-1]
+        since_best = 0
+        # direction history of the flexible recurrence; never built for a linear M
+        window = DirectionWindow() if recurrence == "flexible" else None
 
-    best_rel = residual_history[-1]
-    since_best = 0
-    # direction history of the flexible recurrence; never built for a linear M
-    window = DirectionWindow() if recurrence == "flexible" else None
-
-    while not converged and failure is None and iteration < max_iterations:
-        q = matvec(p)
-        if not np.isfinite(q).all():
-            failure = failures.NON_FINITE_OPERATOR
-            break
-        denom = float(p @ q)
-        if not np.isfinite(denom):
-            failure = failures.NON_FINITE_OPERATOR
-            break
-        if denom <= 0.0:
-            # matrix not SPD (or severe round-off): stop with the current iterate
-            failure = failures.INDEFINITE_OPERATOR
-            break
-        alpha = rho / denom
-        if window is not None:
-            window.push(p[:, None], q[:, None], np.array([denom]))
-        u += alpha * p
-        r -= alpha * q
-        iteration += 1
-        rel = float(np.linalg.norm(r) / rhs_norm)
-        residual_history.append(rel)
-        if callback is not None:
-            callback(iteration, rel)
-        if not np.isfinite(rel):
-            failure = failures.NON_FINITE_RESIDUAL
-            break
-        if rel < tolerance:
-            converged = True
-            break
-        if rel < best_rel:
-            best_rel = rel
-            since_best = 0
-        else:
-            since_best += 1
-            if stagnation_window is not None and since_best >= stagnation_window:
-                failure = failures.STAGNATION
+        while not converged and failure is None and iteration < max_iterations:
+            q = matvec(p)
+            if not np.isfinite(q).all():
+                failure = failures.NON_FINITE_OPERATOR
                 break
-        t0 = time.perf_counter()
-        z = precond.apply(r)
-        precond_time += time.perf_counter() - t0
-        if not np.isfinite(z).all():
-            failure = failures.NON_FINITE_PRECONDITIONER
-            break
-        rho_next = float(r @ z)
-        if rho_next == 0.0 or not np.isfinite(rho_next):
-            failure = failures.RHO_BREAKDOWN
-            break
-        if window is None:
-            beta = rho_next / rho
-            p = z + beta * p
-        else:
-            p = window.next_direction(z[:, None])[:, 0]
-        rho = rho_next
+            denom = float(p @ q)
+            if not np.isfinite(denom):
+                failure = failures.NON_FINITE_OPERATOR
+                break
+            if denom <= 0.0:
+                # matrix not SPD (or severe round-off): stop with the current iterate
+                failure = failures.INDEFINITE_OPERATOR
+                break
+            alpha = rho / denom
+            if window is not None:
+                window.push(p[:, None], q[:, None], np.array([denom]))
+            u += alpha * p
+            r -= alpha * q
+            iteration += 1
+            rel = float(np.linalg.norm(r) / rhs_norm)
+            residual_history.append(rel)
+            if callback is not None:
+                callback(iteration, rel)
+            if not np.isfinite(rel):
+                failure = failures.NON_FINITE_RESIDUAL
+                break
+            if rel < tolerance:
+                converged = True
+                break
+            if rel < best_rel:
+                best_rel = rel
+                since_best = 0
+            else:
+                since_best += 1
+                if stagnation_window is not None and since_best >= stagnation_window:
+                    failure = failures.STAGNATION
+                    break
+            z = apply_preconditioner(record, precond.apply, r)
+            if not np.isfinite(z).all():
+                failure = failures.NON_FINITE_PRECONDITIONER
+                break
+            rho_next = float(r @ z)
+            if rho_next == 0.0 or not np.isfinite(rho_next):
+                failure = failures.RHO_BREAKDOWN
+                break
+            if window is None:
+                beta = rho_next / rho
+                p = z + beta * p
+            else:
+                p = window.next_direction(z[:, None])[:, 0]
+            rho = rho_next
 
-    if not converged and failure is None:
-        failure = failures.MAX_ITERATIONS
+        if not converged and failure is None:
+            failure = failures.MAX_ITERATIONS
 
-    elapsed = time.perf_counter() - start
     return SolveResult(
         solution=u,
         converged=converged,
         iterations=iteration,
         residual_history=residual_history,
-        elapsed_time=elapsed,
-        preconditioner_time=precond_time,
+        elapsed_time=record.seconds,
+        preconditioner_time=record.total(PRECOND_APPLY),
         info={**info, "preconditioner": type(precond).__name__},
         failure_reason=failure,
     )

@@ -9,11 +9,30 @@ performance tables (Table III's ``T`` and ``T_gnn``/``T_lu`` columns).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-__all__ = ["SolveResult"]
+from ..obs.trace import Span
+
+__all__ = ["SolveResult", "apply_preconditioner"]
+
+#: the leaf every Krylov method records per preconditioner application
+PRECOND_APPLY = "precond.apply"
+
+
+def apply_preconditioner(record: Span, apply: Callable[[np.ndarray], np.ndarray],
+                         residuals: np.ndarray) -> np.ndarray:
+    """The Krylov methods' one preconditioner call site.
+
+    Runs ``apply`` (``M.apply`` on a vector, ``M.apply_columns`` on an
+    ``(n, k)`` block) as one ``precond.apply`` leaf of the solve's record,
+    with the column count as its ``k`` attribute — whatever the
+    preconditioner kind.  ``SolveResult.preconditioner_time`` is the sum of
+    these leaves.
+    """
+    k = 1 if residuals.ndim == 1 else residuals.shape[1]
+    return record.measure(PRECOND_APPLY, apply, residuals, attributes={"k": k})
 
 
 @dataclass
@@ -32,10 +51,12 @@ class SolveResult:
     residual_history:
         Relative residual norms ‖r_k‖/‖b‖, starting with the initial residual.
     elapsed_time:
-        Total wall-clock time of the solve, in seconds.
+        Total wall-clock time of the solve, in seconds: the duration of the
+        solve's ``krylov.solve`` record.
     preconditioner_time:
         Cumulative wall-clock time spent applying the preconditioner
-        (the ``T_lu`` / ``T_gnn`` columns of paper Table III).
+        (the ``T_lu`` / ``T_gnn`` columns of paper Table III): the sum of
+        the record's ``precond.apply`` leaves.
     info:
         Free-form extra information (solver name, tolerance, ...).
     failure_reason:
@@ -70,9 +91,11 @@ class SolveResult:
     def krylov_time(self) -> float:
         """Wall-clock time spent outside the preconditioner.
 
-        The solvers measure ``preconditioner_time`` with ``time.perf_counter``
-        around every ``apply``; the remainder of ``elapsed_time`` is the
-        Krylov machinery itself (matvecs, orthogonalisation, norms).
+        Both terms are reads of one record: ``elapsed_time`` is the duration
+        of the solve's ``krylov.solve`` span and ``preconditioner_time`` the
+        sum of its ``precond.apply`` leaves (one per application, recorded
+        by :func:`apply_preconditioner`).  The remainder is the Krylov
+        machinery itself (matvecs, orthogonalisation, norms).
 
         >>> import numpy as np
         >>> r = SolveResult(np.zeros(2), True, 3, elapsed_time=1.5, preconditioner_time=1.2)

@@ -66,11 +66,6 @@ class ClosedCurve:
             segments.append(_cubic_bezier(p0, handle1, handle2, p3, t))
         return np.vstack(segments)
 
-    def bounding_box(self, points_per_segment: int = 20) -> Tuple[np.ndarray, np.ndarray]:
-        """Return (min_xy, max_xy) of the sampled boundary."""
-        poly = self.sample(points_per_segment)
-        return poly.min(axis=0), poly.max(axis=0)
-
 
 def random_boundary_curve(
     n_points: int = 20,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -84,11 +84,6 @@ class TriangularMesh:
     def edges(self) -> np.ndarray:
         """Unique undirected edges, shape (E, 2), each row sorted (i < j)."""
         return self._edge_counts[0]
-
-    @cached_property
-    def edge_counts(self) -> Dict[Tuple[int, int], int]:
-        """Number of triangles sharing each undirected edge (1 = boundary edge)."""
-        return {(int(a), int(b)): int(c) for (a, b), c in zip(*self._edge_counts)}
 
     @cached_property
     def boundary_edges(self) -> np.ndarray:
@@ -187,22 +182,6 @@ class TriangularMesh:
             "total_area": float(areas.sum()),
         }
 
-    def graph_diameter_estimate(self, n_sources: int = 3, rng: Optional[np.random.Generator] = None) -> int:
-        """Estimate the graph diameter by double-sweep BFS from a few sources.
-
-        The diameter governs how many message-passing iterations a GNN needs
-        to propagate information across the mesh (Sec. II-B).
-        """
-        rng = rng if rng is not None else np.random.default_rng(0)
-        adj = self.adjacency
-        best = 0
-        sources = rng.choice(self.num_nodes, size=min(n_sources, self.num_nodes), replace=False)
-        for s in sources:
-            dist = _hop_distances(adj, int(s))
-            dist2 = _hop_distances(adj, int(np.argmax(dist)))
-            best = max(best, int(dist2.max()))
-        return best
-
     # ------------------------------------------------------------------ #
     # sub-mesh extraction
     # ------------------------------------------------------------------ #
@@ -300,10 +279,3 @@ def relax_hop_distances(adjacency: sp.csr_matrix, source: int, dist: np.ndarray)
         frontier = np.unique(neigh[dist[neigh] > level])
         dist[frontier] = level
 
-
-def _hop_distances(adjacency: sp.csr_matrix, source: int) -> np.ndarray:
-    """Hop distances from ``source`` (0 for nodes in another component)."""
-    dist = np.full(adjacency.shape[0], UNREACHED, dtype=np.int64)
-    relax_hop_distances(adjacency, source, dist)
-    dist[dist == UNREACHED] = 0
-    return dist

@@ -6,6 +6,8 @@ Three legs, all stdlib-only:
   a request from HTTP ingress through the consistent-hash ring, across the
   shard fork (via the ``trace`` field in the binary frame meta), into the
   worker's session solve and back.  Off by default and near-free when off.
+  Its :func:`~repro.obs.trace.record` is also the one stopwatch: every
+  timing the program reports is a read of a span, kept in a trace or not.
 * :mod:`repro.obs.metrics` — a named Counter/Gauge/Histogram registry with
   JSON snapshots that merge across shard processes and render as the
   Prometheus text exposition format (served at ``GET /metrics``).
@@ -33,12 +35,14 @@ from .metrics import (
 from .trace import (
     Span,
     current_span,
+    detached,
     disable_tracing,
     drain_traces,
     enable_tracing,
     finished_traces,
     new_span_id,
     new_trace_id,
+    record,
     span,
     trace_enabled,
     trace_root,
@@ -55,6 +59,7 @@ __all__ = [
     "Span",
     "capture_events",
     "current_span",
+    "detached",
     "disable_tracing",
     "drain_traces",
     "enable_tracing",
@@ -63,6 +68,7 @@ __all__ = [
     "merge_snapshots",
     "new_span_id",
     "new_trace_id",
+    "record",
     "render_prometheus",
     "set_ring",
     "span",

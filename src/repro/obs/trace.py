@@ -1,20 +1,32 @@
-"""Zero-dependency request tracing.
+"""Zero-dependency request tracing, and the one timing record of the repo.
 
 A :class:`Span` is a named interval on the *monotonic* clock
 (``time.perf_counter``) with attributes, typed events, and children.  Spans
 form a tree; the root of one tree is a *trace* identified by a ``trace_id``
 shared by every span in it.  A context-local *tracer* (one ``ContextVar``)
 holds the currently-active span so instrumented code deep in the stack —
-``SolverSession.solve``, ``AdditiveSchwarzPreconditioner.apply`` — can attach
-children without plumbing a span argument through every signature.
+``SolverSession.solve``, a Krylov loop — can attach children without
+plumbing a span argument through every signature.
+
+A span is also the repo's only stopwatch.  Every timing the program reports
+— ``SolveResult.elapsed_time`` / ``preconditioner_time``, a session's
+``setup_timings``, ``inference_stats()``, the serve queue and solve samples —
+is a read of a *record*: a span opened by :func:`record` (or built directly)
+whose timed sub-intervals are *leaves*, one :meth:`Span.record_leaf` call
+each.  A view is the record's duration (:attr:`Span.seconds`) or the sum of
+its leaves of one name (:meth:`Span.total`); no module outside this one reads
+a clock to time an interval.
 
 Design constraints, in priority order:
 
-1. **Off means free.**  Tracing is opt-in via :func:`enable_tracing`.  When
-   disabled (the default), every instrumentation point reduces to one module
-   attribute read and returns a shared no-op span — no allocation, no
-   ``ContextVar`` lookup.  This is what keeps the ≤2% ``resolve_ms_p50``
-   overhead gate honest (``benchmarks/check_obs_overhead.py``).
+1. **Off means unkept, not untimed.**  Tracing is opt-in via
+   :func:`enable_tracing`.  When disabled (the default), a :func:`span` is a
+   shared no-op, while a :func:`record` is *detached*: it times its interval
+   and its leaves exactly as an attached one does, but it joins no tree,
+   allocates no span or trace id and is never exported.  With tracing on the
+   record is the active span's child, so tracing decides only whether the
+   timings are kept — both modes run the same code.  This is what keeps the
+   ≤2% overhead gate honest (``benchmarks/check_obs_overhead.py``).
 2. **Never perturb the payload.**  Spans observe; they do not touch result
    bytes, session keys, or the Krylov guard order.  Mutating methods only
    append to lists (atomic under the GIL), so concurrent writers (worker
@@ -50,18 +62,19 @@ import os
 import threading
 import time
 from collections import deque
-from typing import Any, Deque, Dict, Iterator, List, Optional
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional
 
 __all__ = [
     "Span",
     "current_span",
+    "detached",
     "disable_tracing",
     "drain_traces",
     "enable_tracing",
     "finished_traces",
-    "leaf_span",
     "new_span_id",
     "new_trace_id",
+    "record",
     "span",
     "trace_enabled",
     "trace_root",
@@ -107,7 +120,7 @@ class Span:
 
     __slots__ = (
         "name",
-        "trace_id",
+        "_trace_id",
         "_span_id",
         "parent_id",
         "start",
@@ -117,6 +130,8 @@ class Span:
         "children",
         "dropped_children",
         "_leaf_buf",
+        "_totals",
+        "_kept",
     )
 
     def __init__(
@@ -129,7 +144,7 @@ class Span:
         **attributes: Any,
     ) -> None:
         self.name = str(name)
-        self.trace_id = trace_id or new_trace_id()
+        self._trace_id = trace_id or None  # allocated lazily (a detached record never needs one)
         self._span_id: Optional[str] = None  # allocated lazily (hot path)
         self.parent_id = parent_id
         self.start = time.perf_counter() if start is None else float(start)
@@ -139,6 +154,15 @@ class Span:
         self.children: List["Span"] = []
         self.dropped_children = 0
         self._leaf_buf: Optional[List[tuple]] = None
+        self._totals: Optional[Dict[str, float]] = None
+        self._kept = True  # False for a detached record: leaves are summed, not buffered
+
+    @property
+    def trace_id(self) -> str:
+        """The trace id, allocated on first use."""
+        if self._trace_id is None:
+            self._trace_id = new_trace_id()
+        return self._trace_id
 
     @property
     def span_id(self) -> str:
@@ -192,17 +216,54 @@ class Span:
                     error_type: Optional[str] = None) -> None:
         """Record a finished leaf interval without materializing a Span.
 
-        Hot-path companion of :func:`leaf_span`: one tuple append (atomic
-        under the GIL) instead of a Span allocation + id + clock reads.  The
-        buffered leaves become real child spans in :meth:`_materialize_leaves`
-        the next time the tree is walked or serialized.  Call sites in tight
-        loops (one per Krylov iteration) use this directly via
-        :func:`current_span` to also skip the context-manager dispatch.
+        One tuple append (atomic under the GIL) instead of a Span allocation,
+        id and clock reads; the buffered leaves become real child spans in
+        :meth:`_materialize_leaves` the next time the tree is walked or
+        serialized.  The interval also adds to :meth:`total` under ``name``.
+        Past ``_MAX_CHILDREN`` buffered leaves a leaf is counted in
+        ``dropped_children`` instead of kept, but still summed: a record
+        stays bounded and its totals stay whole.  A :func:`detached` record
+        only sums: nothing will export its leaves, so none are buffered.
         """
+        totals = self._totals
+        if totals is None:
+            totals = self._totals = {}
+        totals[name] = totals.get(name, 0.0) + (end - start)
+        if not self._kept:
+            return
         buf = self._leaf_buf
         if buf is None:
             buf = self._leaf_buf = []
-        buf.append((name, start, end, attributes, error_type))
+        if len(buf) < _MAX_CHILDREN:
+            buf.append((name, start, end, attributes, error_type))
+        else:
+            self.dropped_children += 1
+
+    def measure(self, name: str, function: Callable[..., Any], *args: Any,
+                attributes: Optional[Dict[str, Any]] = None) -> Any:
+        """Call ``function(*args)`` and record the call as one leaf ``name``."""
+        start = time.perf_counter()
+        try:
+            return function(*args)
+        finally:
+            self.record_leaf(name, start, time.perf_counter(), attributes)
+
+    def total(self, name: str) -> float:
+        """Seconds summed over every leaf recorded under ``name``, kept or dropped.
+
+        >>> node = Span("solve", start=0.0)
+        >>> node.record_leaf("precond.apply", 0.5, 1.5)
+        >>> node.record_leaf("precond.apply", 2.0, 2.25)
+        >>> node.total("precond.apply"), node.total("other")
+        (1.25, 0.0)
+        """
+        return self._totals.get(name, 0.0) if self._totals is not None else 0.0
+
+    @property
+    def seconds(self) -> float:
+        """The record's duration in seconds (up to *now* while it is open)."""
+        end = self.end if self.end is not None else time.perf_counter()
+        return end - self.start
 
     def _materialize_leaves(self) -> None:
         """Convert buffered leaf intervals into ordinary child spans."""
@@ -427,7 +488,11 @@ class use_span:
 
 
 class _ActiveSpan:
-    """Open a child of the current span, activate it, finish on exit."""
+    """Open a child of the current span, activate it, finish on exit.
+
+    Without a kept trace to join it opens a detached span instead (see
+    :func:`record`).
+    """
 
     __slots__ = ("_name", "_attributes", "_span", "_token")
 
@@ -438,13 +503,13 @@ class _ActiveSpan:
         self._token: Optional[contextvars.Token] = None
 
     def __enter__(self) -> Span:
-        parent = _ACTIVE.get()
-        if parent is None:  # race: tracing flipped off after span() returned
-            node = Span(self._name, **self._attributes)
+        parent = _ACTIVE.get() if _enabled else None
+        if parent is None:  # no trace is kept: a detached record, never activated
+            node = detached(self._name, **self._attributes)
         else:
             node = parent.child(self._name, **self._attributes)
+            self._token = _ACTIVE.set(node)
         self._span = node
-        self._token = _ACTIVE.set(node)
         return node
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
@@ -470,56 +535,32 @@ def span(name: str, **attributes: Any):
     return _ActiveSpan(name, attributes)
 
 
-class _LeafSpanCM:
-    """Context manager behind :func:`leaf_span`: two clock reads, one append."""
-
-    __slots__ = ("_parent", "_name", "_attributes", "_start")
-
-    def __init__(self, parent: Span, name: str, attributes: Optional[Dict[str, Any]]) -> None:
-        self._parent = parent
-        self._name = name
-        self._attributes = attributes
-        self._start = 0.0
-
-    def __enter__(self) -> "_LeafSpanCM":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
-        self._parent.record_leaf(
-            self._name,
-            self._start,
-            time.perf_counter(),
-            self._attributes,
-            exc_type.__name__ if exc_type is not None else None,
-        )
-        return False
-
-    # Parity with the Span surface for call sites that set attributes.
-    def set_attribute(self, key: str, value: Any) -> None:
-        if self._attributes is None:
-            self._attributes = {}
-        self._attributes[key] = value
-
-
-def leaf_span(name: str, **attributes: Any):
-    """Like :func:`span`, for instrumentation points that never open children.
-
-    Built for per-Krylov-iteration hot paths (the ASM ``apply``): the interval
-    is buffered as one tuple on the current span and only becomes a real child
-    :class:`Span` when the parent is finished, walked or serialized — so the
-    finished tree is indistinguishable from one built with :func:`span`, but
-    the in-loop cost is two clock reads and a list append instead of a span
-    allocation, id generation and a ``ContextVar`` set/reset.  Because the
-    leaf is not activated, nested :func:`span` calls inside the block would
-    attach to the *enclosing* span — only use this on true leaves.
+def detached(name: str, **attributes: Any) -> Span:
+    """A record no trace will keep: it times, and sums its leaves into
+    :meth:`Span.total`, without buffering them (nothing will export them), so
+    a long-lived one — a preconditioner's lifetime record — stays a few
+    floats however many leaves it sums.
     """
-    if not _enabled:
-        return _NULL_SPAN
-    parent = _ACTIVE.get()
-    if parent is None:
-        return _NULL_SPAN
-    return _LeafSpanCM(parent, name, attributes or None)
+    node = Span(name, **attributes)
+    node._kept = False
+    return node
+
+
+def record(name: str, **attributes: Any) -> _ActiveSpan:
+    """Context manager opening the timing record of one interval; yields a :class:`Span`.
+
+    With a trace kept it is :func:`span`: the active span's child, activated
+    until exit.  Otherwise the record is detached — same clock, same leaves,
+    no tree, no ids.  Either way the caller reads its timings off it
+    (:attr:`Span.seconds`, :meth:`Span.total`), so tracing never changes
+    what is timed or how.
+
+    >>> with record("solve") as rec:
+    ...     rec.record_leaf("precond.apply", rec.start, rec.start + 0.25)
+    >>> rec.end is not None, rec.total("precond.apply"), finished_traces()
+    (True, 0.25, [])
+    """
+    return _ActiveSpan(name, attributes)
 
 
 class trace_root:

@@ -50,12 +50,8 @@ class Partition:
         if self.assignment.size and (self.assignment.min() < 0 or self.assignment.max() >= self.num_parts):
             raise ValueError("partition assignment out of range")
 
-    def part_nodes(self, part: int) -> np.ndarray:
-        """Node indices belonging to partition ``part`` (no overlap)."""
-        return np.flatnonzero(self.assignment == part)
-
     def all_part_nodes(self) -> List[np.ndarray]:
-        """``part_nodes`` of every part, from one stable sort of the assignment."""
+        """Node indices of every part (no overlap), from one stable sort of the assignment."""
         order = np.argsort(self.assignment, kind="stable")
         return np.split(order, np.cumsum(self.sizes())[:-1])
 

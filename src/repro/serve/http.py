@@ -72,7 +72,6 @@ import json
 import math
 import socket
 import threading
-import time
 import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import List, Optional, Tuple
@@ -329,12 +328,13 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _solve_binary(self) -> None:
         """The zero-copy path: raw f64 blocks both ways, errors stay JSON."""
-        decode_start = time.perf_counter()
+        decode = obs_trace.detached("ingress.decode")  # the root cannot exist yet: its trace id is in the frame
         try:
             frame = self._read_frame()
         except BaseException as error:  # noqa: BLE001 - mapped to JSON errors
             self._send_exception(error)
             return
+        decode.finish()
         # A frame may carry its own trace correlation in the header meta (a
         # relaying parent, or a client threading its own ids).  Malformed
         # meta is dropped silently — it must never fail the solve.
@@ -349,11 +349,10 @@ class _Handler(BaseHTTPRequestHandler):
             # The frame was read before the root could exist (its meta names
             # the trace) — back-date the root so decode/dispatch/encode tile
             # the request wall time.
-            root.start = decode_start
+            root.start = decode.start
             if self._retry_of is not None:
                 root.set_attribute("retry_of", self._retry_of)
-            root.child("ingress.decode", start=decode_start,
-                       end=time.perf_counter())
+            root.child("ingress.decode", start=decode.start, end=decode.end)
             try:
                 if frame.kind != "solve":
                     raise InvalidRequest(

@@ -83,17 +83,6 @@ class LatencyHistogram:
     def count(self) -> int:
         return self._count
 
-    def percentile(self, q: float) -> Optional[float]:
-        """Nearest-rank percentile over the retained window (None when empty)."""
-        if not 0.0 <= q <= 100.0:
-            raise ValueError("percentile must be in [0, 100]")
-        with self._lock:
-            if not self._samples:
-                return None
-            ordered = sorted(self._samples)
-        rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-        return ordered[min(rank, len(ordered)) - 1]
-
     def snapshot(self) -> Dict[str, Optional[float]]:
         """count/mean/max plus the SLO percentiles, one consistent view.
 
@@ -176,7 +165,7 @@ class ServeMetrics:
         self._max_batch = r.gauge("repro_serve_max_batch_size", "Largest micro-batch seen.")
         self._latency = r.histogram(
             "repro_serve_latency_ms", "Per-request latency by phase (ms).")
-        self._started = time.perf_counter()
+        self._started = time.monotonic()
         self._started_wall = time.time()
 
     # ------------------------------------------------------------------ #
@@ -233,7 +222,7 @@ class ServeMetrics:
         max_batch = int(self._max_batch.value())
         proto = {"json": int(self._proto.value(proto="json")),
                  "binary": int(self._proto.value(proto="binary"))}
-        elapsed = max(time.perf_counter() - self._started, 1e-9)
+        elapsed = max(time.monotonic() - self._started, 1e-9)
         return {
             "uptime_s": elapsed,
             "started_unix": self._started_wall,

@@ -241,14 +241,16 @@ class _Ticket:
 
     The lifecycle fills the identity fields; ``slot`` (the worker thread or
     shard the ticket was routed to), ``session``, ``req_id`` and ``meta`` are
-    scratch space of whichever executor carries it.  The column tickets of
+    scratch space of whichever executor carries it.  ``record`` is the
+    ticket's timing record, opened when the ticket is handed to its executor
+    (:func:`open_ticket_record`); the queue and solve times it settles with
+    are reads of its leaves.  The column tickets of
     one ``(n, k)`` request share one ``request`` token, which is how a
     serving thread tells a block's own columns from company.
     """
 
     __slots__ = ("key", "breaker_key", "rerouted", "b", "x0", "future", "span",
-                 "deadline_at", "enqueued_at", "dequeued_at", "slot", "session",
-                 "req_id", "meta", "request")
+                 "deadline_at", "record", "slot", "session", "req_id", "meta", "request")
 
     def __init__(self, key: str, breaker_key: str = "", rerouted: bool = False,
                  b: Optional[np.ndarray] = None, x0: Optional[np.ndarray] = None,
@@ -270,9 +272,7 @@ class _Ticket:
         #: time.monotonic() deadline (None = the request has none)
         self.deadline_at = (
             None if deadline_ms is None else time.monotonic() + deadline_ms / 1e3)
-        #: perf_counter() when routing ended and the ticket was handed over
-        self.enqueued_at = time.perf_counter()
-        self.dequeued_at = 0.0
+        self.record: Optional[obs_trace.Span] = None
         self.slot = None
         self.session: Optional[SolverSession] = None
         self.req_id: Optional[int] = None
@@ -282,6 +282,17 @@ class _Ticket:
 
     def expired(self) -> bool:
         return self.deadline_at is not None and time.monotonic() >= self.deadline_at
+
+
+def open_ticket_record(ticket: _Ticket, name: str) -> None:
+    """Open ``ticket``'s record at its hand-over to the executor.
+
+    A child ``name`` of the caller's span when a trace is kept (so the
+    ticket's leaves — ``serve.queue``, ``serve.solve`` — show in it), a
+    detached span otherwise; the settle reads the same leaves either way.
+    """
+    ticket.record = (obs_trace.detached(name) if ticket.span is None
+                     else ticket.span.child(name))
 
 
 def _resolve(future: Future, result=None, error: Optional[BaseException] = None) -> bool:
@@ -352,6 +363,7 @@ class _Reaper(threading.Thread):
             # executor loses the race in _resolve
             if not _resolve(ticket.future, error=DeadlineExceeded("request deadline exceeded")):
                 continue  # resolved in the meantime
+            ticket.record.finish()
             if ticket.span is not None:
                 ticket.span.add_event("deadline_exceeded")
             self.metrics.observe_deadline_timeout()
@@ -447,12 +459,12 @@ class _Worker(threading.Thread):
             if config.max_batch > 1 and first.x0 is None:
                 # take what is queued; wait for more only after a contended batch
                 window = config.max_wait_ms / 1e3 if contended else 0.0
-                deadline = time.perf_counter() + window
+                deadline = time.monotonic() + window
                 while len(batch) < config.max_batch:
                     with self.condition:
                         extracted = self._take_batchable(first, config.max_batch - len(batch))
                         if not extracted:
-                            remaining = deadline - time.perf_counter()
+                            remaining = deadline - time.monotonic()
                             if remaining <= 0 or self.stopping:
                                 break
                             self.condition.wait(remaining)
@@ -475,18 +487,18 @@ class _Worker(threading.Thread):
                 executor.on_error(ticket, DeadlineExceeded("request deadline exceeded"))
             elif not ticket.future.done():
                 live.append(ticket)
+            else:  # settled elsewhere (the reaper, the caller's cancel)
+                ticket.record.finish()
         batch = live
         if not batch:
             return
-        now = time.perf_counter()
-        for ticket in batch:
-            ticket.dequeued_at = now
         session = batch[0].session
-        solve_start = time.perf_counter()
+        # the batch's solve interval; every ticket in it records it as its own
+        # serve.solve leaf, and its queue wait as the serve.queue leaf up to it
+        solve = obs_trace.detached("serve.solve")
         try:
-            # in-session child spans (session.solve, precond.apply) attach to
-            # the first ticket's trace; batch-mates get retrospective
-            # queue/solve children of their own below
+            # in-session spans (session.solve, krylov.solve) attach to the
+            # first ticket's trace; batch-mates keep their own two leaves
             with obs_trace.use_span(batch[0].span):
                 if len(batch) == 1:
                     results = [session.solve(batch[0].b, x0=batch[0].x0)]
@@ -497,32 +509,29 @@ class _Worker(threading.Thread):
                     ]
                     results = session.solve_many(np.stack(vectors)).results
         except BaseException as error:  # noqa: BLE001 - delivered to the callers
-            solve_end = time.perf_counter()
+            solve.finish()
             for ticket in batch:
-                self._stamp_span(ticket, solve_start, solve_end, len(batch))
+                self._record_leaves(ticket, solve, len(batch))
                 executor.on_error(ticket, error)
             return
-        solve_end = time.perf_counter()
-        solve_ms = (solve_end - solve_start) * 1e3
+        solve.finish()
         executor.metrics.observe_batch(len(batch))
         for ticket, result in zip(batch, results):
-            queue_ms = (ticket.dequeued_at - ticket.enqueued_at) * 1e3
-            result.info["queue_s"] = queue_ms / 1e3
+            record = self._record_leaves(ticket, solve, len(batch))
+            queue_s = record.total("serve.queue")
+            result.info["queue_s"] = queue_s
             result.info["batch_size"] = len(batch)
             result.info["worker"] = self.index
-            self._stamp_span(ticket, solve_start, solve_end, len(batch))
-            executor.on_result(ticket, result, queue_ms, solve_ms)
+            executor.on_result(ticket, result, queue_s * 1e3, record.total("serve.solve") * 1e3)
 
-    def _stamp_span(self, ticket: _Ticket, solve_start: float,
-                    solve_end: float, batch_size: int) -> None:
-        """Attach retrospective queue/solve children to the ticket's span."""
-        span = ticket.span
-        if span is None:
-            return
-        span.child("serve.queue", start=ticket.enqueued_at,
-                   end=ticket.dequeued_at, worker=self.index)
-        span.child("serve.solve", start=solve_start, end=solve_end,
-                   worker=self.index, batch_size=batch_size)
+    def _record_leaves(self, ticket: _Ticket, solve: obs_trace.Span, batch_size: int) -> obs_trace.Span:
+        """Close the ticket's record on its two leaves: the queue wait up to the batch solve, then the solve."""
+        record = ticket.record
+        record.record_leaf("serve.queue", record.start, solve.start, {"worker": self.index})
+        record.record_leaf("serve.solve", solve.start, solve.end,
+                           {"worker": self.index, "batch_size": batch_size})
+        record.finish()
+        return record
 
 
 class ThreadExecutor:
@@ -535,6 +544,9 @@ class ThreadExecutor:
     the worker threads, once per ticket: the service's settle methods in the
     front process, reply-frame writers inside a worker process.
     """
+
+    #: name of a front ticket's record (the worker thread's share of a request)
+    ticket_record = "serve.ticket"
 
     def __init__(self, config: ServeConfig, model, metrics: ServeMetrics,
                  on_result: Callable[..., None], on_error: Callable[..., None]) -> None:
@@ -793,80 +805,86 @@ class SolveService:
         if self._closed:
             raise RuntimeError("service is closed")
         caller_span = obs_trace.current_span()
-        route_start = time.perf_counter()
-        try:
-            resolved = self._resolve_request(problem, solver_config)
-        except InvalidRequest:
-            raise
-        except (TypeError, ValueError, KeyError) as error:
-            raise InvalidRequest(str(error)) from error
-        if deadline_ms is None:
-            deadline_ms = self.config.default_deadline_ms
-        elif deadline_ms <= 0:
-            raise InvalidRequest(f"deadline_ms must be positive, got {deadline_ms!r}")
-        num_dofs = resolved.problem.num_dofs
-        if B is None:
-            columns = [validate_vector("right-hand side", b, num_dofs)]
-        else:
+        # routing covers validation, keying and the executor's pick of (and
+        # set-up on) the worker that will run the solve
+        with obs_trace.span("serve.route") as route:
             try:
-                B = np.asarray(B, dtype=np.float64)
-            except (TypeError, ValueError) as error:
-                raise InvalidRequest(f"'B' must be a numeric block: {error}") from error
-            if B.ndim != 2 or B.shape[1] < 1:
-                raise InvalidRequest(f"'B' must be a 2-D (n, k) block, got shape {B.shape}")
-            columns = [validate_vector(f"right-hand side column {j}",
-                                       np.ascontiguousarray(B[:, j]), num_dofs)
-                       for j in range(B.shape[1])]
-        x0 = validate_vector("initial guess", x0, num_dofs)
+                resolved = self._resolve_request(problem, solver_config)
+            except InvalidRequest:
+                raise
+            except (TypeError, ValueError, KeyError) as error:
+                raise InvalidRequest(str(error)) from error
+            if deadline_ms is None:
+                deadline_ms = self.config.default_deadline_ms
+            elif deadline_ms <= 0:
+                raise InvalidRequest(f"deadline_ms must be positive, got {deadline_ms!r}")
+            num_dofs = resolved.problem.num_dofs
+            if B is None:
+                columns = [validate_vector("right-hand side", b, num_dofs)]
+            else:
+                try:
+                    B = np.asarray(B, dtype=np.float64)
+                except (TypeError, ValueError) as error:
+                    raise InvalidRequest(f"'B' must be a numeric block: {error}") from error
+                if B.ndim != 2 or B.shape[1] < 1:
+                    raise InvalidRequest(f"'B' must be a 2-D (n, k) block, got shape {B.shape}")
+                columns = [validate_vector(f"right-hand side column {j}",
+                                           np.ascontiguousarray(B[:, j]), num_dofs)
+                           for j in range(B.shape[1])]
+            x0 = validate_vector("initial guess", x0, num_dofs)
 
-        # key
-        config = resolved.config
-        key = resolved.key or session_key(resolved.problem, config, self.model)
-        use_key, rerouted = key, False
-        if config.fallback and not self._breaker_for(key).allow_primary():
-            # breaker open: skip the failing primary entirely and serve
-            # from the first fallback rung's (cached) session
-            use_config = dataclasses.replace(
-                config,
-                preconditioner=config.fallback[0],
-                fallback=list(config.fallback[1:]),
-            )
-            use_key = session_key(resolved.problem, use_config, self.model)
-            resolved = _Resolved(resolved.problem, resolved.spec, use_config, use_key)
-            rerouted = True
-            if caller_span is not None:
-                caller_span.add_event(
-                    "breaker_reroute", rung=use_config.preconditioner
+            # key
+            config = resolved.config
+            key = resolved.key or session_key(resolved.problem, config, self.model)
+            use_key, rerouted = key, False
+            if config.fallback and not self._breaker_for(key).allow_primary():
+                # breaker open: skip the failing primary entirely and serve
+                # from the first fallback rung's (cached) session
+                use_config = dataclasses.replace(
+                    config,
+                    preconditioner=config.fallback[0],
+                    fallback=list(config.fallback[1:]),
                 )
-            if config.obs:
-                obs_events.get_ring().emit(
-                    "breaker", action="reroute", key=key[:16],
-                    rung=use_config.preconditioner,
-                )
-        request = object()
-        tickets = [_Ticket(use_key, key, rerouted, column, x0, caller_span, deadline_ms, request)
-                   for column in columns]
+                use_key = session_key(resolved.problem, use_config, self.model)
+                resolved = _Resolved(resolved.problem, resolved.spec, use_config, use_key)
+                rerouted = True
+                if caller_span is not None:
+                    caller_span.add_event(
+                        "breaker_reroute", rung=use_config.preconditioner
+                    )
+                if config.obs:
+                    obs_events.get_ring().emit(
+                        "breaker", action="reroute", key=key[:16],
+                        rung=use_config.preconditioner,
+                    )
+            request = object()
+            tickets = [_Ticket(use_key, key, rerouted, column, x0, caller_span, deadline_ms, request)
+                       for column in columns]
 
-        # route + execute
+            try:
+                where = self._executor.route(tickets, resolved)
+            except Exception as error:
+                # refused at the door (a failed session build, an unreachable
+                # worker): settled like any failure that comes back from an
+                # executor — a failed build (e.g. a poisoned checkpoint) is a
+                # primary failure the breaker must see, so repeated ones
+                # eventually reroute to the fallback rung — then raised
+                for ticket in tickets:
+                    self._settle_error(ticket, error)
+                raise
+            route.set_attribute("cache_key", use_key[:16])
+            route.set_attribute("rerouted", rerouted)
+            for name, value in where.items():
+                route.set_attribute(name, value)
+
+        # execute: each ticket's record opens at the hand-over
+        for ticket in tickets:
+            open_ticket_record(ticket, self._executor.ticket_record)
         try:
-            where = self._executor.route(tickets, resolved)
-            enqueued_at = time.perf_counter()
-            for ticket in tickets:
-                ticket.enqueued_at = enqueued_at
-            if caller_span is not None:
-                # routing covers validation, keying and the executor's pick
-                # of (and setup on) the worker that will run the solve
-                caller_span.child("serve.route", start=route_start,
-                                  end=enqueued_at, cache_key=use_key[:16],
-                                  rerouted=rerouted, **where)
             self._executor.execute(tickets)
-        except Exception as error:
-            # refused at the door (a full queue, a failed session build, an
-            # unreachable worker): settled like any failure that comes back
-            # from an executor — a failed build (e.g. a poisoned checkpoint)
-            # is a primary failure the breaker must see, so repeated ones
-            # eventually reroute to the fallback rung — then raised
+        except Exception as error:  # a full queue or in-flight cap sheds the request
             for ticket in tickets:
+                ticket.record.finish()
                 self._settle_error(ticket, error)
             raise
         # register with the reaper only after the executor accepted the tickets

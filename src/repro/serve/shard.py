@@ -83,7 +83,8 @@ from .proto import (
     extract_trace_meta,
     make_trace_meta,
 )
-from .service import ServeConfig, SolveService, ThreadExecutor, _resolve, _Resolved, _Ticket
+from .service import (ServeConfig, SolveService, ThreadExecutor, _resolve, _Resolved, _Ticket,
+                      open_ticket_record)
 
 __all__ = ["ShardConfig", "ShardedSolveService", "ProcessExecutor", "build_ring", "route"]
 
@@ -193,10 +194,13 @@ class ShardConfig:
 # --------------------------------------------------------------------------- #
 # worker process
 # --------------------------------------------------------------------------- #
-def _result_frame(req_id: int, result: SolveResult,
+def _result_frame(req_id: int, result: SolveResult, solve_s: float,
                   trace: Optional[Dict[str, object]] = None) -> bytes:
     meta = {
         "req_id": req_id,
+        # the worker's serve.solve interval: the front settles the ticket's
+        # latency with it (what is left of the round trip is queue)
+        "solve_s": float(solve_s),
         "converged": bool(result.converged),
         "iterations": int(result.iterations),
         "elapsed_s": float(result.elapsed_time),
@@ -299,7 +303,7 @@ def _shard_worker_main(conn, bootstrap: Dict[str, object]) -> None:
                     queue_ms: float, solve_ms: float) -> None:
         trace = _finished_trace(ticket.span)
         try:
-            send(_result_frame(ticket.req_id, result, trace=trace))
+            send(_result_frame(ticket.req_id, result, solve_ms / 1e3, trace=trace))
         except Exception as error:  # unserialisable info — still answer typed
             send(_error_frame(ticket.req_id, error))
 
@@ -365,30 +369,26 @@ def _shard_worker_main(conn, bootstrap: Dict[str, object]) -> None:
                 if len(columns) != len(req_ids):
                     raise InvalidRequest(
                         f"{len(columns)} right-hand sides for {len(req_ids)} request ids")
-                # re-root the parent's trace inside this process: a valid
-                # trace meta yields a worker-local root per ticket whose
-                # finished tree ships back in its reply frame; malformed
-                # meta is dropped
-                trace_meta = extract_trace_meta(meta)
-                traced = trace_meta is not None and obs_trace.trace_enabled()
                 request = object()
                 tickets = []
                 for ticket_id, b in zip(req_ids, columns):
-                    root = obs_trace.Span(
-                        "worker.request",
-                        trace_id=trace_meta["trace_id"],
-                        parent_id=trace_meta["parent_span_id"],
-                        pid=os.getpid(),
-                    ) if traced else None
-                    ticket = _Ticket(meta["key"], b=b, x0=frame.arrays.get("x0"), span=root,
+                    ticket = _Ticket(meta["key"], b=b, x0=frame.arrays.get("x0"),
                                      deadline_ms=meta.get("deadline_ms"), request=request)
                     ticket.req_id = ticket_id
                     tickets.append(ticket)
-                with obs_trace.use_span(tickets[0].span):
-                    executor.route(tickets, _FrameRequest(meta, problems, spec_problems))
-                enqueued_at = time.perf_counter()
+                executor.route(tickets, _FrameRequest(meta, problems, spec_problems))
+                # each ticket's record is its worker.request span, opened at
+                # the hand-over: a valid trace meta re-roots the parent's
+                # trace in it, and the finished tree ships back in the reply
+                # frame; otherwise (no or malformed meta) it stays detached
+                trace_meta = extract_trace_meta(meta) if obs_trace.trace_enabled() else None
                 for ticket in tickets:
-                    ticket.enqueued_at = enqueued_at
+                    if trace_meta is None:
+                        ticket.record = obs_trace.detached("worker.request")
+                    else:
+                        ticket.record = ticket.span = obs_trace.Span(
+                            "worker.request", trace_id=trace_meta["trace_id"],
+                            parent_id=trace_meta["parent_span_id"], pid=os.getpid())
                 executor.execute(tickets)
             except BaseException as error:  # noqa: BLE001 - serialised to the parent
                 for ticket_id in req_ids:
@@ -492,6 +492,10 @@ class ProcessExecutor:
     or attaches the same bytes).  ``on_result``/``on_error`` are the
     service's settle methods, called from the receiver threads.
     """
+
+    #: name of a ticket's record: hand-over to reply frame, the worker's
+    #: traced subtree grafted under it
+    ticket_record = "shard.roundtrip"
 
     def __init__(self, config: ServeConfig, shard_config: "ShardConfig", model,
                  metrics: ServeMetrics, on_result: Callable[..., None],
@@ -598,14 +602,14 @@ class ProcessExecutor:
             return
         if frame.kind not in ("result", "error"):
             return
-        now = time.perf_counter()
-        if ticket.span is not None:
-            roundtrip = ticket.span.child(
-                "shard.roundtrip", start=ticket.enqueued_at, end=now, shard=shard.slot,
-            )
-            worker_trace = meta.get(TRACE_META_KEY)
-            if isinstance(worker_trace, dict):
-                roundtrip.graft(worker_trace)
+        # the ticket's record is the round trip: hand-over to reply frame; a
+        # traced reply carries the worker's subtree, grafted under it
+        roundtrip = ticket.record
+        roundtrip.finish()
+        roundtrip.set_attribute("shard", shard.slot)
+        worker_trace = meta.get(TRACE_META_KEY)
+        if isinstance(worker_trace, dict):
+            roundtrip.graft(worker_trace)
         if frame.kind == "error":
             self.on_error(ticket, error_from_code(
                 str(meta.get("code") or "internal"),
@@ -624,11 +628,11 @@ class ProcessExecutor:
             failure_reason=meta.get("failure_reason"),
         )
         result.info["shard"] = shard.slot
-        # seen from this side of the pipe, everything that is not the solve
-        # (frame encode, pipe, the worker's queue) is time spent waiting
-        total_ms = (now - ticket.enqueued_at) * 1e3
-        solve_ms = min(float(meta["elapsed_s"]) * 1e3, total_ms)
-        self.on_result(ticket, result, total_ms - solve_ms, solve_ms, shard=shard.slot)
+        # seen from this side of the pipe, everything that is not the
+        # worker's batch solve (frame encode, pipe, the worker's queue) is
+        # time spent waiting
+        solve_ms = float(meta["solve_s"]) * 1e3
+        self.on_result(ticket, result, roundtrip.seconds * 1e3 - solve_ms, solve_ms, shard=shard.slot)
 
     def _on_shard_exit(self, shard: _Shard, generation: int) -> None:
         """Death protocol: fail in-flight work typed, feed breakers, respawn."""
@@ -658,6 +662,7 @@ class ProcessExecutor:
             cause = shard.dead_reason or f"worker {shard.slot} died mid-request"
             reason = f"{cause}; the request was in flight and may be retried"
         for ticket in drained:
+            ticket.record.finish()
             self.on_error(ticket, WorkerCrashed(reason), shard=shard.slot)
         if restart:
             self.metrics.observe_worker_restart()
@@ -757,6 +762,7 @@ class ProcessExecutor:
         if shard.dead or shard.stopping:
             return {}
         ticket = _Ticket("")
+        open_ticket_record(ticket, "shard.status")
         ticket.req_id = next(self._req_ids)
         with shard.lock:
             shard.pending[ticket.req_id] = ticket

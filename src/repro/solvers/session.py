@@ -17,7 +17,10 @@ rarely and the right-hand sides arrive continuously, so the setup cost must
 be amortised over the stream.  The session keeps structured per-stage timing
 (``setup_timings``) and per-solve diagnostics (``SolveResult.info`` carries a
 ``stage_timings`` dict), and counts setups vs solves so tests can assert the
-amortisation invariant directly.
+amortisation invariant directly.  Every one of those timings is a read of a
+:mod:`repro.obs.trace` record — the ``session.setup`` record and its leaves,
+a solve's ``krylov.solve`` record, a ``session.solve_many`` record — which a
+kept trace also exports; the session reads no clock of its own.
 
 The Krylov method and the preconditioner are resolved by name through the
 :mod:`repro.solvers.registry` registries; ``config`` may equivalently be a
@@ -139,8 +142,8 @@ class MultiSolveResult:
 class SolverSession:
     """A prepared solver: operator-dependent setup done, ready to serve RHS.
 
-    Construct via :func:`prepare` (or :meth:`from_problem`).  Attributes of
-    interest after construction:
+    Construct via :func:`prepare`.  Attributes of interest after
+    construction:
 
     ``preconditioner``
         The built :class:`~repro.ddm.asm.Preconditioner`.
@@ -151,6 +154,7 @@ class SolverSession:
         Per-stage wall times of the one-time setup:
         ``{"partition_s", "overlap_s", "preconditioner_s", "total_s"}``;
         ``overlap_s`` (growing the overlap layers) is a part of ``partition_s``.
+        A view over the ``session.setup`` record (see the property).
     ``num_setups`` / ``num_solves``
         Amortisation counters: ``num_setups`` is 1 for the session's lifetime
         no matter how many right-hand sides are served.
@@ -234,24 +238,17 @@ class SolverSession:
         self.model = model
 
         # -- one-time setup: partition, factorise/compile ------------------- #
-        self.setup_timings: Dict[str, float] = {
-            "partition_s": 0.0, "overlap_s": 0.0, "preconditioner_s": 0.0}
-        start = time.perf_counter()
         self.decomposition: Optional[OverlappingDecomposition] = None
-        if self.preconditioner_kind.needs_decomposition:
-            partition = build_partition(problem, config)
-            t0 = time.perf_counter()
-            self.decomposition = OverlappingDecomposition(problem.mesh, partition, overlap=config.overlap)
-            done = time.perf_counter()
-            self.setup_timings["overlap_s"] = done - t0
-            self.setup_timings["partition_s"] = done - start
-        t0 = time.perf_counter()
-        self.preconditioner: Preconditioner = self.preconditioner_kind.build(
-            problem, config, decomposition=self.decomposition, model=model
-        )
-        self.setup_timings["preconditioner_s"] = time.perf_counter() - t0
-        self.setup_timings["total_s"] = time.perf_counter() - start
-        self.setup_time = self.setup_timings["total_s"]
+        with obs_trace.record("session.setup", preconditioner=config.preconditioner) as setup:
+            if self.preconditioner_kind.needs_decomposition:
+                partition = setup.measure("session.partition", build_partition, problem, config)
+                self.decomposition = setup.measure(
+                    "session.overlap", OverlappingDecomposition, problem.mesh, partition, config.overlap)
+            self.preconditioner: Preconditioner = setup.measure(
+                "session.preconditioner", lambda: self.preconditioner_kind.build(
+                    problem, config, decomposition=self.decomposition, model=model))
+        self._setup = setup
+        self.setup_time = setup.seconds
 
         # -- amortisation counters ------------------------------------------ #
         self.num_setups = 1
@@ -272,16 +269,23 @@ class SolverSession:
         #: each worker its own session via :meth:`clone_for_worker`.
         self._lock = threading.RLock()
 
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_problem(
-        cls,
-        problem: Problem,
-        config: Union[SolverConfig, Dict, None] = None,
-        model=None,
-    ) -> "SolverSession":
-        """Alias of the constructor, mirroring :func:`prepare`."""
-        return cls(problem, config, model=model)
+    @property
+    def setup_timings(self) -> Dict[str, float]:
+        """Per-stage seconds of the one-time set-up, read off its record.
+
+        ``partition_s`` sums the ``session.partition`` and ``session.overlap``
+        leaves (``overlap_s``, growing the overlap layers, is a part of it),
+        ``preconditioner_s`` is the ``session.preconditioner`` leaf and
+        ``total_s`` the ``session.setup`` record's duration.
+        """
+        setup = self._setup
+        overlap = setup.total("session.overlap")
+        return {
+            "partition_s": setup.total("session.partition") + overlap,
+            "overlap_s": overlap,
+            "preconditioner_s": setup.total("session.preconditioner"),
+            "total_s": setup.seconds,
+        }
 
     # ------------------------------------------------------------------ #
     def solve(
@@ -559,55 +563,49 @@ class SolverSession:
             )
         use_fused = fused_available if mode == "auto" else (mode == "fused")
 
-        start = time.perf_counter()
-        if use_fused and len(vectors) > 1:
-            try:
-                with self._lock, obs_trace.span(
-                        "session.solve_many", num_rhs=len(vectors), mode="fused"):
-                    results = self.krylov.lockstep(
-                        self.problem.matrix,
-                        vectors,
-                        preconditioner=self.preconditioner,
-                        initial_guess=x0,
-                        tolerance=self.config.tolerance,
-                        max_iterations=self.config.max_iterations,
-                        **self._lockstep_stagnation_kwargs,
-                    )
-                    for column, result in enumerate(results):
-                        self._stamp_info(result)
-                        self._emit_iteration_events(result, column=column)
-                        self._emit_terminal(result)
-            except Exception as error:
-                if not self.config.fallback:
-                    raise
-                # the whole lockstep sweep failed (e.g. the preconditioner
-                # raised): route every right-hand side through the ladder
-                results = [
-                    self._degrade(row, x0, primary_result=None, primary_error=error)
-                    for row in vectors
-                ]
-                return MultiSolveResult(
-                    results=results,
-                    elapsed_time=time.perf_counter() - start,
-                    mode="sequential",
+        mode = "fused" if use_fused and len(vectors) > 1 else "sequential"
+        with obs_trace.record("session.solve_many", num_rhs=len(vectors), mode=mode) as record:
+            if mode == "fused":
+                results, mode = self._solve_fused(vectors, x0)
+                record.set_attribute("mode", mode)
+            else:
+                with self._lock:
+                    results = [self.solve(row, x0=x0) for row in vectors]
+        return MultiSolveResult(results=results, elapsed_time=record.seconds, mode=mode)
+
+    def _solve_fused(self, vectors: np.ndarray, x0: Optional[np.ndarray]):
+        """One lockstep sweep over ``vectors``, with the ladder after it; returns (results, mode)."""
+        try:
+            with self._lock:
+                results = self.krylov.lockstep(
+                    self.problem.matrix,
+                    vectors,
+                    preconditioner=self.preconditioner,
+                    initial_guess=x0,
+                    tolerance=self.config.tolerance,
+                    max_iterations=self.config.max_iterations,
+                    **self._lockstep_stagnation_kwargs,
                 )
-            if self.config.fallback:
-                # columns that individually failed (compacted out of the
-                # lockstep batch with a failure_reason) re-solve on the ladder
-                for i, result in enumerate(results):
-                    if not result.converged:
-                        results[i] = self._degrade(
-                            vectors[i], x0, primary_result=result, primary_error=None
-                        )
-            return MultiSolveResult(
-                results=results, elapsed_time=time.perf_counter() - start, mode="fused"
-            )
-        with self._lock, obs_trace.span(
-                "session.solve_many", num_rhs=len(vectors), mode="sequential"):
-            results = [self.solve(row, x0=x0) for row in vectors]
-        return MultiSolveResult(
-            results=results, elapsed_time=time.perf_counter() - start, mode="sequential"
-        )
+                for column, result in enumerate(results):
+                    self._stamp_info(result)
+                    self._emit_iteration_events(result, column=column)
+                    self._emit_terminal(result)
+        except Exception as error:
+            if not self.config.fallback:
+                raise
+            # the whole lockstep sweep failed (e.g. the preconditioner
+            # raised): route every right-hand side through the ladder
+            return [self._degrade(row, x0, primary_result=None, primary_error=error)
+                    for row in vectors], "sequential"
+        if self.config.fallback:
+            # columns that individually failed (compacted out of the
+            # lockstep batch with a failure_reason) re-solve on the ladder
+            for i, result in enumerate(results):
+                if not result.converged:
+                    results[i] = self._degrade(
+                        vectors[i], x0, primary_result=result, primary_error=None
+                    )
+        return results, "fused"
 
     # ------------------------------------------------------------------ #
     def march(
@@ -631,11 +629,10 @@ class SolverSession:
         """
         from ..timestepping.march import march as _march
 
-        with obs_trace.span("session.march", steps=int(steps)):
-            return _march(
-                self, u0=u0, dt=dt, steps=steps,
-                warm_start=warm_start, record_states=record_states,
-            )
+        return _march(
+            self, u0=u0, dt=dt, steps=steps,
+            warm_start=warm_start, record_states=record_states,
+        )
 
     def march_many(
         self,

@@ -18,13 +18,13 @@ trajectory bit-identical to marching it alone with ``warm_start=False``.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
 
 from ..krylov.result import SolveResult
+from ..obs import trace as obs_trace
 from .problem import TimeDependentProblem, TimeSteppingError, validate_steps
 
 __all__ = ["MarchResult", "march", "march_many"]
@@ -153,19 +153,19 @@ def march(
 
     states = [u.copy()] if record_states else None
     results: List[SolveResult] = []
-    start = time.perf_counter()
-    for k in range(steps):
-        b = problem.step_rhs(u)
-        result = session.solve(b, x0=u.copy() if warm_start else None)
-        result.info["step_index"] = k
-        result.info["steps"] = steps
-        result.info["dt"] = problem.dt
-        result.info["theta"] = problem.theta
-        u = result.solution
-        results.append(result)
-        if record_states:
-            states.append(u.copy())
-    elapsed = time.perf_counter() - start
+    with obs_trace.record("session.march", steps=steps) as record:
+        for k in range(steps):
+            b = problem.step_rhs(u)
+            result = session.solve(b, x0=u.copy() if warm_start else None)
+            result.info["step_index"] = k
+            result.info["steps"] = steps
+            result.info["dt"] = problem.dt
+            result.info["theta"] = problem.theta
+            u = result.solution
+            results.append(result)
+            if record_states:
+                states.append(u.copy())
+    elapsed = record.seconds
 
     for result in results:
         result.info["march_total_s"] = elapsed
@@ -217,22 +217,22 @@ def march_many(
     states = [U.copy()] if record_states else None
     per_step: List[List[SolveResult]] = [[] for _ in range(num_trajectories)]
     modes = set()
-    start = time.perf_counter()
-    for k in range(steps):
-        B = problem.step_rhs_columns(U)
-        batch = session.solve_many(B, mode=mode)
-        modes.add(batch.mode)
-        for j, result in enumerate(batch.results):
-            result.info["step_index"] = k
-            result.info["steps"] = steps
-            result.info["dt"] = problem.dt
-            result.info["theta"] = problem.theta
-            result.info["trajectory"] = j
-            per_step[j].append(result)
-        U = batch.solutions
-        if record_states:
-            states.append(U.copy())
-    elapsed = time.perf_counter() - start
+    with obs_trace.record("session.march_many", steps=steps, trajectories=num_trajectories) as record:
+        for k in range(steps):
+            B = problem.step_rhs_columns(U)
+            batch = session.solve_many(B, mode=mode)
+            modes.add(batch.mode)
+            for j, result in enumerate(batch.results):
+                result.info["step_index"] = k
+                result.info["steps"] = steps
+                result.info["dt"] = problem.dt
+                result.info["theta"] = problem.theta
+                result.info["trajectory"] = j
+                per_step[j].append(result)
+            U = batch.solutions
+            if record_states:
+                states.append(U.copy())
+    elapsed = record.seconds
 
     batch_mode = "fused" if modes == {"fused"} else "sequential"
     share = elapsed / num_trajectories

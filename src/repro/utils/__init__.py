@@ -1,12 +1,9 @@
-"""Shared utilities: timing, table formatting, process-level parallelism."""
+"""Shared utilities: table formatting, process-level parallelism."""
 
 from .parallel import available_workers, parallel_map
 from .tables import format_mean_std, format_table, format_timing_split
-from .timing import Timer, timed
 
 __all__ = [
-    "Timer",
-    "timed",
     "format_table",
     "format_mean_std",
     "format_timing_split",

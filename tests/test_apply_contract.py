@@ -171,7 +171,9 @@ class TestOneApply:
                    # one Schwarz skeleton: DDM-GNN's own gather/glue/coarse pipeline and the
                    # `predict`-only model path are gone, with the small helpers nothing called
                    "_local_correction", "_solve_batch", "_batch_membership", "fixed_point_iteration",
-                   "local_residuals", "solution_from_output"}
+                   "local_residuals", "solution_from_output",
+                   # one clock: spans are the only stopwatch; the parallel timers and leaf helpers are gone
+                   "Timer", "timed", "leaf_span", "_LeafSpanCM", "_stamp_span"}
         for path, tree in trees.items():
             names = {node.name for node in ast.walk(tree)
                      if isinstance(node, (ast.FunctionDef, ast.ClassDef))}

@@ -130,10 +130,6 @@ class TestGraphBatch:
         with pytest.raises(ValueError):
             GraphBatch.from_graphs([])
 
-    def test_as_single_graph(self):
-        graphs = [_toy_graph(seed=i) for i in range(2)]
-        merged = GraphBatch.from_graphs(graphs).as_single_graph()
-        assert merged.num_nodes == sum(g.num_nodes for g in graphs)
 
 
 # --------------------------------------------------------------------------- #

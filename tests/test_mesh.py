@@ -213,11 +213,6 @@ class TestTriangularMesh:
         with pytest.raises(ValueError):
             TriangularMesh(np.zeros((3, 2)), np.array([[0, 1]]))
 
-    def test_graph_diameter_estimate_positive(self, unit_square_mesh):
-        diam = unit_square_mesh.graph_diameter_estimate()
-        # 12x12 grid: diameter is about 12..24 hops depending on diagonals
-        assert 10 <= diam <= 30
-
     def test_node_neighbours(self):
         mesh = structured_rectangle_mesh(2, 2)
         centre = 4  # middle node of a 3x3 grid

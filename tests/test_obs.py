@@ -139,12 +139,18 @@ class TestSpanBasics:
         assert not obs_trace.trace_enabled()
         assert obs_trace.current_span() is None
         assert obs_trace.span("x") is obs_trace._NULL_SPAN
-        assert obs_trace.leaf_span("x") is obs_trace._NULL_SPAN
         with obs_trace.trace_root("unrecorded") as root:
             with obs_trace.span("child"):
                 pass
+            with obs_trace.record("timed") as record:
+                record.record_leaf("leaf", record.start, record.start + 1.0)
         assert root.end is not None
         assert obs_trace.finished_traces() == []  # never recorded
+        # a record still times when nothing is kept: detached, no tree, no ids
+        assert record.end is not None and record.total("leaf") == 1.0
+        assert root.children == [] and obs_trace.current_span() is None
+        assert record._trace_id is None and record._span_id is None
+        assert root._trace_id is None  # an unkept root allocates no trace id either
 
     def test_ring_capacity_evicts_oldest(self):
         obs_trace.enable_tracing(max_traces=2)
@@ -172,23 +178,35 @@ class TestLeafSpans:
         # the buffer drained: a second walk does not duplicate children
         assert len(list(root.walk())) == 3
 
-    def test_leaf_span_context_manager(self):
-        obs_trace.enable_tracing()
-        with obs_trace.trace_root("root") as root:
-            with obs_trace.leaf_span("fast.leaf", k=3):
-                pass
-            with pytest.raises(RuntimeError):
-                with obs_trace.leaf_span("bad.leaf"):
-                    raise RuntimeError("boom")
-        payload = root.to_dict()  # materializes
-        names = [c["name"] for c in payload["children"]]
-        assert names == ["fast.leaf", "bad.leaf"]
-        assert payload["children"][0]["attributes"] == {"k": 3}
-        assert payload["children"][1]["events"][0]["error_type"] == "RuntimeError"
+    def test_record_past_the_child_cap_still_sums_every_leaf(self):
+        record = Span("lifetime", start=0.0)
+        count = obs_trace._MAX_CHILDREN + 10
+        intervals = [(i * 0.5, i * 0.5 + 1e-3 * (i % 7 + 1)) for i in range(count)]
+        for start, end in intervals:
+            record.record_leaf("ddm.local", start, end)
+        assert record.total("ddm.local") == sum(end - start for start, end in intervals)
+        assert record.dropped_children == 10
+        kept = [leaf for leaf in record.walk() if leaf.name == "ddm.local"]
+        assert len(kept) == obs_trace._MAX_CHILDREN
 
-    def test_leaf_span_requires_active_parent(self):
+    def test_measure_records_one_leaf_per_call(self):
+        record = Span("solve")
+        assert record.measure("step", lambda x: x + 1, 41, attributes={"k": 1}) == 42
+        with pytest.raises(ZeroDivisionError):
+            record.measure("step", lambda x: 1 / x, 0)
+        leaves = [leaf for leaf in record.walk() if leaf.name == "step"]
+        assert [leaf.attributes for leaf in leaves] == [{"k": 1}, {}]
+        assert record.total("step") == sum(leaf.end - leaf.start for leaf in leaves)
+
+    def test_record_attaches_only_under_a_kept_trace(self):
         obs_trace.enable_tracing()
-        assert obs_trace.leaf_span("x") is obs_trace._NULL_SPAN
+        with obs_trace.record("orphan") as orphan:  # tracing on, no active span
+            pass
+        with obs_trace.trace_root("root") as root:
+            with obs_trace.record("kept", k=3) as kept:
+                assert obs_trace.current_span() is kept
+        assert orphan not in root.walk() and root.children == [kept]
+        assert kept.attributes == {"k": 3} and kept.end is not None
 
 
 class TestSerialization:

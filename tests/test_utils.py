@@ -2,38 +2,9 @@
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
-from repro.utils import Timer, available_workers, format_mean_std, format_table, parallel_map, timed
-
-
-class TestTimer:
-    def test_measure_accumulates(self):
-        timer = Timer()
-        with timer.measure("work"):
-            time.sleep(0.01)
-        with timer.measure("work"):
-            time.sleep(0.01)
-        assert timer.counts["work"] == 2
-        assert timer.totals["work"] >= 0.02
-        assert timer.mean("work") >= 0.01
-
-    def test_mean_unknown_key_raises(self):
-        with pytest.raises(KeyError):
-            Timer().mean("nope")
-
-    def test_report_contains_names(self):
-        timer = Timer()
-        with timer.measure("assembly"):
-            pass
-        assert "assembly" in timer.report()
-
-    def test_timed_context(self):
-        with timed() as box:
-            time.sleep(0.01)
-        assert box[0] >= 0.01
+from repro.utils import available_workers, format_mean_std, format_table, parallel_map
 
 
 class TestTables:
