@@ -9,9 +9,10 @@ passes a self-check whose every intermediate is a small dyadic rational, so its
 exact answer is known whatever the summation order, or it does not load.
 
 :class:`TriangularFactor` is a SuperLU factor ``Pr A Pc = L U`` as the arrays
-the kernel reads.  :class:`SchwarzApply` binds one to a restriction, and
-optionally a coarse space, as the C's ``schwarz_plan`` struct, so an apply is
-one call of six arguments.
+the kernel reads, at either level: the local block-diagonal factor and the
+coarse ``A₀``'s.  :class:`SchwarzApply` binds a local factor to a restriction,
+and optionally a coarse factor to ``R₀``, as the C's ``schwarz_plan`` struct,
+so an apply is one call of six arguments.
 """
 
 from __future__ import annotations
@@ -32,14 +33,18 @@ SOURCE = Path(__file__).with_name("_schwarz.c")
 _UNRESOLVED = object()
 _kernels = _UNRESOLVED  # {C name: function} once loaded; None = the numpy body
 
-#: the factor's arrays the C reads, and all pointer fields of ``schwarz_plan`` in the C's order
+#: one factor's arrays the C reads (``lu_factor``), and the pointer fields of ``schwarz_plan`` after both factors
 _FACTOR_ARRAYS = ("l_indptr", "l_indices", "l_data", "u_indptr", "u_indices", "u_data", "u_diag")
-_ARRAYS = ("gather", *_FACTOR_ARRAYS, "glue_indptr", "glue_indices", "r0_indptr", "r0_indices", "r0_data",
-           "inverse", "r0t_indptr", "r0t_indices", "r0t_data", "work")
+_ARRAYS = ("gather", "glue_indptr", "glue_indices", "r0_indptr", "r0_indices", "r0_data",
+           "r0t_indptr", "r0t_indices", "r0t_data", "work")
+
+
+class _Factor(ctypes.Structure):
+    _fields_ = [("rows", ctypes.c_int64)] + [(name, ctypes.c_void_p) for name in _FACTOR_ARRAYS]
 
 
 class _Plan(ctypes.Structure):
-    _fields_ = [("n", ctypes.c_int64), ("rows", ctypes.c_int64), ("coarse", ctypes.c_int64)] + \
+    _fields_ = [("n", ctypes.c_int64), ("local", _Factor), ("coarse", _Factor)] + \
                [(name, ctypes.c_void_p) for name in _ARRAYS]
 
 
@@ -80,34 +85,39 @@ class TriangularFactor:
         self.row_source[np.asarray(perm_r)] = np.arange(self.rows, dtype=np.int32)
         self.perm_c = _index(np.array(perm_c))  # a copy: SuperLU's own perm arrays are views that keep it alive
 
+    def struct(self) -> _Factor:
+        """The C's ``lu_factor``, pointing into this object's arrays."""
+        return _Factor(self.rows, **{name: getattr(self, name).ctypes.data for name in _FACTOR_ARRAYS})
+
 
 class SchwarzApply:
-    """One factor bound to a restriction, and optionally a coarse space, as one native call.
+    """A local factor bound to a restriction, and optionally a coarse factor to ``R₀``, as one native call.
 
     ``nodes[s]`` is the input row of stacked row ``s`` (``StackedRestriction.node_indices``),
     ``glue`` the ``(n, rows)`` CSR ``Rᵀ`` whose row ``i`` lists node ``i``'s stacked rows;
-    with a coarse space, ``r0`` is its ``(K0, n)`` CSR restriction and ``inverse`` the
-    dense ``A₀⁻¹``.  The struct points into arrays this object holds, so they live as long
-    as it does.
+    with a coarse level, ``r0`` is its ``(K0, n)`` CSR restriction and ``coarse`` the factor
+    of ``A₀``.  Both factors' permutations are folded into the index arrays here: ``perm_r``
+    into the gather and ``R₀``'s row order, ``perm_c`` into the glue's and ``R₀ᵀ``'s indices.
+    The struct points into arrays this object holds, so they live as long as it does.
     """
 
     def __init__(self, function: Callable, factor: TriangularFactor, nodes: np.ndarray, glue: sp.spmatrix,
-                 r0: Optional[sp.spmatrix] = None, inverse: Optional[np.ndarray] = None) -> None:
-        self.factor = factor
-        coarse = 0 if r0 is None else int(r0.shape[0])
+                 r0: Optional[sp.spmatrix] = None, coarse: Optional[TriangularFactor] = None) -> None:
+        self.factor, self.coarse = factor, coarse
         self.n = int(glue.shape[0])
         #: input rows the C may read: every gathered node, and every column of R₀
         self.n_in = max(int(np.max(nodes)) + 1 if len(nodes) else 0, 0 if r0 is None else int(r0.shape[1]))
         glue_indptr, glue_rows, _ = _csr(glue)
-        arrays = {name: getattr(factor, name) for name in _FACTOR_ARRAYS}
-        arrays.update(gather=_index(np.asarray(nodes)[factor.row_source]), glue_indptr=glue_indptr,
-                      glue_indices=factor.perm_c[glue_rows], work=np.empty(factor.rows + 2 * coarse))
-        if r0 is not None:
-            (arrays["r0_indptr"], arrays["r0_indices"], arrays["r0_data"]), arrays["inverse"] = \
-                _csr(r0), np.ascontiguousarray(inverse, dtype=np.float64)
-            arrays["r0t_indptr"], arrays["r0t_indices"], arrays["r0t_data"] = _csr(sp.csr_matrix(r0).T)
+        arrays = dict(gather=_index(np.asarray(nodes)[factor.row_source]), glue_indptr=glue_indptr,
+                      glue_indices=factor.perm_c[glue_rows])
+        if coarse is not None:
+            r0 = sp.csr_matrix(r0)
+            arrays["r0_indptr"], arrays["r0_indices"], arrays["r0_data"] = _csr(r0[coarse.row_source])
+            arrays["r0t_indptr"], r0t_rows, arrays["r0t_data"] = _csr(r0.T)
+            arrays["r0t_indices"] = coarse.perm_c[r0t_rows]
+        arrays["work"] = np.empty(factor.rows + (0 if coarse is None else coarse.rows))
         self.arrays = arrays
-        self._plan = _Plan(self.n, factor.rows, coarse,
+        self._plan = _Plan(self.n, factor.struct(), _Factor() if coarse is None else coarse.struct(),
                            **{name: array.ctypes.data for name, array in arrays.items()})
         self._address = ctypes.addressof(self._plan)
         self._function = function
@@ -128,30 +138,37 @@ class SchwarzApply:
 def _checked_library(library: ctypes.CDLL) -> Dict[str, Callable]:
     """Declare ``schwarz_apply``, then demand the exact answer of a two-level apply on 4 nodes, 6 stacked
     rows and a 5-wide coarse level, two columns of a C-ordered block (so strides and the column loop
-    are exercised): dense factors with rows of every length 0–5 around the four partial sums."""
+    are exercised): dense factors at both levels, rows of every length 0–5 around the four partial sums,
+    and no permutation the identity, so a permutation dropped at either level is a wrong answer."""
     function = library.schwarz_apply
     function.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
                          ctypes.c_void_p]
     function.restype = None
     rng = np.random.default_rng(28)
-    rows, n, coarse = 6, 4, 5
-    nodes = np.array([0, 1, 2, 1, 2, 3])                  # two sub-domains sharing nodes 1 and 2
-    lower = np.tril(rng.integers(1, 3, (rows, rows)), -1) + np.eye(rows)
-    upper = np.triu(rng.integers(-2, 0, (rows, rows)), 1) + np.diag(rng.choice([-1.0, 1.0], rows))
-    perm_r, perm_c = rng.permutation(rows), rng.permutation(rows)
-    glue = sp.csr_matrix((np.ones(rows), (nodes, np.arange(rows))), shape=(n, rows))
-    r0 = rng.integers(0, 3, (coarse, n)) / 2.0
-    inverse = rng.integers(-2, 3, (coarse, coarse)) / 4.0
+    n, nodes = 4, np.array([0, 1, 2, 1, 2, 3])            # two sub-domains sharing nodes 1 and 2
+
+    def dense_factor(rows):
+        lower = np.tril(rng.integers(1, 3, (rows, rows)), -1) + np.eye(rows)
+        upper = np.triu(rng.integers(-2, 0, (rows, rows)), 1) + np.diag(rng.choice([-1.0, 1.0], rows))
+        return lower, upper, rng.permutation(rows), rng.permutation(rows)
+
+    def solve(lower, upper, perm_r, perm_c, b):           # every value a small dyadic rational: exact
+        y = np.empty_like(b)
+        y[perm_r] = b
+        for i in range(len(y)):
+            y[i] -= lower[i, :i] @ y[:i]
+        for i in reversed(range(len(y))):
+            y[i] = (y[i] - upper[i, i + 1:] @ y[i + 1:]) / upper[i, i]
+        return y[perm_c]
+
+    local, coarse = dense_factor(len(nodes)), dense_factor(5)
+    glue = sp.csr_matrix((np.ones(len(nodes)), (nodes, np.arange(len(nodes)))), shape=(n, len(nodes)))
+    r0 = rng.integers(0, 3, (5, n)) / 2.0
     residuals = rng.integers(-3, 4, (n, 2)).astype(np.float64)
-    plan = SchwarzApply(function, TriangularFactor(sp.csc_matrix(lower), sp.csc_matrix(upper), perm_r, perm_c),
-                        nodes, glue, sp.csr_matrix(r0), inverse)
-    y = np.empty((rows, 2))
-    y[perm_r] = residuals[nodes]
-    for i in range(rows):                                 # every value a small dyadic rational: exact
-        y[i] -= lower[i, :i] @ y[:i]
-    for i in reversed(range(rows)):
-        y[i] = (y[i] - upper[i, i + 1:] @ y[i + 1:]) / upper[i, i]
-    expected = glue @ y[perm_c] + r0.T @ (inverse @ (r0 @ residuals))
+    factors = [TriangularFactor(sp.csc_matrix(lower), sp.csc_matrix(upper), perm_r, perm_c)
+               for lower, upper, perm_r, perm_c in (local, coarse)]
+    plan = SchwarzApply(function, factors[0], nodes, glue, sp.csr_matrix(r0), factors[1])
+    expected = glue @ solve(*local, residuals[nodes]) + r0.T @ solve(*coarse, r0 @ residuals)
     if not np.array_equal(plan.apply_columns(residuals), expected):
         raise ValueError("the compiled Schwarz apply failed its self-check")
     return {"schwarz_apply": function}

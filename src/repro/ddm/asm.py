@@ -196,8 +196,9 @@ class AdditiveSchwarzPreconditioner(Preconditioner):
 
         Only DDM-LU has one — ``variant="asm"`` with exact LU local solves, at
         one or two levels — and only where the kernel loaded.  Building it
-        hands the LU factor over to the kernel's arrays and drops SuperLU's
-        object, so an instance that went native stays native.
+        hands both LU factors, the local and the coarse one, over to the
+        kernel's arrays and drops SuperLU's objects, so an instance that went
+        native stays native.
         """
         if self._native is _UNRESOLVED:
             self._native = None
@@ -208,7 +209,7 @@ class AdditiveSchwarzPreconditioner(Preconditioner):
                 self._native = SchwarzApply(
                     kernels["schwarz_apply"], self.local_solver.release_factor(),
                     self.stacked_restriction.node_indices, self.stacked_restriction._transpose,
-                    None if coarse is None else coarse.r0, None if coarse is None else coarse._inverse)
+                    None if coarse is None else coarse.r0, None if coarse is None else coarse.solver.release_factor())
         return self._native
 
     @property
@@ -235,8 +236,9 @@ class AdditiveSchwarzPreconditioner(Preconditioner):
 
         That numpy pipeline is the reference and the body without a C
         compiler.  DDM-LU (``variant="asm"``, exact LU) has a native body too
-        (:attr:`kernel`): gather, substitution over the factor, glue and
-        coarse correction in one C call per block, every column through the
+        (:attr:`kernel`): gather, substitution over the local factor, glue
+        and coarse correction — the same substitution over the coarse
+        factor — in one C call per block, every column through the
         same arithmetic — so column ``j`` of a k-wide call is still the
         1-wide call bit for bit, and agrees with the numpy body to ~1e-16
         relative (SuperLU's supernodal substitution order is not
@@ -283,6 +285,6 @@ class AdditiveSchwarzPreconditioner(Preconditioner):
         result = stacked.glue(inverses @ stacked.extract(np.eye(n)))
         if self.coarse_space is not None:
             r0 = self.coarse_space.r0.toarray()
-            coarse = r0.T @ np.linalg.inv(self.coarse_space.coarse_matrix) @ r0
+            coarse = r0.T @ np.linalg.inv(self.coarse_space.coarse_matrix.toarray()) @ r0
             result += coarse if self.variant == "asm" else coarse @ (np.eye(n) - self.matrix @ result)
         return result

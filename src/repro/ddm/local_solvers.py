@@ -131,7 +131,9 @@ class LULocalSolver(LocalSolver):
     uncoupled, so the factor has no cross-block fill-in and one
     substitution per column performs all K local solves — the
     per-sub-domain Python loop (and its K-fold call overhead) disappears
-    from the preconditioner hot path.
+    from the preconditioner hot path.  The coarse level is one more
+    instance, set up on the one block ``A_0``
+    (:class:`~repro.ddm.coarse.NicolaidesCoarseSpace`).
 
     The factor is held **once**, in one of two forms.  As set up it is
     SuperLU's object, and a solve is SuperLU's substitution.  The native

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from repro.ddm import (
     AdditiveSchwarzPreconditioner,
@@ -72,7 +75,7 @@ class TestCoarseSpace:
         cs.factorize(random_problem.matrix)
         k = small_decomposition.num_subdomains
         assert cs.coarse_matrix.shape == (k, k)
-        eigs = np.linalg.eigvalsh(cs.coarse_matrix)
+        eigs = np.linalg.eigvalsh(cs.coarse_matrix.toarray())
         assert eigs.min() > 0.0
 
     def test_apply_before_factorize_raises(self, random_problem, small_decomposition):
@@ -91,13 +94,48 @@ class TestCoarseSpace:
         assert np.allclose(basis @ coeffs, z, atol=1e-8)
 
     def test_pou_basis_sums_to_one(self, small_decomposition):
-        cs = NicolaidesCoarseSpace(
-            small_decomposition.subdomain_nodes,
-            small_decomposition.mesh.num_nodes,
-            use_partition_of_unity=True,
-        )
+        cs = NicolaidesCoarseSpace(small_decomposition.subdomain_nodes, small_decomposition.mesh.num_nodes)
         column_sums = np.asarray(cs.r0.sum(axis=0)).ravel()
         assert np.allclose(column_sums, 1.0)
+
+    def test_set_up_is_sparse_at_two_thousand_subdomains(self):
+        """K = 2,025 sub-domains (3 × 3 cores and one layer of overlap on a 135 × 135 grid): factorising
+        allocates less than K² bytes, an eighth of one dense K×K float64 array, and holds no K×K array;
+        the correction is ``R₀ᵀ A₀⁻¹ R₀ r`` as ``spsolve`` computes it."""
+        side, block = 135, 3
+        grid = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(side, side))
+        matrix = (sp.kron(grid, sp.identity(side)) + sp.kron(sp.identity(side), grid)).tocsr()
+        index = np.arange(side * side).reshape(side, side)
+        subdomains = [index[max(i - 1, 0):i + block + 1, max(j - 1, 0):j + block + 1].ravel()
+                      for i in range(0, side, block) for j in range(0, side, block)]
+        k = len(subdomains)
+        cs = NicolaidesCoarseSpace(subdomains, side * side)
+        tracemalloc.start()
+        try:
+            cs.factorize(matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert k == 2025 and peak < k * k * 8 / 8, peak
+        held, seen = [cs], set()
+        while held:                                   # every array reachable through attributes
+            value = held.pop()
+            if id(value) in seen:
+                continue
+            seen.add(id(value))
+            if isinstance(value, np.ndarray):
+                assert not (value.ndim == 2 and value.size >= k * k), value.shape
+            elif isinstance(value, (list, tuple)):
+                held.extend(value)
+            elif isinstance(value, dict):
+                held.extend(value.values())
+            elif hasattr(value, "__dict__"):
+                held.extend(vars(value).values())
+        residuals = np.random.default_rng(0).normal(size=(side * side, 3))
+        coarse = (cs.r0 @ matrix @ cs.r0.T).tocsc()
+        expected = cs.r0.T @ spla.spsolve(coarse, cs.r0 @ residuals)
+        error = np.linalg.norm(cs.apply_columns(residuals) - expected, axis=0)
+        assert np.all(error <= 1e-12 * np.linalg.norm(expected, axis=0))
 
 
 # --------------------------------------------------------------------------- #

@@ -883,31 +883,38 @@ def _four_sums(indptr, indices, data, i, x):
     return (sums[0] + sums[1]) + (sums[2] + sums[3])
 
 
-def schwarz_loop_reference(asm: AdditiveSchwarzPreconditioner, residual: np.ndarray) -> np.ndarray:
-    """One column of the native DDM-LU apply as a Python loop, in the order ``_schwarz.c`` writes down:
-    gather into the factor's row order, forward then back substitution, the coarse restriction and the dense
-    inverse, then per node its stacked rows (ascending, read through ``perm_c``) plus its ``R₀ᵀ`` row."""
-    factor = asm.local_solver.release_factor()
+def _substitute(factor, y):
+    """Forward then back substitution over a released factor, in place, rows in ``_schwarz.c``'s order."""
     lower = (factor.l_indptr.tolist(), factor.l_indices.tolist(), factor.l_data.tolist())
     upper = (factor.u_indptr.tolist(), factor.u_indices.tolist(), factor.u_data.tolist())
-    r, nodes = residual.tolist(), asm.stacked_restriction.node_indices.tolist()
-    y = [r[nodes[s]] for s in factor.row_source.tolist()]
     for i in range(factor.rows):
         y[i] = y[i] - _four_sums(*lower, i, y)
     for i in reversed(range(factor.rows)):
         y[i] = (y[i] - _four_sums(*upper, i, y)) / float(factor.u_diag[i])
+
+
+def schwarz_loop_reference(asm: AdditiveSchwarzPreconditioner, residual: np.ndarray) -> np.ndarray:
+    """One column of the native DDM-LU apply as a Python loop, in the order ``_schwarz.c`` writes down:
+    gather into the local factor's row order and substitute; the coarse restriction into the coarse factor's
+    row order and the same substitution; then per node its stacked rows (ascending, read through the local
+    ``perm_c``) plus its ``R₀ᵀ`` row (ascending, read through the coarse ``perm_c``)."""
+    factor = asm.local_solver.release_factor()
+    r, nodes = residual.tolist(), asm.stacked_restriction.node_indices.tolist()
+    y = [r[nodes[s]] for s in factor.row_source.tolist()]
+    _substitute(factor, y)
     coarse = asm.coarse_space
     if coarse is not None:
+        coarse_factor = coarse.solver.release_factor()
         r0, r0t = coarse.r0, coarse.r0.T.tocsr()
         r0t.sort_indices()
-        s = []
-        for q in range(r0.shape[0]):
+        e = []
+        for q in coarse_factor.row_source.tolist():
             total = 0.0
             for m in range(r0.indptr[q], r0.indptr[q + 1]):
                 total += float(r0.data[m]) * r[r0.indices[m]]
-            s.append(total)
-        columns = list(range(len(s)))
-        e = [_four_sums([0, len(s)], columns, row.tolist(), 0, s) for row in coarse._inverse]
+            e.append(total)
+        _substitute(coarse_factor, e)
+        e = [e[j] for j in coarse_factor.perm_c.tolist()]
     glue, perm_c = asm.stacked_restriction._transpose, factor.perm_c.tolist()
     out = []
     for i in range(asm.shape[0]):
@@ -961,13 +968,16 @@ class TestNativeSchwarz:
         assert np.linalg.norm(solves[0].solution - solves[1].solution) <= 1e-10 * np.linalg.norm(solves[1].solution)
 
     def test_the_factor_is_held_once(self, random_problem, small_decomposition):
-        """The kernel takes SuperLU's factor over; the local solver's own solve then runs the kernel's
-        substitution on it."""
+        """The kernel takes SuperLU's factors over, the local and the coarse one; the local solver's own
+        solve then runs the kernel's substitution on it."""
         native, numpy_body = self._pair(random_problem, small_decomposition)
-        solver = native.local_solver
+        solver, coarse = native.local_solver, native.coarse_space.solver
         assert solver._factor is None and numpy_body.local_solver._factor is not None
+        assert coarse._factor is None and numpy_body.coarse_space.solver._factor is not None
         assert native._native.factor is solver.release_factor()
-        held = [*native._native.arrays.values(), *vars(solver.release_factor()).values()]
+        assert native._native.coarse is coarse.release_factor()
+        held = [*native._native.arrays.values(), *vars(solver.release_factor()).values(),
+                *vars(coarse.release_factor()).values()]
         for array in held:                                         # nothing keeps the SuperLU object alive
             while array is not None:
                 assert not isinstance(array, spla.SuperLU)
@@ -1033,7 +1043,7 @@ def equation_reference(pre: DDMGNNPreconditioner, residual: np.ndarray) -> np.nd
     if pre.coarse_space is not None:                                # Eq. 13 on r − A z₁
         r0 = pre.coarse_space.r0
         left = residual - pre.matrix @ z
-        z += r0.T @ np.linalg.solve(pre.coarse_space.coarse_matrix, r0 @ left)
+        z += r0.T @ np.linalg.solve(pre.coarse_space.coarse_matrix.toarray(), r0 @ left)
     return z
 
 
