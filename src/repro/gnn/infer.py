@@ -105,6 +105,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 import scipy.sparse as sp
 
+from ..utils import sparse
 from ._native import edge_kernels
 from .batch import BatchPlan, GraphBatch, MessageOperators, message_operators
 
@@ -119,36 +120,6 @@ def relu_(x: np.ndarray) -> np.ndarray:
     np.maximum(x, 0.0, out=x)
     return x
 
-
-def _validated_csr_matvecs():
-    """The private scipy kernel for allocation-free CSR SpMM (``Y += A @ X``).
-
-    ``scipy.sparse._sparsetools.csr_matvecs`` has been stable for many years,
-    but it is private: guard not just against it disappearing but against a
-    signature/semantics change, by checking it once against the public
-    operator on a tiny fixed matrix.  Returns None (public ``@`` fallback)
-    when anything is off.
-    """
-    try:
-        from scipy.sparse import _sparsetools
-
-        kernel = _sparsetools.csr_matvecs
-        matrix = sp.csr_matrix(np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]]))
-        x = np.arange(6.0).reshape(3, 2)
-        y = np.zeros((2, 2))
-        kernel(
-            matrix.shape[0], matrix.shape[1], x.shape[1],
-            matrix.indptr, matrix.indices, matrix.data,
-            x.ravel(), y.ravel(),
-        )
-        if not np.array_equal(y, matrix @ x):
-            return None
-        return kernel
-    except Exception:  # pragma: no cover - old/exotic scipy
-        return None
-
-
-_csr_matvecs = _validated_csr_matvecs()
 
 try:
     from scipy.linalg.blas import dgemm, sgemm
@@ -178,8 +149,8 @@ def _gemm_acc(a: np.ndarray, b: np.ndarray, c: np.ndarray, scratch: np.ndarray) 
 def _spmm_acc(matrix: sp.csr_matrix, x_flat: np.ndarray, y_flat: np.ndarray, n_vecs: int) -> None:
     """``Y += A @ X`` on the flat views of C-contiguous ``(·, n_vecs)`` arrays."""
     rows, cols = matrix.shape
-    if _csr_matvecs is not None:
-        _csr_matvecs(rows, cols, n_vecs, matrix.indptr, matrix.indices, matrix.data, x_flat, y_flat)
+    if sparse.csr_matvecs is not None:
+        sparse.csr_matvecs(rows, cols, n_vecs, matrix.indptr, matrix.indices, matrix.data, x_flat, y_flat)
     else:
         y = y_flat.reshape(rows, n_vecs)
         y += matrix @ x_flat.reshape(cols, n_vecs)

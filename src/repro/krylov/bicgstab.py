@@ -8,13 +8,15 @@ completeness, for non-symmetric variants of the preconditioned operator
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+import math
+from typing import Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..ddm.asm import IdentityPreconditioner, Preconditioner
 from ..obs import trace as obs_trace
+from ..utils.sparse import csr_operator
 from . import failures
 from .result import PRECOND_APPLY, SolveResult, apply_preconditioner
 
@@ -47,12 +49,7 @@ def bicgstab(
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     n = rhs.shape[0]
-    if sp.issparse(matrix):
-        csr = matrix.tocsr()
-        matvec: Callable[[np.ndarray], np.ndarray] = lambda v: csr @ v
-    else:
-        arr = np.asarray(matrix)
-        matvec = lambda v: arr @ v
+    matvec = csr_operator(matrix).matvec
     precond = preconditioner if preconditioner is not None else IdentityPreconditioner(n)
     max_iterations = max_iterations if max_iterations is not None else 10 * n
 
@@ -75,7 +72,8 @@ def bicgstab(
         rho_prev = alpha = omega = 1.0
         v = np.zeros(n)
         p = np.zeros(n)
-        residual_history = [float(np.linalg.norm(r) / rhs_norm)]
+        # ‖r‖ as numpy's 1-D norm computes it, without its dispatch
+        residual_history = [float(math.sqrt(r @ r) / rhs_norm)]
         converged = residual_history[-1] < tolerance
         iteration = 0
         failure: Optional[str] = None
@@ -105,10 +103,11 @@ def bicgstab(
                 break
             alpha = rho / denom
             s = r - alpha * v
-            if np.linalg.norm(s) / rhs_norm < tolerance:
+            s_rel = float(math.sqrt(s @ s) / rhs_norm)
+            if s_rel < tolerance:
                 x += alpha * p_hat
                 iteration += 1
-                residual_history.append(float(np.linalg.norm(s) / rhs_norm))
+                residual_history.append(s_rel)
                 converged = True
                 break
             s_hat = apply_preconditioner(record, precond.apply, s)
@@ -125,7 +124,7 @@ def bicgstab(
             r = s - omega * t
             rho_prev = rho
             iteration += 1
-            rel = float(np.linalg.norm(r) / rhs_norm)
+            rel = float(math.sqrt(r @ r) / rhs_norm)
             residual_history.append(rel)
             if not np.isfinite(rel):
                 failure = failures.NON_FINITE_RESIDUAL

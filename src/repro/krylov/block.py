@@ -21,7 +21,9 @@ evaluated by the same kernels in the same order as the single-RHS path:
   single-RHS solver (a strided dot is *not* bit-identical to a contiguous
   one — that is why the layout matters);
 * CSR SpMM (``A @ P``) accumulates each column exactly like the corresponding
-  SpMV (scipy's ``csr_matvecs`` iterates the same nonzeros in the same order);
+  SpMV (both are :func:`repro.utils.sparse.csr_operator`'s products, and
+  ``csr_matvecs`` iterates the same nonzeros in the same order as
+  ``csr_matvec``);
 * the ``alpha``/``beta`` scalar recurrences are computed per column and applied
   with elementwise broadcasts, which perform the identical multiply-add per
   element;
@@ -57,6 +59,7 @@ the lockstep sweep), and ``info["lockstep"]`` the undivided batch totals.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
@@ -64,6 +67,7 @@ import scipy.sparse as sp
 
 from ..ddm.asm import IdentityPreconditioner, Preconditioner
 from ..obs import trace as obs_trace
+from ..utils.sparse import csr_operator
 from . import failures
 from .flexible import DirectionWindow, recurrence_of
 from .result import PRECOND_APPLY, SolveResult, apply_preconditioner
@@ -114,7 +118,7 @@ def lockstep_pcg(
     """
     rhs_batch = np.atleast_2d(np.asarray(rhs_batch, dtype=np.float64))
     num_rhs, n = rhs_batch.shape
-    csr = matrix.tocsr() if sp.issparse(matrix) else np.asarray(matrix)
+    matmat = csr_operator(matrix).matmat
     precond = preconditioner if preconditioner is not None else IdentityPreconditioner(n)
     apply_columns = getattr(precond, "apply_columns", None)
     if apply_columns is None:  # duck-typed, `apply` only: the interface's per-column default
@@ -175,14 +179,16 @@ def lockstep_pcg(
                 x0 = np.asarray(initial_guess, dtype=np.float64)
                 for i in range(k):
                     X[:, i] = x0
-            R = np.asfortranarray(rhs_batch[cols].T - (csr @ X))
+            R = np.asfortranarray(rhs_batch[cols].T - matmat(X))
             rhs_norms = rhs_norms_all[cols]
 
             Z = np.asfortranarray(apply_preconditioner(record, apply_columns, R))
             P = Z.copy(order="F")
 
+            # the columns of the F-ordered R are contiguous: sqrt(r @ r) is the
+            # single-RHS solver's norm, byte for byte
             histories: List[List[float]] = [
-                [float(np.linalg.norm(R[:, i]) / rhs_norms[i])] for i in range(k)
+                [float(math.sqrt(r @ r) / rhs_norms[i])] for i, r in enumerate(R.T)
             ]
             rho = np.array([float(R[:, i] @ Z[:, i]) for i in range(k)])
 
@@ -233,7 +239,7 @@ def lockstep_pcg(
             iteration = 0
             while cols and iteration < max_iterations:
                 a = len(cols)
-                Q = np.asfortranarray(csr @ P)
+                Q = np.asfortranarray(matmat(P))
                 denom = np.array([float(P[:, i] @ Q[:, i]) for i in range(a)])
 
                 # pre-update breakdowns (mirroring cg.py's guard order: non-finite
@@ -267,7 +273,7 @@ def lockstep_pcg(
                 R -= alpha[None, :] * Q
                 iteration += 1
 
-                rels = np.array([float(np.linalg.norm(R[:, i]) / rhs_norms[i]) for i in range(a)])
+                rels = np.array([float(math.sqrt(r @ r) / rhs_norms[i]) for i, r in enumerate(R.T)])
                 for i in range(a):
                     histories[i].append(float(rels[i]))
                 if callback is not None:

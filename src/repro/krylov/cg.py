@@ -14,6 +14,7 @@ Table I / Fig. 5.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -21,6 +22,7 @@ import scipy.sparse as sp
 
 from ..ddm.asm import IdentityPreconditioner, Preconditioner
 from ..obs import trace as obs_trace
+from ..utils.sparse import csr_operator
 from . import failures
 from .flexible import DirectionWindow, recurrence_of
 from .result import PRECOND_APPLY, SolveResult, apply_preconditioner
@@ -28,14 +30,6 @@ from .result import PRECOND_APPLY, SolveResult, apply_preconditioner
 __all__ = ["conjugate_gradient", "preconditioned_conjugate_gradient"]
 
 MatrixLike = Union[np.ndarray, sp.spmatrix]
-
-
-def _as_matvec(matrix: MatrixLike) -> Callable[[np.ndarray], np.ndarray]:
-    if sp.issparse(matrix):
-        csr = matrix.tocsr()
-        return lambda v: csr @ v
-    arr = np.asarray(matrix)
-    return lambda v: arr @ v
 
 
 def preconditioned_conjugate_gradient(
@@ -85,7 +79,7 @@ def preconditioned_conjugate_gradient(
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     n = rhs.shape[0]
-    matvec = _as_matvec(matrix)
+    matvec = csr_operator(matrix).matvec
     precond = preconditioner if preconditioner is not None else IdentityPreconditioner(n)
     max_iterations = max_iterations if max_iterations is not None else 10 * n
     recurrence = recurrence_of(precond)
@@ -118,7 +112,9 @@ def preconditioned_conjugate_gradient(
         z = apply_preconditioner(record, precond.apply, r)
         p = z.copy()
 
-        residual_history = [float(np.linalg.norm(r) / rhs_norm)]
+        # ‖r‖ the way numpy's 1-D norm computes it, the square root of the
+        # dot, without its dispatch (same bytes; r is contiguous)
+        residual_history = [float(math.sqrt(r @ r) / rhs_norm)]
         rho = float(r @ z)
         converged = residual_history[-1] < tolerance
         iteration = 0
@@ -128,11 +124,11 @@ def preconditioned_conjugate_gradient(
         # ORDER here is part of the lockstep bit-identity contract — block.py
         # checks the same quantities in the same sequence)
         if not converged:
-            if not np.isfinite(residual_history[-1]):
+            if not math.isfinite(residual_history[-1]):
                 failure = failures.NON_FINITE_RESIDUAL
             elif not np.isfinite(z).all():
                 failure = failures.NON_FINITE_PRECONDITIONER
-            elif rho == 0.0 or not np.isfinite(rho):
+            elif rho == 0.0 or not math.isfinite(rho):
                 failure = failures.RHO_BREAKDOWN
 
         best_rel = residual_history[-1]
@@ -146,7 +142,7 @@ def preconditioned_conjugate_gradient(
                 failure = failures.NON_FINITE_OPERATOR
                 break
             denom = float(p @ q)
-            if not np.isfinite(denom):
+            if not math.isfinite(denom):  # the scalars are Python floats
                 failure = failures.NON_FINITE_OPERATOR
                 break
             if denom <= 0.0:
@@ -159,11 +155,11 @@ def preconditioned_conjugate_gradient(
             u += alpha * p
             r -= alpha * q
             iteration += 1
-            rel = float(np.linalg.norm(r) / rhs_norm)
+            rel = float(math.sqrt(r @ r) / rhs_norm)
             residual_history.append(rel)
             if callback is not None:
                 callback(iteration, rel)
-            if not np.isfinite(rel):
+            if not math.isfinite(rel):
                 failure = failures.NON_FINITE_RESIDUAL
                 break
             if rel < tolerance:
@@ -182,7 +178,7 @@ def preconditioned_conjugate_gradient(
                 failure = failures.NON_FINITE_PRECONDITIONER
                 break
             rho_next = float(r @ z)
-            if rho_next == 0.0 or not np.isfinite(rho_next):
+            if rho_next == 0.0 or not math.isfinite(rho_next):
                 failure = failures.RHO_BREAKDOWN
                 break
             if window is None:

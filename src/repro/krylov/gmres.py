@@ -7,13 +7,15 @@ as Restricted Additive Schwarz in the ablation benches.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+import math
+from typing import Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..ddm.asm import IdentityPreconditioner, Preconditioner
 from ..obs import trace as obs_trace
+from ..utils.sparse import csr_operator
 from . import failures
 from .flexible import recurrence_of
 from .result import PRECOND_APPLY, SolveResult, apply_preconditioner
@@ -55,12 +57,7 @@ def gmres(
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     n = rhs.shape[0]
-    if sp.issparse(matrix):
-        csr = matrix.tocsr()
-        matvec: Callable[[np.ndarray], np.ndarray] = lambda v: csr @ v
-    else:
-        arr = np.asarray(matrix)
-        matvec = lambda v: arr @ v
+    matvec = csr_operator(matrix).matvec
     precond = preconditioner if preconditioner is not None else IdentityPreconditioner(n)
     max_iterations = max_iterations if max_iterations is not None else 10 * n
     restart = max(1, min(restart, n))
@@ -91,7 +88,7 @@ def gmres(
 
         while total_iterations < max_iterations and not converged and failure is None:
             r = rhs - matvec(x)
-            beta = np.linalg.norm(r)
+            beta = math.sqrt(r @ r)  # numpy's 1-D norm, without its dispatch
             rel0 = float(beta / rhs_norm)
             if not residual_history:
                 residual_history.append(rel0)
@@ -133,7 +130,7 @@ def gmres(
                 for i in range(j + 1):
                     hessenberg[i, j] = float(w @ basis[i])
                     w -= hessenberg[i, j] * basis[i]
-                hessenberg[j + 1, j] = np.linalg.norm(w)
+                hessenberg[j + 1, j] = math.sqrt(w @ w)
                 if hessenberg[j + 1, j] > 1e-14:
                     basis[j + 1] = w / hessenberg[j + 1, j]
                 # apply previous Givens rotations to the new column
@@ -197,7 +194,8 @@ def gmres(
                 x = x + correction
 
         # final residual check
-        final_rel = float(np.linalg.norm(rhs - matvec(x)) / rhs_norm)
+        r = rhs - matvec(x)
+        final_rel = float(math.sqrt(r @ r) / rhs_norm)
         residual_history.append(final_rel)
         converged = converged or final_rel < tolerance
         if converged:

@@ -111,6 +111,18 @@ class _Connection(http.client.HTTPConnection):
     def __del__(self) -> None:
         self.close()
 
+    def _send_output(self, message_body=None, encode_chunked=False):
+        """Headers and a bytes body in one send, so the server wakes once, on
+        the whole request.  ``http.client``'s own ``_send_output`` joins the
+        same buffer and sends the body after it; anything but a plain bytes
+        body still goes through it."""
+        if not isinstance(message_body, bytes) or encode_chunked:
+            return super()._send_output(message_body, encode_chunked)
+        self._buffer.extend((b"", message_body))
+        message = b"\r\n".join(self._buffer)
+        del self._buffer[:]
+        self.send(message)
+
 
 class ServeClient:
     """Thin client bound to one serve endpoint.
@@ -187,8 +199,9 @@ class ServeClient:
             try:
                 if not reused:
                     connection.connect()
-                    # headers and body go out in two sends: do not let
-                    # Nagle hold the second one for the server's ACK
+                    # a request leaves in one send, but a large one spans
+                    # segments: Nagle must not hold the short last one for
+                    # the server's delayed ACK
                     connection.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 connection.request(method, self._prefix + path, body=body,
                                    headers=headers or {})

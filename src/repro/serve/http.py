@@ -167,8 +167,13 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("X-Trace-Id", trace_id)
         if retry_after_s is not None:
             self.send_header("Retry-After", str(max(0, math.ceil(retry_after_s))))
-        self.end_headers()
-        self.wfile.write(body)
+        # end_headers() and the body in one write: the client wakes once, on
+        # the whole response, not on the headers and again on the body
+        head = b""
+        if self.request_version != "HTTP/0.9":
+            head = b"".join(self._headers_buffer) + b"\r\n"
+            self._headers_buffer = []
+        self.wfile.write(head + body)
 
     def _send_json(self, payload: dict, status: int = 200,
                    retry_after_s: Optional[float] = None) -> None:

@@ -170,10 +170,6 @@ def encode_frame(
     (float64 stays float64 — the bitwise-parity guarantee); each block is
     64-byte aligned so the receiver's ``frombuffer`` views are aligned too.
     """
-    entries = []
-    blocks = []
-    # first pass: compute block offsets after a header whose own length
-    # depends on the offsets — resolved by fixing the header size iteratively
     normalised: Dict[str, np.ndarray] = {}
     for name, value in (arrays or {}).items():
         array = np.ascontiguousarray(value)
@@ -185,16 +181,17 @@ def encode_frame(
                 f"(supported: {sorted(_WIRE_DTYPES)})"
             )
         normalised[str(name)] = array
+    blocks = list(normalised.values())
 
-    def build_header(total: int) -> bytes:
-        header = {
-            "v": PROTO_VERSION,
-            "kind": str(kind),
-            "meta": dict(meta or {}),
-            "arrays": entries,
-            "total": total,
-        }
-        return json.dumps(header, default=_json_default).encode("utf-8")
+    # The header is json.dumps({"v", "kind", "meta", "arrays", "total"}).
+    # Only the block offsets and "total" depend on the header's own length,
+    # so the rest is serialised once — the text up to the arrays table, and
+    # each entry up to its "offset" — and the fixed point formats integers.
+    head = (f'{{"v": {PROTO_VERSION}, "kind": {json.dumps(str(kind))}, '
+            f'"meta": {json.dumps(dict(meta or {}), default=_json_default)}, "arrays": [')
+    entry_heads = [json.dumps({"name": name, "dtype": array.dtype.str[1:],
+                               "shape": list(array.shape)})[:-1]
+                   for name, array in normalised.items()]
 
     # fixed-point on the header length: the header is padded with trailing
     # whitespace (valid JSON) so it always ends on a 64-byte boundary; block
@@ -202,21 +199,14 @@ def encode_frame(
     # makes the length map monotone non-decreasing — it converges
     header_bytes = b""
     for _ in range(16):
-        entries.clear()
-        blocks.clear()
         cursor = _pad_to(_PREFIX.size + len(header_bytes))
-        for name, array in normalised.items():
-            entries.append({
-                "name": name,
-                "dtype": array.dtype.str[1:],
-                "shape": list(array.shape),
-                "offset": cursor,
-                "nbytes": array.nbytes,
-            })
-            blocks.append((cursor, array))
+        offsets, entries = [], []
+        for entry_head, array in zip(entry_heads, blocks):
+            offsets.append(cursor)
+            entries.append(f'{entry_head}, "offset": {cursor}, "nbytes": {array.nbytes}}}')
             cursor = _pad_to(cursor + array.nbytes)
-        total = blocks[-1][0] + blocks[-1][1].nbytes if blocks else _PREFIX.size + len(header_bytes)
-        candidate = build_header(total)
+        total = offsets[-1] + blocks[-1].nbytes if blocks else _PREFIX.size + len(header_bytes)
+        candidate = f'{head}{", ".join(entries)}], "total": {total}}}'.encode("utf-8")
         candidate += b" " * (_pad_to(_PREFIX.size + len(candidate)) - _PREFIX.size - len(candidate))
         converged = len(candidate) == len(header_bytes)
         header_bytes = candidate
@@ -225,11 +215,10 @@ def encode_frame(
     else:  # pragma: no cover - monotone map over a bounded range
         raise RuntimeError("frame header length did not converge")
 
-    total = blocks[-1][0] + blocks[-1][1].nbytes if blocks else _PREFIX.size + len(header_bytes)
     out = bytearray(total)
     _PREFIX.pack_into(out, 0, MAGIC, len(header_bytes))
     out[_PREFIX.size:_PREFIX.size + len(header_bytes)] = header_bytes
-    for offset, array in blocks:
+    for offset, array in zip(offsets, blocks):
         out[offset:offset + array.nbytes] = array.tobytes()
     return bytes(out)
 

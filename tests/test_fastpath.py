@@ -34,7 +34,7 @@ from repro.krylov import preconditioned_conjugate_gradient
 from repro.krylov.result import SolveResult
 from repro.partition import OverlappingDecomposition, partition_mesh_target_size
 from repro.solvers import SolverConfig, prepare
-from repro.utils import format_timing_split
+from repro.utils import format_timing_split, sparse
 
 
 @pytest.fixture(scope="module")
@@ -260,7 +260,10 @@ class TestKernelFallbacks:
         plan = model.compile_plan(toy_batch, precision=precision)
         sources = np.random.default_rng(61).normal(size=(toy_batch.num_nodes, 3))
         default = model.infer_columns(plan, sources).copy()
-        monkeypatch.setattr(engine, patched, {} if patched == "_BLAS_GEMM" else None)
+        if patched == "_BLAS_GEMM":
+            monkeypatch.setattr(engine, patched, {})
+        else:
+            monkeypatch.setattr(sparse, "csr_matvecs", None)
         fallback = model.infer_columns(plan, sources)
         tolerance = 1e-12 if precision == "f64" else 1e-4
         assert np.allclose(fallback, default, rtol=tolerance, atol=tolerance)
@@ -720,9 +723,7 @@ class TestRawKernels:
         """The import-time self-check must accept the current scipy's kernel
         (if it ever returns None the engine silently falls back — fine for
         correctness, but we want to notice)."""
-        from repro.gnn.infer import _csr_matvecs, _validated_csr_matvecs
-
-        assert _validated_csr_matvecs() is _csr_matvecs or _csr_matvecs is None
+        assert sparse.validated_kernel("csr_matvecs") is sparse.csr_matvecs or sparse.csr_matvecs is None
 
 
 # --------------------------------------------------------------------------- #

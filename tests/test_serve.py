@@ -863,6 +863,66 @@ class TestKeepAlive:
             assert response["solution"].tobytes() == want.tobytes()
         assert server.connections_accepted == 2
 
+    def test_each_message_is_one_write(self, server, reference, monkeypatch):
+        """Headers and body leave in one socket write on both sides, so the
+        peer wakes once per message; the bytes are the two-write bytes."""
+        import http.client
+        import socketserver
+
+        from repro.serve.client import _Connection
+
+        server_writes, client_sends = [], []
+        write, send = socketserver._SocketWriter.write, http.client.HTTPConnection.send
+        monkeypatch.setattr(socketserver._SocketWriter, "write",
+                            lambda self, data: server_writes.append(bytes(data)) or write(self, data))
+        monkeypatch.setattr(http.client.HTTPConnection, "send",
+                            lambda self, data: client_sends.append(bytes(data)) or send(self, data))
+        b, want = reference
+        with ServeClient(server.url) as client:
+            client.healthz()
+            response = client.solve_binary(problem=HTTP_SPEC, b=b, config=HTTP_CONFIG)
+        assert response["solution"].tobytes() == want.tobytes()
+        assert len(server_writes) == 2 and len(client_sends) == 2
+        for message in server_writes:
+            head, _, body = message.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+            assert f"Content-Length: {len(body)}".encode() in head.split(b"\r\n")
+        request = client_sends[1]
+        assert request.startswith(b"POST /solve HTTP/1.1\r\n")
+
+        class Recorder:  # the stock http.client, two sends, on a fake socket
+            def __init__(self):
+                self.sent = []
+
+            def sendall(self, data):
+                self.sent.append(bytes(data))
+
+        body = request.partition(b"\r\n\r\n")[2]
+        headers = {"Accept": "application/octet-stream", "Content-Type": "application/x-repro-frame"}
+        stock, ours = http.client.HTTPConnection(*server.address), _Connection(*server.address)
+        stock.sock, ours.sock = Recorder(), Recorder()
+        for connection in (stock, ours):
+            connection.request("POST", "/solve", body=body, headers=headers)
+        assert len(stock.sock.sent) == 2 and len(ours.sock.sent) == 1
+        assert b"".join(stock.sock.sent) == ours.sock.sent[0]
+        ours.sock = None
+
+    def test_http09_request_gets_the_bare_body(self, server):
+        """HTTP/0.9 has no headers: the one-write response keeps
+        ``end_headers``' rule and sends the body alone."""
+        import json
+        import socket
+
+        with socket.create_connection(server.address, timeout=30) as sock:
+            sock.sendall(b"GET /healthz\r\n\r\n")  # a 0.9 request line, then no headers
+            raw = b""
+            while True:  # 0.9 closes the connection after the body
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                raw += chunk
+        assert json.loads(raw)["status"] == "ok"
+
     def test_close_releases_the_connection(self, server):
         with ServeClient(server.url) as client:
             client.healthz()

@@ -103,6 +103,33 @@ class TestProtoRoundTrip:
         assert frame.meta["k"] == 3
         assert frame.meta["nested"] == {"list": [1, 2.5, None, "s"]}
 
+    @pytest.mark.parametrize("meta, arrays", [
+        ({"deadline_ms": np.float64(12.5), "k": np.int64(3), "ok": np.bool_(True),
+          "nested": {"x": np.float32(0.5), "list": [np.int32(1), None]}}, {"b": np.arange(3.0)}),
+        (None, {"b": np.arange(3.0)}),
+        ({"n": 1}, {}),
+        ({"n": 2}, {"B": np.ones((5, 3)), "ids": np.arange(7, dtype=np.int32),
+                    "mask": np.ones(65, dtype=bool), "x": np.arange(4, dtype=np.float32)}),
+    ], ids=["numpy-scalar-meta", "none-meta", "no-arrays", "mixed-dtypes"])
+    def test_header_is_the_reference_json_dumps(self, meta, arrays):
+        """The header is ``json.dumps`` of the whole header dict, padded with
+        spaces to the block boundary, although ``meta`` is dumped once."""
+        from repro.serve.proto import _json_default
+
+        frame_bytes = encode_frame("solve", meta, arrays)
+        header_len = struct.unpack_from("<I", frame_bytes, 4)[0]
+        header = frame_bytes[8:8 + header_len]
+        parsed = json.loads(header)
+        reference = json.dumps({"v": 1, "kind": "solve", "meta": dict(meta or {}),
+                                "arrays": parsed["arrays"], "total": parsed["total"]},
+                               default=_json_default).encode("utf-8")
+        assert header.rstrip(b" ") == reference
+        assert (8 + header_len) % 64 == 0 and len(header) - len(reference) < 64
+        assert parsed["total"] == len(frame_bytes)
+        decoded = decode_frame(frame_bytes)
+        assert {name: array.tobytes() for name, array in decoded.arrays.items()} == \
+            {name: np.ascontiguousarray(array).tobytes() for name, array in arrays.items()}
+
     def test_blocks_are_64_byte_aligned(self):
         frame_bytes = encode_frame("x", {}, {
             "a": np.arange(3, dtype=np.float64),
