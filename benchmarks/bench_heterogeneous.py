@@ -34,8 +34,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.mesh import random_domain_mesh
-from repro.problems import available_problems, make_problem
+from repro.mesh import box_mesh_for_target_size, random_domain_mesh
+from repro.problems import available_problems, make_problem, problem_spec
 from repro.solvers import SolverConfig, preconditioner_spec, prepare
 from repro.utils import format_mean_std, format_table
 
@@ -137,12 +137,14 @@ def test_heterogeneous_contrast_sweep(benchmark):
 
 
 def test_problem_family_sweep(benchmark):
-    """Every registered family solves under the classical preconditioners."""
+    """Every registered family solves under the classical preconditioners, each on a mesh of its dimension."""
     rng = np.random.default_rng(3)
-    mesh = random_domain_mesh(radius=1.0, element_size=0.1, rng=rng)
+    meshes = {2: random_domain_mesh(radius=1.0, element_size=0.1, rng=rng), 3: box_mesh_for_target_size(512)}
+    mesh = meshes[2]
     rows = []
     for name in available_problems():
-        problem = make_problem(name, mesh=mesh, rng=np.random.default_rng(3))
+        dim = int(problem_spec(name).default_kwargs.get("dim", 2))
+        problem = make_problem(name, mesh=meshes[dim], rng=np.random.default_rng(3))
         row = [name, problem.num_dofs]
         for kind in ("ddm-lu", "ic0", "none"):
             if not problem.symmetric and preconditioner_spec(kind).spd_only:

@@ -29,9 +29,11 @@ still a fixed function of the residual, so solves are deterministic and
 converge to any tolerance.
 
 The DSS is called through its two-method plan protocol only —
-``compile_plan(batch, precision=)`` once per inference batch at set-up and
-``infer_columns(plan, sources)`` per apply — so a stand-in model (a test
-double, an exact solver) implements those two methods.
+``compile_plan(batch, precision=)`` at set-up and ``infer_columns(plan,
+sources)`` per apply — so a stand-in model (a test double, an exact solver)
+implements those two methods.  A stand-in is asked for a plan per inference
+batch; a DSS for the first only, whose fold
+(:class:`~repro.gnn.infer.CompiledDSS`) compiles the rest.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from ..ddm.local_solvers import LocalSolver
 from ..ddm.restriction import ColumnScratch, segment_norms
 from ..gnn.batch import GraphBatch
 from ..gnn.dss import DSS
+from ..gnn.infer import InferencePlan
 from ..mesh.mesh import TriangularMesh
 from ..partition.overlap import OverlappingDecomposition
 from .dataset import SubdomainGeometry, build_subdomain_geometries
@@ -116,11 +119,17 @@ class DSSLocalSolver(LocalSolver):
         self._segment_ids = np.repeat(np.arange(k), sizes)
 
         # Compile a plan per inference batch once; only the per-node source
-        # changes between applications.
+        # changes between applications.  A DSS plan carries its fold: every
+        # further batch compiles against the first plan's, so the solver folds
+        # the weights once and its plans run in turn in one workspace.
         chunk = max(1, _AUTO_BATCH_TARGET_NODES // max(1, total // k))
         self.batch_ranges = [range(start, min(start + chunk, k)) for start in range(0, k, chunk)]
-        self.plans = [self.model.compile_plan(batch, precision=self.precision)
-                      for batch in self.inference_batches()]
+        self.plans = []
+        for batch in self.inference_batches():
+            if self.plans and isinstance(self.plans[0], InferencePlan):
+                self.plans.append(InferencePlan(self.plans[0].compiled, batch))
+            else:
+                self.plans.append(self.model.compile_plan(batch, precision=self.precision))
 
         self._equilibration: Optional[np.ndarray] = None
         if any(g.equilibration is not None for g in self.geometries):
@@ -182,7 +191,8 @@ class DSSLocalSolver(LocalSolver):
             np.take(norms, self._segment_ids, axis=0, out=per_row)
             np.multiply(source, per_row, out=source)
 
-        # all local problems × all columns in a few model calls (f32 outputs upcast on store)
+        # all local problems × all columns in a few model calls (f32 outputs upcast on store); each
+        # output is copied out before the next plan overwrites the workspace the plans share
         for plan, members in zip(self.plans, self.batch_ranges):
             rows = slice(self._offsets[members.start], self._offsets[members.stop])
             out[rows, :] = self.model.infer_columns(plan, source[rows, :])

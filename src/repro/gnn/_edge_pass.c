@@ -204,12 +204,12 @@ DEFINE_EDGE_VJP(edge_vjp_f64_4, 4)
 
 /* The prefill of psi's hidden layer, before its two beta = 1 GEMMs:
  *
- *   hidden[i, c, :] = s[i, c] * w0 + bias_node[i, :]     product, then sum
+ *   hidden[i, c, :] = s[i, c] * w0 + table[key[i], :]     product, then sum
  *
  * for n nodes, k columns, d units: sources s (n, k), the residual's weight
- * column w0 (d), the folded per-node bias (n, d), hidden (n, k, d)
- * overwritten.  numpy's `np.multiply(s[..., None], w0, out=hidden);
- * hidden += bias_node[:, None]` rounds the same two operations in the same
+ * column w0 (d), the bias table (keys, d), node rows key (n), hidden
+ * (n, k, d) overwritten.  numpy's `np.multiply(s[..., None], w0, out=hidden);
+ * hidden += table[key][:, None]` rounds the same two operations in the same
  * order, so the bytes agree.  It replaces a bias copy and a K = 1 BLAS GEMM,
  * 4x slower together at float32, k = 8.  Instantiating d = 10 here as well
  * gained 5 us in a 60 ms sweep: not done.
@@ -217,10 +217,10 @@ DEFINE_EDGE_VJP(edge_vjp_f64_4, 4)
 #define DEFINE_NODE_PREFILL(NAME, T)                                          \
     void NAME(                                                                \
         int64_t n, int64_t k, int64_t d, const T *sources, const T *w0,       \
-        const T *bias_node, T *hidden)                                        \
+        const T *table, const int64_t *key, T *hidden)                        \
     {                                                                         \
         for (int64_t i = 0; i < n; ++i) {                                     \
-            const T *restrict b = bias_node + i * d;                          \
+            const T *restrict b = table + key[i] * d;                         \
             for (int64_t c = 0; c < k; ++c) {                                 \
                 const T s = sources[i * k + c];                               \
                 T *restrict out = hidden + (i * k + c) * d;                   \

@@ -31,7 +31,7 @@ _kernels = _UNRESOLVED  # {C name: function} once loaded; None = the numpy body
 _INDPTR, _SRC, _DST = np.array([0, 0, 1, 3], dtype=np.int64), np.array([2, 0, 1], dtype=np.int64), (1, 2, 2)
 #: latent dims d every kernel is checked at (the edge kernels at their width 2d): a generic one, and
 #: the paper's d = 10, which the C instantiates
-_CHECK_DIMS = (3, 10)
+_CHECK_DIMS = (4, 10)
 
 
 def _check_inputs(dtype, width: int, k: int, units: int):
@@ -88,15 +88,17 @@ def _checked_vjp(function, width: int) -> Callable:
 
 
 def _checked_prefill(function, dtype) -> Callable:
-    """The same for ψ's prefill ``s[i, c]·w₀ + bias_node[i]``: three nodes, two columns."""
-    function.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 4
+    """The same for ψ's prefill ``s[i, c]·w₀ + table[key[i]]``: a shuffled key with repeats, three columns."""
+    function.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 5
     function.restype = None
+    key = np.array([2, 0, 3, 2, 0], dtype=np.int64)
     for d in _CHECK_DIMS:
         rng = np.random.default_rng(d)
-        sources, w0, bias_node = (rng.normal(size=shape).astype(dtype) for shape in ((3, 2), (d,), (3, d)))
-        expected = sources[..., None] * w0 + bias_node[:, None]
+        sources, w0, table = (rng.normal(size=shape).astype(dtype) for shape in ((5, 3), (d,), (4, d)))
+        expected = sources[..., None] * w0 + table[key][:, None]
         result = np.full_like(expected, np.nan)
-        function(3, 2, d, sources.ctypes.data, w0.ctypes.data, bias_node.ctypes.data, result.ctypes.data)
+        function(5, 3, d, sources.ctypes.data, w0.ctypes.data, table.ctypes.data, key.ctypes.data,
+                 result.ctypes.data)
         if not np.array_equal(result, expected):
             raise ValueError("the compiled prefill failed its self-check")
     return function
@@ -118,7 +120,7 @@ def edge_kernels() -> Optional[Dict[str, Callable]]:
     """The kernels by C name, or None for numpy: for the instantiated attribute widths,
     ``edge_pass_{f64,f32}_{3,4}(n, k, w, indptr, src, attr, weights, bias, proj, pre)`` and
     ``edge_vjp_f64_{3,4}(n, w, indptr, src, attr, weights, bias, proj, g_pre, g_proj, g_weights)``;
-    and ``node_prefill_{f64,f32}(n, k, d, sources, w0, bias_node, hidden)``."""
+    and ``node_prefill_{f64,f32}(n, k, d, sources, w0, table, key, hidden)``."""
     global _kernels
     if _kernels is _UNRESOLVED:
         _kernels = native.resolve(SOURCE, _checked_library)

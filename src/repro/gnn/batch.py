@@ -233,8 +233,8 @@ class BatchPlan:
 
     Everything about a batch that a Krylov solve reuses on every
     preconditioner application — the concatenated edge index, the padded
-    node/edge attributes, the Dirichlet mask, the segment offsets, the
-    feature widths — is computed once here.  The only mutable piece of state
+    node/edge attributes, the Dirichlet mask, the segment offsets — is
+    computed once here.  The only mutable piece of state
     is the preallocated ``source`` buffer: :meth:`load_source` scatters the
     current normalised local residuals into it, and no per-iteration
     ``GraphProblem``/``GraphBatch`` construction happens at all.
@@ -247,18 +247,16 @@ class BatchPlan:
     The directed edges are re-sorted by destination node (a stable sort, so
     the graph is unchanged up to summation order of the incoming messages):
     gathers and aggregations indexed by destination then walk memory almost
-    sequentially, and the engine's edge pass aggregates over an ``indptr``.
+    sequentially, and the engine's edge pass aggregates over an ``indptr``,
+    reading these very arrays (:class:`~repro.gnn.infer.EdgeLayout`).
     """
 
     edge_index: np.ndarray
     edge_attr: np.ndarray
     dirichlet_mask: np.ndarray
     node_offsets: np.ndarray
-    node_graph_index: np.ndarray
     source: np.ndarray
     node_attr: Optional[np.ndarray] = None
-    edge_attr_dim: int = 0
-    node_attr_dim: int = 0
 
     @classmethod
     def from_batch(cls, batch: GraphBatch) -> "BatchPlan":
@@ -268,11 +266,8 @@ class BatchPlan:
             edge_attr=np.ascontiguousarray(batch.edge_attr[order]),
             dirichlet_mask=batch.dirichlet_mask,
             node_offsets=batch.node_offsets,
-            node_graph_index=batch.node_graph_index,
             source=np.zeros(batch.num_nodes),
             node_attr=batch.node_attr,
-            edge_attr_dim=int(batch.edge_attr.shape[1]),
-            node_attr_dim=0 if batch.node_attr is None else int(batch.node_attr.shape[1]),
         )
 
     @property

@@ -25,7 +25,7 @@ import numpy as np
 from ..nn.modules import Module
 from .batch import BatchPlan, GraphBatch, _pad_columns
 from .graph import GraphProblem
-from .infer import EdgeLayout, InferencePlan
+from .infer import CompiledDSS, EdgeLayout, InferencePlan
 from .loss import TrainingLoss
 from .mpnn import Decoder, DSSBlock, Forward
 
@@ -178,24 +178,22 @@ class DSS(Module):
     def compile_plan(
         self, batch: Union[GraphBatch, BatchPlan], precision: str = "f64"
     ) -> InferencePlan:
-        """Precompile a batch into an :class:`~repro.gnn.infer.InferencePlan`.
+        """Precompile a batch into an :class:`~repro.gnn.infer.InferencePlan` with its own fold and workspace.
 
-        All structure (edge index, padded attributes, feature preparation) and
-        every forward-pass buffer are fixed once; subsequent
-        :meth:`infer` calls only rewrite the per-node source.  ``precision``
-        selects the staging dtype of the plan: ``"f64"`` (default, agreeing
-        with :meth:`predict` to 1e-12) or ``"f32"`` (half the memory traffic;
-        sources and outputs are cast at the plan boundary).
+        Subsequent :meth:`infer` calls only rewrite the per-node source.
+        ``precision`` is the plan's staging dtype: ``"f64"`` (default, agreeing
+        with :meth:`predict` to 1e-12) or ``"f32"``.  A plan compiled
+        as ``InferencePlan(plan.compiled, batch)`` shares its fold and workspace.
         """
-        return InferencePlan(self, batch, precision=precision)
+        return InferencePlan(CompiledDSS(self, precision), batch)
 
     def infer(self, plan: InferencePlan, source: Optional[np.ndarray] = None) -> np.ndarray:
         """Run the folded forward pass on a precompiled plan.
 
         Numerically pinned to :meth:`predict` on the same batch (parity at
         1e-12) but allocation- and loop-free per call — the ``k = 1`` case of
-        :meth:`infer_columns`.  The returned array is a view of a plan
-        buffer, overwritten by the next call on this plan.
+        :meth:`infer_columns`.  The returned array is a view of the plan's
+        workspace, overwritten by the next call on a plan of its fold.
         """
         if source is not None:
             plan.load_source(source)
@@ -209,9 +207,8 @@ class DSS(Module):
         very kernel :meth:`infer` runs, so column ``c`` is bit-identical to
         ``infer(plan, source=sources[:, c])`` — the contract the lockstep
         multi-RHS solver relies on.  ``"f32"`` plans sweep all ``k`` columns
-        at once (one BLAS call per layer, k-wide SpMMs) and match the
-        single-column result to float32 tolerance.  The returned array is a
-        view of plan buffers, overwritten by the next call on this plan.
+        at once and match the single-column result to float32 tolerance.  The
+        returned array is a view, like :meth:`infer`'s.
         """
         return plan.run_columns(plan.load_source_columns(sources))
 

@@ -8,11 +8,14 @@ only the per-node source changing and the weights frozen, so every
 allocation, every weight-only product and every term that depends on the
 fixed edge attributes alone is invariant.
 
-:class:`InferencePlan` binds a structural :class:`~repro.gnn.batch.BatchPlan`
-to one model and runs **one** forward (:meth:`InferencePlan._forward`) for
-both precisions and every column count.  The forward is memory-bound (a few
-FLOPs per byte streamed over the ``E``-row edge arrays), so everything below
-exists to move fewer bytes per sweep; all of it is fixed at compile time:
+:class:`CompiledDSS` folds a model's weights once per precision and owns one
+workspace; an :class:`InferencePlan` binds a structural
+:class:`~repro.gnn.batch.BatchPlan` to a fold — the batch's edge layout and
+node keys, nothing else — and runs **one** forward
+(:meth:`InferencePlan._forward`) for both precisions and every column count.
+The forward is memory-bound (a few FLOPs per byte streamed over the
+``E``-row edge arrays), so everything below exists to move fewer bytes per
+sweep; all of it is fixed at compile time:
 
 * **per-node projections** — the hidden edge layer ``W₁ [h_dst | h_src | e]``
   is split along its disjoint weight column blocks; the latent parts become
@@ -28,73 +31,62 @@ exists to move fewer bytes per sweep; all of it is fixed at compile time:
   ``(2d,)`` bias (the backward direction's sign-reversed relative positions
   folded into the weights, ``(−a)·w = a·(−w)`` exactly, so both directions
   read the same attributes), and the edge pass forms an edge's term as it gets
-  there, once for all ``k`` columns — plan memory is ``O(E + n·d·k̄)``;
+  there, once for all ``k`` columns;
 * **one edge pass** — ``pre[i] = Σ_{e → i} relu(static[e] + proj_dst[i] +
   proj_src[src_e])``, ``static[e] = ((a₀ W₀ + a₁ W₁) + a₂ W₂ …) + b``, over
   the edges of one :class:`EdgeLayout` (stable-sorted by destination), in two
-  bodies on that one layout.  The *native* body (``_edge_pass.c``, compiled on
-  first use by :mod:`repro.gnn._native` for ``|e|`` = 3 and 4, and for the
-  hidden width ``2d = 20`` besides the generic one) is a single
-  sweep that never materialises the ``(E, k, 2d)`` messages.  The *numpy* body — the reference,
-  and what runs without a C compiler or at another ``|e|`` — builds the terms
-  column by column in a scratch, prefills a message buffer with them,
-  accumulates the projections through a two-ones CSR operator (row ``e`` =
-  ``[dst_e, n + src_e]``), applies the ReLU and aggregates with a second SpMM.
-  Same products and sums in the same order, each rounded on its own: they
-  agree **bit for bit** in both precisions and for every ``k``, so which one
-  ran (``InferencePlan.kernel``) never changes a result;
+  bodies: the *native* one (``_edge_pass.c``, for ``|e|`` = 3 and 4) a single
+  sweep that never materialises the ``(E, k, 2d)`` messages, the *numpy* one
+  — the reference, and what runs without a C compiler — SpMMs over a message
+  buffer.  Same products and sums in the same order, each rounded on its own:
+  they agree **bit for bit** in both precisions and for every ``k``
+  (``InferencePlan.kernel`` says which ran);
 * **folded output layers** — aggregation is linear, so each direction's
   output layer commutes with it and then merges into ``ψ``'s first layer:
-  ``(S H) W₂ᵀ ψ₁ₐᵀ = (S H) (ψ₁ₐ W₂)ᵀ``.  The per-direction output GEMMs and
-  bias passes disappear; both aggregated output biases (``deg ⊗ b₂`` pushed
-  through ``ψ₁ₐ``), ``ψ``'s own bias and the ``ψ`` contribution of the
-  column-invariant κ channels collapse into one per-node ``bias_node``, and
-  the damping ``α`` is folded into ``ψ``'s second layer.  ``ψ``'s hidden layer
-  is one prefill sweep, ``s w₀ + bias_node`` (the rank-1 source term and the
-  bias, in C when the kernels loaded — a bias copy plus a K = 1 GEMM cost
-  more than the latent GEMM beside them), and two ``beta=1`` GEMMs
-  accumulated onto it; the ResNet update is a ``beta=1`` GEMM straight onto
-  the latent state.
+  ``(S H) W₂ᵀ ψ₁ₐᵀ = (S H) (ψ₁ₐ W₂)ᵀ``.  Both aggregated output biases
+  (``deg ⊗ b₂`` pushed through ``ψ₁ₐ``), ``ψ``'s own bias and the ``ψ``
+  contribution of the column-invariant κ channels collapse into one per-node
+  bias, and the damping ``α`` is folded into ``ψ``'s second layer;
+* **keyed bias** — that bias is a function of the node's in-degree and (when
+  the model reads them) κ channels, so a plan keeps one ``key`` per node,
+  shared by every block, and a ``(blocks, keys, d)`` table of the distinct
+  rows, checked byte for byte against the per-node fold: one key per
+  in-degree on a κ-free batch, one per node on a lognormal κ field.
+  ``ψ``'s hidden layer is one prefill sweep, ``s w₀ + table[key]`` (in C when
+  the kernels loaded), and two ``beta=1`` GEMMs accumulated onto it; the
+  ResNet update is a ``beta=1`` GEMM straight onto the latent state.
+
+Plan memory is ``O(E + n + blocks·keys·d)``; the ``O(blocks·d²)`` weights
+and the workspace are the fold's, which a DSS local solver's plans share.
 
 The training forward shares all of it but the compile-time staging:
 :meth:`repro.gnn.mpnn.DSSBlock.forward` builds the same projections, calls
-the same :meth:`EdgeLayout.edge_pass` (``k = 1``, float64, on a layout built
-once per ``DSS.forward``) and folds both output layers into ``ψ`` in the same
-algebra, from the current weights on every call; its VJP is
-:meth:`EdgeLayout.edge_vjp`, the pass run backwards over the same layout.
-What stays inference-only is what a frozen model allows: the per-node
-``bias_node`` with the κ channels folded in, and prestaged, reused buffers.
+the same :meth:`EdgeLayout.edge_pass` (``k = 1``, float64) and folds both
+output layers into ``ψ`` in the same algebra, from the current weights on
+every call; its VJP is :meth:`EdgeLayout.edge_vjp`, the pass run backwards.
 The folds are computed in float64 from the model weights (and cast once for
 f32 plans), so they re-associate the forward's dot products and commutative
 sums and nothing else: the f64 forward agrees with ``DSS.predict`` to a few
-ulp (~1e-15 relative observed; the parity tests pin 1e-12), orders of
-magnitude tighter than anything visible to the preconditioned solver.
-
-Because the weights are prestaged, a plan captures the model parameters *at
-compile time*: recompile after any further training or ``load_state_dict``.
+ulp (~1e-15 relative observed; the parity tests pin 1e-12).  A fold captures
+the model parameters *at compile time*: recompile after any further training
+or ``load_state_dict``.
 
 **Columns.**  Buffers are laid out ``(rows, k, ·)`` with the column axis
 inside each row block: GEMMs run on ``(rows·k, ·)`` reshape views, the edge
-pass carries the columns as a loop bound (the numpy body's SpMMs in their
-dense dimension, ``n_vecs = k·2d``: every row moves one contiguous block), and
-the workspace for any ``k <= k_max`` is a reshape view of the same flat
-allocations, so a lockstep solve whose active set shrinks allocates nothing.
-``run()`` is the ``k = 1`` case of ``run_columns(k)``.
+pass carries the columns as a loop bound, and the workspace for any
+``k <= k_max`` is a reshape view of the same flat allocations, so a lockstep
+solve whose active set shrinks allocates nothing.  ``run()`` is the
+``k = 1`` case of ``run_columns(k)``.
 
-* **f32** plans sweep all ``k`` columns at once (one BLAS call per layer).
-  f32 carries no bit-identity contract — the preconditioner only has to stay
-  a fixed function of the residual (see DESIGN.md) — and the
-  k-wide sweep is pinned against ``k`` single-column sweeps by tolerance.
+* **f32** plans (weights, attributes and buffers in float32, sources and
+  outputs cast at the plan boundary) sweep all ``k`` columns at once; f32
+  carries no bit-identity contract (see DESIGN.md), and the k-wide sweep is
+  pinned against ``k`` single-column sweeps by tolerance.
 * **f64** plans run the ``k`` columns *one at a time* through the ``k = 1``
   kernel and the same workspace.  A fused ``(n·k, d)`` GEMM is not bit-stable
   against the ``(n, d)`` single-column call (BLAS picks row-count-dependent
-  kernels — the same reason the Nicolaides coarse space applies its K×K
-  inverse one column at a time), and the lockstep CG needs column ``c`` of
-  ``infer_columns`` bit-identical to ``infer`` on column ``c``.  Running the
-  identical kernel on identical buffers gives that by construction.
-
-**Precision.**  ``precision="f32"`` stages weights, edge attributes and
-every buffer in float32; sources and outputs are cast at the plan boundary.
+  kernels), and the lockstep CG needs column ``c`` of ``infer_columns``
+  bit-identical to ``infer`` on column ``c``.
 """
 
 from __future__ import annotations
@@ -109,7 +101,7 @@ from ..utils import sparse
 from ._native import edge_kernels
 from .batch import BatchPlan, GraphBatch, MessageOperators, message_operators
 
-__all__ = ["EdgeLayout", "InferencePlan"]
+__all__ = ["CompiledDSS", "EdgeLayout", "InferencePlan"]
 
 #: dtypes of the supported plan precisions
 PRECISION_DTYPES = {"f64": np.float64, "f32": np.float32}
@@ -162,10 +154,11 @@ class EdgeLayout:
 
     ``indptr`` bounds the edges arriving at each node (every destination then
     sums in ascending edge id), ``edge_index`` and ``attr`` are the permuted
-    rows, contiguous, at the layout's precision.  The ids are checked here,
-    before any pointer goes to C.  :class:`InferencePlan` builds one per plan,
-    ``DSS.forward`` one per forward (float64, ``k = 1``); the numpy body's CSR
-    operators are built on its first use only.
+    rows, contiguous, at the layout's precision (kept, not copied, when so
+    already, as a :class:`~repro.gnn.batch.BatchPlan`'s are).  The ids
+    are checked here, before any pointer goes to C.  :class:`InferencePlan`
+    builds one per plan, ``DSS.forward`` one per forward (float64, ``k = 1``);
+    the numpy body's CSR operators are built on its first use only.
 
     >>> edges = EdgeLayout(np.array([[0, 2, 1], [1, 0, 0]]), np.arange(6.0).reshape(3, 2), num_nodes=3)
     >>> edges.edge_index, edges.indptr          # node 0 receives edges 2 → 0 and 1 → 0, node 1 receives 0 → 1
@@ -179,11 +172,13 @@ class EdgeLayout:
         edge_index = np.asarray(edge_index)
         if edge_index.size and not (0 <= edge_index.min() and edge_index.max() < n):
             raise ValueError(f"edge_index must hold node ids in [0, {n})")
-        order = np.argsort(edge_index[1], kind="stable")
+        if (edge_index[1, 1:] < edge_index[1, :-1]).any():
+            order = np.argsort(edge_index[1], kind="stable")
+            edge_index, edge_attr = edge_index[:, order], np.asarray(edge_attr)[order]
         self.num_nodes = n
         self.precision = precision
-        self.edge_index = np.ascontiguousarray(edge_index[:, order], dtype=np.int64)
-        self.attr = np.ascontiguousarray(np.asarray(edge_attr)[order], dtype=PRECISION_DTYPES[precision])
+        self.edge_index = np.ascontiguousarray(edge_index, dtype=np.int64)
+        self.attr = np.ascontiguousarray(edge_attr, dtype=PRECISION_DTYPES[precision])
         indegree = np.bincount(self.edge_index[1], minlength=n)
         self.indptr = np.concatenate(([0], np.cumsum(indegree)), dtype=np.int64)
         self.indegree = indegree.astype(np.float64)
@@ -279,10 +274,12 @@ class EdgeLayout:
 
 @dataclass
 class _CompiledBlock:
-    """One message-passing block, staged for the folded forward.
+    """One message-passing block's weights, staged for the folded forward.
 
     ``[fwd | bwd]`` marks arrays that stack both message directions along
-    their last axis; see the module docstring for the folds.
+    their last axis; see the module docstring for the folds.  Node ``i``'s
+    ψ bias, ``InferencePlan.bias_table[b, key[i]]``, is folded from the last
+    three.
     """
 
     w_dst_T: np.ndarray         # (d, 2d) — [fwd | bwd] latent-of-destination projections
@@ -292,25 +289,19 @@ class _CompiledBlock:
     w_psi_agg_T: np.ndarray     # (2d, d) — ψ agg columns with each direction's W₂ folded in
     w_psi_latent_T: np.ndarray  # (d, d)
     w_source: np.ndarray        # (d,) — ψ weight column of the residual input
-    bias_node: np.ndarray       # (n, d) — ψ b₁ + aggregated output biases + κ-channel terms
     w2_alpha_T: np.ndarray      # (d, d) — α · ψ W₂ᵀ
     b2_alpha: np.ndarray        # (d,) — α · ψ b₂
-
-
-@dataclass
-class _CompiledDecoder:
-    w1_T: np.ndarray
-    b1: np.ndarray
-    w2_T: np.ndarray
-    b2: np.ndarray
+    psi1: np.ndarray            # (d, 3d + ni) float64 — ψ W₁
+    b_psi1: np.ndarray          # (d,) float64 — ψ b₁
+    b_out: Tuple[np.ndarray, ...]  # (d,) float64 — fwd, bwd output biases
 
 
 @dataclass
 class _Workspace:
-    """Reshape views of one :class:`_Buffers` allocation for ``k`` columns.
+    """Reshape views of one :class:`_Buffers` allocation for ``n`` nodes and ``k`` columns.
 
-    Views for different ``k`` alias each other, which is harmless: after the
-    compile-time folds the only per-call input is the residual sources,
+    Views for different ``(n, k)`` alias each other, harmlessly: after
+    the compile-time folds the only per-call input is the residual sources,
     staged fresh by every ``load_source_columns``.  The ``*2d`` fields are
     the ``(rows·k, ·)`` GEMM views, the ``*_flat`` fields the 1-D views the
     edge pass consumes.
@@ -332,13 +323,11 @@ class _Workspace:
 
 
 class _Buffers:
-    """Forward-pass scratch: flat allocations sized for ``k_max`` columns."""
+    """Forward-pass scratch: flat allocations for ``k_max`` columns of plans up to ``nodes`` and ``edges``."""
 
-    def __init__(self, plan: "InferencePlan", k_max: int) -> None:
-        n, num_edges, d = plan.num_nodes, plan.plan.num_edges, plan.latent_dim
-        dtype = plan.dtype
-        k = int(k_max)
-        self.k_max = k
+    def __init__(self, nodes: int, edges: int, d: int, dtype, k_max: int) -> None:
+        n, k = nodes, int(k_max)
+        self.nodes, self.edges, self.latent_dim, self.k_max = nodes, edges, d, k
         self._latent = np.empty(n * k * d, dtype=dtype)
         self._input = np.empty(n * k, dtype=dtype)
         self._proj = np.empty(2 * n * k * 2 * d, dtype=dtype)
@@ -347,14 +336,13 @@ class _Buffers:
         self._pre = np.empty(n * k * 2 * d, dtype=dtype)
         self._hidden = np.empty(n * k * d, dtype=dtype)
         self._output = np.empty(n * k, dtype=dtype)
-        self._dims = (n, num_edges, d)
-        self._views: Dict[int, _Workspace] = {}
+        self._views: Dict[Tuple[int, int], _Workspace] = {}
 
-    def view(self, k: int) -> _Workspace:
-        workspace = self._views.get(k)
+    def view(self, n: int, k: int) -> _Workspace:
+        workspace = self._views.get((n, k))
         if workspace is not None:
             return workspace
-        n, num_edges, d = self._dims
+        d = self.latent_dim
         proj = self._proj[:2 * n * k * 2 * d].reshape(2 * n, k, 2 * d)
         hidden = self._hidden[:n * k * d].reshape(n * k, d)
         output = self._output[:n * k].reshape(n * k, 1)
@@ -375,14 +363,13 @@ class _Buffers:
             output2d=output,
             output=output.reshape(n, k),
         )
-        self._views[k] = workspace
+        self._views[n, k] = workspace
         return workspace
 
     def edge_scratch(self) -> np.ndarray:
         """The numpy edge pass's ``(E, k_max, 2d)`` messages and ``(2d, E)`` terms, allocated on its first use."""
         if self._edge is None:
-            n, num_edges, d = self._dims
-            self._edge = np.empty(num_edges * (self.k_max + 1) * 2 * d, dtype=self._pre.dtype)
+            self._edge = np.empty(self.edges * (self.k_max + 1) * 2 * self.latent_dim, dtype=self._pre.dtype)
         return self._edge
 
 
@@ -394,75 +381,37 @@ def _bias(layer) -> np.ndarray:
     return np.asarray(layer.bias.data, dtype=np.float64)
 
 
-class InferencePlan:
-    """A :class:`BatchPlan` bound to one DSS model, with reusable scratch buffers.
+class CompiledDSS:
+    """A DSS folded once at one precision, and the one workspace of the plans compiled against it.
 
-    Build one via ``model.compile_plan(batch)``; run it via
-    ``model.infer(plan, source)`` / ``model.infer_columns(plan, sources)``.
-    The returned output array is a view of an internal buffer, valid until
-    the next run on the same plan.  Weights are captured at compile time —
-    recompile after training.
-
-    **Ownership / thread safety.**  A plan is single-flight mutable state:
-    every run writes through the same scratch GEMM buffers, so a plan
-    must only ever be driven by one thread at a time.  The repository's
-    concurrency model keeps this implicit invariant explicit — plans are
-    owned by the preconditioner that compiled them, the preconditioner by
-    its :class:`~repro.solvers.session.SolverSession` (whose lock serialises
-    solves), and in the serve layer each session is pinned to a single
-    worker thread.  For true intra-problem parallelism, clone the session
-    (``session.clone_for_worker()``), which recompiles fresh plans.
+    ``DSS.compile_plan`` makes one per plan; a DSS local solver compiles its
+    batches against its first plan's.  The plans run in turn in the workspace,
+    sized for the largest: copy each output out before the next run.
     """
 
-    def __init__(
-        self, model, batch: Union[GraphBatch, BatchPlan], precision: str = "f64"
-    ) -> None:
-        plan = batch.compile_plan() if isinstance(batch, GraphBatch) else batch
+    def __init__(self, model, precision: str = "f64") -> None:
         if precision not in PRECISION_DTYPES:
-            raise ValueError(
-                f"precision must be one of {sorted(PRECISION_DTYPES)}, got {precision!r}"
-            )
+            raise ValueError(f"precision must be one of {sorted(PRECISION_DTYPES)}, got {precision!r}")
         self.model = model
-        self.plan = plan
         self.precision = precision
         self.dtype = PRECISION_DTYPES[precision]
-        cfg = model.config
-        n = plan.num_nodes
-        d = cfg.latent_dim
-        self.latent_dim = d
-        self.node_input_dim = cfg.node_input_dim
-
-        # one edge layout for both edge-pass bodies (the sort is the identity
-        # after ``BatchPlan.from_batch``), edge attributes at the model's width;
-        # static node features (κ channels — everything except the residual
-        # column 0) and in-degrees feed the compile-time folds only
-        self._edges = EdgeLayout(plan.edge_index, model._prepare_edge_attr(plan.edge_attr), n, precision)
-        node_features = np.asarray(model._prepare_node_input(plan), dtype=np.float64)[:, 1:]
-        indegree = self._edges.indegree.reshape(-1, 1)
-
-        self.compiled_blocks: List[_CompiledBlock] = [
-            self._compile_block(block, node_features, indegree) for block in model.blocks
-        ]
-        decoder = model.decoders[-1].mlp
-        self.compiled_decoder = _CompiledDecoder(
-            w1_T=self._stage(_weight(decoder.layers[0]).T),
-            b1=self._stage(_bias(decoder.layers[0])),
-            w2_T=self._stage(_weight(decoder.layers[1]).T),
-            b2=self._stage(_bias(decoder.layers[1])),
-        )
-
-        # forward-pass buffers, allocated lazily at the largest column count
-        # seen and view-sliced for smaller ones (lockstep solves shrink their
-        # active set as columns converge); f64 plans only ever sweep k = 1
-        # and stage multi-column sources/outputs in _column_io
+        self.latent_dim = model.config.latent_dim
+        self.node_input_dim = model.config.node_input_dim
+        self.blocks: List[_CompiledBlock] = [self._compile_block(block) for block in model.blocks]
+        #: the last decoder's (W₁ᵀ, b₁, W₂ᵀ, b₂)
+        self.decoder = tuple(self._stage(array) for layer in model.decoders[-1].mlp.layers
+                             for array in (_weight(layer).T, _bias(layer)))
+        # forward-pass buffers for the largest plan compiled and column count seen
+        # (f64 plans sweep k = 1 only and stage k columns in column_io)
+        self._largest = (0, 0)  # (nodes, edges)
         self._buffers: Optional[_Buffers] = None
         self._io = np.empty(0)
 
     def _stage(self, array: np.ndarray) -> np.ndarray:
-        """A float64 fold result as a contiguous array at the plan precision."""
-        return np.ascontiguousarray(array, dtype=self.dtype)
+        """A float64 fold result as a contiguous array of its own at the plan precision."""
+        return np.array(array, dtype=self.dtype, order="C")
 
-    def _compile_block(self, block, node_features: np.ndarray, indegree: np.ndarray) -> _CompiledBlock:
+    def _compile_block(self, block) -> _CompiledBlock:
         """Fold one block's weights (in float64, cast once) — see the module docstring."""
         d, ni = self.latent_dim, self.node_input_dim
         phis = (block.phi_forward, block.phi_backward)
@@ -470,20 +419,11 @@ class InferencePlan:
         # the backward direction sees sign-reversed relative positions
         attr_sign = np.ones(hidden[0].shape[1] - 2 * d)
         attr_sign[:2] = -1.0
-        psi1 = _weight(block.psi.layers[0])                        # (d, 3d+ni)
-        bias_node = np.tile(_bias(block.psi.layers[0]), (self.num_nodes, 1))
-        psi_agg_T = []
-        for phi, offset in zip(phis, (d + ni, 2 * d + ni)):
-            psi1_cols = psi1[:, offset:offset + d]
-            # fold the direction's output layer into ψ's agg columns:
-            # (S H) W₂ᵀ ψ₁ₐᵀ = (S H) (ψ₁ₐ W₂)ᵀ, bias: S (1 ⊗ b₂) = deg ⊗ b₂
-            psi_agg_T.append((psi1_cols @ _weight(phi.layers[1])).T)
-            bias_node += (indegree * _bias(phi.layers[1])) @ psi1_cols.T
-        # the κ channels never change between applications, so their ψ
-        # contribution is a fixed per-node vector, leaving the residual
-        # sources as the only per-column input
-        if ni > 1:
-            bias_node += node_features @ psi1[:, d + 1:d + ni].T
+        psi1 = np.array(_weight(block.psi.layers[0]))              # (d, 3d+ni)
+        # fold each direction's output layer into ψ's agg columns:
+        # (S H) W₂ᵀ ψ₁ₐᵀ = (S H) (ψ₁ₐ W₂)ᵀ
+        psi_agg_T = [(psi1[:, offset:offset + d] @ _weight(phi.layers[1])).T
+                     for phi, offset in zip(phis, (d + ni, 2 * d + ni))]
         alpha = float(block.alpha)
         return _CompiledBlock(
             w_dst_T=self._stage(np.hstack([w[:, :d].T for w in hidden])),
@@ -493,10 +433,81 @@ class InferencePlan:
             w_psi_agg_T=self._stage(np.vstack(psi_agg_T)),
             w_psi_latent_T=self._stage(psi1[:, :d].T),
             w_source=self._stage(psi1[:, d]),
-            bias_node=self._stage(bias_node),
             w2_alpha_T=self._stage(alpha * _weight(block.psi.layers[1]).T),
             b2_alpha=self._stage(alpha * _bias(block.psi.layers[1])),
+            psi1=psi1,
+            b_psi1=np.array(_bias(block.psi.layers[0])),
+            b_out=tuple(np.array(_bias(phi.layers[1])) for phi in phis),
         )
+
+    def bias_table(self, indegree: np.ndarray, node_features: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(key, table)``: ``table[b, key[i]]`` is, in bytes, node ``i``'s ψ bias in block ``b`` (ψ b₁ +
+        ``deg ⊗ b₂`` through ψ₁ₐ + the κ term), equal inputs sharing a key — unless BLAS rounds them apart."""
+        n, d, ni = indegree.shape[0], self.latent_dim, self.node_input_dim
+        features = np.ascontiguousarray(np.hstack([indegree, node_features]))
+        rows = features.view(np.dtype((np.void, features.shape[1] * features.itemsize))).ravel()
+        shared = np.unique(rows, return_index=True, return_inverse=True)[1:]
+        for first, key in (shared, (np.arange(n), np.arange(n))):
+            table = np.empty((len(self.blocks), first.size, d), dtype=self.dtype)
+            for b, block in enumerate(self.blocks):
+                full = np.tile(block.b_psi1, (n, 1))
+                for b_out, offset in zip(block.b_out, (d + ni, 2 * d + ni)):
+                    full += (indegree * b_out) @ block.psi1[:, offset:offset + d].T
+                if ni > 1:
+                    full += node_features @ block.psi1[:, d + 1:d + ni].T
+                if full[first][key].tobytes() != full.tobytes():
+                    break
+                table[b] = full[first]
+            else:
+                break       # all blocks agree (per node, always)
+        return np.ascontiguousarray(key, dtype=np.int64), table
+
+    # ------------------------------------------------------------------ #
+    def workspace(self, n: int, k: int) -> _Workspace:
+        """The ``k``-column views of an ``n``-node plan, reallocated when ``k`` or the largest plan grew."""
+        if k < 1:
+            raise ValueError(f"column count must be >= 1, got {k}")
+        buffers = self._buffers
+        if buffers is None or k > buffers.k_max or (buffers.nodes, buffers.edges) != self._largest:
+            buffers = _Buffers(*self._largest, self.latent_dim, self.dtype,
+                               k if buffers is None else max(k, buffers.k_max))
+            self._buffers = buffers
+        return buffers.view(n, k)
+
+    def column_io(self, n: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """f64 staging: the ``(n, k)`` sources and outputs around the k=1 sweeps."""
+        size = n * k
+        if self._io.size < 2 * size:
+            self._io = np.empty(2 * size)
+        return (self._io[:size].reshape(-1, k), self._io[size:2 * size].reshape(-1, k))
+
+
+class InferencePlan:
+    """A :class:`BatchPlan` compiled against a :class:`CompiledDSS`: the batch's edge layout and node keys.
+
+    Build one via ``model.compile_plan(batch)`` (its own fold) or
+    ``InferencePlan(compiled, batch)``; run it via ``model.infer(plan,
+    source)`` / ``model.infer_columns(plan, sources)``, whose output is a view
+    of the workspace, valid until the next run of a plan on the same fold.
+
+    **Thread safety.**  One thread at a time drives the plans of a fold: a
+    preconditioner owns its plans, a session (whose lock serialises solves) its
+    preconditioner.  For parallelism, ``session.clone_for_worker()``.
+    """
+
+    def __init__(self, compiled: CompiledDSS, batch: Union[GraphBatch, BatchPlan]) -> None:
+        plan = batch.compile_plan() if isinstance(batch, GraphBatch) else batch
+        model = compiled.model
+        self.compiled = compiled
+        self.plan = plan
+        n = plan.num_nodes
+        # the edge layout on the BatchPlan's sorted arrays; κ channels (all node input columns
+        # but the residual) and in-degrees feed the bias fold
+        self._edges = EdgeLayout(plan.edge_index, model._prepare_edge_attr(plan.edge_attr), n, compiled.precision)
+        node_features = np.asarray(model._prepare_node_input(plan), dtype=np.float64)[:, 1:]
+        #: (n,) row of each node in the (blocks, keys, d) ψ biases
+        self.key, self.bias_table = compiled.bias_table(self._edges.indegree.reshape(-1, 1), node_features)
+        compiled._largest = (max(compiled._largest[0], n), max(compiled._largest[1], plan.num_edges))
 
     # ------------------------------------------------------------------ #
     @property
@@ -504,16 +515,12 @@ class InferencePlan:
         return self.plan.num_nodes
 
     @property
-    def num_graphs(self) -> int:
-        return self.plan.num_graphs
+    def dtype(self):
+        return self.compiled.dtype
 
     def load_source(self, values: np.ndarray) -> None:
-        """Copy the current per-node inputs into the structural plan's buffer.
-
-        The plan's ``source`` is what :meth:`run` stages, and keeping it
-        current lets ``DSS.forward`` run on the very same plan (the parity
-        tests rely on this).
-        """
+        """Copy the per-node inputs into ``plan.source``, which :meth:`run` stages and ``DSS.forward``
+        reads (the parity tests run both on one plan)."""
         self.plan.load_source(values)
 
     def split_node_values(self, values: np.ndarray):
@@ -521,29 +528,8 @@ class InferencePlan:
 
     # ------------------------------------------------------------------ #
     def workspace(self, k: int) -> _Workspace:
-        """The cached ``k``-column workspace (flat-backed reshape views).
-
-        Allocation happens on the first call and again only when ``k`` grows
-        past every previously seen value; shrinking column counts (lockstep
-        compaction) reuse the same arrays.
-        """
-        if k < 1:
-            raise ValueError(f"column count must be >= 1, got {k}")
-        buffers = self._buffers
-        if buffers is None or k > buffers.k_max:
-            buffers = _Buffers(self, k)
-            self._buffers = buffers
-        return buffers.view(k)
-
-    def _column_io(self, k: int) -> Tuple[np.ndarray, np.ndarray]:
-        """f64 staging: the ``(n, k)`` sources and outputs around the k=1 sweeps.
-
-        Views of one flat allocation grown to the largest ``k`` seen.
-        """
-        size = self.num_nodes * k
-        if self._io.size < 2 * size:
-            self._io = np.empty(2 * size)
-        return (self._io[:size].reshape(-1, k), self._io[size:2 * size].reshape(-1, k))
+        """This plan's ``k``-column views of its fold's workspace."""
+        return self.compiled.workspace(self.num_nodes, k)
 
     def load_source_columns(self, sources: np.ndarray) -> int:
         """Stage ``k`` per-node source columns; returns ``k``.
@@ -562,21 +548,19 @@ class InferencePlan:
         if self.dtype == np.float32:
             self.workspace(k).sources[...] = sources
         else:
-            self._column_io(k)[0][...] = sources
+            self.compiled.column_io(self.num_nodes, k)[0][...] = sources
         return k
 
     def run_columns(self, k: int) -> np.ndarray:
         """Execute the forward pass for the ``k`` staged source columns.
 
-        Returns the ``(n, k)`` per-node outputs — a view of plan buffers,
-        overwritten by the next run.  f32 plans sweep all columns at once;
-        f64 plans run them one at a time through the ``k = 1`` kernel, so
-        column ``c`` is bit-identical to ``run()`` on column ``c`` (see the
-        module docstring).
+        Returns the ``(n, k)`` per-node outputs — a view of the workspace,
+        overwritten by the next run; in f64 column ``c`` is bit-identical to
+        ``run()`` on column ``c`` (see the module docstring).
         """
         if self.dtype == np.float32:
             return self._forward(self.workspace(k))
-        staged, outputs = self._column_io(k)
+        staged, outputs = self.compiled.column_io(self.num_nodes, k)
         single = self.workspace(1)
         for c in range(k):
             single.sources[:, 0] = staged[:, c]
@@ -593,30 +577,22 @@ class InferencePlan:
         """Which edge-pass body this plan runs: ``"native"`` or ``"numpy"`` (same bytes)."""
         return self._edges.kernel
 
-    @property
-    def _edge_index(self) -> np.ndarray:
-        return self._edges.edge_index
-
-    @property
-    def _edge_attr(self) -> np.ndarray:
-        return self._edges.attr
-
     def _edge_pass(self, ws: _Workspace, block: _CompiledBlock) -> None:
-        """:meth:`EdgeLayout.edge_pass` of one block into ``ws.pre2d``, numpy scratch from the plan's buffers."""
+        """:meth:`EdgeLayout.edge_pass` of one block into ``ws.pre2d``, numpy scratch from the buffers."""
         self._edges.edge_pass(block.w_attr_T, block.b_hidden, ws.proj_flat, ws.pre_flat, ws.k,
-                              self._buffers.edge_scratch)
+                              self.compiled._buffers.edge_scratch)
 
-    def _prefill(self, ws: _Workspace, block: _CompiledBlock) -> None:
-        """``hidden[i, c] = s[i, c]·w₀ + bias_node[i]`` — product, then sum, each rounded on its own: one C
+    def _prefill(self, ws: _Workspace, block: _CompiledBlock, table: np.ndarray) -> None:
+        """``hidden[i, c] = s[i, c]·w₀ + table[key[i]]`` — product, then sum, each rounded on its own: one C
         sweep if the kernels loaded, else the same two numpy operations (the same bytes)."""
         kernels = edge_kernels()
         if kernels is not None:
-            kernels[f"node_prefill_{self.precision}"](
-                self.num_nodes, ws.k, self.latent_dim, ws.sources.ctypes.data, block.w_source.ctypes.data,
-                block.bias_node.ctypes.data, ws.hidden3.ctypes.data)
+            kernels[f"node_prefill_{self.compiled.precision}"](
+                self.num_nodes, ws.k, self.compiled.latent_dim, ws.sources.ctypes.data, block.w_source.ctypes.data,
+                table.ctypes.data, self.key.ctypes.data, ws.hidden3.ctypes.data)
             return
         np.multiply(ws.sources[..., None], block.w_source, out=ws.hidden3)
-        ws.hidden3 += block.bias_node[:, None, :]
+        ws.hidden3 += table[self.key][:, None, :]
 
     def _forward(self, ws: _Workspace) -> np.ndarray:
         """The folded k̄-iteration forward on workspace ``ws``; returns ``ws.output``.
@@ -626,24 +602,24 @@ class InferencePlan:
         aggregation sums through the folded weights of :class:`_CompiledBlock`.
         """
         ws.latent2d.fill(0.0)
-        for block in self.compiled_blocks:
+        for block, table in zip(self.compiled.blocks, self.bias_table):
             np.matmul(ws.latent2d, block.w_dst_T, out=ws.proj_dst2d)
             np.matmul(ws.latent2d, block.w_src_T, out=ws.proj_src2d)
             self._edge_pass(ws, block)
-            # ψ hidden = (sources w₀ + bias_node) + pre W_agg + latent Wₗ: the
-            # rank-1 source term and the bias in one prefill sweep, the two
-            # products GEMM-accumulated (beta=1) straight onto it
-            self._prefill(ws, block)
+            # ψ hidden = (sources w₀ + bias) + pre W_agg + latent Wₗ: the
+            # rank-1 source term and the keyed bias in one prefill sweep, the
+            # two products GEMM-accumulated (beta=1) straight onto it
+            self._prefill(ws, block, table)
             _gemm_acc(ws.pre2d, block.w_psi_agg_T, ws.hidden2d, ws.scratch2d)
             _gemm_acc(ws.latent2d, block.w_psi_latent_T, ws.hidden2d, ws.scratch2d)
             relu_(ws.hidden2d)
             # damped ResNet update, accumulated directly into the latent
             _gemm_acc(ws.hidden2d, block.w2_alpha_T, ws.latent2d, ws.scratch2d)
             ws.latent2d += block.b2_alpha
-        decoder = self.compiled_decoder
-        np.matmul(ws.latent2d, decoder.w1_T, out=ws.hidden2d)
-        ws.hidden2d += decoder.b1
+        w1_T, b1, w2_T, b2 = self.compiled.decoder
+        np.matmul(ws.latent2d, w1_T, out=ws.hidden2d)
+        ws.hidden2d += b1
         relu_(ws.hidden2d)
-        np.matmul(ws.hidden2d, decoder.w2_T, out=ws.output2d)
-        ws.output2d += decoder.b2
+        np.matmul(ws.hidden2d, w2_T, out=ws.output2d)
+        ws.output2d += b2
         return ws.output

@@ -86,9 +86,6 @@ class EventRing:
         with self._lock:
             self._events.clear()
 
-    def to_jsonl(self) -> str:
-        return "".join(json.dumps(e, sort_keys=True) + "\n" for e in self.tail())
-
     def dump_jsonl(self, path) -> int:
         """Write the ring as JSON lines; returns the number of events."""
         events = self.tail()

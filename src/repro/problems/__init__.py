@@ -12,7 +12,9 @@ Public surface:
 * :func:`~repro.problems.registry.available_problems` — list the names;
 * :func:`~repro.problems.registry.register_problem` — add a new family;
 * :func:`~repro.problems.registry.problem_spec`,
-  :class:`~repro.problems.registry.ProblemSpec` — registry introspection.
+  :class:`~repro.problems.registry.ProblemSpec` — registry introspection;
+* :class:`~repro.problems.registry.MeshDimensionError` — a family handed a
+  mesh of the wrong dimension.
 
 See :mod:`repro.problems.families` for the built-in family definitions.
 """
@@ -21,6 +23,7 @@ from . import families  # noqa: F401  — importing populates the registry
 from . import families3d  # noqa: F401  — 3D tetrahedral families
 from . import transient  # noqa: F401  — time-dependent θ-scheme families
 from .registry import (
+    MeshDimensionError,
     ProblemFactory,
     ProblemSpec,
     available_problems,
@@ -36,4 +39,5 @@ __all__ = [
     "problem_spec",
     "ProblemSpec",
     "ProblemFactory",
+    "MeshDimensionError",
 ]

@@ -34,7 +34,8 @@ from ..fem.problem import Problem
 from ..mesh.mesh import TriangularMesh
 from ..mesh.shapes import random_domain_mesh
 
-__all__ = ["ProblemFactory", "ProblemSpec", "register_problem", "make_problem", "available_problems", "problem_spec"]
+__all__ = ["MeshDimensionError", "ProblemFactory", "ProblemSpec", "register_problem", "make_problem",
+           "available_problems", "problem_spec"]
 
 #: a factory builds a Problem from a mesh, an RNG and family-specific kwargs
 ProblemFactory = Callable[..., Problem]
@@ -51,6 +52,10 @@ class ProblemSpec:
 
 
 _REGISTRY: Dict[str, ProblemSpec] = {}
+
+
+class MeshDimensionError(ValueError):
+    """A problem family was handed a mesh of another dimension than the one it is registered for."""
 
 
 def register_problem(
@@ -128,8 +133,10 @@ def make_problem(
     training distribution); ``element_size`` / ``radius`` kwargs are routed to
     the mesh generator in that case.  Families registered with ``dim=3``
     (``poisson3d``, ``heat3d``, …) instead get a deterministic structured
-    tetrahedral box mesh sized by ``target_nodes``.  Remaining kwargs
-    override the family's registered defaults and are passed to its factory.
+    tetrahedral box mesh sized by ``target_nodes``.  A given mesh must have
+    the family's dimension (:class:`MeshDimensionError` otherwise).  Remaining
+    kwargs override the family's registered defaults and are passed to its
+    factory.
 
     >>> import numpy as np
     >>> from repro.mesh import structured_rectangle_mesh
@@ -141,6 +148,10 @@ def make_problem(
     ...                          target_nodes=216)
     >>> problem3d.mesh.dim, problem3d.num_dofs
     (3, 216)
+    >>> make_problem("poisson3d", mesh=structured_rectangle_mesh(6, 6))
+    Traceback (most recent call last):
+        ...
+    repro.problems.registry.MeshDimensionError: problem family 'poisson3d' takes a 3D mesh, got a 2D one
     """
     spec = problem_spec(name)
     rng = rng if rng is not None else np.random.default_rng()
@@ -161,6 +172,8 @@ def make_problem(
                 rng=rng,
             )
     else:
+        if mesh.dim != dim:
+            raise MeshDimensionError(f"problem family '{name}' takes a {dim}D mesh, got a {mesh.dim}D one")
         merged.pop("radius", None)
         merged.pop("element_size", None)
         merged.pop("target_nodes", None)

@@ -316,9 +316,11 @@ def _owned_arrays(obj, seen):
 class TestPlanMemory:
     @pytest.mark.parametrize("precision", ["f64", "f32"])
     def test_plan_memory_is_linear_in_edges_plus_nodes_times_blocks(self, toy_batch, precision):
-        """A plan owns O(E) edge data once and O(n·d) per block — never an ``(E, 2d)`` array per block (the
-        precomputed static edge terms this replaced were 28 of the 39 kB of RSS per DOF).  Summed over
-        every array reachable from the plan after a run, for the ledger's model shape (k̄ = 20, d = 10)."""
+        """A plan owns its edges once, O(1) per node and O(keys·d + d²) per block — never an ``(E, 2d)`` array
+        per block (the precomputed static edge terms this replaced were 28 of the 39 kB of RSS per DOF), nor
+        an ``(n, d)`` one (the per-node ψ bias the keyed table replaced was 2.95 of 4.78 kB per DOF).  Summed
+        over every array reachable from the plan after a run, its fold and workspace included, for the
+        ledger's model shape (k̄ = 20, d = 10)."""
         blocks, d, k = 20, 10, 2
         model = DSS(DSSConfig(num_iterations=blocks, latent_dim=d, seed=5))
         plan = model.compile_plan(toy_batch, precision=precision)
@@ -326,16 +328,117 @@ class TestPlanMemory:
         model.infer(plan, np.ones(plan.num_nodes))
         n, num_edges = plan.num_nodes, toy_batch.num_edges
         attr_width, itemsize = toy_batch.edge_attr.shape[1], np.dtype(plan.dtype).itemsize
-        owned = sum(array.nbytes for array in _owned_arrays({**vars(plan), "model": None}, set()))
-        edges = 6 * num_edges * (attr_width + 2) * itemsize          # attributes and index, plan and BatchPlan
-        per_block = 2 * n * d * blocks * itemsize                    # bias_node, and the O(d²) weights
-        workspace = 2 * n * k * (8 * d + 2) * itemsize               # every (n, k, ·) buffer of a sweep
+        keys = np.unique(np.bincount(toy_batch.edge_index[1], minlength=n)).size   # one per in-degree
+        owned = sum(array.nbytes for array in _owned_arrays(plan, {id(model)}))
+        edges = num_edges * ((attr_width + 2) * 8 + attr_width * itemsize)  # BatchPlan's; an f32 layout's attributes
+        nodes = 6 * n * 8                                            # source, mask, in-degree, indptr, key
+        per_block = blocks * (keys * d * itemsize + 16 * d * d * 8)  # bias table; folded weights, f64 fold inputs
+        # every (n, k, ·) buffer of a sweep — f64 sweeps one column at a time and stages k in and out
+        sweep, staging = (k, 0) if precision == "f32" else (1, 2 * n * k * 8)
+        workspace = n * sweep * (8 * d + 2) * itemsize + staging
         # the numpy body's own E-row operands exist once per plan, whatever the block count:
-        # (k_max + 1) message/term slabs and the two-ones CSR pair
-        numpy_body = 0 if plan.kernel == "native" else num_edges * ((k + 1) * 2 * d * itemsize + 7 * 8)
-        bound = edges + per_block + workspace + numpy_body
-        assert blocks * num_edges * 2 * d * itemsize > bound         # (E, 2d) terms per block would not fit
+        # (sweep + 1) message/term slabs and the two-ones CSR pair
+        numpy_body = 0 if plan.kernel == "native" else num_edges * ((sweep + 1) * 2 * d * itemsize + 7 * 8)
+        bound = edges + nodes + per_block + workspace + numpy_body
         assert owned < bound, (owned, bound)
+        assert blocks * num_edges * 2 * d * itemsize > bound         # (E, 2d) terms per block would not fit
+        assert owned + blocks * n * d * itemsize > bound             # nor an (n, d) bias per block beside the rest
+
+
+def _per_node_bias(model, batch):
+    """Every block's ψ bias as one ``(n, d)`` array per block, the way the folded forward held it before the
+    keyed table: ``np.tile`` of ψ's b₁, plus each direction's ``(deg ⊗ b₂) ψ₁ₐᵀ``, plus the κ channels'
+    ``ψ`` term — from the model's weights, in float64."""
+    d, ni = model.config.latent_dim, model.config.node_input_dim
+    plan = batch.compile_plan()
+    indegree = np.bincount(plan.edge_index[1], minlength=plan.num_nodes).astype(np.float64).reshape(-1, 1)
+    node_features = np.asarray(model._prepare_node_input(plan), dtype=np.float64)[:, 1:]
+    for block in model.blocks:
+        psi1 = block.psi.layers[0].weight.data
+        bias_node = np.tile(block.psi.layers[0].bias.data, (plan.num_nodes, 1))
+        for phi, offset in zip((block.phi_forward, block.phi_backward), (d + ni, 2 * d + ni)):
+            bias_node += (indegree * phi.layers[1].bias.data) @ psi1[:, offset:offset + d].T
+        if ni > 1:
+            bias_node += node_features @ psi1[:, d + 1:d + ni].T
+        yield bias_node
+
+
+class TestKeyedBias:
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    @pytest.mark.parametrize("aware", [False, True], ids=["kappa-blind", "kappa-aware"])
+    def test_the_table_at_the_keys_is_the_per_node_fold(self, toy_batch, kappa_batch, precision, aware):
+        """``table[b, key]`` is, byte for byte, the per-node ``np.tile`` fold it replaced, in both
+        precisions: one row per in-degree for a κ-blind model, one per node when the κ channels make every
+        node's fold inputs distinct."""
+        model, batch = _model_and_batch(KAPPA_CONFIG if aware else PLAIN_CONFIG, toy_batch, kappa_batch)
+        plan = model.compile_plan(batch, precision=precision)
+        indegree = np.bincount(plan.plan.edge_index[1], minlength=plan.num_nodes)
+        assert plan.key.shape == (batch.num_nodes,)
+        assert plan.bias_table.shape[1] == (batch.num_nodes if aware else np.unique(indegree).size)
+        for table, full in zip(plan.bias_table, _per_node_bias(model, batch), strict=True):
+            assert table[plan.key].tobytes() == full.astype(plan.dtype).tobytes()
+
+    def test_a_fold_that_rounds_equal_inputs_apart_keeps_a_row_per_node(self, toy_batch, monkeypatch):
+        """Should the fold give two nodes of one key different bytes (BLAS may pick kernels by row count),
+        the plan falls back to one row per node — the per-node fold itself — and runs the same forward."""
+        model = DSS(PLAIN_CONFIG)
+        source = np.random.default_rng(4).normal(size=(toy_batch.num_nodes, 1))
+        expected = model.infer_columns(model.compile_plan(toy_batch), source).copy()
+        tile = np.tile
+
+        def perturbed(array, reps):                          # nudge one row of every block's fold by one ulp
+            out = tile(array, reps)
+            out[7] = np.nextafter(out[7], np.inf)
+            return out
+
+        monkeypatch.setattr(engine.np, "tile", perturbed)
+        plan = model.compile_plan(toy_batch)
+        monkeypatch.undo()
+        assert np.array_equal(plan.key, np.arange(toy_batch.num_nodes))
+        for table, full in zip(plan.bias_table, _per_node_bias(model, toy_batch), strict=True):
+            full[7] = np.nextafter(full[7], np.inf)
+            assert table.tobytes() == full.tobytes()
+        assert np.allclose(model.infer_columns(plan, source), expected, rtol=1e-12, atol=1e-12)
+
+
+class TestOneFoldPerSolver:
+    @pytest.fixture
+    def sessions(self, random_problem, tiny_dss_model, monkeypatch):
+        """A ddm-gnn session cut into several inference batches, and its clone."""
+        monkeypatch.setattr(ddm_gnn_module, "_AUTO_BATCH_TARGET_NODES", 160)
+        config = SolverConfig(preconditioner="ddm-gnn", subdomain_size=60, tolerance=1e-2, max_iterations=5)
+        session = prepare(random_problem, config, model=tiny_dss_model)
+        return session, session.clone_for_worker()
+
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_a_solvers_plans_share_one_fold_and_one_workspace(self, sessions, tiny_dss_model, precision):
+        """Every plan of a solver reads one fold and runs in one workspace, sized for the largest plan — and
+        the apply is byte for byte what plans with a fold and workspace each give."""
+        solver = sessions[0].preconditioner.local_solver
+        pre = DDMGNNPreconditioner(sessions[0].problem.matrix, sessions[0].problem.mesh,
+                                   sessions[0].decomposition, tiny_dss_model, precision=precision)
+        plans = pre.local_solver.plans
+        assert len(plans) == len(solver.plans) > 2
+        assert all(plan.compiled is plans[0].compiled for plan in plans)
+        block = np.random.default_rng(6).normal(size=(sessions[0].problem.num_dofs, 3))
+        shared = pre.apply_columns(block)
+        workspaces = [plan.workspace(3).latent2d for plan in plans]
+        assert all(np.shares_memory(workspace, workspaces[0]) for workspace in workspaces)
+        largest = max(plans, key=lambda plan: plan.num_nodes)
+        assert plans[0].compiled._buffers.nodes == largest.num_nodes
+        pre.local_solver.plans = [tiny_dss_model.compile_plan(batch, precision=precision)
+                                  for batch in pre.local_solver.inference_batches()]
+        assert len({id(plan.compiled) for plan in pre.local_solver.plans}) == len(plans)
+        assert np.array_equal(pre.apply_columns(block), shared)
+
+    def test_a_clone_for_worker_shares_no_mutable_array(self, sessions, tiny_dss_model):
+        session, clone = sessions
+        rhs = session.problem.rhs
+        assert np.array_equal(session.solve(rhs).solution, clone.solve(rhs).solution)
+        mutable = [list(_owned_arrays((s.preconditioner.local_solver.plans, s.preconditioner.local_solver._scratch),
+                                      {id(tiny_dss_model)})) for s in (session, clone)]
+        assert len(mutable[0]) == len(mutable[1]) > 10
+        assert not any(np.shares_memory(a, b) for a in mutable[0] for b in mutable[1])
 
 
 # --------------------------------------------------------------------------- #
@@ -424,9 +527,9 @@ class TestEdgeKernel:
         model, batch = edge_cases[graph]
         sources = np.random.default_rng(k).normal(size=(batch.num_nodes, k))
         plan = model.compile_plan(batch, precision=precision)
-        assert plan.kernel == "native" and plan._buffers is None
+        assert plan.kernel == "native" and plan.compiled._buffers is None
         native = model.infer_columns(plan, sources).copy()
-        assert plan._buffers._edge is None            # the message buffer was never allocated
+        assert plan.compiled._buffers._edge is None   # the message buffer was never allocated
         monkeypatch.setattr(_native, "_kernels", None)
         plan = model.compile_plan(batch, precision=precision)
         assert plan.kernel == "numpy"
@@ -436,18 +539,24 @@ class TestEdgeKernel:
     @pytest.mark.parametrize("precision", ["f64", "f32"])
     def test_the_native_prefill_is_bitwise_the_numpy_body(self, native_body, monkeypatch, edge_cases, graph,
                                                           precision):
-        """ψ's prefill ``s w₀ + bias_node`` — product, then sum — on a batch with isolated nodes (whose
-        ``bias_node`` lacks the aggregated output biases), at d = 4 and d = 10, three columns."""
+        """ψ's prefill ``s w₀ + table[key]`` — product, then sum — on a batch with isolated nodes (whose
+        bias lacks the aggregated output biases), at d = 4 and d = 10, three columns, with the table's rows
+        shuffled (and the key with them), so a body that read the rows in node order would fail."""
         model, batch = edge_cases[graph]
         plan = model.compile_plan(batch, precision=precision)
-        ws, block = plan.workspace(3), plan.compiled_blocks[0]
+        ws, block = plan.workspace(3), plan.compiled.blocks[0]
+        order = np.random.default_rng(8).permutation(plan.bias_table.shape[1])
+        table, key = np.ascontiguousarray(plan.bias_table[0][order]), np.argsort(order)[plan.key]
+        assert np.array_equal(table[key], plan.bias_table[0][plan.key]) and (key[1:] < key[:-1]).any()
+        assert np.bincount(key).max() > 1 and (plan._edges.indegree == 0).any()   # repeats; isolated nodes
+        plan.key[...] = key
         ws.sources[...] = np.random.default_rng(8).normal(size=ws.sources.shape)
-        expected = ws.sources[..., None] * block.w_source + block.bias_node[:, None]
+        expected = ws.sources[..., None] * block.w_source + table[key][:, None]
         filled = []
         for kernels in (_native.edge_kernels(), None):
             monkeypatch.setattr(_native, "_kernels", kernels)
             ws.hidden3.fill(np.nan)
-            plan._prefill(ws, block)
+            plan._prefill(ws, block, table)
             filled.append(ws.hidden3.copy())
         assert expected.shape == (batch.num_nodes, 3, model.config.latent_dim)
         assert np.array_equal(filled[0], expected) and np.array_equal(filled[1], expected)
@@ -459,7 +568,7 @@ class TestEdgeKernel:
         model = DSS(DSSConfig(num_iterations=3, latent_dim=4, seed=9, edge_attr_dim=5))
         model.eval()
         plan = model.compile_plan(toy_batch, precision=precision)
-        assert plan.kernel == "numpy" and plan._edge_attr.shape[1] == 5
+        assert plan.kernel == "numpy" and plan._edges.attr.shape[1] == 5
         sources = np.random.default_rng(9).normal(size=(toy_batch.num_nodes, 3))
         outputs = model.infer_columns(plan, sources).copy()
         for c in range(3):
@@ -488,15 +597,15 @@ class TestEdgeKernel:
         rng = np.random.default_rng(2024)
         batch = GraphBatch.from_graphs([_random_graph(rng), _random_graph(rng)])
         plan = DSS(DSSConfig(num_iterations=1, latent_dim=d, seed=0)).compile_plan(batch, precision=precision)
-        ws, (block,) = plan.workspace(k), plan.compiled_blocks
+        ws, (block,) = plan.workspace(k), plan.compiled.blocks
         ws.proj_flat[...] = rng.normal(size=ws.proj_flat.shape)
         block.w_attr_T[...] = rng.normal(size=block.w_attr_T.shape)
         block.b_hidden[...] = rng.normal(size=block.b_hidden.shape)
         plan._edge_pass(ws, block)
         assert hashlib.sha256(ws.pre_flat.tobytes()).hexdigest()[:16] == self.EDGE_SECTION_DIGESTS[d, precision, k]
         # and the formulation it replaced — the term as one GEMM — is the same number to rounding
-        gemm_terms = plan._edge_attr @ block.w_attr_T + block.b_hidden
-        replaced = _edge_section_reference(plan._edge_index, gemm_terms, ws.proj_flat.reshape(-1, k, 2 * d))
+        gemm_terms = plan._edges.attr @ block.w_attr_T + block.b_hidden
+        replaced = _edge_section_reference(plan._edges.edge_index, gemm_terms, ws.proj_flat.reshape(-1, k, 2 * d))
         tolerance = (1e-12 if precision == "f64" else 1e-5) * np.abs(replaced).max()
         assert np.allclose(ws.pre_flat, replaced.ravel(), rtol=0.0, atol=tolerance)
 
@@ -522,9 +631,9 @@ class TestEdgeKernel:
                 for precision in ("f64", "f32"):
                     plan = model.compile_plan(batch, precision=precision)
                     attr = np.ascontiguousarray(model._prepare_edge_attr(batch.edge_attr), dtype=plan.dtype)
-                    assert np.array_equal(plan._edge_attr, attr[order]), (name, precision)
-                    assert np.array_equal(plan._edge_index, batch.edge_index[:, order]), (name, precision)
-                    ws, (block,) = plan.workspace(2), plan.compiled_blocks
+                    assert np.array_equal(plan._edges.attr, attr[order]), (name, precision)
+                    assert np.array_equal(plan._edges.edge_index, batch.edge_index[:, order]), (name, precision)
+                    ws, (block,) = plan.workspace(2), plan.compiled.blocks
                     ws.proj_flat[...] = np.random.default_rng(2).normal(size=ws.proj_flat.shape)
                     plan._edge_pass(ws, block)
                     terms = _contract_terms(attr, block.w_attr_T, block.b_hidden)

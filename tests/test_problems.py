@@ -255,6 +255,22 @@ class TestRegistry:
             assert result.converged, name
             assert np.allclose(result.solution, u, atol=1e-5), name
 
+    def test_a_mesh_of_the_wrong_dimension_is_a_typed_error(self, unit_square_mesh):
+        """Every family, handed a mesh of the other dimension, raises ``MeshDimensionError`` — a
+        ``ValueError`` naming the family and both dimensions — before its factory runs, and builds on a
+        mesh of its own dimension."""
+        from repro.mesh import box_mesh_for_target_size
+        from repro.problems import MeshDimensionError
+
+        meshes = {2: unit_square_mesh, 3: box_mesh_for_target_size(125)}
+        for name in available_problems():
+            dim = int(problem_spec(name).default_kwargs.get("dim", 2))
+            wrong = 5 - dim
+            with pytest.raises(MeshDimensionError, match=f"'{name}' takes a {dim}D mesh, got a {wrong}D one"):
+                make_problem(name, mesh=meshes[wrong], rng=np.random.default_rng(1))
+            assert make_problem(name, mesh=meshes[dim], rng=np.random.default_rng(1)).mesh.dim == dim, name
+        assert issubclass(MeshDimensionError, ValueError)
+
     def test_unknown_name_lists_alternatives(self):
         with pytest.raises(KeyError, match="diffusion-checkerboard"):
             make_problem("no-such-family")
