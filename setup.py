@@ -31,7 +31,7 @@ setup(
         "scipy>=1.8",
     ],
     extras_require={
-        "test": ["pytest", "pytest-benchmark", "hypothesis"],
+        "test": ["pytest", "hypothesis"],
         # CI-only hang protection: the dev container ships without
         # pytest-timeout, and the local tier-1 invocation must not require it
         # (plain `python -m pytest -x -q`); CI installs `.[test,ci]` and adds

@@ -19,14 +19,14 @@ in its ``"ras"`` skeleton.  Applying DDM-GNN to a global residual ``r``:
 
 The paper's Eqs. 13 and 16 are the additive, symmetric form of steps 2–3
 (``z = Q r + Σ_i R_iᵀ ‖R_i r‖ ũ_i``).  The GNN is a nonlinear map, so the
-preconditioner is not symmetric either way, and it says so: ``linear =
-False``.  The Krylov layer reads that flag and runs its flexible recurrences
-(FCG / FGMRES, :mod:`repro.krylov.flexible`), which assume nothing about
-``M``; that frees steps 2–3: on the ledger operator the frozen DSS needs 9
-iterations, about DDM-LU's count, where the additive form needed ~24
-(DESIGN.md, "The apply after the flexible recurrence").  Each application is
-still a fixed function of the residual, so solves are deterministic and
-converge to any tolerance.
+preconditioner is not symmetric either way, and its ``"ras"`` skeleton says
+so: ``linear`` is False.  The Krylov layer reads that flag and runs its
+flexible recurrences (FCG / FGMRES, :mod:`repro.krylov.flexible`), which
+assume nothing about ``M``; that frees steps 2–3: on the ledger operator the
+frozen DSS needs 9 iterations, about DDM-LU's count, where the additive form
+needed ~24 (DESIGN.md, "The apply after the flexible recurrence").  Each
+application is still a fixed function of the residual, so solves are
+deterministic and converge to any tolerance.
 
 The DSS is called through its two-method plan protocol only —
 ``compile_plan(batch, precision=)`` at set-up and ``infer_columns(plan,
@@ -246,9 +246,6 @@ class DDMGNNPreconditioner(AdditiveSchwarzPreconditioner):
         preconditioner remains a fixed function of the residual and the
         flexible recurrence converges with a small, gated iteration drift.
     """
-
-    #: the DSS is a nonlinear map of the residual — Krylov goes flexible
-    linear = False
 
     def __init__(
         self,

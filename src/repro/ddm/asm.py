@@ -55,9 +55,10 @@ class Preconditioner:
     ``apply_columns(R)`` is ``apply(R[:, j])`` by construction.
     """
 
-    #: whether ``apply`` is a fixed linear map.  The Krylov layer reads it to
-    #: pick its recurrence: short (PCG, GMRES) when True, flexible (FCG,
-    #: FGMRES) when False.  Proxies forward it from what they wrap.
+    #: whether ``apply`` is a fixed linear SPD map.  The Krylov layer reads it
+    #: to pick its recurrence: short (PCG, GMRES) when True, flexible (FCG,
+    #: FGMRES) when False — a nonlinear map, or a linear one that is not
+    #: symmetric.  Proxies forward it from what they wrap.
     linear = True
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -134,7 +135,8 @@ class AdditiveSchwarzPreconditioner(Preconditioner):
         the nodes of its own ``decomposition.core_nodes``; at two levels the
         coarse solve comes last, ``z = z₁ + Q (r − A z₁)``, so
         ``R_0 (r − A z) = 0`` — DDM-GNN's skeleton; non-symmetric, so not
-        for plain CG).
+        for plain CG).  ``linear`` follows the variant: only "asm" is a
+        fixed linear SPD map, so "ras" runs the flexible recurrences.
     """
 
     def __init__(
@@ -153,6 +155,7 @@ class AdditiveSchwarzPreconditioner(Preconditioner):
         self.decomposition = decomposition
         self.levels = int(levels)
         self.variant = variant
+        self.linear = variant == "asm"
         n = self.matrix.shape[0]
         if n != decomposition.mesh.num_nodes:
             raise ValueError("matrix size does not match the mesh of the decomposition")

@@ -101,7 +101,7 @@ class ExperimentHarness:
             say(f"[{spec.name}] harvesting dataset: {spec.num_global_problems} "
                 f"'{spec.problem_family}' problems, element size {spec.mesh_element_size}")
             with obs_trace.record("experiment.dataset") as stage:
-                dataset = self._generate_dataset()
+                dataset = self.generate_dataset()
             elapsed["dataset_s"] = stage.seconds
             train = dataset.train[: spec.max_train_samples] if spec.max_train_samples else dataset.train
             validation = dataset.validation[: spec.max_validation_samples]
@@ -127,7 +127,7 @@ class ExperimentHarness:
                 # before metrics.json landed — recompute instead of losing them
                 say(f"[{spec.name}] stored metrics missing — re-evaluating the checkpointed model")
                 with obs_trace.record("experiment.evaluate") as stage:
-                    test = self._generate_dataset().test[: spec.max_validation_samples]
+                    test = self.generate_dataset().test[: spec.max_validation_samples]
                     metrics = evaluate_model(model, test).as_dict() if test else {}
                 elapsed["evaluate_s"] = stage.seconds
 
@@ -177,8 +177,8 @@ class ExperimentHarness:
         return result
 
     # ------------------------------------------------------------------ #
-    def _generate_dataset(self):
-        """Harvest the spec's training dataset (deterministic in the spec seed)."""
+    def generate_dataset(self):
+        """Harvest the spec's dataset (deterministic in the spec seed): what ``run`` trains and tests on."""
         spec = self.spec
         return generate_dataset(
             num_global_problems=spec.num_global_problems,

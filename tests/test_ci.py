@@ -53,4 +53,5 @@ def test_local_actions_exist():
 
 def test_workflow_names_the_surviving_scripts():
     paths = referenced_paths(WORKFLOW.read_text())
-    assert {"benchmarks/ledger/run.py", "benchmarks/check_obs_overhead.py"} <= paths
+    assert {"benchmarks/ledger/run.py", "benchmarks/check_obs_overhead.py",
+            "benchmarks/paper_tables.py"} <= paths

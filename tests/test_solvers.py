@@ -583,7 +583,7 @@ class TestIterationBudget:
     #: floor a perfect DSS would reach (``ddm-gnn`` 8 at 1e-3; ``ddm-lu``, additive under CG, 5-6)
     EXACT_LOCAL = {1e-3: {0: 3, 1: 3, 2: 4}, 1e-6: {0: 7, 1: 7, 2: 7}}
 
-    def test_exact_local_solves_in_the_ddm_gnn_skeleton(self, declare_linearity):
+    def test_exact_local_solves_in_the_ddm_gnn_skeleton(self):
         from repro.ddm import AdditiveSchwarzPreconditioner, LULocalSolver
         from repro.krylov import preconditioned_conjugate_gradient
         from repro.serve import build_problem_from_spec
@@ -597,7 +597,7 @@ class TestIterationBudget:
             for seed, pin in pins.items():
                 rhs = problem.matrix @ np.random.default_rng(seed).normal(size=(8, problem.num_dofs))[0]
                 result = preconditioned_conjugate_gradient(
-                    problem.matrix, rhs, declare_linearity(exact, False), tolerance=tolerance)
+                    problem.matrix, rhs, exact, tolerance=tolerance)
                 assert result.converged and result.info["recurrence"] == "flexible"
                 assert result.iterations == pin, (tolerance, seed, result.iterations)
 
