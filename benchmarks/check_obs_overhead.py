@@ -1,8 +1,7 @@
-"""Observability-overhead gate: tracing + telemetry on must cost ≤ 2%.
+"""Observability-overhead gate: tracing on must cost ≤ 2%.
 
 One prepared ``ddm-lu`` session serves the same seeded right-hand-side pool
-with tracing + convergence telemetry toggled OFF and ON *back-to-back per
-solve*, so the machine state inside each comparison is as identical as the
+with tracing toggled OFF and ON *back-to-back per solve*, so the machine state inside each comparison is as identical as the
 OS allows.  Per right-hand side the statistic is ``min(on reps) / min(off
 reps)`` — the min filters scheduler preemption and GC pauses, which hit both
 modes equally but not simultaneously.  Each of the ``ROUNDS`` alternation
@@ -27,7 +26,6 @@ from statistics import median
 
 import numpy as np
 
-from repro.obs import events as obs_events
 from repro.obs import trace as obs_trace
 from repro.serve.problems import build_problem_from_spec
 from repro.solvers import SolverConfig, prepare
@@ -55,19 +53,17 @@ def best_round_ratio() -> float:
     def timed(observing: bool, b) -> float:
         if observing:
             obs_trace.enable_tracing()
-            session.config.obs = {"convergence": True}
             start = time.perf_counter()
             with obs_trace.trace_root("bench.request"):
                 session.solve(b)
             elapsed = time.perf_counter() - start
             obs_trace.disable_tracing()
-            session.config.obs = None
             return elapsed
         start = time.perf_counter()
         session.solve(b)
         return time.perf_counter() - start
 
-    print(f"[obs overhead] tracing+telemetry on vs off, gated at {LIMIT:g}x "
+    print(f"[obs overhead] tracing on vs off, gated at {LIMIT:g}x "
           f"(n={problem.num_dofs}, {POOL_SIZE} rhs x {REPS} reps x {ROUNDS} rounds)")
     round_medians = []
     try:
@@ -83,8 +79,6 @@ def best_round_ratio() -> float:
             print(f"  round {round_index}: median per-RHS ratio {round_medians[-1]:.3f}x")
     finally:
         obs_trace.disable_tracing()
-        session.config.obs = None
-        obs_events.get_ring().clear()
     return min(round_medians)
 
 

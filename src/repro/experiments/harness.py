@@ -9,8 +9,9 @@ directory::
         checkpoint.npz    versioned model+trainer checkpoint (repro.gnn.checkpoint)
         metrics.json      test-set metrics + per-epoch training history
         bench.json        per-solver setup / apply / iteration / re-solve records
-        events.jsonl      convergence telemetry of the bench solves
-                          (repro.obs events; inspect with ``python -m repro.obs``)
+        traces.json       the trace of each bench's untimed solve: one
+                          ``session.solve`` span per (solver, size), with its
+                          outcome (inspect with ``python -m repro.obs``)
         report.md         human-readable summary of all of the above
 
 Runs are resumable and cache-friendly: an existing checkpoint whose embedded
@@ -25,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,8 +34,8 @@ from ..core.dataset import generate_dataset
 from ..gnn.checkpoint import CheckpointError, load_checkpoint
 from ..gnn.dss import DSS
 from ..gnn.training import DSSTrainer, evaluate_model
+from ..krylov.result import SolveResult
 from ..mesh.shapes import mesh_for_target_size
-from ..obs import events as obs_events
 from ..obs import trace as obs_trace
 from ..problems import make_problem
 from ..solvers import prepare, preconditioner_spec
@@ -68,6 +69,24 @@ class ExperimentResult:
     metrics: Dict[str, float]
     bench_records: List[Dict] = field(default_factory=list)
     elapsed: Dict[str, float] = field(default_factory=dict)
+
+
+def _traced_solve(session, **attributes) -> Tuple[SolveResult, obs_trace.Span]:
+    """``session.solve()`` under a root span of its own; returns the result and the root.
+
+    Tracing is switched on only if it was off (and off again after), so a
+    caller's tracing state, and the traces it has kept, are left as they were.
+    """
+    was_tracing = obs_trace.trace_enabled()
+    if not was_tracing:
+        obs_trace.enable_tracing()
+    try:
+        with obs_trace.trace_root("experiment.solve", **attributes) as root:
+            result = session.solve()
+    finally:
+        if not was_tracing:
+            obs_trace.disable_tracing()
+    return result, root
 
 
 class ExperimentHarness:
@@ -146,13 +165,11 @@ class ExperimentHarness:
         # -- bench ------------------------------------------------------------
         bench_records: List[Dict] = []
         if not skip_bench:
-            # bench solves run with convergence telemetry on; the captured
-            # event stream becomes part of the artifact (events.jsonl)
             with obs_trace.record("experiment.bench") as stage:
-                with obs_events.capture_events() as ring:
-                    bench_records = self._bench(model, say)
-                ring.dump_jsonl(self.artifact_dir / "events.jsonl")
+                bench_records, traces = self._bench(model, say)
             elapsed["bench_s"] = stage.seconds
+            (self.artifact_dir / "traces.json").write_text(
+                json.dumps([root.to_dict() for root in traces]) + "\n", encoding="utf-8")
             self._write_json("bench.json", {
                 "config_hash": spec.config_hash,
                 "tolerance": spec.tolerance,
@@ -209,17 +226,20 @@ class ExperimentHarness:
         trainer = DSSTrainer(model, spec.training_config())
         return model, trainer, 0
 
-    def _bench(self, model: DSS, say) -> List[Dict]:
-        """Per-solver setup/apply/iteration records (``bench.json``).
+    def _bench(self, model: DSS, say) -> Tuple[List[Dict], List[obs_trace.Span]]:
+        """Per-solver setup/apply/iteration records (``bench.json``) and traces.
 
         Sessions are built through ``spec.solver_config`` — the same code
         path the benchmarks use — and benched on two axes: the classical
         per-apply cost, and the amortised repeated-RHS cost
         (``resolve_ms_p50``: median wall time of a full re-solve on a fresh
-        right-hand side against the already-prepared session).
+        right-hand side against the already-prepared session).  The one
+        untimed solve per (solver, size) runs traced (``traces.json``); the
+        timed loops do not.
         """
         spec = self.spec
         records: List[Dict] = []
+        traces: List[obs_trace.Span] = []
         rng = np.random.default_rng(spec.seed + 1)
         # separate stream for the fresh resolve RHS so timing knobs
         # (bench_repeats, solver list) never perturb the benched problems
@@ -238,8 +258,6 @@ class ExperimentHarness:
                     say(f"[{spec.name}]   skipping {kind} (SPD-only) on the nonsymmetric problem")
                     continue
                 config = spec.solver_config(kind, krylov=krylov)
-                # telemetry is hash-excluded, so this perturbs nothing
-                config.obs = {"convergence": True}
                 session = prepare(
                     problem,
                     config,
@@ -252,7 +270,8 @@ class ExperimentHarness:
                     with obs_trace.record("bench.apply") as apply_record:
                         preconditioner.apply(problem.rhs)
                     times.append(apply_record.seconds)
-                result = session.solve()
+                result, root = _traced_solve(session, solver=kind, n=int(problem.num_dofs))
+                traces.append(root)
                 resolve_times = []
                 for _ in range(max(1, spec.bench_repeats)):
                     fresh_rhs = resolve_rng.normal(size=problem.num_dofs)
@@ -269,7 +288,7 @@ class ExperimentHarness:
                     "iters": int(result.iterations),
                     "total_s": round(result.elapsed_time, 6),
                 })
-        return records
+        return records, traces
 
     # ------------------------------------------------------------------ #
     def _write_report(self, result: ExperimentResult) -> None:

@@ -1,6 +1,6 @@
 """``repro.obs`` — zero-dependency observability for the whole stack.
 
-Three legs, all stdlib-only:
+Two legs, both stdlib-only:
 
 * :mod:`repro.obs.trace` — spans + a context-local tracer.  One trace follows
   a request from HTTP ingress through the consistent-hash ring, across the
@@ -8,13 +8,13 @@ Three legs, all stdlib-only:
   worker's session solve and back.  Off by default and near-free when off.
   Its :func:`~repro.obs.trace.record` is also the one stopwatch: every
   timing the program reports is a read of a span, kept in a trace or not.
+  A solve's telemetry is its :class:`~repro.krylov.result.SolveResult`
+  (``residual_history``, ``info``) plus its ``session.solve`` span, which
+  carries the outcome — across the shard fork too; ``python -m repro.obs
+  tail/summary`` reads a dump of traces.
 * :mod:`repro.obs.metrics` — a named Counter/Gauge/Histogram registry with
   JSON snapshots that merge across shard processes and render as the
   Prometheus text exposition format (served at ``GET /metrics``).
-* :mod:`repro.obs.events` — a bounded ring of JSON-lines convergence events
-  (per-iteration residuals, ladder rungs, breaker reroutes), opted into per
-  request via ``SolverConfig.obs`` and inspectable with
-  ``python -m repro.obs tail/summary``.
 
 Nothing here may perturb numerics, session keys, or response payloads: the
 observability plane is strictly read-only with respect to the data plane.
@@ -22,7 +22,6 @@ observability plane is strictly read-only with respect to the data plane.
 
 from __future__ import annotations
 
-from .events import EventRing, capture_events, get_ring, set_ring, summarize
 from .metrics import (
     DEFAULT_BUCKETS,
     Counter,
@@ -52,27 +51,22 @@ from .trace import (
 __all__ = [
     "Counter",
     "DEFAULT_BUCKETS",
-    "EventRing",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "Span",
-    "capture_events",
     "current_span",
     "detached",
     "disable_tracing",
     "drain_traces",
     "enable_tracing",
     "finished_traces",
-    "get_ring",
     "merge_snapshots",
     "new_span_id",
     "new_trace_id",
     "record",
     "render_prometheus",
-    "set_ring",
     "span",
-    "summarize",
     "trace_enabled",
     "trace_root",
     "use_span",

@@ -82,7 +82,6 @@ import numpy as np
 
 from ..fem.problem import Problem
 from ..krylov.result import SolveResult
-from ..obs import events as obs_events
 from ..obs import trace as obs_trace
 from ..obs.metrics import merge_snapshots
 from ..solvers.config import SolverConfig
@@ -851,11 +850,6 @@ class SolveService:
                 if caller_span is not None:
                     caller_span.add_event(
                         "breaker_reroute", rung=use_config.preconditioner
-                    )
-                if config.obs:
-                    obs_events.get_ring().emit(
-                        "breaker", action="reroute", key=key[:16],
-                        rung=use_config.preconditioner,
                     )
             request = object()
             tickets = [_Ticket(use_key, key, rerouted, column, x0, caller_span, deadline_ms, request)

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
@@ -48,9 +50,11 @@ class SolverConfig:
     levels:
         1 or 2 (two-level adds the Nicolaides coarse space).
     tolerance:
-        Relative residual stopping threshold of the Krylov method.
+        Relative residual stopping threshold of the Krylov method: a finite
+        number ``>= 0``.
     max_iterations:
-        Iteration cap of the Krylov method.
+        Iteration cap of the Krylov method: an int ``>= 1``, or None for the
+        method's default (``10 n``).
     gnn_equilibrate:
         Diagonal equilibration of the DDM-GNN local solves; None (default)
         enables it exactly when the problem carries a κ field.
@@ -86,14 +90,10 @@ class SolverConfig:
         Optional path to a versioned checkpoint
         (:mod:`repro.gnn.checkpoint`); when the preconditioner needs a model
         and none is passed to ``prepare``, it is loaded from here.
-    obs:
-        Opt-in convergence telemetry (:mod:`repro.obs`): ``None`` (default,
-        zero-cost) or a JSON-safe dict of options — ``{"convergence": True}``
-        streams per-iteration residual, rung and breaker events into the
-        process-wide event ring.  **Purely observational**: excluded from
-        :meth:`config_hash` (and therefore from serve-layer session keys),
-        and must never perturb solver numerics — telemetry on/off yields
-        bit-identical solutions.
+
+    A config holds no telemetry option: a solve's record is its
+    :class:`~repro.krylov.result.SolveResult` (``residual_history``, ``info``)
+    and, when tracing is on, its ``session.solve`` span (:mod:`repro.obs`).
     """
 
     preconditioner: str = "ddm-gnn"
@@ -112,7 +112,6 @@ class SolverConfig:
     fallback: List[str] = field(default_factory=list)
     stagnation_window: Optional[int] = 250
     checkpoint: Optional[str] = None
-    obs: Optional[Dict] = None
 
     # ------------------------------------------------------------------ #
     def __post_init__(self) -> None:
@@ -147,9 +146,14 @@ class SolverConfig:
                 f"stagnation_window must be a positive int or None, "
                 f"got {self.stagnation_window!r}"
             )
-        if self.obs is not None and not isinstance(self.obs, dict):
+        if (not isinstance(self.tolerance, numbers.Real) or isinstance(self.tolerance, bool)
+                or not math.isfinite(self.tolerance) or self.tolerance < 0):
+            raise ValueError(f"tolerance must be a finite number >= 0, got {self.tolerance!r}")
+        if self.max_iterations is not None and (
+                not isinstance(self.max_iterations, numbers.Integral)
+                or isinstance(self.max_iterations, bool) or self.max_iterations < 1):
             raise ValueError(
-                f"obs must be None or a dict of telemetry options, got {self.obs!r}"
+                f"max_iterations must be an int >= 1 or None, got {self.max_iterations!r}"
             )
 
     def config_hash(self) -> str:
@@ -158,9 +162,7 @@ class SolverConfig:
         The ``checkpoint`` *path* is excluded: the session cache key
         (:func:`repro.solvers.fingerprint.session_key`) hashes the
         checkpoint's **content** separately, so moving a checkpoint file does
-        not change a session's identity while retraining it does.  The
-        ``obs`` telemetry options are excluded too: observation must never
-        change which cached session answers a request.
+        not change a session's identity while retraining it does.
 
         >>> a = SolverConfig(preconditioner="ddm-lu")
         >>> b = SolverConfig(preconditioner="ddm-lu", checkpoint="elsewhere.npz")
@@ -168,15 +170,11 @@ class SolverConfig:
         True
         >>> a.config_hash() == SolverConfig(preconditioner="ic0").config_hash()
         False
-        >>> c = SolverConfig(preconditioner="ddm-lu", obs={"convergence": True})
-        >>> a.config_hash() == c.config_hash()
-        True
         """
         from ..gnn.checkpoint import config_hash
 
         data = self.to_dict()
         data.pop("checkpoint", None)
-        data.pop("obs", None)
         return config_hash(data)
 
     def to_dict(self) -> Dict:

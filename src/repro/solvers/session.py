@@ -33,7 +33,6 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Union
 
@@ -43,7 +42,6 @@ from ..core.ddm_gnn import DDMGNNPreconditioner
 from ..ddm.asm import AdditiveSchwarzPreconditioner, Preconditioner
 from ..fem.problem import Problem
 from ..krylov.result import SolveResult
-from ..obs import events as obs_events
 from ..obs import trace as obs_trace
 from ..partition.overlap import OverlappingDecomposition
 from .config import SolverConfig
@@ -313,6 +311,10 @@ class SolverSession:
         and re-solves.  The returned result then carries
         ``info["degraded"] = True``, ``info["rung"]`` and the full
         ``info["ladder_attempts"]`` trail.
+
+        Telemetry: with a trace kept, the ``session.solve`` span carries the
+        returned result's outcome on every path (:func:`_record_outcome`);
+        the per-iteration residuals are ``result.residual_history``.
         """
         b = self.problem.rhs if b is None else np.asarray(b, dtype=np.float64)
         with obs_trace.span("session.solve",
@@ -324,55 +326,12 @@ class SolverSession:
             except Exception as error:
                 if not self.config.fallback:
                     raise
-                return self._degrade(b, x0, primary_result=None, primary_error=error)
-            if result.converged or not self.config.fallback:
-                span.set_attribute("converged", bool(result.converged))
-                span.set_attribute("iterations", int(result.iterations))
-                span.set_attribute("recurrence", result.info.get("recurrence"))
-                span.set_attribute("kernel", result.info.get("kernel"))
-                return result
-            return self._degrade(b, x0, primary_result=result, primary_error=None)
-
-    def _emit_iteration_events(self, result: SolveResult, column: Optional[int] = None) -> None:
-        """Stream one solve's per-iteration residuals into the event ring.
-
-        Purely observational and free when telemetry is off: the rows are
-        derived *after* the solve from ``result.residual_history`` (which the
-        Krylov method records unconditionally), so the iteration hot loop
-        carries no telemetry cost at all and solves with telemetry on are
-        bit-identical to solves with it off.  ``residual_history[0]`` is the
-        initial residual; entries 1..k are the performed iterations.
-        """
-        if not self.config.obs:
-            return
-        history = result.residual_history
-        if len(history) < 2:
-            return
-        kind = self.config.preconditioner
-        method = self.config.krylov
-        ts = time.time()
-        extra = {} if column is None else {"column": int(column)}
-        obs_events.get_ring().extend([
-            {"ts": ts, "kind": "iteration", "iteration": i,
-             "residual": float(rel), "preconditioner": kind, "krylov": method,
-             **extra}
-            for i, rel in enumerate(history[1:], 1)
-        ])
-
-    def _emit_terminal(self, result: SolveResult) -> None:
-        """Stream a solve's outcome into the event ring (telemetry on only)."""
-        if not self.config.obs:
-            return
-        obs_events.get_ring().emit(
-            "terminal",
-            converged=bool(result.converged),
-            iterations=int(result.iterations),
-            failure_reason=result.failure_reason,
-            residual=float(result.residual_history[-1])
-            if result.residual_history else None,
-            preconditioner=self.config.preconditioner,
-            recurrence=result.info.get("recurrence"),
-        )
+                result = self._degrade(b, x0, primary_result=None, primary_error=error)
+            else:
+                if not result.converged and self.config.fallback:
+                    result = self._degrade(b, x0, primary_result=result, primary_error=None)
+            _record_outcome(span, result)
+            return result
 
     def _solve_locked(self, b: np.ndarray, x0: Optional[np.ndarray]) -> SolveResult:
         """One primary solve; caller holds the session lock."""
@@ -388,8 +347,6 @@ class SolverSession:
             **self._krylov_kwargs,
         )
         self._stamp_info(result)
-        self._emit_iteration_events(result)
-        self._emit_terminal(result)
         return result
 
     # -- degradation ladder -------------------------------------------- #
@@ -428,13 +385,6 @@ class SolverSession:
             if primary_error is not None
             else primary_result.failure_reason
         )
-        observing = bool(self.config.obs)
-        if observing:
-            obs_events.get_ring().emit(
-                "rung", action="primary_failed",
-                rung=self.config.preconditioner, rung_index=0,
-                failure=primary_failure,
-            )
         span = obs_trace.current_span()
         if span is not None:
             span.add_event("rung_descent", primary=self.config.preconditioner,
@@ -452,23 +402,10 @@ class SolverSession:
             except Exception as error:  # a rung may fail too; try the next one
                 attempts.append({"rung": kind, "rung_index": index + 1,
                                  "failure": f"{type(error).__name__}: {error}"})
-                if observing:
-                    obs_events.get_ring().emit(
-                        "rung", action="rung_failed", rung=kind,
-                        rung_index=index + 1,
-                        failure=f"{type(error).__name__}: {error}",
-                    )
                 last_error = error
                 continue
             attempts.append({"rung": kind, "rung_index": index + 1,
                              "failure": result.failure_reason})
-            if observing:
-                obs_events.get_ring().emit(
-                    "rung",
-                    action="rung_converged" if result.converged else "rung_failed",
-                    rung=kind, rung_index=index + 1,
-                    failure=result.failure_reason,
-                )
             result.info["degraded"] = True
             result.info["rung"] = kind
             result.info["rung_index"] = index + 1
@@ -571,6 +508,9 @@ class SolverSession:
             else:
                 with self._lock:
                     results = [self.solve(row, x0=x0) for row in vectors]
+            record.set_attribute("converged", [bool(r.converged) for r in results])
+            record.set_attribute("iterations", [int(r.iterations) for r in results])
+            record.set_attribute("failure_reasons", [r.failure_reason for r in results])
         return MultiSolveResult(results=results, elapsed_time=record.seconds, mode=mode)
 
     def _solve_fused(self, vectors: np.ndarray, x0: Optional[np.ndarray]):
@@ -586,10 +526,8 @@ class SolverSession:
                     max_iterations=self.config.max_iterations,
                     **self._lockstep_stagnation_kwargs,
                 )
-                for column, result in enumerate(results):
+                for result in results:
                     self._stamp_info(result)
-                    self._emit_iteration_events(result, column=column)
-                    self._emit_terminal(result)
         except Exception as error:
             if not self.config.fallback:
                 raise
@@ -722,6 +660,24 @@ class SolverSession:
             f"n={self.problem.num_dofs}, setup {self.setup_time:.3f}s, "
             f"{self.num_solves} solve(s))"
         )
+
+
+def _record_outcome(span, result: SolveResult) -> None:
+    """Stamp the outcome of the result a ``session.solve`` returns on its span.
+
+    A no-op on the shared null span (tracing off).  A result the degradation
+    ladder returned also names its rung.
+    """
+    info = result.info
+    span.set_attribute("converged", bool(result.converged))
+    span.set_attribute("iterations", int(result.iterations))
+    span.set_attribute("failure_reason", result.failure_reason)
+    span.set_attribute("final_relative_residual", float(result.final_relative_residual))
+    span.set_attribute("recurrence", info.get("recurrence"))
+    span.set_attribute("kernel", info.get("kernel"))
+    if info.get("degraded"):
+        span.set_attribute("rung", info["rung"])
+        span.set_attribute("rung_index", info["rung_index"])
 
 
 def _rebuild_session(problem: Problem, config_dict: Dict, model) -> "SolverSession":

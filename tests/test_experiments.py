@@ -12,6 +12,7 @@ from repro.core import generate_dataset
 from repro.experiments import ExperimentHarness, ExperimentSpec
 from repro.experiments.__main__ import main as experiments_main
 from repro.gnn import DSS, DSSTrainer, load_checkpoint
+from repro.obs import trace as obs_trace
 
 #: smallest spec that exercises every pipeline stage in a couple of seconds
 TINY_SPEC = dict(
@@ -90,6 +91,32 @@ class TestHarness:
         assert solvers == {"ic0", "ddm-lu", "ddm-gnn"}
         bench_payload = json.loads((result.artifact_dir / "bench.json").read_text())
         assert bench_payload["config_hash"] == spec.config_hash
+        # one trace per bench's untimed solve, its outcome on the session.solve span;
+        # the harness switched tracing on for it only, and kept nothing behind
+        traces = json.loads((result.artifact_dir / "traces.json").read_text())
+        assert [t["attributes"]["solver"] for t in traces] == \
+            [record["solver"] for record in result.bench_records]
+        for trace, record in zip(traces, result.bench_records):
+            (solve,) = [c for c in trace["children"] if c["name"] == "session.solve"]
+            assert solve["attributes"]["iterations"] == record["iters"]
+            assert solve["attributes"]["preconditioner"] == record["solver"]
+        assert not obs_trace.trace_enabled() and obs_trace.finished_traces() == []
+
+    def test_bench_keeps_a_callers_traces(self, tmp_path):
+        """With tracing already on, the harness adds its roots beside the caller's
+        and leaves tracing on: it does not drain what the caller kept."""
+        harness = ExperimentHarness(ExperimentSpec.from_dict(TINY_SPEC), artifacts_root=tmp_path)
+        obs_trace.enable_tracing()
+        try:
+            with obs_trace.trace_root("caller.request") as mine:
+                pass
+            harness.run(verbose=False)
+            kept = obs_trace.finished_traces()
+            assert obs_trace.trace_enabled()
+        finally:
+            obs_trace.disable_tracing()
+        assert kept[0] is mine
+        assert [root.name for root in kept[1:]] == ["experiment.solve"] * 3
 
     def test_second_run_skips_training(self, tmp_path):
         spec = ExperimentSpec.from_dict(TINY_SPEC)

@@ -182,6 +182,33 @@ class TestIC0:
             assert v @ ic.apply(w) == pytest.approx(w @ ic.apply(v), rel=1e-8)
             assert v @ ic.apply(v) > 0.0
 
+    @pytest.mark.parametrize("prepared", [True, False], ids=["gstrs", "fallback"])
+    def test_apply_is_two_spsolve_triangular_calls_bitwise(self, random_problem, monkeypatch, prepared):
+        """The prepared solves give the bytes of the public calls, and so does the fallback."""
+        import scipy.sparse.linalg as spla
+
+        from repro.krylov import ic as ic_module
+        from repro.solvers import SolverConfig, prepare
+
+        assert ic_module._gstrs is not None  # the private kernel passed its import check here
+        if not prepared:
+            monkeypatch.setattr(ic_module, "_gstrs", None)
+        ic = IncompleteCholeskyPreconditioner(random_problem.matrix)
+        lower = ic.factor.tocsr()
+        upper = ic.factor.T.tocsr()
+        for seed in range(3):
+            r = np.random.default_rng(seed).normal(size=random_problem.num_dofs)
+            reference = spla.spsolve_triangular(
+                upper, spla.spsolve_triangular(lower, r, lower=True), lower=False)
+            assert np.array_equal(ic.apply(r), reference)
+        # a whole ic0 solve is the same bytes on either path
+        config = SolverConfig(preconditioner="ic0", tolerance=1e-8)
+        result = prepare(random_problem, config).solve()
+        monkeypatch.setattr(ic_module, "_gstrs", None)
+        fallback = prepare(random_problem, config).solve()
+        assert result.iterations == fallback.iterations
+        assert np.array_equal(result.solution, fallback.solution)
+
 
 class TestOtherKrylov:
     def test_bicgstab_solves(self, random_problem):

@@ -1,4 +1,4 @@
-"""Observability suite: tracing, metrics registry, convergence telemetry.
+"""Observability suite: tracing, metrics registry, solve outcomes on spans.
 
 The contract under test is the observability PR's acceptance bar:
 
@@ -9,8 +9,11 @@ The contract under test is the observability PR's acceptance bar:
 * a sharded binary-path request yields ONE connected trace whose stages
   tile the request wall time up to the front process's own sub-millisecond
   bookkeeping;
-* observation never perturbs the payload: ``obs``/tracing on changes no
-  session key and no response bytes (bitwise parity);
+* observation never perturbs the payload: tracing on changes no session key
+  and no response bytes (bitwise parity);
+* a ``session.solve`` span carries the outcome of the result it returned —
+  degraded or not, in process or across the shard fork — and
+  ``python -m repro.obs`` reads it back from a dump of traces;
 * the ``/metrics`` exposition is strictly grammatical Prometheus text 0.0.4;
 * malformed trace metadata in a binary frame must never fail the solve.
 """
@@ -33,10 +36,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import faults
-from repro.obs import events as obs_events
+from repro.obs import __main__ as obs_cli
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.obs.events import EventRing, capture_events
 from repro.obs.metrics import MetricsRegistry, merge_snapshots, render_prometheus
 from repro.obs.trace import Span
 from repro.serve import (
@@ -64,11 +66,10 @@ GNN_CONFIG = dict(preconditioner="ddm-gnn", subdomain_size=80,
 
 @pytest.fixture(autouse=True)
 def _tracing_hygiene():
-    """Every test starts and ends with tracing off and the rings clear."""
+    """Every test starts and ends with tracing off and the trace ring clear."""
     obs_trace.disable_tracing()
     yield
     obs_trace.disable_tracing()
-    obs_events.get_ring().clear()
 
 
 def assert_complete(root: Span) -> None:
@@ -245,62 +246,98 @@ class TestSerialization:
 
 
 # --------------------------------------------------------------------------- #
-# telemetry event ring + CLI
+# the CLI over a dump of traces
 # --------------------------------------------------------------------------- #
-class TestEventRing:
-    def test_capacity_eviction_and_emitted(self):
-        ring = EventRing(capacity=3)
-        for i in range(5):
-            ring.emit("iteration", iteration=i)
-        assert len(ring) == 3
-        assert ring.emitted == 5
-        assert [e["iteration"] for e in ring.tail()] == [2, 3, 4]
-        assert [e["iteration"] for e in ring.tail(2)] == [3, 4]
-        with pytest.raises(ValueError):
-            EventRing(capacity=0)
+class TestTraceCLI:
+    def _dump(self, tmp_path):
+        """One plain, one failed, one degraded solve and one fused block, traced and dumped."""
+        problem = build_problem_from_spec(SPEC)
+        b = np.random.default_rng(8).standard_normal(problem.num_dofs)
+        obs_trace.enable_tracing()
+        with obs_trace.trace_root("cli.plain"):
+            plain = prepare(problem, DDM_LU).solve(b)
+        with obs_trace.trace_root("cli.failed"):
+            failed = prepare(problem, SolverConfig(preconditioner="none", tolerance=1e-12,
+                                                   max_iterations=3)).solve(b)
+        with faults.inject("local-solver-raise"):
+            with obs_trace.trace_root("cli.degraded"):
+                degraded = prepare(problem, SolverConfig(preconditioner="ddm-lu", tolerance=1e-8,
+                                                         fallback=["ic0"])).solve(b)
+        with obs_trace.trace_root("cli.block"):
+            block = prepare(problem, DDM_LU).solve_many(np.stack([b, 2.0 * b]), mode="fused")
+        path = tmp_path / "traces.json"
+        path.write_text(json.dumps([root.to_dict() for root in obs_trace.drain_traces()]))
+        return path, [plain, failed, degraded, *block.results]
 
-    def test_extend_preserves_prestamped_ts(self):
-        ring = EventRing(capacity=8)
-        ring.extend([{"ts": 123.0, "kind": "iteration", "iteration": 1},
-                     {"ts": 123.0, "kind": "iteration", "iteration": 2}])
-        assert [e["ts"] for e in ring.tail()] == [123.0, 123.0]
-        assert ring.emitted == 2
+    def _run(self, capsys, *argv):
+        code = obs_cli.main(list(argv))
+        out, err = capsys.readouterr()
+        return code, out, err
 
-    def test_capture_events_swaps_and_restores(self):
-        before = obs_events.get_ring()
-        with capture_events(capacity=4) as ring:
-            obs_events.get_ring().emit("terminal", converged=True, iterations=3)
-            assert obs_events.get_ring() is ring
-            assert len(ring) == 1
-        assert obs_events.get_ring() is before
+    def test_tail_and_summary_read_a_trace_dump(self, tmp_path, capsys):
+        path, results = self._dump(tmp_path)
+        plain, failed, degraded = results[:3]
+        assert failed.failure_reason == "max_iterations"
+        assert degraded.info["rung"] == "ic0"
+        code, out, _ = self._run(capsys, "tail", str(path), "-n", "10")
+        assert code == 0
+        outcomes = [json.loads(line) for line in out.splitlines()]
+        # a degraded solve is one outcome: the rung's own solve inside it is not another
+        assert len(outcomes) == len(results)
+        assert [o["iterations"] for o in outcomes] == [r.iterations for r in results]
+        assert [o["failure_reason"] for o in outcomes] == [r.failure_reason for r in results]
+        assert outcomes[0]["final_relative_residual"] == plain.final_relative_residual
+        assert (outcomes[2]["rung"], outcomes[2]["rung_index"]) == ("ic0", 1)
+        assert [o.get("column") for o in outcomes[3:]] == [0, 1]
+        code, out, _ = self._run(capsys, "tail", str(path), "-n", "2")
+        assert [json.loads(line).get("column") for line in out.splitlines()] == [0, 1]
+        code, out, _ = self._run(capsys, "tail", str(path), "-n", "0")
+        assert code == 0 and out == ""
 
-    def test_dump_jsonl_and_cli(self, tmp_path):
-        ring = EventRing(capacity=16)
-        for i in range(4):
-            ring.emit("iteration", iteration=i, residual=10.0 ** -i)
-        ring.emit("terminal", converged=True, iterations=4)
-        path = tmp_path / "events.jsonl"
-        assert ring.dump_jsonl(path) == 5
-        # a malformed line must be skipped, not fatal
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write("{not json\n")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
-            p for p in ("src", env.get("PYTHONPATH", "")) if p)
-        tail = subprocess.run(
-            [sys.executable, "-m", "repro.obs", "tail", str(path), "-n", "2",
-             "--kind", "iteration"],
-            capture_output=True, text=True, env=env, cwd="/root/repo")
-        assert tail.returncode == 0
-        lines = [json.loads(l) for l in tail.stdout.splitlines()]
-        assert [e["iteration"] for e in lines] == [2, 3]
-        summary = subprocess.run(
-            [sys.executable, "-m", "repro.obs", "summary", str(path)],
-            capture_output=True, text=True, env=env, cwd="/root/repo")
-        assert summary.returncode == 0
+            p for p in (os.path.join(os.path.dirname(__file__), os.pardir, "src"),
+                        env.get("PYTHONPATH", "")) if p)
+        summary = subprocess.run([sys.executable, "-m", "repro.obs", "summary", str(path)],
+                                 capture_output=True, text=True, env=env)
+        assert summary.returncode == 0, summary.stderr
         report = json.loads(summary.stdout)
-        assert report["kinds"] == {"iteration": 4, "terminal": 1}
-        assert report["solves"] == 1 and report["iterations_max"] == 4
+        iterations = [r.iterations for r in results]
+        assert report == {
+            "traces": 4, "solves": len(results),
+            "converged": sum(r.converged for r in results),
+            "iterations_mean": sum(iterations) / len(iterations),
+            "iterations_max": max(iterations),
+            "failure_reasons": {"max_iterations": 1},
+            "rung_descents": 1, "breaker_reroutes": 0,
+        }
+
+    def test_malformed_dumps(self, tmp_path, capsys):
+        broken = tmp_path / "broken.json"
+        broken.write_text("[{not json")
+        for command in ("tail", "summary"):
+            code, out, err = self._run(capsys, command, str(broken))
+            assert code == 2 and out == "" and "cannot read" in err
+        not_a_list = tmp_path / "object.json"
+        not_a_list.write_text('{"name": "session.solve"}')
+        code, _, err = self._run(capsys, "summary", str(not_a_list))
+        assert code == 2 and "not a JSON list" in err
+        code, _, err = self._run(capsys, "tail", str(tmp_path / "missing.json"))
+        assert code == 2 and "cannot read" in err
+        # malformed entries inside a list are skipped, well-formed ones still read
+        mixed = tmp_path / "mixed.json"
+        mixed.write_text(json.dumps([
+            3, "x", {"name": "session.solve", "attributes": "nope"},
+            {"name": "root", "children": "nope", "events": ["nope", {"kind": "rung_descent"}]},
+            {"name": "root", "children": [
+                {"name": "session.solve", "attributes": {"converged": True, "iterations": 7,
+                                                          "failure_reason": None}}]},
+        ]))
+        code, out, _ = self._run(capsys, "summary", str(mixed))
+        report = json.loads(out)
+        assert code == 0
+        assert (report["traces"], report["solves"], report["converged"]) == (5, 1, 1)
+        assert (report["iterations_max"], report["rung_descents"]) == (7, 1)
 
 
 # --------------------------------------------------------------------------- #
@@ -443,7 +480,7 @@ class TestWindowNormalization:
         assert window_stat(0.0, 1) == 0.0
 
     @pytest.mark.parametrize("module", [
-        obs_trace, obs_events, obs_metrics,
+        obs_trace, obs_metrics,
         pytest.param(__import__("repro.serve.metrics", fromlist=["x"]),
                      id="serve.metrics"),
     ])
@@ -457,75 +494,103 @@ class TestWindowNormalization:
 # observation never perturbs the payload
 # --------------------------------------------------------------------------- #
 class TestObservationIsFree:
-    def test_obs_excluded_from_config_hash_and_session_key(self, random_problem):
-        plain = SolverConfig(preconditioner="ddm-lu", tolerance=1e-8)
-        observed = SolverConfig(preconditioner="ddm-lu", tolerance=1e-8,
-                                obs={"convergence": True})
-        assert plain.config_hash() == observed.config_hash()
-        assert session_key(random_problem, plain, None) == \
-            session_key(random_problem, observed, None)
-        with pytest.raises(ValueError, match="obs"):
-            SolverConfig(obs="yes please")
+    #: config hashes of each registry kind's default config, and one session
+    #: key, pinned: no observation setting is a config field, so observing
+    #: never moves a cached session
+    CONFIG_HASHES = {
+        "ddm-gnn": "745d098b16e3f732d669651b70c3b7d642b6f219216204790c51a7c34454858b",
+        "ddm-lu": "aa3db6fe5de861573491cccbdb2aefae75ed154e6993101a3f858656b67e0171",
+        "ddm-jacobi": "6193fe62e74f383390d0b45c8b6d0ae085024ca6f943ce15073a78ba47b472ee",
+        "ic0": "380dc438872ca22c9542236453a0f2b67eb02b82d46cc00fba7eb19e988824e0",
+        "none": "7ca19a8d7750a7a0324ce2539fb78a4792c2763bb6c7d1e496267897e3dd6fe9",
+    }
+    SESSION_KEY = "f040e6ae6d22f5c44577642a58e9abdf7b9abb8b55608ddb3ff6df33356720d0"
+
+    def test_config_carries_no_telemetry_option(self):
+        assert {kind: SolverConfig(preconditioner=kind).config_hash()
+                for kind in self.CONFIG_HASHES} == self.CONFIG_HASHES
+        assert session_key(build_problem_from_spec(SPEC), DDM_LU, None) == self.SESSION_KEY
+        with pytest.raises(ValueError, match=r"unknown solver-config fields: \['obs'\]"):
+            SolverConfig.from_dict({"preconditioner": "ddm-lu", "obs": {"convergence": True}})
 
     def test_bitwise_parity_tracing_and_telemetry_on(self):
         problem = build_problem_from_spec(SPEC)
         b = np.random.default_rng(5).standard_normal(problem.num_dofs)
         baseline = prepare(problem, DDM_LU).solve(b)
-        observed_config = SolverConfig(preconditioner="ddm-lu", tolerance=1e-8,
-                                       obs={"convergence": True})
+        observed_config = SolverConfig(preconditioner="ddm-lu", tolerance=1e-8)
         obs_trace.enable_tracing()
-        with capture_events(capacity=4096):
-            with obs_trace.trace_root("parity.request"):
-                observed = prepare(problem, observed_config).solve(b)
+        with obs_trace.trace_root("parity.request"):
+            observed = prepare(problem, observed_config).solve(b)
         assert observed.solution.tobytes() == baseline.solution.tobytes()
         assert observed.iterations == baseline.iterations
         assert observed.residual_history == baseline.residual_history
         assert observed.final_relative_residual == baseline.final_relative_residual
 
-    def test_iteration_events_mirror_residual_history(self):
-        problem = build_problem_from_spec(SPEC)
-        b = np.random.default_rng(6).standard_normal(problem.num_dofs)
-        config = SolverConfig(preconditioner="ddm-lu", tolerance=1e-8,
-                              obs={"convergence": True})
-        with capture_events(capacity=4096) as ring:
-            result = prepare(problem, config).solve(b)
-        events = ring.tail()
-        iteration = [e for e in events if e["kind"] == "iteration"]
-        terminal = [e for e in events if e["kind"] == "terminal"]
-        assert len(iteration) == result.iterations
-        assert [e["iteration"] for e in iteration] == \
-            list(range(1, result.iterations + 1))
-        assert [e["residual"] for e in iteration] == result.residual_history[1:]
-        assert len(terminal) == 1
-        assert terminal[0]["converged"] is True
-        assert terminal[0]["iterations"] == result.iterations
-
-    def test_terminal_event_and_span_report_the_recurrence(self, tiny_dss_model):
+    def test_span_reports_the_recurrence(self, tiny_dss_model):
         """Why 24 iterations here and 30 there: the trace says which recurrence ran."""
         problem = build_problem_from_spec(SPEC)
         obs_trace.enable_tracing()
         for kind, model, expected in (("ddm-lu", None, "standard"),
                                       ("ddm-gnn", tiny_dss_model, "flexible")):
-            config = SolverConfig(preconditioner=kind, tolerance=1e-2, max_iterations=4,
-                                  obs={"convergence": True})
-            with capture_events(capacity=64) as ring:
-                with obs_trace.trace_root("recurrence.request") as root:
-                    result = prepare(problem, config, model=model).solve()
-            terminal = [e for e in ring.tail() if e["kind"] == "terminal"]
+            config = SolverConfig(preconditioner=kind, tolerance=1e-2, max_iterations=4)
+            with obs_trace.trace_root("recurrence.request") as root:
+                result = prepare(problem, config, model=model).solve()
             solve_span = next(s for s in root.walk() if s.name == "session.solve")
             assert result.info["recurrence"] == expected
-            assert [e["recurrence"] for e in terminal] == [expected]
             assert solve_span.attributes["recurrence"] == expected
             # ... and, beside it, which body the preconditioner ran: the GNN's edge pass, DDM-LU's apply
             assert solve_span.attributes["kernel"] == result.info.get("kernel")
             assert result.info.get("kernel") in ("native", "numpy")
 
-    def test_obs_off_emits_nothing(self):
+# --------------------------------------------------------------------------- #
+# a solve's outcome is on its span: in process and across the shard fork
+# --------------------------------------------------------------------------- #
+class TestSolveOutcomeOnTheSpan:
+    def test_outcome_and_rung_cross_the_executor(self, serving):
+        """The ``session.solve`` span of a served request carries the returned
+        result's outcome; a degraded one also its rung — through the worker
+        process too (tracing on before the service starts: workers inherit it)."""
+        obs_trace.enable_tracing()
+        service = serving(ServeConfig(workers=1), faults=[("local-solver-raise", {})])
         problem = build_problem_from_spec(SPEC)
-        b = np.random.default_rng(6).standard_normal(problem.num_dofs)
-        with capture_events(capacity=64) as ring:
-            prepare(problem, DDM_LU).solve(b)
-        assert len(ring) == 0
+        failing = SolverConfig(preconditioner="none", tolerance=1e-12, max_iterations=3)
+        ladder = SolverConfig(preconditioner="ddm-lu", tolerance=1e-8, fallback=["ic0"])
+        spans = []
+        for config in (failing, ladder):
+            with obs_trace.trace_root("outcome.request") as root:
+                result = service.solve(problem, solver_config=config)
+            assert_complete(root)
+            spans.append((result, root.find("session.solve")[0]))
+        (failed, failed_span), (degraded, degraded_span) = spans
+        assert failed_span.attributes["failure_reason"] == failed.failure_reason == "max_iterations"
+        assert failed_span.attributes["final_relative_residual"] == failed.final_relative_residual
+        assert (failed_span.attributes["converged"], failed_span.attributes["iterations"]) == (False, 3)
+        assert "rung" not in failed_span.attributes
+        assert degraded.info["degraded"] is True and degraded.converged
+        assert degraded_span.attributes["rung"] == degraded.info["rung"] == "ic0"
+        assert degraded_span.attributes["rung_index"] == 1
+        assert degraded_span.attributes["iterations"] == degraded.iterations
+        assert degraded_span.attributes["failure_reason"] is None
+        assert [e["kind"] for e in degraded_span.events] == ["rung_descent"]
+        # the rung's own solve is a child span with its own (undegraded) outcome
+        (rung_span,) = degraded_span.find("session.solve")[1:]
+        assert rung_span.attributes["preconditioner"] == "ic0"
+        assert "rung" not in rung_span.attributes
+
+    def test_solve_many_records_each_column(self):
+        problem = build_problem_from_spec(SPEC)
+        rng = np.random.default_rng(9)
+        block = rng.standard_normal((3, problem.num_dofs))
+        session = prepare(problem, SolverConfig(preconditioner="ddm-lu", tolerance=1e-8,
+                                                max_iterations=6))
+        obs_trace.enable_tracing()
+        for mode in ("fused", "sequential"):
+            with obs_trace.trace_root("block.request") as root:
+                outcome = session.solve_many(block, mode=mode)
+            (record,) = root.find("session.solve_many")
+            assert record.attributes["iterations"] == outcome.iterations
+            assert record.attributes["failure_reasons"] == [r.failure_reason for r in outcome.results]
+            assert record.attributes["converged"] == [r.converged for r in outcome.results]
 
 
 # --------------------------------------------------------------------------- #
@@ -702,8 +767,7 @@ class TestChaosTraces:
 
     def test_breaker_reroute_trace_is_complete(self, random_problem,
                                                trained_dss_model, serving):
-        primary = SolverConfig(fallback=["ddm-lu"], obs={"convergence": True},
-                               **GNN_CONFIG)
+        primary = SolverConfig(fallback=["ddm-lu"], **GNN_CONFIG)
         service = serving(
             ServeConfig(workers=1, breaker_failures=2, breaker_reset_s=3600.0),
             faults=[("gnn-nan-apply", {"seed": 0, "until_calls": 2})],
@@ -712,20 +776,15 @@ class TestChaosTraces:
             assert service.solve(random_problem,
                                  solver_config=primary).converged
         obs_trace.enable_tracing()
-        with capture_events(capacity=4096) as ring:
-            with obs_trace.trace_root("chaos.reroute") as root:
-                rerouted = service.solve(random_problem,
-                                         solver_config=primary)
+        with obs_trace.trace_root("chaos.reroute") as root:
+            rerouted = service.solve(random_problem,
+                                     solver_config=primary)
         assert rerouted.info["breaker_rerouted"] is True
         reroutes = [e for e in root.events if e["kind"] == "breaker_reroute"]
         assert len(reroutes) == 1
         assert reroutes[0]["rung"] == "ddm-lu"
         assert root.terminal_events() == ["result"]
         assert_complete(root)
-        # the reroute is a telemetry event too, wherever the solve then runs
-        (event,) = [e for e in ring.tail() if e["kind"] == "breaker"]
-        assert event["action"] == "reroute"
-        assert event["rung"] == "ddm-lu"
 
 
 # --------------------------------------------------------------------------- #

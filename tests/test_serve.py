@@ -751,6 +751,14 @@ class TestHTTP:
         with pytest.raises(ServeClientError) as excinfo:
             client.solve(problem={"family": "no-such-family"})
         assert excinfo.value.status == 400
+        # a config the solver cannot honour, or a removed field, is the client's error
+        for config in ({"preconditioner": "ddm-lu", "tolerance": -1.0},
+                       {"preconditioner": "ddm-lu", "max_iterations": 0},
+                       {"preconditioner": "ddm-lu", "obs": {"convergence": True}}):
+            with pytest.raises(ServeClientError) as excinfo:
+                client.solve(problem={"family": "poisson", "target_n": 150, "seed": 4},
+                             config=config)
+            assert (excinfo.value.status, excinfo.value.code) == (400, "invalid_request")
         with pytest.raises(ServeClientError) as excinfo:
             client._request("/nope")
         assert excinfo.value.status == 404

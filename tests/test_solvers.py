@@ -320,6 +320,31 @@ class TestConfig:
         with pytest.raises(ValueError, match="gnn_batch_size"):
             SolverConfig.from_dict({"preconditioner": "ddm-gnn", "gnn_batch_size": 4})
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("tolerance", float("nan"), "tolerance"),
+        ("tolerance", float("inf"), "tolerance"),
+        ("tolerance", -1.0, "tolerance"),
+        ("tolerance", "1e-6", "tolerance"),
+        ("tolerance", True, "tolerance"),
+        ("max_iterations", 0, "max_iterations"),
+        ("max_iterations", -3, "max_iterations"),
+        ("max_iterations", 2.5, "max_iterations"),
+        ("max_iterations", True, "max_iterations"),
+        ("levels", 3, "levels"),
+        ("stagnation_window", 0, "stagnation_window"),
+    ])
+    def test_out_of_range_values_rejected_at_construction(self, field, value, message):
+        """A value the Krylov layer cannot honour fails when the config is built,
+        before any set-up runs (over HTTP: a 400)."""
+        with pytest.raises(ValueError, match=message):
+            SolverConfig(**{field: value})
+        with pytest.raises(ValueError, match=message):
+            SolverConfig.from_dict({"preconditioner": "ic0", field: value})
+
+    def test_edge_values_accepted(self):
+        assert SolverConfig(tolerance=0.0, max_iterations=1).max_iterations == 1
+        assert SolverConfig(tolerance=1, max_iterations=np.int64(5)).tolerance == 1
+
     def test_prepare_accepts_plain_dict(self, random_problem):
         session = prepare(random_problem, {"preconditioner": "ic0", "tolerance": 1e-8})
         assert isinstance(session.config, SolverConfig)
