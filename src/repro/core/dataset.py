@@ -13,7 +13,7 @@ This module provides:
   problems of every iteration;
 * :func:`generate_dataset` — repeat over many random global problems and
   split into train/validation/test sets;
-* :class:`LocalProblemDataset` — a thin container with save/load to ``.npz``.
+* :class:`LocalProblemDataset` — a thin train/validation/test container.
 """
 
 from __future__ import annotations
@@ -230,61 +230,6 @@ class LocalProblemDataset:
     @property
     def sizes(self) -> Tuple[int, int, int]:
         return (len(self.train), len(self.validation), len(self.test))
-
-    def save(self, path: str) -> None:
-        """Serialise the dataset to a compressed ``.npz`` archive."""
-        payload = {}
-        for split_name in ("train", "validation", "test"):
-            problems: List[GraphProblem] = getattr(self, split_name)
-            payload[f"{split_name}_count"] = np.array(len(problems))
-            for i, g in enumerate(problems):
-                prefix = f"{split_name}_{i}"
-                payload[f"{prefix}_positions"] = g.positions
-                payload[f"{prefix}_edge_index"] = g.edge_index
-                payload[f"{prefix}_edge_attr"] = g.edge_attr
-                payload[f"{prefix}_source"] = g.source
-                payload[f"{prefix}_dirichlet"] = g.dirichlet_mask
-                payload[f"{prefix}_scaling"] = np.array(g.scaling)
-                if g.node_attr is not None:
-                    payload[f"{prefix}_node_attr"] = g.node_attr
-                if g.matrix is not None:
-                    coo = g.matrix.tocoo()
-                    payload[f"{prefix}_mat_row"] = coo.row
-                    payload[f"{prefix}_mat_col"] = coo.col
-                    payload[f"{prefix}_mat_data"] = coo.data
-        np.savez_compressed(path, **payload)
-
-    @classmethod
-    def load(cls, path: str) -> "LocalProblemDataset":
-        """Load a dataset written by :meth:`save`."""
-        dataset = cls()
-        with np.load(path) as data:
-            for split_name in ("train", "validation", "test"):
-                count = int(data[f"{split_name}_count"])
-                problems: List[GraphProblem] = []
-                for i in range(count):
-                    prefix = f"{split_name}_{i}"
-                    n = data[f"{prefix}_positions"].shape[0]
-                    matrix = None
-                    if f"{prefix}_mat_row" in data.files:
-                        matrix = sp.csr_matrix(
-                            (data[f"{prefix}_mat_data"], (data[f"{prefix}_mat_row"], data[f"{prefix}_mat_col"])),
-                            shape=(n, n),
-                        )
-                    problems.append(
-                        GraphProblem(
-                            positions=data[f"{prefix}_positions"],
-                            edge_index=data[f"{prefix}_edge_index"],
-                            edge_attr=data[f"{prefix}_edge_attr"],
-                            source=data[f"{prefix}_source"],
-                            dirichlet_mask=data[f"{prefix}_dirichlet"],
-                            matrix=matrix,
-                            scaling=float(data[f"{prefix}_scaling"]),
-                            node_attr=data[f"{prefix}_node_attr"] if f"{prefix}_node_attr" in data.files else None,
-                        )
-                    )
-                setattr(dataset, split_name, problems)
-        return dataset
 
 
 def generate_dataset(

@@ -273,26 +273,6 @@ class DDMGNNPreconditioner(AdditiveSchwarzPreconditioner):
         local_solver = DSSLocalSolver(model, self.geometries, precision, normalize_local_residuals)
         super().__init__(matrix, decomposition, local_solver, levels=levels, variant="ras")
 
-    @classmethod
-    def from_checkpoint(
-        cls,
-        matrix: sp.spmatrix,
-        mesh: TriangularMesh,
-        decomposition: OverlappingDecomposition,
-        checkpoint_path: str,
-        **kwargs,
-    ) -> "DDMGNNPreconditioner":
-        """Build the preconditioner around a model loaded from a checkpoint.
-
-        The checkpoint (see :mod:`repro.gnn.checkpoint`) carries the full
-        :class:`~repro.gnn.dss.DSSConfig`, so the DSS is reconstructed
-        exactly as trained; remaining keyword arguments are forwarded to the
-        constructor unchanged.
-        """
-        from ..gnn.checkpoint import load_model
-
-        return cls(matrix, mesh, decomposition, load_model(checkpoint_path), **kwargs)
-
     # ------------------------------------------------------------------ #
     @property
     def model(self) -> DSS:

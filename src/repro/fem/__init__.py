@@ -75,7 +75,7 @@ from .problem import (
     robin_bc,
     split_boundary_edges,
 )
-from .quadrature import TriangleQuadrature, centroid_rule, six_point_rule, three_point_rule
+from .quadrature import TriangleQuadrature, three_point_rule
 
 __all__ = [
     "assemble_stiffness",
@@ -116,7 +116,5 @@ __all__ = [
     "constant_field",
     "manufactured_solution",
     "TriangleQuadrature",
-    "centroid_rule",
     "three_point_rule",
-    "six_point_rule",
 ]

@@ -186,7 +186,7 @@ def assemble_convection(
 
     The result is **nonsymmetric**; adding it to a stiffness matrix yields
     the convection-diffusion operator ``-∇·(κ∇u) + b·∇u`` served by the
-    ``gmres``/``bicgstab`` Krylov methods (CG is not applicable).
+    ``gmres`` Krylov method (CG is not applicable).
 
     >>> import numpy as np
     >>> from repro.mesh.mesh import TriangularMesh

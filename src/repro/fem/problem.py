@@ -186,8 +186,8 @@ class Problem:
         by the κ-aware GNN features.
     symmetric:
         Whether the assembled matrix is symmetric (SPD).  Nonsymmetric
-        problems (e.g. convection-diffusion) must be solved with ``gmres`` or
-        ``bicgstab``; :func:`repro.solvers.prepare` enforces this.
+        problems (e.g. convection-diffusion) must be solved with ``gmres``;
+        :func:`repro.solvers.prepare` enforces this.
     """
 
     mesh: TriangularMesh
@@ -289,10 +289,6 @@ class Problem:
         if denom == 0.0:
             return float(np.linalg.norm(u - u_exact))
         return float(np.linalg.norm(u - u_exact) / denom)
-
-    def energy_norm(self, u: np.ndarray) -> float:
-        """Energy (stiffness) semi-norm ``sqrt(u^T K u)`` using the raw stiffness."""
-        return float(np.sqrt(max(u @ (self.stiffness @ u), 0.0)))
 
 
 @dataclass

@@ -2,8 +2,7 @@
 
 Rules are given in barycentric coordinates with weights summing to 1 (they are
 scaled by the physical triangle area during assembly).  The degree-2 rule is
-exact for the P1 load-vector integrals used in this project; higher-order
-rules are provided for error computation of smooth manufactured solutions.
+exact for the P1 load-vector integrals used in this project.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["TriangleQuadrature", "centroid_rule", "three_point_rule", "six_point_rule"]
+__all__ = ["TriangleQuadrature", "three_point_rule"]
 
 
 @dataclass(frozen=True)
@@ -41,15 +40,6 @@ class TriangleQuadrature:
         return self.barycentric @ vertices
 
 
-def centroid_rule() -> TriangleQuadrature:
-    """One-point rule (degree 1): the centroid."""
-    return TriangleQuadrature(
-        barycentric=np.array([[1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0]]),
-        weights=np.array([1.0]),
-        degree=1,
-    )
-
-
 def three_point_rule() -> TriangleQuadrature:
     """Three-point rule at edge midpoints (degree 2)."""
     b = np.array(
@@ -61,21 +51,3 @@ def three_point_rule() -> TriangleQuadrature:
     )
     w = np.full(3, 1.0 / 3.0)
     return TriangleQuadrature(b, w, degree=2)
-
-
-def six_point_rule() -> TriangleQuadrature:
-    """Six-point rule (degree 4), used for error norms of smooth solutions."""
-    a1, b1, w1 = 0.816847572980459, 0.091576213509771, 0.109951743655322
-    a2, b2, w2 = 0.108103018168070, 0.445948490915965, 0.223381589678011
-    b = np.array(
-        [
-            [a1, b1, b1],
-            [b1, a1, b1],
-            [b1, b1, a1],
-            [a2, b2, b2],
-            [b2, a2, b2],
-            [b2, b2, a2],
-        ]
-    )
-    w = np.array([w1, w1, w1, w2, w2, w2])
-    return TriangleQuadrature(b, w / w.sum(), degree=4)

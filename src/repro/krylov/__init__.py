@@ -2,11 +2,10 @@
 
 Public surface:
 
-* :func:`~repro.krylov.cg.conjugate_gradient`,
-  :func:`~repro.krylov.cg.preconditioned_conjugate_gradient` — CG / PCG
-  (paper Algorithm 1).
-* :func:`~repro.krylov.bicgstab.bicgstab`, :func:`~repro.krylov.gmres.gmres` —
-  additional Krylov methods.
+* :func:`~repro.krylov.cg.preconditioned_conjugate_gradient` — CG / PCG
+  (paper Algorithm 1; ``preconditioner=None`` is plain CG).
+* :func:`~repro.krylov.gmres.gmres` — restarted GMRES for nonsymmetric
+  operators.
 * :func:`~repro.krylov.block.lockstep_pcg` — fused multi-RHS PCG, bit-identical
   per column to the single-RHS solver (the micro-batching fast path).
 * :mod:`~repro.krylov.flexible` — the direction update PCG and lockstep PCG
@@ -20,18 +19,15 @@ Public surface:
 """
 
 from . import failures
-from .bicgstab import bicgstab
 from .block import lockstep_pcg
-from .cg import conjugate_gradient, preconditioned_conjugate_gradient
+from .cg import preconditioned_conjugate_gradient
 from .gmres import gmres
 from .ic import IncompleteCholeskyPreconditioner, incomplete_cholesky
 from .result import SolveResult
 
 __all__ = [
-    "conjugate_gradient",
     "preconditioned_conjugate_gradient",
     "lockstep_pcg",
-    "bicgstab",
     "gmres",
     "IncompleteCholeskyPreconditioner",
     "incomplete_cholesky",

@@ -8,8 +8,8 @@ preconditioner is ``linear``.  Algorithm 1's direction update
 that declares ``linear = False`` (DDM-GNN) the direction is instead
 A-orthogonalised against the last few stored ones (flexible CG, see
 :mod:`repro.krylov.flexible`), and ``info["recurrence"]`` says which ran.
-:func:`conjugate_gradient` is the unpreconditioned "CG" baseline column of
-Table I / Fig. 5.
+With ``preconditioner=None`` it is the unpreconditioned "CG" baseline column
+of Table I / Fig. 5.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from . import failures
 from .flexible import DirectionWindow, recurrence_of
 from .result import PRECOND_APPLY, SolveResult, apply_preconditioner
 
-__all__ = ["conjugate_gradient", "preconditioned_conjugate_gradient"]
+__all__ = ["preconditioned_conjugate_gradient"]
 
 MatrixLike = Union[np.ndarray, sp.spmatrix]
 
@@ -201,31 +201,3 @@ def preconditioned_conjugate_gradient(
         info={**info, "preconditioner": type(precond).__name__},
         failure_reason=failure,
     )
-
-
-def conjugate_gradient(
-    matrix: MatrixLike,
-    rhs: np.ndarray,
-    initial_guess: Optional[np.ndarray] = None,
-    tolerance: float = 1e-6,
-    max_iterations: Optional[int] = None,
-    stagnation_window: Optional[int] = None,
-) -> SolveResult:
-    """Unpreconditioned Conjugate Gradient (the "CG" baseline of the paper).
-
-    >>> import numpy as np
-    >>> result = conjugate_gradient(np.diag([1.0, 2.0, 3.0]), np.ones(3))
-    >>> result.converged, result.info["solver"]
-    (True, 'cg')
-    """
-    result = preconditioned_conjugate_gradient(
-        matrix,
-        rhs,
-        preconditioner=None,
-        initial_guess=initial_guess,
-        tolerance=tolerance,
-        max_iterations=max_iterations,
-        stagnation_window=stagnation_window,
-    )
-    result.info["solver"] = "cg"
-    return result

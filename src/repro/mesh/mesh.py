@@ -120,11 +120,6 @@ class TriangularMesh:
         cols = np.concatenate([e[:, 1], e[:, 0]])
         return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
 
-    def node_neighbours(self, node: int) -> np.ndarray:
-        """Indices of nodes adjacent to ``node``."""
-        row = self.adjacency.getrow(node)
-        return row.indices.copy()
-
     @cached_property
     def directed_edge_index(self) -> np.ndarray:
         """Directed edge list of shape (2, 2E): every undirected edge in both
@@ -198,17 +193,6 @@ class TriangularMesh:
         """
         node_indices, local_triangles = induced_cells(self, node_indices)
         return TriangularMesh(self.nodes[node_indices], local_triangles), node_indices
-
-    # ------------------------------------------------------------------ #
-    # transformations
-    # ------------------------------------------------------------------ #
-    def scaled(self, factor: float) -> "TriangularMesh":
-        """Return a copy with node coordinates scaled by ``factor``."""
-        return TriangularMesh(self.nodes * float(factor), self.triangles.copy())
-
-    def translated(self, offset: Sequence[float]) -> "TriangularMesh":
-        """Return a copy translated by ``offset``."""
-        return TriangularMesh(self.nodes + np.asarray(offset, dtype=np.float64), self.triangles.copy())
 
 
 def unique_edges(cells: np.ndarray, pairs, num_nodes: int) -> Tuple[np.ndarray, np.ndarray]:

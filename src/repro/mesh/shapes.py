@@ -6,8 +6,7 @@
 * :func:`formula1_mesh` — the "caricatural Formula 1" out-of-distribution
   test case of Fig. 5: an elongated car-like silhouette with holes (cockpit
   and wing stripes), much larger than the training meshes.
-* :func:`disk_mesh`, :func:`lshape_mesh` — auxiliary shapes used by tests,
-  examples and ablations.
+* :func:`disk_mesh`, :func:`lshape_mesh` — auxiliary test geometries.
 """
 
 from __future__ import annotations

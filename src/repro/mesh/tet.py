@@ -186,17 +186,6 @@ class TetrahedralMesh:
         node_indices, local_cells = induced_cells(self, node_indices)
         return TetrahedralMesh(self.nodes[node_indices], local_cells), node_indices
 
-    # ------------------------------------------------------------------ #
-    # transformations
-    # ------------------------------------------------------------------ #
-    def scaled(self, factor: float) -> "TetrahedralMesh":
-        """Return a copy with node coordinates scaled by ``factor``."""
-        return TetrahedralMesh(self.nodes * float(factor), self.cells.copy())
-
-    def translated(self, offset: Sequence[float]) -> "TetrahedralMesh":
-        """Return a copy translated by ``offset``."""
-        return TetrahedralMesh(self.nodes + np.asarray(offset, dtype=np.float64), self.cells.copy())
-
 
 def structured_box_mesh(
     nx: int,

@@ -11,7 +11,7 @@ Public surface:
 * :func:`~repro.partition.quality.analyse_partition` — diagnostics.
 """
 
-from .overlap import OverlappingDecomposition, expand_overlap, overlapping_subdomains
+from .overlap import OverlappingDecomposition, expand_overlap
 from .partitioner import Partition, partition_graph, partition_mesh, partition_mesh_target_size
 from .quality import PartitionReport, analyse_partition
 
@@ -22,7 +22,6 @@ __all__ = [
     "partition_mesh_target_size",
     "OverlappingDecomposition",
     "expand_overlap",
-    "overlapping_subdomains",
     "PartitionReport",
     "analyse_partition",
 ]

@@ -15,7 +15,7 @@ import scipy.sparse as sp
 from ..mesh.mesh import TriangularMesh, csr_neighbours
 from .partitioner import Partition
 
-__all__ = ["expand_overlap", "overlapping_subdomains", "OverlappingDecomposition"]
+__all__ = ["expand_overlap", "OverlappingDecomposition"]
 
 
 def expand_overlap(
@@ -88,12 +88,3 @@ class OverlappingDecomposition:
         for nodes in self.subdomain_nodes:
             count[nodes] += 1
         return count
-
-
-def overlapping_subdomains(
-    mesh: TriangularMesh,
-    partition: Partition,
-    overlap: int = 2,
-) -> List[np.ndarray]:
-    """Convenience wrapper returning only the overlapping node sets."""
-    return OverlappingDecomposition(mesh, partition, overlap).subdomain_nodes

@@ -30,7 +30,7 @@ Families
 ``convection-diffusion``
     **Nonsymmetric** ``-κΔu + b·∇u = f`` with a random constant advection
     direction (mesh-Péclet-scaled speed) — the smoke workload of the
-    ``gmres``/``bicgstab`` Krylov methods, which CG cannot solve.
+    ``gmres`` Krylov method, which CG cannot solve.
 """
 
 from __future__ import annotations

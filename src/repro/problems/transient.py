@@ -17,7 +17,7 @@ Families
     workload (``dim=3`` routing builds the mesh when none is given).
 ``convection-diffusion-transient``
     **Nonsymmetric** ``∂u/∂t − κΔu + b·∇u = f`` with row-mode Dirichlet
-    elimination, marched with ``gmres``/``bicgstab`` sessions.
+    elimination, marched with ``gmres`` sessions.
 """
 
 from __future__ import annotations
@@ -158,7 +158,7 @@ def _convection_diffusion_transient(
     The advection speed is scaled exactly as in the steady
     ``convection-diffusion`` family; the spatial operator (stiffness +
     convection) is nonsymmetric, so the step operator is eliminated in
-    ``"row"`` mode and marched through ``gmres``/``bicgstab`` sessions.
+    ``"row"`` mode and marched through ``gmres`` sessions.
     """
     lo = mesh.nodes.min(axis=0)
     hi = mesh.nodes.max(axis=0)

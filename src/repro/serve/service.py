@@ -86,8 +86,7 @@ from ..obs import trace as obs_trace
 from ..obs.metrics import merge_snapshots
 from ..solvers.config import SolverConfig
 from ..solvers.fingerprint import session_key
-from ..solvers.registry import preconditioner_spec
-from ..solvers.session import SolverSession
+from ..solvers.session import SolverSession, check_methods
 from .breaker import CircuitBreaker
 from .cache import SessionCache
 from .errors import DeadlineExceeded, InvalidRequest, ServiceOverloaded, WorkerCrashed
@@ -696,9 +695,10 @@ class SolveService:
                     return resolved
         assembled, spec = self._resolve_problem(problem)
         config = self._resolve_config(solver_config)
+        # the checks the session would make in whichever executor prepares it
+        _, preconditioner_kind = check_methods(assembled, config)
         key = None
-        if not (config.checkpoint and self.model is None
-                and preconditioner_spec(config.preconditioner).needs_model):
+        if not (config.checkpoint and self.model is None and preconditioner_kind.needs_model):
             key = session_key(assembled, config, self.model)
         resolved = _Resolved(assembled, spec, config, key)
         if memo_key is not None:

@@ -11,7 +11,7 @@ DDM-GNN solver:
 * the session serves any number of right-hand sides through
   :meth:`~repro.solvers.session.SolverSession.solve` and
   :meth:`~repro.solvers.session.SolverSession.solve_many` with zero re-setup;
-* Krylov methods (``cg``, ``gmres``, ``bicgstab``) and preconditioners
+* Krylov methods (``cg``, ``gmres``) and preconditioners
   (``ddm-gnn``, ``ddm-lu``, ``ddm-jacobi``, ``ic0``, ``none``) are resolved
   by name through decorator registries mirroring
   :mod:`repro.problems.registry`, so new methods plug in with no call-site

@@ -37,7 +37,7 @@ class SolverConfig:
         ``"ddm-gnn"``, ``"ddm-lu"``, ``"ddm-jacobi"``, ``"ic0"`` or
         ``"none"``.
     krylov:
-        Registered Krylov method (``"cg"``, ``"gmres"`` or ``"bicgstab"``).
+        Registered Krylov method (``"cg"`` or ``"gmres"``).
     krylov_kwargs:
         Extra keyword arguments forwarded to the Krylov method (e.g.
         ``{"restart": 30}`` for GMRES).

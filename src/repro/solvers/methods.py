@@ -1,7 +1,7 @@
-"""Built-in Krylov method registrations (``cg``, ``gmres``, ``bicgstab``).
+"""Built-in Krylov method registrations (``cg``, ``gmres``).
 
 The implementations live in :mod:`repro.krylov`; this module only adapts them
-to the registry contract.  All three already share the signature
+to the registry contract.  Both already share the signature
 ``solve(matrix, rhs, preconditioner=None, initial_guess=None, tolerance=...,
 max_iterations=None, **kwargs) -> SolveResult``, so the registrations are
 direct.
@@ -9,7 +9,6 @@ direct.
 
 from __future__ import annotations
 
-from ..krylov.bicgstab import bicgstab
 from ..krylov.block import lockstep_pcg
 from ..krylov.cg import preconditioned_conjugate_gradient
 from ..krylov.gmres import gmres
@@ -29,8 +28,3 @@ register_krylov(
     "gmres",
     description="Restarted GMRES(m) with Givens rotations (nonsymmetric operators)",
 )(gmres)
-
-register_krylov(
-    "bicgstab",
-    description="BiCGStab (van der Vorst; nonsymmetric operators, short recurrences)",
-)(bicgstab)

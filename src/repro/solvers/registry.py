@@ -6,7 +6,7 @@ the session layer, the benchmarks or the experiment harness.
 
 Two registries live here:
 
-* **Krylov methods** (``cg``, ``gmres``, ``bicgstab``): a method is a callable
+* **Krylov methods** (``cg``, ``gmres``): a method is a callable
   ``solve(matrix, rhs, preconditioner=None, initial_guess=None,
   tolerance=..., max_iterations=None, **kwargs) -> SolveResult``.  Extra
   keyword arguments (e.g. GMRES ``restart``) flow in through
@@ -22,8 +22,8 @@ Two registries live here:
 Registering and looking up:
 
 >>> from repro.solvers import available_krylov_methods, available_preconditioners
->>> [m for m in ("cg", "gmres", "bicgstab") if m in available_krylov_methods()]
-['cg', 'gmres', 'bicgstab']
+>>> [m for m in ("cg", "gmres") if m in available_krylov_methods()]
+['cg', 'gmres']
 >>> sorted(set(available_preconditioners()) & {"ddm-gnn", "ddm-lu", "ic0"})
 ['ddm-gnn', 'ddm-lu', 'ic0']
 """

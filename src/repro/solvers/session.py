@@ -34,7 +34,7 @@ import dataclasses
 import inspect
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from .fingerprint import session_key
 from .preconditioners import build_partition
 from .registry import KrylovSpec, PreconditionerSpec, krylov_spec, preconditioner_spec
 
-__all__ = ["SolverSession", "MultiSolveResult", "prepare"]
+__all__ = ["SolverSession", "MultiSolveResult", "check_methods", "prepare"]
 
 #: Krylov arguments the session always supplies itself; ``krylov_kwargs``
 #: entries with these names would collide at call time, so they are rejected
@@ -58,6 +58,30 @@ _RESERVED_KRYLOV_ARGS = frozenset(
     {"matrix", "rhs", "preconditioner", "initial_guess", "tolerance",
      "max_iterations", "stagnation_window"}
 )
+
+
+def check_methods(problem: Problem, config: SolverConfig) -> Tuple[KrylovSpec, PreconditionerSpec]:
+    """Look up ``config``'s Krylov method and preconditioner and check that
+    both suit ``problem``; raise ``ValueError`` for an unknown name, or for a
+    symmetric-only method or an SPD-only preconditioner on a nonsymmetric
+    operator.
+
+    Cheap (no setup runs), so a serving parent calls it before it routes a
+    request to a worker that would prepare the session.
+    """
+    krylov = krylov_spec(config.krylov)
+    preconditioner_kind = preconditioner_spec(config.preconditioner)
+    if krylov.symmetric_only and not getattr(problem, "symmetric", True):
+        raise ValueError(
+            f"Krylov method '{config.krylov}' assumes a symmetric operator but the "
+            f"problem is nonsymmetric; use krylov='gmres'"
+        )
+    if preconditioner_kind.spd_only and not getattr(problem, "symmetric", True):
+        raise ValueError(
+            f"preconditioner '{config.preconditioner}' requires a symmetric (SPD) "
+            f"operator but the problem is nonsymmetric"
+        )
+    return krylov, preconditioner_kind
 
 
 def _load_model_from_checkpoint(path: str):
@@ -170,18 +194,7 @@ class SolverSession:
             config = SolverConfig.from_dict(config)
         self.problem = problem
         self.config = config
-        self.krylov: KrylovSpec = krylov_spec(config.krylov)
-        self.preconditioner_kind: PreconditionerSpec = preconditioner_spec(config.preconditioner)
-        if self.krylov.symmetric_only and not getattr(problem, "symmetric", True):
-            raise ValueError(
-                f"Krylov method '{config.krylov}' assumes a symmetric operator but the "
-                f"problem is nonsymmetric; use krylov='gmres' or krylov='bicgstab'"
-            )
-        if self.preconditioner_kind.spd_only and not getattr(problem, "symmetric", True):
-            raise ValueError(
-                f"preconditioner '{config.preconditioner}' requires a symmetric (SPD) "
-                f"operator but the problem is nonsymmetric"
-            )
+        self.krylov, self.preconditioner_kind = check_methods(problem, config)
 
         # resolve the per-solve Krylov kwargs once, and reject unknown ones
         # here — before the expensive setup below, not on the first solve()
@@ -251,11 +264,9 @@ class SolverSession:
         # -- amortisation counters ------------------------------------------ #
         self.num_setups = 1
         self.num_solves = 0
-        self.total_solve_time = 0.0
 
         # -- degradation ladder (lazily prepared fallback rungs) ------------ #
         self._rungs: Dict[int, "SolverSession"] = {}
-        self.num_degraded = 0
 
         # -- concurrency ----------------------------------------------------- #
         #: serialises solves: the preconditioners reuse per-session scratch
@@ -379,7 +390,6 @@ class SolverSession:
         primary_error: Optional[Exception],
     ) -> SolveResult:
         """Walk the fallback ladder after a primary failure."""
-        self.num_degraded += 1
         primary_failure = (
             f"{type(primary_error).__name__}: {primary_error}"
             if primary_error is not None
@@ -426,7 +436,6 @@ class SolverSession:
         """Attach session accounting to a fresh result (first solve pays setup)."""
         first = self.num_solves == 0
         self.num_solves += 1
-        self.total_solve_time += result.elapsed_time
 
         config = self.config
         setup_s = self.setup_time if first else 0.0
@@ -628,38 +637,6 @@ class SolverSession:
         mutable state — only the immutable problem and model objects.
         """
         return SolverSession(self.problem, self.config, model=self.model)
-
-    # ------------------------------------------------------------------ #
-    def diagnostics(self) -> Dict[str, object]:
-        """Structured session diagnostics (setup stages, amortisation counters)."""
-        info: Dict[str, object] = {
-            "preconditioner_kind": self.config.preconditioner,
-            "krylov": self.config.krylov,
-            "num_setups": self.num_setups,
-            "num_solves": self.num_solves,
-            "setup_timings": dict(self.setup_timings),
-            "total_solve_time": self.total_solve_time,
-            "amortised_setup_s": self.setup_time / max(self.num_solves, 1),
-            "num_degraded": self.num_degraded,
-            "fallback": list(self.config.fallback),
-            "rungs_prepared": [
-                self.config.fallback[i] for i in sorted(self._rungs)
-            ],
-        }
-        if self.decomposition is not None:
-            info["num_subdomains"] = self.decomposition.num_subdomains
-            info["overlap"] = self.config.overlap
-        if isinstance(self.preconditioner, DDMGNNPreconditioner):
-            info["gnn_stats"] = self.preconditioner.inference_stats()
-        return info
-
-    def summary(self) -> str:
-        """One-line human-readable session summary."""
-        return (
-            f"SolverSession({self.config.preconditioner}+{self.config.krylov}, "
-            f"n={self.problem.num_dofs}, setup {self.setup_time:.3f}s, "
-            f"{self.num_solves} solve(s))"
-        )
 
 
 def _record_outcome(span, result: SolveResult) -> None:

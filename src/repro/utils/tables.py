@@ -8,69 +8,12 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence
 
-__all__ = ["format_table", "format_mean_std", "format_timing_split"]
+__all__ = ["format_table", "format_mean_std"]
 
 
 def format_mean_std(mean: float, std: float, digits: int = 1) -> str:
     """Render ``mean ± std`` the way the paper's tables do (e.g. ``22±1``)."""
     return f"{mean:.{digits}f}±{std:.{digits}f}"
-
-
-def format_timing_split(result, digits: int = 3) -> str:
-    """Render a solve's wall-clock split ``total = preconditioner + krylov``.
-
-    ``result`` is any object with ``elapsed_time``, ``preconditioner_time``
-    and ``krylov_time`` attributes — i.e. a
-    :class:`~repro.krylov.result.SolveResult` (the paper's Table III separates
-    the preconditioner time T_lu/T_gnn from the total solve time T the same
-    way).  Results that came through the serve layer additionally carry
-    ``info["queue_s"]`` (time spent in the micro-batching queue) and
-    ``info["batch_size"]``; when present they are rendered as a leading
-    queue term and a batch annotation.  Results produced by a time march
-    (:func:`repro.timestepping.march.march` stamps ``step_index``/``steps``
-    and ``amortized_step_ms``) get a trailing step annotation with the
-    march's amortised per-step cost.
-
-    >>> class R:
-    ...     elapsed_time, preconditioner_time, krylov_time = 1.5, 1.2, 0.3
-    >>> format_timing_split(R())
-    '1.500s = 1.200s precond + 0.300s krylov'
-    >>> class S(R):
-    ...     info = {"queue_s": 0.25, "batch_size": 4}
-    >>> format_timing_split(S())
-    '1.750s = 0.250s queue + 1.200s precond + 0.300s krylov [batch of 4]'
-    >>> class M(R):
-    ...     info = {"step_index": 2, "steps": 50, "amortized_step_ms": 1.81}
-    >>> format_timing_split(M())
-    '1.500s = 1.200s precond + 0.300s krylov [step 3/50, 1.810 ms/step amortized]'
-    """
-    info = getattr(result, "info", None) or {}
-    queue_s = info.get("queue_s")
-    if queue_s is None:
-        text = (
-            f"{result.elapsed_time:.{digits}f}s = "
-            f"{result.preconditioner_time:.{digits}f}s precond + "
-            f"{result.krylov_time:.{digits}f}s krylov"
-        )
-    else:
-        total = result.elapsed_time + float(queue_s)
-        text = (
-            f"{total:.{digits}f}s = "
-            f"{float(queue_s):.{digits}f}s queue + "
-            f"{result.preconditioner_time:.{digits}f}s precond + "
-            f"{result.krylov_time:.{digits}f}s krylov"
-        )
-    batch_size = info.get("batch_size")
-    if batch_size is not None:
-        text += f" [batch of {int(batch_size)}]"
-    steps = info.get("steps")
-    if steps is not None:
-        step_text = f"step {int(info.get('step_index', 0)) + 1}/{int(steps)}"
-        step_ms = info.get("amortized_step_ms")
-        if step_ms is not None:
-            step_text += f", {float(step_ms):.3f} ms/step amortized"
-        text += f" [{step_text}]"
-    return text
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]], title: str = "") -> str:

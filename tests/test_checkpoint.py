@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core import DDMGNNPreconditioner
 from repro.gnn import (
     DSS,
     DSSConfig,
@@ -32,7 +31,6 @@ from repro.gnn.checkpoint import CHECKPOINT_SCHEMA_VERSION, CheckpointError
 from repro.mesh import structured_rectangle_mesh
 from repro.nn.optim import Adam
 from repro.nn.schedulers import ReduceLROnPlateau
-from repro.partition import OverlappingDecomposition, partition_mesh_target_size
 from repro.solvers import SolverConfig, prepare
 
 
@@ -333,21 +331,3 @@ class TestCoreLoading:
         z = preconditioner.apply(random_problem.rhs)
         assert z.shape == random_problem.rhs.shape
         assert np.all(np.isfinite(z))
-
-    def test_ddm_gnn_preconditioner_from_checkpoint(self, tmp_path, random_problem):
-        model = DSS(TINY)
-        path = tmp_path / "precond.npz"
-        save_checkpoint(path, model)
-        partition = partition_mesh_target_size(
-            random_problem.mesh, 80, rng=np.random.default_rng(0)
-        )
-        decomposition = OverlappingDecomposition(random_problem.mesh, partition, overlap=2)
-        preconditioner = DDMGNNPreconditioner.from_checkpoint(
-            random_problem.matrix, random_problem.mesh, decomposition, str(path)
-        )
-        reference = DDMGNNPreconditioner(
-            random_problem.matrix, random_problem.mesh, decomposition, model
-        )
-        z_a = preconditioner.apply(random_problem.rhs)
-        z_b = reference.apply(random_problem.rhs)
-        assert np.array_equal(z_a, z_b)

@@ -51,6 +51,42 @@ def test_local_actions_exist():
             f"ci.yml uses ./{action}, which has no action.yml")
 
 
+def doctest_step_paths(text: str) -> set:
+    """The paths each ``--doctest-modules`` command collects from: the ones it
+    names before the workflow's next list item."""
+    paths = set()
+    for command in text.split("--doctest-modules")[1:]:
+        step = re.split(r"\n\s*- ", command, maxsplit=1)[0]
+        paths |= referenced_paths(step)
+    return paths
+
+
+def modules_with_doctests() -> list:
+    return sorted(
+        str(path.relative_to(REPO_ROOT)) for path in (REPO_ROOT / "src").rglob("*.py")
+        if any(line.lstrip().startswith(">>>") for line in path.read_text().splitlines()))
+
+
+def test_doctest_step_scanner():
+    text = ('      - name: Doctest pass\n'
+            '        run: >\n'
+            '          python -m pytest --doctest-modules -q\n'
+            '          src/repro/fem/assembly.py\n'
+            '          src/repro/nn\n'
+            '      - name: Next\n'
+            '        run: python -m pytest tests/test_x.py\n')
+    assert doctest_step_paths(text) == {"src/repro/fem/assembly.py", "src/repro/nn"}
+
+
+@pytest.mark.parametrize("module", modules_with_doctests())
+def test_doctest_step_collects_module(module):
+    """A module's ``>>>`` examples run in CI only if the doctest step names
+    the module or a directory above it."""
+    covered = doctest_step_paths(WORKFLOW.read_text())
+    assert any(module == path or module.startswith(path + "/") for path in covered), (
+        f"{module} has doctests, which ci.yml's --doctest-modules step does not collect")
+
+
 def test_workflow_names_the_surviving_scripts():
     paths = referenced_paths(WORKFLOW.read_text())
     assert {"benchmarks/ledger/run.py", "benchmarks/check_obs_overhead.py",

@@ -10,7 +10,6 @@ import scipy.sparse.linalg as spla
 from repro.core import ddm_gnn as ddm_gnn_module
 from repro.core import (
     DDMGNNPreconditioner,
-    LocalProblemDataset,
     build_subdomain_geometries,
     generate_dataset,
     harvest_local_problems,
@@ -114,23 +113,6 @@ class TestHarvesting:
     def test_generate_dataset_invalid_split(self):
         with pytest.raises(ValueError):
             generate_dataset(num_global_problems=1, split=(0.5, 0.2, 0.2), rng=np.random.default_rng(0))
-
-    def test_dataset_save_load_roundtrip(self, tmp_path):
-        ds = generate_dataset(
-            num_global_problems=1,
-            mesh_element_size=0.14,
-            subdomain_size=50,
-            tolerance=1e-2,
-            rng=np.random.default_rng(2),
-        )
-        path = str(tmp_path / "dataset.npz")
-        ds.save(path)
-        loaded = LocalProblemDataset.load(path)
-        assert loaded.sizes == ds.sizes
-        original, restored = ds.train[0], loaded.train[0]
-        assert np.allclose(original.positions, restored.positions)
-        assert np.allclose(original.source, restored.source)
-        assert np.allclose(original.matrix.toarray(), restored.matrix.toarray())
 
 
 # --------------------------------------------------------------------------- #

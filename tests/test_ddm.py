@@ -20,7 +20,7 @@ from repro.ddm import (
     extract_local_matrices,
     restriction_matrix,
 )
-from repro.krylov import conjugate_gradient, preconditioned_conjugate_gradient
+from repro.krylov import preconditioned_conjugate_gradient
 
 
 # --------------------------------------------------------------------------- #
@@ -235,7 +235,7 @@ class TestASM:
 
     def test_pcg_with_asm_converges_faster_than_cg(self, random_problem, small_decomposition):
         asm = AdditiveSchwarzPreconditioner(random_problem.matrix, small_decomposition, levels=2)
-        plain = conjugate_gradient(random_problem.matrix, random_problem.rhs, tolerance=1e-8)
+        plain = preconditioned_conjugate_gradient(random_problem.matrix, random_problem.rhs, tolerance=1e-8)
         pre = preconditioned_conjugate_gradient(
             random_problem.matrix, random_problem.rhs, preconditioner=asm, tolerance=1e-8
         )

@@ -34,7 +34,7 @@ from repro.krylov import preconditioned_conjugate_gradient
 from repro.krylov.result import SolveResult
 from repro.partition import OverlappingDecomposition, partition_mesh_target_size
 from repro.solvers import SolverConfig, prepare
-from repro.utils import format_timing_split, sparse
+from repro.utils import sparse
 
 
 @pytest.fixture(scope="module")
@@ -1244,10 +1244,6 @@ class TestTimingSplit:
         # never negative, even with measurement jitter
         result = SolveResult(np.zeros(2), True, 1, elapsed_time=1.0, preconditioner_time=1.0000001)
         assert result.krylov_time == 0.0
-
-    def test_format_timing_split(self):
-        result = SolveResult(np.zeros(2), True, 1, elapsed_time=2.0, preconditioner_time=1.5)
-        assert format_timing_split(result) == "2.000s = 1.500s precond + 0.500s krylov"
 
     def test_pcg_records_split(self, random_problem, small_decomposition):
         asm = AdditiveSchwarzPreconditioner(random_problem.matrix, small_decomposition, levels=2)

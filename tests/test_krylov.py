@@ -12,8 +12,6 @@ from repro.ddm import AdditiveSchwarzPreconditioner
 from repro.krylov import (
     IncompleteCholeskyPreconditioner,
     SolveResult,
-    bicgstab,
-    conjugate_gradient,
     failures,
     gmres,
     incomplete_cholesky,
@@ -35,28 +33,28 @@ class TestCG:
         a = _spd_matrix(50, 0)
         x_true = np.random.default_rng(1).normal(size=50)
         b = a @ x_true
-        result = conjugate_gradient(a, b, tolerance=1e-10)
+        result = preconditioned_conjugate_gradient(a, b, tolerance=1e-10)
         assert result.converged
         assert np.linalg.norm(result.solution - x_true) / np.linalg.norm(x_true) < 1e-7
 
     def test_cg_matches_scipy(self):
         a = _spd_matrix(40, 2)
         b = np.random.default_rng(3).normal(size=40)
-        ours = conjugate_gradient(a, b, tolerance=1e-10).solution
+        ours = preconditioned_conjugate_gradient(a, b, tolerance=1e-10).solution
         theirs, info = sp.linalg.cg(a, b, rtol=1e-12, atol=0.0)
         assert info == 0
         assert np.allclose(ours, theirs, atol=1e-6)
 
     def test_residual_history_monotone_overall(self, random_problem):
         """The recorded relative residual ends below the tolerance and starts at 1."""
-        result = conjugate_gradient(random_problem.matrix, random_problem.rhs, tolerance=1e-8)
+        result = preconditioned_conjugate_gradient(random_problem.matrix, random_problem.rhs, tolerance=1e-8)
         assert result.residual_history[0] == pytest.approx(1.0)
         assert result.residual_history[-1] < 1e-8
         assert result.iterations + 1 == len(result.residual_history)
 
     def test_zero_rhs(self):
         a = _spd_matrix(10, 4)
-        result = conjugate_gradient(a, np.zeros(10))
+        result = preconditioned_conjugate_gradient(a, np.zeros(10))
         assert result.converged
         assert np.allclose(result.solution, 0.0)
 
@@ -69,19 +67,19 @@ class TestCG:
         assert warm.converged
 
     def test_max_iterations_cap(self, random_problem):
-        result = conjugate_gradient(random_problem.matrix, random_problem.rhs, tolerance=1e-14, max_iterations=3)
+        result = preconditioned_conjugate_gradient(random_problem.matrix, random_problem.rhs, tolerance=1e-14, max_iterations=3)
         assert result.iterations == 3
         assert not result.converged
 
     def test_dense_matrix_accepted(self):
         a = _spd_matrix(20, 7).toarray()
         b = np.ones(20)
-        result = conjugate_gradient(a, b, tolerance=1e-10)
+        result = preconditioned_conjugate_gradient(a, b, tolerance=1e-10)
         assert result.converged
 
     def test_non_spd_matrix_stops_gracefully(self):
         a = sp.diags([-1.0] * 5).tocsr()
-        result = conjugate_gradient(a, np.ones(5), tolerance=1e-10, max_iterations=10)
+        result = preconditioned_conjugate_gradient(a, np.ones(5), tolerance=1e-10, max_iterations=10)
         assert not result.converged
 
     def test_callback_invoked(self, random_problem):
@@ -113,7 +111,7 @@ class TestCG:
 
         # run CG with increasing max_iterations to sample the error trajectory
         for iters in (1, 3, 6):
-            result = conjugate_gradient(a, b, tolerance=0.0, max_iterations=iters)
+            result = preconditioned_conjugate_gradient(a, b, tolerance=0.0, max_iterations=iters)
             e = result.solution - x_true
             errors.append(float(e @ (a @ e)))
         assert errors[0] >= errors[1] - 1e-9
@@ -126,7 +124,7 @@ class TestPCG:
         with_pre = preconditioned_conjugate_gradient(
             random_problem.matrix, random_problem.rhs, preconditioner=asm, tolerance=1e-10
         )
-        without = conjugate_gradient(random_problem.matrix, random_problem.rhs, tolerance=1e-10)
+        without = preconditioned_conjugate_gradient(random_problem.matrix, random_problem.rhs, tolerance=1e-10)
         assert np.allclose(with_pre.solution, without.solution, atol=1e-5)
 
     def test_preconditioner_time_recorded(self, random_problem, small_decomposition):
@@ -164,7 +162,7 @@ class TestIC0:
             incomplete_cholesky(a)
 
     def test_ic0_preconditioner_accelerates_cg(self, random_problem):
-        plain = conjugate_gradient(random_problem.matrix, random_problem.rhs, tolerance=1e-8)
+        plain = preconditioned_conjugate_gradient(random_problem.matrix, random_problem.rhs, tolerance=1e-8)
         ic = IncompleteCholeskyPreconditioner(random_problem.matrix)
         pre = preconditioned_conjugate_gradient(
             random_problem.matrix, random_problem.rhs, preconditioner=ic, tolerance=1e-8
@@ -211,15 +209,6 @@ class TestIC0:
 
 
 class TestOtherKrylov:
-    def test_bicgstab_solves(self, random_problem):
-        result = bicgstab(random_problem.matrix, random_problem.rhs, tolerance=1e-8)
-        assert result.converged
-        assert random_problem.relative_residual_norm(result.solution) < 1e-6
-
-    def test_bicgstab_zero_rhs(self):
-        a = _spd_matrix(10, 8)
-        assert bicgstab(a, np.zeros(10)).converged
-
     def test_gmres_solves_spd(self, random_problem):
         result = gmres(random_problem.matrix, random_problem.rhs, tolerance=1e-8, restart=60)
         assert result.converged
@@ -278,7 +267,7 @@ class TestFailureTaxonomy:
         a = _spd_matrix(10, 11)
         b = np.ones(10)
         b[3] = np.nan
-        result = conjugate_gradient(a, b, max_iterations=50)
+        result = preconditioned_conjugate_gradient(a, b, max_iterations=50)
         assert not result.converged
         assert result.failed
         assert result.failure_reason == failures.NON_FINITE_RHS
@@ -294,7 +283,7 @@ class TestFailureTaxonomy:
 
     def test_indefinite_operator_detected(self):
         a = sp.diags([-1.0] * 8).tocsr()
-        result = conjugate_gradient(a, np.ones(8), tolerance=1e-12, max_iterations=50)
+        result = preconditioned_conjugate_gradient(a, np.ones(8), tolerance=1e-12, max_iterations=50)
         assert not result.converged
         assert result.failure_reason == failures.INDEFINITE_OPERATOR
         assert result.iterations < 50  # terminated early, not looped to the cap
@@ -302,7 +291,7 @@ class TestFailureTaxonomy:
     def test_nan_operator_detected(self):
         a = _spd_matrix(10, 13).toarray()
         a[4, 4] = np.nan
-        result = conjugate_gradient(a, np.ones(10), max_iterations=50)
+        result = preconditioned_conjugate_gradient(a, np.ones(10), max_iterations=50)
         assert not result.converged
         assert result.failure_reason in (
             failures.NON_FINITE_OPERATOR, failures.NON_FINITE_RESIDUAL)
@@ -322,7 +311,7 @@ class TestFailureTaxonomy:
 
     def test_summary_mentions_reason(self):
         a = sp.diags([-1.0] * 5).tocsr()
-        result = conjugate_gradient(a, np.ones(5), max_iterations=10)
+        result = preconditioned_conjugate_gradient(a, np.ones(5), max_iterations=10)
         assert result.failure_reason in result.summary()
 
     def test_describe_and_is_breakdown(self):
@@ -332,7 +321,7 @@ class TestFailureTaxonomy:
         for reason in failures.FAILURE_REASONS:
             assert failures.describe(reason) != "unknown failure"
 
-    # -- gmres / bicgstab ------------------------------------------------ #
+    # -- gmres ------------------------------------------------------------ #
     def test_gmres_nan_operator(self):
         a = np.eye(10)
         a[2, 2] = np.nan
@@ -357,28 +346,10 @@ class TestFailureTaxonomy:
         assert not result.converged
         assert result.failure_reason == failures.STAGNATION
 
-    def test_bicgstab_nan_operator(self):
-        a = np.eye(10)
-        a[0, 0] = np.nan
-        result = bicgstab(a, np.ones(10), max_iterations=30)
-        assert not result.converged
-        assert result.failure_reason in (
-            failures.NON_FINITE_OPERATOR, failures.NON_FINITE_RESIDUAL,
-            failures.RHO_BREAKDOWN)
-
-    def test_bicgstab_singular_operator_stops_with_reason(self):
-        a = sp.diags([1.0] * 9 + [0.0]).tocsr()
-        result = bicgstab(a, np.ones(10), tolerance=1e-12, max_iterations=40)
-        assert not result.converged
-        assert result.failure_reason in failures.FAILURE_REASONS
-        assert np.isfinite(result.solution).all()
-
-    def test_bicgstab_non_finite_rhs(self):
+    def test_gmres_non_finite_rhs(self):
         a = _spd_matrix(10, 16)
         b = np.ones(10)
         b[0] = np.inf
-        result = bicgstab(a, b)
-        assert result.failure_reason == failures.NON_FINITE_RHS
         result = gmres(a, b)
         assert result.failure_reason == failures.NON_FINITE_RHS
 

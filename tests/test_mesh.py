@@ -197,12 +197,6 @@ class TestTriangularMesh:
         for tri in sub.triangles:
             assert frozenset(global_ids[tri].tolist()) in parent_sets
 
-    def test_scaled_and_translated(self, unit_square_mesh):
-        scaled = unit_square_mesh.scaled(2.0)
-        assert scaled.total_area == pytest.approx(4.0 * unit_square_mesh.total_area)
-        moved = unit_square_mesh.translated([1.0, -2.0])
-        assert np.allclose(moved.nodes.mean(axis=0), unit_square_mesh.nodes.mean(axis=0) + [1.0, -2.0])
-
     def test_invalid_triangle_index_rejected(self):
         with pytest.raises(ValueError):
             TriangularMesh(np.zeros((3, 2)), np.array([[0, 1, 5]]))
@@ -212,11 +206,6 @@ class TestTriangularMesh:
             TriangularMesh(np.zeros((3, 3)), np.array([[0, 1, 2]]))
         with pytest.raises(ValueError):
             TriangularMesh(np.zeros((3, 2)), np.array([[0, 1]]))
-
-    def test_node_neighbours(self):
-        mesh = structured_rectangle_mesh(2, 2)
-        centre = 4  # middle node of a 3x3 grid
-        assert len(mesh.node_neighbours(centre)) >= 4
 
 
 # --------------------------------------------------------------------------- #

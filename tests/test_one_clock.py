@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.krylov import bicgstab, gmres, lockstep_pcg, preconditioned_conjugate_gradient
+from repro.krylov import gmres, lockstep_pcg, preconditioned_conjugate_gradient
 from repro.obs import trace as obs_trace
 from repro.obs.trace import Span
 from repro.serve import ServeConfig, ServeHTTPServer, ShardConfig, ShardedSolveService, SolveService, proto
@@ -71,7 +71,7 @@ def ic0(random_problem):
     return prepare(random_problem, SolverConfig(preconditioner="ic0")).preconditioner
 
 
-@pytest.mark.parametrize("solver", [preconditioned_conjugate_gradient, gmres, bicgstab])
+@pytest.mark.parametrize("solver", [preconditioned_conjugate_gradient, gmres])
 def test_single_rhs_views_equal_the_record(solver, random_problem, ic0):
     b = np.random.default_rng(1).standard_normal(random_problem.num_dofs)
     obs_trace.enable_tracing()

@@ -16,7 +16,6 @@ from repro.partition import (
     Partition,
     analyse_partition,
     expand_overlap,
-    overlapping_subdomains,
     partition_graph,
     partition_mesh,
     partition_mesh_target_size,
@@ -128,9 +127,9 @@ class TestOverlap:
         for core, full in zip(small_decomposition.core_nodes, small_decomposition.subdomain_nodes):
             assert np.all(np.isin(core, full))
 
-    def test_overlapping_subdomains_helper(self, random_mesh):
+    def test_one_subdomain_per_part(self, random_mesh):
         part = partition_mesh_target_size(random_mesh, 100, rng=np.random.default_rng(1))
-        subs = overlapping_subdomains(random_mesh, part, overlap=1)
+        subs = OverlappingDecomposition(random_mesh, part, overlap=1).subdomain_nodes
         assert len(subs) == part.num_parts
 
 

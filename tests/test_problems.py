@@ -371,9 +371,7 @@ class TestKappaAwareGraphs:
             has_equilibration = all(g.equilibration is not None for g in preconditioner.geometries)
             assert has_equilibration is expect, f"gnn_equilibrate={flag}"
 
-    def test_heterogeneous_dataset_save_load_keeps_node_attr(self, tmp_path):
-        from repro.core import LocalProblemDataset
-
+    def test_heterogeneous_dataset_carries_node_attr(self):
         dataset = generate_dataset(
             num_global_problems=1,
             mesh_element_size=0.14,
@@ -384,10 +382,6 @@ class TestKappaAwareGraphs:
             problem_kwargs={"contrast": 100.0},
         )
         assert all(g.node_attr is not None for g in dataset.train)
-        path = str(tmp_path / "het.npz")
-        dataset.save(path)
-        loaded = LocalProblemDataset.load(path)
-        assert np.allclose(loaded.train[0].node_attr, dataset.train[0].node_attr)
 
 
 # --------------------------------------------------------------------------- #

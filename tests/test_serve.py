@@ -27,7 +27,6 @@ from repro.serve import (
     build_problem_from_spec,
 )
 from repro.solvers import SolverConfig, prepare, session_key
-from repro.utils import format_timing_split
 
 
 @pytest.fixture(scope="module")
@@ -262,7 +261,7 @@ class TestFingerprints:
                 monkeypatch.setattr(_native, "_kernels", None)
             session = prepare(serve_problem, config, model=tiny_dss_model)
             result = session.solve()
-            assert result.info["kernel"] == session.diagnostics()["gnn_stats"]["kernel"]
+            assert result.info["kernel"] == session.preconditioner.inference_stats()["kernel"]
             keys.append(session_key(serve_problem, config, tiny_dss_model))
             fingerprints.append((session.fingerprint(), config.config_hash()))
             solutions.append(result.solution)
@@ -409,9 +408,6 @@ class TestSolveService:
         for result in results:
             assert result.info["queue_s"] >= 0.0
             assert "worker" in result.info
-            # the timing-split satellite: queue/batch render when present
-            text = format_timing_split(result)
-            assert "queue" in text and "batch of" in text
 
     def test_default_rhs_and_problem_spec(self):
         spec = {"family": "poisson", "target_n": 150, "seed": 4}
@@ -614,6 +610,35 @@ class TestDispatchWhenReady:
         assert not errors
         # 1.98 / 3.93 / 7.83 measured; the lone warm-up solve is one batch of 1
         assert stats["mean_batch_size"] >= 0.75 * clients
+
+
+CONVECTION = {"family": "convection-diffusion", "target_n": 150, "seed": 1}
+
+#: requests no session can serve: an unknown Krylov method, a symmetric-only
+#: method or an SPD-only preconditioner on a nonsymmetric operator
+UNSERVABLE = [
+    (SPEC, {"krylov": "nope"}),
+    (SPEC, {"krylov": "bicgstab"}),
+    (CONVECTION, {"preconditioner": "ddm-lu", "krylov": "cg"}),
+    (CONVECTION, {"preconditioner": "ic0", "krylov": "gmres"}),
+]
+
+
+class TestUnservableConfigs:
+    def test_refused_before_any_executor(self, http_stack):
+        """Both executors answer 400 ``invalid_request`` and key no breaker;
+        a worker process used to answer 500 ``internal`` and count each one
+        against the key's breaker."""
+        service, client = http_stack(ServeConfig(workers=1))
+        for spec, config in UNSERVABLE:
+            config = dict(config, fallback=["ddm-jacobi"])
+            with pytest.raises(InvalidRequest):
+                service.submit(spec, solver_config=config)
+            with pytest.raises(ServeClientError) as excinfo:
+                client.solve(problem=spec, config=config)
+            assert (excinfo.value.status, excinfo.value.code) == (400, "invalid_request")
+        assert service.health()["breakers"]["total"] == 0
+        assert service.stats()["requests"] == 0
 
 
 def _http_roots(count, timeout=10.0):

@@ -23,7 +23,6 @@ from repro.timestepping import (
     validate_scheme,
     validate_steps,
 )
-from repro.utils.tables import format_timing_split
 
 DDM_LU = SolverConfig(preconditioner="ddm-lu", subdomain_size=80, tolerance=1e-10)
 
@@ -207,11 +206,6 @@ class TestMarch:
         assert "3 steps converged" in text
         assert "ms/step amortized" in text
         assert "dt=0.02" in text
-
-    def test_format_timing_split_annotates_march_steps(self, heat_session):
-        result = heat_session.march(steps=2)
-        text = format_timing_split(result.results[-1])
-        assert "[step 2/2" in text and "ms/step amortized]" in text
 
     def test_nonsymmetric_transient_marches_through_gmres(self):
         mesh = structured_rectangle_mesh(8, 8)
