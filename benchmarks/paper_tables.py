@@ -385,7 +385,7 @@ def family_sweep(checks):
     meshes = {2: random_domain_mesh(radius=1.0, element_size=0.1, rng=rng), 3: box_mesh_for_target_size(512)}
     rows = []
     for name in available_problems():
-        dim = int(problem_spec(name).default_kwargs.get("dim", 2))
+        dim = problem_spec(name).dim
         problem = make_problem(name, mesh=meshes[dim], rng=np.random.default_rng(3))
         counts, converged = {}, True
         for kind in ("ddm-lu", "ic0", "none"):

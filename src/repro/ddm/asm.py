@@ -14,13 +14,12 @@ varies, and ``variant`` names the rest of the skeleton:
   (:class:`~repro.core.ddm_gnn.DDMGNNPreconditioner`); flexible Krylov lets
   it be non-symmetric.
 
-All preconditioners expose ``apply(r) -> z``, its block form
-``apply_columns(R) -> Z`` and an ``aslinearoperator()`` helper so they can be
-plugged into any Krylov routine.  A class implements **one** of the two
-(:class:`Preconditioner` derives the other); the Schwarz family implements
-the block form, so a single residual runs the ``k = 1`` case of the very
-pipeline a lockstep block runs — gather, local solves, gluing and coarse
-correction each exist once.
+All preconditioners expose ``apply(r) -> z`` and its block form
+``apply_columns(R) -> Z``, so they plug into any Krylov routine.  A class
+implements **one** of the two (:class:`Preconditioner` derives the other);
+the Schwarz family implements the block form, so a single residual runs the
+``k = 1`` case of the very pipeline a lockstep block runs — gather, local
+solves, gluing and coarse correction each exist once.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from typing import Literal, Optional
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ..obs import trace as obs_trace
 from ..partition.overlap import OverlappingDecomposition
@@ -88,11 +86,6 @@ class Preconditioner:
         for i in range(residuals.shape[1]):
             out[:, i] = self.apply(np.ascontiguousarray(residuals[:, i]))
         return out
-
-    def aslinearoperator(self) -> spla.LinearOperator:
-        """Wrap as a SciPy ``LinearOperator`` (for use with ``scipy`` Krylov solvers)."""
-        n = self.shape[0]
-        return spla.LinearOperator((n, n), matvec=self.apply)
 
     @property
     def shape(self) -> tuple:  # pragma: no cover - interface

@@ -8,8 +8,8 @@ uniformly in [-10, 10]:
     g(x, y) = r4 x^2 + r5 y^2 + r6 x y + r7 x + r8 y + r9
 
 When a mesh is scaled up (growing radius at fixed element size) the functions
-are rescaled accordingly; :meth:`PolynomialField.rescaled` implements that by
-evaluating the polynomial in normalised coordinates ``(x/s, y/s)``.
+are rescaled accordingly: a field's ``scale`` evaluates the polynomial in
+normalised coordinates ``(x/s, y/s)``.
 """
 
 from __future__ import annotations
@@ -50,10 +50,6 @@ class PolynomialField:
             + self.e * ys
             + self.f
         )
-
-    def rescaled(self, scale: float) -> "PolynomialField":
-        """Return the same polynomial evaluated in coordinates divided by ``scale``."""
-        return PolynomialField(self.a, self.b, self.c, self.d, self.e, self.f, scale=float(scale))
 
 
 def random_forcing(rng: Optional[np.random.Generator] = None, scale: float = 1.0) -> PolynomialField:

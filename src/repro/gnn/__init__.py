@@ -6,13 +6,14 @@ Public surface:
   solver (paper Fig. 3).
 * :class:`~repro.gnn.graph.GraphProblem`,
   :func:`~repro.gnn.graph.graph_from_mesh` — graph-structured local problems.
-* :class:`~repro.gnn.batch.GraphBatch` — disjoint-union batching.
+* :class:`~repro.gnn.batch.GraphBatch` — disjoint-union batching, the one
+  batch type: a forward runs on it, a plan compiles from it.
 * :class:`~repro.gnn.infer.EdgeLayout` — the destination-sorted edges and
   the one edge pass (and its VJP) every forward, training or compiled,
   runs on.
-* :class:`~repro.gnn.batch.BatchPlan`,
-  :class:`~repro.gnn.infer.InferencePlan` — precompiled iteration-time fast
-  path (``DSS.compile_plan`` / ``DSS.infer``).
+* :class:`~repro.gnn.infer.InferencePlan` — a batch compiled onto its edge
+  layout: the iteration-time fast path (``DSS.compile_plan`` /
+  ``DSS.infer_columns``).
 * :class:`~repro.gnn.mpnn.DSSBlock`, :class:`~repro.gnn.mpnn.Decoder` —
   message-passing building blocks; ``block(latent, node_input, edges)``
   returns the new latent state and its hand-written backward.
@@ -30,7 +31,7 @@ Public surface:
   bit-identical round-trips and deterministic training resume.
 """
 
-from .batch import BatchPlan, GraphBatch
+from .batch import GraphBatch
 from .checkpoint import (
     Checkpoint,
     CheckpointError,
@@ -52,7 +53,6 @@ __all__ = [
     "GraphProblem",
     "graph_from_mesh",
     "GraphBatch",
-    "BatchPlan",
     "EdgeLayout",
     "InferencePlan",
     "DSSBlock",

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from .graph import GraphProblem
 
-__all__ = ["GraphBatch", "BatchPlan", "MessageOperators", "message_operators"]
+__all__ = ["GraphBatch", "MessageOperators", "message_operators"]
 
 
 def _pad_columns(array: np.ndarray, width: int) -> np.ndarray:
@@ -84,20 +84,19 @@ def message_operators(edge_index: np.ndarray, num_nodes: int, dtype=np.float64) 
 class GraphBatch:
     """A disjoint union of :class:`GraphProblem` objects.
 
-    Node arrays are concatenated; edge indices are shifted by the cumulative
-    node offsets so each sub-graph keeps to itself.  ``node_graph_index`` maps
-    every node of the batch back to its source graph, allowing the results to
-    be split again after inference.
+    The per-node inputs the DSS reads (``source``, ``node_attr``) are
+    concatenated; edge indices are shifted by the cumulative node offsets so
+    each sub-graph keeps to itself, and stay in graph order: the
+    :class:`~repro.gnn.infer.EdgeLayout` a forward or a plan runs on sorts
+    them by destination.  ``node_offsets`` splits the results again after
+    inference.
     """
 
     graphs: List[GraphProblem]
-    positions: np.ndarray
     edge_index: np.ndarray
     edge_attr: np.ndarray
     source: np.ndarray
-    dirichlet_mask: np.ndarray
     node_offsets: np.ndarray
-    node_graph_index: np.ndarray
     node_attr: Optional[np.ndarray] = None
 
     @classmethod
@@ -119,7 +118,6 @@ class GraphBatch:
             raise ValueError("cannot batch an empty list of graphs")
         sizes = np.array([g.num_nodes for g in graphs], dtype=np.int64)
         offsets = np.concatenate([[0], np.cumsum(sizes)])
-        positions = np.vstack([g.positions for g in graphs])
         edge_index = np.hstack(
             [g.edge_index + offsets[i] for i, g in enumerate(graphs)]
         ) if any(g.num_edges for g in graphs) else np.zeros((2, 0), dtype=np.int64)
@@ -133,8 +131,6 @@ class GraphBatch:
             else np.zeros((0, edge_attr_dim))
         )
         source = np.concatenate([g.source for g in graphs])
-        dirichlet = np.concatenate([g.dirichlet_mask for g in graphs])
-        node_graph_index = np.repeat(np.arange(len(graphs)), sizes)
         # κ node features: zero-fill graphs that carry none instead of
         # silently dropping the feature for the whole batch
         if node_attr_dim is None:
@@ -153,13 +149,10 @@ class GraphBatch:
             ])
         return cls(
             graphs=list(graphs),
-            positions=positions,
             edge_index=edge_index,
             edge_attr=edge_attr,
             source=source,
-            dirichlet_mask=dirichlet,
             node_offsets=offsets,
-            node_graph_index=node_graph_index,
             node_attr=node_attr,
         )
 
@@ -187,7 +180,7 @@ class GraphBatch:
 
     @property
     def num_nodes(self) -> int:
-        return int(self.positions.shape[0])
+        return int(self.node_offsets[-1])
 
     @property
     def num_edges(self) -> int:
@@ -221,82 +214,3 @@ class GraphBatch:
         matrix = sp.block_diag(blocks, format="csr")
         object.__setattr__(self, "_block_matrix", matrix)
         return matrix
-
-    def compile_plan(self) -> "BatchPlan":
-        """Freeze this batch into a :class:`BatchPlan` for iteration-time reuse."""
-        return BatchPlan.from_batch(self)
-
-
-@dataclass
-class BatchPlan:
-    """Precompiled, residual-independent description of a fixed graph batch.
-
-    Everything about a batch that a Krylov solve reuses on every
-    preconditioner application — the concatenated edge index, the padded
-    node/edge attributes, the Dirichlet mask, the segment offsets — is
-    computed once here.  The only mutable piece of state
-    is the preallocated ``source`` buffer: :meth:`load_source` scatters the
-    current normalised local residuals into it, and no per-iteration
-    ``GraphProblem``/``GraphBatch`` construction happens at all.
-
-    The field layout is duck-compatible with :class:`GraphBatch` (``source``,
-    ``edge_index``, ``edge_attr``, ``node_attr``, ``num_nodes``), so a plan
-    can be fed straight to ``DSS.forward`` — the parity tests pin the
-    allocation-free engine against exactly that forward.
-
-    The directed edges are re-sorted by destination node (a stable sort, so
-    the graph is unchanged up to summation order of the incoming messages):
-    gathers and aggregations indexed by destination then walk memory almost
-    sequentially, and the engine's edge pass aggregates over an ``indptr``,
-    reading these very arrays (:class:`~repro.gnn.infer.EdgeLayout`).
-    """
-
-    edge_index: np.ndarray
-    edge_attr: np.ndarray
-    dirichlet_mask: np.ndarray
-    node_offsets: np.ndarray
-    source: np.ndarray
-    node_attr: Optional[np.ndarray] = None
-
-    @classmethod
-    def from_batch(cls, batch: GraphBatch) -> "BatchPlan":
-        order = np.argsort(batch.edge_index[1], kind="stable")
-        return cls(
-            edge_index=np.ascontiguousarray(batch.edge_index[:, order]),
-            edge_attr=np.ascontiguousarray(batch.edge_attr[order]),
-            dirichlet_mask=batch.dirichlet_mask,
-            node_offsets=batch.node_offsets,
-            source=np.zeros(batch.num_nodes),
-            node_attr=batch.node_attr,
-        )
-
-    @property
-    def num_graphs(self) -> int:
-        return int(len(self.node_offsets) - 1)
-
-    @property
-    def num_nodes(self) -> int:
-        return int(self.source.shape[0])
-
-    @property
-    def num_edges(self) -> int:
-        return int(self.edge_index.shape[1])
-
-    def load_source(self, values: np.ndarray) -> None:
-        """Copy the current per-node inputs into the preallocated buffer."""
-        values = np.asarray(values)
-        if values.shape != self.source.shape:
-            raise ValueError(
-                f"source must have shape {self.source.shape} (one value per stacked "
-                f"node), got {values.shape}; multi-column sources go through "
-                f"InferencePlan.load_source_columns"
-            )
-        self.source[...] = values
-
-    def split_node_values(self, values: np.ndarray) -> List[np.ndarray]:
-        """Split a per-node array of the batch back into per-graph views."""
-        values = np.asarray(values)
-        return [
-            values[self.node_offsets[i]:self.node_offsets[i + 1]]
-            for i in range(self.num_graphs)
-        ]

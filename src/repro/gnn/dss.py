@@ -23,7 +23,7 @@ from typing import Iterator, List, Optional, Sequence, Union
 import numpy as np
 
 from ..nn.modules import Module
-from .batch import BatchPlan, GraphBatch, _pad_columns
+from .batch import GraphBatch, _pad_columns
 from .graph import GraphProblem
 from .infer import CompiledDSS, EdgeLayout, InferencePlan
 from .loss import TrainingLoss
@@ -93,7 +93,7 @@ class DSS(Module):
     # ------------------------------------------------------------------ #
     # forward passes
     # ------------------------------------------------------------------ #
-    def _blocks(self, problem: Union[GraphProblem, GraphBatch, BatchPlan]) -> Iterator[Forward]:
+    def _blocks(self, problem: Union[GraphProblem, GraphBatch]) -> Iterator[Forward]:
         """The block chain, one block at a time: yields ``(H_k, backward_k)`` for k = 1 … k̄.
 
         The edge layout is built once here, and its constructor rejects an
@@ -109,7 +109,7 @@ class DSS(Module):
 
     def forward(
         self,
-        problem: Union[GraphProblem, GraphBatch, BatchPlan],
+        problem: Union[GraphProblem, GraphBatch],
         return_intermediate: bool = False,
     ) -> Union[np.ndarray, List[np.ndarray]]:
         """Run the full iterative architecture on a graph (or batch of graphs).
@@ -133,7 +133,7 @@ class DSS(Module):
             return edge_attr[:, :want]
         return _pad_columns(edge_attr, want)
 
-    def _prepare_node_input(self, problem: Union[GraphProblem, GraphBatch, BatchPlan]) -> np.ndarray:
+    def _prepare_node_input(self, problem: Union[GraphProblem, GraphBatch]) -> np.ndarray:
         """Stack the residual channel with extra node features (zero-padded)."""
         want = self.config.node_input_dim
         source = problem.source.reshape(-1, 1)
@@ -148,7 +148,7 @@ class DSS(Module):
     # ------------------------------------------------------------------ #
     # convenience inference / training helpers
     # ------------------------------------------------------------------ #
-    def predict(self, problem: Union[GraphProblem, GraphBatch, BatchPlan]) -> np.ndarray:
+    def predict(self, problem: Union[GraphProblem, GraphBatch]) -> np.ndarray:
         """:meth:`forward`'s final decoded state as a flat array."""
         return self.forward(problem).ravel()
 
@@ -175,9 +175,7 @@ class DSS(Module):
     # ------------------------------------------------------------------ #
     # allocation-free inference engine (the solver hot path)
     # ------------------------------------------------------------------ #
-    def compile_plan(
-        self, batch: Union[GraphBatch, BatchPlan], precision: str = "f64"
-    ) -> InferencePlan:
+    def compile_plan(self, batch: GraphBatch, precision: str = "f64") -> InferencePlan:
         """Precompile a batch into an :class:`~repro.gnn.infer.InferencePlan` with its own fold and workspace.
 
         Subsequent :meth:`infer` calls only rewrite the per-node source.
@@ -187,17 +185,15 @@ class DSS(Module):
         """
         return InferencePlan(CompiledDSS(self, precision), batch)
 
-    def infer(self, plan: InferencePlan, source: Optional[np.ndarray] = None) -> np.ndarray:
-        """Run the folded forward pass on a precompiled plan.
+    def infer(self, plan: InferencePlan, source: np.ndarray) -> np.ndarray:
+        """Run the folded forward pass on a precompiled plan for one per-node ``source``.
 
         Numerically pinned to :meth:`predict` on the same batch (parity at
         1e-12) but allocation- and loop-free per call — the ``k = 1`` case of
         :meth:`infer_columns`.  The returned array is a view of the plan's
         workspace, overwritten by the next call on a plan of its fold.
         """
-        if source is not None:
-            plan.load_source(source)
-        return plan.run()
+        return self.infer_columns(plan, np.asarray(source)[:, None])[:, 0]
 
     def infer_columns(self, plan: InferencePlan, sources: np.ndarray) -> np.ndarray:
         """Run the forward pass for ``k`` source columns on a precompiled plan.

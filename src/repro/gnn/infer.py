@@ -9,9 +9,9 @@ allocation, every weight-only product and every term that depends on the
 fixed edge attributes alone is invariant.
 
 :class:`CompiledDSS` folds a model's weights once per precision and owns one
-workspace; an :class:`InferencePlan` binds a structural
-:class:`~repro.gnn.batch.BatchPlan` to a fold — the batch's edge layout and
-node keys, nothing else — and runs **one** forward
+workspace; an :class:`InferencePlan` compiles a
+:class:`~repro.gnn.batch.GraphBatch` against a fold — the batch's edge layout
+and node keys, nothing else — and runs **one** forward
 (:meth:`InferencePlan._forward`) for both precisions and every column count.
 The forward is memory-bound (a few FLOPs per byte streamed over the
 ``E``-row edge arrays), so everything below exists to move fewer bytes per
@@ -75,7 +75,7 @@ or ``load_state_dict``.
 inside each row block: GEMMs run on ``(rows·k, ·)`` reshape views, the edge
 pass carries the columns as a loop bound, and the workspace for any
 ``k <= k_max`` is a reshape view of the same flat allocations, so a lockstep
-solve whose active set shrinks allocates nothing.  ``run()`` is the
+solve whose active set shrinks allocates nothing.  ``DSS.infer`` is the
 ``k = 1`` case of ``run_columns(k)``.
 
 * **f32** plans (weights, attributes and buffers in float32, sources and
@@ -92,14 +92,14 @@ solve whose active set shrinks allocates nothing.  ``run()`` is the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..utils import sparse
 from ._native import edge_kernels
-from .batch import BatchPlan, GraphBatch, MessageOperators, message_operators
+from .batch import GraphBatch, MessageOperators, message_operators
 
 __all__ = ["CompiledDSS", "EdgeLayout", "InferencePlan"]
 
@@ -154,11 +154,11 @@ class EdgeLayout:
 
     ``indptr`` bounds the edges arriving at each node (every destination then
     sums in ascending edge id), ``edge_index`` and ``attr`` are the permuted
-    rows, contiguous, at the layout's precision (kept, not copied, when so
-    already, as a :class:`~repro.gnn.batch.BatchPlan`'s are).  The ids
-    are checked here, before any pointer goes to C.  :class:`InferencePlan`
-    builds one per plan, ``DSS.forward`` one per forward (float64, ``k = 1``);
-    the numpy body's CSR operators are built on its first use only.
+    rows, contiguous, at the layout's precision (kept, not copied, when
+    already sorted and so).  The ids are checked here, before any pointer goes
+    to C.  :class:`InferencePlan` builds one per plan, ``DSS.forward`` one per
+    forward (float64, ``k = 1``); the numpy body's CSR operators are built on
+    its first use only.
 
     >>> edges = EdgeLayout(np.array([[0, 2, 1], [1, 0, 0]]), np.arange(6.0).reshape(3, 2), num_nodes=3)
     >>> edges.edge_index, edges.indptr          # node 0 receives edges 2 → 0 and 1 → 0, node 1 receives 0 → 1
@@ -172,13 +172,15 @@ class EdgeLayout:
         edge_index = np.asarray(edge_index)
         if edge_index.size and not (0 <= edge_index.min() and edge_index.max() < n):
             raise ValueError(f"edge_index must hold node ids in [0, {n})")
+        # cast first: an f32 layout permutes float32 rows, never a float64 copy
+        edge_attr = np.asarray(edge_attr, dtype=PRECISION_DTYPES[precision])
         if (edge_index[1, 1:] < edge_index[1, :-1]).any():
             order = np.argsort(edge_index[1], kind="stable")
-            edge_index, edge_attr = edge_index[:, order], np.asarray(edge_attr)[order]
+            edge_index, edge_attr = edge_index[:, order], edge_attr[order]
         self.num_nodes = n
         self.precision = precision
         self.edge_index = np.ascontiguousarray(edge_index, dtype=np.int64)
-        self.attr = np.ascontiguousarray(edge_attr, dtype=PRECISION_DTYPES[precision])
+        self.attr = np.ascontiguousarray(edge_attr)
         indegree = np.bincount(self.edge_index[1], minlength=n)
         self.indptr = np.concatenate(([0], np.cumsum(indegree)), dtype=np.int64)
         self.indegree = indegree.astype(np.float64)
@@ -483,7 +485,8 @@ class CompiledDSS:
 
 
 class InferencePlan:
-    """A :class:`BatchPlan` compiled against a :class:`CompiledDSS`: the batch's edge layout and node keys.
+    """A :class:`~repro.gnn.batch.GraphBatch` compiled against a :class:`CompiledDSS`: the batch's edge
+    layout, node count and node keys.
 
     Build one via ``model.compile_plan(batch)`` (its own fold) or
     ``InferencePlan(compiled, batch)``; run it via ``model.infer(plan,
@@ -495,36 +498,22 @@ class InferencePlan:
     preconditioner.  For parallelism, ``session.clone_for_worker()``.
     """
 
-    def __init__(self, compiled: CompiledDSS, batch: Union[GraphBatch, BatchPlan]) -> None:
-        plan = batch.compile_plan() if isinstance(batch, GraphBatch) else batch
+    def __init__(self, compiled: CompiledDSS, batch: GraphBatch) -> None:
         model = compiled.model
         self.compiled = compiled
-        self.plan = plan
-        n = plan.num_nodes
-        # the edge layout on the BatchPlan's sorted arrays; κ channels (all node input columns
+        self.num_nodes = n = batch.num_nodes
+        # the layout sorts the batch's edges by destination; κ channels (all node input columns
         # but the residual) and in-degrees feed the bias fold
-        self._edges = EdgeLayout(plan.edge_index, model._prepare_edge_attr(plan.edge_attr), n, compiled.precision)
-        node_features = np.asarray(model._prepare_node_input(plan), dtype=np.float64)[:, 1:]
+        self._edges = EdgeLayout(batch.edge_index, model._prepare_edge_attr(batch.edge_attr), n, compiled.precision)
+        node_features = np.asarray(model._prepare_node_input(batch), dtype=np.float64)[:, 1:]
         #: (n,) row of each node in the (blocks, keys, d) ψ biases
         self.key, self.bias_table = compiled.bias_table(self._edges.indegree.reshape(-1, 1), node_features)
-        compiled._largest = (max(compiled._largest[0], n), max(compiled._largest[1], plan.num_edges))
+        compiled._largest = (max(compiled._largest[0], n), max(compiled._largest[1], batch.num_edges))
 
     # ------------------------------------------------------------------ #
     @property
-    def num_nodes(self) -> int:
-        return self.plan.num_nodes
-
-    @property
     def dtype(self):
         return self.compiled.dtype
-
-    def load_source(self, values: np.ndarray) -> None:
-        """Copy the per-node inputs into ``plan.source``, which :meth:`run` stages and ``DSS.forward``
-        reads (the parity tests run both on one plan)."""
-        self.plan.load_source(values)
-
-    def split_node_values(self, values: np.ndarray):
-        return self.plan.split_node_values(values)
 
     # ------------------------------------------------------------------ #
     def workspace(self, k: int) -> _Workspace:
@@ -534,9 +523,8 @@ class InferencePlan:
     def load_source_columns(self, sources: np.ndarray) -> int:
         """Stage ``k`` per-node source columns; returns ``k``.
 
-        ``sources`` is ``(n, k)`` — column ``c`` is what ``load_source`` would
-        receive for the corresponding single-column run.  Casting to the plan
-        dtype happens here (the f32 boundary).
+        ``sources`` is ``(n, k)``, one column per right-hand side.  Casting to
+        the plan dtype happens here (the f32 boundary).
         """
         sources = np.asarray(sources)
         if sources.ndim != 2 or sources.shape[0] != self.num_nodes:
@@ -556,7 +544,7 @@ class InferencePlan:
 
         Returns the ``(n, k)`` per-node outputs — a view of the workspace,
         overwritten by the next run; in f64 column ``c`` is bit-identical to
-        ``run()`` on column ``c`` (see the module docstring).
+        ``run_columns(1)`` on column ``c`` alone (see the module docstring).
         """
         if self.dtype == np.float32:
             return self._forward(self.workspace(k))
@@ -566,11 +554,6 @@ class InferencePlan:
             single.sources[:, 0] = staged[:, c]
             outputs[:, c] = self._forward(single)[:, 0]
         return outputs
-
-    def run(self) -> np.ndarray:
-        """``run_columns(1)`` on the plan's current source, as a flat array."""
-        self.load_source_columns(self.plan.source[:, None])
-        return self.run_columns(1)[:, 0]
 
     @property
     def kernel(self) -> str:

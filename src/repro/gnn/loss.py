@@ -24,7 +24,7 @@ __all__ = ["residual_loss", "relative_error", "TrainingLoss"]
 
 
 def _operator(problem) -> Tuple[sp.csr_matrix, np.ndarray]:
-    """``(A, c)`` of Eq. 11: a graph's matrix, a batch's block-diagonal one, or the ``matrix`` of any other view."""
+    """``(A, c)`` of Eq. 11: a graph's matrix or a batch's block-diagonal one."""
     if isinstance(problem, GraphBatch):
         matrix = problem.block_diagonal_matrix()
     else:

@@ -306,8 +306,7 @@ class Span:
     def stage_timings(self) -> Dict[str, float]:
         """Aggregate descendant durations by span name, in milliseconds.
 
-        This is the span-tree view of the legacy ``info["stage_timings"]``
-        dict: one request's trace collapses to per-stage totals.
+        One request's trace collapses to per-stage totals.
         """
         totals: Dict[str, float] = {}
         for node in self.walk():

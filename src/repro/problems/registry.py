@@ -50,6 +50,15 @@ class ProblemSpec:
     description: str = ""
     default_kwargs: Dict[str, object] = field(default_factory=dict)
 
+    @property
+    def dim(self) -> int:
+        """The dimension of the meshes the family is built on (its registered ``dim``, 2 by default).
+
+        >>> problem_spec("poisson").dim, problem_spec("poisson3d").dim
+        (2, 3)
+        """
+        return int(self.default_kwargs.get("dim", 2))
+
 
 _REGISTRY: Dict[str, ProblemSpec] = {}
 

@@ -25,7 +25,6 @@ import numpy as np
 from ..fem.problem import Problem
 from ..gnn.checkpoint import config_hash
 from ..mesh.shapes import mesh_for_target_size
-from ..mesh.tet import box_mesh_for_target_size
 from ..problems import make_problem, problem_spec
 
 __all__ = ["ProblemCache", "build_problem_from_spec", "DEFAULT_PROBLEM_SPEC"]
@@ -69,12 +68,9 @@ def build_problem_from_spec(spec: Optional[Dict]) -> Problem:
     spec = _normalise_spec(spec)
     rng = np.random.default_rng(spec["seed"])
     family = str(spec["family"])
-    if int(problem_spec(family).default_kwargs.get("dim", 2)) == 3:
-        mesh = box_mesh_for_target_size(max(int(spec["target_n"]), 8))
-    else:
-        mesh = mesh_for_target_size(
-            spec["target_n"], element_size=spec["element_size"], rng=rng
-        )
+    if problem_spec(family).dim == 3:
+        return make_problem(family, rng=rng, **{**spec["kwargs"], "target_nodes": max(spec["target_n"], 8)})
+    mesh = mesh_for_target_size(spec["target_n"], element_size=spec["element_size"], rng=rng)
     return make_problem(family, mesh=mesh, rng=rng, **spec["kwargs"])
 
 

@@ -14,13 +14,14 @@ number of right-hand sides against the prepared operator::
 This is the ``setup``/``apply`` split of production preconditioner libraries
 (PETSc's ``PCSetUp``/``PCApply``): in a serving system the operator changes
 rarely and the right-hand sides arrive continuously, so the setup cost must
-be amortised over the stream.  The session keeps structured per-stage timing
-(``setup_timings``) and per-solve diagnostics (``SolveResult.info`` carries a
-``stage_timings`` dict), and counts setups vs solves so tests can assert the
-amortisation invariant directly.  Every one of those timings is a read of a
-:mod:`repro.obs.trace` record — the ``session.setup`` record and its leaves,
-a solve's ``krylov.solve`` record, a ``session.solve_many`` record — which a
-kept trace also exports; the session reads no clock of its own.
+be amortised over the stream.  The session keeps structured per-stage set-up
+timing (``setup_timings``; a result's ``info["setup_s"]`` is its total on the
+first solve and 0.0 after) and per-solve diagnostics (``SolveResult.info``),
+and counts setups vs solves so tests can assert the amortisation invariant
+directly.  Every one of those timings is a read of a :mod:`repro.obs.trace`
+record — the ``session.setup`` record and its leaves, a solve's
+``krylov.solve`` record, a ``session.solve_many`` record — which a kept trace
+also exports; the session reads no clock of its own.
 
 The Krylov method and the preconditioner are resolved by name through the
 :mod:`repro.solvers.registry` registries; ``config`` may equivalently be a
@@ -438,22 +439,13 @@ class SolverSession:
         self.num_solves += 1
 
         config = self.config
-        setup_s = self.setup_time if first else 0.0
         result.info["preconditioner_kind"] = config.preconditioner
         result.info["krylov"] = config.krylov
         result.info["precision"] = config.precision
         result.info.setdefault("degraded", False)
         if result.failure_reason is not None:
             result.info["failure_reason"] = result.failure_reason
-        result.info["setup_s"] = setup_s
-        result.info["stage_timings"] = {
-            "partition_s": self.setup_timings["partition_s"] if first else 0.0,
-            "preconditioner_s": self.setup_timings["preconditioner_s"] if first else 0.0,
-            "setup_s": setup_s,
-            "krylov_s": result.krylov_time,
-            "precond_apply_s": result.preconditioner_time,
-            "solve_s": result.elapsed_time,
-        }
+        result.info["setup_s"] = self.setup_time if first else 0.0
         if self.decomposition is not None:
             result.info["num_subdomains"] = self.decomposition.num_subdomains
             result.info["subdomain_sizes"] = self.decomposition.sizes().tolist()

@@ -180,7 +180,7 @@ class TestLocalSolvers:
         from repro.solvers import SolverConfig, prepare
 
         for name in available_problems():
-            if int(problem_spec(name).default_kwargs.get("dim", 2)) == 3:
+            if problem_spec(name).dim == 3:
                 problem = make_problem(name, rng=np.random.default_rng(1), target_nodes=216)
             else:
                 problem = make_problem(name, mesh=random_mesh, rng=np.random.default_rng(1))
@@ -289,9 +289,3 @@ class TestASM:
         r = np.arange(4.0)
         assert np.allclose(ident.apply(r), r)
         assert ident.shape == (4, 4)
-
-    def test_aslinearoperator_wrapper(self, random_problem, small_decomposition):
-        asm = AdditiveSchwarzPreconditioner(random_problem.matrix, small_decomposition, levels=2)
-        op = asm.aslinearoperator()
-        r = np.random.default_rng(2).normal(size=random_problem.num_dofs)
-        assert np.allclose(op @ r, asm.apply(r))

@@ -4,6 +4,7 @@ that keep the exact solvers bit-identical to the classical loops."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -27,7 +28,7 @@ from repro.ddm import (
     extract_local_matrices,
 )
 from repro.ddm.restriction import segment_norms
-from repro.gnn import DSS, DSSConfig, GraphBatch, _native
+from repro.gnn import DSS, DSSConfig, EdgeLayout, GraphBatch, _native
 from repro.gnn import infer as engine
 from repro.gnn.graph import GraphProblem, graph_from_mesh
 from repro.krylov import preconditioned_conjugate_gradient
@@ -60,6 +61,12 @@ def kappa_batch(small_disk_mesh):
     return GraphBatch.from_graphs(graphs)
 
 
+def _dst_sorted(batch: GraphBatch) -> GraphBatch:
+    """``batch`` with its edges stable-sorted by destination: the order its edge layout runs them in."""
+    order = np.argsort(batch.edge_index[1], kind="stable")
+    return dataclasses.replace(batch, edge_index=batch.edge_index[:, order], edge_attr=batch.edge_attr[order])
+
+
 # --------------------------------------------------------------------------- #
 # DSS.infer vs DSS.forward parity
 # --------------------------------------------------------------------------- #
@@ -78,9 +85,9 @@ class TestInferParity:
         toy_batch.source = source
         forward = model.predict(toy_batch)
         assert np.allclose(fast, forward, rtol=1e-12, atol=1e-12)
-        # and against the forward running on the very same (edge-sorted) plan
-        forward_on_plan = model.predict(plan.plan)
-        assert np.allclose(fast, forward_on_plan, rtol=1e-12, atol=1e-12)
+        # and against the forward running on the batch's edges already in the plan's order
+        forward_on_sorted = model.predict(_dst_sorted(toy_batch))
+        assert np.allclose(fast, forward_on_sorted, rtol=1e-12, atol=1e-12)
 
     def test_buffer_reuse_across_sources(self, toy_batch):
         """Repeated infer calls on one plan must not leak state between sources."""
@@ -105,20 +112,19 @@ class TestInferParity:
         assert np.shares_memory(first, second)
         assert np.array_equal(first, second)
 
-    def test_plan_split_matches_batch_split(self, toy_batch):
-        model = DSS(DSSConfig(num_iterations=2, latent_dim=3, seed=1))
-        plan = model.compile_plan(toy_batch)
-        values = np.arange(toy_batch.num_nodes, dtype=np.float64)
-        for a, b in zip(plan.split_node_values(values), toy_batch.split_node_values(values)):
-            assert np.array_equal(a, b)
-
-    def test_batch_plan_preserves_graph(self, toy_batch):
-        """Sorting edges by destination must not change the edge multiset."""
-        plan = toy_batch.compile_plan()
-        original = {tuple(col) for col in np.vstack([toy_batch.edge_index, toy_batch.edge_attr.T]).T.tolist()}
-        sorted_ = {tuple(col) for col in np.vstack([plan.edge_index, plan.edge_attr.T]).T.tolist()}
+    def test_edge_layout_preserves_graph(self, toy_batch):
+        """The layout's sort by destination keeps the edge multiset, and is stable: the edges arriving at
+        one node keep their batch order."""
+        layout = EdgeLayout(toy_batch.edge_index, toy_batch.edge_attr, toy_batch.num_nodes)
+        original = sorted(map(tuple, np.vstack([toy_batch.edge_index, toy_batch.edge_attr.T]).T.tolist()))
+        sorted_ = sorted(map(tuple, np.vstack([layout.edge_index, layout.attr.T]).T.tolist()))
         assert original == sorted_
-        assert np.all(np.diff(plan.edge_index[1]) >= 0)
+        assert np.all(np.diff(layout.edge_index[1]) >= 0)
+        position = {edge: e for e, edge in enumerate(map(tuple, toy_batch.edge_index.T.tolist()))}
+        assert len(position) == toy_batch.num_edges                  # no repeated edge: positions are defined
+        batch_order = np.array([position[edge] for edge in map(tuple, layout.edge_index.T.tolist())])
+        same_destination = np.diff(layout.edge_index[1]) == 0
+        assert np.all(np.diff(batch_order)[same_destination] > 0)
 
 
 # --------------------------------------------------------------------------- #
@@ -330,15 +336,15 @@ class TestPlanMemory:
         attr_width, itemsize = toy_batch.edge_attr.shape[1], np.dtype(plan.dtype).itemsize
         keys = np.unique(np.bincount(toy_batch.edge_index[1], minlength=n)).size   # one per in-degree
         owned = sum(array.nbytes for array in _owned_arrays(plan, {id(model)}))
-        edges = num_edges * ((attr_width + 2) * 8 + attr_width * itemsize)  # BatchPlan's; an f32 layout's attributes
-        nodes = 6 * n * 8                                            # source, mask, in-degree, indptr, key
-        per_block = blocks * (keys * d * itemsize + 16 * d * d * 8)  # bias table; folded weights, f64 fold inputs
+        edges = num_edges * (2 * 8 + attr_width * itemsize)          # the layout's index and attributes
+        nodes = 4 * n * 8                                            # in-degree, indptr, key
+        per_block = blocks * ((keys + 9 * d) * d * itemsize + 4 * d * d * 8)  # bias table, folded weights; f64 fold inputs
         # every (n, k, ·) buffer of a sweep — f64 sweeps one column at a time and stages k in and out
         sweep, staging = (k, 0) if precision == "f32" else (1, 2 * n * k * 8)
         workspace = n * sweep * (8 * d + 2) * itemsize + staging
         # the numpy body's own E-row operands exist once per plan, whatever the block count:
-        # (sweep + 1) message/term slabs and the two-ones CSR pair
-        numpy_body = 0 if plan.kernel == "native" else num_edges * ((sweep + 1) * 2 * d * itemsize + 7 * 8)
+        # (sweep + 1) message/term slabs and the two-ones CSR pair (3 ones and 3 indices per edge)
+        numpy_body = 0 if plan.kernel == "native" else num_edges * ((sweep + 1) * 2 * d * itemsize + 3 * (itemsize + 8))
         bound = edges + nodes + per_block + workspace + numpy_body
         assert owned < bound, (owned, bound)
         assert blocks * num_edges * 2 * d * itemsize > bound         # (E, 2d) terms per block would not fit
@@ -350,12 +356,11 @@ def _per_node_bias(model, batch):
     keyed table: ``np.tile`` of ψ's b₁, plus each direction's ``(deg ⊗ b₂) ψ₁ₐᵀ``, plus the κ channels'
     ``ψ`` term — from the model's weights, in float64."""
     d, ni = model.config.latent_dim, model.config.node_input_dim
-    plan = batch.compile_plan()
-    indegree = np.bincount(plan.edge_index[1], minlength=plan.num_nodes).astype(np.float64).reshape(-1, 1)
-    node_features = np.asarray(model._prepare_node_input(plan), dtype=np.float64)[:, 1:]
+    indegree = np.bincount(batch.edge_index[1], minlength=batch.num_nodes).astype(np.float64).reshape(-1, 1)
+    node_features = np.asarray(model._prepare_node_input(batch), dtype=np.float64)[:, 1:]
     for block in model.blocks:
         psi1 = block.psi.layers[0].weight.data
-        bias_node = np.tile(block.psi.layers[0].bias.data, (plan.num_nodes, 1))
+        bias_node = np.tile(block.psi.layers[0].bias.data, (batch.num_nodes, 1))
         for phi, offset in zip((block.phi_forward, block.phi_backward), (d + ni, 2 * d + ni)):
             bias_node += (indegree * phi.layers[1].bias.data) @ psi1[:, offset:offset + d].T
         if ni > 1:
@@ -372,7 +377,7 @@ class TestKeyedBias:
         node's fold inputs distinct."""
         model, batch = _model_and_batch(KAPPA_CONFIG if aware else PLAIN_CONFIG, toy_batch, kappa_batch)
         plan = model.compile_plan(batch, precision=precision)
-        indegree = np.bincount(plan.plan.edge_index[1], minlength=plan.num_nodes)
+        indegree = np.bincount(batch.edge_index[1], minlength=plan.num_nodes)
         assert plan.key.shape == (batch.num_nodes,)
         assert plan.bias_table.shape[1] == (batch.num_nodes if aware else np.unique(indegree).size)
         for table, full in zip(plan.bias_table, _per_node_bias(model, batch), strict=True):
@@ -620,7 +625,7 @@ class TestEdgeKernel:
 
         model = DSS(DSSConfig(num_iterations=1, latent_dim=10, edge_attr_dim=4, node_input_dim=2, seed=0))
         for name in available_problems():
-            if int(problem_spec(name).default_kwargs.get("dim", 2)) == 3:
+            if problem_spec(name).dim == 3:
                 problem = make_problem(name, rng=np.random.default_rng(1), target_nodes=216)
             else:
                 problem = make_problem(name, mesh=random_mesh, rng=np.random.default_rng(1))

@@ -204,11 +204,6 @@ class TestFields:
         expected = 1 * 4 + 2 * 0.25 + 3 * 1.0 + 4 * 2 + 5 * 0.5 + 6
         assert field(x, y)[0] == pytest.approx(expected)
 
-    def test_rescaled_field(self):
-        field = PolynomialField(a=1.0)
-        rescaled = field.rescaled(2.0)
-        assert rescaled(np.array([2.0]), np.array([0.0]))[0] == pytest.approx(field(np.array([1.0]), np.array([0.0]))[0])
-
     def test_random_forcing_structure(self):
         """The forcing r1(x-1)² + r2 y² + r3 has no xy, no y-linear term."""
         f = random_forcing(np.random.default_rng(0))

@@ -102,8 +102,9 @@ class TestGraphBatch:
     def test_batch_edges_stay_within_blocks(self):
         graphs = [_toy_graph(seed=i) for i in range(3)]
         batch = GraphBatch.from_graphs(graphs)
-        membership_src = batch.node_graph_index[batch.edge_index[0]]
-        membership_dst = batch.node_graph_index[batch.edge_index[1]]
+        node_graph = np.repeat(np.arange(batch.num_graphs), np.diff(batch.node_offsets))
+        membership_src = node_graph[batch.edge_index[0]]
+        membership_dst = node_graph[batch.edge_index[1]]
         assert np.array_equal(membership_src, membership_dst)
 
     def test_split_node_values_roundtrip(self):

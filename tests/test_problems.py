@@ -240,7 +240,7 @@ class TestRegistry:
         from repro.solvers import SolverConfig, prepare
 
         for name in available_problems():
-            if int(problem_spec(name).default_kwargs.get("dim", 2)) == 3:
+            if problem_spec(name).dim == 3:
                 problem = make_problem(name, rng=np.random.default_rng(1), target_nodes=125)
             else:
                 problem = make_problem(name, mesh=unit_square_mesh, rng=np.random.default_rng(1))
@@ -264,7 +264,7 @@ class TestRegistry:
 
         meshes = {2: unit_square_mesh, 3: box_mesh_for_target_size(125)}
         for name in available_problems():
-            dim = int(problem_spec(name).default_kwargs.get("dim", 2))
+            dim = problem_spec(name).dim
             wrong = 5 - dim
             with pytest.raises(MeshDimensionError, match=f"'{name}' takes a {dim}D mesh, got a {wrong}D one"):
                 make_problem(name, mesh=meshes[wrong], rng=np.random.default_rng(1))

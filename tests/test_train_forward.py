@@ -5,6 +5,7 @@ reference in plain numpy, on both bodies of the edge pass and its VJP."""
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import tracemalloc
 
@@ -125,13 +126,12 @@ EVERY_CONFIG = {**CONFIGS, "k2-d3-e5": DSSConfig(num_iterations=2, latent_dim=3,
 
 
 def _views(config: DSSConfig) -> dict:
-    """view name -> what the forward and the residual loss run on.  A plan carries no matrices: it is
-    handed its batch's block-diagonal one, the loss operator of the same nodes."""
+    """view name -> what the forward and the residual loss run on: one graph, a batch, and the batch with its
+    edges already in the order an edge layout sorts them to (by destination, stably; nodes unchanged)."""
     graphs = [_graph(nx, ny, seed, config) for seed, (nx, ny) in enumerate([(3, 4), (5, 3), (4, 4)])]
     batch = GraphBatch.from_graphs(graphs)
-    plan = batch.compile_plan()          # edges re-sorted by destination, nodes unchanged
-    plan.load_source(batch.source)
-    plan.matrix = batch.block_diagonal_matrix()
+    order = np.argsort(batch.edge_index[1], kind="stable")
+    plan = dataclasses.replace(batch, edge_index=batch.edge_index[:, order], edge_attr=batch.edge_attr[order])
     return {"problem": graphs[0], "batch": batch, "plan": plan}
 
 
