@@ -112,6 +112,18 @@ class TestInferParity:
         assert np.shares_memory(first, second)
         assert np.array_equal(first, second)
 
+    def test_infer_takes_one_source_column(self, toy_batch):
+        """``infer`` is the one-column run: a source of the wrong length, or with columns, is a
+        ``ValueError`` naming the shape, and leaves the plan's next run unchanged."""
+        model = DSS(DSSConfig(num_iterations=2, latent_dim=3, seed=1))
+        plan = model.compile_plan(toy_batch)
+        source = np.random.default_rng(8).normal(size=toy_batch.num_nodes)
+        expected = model.infer(plan, source).copy()
+        for wrong in (np.ones(toy_batch.num_nodes + 1), np.ones((toy_batch.num_nodes, 2))):
+            with pytest.raises(ValueError, match="num_nodes"):
+                model.infer(plan, wrong)
+        assert np.array_equal(model.infer(plan, source), expected)
+
     def test_edge_layout_preserves_graph(self, toy_batch):
         """The layout's sort by destination keeps the edge multiset, and is stable: the edges arriving at
         one node keep their batch order."""
@@ -349,6 +361,20 @@ class TestPlanMemory:
         assert owned < bound, (owned, bound)
         assert blocks * num_edges * 2 * d * itemsize > bound         # (E, 2d) terms per block would not fit
         assert owned + blocks * n * d * itemsize > bound             # nor an (n, d) bias per block beside the rest
+
+
+    def test_f32_plan_holds_its_edge_attributes_in_f32_only(self, toy_batch):
+        """An f32 plan keeps one copy of its edge attributes, in float32: after a run, every float array
+        it owns with a row per edge is float32, and the only int64 one is the layout's edge index."""
+        model = DSS(DSSConfig(num_iterations=3, latent_dim=4, seed=5))
+        plan = model.compile_plan(toy_batch, precision="f32")
+        model.infer_columns(plan, np.random.default_rng(5).normal(size=(plan.num_nodes, 2)))
+        num_edges, width = toy_batch.num_edges, toy_batch.edge_attr.shape[1]
+        per_edge = [array for array in _owned_arrays(plan, {id(model)})
+                    if array.ndim and num_edges in array.shape and array.size >= num_edges]
+        assert not [array.shape for array in per_edge if array.dtype == np.float64]
+        attributes = [array for array in per_edge if array.shape == (num_edges, width)]
+        assert len(attributes) == 1 and attributes[0].dtype == np.float32
 
 
 def _per_node_bias(model, batch):
