@@ -486,7 +486,7 @@ class CompiledDSS:
 
 class InferencePlan:
     """A :class:`~repro.gnn.batch.GraphBatch` compiled against a :class:`CompiledDSS`: the batch's edge
-    layout, node count and node keys.
+    layout, node count, node keys and keyed ψ bias table.
 
     Build one via ``model.compile_plan(batch)`` (its own fold) or
     ``InferencePlan(compiled, batch)``; run it via ``model.infer(plan,

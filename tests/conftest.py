@@ -8,6 +8,8 @@ problem sizes (the benchmark harnesses do that).
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,12 @@ def exact_local_ddm_gnn(matrix, decomposition, residuals):
 def exact_local_reference():
     """``exact_local_reference(matrix, decomposition, residuals)`` -> :func:`exact_local_ddm_gnn`."""
     return exact_local_ddm_gnn
+
+
+def dst_sorted(batch):
+    """``batch`` with its edges stable-sorted by destination: the order its edge layout runs them in."""
+    order = np.argsort(batch.edge_index[1], kind="stable")
+    return dataclasses.replace(batch, edge_index=batch.edge_index[:, order], edge_attr=batch.edge_attr[order])
 
 
 @pytest.fixture(params=["thread", "process"])

@@ -4,7 +4,6 @@ that keep the exact solvers bit-identical to the classical loops."""
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import os
 import subprocess
@@ -16,6 +15,8 @@ import pytest
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import dst_sorted
 
 from repro.core import DDMGNNPreconditioner
 from repro.core import ddm_gnn as ddm_gnn_module
@@ -61,12 +62,6 @@ def kappa_batch(small_disk_mesh):
     return GraphBatch.from_graphs(graphs)
 
 
-def _dst_sorted(batch: GraphBatch) -> GraphBatch:
-    """``batch`` with its edges stable-sorted by destination: the order its edge layout runs them in."""
-    order = np.argsort(batch.edge_index[1], kind="stable")
-    return dataclasses.replace(batch, edge_index=batch.edge_index[:, order], edge_attr=batch.edge_attr[order])
-
-
 # --------------------------------------------------------------------------- #
 # DSS.infer vs DSS.forward parity
 # --------------------------------------------------------------------------- #
@@ -86,7 +81,7 @@ class TestInferParity:
         forward = model.predict(toy_batch)
         assert np.allclose(fast, forward, rtol=1e-12, atol=1e-12)
         # and against the forward running on the batch's edges already in the plan's order
-        forward_on_sorted = model.predict(_dst_sorted(toy_batch))
+        forward_on_sorted = model.predict(dst_sorted(toy_batch))
         assert np.allclose(fast, forward_on_sorted, rtol=1e-12, atol=1e-12)
 
     def test_buffer_reuse_across_sources(self, toy_batch):

@@ -279,32 +279,24 @@ class TestRegistry3D:
         assert np.all(np.isfinite(result.solution))
         assert result.converged  # via ddm-gnn or the ddm-lu fallback
 
-    def test_serve_spec_resolution_is_deterministic_in_3d(self):
+    @pytest.mark.parametrize("family", ["diffusion3d-ball", "heat3d", "poisson3d"])
+    def test_serve_spec_resolution_is_deterministic_in_3d(self, family):
+        """A 3D spec is ``make_problem`` on the spec's seed, kwargs and ``target_n`` as ``target_nodes``:
+        the same fingerprint, matrix and right-hand side, every time; another seed is another problem, and
+        ``target_n`` below 8 builds the 8-node box."""
         from repro.serve.problems import build_problem_from_spec
 
-        spec = {"family": "poisson3d", "target_n": 216, "seed": 7}
+        kwargs = {"diffusion3d-ball": {"contrast": 10.0}, "heat3d": {"dt": 0.05}}.get(family, {})
+        spec = {"family": family, "target_n": 216, "seed": 7, "kwargs": kwargs}
         a = build_problem_from_spec(dict(spec))
         b = build_problem_from_spec(dict(spec))
-        assert a.mesh.dim == 3
-        assert a.fingerprint() == b.fingerprint()
+        direct = make_problem(family, rng=np.random.default_rng(7), target_nodes=216, **kwargs)
+        assert problem_spec(family).dim == a.mesh.dim == 3
+        assert a.fingerprint() == b.fingerprint() == direct.fingerprint()
+        assert (a.matrix != direct.matrix).nnz == 0
+        assert np.array_equal(a.rhs, direct.rhs)
         other = build_problem_from_spec({**spec, "seed": 8})
         assert other.fingerprint() != a.fingerprint()
-
-    @pytest.mark.parametrize("family", ["diffusion3d-ball", "heat3d", "poisson3d"])
-    def test_serve_spec_3d_is_make_problem_on_the_spec(self, family):
-        """A 3D spec is ``make_problem`` on the spec's seed, kwargs and ``target_n`` as ``target_nodes``:
-        the same fingerprint, matrix and right-hand side; ``target_n`` below 8 builds the 8-node box."""
-        from repro.serve.problems import build_problem_from_spec
-
-        assert problem_spec(family).dim == 3
-        kwargs = {"diffusion3d-ball": {"contrast": 10.0}, "heat3d": {"dt": 0.05}}.get(family, {})
-        spec = {"family": family, "target_n": 125, "seed": 3, "kwargs": kwargs}
-        served = build_problem_from_spec(spec)
-        direct = make_problem(family, rng=np.random.default_rng(3), target_nodes=125, **kwargs)
-        assert served.mesh.dim == 3
-        assert served.fingerprint() == direct.fingerprint()
-        assert (served.matrix != direct.matrix).nnz == 0
-        assert np.array_equal(served.rhs, direct.rhs)
         smallest = build_problem_from_spec({**spec, "target_n": 4})
-        eight = make_problem(family, rng=np.random.default_rng(3), target_nodes=8, **kwargs)
+        eight = make_problem(family, rng=np.random.default_rng(7), target_nodes=8, **kwargs)
         assert smallest.fingerprint() == eight.fingerprint()

@@ -583,15 +583,12 @@ class TestDispatchWhenReady:
     @pytest.mark.parametrize("clients", [2, 4, 8])
     def test_occupancy_under_contention(self, clients):
         """Closed-loop clients on one key keep filling batches: the rule
-        waits whenever the previous batch had company.  The window is 50 ms,
-        not the 2 ms default: the clients must wake and resubmit inside it,
-        and on a loaded 2-CPU host eight Python threads miss 2 ms often
-        enough to fail the bound with the rule working."""
+        waits whenever the previous batch had company."""
         spec = {"family": "poisson", "target_n": 1000, "element_size": 0.07, "seed": 0}
         config = SolverConfig(preconditioner="ddm-lu", subdomain_size=110, tolerance=1e-6)
         pool = np.random.default_rng(3).standard_normal(
             (8, build_problem_from_spec(spec).num_dofs))
-        with SolveService(ServeConfig(workers=1, max_batch=8, max_wait_ms=50.0),
+        with SolveService(ServeConfig(workers=1, max_batch=8),
                           default_solver_config=config) as service:
             service.solve(spec)                                 # session set-up
             barrier = threading.Barrier(clients)
@@ -611,9 +608,7 @@ class TestDispatchWhenReady:
                 thread.join()
             stats = service.stats()
         assert not errors
-        # 1.98 / 3.93 / 7.83 measured on an idle host; 1.67 / 3.5 / 6.93 at worst
-        # beside four busy processes on 2 CPUs, where the 2 ms default read 5.71 at
-        # eight clients; the lone warm-up solve is one batch of 1
+        # 1.98 / 3.93 / 7.83 measured; the lone warm-up solve is one batch of 1
         assert stats["mean_batch_size"] >= 0.75 * clients
 
 

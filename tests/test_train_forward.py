@@ -5,13 +5,14 @@ reference in plain numpy, on both bodies of the edge pass and its VJP."""
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+
+from conftest import dst_sorted
 
 from repro.fem import assemble_stiffness
 from repro.gnn import DSS, DSSConfig, EdgeLayout, GraphBatch, _native, graph_from_mesh
@@ -130,9 +131,7 @@ def _views(config: DSSConfig) -> dict:
     edges already in the order an edge layout sorts them to (by destination, stably; nodes unchanged)."""
     graphs = [_graph(nx, ny, seed, config) for seed, (nx, ny) in enumerate([(3, 4), (5, 3), (4, 4)])]
     batch = GraphBatch.from_graphs(graphs)
-    order = np.argsort(batch.edge_index[1], kind="stable")
-    plan = dataclasses.replace(batch, edge_index=batch.edge_index[:, order], edge_attr=batch.edge_attr[order])
-    return {"problem": graphs[0], "batch": batch, "plan": plan}
+    return {"problem": graphs[0], "batch": batch, "plan": dst_sorted(batch)}
 
 
 def _gradients(model: DSS, loss) -> dict:
