@@ -1,6 +1,7 @@
 /* The fused edge pass of the DSS forward and its vector-Jacobian product
- * (repro/gnn/infer.py, EdgeLayout), and the prefill of psi's hidden layer
- * (InferencePlan._prefill, at the end of this file).
+ * (repro/gnn/infer.py, EdgeLayout), and, at the end of this file, the prefill
+ * of psi's hidden layer and psi's output bias (InferencePlan._prefill and
+ * _add_output_bias).
  *
  *   stat[e, :]   = ((a[e,0] W[0,:] + a[e,1] W[1,:]) + a[e,2] W[2,:] (+ a[e,3] W[3,:])) + b
  *   pre[i, c, :] = sum over edges e -> i, ascending e, of
@@ -28,9 +29,22 @@
  * Built by repro/utils/native.py (for repro/gnn/_native.py) with
  * `cc -O3 -ffp-contract=off -falign-functions=64 -shared -fPIC`: no
  * -ffast-math, and no -march=native — the cached .so may be shared between
- * machines.  Measured on the ledger operator while sizing it (DESIGN.md,
- * "Measured floor of the apply"):
+ * machines.  The vector width is picked at load time instead: on x86-64 glibc
+ * every exported function is CLONED, an AVX2 clone and a baseline (SSE2) one
+ * behind an ifunc, so one .so serves every x86-64 CPU.  -ffp-contract=off holds
+ * in both clones: the AVX2 one has no FMA and gives the baseline's bytes
+ * (tests/test_fastpath.py, TestBaselineBuild).  Measured on the ledger operator
+ * while sizing it (DESIGN.md, "Measured floor of the apply"):
  *
+ *   - the AVX2 clone, on an Intel family 6 model 143 (Sapphire Rapids) with
+ *     gcc 12.2: the edge sweep over both ledger plans x 20 blocks goes 9.1-9.3
+ *     to 5.5-5.6 ms in float64 k = 1 and 18.5-19.0 to 12.5-12.7 ms in float32
+ *     k = 8, the whole float64 apply 17.0 to 14.4 ms.  The gain needs the
+ *     constant hidden width below: with w a runtime bound the same clone
+ *     saves 28% (f64) and 23% (f32, k = 8), not 40% and 33%.  An AVX-512
+ *     clone ties in float64 and is 2x slower in float32 k = 8: not built.
+ *     The compile doubles, ~1 to ~2 s, once per fresh cache, on the first
+ *     edge pass (plan construction never resolves the kernels).
  *   - the ReLU must stay branch-free.  At -O2 gcc 12 leaves the inner loop
  *     scalar with a data-dependent branch, 1.7x (float64) to 4x (float32,
  *     k = 8) *slower* than numpy on mispredictions; at -O3 the loop
@@ -54,9 +68,22 @@
  *     in the same order, so the same bytes; the float32 k = 8 pass went from
  *     610-680 to 415-455 us per ledger block, the float64 k = 1 one ~5-10%.
  */
-#include <stdint.h>
+#include <stdint.h>   /* first: on glibc it defines __GLIBC__, which CLONED tests */
 
 #define HIDDEN 20
+
+/* Every exported function is an AVX2 clone and a baseline one, picked once at
+ * load time through a glibc ifunc; each clone inlines the same always-inline
+ * body.  Elsewhere (no x86-64, no glibc ifunc, no target_clones) the library
+ * is the baseline build alone. */
+#if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define CLONED __attribute__((target_clones("avx2", "default")))
+#endif
+#endif
+#ifndef CLONED
+#define CLONED
+#endif
 
 #define TERM_3(a, W, w, q) ((a[0] * W[q] + a[1] * W[w + q]) + a[2] * W[2 * w + q])
 #define TERM_4(a, W, w, q) (TERM_3(a, W, w, q) + a[3] * W[3 * w + q])
@@ -98,7 +125,7 @@
             }                                                                 \
         }                                                                     \
     }                                                                         \
-    void NAME(                                                                \
+    CLONED void NAME(                                                         \
         int64_t n, int64_t k, int64_t w, const int64_t *indptr,               \
         const int64_t *src, const T *attr, const T *weights, const T *bias,   \
         const T *proj, T *pre)                                                \
@@ -185,7 +212,7 @@ DEFINE_EDGE_PASS(edge_pass_f32_4, float, 4)
             for (int64_t q = 0; q < w; ++q)                                   \
                 g_weights[j * w + q] = g_attr[j][q];                          \
     }                                                                         \
-    void NAME(                                                                \
+    CLONED void NAME(                                                         \
         int64_t n, int64_t w, const int64_t *indptr, const int64_t *src,      \
         const double *attr, const double *weights, const double *bias,        \
         const double *proj, const double *g_pre, double *g_proj,              \
@@ -215,7 +242,7 @@ DEFINE_EDGE_VJP(edge_vjp_f64_4, 4)
  * gained 5 us in a 60 ms sweep: not done.
  */
 #define DEFINE_NODE_PREFILL(NAME, T)                                          \
-    void NAME(                                                                \
+    CLONED void NAME(                                                         \
         int64_t n, int64_t k, int64_t d, const T *sources, const T *w0,       \
         const T *table, const int64_t *key, T *hidden)                        \
     {                                                                         \
@@ -232,3 +259,33 @@ DEFINE_EDGE_VJP(edge_vjp_f64_4, 4)
 
 DEFINE_NODE_PREFILL(node_prefill_f64, double)
 DEFINE_NODE_PREFILL(node_prefill_f32, float)
+
+/* psi's output bias, added after the damped ResNet update's GEMM:
+ *
+ *   x[r, q] = x[r, q] + b[q]         rows r of the latent x (rows, d)
+ *
+ * numpy's `x += b` rounds the same one sum, so the bytes agree; broadcast over
+ * the d = 10 inner loop it cost about as much as a GEMM per block.  d = 10 is
+ * an instantiation, every other d a loop bound: the float32 sweep over the
+ * ledger's k = 8 rows is 2.2x faster at a constant bound (110 vs 246 us).
+ */
+#define DEFINE_ROW_BIAS(NAME, T)                                              \
+    static inline __attribute__((always_inline)) void NAME##_body(            \
+        int64_t rows, int64_t d, const T *restrict bias, T *restrict x)       \
+    {                                                                         \
+        for (int64_t r = 0; r < rows; ++r) {                                  \
+            T *restrict out = x + r * d;                                      \
+            for (int64_t q = 0; q < d; ++q)                                   \
+                out[q] = out[q] + bias[q];                                    \
+        }                                                                     \
+    }                                                                         \
+    CLONED void NAME(int64_t rows, int64_t d, const T *bias, T *x)            \
+    {                                                                         \
+        if (d == HIDDEN / 2)                                                  \
+            NAME##_body(rows, HIDDEN / 2, bias, x);                           \
+        else                                                                  \
+            NAME##_body(rows, d, bias, x);                                    \
+    }
+
+DEFINE_ROW_BIAS(row_bias_f64, double)
+DEFINE_ROW_BIAS(row_bias_f32, float)

@@ -1,10 +1,13 @@
-"""The fused edge kernels and ψ's prefill (``_edge_pass.c``): their signatures, self-checks and resolution.
+"""The fused edge kernels and ψ's prefill and output bias (``_edge_pass.c``): their signatures, self-checks
+and resolution.
 
 :func:`edge_kernels` resolves once per process, on the first edge pass — never
 at plan construction, so no timed set-up contains a compiler run — through the
-shared loader :func:`repro.utils.native.resolve`.  The pass and its VJP and the
-prefill are one library: all of them load and pass their self-checks — at a
-generic hidden width and at the one the C instantiates — or none runs.  Any
+shared loader :func:`repro.utils.native.resolve`.  The pass and its VJP, the
+prefill and the bias are one library: all of them load and pass their
+self-checks — at a generic hidden width and at the one the C instantiates — or
+none runs.  On x86-64 glibc each function is an AVX2 clone and a baseline one,
+picked by the CPU at load time; the self-checks run on the picked clone.  Any
 failure (no ``cc``, ``CC=false``, no writable cache, a load error, a wrong
 answer on a self-check) selects the numpy body, silently and for good, and
 leaves every other native library alone.  The functions live in a module
@@ -104,6 +107,20 @@ def _checked_prefill(function, dtype) -> Callable:
     return function
 
 
+def _checked_row_bias(function, dtype) -> Callable:
+    """The same for ψ's output bias ``x[r] + b``, row by row: five rows of every ``d`` in ``_CHECK_DIMS``."""
+    function.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 2
+    function.restype = None
+    for d in _CHECK_DIMS:
+        rng = np.random.default_rng(d)
+        rows, bias = (rng.normal(size=shape).astype(dtype) for shape in ((5, d), (d,)))
+        expected = rows + bias
+        function(5, d, bias.ctypes.data, rows.ctypes.data)
+        if not np.array_equal(rows, expected):
+            raise ValueError("the compiled row bias failed its self-check")
+    return function
+
+
 def _checked_library(library: ctypes.CDLL) -> Dict[str, Callable]:
     """Every function of the library, declared and self-checked; raises on the first wrong answer."""
     precisions = (("f64", np.float64), ("f32", np.float32))
@@ -113,6 +130,7 @@ def _checked_library(library: ctypes.CDLL) -> Dict[str, Callable]:
         kernels[f"edge_vjp_f64_{width}"] = _checked_vjp(getattr(library, f"edge_vjp_f64_{width}"), width)
     for name, dtype in precisions:
         kernels[f"node_prefill_{name}"] = _checked_prefill(getattr(library, f"node_prefill_{name}"), dtype)
+        kernels[f"row_bias_{name}"] = _checked_row_bias(getattr(library, f"row_bias_{name}"), dtype)
     return kernels
 
 
@@ -120,7 +138,7 @@ def edge_kernels() -> Optional[Dict[str, Callable]]:
     """The kernels by C name, or None for numpy: for the instantiated attribute widths,
     ``edge_pass_{f64,f32}_{3,4}(n, k, w, indptr, src, attr, weights, bias, proj, pre)`` and
     ``edge_vjp_f64_{3,4}(n, w, indptr, src, attr, weights, bias, proj, g_pre, g_proj, g_weights)``;
-    and ``node_prefill_{f64,f32}(n, k, d, sources, w0, table, key, hidden)``."""
+    ``node_prefill_{f64,f32}(n, k, d, sources, w0, table, key, hidden)`` and ``row_bias_{f64,f32}(rows, d, bias, x)``."""
     global _kernels
     if _kernels is _UNRESOLVED:
         _kernels = native.resolve(SOURCE, _checked_library)

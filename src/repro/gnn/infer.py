@@ -577,6 +577,16 @@ class InferencePlan:
         np.multiply(ws.sources[..., None], block.w_source, out=ws.hidden3)
         ws.hidden3 += table[self.key][:, None, :]
 
+    def _add_output_bias(self, ws: _Workspace, block: _CompiledBlock) -> None:
+        """``latent[r] += α·b₂`` on every row: one C sweep if the kernels loaded, else numpy's broadcast add
+        (the same one rounded sum per element, so the same bytes)."""
+        kernels = edge_kernels()
+        if kernels is not None:
+            kernels[f"row_bias_{self.compiled.precision}"](
+                ws.latent2d.shape[0], self.compiled.latent_dim, block.b2_alpha.ctypes.data, ws.latent2d.ctypes.data)
+            return
+        ws.latent2d += block.b2_alpha
+
     def _forward(self, ws: _Workspace) -> np.ndarray:
         """The folded k̄-iteration forward on workspace ``ws``; returns ``ws.output``.
 
@@ -598,7 +608,7 @@ class InferencePlan:
             relu_(ws.hidden2d)
             # damped ResNet update, accumulated directly into the latent
             _gemm_acc(ws.hidden2d, block.w2_alpha_T, ws.latent2d, ws.scratch2d)
-            ws.latent2d += block.b2_alpha
+            self._add_output_bias(ws, block)
         w1_T, b1, w2_T, b2 = self.compiled.decoder
         np.matmul(ws.latent2d, w1_T, out=ws.hidden2d)
         ws.hidden2d += b1

@@ -36,7 +36,7 @@ from repro.krylov import preconditioned_conjugate_gradient
 from repro.krylov.result import SolveResult
 from repro.partition import OverlappingDecomposition, partition_mesh_target_size
 from repro.solvers import SolverConfig, prepare
-from repro.utils import sparse
+from repro.utils import native, sparse
 
 
 @pytest.fixture(scope="module")
@@ -777,6 +777,92 @@ class TestNativeLoader:
                              cwd=root, env=env, capture_output=True, text=True, timeout=600)
         assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]
         assert " skipped" in run.stdout                  # the native-only cells, and this test
+
+
+#: the line of ``_edge_pass.c`` that makes every exported function an AVX2 clone and a baseline one
+CLONE_MACRO = '#define CLONED __attribute__((target_clones("avx2", "default")))'
+
+
+class TestBaselineBuild:
+    """The kernels the CPU picks at load time (on x86-64 glibc an AVX2 clone) against the baseline build,
+    bit for bit: the same source with its clone macro emptied, through the same resolver and self-checks,
+    from a cache of its own.  On the ledger operator's two plans with the frozen ledger weights, and the
+    VJP at the ledger's training size."""
+
+    @pytest.fixture(scope="class")
+    def bodies(self, tmp_path_factory):
+        """``(picked, baseline)`` kernel dicts."""
+        picked = _native.edge_kernels()
+        if picked is None:
+            pytest.skip("no C compiler here: the numpy body is the only one")
+        text = _native.SOURCE.read_text()
+        assert CLONE_MACRO in text
+        root = tmp_path_factory.mktemp("baseline")
+        source = root / _native.SOURCE.name
+        source.write_text(text.replace(CLONE_MACRO, "#define CLONED"))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("XDG_CACHE_HOME", str(root))
+            baseline = native.resolve(source, _native._checked_library)
+        assert baseline is not None and list(root.rglob("*.so"))
+        return picked, baseline
+
+    @pytest.fixture(scope="class")
+    def ledger(self):
+        """The ledger checkpoint's model and ``{precision: its two plans}`` on the ledger's operator."""
+        from repro.gnn.checkpoint import load_model
+        from repro.serve import build_problem_from_spec
+
+        problem = build_problem_from_spec({"family": "poisson", "target_n": 2400, "element_size": 0.07, "seed": 0})
+        model = load_model(str(LEDGER_CHECKPOINT))
+        plans = {}
+        for precision in ("f64", "f32"):
+            config = SolverConfig(preconditioner="ddm-gnn", subdomain_size=110, overlap=2, precision=precision)
+            plans[precision] = prepare(problem, config, model=model).preconditioner.local_solver.plans
+        return model, plans
+
+    @pytest.mark.parametrize("precision,k", [("f64", 1), ("f32", 1), ("f32", 8)])
+    def test_the_forward_kernels_on_the_ledger_plans(self, bodies, ledger, monkeypatch, precision, k):
+        """Per plan and block: the edge pass, ψ's prefill and its output bias on seeded inputs; then the whole
+        forward."""
+        model, plans = ledger
+        assert len(plans[precision]) == 2
+        for plan in plans[precision]:
+            rng = np.random.default_rng(plan.num_nodes)
+            ws = plan.workspace(k)
+            for block, table in zip(plan.compiled.blocks, plan.bias_table):
+                proj, sources, latent = (rng.normal(size=a.shape) for a in (ws.proj_flat, ws.sources, ws.latent2d))
+                outputs = []
+                for kernels in bodies:
+                    monkeypatch.setattr(_native, "_kernels", kernels)
+                    ws.proj_flat[...], ws.sources[...], ws.latent2d[...] = proj, sources, latent
+                    plan._edge_pass(ws, block)
+                    plan._prefill(ws, block, table)
+                    plan._add_output_bias(ws, block)
+                    outputs.append([a.tobytes() for a in (ws.pre_flat, ws.hidden3, ws.latent2d)])
+                assert outputs[0] == outputs[1]
+            sources = rng.normal(size=(plan.num_nodes, k))
+            forwards = []
+            for kernels in bodies:
+                monkeypatch.setattr(_native, "_kernels", kernels)
+                forwards.append(model.infer_columns(plan, sources).tobytes())
+            assert forwards[0] == forwards[1]
+
+    def test_the_vjp_at_the_training_size(self, bodies, monkeypatch):
+        """The float64 VJP on the ledger's 40-graph training batch (6,647 nodes, 32,005 edges) at w = 20."""
+        from repro.core.dataset import generate_dataset
+
+        dataset = generate_dataset(4, 0.07, subdomain_size=110, overlap=2, rng=np.random.default_rng(7))
+        batch = GraphBatch.from_graphs(dataset.train[:40])
+        edges = EdgeLayout(batch.edge_index, batch.edge_attr, batch.num_nodes)
+        assert (batch.num_nodes, edges.attr.shape) == (6647, (32005, 3))
+        rng = np.random.default_rng(40)
+        weights, bias = rng.normal(size=(3, 20)), rng.normal(size=20)
+        proj, g_pre = rng.normal(size=(2 * batch.num_nodes, 20)), rng.normal(size=(batch.num_nodes, 20))
+        cotangents = []
+        for kernels in bodies:
+            monkeypatch.setattr(_native, "_kernels", kernels)
+            cotangents.append([a.tobytes() for a in edges.edge_vjp(weights, bias, proj, g_pre)])
+        assert cotangents[0] == cotangents[1]
 
 
 class TestPreconditionerApplyColumns:
