@@ -242,7 +242,7 @@ def fig4(checks):
     checks.claim("fig4", "imbalance < 1.5", report.imbalance < 1.5, imbalance=report.imbalance)
     checks.claim("fig4", "at most one sub-mesh disconnected", report.connected_parts >= report.num_parts - 1)
     checks.claim("fig4", "the overlapping sub-domains cover every node", decomposition.covers_all_nodes())
-    return {"nodes": mesh.num_nodes, "triangles": mesh.num_triangles,
+    return {"nodes": mesh.num_nodes, "triangles": mesh.num_cells,
             "mean_element_quality": round(float(mesh.quality()["mean_quality"]), 4),
             "K": report.num_parts, "sizes_min_mean_max": [report.min_size, round(report.mean_size, 1),
                                                          report.max_size],

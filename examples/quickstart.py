@@ -42,7 +42,7 @@ def main() -> None:
     print("1) meshing a random Bezier domain ...")
     mesh = random_domain_mesh(radius=1.0, element_size=ELEMENT_SIZE, rng=rng)
     problem = random_poisson_problem(mesh, rng=rng)
-    print(f"   mesh: {mesh.num_nodes} nodes, {mesh.num_triangles} triangles, "
+    print(f"   mesh: {mesh.num_nodes} nodes, {mesh.num_cells} triangles, "
           f"mean quality {mesh.quality()['mean_quality']:.2f}")
 
     # ------------------------------------------------------------------ #

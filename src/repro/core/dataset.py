@@ -28,7 +28,7 @@ from ..ddm.asm import AdditiveSchwarzPreconditioner
 from ..fem.problem import Problem
 from ..gnn.graph import GraphProblem, graph_from_mesh
 from ..krylov.cg import preconditioned_conjugate_gradient
-from ..mesh.mesh import TriangularMesh
+from ..mesh.mesh import SimplexMesh
 from ..mesh.shapes import random_domain_mesh
 from ..partition.overlap import OverlappingDecomposition
 from ..partition.partitioner import partition_mesh_target_size
@@ -101,7 +101,7 @@ class SubdomainGeometry:
 
 
 def build_subdomain_geometries(
-    mesh: TriangularMesh,
+    mesh: SimplexMesh,
     matrix: sp.spmatrix,
     decomposition: OverlappingDecomposition,
     global_dirichlet_mask: Optional[np.ndarray] = None,

@@ -49,7 +49,7 @@ from ..ddm.restriction import ColumnScratch, segment_norms
 from ..gnn.batch import GraphBatch
 from ..gnn.dss import DSS
 from ..gnn.infer import InferencePlan
-from ..mesh.mesh import TriangularMesh
+from ..mesh.mesh import SimplexMesh
 from ..partition.overlap import OverlappingDecomposition
 from .dataset import SubdomainGeometry, build_subdomain_geometries
 
@@ -250,7 +250,7 @@ class DDMGNNPreconditioner(AdditiveSchwarzPreconditioner):
     def __init__(
         self,
         matrix: sp.spmatrix,
-        mesh: TriangularMesh,
+        mesh: SimplexMesh,
         decomposition: OverlappingDecomposition,
         model: DSS,
         levels: Literal[1, 2] = 2,

@@ -6,13 +6,12 @@ Public surface:
   :func:`~repro.fem.assembly.assemble_convection` (nonsymmetric b·∇u term),
   :func:`~repro.fem.assembly.assemble_mass`,
   :func:`~repro.fem.assembly.assemble_load`,
-  :func:`~repro.fem.assembly.assemble_boundary_mass`,
-  :func:`~repro.fem.assembly.assemble_boundary_load`,
-  :func:`~repro.fem.assembly.apply_dirichlet` — matrix/vector assembly.
-* :mod:`repro.fem.assembly3d` — the tetrahedral P1 counterparts
-  (:func:`~repro.fem.assembly3d.assemble_stiffness_3d`,
-  :func:`~repro.fem.assembly3d.assemble_mass_3d`,
-  :func:`~repro.fem.assembly3d.assemble_load_3d`).
+  :func:`~repro.fem.assembly.apply_dirichlet` — matrix/vector assembly on
+  triangles and tetrahedra alike; only the gradient kernel
+  (:func:`~repro.fem.assembly.gradient_operators`) is per dimension.
+* :func:`~repro.fem.assembly.assemble_boundary_mass`,
+  :func:`~repro.fem.assembly.assemble_boundary_load` — Neumann/Robin
+  boundary terms on 2D meshes.
 * :class:`~repro.fem.problem.Problem`,
   :class:`~repro.fem.poisson.PoissonProblem`,
   :class:`~repro.fem.problem.DiffusionProblem`,
@@ -26,17 +25,8 @@ Public surface:
   :func:`~repro.fem.functions.random_forcing`,
   :func:`~repro.fem.functions.random_boundary`,
   :func:`~repro.fem.functions.manufactured_solution` — field definitions.
-* :mod:`repro.fem.quadrature` — quadrature rules on triangles.
 """
 
-from .assembly3d import (
-    assemble_load_3d,
-    assemble_mass_3d,
-    assemble_stiffness_3d,
-    evaluate_on_tets,
-    tet_centroids,
-    tet_gradient_operators,
-)
 from .assembly import (
     apply_dirichlet,
     assemble_boundary_load,
@@ -45,9 +35,9 @@ from .assembly import (
     assemble_load,
     assemble_mass,
     assemble_stiffness,
-    evaluate_on_triangles,
+    cell_centroids,
+    evaluate_on_cells,
     gradient_operators,
-    triangle_centroids,
 )
 from .coefficients import (
     CheckerboardField,
@@ -75,7 +65,6 @@ from .problem import (
     robin_bc,
     split_boundary_edges,
 )
-from .quadrature import TriangleQuadrature, three_point_rule
 
 __all__ = [
     "assemble_stiffness",
@@ -86,14 +75,8 @@ __all__ = [
     "assemble_boundary_load",
     "apply_dirichlet",
     "gradient_operators",
-    "triangle_centroids",
-    "evaluate_on_triangles",
-    "assemble_stiffness_3d",
-    "assemble_mass_3d",
-    "assemble_load_3d",
-    "tet_gradient_operators",
-    "tet_centroids",
-    "evaluate_on_tets",
+    "cell_centroids",
+    "evaluate_on_cells",
     "Problem",
     "PoissonProblem",
     "DiffusionProblem",
@@ -115,6 +98,4 @@ __all__ = [
     "random_boundary",
     "constant_field",
     "manufactured_solution",
-    "TriangleQuadrature",
-    "three_point_rule",
 ]

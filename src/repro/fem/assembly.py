@@ -1,9 +1,12 @@
 """P1 (linear Lagrange) finite-element assembly for second-order elliptic PDEs.
 
 Assembles the sparse stiffness matrix (optionally weighted by a variable
-diffusion coefficient κ), the mass matrix, the load vector, and the boundary
-terms needed for Neumann and Robin conditions, on an unstructured triangular
-mesh; and applies Dirichlet boundary conditions.
+diffusion coefficient κ), the convection and mass matrices and the load
+vector on a triangular or tetrahedral :class:`~repro.mesh.mesh.SimplexMesh`,
+the boundary terms needed for Neumann and Robin conditions on a triangular
+one; and applies Dirichlet boundary conditions.  Only three pieces read the
+dimension: the gradient kernel (:func:`gradient_operators`), the mesh's
+``cell_measures`` formula and the load rule table.
 
 Two Dirichlet elimination strategies are provided:
 
@@ -32,8 +35,7 @@ from typing import Callable, Literal, Optional, Sequence, Tuple, Union
 import numpy as np
 import scipy.sparse as sp
 
-from ..mesh.mesh import TriangularMesh
-from .quadrature import TriangleQuadrature, three_point_rule
+from ..mesh.mesh import SimplexMesh
 
 __all__ = [
     "assemble_stiffness",
@@ -44,107 +46,132 @@ __all__ = [
     "assemble_boundary_load",
     "apply_dirichlet",
     "gradient_operators",
-    "triangle_centroids",
-    "evaluate_on_triangles",
+    "cell_centroids",
+    "evaluate_on_cells",
 ]
 
-ScalarField = Callable[[np.ndarray, np.ndarray], np.ndarray]
-#: a diffusion coefficient: constant, per-triangle array, or callable κ(x, y)
+ScalarField = Callable[..., np.ndarray]
+#: a diffusion coefficient: constant, per-cell array, or callable κ(x, y[, z])
 CoefficientLike = Union[float, np.ndarray, ScalarField]
 
+#: the degree-2 load rule of each dimension in barycentric coordinates, weights summing to 1: the
+#: three edge midpoints of a triangle, and the four (α, β, β, β) permutations with α + 3β = 1 on a tet
+_LOAD_RULES = {
+    2: (np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]), np.full(3, 1.0 / 3.0)),
+    3: (np.where(np.eye(4, dtype=bool), 0.5854101966249685, 0.1381966011250105), np.full(4, 0.25)),
+}
 
-def gradient_operators(mesh: TriangularMesh) -> Tuple[np.ndarray, np.ndarray]:
-    """Return per-triangle P1 shape-function gradients and areas.
 
-    For triangle ``t`` with vertices ``(p0, p1, p2)`` the gradient of the hat
-    function of local vertex ``i`` is constant over the triangle.  The result
-    ``grads`` has shape (T, 3, 2) and ``areas`` has shape (T,).
+def gradient_operators(mesh: SimplexMesh) -> Tuple[np.ndarray, np.ndarray]:
+    """Return per-cell P1 shape-function gradients and (absolute) cell measures.
+
+    The gradient of the hat function of local vertex ``i`` is constant over a
+    cell.  ``grads`` has shape (T, d + 1, d) and ``measures`` shape (T,).
+    The one per-dimension kernel of the assembly: a triangle's gradients have
+    a closed form over its signed area; a tetrahedron's are the rows of its
+    inverse edge matrix, with volumes from that matrix's determinant.
 
     >>> import numpy as np
-    >>> from repro.mesh.mesh import TriangularMesh
-    >>> mesh = TriangularMesh(
+    >>> from repro.mesh.mesh import SimplexMesh
+    >>> mesh = SimplexMesh(
     ...     np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
     ...     np.array([[0, 1, 2], [0, 2, 3]]),
     ... )
     >>> grads, areas = gradient_operators(mesh)
     >>> grads.shape, areas.tolist()
     ((2, 3, 2), [0.5, 0.5])
+    >>> tet = SimplexMesh(np.vstack([np.zeros(3), np.eye(3)]), np.array([[0, 1, 2, 3]]))
+    >>> grads, volumes = gradient_operators(tet)
+    >>> grads[0, 1].tolist(), [float(round(v, 12)) for v in volumes]   # ∇λ_1 on the reference tet
+    ([1.0, 0.0, 0.0], [0.166666666667])
     """
-    p = mesh.nodes[mesh.triangles]  # (T, 3, 2)
-    x, y = p[..., 0], p[..., 1]
-    # edge vectors opposite to each vertex
-    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    areas = 0.5 * (
-        (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0])
-    )
-    if np.any(np.abs(areas) < 1e-15):
-        raise ValueError("mesh contains degenerate triangles")
-    grads = np.stack([b, c], axis=2) / (2.0 * areas[:, None, None])  # (T, 3, 2)
-    return grads, np.abs(areas)
+    p = mesh.nodes[mesh.cells]  # (T, d + 1, d)
+    if mesh.dim == 2:
+        signed = mesh.cell_measures
+    else:
+        edges = p[:, 1:] - p[:, :1]  # rows p_i - p_0; λ_1..λ_d gradients are the rows of its inverse transpose
+        signed = np.linalg.det(edges) / 6.0
+    measures = np.abs(signed)
+    if np.any(measures < 1e-15):
+        raise ValueError(f"mesh contains degenerate cells ({mesh.dim}D)")
+    if mesh.dim == 2:
+        x, y = p[..., 0], p[..., 1]
+        # edge vectors opposite to each vertex
+        b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+        c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+        return np.stack([b, c], axis=2) / (2.0 * signed[:, None, None]), measures
+    grads = np.transpose(np.linalg.inv(edges), (0, 2, 1))
+    return np.concatenate([-grads.sum(axis=1, keepdims=True), grads], axis=1), measures  # λ_0 = 1 - Σ λ_i
 
 
-def triangle_centroids(mesh: TriangularMesh) -> np.ndarray:
-    """Centroids of all triangles, shape (T, 2).
+def cell_centroids(mesh: SimplexMesh) -> np.ndarray:
+    """Centroids of all cells, shape (T, d).
 
     >>> import numpy as np
-    >>> from repro.mesh.mesh import TriangularMesh
-    >>> mesh = TriangularMesh(
+    >>> from repro.mesh.mesh import SimplexMesh
+    >>> mesh = SimplexMesh(
     ...     np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
     ...     np.array([[0, 1, 2], [0, 2, 3]]),
     ... )
-    >>> np.round(triangle_centroids(mesh), 3).tolist()
+    >>> np.round(cell_centroids(mesh), 3).tolist()
     [[0.667, 0.333], [0.333, 0.667]]
     """
-    return mesh.nodes[mesh.triangles].mean(axis=1)
+    return mesh.nodes[mesh.cells].mean(axis=1)
 
 
-def evaluate_on_triangles(mesh: TriangularMesh, coefficient: CoefficientLike) -> np.ndarray:
-    """Evaluate a coefficient as one value per triangle (at the centroid).
+def evaluate_on_cells(mesh: SimplexMesh, coefficient: CoefficientLike) -> np.ndarray:
+    """Evaluate a coefficient as one value per cell (at the centroid).
 
     Accepts a scalar (broadcast), a length-T array (used as-is) or a callable
-    ``κ(x, y)`` (evaluated at the centroids — exact for piecewise-constant
+    ``κ(x, y[, z])`` (evaluated at the centroids — exact for piecewise-constant
     fields aligned with the mesh, O(h²)-accurate for smooth fields, which
     preserves the optimal P1 convergence rate).
 
     >>> import numpy as np
-    >>> from repro.mesh.mesh import TriangularMesh
-    >>> mesh = TriangularMesh(
+    >>> from repro.mesh.mesh import SimplexMesh
+    >>> mesh = SimplexMesh(
     ...     np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
     ...     np.array([[0, 1, 2], [0, 2, 3]]),
     ... )
-    >>> evaluate_on_triangles(mesh, 3.0).tolist()
+    >>> evaluate_on_cells(mesh, 3.0).tolist()
     [3.0, 3.0]
-    >>> evaluate_on_triangles(mesh, lambda x, y: x + y).shape
+    >>> evaluate_on_cells(mesh, lambda x, y: x + y).shape
     (2,)
     """
     if callable(coefficient):
-        centroids = triangle_centroids(mesh)
-        values = np.asarray(coefficient(centroids[:, 0], centroids[:, 1]), dtype=np.float64)
-        values = np.broadcast_to(values, (mesh.num_triangles,)).copy()
+        values = np.asarray(coefficient(*cell_centroids(mesh).T), dtype=np.float64)
     else:
-        values = np.broadcast_to(
-            np.asarray(coefficient, dtype=np.float64), (mesh.num_triangles,)
-        ).copy()
+        values = np.asarray(coefficient, dtype=np.float64)
+    values = np.broadcast_to(values, (mesh.num_cells,)).copy()
     if values.size and float(values.min()) <= 0.0:
-        raise ValueError("diffusion coefficient must be strictly positive on every triangle")
+        raise ValueError("diffusion coefficient must be strictly positive on every cell")
     return values
 
 
+def _scatter(mesh: SimplexMesh, local: np.ndarray) -> sp.csr_matrix:
+    """Sum (T, d + 1, d + 1) element matrices into the global (N, N) CSR matrix."""
+    cells = mesh.cells
+    k = cells.shape[1]
+    rows = np.repeat(cells, k, axis=1).ravel()  # i index repeated over j
+    cols = np.tile(cells, (1, k)).ravel()       # j index tiled over i
+    n = mesh.num_nodes
+    return sp.csr_matrix((local.ravel(), (rows, cols)), shape=(n, n))
+
+
 def assemble_stiffness(
-    mesh: TriangularMesh,
+    mesh: SimplexMesh,
     diffusion: Optional[CoefficientLike] = None,
 ) -> sp.csr_matrix:
     """Assemble the P1 stiffness matrix ``K[i,j] = ∫ κ ∇φ_i · ∇φ_j``.
 
     With ``diffusion=None`` (the Poisson case) κ ≡ 1 and this reduces to the
     classic Laplace stiffness matrix.  ``diffusion`` may be a positive scalar,
-    a per-triangle array of κ values, or a callable ``κ(x, y)`` evaluated at
-    triangle centroids (see :func:`evaluate_on_triangles`).
+    a per-cell array of κ values, or a callable ``κ(x, y[, z])`` evaluated at
+    cell centroids (see :func:`evaluate_on_cells`).
 
     >>> import numpy as np
-    >>> from repro.mesh.mesh import TriangularMesh
-    >>> mesh = TriangularMesh(
+    >>> from repro.mesh.mesh import SimplexMesh
+    >>> mesh = SimplexMesh(
     ...     np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
     ...     np.array([[0, 1, 2], [0, 2, 3]]),
     ... )
@@ -155,42 +182,35 @@ def assemble_stiffness(
     >>> bool(np.allclose(K2.toarray(), 2.0 * K.toarray()))
     True
     """
-    grads, areas = gradient_operators(mesh)
+    grads, measures = gradient_operators(mesh)
     if diffusion is not None:
-        weights = evaluate_on_triangles(mesh, diffusion) * areas
+        weights = evaluate_on_cells(mesh, diffusion) * measures
     else:
-        weights = areas
-    # local 3x3 element matrices, vectorised over triangles
-    local = np.einsum("tid,tjd,t->tij", grads, grads, weights)  # (T, 3, 3)
-    tri = mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).ravel()          # i index repeated over j
-    cols = np.tile(tri, (1, 3)).ravel()               # j index tiled over i
-    data = local.ravel()
-    n = mesh.num_nodes
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+        weights = measures
+    return _scatter(mesh, np.einsum("tid,tjd,t->tij", grads, grads, weights))
 
 
 def assemble_convection(
-    mesh: TriangularMesh,
-    velocity: Union[Sequence[float], np.ndarray, Callable[[np.ndarray, np.ndarray], np.ndarray]],
+    mesh: SimplexMesh,
+    velocity: Union[Sequence[float], np.ndarray, Callable[..., np.ndarray]],
 ) -> sp.csr_matrix:
     """Assemble the P1 convection matrix ``C[i,j] = ∫ φ_i (b · ∇φ_j)``.
 
-    ``velocity`` is the advection field b: a constant 2-vector, a per-triangle
-    (T, 2) array, or a callable evaluated at triangle centroids returning
-    either the component pair ``(b_x, b_y)`` (each of shape (T,), i.e. a
-    (2, T) stack — this convention wins the T == 2 ambiguity) or a (T, 2)
-    array of per-triangle vectors.  With P1 elements ``b · ∇φ_j`` is constant
-    per triangle and ``∫_t φ_i = |t|/3``, so the local element matrix has
-    three identical rows — the assembly is exact for piecewise-constant b.
+    ``velocity`` is the advection field b: a constant d-vector, a per-cell
+    (T, d) array, or a callable evaluated at cell centroids returning either
+    the d components (each of shape (T,), i.e. a (d, T) stack — this
+    convention wins the T == d ambiguity) or a (T, d) array of per-cell
+    vectors.  With P1 elements ``b · ∇φ_j`` is constant per cell and
+    ``∫_t φ_i = |t|/(d+1)``, so the local element matrix has d + 1 identical
+    rows — the assembly is exact for piecewise-constant b.
 
     The result is **nonsymmetric**; adding it to a stiffness matrix yields
     the convection-diffusion operator ``-∇·(κ∇u) + b·∇u`` served by the
     ``gmres`` Krylov method (CG is not applicable).
 
     >>> import numpy as np
-    >>> from repro.mesh.mesh import TriangularMesh
-    >>> mesh = TriangularMesh(
+    >>> from repro.mesh.mesh import SimplexMesh
+    >>> mesh = SimplexMesh(
     ...     np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
     ...     np.array([[0, 1, 2], [0, 2, 3]]),
     ... )
@@ -200,42 +220,39 @@ def assemble_convection(
     >>> bool(np.allclose(C.toarray(), C.toarray().T))              # nonsymmetric
     False
     """
-    grads, areas = gradient_operators(mesh)
-    num_triangles = mesh.num_triangles
+    grads, measures = gradient_operators(mesh)
+    num_cells, d = mesh.num_cells, mesh.dim
     if callable(velocity):
-        centroids = triangle_centroids(mesh)
-        values = np.asarray(velocity(centroids[:, 0], centroids[:, 1]), dtype=np.float64)
+        values = np.asarray(velocity(*cell_centroids(mesh).T), dtype=np.float64)
         if values.ndim == 1:
-            b = np.broadcast_to(values, (num_triangles, 2))  # constant (b_x, b_y)
-        elif values.shape == (2, num_triangles):
-            b = values.T  # documented component-pair convention, wins when T == 2
-        elif values.shape == (num_triangles, 2):
+            b = np.broadcast_to(values, (num_cells, d))  # one constant vector
+        elif values.shape == (d, num_cells):
+            b = values.T  # documented component convention, wins when T == d
+        elif values.shape == (num_cells, d):
             b = values
         else:
             raise ValueError(
-                f"velocity callable must return (b_x, b_y) components of shape "
-                f"(2, {num_triangles}) or per-triangle vectors of shape "
-                f"({num_triangles}, 2); got {values.shape}"
+                f"velocity callable must return {d} components of shape "
+                f"({d}, {num_cells}) or per-cell vectors of shape "
+                f"({num_cells}, {d}); got {values.shape}"
             )
     else:
-        b = np.broadcast_to(np.asarray(velocity, dtype=np.float64), (num_triangles, 2))
-    # (b · ∇φ_j) per triangle and local column, constant over the triangle
-    directional = np.einsum("td,tjd->tj", b, grads)                 # (T, 3)
-    local = (areas / 3.0)[:, None, None] * directional[:, None, :]  # (T, 3, 3)
-    local = np.broadcast_to(local, (mesh.num_triangles, 3, 3))
-    tri = mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    n = mesh.num_nodes
-    return sp.csr_matrix((local.ravel(), (rows, cols)), shape=(n, n))
+        b = np.broadcast_to(np.asarray(velocity, dtype=np.float64), (num_cells, d))
+    # (b · ∇φ_j) per cell and local column, constant over the cell
+    directional = np.einsum("td,tjd->tj", b, grads)                      # (T, d + 1)
+    local = (measures / (d + 1))[:, None, None] * directional[:, None, :]  # (T, d + 1, d + 1)
+    return _scatter(mesh, np.broadcast_to(local, (num_cells, d + 1, d + 1)))
 
 
-def assemble_mass(mesh: TriangularMesh, lumped: bool = False) -> sp.csr_matrix:
+def assemble_mass(mesh: SimplexMesh, lumped: bool = False) -> sp.csr_matrix:
     """Assemble the P1 mass matrix ``M[i,j] = ∫ φ_i φ_j`` (optionally lumped).
 
+    The exact local matrix is ``|t| (1 + δ_ij) / ((d+1)(d+2))``; the lumped
+    variant puts ``|t| / (d+1)`` on each vertex.
+
     >>> import numpy as np
-    >>> from repro.mesh.mesh import TriangularMesh
-    >>> mesh = TriangularMesh(
+    >>> from repro.mesh.mesh import SimplexMesh
+    >>> mesh = SimplexMesh(
     ...     np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
     ...     np.array([[0, 1, 2], [0, 2, 3]]),
     ... )
@@ -244,30 +261,22 @@ def assemble_mass(mesh: TriangularMesh, lumped: bool = False) -> sp.csr_matrix:
     >>> float(round(assemble_mass(mesh, lumped=True).sum(), 12))
     1.0
     """
-    _, areas = gradient_operators(mesh)
-    tri = mesh.triangles
-    n = mesh.num_nodes
+    _, measures = gradient_operators(mesh)
+    k = mesh.dim + 1
     if lumped:
-        data = np.repeat(areas / 3.0, 3)
-        rows = tri.ravel()
-        return sp.csr_matrix((data, (rows, rows)), shape=(n, n))
-    local_ref = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-    local = areas[:, None, None] * local_ref[None, :, :]
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    return sp.csr_matrix((local.ravel(), (rows, cols)), shape=(n, n))
+        n = mesh.num_nodes
+        rows = mesh.cells.ravel()
+        return sp.csr_matrix((np.repeat(measures / k, k), (rows, rows)), shape=(n, n))
+    local_ref = (np.ones((k, k)) + np.eye(k)) / (k * (k + 1))
+    return _scatter(mesh, measures[:, None, None] * local_ref[None, :, :])
 
 
-def assemble_load(
-    mesh: TriangularMesh,
-    source: ScalarField,
-    quadrature: Optional[TriangleQuadrature] = None,
-) -> np.ndarray:
-    """Assemble the load vector ``b[i] = ∫ f φ_i`` with the given quadrature.
+def assemble_load(mesh: SimplexMesh, source: ScalarField) -> np.ndarray:
+    """Assemble the load vector ``b[i] = ∫ f φ_i`` with the degree-2 rule of the mesh's dimension.
 
     >>> import numpy as np
-    >>> from repro.mesh.mesh import TriangularMesh
-    >>> mesh = TriangularMesh(
+    >>> from repro.mesh.mesh import SimplexMesh
+    >>> mesh = SimplexMesh(
     ...     np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
     ...     np.array([[0, 1, 2], [0, 2, 3]]),
     ... )
@@ -275,26 +284,32 @@ def assemble_load(
     >>> float(round(b.sum(), 12))                 # ∫ 1 dx over the unit square
     1.0
     """
-    quadrature = quadrature if quadrature is not None else three_point_rule()
-    _, areas = gradient_operators(mesh)
-    tri = mesh.triangles
-    vertices = mesh.nodes[tri]  # (T, 3, 2)
+    _, measures = gradient_operators(mesh)
+    cells = mesh.cells
+    vertices = mesh.nodes[cells]  # (T, d + 1, d)
     b = np.zeros(mesh.num_nodes)
-    # evaluate the source at all quadrature points of all triangles at once
-    for q_bary, q_w in zip(quadrature.barycentric, quadrature.weights):
-        pts = np.einsum("i,tid->td", q_bary, vertices)  # (T, 2)
-        f_vals = np.asarray(source(pts[:, 0], pts[:, 1]), dtype=np.float64)
+    # evaluate the source at one quadrature point of every cell at a time
+    for q_bary, q_w in zip(*_LOAD_RULES[mesh.dim]):
+        pts = np.einsum("i,tid->td", q_bary, vertices)  # (T, d)
+        f_vals = np.asarray(source(*pts.T), dtype=np.float64)
         # phi_i at this quadrature point equals the barycentric coordinate i
-        contrib = (q_w * f_vals * areas)[:, None] * q_bary[None, :]  # (T, 3)
-        np.add.at(b, tri.ravel(), contrib.ravel())
+        contrib = (q_w * f_vals * measures)[:, None] * q_bary[None, :]  # (T, d + 1)
+        np.add.at(b, cells.ravel(), contrib.ravel())
     return b
 
 
+def require_boundary_edges(mesh: SimplexMesh, what: str) -> None:
+    """Refuse a mesh whose boundary facets are not edges: Neumann and Robin data are 2D only."""
+    if mesh.dim != 2:
+        raise ValueError(f"{what} integrate over boundary edges, which only a 2D mesh has; got a {mesh.dim}D mesh")
+
+
 def _boundary_edge_geometry(
-    mesh: TriangularMesh, edges: Optional[np.ndarray]
+    mesh: SimplexMesh, edges: Optional[np.ndarray]
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validate a boundary-edge subset and return (edges, midpoints, lengths)."""
-    edges = mesh.boundary_edges if edges is None else np.asarray(edges, dtype=np.int64)
+    require_boundary_edges(mesh, "boundary terms")
+    edges = mesh.boundary_facets if edges is None else np.asarray(edges, dtype=np.int64)
     if edges.size == 0:
         return edges.reshape(0, 2), np.zeros((0, 2)), np.zeros(0)
     if edges.ndim != 2 or edges.shape[1] != 2:
@@ -307,7 +322,7 @@ def _boundary_edge_geometry(
 
 
 def assemble_boundary_mass(
-    mesh: TriangularMesh,
+    mesh: SimplexMesh,
     coefficient: CoefficientLike = 1.0,
     edges: Optional[np.ndarray] = None,
 ) -> sp.csr_matrix:
@@ -315,13 +330,13 @@ def assemble_boundary_mass(
 
     This is the matrix a Robin condition ``κ ∂u/∂n + α u = g`` adds to the
     stiffness.  ``Γ`` is the union of the given boundary ``edges`` (all of
-    ``mesh.boundary_edges`` when None); ``coefficient`` is the Robin weight α,
+    ``mesh.boundary_facets`` when None); ``coefficient`` is the Robin weight α,
     a scalar or a callable evaluated at edge midpoints.  Each 1-D line element
     of length ``L`` contributes the exact P1 local matrix ``α L/6 [[2,1],[1,2]]``.
 
     >>> import numpy as np
-    >>> from repro.mesh.mesh import TriangularMesh
-    >>> mesh = TriangularMesh(
+    >>> from repro.mesh.mesh import SimplexMesh
+    >>> mesh = SimplexMesh(
     ...     np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
     ...     np.array([[0, 1, 2], [0, 2, 3]]),
     ... )
@@ -346,7 +361,7 @@ def assemble_boundary_mass(
 
 
 def assemble_boundary_load(
-    mesh: TriangularMesh,
+    mesh: SimplexMesh,
     flux: CoefficientLike,
     edges: Optional[np.ndarray] = None,
 ) -> np.ndarray:
@@ -358,8 +373,8 @@ def assemble_boundary_load(
     Scalar ``flux`` values are broadcast.
 
     >>> import numpy as np
-    >>> from repro.mesh.mesh import TriangularMesh
-    >>> mesh = TriangularMesh(
+    >>> from repro.mesh.mesh import SimplexMesh
+    >>> mesh = SimplexMesh(
     ...     np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
     ...     np.array([[0, 1, 2], [0, 2, 3]]),
     ... )
@@ -396,8 +411,8 @@ def apply_dirichlet(
     Returns the modified ``(A, b)``; the input matrices are not mutated.
 
     >>> import numpy as np
-    >>> from repro.mesh.mesh import TriangularMesh
-    >>> mesh = TriangularMesh(
+    >>> from repro.mesh.mesh import SimplexMesh
+    >>> mesh = SimplexMesh(
     ...     np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
     ...     np.array([[0, 1, 2], [0, 2, 3]]),
     ... )

@@ -184,8 +184,8 @@ class RadialField(DiffusionField):
 
 
 def field_contrast(kappa, mesh) -> float:
-    """Empirical contrast ratio κ_max/κ_min of a field sampled at triangle centroids."""
-    from .assembly import evaluate_on_triangles
+    """Empirical contrast ratio κ_max/κ_min of a field sampled at cell centroids."""
+    from .assembly import evaluate_on_cells
 
-    values = evaluate_on_triangles(mesh, kappa)
+    values = evaluate_on_cells(mesh, kappa)
     return float(values.max() / values.min())

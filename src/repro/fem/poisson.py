@@ -13,7 +13,7 @@ from typing import Callable, Literal, Optional
 
 import numpy as np
 
-from ..mesh.mesh import TriangularMesh
+from ..mesh.mesh import SimplexMesh
 from .assembly import apply_dirichlet, assemble_load, assemble_stiffness
 from .functions import random_boundary, random_forcing
 from .problem import Problem
@@ -38,7 +38,7 @@ class PoissonProblem(Problem):
     @classmethod
     def from_fields(
         cls,
-        mesh: TriangularMesh,
+        mesh: SimplexMesh,
         forcing: ScalarField,
         boundary: ScalarField,
         dirichlet_mode: Literal["symmetric", "row"] = "symmetric",
@@ -62,7 +62,7 @@ class PoissonProblem(Problem):
 
 
 def random_poisson_problem(
-    mesh: TriangularMesh,
+    mesh: SimplexMesh,
     rng: Optional[np.random.Generator] = None,
     scale: float = 1.0,
     dirichlet_mode: Literal["symmetric", "row"] = "symmetric",

@@ -21,13 +21,13 @@ in :mod:`repro.problems` so ``make_problem("family-name")`` can build them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Literal, Optional, Sequence, Union
+from typing import Callable, List, Literal, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ..mesh.mesh import TriangularMesh
+from ..mesh.mesh import SimplexMesh
 from .assembly import (
     CoefficientLike,
     apply_dirichlet,
@@ -35,7 +35,8 @@ from .assembly import (
     assemble_boundary_mass,
     assemble_load,
     assemble_stiffness,
-    evaluate_on_triangles,
+    evaluate_on_cells,
+    require_boundary_edges,
 )
 
 __all__ = [
@@ -47,6 +48,7 @@ __all__ = [
     "robin_bc",
     "split_boundary_edges",
     "node_averaged_diffusion",
+    "boundary_dirichlet_data",
 ]
 
 ScalarField = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -113,16 +115,17 @@ def robin_bc(
 
 
 def split_boundary_edges(
-    mesh: TriangularMesh, conditions: Sequence[BoundaryCondition]
+    mesh: SimplexMesh, conditions: Sequence[BoundaryCondition]
 ) -> List[np.ndarray]:
-    """Partition ``mesh.boundary_edges`` among the boundary conditions.
+    """Partition the boundary edges of a 2D mesh among the boundary conditions.
 
     Each edge is assigned to the first condition whose ``where`` selector is
     True at the edge midpoint (``where=None`` matches everything still
     unassigned).  Returns one (E_i, 2) edge array per condition; edges claimed
     by no condition are left out (they get the natural zero-Neumann treatment).
     """
-    edges = mesh.boundary_edges
+    require_boundary_edges(mesh, "boundary-condition regions")
+    edges = mesh.boundary_facets
     midpoints = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
     unassigned = np.ones(edges.shape[0], dtype=bool)
     pieces: List[np.ndarray] = []
@@ -138,7 +141,14 @@ def split_boundary_edges(
     return pieces
 
 
-def node_averaged_diffusion(mesh: TriangularMesh, triangle_values: np.ndarray) -> np.ndarray:
+def boundary_dirichlet_data(mesh: SimplexMesh, boundary: Callable[..., np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """Dirichlet data on the whole boundary: ``mesh.boundary_nodes`` and ``boundary(x, y[, z])`` there."""
+    nodes = np.asarray(mesh.boundary_nodes, dtype=np.int64)
+    values = np.asarray(boundary(*mesh.nodes[nodes].T), dtype=np.float64)
+    return nodes, np.broadcast_to(values, nodes.shape).copy()
+
+
+def node_averaged_diffusion(mesh: SimplexMesh, cell_values: np.ndarray) -> np.ndarray:
     """Measure-weighted average of per-cell κ onto the nodes.
 
     This is the per-node κ feature the GNN consumes: each node receives the
@@ -148,9 +158,7 @@ def node_averaged_diffusion(mesh: TriangularMesh, triangle_values: np.ndarray) -
     transition across them.
     """
     cells = mesh.cells
-    cell_values = np.broadcast_to(
-        np.asarray(triangle_values, dtype=np.float64), (cells.shape[0],)
-    )
+    cell_values = np.broadcast_to(np.asarray(cell_values, dtype=np.float64), (cells.shape[0],))
     measures = np.abs(mesh.cell_measures)
     verts_per_cell = cells.shape[1]
     weighted = np.zeros(mesh.num_nodes)
@@ -167,7 +175,7 @@ class Problem:
     Attributes
     ----------
     mesh:
-        The underlying triangular mesh.
+        The underlying triangular or tetrahedral mesh.
     matrix:
         Sparse system matrix A (after boundary-condition elimination).
     rhs:
@@ -190,7 +198,7 @@ class Problem:
         :func:`repro.solvers.prepare` enforces this.
     """
 
-    mesh: TriangularMesh
+    mesh: SimplexMesh
     matrix: sp.csr_matrix
     rhs: np.ndarray
     stiffness: sp.csr_matrix
@@ -295,27 +303,27 @@ class Problem:
 class DiffusionProblem(Problem):
     """Variable-coefficient diffusion ``-∇·(κ ∇u) = f`` with mixed BCs.
 
-    On top of the base :class:`Problem` attributes it keeps the per-triangle
-    κ values (``triangle_diffusion``) and the original coefficient object
+    On top of the base :class:`Problem` attributes it keeps the per-cell
+    κ values (``cell_diffusion``) and the original coefficient object
     (``diffusion``) so benchmarks can report the contrast ratio.
     """
 
     diffusion: Optional[CoefficientLike] = None
-    triangle_diffusion: Optional[np.ndarray] = None
+    cell_diffusion: Optional[np.ndarray] = None
 
     @property
     def contrast(self) -> float:
-        """Contrast ratio κ_max / κ_min over the mesh triangles."""
-        if self.triangle_diffusion is None:
+        """Contrast ratio κ_max / κ_min over the mesh cells."""
+        if self.cell_diffusion is None:
             return 1.0
-        values = np.asarray(self.triangle_diffusion, dtype=np.float64)
+        values = np.asarray(self.cell_diffusion, dtype=np.float64)
         return float(values.max() / values.min())
 
     # ------------------------------------------------------------------ #
     @classmethod
     def from_fields(
         cls,
-        mesh: TriangularMesh,
+        mesh: SimplexMesh,
         diffusion: CoefficientLike,
         forcing: ScalarField,
         boundary_conditions: Optional[Sequence[BoundaryCondition]] = None,
@@ -336,8 +344,8 @@ class DiffusionProblem(Problem):
         """
         if boundary_conditions is None:
             boundary_conditions = [dirichlet_bc(0.0)]
-        triangle_diffusion = evaluate_on_triangles(mesh, diffusion)
-        stiffness = assemble_stiffness(mesh, diffusion=triangle_diffusion)
+        cell_diffusion = evaluate_on_cells(mesh, diffusion)
+        stiffness = assemble_stiffness(mesh, diffusion=cell_diffusion)
         load = assemble_load(mesh, forcing)
 
         system = stiffness.copy()
@@ -393,7 +401,7 @@ class DiffusionProblem(Problem):
             boundary_values=dvalues,
             dirichlet_mode=dirichlet_mode,
             dirichlet_nodes=dnodes,
-            node_diffusion=node_averaged_diffusion(mesh, triangle_diffusion),
+            node_diffusion=node_averaged_diffusion(mesh, cell_diffusion),
             diffusion=diffusion,
-            triangle_diffusion=triangle_diffusion,
+            cell_diffusion=cell_diffusion,
         )

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from ..mesh.mesh import TriangularMesh
+from ..mesh.mesh import SimplexMesh
 
 __all__ = ["GraphProblem", "graph_from_mesh"]
 
@@ -112,7 +112,7 @@ class GraphProblem:
 
 
 def graph_from_mesh(
-    mesh: TriangularMesh,
+    mesh: SimplexMesh,
     source: np.ndarray,
     dirichlet_mask: Optional[np.ndarray] = None,
     matrix: Optional[sp.spmatrix] = None,

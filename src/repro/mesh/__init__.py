@@ -2,12 +2,11 @@
 
 Public surface:
 
-* :class:`~repro.mesh.mesh.TriangularMesh` — the mesh data structure shared by
-  FEM, partitioning and the GNN.
+* :class:`~repro.mesh.mesh.SimplexMesh` — the one mesh data structure (triangles
+  in 2D, tetrahedra in 3D) shared by FEM, partitioning and the GNN.
 * :func:`~repro.mesh.triangulation.triangulate`,
-  :func:`~repro.mesh.triangulation.structured_rectangle_mesh` — mesh generation.
-* :class:`~repro.mesh.tet.TetrahedralMesh`,
-  :func:`~repro.mesh.tet.structured_box_mesh`,
+  :func:`~repro.mesh.triangulation.structured_rectangle_mesh` — 2D mesh generation.
+* :func:`~repro.mesh.tet.structured_box_mesh`,
   :func:`~repro.mesh.tet.box_mesh_for_target_size` — structured 3D tet meshes.
 * :func:`~repro.mesh.shapes.random_domain_mesh`,
   :func:`~repro.mesh.shapes.formula1_mesh`,
@@ -19,8 +18,8 @@ Public surface:
 """
 
 from .curves import ClosedCurve, circle_curve, polygon_contains, random_boundary_curve
-from .mesh import TriangularMesh
-from .tet import TetrahedralMesh, box_mesh_for_target_size, structured_box_mesh
+from .mesh import SimplexMesh
+from .tet import box_mesh_for_target_size, structured_box_mesh
 from .shapes import (
     DEFAULT_ELEMENT_SIZE,
     disk_mesh,
@@ -32,8 +31,7 @@ from .shapes import (
 from .triangulation import resample_polygon, structured_rectangle_mesh, triangulate
 
 __all__ = [
-    "TriangularMesh",
-    "TetrahedralMesh",
+    "SimplexMesh",
     "structured_box_mesh",
     "box_mesh_for_target_size",
     "ClosedCurve",

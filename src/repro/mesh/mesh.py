@@ -1,51 +1,58 @@
-"""Unstructured triangular mesh data structure.
+"""Unstructured simplex mesh data structure.
 
-A :class:`TriangularMesh` stores node coordinates, triangle connectivity and
-derived topology (edges, node adjacency, boundary nodes).  It is the common
-currency between the geometry, FEM, partitioning and GNN sub-systems:
+A :class:`SimplexMesh` stores node coordinates, cell connectivity (triangles
+in 2D, tetrahedra in 3D) and derived topology (edges, node adjacency,
+boundary facets and nodes).  It is the common currency between the geometry,
+FEM, partitioning and GNN sub-systems:
 
-* the FEM assembly consumes ``nodes`` / ``triangles``;
+* the FEM assembly consumes ``nodes`` / ``cells``;
 * the partitioner consumes the node adjacency graph;
 * the DSS model consumes node coordinates and the (directed) edge list with
   geometric edge attributes (Sec. III-B of the paper).
+
+The dimension enters only through the facet width (d vertices), the
+``cell_measures`` formula and ``quality`` (triangles only).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["TriangularMesh"]
+__all__ = ["SimplexMesh"]
 
 
 @dataclass
-class TriangularMesh:
-    """An unstructured 2-D triangular mesh.
+class SimplexMesh:
+    """An unstructured triangular (d = 2) or tetrahedral (d = 3) mesh.
 
     Attributes
     ----------
     nodes:
-        (N, 2) float array of node coordinates.
-    triangles:
-        (T, 3) int array of node indices, counter-clockwise orientation.
+        (N, d) float array of node coordinates, d in {2, 3}.
+    cells:
+        (T, d + 1) int array of node indices in ``[0, N)``; triangles are
+        counter-clockwise when built by :mod:`repro.mesh.triangulation`.
     """
 
     nodes: np.ndarray
-    triangles: np.ndarray
+    cells: np.ndarray
 
     def __post_init__(self) -> None:
         self.nodes = np.asarray(self.nodes, dtype=np.float64)
-        self.triangles = np.asarray(self.triangles, dtype=np.int64)
-        if self.nodes.ndim != 2 or self.nodes.shape[1] != 2:
-            raise ValueError("nodes must have shape (N, 2)")
-        if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
-            raise ValueError("triangles must have shape (T, 3)")
-        if self.triangles.size and self.triangles.max() >= len(self.nodes):
-            raise ValueError("triangle index out of range")
+        self.cells = np.asarray(self.cells, dtype=np.int64)
+        if self.nodes.ndim != 2 or self.nodes.shape[1] not in (2, 3):
+            raise ValueError(f"nodes must have shape (N, 2) or (N, 3), got {self.nodes.shape}")
+        d = self.nodes.shape[1]
+        if self.cells.ndim != 2 or self.cells.shape[1] != d + 1:
+            raise ValueError(f"cells of a {d}D mesh must have shape (T, {d + 1}), got {self.cells.shape}")
+        if self.cells.size and (self.cells.min() < 0 or self.cells.max() >= len(self.nodes)):
+            raise ValueError(f"cell index out of range [0, {len(self.nodes)})")
 
     # ------------------------------------------------------------------ #
     # basic sizes
@@ -55,30 +62,19 @@ class TriangularMesh:
         return int(self.nodes.shape[0])
 
     @property
-    def num_triangles(self) -> int:
-        return int(self.triangles.shape[0])
+    def num_cells(self) -> int:
+        return int(self.cells.shape[0])
 
     @property
     def dim(self) -> int:
-        return 2
-
-    @property
-    def cells(self) -> np.ndarray:
-        """Dimension-neutral connectivity alias (``triangles`` here, tets in 3D).
-
-        Code that must work on both :class:`TriangularMesh` and
-        :class:`~repro.mesh.tet.TetrahedralMesh` (fingerprints, shared-memory
-        packing, node averaging) consumes ``cells`` / ``cell_measures``
-        instead of the 2D-specific names.
-        """
-        return self.triangles
+        return int(self.nodes.shape[1])
 
     # ------------------------------------------------------------------ #
     # topology
     # ------------------------------------------------------------------ #
     @cached_property
     def _edge_counts(self) -> Tuple[np.ndarray, np.ndarray]:
-        return unique_edges(self.triangles, ((0, 1), (1, 2), (2, 0)), self.num_nodes)
+        return unique_faces(self.cells, 2, self.num_nodes)
 
     @property
     def edges(self) -> np.ndarray:
@@ -86,15 +82,15 @@ class TriangularMesh:
         return self._edge_counts[0]
 
     @cached_property
-    def boundary_edges(self) -> np.ndarray:
-        """Edges that belong to exactly one triangle, shape (Eb, 2)."""
-        uniq, counts = self._edge_counts
+    def boundary_facets(self) -> np.ndarray:
+        """Facets (edges in 2D, triangles in 3D) of exactly one cell, shape (F, d), rows sorted."""
+        uniq, counts = self._edge_counts if self.dim == 2 else unique_faces(self.cells, self.dim, self.num_nodes)
         return uniq[counts == 1]
 
     @cached_property
     def boundary_nodes(self) -> np.ndarray:
-        """Sorted indices of nodes lying on the boundary (incident to a boundary edge)."""
-        return np.unique(self.boundary_edges)
+        """Sorted indices of nodes lying on the boundary (incident to a boundary facet)."""
+        return np.unique(self.boundary_facets)
 
     @cached_property
     def interior_nodes(self) -> np.ndarray:
@@ -133,21 +129,15 @@ class TriangularMesh:
     # geometric quantities
     # ------------------------------------------------------------------ #
     @cached_property
-    def triangle_areas(self) -> np.ndarray:
-        """Signed areas of all triangles (positive for CCW orientation)."""
-        p = self.nodes[self.triangles]
+    def cell_measures(self) -> np.ndarray:
+        """Signed cell measures: areas in 2D (positive for CCW), volumes in 3D."""
+        p = self.nodes[self.cells]
         v1 = p[:, 1] - p[:, 0]
         v2 = p[:, 2] - p[:, 0]
-        return 0.5 * (v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0])
-
-    @property
-    def cell_measures(self) -> np.ndarray:
-        """Dimension-neutral measure alias (areas here, volumes in 3D)."""
-        return self.triangle_areas
-
-    @cached_property
-    def total_area(self) -> float:
-        return float(np.abs(self.triangle_areas).sum())
+        if self.dim == 2:
+            return 0.5 * (v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0])
+        v3 = p[:, 3] - p[:, 0]
+        return np.einsum("ti,ti->t", np.cross(v1, v2), v3) / 6.0
 
     @cached_property
     def element_size(self) -> float:
@@ -157,18 +147,20 @@ class TriangularMesh:
         return float(lengths.mean())
 
     def quality(self) -> Dict[str, float]:
-        """Return basic quality metrics: min/mean aspect quality and area stats.
+        """Return basic quality metrics of a 2D mesh: min/mean aspect quality and area stats.
 
         Triangle quality is measured by ``4*sqrt(3)*area / sum(l_i^2)`` which
         equals 1 for equilateral triangles and tends to 0 for slivers.
         """
-        p = self.nodes[self.triangles]
+        if self.dim != 2:
+            raise ValueError(f"quality() measures triangles; this mesh is {self.dim}D")
+        p = self.nodes[self.cells]
         l2 = (
             np.sum((p[:, 0] - p[:, 1]) ** 2, axis=1)
             + np.sum((p[:, 1] - p[:, 2]) ** 2, axis=1)
             + np.sum((p[:, 2] - p[:, 0]) ** 2, axis=1)
         )
-        areas = np.abs(self.triangle_areas)
+        areas = np.abs(self.cell_measures)
         q = 4.0 * np.sqrt(3.0) * areas / np.maximum(l2, 1e-300)
         return {
             "min_quality": float(q.min()) if len(q) else 0.0,
@@ -182,28 +174,41 @@ class TriangularMesh:
     # ------------------------------------------------------------------ #
     @cached_property
     def _node_cells(self) -> sp.csr_matrix:
-        return node_cell_incidence(self.triangles, self.num_nodes)
+        return node_cell_incidence(self.cells, self.num_nodes)
 
-    def submesh(self, node_indices: Sequence[int]) -> Tuple["TriangularMesh", np.ndarray]:
+    def submesh(self, node_indices: Sequence[int]) -> Tuple["SimplexMesh", np.ndarray]:
         """Extract the sub-mesh induced by ``node_indices``.
 
         Returns the sub-mesh and the array of *global* node indices for each
-        local node (the local → global map).  Only triangles whose three
-        vertices are all selected are retained.
+        local node (the local → global map).  Only cells whose vertices are
+        all selected are retained.
         """
-        node_indices, local_triangles = induced_cells(self, node_indices)
-        return TriangularMesh(self.nodes[node_indices], local_triangles), node_indices
+        node_indices, local_cells = induced_cells(self, node_indices)
+        return SimplexMesh(self.nodes[node_indices], local_cells), node_indices
 
 
-def unique_edges(cells: np.ndarray, pairs, num_nodes: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Unique undirected edges of ``cells`` — one per vertex-slot pair in ``pairs`` — and how many
-    cells share each: rows sorted (i < j) in lexicographic order, found by sorting one integer
-    key ``i * n + j`` per edge rather than the rows themselves."""
-    first = np.concatenate([cells[:, a] for a, _ in pairs])
-    second = np.concatenate([cells[:, b] for _, b in pairs])
+def unique_faces(cells: np.ndarray, size: int, num_nodes: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Unique ``size``-vertex faces of ``cells`` (edges for 2, triangles for 3) and how many cells
+    share each: rows sorted in lexicographic order, found by sorting one integer key per face
+    (its sorted vertices as digits in base ``num_nodes``) rather than the rows themselves."""
+    columns = [np.concatenate([cells[:, face[k]] for face in combinations(range(cells.shape[1]), size)])
+               for k in range(size)]
+    for end in range(size - 1, 0, -1):  # a compare-exchange network sorts each face's vertices
+        for k in range(end):
+            columns[k], columns[k + 1] = (np.minimum(columns[k], columns[k + 1]),
+                                          np.maximum(columns[k], columns[k + 1]))
     base = max(int(num_nodes), 1)
-    keys, counts = np.unique(np.minimum(first, second) * base + np.maximum(first, second), return_counts=True)
-    return np.column_stack(np.divmod(keys, base)), counts
+    if base ** size >= 2 ** 63:  # the key would overflow int64
+        return np.unique(np.column_stack(columns), axis=0, return_counts=True)
+    keys = columns[0]
+    for column in columns[1:]:
+        keys = keys * base + column
+    keys, counts = np.unique(keys, return_counts=True)
+    rows = np.empty((len(keys), size), dtype=np.int64)
+    for k in range(size - 1, 0, -1):
+        keys, rows[:, k] = np.divmod(keys, base)
+    rows[:, 0] = keys
+    return rows, counts
 
 
 #: hop distance of a node no BFS has reached yet

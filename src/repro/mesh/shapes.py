@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .curves import ClosedCurve, circle_curve, random_boundary_curve
-from .mesh import TriangularMesh
+from .mesh import SimplexMesh
 from .triangulation import triangulate
 
 __all__ = [
@@ -40,7 +40,7 @@ def random_domain_mesh(
     radial_jitter: float = 0.3,
     rng: Optional[np.random.Generator] = None,
     smoothing_iterations: int = 4,
-) -> TriangularMesh:
+) -> SimplexMesh:
     """Generate one random domain mesh from the paper's training distribution."""
     rng = rng if rng is not None else np.random.default_rng()
     curve = random_boundary_curve(
@@ -49,12 +49,12 @@ def random_domain_mesh(
     return triangulate(curve, element_size=element_size, smoothing_iterations=smoothing_iterations)
 
 
-def disk_mesh(radius: float = 1.0, element_size: float = 0.1) -> TriangularMesh:
+def disk_mesh(radius: float = 1.0, element_size: float = 0.1) -> SimplexMesh:
     """Mesh of a disk of given radius (deterministic, used by tests)."""
     return triangulate(circle_curve(radius=radius), element_size=element_size)
 
 
-def lshape_mesh(size: float = 1.0, element_size: float = 0.08) -> TriangularMesh:
+def lshape_mesh(size: float = 1.0, element_size: float = 0.08) -> SimplexMesh:
     """Mesh of the classic L-shaped domain ``[0,1]^2 \\ [0.5,1]x[0.5,1]`` scaled by ``size``."""
     s = float(size)
     polygon = np.array(
@@ -79,7 +79,7 @@ def formula1_mesh(
     length: float = 10.0,
     element_size: float = 0.08,
     with_holes: bool = True,
-) -> TriangularMesh:
+) -> SimplexMesh:
     """Caricatural Formula-1 silhouette with holes (paper Fig. 5 test case).
 
     The outline is a long, low car-like profile: a nose cone, a raised cockpit
@@ -125,7 +125,7 @@ def mesh_for_target_size(
     rng: Optional[np.random.Generator] = None,
     tolerance: float = 0.35,
     max_attempts: int = 6,
-) -> TriangularMesh:
+) -> SimplexMesh:
     """Generate a random-domain mesh with approximately ``target_nodes`` nodes.
 
     The paper grows problems by increasing the domain radius at fixed element

@@ -34,7 +34,7 @@ import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
 from .curves import ClosedCurve, polygon_contains
-from .mesh import TriangularMesh
+from .mesh import SimplexMesh
 
 __all__ = ["triangulate", "resample_polygon", "structured_rectangle_mesh"]
 
@@ -115,7 +115,7 @@ def triangulate(
     smoothing_iterations: int = 4,
     interior_margin: float = 0.6,
     rng: Optional[np.random.Generator] = None,
-) -> TriangularMesh:
+) -> SimplexMesh:
     """Triangulate the interior of a closed boundary curve.
 
     Parameters
@@ -192,13 +192,13 @@ def triangulate(
     simplices = remap[simplices]
     fixed_mask = used < n_boundary  # original boundary/hole points stay put
 
-    mesh = TriangularMesh(points, simplices)
+    mesh = SimplexMesh(points, simplices)
     if smoothing_iterations > 0:
         mesh = _laplacian_smooth(mesh, fixed_mask, smoothing_iterations)
     return _ensure_ccw(mesh)
 
 
-def _laplacian_smooth(mesh: TriangularMesh, fixed_mask: np.ndarray, iterations: int) -> TriangularMesh:
+def _laplacian_smooth(mesh: SimplexMesh, fixed_mask: np.ndarray, iterations: int) -> SimplexMesh:
     """Move each free node towards the mean of its neighbours (in place sweeps)."""
     nodes = mesh.nodes.copy()
     adj = mesh.adjacency
@@ -210,19 +210,19 @@ def _laplacian_smooth(mesh: TriangularMesh, fixed_mask: np.ndarray, iterations: 
     for _ in range(iterations):
         mean_neigh = adj @ nodes / deg[:, None]
         nodes[free] = 0.5 * nodes[free] + 0.5 * mean_neigh[free]
-    return TriangularMesh(nodes, mesh.triangles)
+    return SimplexMesh(nodes, mesh.cells)
 
 
-def _ensure_ccw(mesh: TriangularMesh) -> TriangularMesh:
+def _ensure_ccw(mesh: SimplexMesh) -> SimplexMesh:
     """Flip triangles with negative signed area so all are counter-clockwise."""
-    areas = mesh.triangle_areas
-    tris = mesh.triangles.copy()
+    areas = mesh.cell_measures
+    tris = mesh.cells.copy()
     flip = areas < 0
     tris[flip] = tris[flip][:, [0, 2, 1]]
-    return TriangularMesh(mesh.nodes, tris)
+    return SimplexMesh(mesh.nodes, tris)
 
 
-def structured_rectangle_mesh(nx: int, ny: int, width: float = 1.0, height: float = 1.0) -> TriangularMesh:
+def structured_rectangle_mesh(nx: int, ny: int, width: float = 1.0, height: float = 1.0) -> SimplexMesh:
     """Structured triangulation of a rectangle (mainly used by tests).
 
     Produces ``(nx+1) * (ny+1)`` nodes and ``2 * nx * ny`` triangles.
@@ -243,4 +243,4 @@ def structured_rectangle_mesh(nx: int, ny: int, width: float = 1.0, height: floa
             a, b, c, d = nid(i, j), nid(i + 1, j), nid(i + 1, j + 1), nid(i, j + 1)
             tris.append((a, b, c))
             tris.append((a, c, d))
-    return TriangularMesh(nodes, np.asarray(tris, dtype=np.int64))
+    return SimplexMesh(nodes, np.asarray(tris, dtype=np.int64))

@@ -12,7 +12,7 @@ from typing import List
 import numpy as np
 import scipy.sparse as sp
 
-from ..mesh.mesh import TriangularMesh, csr_neighbours
+from ..mesh.mesh import SimplexMesh, csr_neighbours
 from .partitioner import Partition
 
 __all__ = ["expand_overlap", "OverlappingDecomposition"]
@@ -54,7 +54,7 @@ class OverlappingDecomposition:
 
     def __init__(
         self,
-        mesh: TriangularMesh,
+        mesh: SimplexMesh,
         partition: Partition,
         overlap: int = 2,
     ) -> None:

@@ -25,7 +25,7 @@ from typing import List, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from ..mesh.mesh import UNREACHED, TriangularMesh, csr_neighbours, relax_hop_distances
+from ..mesh.mesh import UNREACHED, SimplexMesh, csr_neighbours, relax_hop_distances
 
 __all__ = ["Partition", "partition_graph", "partition_mesh", "partition_mesh_target_size"]
 
@@ -189,7 +189,7 @@ def _refine_boundary(adjacency: sp.csr_matrix, partition: Partition, balance_tol
 
 
 def partition_mesh(
-    mesh: TriangularMesh,
+    mesh: SimplexMesh,
     num_parts: int,
     rng: Optional[np.random.Generator] = None,
 ) -> Partition:
@@ -198,7 +198,7 @@ def partition_mesh(
 
 
 def partition_mesh_target_size(
-    mesh: TriangularMesh,
+    mesh: SimplexMesh,
     target_size: int,
     rng: Optional[np.random.Generator] = None,
 ) -> Partition:

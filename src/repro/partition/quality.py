@@ -13,7 +13,7 @@ from typing import Dict
 import numpy as np
 import scipy.sparse as sp
 
-from ..mesh.mesh import TriangularMesh
+from ..mesh.mesh import SimplexMesh
 from .partitioner import Partition
 
 __all__ = ["PartitionReport", "analyse_partition"]
@@ -58,7 +58,7 @@ def _num_connected_parts(adjacency: sp.csr_matrix, partition: Partition) -> int:
     return connected
 
 
-def analyse_partition(mesh: TriangularMesh, partition: Partition) -> PartitionReport:
+def analyse_partition(mesh: SimplexMesh, partition: Partition) -> PartitionReport:
     """Compute a :class:`PartitionReport` for a partition of ``mesh``."""
     adjacency = mesh.adjacency
     sizes = partition.sizes()

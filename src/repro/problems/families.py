@@ -50,20 +50,20 @@ from ..fem.coefficients import ChannelField, CheckerboardField, LognormalField, 
 from ..fem.functions import random_boundary, random_forcing
 from ..fem.poisson import PoissonProblem, random_poisson_problem
 from ..fem.problem import DiffusionProblem, Problem, dirichlet_bc, neumann_bc, robin_bc
-from ..mesh.mesh import TriangularMesh
+from ..mesh.mesh import SimplexMesh
 from .registry import register_problem
 
 __all__ = []  # families are consumed through the registry, not imported
 
 
-def _bbox(mesh: TriangularMesh):
+def _bbox(mesh: SimplexMesh):
     lo = mesh.nodes.min(axis=0)
     hi = mesh.nodes.max(axis=0)
     return lo, hi
 
 
 @register_problem("poisson", description="Homogeneous Poisson with random quadratic f/g (paper Sec. IV-A)")
-def _poisson(mesh: TriangularMesh, rng: np.random.Generator, scale: float = 1.0) -> PoissonProblem:
+def _poisson(mesh: SimplexMesh, rng: np.random.Generator, scale: float = 1.0) -> PoissonProblem:
     return random_poisson_problem(mesh, rng=rng, scale=scale)
 
 
@@ -74,7 +74,7 @@ def _poisson(mesh: TriangularMesh, rng: np.random.Generator, scale: float = 1.0)
     cells=4,
 )
 def _checkerboard(
-    mesh: TriangularMesh,
+    mesh: SimplexMesh,
     rng: np.random.Generator,
     contrast: float = 100.0,
     cells: int = 4,
@@ -94,7 +94,7 @@ def _checkerboard(
     num_channels=3,
 )
 def _channel(
-    mesh: TriangularMesh,
+    mesh: SimplexMesh,
     rng: np.random.Generator,
     contrast: float = 100.0,
     num_channels: int = 3,
@@ -120,7 +120,7 @@ def _channel(
     correlation_length=0.4,
 )
 def _lognormal(
-    mesh: TriangularMesh,
+    mesh: SimplexMesh,
     rng: np.random.Generator,
     sigma: float = 1.0,
     correlation_length: float = 0.4,
@@ -140,7 +140,7 @@ def _lognormal(
     description="Deterministic smooth radial κ bump (convergence-test workload)",
 )
 def _smooth(
-    mesh: TriangularMesh,
+    mesh: SimplexMesh,
     rng: np.random.Generator,
     amplitude: float = 4.0,
 ) -> DiffusionProblem:
@@ -160,7 +160,7 @@ def _smooth(
     cells=4,
 )
 def _mixed_bc(
-    mesh: TriangularMesh,
+    mesh: SimplexMesh,
     rng: np.random.Generator,
     contrast: float = 100.0,
     cells: int = 4,
@@ -185,7 +185,7 @@ def _mixed_bc(
     peclet=20.0,
 )
 def _convection_diffusion(
-    mesh: TriangularMesh,
+    mesh: SimplexMesh,
     rng: np.random.Generator,
     diffusion: float = 1.0,
     peclet: float = 20.0,
@@ -235,7 +235,7 @@ def _convection_diffusion(
     alpha=1.0,
 )
 def _poisson_robin(
-    mesh: TriangularMesh,
+    mesh: SimplexMesh,
     rng: np.random.Generator,
     alpha: float = 1.0,
 ) -> DiffusionProblem:

@@ -1,7 +1,7 @@
 """Built-in 3D problem families on tetrahedral meshes.
 
 The first non-2D entries in the registry: P1 discretisations on a
-:class:`~repro.mesh.tet.TetrahedralMesh` (a structured unit box when no mesh
+tetrahedral :class:`~repro.mesh.mesh.SimplexMesh` (a structured unit box when no mesh
 is passed — see ``dim=3`` routing in
 :func:`~repro.problems.registry.make_problem`).  Everything downstream —
 Dirichlet elimination, partitioning, the κ-aware GNN features and
@@ -24,10 +24,9 @@ from typing import Optional
 
 import numpy as np
 
-from ..fem.assembly import apply_dirichlet
-from ..fem.assembly3d import assemble_load_3d, assemble_stiffness_3d, evaluate_on_tets
-from ..fem.problem import DiffusionProblem, Problem, node_averaged_diffusion
-from ..mesh.tet import TetrahedralMesh
+from ..fem.assembly import apply_dirichlet, assemble_load, assemble_stiffness, evaluate_on_cells
+from ..fem.problem import DiffusionProblem, Problem, boundary_dirichlet_data, node_averaged_diffusion
+from ..mesh.mesh import SimplexMesh
 from .registry import register_problem
 
 __all__ = []  # families are consumed through the registry, not imported
@@ -58,37 +57,18 @@ def random_boundary_3d(rng: Optional[np.random.Generator] = None, scale: float =
     return g
 
 
-def _dirichlet_problem_3d(
-    mesh: TetrahedralMesh,
-    stiffness,
-    load: np.ndarray,
-    boundary,
-    node_diffusion: Optional[np.ndarray] = None,
-) -> tuple:
-    """Shared tail of the 3D families: eliminate the whole box boundary."""
-    dnodes = np.asarray(mesh.boundary_nodes, dtype=np.int64)
-    coords = mesh.nodes[dnodes]
-    dvalues = np.broadcast_to(
-        np.asarray(boundary(coords[:, 0], coords[:, 1], coords[:, 2]), dtype=np.float64),
-        dnodes.shape,
-    ).copy()
-    matrix, rhs = apply_dirichlet(stiffness, load, dnodes, dvalues, mode="symmetric")
-    return matrix, rhs, dnodes, dvalues
-
-
 @register_problem(
     "poisson3d",
     description="3D Poisson on a tetrahedral mesh (structured box by default)",
     dim=3,
 )
 def _poisson3d(
-    mesh: TetrahedralMesh, rng: np.random.Generator, scale: float = 1.0
+    mesh: SimplexMesh, rng: np.random.Generator, scale: float = 1.0
 ) -> Problem:
-    stiffness = assemble_stiffness_3d(mesh)
-    load = assemble_load_3d(mesh, random_forcing_3d(rng, scale=scale))
-    matrix, rhs, dnodes, dvalues = _dirichlet_problem_3d(
-        mesh, stiffness, load, random_boundary_3d(rng, scale=scale)
-    )
+    stiffness = assemble_stiffness(mesh)
+    load = assemble_load(mesh, random_forcing_3d(rng, scale=scale))
+    dnodes, dvalues = boundary_dirichlet_data(mesh, random_boundary_3d(rng, scale=scale))
+    matrix, rhs = apply_dirichlet(stiffness, load, dnodes, dvalues)
     return Problem(
         mesh=mesh,
         matrix=matrix,
@@ -106,7 +86,7 @@ def _poisson3d(
     contrast=100.0,
 )
 def _diffusion3d_ball(
-    mesh: TetrahedralMesh,
+    mesh: SimplexMesh,
     rng: np.random.Generator,
     contrast: float = 100.0,
     radius_fraction: float = 0.3,
@@ -121,12 +101,11 @@ def _diffusion3d_ball(
             <= ball_radius ** 2
         return np.where(inside, float(contrast), 1.0)
 
-    tet_diffusion = evaluate_on_tets(mesh, kappa)
-    stiffness = assemble_stiffness_3d(mesh, diffusion=tet_diffusion)
-    load = assemble_load_3d(mesh, random_forcing_3d(rng))
-    matrix, rhs, dnodes, dvalues = _dirichlet_problem_3d(
-        mesh, stiffness, load, random_boundary_3d(rng)
-    )
+    cell_diffusion = evaluate_on_cells(mesh, kappa)
+    stiffness = assemble_stiffness(mesh, diffusion=cell_diffusion)
+    load = assemble_load(mesh, random_forcing_3d(rng))
+    dnodes, dvalues = boundary_dirichlet_data(mesh, random_boundary_3d(rng))
+    matrix, rhs = apply_dirichlet(stiffness, load, dnodes, dvalues)
     return DiffusionProblem(
         mesh=mesh,
         matrix=matrix,
@@ -134,7 +113,7 @@ def _diffusion3d_ball(
         stiffness=stiffness,
         boundary_values=dvalues,
         dirichlet_nodes=dnodes,
-        node_diffusion=node_averaged_diffusion(mesh, tet_diffusion),
+        node_diffusion=node_averaged_diffusion(mesh, cell_diffusion),
         diffusion=kappa,
-        triangle_diffusion=tet_diffusion,
+        cell_diffusion=cell_diffusion,
     )

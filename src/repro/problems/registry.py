@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from ..fem.problem import Problem
-from ..mesh.mesh import TriangularMesh
+from ..mesh.mesh import SimplexMesh
 from ..mesh.shapes import random_domain_mesh
 
 __all__ = ["MeshDimensionError", "ProblemFactory", "ProblemSpec", "register_problem", "make_problem",
@@ -132,7 +132,7 @@ def problem_spec(name: str) -> ProblemSpec:
 
 def make_problem(
     name: str,
-    mesh: Optional[TriangularMesh] = None,
+    mesh: Optional[SimplexMesh] = None,
     rng: Optional[np.random.Generator] = None,
     **kwargs,
 ) -> Problem:

@@ -9,12 +9,11 @@ every step of :meth:`~repro.solvers.session.SolverSession.march`.
 
 Families
 --------
-``heat``
-    2D heat equation ``∂u/∂t − ∇·(κ∇u) = f`` with Dirichlet boundary data
-    and a configurable θ (backward Euler by default), on any 2D mesh.
-``heat3d``
-    The same on a tetrahedral box mesh — the first time-dependent 3D
-    workload (``dim=3`` routing builds the mesh when none is given).
+``heat`` / ``heat3d``
+    The heat equation ``∂u/∂t − ∇·(κ∇u) = f`` with Dirichlet boundary data
+    and a configurable θ (backward Euler by default): one factory, registered
+    for 2D meshes and (as ``heat3d``, whose ``dim=3`` routing builds a
+    tetrahedral box mesh when none is given) for 3D ones.
 ``convection-diffusion-transient``
     **Nonsymmetric** ``∂u/∂t − κΔu + b·∇u = f`` with row-mode Dirichlet
     elimination, marched with ``gmres`` sessions.
@@ -31,13 +30,11 @@ from ..fem.assembly import (
     assemble_load,
     assemble_mass,
     assemble_stiffness,
-    evaluate_on_triangles,
+    evaluate_on_cells,
 )
-from ..fem.assembly3d import assemble_load_3d, assemble_mass_3d, assemble_stiffness_3d
 from ..fem.functions import random_boundary, random_forcing
-from ..fem.problem import node_averaged_diffusion
-from ..mesh.mesh import TriangularMesh
-from ..mesh.tet import TetrahedralMesh
+from ..fem.problem import boundary_dirichlet_data, node_averaged_diffusion
+from ..mesh.mesh import SimplexMesh
 from ..timestepping.problem import TimeDependentProblem
 from .families3d import random_boundary_3d, random_forcing_3d
 from .registry import register_problem
@@ -51,8 +48,15 @@ __all__ = []  # families are consumed through the registry, not imported
     dt=0.01,
     theta=1.0,
 )
+@register_problem(
+    "heat3d",
+    description="3D heat equation θ-scheme on a tetrahedral box mesh",
+    dim=3,
+    dt=0.01,
+    theta=1.0,
+)
 def _heat(
-    mesh: TriangularMesh,
+    mesh: SimplexMesh,
     rng: np.random.Generator,
     dt: float = 0.01,
     theta: float = 1.0,
@@ -63,75 +67,28 @@ def _heat(
     lumped: bool = False,
 ) -> TimeDependentProblem:
     if forcing is None:
-        forcing = random_forcing(rng)
+        forcing = (random_forcing_3d if mesh.dim == 3 else random_forcing)(rng)
     if boundary is None:
-        boundary = random_boundary(rng)
+        boundary = (random_boundary_3d if mesh.dim == 3 else random_boundary)(rng)
     node_diffusion = None
     if diffusion is not None:
-        triangle_diffusion = evaluate_on_triangles(mesh, diffusion)
-        spatial = assemble_stiffness(mesh, diffusion=triangle_diffusion)
-        node_diffusion = node_averaged_diffusion(mesh, triangle_diffusion)
+        cell_diffusion = evaluate_on_cells(mesh, diffusion)
+        spatial = assemble_stiffness(mesh, diffusion=cell_diffusion)
+        node_diffusion = node_averaged_diffusion(mesh, cell_diffusion)
     else:
         spatial = assemble_stiffness(mesh)
-    mass = assemble_mass(mesh, lumped=lumped)
-    load = assemble_load(mesh, forcing)
-    dnodes = np.asarray(mesh.boundary_nodes, dtype=np.int64)
-    dvalues = np.broadcast_to(
-        np.asarray(boundary(*mesh.nodes[dnodes].T), dtype=np.float64), dnodes.shape
-    ).copy()
+    dnodes, dvalues = boundary_dirichlet_data(mesh, boundary)
     return TimeDependentProblem.from_theta_scheme(
         mesh,
         spatial=spatial,
-        mass=mass,
-        load=load,
+        mass=assemble_mass(mesh, lumped=lumped),
+        load=assemble_load(mesh, forcing),
         dt=dt,
         theta=theta,
         dirichlet_nodes=dnodes,
         dirichlet_values=dvalues,
         initial_state=initial,
         node_diffusion=node_diffusion,
-        lumped_mass=lumped,
-    )
-
-
-@register_problem(
-    "heat3d",
-    description="3D heat equation θ-scheme on a tetrahedral box mesh",
-    dim=3,
-    dt=0.01,
-    theta=1.0,
-)
-def _heat3d(
-    mesh: TetrahedralMesh,
-    rng: np.random.Generator,
-    dt: float = 0.01,
-    theta: float = 1.0,
-    forcing: Optional[Callable] = None,
-    boundary: Optional[Callable] = None,
-    initial: Union[None, np.ndarray, Callable] = None,
-    lumped: bool = False,
-) -> TimeDependentProblem:
-    if forcing is None:
-        forcing = random_forcing_3d(rng)
-    if boundary is None:
-        boundary = random_boundary_3d(rng)
-    spatial = assemble_stiffness_3d(mesh)
-    mass = assemble_mass_3d(mesh, lumped=lumped)
-    load = assemble_load_3d(mesh, forcing)
-    dnodes = np.asarray(mesh.boundary_nodes, dtype=np.int64)
-    dvalues = np.broadcast_to(
-        np.asarray(boundary(*mesh.nodes[dnodes].T), dtype=np.float64), dnodes.shape
-    ).copy()
-    return TimeDependentProblem.from_theta_scheme(
-        mesh,
-        spatial=spatial,
-        mass=mass,
-        load=load,
-        dt=dt,
-        theta=theta,
-        dirichlet_nodes=dnodes,
-        dirichlet_values=dvalues,
-        initial_state=initial,
         lumped_mass=lumped,
     )
 
@@ -144,7 +101,7 @@ def _heat3d(
     peclet=20.0,
 )
 def _convection_diffusion_transient(
-    mesh: TriangularMesh,
+    mesh: SimplexMesh,
     rng: np.random.Generator,
     dt: float = 0.01,
     theta: float = 1.0,
@@ -171,11 +128,7 @@ def _convection_diffusion_transient(
         + assemble_convection(mesh, velocity)
     mass = assemble_mass(mesh, lumped=lumped)
     load = assemble_load(mesh, random_forcing(rng))
-    boundary = random_boundary(rng)
-    dnodes = np.asarray(mesh.boundary_nodes, dtype=np.int64)
-    dvalues = np.broadcast_to(
-        np.asarray(boundary(*mesh.nodes[dnodes].T), dtype=np.float64), dnodes.shape
-    ).copy()
+    dnodes, dvalues = boundary_dirichlet_data(mesh, random_boundary(rng))
     return TimeDependentProblem.from_theta_scheme(
         mesh,
         spatial=spatial,

@@ -42,7 +42,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..fem.problem import Problem
-from ..mesh.mesh import TriangularMesh
+from ..mesh.mesh import SimplexMesh
 
 __all__ = [
     "SharedArrayBundle",
@@ -248,7 +248,6 @@ def problem_to_shm(problem: Problem) -> SharedArrayBundle:
         arrays["node_diffusion"] = np.asarray(problem.node_diffusion, dtype=np.float64)
     meta = {
         "kind": "problem",
-        "mesh_kind": "tet" if cells.shape[1] == 4 else "tri",
         "matrix_shape": list(matrix.shape),
         "stiffness_shape": list(stiffness.shape),
         "dirichlet_mode": problem.dirichlet_mode,
@@ -290,15 +289,8 @@ def problem_from_shm(manifest: Dict[str, object]) -> Problem:
     a = bundle.arrays
     matrix = _unpack_csr(a, "matrix", meta["matrix_shape"])
     stiffness = _unpack_csr(a, "stiffness", meta["stiffness_shape"])
-    cells = a["cells"]
-    if meta.get("mesh_kind", "tri") == "tet":
-        from ..mesh.tet import TetrahedralMesh
-
-        mesh = TetrahedralMesh(nodes=a["nodes"], cells=cells)
-    else:
-        mesh = TriangularMesh(nodes=a["nodes"], triangles=cells)
     common = dict(
-        mesh=mesh,
+        mesh=SimplexMesh(nodes=a["nodes"], cells=a["cells"]),
         matrix=matrix,
         rhs=a["rhs"],
         stiffness=stiffness,

@@ -1,9 +1,10 @@
-"""The CI workflow references only files that exist in the tree.
+"""The CI workflow and the README's shell blocks reference only files that exist in the tree.
 
-The workflow is scanned as text (no YAML parser): every ``benchmarks/…``,
-``examples/…``, ``src/…`` and ``tests/…`` path it names, and every local
-action it ``uses: ./…``, must resolve — so a job that still runs a deleted
-script fails tier-1 instead of failing in CI.
+Both are scanned as text (no YAML or Markdown parser): every ``benchmarks/…``,
+``examples/…``, ``src/…`` and ``tests/…`` path they name, and every local
+action the workflow ``uses: ./…``, must resolve — so a job or a documented
+command that still runs a deleted script fails tier-1 instead of failing in
+CI or in a reader's shell.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = REPO_ROOT / ".github" / "workflows" / "ci.yml"
+README = REPO_ROOT / "README.md"
 
 #: a repo path: one of the tracked top-level directories, then path characters
 #: (a pytest node id's ``::Test…`` suffix and trailing punctuation stop it)
@@ -24,6 +26,13 @@ _LOCAL_ACTION = re.compile(r"uses:\s*\./([\w./-]+)")
 
 def referenced_paths(text: str) -> set:
     return set(_PATH.findall(text))
+
+
+def shell_block_paths(markdown: str) -> set:
+    """The paths named in a Markdown file's fenced shell blocks, less the ones with a
+    ``<placeholder>`` component (a file the reader makes, such as a run's artifact directory)."""
+    blocks = re.findall(r"^```(?:bash|sh|shell|console)\n(.*?)^```", markdown, flags=re.M | re.S)
+    return referenced_paths(re.sub(r"\S*<[^>\s]*>\S*", "", "\n".join(blocks)))
 
 
 def local_actions(text: str) -> set:
@@ -39,9 +48,21 @@ def test_scanner_finds_paths_and_actions():
     assert local_actions(text) == {".github/actions/gone"}
 
 
+def test_shell_block_scanner():
+    text = ('Run `python examples/prose.py`:\n\n```bash\npython benchmarks/gone.py --out /tmp/x.json\n'
+            'python -m repro.obs tail benchmarks/artifacts/<run>/traces.json\n```\n\n'
+            '```python\nopen("tests/python_block.py")\n```\n')
+    assert shell_block_paths(text) == {"benchmarks/gone.py"}
+
+
 @pytest.mark.parametrize("path", sorted(referenced_paths(WORKFLOW.read_text())))
 def test_referenced_path_exists(path):
     assert (REPO_ROOT / path).exists(), f"ci.yml names {path}, which is not in the tree"
+
+
+@pytest.mark.parametrize("path", sorted(shell_block_paths(README.read_text())))
+def test_readme_shell_path_exists(path):
+    assert (REPO_ROOT / path).exists(), f"a README shell block names {path}, which is not in the tree"
 
 
 def test_local_actions_exist():

@@ -14,104 +14,136 @@ from repro.fem import (
     PoissonProblem,
     PolynomialField,
     apply_dirichlet,
+    assemble_boundary_load,
+    assemble_boundary_mass,
     assemble_load,
     assemble_mass,
     assemble_stiffness,
+    cell_centroids,
     constant_field,
+    evaluate_on_cells,
     gradient_operators,
     manufactured_solution,
     random_boundary,
     random_forcing,
     random_poisson_problem,
-    three_point_rule,
+    split_boundary_edges,
 )
-from repro.mesh import structured_rectangle_mesh
+from repro.mesh import SimplexMesh, structured_box_mesh, structured_rectangle_mesh
+
+
+@pytest.fixture(params=[2, 3], ids=["2d", "3d"])
+def unit_mesh(request, unit_square_mesh):
+    """A mesh of measure 1 in each dimension: the 12×12 unit square, the 3×3×3-cube unit box."""
+    return unit_square_mesh if request.param == 2 else structured_box_mesh(3)
+
+
+def reference_simplex(dim: int) -> SimplexMesh:
+    """The one-cell mesh of the reference simplex: the origin and the unit vectors."""
+    return SimplexMesh(np.vstack([np.zeros(dim), np.eye(dim)]), np.arange(dim + 1)[None, :])
+
+
+def monomial_integral(exponents) -> float:
+    """∫ Π x_k^{a_k} over the reference simplex of dimension d = len(exponents): Π a_k! / (Σ a_k + d)!."""
+    return math.prod(math.factorial(a) for a in exponents) / math.factorial(sum(exponents) + len(exponents))
+
+
+def monomial(exponents):
+    return lambda *xs: math.prod(x ** a for x, a in zip(xs, exponents)) * np.ones_like(xs[0])
+
+
+def exponents_up_to(dim: int, degree: int):
+    return [a for a in np.ndindex(*(degree + 1,) * dim) if sum(a) <= degree]
 
 
 # --------------------------------------------------------------------------- #
 # quadrature
 # --------------------------------------------------------------------------- #
 class TestQuadrature:
-    @pytest.mark.parametrize("rule", [three_point_rule()])
-    def test_weights_sum_to_one(self, rule):
-        assert rule.weights.sum() == pytest.approx(1.0)
+    """Each dimension's load rule, read through ``assemble_load`` on the reference simplex: the
+    entries of ``b`` sum to the rule's ``∫ f`` because the hat functions sum to one."""
 
-    @pytest.mark.parametrize("rule", [three_point_rule()])
-    def test_barycentric_coordinates_valid(self, rule):
-        assert np.allclose(rule.barycentric.sum(axis=1), 1.0)
-        assert np.all(rule.barycentric >= 0.0)
+    @pytest.mark.parametrize("dim, exponents", [pytest.param(d, a, id=f"{d}d-{''.join(map(str, a))}")
+                                                for d in (2, 3) for a in exponents_up_to(d, 2)])
+    def test_rule_is_exact_for_quadratics(self, dim, exponents):
+        integral = assemble_load(reference_simplex(dim), monomial(exponents)).sum()
+        assert integral == pytest.approx(monomial_integral(exponents), rel=1e-12)
 
-    @pytest.mark.parametrize("a, b", [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)])
-    def test_three_point_rule_exact_for_quadratics(self, a, b):
-        """∫_T xᵃ yᵇ over the reference triangle (0,0)-(1,0)-(0,1) equals
-        a! b! / (a + b + 2)! for every monomial of degree ≤ 2."""
-        rule = three_point_rule()
-        pts = rule.points(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-        integral = 0.5 * np.sum(rule.weights * pts[:, 0] ** a * pts[:, 1] ** b)
-        exact = math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
-        assert integral == pytest.approx(exact)
-
-    def test_three_point_rule_degree_is_its_maximum(self):
-        """No cubic monomial is integrated exactly, so ``degree=2`` is tight."""
-        rule = three_point_rule()
-        assert rule.degree == 2
-        pts = rule.points(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    def test_2d_rule_degree_is_its_maximum(self):
+        """No cubic monomial is integrated exactly by the edge-midpoint rule, so degree 2 is tight."""
         for a in range(4):
-            b = 3 - a
-            integral = 0.5 * np.sum(rule.weights * pts[:, 0] ** a * pts[:, 1] ** b)
-            exact = math.factorial(a) * math.factorial(b) / math.factorial(5)
-            assert integral != pytest.approx(exact)
-
-    def test_points_mapping_inside_triangle(self):
-        rule = three_point_rule()
-        vertices = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 3.0]])
-        pts = rule.points(vertices)
-        # all points inside the triangle: positive barycentric wrt the physical triangle
-        assert np.all(pts[:, 0] >= 0) and np.all(pts[:, 1] >= 0)
-        assert np.all(pts[:, 0] / 2.0 + pts[:, 1] / 3.0 <= 1.0 + 1e-12)
+            integral = assemble_load(reference_simplex(2), monomial((a, 3 - a))).sum()
+            assert integral != pytest.approx(monomial_integral((a, 3 - a)))
 
 
 # --------------------------------------------------------------------------- #
-# assembly
+# assembly, in 2D and 3D
 # --------------------------------------------------------------------------- #
 class TestAssembly:
-    def test_stiffness_symmetric(self, unit_square_mesh):
-        K = assemble_stiffness(unit_square_mesh)
+    def test_stiffness_symmetric(self, unit_mesh):
+        K = assemble_stiffness(unit_mesh)
         assert abs(K - K.T).max() < 1e-12
 
-    def test_stiffness_zero_row_sum(self, unit_square_mesh):
+    def test_stiffness_zero_row_sum(self, unit_mesh):
         """Constants are in the kernel of the (pre-BC) stiffness matrix."""
-        K = assemble_stiffness(unit_square_mesh)
-        assert np.allclose(K @ np.ones(unit_square_mesh.num_nodes), 0.0, atol=1e-12)
+        K = assemble_stiffness(unit_mesh)
+        assert np.allclose(K @ np.ones(unit_mesh.num_nodes), 0.0, atol=1e-12)
 
-    def test_stiffness_positive_semidefinite(self, unit_square_mesh):
-        K = assemble_stiffness(unit_square_mesh).toarray()
-        eigs = np.linalg.eigvalsh(K)
-        assert eigs.min() > -1e-10
+    def test_stiffness_positive_semidefinite(self, unit_mesh):
+        K = assemble_stiffness(unit_mesh).toarray()
+        assert np.linalg.eigvalsh(K).min() > -1e-10
+        interior = unit_mesh.interior_nodes  # SPD once the boundary rows and columns go
+        assert np.linalg.eigvalsh(K[np.ix_(interior, interior)]).min() > 0.0
 
-    def test_mass_matrix_integrates_constants(self, unit_square_mesh):
-        """1ᵀ M 1 equals the domain area."""
-        M = assemble_mass(unit_square_mesh)
-        ones = np.ones(unit_square_mesh.num_nodes)
-        assert ones @ (M @ ones) == pytest.approx(unit_square_mesh.total_area)
+    def test_mass_matrix_integrates_constants(self, unit_mesh):
+        """1ᵀ M 1 equals the domain measure."""
+        M = assemble_mass(unit_mesh)
+        ones = np.ones(unit_mesh.num_nodes)
+        assert ones @ (M @ ones) == pytest.approx(1.0)
 
-    def test_lumped_mass_same_total(self, unit_square_mesh):
-        M = assemble_mass(unit_square_mesh)
-        ML = assemble_mass(unit_square_mesh, lumped=True)
+    def test_lumped_mass_same_total(self, unit_mesh):
+        M = assemble_mass(unit_mesh)
+        ML = assemble_mass(unit_mesh, lumped=True)
         assert ML.sum() == pytest.approx(M.sum())
         assert (ML - sp.diags(ML.diagonal())).nnz == 0
 
-    def test_load_vector_constant_source(self, unit_square_mesh):
-        """For f = 1 the load vector sums to the area of the domain."""
-        b = assemble_load(unit_square_mesh, constant_field(1.0))
-        assert b.sum() == pytest.approx(unit_square_mesh.total_area)
+    def test_mass_row_sums_and_symmetry(self, unit_mesh):
+        """Consistent and lumped mass agree row-wise, and both integrate the constant to the measure."""
+        consistent = assemble_mass(unit_mesh)
+        lumped = assemble_mass(unit_mesh, lumped=True)
+        assert abs(consistent - consistent.T).max() < 1e-13
+        row_sums = np.asarray(consistent.sum(axis=1)).ravel()
+        np.testing.assert_allclose(row_sums, lumped.diagonal(), rtol=1e-12)
+        assert lumped.nnz == unit_mesh.num_nodes  # strictly diagonal
+        assert row_sums.sum() == pytest.approx(np.abs(unit_mesh.cell_measures).sum(), rel=1e-12)
 
-    def test_gradient_operators_shapes(self, unit_square_mesh):
-        grads, areas = gradient_operators(unit_square_mesh)
-        assert grads.shape == (unit_square_mesh.num_triangles, 3, 2)
-        assert areas.shape == (unit_square_mesh.num_triangles,)
-        # gradients of the three hat functions sum to zero on every element
+    def test_load_vector_constant_source(self, unit_mesh):
+        """For f = 1 the load vector sums to the measure of the domain."""
+        b = assemble_load(unit_mesh, lambda *xs: np.ones_like(xs[0]))
+        assert b.sum() == pytest.approx(1.0)
+
+    def test_gradient_operators_shapes(self, unit_mesh):
+        grads, measures = gradient_operators(unit_mesh)
+        d = unit_mesh.dim
+        assert grads.shape == (unit_mesh.num_cells, d + 1, d)
+        assert measures.shape == (unit_mesh.num_cells,)
+        assert measures.sum() == pytest.approx(1.0, rel=1e-12)
+        # gradients of the hat functions sum to zero on every element
         assert np.allclose(grads.sum(axis=1), 0.0, atol=1e-12)
+
+    def test_gradients_reproduce_linear_functions(self, unit_mesh):
+        """∇(a·x + b) is recovered exactly on every cell."""
+        coeff = np.array([2.0, -1.0, 0.5])[: unit_mesh.dim]
+        values = unit_mesh.nodes @ coeff + 3.0
+        grads, _ = gradient_operators(unit_mesh)
+        per_cell = np.einsum("tid,ti->td", grads, values[unit_mesh.cells])
+        np.testing.assert_allclose(per_cell, np.tile(coeff, (unit_mesh.num_cells, 1)), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_degenerate_cell_rejected(self, dim):
+        flat = np.vstack([np.zeros(dim), np.eye(dim)[:-1], 2.0 * np.eye(dim)[0]])  # all in the plane x_d = 0
+        with pytest.raises(ValueError, match="degenerate"):
+            gradient_operators(SimplexMesh(flat, np.arange(dim + 1)[None, :]))
 
     def test_apply_dirichlet_symmetric_keeps_spd(self, unit_square_mesh):
         K = assemble_stiffness(unit_square_mesh)
@@ -230,25 +262,31 @@ class TestFields:
 # variable-coefficient (κ-weighted) assembly and boundary terms
 # --------------------------------------------------------------------------- #
 class TestDiffusionAssembly:
-    def test_constant_kappa_scales_stiffness(self, unit_square_mesh):
-        base = assemble_stiffness(unit_square_mesh)
-        scaled = assemble_stiffness(unit_square_mesh, diffusion=3.5)
-        assert np.allclose(scaled.toarray(), 3.5 * base.toarray())
+    def test_constant_kappa_scales_stiffness(self, unit_mesh):
+        base = assemble_stiffness(unit_mesh)
+        scaled = assemble_stiffness(unit_mesh, diffusion=3.5)
+        assert abs(scaled - 3.5 * base).max() < 1e-12
 
-    def test_callable_and_array_kappa_agree(self, unit_square_mesh):
-        from repro.fem import evaluate_on_triangles
-
-        kappa = lambda x, y: 1.0 + x + 2.0 * y
-        values = evaluate_on_triangles(unit_square_mesh, kappa)
-        by_callable = assemble_stiffness(unit_square_mesh, diffusion=kappa)
-        by_array = assemble_stiffness(unit_square_mesh, diffusion=values)
+    def test_callable_and_array_kappa_agree(self, unit_mesh):
+        kappa = lambda *xs: 1.0 + xs[0] + 2.0 * xs[1]
+        values = evaluate_on_cells(unit_mesh, kappa)
+        by_callable = assemble_stiffness(unit_mesh, diffusion=kappa)
+        by_array = assemble_stiffness(unit_mesh, diffusion=values)
         assert np.allclose(by_callable.toarray(), by_array.toarray())
 
-    def test_nonpositive_kappa_rejected(self, unit_square_mesh):
-        with pytest.raises(ValueError):
-            assemble_stiffness(unit_square_mesh, diffusion=0.0)
-        with pytest.raises(ValueError):
-            assemble_stiffness(unit_square_mesh, diffusion=lambda x, y: x - 10.0)
+    def test_evaluate_on_cells_accepts_scalars_arrays_callables(self, unit_mesh):
+        t = unit_mesh.num_cells
+        np.testing.assert_array_equal(evaluate_on_cells(unit_mesh, 3.0), np.full(t, 3.0))
+        values = np.linspace(1.0, 2.0, t)
+        np.testing.assert_array_equal(evaluate_on_cells(unit_mesh, values), values)
+        got = evaluate_on_cells(unit_mesh, lambda *xs: 1.0 + sum(xs))
+        np.testing.assert_allclose(got, 1.0 + cell_centroids(unit_mesh).sum(axis=1))
+
+    def test_nonpositive_kappa_rejected(self, unit_mesh):
+        with pytest.raises(ValueError, match="strictly positive"):
+            assemble_stiffness(unit_mesh, diffusion=0.0)
+        with pytest.raises(ValueError, match="strictly positive"):
+            assemble_stiffness(unit_mesh, diffusion=lambda *xs: xs[0] - 10.0)
 
     def test_weighted_stiffness_stays_symmetric_spd_on_interior(self, unit_square_mesh):
         from repro.fem import CheckerboardField
@@ -264,32 +302,24 @@ class TestDiffusionAssembly:
 
 class TestBoundaryTerms:
     def test_boundary_mass_total_is_perimeter(self, unit_square_mesh):
-        from repro.fem import assemble_boundary_mass
-
         B = assemble_boundary_mass(unit_square_mesh)
         assert B.sum() == pytest.approx(4.0)
 
     def test_boundary_mass_exact_for_linear_data(self, unit_square_mesh):
         """u ↦ ∫ u v ds is exact for P1 data: ∫_∂Ω x·1 ds on the unit square = 2."""
-        from repro.fem import assemble_boundary_mass
-
         B = assemble_boundary_mass(unit_square_mesh)
         x = unit_square_mesh.nodes[:, 0]
         ones = np.ones(unit_square_mesh.num_nodes)
         assert ones @ (B @ x) == pytest.approx(2.0)
 
     def test_boundary_mass_edge_subset_and_coefficient(self, unit_square_mesh):
-        from repro.fem import assemble_boundary_mass
-
-        edges = unit_square_mesh.boundary_edges
+        edges = unit_square_mesh.boundary_facets
         mids = 0.5 * (unit_square_mesh.nodes[edges[:, 0]] + unit_square_mesh.nodes[edges[:, 1]])
         right = edges[mids[:, 0] > 1.0 - 1e-9]
         B = assemble_boundary_mass(unit_square_mesh, coefficient=2.0, edges=right)
         assert B.sum() == pytest.approx(2.0)  # α · |right edge| = 2 · 1
 
     def test_boundary_load_total_is_perimeter_integral(self, unit_square_mesh):
-        from repro.fem import assemble_boundary_load
-
         b = assemble_boundary_load(unit_square_mesh, 1.0)
         assert b.sum() == pytest.approx(4.0)
         # linear flux g = x: ∫_∂Ω x ds = 0·1 + 1·1 + 2·(1/2) = 2
@@ -297,8 +327,14 @@ class TestBoundaryTerms:
         assert b.sum() == pytest.approx(2.0)
 
     def test_empty_edge_subset(self, unit_square_mesh):
-        from repro.fem import assemble_boundary_load, assemble_boundary_mass
-
         empty = np.zeros((0, 2), dtype=np.int64)
         assert assemble_boundary_mass(unit_square_mesh, edges=empty).nnz == 0
         assert np.allclose(assemble_boundary_load(unit_square_mesh, 1.0, edges=empty), 0.0)
+
+    def test_boundary_terms_refuse_a_3d_mesh(self):
+        """Neumann and Robin data live on boundary edges: a tet mesh's (F, 3) faces are not read as edges."""
+        box = structured_box_mesh(2)
+        for call in (lambda: assemble_boundary_mass(box), lambda: assemble_boundary_load(box, 1.0),
+                     lambda: split_boundary_edges(box, [])):
+            with pytest.raises(ValueError, match="got a 3D mesh"):
+                call()

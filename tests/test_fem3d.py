@@ -1,8 +1,9 @@
 """Tests of the first 3D problem family: the structured tetrahedral mesher
-(Kuhn subdivision), 3D P1 assembly (stiffness/mass/load with exact-integral
-checks), mass-matrix invariants in 2D *and* 3D, O(h²) convergence of the 3D
-Poisson solve, the ``dim=3`` registry/serve routing, partitioning of
-tetrahedral meshes and the DDM-GNN pipeline running a 3D problem."""
+(Kuhn subdivision), O(h²) convergence of the 3D Poisson solve, the ``dim=3``
+registry/serve routing, partitioning of tetrahedral meshes and the DDM-GNN
+pipeline running a 3D problem.  The mesh and assembly checks that hold in
+both dimensions run on 2D and 3D meshes alike in ``test_mesh.py`` and
+``test_fem.py``."""
 
 from __future__ import annotations
 
@@ -10,23 +11,9 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from repro.fem import (
-    assemble_load_3d,
-    assemble_mass,
-    assemble_mass_3d,
-    assemble_stiffness_3d,
-    evaluate_on_tets,
-    tet_centroids,
-    tet_gradient_operators,
-)
-from repro.fem.assembly import apply_dirichlet
+from repro.fem import apply_dirichlet, assemble_load, assemble_stiffness
 from repro.gnn import DSS, DSSConfig
-from repro.mesh import (
-    TetrahedralMesh,
-    box_mesh_for_target_size,
-    structured_box_mesh,
-    structured_rectangle_mesh,
-)
+from repro.mesh import box_mesh_for_target_size, structured_box_mesh
 from repro.partition import OverlappingDecomposition, partition_mesh_target_size
 from repro.problems import make_problem, problem_spec
 from repro.solvers import SolverConfig, prepare
@@ -51,44 +38,23 @@ class TestTetMesh:
         assert mesh.cells.shape == (48, 4)
 
     def test_kuhn_subdivision_fills_the_box_exactly(self, box_mesh):
-        assert box_mesh.total_volume == pytest.approx(1.0, rel=1e-12)
+        assert np.abs(box_mesh.cell_measures).sum() == pytest.approx(1.0, rel=1e-12)
         assert np.all(np.abs(box_mesh.cell_measures) > 0.0)
 
     def test_anisotropic_lengths(self):
         mesh = structured_box_mesh(2, 3, 4, lengths=(2.0, 1.0, 0.5))
         assert mesh.num_nodes == 3 * 4 * 5
-        assert mesh.total_volume == pytest.approx(1.0, rel=1e-12)
+        assert np.abs(mesh.cell_measures).sum() == pytest.approx(1.0, rel=1e-12)
         np.testing.assert_allclose(mesh.nodes.max(axis=0), [2.0, 1.0, 0.5])
 
     def test_mesh_is_conforming(self, box_mesh):
         """Every triangular face is shared by at most two tets, and the
         boundary faces tile the six box sides (surface area 6)."""
-        faces = box_mesh.boundary_faces
+        faces = box_mesh.boundary_facets
         corners = box_mesh.nodes[faces]
         cross = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
         area = 0.5 * np.linalg.norm(cross, axis=1).sum()
         assert area == pytest.approx(6.0, rel=1e-12)
-
-    def test_boundary_interior_split(self, box_mesh):
-        n = box_mesh.num_nodes
-        assert len(box_mesh.boundary_nodes) + len(box_mesh.interior_nodes) == n
-        assert box_mesh.boundary_mask.sum() == len(box_mesh.boundary_nodes)
-        # a 4×4×4-node box has 2³ = 8 interior nodes
-        assert len(box_mesh.interior_nodes) == 8
-
-    def test_adjacency_and_directed_edges_are_consistent(self, box_mesh):
-        adjacency = box_mesh.adjacency
-        assert (adjacency != adjacency.T).nnz == 0
-        assert box_mesh.directed_edge_index.shape == (2, adjacency.nnz)
-
-    def test_submesh_keeps_fully_contained_cells(self, box_mesh):
-        keep = np.arange(box_mesh.num_nodes // 2)
-        sub, ids = box_mesh.submesh(keep)
-        assert isinstance(sub, TetrahedralMesh)
-        assert sub.num_nodes == len(keep)
-        np.testing.assert_array_equal(ids, keep)
-        assert sub.num_cells > 0
-        assert sub.cells.max() < sub.num_nodes
 
     def test_box_mesh_for_target_size(self):
         mesh = box_mesh_for_target_size(216)
@@ -101,88 +67,6 @@ class TestTetMesh:
         assert np.array_equal(a.nodes, b.nodes)
         assert np.array_equal(a.cells, b.cells)
 
-    def test_dimension_neutral_aliases_on_2d_mesh(self):
-        mesh = structured_rectangle_mesh(4, 4)
-        assert mesh.dim == 2
-        np.testing.assert_array_equal(mesh.cells, mesh.triangles)
-        np.testing.assert_array_equal(mesh.cell_measures, mesh.triangle_areas)
-
-
-# --------------------------------------------------------------------------- #
-# P1 assembly on tets (and the mass-matrix invariants in both dimensions)
-# --------------------------------------------------------------------------- #
-class TestAssembly3D:
-    def test_gradients_reproduce_linear_functions(self, box_mesh):
-        grads, volumes = tet_gradient_operators(box_mesh)
-        assert volumes.sum() == pytest.approx(1.0, rel=1e-12)
-        # ∇(a·x + b) recovered exactly on every tet
-        coeff = np.array([2.0, -1.0, 0.5])
-        values = box_mesh.nodes @ coeff + 3.0
-        per_tet = np.einsum("tid,ti->td", grads, values[box_mesh.cells])
-        np.testing.assert_allclose(per_tet, np.tile(coeff, (box_mesh.num_cells, 1)),
-                                   rtol=0, atol=1e-12)
-
-    def test_stiffness_is_symmetric_with_zero_row_sums(self, box_mesh):
-        K = assemble_stiffness_3d(box_mesh)
-        assert abs(K - K.T).max() < 1e-13
-        np.testing.assert_allclose(np.asarray(K.sum(axis=1)).ravel(), 0.0, atol=1e-12)
-        # SPD on the interior block
-        interior = box_mesh.interior_nodes
-        eigs = np.linalg.eigvalsh(K[np.ix_(interior, interior)].toarray())
-        assert eigs.min() > 0.0
-
-    def test_stiffness_scales_linearly_in_kappa(self, box_mesh):
-        K1 = assemble_stiffness_3d(box_mesh)
-        K2 = assemble_stiffness_3d(box_mesh, diffusion=2.0)
-        assert abs(K2 - 2.0 * K1).max() < 1e-12
-
-    def test_evaluate_on_tets_accepts_scalars_arrays_callables(self, box_mesh):
-        t = box_mesh.num_cells
-        np.testing.assert_array_equal(evaluate_on_tets(box_mesh, 3.0), np.full(t, 3.0))
-        values = np.linspace(1.0, 2.0, t)
-        np.testing.assert_array_equal(evaluate_on_tets(box_mesh, values), values)
-        centroids = tet_centroids(box_mesh)
-        got = evaluate_on_tets(box_mesh, lambda x, y, z: 1.0 + x + y + z)
-        np.testing.assert_allclose(got, 1.0 + centroids.sum(axis=1))
-        with pytest.raises(ValueError):
-            evaluate_on_tets(box_mesh, -1.0)
-
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_mass_row_sums_and_symmetry(self, dim, box_mesh):
-        """Consistent and lumped mass agree row-wise, and both integrate the
-        constant function to the domain measure — in 2D and 3D alike."""
-        if dim == 2:
-            mesh = structured_rectangle_mesh(6, 6)
-            consistent = assemble_mass(mesh)
-            lumped = assemble_mass(mesh, lumped=True)
-            measure = float(np.abs(mesh.cell_measures).sum())
-        else:
-            mesh = box_mesh
-            consistent = assemble_mass_3d(mesh)
-            lumped = assemble_mass_3d(mesh, lumped=True)
-            measure = mesh.total_volume
-        assert abs(consistent - consistent.T).max() < 1e-13
-        row_sums = np.asarray(consistent.sum(axis=1)).ravel()
-        lumped_diag = lumped.diagonal()
-        np.testing.assert_allclose(row_sums, lumped_diag, rtol=1e-12)
-        assert lumped.nnz == mesh.num_nodes  # strictly diagonal
-        assert row_sums.sum() == pytest.approx(measure, rel=1e-12)
-        ones = np.ones(mesh.num_nodes)
-        assert ones @ (consistent @ ones) == pytest.approx(measure, rel=1e-12)
-
-    def test_load_integrates_polynomials_exactly(self, box_mesh):
-        # ∫ 1 = |Ω| and ∫ x over the unit box = 1/2 (degree-2 quadrature)
-        b1 = assemble_load_3d(box_mesh, lambda x, y, z: 1.0)
-        assert b1.sum() == pytest.approx(1.0, rel=1e-12)
-        bx = assemble_load_3d(box_mesh, lambda x, y, z: x)
-        assert bx.sum() == pytest.approx(0.5, rel=1e-12)
-
-    def test_degenerate_tet_rejected(self):
-        nodes = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0.0]])
-        flat = TetrahedralMesh(nodes=nodes, cells=np.array([[0, 1, 2, 3]]))
-        with pytest.raises(ValueError, match="degenerate"):
-            tet_gradient_operators(flat)
-
 
 class TestPoisson3DConvergence:
     @staticmethod
@@ -191,8 +75,8 @@ class TestPoisson3DConvergence:
         pi = np.pi
         u_exact = lambda x, y, z: np.sin(pi * x) * np.sin(pi * y) * np.sin(pi * z)  # noqa: E731
         forcing = lambda x, y, z: 3.0 * pi ** 2 * u_exact(x, y, z)  # noqa: E731
-        K = assemble_stiffness_3d(mesh)
-        b = assemble_load_3d(mesh, forcing)
+        K = assemble_stiffness(mesh)
+        b = assemble_load(mesh, forcing)
         matrix, rhs = apply_dirichlet(
             K, b, mesh.boundary_nodes, np.zeros(len(mesh.boundary_nodes))
         )

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from repro.mesh import triangulation
 from repro.mesh import (
     ClosedCurve,
-    TriangularMesh,
+    SimplexMesh,
     circle_curve,
     disk_mesh,
     formula1_mesh,
@@ -22,9 +22,11 @@ from repro.mesh import (
     random_boundary_curve,
     random_domain_mesh,
     resample_polygon,
+    structured_box_mesh,
     structured_rectangle_mesh,
     triangulate,
 )
+from repro.mesh.mesh import unique_faces
 
 
 # --------------------------------------------------------------------------- #
@@ -151,61 +153,105 @@ class TestCurves:
 
 
 # --------------------------------------------------------------------------- #
-# TriangularMesh data structure
+# SimplexMesh data structure, in 2D and 3D
 # --------------------------------------------------------------------------- #
-class TestTriangularMesh:
+@pytest.fixture(params=[2, 3], ids=["2d", "3d"])
+def simplex_mesh(request, random_mesh):
+    """The random Bezier-domain mesh in 2D, the 3×3×3-cube Kuhn box in 3D."""
+    return random_mesh if request.param == 2 else structured_box_mesh(3)
+
+
+class TestSimplexMesh:
     def test_structured_mesh_counts(self):
         mesh = structured_rectangle_mesh(4, 3)
         assert mesh.num_nodes == 5 * 4
-        assert mesh.num_triangles == 2 * 4 * 3
+        assert mesh.num_cells == 2 * 4 * 3
+        assert mesh.dim == 2
 
-    def test_boundary_nodes_of_unit_square(self):
-        mesh = structured_rectangle_mesh(4, 4)
-        expected = 4 * 4  # perimeter nodes of a 5x5 grid
-        assert len(mesh.boundary_nodes) == expected
-        assert len(mesh.interior_nodes) == mesh.num_nodes - expected
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_boundary_node_counts_of_structured_meshes(self, dim):
+        """A 5×5-node square has 16 perimeter nodes; a 4×4×4-node box has 2³ = 8 interior nodes."""
+        mesh = structured_rectangle_mesh(4, 4) if dim == 2 else structured_box_mesh(3)
+        interior = 9 if dim == 2 else 8
+        assert len(mesh.interior_nodes) == interior
+        assert len(mesh.boundary_nodes) == mesh.num_nodes - interior
 
-    def test_boundary_and_interior_partition_nodes(self, random_mesh):
-        union = np.union1d(random_mesh.boundary_nodes, random_mesh.interior_nodes)
-        assert np.array_equal(union, np.arange(random_mesh.num_nodes))
+    def test_boundary_and_interior_partition_nodes(self, simplex_mesh):
+        union = np.union1d(simplex_mesh.boundary_nodes, simplex_mesh.interior_nodes)
+        assert np.array_equal(union, np.arange(simplex_mesh.num_nodes))
+        assert simplex_mesh.boundary_mask.sum() == len(simplex_mesh.boundary_nodes)
+        assert np.array_equal(np.unique(simplex_mesh.boundary_facets), simplex_mesh.boundary_nodes)
+        assert simplex_mesh.boundary_facets.shape[1] == simplex_mesh.dim
 
-    def test_adjacency_symmetric(self, random_mesh):
-        adj = random_mesh.adjacency
+    def test_adjacency_symmetric(self, simplex_mesh):
+        adj = simplex_mesh.adjacency
         assert (adj != adj.T).nnz == 0
 
-    def test_directed_edges_are_double_undirected(self, random_mesh):
-        assert random_mesh.directed_edge_index.shape[1] == 2 * len(random_mesh.edges)
+    def test_directed_edges_are_double_undirected(self, simplex_mesh):
+        assert simplex_mesh.directed_edge_index.shape == (2, 2 * len(simplex_mesh.edges))
+        assert simplex_mesh.directed_edge_index.shape[1] == simplex_mesh.adjacency.nnz
 
-    def test_total_area_of_unit_square(self):
+    def test_cell_measures_of_unit_square(self):
         mesh = structured_rectangle_mesh(6, 6)
-        assert mesh.total_area == pytest.approx(1.0)
+        assert np.abs(mesh.cell_measures).sum() == pytest.approx(1.0)
 
-    def test_triangle_areas_positive_after_generation(self, random_mesh):
-        assert np.all(random_mesh.triangle_areas > 0)
+    def test_cell_measures_positive_after_generation(self, random_mesh):
+        assert np.all(random_mesh.cell_measures > 0)
 
     def test_quality_metrics_range(self, random_mesh):
         q = random_mesh.quality()
         assert 0.0 < q["min_quality"] <= q["mean_quality"] <= 1.0 + 1e-12
 
-    def test_submesh_roundtrip(self, random_mesh):
-        nodes = np.arange(0, random_mesh.num_nodes, 2)
-        sub, global_ids = random_mesh.submesh(nodes)
+    def test_quality_measures_triangles_only(self):
+        with pytest.raises(ValueError, match="3D"):
+            structured_box_mesh(1).quality()
+
+    def test_submesh_roundtrip(self, simplex_mesh):
+        nodes = np.arange(0, simplex_mesh.num_nodes, 2)
+        sub, global_ids = simplex_mesh.submesh(nodes)
+        assert isinstance(sub, SimplexMesh) and sub.dim == simplex_mesh.dim
         assert np.array_equal(np.sort(global_ids), np.sort(np.asarray(nodes)))
-        assert np.allclose(sub.nodes, random_mesh.nodes[global_ids])
-        # every sub triangle must exist (as a set of global nodes) in the parent
-        parent_sets = {frozenset(t) for t in random_mesh.triangles.tolist()}
-        for tri in sub.triangles:
-            assert frozenset(global_ids[tri].tolist()) in parent_sets
+        assert np.allclose(sub.nodes, simplex_mesh.nodes[global_ids])
+        # every sub cell must exist (as a set of global nodes) in the parent
+        parent_sets = {frozenset(t) for t in simplex_mesh.cells.tolist()}
+        for cell in sub.cells:
+            assert frozenset(global_ids[cell].tolist()) in parent_sets
 
-    def test_invalid_triangle_index_rejected(self):
-        with pytest.raises(ValueError):
-            TriangularMesh(np.zeros((3, 2)), np.array([[0, 1, 5]]))
+    def test_submesh_keeps_fully_contained_cells(self, simplex_mesh):
+        keep = np.arange(simplex_mesh.num_nodes // 2)
+        sub, ids = simplex_mesh.submesh(keep)
+        np.testing.assert_array_equal(ids, keep)
+        assert sub.num_nodes == len(keep)
+        assert sub.num_cells > 0
+        assert sub.cells.max() < sub.num_nodes
 
-    def test_invalid_shapes_rejected(self):
-        with pytest.raises(ValueError):
-            TriangularMesh(np.zeros((3, 3)), np.array([[0, 1, 2]]))
-        with pytest.raises(ValueError):
-            TriangularMesh(np.zeros((3, 2)), np.array([[0, 1]]))
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("where", ["negative", "past-the-end"])
+    def test_cell_index_outside_the_nodes_rejected(self, dim, where):
+        nodes = np.vstack([np.zeros(dim), np.eye(dim), np.ones(dim)])  # the reference simplex and one more node
+        bad = -1 if where == "negative" else len(nodes)
+        cells = np.array([list(range(dim + 1)), [bad] + list(range(2, dim + 2))])
+        with pytest.raises(ValueError, match="out of range"):
+            SimplexMesh(nodes, cells)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_cell_width_other_than_d_plus_one_rejected(self, dim):
+        for width in (dim, dim + 2):
+            with pytest.raises(ValueError, match=f"shape \\(T, {dim + 1}\\)"):
+                SimplexMesh(np.zeros((6, dim)), np.zeros((1, width), dtype=np.int64))
+
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_dimension_outside_two_and_three_rejected(self, dim):
+        with pytest.raises(ValueError, match="nodes must have shape"):
+            SimplexMesh(np.zeros((dim + 1, dim)), np.arange(dim + 1)[None, :])
+
+    def test_unique_faces_without_an_int64_key(self):
+        """Past 2²¹ nodes a triangle's key overflows int64: the row-unique fallback gives the same faces."""
+        cells = structured_box_mesh(2).cells
+        keyed = unique_faces(cells, 3, 27)
+        fallback = unique_faces(cells, 3, 2 ** 21 + 1)
+        for got, expected in zip(fallback, keyed):
+            np.testing.assert_array_equal(got, expected)
 
 
 # --------------------------------------------------------------------------- #
@@ -215,7 +261,7 @@ class TestTriangulation:
     def test_disk_mesh_properties(self, small_disk_mesh):
         assert small_disk_mesh.num_nodes > 100
         # area close to pi
-        assert abs(small_disk_mesh.total_area - np.pi) / np.pi < 0.05
+        assert abs(small_disk_mesh.quality()["total_area"] - np.pi) / np.pi < 0.05
         # boundary nodes approximately at radius 1
         radii = np.linalg.norm(small_disk_mesh.nodes[small_disk_mesh.boundary_nodes], axis=1)
         assert np.all(radii > 0.9)
@@ -230,12 +276,12 @@ class TestTriangulation:
 
     def test_lshape_mesh(self):
         mesh = lshape_mesh(size=1.0, element_size=0.1)
-        assert abs(mesh.total_area - 0.75) < 0.05
+        assert abs(mesh.quality()["total_area"] - 0.75) < 0.05
 
     def test_formula1_mesh_with_holes_has_smaller_area(self):
         with_holes = formula1_mesh(length=5.0, element_size=0.15, with_holes=True)
         without = formula1_mesh(length=5.0, element_size=0.15, with_holes=False)
-        assert with_holes.total_area < without.total_area
+        assert with_holes.quality()["total_area"] < without.quality()["total_area"]
         assert with_holes.num_nodes > 100
 
     def test_mesh_for_target_size(self):
@@ -263,7 +309,7 @@ class TestMeshGenerationEquality:
     def test_masks_and_meshes_equal_the_every_pair_references(self, shape, monkeypatch):
         """Each inside test (lattice, centroids, once more per hole) and each clearance mask a
         factory asks for equals the reference's, and the mesh built *from* the references is the
-        mesh the factory builds: nodes, triangles and dtypes."""
+        mesh the factory builds: nodes, cells and dtypes."""
         mesh = SHAPE_FACTORIES[shape]()
         fast_contains, fast_clear = polygon_contains, triangulation._clear_of_polygon
         calls = {"contains": 0, "clear": 0}
@@ -285,7 +331,7 @@ class TestMeshGenerationEquality:
         reference = SHAPE_FACTORIES[shape]()
         assert calls["contains"] >= 2 and calls["clear"] >= 1
         assert np.array_equal(mesh.nodes, reference.nodes) and mesh.nodes.dtype == reference.nodes.dtype
-        assert np.array_equal(mesh.triangles, reference.triangles) and mesh.triangles.dtype == reference.triangles.dtype
+        assert np.array_equal(mesh.cells, reference.cells) and mesh.cells.dtype == reference.cells.dtype
 
     def test_clearance_near_the_threshold_is_decided_by_every_pair(self, monkeypatch):
         """The k-d tree may name, of two near-tied vertices, the one a few ulps farther.  Here it

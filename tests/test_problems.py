@@ -88,7 +88,7 @@ class TestBoundaryConditions:
             neumann_bc(1.0),
         ]
         left, rest = split_boundary_edges(unit_square_mesh, conditions)
-        total = unit_square_mesh.boundary_edges.shape[0]
+        total = unit_square_mesh.boundary_facets.shape[0]
         assert left.shape[0] + rest.shape[0] == total
         mids = 0.5 * (unit_square_mesh.nodes[left[:, 0]] + unit_square_mesh.nodes[left[:, 1]])
         assert np.all(mids[:, 0] < 0.5)
@@ -182,7 +182,7 @@ class TestBoundaryConditions:
         assert mask.sum() < unit_square_mesh.boundary_nodes.size
 
     def test_node_averaged_diffusion_constant_field(self, unit_square_mesh):
-        values = node_averaged_diffusion(unit_square_mesh, np.full(unit_square_mesh.num_triangles, 7.0))
+        values = node_averaged_diffusion(unit_square_mesh, np.full(unit_square_mesh.num_cells, 7.0))
         assert np.allclose(values, 7.0)
 
 

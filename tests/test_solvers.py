@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import repro.solvers.preconditioners as precond_module
-from repro.fem import assemble_convection
-from repro.mesh import structured_rectangle_mesh
+from repro.fem import assemble_convection, assemble_mass
+from repro.mesh import structured_box_mesh, structured_rectangle_mesh
 from repro.problems import make_problem
 from repro.solvers import (
     MultiSolveResult,
@@ -452,16 +452,20 @@ class TestNonsymmetricSmoke:
         assert krylov is krylov_spec("gmres")
         assert preconditioner is preconditioner_spec(kind)
 
-    def test_convection_matrix_rows_sum_to_zero(self):
-        mesh = structured_rectangle_mesh(6, 6)
-        convection = assemble_convection(mesh, (0.7, -0.3))
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_convection_matrix_rows_sum_to_zero(self, dim):
+        mesh = structured_rectangle_mesh(6, 6) if dim == 2 else structured_box_mesh(2)
+        convection = assemble_convection(mesh, (0.7, -0.3, 0.4)[:dim])
         assert np.allclose(convection @ np.ones(mesh.num_nodes), 0.0, atol=1e-12)
+        # ∫ φ_i (b · ∇x) = b_x ∫ φ_i: the matrix maps the coordinate x to 0.7 × the lumped mass
+        lumped = np.asarray(assemble_mass(mesh, lumped=True).sum(axis=1)).ravel()
+        np.testing.assert_allclose(convection @ mesh.nodes[:, 0], 0.7 * lumped, atol=1e-12)
 
     def test_convection_velocity_forms_agree(self):
         mesh = structured_rectangle_mesh(5, 5)
         constant = assemble_convection(mesh, (1.0, 2.0))
-        per_triangle = assemble_convection(
-            mesh, np.tile([1.0, 2.0], (mesh.num_triangles, 1))
+        per_cell = assemble_convection(
+            mesh, np.tile([1.0, 2.0], (mesh.num_cells, 1))
         )
         from_callable = assemble_convection(
             mesh, lambda x, y: (np.ones_like(x), 2.0 * np.ones_like(y))
@@ -469,11 +473,11 @@ class TestNonsymmetricSmoke:
         from_columns = assemble_convection(
             mesh, lambda x, y: np.column_stack([np.ones_like(x), 2.0 * np.ones_like(y)])
         )
-        assert np.allclose(constant.toarray(), per_triangle.toarray())
+        assert np.allclose(constant.toarray(), per_cell.toarray())
         assert np.allclose(constant.toarray(), from_callable.toarray())
         assert np.allclose(constant.toarray(), from_columns.toarray())
         with pytest.raises(ValueError, match="velocity callable"):
-            assemble_convection(mesh, lambda x, y: np.ones((3, mesh.num_triangles)))
+            assemble_convection(mesh, lambda x, y: np.ones((3, mesh.num_cells)))
 
 
 # --------------------------------------------------------------------------- #
