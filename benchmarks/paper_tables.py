@@ -47,7 +47,6 @@ sys.path.insert(0, str(ROOT / "src"))
 from repro.core import DDMGNNPreconditioner  # noqa: E402
 from repro.ddm import AdditiveSchwarzPreconditioner, LULocalSolver  # noqa: E402
 from repro.experiments import ExperimentHarness, ExperimentSpec  # noqa: E402
-from repro.fem import PoissonProblem, random_boundary, random_forcing, random_poisson_problem  # noqa: E402
 from repro.gnn import DSS, DSSConfig, evaluate_model, load_model  # noqa: E402
 from repro.krylov import preconditioned_conjugate_gradient  # noqa: E402
 from repro.mesh import box_mesh_for_target_size, formula1_mesh, mesh_for_target_size, random_domain_mesh  # noqa: E402
@@ -150,7 +149,7 @@ def table1(model, checks):
     rows = []
     for target_n in TABLE1_SIZES:
         mesh = mesh_for_target_size(target_n, element_size=ELEMENT_SIZE, rng=rng)
-        problems = [random_poisson_problem(mesh, rng=rng) for _ in range(REPETITIONS)]
+        problems = [make_problem("poisson", mesh=mesh, rng=rng) for _ in range(REPETITIONS)]
         for ns, overlap in ((SUBDOMAIN_SIZE // 2, 2), (SUBDOMAIN_SIZE, 2), (SUBDOMAIN_SIZE * 2, 2),
                             (SUBDOMAIN_SIZE, 4)):
             counts = {"ddm-gnn": [], "ddm-lu": [], "none": [], "exact-local": []}
@@ -211,7 +210,7 @@ def table3(model, checks):
     rows = []
     for target_n in TABLE3_SIZES:
         mesh = mesh_for_target_size(target_n, element_size=ELEMENT_SIZE, rng=rng)
-        problem = random_poisson_problem(mesh, rng=rng)
+        problem = make_problem("poisson", mesh=mesh, rng=rng)
         for ns in (SUBDOMAIN_SIZE * 2, SUBDOMAIN_SIZE, SUBDOMAIN_SIZE // 2):
             results = {kind: solve(problem, kind, model, subdomain_size=ns, overlap=2, tolerance=1e-3,
                                    max_iterations=4000) for kind in ("ic0", "ddm-lu", "ddm-gnn")}
@@ -256,7 +255,7 @@ def fig5(model, checks):
     mesh = formula1_mesh(length=FORMULA1_LENGTH, element_size=FORMULA1_ELEMENT_SIZE, with_holes=True)
     rng = np.random.default_rng(5)
     scale = FORMULA1_LENGTH / 2.0
-    problem = PoissonProblem.from_fields(mesh, random_forcing(rng, scale=scale), random_boundary(rng, scale=scale))
+    problem = make_problem("poisson", mesh=mesh, rng=rng, scale=scale)
     rows, results = [], {}
     for kind, label in (("none", "CG"), ("ddm-lu", "DDM-LU"), ("ddm-gnn", "DDM-GNN")):
         results[label] = result = solve(problem, kind, model, subdomain_size=SUBDOMAIN_SIZE, overlap=2,
@@ -276,7 +275,7 @@ def fig6(models, checks):
     """Per-apply inference time, iterations and total time of each grid model on one problem."""
     rng = np.random.default_rng(6)
     mesh = mesh_for_target_size(TABLE1_SIZES[-1], element_size=ELEMENT_SIZE, rng=rng)
-    problem = random_poisson_problem(mesh, rng=rng)
+    problem = make_problem("poisson", mesh=mesh, rng=rng)
     rows = []
     for (k, d), model in models.items():
         result = solve(problem, "ddm-gnn", model, subdomain_size=SUBDOMAIN_SIZE, overlap=2, tolerance=1e-6,
@@ -295,7 +294,7 @@ def ablations(model, checks):
     """Coarse level on/off, residual normalisation on/off, and the local solver's quality."""
     rng = np.random.default_rng(11)
     mesh = mesh_for_target_size(TABLE1_SIZES[-1], element_size=ELEMENT_SIZE, rng=rng)
-    problem = random_poisson_problem(mesh, rng=rng)
+    problem = make_problem("poisson", mesh=mesh, rng=rng)
     config = dict(subdomain_size=SUBDOMAIN_SIZE, overlap=2, tolerance=1e-6, max_iterations=4000)
 
     coarse = {}

@@ -22,9 +22,9 @@ import numpy as np
 
 from repro.core import generate_dataset
 from repro.solvers import SolverConfig, prepare
-from repro.fem import random_poisson_problem
 from repro.gnn import DSS, DSSConfig, DSSTrainer, TrainingConfig, evaluate_model
 from repro.mesh import random_domain_mesh
+from repro.problems import make_problem
 from repro.utils import format_table
 
 SUBDOMAIN_SIZE = 110          # ~1000 in the paper; scaled down for CPU
@@ -41,7 +41,7 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     print("1) meshing a random Bezier domain ...")
     mesh = random_domain_mesh(radius=1.0, element_size=ELEMENT_SIZE, rng=rng)
-    problem = random_poisson_problem(mesh, rng=rng)
+    problem = make_problem("poisson", mesh=mesh, rng=rng)
     print(f"   mesh: {mesh.num_nodes} nodes, {mesh.num_cells} triangles, "
           f"mean quality {mesh.quality()['mean_quality']:.2f}")
 

@@ -7,10 +7,10 @@ The package is organised bottom-up (see DESIGN.md):
 * :mod:`repro.fem` — P1 finite elements for Poisson and variable-coefficient
   diffusion with mixed Dirichlet/Neumann/Robin boundary conditions;
 * :mod:`repro.problems` — named problem registry
-  (``make_problem("diffusion-checkerboard", ...)``);
+  (``make_problem("diffusion-checkerboard", ...)``), 2D and 3D families;
 * :mod:`repro.partition` — k-way mesh partitioning with overlap (METIS substitute);
 * :mod:`repro.ddm` — restriction operators, Nicolaides coarse space, Additive Schwarz;
-* :mod:`repro.krylov` — CG / PCG / BiCGStab / GMRES and the IC(0) baseline;
+* :mod:`repro.krylov` — CG / PCG / GMRES and the IC(0) baseline;
 * :mod:`repro.gnn` — the Deep Statistical Solver (DSS) model, its training
   pipeline and versioned checkpointing (:mod:`repro.gnn.checkpoint`);
 * :mod:`repro.core` — the DDM-GNN preconditioner, the (legacy) hybrid solver
@@ -20,8 +20,7 @@ The package is organised bottom-up (see DESIGN.md):
   and multi-RHS serving (``prepare(problem, config).solve_many(B)``);
 * :mod:`repro.timestepping` — implicit θ-scheme time marching on amortised
   sessions (``prepare(make_problem("heat")).march(steps=100)``), including
-  lockstep-batched independent trajectories and the first 3D (tetrahedral)
-  problem families;
+  lockstep-batched independent trajectories;
 * :mod:`repro.experiments` — the reproducible experiment harness
   (``python -m repro.experiments run --spec spec.json``) driving
   seed→mesh→train→checkpoint→bench→report from a declarative JSON spec;
@@ -37,12 +36,12 @@ The package is organised bottom-up (see DESIGN.md):
 Typical usage::
 
     from repro.mesh import random_domain_mesh
-    from repro.fem import random_poisson_problem
+    from repro.problems import make_problem
     from repro.gnn import DSS, DSSConfig
     from repro.solvers import SolverConfig, prepare
 
     mesh = random_domain_mesh(radius=1.0, element_size=0.05)
-    problem = random_poisson_problem(mesh)
+    problem = make_problem("poisson", mesh=mesh)
     model = DSS(DSSConfig(num_iterations=10, latent_dim=10))  # train it first!
     session = prepare(problem, SolverConfig(preconditioner="ddm-gnn", subdomain_size=200), model=model)
     result = session.solve()          # setup is paid once per session,

@@ -12,10 +12,9 @@ Public surface:
 * :func:`~repro.fem.assembly.assemble_boundary_mass`,
   :func:`~repro.fem.assembly.assemble_boundary_load` — Neumann/Robin
   boundary terms on 2D meshes.
-* :class:`~repro.fem.problem.Problem`,
-  :class:`~repro.fem.poisson.PoissonProblem`,
-  :class:`~repro.fem.problem.DiffusionProblem`,
-  :func:`~repro.fem.poisson.random_poisson_problem` — problem objects.
+* :class:`~repro.fem.problem.Problem` with its one constructor
+  :meth:`~repro.fem.problem.Problem.from_fields` — a steady problem from a
+  forcing, an optional κ and boundary conditions, on 2D and 3D meshes.
 * :class:`~repro.fem.problem.BoundaryCondition` with the
   :func:`~repro.fem.problem.dirichlet_bc` / :func:`~repro.fem.problem.neumann_bc`
   / :func:`~repro.fem.problem.robin_bc` helpers — mixed boundary conditions.
@@ -23,7 +22,8 @@ Public surface:
   (checkerboard, channel, lognormal, radial bump).
 * :class:`~repro.fem.functions.PolynomialField`,
   :func:`~repro.fem.functions.random_forcing`,
-  :func:`~repro.fem.functions.random_boundary`,
+  :func:`~repro.fem.functions.random_boundary` (the paper's random fields,
+  drawn for 2D or 3D by ``dim``),
   :func:`~repro.fem.functions.manufactured_solution` — field definitions.
 """
 
@@ -54,10 +54,8 @@ from .functions import (
     random_boundary,
     random_forcing,
 )
-from .poisson import PoissonProblem, random_poisson_problem
 from .problem import (
     BoundaryCondition,
-    DiffusionProblem,
     Problem,
     dirichlet_bc,
     neumann_bc,
@@ -78,9 +76,6 @@ __all__ = [
     "cell_centroids",
     "evaluate_on_cells",
     "Problem",
-    "PoissonProblem",
-    "DiffusionProblem",
-    "random_poisson_problem",
     "BoundaryCondition",
     "dirichlet_bc",
     "neumann_bc",

@@ -1,4 +1,4 @@
-"""Discretised elliptic problems: the ``Problem`` hierarchy.
+"""Discretised elliptic problems: the steady :class:`Problem`.
 
 :class:`Problem` bundles a mesh, the assembled system ``A u = b`` and helpers
 to evaluate residuals, solve directly and compute error norms.  It is the
@@ -6,16 +6,15 @@ object the whole solver stack (:class:`~repro.solvers.session.SolverSession`,
 the DDM preconditioners, the dataset harvester) operates on; none of those
 layers assume more than the attributes defined here.
 
-Two concrete families exist:
-
-* :class:`~repro.fem.poisson.PoissonProblem` — homogeneous-coefficient
-  Poisson with Dirichlet boundary conditions (the paper's setting);
-* :class:`DiffusionProblem` — variable-coefficient diffusion
-  ``-∇·(κ ∇u) = f`` with mixed Dirichlet/Neumann/Robin conditions, built
-  from a list of :class:`BoundaryCondition` regions.
-
-New problem families should subclass :class:`Problem` and register a factory
-in :mod:`repro.problems` so ``make_problem("family-name")`` can build them.
+Every steady family is a plain :class:`Problem`.  :meth:`Problem.from_fields`
+assembles ``-∇·(κ ∇u) = f`` from a forcing, an optional κ (``None`` is the
+paper's Poisson setting, κ ≡ 1) and an ordered list of
+:class:`BoundaryCondition` regions; Dirichlet data on the whole boundary
+works on 2D and 3D meshes, region selectors and Neumann/Robin conditions on
+2D meshes only.  The time-dependent families subclass it
+(:class:`~repro.timestepping.problem.TimeDependentProblem`).  A new family
+registers a factory in :mod:`repro.problems` so ``make_problem("family-name")``
+can build it.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from .assembly import (
 
 __all__ = [
     "Problem",
-    "DiffusionProblem",
     "BoundaryCondition",
     "dirichlet_bc",
     "neumann_bc",
@@ -49,9 +47,11 @@ __all__ = [
     "split_boundary_edges",
     "node_averaged_diffusion",
     "boundary_dirichlet_data",
+    "diffusion_stiffness",
 ]
 
-ScalarField = Callable[[np.ndarray, np.ndarray], np.ndarray]
+#: a field g(x, y) on a 2D mesh, g(x, y, z) on a 3D one
+ScalarField = Callable[..., np.ndarray]
 #: predicate over boundary-edge midpoints selecting where a BC applies
 RegionSelector = Callable[[np.ndarray, np.ndarray], np.ndarray]
 BCKind = Literal["dirichlet", "neumann", "robin"]
@@ -62,7 +62,7 @@ def _as_field(value: Union[float, ScalarField]) -> ScalarField:
     if callable(value):
         return value
     const = float(value)
-    return lambda x, y: np.full_like(np.asarray(x, dtype=np.float64), const)
+    return lambda x, *rest: np.full_like(np.asarray(x, dtype=np.float64), const)
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,8 @@ class BoundaryCondition:
         (``κ ∂u/∂n = value``) or ``"robin"``
         (``κ ∂u/∂n + coefficient · u = value``).
     value:
-        Boundary data ``g`` — a scalar or a callable ``g(x, y)``.
+        Boundary data ``g`` — a scalar or a callable ``g(x, y)``
+        (``g(x, y, z)`` for Dirichlet data on a 3D mesh).
     coefficient:
         Robin weight α (scalar or callable); ignored for the other kinds.
     where:
@@ -148,6 +149,58 @@ def boundary_dirichlet_data(mesh: SimplexMesh, boundary: Callable[..., np.ndarra
     return nodes, np.broadcast_to(values, nodes.shape).copy()
 
 
+def _boundary_regions(
+    mesh: SimplexMesh,
+    system: sp.spmatrix,
+    load: np.ndarray,
+    conditions: Sequence[BoundaryCondition],
+) -> Tuple[sp.spmatrix, np.ndarray, np.ndarray, np.ndarray]:
+    """Apply region-wise boundary conditions on a 2D mesh.
+
+    Neumann and Robin regions add their boundary terms to ``(system, load)``;
+    Dirichlet regions contribute ``(dirichlet_nodes, values)``, returned for
+    elimination.  Raises when neither a Dirichlet node nor a Robin edge with
+    α > 0 keeps the system non-singular.
+    """
+    pieces = split_boundary_edges(mesh, conditions)
+    dirichlet_value_of: dict = {}
+    has_robin = False
+    for bc, edges in zip(conditions, pieces):
+        if edges.shape[0] == 0:
+            continue
+        if bc.kind == "dirichlet":
+            nodes = np.unique(edges)
+            values = _as_field(bc.value)(mesh.nodes[nodes, 0], mesh.nodes[nodes, 1])
+            values = np.broadcast_to(np.asarray(values, dtype=np.float64), nodes.shape)
+            for node, value in zip(nodes, values):
+                dirichlet_value_of[int(node)] = float(value)
+        elif bc.kind == "neumann":
+            load = load + assemble_boundary_load(mesh, bc.value, edges=edges)
+        else:  # robin
+            midpoints = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
+            alpha = np.broadcast_to(
+                np.asarray(
+                    _as_field(bc.coefficient)(midpoints[:, 0], midpoints[:, 1]),
+                    dtype=np.float64,
+                ),
+                (edges.shape[0],),
+            )
+            if np.any(alpha < 0.0):
+                raise ValueError("Robin coefficient must be non-negative (SPD system)")
+            system = system + assemble_boundary_mass(mesh, alpha, edges=edges)
+            load = load + assemble_boundary_load(mesh, bc.value, edges=edges)
+            # a Robin region only regularises the system if α > 0 somewhere
+            has_robin = has_robin or bool(np.any(alpha > 0.0))
+
+    if not dirichlet_value_of and not has_robin:
+        raise ValueError(
+            "pure-Neumann problem is singular: add a Dirichlet or Robin region"
+        )
+    dnodes = np.array(sorted(dirichlet_value_of), dtype=np.int64)
+    dvalues = np.array([dirichlet_value_of[int(i)] for i in dnodes], dtype=np.float64)
+    return system, load, dnodes, dvalues
+
+
 def node_averaged_diffusion(mesh: SimplexMesh, cell_values: np.ndarray) -> np.ndarray:
     """Measure-weighted average of per-cell κ onto the nodes.
 
@@ -166,6 +219,19 @@ def node_averaged_diffusion(mesh: SimplexMesh, cell_values: np.ndarray) -> np.nd
     np.add.at(weighted, cells.ravel(), np.repeat(cell_values * measures, verts_per_cell))
     np.add.at(weight, cells.ravel(), np.repeat(measures, verts_per_cell))
     return weighted / np.maximum(weight, 1e-300)
+
+
+def diffusion_stiffness(
+    mesh: SimplexMesh, diffusion: Optional[CoefficientLike]
+) -> Tuple[sp.csr_matrix, Optional[np.ndarray]]:
+    """The stiffness of ``-∇·(κ ∇u)`` and the per-node κ the GNN reads.
+
+    ``None`` is κ ≡ 1: the Poisson stiffness, and no per-node κ.
+    """
+    if diffusion is None:
+        return assemble_stiffness(mesh), None
+    cell_diffusion = evaluate_on_cells(mesh, diffusion)
+    return assemble_stiffness(mesh, diffusion=cell_diffusion), node_averaged_diffusion(mesh, cell_diffusion)
 
 
 @dataclass
@@ -207,6 +273,72 @@ class Problem:
     dirichlet_nodes: Optional[np.ndarray] = None
     node_diffusion: Optional[np.ndarray] = None
     symmetric: bool = True
+
+    # ------------------------------------------------------------------ #
+    # the constructor
+    # ------------------------------------------------------------------ #
+    @classmethod
+    def from_fields(
+        cls,
+        mesh: SimplexMesh,
+        forcing: ScalarField,
+        boundary_conditions: Optional[Sequence[BoundaryCondition]] = None,
+        diffusion: Optional[CoefficientLike] = None,
+        dirichlet_mode: Literal["symmetric", "row"] = "symmetric",
+    ) -> "Problem":
+        """Assemble the P1 discretisation of ``-∇·(κ ∇u) = f``.
+
+        ``diffusion`` is κ (a scalar, a per-cell array or a callable, see
+        :func:`~repro.fem.assembly.evaluate_on_cells`); ``None`` assembles
+        the Poisson stiffness (κ ≡ 1) and leaves ``node_diffusion`` at None.
+
+        ``boundary_conditions`` is an ordered list of
+        :class:`BoundaryCondition` regions; boundary edges are assigned
+        first-match-wins (see :func:`split_boundary_edges`), edges claimed by
+        no condition receive the natural zero-Neumann treatment, and nodes
+        shared between a Dirichlet and a non-Dirichlet region are Dirichlet
+        (the standard convention).  The default is homogeneous Dirichlet on
+        the whole boundary.  A Dirichlet condition first in the list with no
+        ``where`` claims the whole boundary, and its data is evaluated as
+        ``g(*x)`` on ``mesh.boundary_nodes``: that works on any mesh; every
+        other list needs a 2D one.
+
+        The assembled system must be non-singular: at least one Dirichlet
+        node or one Robin edge with positive coefficient is required.
+
+        >>> from repro.mesh import structured_box_mesh
+        >>> box = structured_box_mesh(2)
+        >>> problem = Problem.from_fields(box, lambda x, y, z: np.ones_like(x),
+        ...                               [dirichlet_bc(lambda x, y, z: z)])
+        >>> bool(np.array_equal(problem.boundary_values, box.nodes[problem.dirichlet_nodes, 2]))
+        True
+        """
+        if boundary_conditions is None:
+            boundary_conditions = [dirichlet_bc(0.0)]
+        stiffness, node_diffusion = diffusion_stiffness(mesh, diffusion)
+        load = assemble_load(mesh, forcing)
+
+        first = boundary_conditions[0] if boundary_conditions else None
+        if first is not None and first.kind == "dirichlet" and first.where is None:
+            system = stiffness
+            dnodes, dvalues = boundary_dirichlet_data(mesh, _as_field(first.value))
+        else:
+            system, load, dnodes, dvalues = _boundary_regions(mesh, stiffness, load, boundary_conditions)
+
+        if dnodes.size:
+            matrix, rhs = apply_dirichlet(system, load, dnodes, dvalues, mode=dirichlet_mode)
+        else:
+            matrix, rhs = system.tocsr(), load
+        return cls(
+            mesh=mesh,
+            matrix=matrix,
+            rhs=rhs,
+            stiffness=stiffness,
+            boundary_values=dvalues,
+            dirichlet_mode=dirichlet_mode,
+            dirichlet_nodes=dnodes,
+            node_diffusion=node_diffusion,
+        )
 
     # ------------------------------------------------------------------ #
     # basic properties
@@ -297,111 +429,3 @@ class Problem:
         if denom == 0.0:
             return float(np.linalg.norm(u - u_exact))
         return float(np.linalg.norm(u - u_exact) / denom)
-
-
-@dataclass
-class DiffusionProblem(Problem):
-    """Variable-coefficient diffusion ``-∇·(κ ∇u) = f`` with mixed BCs.
-
-    On top of the base :class:`Problem` attributes it keeps the per-cell
-    κ values (``cell_diffusion``) and the original coefficient object
-    (``diffusion``) so benchmarks can report the contrast ratio.
-    """
-
-    diffusion: Optional[CoefficientLike] = None
-    cell_diffusion: Optional[np.ndarray] = None
-
-    @property
-    def contrast(self) -> float:
-        """Contrast ratio κ_max / κ_min over the mesh cells."""
-        if self.cell_diffusion is None:
-            return 1.0
-        values = np.asarray(self.cell_diffusion, dtype=np.float64)
-        return float(values.max() / values.min())
-
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_fields(
-        cls,
-        mesh: SimplexMesh,
-        diffusion: CoefficientLike,
-        forcing: ScalarField,
-        boundary_conditions: Optional[Sequence[BoundaryCondition]] = None,
-        dirichlet_mode: Literal["symmetric", "row"] = "symmetric",
-    ) -> "DiffusionProblem":
-        """Assemble the P1 discretisation of ``-∇·(κ ∇u) = f``.
-
-        ``boundary_conditions`` is an ordered list of
-        :class:`BoundaryCondition` regions; boundary edges are assigned
-        first-match-wins (see :func:`split_boundary_edges`), edges claimed by
-        no condition receive the natural zero-Neumann treatment, and nodes
-        shared between a Dirichlet and a non-Dirichlet region are Dirichlet
-        (the standard convention).  The default is homogeneous Dirichlet on
-        the whole boundary.
-
-        The assembled system must be non-singular: at least one Dirichlet
-        node or one Robin edge with positive coefficient is required.
-        """
-        if boundary_conditions is None:
-            boundary_conditions = [dirichlet_bc(0.0)]
-        cell_diffusion = evaluate_on_cells(mesh, diffusion)
-        stiffness = assemble_stiffness(mesh, diffusion=cell_diffusion)
-        load = assemble_load(mesh, forcing)
-
-        system = stiffness.copy()
-        pieces = split_boundary_edges(mesh, boundary_conditions)
-        dirichlet_value_of: dict = {}
-        has_robin = False
-        for bc, edges in zip(boundary_conditions, pieces):
-            if edges.shape[0] == 0:
-                continue
-            if bc.kind == "dirichlet":
-                nodes = np.unique(edges)
-                values = _as_field(bc.value)(mesh.nodes[nodes, 0], mesh.nodes[nodes, 1])
-                values = np.broadcast_to(np.asarray(values, dtype=np.float64), nodes.shape)
-                for node, value in zip(nodes, values):
-                    dirichlet_value_of[int(node)] = float(value)
-            elif bc.kind == "neumann":
-                load = load + assemble_boundary_load(mesh, bc.value, edges=edges)
-            else:  # robin
-                midpoints = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
-                alpha = np.broadcast_to(
-                    np.asarray(
-                        _as_field(bc.coefficient)(midpoints[:, 0], midpoints[:, 1]),
-                        dtype=np.float64,
-                    ),
-                    (edges.shape[0],),
-                )
-                if np.any(alpha < 0.0):
-                    raise ValueError("Robin coefficient must be non-negative (SPD system)")
-                system = system + assemble_boundary_mass(mesh, alpha, edges=edges)
-                load = load + assemble_boundary_load(mesh, bc.value, edges=edges)
-                # a Robin region only regularises the system if α > 0 somewhere
-                has_robin = has_robin or bool(np.any(alpha > 0.0))
-
-        if not dirichlet_value_of and not has_robin:
-            raise ValueError(
-                "pure-Neumann problem is singular: add a Dirichlet or Robin region"
-            )
-
-        if dirichlet_value_of:
-            dnodes = np.array(sorted(dirichlet_value_of), dtype=np.int64)
-            dvalues = np.array([dirichlet_value_of[int(i)] for i in dnodes])
-            matrix, rhs = apply_dirichlet(system, load, dnodes, dvalues, mode=dirichlet_mode)
-        else:
-            dnodes = np.zeros(0, dtype=np.int64)
-            dvalues = np.zeros(0)
-            matrix, rhs = system.tocsr(), load
-
-        return cls(
-            mesh=mesh,
-            matrix=matrix,
-            rhs=rhs,
-            stiffness=stiffness,
-            boundary_values=dvalues,
-            dirichlet_mode=dirichlet_mode,
-            dirichlet_nodes=dnodes,
-            node_diffusion=node_averaged_diffusion(mesh, cell_diffusion),
-            diffusion=diffusion,
-            cell_diffusion=cell_diffusion,
-        )

@@ -24,11 +24,10 @@ Taxonomy
     CG observed ``pᵀAp ≤ 0``: the operator is not SPD (or round-off destroyed
     positive-definiteness).
 ``rho_breakdown``
-    The ``ρ = rᵀz`` (CG) / ``ρ = r̂ᵀr`` (BiCGStab) inner product vanished with
-    a nonzero residual — the classic Lanczos/bi-orthogonality breakdown.
+    The CG inner product ``ρ = rᵀz`` vanished with a nonzero residual — the
+    classic Lanczos breakdown.
 ``breakdown``
-    Other method-specific breakdowns: BiCGStab's ``ω = 0`` stabilisation
-    failure, GMRES's singular least-squares system.
+    GMRES's projected least-squares system is singular.
 ``stagnation``
     No new best relative residual for ``stagnation_window`` consecutive
     iterations — the iteration is alive but going nowhere.
@@ -93,7 +92,7 @@ _DESCRIPTIONS = {
     NON_FINITE_RESIDUAL: "residual norm became non-finite",
     INDEFINITE_OPERATOR: "operator is not positive definite (p'Ap <= 0)",
     RHO_BREAKDOWN: "Krylov inner product rho vanished with a nonzero residual",
-    BREAKDOWN: "method-specific breakdown (omega = 0 / singular projection)",
+    BREAKDOWN: "GMRES projected system is singular",
     STAGNATION: "no new best relative residual within the stagnation window",
     MAX_ITERATIONS: "iteration cap reached before the tolerance was met",
 }

@@ -16,11 +16,12 @@ Public surface:
 * :class:`~repro.problems.registry.MeshDimensionError` — a family handed a
   mesh of the wrong dimension.
 
-See :mod:`repro.problems.families` for the built-in family definitions.
+See :mod:`repro.problems.families` for the steady families (2D, and the 3D
+``poisson3d`` / ``diffusion3d-ball``) and :mod:`repro.problems.transient`
+for the θ-scheme ones.
 """
 
 from . import families  # noqa: F401  — importing populates the registry
-from . import families3d  # noqa: F401  — 3D tetrahedral families
 from . import transient  # noqa: F401  — time-dependent θ-scheme families
 from .registry import (
     MeshDimensionError,

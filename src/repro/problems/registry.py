@@ -81,8 +81,8 @@ def register_problem(
     >>> from repro.problems import registry
     >>> @registry.register_problem("doctest-demo", description="demo entry")
     ... def _demo(mesh, rng):
-    ...     from repro.fem import random_poisson_problem
-    ...     return random_poisson_problem(mesh, rng=rng)
+    ...     from repro.fem import Problem, dirichlet_bc, random_boundary, random_forcing
+    ...     return Problem.from_fields(mesh, random_forcing(rng), [dirichlet_bc(random_boundary(rng))])
     >>> "doctest-demo" in registry.available_problems()
     True
     >>> del registry._REGISTRY["doctest-demo"]   # keep the registry clean

@@ -25,18 +25,12 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from ..fem.assembly import (
-    assemble_convection,
-    assemble_load,
-    assemble_mass,
-    assemble_stiffness,
-    evaluate_on_cells,
-)
+from ..fem.assembly import assemble_convection, assemble_load, assemble_mass, assemble_stiffness
 from ..fem.functions import random_boundary, random_forcing
-from ..fem.problem import boundary_dirichlet_data, node_averaged_diffusion
+from ..fem.problem import boundary_dirichlet_data, diffusion_stiffness
 from ..mesh.mesh import SimplexMesh
 from ..timestepping.problem import TimeDependentProblem
-from .families3d import random_boundary_3d, random_forcing_3d
+from .families import peclet_velocity
 from .registry import register_problem
 
 __all__ = []  # families are consumed through the registry, not imported
@@ -67,16 +61,10 @@ def _heat(
     lumped: bool = False,
 ) -> TimeDependentProblem:
     if forcing is None:
-        forcing = (random_forcing_3d if mesh.dim == 3 else random_forcing)(rng)
+        forcing = random_forcing(rng, dim=mesh.dim)
     if boundary is None:
-        boundary = (random_boundary_3d if mesh.dim == 3 else random_boundary)(rng)
-    node_diffusion = None
-    if diffusion is not None:
-        cell_diffusion = evaluate_on_cells(mesh, diffusion)
-        spatial = assemble_stiffness(mesh, diffusion=cell_diffusion)
-        node_diffusion = node_averaged_diffusion(mesh, cell_diffusion)
-    else:
-        spatial = assemble_stiffness(mesh)
+        boundary = random_boundary(rng, dim=mesh.dim)
+    spatial, node_diffusion = diffusion_stiffness(mesh, diffusion)
     dnodes, dvalues = boundary_dirichlet_data(mesh, boundary)
     return TimeDependentProblem.from_theta_scheme(
         mesh,
@@ -117,13 +105,7 @@ def _convection_diffusion_transient(
     convection) is nonsymmetric, so the step operator is eliminated in
     ``"row"`` mode and marched through ``gmres`` sessions.
     """
-    lo = mesh.nodes.min(axis=0)
-    hi = mesh.nodes.max(axis=0)
-    length = float(max(hi - lo))
-    direction = float(rng.uniform(0.0, 2.0 * np.pi)) if angle is None else float(angle)
-    speed = float(peclet) * float(diffusion) / max(length, 1e-12)
-    velocity = (speed * np.cos(direction), speed * np.sin(direction))
-
+    velocity = peclet_velocity(mesh, rng, diffusion, peclet, angle)
     spatial = assemble_stiffness(mesh, diffusion=float(diffusion)) \
         + assemble_convection(mesh, velocity)
     mass = assemble_mass(mesh, lumped=lumped)

@@ -219,11 +219,9 @@ def problem_to_shm(problem: Problem) -> SharedArrayBundle:
     """Pack a problem's operator arrays into shared memory.
 
     Only the :class:`~repro.fem.problem.Problem` fields the solver stack and
-    :meth:`~repro.fem.problem.Problem.fingerprint` consume travel — subclass
-    extras that cannot cross a process boundary (e.g. a
-    ``DiffusionProblem``'s coefficient callable) are dropped.  Two problem
-    shapes are preserved exactly: the mesh kind (triangular or tetrahedral
-    cells) and :class:`~repro.timestepping.problem.TimeDependentProblem`'s
+    :meth:`~repro.fem.problem.Problem.fingerprint` consume travel, on a mesh
+    of either dimension.  A
+    :class:`~repro.timestepping.problem.TimeDependentProblem` also carries its
     step operators (mass, explicit operator, step load, initial state and
     the dt/θ scheme parameters), so a sharded worker can march the same
     trajectory the parent would.  The rebuilt problem's fingerprint is

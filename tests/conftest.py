@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 from repro.ddm import AdditiveSchwarzPreconditioner, NicolaidesCoarseSpace
-from repro.fem import PoissonProblem, manufactured_solution, random_poisson_problem
+from repro.fem import Problem, dirichlet_bc, manufactured_solution
 from repro.gnn import DSS, DSSConfig
 from repro.mesh import disk_mesh, random_domain_mesh, structured_rectangle_mesh
 from repro.partition import OverlappingDecomposition, partition_mesh_target_size
+from repro.problems import make_problem
 
 
 @pytest.fixture(scope="session")
@@ -47,14 +48,14 @@ def random_mesh():
 def manufactured_problem(unit_square_mesh):
     """Poisson problem with a known smooth exact solution on the unit square."""
     u_exact, f, g = manufactured_solution()
-    problem = PoissonProblem.from_fields(unit_square_mesh, f, g)
+    problem = Problem.from_fields(unit_square_mesh, f, [dirichlet_bc(g)])
     return problem, u_exact
 
 
 @pytest.fixture(scope="session")
 def random_problem(random_mesh):
     """A random Poisson problem on the random mesh."""
-    return random_poisson_problem(random_mesh, rng=np.random.default_rng(3))
+    return make_problem("poisson", mesh=random_mesh, rng=np.random.default_rng(3))
 
 
 @pytest.fixture(scope="session")

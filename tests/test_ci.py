@@ -1,14 +1,18 @@
-"""The CI workflow and the README's shell blocks reference only files that exist in the tree.
+"""The CI workflow and the README's shell blocks reference only files that exist in the tree,
+and the documented ``from repro… import …`` lines import.
 
 Both are scanned as text (no YAML or Markdown parser): every ``benchmarks/…``,
 ``examples/…``, ``src/…`` and ``tests/…`` path they name, and every local
 action the workflow ``uses: ./…``, must resolve — so a job or a documented
 command that still runs a deleted script fails tier-1 instead of failing in
-CI or in a reader's shell.
+CI or in a reader's shell.  Likewise every ``from repro… import …`` in the
+README's python blocks and in the package docstring's usage block (which no
+doctest runs) must import, so a removed public name fails here first.
 """
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -17,11 +21,14 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = REPO_ROOT / ".github" / "workflows" / "ci.yml"
 README = REPO_ROOT / "README.md"
+PACKAGE_INIT = REPO_ROOT / "src" / "repro" / "__init__.py"
 
 #: a repo path: one of the tracked top-level directories, then path characters
 #: (a pytest node id's ``::Test…`` suffix and trailing punctuation stop it)
 _PATH = re.compile(r"(?<![\w./-])((?:benchmarks|examples|src|tests)/[\w./-]*\w)")
 _LOCAL_ACTION = re.compile(r"uses:\s*\./([\w./-]+)")
+#: one ``from repro… import …`` statement, a parenthesised name list included
+_REPRO_IMPORT = re.compile(r"^[ \t]*(from repro[\w.]* import (?:\([^)]*\)|.*))$", re.M)
 
 
 def referenced_paths(text: str) -> set:
@@ -33,6 +40,20 @@ def shell_block_paths(markdown: str) -> set:
     ``<placeholder>`` component (a file the reader makes, such as a run's artifact directory)."""
     blocks = re.findall(r"^```(?:bash|sh|shell|console)\n(.*?)^```", markdown, flags=re.M | re.S)
     return referenced_paths(re.sub(r"\S*<[^>\s]*>\S*", "", "\n".join(blocks)))
+
+
+def repro_imports(text: str) -> list:
+    return sorted(set(_REPRO_IMPORT.findall(text)))
+
+
+def python_block_imports(markdown: str) -> list:
+    """The ``from repro… import …`` statements of a Markdown file's fenced python blocks."""
+    return repro_imports("\n".join(re.findall(r"^```python\n(.*?)^```", markdown, flags=re.M | re.S)))
+
+
+def usage_block_imports(module: Path) -> list:
+    """The ``from repro… import …`` statements of a module docstring's ``Typical usage::`` block."""
+    return repro_imports(ast.get_docstring(ast.parse(module.read_text())).split("Typical usage::", 1)[1])
 
 
 def local_actions(text: str) -> set:
@@ -63,6 +84,22 @@ def test_referenced_path_exists(path):
 @pytest.mark.parametrize("path", sorted(shell_block_paths(README.read_text())))
 def test_readme_shell_path_exists(path):
     assert (REPO_ROOT / path).exists(), f"a README shell block names {path}, which is not in the tree"
+
+
+def test_import_scanner():
+    text = ('```python\nfrom repro.fem import Problem\nfrom repro.obs import trace as t  # tracing\n'
+            '    from repro.a import (\n        b,\n        c,\n    )\nimport repro\n```\n\n'
+            '```bash\npython -c "from repro.shell import x"\n```\n')
+    assert python_block_imports(text) == ["from repro.a import (\n        b,\n        c,\n    )",
+                                          "from repro.fem import Problem",
+                                          "from repro.obs import trace as t  # tracing"]
+
+
+@pytest.mark.parametrize("statement", sorted(set(python_block_imports(README.read_text()))
+                                             | set(usage_block_imports(PACKAGE_INIT))))
+def test_documented_import_resolves(statement):
+    """A README python block or the package's usage docstring imports only names the package still has."""
+    exec(statement, {})
 
 
 def test_local_actions_exist():

@@ -1410,13 +1410,13 @@ class TestRandomizedLockstep:
     @classmethod
     def _problem(cls, seed):
         if seed not in cls._problems:
-            from repro.fem import random_poisson_problem
             from repro.mesh import random_domain_mesh
+            from repro.problems import make_problem
 
             mesh = random_domain_mesh(radius=1.0, element_size=0.2,
                                       rng=np.random.default_rng(seed))
-            cls._problems[seed] = random_poisson_problem(
-                mesh, rng=np.random.default_rng(seed + 1))
+            cls._problems[seed] = make_problem(
+                "poisson", mesh=mesh, rng=np.random.default_rng(seed + 1))
         return cls._problems[seed]
 
     @classmethod

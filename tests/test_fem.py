@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fem import (
-    PoissonProblem,
     PolynomialField,
+    Problem,
     apply_dirichlet,
     assemble_boundary_load,
     assemble_boundary_mass,
@@ -21,15 +21,17 @@ from repro.fem import (
     assemble_stiffness,
     cell_centroids,
     constant_field,
+    dirichlet_bc,
     evaluate_on_cells,
     gradient_operators,
     manufactured_solution,
+    neumann_bc,
     random_boundary,
     random_forcing,
-    random_poisson_problem,
     split_boundary_edges,
 )
 from repro.mesh import SimplexMesh, structured_box_mesh, structured_rectangle_mesh
+from repro.problems import make_problem
 
 
 @pytest.fixture(params=[2, 3], ids=["2d", "3d"])
@@ -167,8 +169,8 @@ class TestAssembly:
 
     def test_apply_dirichlet_modes_same_solution(self, unit_square_mesh):
         u_exact, f, g = manufactured_solution()
-        p_sym = PoissonProblem.from_fields(unit_square_mesh, f, g, dirichlet_mode="symmetric")
-        p_row = PoissonProblem.from_fields(unit_square_mesh, f, g, dirichlet_mode="row")
+        p_sym = Problem.from_fields(unit_square_mesh, f, [dirichlet_bc(g)], dirichlet_mode="symmetric")
+        p_row = Problem.from_fields(unit_square_mesh, f, [dirichlet_bc(g)], dirichlet_mode="row")
         assert np.allclose(p_sym.solve_direct(), p_row.solve_direct(), atol=1e-10)
 
     def test_apply_dirichlet_validates_input(self, unit_square_mesh):
@@ -183,7 +185,7 @@ class TestAssembly:
 # --------------------------------------------------------------------------- #
 # Poisson problems
 # --------------------------------------------------------------------------- #
-class TestPoissonProblem:
+class TestPoisson:
     def test_boundary_values_reproduced(self, manufactured_problem):
         problem, u_exact = manufactured_problem
         u = problem.solve_direct()
@@ -202,7 +204,7 @@ class TestPoissonProblem:
         errors = []
         for n in (8, 16, 32):
             mesh = structured_rectangle_mesh(n, n)
-            problem = PoissonProblem.from_fields(mesh, f, g)
+            problem = Problem.from_fields(mesh, f, [dirichlet_bc(g)])
             errors.append(problem.l2_error(problem.solve_direct(), u_exact))
         assert errors[0] / errors[1] > 3.0
         assert errors[1] / errors[2] > 3.0
@@ -218,12 +220,35 @@ class TestPoissonProblem:
     def test_laplace_problem_maximum_principle(self, unit_square_mesh):
         """With f=0 the discrete solution attains max/min on the boundary."""
         g = PolynomialField(d=1.0, e=-0.5, f=0.2)
-        problem = PoissonProblem.from_fields(unit_square_mesh, constant_field(0.0), g)
+        problem = Problem.from_fields(unit_square_mesh, constant_field(0.0), [dirichlet_bc(g)])
         u = problem.solve_direct()
         boundary_vals = u[unit_square_mesh.boundary_nodes]
         interior_vals = u[unit_square_mesh.interior_nodes]
         assert interior_vals.max() <= boundary_vals.max() + 1e-9
         assert interior_vals.min() >= boundary_vals.min() - 1e-9
+
+    def test_whole_boundary_dirichlet_on_a_box_mesh(self):
+        """The one constructor takes whole-boundary Dirichlet data ``g(x, y, z)`` on a 3D mesh: each
+        boundary node carries its own z, and the interior solves ``-Δu = 1`` around it."""
+        box = structured_box_mesh(2)
+        problem = Problem.from_fields(box, lambda x, y, z: np.ones_like(x), [dirichlet_bc(lambda x, y, z: z)],
+                                      diffusion=1.0)
+        assert np.array_equal(problem.dirichlet_nodes, box.boundary_nodes)
+        assert np.array_equal(problem.boundary_values, box.nodes[box.boundary_nodes, 2])
+        assert np.array_equal(problem.node_diffusion, np.ones(box.num_nodes))
+        u = problem.solve_direct()
+        assert np.array_equal(u[box.boundary_nodes], box.nodes[box.boundary_nodes, 2])
+        assert problem.relative_residual_norm(u) < 1e-12
+
+    def test_random_poisson_fields_on_a_box_mesh_are_poisson3d(self):
+        """The paper's random f and g drawn for ``mesh.dim`` build, on a box mesh, what ``poisson3d`` builds."""
+        box = structured_box_mesh(2)
+        rng = np.random.default_rng(4)
+        forcing, boundary = random_forcing(rng, dim=3), random_boundary(rng, dim=3)
+        problem = Problem.from_fields(box, forcing, [dirichlet_bc(boundary)])
+        assert problem.node_diffusion is None
+        reference = make_problem("poisson3d", mesh=box, rng=np.random.default_rng(4))
+        assert problem.fingerprint() == reference.fingerprint()
 
 
 # --------------------------------------------------------------------------- #
@@ -251,9 +276,24 @@ class TestFields:
         g = random_boundary(rng)
         assert all(abs(c) <= 10.0 for c in (g.a, g.b, g.c, g.d, g.e, g.f))
 
-    def test_random_poisson_problem_reproducible(self, unit_square_mesh):
-        p1 = random_poisson_problem(unit_square_mesh, rng=np.random.default_rng(11))
-        p2 = random_poisson_problem(unit_square_mesh, rng=np.random.default_rng(11))
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("draw", [random_forcing, random_boundary], ids=["forcing", "boundary"])
+    def test_scale_divides_the_coordinates(self, draw, dim):
+        """In either dimension a field at scale s is the scale-1 field at x / s (paper Sec. IV-A)."""
+        s = 2.5
+        scaled = draw(np.random.default_rng(8), scale=s, dim=dim)
+        unit = draw(np.random.default_rng(8), dim=dim)
+        x = np.random.default_rng(9).uniform(-3.0, 3.0, size=(dim, 40))
+        assert np.array_equal(scaled(*x), unit(*(x / s)))
+
+    def test_random_fields_take_two_or_three_dimensions(self):
+        for draw in (random_forcing, random_boundary):
+            with pytest.raises(ValueError, match="2 or 3 dimensions"):
+                draw(np.random.default_rng(0), dim=4)
+
+    def test_random_poisson_reproducible(self, unit_square_mesh):
+        p1 = make_problem("poisson", mesh=unit_square_mesh, rng=np.random.default_rng(11))
+        p2 = make_problem("poisson", mesh=unit_square_mesh, rng=np.random.default_rng(11))
         assert np.allclose(p1.rhs, p2.rhs)
         assert (p1.matrix != p2.matrix).nnz == 0
 
@@ -332,9 +372,13 @@ class TestBoundaryTerms:
         assert np.allclose(assemble_boundary_load(unit_square_mesh, 1.0, edges=empty), 0.0)
 
     def test_boundary_terms_refuse_a_3d_mesh(self):
-        """Neumann and Robin data live on boundary edges: a tet mesh's (F, 3) faces are not read as edges."""
+        """Neumann and Robin data live on boundary edges: a tet mesh's (F, 3) faces are not read as edges,
+        and the steady constructor refuses boundary regions on a box mesh by its dimension."""
         box = structured_box_mesh(2)
+        f = lambda x, y, z: np.ones_like(x)  # noqa: E731
         for call in (lambda: assemble_boundary_mass(box), lambda: assemble_boundary_load(box, 1.0),
-                     lambda: split_boundary_edges(box, [])):
+                     lambda: split_boundary_edges(box, []),
+                     lambda: Problem.from_fields(box, f, [dirichlet_bc(0.0, where=lambda x, y: x < 0.5)]),
+                     lambda: Problem.from_fields(box, f, [neumann_bc(1.0), dirichlet_bc(0.0)])):
             with pytest.raises(ValueError, match="got a 3D mesh"):
                 call()

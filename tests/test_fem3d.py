@@ -1,6 +1,6 @@
 """Tests of the first 3D problem family: the structured tetrahedral mesher
 (Kuhn subdivision), O(h²) convergence of the 3D Poisson solve, the ``dim=3``
-registry/serve routing, partitioning of tetrahedral meshes and the DDM-GNN
+registry routing, partitioning of tetrahedral meshes and the DDM-GNN
 pipeline running a 3D problem.  The mesh and assembly checks that hold in
 both dimensions run on 2D and 3D meshes alike in ``test_mesh.py`` and
 ``test_fem.py``."""
@@ -162,25 +162,3 @@ class TestRegistry3D:
         result = session.solve()
         assert np.all(np.isfinite(result.solution))
         assert result.converged  # via ddm-gnn or the ddm-lu fallback
-
-    @pytest.mark.parametrize("family", ["diffusion3d-ball", "heat3d", "poisson3d"])
-    def test_serve_spec_resolution_is_deterministic_in_3d(self, family):
-        """A 3D spec is ``make_problem`` on the spec's seed, kwargs and ``target_n`` as ``target_nodes``:
-        the same fingerprint, matrix and right-hand side, every time; another seed is another problem, and
-        ``target_n`` below 8 builds the 8-node box."""
-        from repro.serve.problems import build_problem_from_spec
-
-        kwargs = {"diffusion3d-ball": {"contrast": 10.0}, "heat3d": {"dt": 0.05}}.get(family, {})
-        spec = {"family": family, "target_n": 216, "seed": 7, "kwargs": kwargs}
-        a = build_problem_from_spec(dict(spec))
-        b = build_problem_from_spec(dict(spec))
-        direct = make_problem(family, rng=np.random.default_rng(7), target_nodes=216, **kwargs)
-        assert problem_spec(family).dim == a.mesh.dim == 3
-        assert a.fingerprint() == b.fingerprint() == direct.fingerprint()
-        assert (a.matrix != direct.matrix).nnz == 0
-        assert np.array_equal(a.rhs, direct.rhs)
-        other = build_problem_from_spec({**spec, "seed": 8})
-        assert other.fingerprint() != a.fingerprint()
-        smallest = build_problem_from_spec({**spec, "target_n": 4})
-        eight = make_problem(family, rng=np.random.default_rng(7), target_nodes=8, **kwargs)
-        assert smallest.fingerprint() == eight.fingerprint()

@@ -6,10 +6,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ddm import AdditiveSchwarzPreconditioner, JacobiLocalSolver
-from repro.fem import PoissonProblem, constant_field, random_poisson_problem
+from repro.fem import Problem, constant_field, dirichlet_bc
 from repro.krylov import gmres, preconditioned_conjugate_gradient
 from repro.mesh import lshape_mesh, structured_rectangle_mesh
 from repro.partition import OverlappingDecomposition, partition_mesh_target_size
+from repro.problems import make_problem
 
 
 class TestKrylovWithDDM:
@@ -41,7 +42,7 @@ class TestKrylovWithDDM:
 class TestAlternativeGeometries:
     def test_full_pipeline_on_lshape(self):
         mesh = lshape_mesh(size=1.0, element_size=0.07)
-        problem = random_poisson_problem(mesh, rng=np.random.default_rng(0))
+        problem = make_problem("poisson", mesh=mesh, rng=np.random.default_rng(0))
         partition = partition_mesh_target_size(mesh, 70, rng=np.random.default_rng(1))
         decomposition = OverlappingDecomposition(mesh, partition, overlap=2)
         asm = AdditiveSchwarzPreconditioner(problem.matrix, decomposition, levels=2)
@@ -53,7 +54,7 @@ class TestAlternativeGeometries:
     def test_constant_forcing_zero_boundary_positive_solution(self):
         """-Δu = 1 with u=0 on ∂Ω has a strictly positive interior solution."""
         mesh = structured_rectangle_mesh(16, 16)
-        problem = PoissonProblem.from_fields(mesh, constant_field(1.0), constant_field(0.0))
+        problem = Problem.from_fields(mesh, constant_field(1.0), [dirichlet_bc(constant_field(0.0))])
         u = problem.solve_direct()
         assert np.all(u[mesh.interior_nodes] > 0.0)
         assert np.allclose(u[mesh.boundary_nodes], 0.0, atol=1e-12)

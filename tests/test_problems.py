@@ -1,5 +1,5 @@
 """Tests of the heterogeneous-problem layer: coefficient fields, the
-DiffusionProblem/BoundaryCondition machinery, the problem registry, the
+``Problem.from_fields``/BoundaryCondition machinery, the problem registry, the
 κ-aware GNN features and the end-to-end hybrid solve of a high-contrast
 checkerboard problem (the headline scenario of this layer)."""
 
@@ -14,8 +14,8 @@ from repro.core.ddm_gnn import DDMGNNPreconditioner
 from repro.fem import (
     CheckerboardField,
     ChannelField,
-    DiffusionProblem,
     LognormalField,
+    Problem,
     RadialField,
     dirichlet_bc,
     field_contrast,
@@ -79,7 +79,7 @@ class TestCoefficientFields:
 
 
 # --------------------------------------------------------------------------- #
-# boundary conditions and the DiffusionProblem
+# boundary conditions and the one steady constructor
 # --------------------------------------------------------------------------- #
 class TestBoundaryConditions:
     def test_split_assigns_first_match_and_rest(self, unit_square_mesh):
@@ -95,8 +95,8 @@ class TestBoundaryConditions:
 
     def test_pure_neumann_rejected(self, unit_square_mesh):
         with pytest.raises(ValueError, match="singular"):
-            DiffusionProblem.from_fields(
-                unit_square_mesh, 1.0, lambda x, y: np.ones_like(x), [neumann_bc(0.0)]
+            Problem.from_fields(
+                unit_square_mesh, lambda x, y: np.ones_like(x), [neumann_bc(0.0)], diffusion=1.0
             )
 
     def test_unknown_kind_rejected(self):
@@ -107,21 +107,21 @@ class TestBoundaryConditions:
 
     def test_negative_robin_coefficient_rejected(self, unit_square_mesh):
         with pytest.raises(ValueError, match="non-negative"):
-            DiffusionProblem.from_fields(
-                unit_square_mesh, 1.0, lambda x, y: np.ones_like(x), [robin_bc(-1.0, 0.0)]
+            Problem.from_fields(
+                unit_square_mesh, lambda x, y: np.ones_like(x), [robin_bc(-1.0, 0.0)], diffusion=1.0
             )
 
     def test_zero_robin_coefficient_is_still_singular(self, unit_square_mesh):
         """α ≡ 0 makes a 'Robin' condition a pure Neumann one — rejected."""
         with pytest.raises(ValueError, match="singular"):
-            DiffusionProblem.from_fields(
-                unit_square_mesh, 1.0, lambda x, y: np.ones_like(x), [robin_bc(0.0, 1.0)]
+            Problem.from_fields(
+                unit_square_mesh, lambda x, y: np.ones_like(x), [robin_bc(0.0, 1.0)], diffusion=1.0
             )
 
     def test_robin_recovers_constant_solution(self, unit_square_mesh):
         """f = 0 and κ∂u/∂n + αu = αc on all of ∂Ω force u ≡ c exactly."""
-        problem = DiffusionProblem.from_fields(
-            unit_square_mesh, 2.0, lambda x, y: np.zeros_like(x), [robin_bc(3.0, 3.0 * 1.5)]
+        problem = Problem.from_fields(
+            unit_square_mesh, lambda x, y: np.zeros_like(x), [robin_bc(3.0, 3.0 * 1.5)], diffusion=2.0
         )
         u = problem.solve_direct()
         assert np.allclose(u, 1.5, atol=1e-10)
@@ -130,52 +130,52 @@ class TestBoundaryConditions:
     def test_neumann_linear_solution_exact(self, unit_square_mesh):
         """-Δu = 0, u = x: Dirichlet u=0 at x=0, flux ∂u/∂n = 1 at x=1,
         natural (zero-flux) top and bottom — P1 reproduces u = x exactly."""
-        problem = DiffusionProblem.from_fields(
+        problem = Problem.from_fields(
             unit_square_mesh,
-            1.0,
             lambda x, y: np.zeros_like(x),
             [
                 dirichlet_bc(0.0, where=lambda x, y: x < 1e-9),
                 neumann_bc(1.0, where=lambda x, y: x > 1.0 - 1e-9),
             ],
+            diffusion=1.0,
         )
         u = problem.solve_direct()
         assert np.allclose(u, problem.mesh.nodes[:, 0], atol=1e-9)
 
     def test_robin_linear_solution_exact(self, unit_square_mesh):
         """u = x with α = 1 on the right edge: κ∂u/∂n + u = 1 + 1 = 2 there."""
-        problem = DiffusionProblem.from_fields(
+        problem = Problem.from_fields(
             unit_square_mesh,
-            1.0,
             lambda x, y: np.zeros_like(x),
             [
                 dirichlet_bc(0.0, where=lambda x, y: x < 1e-9),
                 robin_bc(1.0, 2.0, where=lambda x, y: x > 1.0 - 1e-9),
             ],
+            diffusion=1.0,
         )
         u = problem.solve_direct()
         assert np.allclose(u, problem.mesh.nodes[:, 0], atol=1e-9)
 
     def test_mixed_bc_matrix_is_symmetric(self, unit_square_mesh):
-        problem = DiffusionProblem.from_fields(
+        problem = Problem.from_fields(
             unit_square_mesh,
-            CheckerboardField(contrast=100.0, cell_size=0.25, origin=(0.0, 0.0)),
             lambda x, y: np.ones_like(x),
             [
                 dirichlet_bc(1.0, where=lambda x, y: x < 0.5),
                 neumann_bc(0.5, where=lambda x, y: y > 0.5),
                 robin_bc(2.0, 0.0),
             ],
+            diffusion=CheckerboardField(contrast=100.0, cell_size=0.25, origin=(0.0, 0.0)),
         )
         assert np.abs((problem.matrix - problem.matrix.T)).max() < 1e-10
         assert problem.relative_residual_norm(problem.solve_direct()) < 1e-10
 
     def test_dirichlet_mask_reflects_actual_dirichlet_nodes(self, unit_square_mesh):
-        problem = DiffusionProblem.from_fields(
+        problem = Problem.from_fields(
             unit_square_mesh,
-            1.0,
             lambda x, y: np.ones_like(x),
             [dirichlet_bc(0.0, where=lambda x, y: x < 0.5), robin_bc(1.0, 0.0)],
+            diffusion=1.0,
         )
         mask = problem.dirichlet_mask
         assert mask.sum() == problem.dirichlet_nodes.size
@@ -204,7 +204,7 @@ class TestDiffusionConvergence:
         errors = []
         for n in (8, 16):
             mesh = structured_rectangle_mesh(n, n)
-            problem = DiffusionProblem.from_fields(mesh, kappa, forcing, [dirichlet_bc(0.0)])
+            problem = Problem.from_fields(mesh, forcing, [dirichlet_bc(0.0)], diffusion=kappa)
             errors.append(problem.l2_error(problem.solve_direct(), u_exact))
         assert errors[1] < errors[0]
         assert errors[0] / errors[1] > 2.5  # ~4 expected for O(h²)
@@ -271,6 +271,43 @@ class TestRegistry:
             assert make_problem(name, mesh=meshes[dim], rng=np.random.default_rng(1)).mesh.dim == dim, name
         assert issubclass(MeshDimensionError, ValueError)
 
+    @pytest.mark.parametrize("family", available_problems())
+    def test_serve_spec_resolution_is_deterministic(self, family):
+        """A spec is ``make_problem`` on the spec's seed and kwargs — on ``mesh_for_target_size`` in 2D, on the
+        ``target_n``-node box in 3D: the same fingerprint, matrix and right-hand side, every time, and through
+        shared memory; another seed is another problem, and a 3D ``target_n`` below 8 builds the 8-node box."""
+        from repro.mesh import mesh_for_target_size
+        from repro.serve.problems import DEFAULT_PROBLEM_SPEC, build_problem_from_spec
+        from repro.solvers import problem_from_shm, problem_to_shm
+
+        kwargs = {"diffusion3d-ball": {"contrast": 10.0}, "heat3d": {"dt": 0.05}}.get(family, {})
+        spec = {"family": family, "target_n": 216, "seed": 7, "kwargs": kwargs}
+        a = build_problem_from_spec(dict(spec))
+        b = build_problem_from_spec(dict(spec))
+        rng = np.random.default_rng(7)
+        if problem_spec(family).dim == 3:
+            direct = make_problem(family, rng=rng, target_nodes=216, **kwargs)
+        else:
+            mesh = mesh_for_target_size(216, element_size=DEFAULT_PROBLEM_SPEC["element_size"], rng=rng)
+            direct = make_problem(family, mesh=mesh, rng=rng, **kwargs)
+        assert problem_spec(family).dim == a.mesh.dim
+        assert a.fingerprint() == b.fingerprint() == direct.fingerprint()
+        assert (a.matrix != direct.matrix).nnz == 0
+        assert np.array_equal(a.rhs, direct.rhs)
+        bundle = problem_to_shm(a)
+        try:
+            clone = problem_from_shm(bundle.manifest)
+            assert clone.fingerprint() == a.fingerprint()
+            clone._shm_bundle.close()
+        finally:
+            bundle.close()
+        other = build_problem_from_spec({**spec, "seed": 8})
+        assert other.fingerprint() != a.fingerprint()
+        if a.mesh.dim == 3:
+            smallest = build_problem_from_spec({**spec, "target_n": 4})
+            eight = make_problem(family, rng=np.random.default_rng(7), target_nodes=8, **kwargs)
+            assert smallest.fingerprint() == eight.fingerprint()
+
     def test_unknown_name_lists_alternatives(self):
         with pytest.raises(KeyError, match="diffusion-checkerboard"):
             make_problem("no-such-family")
@@ -279,7 +316,7 @@ class TestRegistry:
         problem = make_problem(
             "diffusion-checkerboard", mesh=unit_square_mesh, rng=np.random.default_rng(0), contrast=1e4
         )
-        assert problem.contrast == pytest.approx(1e4)
+        assert problem.node_diffusion.max() / problem.node_diffusion.min() == pytest.approx(1e4)
         spec = problem_spec("diffusion-checkerboard")
         assert spec.default_kwargs["contrast"] == 100.0
 
@@ -462,7 +499,7 @@ class TestHeterogeneousHybridSolve:
         problem = make_problem(
             "diffusion-checkerboard", mesh=mesh, rng=np.random.default_rng(5), contrast=1e4
         )
-        assert problem.contrast == pytest.approx(1e4)
+        assert problem.node_diffusion.max() / problem.node_diffusion.min() == pytest.approx(1e4)
 
         reference = problem.solve_direct()
         iterations = {}

@@ -31,9 +31,9 @@ from repro.solvers import SolverConfig, prepare, session_key
 
 @pytest.fixture(scope="module")
 def serve_problem(random_mesh):
-    from repro.fem import random_poisson_problem
+    from repro.problems import make_problem
 
-    return random_poisson_problem(random_mesh, rng=np.random.default_rng(11))
+    return make_problem("poisson", mesh=random_mesh, rng=np.random.default_rng(11))
 
 
 @pytest.fixture(scope="module")
@@ -229,10 +229,10 @@ class TestSessionThreadSafety:
 # --------------------------------------------------------------------------- #
 class TestFingerprints:
     def test_problem_fingerprint_stable_and_distinct(self, serve_problem, random_mesh):
-        from repro.fem import random_poisson_problem
+        from repro.problems import make_problem
 
         assert serve_problem.fingerprint() == serve_problem.fingerprint()
-        other = random_poisson_problem(random_mesh, rng=np.random.default_rng(99))
+        other = make_problem("poisson", mesh=random_mesh, rng=np.random.default_rng(99))
         assert other.fingerprint() != serve_problem.fingerprint()
 
     def test_session_key_sensitive_to_config_not_checkpoint_path(self, serve_problem):
