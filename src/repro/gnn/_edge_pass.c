@@ -1,7 +1,7 @@
 /* The fused edge pass of the DSS forward and its vector-Jacobian product
- * (repro/gnn/infer.py, EdgeLayout), and, at the end of this file, the prefill
- * of psi's hidden layer and psi's output bias (InferencePlan._prefill and
- * _add_output_bias).
+ * (repro/gnn/infer.py, EdgeLayout), and, at the end of this file, the whole
+ * block loop of the compiled forward (InferencePlan._forward): the pass
+ * inlined between scipy's BLAS GEMMs, every block in one call.
  *
  *   stat[e, :]   = ((a[e,0] W[0,:] + a[e,1] W[1,:]) + a[e,2] W[2,:] (+ a[e,3] W[3,:])) + b
  *   pre[i, c, :] = sum over edges e -> i, ascending e, of
@@ -229,63 +229,116 @@ DEFINE_EDGE_PASS(edge_pass_f32_4, float, 4)
 DEFINE_EDGE_VJP(edge_vjp_f64_3, 3)
 DEFINE_EDGE_VJP(edge_vjp_f64_4, 4)
 
-/* The prefill of psi's hidden layer, before its two beta = 1 GEMMs:
+/* The whole block loop of the folded forward (InferencePlan._forward, its
+ * numpy body _blocks_numpy step for step): per block b of `blocks`,
  *
- *   hidden[i, c, :] = s[i, c] * w0 + table[key[i], :]     product, then sum
+ *   proj[:n]      = latent W_dst                       GEMM, beta = 0
+ *   proj[n:]      = latent W_src                       GEMM, beta = 0
+ *   pre           = the edge pass above, inlined
+ *   hidden[i, c]  = s[i, c] * w0 + table[b, key[i]]    product, then sum
+ *   hidden       += pre W_agg, then += latent W_latent GEMMs, beta = 1
+ *   hidden        = hidden <= 0 ? 0 : hidden           np.maximum(h, 0): -0 -> +0, NaN stays
+ *   latent       += hidden W_update                    GEMM, beta = 1
+ *   latent[r]     = latent[r] + b_update               row by row
  *
- * for n nodes, k columns, d units: sources s (n, k), the residual's weight
- * column w0 (d), the bias table (keys, d), node rows key (n), hidden
- * (n, k, d) overwritten.  numpy's `np.multiply(s[..., None], w0, out=hidden);
- * hidden += table[key][:, None]` rounds the same two operations in the same
- * order, so the bytes agree.  It replaces a bias copy and a K = 1 BLAS GEMM,
- * 4x slower together at float32, k = 8.  Instantiating d = 10 here as well
- * gained 5 us in a 60 ms sweep: not done.
+ * for k columns on one workspace — sources s (n, k), latent (n*k, d), updated
+ * in place from the caller's start (zeros in a forward), proj (2n, k, 2d),
+ * pre (n, k, 2d) and hidden (n, k, d), each overwritten before it is read.  A block's weights are one row of the fold's slab
+ * (CompiledDSS.slab), in this order: W_dst (d, 2d), W_src (d, 2d), W_attr
+ * (|e|, 2d), b_hidden (2d), W_agg (2d, d), W_latent (d, d), w0 (d), W_update
+ * (d, d), b_update (d); its bias rows are table[b] (keys, d).
+ *
+ * Every GEMM is the Fortran dgemm / sgemm of scipy's BLAS, the pointer
+ * scipy.linalg.cython_blas exports, which repro/gnn/_native.py hands over as
+ * the first argument: the same routine scipy.linalg.blas wraps, called with
+ * the arguments `gemm(1.0, b.T, a.T, beta, c.T)` passes for the C-ordered
+ * c = a b + beta c (cT = bT aT + beta cT), so the numpy body's GEMMs give the
+ * same bytes.  The prefill, the ReLU and the row bias round what numpy
+ * rounds, in its order.  Its dimensions are Fortran int: the caller keeps
+ * n*k*2d within 32 bits (infer.py, blas_columns).
+ *
+ * One call replaces the ~10 Python-to-C crossings of each block (two
+ * np.matmul, three GEMM wrappers, the ReLU and the ctypes calls of the pass,
+ * the prefill and the bias): 48 us per block on the ledger plans (DESIGN.md,
+ * "Measured floor of the apply").  The latent width d = 10 is an
+ * instantiation, like the pass's 2d = 20: the float32 row bias over the
+ * ledger's k = 8 rows ran 2.2x faster at a constant bound (110 vs 246 us);
+ * the prefill replaced a bias copy and a K = 1 GEMM, 4x slower together at
+ * float32, k = 8.  The four loops, each inlining a pass in both clones and
+ * both widths, double the library (62 to 120 kB) and the compile (1.6 to
+ * 3.4-4.0 s, once per fresh cache, on the first forward).
  */
-#define DEFINE_NODE_PREFILL(NAME, T)                                          \
-    CLONED void NAME(                                                         \
-        int64_t n, int64_t k, int64_t d, const T *sources, const T *w0,       \
-        const T *table, const int64_t *key, T *hidden)                        \
+typedef void gemm_double(char *, char *, int *, int *, int *, double *, double *, int *, double *,
+                         int *, double *, double *, int *);
+typedef void gemm_float(char *, char *, int *, int *, int *, float *, float *, int *, float *, int *,
+                        float *, float *, int *);
+
+/* c (rows, m) = a (rows, inner) b (inner, m) + beta c, all C-ordered */
+#define GEMM(T, gemm, rows, inner, m, a, b, beta, c)                          \
+    do {                                                                      \
+        char no = 'N';                                                        \
+        int m_ = (int)(m), rows_ = (int)(rows), inner_ = (int)(inner);        \
+        T one_ = 1, beta_ = (beta);                                           \
+        gemm(&no, &no, &m_, &rows_, &inner_, &one_, (T *)(b), &m_, (T *)(a),  \
+             &inner_, &beta_, (c), &m_);                                      \
+    } while (0)
+
+#define DEFINE_DSS_BLOCKS(NAME, T, WIDTH, PASS)                               \
+    static inline __attribute__((always_inline)) void NAME##_body(            \
+        gemm_##T *gemm, int64_t k, int64_t n, int64_t d, int64_t blocks,      \
+        int64_t keys, const int64_t *indptr, const int64_t *src,              \
+        const T *attr, const T *slab, const T *table, const int64_t *key,     \
+        const T *sources, T *latent, T *proj, T *pre, T *hidden)              \
     {                                                                         \
-        for (int64_t i = 0; i < n; ++i) {                                     \
-            const T *restrict b = table + key[i] * d;                         \
-            for (int64_t c = 0; c < k; ++c) {                                 \
-                const T s = sources[i * k + c];                               \
-                T *restrict out = hidden + (i * k + c) * d;                   \
+        const int64_t w = 2 * d, rows = n * k;                                \
+        const int64_t stride = 3 * d * w + WIDTH * w + w + 2 * d * d + 2 * d; \
+        for (int64_t b = 0; b < blocks; ++b) {                                \
+            const T *w_dst = slab + b * stride, *w_src = w_dst + d * w;       \
+            const T *w_attr = w_src + d * w, *b_hidden = w_attr + WIDTH * w;  \
+            const T *w_agg = b_hidden + w, *w_latent = w_agg + w * d;         \
+            const T *w0 = w_latent + d * d, *w_update = w0 + d;               \
+            const T *restrict b_update = w_update + d * d;                    \
+            const T *bias = table + b * keys * d;                             \
+            GEMM(T, gemm, rows, d, w, latent, w_dst, 0, proj);                \
+            GEMM(T, gemm, rows, d, w, latent, w_src, 0, proj + rows * w);     \
+            PASS##_body(n, k, w, indptr, src, attr, w_attr, b_hidden, proj, pre); \
+            for (int64_t i = 0; i < n; ++i) {                                 \
+                const T *restrict row = bias + key[i] * d;                    \
+                for (int64_t c = 0; c < k; ++c) {                             \
+                    const T s = sources[i * k + c];                           \
+                    T *restrict out = hidden + (i * k + c) * d;               \
+                    for (int64_t q = 0; q < d; ++q)                           \
+                        out[q] = s * w0[q] + row[q];                          \
+                }                                                             \
+            }                                                                 \
+            GEMM(T, gemm, rows, w, d, pre, w_agg, 1, hidden);                 \
+            GEMM(T, gemm, rows, d, d, latent, w_latent, 1, hidden);           \
+            for (int64_t q = 0; q < rows * d; ++q)                            \
+                hidden[q] = hidden[q] <= (T)0 ? (T)0 : hidden[q];             \
+            GEMM(T, gemm, rows, d, d, hidden, w_update, 1, latent);           \
+            for (int64_t r = 0; r < rows; ++r) {                              \
+                T *restrict out = latent + r * d;                             \
                 for (int64_t q = 0; q < d; ++q)                               \
-                    out[q] = s * w0[q] + b[q];                                \
+                    out[q] = out[q] + b_update[q];                            \
             }                                                                 \
         }                                                                     \
-    }
-
-DEFINE_NODE_PREFILL(node_prefill_f64, double)
-DEFINE_NODE_PREFILL(node_prefill_f32, float)
-
-/* psi's output bias, added after the damped ResNet update's GEMM:
- *
- *   x[r, q] = x[r, q] + b[q]         rows r of the latent x (rows, d)
- *
- * numpy's `x += b` rounds the same one sum, so the bytes agree; broadcast over
- * the d = 10 inner loop it cost about as much as a GEMM per block.  d = 10 is
- * an instantiation, every other d a loop bound: the float32 sweep over the
- * ledger's k = 8 rows is 2.2x faster at a constant bound (110 vs 246 us).
- */
-#define DEFINE_ROW_BIAS(NAME, T)                                              \
-    static inline __attribute__((always_inline)) void NAME##_body(            \
-        int64_t rows, int64_t d, const T *restrict bias, T *restrict x)       \
-    {                                                                         \
-        for (int64_t r = 0; r < rows; ++r) {                                  \
-            T *restrict out = x + r * d;                                      \
-            for (int64_t q = 0; q < d; ++q)                                   \
-                out[q] = out[q] + bias[q];                                    \
-        }                                                                     \
     }                                                                         \
-    CLONED void NAME(int64_t rows, int64_t d, const T *bias, T *x)            \
+    CLONED void NAME(                                                         \
+        gemm_##T *gemm, int64_t k, int64_t n, int64_t d, int64_t blocks,      \
+        int64_t keys, const int64_t *indptr, const int64_t *src,              \
+        const T *attr, const T *slab, const T *table, const int64_t *key,     \
+        const T *sources, T *latent, T *proj, T *pre, T *hidden)              \
     {                                                                         \
         if (d == HIDDEN / 2)                                                  \
-            NAME##_body(rows, HIDDEN / 2, bias, x);                           \
+            NAME##_body(gemm, k, n, HIDDEN / 2, blocks, keys, indptr, src,    \
+                        attr, slab, table, key, sources, latent, proj, pre,   \
+                        hidden);                                              \
         else                                                                  \
-            NAME##_body(rows, d, bias, x);                                    \
+            NAME##_body(gemm, k, n, d, blocks, keys, indptr, src, attr, slab, \
+                        table, key, sources, latent, proj, pre, hidden);      \
     }
 
-DEFINE_ROW_BIAS(row_bias_f64, double)
-DEFINE_ROW_BIAS(row_bias_f32, float)
+DEFINE_DSS_BLOCKS(dss_blocks_f64_3, double, 3, edge_pass_f64_3)
+DEFINE_DSS_BLOCKS(dss_blocks_f64_4, double, 4, edge_pass_f64_4)
+DEFINE_DSS_BLOCKS(dss_blocks_f32_3, float, 3, edge_pass_f32_3)
+DEFINE_DSS_BLOCKS(dss_blocks_f32_4, float, 4, edge_pass_f32_4)

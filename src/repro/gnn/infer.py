@@ -1,92 +1,73 @@
 """Allocation-free DSS inference engine: one folded forward for every plan.
 
-``DSS.forward`` — the one forward of prediction and training, what
-``DSS.predict`` and ``DSS.training_loss`` run — evaluates each block on
-freshly allocated arrays from the model's current weights.  Inside a Krylov
-solve the same batch of sub-domain graphs is evaluated hundreds of times with
-only the per-node source changing and the weights frozen, so every
-allocation, every weight-only product and every term that depends on the
-fixed edge attributes alone is invariant.
+``DSS.forward`` — what ``DSS.predict`` and ``DSS.training_loss`` run —
+evaluates each block on fresh arrays from the current weights.  Inside a
+Krylov solve the same sub-domain graphs are evaluated hundreds of times with
+only the per-node source changing, so every allocation, every weight-only
+product and every term of the fixed edge attributes alone is invariant.
 
-:class:`CompiledDSS` folds a model's weights once per precision and owns one
-workspace; an :class:`InferencePlan` compiles a
+:class:`CompiledDSS` folds a model's weights once per precision, stages them
+in one slab and owns one workspace; an :class:`InferencePlan` compiles a
 :class:`~repro.gnn.batch.GraphBatch` against a fold — the batch's edge layout
 and node keys, nothing else — and runs **one** forward
 (:meth:`InferencePlan._forward`) for both precisions and every column count.
 The forward is memory-bound (a few FLOPs per byte streamed over the
-``E``-row edge arrays), so everything below exists to move fewer bytes per
-sweep; all of it is fixed at compile time:
+``E``-row edge arrays); everything below is fixed at compile time:
 
-* **per-node projections** — the hidden edge layer ``W₁ [h_dst | h_src | e]``
-  is split along its disjoint weight column blocks; the latent parts become
-  ``n``-row GEMMs *before* gathering to edges instead of an
-  ``E``-row × ``2d+|e|``-column GEMM after;
-* **direction stacking** — both message directions live side by side along
-  the last axis (``[fwd | bwd]``, width ``2d``): one pair of double-width
-  projection GEMMs and one edge pass serve both, and the aggregation result
-  is already the contiguous ``ψ`` GEMM operand;
-* **static edge terms** — the attribute contribution ``e W₁ₑᵀ + b₁`` depends
-  only on the fixed edge attributes, and is never stored: a plan holds its one
-  ``(E, |e|)`` attribute array and each block its ``(|e|, 2d)`` weights and
-  ``(2d,)`` bias (the backward direction's sign-reversed relative positions
-  folded into the weights, ``(−a)·w = a·(−w)`` exactly, so both directions
-  read the same attributes), and the edge pass forms an edge's term as it gets
-  there, once for all ``k`` columns;
-* **one edge pass** — ``pre[i] = Σ_{e → i} relu(static[e] + proj_dst[i] +
-  proj_src[src_e])``, ``static[e] = ((a₀ W₀ + a₁ W₁) + a₂ W₂ …) + b``, over
-  the edges of one :class:`EdgeLayout` (stable-sorted by destination), in two
-  bodies: the *native* one (``_edge_pass.c``, for ``|e|`` = 3 and 4) a single
-  sweep that never materialises the ``(E, k, 2d)`` messages, the *numpy* one
-  — the reference, and what runs without a C compiler — SpMMs over a message
-  buffer.  Same products and sums in the same order, each rounded on its own:
-  they agree **bit for bit** in both precisions and for every ``k``
-  (``InferencePlan.kernel`` says which ran);
+* **per-node projections** — ``W₁ [h_dst | h_src | e]`` splits along its
+  weight column blocks: the latent parts are ``n``-row GEMMs *before* the
+  gather to edges, not an ``E``-row GEMM after;
+* **direction stacking** — both message directions side by side (``[fwd |
+  bwd]``, width ``2d``): one pair of projection GEMMs and one edge pass serve
+  both, and the aggregation is already the contiguous ``ψ`` GEMM operand;
+* **static edge terms** — ``e W₁ₑᵀ + b₁`` is never stored: the edge pass
+  forms it from the plan's one ``(E, |e|)`` attribute array as it reaches an
+  edge, once for all ``k`` columns (the backward direction's sign-reversed
+  relative positions folded into its weights, ``(−a)·w = a·(−w)`` exactly);
 * **folded output layers** — aggregation is linear, so each direction's
-  output layer commutes with it and then merges into ``ψ``'s first layer:
-  ``(S H) W₂ᵀ ψ₁ₐᵀ = (S H) (ψ₁ₐ W₂)ᵀ``.  Both aggregated output biases
-  (``deg ⊗ b₂`` pushed through ``ψ₁ₐ``), ``ψ``'s own bias and the ``ψ``
-  contribution of the column-invariant κ channels collapse into one per-node
-  bias, and the damping ``α`` is folded into ``ψ``'s second layer;
-* **keyed bias** — that bias is a function of the node's in-degree and (when
-  the model reads them) κ channels, so a plan keeps one ``key`` per node,
-  shared by every block, and a ``(blocks, keys, d)`` table of the distinct
-  rows, checked byte for byte against the per-node fold: one key per
-  in-degree on a κ-free batch, one per node on a lognormal κ field.
-  ``ψ``'s hidden layer is one prefill sweep, ``s w₀ + table[key]`` (in C when
-  the kernels loaded), and two ``beta=1`` GEMMs accumulated onto it; the
-  ResNet update is a ``beta=1`` GEMM straight onto the latent state.
+  output layer merges into ``ψ``'s first: ``(S H) W₂ᵀ ψ₁ₐᵀ = (S H)
+  (ψ₁ₐ W₂)ᵀ``; the aggregated output biases, ``ψ``'s bias and the κ
+  channels' term collapse into one per-node bias, and ``α`` folds into
+  ``ψ``'s second layer;
+* **keyed bias** — that bias depends on a node's in-degree and κ channels
+  only: a plan keeps one ``key`` per node and a ``(blocks, keys, d)`` table
+  of the distinct rows, checked byte for byte against the per-node fold.
 
-Plan memory is ``O(E + n + blocks·keys·d)``; the ``O(blocks·d²)`` weights
-and the workspace are the fold's, which a DSS local solver's plans share.
+Per block: the two projection GEMMs; the edge pass ``pre[i] = Σ_{e → i}
+relu(static[e] + proj_dst[i] + proj_src[src_e])`` over one
+:class:`EdgeLayout` (stable-sorted by destination); ``ψ``'s hidden layer as
+the prefill ``s w₀ + table[key]`` and two ``beta=1`` GEMMs onto it; its
+ReLU; the update GEMM onto the latent, and its bias.  Two bodies run them:
+the *native* one, every block in one C call (``_edge_pass.c``, ``|e|`` = 3
+and 4; its edge pass one sweep that never writes the ``(E, k, 2d)``
+messages), and the *numpy* one — the reference, and what runs without a C
+compiler — with SpMMs over a message buffer.  Both take every GEMM from
+scipy's BLAS and round the same operations in the same order: they agree
+**bit for bit** in both precisions and for every ``k``
+(``InferencePlan.kernel`` says which ran).  The decoder is numpy's in both.
 
-The training forward shares all of it but the compile-time staging:
-:meth:`repro.gnn.mpnn.DSSBlock.forward` builds the same projections, calls
-the same :meth:`EdgeLayout.edge_pass` (``k = 1``, float64) and folds both
-output layers into ``ψ`` in the same algebra, from the current weights on
-every call; its VJP is :meth:`EdgeLayout.edge_vjp`, the pass run backwards.
-The folds are computed in float64 from the model weights (and cast once for
-f32 plans), so they re-associate the forward's dot products and commutative
-sums and nothing else: the f64 forward agrees with ``DSS.predict`` to a few
-ulp (~1e-15 relative observed; the parity tests pin 1e-12).  A fold captures
-the model parameters *at compile time*: recompile after any further training
-or ``load_state_dict``.
+Plan memory is ``O(E + n + blocks·keys·d)``; the weights and the workspace
+are the fold's, which a DSS local solver's plans share.
 
-**Columns.**  Buffers are laid out ``(rows, k, ·)`` with the column axis
-inside each row block: GEMMs run on ``(rows·k, ·)`` reshape views, the edge
-pass carries the columns as a loop bound, and the workspace for any
-``k <= k_max`` is a reshape view of the same flat allocations, so a lockstep
-solve whose active set shrinks allocates nothing.  ``DSS.infer`` is the
-``k = 1`` case of ``run_columns(k)``.
+The training forward (:meth:`repro.gnn.mpnn.DSSBlock.forward`) builds the same
+projections, calls the same :meth:`EdgeLayout.edge_pass` (``k = 1``, float64;
+its VJP is :meth:`EdgeLayout.edge_vjp`) and folds the output layers in the
+same algebra, from the current weights on every call.  The folds are computed
+in float64 (cast once for f32 plans) and only re-associate dot products and
+commutative sums: the f64 forward agrees with ``DSS.predict`` to a few ulp
+(the parity tests pin 1e-12).  A fold captures the parameters *at compile
+time*: recompile after further training or ``load_state_dict``.
 
-* **f32** plans (weights, attributes and buffers in float32, sources and
-  outputs cast at the plan boundary) sweep all ``k`` columns at once; f32
-  carries no bit-identity contract (see DESIGN.md), and the k-wide sweep is
-  pinned against ``k`` single-column sweeps by tolerance.
-* **f64** plans run the ``k`` columns *one at a time* through the ``k = 1``
-  kernel and the same workspace.  A fused ``(n·k, d)`` GEMM is not bit-stable
-  against the ``(n, d)`` single-column call (BLAS picks row-count-dependent
-  kernels), and the lockstep CG needs column ``c`` of ``infer_columns``
-  bit-identical to ``infer`` on column ``c``.
+**Columns.**  Buffers are laid out ``(rows, k, ·)``: GEMMs run on
+``(rows·k, ·)`` reshape views, the edge pass carries the columns as a loop
+bound, and the workspace of any ``k <= k_max`` is a view of the same flat
+allocations, so a lockstep solve whose active set shrinks allocates nothing.
+**f32** plans (cast at the plan boundary) sweep all ``k`` columns at once,
+pinned against ``k`` single-column sweeps by tolerance.  **f64** plans run
+the columns *one at a time* through the ``k = 1`` forward: a fused
+``(n·k, d)`` GEMM is not bit-stable against the ``(n, d)`` one (BLAS picks
+row-count-dependent kernels), and the lockstep CG needs column ``c`` of
+``infer_columns`` bit-identical to ``infer`` on column ``c``.
 """
 
 from __future__ import annotations
@@ -121,21 +102,23 @@ except ImportError:  # pragma: no cover - scipy built without BLAS wrappers
     _BLAS_GEMM = {}
 
 
-def _gemm_acc(a: np.ndarray, b: np.ndarray, c: np.ndarray, scratch: np.ndarray) -> None:
-    """``c += a @ b`` for C-contiguous operands of one dtype, allocation-free.
-
-    BLAS GEMM's ``beta=1`` accumulation fuses the product and the addition
-    into one sweep over ``c``; the C-ordered arrays are handed over as their
-    F-contiguous transpose views (``cᵀ = bᵀ aᵀ + cᵀ``), which ``overwrite_c``
-    updates in place.  Without the scipy BLAS wrappers the product lands in
-    ``scratch`` (same shape as ``c``) first.
-    """
+def _gemm_acc(a: np.ndarray, b: np.ndarray, c: np.ndarray, scratch: Optional[np.ndarray], beta: float = 1.0) -> None:
+    """``c = a @ b + beta·c`` (``beta`` 1 or 0) for C-contiguous operands of one dtype, allocation-free: scipy's
+    BLAS, the C block loop's, on the F-contiguous transposes (``cᵀ = bᵀ aᵀ + beta·cᵀ``, ``c``'s in place), else
+    ``np.matmul`` (a ``beta=1`` product landing in ``scratch``, shaped like ``c``, first)."""
     gemm = _BLAS_GEMM.get(c.dtype)
     if gemm is not None:
-        gemm(1.0, b.T, a.T, beta=1.0, c=c.T, overwrite_c=1)
-    else:
+        gemm(1.0, b.T, a.T, beta=beta, c=c.T, overwrite_c=1)
+    elif beta:
         np.matmul(a, b, out=scratch)
         c += scratch
+    else:
+        np.matmul(a, b, out=c)
+
+
+def blas_columns(n: int, d: int) -> int:
+    """The most columns of an ``n``-node plan the C block loop takes: its GEMM's dimensions are Fortran ``int``."""
+    return (2**31 - 1) // max(n * 2 * d, 1)
 
 
 def _spmm_acc(matrix: sp.csr_matrix, x_flat: np.ndarray, y_flat: np.ndarray, n_vecs: int) -> None:
@@ -279,9 +262,9 @@ class _CompiledBlock:
     """One message-passing block's weights, staged for the folded forward.
 
     ``[fwd | bwd]`` marks arrays that stack both message directions along
-    their last axis; see the module docstring for the folds.  Node ``i``'s
-    ψ bias, ``InferencePlan.bias_table[b, key[i]]``, is folded from the last
-    three.
+    their last axis; see the module docstring for the folds.  The first nine
+    are views of the block's row of ``CompiledDSS.slab``, in the C loop's
+    order; node ``i``'s ψ bias, ``bias_table[b, key[i]]``, folds the last three.
     """
 
     w_dst_T: np.ndarray         # (d, 2d) — [fwd | bwd] latent-of-destination projections
@@ -322,6 +305,7 @@ class _Workspace:
     scratch2d: np.ndarray    # (n·k, d) — _gemm_acc fallback scratch (aliases proj)
     output2d: np.ndarray     # (n·k, 1)
     output: np.ndarray       # (n, k)
+    pointers: Tuple[int, ...]  # sources, latent, proj, pre, hidden: the block loop's buffers
 
 
 class _Buffers:
@@ -364,6 +348,7 @@ class _Buffers:
             scratch2d=self._proj[:n * k * d].reshape(n * k, d),
             output2d=output,
             output=output.reshape(n, k),
+            pointers=tuple(a.ctypes.data for a in (self._input, self._latent, self._proj, self._pre, self._hidden)),
         )
         self._views[n, k] = workspace
         return workspace
@@ -399,9 +384,12 @@ class CompiledDSS:
         self.dtype = PRECISION_DTYPES[precision]
         self.latent_dim = model.config.latent_dim
         self.node_input_dim = model.config.node_input_dim
-        self.blocks: List[_CompiledBlock] = [self._compile_block(block) for block in model.blocks]
+        d = self.latent_dim
+        #: every block's staged weights, one contiguous row each, in the order _edge_pass.c reads them
+        self.slab = np.empty((len(model.blocks), 8 * d * d + 2 * d * model.config.edge_attr_dim + 4 * d), self.dtype)
+        self.blocks: List[_CompiledBlock] = [self._compile_block(*pair) for pair in zip(model.blocks, self.slab)]
         #: the last decoder's (W₁ᵀ, b₁, W₂ᵀ, b₂)
-        self.decoder = tuple(self._stage(array) for layer in model.decoders[-1].mlp.layers
+        self.decoder = tuple(np.array(array, dtype=self.dtype, order="C") for layer in model.decoders[-1].mlp.layers
                              for array in (_weight(layer).T, _bias(layer)))
         # forward-pass buffers for the largest plan compiled and column count seen
         # (f64 plans sweep k = 1 only and stage k columns in column_io)
@@ -409,13 +397,16 @@ class CompiledDSS:
         self._buffers: Optional[_Buffers] = None
         self._io = np.empty(0)
 
-    def _stage(self, array: np.ndarray) -> np.ndarray:
-        """A float64 fold result as a contiguous array of its own at the plan precision."""
-        return np.array(array, dtype=self.dtype, order="C")
+    def _compile_block(self, block, row: np.ndarray) -> _CompiledBlock:
+        """Fold one block's weights in float64, cast into consecutive views of its slab ``row`` in field order."""
+        d, ni, at = self.latent_dim, self.node_input_dim, 0
 
-    def _compile_block(self, block) -> _CompiledBlock:
-        """Fold one block's weights (in float64, cast once) — see the module docstring."""
-        d, ni = self.latent_dim, self.node_input_dim
+        def stage(array: np.ndarray) -> np.ndarray:
+            nonlocal at
+            view = row[at:at + array.size].reshape(array.shape)
+            view[...], at = array, at + array.size
+            return view
+
         phis = (block.phi_forward, block.phi_backward)
         hidden = [_weight(phi.layers[0]) for phi in phis]          # (d, 2d+|e|) each
         # the backward direction sees sign-reversed relative positions
@@ -428,15 +419,15 @@ class CompiledDSS:
                      for phi, offset in zip(phis, (d + ni, 2 * d + ni))]
         alpha = float(block.alpha)
         return _CompiledBlock(
-            w_dst_T=self._stage(np.hstack([w[:, :d].T for w in hidden])),
-            w_src_T=self._stage(np.hstack([w[:, d:2 * d].T for w in hidden])),
-            w_attr_T=self._stage(np.hstack([hidden[0][:, 2 * d:].T, (hidden[1][:, 2 * d:] * attr_sign).T])),
-            b_hidden=self._stage(np.concatenate([_bias(phi.layers[0]) for phi in phis])),
-            w_psi_agg_T=self._stage(np.vstack(psi_agg_T)),
-            w_psi_latent_T=self._stage(psi1[:, :d].T),
-            w_source=self._stage(psi1[:, d]),
-            w2_alpha_T=self._stage(alpha * _weight(block.psi.layers[1]).T),
-            b2_alpha=self._stage(alpha * _bias(block.psi.layers[1])),
+            w_dst_T=stage(np.hstack([w[:, :d].T for w in hidden])),
+            w_src_T=stage(np.hstack([w[:, d:2 * d].T for w in hidden])),
+            w_attr_T=stage(np.hstack([hidden[0][:, 2 * d:].T, (hidden[1][:, 2 * d:] * attr_sign).T])),
+            b_hidden=stage(np.concatenate([_bias(phi.layers[0]) for phi in phis])),
+            w_psi_agg_T=stage(np.vstack(psi_agg_T)),
+            w_psi_latent_T=stage(psi1[:, :d].T),
+            w_source=stage(psi1[:, d]),
+            w2_alpha_T=stage(alpha * _weight(block.psi.layers[1]).T),
+            b2_alpha=stage(alpha * _bias(block.psi.layers[1])),
             psi1=psi1,
             b_psi1=np.array(_bias(block.psi.layers[0])),
             b_out=tuple(np.array(_bias(phi.layers[1])) for phi in phis),
@@ -509,6 +500,11 @@ class InferencePlan:
         #: (n,) row of each node in the (blocks, keys, d) ψ biases
         self.key, self.bias_table = compiled.bias_table(self._edges.indegree.reshape(-1, 1), node_features)
         compiled._largest = (max(compiled._largest[0], n), max(compiled._largest[1], batch.num_edges))
+        self._loop_name = f"dss_blocks_{compiled.precision}_{self._edges.attr.shape[1]}"
+        self._loop_columns = blas_columns(n, compiled.latent_dim)   # 0: the numpy body for every k
+        self._loop_args = (n, compiled.latent_dim, len(compiled.blocks), self.bias_table.shape[1],
+                           *self._edges._pointers, compiled.slab.ctypes.data, self.bias_table.ctypes.data,
+                           self.key.ctypes.data)
 
     # ------------------------------------------------------------------ #
     @property
@@ -555,60 +551,30 @@ class InferencePlan:
             outputs[:, c] = self._forward(single)[:, 0]
         return outputs
 
+    def _loop(self, k: int = 1):
+        """The C block loop for ``k`` columns of this plan, if it loaded and their GEMMs fit in ``int``."""
+        kernels = edge_kernels() if k <= self._loop_columns else None  # resolved once per process
+        return None if kernels is None else kernels.get(self._loop_name)
+
     @property
     def kernel(self) -> str:
-        """Which edge-pass body this plan runs: ``"native"`` or ``"numpy"`` (same bytes)."""
-        return self._edges.kernel
+        """Which body this plan's forward runs: ``"native"`` (the C block loop) or ``"numpy"`` (same bytes)."""
+        return "numpy" if self._loop() is None else "native"
 
     def _edge_pass(self, ws: _Workspace, block: _CompiledBlock) -> None:
         """:meth:`EdgeLayout.edge_pass` of one block into ``ws.pre2d``, numpy scratch from the buffers."""
         self._edges.edge_pass(block.w_attr_T, block.b_hidden, ws.proj_flat, ws.pre_flat, ws.k,
                               self.compiled._buffers.edge_scratch)
 
-    def _prefill(self, ws: _Workspace, block: _CompiledBlock, table: np.ndarray) -> None:
-        """``hidden[i, c] = s[i, c]·w₀ + table[key[i]]`` — product, then sum, each rounded on its own: one C
-        sweep if the kernels loaded, else the same two numpy operations (the same bytes)."""
-        kernels = edge_kernels()
-        if kernels is not None:
-            kernels[f"node_prefill_{self.compiled.precision}"](
-                self.num_nodes, ws.k, self.compiled.latent_dim, ws.sources.ctypes.data, block.w_source.ctypes.data,
-                table.ctypes.data, self.key.ctypes.data, ws.hidden3.ctypes.data)
-            return
-        np.multiply(ws.sources[..., None], block.w_source, out=ws.hidden3)
-        ws.hidden3 += table[self.key][:, None, :]
-
-    def _add_output_bias(self, ws: _Workspace, block: _CompiledBlock) -> None:
-        """``latent[r] += α·b₂`` on every row: one C sweep if the kernels loaded, else numpy's broadcast add
-        (the same one rounded sum per element, so the same bytes)."""
-        kernels = edge_kernels()
-        if kernels is not None:
-            kernels[f"row_bias_{self.compiled.precision}"](
-                ws.latent2d.shape[0], self.compiled.latent_dim, block.b2_alpha.ctypes.data, ws.latent2d.ctypes.data)
-            return
-        ws.latent2d += block.b2_alpha
-
     def _forward(self, ws: _Workspace) -> np.ndarray:
-        """The folded k̄-iteration forward on workspace ``ws``; returns ``ws.output``.
-
-        Per block: two double-width projection GEMMs and one edge pass serve
-        *both* message directions; ``ψ``'s hidden layer reads the raw
-        aggregation sums through the folded weights of :class:`_CompiledBlock`.
-        """
+        """The folded k̄-iteration forward on workspace ``ws``; returns ``ws.output``: every block in one
+        call of the C loop, else :meth:`_blocks_numpy` (the same bytes), then the decoder."""
         ws.latent2d.fill(0.0)
-        for block, table in zip(self.compiled.blocks, self.bias_table):
-            np.matmul(ws.latent2d, block.w_dst_T, out=ws.proj_dst2d)
-            np.matmul(ws.latent2d, block.w_src_T, out=ws.proj_src2d)
-            self._edge_pass(ws, block)
-            # ψ hidden = (sources w₀ + bias) + pre W_agg + latent Wₗ: the
-            # rank-1 source term and the keyed bias in one prefill sweep, the
-            # two products GEMM-accumulated (beta=1) straight onto it
-            self._prefill(ws, block, table)
-            _gemm_acc(ws.pre2d, block.w_psi_agg_T, ws.hidden2d, ws.scratch2d)
-            _gemm_acc(ws.latent2d, block.w_psi_latent_T, ws.hidden2d, ws.scratch2d)
-            relu_(ws.hidden2d)
-            # damped ResNet update, accumulated directly into the latent
-            _gemm_acc(ws.hidden2d, block.w2_alpha_T, ws.latent2d, ws.scratch2d)
-            self._add_output_bias(ws, block)
+        loop = self._loop(ws.k)
+        if loop is None:
+            self._blocks_numpy(ws)
+        else:
+            loop(ws.k, *self._loop_args, *ws.pointers)
         w1_T, b1, w2_T, b2 = self.compiled.decoder
         np.matmul(ws.latent2d, w1_T, out=ws.hidden2d)
         ws.hidden2d += b1
@@ -616,3 +582,21 @@ class InferencePlan:
         np.matmul(ws.hidden2d, w2_T, out=ws.output2d)
         ws.output2d += b2
         return ws.output
+
+    def _blocks_numpy(self, ws: _Workspace) -> None:
+        """The k̄ blocks in numpy, the C loop's reference (see the module docstring)."""
+        for block, table in zip(self.compiled.blocks, self.bias_table):
+            _gemm_acc(ws.latent2d, block.w_dst_T, ws.proj_dst2d, None, beta=0.0)
+            _gemm_acc(ws.latent2d, block.w_src_T, ws.proj_src2d, None, beta=0.0)
+            self._edge_pass(ws, block)
+            # ψ hidden = (sources w₀ + bias) + pre W_agg + latent Wₗ: the
+            # rank-1 source term and the keyed bias in one prefill — product,
+            # then sum — the two products GEMM-accumulated (beta=1) onto it
+            np.multiply(ws.sources[..., None], block.w_source, out=ws.hidden3)
+            ws.hidden3 += table[self.key][:, None, :]
+            _gemm_acc(ws.pre2d, block.w_psi_agg_T, ws.hidden2d, ws.scratch2d)
+            _gemm_acc(ws.latent2d, block.w_psi_latent_T, ws.hidden2d, ws.scratch2d)
+            relu_(ws.hidden2d)
+            # damped ResNet update, accumulated directly into the latent
+            _gemm_acc(ws.hidden2d, block.w2_alpha_T, ws.latent2d, ws.scratch2d)
+            ws.latent2d += block.b2_alpha

@@ -4,6 +4,7 @@ that keep the exact solvers bit-identical to the classical loops."""
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import os
 import subprocess
@@ -263,7 +264,8 @@ class TestMultiColumnParity:
 
 class TestKernelFallbacks:
     """The code paths no default run reaches: scipy without its BLAS wrappers
-    or without the private CSR kernel.  Each must agree with the default path."""
+    or without the private CSR kernel, both on the numpy body (the native one
+    uses neither).  Each must agree with the default path."""
 
     @pytest.mark.parametrize("patched", ["_BLAS_GEMM", "_csr_matvecs"])
     @pytest.mark.parametrize("precision", ["f64", "f32"])
@@ -273,6 +275,7 @@ class TestKernelFallbacks:
         plan = model.compile_plan(toy_batch, precision=precision)
         sources = np.random.default_rng(61).normal(size=(toy_batch.num_nodes, 3))
         default = model.infer_columns(plan, sources).copy()
+        monkeypatch.setattr(_native, "_kernels", None)
         if patched == "_BLAS_GEMM":
             monkeypatch.setattr(engine, patched, {})
         else:
@@ -565,27 +568,53 @@ class TestEdgeKernel:
     @pytest.mark.parametrize("precision", ["f64", "f32"])
     def test_the_native_prefill_is_bitwise_the_numpy_body(self, native_body, monkeypatch, edge_cases, graph,
                                                           precision):
-        """ψ's prefill ``s w₀ + table[key]`` — product, then sum — on a batch with isolated nodes (whose
-        bias lacks the aggregated output biases), at d = 4 and d = 10, three columns, with the table's rows
-        shuffled (and the key with them), so a body that read the rows in node order would fail."""
+        """ψ's prefill ``s w₀ + table[key]`` — product, then sum — inside the block loop, on a batch with
+        isolated nodes (whose bias lacks the aggregated output biases), at d = 4 and d = 10, three columns,
+        with every block's table rows shuffled (and the key with them), so a loop that read the rows in node
+        order would fail: both bodies give the unshuffled plan's forward, bit for bit."""
         model, batch = edge_cases[graph]
         plan = model.compile_plan(batch, precision=precision)
-        ws, block = plan.workspace(3), plan.compiled.blocks[0]
+        sources = np.random.default_rng(8).normal(size=(batch.num_nodes, 3))
+        expected = model.infer_columns(plan, sources).copy()
         order = np.random.default_rng(8).permutation(plan.bias_table.shape[1])
-        table, key = np.ascontiguousarray(plan.bias_table[0][order]), np.argsort(order)[plan.key]
-        assert np.array_equal(table[key], plan.bias_table[0][plan.key]) and (key[1:] < key[:-1]).any()
-        assert np.bincount(key).max() > 1 and (plan._edges.indegree == 0).any()   # repeats; isolated nodes
+        key = np.argsort(order)[plan.key]
+        assert np.array_equal(plan.bias_table[:, order][:, key], plan.bias_table[:, plan.key])
+        assert (key[1:] < key[:-1]).any() and np.bincount(key).max() > 1    # shuffled, with repeats
+        assert (plan._edges.indegree == 0).any()                            # isolated nodes
+        plan.bias_table[...] = plan.bias_table[:, order]                     # in place: the loop holds its pointer
         plan.key[...] = key
-        ws.sources[...] = np.random.default_rng(8).normal(size=ws.sources.shape)
-        expected = ws.sources[..., None] * block.w_source + table[key][:, None]
-        filled = []
-        for kernels in (_native.edge_kernels(), None):
-            monkeypatch.setattr(_native, "_kernels", kernels)
-            ws.hidden3.fill(np.nan)
-            plan._prefill(ws, block, table)
-            filled.append(ws.hidden3.copy())
-        assert expected.shape == (batch.num_nodes, 3, model.config.latent_dim)
-        assert np.array_equal(filled[0], expected) and np.array_equal(filled[1], expected)
+        assert plan.kernel == "native" and np.isfinite(expected).all()
+        assert np.array_equal(model.infer_columns(plan, sources), expected)
+        monkeypatch.setattr(_native, "_kernels", None)
+        assert np.array_equal(model.infer_columns(plan, sources), expected)
+
+    def test_a_native_forward_is_one_loop_call_per_plan(self, native_body, monkeypatch, edge_cases):
+        """A native f64 ``infer`` and an f32 ``infer_columns(k=8)`` over the ledger model's 20 blocks each
+        enter the C block loop once: no GEMM, edge pass or block ``np.matmul`` runs from Python, and the
+        decoder's two ``np.matmul`` are the only ones."""
+        model, batch = edge_cases["disk2d"]
+        calls = collections.Counter()
+
+        def counted(name, function):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(_native, "_kernels", {name: counted(name, function)
+                                                  for name, function in _native.edge_kernels().items()})
+        monkeypatch.setattr(engine, "_gemm_acc", counted("_gemm_acc", engine._gemm_acc))
+        monkeypatch.setattr(engine.InferencePlan, "_edge_pass", counted("_edge_pass", engine.InferencePlan._edge_pass))
+        monkeypatch.setattr(engine.np, "matmul", counted("np.matmul", np.matmul))
+        for precision, k in (("f64", 1), ("f32", 8)):
+            plan = model.compile_plan(batch, precision=precision)
+            sources = np.random.default_rng(k).normal(size=(batch.num_nodes, k))
+            calls.clear()
+            if k == 1:
+                model.infer(plan, sources[:, 0])
+            else:
+                model.infer_columns(plan, sources)
+            assert calls == {f"dss_blocks_{precision}_3": 1, "np.matmul": 2}, (precision, calls)
 
     @pytest.mark.parametrize("precision", ["f64", "f32"])
     def test_an_uninstantiated_attribute_width_runs_the_numpy_body(self, toy_batch, precision):
@@ -747,6 +776,49 @@ class TestNativeLoader:
         toy_batch.source = source
         assert np.allclose(output, model.predict(toy_batch), rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_a_missing_blas_capsule_selects_the_numpy_body_with_the_same_bytes(self, native_body, monkeypatch,
+                                                                              toy_batch, precision):
+        """The block loop's GEMM is scipy's, from ``cython_blas``'s capsules: without them the library does
+        not resolve, and the numpy body — the same BLAS through ``scipy.linalg.blas`` — gives the bytes the
+        loop gave."""
+        from scipy.linalg import cython_blas
+
+        model = DSS(D10_CONFIG)
+        plan = model.compile_plan(toy_batch, precision=precision)
+        sources = np.random.default_rng(5).normal(size=(toy_batch.num_nodes, 3))
+        native = model.infer_columns(plan, sources).copy()
+        assert plan.kernel == "native"
+        monkeypatch.setattr(_native, "_kernels", _native._UNRESOLVED)   # the cached build answers: no compile
+        monkeypatch.setattr(cython_blas, "__pyx_capi__", {})
+        assert plan.kernel == "numpy" and _native._kernels is None
+        assert np.array_equal(model.infer_columns(plan, sources), native)
+
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_columns_past_32_bit_gemm_dimensions_run_the_numpy_body(self, native_body, monkeypatch, toy_batch,
+                                                                     precision):
+        """scipy's Fortran GEMM counts in 32-bit ``int``: the predicate on sizes alone (no such plan is
+        allocated), then a plan whose bound is patched to 0 and to 2 columns — the numpy body for every
+        ``k`` past it, with the loop's bytes."""
+        limit = 2**31 - 1
+        assert engine.blas_columns(1, 10) == limit // 20 and engine.blas_columns(2093, 10) == limit // 41860
+        assert engine.blas_columns(limit // 20, 10) == 1 and engine.blas_columns(limit // 20 + 1, 10) == 0
+        assert engine.blas_columns(limit // 8 + 1, 4) == 0
+        model = DSS(PLAIN_CONFIG)
+        sources = np.random.default_rng(6).normal(size=(toy_batch.num_nodes, 3))
+        expected = model.infer_columns(model.compile_plan(toy_batch, precision=precision), sources).copy()
+        numpy_blocks = engine.InferencePlan._blocks_numpy
+        sweeps = [1, 1, 1] if precision == "f64" else [3]                  # the numpy body's, at k = 3
+        for columns, kernel, numpy_sweeps in ((0, "numpy", sweeps), (2, "native", [k for k in sweeps if k > 2])):
+            monkeypatch.setattr(engine, "blas_columns", lambda n, d: columns)
+            plan = model.compile_plan(toy_batch, precision=precision)
+            ran = []
+            monkeypatch.setattr(engine.InferencePlan, "_blocks_numpy",
+                                lambda plan, ws: ran.append(ws.k) or numpy_blocks(plan, ws))
+            assert plan.kernel == kernel
+            assert np.array_equal(model.infer_columns(plan, sources), expected)
+            assert ran == numpy_sweeps
+
     @pytest.mark.parametrize("broken", ["edge", "schwarz"])
     def test_one_failed_library_leaves_the_other_alone(self, native_body, native_schwarz, fresh, monkeypatch,
                                                        broken, random_problem, small_decomposition, toy_batch):
@@ -822,24 +894,23 @@ class TestBaselineBuild:
 
     @pytest.mark.parametrize("precision,k", [("f64", 1), ("f32", 1), ("f32", 8)])
     def test_the_forward_kernels_on_the_ledger_plans(self, bodies, ledger, monkeypatch, precision, k):
-        """Per plan and block: the edge pass, ψ's prefill and its output bias on seeded inputs; then the whole
-        forward."""
+        """Per plan and block: the block loop run on that block alone from a seeded latent and sources, every
+        buffer it writes (projections, edge sums, ψ's hidden layer, the latent); then the whole forward."""
         model, plans = ledger
         assert len(plans[precision]) == 2
         for plan in plans[precision]:
             rng = np.random.default_rng(plan.num_nodes)
             ws = plan.workspace(k)
-            for block, table in zip(plan.compiled.blocks, plan.bias_table):
-                proj, sources, latent = (rng.normal(size=a.shape) for a in (ws.proj_flat, ws.sources, ws.latent2d))
+            n, d, _, keys, *layout, _, _, key = plan._loop_args
+            for b in range(len(plan.compiled.blocks)):
+                sources, latent = (rng.normal(size=a.shape) for a in (ws.sources, ws.latent2d))
                 outputs = []
                 for kernels in bodies:
-                    monkeypatch.setattr(_native, "_kernels", kernels)
-                    ws.proj_flat[...], ws.sources[...], ws.latent2d[...] = proj, sources, latent
-                    plan._edge_pass(ws, block)
-                    plan._prefill(ws, block, table)
-                    plan._add_output_bias(ws, block)
-                    outputs.append([a.tobytes() for a in (ws.pre_flat, ws.hidden3, ws.latent2d)])
-                assert outputs[0] == outputs[1]
+                    ws.sources[...], ws.latent2d[...] = sources, latent
+                    kernels[plan._loop_name](k, n, d, 1, keys, *layout, plan.compiled.slab[b].ctypes.data,
+                                             plan.bias_table[b].ctypes.data, key, *ws.pointers)
+                    outputs.append([a.tobytes() for a in (ws.proj_flat, ws.pre_flat, ws.hidden3, ws.latent2d)])
+                assert outputs[0] == outputs[1], b
             sources = rng.normal(size=(plan.num_nodes, k))
             forwards = []
             for kernels in bodies:
