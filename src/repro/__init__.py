@@ -2,7 +2,8 @@
 
 The package is organised bottom-up (see DESIGN.md):
 
-* :mod:`repro.nn` — NumPy neural-network substrate on plain arrays (PyTorch substitute);
+* :mod:`repro.nn` — the optimiser on plain arrays: ``Parameter``, Adam, gradient clipping and
+  ``ReduceLROnPlateau`` (``torch.optim`` substitute);
 * :mod:`repro.mesh` — random-domain generation and unstructured triangulation (GMSH substitute);
 * :mod:`repro.fem` — P1 finite elements for Poisson and variable-coefficient
   diffusion with mixed Dirichlet/Neumann/Robin boundary conditions;

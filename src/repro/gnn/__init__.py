@@ -3,7 +3,8 @@
 Public surface:
 
 * :class:`~repro.gnn.dss.DSS`, :class:`~repro.gnn.dss.DSSConfig` — the GNN
-  solver (paper Fig. 3).
+  solver (paper Fig. 3): its config plus one keyed parameter dict,
+  ``DSS.params``.
 * :class:`~repro.gnn.graph.GraphProblem`,
   :func:`~repro.gnn.graph.graph_from_mesh` — graph-structured local problems.
 * :class:`~repro.gnn.batch.GraphBatch` — disjoint-union batching, the one
@@ -14,9 +15,9 @@ Public surface:
 * :class:`~repro.gnn.infer.InferencePlan` — a batch compiled onto its edge
   layout: the iteration-time fast path (``DSS.compile_plan`` /
   ``DSS.infer_columns``).
-* :class:`~repro.gnn.mpnn.DSSBlock`, :class:`~repro.gnn.mpnn.Decoder` —
-  message-passing building blocks; ``block(latent, node_input, edges)``
-  returns the new latent state and its hand-written backward.
+* :func:`~repro.gnn.mpnn.block_forward`, :func:`~repro.gnn.mpnn.decoder_forward`
+  — block ``k`` and decoder ``k`` on the model's parameter dict; each returns
+  its output and its hand-written backward.
 * :func:`~repro.gnn.loss.residual_loss`, :func:`~repro.gnn.loss.relative_error`
   — the physics-informed loss and metrics; :class:`~repro.gnn.loss.TrainingLoss`
   — what ``DSS.training_loss`` returns (``.item()``, ``.backward()``).
@@ -44,7 +45,7 @@ from .dss import DSS, DSSConfig
 from .graph import GraphProblem, graph_from_mesh
 from .infer import EdgeLayout, InferencePlan
 from .loss import relative_error, residual_loss
-from .mpnn import Decoder, DSSBlock
+from .mpnn import block_forward, decoder_forward
 from .training import DSSTrainer, EvaluationMetrics, EpochStats, TrainingConfig, evaluate_model
 
 __all__ = [
@@ -55,8 +56,8 @@ __all__ = [
     "GraphBatch",
     "EdgeLayout",
     "InferencePlan",
-    "DSSBlock",
-    "Decoder",
+    "block_forward",
+    "decoder_forward",
     "residual_loss",
     "relative_error",
     "DSSTrainer",

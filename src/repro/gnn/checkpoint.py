@@ -19,9 +19,14 @@ resumed training run bit-matches an uninterrupted one.  Files are written
 atomically (temp file + ``os.replace``) so an interrupted save never leaves a
 truncated checkpoint behind.
 
-Mismatched or corrupt files are rejected with :class:`CheckpointError` before
-any state is touched: missing header, wrong magic, newer schema version,
-missing parameter arrays, or shape mismatches.
+Corrupt or foreign files are rejected by :func:`load_checkpoint` with
+:class:`CheckpointError`: missing header, wrong magic, newer schema version,
+parameter or optimiser arrays missing against the header.  A file that
+parses but does not fit the model or trainer it is restored into is refused
+by :meth:`Checkpoint.restore` before any state is touched: ``KeyError`` for
+model keys missing or unexpected, ``ValueError`` for a parameter or moment
+shape, a moment count or slot name, the optimiser or scheduler type, a
+non-zero ``weight_decay`` or a different training config.
 """
 
 from __future__ import annotations
@@ -186,7 +191,6 @@ class Checkpoint:
         """Instantiate a DSS from the stored config and load the weights."""
         model = DSS(self.config)
         model.load_state_dict(self.model_state)
-        model.eval()
         return model
 
     def build_trainer(self):
@@ -202,18 +206,23 @@ class Checkpoint:
         return model, trainer
 
     def restore(self, model: Optional[DSS] = None, trainer=None) -> None:
-        """Load the stored state into an existing model and/or trainer."""
-        if model is not None:
-            model.load_state_dict(self.model_state)
+        """Load the stored state into an existing model and/or trainer.
+
+        Everything is checked before anything is written: a refused file
+        leaves the weights, the optimiser and the trainer as they were.
+        """
         if trainer is not None:
             trainer_state = self.header.get("trainer")
             if trainer_state is None:
                 raise CheckpointError(f"'{self.path}' is a weights-only checkpoint (no trainer state)")
+            model = model if model is not None else trainer.model
+        commits = [] if model is None else [model.prepare_load(self.model_state)]
+        if trainer is not None:
             state = json.loads(json.dumps(trainer_state))  # deep copy; header stays pristine
             state["optimizer"]["slots"] = self.optimizer_slots
-            trainer.load_state_dict(state)
-            if model is None:
-                trainer.model.load_state_dict(self.model_state)
+            commits.append(trainer.prepare_load(state))
+        for commit in commits:
+            commit()
 
 
 def load_checkpoint(path: Union[str, Path]) -> Checkpoint:
@@ -275,5 +284,5 @@ def load_checkpoint(path: Union[str, Path]) -> Checkpoint:
 
 
 def load_model(path: Union[str, Path]) -> DSS:
-    """Convenience: rebuild just the (eval-mode) model from a checkpoint."""
+    """Convenience: rebuild just the model from a checkpoint."""
     return load_checkpoint(path).build_model()

@@ -18,16 +18,15 @@ of 500–2000 nodes with a model trained on 1000-node sub-domains.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..nn.modules import Module
 from .batch import GraphBatch, _pad_columns
 from .graph import GraphProblem
 from .infer import CompiledDSS, EdgeLayout, InferencePlan
 from .loss import TrainingLoss
-from .mpnn import Decoder, DSSBlock, Forward
+from .mpnn import Forward, Params, block_forward, decoder_forward, init_params
 
 __all__ = ["DSSConfig", "DSS"]
 
@@ -67,28 +66,55 @@ class DSSConfig:
             raise ValueError("node_input_dim must be >= 1 (the residual channel)")
 
 
-class DSS(Module):
-    """The Deep Statistical Solver graph neural network."""
+class DSS:
+    """The Deep Statistical Solver graph neural network: its config and one keyed parameter dict.
+
+    ``params`` maps each checkpoint key (``block_3.psi.layer_0.weight``,
+    ``decoder_3.mlp.layer_1.bias``) to its :class:`~repro.nn.optim.Parameter`,
+    in checkpoint order (:func:`~repro.gnn.mpnn.init_params`); it is the one
+    owner of every weight.  An optimiser takes ``params.values()``.
+    """
 
     def __init__(self, config: DSSConfig = DSSConfig()) -> None:
-        super().__init__()
         self.config = config
-        rng = np.random.default_rng(config.seed)
-        self.blocks: List[DSSBlock] = []
-        self.decoders: List[Decoder] = []
-        for k in range(config.num_iterations):
-            block = DSSBlock(
-                config.latent_dim,
-                alpha=config.alpha,
-                rng=rng,
-                edge_attr_dim=config.edge_attr_dim,
-                node_input_dim=config.node_input_dim,
-            )
-            decoder = Decoder(config.latent_dim, rng=rng)
-            setattr(self, f"block_{k}", block)
-            setattr(self, f"decoder_{k}", decoder)
-            self.blocks.append(block)
-            self.decoders.append(decoder)
+        self.params: Params = init_params(config)
+
+    # ------------------------------------------------------------------ #
+    # weights
+    # ------------------------------------------------------------------ #
+    def num_parameters(self) -> int:
+        """Total number of scalar weights (paper Table II column 'Nb Weights')."""
+        return int(sum(p.data.size for p in self.params.values()))
+
+    def state_dict(self) -> Dict[str, np.ndarray]:
+        """Flat mapping key -> array copy of every parameter, in checkpoint order."""
+        return {name: p.data.copy() for name, p in self.params.items()}
+
+    def checked_state(self, state: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+        """``state``'s arrays as float64 under this model's keys, or ``KeyError`` (a key missing or
+        unexpected) / ``ValueError`` (a shape differs) — it writes nothing."""
+        missing, unexpected = set(self.params) - set(state), set(state) - set(self.params)
+        if missing or unexpected:
+            raise KeyError(f"state dict mismatch: missing={sorted(missing)} unexpected={sorted(unexpected)}")
+        arrays = {name: np.asarray(state[name], dtype=np.float64) for name in self.params}
+        for name, value in arrays.items():
+            if value.shape != self.params[name].data.shape:
+                raise ValueError(f"shape mismatch for '{name}': {value.shape} vs {self.params[name].data.shape}")
+        return arrays
+
+    def prepare_load(self, state: Dict[str, np.ndarray]) -> Callable[[], None]:
+        """Check ``state`` in full (:meth:`checked_state`) and return the call that copies it into the weights."""
+        arrays = self.checked_state(state)
+
+        def commit() -> None:
+            for name, value in arrays.items():
+                self.params[name].data[...] = value
+
+        return commit
+
+    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
+        """Load parameter values in place: all of them, or, when any key or shape is refused, none."""
+        self.prepare_load(state)()
 
     # ------------------------------------------------------------------ #
     # forward passes
@@ -103,8 +129,8 @@ class DSS(Module):
         edges = EdgeLayout(problem.edge_index, self._prepare_edge_attr(problem.edge_attr), num_nodes)
         node_input = self._prepare_node_input(problem)
         latent = np.zeros((num_nodes, self.config.latent_dim))
-        for block in self.blocks:
-            latent, backward = block(latent, node_input, edges)
+        for k in range(self.config.num_iterations):
+            latent, backward = block_forward(self.params, k, self.config.alpha, latent, node_input, edges)
             yield latent, backward
 
     def forward(
@@ -119,7 +145,7 @@ class DSS(Module):
         This is the one forward: :meth:`training_loss` runs the same blocks
         and decoders and keeps the backward each returns, prediction drops it.
         """
-        decoded = [self.decoders[k](latent)[0] for k, (latent, _) in enumerate(self._blocks(problem))
+        decoded = [decoder_forward(self.params, k, latent)[0] for k, (latent, _) in enumerate(self._blocks(problem))
                    if return_intermediate or k == self.config.num_iterations - 1]
         return decoded if return_intermediate else decoded[0]
 
@@ -216,8 +242,8 @@ class DSS(Module):
         gradient to its ``.grad`` (see :class:`~repro.gnn.loss.TrainingLoss`).
         """
         loss = TrainingLoss(problem)
-        for (latent, block_backward), decoder in zip(self._blocks(problem), self.decoders):
-            decoded, decoder_backward = decoder(latent)
+        for k, (latent, block_backward) in enumerate(self._blocks(problem)):
+            decoded, decoder_backward = decoder_forward(self.params, k, latent)
             loss.add(decoded, decoder_backward, block_backward)
         return loss
 

@@ -49,7 +49,7 @@ scipy's BLAS and round the same operations in the same order: they agree
 Plan memory is ``O(E + n + blocks·keys·d)``; the weights and the workspace
 are the fold's, which a DSS local solver's plans share.
 
-The training forward (:meth:`repro.gnn.mpnn.DSSBlock.forward`) builds the same
+The training forward (:func:`repro.gnn.mpnn.block_forward`) builds the same
 projections, calls the same :meth:`EdgeLayout.edge_pass` (``k = 1``, float64;
 its VJP is :meth:`EdgeLayout.edge_vjp`) and folds the output layers in the
 same algebra, from the current weights on every call.  The folds are computed
@@ -360,14 +360,6 @@ class _Buffers:
         return self._edge
 
 
-def _weight(layer) -> np.ndarray:
-    return np.asarray(layer.weight.data, dtype=np.float64)
-
-
-def _bias(layer) -> np.ndarray:
-    return np.asarray(layer.bias.data, dtype=np.float64)
-
-
 class CompiledDSS:
     """A DSS folded once at one precision, and the one workspace of the plans compiled against it.
 
@@ -384,21 +376,27 @@ class CompiledDSS:
         self.dtype = PRECISION_DTYPES[precision]
         self.latent_dim = model.config.latent_dim
         self.node_input_dim = model.config.node_input_dim
+        from .mpnn import block_keys, decoder_keys  # local import: mpnn imports this module
+
         d = self.latent_dim
+        blocks, alpha = model.config.num_iterations, float(model.config.alpha)
         #: every block's staged weights, one contiguous row each, in the order _edge_pass.c reads them
-        self.slab = np.empty((len(model.blocks), 8 * d * d + 2 * d * model.config.edge_attr_dim + 4 * d), self.dtype)
-        self.blocks: List[_CompiledBlock] = [self._compile_block(*pair) for pair in zip(model.blocks, self.slab)]
+        self.slab = np.empty((blocks, 8 * d * d + 2 * d * model.config.edge_attr_dim + 4 * d), self.dtype)
+        self.blocks: List[_CompiledBlock] = [
+            self._compile_block([model.params[key].data for key in block_keys(k)], alpha, row)
+            for k, row in enumerate(self.slab)]
         #: the last decoder's (W₁ᵀ, b₁, W₂ᵀ, b₂)
-        self.decoder = tuple(np.array(array, dtype=self.dtype, order="C") for layer in model.decoders[-1].mlp.layers
-                             for array in (_weight(layer).T, _bias(layer)))
+        w1, b1, w2, b2 = (model.params[key].data for key in decoder_keys(blocks - 1))
+        self.decoder = tuple(np.array(array, dtype=self.dtype, order="C") for array in (w1.T, b1, w2.T, b2))
         # forward-pass buffers for the largest plan compiled and column count seen
         # (f64 plans sweep k = 1 only and stage k columns in column_io)
         self._largest = (0, 0)  # (nodes, edges)
         self._buffers: Optional[_Buffers] = None
         self._io = np.empty(0)
 
-    def _compile_block(self, block, row: np.ndarray) -> _CompiledBlock:
-        """Fold one block's weights in float64, cast into consecutive views of its slab ``row`` in field order."""
+    def _compile_block(self, arrays: List[np.ndarray], alpha: float, row: np.ndarray) -> _CompiledBlock:
+        """Fold one block's twelve arrays (``block_keys`` order) in float64, cast into consecutive views of
+        its slab ``row`` in field order."""
         d, ni, at = self.latent_dim, self.node_input_dim, 0
 
         def stage(array: np.ndarray) -> np.ndarray:
@@ -407,30 +405,27 @@ class CompiledDSS:
             view[...], at = array, at + array.size
             return view
 
-        phis = (block.phi_forward, block.phi_backward)
-        hidden = [_weight(phi.layers[0]) for phi in phis]          # (d, 2d+|e|) each
+        w1_fwd, b1_fwd, w2_fwd, b2_fwd, w1_bwd, b1_bwd, w2_bwd, b2_bwd, psi1, b_psi1, psi2, b_psi2 = arrays
+        hidden = (w1_fwd, w1_bwd)                                  # (d, 2d+|e|) each
         # the backward direction sees sign-reversed relative positions
         attr_sign = np.ones(hidden[0].shape[1] - 2 * d)
         attr_sign[:2] = -1.0
-        psi1 = np.array(_weight(block.psi.layers[0]))              # (d, 3d+ni)
         # fold each direction's output layer into ψ's agg columns:
         # (S H) W₂ᵀ ψ₁ₐᵀ = (S H) (ψ₁ₐ W₂)ᵀ
-        psi_agg_T = [(psi1[:, offset:offset + d] @ _weight(phi.layers[1])).T
-                     for phi, offset in zip(phis, (d + ni, 2 * d + ni))]
-        alpha = float(block.alpha)
+        psi_agg_T = [(psi1[:, offset:offset + d] @ w2).T for w2, offset in ((w2_fwd, d + ni), (w2_bwd, 2 * d + ni))]
         return _CompiledBlock(
             w_dst_T=stage(np.hstack([w[:, :d].T for w in hidden])),
             w_src_T=stage(np.hstack([w[:, d:2 * d].T for w in hidden])),
             w_attr_T=stage(np.hstack([hidden[0][:, 2 * d:].T, (hidden[1][:, 2 * d:] * attr_sign).T])),
-            b_hidden=stage(np.concatenate([_bias(phi.layers[0]) for phi in phis])),
+            b_hidden=stage(np.concatenate([b1_fwd, b1_bwd])),
             w_psi_agg_T=stage(np.vstack(psi_agg_T)),
             w_psi_latent_T=stage(psi1[:, :d].T),
             w_source=stage(psi1[:, d]),
-            w2_alpha_T=stage(alpha * _weight(block.psi.layers[1]).T),
-            b2_alpha=stage(alpha * _bias(block.psi.layers[1])),
-            psi1=psi1,
-            b_psi1=np.array(_bias(block.psi.layers[0])),
-            b_out=tuple(np.array(_bias(phi.layers[1])) for phi in phis),
+            w2_alpha_T=stage(alpha * psi2.T),
+            b2_alpha=stage(alpha * b_psi2),
+            psi1=np.array(psi1),
+            b_psi1=np.array(b_psi1),
+            b_out=(np.array(b2_fwd), np.array(b2_bwd)),
         )
 
     def bias_table(self, indegree: np.ndarray, node_features: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

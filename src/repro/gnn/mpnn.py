@@ -1,6 +1,8 @@
 """Message-passing building blocks of the DSS architecture (paper Eqs. 18–20).
 
-Each :class:`DSSBlock` holds three MLPs with their own weights:
+Block ``k`` reads three one-hidden-layer MLPs from the model's parameter dict
+(:func:`init_params`), under the checkpoint's keys ``block_{k}.phi_forward``,
+``block_{k}.phi_backward`` and ``block_{k}.psi``:
 
 * ``Φ→`` and ``Φ←`` compute messages on directed edges from the latent states
   of the two endpoints and the geometric edge attributes (relative position
@@ -13,7 +15,7 @@ All MLPs have a single hidden layer whose width equals the latent dimension
 ``d``; this reproduces exactly the parameter counts of the paper's Table II
 (e.g. k̄=30, d=10 → 37 530 weights).
 
-**One block, one hand-written backward.**  :meth:`DSSBlock.forward` evaluates
+**One block, one hand-written backward.**  :func:`block_forward` evaluates
 the block on raw arrays with the operators of the inference engine
 (:mod:`repro.gnn.infer`) and returns, beside the new latent state, its
 vector-Jacobian product: one call that adds the cotangents of all twelve
@@ -41,21 +43,70 @@ two passes a block keeps ``H``, the projections ``P``, ``A`` and ``ψ``'s
 hidden layer ``h`` — ``n``-row arrays only, referenced by the backward and
 freed with it: prediction drops it at once.  DESIGN.md ("The training
 forward") writes both passes out.
+
+Decoder ``k`` is one more such MLP, ``decoder_{k}.mlp``, mapping the latent
+state to the scalar field (:func:`decoder_forward`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
-from ..nn.modules import MLP, Module
+from ..nn.optim import Parameter
 from .infer import EdgeLayout, relu_
 
 #: what a forward returns: the output and its backward (output cotangent -> input cotangent)
 Forward = Tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]
+#: a model's weights: checkpoint key -> parameter, in checkpoint order
+Params = Dict[str, Parameter]
 
-__all__ = ["DSSBlock", "Decoder"]
+__all__ = ["init_params", "block_keys", "decoder_keys", "block_forward", "decoder_forward"]
+
+_BLOCK_MLPS = ("phi_forward", "phi_backward", "psi")
+
+
+def _mlp_keys(prefix: str, mlps: Tuple[str, ...]) -> List[str]:
+    return [f"{prefix}.{mlp}.layer_{i}.{kind}" for mlp in mlps for i in (0, 1) for kind in ("weight", "bias")]
+
+
+def block_keys(k: int) -> List[str]:
+    """Block ``k``'s twelve keys: ``Φ→``, ``Φ←``, ``Ψ``, each ``layer_0`` then ``layer_1``, weight then bias."""
+    return _mlp_keys(f"block_{k}", _BLOCK_MLPS)
+
+
+def decoder_keys(k: int) -> List[str]:
+    """Decoder ``k``'s four keys: ``layer_0`` then ``layer_1``, weight then bias."""
+    return _mlp_keys(f"decoder_{k}", ("mlp",))
+
+
+def init_params(config) -> Params:
+    """A fresh DSS's weights (``config`` a :class:`~repro.gnn.dss.DSSConfig`), keyed and ordered as a checkpoint.
+
+    For k = 0 … k̄−1: block k's twelve arrays, then decoder k's four.  Every
+    weight of shape ``(fan_out, fan_in)`` is Xavier-uniform,
+    ``U(−a, a)`` with ``a = √(6 / (fan_in + fan_out))``, drawn in that order
+    from one ``default_rng(config.seed)`` stream; every bias is zero and
+    draws nothing.  A seed therefore always gives the same bytes.
+    """
+    d = config.latent_dim
+    edge_in, update_in = 2 * d + config.edge_attr_dim, 3 * d + config.node_input_dim
+    #: (fan_in, fan_out) of each MLP's layer_0 and layer_1; every hidden layer is d wide
+    shapes = {"phi_forward": ((edge_in, d), (d, d)), "phi_backward": ((edge_in, d), (d, d)),
+              "psi": ((update_in, d), (d, d)), "mlp": ((d, d), (d, 1))}
+    rng = np.random.default_rng(config.seed)
+    params: Params = {}
+    for k in range(config.num_iterations):
+        for key in block_keys(k) + decoder_keys(k):
+            _, mlp, layer, kind = key.split(".")
+            fan_in, fan_out = shapes[mlp][layer == "layer_1"]
+            if kind == "bias":
+                params[key] = Parameter(np.zeros(fan_out))
+            else:
+                bound = np.sqrt(6.0 / (fan_in + fan_out))
+                params[key] = Parameter(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
+    return params
 
 
 def _column_sums(x: np.ndarray) -> np.ndarray:
@@ -63,148 +114,139 @@ def _column_sums(x: np.ndarray) -> np.ndarray:
     return np.ones(x.shape[0]) @ x
 
 
-class DSSBlock(Module):
-    """One message-passing + update block ``M_θ^{k}`` (paper Eq. 21)."""
+def block_forward(params: Params, k: int, alpha: float, latent: np.ndarray, node_input: np.ndarray,
+                  edges: EdgeLayout) -> Forward:
+    """Advance the latent state by block ``k`` (paper Eq. 21): ``(H', backward)``.
 
-    def __init__(
-        self,
-        latent_dim: int,
-        alpha: float = 1e-3,
-        rng: Optional[np.random.Generator] = None,
-        edge_attr_dim: int = 3,
-        node_input_dim: int = 1,
-    ) -> None:
-        super().__init__()
-        if latent_dim < 1:
-            raise ValueError("latent_dim must be >= 1")
-        if edge_attr_dim < 3 or node_input_dim < 1:
-            raise ValueError("edge_attr_dim must be >= 3 and node_input_dim >= 1")
-        self.latent_dim = int(latent_dim)
-        self.alpha = float(alpha)
-        self.edge_attr_dim = int(edge_attr_dim)
-        self.node_input_dim = int(node_input_dim)
-        d = self.latent_dim
-        edge_in = 2 * d + self.edge_attr_dim      # h_dst, h_src, (dx, dy, ||d||, extras)
-        update_in = 3 * d + self.node_input_dim   # h, c (+ node extras), phi_fwd, phi_bwd
-        self.phi_forward = MLP(edge_in, d, d, rng=rng)
-        self.phi_backward = MLP(edge_in, d, d, rng=rng)
-        self.psi = MLP(update_in, d, d, rng=rng)
+    Parameters
+    ----------
+    params:
+        The model's parameter dict; the block reads its twelve
+        :func:`block_keys`.
+    alpha:
+        The damping coefficient ``α`` of the ResNet update.
+    latent:
+        (n, d) latent node states ``H^k``.
+    node_input:
+        (n, node_input_dim) node inputs — the normalised residual ``c``,
+        plus extra per-node features (e.g. log κ) when configured.
+        Treated as data: no gradient flows to it.
+    edges:
+        float64 :class:`~repro.gnn.infer.EdgeLayout` of the graph's
+        directed edges ``src → dst`` with their ``(E, edge_attr_dim)``
+        attributes — ``(dx, dy, ‖d‖)`` of the vector from source to
+        destination node, plus optional extra columns — built once per
+        problem and shared by all blocks.
 
-    def forward(self, latent: np.ndarray, node_input: np.ndarray, edges: EdgeLayout) -> Forward:
-        """Advance the latent state by one message-passing iteration: ``(H', backward)``.
+    ``backward(g)`` takes ``g = ∂L/∂H'``, adds the twelve parameter
+    cotangents to their ``.grad`` and returns ``∂L/∂H``.
 
-        Parameters
-        ----------
-        latent:
-            (n, d) latent node states ``H^k``.
-        node_input:
-            (n, node_input_dim) node inputs — the normalised residual ``c``,
-            plus extra per-node features (e.g. log κ) when configured.
-            Treated as data: no gradient flows to it.
-        edges:
-            float64 :class:`~repro.gnn.infer.EdgeLayout` of the graph's
-            directed edges ``src → dst`` with their ``(E, edge_attr_dim)``
-            attributes — ``(dx, dy, ‖d‖)`` of the vector from source to
-            destination node, plus optional extra columns — built once per
-            problem and shared by all blocks.
+    A graph of two nodes joined by the edges ``0 → 1`` and ``1 → 0``, with
+    weights set so that a message is its source's latent state and ``Ψ``
+    passes the aggregated forward messages through — each node ends with
+    its own state plus ``α`` times the other's:
 
-        ``backward(g)`` takes ``g = ∂L/∂H'``, adds the twelve parameter
-        cotangents to their ``.grad`` and returns ``∂L/∂H``.
+    >>> from repro.gnn import DSS, DSSConfig
+    >>> params = DSS(DSSConfig(num_iterations=1, latent_dim=1, alpha=0.5)).params
+    >>> for p in params.values():
+    ...     p.data[...] = 0.0
+    >>> params["block_0.phi_forward.layer_0.weight"].data[0, 1] = 1.0   # hidden = h_src
+    >>> params["block_0.phi_forward.layer_1.weight"].data[0, 0] = 1.0   # message = hidden
+    >>> params["block_0.psi.layer_0.weight"].data[0, 2] = 1.0           # ψ reads agg_fwd
+    >>> params["block_0.psi.layer_1.weight"].data[0, 0] = 1.0
+    >>> edges = EdgeLayout(np.array([[0, 1], [1, 0]]), np.zeros((2, 3)), num_nodes=2)
+    >>> out, backward = block_forward(params, 0, 0.5, np.array([[2.0], [5.0]]), np.zeros((2, 1)), edges)
+    >>> out
+    array([[4.5],
+           [6. ]])
+    >>> backward(np.array([[1.0], [0.0]]))                                # ∂H'₀/∂H: itself, and α of node 1
+    array([[1. ],
+           [0.5]])
+    >>> float(params["block_0.psi.layer_0.weight"].grad[0, 2])          # ∂H'₀/∂Ψ₁ = α · agg_fwd₀ = 0.5 · 5
+    2.5
+    """
+    block = [params[key] for key in block_keys(k)]
+    w1_fwd, b1_fwd, w2_fwd, b2_fwd, w1_bwd, b1_bwd, w2_bwd, b2_bwd, p1, pb1, p2, pb2 = (p.data for p in block)
+    h, c, deg = latent, node_input, edges.indegree
+    n, d, ni = h.shape[0], w2_fwd.shape[0], c.shape[1]
 
-        A graph of two nodes joined by the edges ``0 → 1`` and ``1 → 0``, with
-        weights set so that a message is its source's latent state and ``Ψ``
-        passes the aggregated forward messages through — each node ends with
-        its own state plus ``α`` times the other's:
+    # both directions' hidden layers stacked [fwd ; bwd]; the backward
+    # direction sees sign-reversed relative positions, folded into its
+    # weights so both read the same attributes
+    flip = np.ones(w1_fwd.shape[1])
+    flip[2 * d:2 * d + 2] = -1.0
+    w1 = np.vstack([w1_fwd, w1_bwd * flip])                  # (2d, 2d+|e|)
+    w_attr = np.ascontiguousarray(w1[:, 2 * d:].T)           # (|e|, 2d)
+    b1 = np.concatenate([b1_fwd, b1_bwd])
+    proj = np.empty((2 * n, 2 * d))                          # [proj_dst ; proj_src]
+    np.matmul(h, w1[:, :d].T, out=proj[:n])
+    np.matmul(h, w1[:, d:2 * d].T, out=proj[n:])
+    agg = np.empty((n, 2 * d))                               # raw [fwd | bwd] sums
+    edges.edge_pass(w_attr, b1, proj, agg)
+    # ψ with both output layers folded in: M = [Ψ₁→ W₂→ │ Ψ₁← W₂←], v = Ψ₁→ b₂→ + Ψ₁← b₂←
+    psi_fwd, psi_bwd = p1[:, d + ni:2 * d + ni], p1[:, 2 * d + ni:]
+    fold = np.hstack([psi_fwd @ w2_fwd, psi_bwd @ w2_bwd])   # (d, 2d)
+    v = psi_fwd @ b2_fwd + psi_bwd @ b2_bwd
+    # numpy's BLAS only: interleaved with scipy's (the inference engine's
+    # beta=1 GEMMs), two OpenBLAS thread pools contend for the cores
+    hidden = agg @ fold.T
+    hidden += h @ p1[:, :d].T
+    hidden += c @ p1[:, d:d + ni].T
+    hidden += deg[:, None] * v
+    hidden += pb1
+    relu_(hidden)
+    out = hidden @ (alpha * p2).T                            # the damped ResNet update
+    out += h
+    out += alpha * pb2
 
-        >>> block = DSSBlock(latent_dim=1, alpha=0.5)
-        >>> for p in block.parameters():
-        ...     p.data[...] = 0.0
-        >>> block.phi_forward.layers[0].weight.data[0, 1] = 1.0   # hidden = h_src
-        >>> block.phi_forward.layers[1].weight.data[0, 0] = 1.0   # message = hidden
-        >>> block.psi.layers[0].weight.data[0, 2] = 1.0           # ψ reads agg_fwd
-        >>> block.psi.layers[1].weight.data[0, 0] = 1.0
-        >>> edges = EdgeLayout(np.array([[0, 1], [1, 0]]), np.zeros((2, 3)), num_nodes=2)
-        >>> out, backward = block(np.array([[2.0], [5.0]]), np.zeros((2, 1)), edges)
-        >>> out
-        array([[4.5],
-               [6. ]])
-        >>> backward(np.array([[1.0], [0.0]]))                      # ∂H'₀/∂H: itself, and α of node 1
-        array([[1. ],
-               [0.5]])
-        >>> float(block.psi.layers[0].weight.grad[0, 2])          # ∂H'₀/∂Ψ₁ = α · agg_fwd₀ = 0.5 · 5
-        2.5
-        """
-        params = self.parameters()
-        w1_fwd, b1_fwd, w2_fwd, b2_fwd, w1_bwd, b1_bwd, w2_bwd, b2_bwd, p1, pb1, p2, pb2 = (
-            p.data for p in params
+    def backward(g: np.ndarray) -> np.ndarray:
+        """The forward's operators, transposed: parameter cotangents into ``.grad``, the latent's returned."""
+        g_update = alpha * g
+        g_hidden = (g_update @ p2) * (hidden > 0.0)
+        g_fold, g_v = g_hidden.T @ agg, deg @ g_hidden       # (d, 2d), (d,)
+        g_proj, g_w_attr = edges.edge_vjp(w_attr, b1, proj, g_hidden @ fold)
+        g_w1 = np.vstack([h.T @ g_proj[:n], h.T @ g_proj[n:], g_w_attr]).T
+        g_b1 = _column_sums(g_proj[:n])
+        g_latent = g_hidden @ p1[:, :d]
+        g_latent += g_proj[:n] @ w1[:, :d]
+        g_latent += g_proj[n:] @ w1[:, d:2 * d]
+        g_latent += g
+        g_psi_fwd = g_fold[:, :d] @ w2_fwd.T + np.outer(g_v, b2_fwd)
+        g_psi_bwd = g_fold[:, d:] @ w2_bwd.T + np.outer(g_v, b2_bwd)
+        grads = (
+            g_w1[:d], g_b1[:d], psi_fwd.T @ g_fold[:, :d], psi_fwd.T @ g_v,
+            g_w1[d:] * flip, g_b1[d:], psi_bwd.T @ g_fold[:, d:], psi_bwd.T @ g_v,
+            np.hstack([g_hidden.T @ h, g_hidden.T @ c, g_psi_fwd, g_psi_bwd]), _column_sums(g_hidden),
+            g_update.T @ hidden, _column_sums(g_update),
         )
-        h, c, deg = latent, node_input, edges.indegree
-        n, d, ni, alpha = h.shape[0], self.latent_dim, self.node_input_dim, self.alpha
+        for p, grad in zip(block, grads):
+            p.accumulate(grad)
+        return g_latent
 
-        # both directions' hidden layers stacked [fwd ; bwd]; the backward
-        # direction sees sign-reversed relative positions, folded into its
-        # weights so both read the same attributes
-        flip = np.ones(2 * d + self.edge_attr_dim)
-        flip[2 * d:2 * d + 2] = -1.0
-        w1 = np.vstack([w1_fwd, w1_bwd * flip])                  # (2d, 2d+|e|)
-        w_attr = np.ascontiguousarray(w1[:, 2 * d:].T)           # (|e|, 2d)
-        b1 = np.concatenate([b1_fwd, b1_bwd])
-        proj = np.empty((2 * n, 2 * d))                          # [proj_dst ; proj_src]
-        np.matmul(h, w1[:, :d].T, out=proj[:n])
-        np.matmul(h, w1[:, d:2 * d].T, out=proj[n:])
-        agg = np.empty((n, 2 * d))                               # raw [fwd | bwd] sums
-        edges.edge_pass(w_attr, b1, proj, agg)
-        # ψ with both output layers folded in: M = [Ψ₁→ W₂→ │ Ψ₁← W₂←], v = Ψ₁→ b₂→ + Ψ₁← b₂←
-        psi_fwd, psi_bwd = p1[:, d + ni:2 * d + ni], p1[:, 2 * d + ni:]
-        fold = np.hstack([psi_fwd @ w2_fwd, psi_bwd @ w2_bwd])   # (d, 2d)
-        v = psi_fwd @ b2_fwd + psi_bwd @ b2_bwd
-        # numpy's BLAS only: interleaved with scipy's (the inference engine's
-        # beta=1 GEMMs), two OpenBLAS thread pools contend for the cores
-        hidden = agg @ fold.T
-        hidden += h @ p1[:, :d].T
-        hidden += c @ p1[:, d:d + ni].T
-        hidden += deg[:, None] * v
-        hidden += pb1
-        relu_(hidden)
-        out = hidden @ (alpha * p2).T                            # the damped ResNet update
-        out += h
-        out += alpha * pb2
-
-        def backward(g: np.ndarray) -> np.ndarray:
-            """The forward's operators, transposed: parameter cotangents into ``.grad``, the latent's returned."""
-            g_update = alpha * g
-            g_hidden = (g_update @ p2) * (hidden > 0.0)
-            g_fold, g_v = g_hidden.T @ agg, deg @ g_hidden       # (d, 2d), (d,)
-            g_proj, g_w_attr = edges.edge_vjp(w_attr, b1, proj, g_hidden @ fold)
-            g_w1 = np.vstack([h.T @ g_proj[:n], h.T @ g_proj[n:], g_w_attr]).T
-            g_b1 = _column_sums(g_proj[:n])
-            g_latent = g_hidden @ p1[:, :d]
-            g_latent += g_proj[:n] @ w1[:, :d]
-            g_latent += g_proj[n:] @ w1[:, d:2 * d]
-            g_latent += g
-            g_psi_fwd = g_fold[:, :d] @ w2_fwd.T + np.outer(g_v, b2_fwd)
-            g_psi_bwd = g_fold[:, d:] @ w2_bwd.T + np.outer(g_v, b2_bwd)
-            grads = (
-                g_w1[:d], g_b1[:d], psi_fwd.T @ g_fold[:, :d], psi_fwd.T @ g_v,
-                g_w1[d:] * flip, g_b1[d:], psi_bwd.T @ g_fold[:, d:], psi_bwd.T @ g_v,
-                np.hstack([g_hidden.T @ h, g_hidden.T @ c, g_psi_fwd, g_psi_bwd]), _column_sums(g_hidden),
-                g_update.T @ hidden, _column_sums(g_update),
-            )
-            for p, grad in zip(params, grads):
-                p.accumulate(grad)
-            return g_latent
-
-        return out, backward
+    return out, backward
 
 
-class Decoder(Module):
-    """Per-iteration decoder ``D_θ^{k}`` mapping the latent state to a scalar field."""
+def decoder_forward(params: Params, k: int, latent: np.ndarray) -> Forward:
+    """Decoder ``k`` (``D_θ^{k}``, its four :func:`decoder_keys`): ``(u, backward)``.
 
-    def __init__(self, latent_dim: int, rng: Optional[np.random.Generator] = None) -> None:
-        super().__init__()
-        d = int(latent_dim)
-        self.mlp = MLP(d, d, 1, rng=rng)
+    ``u`` is the decoded ``(n, 1)`` state ``relu(H W₁ᵀ + b₁) W₂ᵀ + b₂``.
+    ``backward(g)`` takes ``g = ∂L/∂u``, adds the four parameter cotangents
+    to their ``.grad`` and returns ``∂L/∂H``; it keeps ``H`` and the hidden
+    layer, nothing else (the ReLU's derivative is the sign of the hidden layer).
+    """
+    w1, b1, w2, b2 = (params[key] for key in decoder_keys(k))
+    hidden = latent @ w1.data.T + b1.data
+    np.maximum(hidden, 0.0, out=hidden)
 
-    def forward(self, latent: np.ndarray) -> Forward:
-        """``(u, backward)``: the decoded ``(n, 1)`` state and the MLP's backward."""
-        return self.mlp(latent)
+    def backward(g: np.ndarray) -> np.ndarray:
+        # weight cotangents as (aᵀ g)ᵀ, not gᵀ a: BLAS may round the two apart,
+        # and this order is the one every training run so far was made with
+        b2.accumulate(g.sum(axis=0))
+        w2.accumulate((hidden.T @ g).T)
+        g_hidden = g @ w2.data
+        g_hidden *= hidden > 0.0
+        b1.accumulate(g_hidden.sum(axis=0))
+        w1.accumulate((latent.T @ g_hidden).T)
+        return g_hidden @ w1.data
+
+    return hidden @ w2.data.T + b2.data, backward

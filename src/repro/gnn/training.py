@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from ..nn.optim import Adam, clip_grad_norm
+from ..nn.optim import Adam, ReduceLROnPlateau, clip_grad_norm
 from ..obs import trace as obs_trace
-from ..nn.schedulers import ReduceLROnPlateau
 from .batch import GraphBatch
 from .dss import DSS
 from .graph import GraphProblem
@@ -114,7 +113,7 @@ class DSSTrainer:
     def __init__(self, model: DSS, config: TrainingConfig = TrainingConfig()) -> None:
         self.model = model
         self.config = config
-        self.optimizer = Adam(model.parameters(), lr=config.learning_rate)
+        self.optimizer = Adam(model.params.values(), lr=config.learning_rate)
         self.scheduler = ReduceLROnPlateau(
             self.optimizer, factor=config.scheduler_factor, patience=config.scheduler_patience
         )
@@ -179,7 +178,6 @@ class DSSTrainer:
             self._rng = np.random.default_rng(self.config.seed)
         rng = self._rng
         epochs = epochs if epochs is not None else self.config.epochs
-        self.model.train()
         for epoch in range(self.epochs_done + 1, epochs + 1):
             with obs_trace.record("train.epoch", epoch=epoch) as record:
                 train_loss = self.train_epoch(train_problems, rng)
@@ -190,12 +188,10 @@ class DSSTrainer:
                 elapsed_time=record.seconds,
             )
             if validation_problems:
-                self.model.eval()
                 metrics = evaluate_model(self.model, validation_problems, batch_size=self.config.batch_size)
                 stats.validation_residual = metrics.residual_mean
                 stats.validation_relative_error = metrics.relative_error_mean
                 self.scheduler.step(metrics.residual_mean)
-                self.model.train()
             else:
                 self.scheduler.step(train_loss)
             self.history.append(stats)
@@ -207,7 +203,6 @@ class DSSTrainer:
             if verbose and (epoch % self.config.log_every == 0):
                 val = f", val residual {stats.validation_residual:.4e}" if stats.validation_residual is not None else ""
                 print(f"[epoch {epoch:4d}] loss {train_loss:.4e}{val} (lr {self.optimizer.lr:.2e})")
-        self.model.eval()
         return self.history
 
     # ------------------------------------------------------------------ #
@@ -229,13 +224,14 @@ class DSSTrainer:
             "scheduler": self.scheduler.state_dict(),
         }
 
-    def load_state_dict(self, state: Dict) -> None:
-        """Restore trainer progress saved by :meth:`state_dict`.
+    def prepare_load(self, state: Dict) -> Callable[[], None]:
+        """Check trainer progress saved by :meth:`state_dict` in full and return the call that restores it.
 
         The trainer must have been constructed with the same
         :class:`TrainingConfig` the state was saved under — a silently
         different recipe (batch size, learning rate, seed, ...) would break
-        the resume-bit-matches-uninterrupted guarantee, so mismatches raise.
+        the resume-bit-matches-uninterrupted guarantee, so mismatches raise,
+        as do the optimiser's and the scheduler's checks, before any write.
         """
         saved_config = state.get("config")
         if saved_config is not None and saved_config != asdict(self.config):
@@ -247,25 +243,23 @@ class DSSTrainer:
                 f"trainer config does not match the checkpointed one (differs in {changed}); "
                 "construct the trainer with the saved config, or use Checkpoint.build_trainer()"
             )
-        self.epochs_done = int(state["epochs_done"])
-        rng_state = state.get("rng_state")
-        if rng_state is None:
-            self._rng = None
-        else:
-            self._rng = np.random.default_rng(self.config.seed)
-            self._rng.bit_generator.state = rng_state
-        self.history = [EpochStats(**stats) for stats in state.get("history", [])]
-        self.optimizer.load_state_dict(state["optimizer"])
-        self.scheduler.load_state_dict(state["scheduler"])
+        epochs_done = int(state["epochs_done"])
+        rng_state, rng = state.get("rng_state"), None
+        if rng_state is not None:
+            rng = np.random.default_rng(self.config.seed)
+            rng.bit_generator.state = rng_state
+        history = [EpochStats(**stats) for stats in state.get("history", [])]
+        commits = (self.optimizer.prepare_load(state["optimizer"]), self.scheduler.prepare_load(state["scheduler"]))
+
+        def commit() -> None:
+            self.epochs_done, self._rng, self.history = epochs_done, rng, history
+            for load in commits:
+                load()
+
+        return commit
 
     def save_checkpoint(self, path: str, metadata: Optional[Dict] = None) -> None:
         """Write a full versioned checkpoint (model + trainer state) to ``path``."""
         from .checkpoint import save_checkpoint  # local import: checkpoint imports this module
 
         save_checkpoint(path, self.model, trainer=self, metadata=metadata)
-
-    def load_checkpoint(self, path: str) -> None:
-        """Restore model weights and trainer progress from a checkpoint file."""
-        from .checkpoint import load_checkpoint
-
-        load_checkpoint(path).restore(model=self.model, trainer=self)

@@ -363,24 +363,12 @@ def model_from_shm(manifest: Dict[str, object]):
         bundle.close()
         raise ValueError(f"manifest is not a model bundle (kind={meta.get('kind')!r})")
     model = DSS(DSSConfig(**meta["config"]))
-    own = dict(model.named_parameters())
-    missing = set(own) - set(bundle.arrays)
-    unexpected = set(bundle.arrays) - set(own)
-    if missing or unexpected:
+    try:
+        views = model.checked_state(bundle.arrays)
+    except (KeyError, ValueError) as exc:
         bundle.close()
-        raise ValueError(
-            f"model bundle mismatch: missing={sorted(missing)} "
-            f"unexpected={sorted(unexpected)}"
-        )
-    for name, param in own.items():
-        view = bundle.arrays[name]
-        if view.shape != param.data.shape:
-            bundle.close()
-            raise ValueError(
-                f"shape mismatch for parameter {name!r}: "
-                f"{view.shape} vs {param.data.shape}"
-            )
-        param.data = view
-    model.eval()
+        raise ValueError(f"model bundle mismatch: {exc}") from exc
+    for name, view in views.items():
+        model.params[name].data = view
     model._shm_bundle = bundle  # keep the mapping alive with the model
     return model

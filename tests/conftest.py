@@ -93,7 +93,6 @@ def trained_dss_model():
                                                learning_rate=1e-2,
                                                gradient_clip=1e-2))
     trainer.fit(graphs, verbose=False)
-    model.eval()
     return model
 
 

@@ -1,5 +1,5 @@
 """The hand-written backward on plain arrays, piece by piece: ``Parameter``
-accumulation, the MLP's backward, the Eq. 11 gradient and the chain
+accumulation, the decoder's backward, the Eq. 11 gradient and the chain
 :class:`~repro.gnn.loss.TrainingLoss` walks over one forward, and the
 optimiser, clipping and scheduler that consume the gradients.
 
@@ -17,9 +17,9 @@ from repro.fem import assemble_stiffness
 from repro.gnn import DSS, DSSConfig, DSSTrainer, GraphBatch, TrainingConfig, graph_from_mesh, residual_loss
 from repro.gnn.infer import relu_
 from repro.gnn.loss import TrainingLoss
+from repro.gnn.mpnn import decoder_forward, init_params
 from repro.mesh import structured_rectangle_mesh
-from repro.nn import MLP, Adam, Linear, Module, Parameter, ReduceLROnPlateau, clip_grad_norm
-from repro.nn import init as init_schemes
+from repro.nn import Adam, Parameter, ReduceLROnPlateau, clip_grad_norm
 
 TINY = DSSConfig(num_iterations=3, latent_dim=4, alpha=0.1, seed=2)
 
@@ -50,7 +50,7 @@ class _Recorder:
 
 
 # --------------------------------------------------------------------------- #
-# Parameter and Module
+# Parameter and the parameter dict
 # --------------------------------------------------------------------------- #
 class TestParameter:
     def test_grad_is_none_until_a_backward_adds_one(self):
@@ -71,7 +71,7 @@ class TestParameter:
 
     def test_data_is_stored_as_float64(self):
         p = Parameter(np.arange(4, dtype=np.int32))
-        assert p.data.dtype == np.float64 and p.size == 4
+        assert p.data.dtype == np.float64 and p.data.size == 4
 
     def test_zero_grad_drops_the_gradient(self):
         p = Parameter(np.zeros(2))
@@ -80,100 +80,122 @@ class TestParameter:
         assert p.grad is None
 
 
-class _Pair(Module):
-    def __init__(self) -> None:
-        super().__init__()
-        self.scale = Parameter(np.ones(2))
-        self.body = MLP(2, 3, 1, rng=np.random.default_rng(0))
+class TestInitParams:
+    def test_every_weight_is_within_its_xavier_bound_and_every_bias_is_zero(self):
+        config = DSSConfig(num_iterations=2, latent_dim=5, edge_attr_dim=4, node_input_dim=2)
+        for name, p in init_params(config).items():
+            if name.endswith(".bias"):
+                assert p.data.ndim == 1 and not p.data.any(), name
+            else:
+                fan_out, fan_in = p.data.shape
+                assert np.abs(p.data).max() <= np.sqrt(6.0 / (fan_in + fan_out)), name
 
-
-class TestModuleTraversal:
-    def test_nested_parameters_are_found_in_assignment_order(self):
-        names = [name for name, _ in _Pair().named_parameters()]
-        assert names == ["scale", "body.layer_0.weight", "body.layer_0.bias", "body.layer_1.weight", "body.layer_1.bias"]
+    def test_weights_are_drawn_from_one_seeded_stream_in_key_order(self):
+        """The draw order seeded models and checkpoints depend on: block k's six weights, then decoder k's two."""
+        params = init_params(TINY)
+        rng = np.random.default_rng(TINY.seed)
+        for name, p in params.items():
+            if name.endswith(".weight"):
+                bound = np.sqrt(6.0 / sum(p.data.shape))
+                assert np.array_equal(p.data, rng.uniform(-bound, bound, size=p.data.shape)), name
 
     def test_num_parameters_sums_every_array(self):
-        assert _Pair().num_parameters() == 2 + (2 * 3 + 3) + (3 * 1 + 1)
+        model = DSS(TINY)
+        assert model.num_parameters() == sum(p.data.size for p in model.params.values())
 
 
 # --------------------------------------------------------------------------- #
-# Linear and MLP
+# the decoder
 # --------------------------------------------------------------------------- #
-class TestLinear:
-    def test_forward_is_the_affine_map(self):
-        rng = np.random.default_rng(3)
-        layer = Linear(3, 2, rng=rng)
-        layer.bias.data[:] = rng.normal(size=2)
-        x = rng.normal(size=(5, 3))
-        assert np.array_equal(layer(x), x @ layer.weight.data.T + layer.bias.data)
-
-    def test_weight_is_xavier_uniform_and_bias_is_zero(self):
-        layer = Linear(30, 50, rng=np.random.default_rng(0))
-        assert layer.weight.data.shape == (50, 30)
-        assert np.all(np.abs(layer.weight.data) <= np.sqrt(6.0 / 80.0))
-        assert np.array_equal(layer.bias.data, np.zeros(50))
+def _decoder(d: int, seed: int):
+    """Decoder 0 of a fresh model of width ``d``: ``(decoder(latent), its four parameters in key order)``."""
+    params = DSS(DSSConfig(num_iterations=1, latent_dim=d, seed=seed)).params
+    decoder = [p for name, p in params.items() if name.startswith("decoder_0.")]
+    return (lambda latent: decoder_forward(params, 0, latent)), decoder
 
 
-class TestMLPBackward:
-    @pytest.mark.parametrize("rows, width_in, hidden, width_out", [(1, 2, 3, 1), (7, 3, 6, 2), (33, 5, 4, 5)])
-    def test_every_gradient_has_the_shape_of_its_array(self, rows, width_in, hidden, width_out):
-        mlp = MLP(width_in, hidden, width_out, rng=np.random.default_rng(rows))
-        x = np.random.default_rng(1).normal(size=(rows, width_in))
-        y, backward = mlp(x)
-        assert y.shape == (rows, width_out)
+def _zero_grads(params) -> None:
+    for p in params:
+        p.zero_grad()
+
+
+class TestDecoderBackward:
+    @pytest.mark.parametrize("rows, width", [(1, 1), (7, 3), (33, 5)])
+    def test_every_gradient_has_the_shape_of_its_array(self, rows, width):
+        decoder, params = _decoder(width, rows)
+        x = np.random.default_rng(1).normal(size=(rows, width))
+        y, backward = decoder(x)
+        assert y.shape == (rows, 1)
         assert backward(np.ones_like(y)).shape == x.shape
-        assert all(p.grad.shape == p.data.shape for p in mlp.parameters())
+        assert all(p.grad.shape == p.data.shape for p in params)
+
+    def test_vjp_matches_central_finite_differences(self):
+        rng = np.random.default_rng(4)
+        decoder, params = _decoder(4, 4)
+        for p in params:
+            p.data += 0.3 * rng.normal(size=p.data.shape)
+        x, weights = rng.normal(size=(7, 4)), rng.normal(size=(7, 1))
+
+        def scalar(_=None) -> float:
+            return float((decoder(x)[0] * weights).sum())
+
+        g_x = decoder(x)[1](weights)
+        names = ("layer_0.weight", "layer_0.bias", "layer_1.weight", "layer_1.bias")
+        for name, value, grad in [("x", x, g_x), *((name, p.data, p.grad) for name, p in zip(names, params))]:
+            assert np.allclose(grad, finite_difference(scalar, value), rtol=1e-6, atol=1e-8), name
 
     def test_backward_is_linear_in_the_cotangent(self):
         rng = np.random.default_rng(5)
-        mlp = MLP(3, 8, 2, rng=rng)
-        x, g1, g2 = rng.normal(size=(6, 3)), rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
+        decoder, params = _decoder(3, 5)
+        x, g1, g2 = rng.normal(size=(6, 3)), rng.normal(size=(6, 1)), rng.normal(size=(6, 1))
 
         def grads(g):
-            mlp.zero_grad()
-            g_x = mlp(x)[1](g)
-            return [g_x] + [p.grad.copy() for p in mlp.parameters()]
+            _zero_grads(params)
+            g_x = decoder(x)[1](g)
+            return [g_x] + [p.grad.copy() for p in params]
 
         for both, first, second in zip(grads(2.0 * g1 - 3.0 * g2), grads(g1), grads(g2)):
             assert np.allclose(both, 2.0 * first - 3.0 * second, rtol=1e-12, atol=1e-12)
 
+    def test_backward_accumulates_into_grad(self):
+        decoder, params = _decoder(2, 0)
+        x, g = np.ones((4, 2)), np.ones((4, 1))
+        decoder(x)[1](g)
+        once = [p.grad.copy() for p in params]
+        decoder(x)[1](g)
+        assert all(np.array_equal(p.grad, 2.0 * first) for p, first in zip(params, once))
+
     def test_a_dead_hidden_layer_passes_only_the_output_bias_gradient(self):
         """With every hidden pre-activation negative the ReLU blocks the gradient to ``layer_0`` and the input."""
-        mlp = MLP(2, 4, 1, rng=np.random.default_rng(0))
-        mlp.layer_0.bias.data[:] = -1e3
+        decoder, (w1, b1, w2, b2) = _decoder(2, 0)
+        b1.data[:] = -1e3
         g = np.full((3, 1), 0.5)
-        g_x = mlp(np.ones((3, 2)))[1](g)
+        g_x = decoder(np.ones((3, 2)))[1](g)
         assert not g_x.any()
-        assert not mlp.layer_0.weight.grad.any() and not mlp.layer_0.bias.grad.any()
-        assert not mlp.layer_1.weight.grad.any()
-        assert np.array_equal(mlp.layer_1.bias.grad, [1.5])
+        assert not w1.grad.any() and not b1.grad.any()
+        assert not w2.grad.any()
+        assert np.array_equal(b2.grad, [1.5])
 
     def test_forward_leaves_its_input_unchanged(self):
         x = np.random.default_rng(2).normal(size=(4, 3))
         kept = x.copy()
-        _, backward = MLP(3, 5, 2, rng=np.random.default_rng(0))(x)
-        backward(np.ones((4, 2)))
+        decoder, _ = _decoder(3, 0)
+        _, backward = decoder(x)
+        backward(np.ones((4, 1)))
         assert np.array_equal(x, kept)
 
     def test_a_backward_still_uses_its_own_forward_after_a_later_one(self):
         """Each forward's closure keeps its own input and hidden layer, not a buffer a later call overwrites."""
         rng = np.random.default_rng(6)
-        mlp = MLP(3, 5, 2, rng=rng)
-        x1, x2, g = rng.normal(size=(4, 3)), rng.normal(size=(4, 3)), rng.normal(size=(4, 2))
-        _, backward = mlp(x1)
-        mlp(x2)
+        decoder, params = _decoder(3, 6)
+        x1, x2, g = rng.normal(size=(4, 3)), rng.normal(size=(4, 3)), rng.normal(size=(4, 1))
+        _, backward = decoder(x1)
+        decoder(x2)
         late = backward(g)
-        late_grads = [p.grad.copy() for p in mlp.parameters()]
-        mlp.zero_grad()
-        assert np.array_equal(late, mlp(x1)[1](g))
-        assert all(np.array_equal(a, p.grad) for a, p in zip(late_grads, mlp.parameters()))
-
-    def test_seeded_construction_draws_layer_0_before_layer_1(self):
-        """The Xavier draw order seeded models and checkpoints depend on."""
-        mlp = MLP(3, 5, 2, rng=np.random.default_rng(11))
-        rng = np.random.default_rng(11)
-        assert np.array_equal(mlp.layer_0.weight.data, init_schemes.xavier_uniform((5, 3), rng=rng))
-        assert np.array_equal(mlp.layer_1.weight.data, init_schemes.xavier_uniform((2, 5), rng=rng))
+        late_grads = [p.grad.copy() for p in params]
+        _zero_grads(params)
+        assert np.array_equal(late, decoder(x1)[1](g))
+        assert all(np.array_equal(a, p.grad) for a, p in zip(late_grads, params))
 
 
 # --------------------------------------------------------------------------- #
@@ -252,15 +274,15 @@ class TestTrainingLossOnDSS:
     def test_a_second_backward_of_a_new_loss_adds_the_same_gradient_again(self):
         model, problem = DSS(TINY), _graph(seed=11)
         model.training_loss(problem).backward()
-        once = [p.grad.copy() for p in model.parameters()]
+        once = [p.grad.copy() for p in model.params.values()]
         model.training_loss(problem).backward()
-        assert all(np.array_equal(p.grad, 2.0 * g) for p, g in zip(model.parameters(), once))
+        assert all(np.array_equal(p.grad, 2.0 * g) for p, g in zip(model.params.values(), once))
 
     @pytest.mark.parametrize("view", ["graph", "batch"])
     def test_every_parameter_gets_a_finite_gradient(self, view):
         model = DSS(TINY)
         model.training_loss(_views()[view]).backward()
-        for name, p in model.named_parameters():
+        for name, p in model.params.items():
             assert p.grad is not None and p.grad.shape == p.data.shape, name
             assert np.all(np.isfinite(p.grad)), name
 
@@ -273,17 +295,17 @@ class TestTrainingLossOnDSS:
         """
         model, problem = DSS(TINY), _views()[view]
         rng = np.random.default_rng(12)
-        for p in model.parameters():
+        for p in model.params.values():
             p.data += 0.1 * rng.normal(size=p.data.shape)
         model.training_loss(problem).backward()
-        directions = [rng.normal(size=p.data.shape) for p in model.parameters()]
-        predicted = sum(float((p.grad * v).sum()) for p, v in zip(model.parameters(), directions))
+        directions = [rng.normal(size=p.data.shape) for p in model.params.values()]
+        predicted = sum(float((p.grad * v).sum()) for p, v in zip(model.params.values(), directions))
 
         def loss_at(step: float) -> float:
-            for p, v in zip(model.parameters(), directions):
+            for p, v in zip(model.params.values(), directions):
                 p.data += step * v
             value = model.training_loss(problem).item()
-            for p, v in zip(model.parameters(), directions):
+            for p, v in zip(model.params.values(), directions):
                 p.data -= step * v
             return value
 
@@ -309,14 +331,6 @@ class TestAdam:
         optimizer.step()
         assert np.array_equal(q.data, np.ones(3))
         assert not optimizer.state_dict()["slots"]["m"][1].any()
-
-    def test_weight_decay_is_added_to_the_gradient(self):
-        data, grad = np.array([1.0, -2.0, 0.5]), np.array([0.3, 0.1, -0.4])
-        decayed, plain = Parameter(data.copy()), Parameter(data.copy())
-        decayed.grad, plain.grad = grad.copy(), grad + 0.1 * data
-        Adam([decayed], lr=0.01, weight_decay=0.1).step()
-        Adam([plain], lr=0.01).step()
-        assert np.array_equal(decayed.data, plain.data)
 
     def test_zero_grad_clears_every_parameter(self):
         params = [Parameter(np.ones(2)), Parameter(np.ones(3))]
@@ -386,7 +400,7 @@ class TestReduceLROnPlateau:
 
 
 # --------------------------------------------------------------------------- #
-# training configuration, ReLU, initialisers
+# training configuration, ReLU
 # --------------------------------------------------------------------------- #
 class TestTrainingSteps:
     @pytest.mark.parametrize("batch_size, steps", [(1, 3), (2, 2), (5, 1)])
@@ -405,14 +419,3 @@ def test_relu_in_place_zeroes_negatives_and_returns_its_argument():
     out = relu_(x)
     assert out is x
     assert np.array_equal(x, [[0.0, 0.0, 3.0], [1e-300, 0.0, 0.0]])
-
-
-class TestInit:
-    def test_xavier_uniform_gain_scales_the_bound(self):
-        w = init_schemes.xavier_uniform((40, 60), gain=2.0, rng=np.random.default_rng(0))
-        bound = 2.0 * np.sqrt(6.0 / 100.0)
-        assert np.abs(w).max() <= bound and np.abs(w).max() > 0.9 * bound
-
-    def test_xavier_uniform_is_reproducible_from_a_seed(self):
-        draw = lambda: init_schemes.xavier_uniform((3, 4), rng=np.random.default_rng(8))  # noqa: E731
-        assert np.array_equal(draw(), draw())

@@ -9,6 +9,7 @@ at the core-solver layer.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -29,8 +30,7 @@ from repro.gnn import (
 )
 from repro.gnn.checkpoint import CHECKPOINT_SCHEMA_VERSION, CheckpointError
 from repro.mesh import structured_rectangle_mesh
-from repro.nn.optim import Adam
-from repro.nn.schedulers import ReduceLROnPlateau
+from repro.nn.optim import Adam, ReduceLROnPlateau
 from repro.solvers import SolverConfig, prepare
 
 
@@ -75,12 +75,47 @@ class TestConfigHash:
 
 
 # --------------------------------------------------------------------------- #
+# a fresh model's keys and bytes
+# --------------------------------------------------------------------------- #
+#: (config, key count, sha256 of the newline-joined keys, sha256 over each key, shape and bytes in order);
+#: written before the model became one keyed parameter dict: every seeded model and checkpoint hangs on them
+STATE_PINS = [
+    (DSSConfig(), 480,
+     "aee455e13ba54d628bc7082e304a7e1123518b03066b9040ca2f19d957be4120",
+     "6bd2d50e6c27137d932df6d4ca098296d779681bf907d51df514919b9c301436"),
+    (DSSConfig(num_iterations=2, latent_dim=3, alpha=0.1, seed=7), 32,
+     "443353f855748614c847d70b20fcbada0d9f1b3c7223ec6efa77e486fbd3acd1",
+     "fbf4bba18a0da362f108e2e7b5e31c20643348d29cedaf1b74faa58c71bdeb3f"),
+    (DSSConfig(num_iterations=3, latent_dim=5, seed=11, edge_attr_dim=4, node_input_dim=2), 48,
+     "e35af19a367e38301bb9f7d86d1ebfc36dd95c2a4dc5effd1e151f1c7ba39e29",
+     "5fd771be6bad638cded10c867a9acff2ea8ed335a151277ed6752c25a2c3ed11"),
+]
+
+
+@pytest.mark.parametrize("config, count, keys_sha, state_sha", STATE_PINS, ids=["default", "tiny", "kappa"])
+def test_a_fresh_models_state_dict_keeps_its_key_order_and_bytes(config, count, keys_sha, state_sha):
+    state = DSS(config).state_dict()
+    layers = [f"{mlp}.layer_{i}.{kind}" for mlp in ("phi_forward", "phi_backward", "psi")
+              for i in (0, 1) for kind in ("weight", "bias")]
+    decoder = [f"mlp.layer_{i}.{kind}" for i in (0, 1) for kind in ("weight", "bias")]
+    assert list(state)[:16] == [f"block_0.{name}" for name in layers] + [f"decoder_0.{name}" for name in decoder]
+    assert len(state) == count
+    assert hashlib.sha256("\n".join(state).encode()).hexdigest() == keys_sha
+    digest = hashlib.sha256()
+    for name, value in state.items():
+        digest.update(name.encode())
+        digest.update(str(value.shape).encode())
+        digest.update(value.tobytes())
+    assert digest.hexdigest() == state_sha
+
+
+# --------------------------------------------------------------------------- #
 # optimizer / scheduler state dicts
 # --------------------------------------------------------------------------- #
 class TestOptimizerState:
     def _trained_adam(self):
         model = DSS(TINY)
-        optimizer = Adam(model.parameters(), lr=1e-2)
+        optimizer = Adam(model.params.values(), lr=1e-2)
         graph = _toy_graph()
         for _ in range(3):
             optimizer.zero_grad()
@@ -94,37 +129,37 @@ class TestOptimizerState:
 
         clone_model = DSS(TINY)
         clone_model.load_state_dict(model.state_dict())
-        clone_optimizer = Adam(clone_model.parameters(), lr=99.0)  # wrong lr, restored below
+        clone_optimizer = Adam(clone_model.params.values(), lr=99.0)  # wrong lr, restored below
         clone_optimizer.load_state_dict(state)
 
         for opt, mdl in ((optimizer, model), (clone_optimizer, clone_model)):
             opt.zero_grad()
             mdl.training_loss(graph).backward()
             opt.step()
-        for p, q in zip(model.parameters(), clone_model.parameters()):
+        for p, q in zip(model.params.values(), clone_model.params.values()):
             assert np.array_equal(p.data, q.data)
 
     def test_wrong_optimizer_type_rejected(self):
         """A checkpoint header comes from outside the program: another optimizer's state is refused."""
         model = DSS(TINY)
-        forged = {**Adam(model.parameters()).state_dict(), "type": "SGD", "momentum": 0.9}
+        forged = {**Adam(model.params.values()).state_dict(), "type": "SGD", "momentum": 0.9}
         with pytest.raises(ValueError, match="Adam"):
-            Adam(model.parameters()).load_state_dict(forged)
+            Adam(model.params.values()).load_state_dict(forged)
 
     def test_slot_shape_mismatch_rejected(self):
         model = DSS(TINY)
         other = DSS(DSSConfig(num_iterations=2, latent_dim=5))
-        state = Adam(model.parameters()).state_dict()
+        state = Adam(model.params.values()).state_dict()
         with pytest.raises(ValueError):
-            Adam(other.parameters()).load_state_dict(state)
+            Adam(other.params.values()).load_state_dict(state)
 
     def test_scheduler_round_trip(self):
         model = DSS(TINY)
-        optimizer = Adam(model.parameters(), lr=1e-2)
+        optimizer = Adam(model.params.values(), lr=1e-2)
         scheduler = ReduceLROnPlateau(optimizer, factor=0.5, patience=1)
         for metric in (1.0, 1.1, 1.2):  # trips one reduction
             scheduler.step(metric)
-        clone = ReduceLROnPlateau(Adam(DSS(TINY).parameters()), factor=0.9, patience=7)
+        clone = ReduceLROnPlateau(Adam(DSS(TINY).params.values()), factor=0.9, patience=7)
         clone.load_state_dict(scheduler.state_dict())
         assert clone.best == scheduler.best
         assert clone.num_bad_epochs == scheduler.num_bad_epochs
@@ -132,7 +167,7 @@ class TestOptimizerState:
         assert clone.patience == 1 and clone.factor == 0.5
 
     def test_wrong_scheduler_type_rejected(self):
-        scheduler = ReduceLROnPlateau(Adam(DSS(TINY).parameters()))
+        scheduler = ReduceLROnPlateau(Adam(DSS(TINY).params.values()))
         forged = {"type": "StepLR", "step_size": 2, "gamma": 0.5, "epoch": 1}
         with pytest.raises(ValueError, match="StepLR"):
             scheduler.load_state_dict(forged)
@@ -198,7 +233,7 @@ class TestResume:
         assert resumed_trainer.epochs_done == 3
         resumed_trainer.fit(graphs, epochs=6)
         assert len(resumed_trainer.history) == 6
-        for (name, p), (_, q) in zip(straight.named_parameters(), resumed.named_parameters()):
+        for (name, p), (_, q) in zip(straight.params.items(), resumed.params.items()):
             assert np.array_equal(p.data, q.data), f"parameter '{name}' diverged after resume"
 
     def test_resume_with_validation_and_scheduler(self, tmp_path):
@@ -218,7 +253,7 @@ class TestResume:
         _, resumed_trainer = load_checkpoint(path).build_trainer()
         assert resumed_trainer.scheduler.best == trainer.scheduler.best
         resumed_trainer.fit(graphs[:4], validation_problems=graphs[4:], epochs=4)
-        for p, q in zip(straight.parameters(), resumed_trainer.model.parameters()):
+        for p, q in zip(straight.params.values(), resumed_trainer.model.params.values()):
             assert np.array_equal(p.data, q.data)
 
     def test_fit_writes_periodic_checkpoints(self, tmp_path):
@@ -308,6 +343,123 @@ class TestRejection:
         mismatched = DSSTrainer(DSS(TINY), TrainingConfig(epochs=2, batch_size=4, seed=0))
         with pytest.raises(ValueError, match="batch_size"):
             load_checkpoint(path).restore(trainer=mismatched)
+
+
+# --------------------------------------------------------------------------- #
+# a refused restore writes nothing
+# --------------------------------------------------------------------------- #
+def _rewrite(path, edit) -> None:
+    """Apply ``edit(header, arrays)`` to a checkpoint file in place (a forged or damaged file)."""
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    header = json.loads(str(arrays.pop("__checkpoint__")[()]))
+    edit(header, arrays)
+    np.savez(path, __checkpoint__=np.array(json.dumps(header)), **arrays)
+
+
+def _drop_last_v(header, arrays):
+    count = header["optimizer_slots"]["v"] = header["optimizer_slots"]["v"] - 1
+    del arrays[f"optim/v/{count}"]
+
+
+def _rename_slot(header, arrays):
+    header["optimizer_slots"]["w"] = header["optimizer_slots"].pop("v")
+    for key in [k for k in arrays if k.startswith("optim/v/")]:
+        arrays["optim/w/" + key.split("/")[-1]] = arrays.pop(key)
+
+
+def _drop_v(header, arrays):
+    for i in range(header["optimizer_slots"].pop("v")):
+        del arrays[f"optim/v/{i}"]
+
+
+def _reshape_last_m(header, arrays):
+    arrays[f"optim/m/{header['optimizer_slots']['m'] - 1}"] = np.zeros(7)
+
+
+def _reshape_last_weight(header, arrays):
+    arrays[header["model_keys"][-1].join(("model/", ""))] = np.zeros((3, 3))
+
+
+def _set(*path_and_value):
+    *path, value = path_and_value
+
+    def edit(header, arrays):
+        node = header["trainer"]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return edit
+
+
+class TestAtomicRestore:
+    """A file that parses but does not fit is refused before the model or the trainer changes."""
+
+    @staticmethod
+    def _snapshot(trainer):
+        slots = trainer.optimizer.state_dict()["slots"]
+        return (trainer.model.state_dict(), trainer.optimizer.lr, slots["m"], slots["v"], trainer.epochs_done,
+                len(trainer.history), trainer.scheduler.state_dict(), trainer._rng.bit_generator.state)
+
+    @pytest.mark.parametrize("edit, error, match", [
+        (_drop_last_v, ValueError, "slot 'v'"),
+        (_rename_slot, ValueError, r"slots \['m', 'w'\]"),
+        (_drop_v, ValueError, r"slots \['m'\]"),
+        (_reshape_last_m, ValueError, "slot 'm' shape"),
+        (_reshape_last_weight, ValueError, "shape mismatch"),
+        (_set("optimizer", "type", "SGD"), ValueError, "SGD"),
+        (_set("optimizer", "weight_decay", 0.1), ValueError, "weight_decay"),
+        (_set("scheduler", "type", "StepLR"), ValueError, "StepLR"),
+        (_set("config", "seed", 5), ValueError, "seed"),
+    ], ids=["v-short", "slot-name", "slot-missing", "m-shape", "weight-shape", "optimizer-type", "weight-decay",
+            "scheduler-type", "trainer-config"])
+    def test_a_refused_restore_leaves_weights_moments_lr_and_progress(self, tmp_path, edit, error, match):
+        graphs = [_toy_graph(seed=i) for i in range(4)]
+        config = TrainingConfig(epochs=3, batch_size=2, seed=0, scheduler_patience=0)
+        saved = DSSTrainer(DSS(TINY), config)
+        saved.fit(graphs, epochs=2)
+        path = tmp_path / "damaged.npz"
+        saved.save_checkpoint(str(path))
+        _rewrite(path, edit)
+
+        target = DSSTrainer(DSS(TINY), config)
+        target.fit(graphs[:2], epochs=1)                 # its own weights, moments, lr and progress
+        before = self._snapshot(target)
+        for model in (target.model, None):               # into the trainer's model, named or not
+            with pytest.raises(error, match=match):
+                load_checkpoint(path).restore(model=model, trainer=target)
+            after = self._snapshot(target)
+            for old, new in zip(before[0].values(), after[0].values()):
+                assert np.array_equal(old, new)
+            assert after[1] == before[1]
+            for old_slot, new_slot in zip(before[2:4], after[2:4]):
+                assert all(np.array_equal(a, b) for a, b in zip(old_slot, new_slot))
+            assert after[4:] == before[4:]
+
+    def test_a_model_state_with_one_bad_shape_writes_no_key(self):
+        model = DSS(TINY)
+        before = model.state_dict()
+        state = DSS(DSSConfig(**{**TINY.__dict__, "seed": 9})).state_dict()
+        state[next(reversed(state))] = np.zeros((2, 2))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            model.load_state_dict(state)
+        assert all(np.array_equal(before[name], value) for name, value in model.state_dict().items())
+
+    def test_a_trainer_file_with_zero_weight_decay_resumes(self, tmp_path):
+        """Files written before Adam lost its ``weight_decay`` carry it as 0.0: they load and resume bit for bit."""
+        graphs = [_toy_graph(seed=i) for i in range(4)]
+        config = TrainingConfig(epochs=3, batch_size=2, seed=0)
+        straight = DSSTrainer(DSS(TINY), config)
+        straight.fit(graphs)
+        trainer = DSSTrainer(DSS(TINY), config)
+        trainer.fit(graphs, epochs=1)
+        path = tmp_path / "older.npz"
+        trainer.save_checkpoint(str(path))
+        _rewrite(path, _set("optimizer", "weight_decay", 0.0))
+        model, resumed = load_checkpoint(path).build_trainer()
+        resumed.fit(graphs)
+        for name, value in straight.model.state_dict().items():
+            assert np.array_equal(value, model.params[name].data), name
 
 
 # --------------------------------------------------------------------------- #

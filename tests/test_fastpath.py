@@ -74,7 +74,6 @@ class TestInferParity:
     ])
     def test_infer_matches_forward(self, toy_batch, config):
         model = DSS(config)
-        model.eval()
         plan = model.compile_plan(toy_batch)
         source = np.random.default_rng(7).normal(size=toy_batch.num_nodes)
         fast = model.infer(plan, source).copy()
@@ -88,7 +87,6 @@ class TestInferParity:
     def test_buffer_reuse_across_sources(self, toy_batch):
         """Repeated infer calls on one plan must not leak state between sources."""
         model = DSS(DSSConfig(num_iterations=3, latent_dim=4, seed=1))
-        model.eval()
         plan = model.compile_plan(toy_batch)
         rng = np.random.default_rng(11)
         for _ in range(3):
@@ -99,7 +97,6 @@ class TestInferParity:
 
     def test_infer_output_is_reused_view(self, toy_batch):
         model = DSS(DSSConfig(num_iterations=2, latent_dim=3, seed=1))
-        model.eval()
         plan = model.compile_plan(toy_batch)
         rng = np.random.default_rng(13)
         first = model.infer(plan, rng.normal(size=toy_batch.num_nodes))
@@ -149,7 +146,6 @@ COLUMN_COUNTS = [1, 2, 7, 16]
 def _model_and_batch(config, toy_batch, kappa_batch):
     batch = kappa_batch if config.node_input_dim > 1 else toy_batch
     model = DSS(config)
-    model.eval()
     return model, batch
 
 
@@ -196,7 +192,6 @@ class TestMultiColumnParity:
         column counts alias one allocation: every smaller count served after
         the largest one must still match single-column ``infer``."""
         model = DSS(PLAIN_CONFIG)
-        model.eval()
         plan = model.compile_plan(toy_batch, precision=precision)
         rng = np.random.default_rng(31)
         model.infer_columns(plan, rng.normal(size=(toy_batch.num_nodes, 16)))
@@ -219,7 +214,6 @@ class TestMultiColumnParity:
         import tracemalloc
 
         model = DSS(PLAIN_CONFIG)
-        model.eval()
         plan = model.compile_plan(toy_batch, precision=precision)
         rng = np.random.default_rng(37)
         sources5 = rng.normal(size=(toy_batch.num_nodes, 5))
@@ -255,7 +249,6 @@ class TestMultiColumnParity:
     def test_single_column_fused_matches_single_infer(self, toy_batch):
         """k=1 through the fused path is bit-identical to the 1-D fast path."""
         model = DSS(PLAIN_CONFIG)
-        model.eval()
         plan = model.compile_plan(toy_batch)
         source = np.random.default_rng(41).normal(size=toy_batch.num_nodes)
         fused = model.infer_columns(plan, source[:, None]).copy()
@@ -271,7 +264,6 @@ class TestKernelFallbacks:
     @pytest.mark.parametrize("precision", ["f64", "f32"])
     def test_forced_fallback_matches_default(self, monkeypatch, toy_batch, patched, precision):
         model = DSS(PLAIN_CONFIG)
-        model.eval()
         plan = model.compile_plan(toy_batch, precision=precision)
         sources = np.random.default_rng(61).normal(size=(toy_batch.num_nodes, 3))
         default = model.infer_columns(plan, sources).copy()
@@ -382,11 +374,11 @@ def _per_node_bias(model, batch):
     d, ni = model.config.latent_dim, model.config.node_input_dim
     indegree = np.bincount(batch.edge_index[1], minlength=batch.num_nodes).astype(np.float64).reshape(-1, 1)
     node_features = np.asarray(model._prepare_node_input(batch), dtype=np.float64)[:, 1:]
-    for block in model.blocks:
-        psi1 = block.psi.layers[0].weight.data
-        bias_node = np.tile(block.psi.layers[0].bias.data, (batch.num_nodes, 1))
-        for phi, offset in zip((block.phi_forward, block.phi_backward), (d + ni, 2 * d + ni)):
-            bias_node += (indegree * phi.layers[1].bias.data) @ psi1[:, offset:offset + d].T
+    for k in range(model.config.num_iterations):
+        psi1 = model.params[f"block_{k}.psi.layer_0.weight"].data
+        bias_node = np.tile(model.params[f"block_{k}.psi.layer_0.bias"].data, (batch.num_nodes, 1))
+        for phi, offset in zip(("phi_forward", "phi_backward"), (d + ni, 2 * d + ni)):
+            bias_node += (indegree * model.params[f"block_{k}.{phi}.layer_1.bias"].data) @ psi1[:, offset:offset + d].T
         if ni > 1:
             bias_node += node_features @ psi1[:, d + 1:d + ni].T
         yield bias_node
@@ -621,7 +613,6 @@ class TestEdgeKernel:
         """The kernel exists for |e| = 3 and 4; any other width is served — by the numpy body, compiler or
         not — and says so."""
         model = DSS(DSSConfig(num_iterations=3, latent_dim=4, seed=9, edge_attr_dim=5))
-        model.eval()
         plan = model.compile_plan(toy_batch, precision=precision)
         assert plan.kernel == "numpy" and plan._edges.attr.shape[1] == 5
         sources = np.random.default_rng(9).normal(size=(toy_batch.num_nodes, 3))

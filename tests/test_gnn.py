@@ -23,7 +23,7 @@ from repro.gnn import (
     residual_loss,
     save_checkpoint,
 )
-from repro.gnn.mpnn import Decoder, DSSBlock
+from repro.gnn.mpnn import block_forward, decoder_forward
 from repro.mesh import structured_rectangle_mesh
 
 
@@ -139,29 +139,29 @@ class TestGraphBatch:
 class TestBlocks:
     def test_dss_block_shapes(self):
         g = _toy_graph()
-        block = DSSBlock(latent_dim=6, rng=np.random.default_rng(0))
+        params = DSS(DSSConfig(num_iterations=2, latent_dim=6)).params
         latent = np.zeros((g.num_nodes, 6))
         edges = EdgeLayout(g.edge_index, g.edge_attr, g.num_nodes)
-        out, _ = block(latent, g.source.reshape(-1, 1), edges)
+        out, _ = block_forward(params, 1, 1e-3, latent, g.source.reshape(-1, 1), edges)
         assert out.shape == (g.num_nodes, 6)
 
     def test_dss_block_residual_update_small_alpha(self):
         """With a tiny α the block is close to the identity on the latent state."""
         g = _toy_graph()
-        block = DSSBlock(latent_dim=4, alpha=1e-8, rng=np.random.default_rng(1))
+        params = DSS(DSSConfig(num_iterations=1, latent_dim=4, alpha=1e-8, seed=1)).params
         latent = np.random.default_rng(2).normal(size=(g.num_nodes, 4))
         edges = EdgeLayout(g.edge_index, g.edge_attr, g.num_nodes)
-        out, _ = block(latent, g.source.reshape(-1, 1), edges)
+        out, _ = block_forward(params, 0, 1e-8, latent, g.source.reshape(-1, 1), edges)
         assert np.allclose(out, latent, atol=1e-5)
 
     def test_decoder_output_shape(self):
-        dec = Decoder(latent_dim=5, rng=np.random.default_rng(0))
-        out, _ = dec(np.zeros((7, 5)))
+        params = DSS(DSSConfig(num_iterations=2, latent_dim=5)).params
+        out, _ = decoder_forward(params, 1, np.zeros((7, 5)))
         assert out.shape == (7, 1)
 
     def test_block_invalid_latent_dim(self):
         with pytest.raises(ValueError):
-            DSSBlock(latent_dim=0)
+            DSSConfig(latent_dim=0)
 
 
 # --------------------------------------------------------------------------- #
@@ -224,9 +224,10 @@ class TestDSS:
 
     def test_gradients_flow_to_all_parameters(self, tiny_dss_model):
         g = _toy_graph()
-        tiny_dss_model.zero_grad()
+        for p in tiny_dss_model.params.values():
+            p.zero_grad()
         tiny_dss_model.training_loss(g).backward()
-        grads = [p.grad for p in tiny_dss_model.parameters()]
+        grads = [p.grad for p in tiny_dss_model.params.values()]
         assert all(g is not None for g in grads)
         assert any(np.abs(g).max() > 0 for g in grads)
 
@@ -244,6 +245,30 @@ class TestDSS:
         save_checkpoint(path, tiny_dss_model)
         clone = load_model(path)
         assert np.allclose(clone.predict(g), tiny_dss_model.predict(g))
+
+    def test_state_dict_roundtrip(self, tiny_dss_model):
+        g = _toy_graph()
+        other = DSS(DSSConfig(**{**tiny_dss_model.config.__dict__, "seed": 99}))
+        assert not np.allclose(other.predict(g), tiny_dss_model.predict(g))
+        other.load_state_dict(tiny_dss_model.state_dict())
+        assert np.array_equal(other.predict(g), tiny_dss_model.predict(g))
+
+    def test_load_state_dict_missing_key_writes_nothing(self, tiny_dss_model):
+        model = DSS(tiny_dss_model.config)
+        before = model.state_dict()
+        state = {name: value + 1.0 for name, value in before.items()}
+        state.pop(next(iter(state)))
+        with pytest.raises(KeyError, match="missing"):
+            model.load_state_dict(state)
+        assert all(np.array_equal(before[name], value) for name, value in model.state_dict().items())
+
+    def test_load_state_dict_unexpected_key_writes_nothing(self, tiny_dss_model):
+        model = DSS(tiny_dss_model.config)
+        before = model.state_dict()
+        state = {**{name: value + 1.0 for name, value in before.items()}, "block_0.extra.weight": np.zeros(1)}
+        with pytest.raises(KeyError, match="unexpected"):
+            model.load_state_dict(state)
+        assert all(np.array_equal(before[name], value) for name, value in model.state_dict().items())
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):

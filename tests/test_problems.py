@@ -486,7 +486,6 @@ def heterogeneous_dss_model():
         TrainingConfig(epochs=12, batch_size=40, learning_rate=1e-2, gradient_clip=1e-2, seed=0),
     )
     trainer.fit(dataset.train, dataset.validation[:40], verbose=False)
-    model.eval()
     return model
 
 

@@ -16,7 +16,7 @@ from conftest import dst_sorted
 
 from repro.fem import assemble_stiffness
 from repro.gnn import DSS, DSSConfig, EdgeLayout, GraphBatch, _native, graph_from_mesh
-from repro.gnn.mpnn import DSSBlock
+from repro.gnn.mpnn import block_forward
 from repro.mesh import structured_rectangle_mesh
 
 
@@ -63,7 +63,7 @@ def reference_loss(outputs: list, matrix, target: np.ndarray):
 def complex_step_gradients(model: DSS, problem, matrix, target, entries: dict) -> dict:
     """``∂L/∂w`` of the reference at ``entries`` (name -> index list): ``Im L(w + ih e) / h``, ``h = 1e-30``,
     exact to rounding — no subtraction, so no cancellation."""
-    weights = {name: p.data.astype(complex) for name, p in model.named_parameters()}
+    weights = {name: p.data.astype(complex) for name, p in model.params.items()}
     step, grads = 1e-30, {}
     for name, indices in entries.items():
         grads[name] = []
@@ -111,7 +111,7 @@ def _model(config: DSSConfig) -> DSS:
     """A model moved off its zero-bias initialisation so every bias path carries signal."""
     model = DSS(config)
     rng = np.random.default_rng(config.seed + 100)
-    for p in model.parameters():
+    for p in model.params.values():
         p.data += 0.1 * rng.normal(size=p.data.shape)
     return model
 
@@ -135,9 +135,10 @@ def _views(config: DSSConfig) -> dict:
 
 
 def _gradients(model: DSS, loss) -> dict:
-    model.zero_grad()
+    for p in model.params.values():
+        p.zero_grad()
     loss.backward()
-    return {name: p.grad.copy() for name, p in model.named_parameters()}
+    return {name: p.grad.copy() for name, p in model.params.items()}
 
 
 #: complex-step entries per parameter array: its largest gradient plus a few seeded others
@@ -149,7 +150,7 @@ def _reference(config_name: str, view: str, entries: tuple) -> tuple:
     """(decoded states, loss, complex-step gradients at ``entries``) of the reference, once per body pair."""
     config = EVERY_CONFIG[config_name]
     model, problem = _model(config), _views(config)[view]
-    weights = {name: p.data for name, p in model.named_parameters()}
+    weights = {name: p.data for name, p in model.params.items()}
     outputs = reference_forward(model, problem, weights)
     matrix = problem.block_diagonal_matrix() if isinstance(problem, GraphBatch) else problem.matrix
     target = problem.source
@@ -180,7 +181,7 @@ def _assert_matches_reference(config_name: str, view: str) -> None:
     outputs = model.forward(problem, return_intermediate=True)
     loss = model.training_loss(problem)
     grads = _gradients(model, loss)
-    assert set(grads) == {name for name, _ in model.named_parameters()}
+    assert set(grads) == {name for name, _ in model.params.items()}
 
     rng = np.random.default_rng(0)
     entries = []
@@ -246,34 +247,41 @@ class TestParityWithPerEdgeReference:
 # --------------------------------------------------------------------------- #
 # the block primitive on its own
 # --------------------------------------------------------------------------- #
+def _block(config: DSSConfig):
+    """Block 0 of a ``config`` model: ``(block(latent, node_input, edges), its twelve parameters by key)``."""
+    params = DSS(config).params
+    return (functools.partial(block_forward, params, 0, config.alpha),
+            {name: p for name, p in params.items() if name.startswith("block_0.")})
+
+
 def _five_node_block():
     """A 5-node ring with both edge directions less one (E = 9, unlike any
     other array dimension here), a d=2 block and fixed inputs."""
     rng = np.random.default_rng(17)
     ring = np.arange(5)
     edge_index = np.hstack([np.vstack([ring, np.roll(ring, 1)]), np.vstack([np.roll(ring, 1), ring])])[:, :-1]
-    block = DSSBlock(latent_dim=2, alpha=0.3, rng=rng, edge_attr_dim=4, node_input_dim=2)
-    for p in block.parameters():
+    block, params = _block(DSSConfig(num_iterations=1, latent_dim=2, alpha=0.3, seed=17, edge_attr_dim=4,
+                                     node_input_dim=2))
+    for p in params.values():
         p.data += 0.3 * rng.normal(size=p.data.shape)
-    return (block, EdgeLayout(edge_index, rng.normal(size=(edge_index.shape[1], 4)), 5),
+    return (block, params, EdgeLayout(edge_index, rng.normal(size=(edge_index.shape[1], 4)), 5),
             rng.normal(size=(5, 2)), rng.normal(size=(5, 2)), rng.normal(size=(5, 2)))
 
 
 class TestBlockPrimitive:
     def test_vjp_matches_central_finite_differences(self, body):
-        block, edges, latent, node_input, weights = _five_node_block()
+        block, params, edges, latent, node_input, weights = _five_node_block()
 
         def scalar(_=None) -> float:
             return float((block(latent, node_input, edges)[0] * weights).sum())
 
-        block.zero_grad()
         g_latent = block(latent, node_input, edges)[1](weights)
         for name, value, grad in [("latent", latent, g_latent),
-                                  *((name, p.data, p.grad) for name, p in block.named_parameters())]:
+                                  *((name, p.data, p.grad) for name, p in params.items())]:
             assert np.allclose(grad, finite_difference(scalar, value), rtol=1e-6, atol=1e-8), name
 
     def test_the_backward_keeps_no_edge_row_array(self):
-        block, edges, latent, node_input, _ = _five_node_block()
+        block, _, edges, latent, node_input, _ = _five_node_block()
         _, backward = block(latent, node_input, edges)
         kept = [cell.cell_contents for cell in backward.__closure__]
         num_edges = edges.attr.shape[0]
@@ -288,7 +296,7 @@ class TestBlockPrimitive:
         rng = np.random.default_rng(23)
         src, dst = np.nonzero(~np.eye(n, dtype=bool))
         edges = EdgeLayout(np.vstack([src, dst]), rng.normal(size=(src.size, 3)), n)
-        block = DSSBlock(latent_dim=d, alpha=0.1, rng=rng)
+        block, _ = _block(DSSConfig(num_iterations=1, latent_dim=d, alpha=0.1, seed=23))
         latent, node_input = rng.normal(size=(n, d)), rng.normal(size=(n, 1))
         block(latent, node_input, edges)                          # warm imports and caches
         tracemalloc.start()
@@ -357,7 +365,8 @@ class TestEdgeVJP:
 def _step_peak(config: DSSConfig, batch: GraphBatch) -> int:
     model = DSS(config)
     model.training_loss(batch).backward()                         # warm: block matrix cached on the batch
-    model.zero_grad()
+    for p in model.params.values():
+        p.zero_grad()
     tracemalloc.start()
     try:
         model.training_loss(batch).backward()
