@@ -14,8 +14,8 @@ The package is organised bottom-up (see DESIGN.md):
 * :mod:`repro.krylov` — CG / PCG / GMRES and the IC(0) baseline;
 * :mod:`repro.gnn` — the Deep Statistical Solver (DSS) model, its training
   pipeline and versioned checkpointing (:mod:`repro.gnn.checkpoint`);
-* :mod:`repro.core` — the DDM-GNN preconditioner, the (legacy) hybrid solver
-  facade and dataset generation (the paper's contribution);
+* :mod:`repro.core` — the DDM-GNN preconditioner and the local-problem
+  dataset generation (the paper's contribution);
 * :mod:`repro.solvers` — the solver surface: registry-driven
   :class:`~repro.solvers.session.SolverSession` objects with amortised setup
   and multi-RHS serving (``prepare(problem, config).solve_many(B)``);
@@ -27,8 +27,10 @@ The package is organised bottom-up (see DESIGN.md):
   seed→mesh→train→checkpoint→bench→report from a declarative JSON spec;
 * :mod:`repro.serve` — the concurrent solve service
   (``python -m repro.serve``): fingerprint-keyed session cache, request
-  micro-batching onto lockstep multi-RHS solves, worker pool, latency SLO
-  metrics and a stdlib JSON-over-HTTP front end;
+  micro-batching onto lockstep multi-RHS solves, an in-process thread pool
+  or a sharded pool of worker processes (operators and weights in shared
+  memory), latency SLO metrics and a stdlib HTTP front end (binary frames,
+  JSON for debugging);
 * :mod:`repro.faults` — deterministic, seedable fault injection
   (``with faults.inject("gnn-nan-apply"): ...``) backing the chaos tests of
   the failure-hardening layer (breakdown taxonomy, degradation ladder,

@@ -119,7 +119,8 @@ class _Handler(BaseHTTPRequestHandler):
         self._trace_id = incoming or obs_trace.new_trace_id()
         self._retry_of = proto._clean_trace_id(self.headers.get("X-Retry-Of"))
         # the request body still on the wire; ``_body_error`` when its
-        # length is unknowable, and then the connection cannot be reused
+        # length is unknowable or over the bound, and then the connection
+        # cannot be reused
         raw_length = self.headers.get("Content-Length")
         self._body_error = None
         try:
@@ -129,6 +130,11 @@ class _Handler(BaseHTTPRequestHandler):
         except ValueError:
             self._unread = 0
             self._body_error = f"malformed Content-Length {raw_length!r}"
+        if self._unread > proto.MAX_FRAME_BYTES:
+            # refused before a byte of it is read or buffered
+            self._unread = 0
+            self._body_error = (f"Content-Length {raw_length} exceeds the "
+                                f"{proto.MAX_FRAME_BYTES}-byte request bound")
         if self._body_error is not None or "Transfer-Encoding" in self.headers:
             self.close_connection = True
 

@@ -1,10 +1,11 @@
-"""Length-prefixed binary frame protocol for solve requests and responses.
+"""Length-prefixed binary frames: the one container for arrays that cross a process.
 
 JSON-over-HTTP spends most of a large solve request's cost on float
 formatting and parsing: a 100k-dof right-hand side is ~2.4MB of decimal text
-versus 800kB of raw float64.  This module defines the zero-copy wire format
-shared by the binary HTTP path (``Content-Type: application/x-repro-frame``)
-and the parent↔worker pipes of :mod:`repro.serve.shard`:
+versus 800kB of raw float64.  This module defines the zero-copy format
+shared by the binary HTTP path (``Content-Type: application/x-repro-frame``),
+the parent↔worker pipes of :mod:`repro.serve.shard` and the shared-memory
+bundles of :mod:`repro.serve.shm` (one frame written into one segment):
 
 .. code-block:: text
 
@@ -21,7 +22,10 @@ Array blocks are C-contiguous raw bytes (the exact ``ndarray.tobytes()``
 image), so both ends decode with :func:`numpy.frombuffer` — no copy, no
 float formatting, and float64 payloads survive the round trip *bitwise*.
 ``total`` pins the full frame length: a truncated or oversized body is
-detected before any array view is built.
+detected before any array view is built.  :func:`write_frame` writes a frame
+into a buffer of the caller's (a ``bytearray`` for :func:`encode_frame`, a
+segment for a bundle); :func:`decode_frame` reads any bytes-like object in
+place.
 
 Every malformed-frame condition raises
 :class:`~repro.serve.errors.InvalidRequest` (bad magic, truncated prefix or
@@ -44,7 +48,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Callable, Dict, Mapping, Optional, TypeVar, Union
 
 import numpy as np
 
@@ -56,6 +60,7 @@ __all__ = [
     "PROTO_VERSION",
     "TRACE_META_KEY",
     "Frame",
+    "write_frame",
     "encode_frame",
     "decode_frame",
     "extract_trace_meta",
@@ -67,11 +72,16 @@ MAGIC = b"RPB1"
 CONTENT_TYPE = "application/x-repro-frame"
 PROTO_VERSION = 1
 
+#: a writable bytes-like buffer a frame is written into
+Buffer = TypeVar("Buffer", bytearray, memoryview)
+
 _PREFIX = struct.Struct("<4sI")
 _ALIGN = 64
-#: hard bound on a frame body — rejects absurd ``total``/header claims before
-#: any allocation is attempted (a 256M-dof f64 vector is ~2GB; nothing served
-#: by this repository comes within two orders of magnitude of 1GB)
+#: hard bound on a request body from outside: the HTTP front end refuses a
+#: larger ``Content-Length`` before reading any of the body (a 256M-dof f64
+#: vector is ~2GB; nothing served by this repository comes within two orders
+#: of magnitude of 1GB).  Frames this program writes itself — on the worker
+#: pipes and in shared memory — are not capped.
 MAX_FRAME_BYTES = 1 << 30
 _MAX_HEADER_BYTES = 1 << 24
 
@@ -159,16 +169,21 @@ def _pad_to(offset: int) -> int:
     return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
 
 
-def encode_frame(
+def write_frame(
+    allocate: Callable[[int], Buffer],
     kind: str,
     meta: Optional[Mapping[str, object]] = None,
     arrays: Optional[Mapping[str, np.ndarray]] = None,
-) -> bytes:
-    """Serialise ``(kind, meta, arrays)`` into one length-pinned frame.
+) -> Buffer:
+    """Write ``(kind, meta, arrays)`` as one length-pinned frame into the
+    writable buffer ``allocate(total)`` returns, and return that buffer.
 
     Arrays are written as C-contiguous raw blocks in their native dtype
     (float64 stays float64 — the bitwise-parity guarantee); each block is
     64-byte aligned so the receiver's ``frombuffer`` views are aligned too.
+    The gaps between blocks keep what the buffer held (zeros, for a fresh
+    ``bytearray`` or shared-memory segment).  Every check runs before
+    ``allocate`` is called.
     """
     normalised: Dict[str, np.ndarray] = {}
     for name, value in (arrays or {}).items():
@@ -215,31 +230,36 @@ def encode_frame(
     else:  # pragma: no cover - monotone map over a bounded range
         raise RuntimeError("frame header length did not converge")
 
-    out = bytearray(total)
+    out = allocate(total)
     _PREFIX.pack_into(out, 0, MAGIC, len(header_bytes))
     out[_PREFIX.size:_PREFIX.size + len(header_bytes)] = header_bytes
     for offset, array in zip(offsets, blocks):
         out[offset:offset + array.nbytes] = array.tobytes()
-    return bytes(out)
+    return out
 
 
-def decode_frame(data: bytes) -> Frame:
-    """Parse one frame; every malformed condition is a typed InvalidRequest.
+def encode_frame(
+    kind: str,
+    meta: Optional[Mapping[str, object]] = None,
+    arrays: Optional[Mapping[str, np.ndarray]] = None,
+) -> bytes:
+    """:func:`write_frame` into a new ``bytes``."""
+    return bytes(write_frame(bytearray, kind, meta, arrays))
 
-    The returned :class:`Frame`'s arrays are zero-copy read-only views into
-    ``data`` (``np.frombuffer``) — the caller keeps ``data`` alive implicitly
-    through the views' ``base``.
+
+def decode_frame(data: Union[bytes, bytearray, memoryview]) -> Frame:
+    """Parse one frame in place; every malformed condition is a typed InvalidRequest.
+
+    ``data`` is any bytes-like object: ``bytes``, a ``bytearray`` or a
+    memoryview (a shared-memory segment's).  The returned :class:`Frame`'s
+    arrays are zero-copy **read-only** views into it (``np.frombuffer``),
+    even when ``data`` is writable — the views' ``base`` keeps it alive.
     """
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise InvalidRequest(
             f"frame body must be bytes, got {type(data).__name__}"
         )
-    data = bytes(data)
-    if len(data) > MAX_FRAME_BYTES:
-        raise InvalidRequest(
-            f"oversized frame: {len(data)} bytes exceeds the "
-            f"{MAX_FRAME_BYTES}-byte bound"
-        )
+    data = memoryview(data).toreadonly()
     if len(data) < _PREFIX.size:
         raise InvalidRequest(
             f"truncated frame: {len(data)} bytes is shorter than the "
@@ -256,7 +276,7 @@ def decode_frame(data: bytes) -> Frame:
             f"{len(data) - _PREFIX.size} follow the prefix"
         )
     try:
-        header = json.loads(data[_PREFIX.size:_PREFIX.size + header_len].decode("utf-8"))
+        header = json.loads(str(data[_PREFIX.size:_PREFIX.size + header_len], "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise InvalidRequest(f"frame header is not valid JSON: {error}") from error
     if not isinstance(header, dict):

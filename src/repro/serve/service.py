@@ -376,8 +376,10 @@ class _Worker(threading.Thread):
     one lockstep batch — and dispatches at once.  It waits up to
     ``max_wait_ms`` for more only when the *previous* batch was contended:
     it held tickets of more than one request, or a same-key ticket of
-    another request was queued when it finished.  A lone client never pays
-    the window; closed-loop clients on one key keep filling batches.
+    another request was queued when its solve ended — judged before any of
+    its tickets settles, so a client's next request, sent on its answer,
+    is never its own company.  A lone client never pays the window;
+    closed-loop clients on one key keep filling batches.
     """
 
     def __init__(self, executor: "ThreadExecutor", index: int) -> None:
@@ -469,10 +471,12 @@ class _Worker(threading.Thread):
                             continue
                     batch.extend(extracted)
 
-            self._execute(batch)
-            contended = self._contended(batch)
+            contended = self._execute(batch)
 
-    def _execute(self, batch: List[_Ticket]) -> None:
+    def _execute(self, batch: List[_Ticket]) -> bool:
+        """Solve ``batch`` and settle its tickets; returns :meth:`_contended`
+        of it, judged once the solve ends and before any solved ticket
+        settles."""
         executor = self.executor
         # tickets already failed by the deadline reaper (or cancelled), or
         # whose deadline passed while they queued, are dropped before the
@@ -487,9 +491,9 @@ class _Worker(threading.Thread):
                 live.append(ticket)
             else:  # settled elsewhere (the reaper, the caller's cancel)
                 ticket.record.finish()
-        batch = live
-        if not batch:
-            return
+        if not live:
+            return self._contended(batch)
+        batch, requested = live, batch
         session = batch[0].session
         # the batch's solve interval; every ticket in it records it as its own
         # serve.solve leaf, and its queue wait as the serve.queue leaf up to it
@@ -508,11 +512,13 @@ class _Worker(threading.Thread):
                     results = session.solve_many(np.stack(vectors)).results
         except BaseException as error:  # noqa: BLE001 - delivered to the callers
             solve.finish()
+            contended = self._contended(requested)
             for ticket in batch:
                 self._record_leaves(ticket, solve, len(batch))
                 executor.on_error(ticket, error)
-            return
+            return contended
         solve.finish()
+        contended = self._contended(requested)
         executor.metrics.observe_batch(len(batch))
         for ticket, result in zip(batch, results):
             record = self._record_leaves(ticket, solve, len(batch))
@@ -521,6 +527,7 @@ class _Worker(threading.Thread):
             result.info["batch_size"] = len(batch)
             result.info["worker"] = self.index
             executor.on_result(ticket, result, queue_s * 1e3, record.total("serve.solve") * 1e3)
+        return contended
 
     def _record_leaves(self, ticket: _Ticket, solve: obs_trace.Span, batch_size: int) -> obs_trace.Span:
         """Close the ticket's record on its two leaves: the queue wait up to the batch solve, then the solve."""

@@ -15,7 +15,7 @@ and settle are the base class's, run once per request in the front process:
   warm caches warm.
 * **Shared memory, not N copies** — checkpoint weight arrays and installed
   problem operator arrays live in
-  :mod:`multiprocessing.shared_memory` segments (:mod:`repro.solvers.shm`);
+  :mod:`multiprocessing.shared_memory` segments (:mod:`repro.serve.shm`);
   workers attach zero-copy read-only views, so N replicas pay one copy of
   the big arrays.  The parent owns every segment and unlinks on close.
 * **Binary frames on the pipes** — parent↔worker traffic is the same
@@ -53,7 +53,6 @@ import hashlib
 import itertools
 import multiprocessing as mp
 import os
-import pickle
 import threading
 import time
 from dataclasses import dataclass, field
@@ -66,7 +65,6 @@ from ..krylov.result import SolveResult
 from ..obs import trace as obs_trace
 from ..solvers.config import SolverConfig
 from ..solvers.registry import preconditioner_spec
-from ..solvers.shm import SharedArrayBundle, model_to_shm, problem_to_shm
 from .errors import (
     InvalidRequest,
     ServeError,
@@ -85,6 +83,7 @@ from .proto import (
 )
 from .service import (ServeConfig, SolveService, ThreadExecutor, _resolve, _Resolved, _Ticket,
                       open_ticket_record)
+from .shm import SharedArrayBundle, model_from_shm, model_to_shm, problem_from_shm, problem_to_shm
 
 __all__ = ["ShardConfig", "ShardedSolveService", "ProcessExecutor", "build_ring", "route"]
 
@@ -322,13 +321,8 @@ def _shard_worker_main(conn, bootstrap: Dict[str, object]) -> None:
             from .. import faults as faults_module
 
             installed_faults = faults_module.install_from_specs(fault_specs)
-        model = None
-        if bootstrap.get("model_manifest") is not None:
-            from ..solvers.shm import model_from_shm
-
-            model = model_from_shm(bootstrap["model_manifest"])
-        elif bootstrap.get("model_pickle") is not None:
-            model = pickle.loads(bootstrap["model_pickle"])
+        manifest = bootstrap.get("model_manifest")
+        model = model_from_shm(manifest) if manifest is not None else None
         config = ServeConfig.from_dict(bootstrap["serve_config"])
         # worker-local: batch occupancy only — requests are counted where
         # they are settled, in the front process
@@ -395,8 +389,6 @@ def _shard_worker_main(conn, bootstrap: Dict[str, object]) -> None:
                     send(_error_frame(ticket_id, error))
         elif frame.kind == "install_problem":
             try:
-                from ..solvers.shm import problem_from_shm
-
                 problem = problem_from_shm(meta["manifest"])
                 problems[problem.fingerprint()] = problem
             except BaseException as error:  # noqa: BLE001
@@ -517,22 +509,13 @@ class ProcessExecutor:
         # sheds from its own (tighter) queues first
         self._max_pending = max(2 * config.max_queue * shard_config.threads_per_worker, 8)
 
-        # shared memory when the model is a DSS (weights attach zero-copy in
-        # every worker), pickle bytes as the fallback for duck-typed models
-        self._model_bundle: Optional[SharedArrayBundle] = None
-        model_manifest = None
-        model_pickle = None
-        if model is not None:
-            try:
-                self._model_bundle = model_to_shm(model)
-                model_manifest = self._model_bundle.manifest
-            except ValueError:
-                model_pickle = pickle.dumps(model)
+        # the model's weights attach zero-copy in every worker
+        self._model_bundle: Optional[SharedArrayBundle] = (
+            model_to_shm(model) if model is not None else None)
         worker_config = dataclasses.replace(config, workers=shard_config.threads_per_worker)
         self._bootstrap = {
             "serve_config": worker_config.to_dict(),
-            "model_manifest": model_manifest,
-            "model_pickle": model_pickle,
+            "model_manifest": self._model_bundle.manifest if model is not None else None,
             "fault_specs": tuple(shard_config.faults),
             # snapshotted at construction: enable tracing BEFORE building the
             # pool if worker-side session spans are wanted

@@ -44,24 +44,12 @@ from .registry import (
     register_preconditioner,
 )
 from .session import MultiSolveResult, SolverSession, prepare
-from .shm import (
-    SharedArrayBundle,
-    model_from_shm,
-    model_to_shm,
-    problem_from_shm,
-    problem_to_shm,
-)
 
 __all__ = [
     "SolverConfig",
     "SolverSession",
     "MultiSolveResult",
     "prepare",
-    "SharedArrayBundle",
-    "problem_to_shm",
-    "problem_from_shm",
-    "model_to_shm",
-    "model_from_shm",
     "register_krylov",
     "register_preconditioner",
     "krylov_spec",

@@ -278,7 +278,7 @@ class TestRegistry:
         shared memory; another seed is another problem, and a 3D ``target_n`` below 8 builds the 8-node box."""
         from repro.mesh import mesh_for_target_size
         from repro.serve.problems import DEFAULT_PROBLEM_SPEC, build_problem_from_spec
-        from repro.solvers import problem_from_shm, problem_to_shm
+        from repro.serve.shm import problem_from_shm, problem_to_shm
 
         kwargs = {"diffusion3d-ball": {"contrast": 10.0}, "heat3d": {"dt": 0.05}}.get(family, {})
         spec = {"family": family, "target_n": 216, "seed": 7, "kwargs": kwargs}

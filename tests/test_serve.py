@@ -486,6 +486,36 @@ class TestDispatchWhenReady:
             assert np.array_equal(response["solution"], spec_reference(block[:, j]))
         assert wall < 1.0
 
+    def test_chained_client_is_not_its_own_company(self, spec_reference):
+        """Each request is sent from the previous answer's done-callback, so
+        it is queued before the worker thread leaves the settle.  The batch
+        is judged uncontended before it settles, so no request waits out the
+        500 ms window (each one but the first did while the verdict came
+        after the settle)."""
+        block = _block(4, seed=2)
+        results, finished = [], threading.Event()
+        with SolveService(ServeConfig(workers=1, max_wait_ms=500.0),
+                          default_solver_config=DDM_LU) as service:
+            service.solve(SPEC)                                 # session set-up
+
+            def send(j):
+                service.submit(SPEC, b=block[:, j]).add_done_callback(
+                    lambda future: answered(j, future))
+
+            def answered(j, future):
+                results.append(future.result())
+                if j + 1 < block.shape[1]:
+                    send(j + 1)
+                else:
+                    finished.set()
+
+            send(0)
+            assert finished.wait(60)
+        for j, result in enumerate(results):
+            assert result.info["batch_size"] == 1
+            assert result.info["queue_s"] < 0.25, (j, result.info["queue_s"])
+            assert np.array_equal(result.solution, spec_reference(block[:, j]))
+
     @pytest.mark.parametrize("max_wait_ms", [0.0, 500.0])
     def test_block_is_one_batch_regardless_of_timing(self, http_stack, spec_reference,
                                                      max_wait_ms):
@@ -856,6 +886,30 @@ class TestKeepAlive:
         with socket.create_connection(server.address, timeout=30) as sock:
             sock.sendall(b"POST /solve HTTP/1.1\r\nHost: test\r\n"
                          b"Content-Type: application/json\r\nContent-Length: 12x\r\n\r\n{}")
+            raw = b""
+            while True:  # the server closes the connection after answering
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                raw += chunk
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400")
+        assert b"Connection: close" in head
+        assert json.loads(body)["error"]["code"] == "invalid_request"
+
+    def test_content_length_over_the_frame_bound_is_refused_unread(self, server):
+        """A body announced at 2 GiB, of which 2 bytes arrive, is answered
+        400 at once without reading it; the handler used to wait for the
+        body until its 30 s idle timeout."""
+        import json
+        import socket
+
+        from repro.serve.proto import CONTENT_TYPE
+
+        with socket.create_connection(server.address, timeout=5) as sock:
+            sock.sendall(b"POST /solve HTTP/1.1\r\nHost: test\r\n"
+                         b"Content-Type: " + CONTENT_TYPE.encode() +
+                         b"\r\nContent-Length: " + str(2 << 30).encode() + b"\r\n\r\nRP")
             raw = b""
             while True:  # the server closes the connection after answering
                 chunk = sock.recv(65536)

@@ -207,7 +207,7 @@ class TestProtoMalformed:
 # --------------------------------------------------------------------------- #
 class TestSharedMemory:
     def test_problem_round_trip_preserves_fingerprint(self, random_problem):
-        from repro.solvers import problem_from_shm, problem_to_shm
+        from repro.serve.shm import problem_from_shm, problem_to_shm
 
         bundle = problem_to_shm(random_problem)
         try:
@@ -220,7 +220,8 @@ class TestSharedMemory:
             bundle.close()
 
     def test_shm_problem_solve_is_bitwise_identical(self, random_problem):
-        from repro.solvers import prepare, problem_from_shm, problem_to_shm
+        from repro.serve.shm import problem_from_shm, problem_to_shm
+        from repro.solvers import prepare
 
         rng = np.random.default_rng(0)
         b = rng.standard_normal(random_problem.num_dofs)
@@ -245,7 +246,7 @@ class TestSharedMemory:
             session.solve(b).solution.tobytes()
 
     def test_model_shm_preserves_fingerprint(self, tiny_dss_model):
-        from repro.solvers import model_from_shm, model_to_shm
+        from repro.serve.shm import model_from_shm, model_to_shm
         from repro.solvers.fingerprint import model_fingerprint
 
         bundle = model_to_shm(tiny_dss_model)
@@ -255,6 +256,89 @@ class TestSharedMemory:
             clone._shm_bundle.close()
         finally:
             bundle.close()
+
+    @staticmethod
+    def _assert_same_fields(original, clone):
+        """Every dataclass field, the mesh's too, comes back with equal bytes
+        or an equal scalar — a field the walk drops fails here."""
+        import dataclasses
+
+        import scipy.sparse as sp
+
+        assert type(clone) is type(original)
+        for field in dataclasses.fields(original):
+            want, got = getattr(original, field.name), getattr(clone, field.name)
+            if dataclasses.is_dataclass(want):
+                TestSharedMemory._assert_same_fields(want, got)
+            elif sp.issparse(want):
+                want = want.tocsr()
+                assert got.shape == want.shape, field.name
+                for part in ("indptr", "indices", "data"):
+                    a, b = getattr(want, part), getattr(got, part)
+                    assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), (field.name, part)
+            elif isinstance(want, np.ndarray):
+                assert (got.dtype, got.shape, got.tobytes()) == \
+                    (want.dtype, want.shape, want.tobytes()), field.name
+            else:
+                assert got == want and type(got) is type(want), field.name
+
+    @pytest.mark.parametrize("case", ["kappa-and-dirichlet-nodes", "both-none", "3d", "time-dependent"])
+    def test_problem_round_trip_keeps_every_field(self, case):
+        from repro.fem import Problem
+        from repro.problems import make_problem
+        from repro.serve.shm import problem_from_shm, problem_to_shm
+
+        rng = np.random.default_rng(4)
+        if case == "kappa-and-dirichlet-nodes":
+            problem = make_problem("diffusion-mixed-bc", rng=rng)
+            assert problem.node_diffusion is not None and problem.dirichlet_nodes is not None
+        elif case == "both-none":
+            base = make_problem("poisson", rng=rng)
+            problem = Problem(mesh=base.mesh, matrix=base.matrix, rhs=base.rhs,
+                              stiffness=base.stiffness, boundary_values=base.boundary_values)
+            assert problem.node_diffusion is None and problem.dirichlet_nodes is None
+        elif case == "3d":
+            problem = make_problem("poisson3d", rng=rng, target_nodes=64)
+            assert problem.mesh.dim == 3
+        else:
+            problem = make_problem("heat", rng=rng)
+        bundle = problem_to_shm(problem)
+        try:
+            clone = problem_from_shm(bundle.manifest)
+            try:
+                self._assert_same_fields(problem, clone)
+                assert clone.fingerprint() == problem.fingerprint()
+            finally:
+                clone._shm_bundle.close()
+        finally:
+            bundle.close()
+
+    def test_manifest_length_that_disagrees_with_its_segment_is_refused(self, random_problem):
+        from repro.serve.shm import SharedArrayBundle, problem_to_shm
+
+        bundle = problem_to_shm(random_problem)
+        try:
+            for nbytes in (bundle.manifest["nbytes"] - 64, bundle.manifest["nbytes"] + 64):
+                with pytest.raises(InvalidRequest):
+                    SharedArrayBundle.attach(dict(bundle.manifest, nbytes=nbytes))
+        finally:
+            bundle.close()
+
+    def test_sharded_service_unlinks_its_segments_on_close(self, random_problem, tiny_dss_model):
+        from multiprocessing import shared_memory
+
+        service = ShardedSolveService(ServeConfig(), model=tiny_dss_model, default_solver_config=DDM_LU,
+                                      shard_config=ShardConfig(workers=1))
+        try:
+            service.solve(random_problem, timeout=120)
+            names = [bundle.manifest["shm"] for bundle in service._problem_bundles.values()]
+            names.append(service._executor._model_bundle.manifest["shm"])
+        finally:
+            service.close()
+        assert len(names) == 2
+        for name in names:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
 
 
 # --------------------------------------------------------------------------- #

@@ -307,7 +307,7 @@ class TestFingerprint:
 # --------------------------------------------------------------------------- #
 class TestShmRoundtrip:
     def _roundtrip(self, problem):
-        from repro.solvers import problem_from_shm, problem_to_shm
+        from repro.serve.shm import problem_from_shm, problem_to_shm
 
         bundle = problem_to_shm(problem)
         try:
