@@ -34,7 +34,8 @@ Components:
   throughput, cache hit-rate; counters live in a
   :class:`repro.obs.MetricsRegistry` rendered by ``GET /metrics``.
 * :class:`~repro.serve.http.ServeHTTPServer` — stdlib HTTP front end
-  (``python -m repro.serve``), JSON debug path + binary frame path;
+  (``python -m repro.serve``): one ``/solve`` path that decodes a JSON or
+  a binary-frame body into one ``solve`` frame;
   :class:`~repro.serve.client.ServeClient` is the matching client
   (``solve`` / ``solve_binary``; one kept-alive connection per thread).
 * :mod:`repro.serve.problems` — deterministic problem-spec resolution for
@@ -43,7 +44,8 @@ Components:
   (:class:`~repro.serve.errors.InvalidRequest`,
   :class:`~repro.serve.errors.ServiceOverloaded`,
   :class:`~repro.serve.errors.DeadlineExceeded`,
-  :class:`~repro.serve.errors.WorkerCrashed`);
+  :class:`~repro.serve.errors.WorkerCrashed`) and the one mapping of any
+  exception onto them, :func:`~repro.serve.errors.as_serve_error`;
   :class:`~repro.serve.breaker.CircuitBreaker` guards each primary session
   key and reroutes onto fallback rungs while the primary is down.
 

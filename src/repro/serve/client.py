@@ -39,7 +39,7 @@ import socket
 import threading
 import time
 import weakref
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 from urllib.parse import urlsplit
 
 __all__ = ["ServeClient", "ServeClientError"]
@@ -48,30 +48,26 @@ __all__ = ["ServeClient", "ServeClientError"]
 _RETRYABLE_STATUSES = frozenset({503})
 
 
-def _parse_error_payload(raw: bytes) -> Tuple[str, Optional[str], Optional[str]]:
-    """Extract (message, code, trace_id) from an error body.
+def _error_from_response(status: int, reason: str, headers,
+                         raw: bytes) -> "ServeClientError":
+    """The :class:`ServeClientError` of an error-status response.
 
-    Understands the structured shape ``{"error": {"code", "message",
+    Understands the structured body ``{"error": {"code", "message",
     "trace_id"}}``; any other body (a proxy's, a foreign server's) is
     reported verbatim as the message.
     """
+    message, code, trace_id = raw.decode("utf-8", errors="replace"), None, None
     try:
-        payload = json.loads(raw.decode("utf-8"))
-    except Exception:  # noqa: BLE001 - best-effort error detail
-        return raw.decode("utf-8", errors="replace"), None, None
+        payload = json.loads(raw)
+    except ValueError:  # not JSON: the body is the message
+        payload = message
     detail = payload.get("error") if isinstance(payload, dict) else None
     if isinstance(detail, dict):
+        message, code = str(detail.get("message", detail)), detail.get("code")
         trace_id = detail.get("trace_id")
-        return (str(detail.get("message", detail)), detail.get("code"),
-                trace_id if isinstance(trace_id, str) else None)
-    return str(payload), None, None
-
-
-def _error_from_response(status: int, reason: str, headers,
-                         raw: bytes) -> "ServeClientError":
-    """The :class:`ServeClientError` of an error-status response."""
-    message, code, trace_id = _parse_error_payload(raw)
-    if trace_id is None:
+    elif payload is not message:
+        message = str(payload)
+    if not isinstance(trace_id, str):
         trace_id = headers.get("X-Trace-Id")
     retry_after = headers.get("Retry-After")
     try:
@@ -225,64 +221,24 @@ class ServeClient:
                                            response.headers, data)
             return data
 
-    def _request_once(self, path: str, payload: Optional[Dict],
-                      retry_of: Optional[str] = None) -> Dict:
-        data = None
-        headers = {"Accept": "application/json"}
-        if retry_of is not None:
-            # link this retry's server-side trace to the failed attempt's
-            headers["X-Retry-Of"] = retry_of
-        if payload is not None:
-            data = json.dumps(payload).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        body = json.loads(self._exchange("POST" if data is not None else "GET",
-                                         path, data, headers).decode("utf-8"))
-        if isinstance(body, dict) and "error" in body:
-            detail = body["error"]
-            if isinstance(detail, dict):
-                trace_id = detail.get("trace_id")
-                raise ServeClientError(
-                    int(detail.get("status", 200)),
-                    str(detail.get("message", detail)),
-                    code=detail.get("code"),
-                    trace_id=trace_id if isinstance(trace_id, str) else None,
-                )
-            raise ServeClientError(200, str(detail))
-        return body
-
-    def _request_frame_once(self, path: str, frame_bytes: bytes,
-                            retry_of: Optional[str] = None) -> bytes:
-        """POST one binary frame; returns the raw response frame bytes.
-
-        Error responses are JSON regardless of the request encoding (the
-        server's contract), so failures parse into the same
-        :class:`ServeClientError` as the JSON path.
-        """
-        from .proto import CONTENT_TYPE
-
-        headers = {"Content-Type": CONTENT_TYPE, "Accept": CONTENT_TYPE}
-        if retry_of is not None:
-            headers["X-Retry-Of"] = retry_of
-        return self._exchange("POST", path, frame_bytes, headers)
-
-    def _with_retries(self, attempt_fn):
-        """The shared retry loop: 503 + connection errors, capped backoff.
-
-        ``attempt_fn`` receives the trace id of the previous failed attempt
-        (or None) so retried requests carry ``X-Retry-Of`` and the server can
-        stitch the attempts into one logical story.
-        """
+    def _request(self, path: str, body: Optional[bytes] = None,
+                 content_type: str = "application/json") -> bytes:
+        """GET ``path``, or POST ``body`` to it, under the retry policy; the
+        response body.  A retry carries the failed attempt's trace id as
+        ``X-Retry-Of``, so the server can stitch the attempts together."""
+        headers = {"Accept": content_type}
+        if body is not None:
+            headers["Content-Type"] = content_type
         attempt = 0
-        retry_of: Optional[str] = None
         while True:
             try:
-                return attempt_fn(retry_of)
+                return self._exchange("GET" if body is None else "POST", path, body, headers)
             except ServeClientError as error:
                 if error.status not in _RETRYABLE_STATUSES or attempt >= self.retries:
                     raise
                 delay = error.retry_after_s
                 if error.trace_id is not None:
-                    retry_of = error.trace_id
+                    headers["X-Retry-Of"] = error.trace_id
             except (OSError, http.client.HTTPException):
                 # connection-level failure (refused, reset, timed out)
                 if attempt >= self.retries:
@@ -293,16 +249,12 @@ class ServeClient:
             time.sleep(max(delay or 0.0, backoff))
             attempt += 1
 
-    def _request(self, path: str, payload: Optional[Dict] = None) -> Dict:
-        return self._with_retries(
-            lambda retry_of: self._request_once(path, payload, retry_of))
-
     # ------------------------------------------------------------------ #
     def healthz(self) -> Dict:
-        return self._request("/healthz")
+        return json.loads(self._request("/healthz"))
 
     def stats(self) -> Dict:
-        return self._request("/stats")
+        return json.loads(self._request("/stats"))
 
     def metrics(self) -> str:
         """Fetch ``GET /metrics`` (Prometheus text exposition, not JSON)."""
@@ -317,18 +269,11 @@ class ServeClient:
         deadline_ms: Optional[float] = None,
     ) -> Dict:
         """POST one solve request; returns the decoded response payload."""
-        payload: Dict = {}
-        if problem is not None:
-            payload["problem"] = problem
-        if b is not None:
-            payload["b"] = [float(v) for v in b]
-        if x0 is not None:
-            payload["x0"] = [float(v) for v in x0]
-        if config is not None:
-            payload["config"] = config
-        if deadline_ms is not None:
-            payload["deadline_ms"] = float(deadline_ms)
-        return self._request("/solve", payload)
+        payload = {"problem": problem, "config": config,
+                   "deadline_ms": float(deadline_ms) if deadline_ms is not None else None,
+                   "b": [float(v) for v in b] if b is not None else None,
+                   "x0": [float(v) for v in x0] if x0 is not None else None}
+        return json.loads(self._request("/solve", json.dumps(payload).encode("utf-8")))
 
     def solve_binary(
         self,
@@ -351,7 +296,7 @@ class ServeClient:
         """
         import numpy as np
 
-        from .proto import decode_frame, encode_frame
+        from .proto import CONTENT_TYPE, decode_frame, encode_frame
 
         meta: Dict = {"problem": problem, "config": config,
                       "deadline_ms": float(deadline_ms) if deadline_ms is not None else None}
@@ -364,14 +309,6 @@ class ServeClient:
                 arrays["b"] = b
         if x0 is not None:
             arrays["x0"] = np.asarray(x0, dtype=np.float64)
-        frame_bytes = encode_frame("solve", meta, arrays)
-        raw = self._with_retries(
-            lambda retry_of: self._request_frame_once("/solve", frame_bytes, retry_of)
-        )
-        frame = decode_frame(raw)
-        response: Dict = dict(frame.meta)
-        response["solution"] = frame.arrays["solution"]
-        response["final_relative_residual"] = frame.arrays["final_relative_residual"]
-        if "residual_history" in frame.arrays:
-            response["residual_history"] = frame.arrays["residual_history"]
-        return response
+        frame = decode_frame(self._request("/solve", encode_frame("solve", meta, arrays),
+                                           CONTENT_TYPE))
+        return {**frame.meta, **frame.arrays}

@@ -2,9 +2,28 @@
 
 Every failure the service surfaces to a caller is one of these exception
 types.  Each carries a machine-readable ``code`` (stable across releases —
-clients and dashboards match on it) and the HTTP status the JSON front end
-maps it to, so :mod:`repro.serve.http` never has to guess a status from an
+clients and dashboards match on it) and the HTTP status the front end maps
+it to, so :mod:`repro.serve.http` never has to guess a status from an
 exception message.
+
+:func:`as_serve_error` is the one mapping from any exception to its typed
+error; the HTTP front end and a worker process's error frame both call it:
+
+==========================================  =====================  ======
+exception                                   ``code``               status
+==========================================  =====================  ======
+``InvalidRequest``, ``ValueError``,         ``invalid_request``    400
+  ``KeyError`` (``json.JSONDecodeError``
+  is a ``ValueError``)
+``ServiceOverloaded``                       ``overloaded``         503
+``WorkerCrashed``                           ``worker_crashed``     503
+``DeadlineExceeded``, ``TimeoutError``      ``deadline_exceeded``  504
+anything else                               ``internal``           500
+==========================================  =====================  ======
+
+An ``internal`` error's message is ``"<exception type>: <message>"``; the
+HTTP front end alone replaces it with ``"internal server error"`` unless the
+server runs with ``debug=True``.
 
 >>> InvalidRequest("bad shape").code, InvalidRequest("bad shape").http_status
 ('invalid_request', 400)
@@ -14,12 +33,17 @@ True
 0.25
 >>> issubclass(DeadlineExceeded, TimeoutError)
 True
+>>> type(as_serve_error(KeyError("family"))).__name__
+'InvalidRequest'
+>>> error = as_serve_error(RuntimeError("boom"))
+>>> error.code, error.http_status, str(error)
+('internal', 500, 'RuntimeError: boom')
 
 Errors also cross the process boundary of the sharded service: a worker
-serialises ``(code, message, status, retry_after_s)`` into an error frame and
-the parent rehydrates the matching type with :func:`error_from_code`, so a
-caller sees the same exception class whether the solve ran in-process or in
-a worker process.
+serialises ``(code, message, retry_after_s)`` of the mapped error into an
+error frame and the parent rehydrates the matching type with
+:func:`error_from_code`, so a caller sees the same code and message whether
+the solve ran in-process or in a worker process.
 
 >>> type(error_from_code("deadline_exceeded", "too slow")).__name__
 'DeadlineExceeded'
@@ -37,6 +61,7 @@ __all__ = [
     "ServiceOverloaded",
     "DeadlineExceeded",
     "WorkerCrashed",
+    "as_serve_error",
     "error_from_code",
 ]
 
@@ -46,7 +71,7 @@ class ServeError(Exception):
 
     #: stable machine-readable error code (the HTTP layer returns it verbatim)
     code: str = "internal"
-    #: HTTP status the JSON front end maps this error to
+    #: HTTP status the front end maps this error to
     http_status: int = 500
 
     def __init__(self, message: str, retry_after_s: Optional[float] = None,
@@ -127,3 +152,21 @@ def error_from_code(code: str, message: str,
     if cls is ServeError and code:
         error.code = "internal"
     return error
+
+
+def as_serve_error(error: BaseException) -> ServeError:
+    """The typed error ``error`` maps to (the table in this module's docstring).
+
+    A :class:`ServeError` is returned as it is; any other exception is
+    wrapped, with the original as ``__cause__``.
+    """
+    if isinstance(error, ServeError):
+        return error
+    if isinstance(error, (ValueError, KeyError)):
+        mapped: ServeError = InvalidRequest(str(error))
+    elif isinstance(error, TimeoutError):
+        mapped = DeadlineExceeded("request timed out")
+    else:
+        mapped = ServeError(f"{type(error).__name__}: {error}")
+    mapped.__cause__ = error
+    return mapped

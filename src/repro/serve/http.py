@@ -2,29 +2,23 @@
 
 Endpoints:
 
-``POST /solve`` (JSON — the debug path)
-    Body: ``{"problem": {spec}|null, "config": {SolverConfig fields}|null,
-    "b": [floats]|null, "x0": [floats]|null, "deadline_ms": float|null}``.
-    The problem spec is resolved server-side (see
-    :mod:`repro.serve.problems`); ``b`` defaults to the problem's assembled
-    right-hand side.  Response carries the solution, the convergence summary
-    and the serving metadata (queue time, batch size, worker, degradation).
-``POST /solve`` (binary — ``Content-Type: application/x-repro-frame``)
-    Body: one :mod:`repro.serve.proto` frame of kind ``"solve"`` —
-    ``meta`` holds ``problem``/``config``/``deadline_ms`` and the arrays
-    block holds ``b`` (one right-hand side) *or* ``B`` (an ``(n, k)``
-    multi-column block, handed to
-    :meth:`~repro.serve.service.SolveService.submit_columns`: validated
-    whole, routed once and run as one lockstep batch of ``k`` columns for
-    ``k <= max_batch`` — by construction, not by timing), plus optional
-    ``x0``.
-    The response is a ``"result"`` frame: raw f64 ``solution`` (``(n,)`` or
-    ``(n, k)``), ``final_relative_residual`` and ``residual_history`` (for
-    ``k == 1``) blocks, convergence lists in the header.  No float ever
-    transits as text, and solutions are **bitwise** identical to the JSON
-    path's parsed values.  Errors still answer as JSON with the structured
-    contract below — a client that can't parse a frame can always parse the
-    failure.
+``POST /solve``
+    One path for a request in either encoding.  A binary body
+    (``Content-Type: application/x-repro-frame``) is a
+    :mod:`repro.serve.proto` ``"solve"`` frame: ``meta`` holds
+    ``problem``/``config``/``deadline_ms``, the blocks ``b`` (one right-hand
+    side) *or* ``B`` (an ``(n, k)`` block, one lockstep batch for
+    ``k <= max_batch`` through
+    :meth:`~repro.serve.service.SolveService.submit_columns`) plus optional
+    ``x0``.  Any other body is the JSON debug form of the same frame,
+    ``{"problem", "config", "b", "x0", "deadline_ms"}`` with float lists.
+    The spec is resolved server-side (:mod:`repro.serve.problems`); ``b``
+    defaults to the problem's right-hand side.  The answer comes in the
+    request's encoding — a ``"result"`` frame (f64 ``solution``,
+    ``final_relative_residual``, ``residual_history`` for ``k == 1``;
+    convergence lists and serving metadata in the header) or a JSON object
+    — and its solutions are bitwise equal either way.  Errors always answer
+    as JSON (below), which a client that cannot parse a frame can still read.
 ``GET /healthz``
     Liveness + failure-domain view: worker threads/processes, queue depths,
     circuit breaker states.  ``status`` is ``"ok"``, ``"degraded"`` (a
@@ -46,10 +40,12 @@ line correlates with server spans.
 
 Error handling contract: every error response is
 ``{"error": {"code", "message", "status", "trace_id"[, "retry_of"]}}`` with a
-stable machine-readable ``code`` (see :mod:`repro.serve.errors`).  Overload
-(503) responses carry a ``Retry-After`` header.  Tracebacks and internal
-exception details are never leaked unless the server was constructed with
-``debug=True``.
+stable machine-readable ``code``: :func:`repro.serve.errors.as_serve_error`
+maps the exception (its docstring holds the exception → code → status
+table).  Overload (503) responses carry a ``Retry-After`` header.  An
+``internal`` error answers ``"internal server error"``: tracebacks and
+internal exception details are never leaked unless the server was
+constructed with ``debug=True``.
 
 Connections are persistent HTTP/1.1: one handler thread per open connection
 (which is what lets concurrent HTTP clients coalesce in the service's
@@ -81,7 +77,7 @@ import numpy as np
 from ..obs import trace as obs_trace
 from ..obs.metrics import render_prometheus
 from . import proto
-from .errors import InvalidRequest, ServeError
+from .errors import InvalidRequest, ServeError, as_serve_error
 from .service import SolveService
 
 __all__ = ["ServeHTTPServer"]
@@ -200,39 +196,23 @@ class _Handler(BaseHTTPRequestHandler):
                         retry_after_s=retry_after_s)
 
     def _send_exception(self, error: BaseException) -> None:
-        """Map an exception onto the structured error contract."""
+        """Answer ``error`` with its typed code (:func:`as_serve_error`)."""
+        typed = as_serve_error(error)
         span = obs_trace.current_span()
         if span is not None and not span.terminal_events():
-            span.add_event("error", error_type=type(error).__name__,
-                           code=getattr(error, "code", None))
-        if isinstance(error, ServeError):
-            error.trace_id = getattr(self, "_trace_id", None)
-            self._send_error_json(error.code, str(error), error.http_status,
-                                  retry_after_s=error.retry_after_s)
-            return
-        if isinstance(error, (ValueError, KeyError, json.JSONDecodeError)):
-            self._send_error_json("invalid_request", str(error), 400)
-            return
-        if isinstance(error, TimeoutError):
-            self._send_error_json("deadline_exceeded", "request timed out", 504)
-            return
-        # internal error: never leak exception details unless debugging
-        if getattr(self.server, "debug", False):
-            message = f"{type(error).__name__}: {error}\n" + "".join(
-                traceback.format_exception(type(error), error, error.__traceback__)
-            )
-        else:
-            message = "internal server error"
-        self._send_error_json("internal", message, 500)
-
-    def _read_json(self) -> dict:
-        raw = self._read_body()
-        if not raw:
-            return {}
-        payload = json.loads(raw.decode("utf-8"))
-        if not isinstance(payload, dict):
-            raise ValueError("request body must be a JSON object")
-        return payload
+            span.add_event("error", error_type=type(error).__name__, code=typed.code)
+        typed.trace_id = getattr(self, "_trace_id", None)
+        message = str(typed)
+        if typed.code == ServeError.code:
+            # internal: never leak exception details unless debugging
+            if not getattr(self.server, "debug", False):
+                message = "internal server error"
+            elif typed.__cause__ is not None:
+                cause = typed.__cause__
+                message += "\n" + "".join(
+                    traceback.format_exception(type(cause), cause, cause.__traceback__))
+        self._send_error_json(typed.code, message, typed.http_status,
+                              retry_after_s=typed.retry_after_s)
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         if getattr(self.server, "verbose", False):  # pragma: no cover - debug aid
@@ -269,10 +249,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error_json("not_found", f"unknown path {self.path!r}", 404)
             return
         content_type = (self.headers.get("Content-Type") or "").split(";")[0].strip()
-        if content_type == proto.CONTENT_TYPE:
-            self._solve_binary()
-        else:
-            self._solve_json()
+        self._solve(binary=content_type == proto.CONTENT_TYPE)
 
     @staticmethod
     def _serve_info(result) -> dict:
@@ -291,57 +268,31 @@ class _Handler(BaseHTTPRequestHandler):
             "breaker_rerouted": bool(result.info.get("breaker_rerouted", False)),
         }
 
-    def _solve_json(self) -> None:
-        """The JSON debug path: floats as text, one right-hand side."""
-        with obs_trace.trace_root("http.request", trace_id=self._trace_id,
-                                  path="/solve", proto="json") as root:
-            if self._retry_of is not None:
-                root.set_attribute("retry_of", self._retry_of)
-            try:
-                with obs_trace.span("ingress.decode"):
-                    payload = self._read_json()
-                    b = payload.get("b")
-                    x0 = payload.get("x0")
-                    deadline_ms = payload.get("deadline_ms")
-                    if deadline_ms is not None:
-                        deadline_ms = float(deadline_ms)
-                    b = np.asarray(b, dtype=np.float64) if b is not None else None
-                    x0 = np.asarray(x0, dtype=np.float64) if x0 is not None else None
-                self.service.metrics.observe_proto("json")
-                with obs_trace.span("serve.dispatch"):
-                    result = self.service.solve(
-                        payload.get("problem"),
-                        b=b,
-                        x0=x0,
-                        solver_config=payload.get("config"),
-                        deadline_ms=deadline_ms,
-                    )
-            except BaseException as error:  # noqa: BLE001 - mapped to JSON errors
-                self._send_exception(error)
-                return
-            with obs_trace.span("response.encode"):
-                self._send_json({
-                    "solution": result.solution.tolist(),
-                    "converged": bool(result.converged),
-                    "iterations": int(result.iterations),
-                    "final_relative_residual": float(result.final_relative_residual),
-                    "elapsed_s": float(result.elapsed_time),
-                    "serve": self._serve_info(result),
-                })
-            root.add_event("result", converged=bool(result.converged),
-                           iterations=int(result.iterations))
-
-    def _read_frame(self) -> "proto.Frame":
+    def _read_solve_frame(self, binary: bool) -> "proto.Frame":
+        """The request body as a ``solve`` frame: a binary body is one, a
+        JSON body's fields fill one in (its lists become float64 blocks)."""
         raw = self._read_body()
-        if not raw:
-            raise InvalidRequest("binary request needs a non-empty body")
-        return proto.decode_frame(raw)
+        if binary:
+            if not raw:
+                raise InvalidRequest("binary request needs a non-empty body")
+            frame = proto.decode_frame(raw)
+            if frame.kind != "solve":
+                raise InvalidRequest(f"expected a 'solve' frame, got {frame.kind!r}")
+            return frame
+        payload = json.loads(raw.decode("utf-8")) if raw else {}
+        if not isinstance(payload, dict):
+            raise InvalidRequest("request body must be a JSON object")
+        return proto.Frame(
+            "solve", {name: payload.get(name) for name in ("problem", "config", "deadline_ms")},
+            {name: np.asarray(payload[name], dtype=np.float64)
+             for name in ("b", "x0") if payload.get(name) is not None})
 
-    def _solve_binary(self) -> None:
-        """The zero-copy path: raw f64 blocks both ways, errors stay JSON."""
-        decode = obs_trace.detached("ingress.decode")  # the root cannot exist yet: its trace id is in the frame
+    def _solve(self, binary: bool) -> None:
+        """Decode the body into a ``solve`` frame, dispatch it, and encode
+        the results like the request; every error answers as JSON."""
+        decode = obs_trace.detached("ingress.decode")  # the root cannot exist yet: its trace id may be in the frame
         try:
-            frame = self._read_frame()
+            frame = self._read_solve_frame(binary)
         except BaseException as error:  # noqa: BLE001 - mapped to JSON errors
             self._send_exception(error)
             return
@@ -356,19 +307,14 @@ class _Handler(BaseHTTPRequestHandler):
             parent_id = trace_meta["parent_span_id"]
         with obs_trace.trace_root("http.request", trace_id=self._trace_id,
                                   parent_id=parent_id, path="/solve",
-                                  proto="binary") as root:
-            # The frame was read before the root could exist (its meta names
-            # the trace) — back-date the root so decode/dispatch/encode tile
-            # the request wall time.
+                                  proto="binary" if binary else "json") as root:
+            # The body was decoded before the root could exist — back-date
+            # the root so decode/dispatch/encode tile the request wall time.
             root.start = decode.start
             if self._retry_of is not None:
                 root.set_attribute("retry_of", self._retry_of)
             root.child("ingress.decode", start=decode.start, end=decode.end)
             try:
-                if frame.kind != "solve":
-                    raise InvalidRequest(
-                        f"expected a 'solve' frame, got {frame.kind!r}"
-                    )
                 meta = frame.meta
                 deadline_ms = meta.get("deadline_ms")
                 if deadline_ms is not None:
@@ -376,55 +322,60 @@ class _Handler(BaseHTTPRequestHandler):
                 b = frame.arrays.get("b")
                 block = frame.arrays.get("B")
                 x0 = frame.arrays.get("x0")
-                if block is not None:
-                    if b is not None:
-                        raise InvalidRequest("send either 'b' or 'B', not both")
-                    if x0 is not None:
-                        raise InvalidRequest(
-                            "'x0' applies to single-column requests only"
-                        )
+                if block is not None and b is not None:
+                    raise InvalidRequest("send either 'b' or 'B', not both")
+                if block is not None and x0 is not None:
+                    raise InvalidRequest("'x0' applies to single-column requests only")
                 k = 1 if block is None or block.ndim != 2 else block.shape[1]
                 for _ in range(k):
-                    self.service.metrics.observe_proto("binary")
+                    self.service.metrics.observe_proto("binary" if binary else "json")
                 # a block is admitted, validated and routed once and reaches
                 # its worker in one hand-over: one lockstep batch
                 with obs_trace.span("serve.dispatch"):
                     if block is None:
-                        futures = [self.service.submit(
+                        results = [self.service.solve(
                             meta.get("problem"), b=b, x0=x0,
                             solver_config=meta.get("config"), deadline_ms=deadline_ms)]
                     else:
-                        futures = self.service.submit_columns(
+                        results = [future.result() for future in self.service.submit_columns(
                             meta.get("problem"), block,
-                            solver_config=meta.get("config"), deadline_ms=deadline_ms)
-                    results = [future.result() for future in futures]
+                            solver_config=meta.get("config"), deadline_ms=deadline_ms)]
             except BaseException as error:  # noqa: BLE001 - mapped to JSON errors
                 self._send_exception(error)
                 return
             with obs_trace.span("response.encode"):
-                arrays = {
-                    "final_relative_residual": np.asarray(
-                        [r.final_relative_residual for r in results], dtype=np.float64
-                    ),
-                }
-                if block is not None:
-                    arrays["solution"] = np.stack(
-                        [r.solution for r in results], axis=1
-                    )
+                if binary:
+                    self._send_body(self._result_frame(results, block is not None),
+                                    proto.CONTENT_TYPE)
                 else:
-                    arrays["solution"] = results[0].solution
-                    arrays["residual_history"] = np.asarray(
-                        results[0].residual_history, dtype=np.float64
-                    )
-                self._send_body(proto.encode_frame("result", {
-                    "k": len(results),
-                    "converged": [bool(r.converged) for r in results],
-                    "iterations": [int(r.iterations) for r in results],
-                    "elapsed_s": [float(r.elapsed_time) for r in results],
-                    "serve": [self._serve_info(r) for r in results],
-                }, arrays), proto.CONTENT_TYPE)
+                    (result,) = results
+                    self._send_json({
+                        "solution": result.solution.tolist(),
+                        "converged": bool(result.converged),
+                        "iterations": int(result.iterations),
+                        "final_relative_residual": float(result.final_relative_residual),
+                        "elapsed_s": float(result.elapsed_time),
+                        "serve": self._serve_info(result),
+                    })
             root.add_event("result", k=len(results),
                            converged=[bool(r.converged) for r in results])
+
+    def _result_frame(self, results, block: bool) -> bytes:
+        """The ``result`` frame of a binary request's results."""
+        arrays = {"final_relative_residual": np.asarray(
+            [r.final_relative_residual for r in results], dtype=np.float64)}
+        if block:
+            arrays["solution"] = np.stack([r.solution for r in results], axis=1)
+        else:
+            arrays["solution"] = results[0].solution
+            arrays["residual_history"] = np.asarray(results[0].residual_history, dtype=np.float64)
+        return proto.encode_frame("result", {
+            "k": len(results),
+            "converged": [bool(r.converged) for r in results],
+            "iterations": [int(r.iterations) for r in results],
+            "elapsed_s": [float(r.elapsed_time) for r in results],
+            "serve": [self._serve_info(r) for r in results],
+        }, arrays)
 
 
 class _ThreadingServer(ThreadingHTTPServer):

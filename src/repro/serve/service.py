@@ -89,7 +89,7 @@ from ..solvers.fingerprint import session_key
 from ..solvers.session import SolverSession, check_methods
 from .breaker import CircuitBreaker
 from .cache import SessionCache
-from .errors import DeadlineExceeded, InvalidRequest, ServiceOverloaded, WorkerCrashed
+from .errors import DeadlineExceeded, InvalidRequest, ServiceOverloaded, WorkerCrashed, as_serve_error
 from .metrics import ServeMetrics
 from .problems import ProblemCache, _normalise_spec
 
@@ -929,11 +929,12 @@ class SolveService:
     def _settle_error(self, ticket: _Ticket, error: BaseException, **where) -> None:
         """A ticket failed in (or on the way into) its executor: account it,
         then fail the future."""
-        if isinstance(error, DeadlineExceeded):
-            # an executor noticed the deadline at dequeue; the reaper fires
-            # on the same deadline and is the one that fails and counts it
+        code = as_serve_error(error).code
+        if code == DeadlineExceeded.code and ticket.expired():
+            # an executor noticed the deadline at dequeue; the reaper fires on
+            # it and is the one that fails and counts it (a ticket without a
+            # deadline, which no reaper watches, is settled here)
             return
-        code = getattr(error, "code", "internal")
         self.metrics.observe_error()
         if code == ServiceOverloaded.code:
             # load shed is not evidence against the primary configuration,

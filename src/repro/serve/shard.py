@@ -53,6 +53,7 @@ import hashlib
 import itertools
 import multiprocessing as mp
 import os
+import signal
 import threading
 import time
 from dataclasses import dataclass, field
@@ -65,13 +66,7 @@ from ..krylov.result import SolveResult
 from ..obs import trace as obs_trace
 from ..solvers.config import SolverConfig
 from ..solvers.registry import preconditioner_spec
-from .errors import (
-    InvalidRequest,
-    ServeError,
-    ServiceOverloaded,
-    WorkerCrashed,
-    error_from_code,
-)
+from .errors import InvalidRequest, ServiceOverloaded, WorkerCrashed, as_serve_error, error_from_code
 from .metrics import ServeMetrics
 from .problems import ProblemCache
 from .proto import (
@@ -218,18 +213,9 @@ def _result_frame(req_id: int, result: SolveResult, solve_s: float,
 
 def _error_frame(req_id: Optional[int], error: BaseException,
                  trace: Optional[Dict[str, object]] = None) -> bytes:
-    if isinstance(error, ServeError):
-        code, status, retry = error.code, error.http_status, error.retry_after_s
-    else:
-        code, status, retry = "internal", 500, None
-    meta = {
-        "req_id": req_id,
-        "code": code,
-        "status": status,
-        "retry_after_s": retry,
-        "message": f"{type(error).__name__}: {error}"
-        if not isinstance(error, ServeError) else str(error),
-    }
+    error = as_serve_error(error)
+    meta = {"req_id": req_id, "code": error.code, "message": str(error),
+            "retry_after_s": error.retry_after_s}
     if trace is not None:
         meta[TRACE_META_KEY] = trace
     return encode_frame("error", meta)
@@ -287,8 +273,11 @@ def _shard_worker_main(conn, bootstrap: Dict[str, object]) -> None:
     one result/error frame back per ticket.  The
     loop exits on a ``shutdown`` frame or pipe EOF (parent gone); exit is
     via ``os._exit`` so shared-memory finalisers never race interpreter
-    teardown.
+    teardown.  SIGINT is ignored: a terminal's Ctrl-C reaches the whole
+    process group, and the parent drives shutdown, so the worker drains on
+    its ``shutdown`` frame instead of dying mid-request.
     """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     send_lock = threading.Lock()
 
     def send(frame_bytes: bytes) -> None:

@@ -130,23 +130,36 @@ class SharedArrayBundle:
     def close(self) -> None:
         """Drop the views and the mapping; owners also unlink the segment.
 
-        After ``close`` the bundle's arrays (and anything still viewing
-        them) are invalid — callers must ensure no views escape.
+        A view still alive (an array of a rebuilt problem or model) keeps
+        the mapping until it dies, and stays valid until then.
         """
         if self._closed:
             return
         self._closed = True
         self.frame = None
-        try:
-            self.shm.close()
-        except BufferError:  # a view is still exported; the mapping goes with it
-            pass
+        self._unmap()
         if self.owner:
             _OWNED_NAMES.discard(self.shm.name)
             try:
                 self.shm.unlink()
             except FileNotFoundError:  # pragma: no cover - already unlinked
                 pass
+
+    def _unmap(self) -> None:
+        """Close the mapping, or, while a view is still exported, let go of
+        it so it unmaps with the last view — ``SharedMemory.close`` would
+        raise ``BufferError`` now and again when it is collected."""
+        try:
+            self.shm.close()
+        except BufferError:
+            self.shm._buf = self.shm._mmap = None
+            self.shm.close()  # the file descriptor
+
+    def __del__(self) -> None:
+        # collected before its views (a problem whose ``_shm_bundle`` goes
+        # first): unmap quietly; an owner's segment stays linked, for
+        # close() or, at exit, the resource tracker
+        self._unmap()
 
 
 def _flatten(value, name: str, arrays: Dict[str, np.ndarray]) -> Dict[str, object]:

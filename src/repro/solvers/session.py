@@ -602,8 +602,9 @@ class SolverSession:
         only the three ingredients that fully determine it — problem, config,
         model — and unpickling re-runs :func:`prepare`.  The partition seed
         lives on the config, so the rebuilt session is **bitwise-equivalent**:
-        same fingerprint, same solve results.  This is what lets a sharded
-        serving parent ship sessions to freshly restarted workers.
+        same fingerprint, same solve results.  The sharded serve tier does
+        not use it: its workers prepare their own sessions from the request
+        frame's spec and config, or a shared-memory problem.
         """
         return (_rebuild_session, (self.problem, self.config.to_dict(), self.model))
 

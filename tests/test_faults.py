@@ -33,6 +33,7 @@ from repro.serve import (
     ServiceOverloaded,
     SolveService,
 )
+from repro.serve.errors import as_serve_error
 from repro.solvers import SolverConfig, prepare
 from repro.solvers.session import SolverSession
 
@@ -433,6 +434,26 @@ class TestNoOrphanedFutures:
             assert resolved == len(futures)
             for future in futures:
                 assert future.done()
+
+    def test_timeout_raised_in_a_solve_without_deadline_resolves(self, serving, monkeypatch):
+        """A ``TimeoutError`` out of a solve maps to ``deadline_exceeded``
+        (inside a worker process, before its error frame).  The reaper never
+        watches a ticket without a deadline, so settling must not leave that
+        one to it: the future resolves, typed, instead of pending for ever."""
+        def timing_out(self, *args, **kwargs):
+            raise TimeoutError("solver gave up")
+
+        # patched before the service starts, so a forked worker has it too
+        monkeypatch.setattr(SolverSession, "solve", timing_out)
+        service = serving(ServeConfig(workers=1, max_batch=1),
+                          default_solver_config=SolverConfig(preconditioner="ddm-lu"))
+        future = service.submit({"family": "poisson", "target_n": 150, "seed": 4})
+        done, _ = wait([future], timeout=60.0)
+        assert done == {future}
+        error = future.exception()
+        assert isinstance(error, TimeoutError)
+        assert as_serve_error(error).code == DeadlineExceeded.code
+        assert service.stats()["errors"] == 1
 
 
 # --------------------------------------------------------------------------- #

@@ -340,6 +340,43 @@ class TestSharedMemory:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
 
+    def test_a_bundle_closed_or_dropped_before_its_views_is_silent(
+            self, random_problem, tiny_dss_model, monkeypatch):
+        """Closing a bundle a model still views, or dropping a problem's
+        bundle before its arrays, reports nothing: the mapping goes with the
+        last view, which stays readable until then.  Both used to reach
+        ``sys.unraisablehook`` with ``BufferError: cannot close exported
+        pointers exist``."""
+        import gc
+
+        from repro.serve.shm import model_from_shm, model_to_shm, problem_from_shm, problem_to_shm
+
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook",
+                            lambda hook: unraisable.append(repr(hook.exc_value)))
+        model_bundle, problem_bundle = model_to_shm(tiny_dss_model), problem_to_shm(random_problem)
+        try:
+            model = model_from_shm(model_bundle.manifest)
+            weight = next(iter(model.params.values())).data
+            expected = weight.copy()
+            model._shm_bundle.close()
+            del model
+            gc.collect()
+            assert np.array_equal(weight, expected)
+            del weight
+            gc.collect()
+
+            problem = problem_from_shm(problem_bundle.manifest)
+            del problem._shm_bundle
+            gc.collect()
+            assert problem.fingerprint() == random_problem.fingerprint()
+            del problem
+            gc.collect()
+        finally:
+            model_bundle.close()
+            problem_bundle.close()
+        assert unraisable == []
+
 
 # --------------------------------------------------------------------------- #
 # typed errors across the boundary
@@ -846,6 +883,118 @@ class TestBinaryHTTP:
         after = client.stats()["proto"]
         assert after["binary"] == before["binary"] + 1
         assert after["json"] == before["json"] + 1
+
+
+# --------------------------------------------------------------------------- #
+# one error contract: both executors, both encodings, one answer
+# --------------------------------------------------------------------------- #
+CONTRACT_SPEC = {"family": "poisson", "target_n": 150, "seed": 4}
+CONTRACT_CONFIG = {"preconditioner": "ddm-lu", "subdomain_size": 80, "tolerance": 1e-8}
+
+#: row -> the (problem, config) of a request that must fail; "session-build-fail"
+#: is sent to a service whose session builds fail, "malformed" is a body
+#: neither encoding can decode
+ERROR_ROWS = {
+    "unknown-family": ({"family": "no-such-family"}, CONTRACT_CONFIG),
+    "negative-tolerance": (CONTRACT_SPEC, dict(CONTRACT_CONFIG, tolerance=-1.0)),
+    "unknown-krylov-kwarg": (CONTRACT_SPEC, dict(CONTRACT_CONFIG, krylov_kwargs={"bogus": 1})),
+    "session-build-fail": (CONTRACT_SPEC, CONTRACT_CONFIG),
+    "malformed": None,
+}
+
+
+def _error_answer(url, row, binary):
+    """``(status, code, message)`` of the error a ``/solve`` request gets."""
+    if ERROR_ROWS[row] is None:
+        body = b"RPB1" + b"\xff" * 64 if binary else b"{not json"
+    elif binary:
+        problem, config = ERROR_ROWS[row]
+        body = encode_frame("solve", {"problem": problem, "config": config})
+    else:
+        problem, config = ERROR_ROWS[row]
+        body = json.dumps({"problem": problem, "config": config}).encode()
+    request = urllib.request.Request(
+        url + "/solve", data=body,
+        headers={"Content-Type": CONTENT_TYPE if binary else "application/json"})
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        urllib.request.urlopen(request, timeout=120)
+    error = json.loads(excinfo.value.read())["error"]
+    assert error["status"] == excinfo.value.code
+    return excinfo.value.code, error["code"], error["message"]
+
+
+class TestOneErrorContract:
+    def test_every_executor_and_encoding_answers_alike(self):
+        """Each row gets one ``(status, code, message)`` from the in-process
+        and the sharded service, over JSON and binary.  A worker used to map
+        exceptions itself: an unknown Krylov argument came back 500
+        ``internal`` and a failed session build leaked its exception."""
+        build_fail = [("session-build-fail", {"builds": 4})]
+        services = {
+            "process": ShardedSolveService(ServeConfig(workers=1), shard_config=ShardConfig(workers=1)),
+            "process-faulted": ShardedSolveService(
+                ServeConfig(workers=1), shard_config=ShardConfig(workers=1, faults=build_fail)),
+            "thread": SolveService(ServeConfig(workers=1)),
+        }
+        servers = {(name, debug): ServeHTTPServer(service, port=0, debug=debug).start()
+                   for name, service in services.items() for debug in (False, True)}
+        answers, debug_messages = {}, {}
+        try:
+            for executor in ("thread", "process"):
+                for row in ERROR_ROWS:
+                    name = executor
+                    installed = []
+                    if row == "session-build-fail":
+                        # in-process, the fault patches this process only while the row runs
+                        name = executor + "-faulted" if executor == "process" else executor
+                        installed = install_from_specs(build_fail) if executor == "thread" else []
+                    try:
+                        for binary in (False, True):
+                            answers[row, executor, binary] = _error_answer(
+                                servers[name, False].url, row, binary)
+                            if row == "session-build-fail":
+                                debug_messages[executor, binary] = _error_answer(
+                                    servers[name, True].url, row, binary)[2]
+                    finally:
+                        for fault in installed:
+                            fault.deactivate()
+        finally:
+            for server in servers.values():
+                server.stop()
+            for service in services.values():
+                service.close()
+        for row in ERROR_ROWS:
+            for binary in (False, True):
+                assert answers[row, "thread", binary] == answers[row, "process", binary], (row, binary)
+        statuses = {row: answers[row, "thread", False][:2] for row in ERROR_ROWS}
+        assert statuses == {row: (500, "internal") if row == "session-build-fail"
+                            else (400, "invalid_request") for row in ERROR_ROWS}
+        assert answers["session-build-fail", "thread", False][2] == "internal server error"
+        for message in debug_messages.values():
+            assert message.startswith("FaultInjected: injected session-build failure"), message
+
+
+class TestWorkerSignals:
+    def test_sigint_leaves_a_worker_serving_and_close_drains_it(self):
+        """A terminal's Ctrl-C reaches every worker in the process group; the
+        parent drives shutdown, so a worker ignores SIGINT, keeps serving and
+        exits cleanly on the ``shutdown`` frame.  It used to die with a
+        ``KeyboardInterrupt`` traceback and be restarted."""
+        service = ShardedSolveService(ServeConfig(workers=1), default_solver_config=DDM_LU,
+                                      shard_config=ShardConfig(workers=1))
+        try:
+            before = service.solve(SPEC, timeout=120)
+            (pid,) = service.pids()
+            os.kill(pid, signal.SIGINT)
+            time.sleep(0.5)
+            after = service.solve(SPEC, timeout=120)
+            assert after.solution.tobytes() == before.solution.tobytes()
+            assert service.pids() == [pid]
+            shard = service._executor.shards[0]
+            assert shard.restarts == 0
+        finally:
+            service.close()
+        assert shard.process.exitcode == 0
 
 
 # --------------------------------------------------------------------------- #
