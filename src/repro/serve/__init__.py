@@ -20,10 +20,12 @@ Components:
   :class:`~repro.serve.shard.ShardConfig` — the same service with the
   :class:`~repro.serve.shard.ProcessExecutor` plugged in: a pre-fork
   *process* pool whose workers each host a thread executor directly.
-  Sessions shard by fingerprint via consistent hashing, checkpoint weights
-  and installed operators live once in shared memory, a supervisor restarts
-  dead workers (:class:`~repro.serve.errors.WorkerCrashed` types their
-  in-flight failures).
+  Sessions shard by fingerprint via consistent hashing, a spec's problem is
+  built once, in the front process, and installed on its worker over the
+  pipe, checkpoint weights and directly passed operators live once in
+  shared memory, and a supervisor restarts dead workers
+  (:class:`~repro.serve.errors.WorkerCrashed` types their in-flight
+  failures).
 * :mod:`repro.serve.proto` — the length-prefixed binary frame format (JSON
   header + raw aligned array blocks) used by the binary ``/solve`` path and
   the parent↔worker pipes; zero-copy on decode, bitwise-exact.

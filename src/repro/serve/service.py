@@ -238,8 +238,9 @@ class _Ticket:
     """One admitted request, from the key stage to settle, in either executor.
 
     The lifecycle fills the identity fields; ``slot`` (the worker thread or
-    shard the ticket was routed to), ``session``, ``req_id`` and ``meta`` are
-    scratch space of whichever executor carries it.  ``record`` is the
+    shard the ticket was routed to), ``session``, ``req_id`` and ``resolved``
+    (the pair it was routed with) are scratch space of whichever executor
+    carries it.  ``record`` is the
     ticket's timing record, opened when the ticket is handed to its executor
     (:func:`open_ticket_record`); the queue and solve times it settles with
     are reads of its leaves.  The column tickets of
@@ -248,7 +249,7 @@ class _Ticket:
     """
 
     __slots__ = ("key", "breaker_key", "rerouted", "b", "x0", "future", "span",
-                 "deadline_at", "record", "slot", "session", "req_id", "meta", "request")
+                 "deadline_at", "record", "slot", "session", "req_id", "resolved", "request")
 
     def __init__(self, key: str, breaker_key: str = "", rerouted: bool = False,
                  b: Optional[np.ndarray] = None, x0: Optional[np.ndarray] = None,
@@ -274,7 +275,7 @@ class _Ticket:
         self.slot = None
         self.session: Optional[SolverSession] = None
         self.req_id: Optional[int] = None
-        self.meta: Optional[Dict[str, object]] = None
+        self.resolved: Optional[_Resolved] = None
         #: identity of the request this ticket is a column of
         self.request = object() if request is None else request
 
@@ -665,10 +666,11 @@ class SolveService:
     ) -> Tuple[Problem, Optional[Dict]]:
         """Resolve to (assembled problem, spec-or-None).
 
-        A spec re-resolves deterministically wherever it is sent (same seed
-        → same fingerprint), so a process executor ships only the tiny spec
-        dict; a directly passed ``Problem`` has no spec and is installed
-        through shared memory instead.
+        A spec is built here, in this process, and only here: the process
+        executor sends the assembled arrays to the owning worker in one
+        pipe frame, so no worker meshes or assembles.  A directly passed
+        ``Problem`` has no spec and is installed through shared memory
+        instead.
         """
         if isinstance(problem, Problem):
             return problem, None
@@ -937,10 +939,12 @@ class SolveService:
             return
         self.metrics.observe_error()
         if code == ServiceOverloaded.code:
-            # load shed is not evidence against the primary configuration,
-            # so it never feeds the breaker; everything else does
             self.metrics.observe_shed()
-        else:
+        if code not in (ServiceOverloaded.code, InvalidRequest.code):
+            # load shed and a request the client got wrong (one only the
+            # session build rejects, say) are no evidence against the
+            # primary configuration, so neither feeds the breaker;
+            # everything else does
             self._record_outcome(ticket, ok=False)
         if ticket.span is not None:
             ticket.span.add_event(

@@ -13,11 +13,19 @@ and settle are the base class's, run once per request in the front process:
   (sessions are never rebuilt in two processes) and adding a shard moves
   only ~1/N of the key space instead of reshuffling everything, keeping
   warm caches warm.
-* **Shared memory, not N copies** — checkpoint weight arrays and installed
-  problem operator arrays live in
+* **Shared memory, not N copies** — checkpoint weight arrays and directly
+  passed problems' operator arrays live in
   :mod:`multiprocessing.shared_memory` segments (:mod:`repro.serve.shm`);
   workers attach zero-copy read-only views, so N replicas pay one copy of
   the big arrays.  The parent owns every segment and unlinks on close.
+* **A spec's problem is built once per service** — in the front process,
+  which needs it to key the request.  The owning worker gets the assembled
+  arrays in one ``install_problem`` frame on its pipe, before the first
+  solve frame that refers to it, and never meshes or assembles.  A worker
+  holds at most :data:`~repro.serve.problems.PROBLEM_CAPACITY` installed
+  problems (first in, first out); the front mirrors that table per shard,
+  so a warm solve frame carries only the problem's fingerprint and an
+  evicted problem is installed again.
 * **Binary frames on the pipes** — parent↔worker traffic is the same
   length-prefixed frame format as the binary HTTP path
   (:mod:`repro.serve.proto`): raw f64 blocks both ways, so the process
@@ -30,8 +38,9 @@ and settle are the base class's, run once per request in the front process:
   micro-batching, bounded queues + shedding) and trusts the frame: it does
   not validate, hash, consult a breaker or run a reaper again, it only drops
   tickets whose frame-carried deadline has already passed when it dequeues
-  them.  It resolves the frame's spec and config only to build a session
-  (:class:`_FrameRequest`), so a session-cache hit resolves nothing.  The
+  them.  It looks the frame's problem up and parses its config only to
+  build a session (:class:`_FrameRequest`), so a session-cache hit reads
+  neither.  The
   front process adds a per-shard in-flight cap and a supervisor that
   **restarts a dead worker** and fails its in-flight futures with the typed
   :class:`~repro.serve.errors.WorkerCrashed`.
@@ -40,7 +49,7 @@ Supervision model: the per-shard receiver thread blocks on the worker's
 pipe; a worker that exits (or is ``kill -9``-ed) closes its end, the
 receiver sees EOF and runs the death protocol — fail in-flight futures
 typed, feed the breakers, respawn the process (up to
-``ShardConfig.max_restarts``) with a cleared install table.  A worker that
+``ShardConfig.max_restarts``) with an empty problem table.  A worker that
 *wedges* without dying is covered by deadlines: the reaper fails its
 futures on time and the per-shard in-flight cap sheds further traffic.
 """
@@ -56,6 +65,7 @@ import os
 import signal
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -68,7 +78,7 @@ from ..solvers.config import SolverConfig
 from ..solvers.registry import preconditioner_spec
 from .errors import InvalidRequest, ServiceOverloaded, WorkerCrashed, as_serve_error, error_from_code
 from .metrics import ServeMetrics
-from .problems import ProblemCache
+from .problems import PROBLEM_CAPACITY
 from .proto import (
     TRACE_META_KEY,
     decode_frame,
@@ -78,7 +88,8 @@ from .proto import (
 )
 from .service import (ServeConfig, SolveService, ThreadExecutor, _resolve, _Resolved, _Ticket,
                       open_ticket_record)
-from .shm import SharedArrayBundle, model_from_shm, model_to_shm, problem_from_shm, problem_to_shm
+from .shm import (SharedArrayBundle, model_from_shm, model_to_shm, problem_frame, problem_from_frame,
+                  problem_from_shm, problem_to_shm)
 
 __all__ = ["ShardConfig", "ShardedSolveService", "ProcessExecutor", "build_ring", "route"]
 
@@ -232,28 +243,38 @@ def _finished_trace(root: Optional[obs_trace.Span]) -> Optional[Dict[str, object
         return None
 
 
+def _hold(table: "OrderedDict[str, object]", fingerprint: str, problem: object = None) -> None:
+    """Add an installed problem to ``table``, evicting the oldest beyond
+    :data:`~repro.serve.problems.PROBLEM_CAPACITY`.
+
+    A worker's table and the front's mirror of it change only here, on the
+    same install frames in the same pipe order, so they hold the same keys.
+    """
+    table[fingerprint] = problem
+    while len(table) > PROBLEM_CAPACITY:
+        table.popitem(last=False)
+
+
 class _FrameRequest:
-    """A solve frame's problem and solver config, resolved when first read.
+    """A solve frame's problem and solver config, read when first needed.
 
     :meth:`~repro.serve.service.ThreadExecutor.route` reads them only to
-    build a session, so a session-cache hit never resolves the spec or
-    parses the config: it goes from decode straight to the queue.
+    build a session, so a session-cache hit neither looks the problem up
+    nor parses the config: it goes from decode straight to the queue.
     """
 
-    def __init__(self, meta: Dict[str, object], installed: Dict[str, Problem],
-                 spec_problems: ProblemCache) -> None:
+    def __init__(self, meta: Dict[str, object],
+                 installed: Dict[str, Union[Problem, Exception]]) -> None:
         self._meta = meta
         self._installed = installed
-        self._spec_problems = spec_problems
 
     @property
     def problem(self) -> Problem:
-        ref = self._meta.get("problem_ref")
-        if ref is None:
-            return self._spec_problems.resolve(self._meta.get("problem_spec"))
-        if ref not in self._installed:
-            raise InvalidRequest(f"problem {ref[:12]}… is not installed on this worker")
-        return self._installed[ref]
+        # the front wrote this frame after an install no later one evicted
+        problem = self._installed[self._meta["problem_ref"]]
+        if isinstance(problem, Exception):  # its install failed: the cause
+            raise problem.with_traceback(None)
+        return problem
 
     @property
     def config(self) -> SolverConfig:
@@ -317,7 +338,8 @@ def _shard_worker_main(conn, bootstrap: Dict[str, object]) -> None:
         # they are settled, in the front process
         metrics = ServeMetrics()
         executor = ThreadExecutor(config, model, metrics, send_result, send_error)
-        spec_problems = ProblemCache()
+        installs = metrics.registry.counter(
+            "repro_serve_problems_installed_total", "Problems installed on a worker.")
     except BaseException as error:  # noqa: BLE001 - reported to the parent
         try:
             conn.send_bytes(encode_frame("fatal", {
@@ -328,7 +350,8 @@ def _shard_worker_main(conn, bootstrap: Dict[str, object]) -> None:
             pass
         os._exit(1)
 
-    problems: Dict[str, Problem] = {}  # installed shm problems by fingerprint
+    # installed problems (or why an install failed), by fingerprint
+    problems: "OrderedDict[str, Union[Problem, Exception]]" = OrderedDict()
 
     running = True
     while running:
@@ -359,7 +382,7 @@ def _shard_worker_main(conn, bootstrap: Dict[str, object]) -> None:
                                      deadline_ms=meta.get("deadline_ms"), request=request)
                     ticket.req_id = ticket_id
                     tickets.append(ticket)
-                executor.route(tickets, _FrameRequest(meta, problems, spec_problems))
+                executor.route(tickets, _FrameRequest(meta, problems))
                 # each ticket's record is its worker.request span, opened at
                 # the hand-over: a valid trace meta re-roots the parent's
                 # trace in it, and the finished tree ships back in the reply
@@ -377,17 +400,24 @@ def _shard_worker_main(conn, bootstrap: Dict[str, object]) -> None:
                 for ticket_id in req_ids:
                     send(_error_frame(ticket_id, error))
         elif frame.kind == "install_problem":
+            # a failed rebuild is held in the problem's place: the table stays
+            # the front's mirror, and the solves that need it fail with the cause
             try:
-                problem = problem_from_shm(meta["manifest"])
-                problems[problem.fingerprint()] = problem
-            except BaseException as error:  # noqa: BLE001
-                send(_error_frame(req_id, error))
+                problem = (problem_from_shm(meta["manifest"]) if "manifest" in meta
+                           else problem_from_frame(frame))
+                installs.inc()
+            except Exception as error:  # noqa: BLE001 - answered by those solves
+                problem = error.with_traceback(None)  # not the frame's bytes
+            _hold(problems, meta["fingerprint"], problem)
         elif frame.kind == "status":
             # the one admin frame: the front picks what it needs (stats,
             # health, or the registry snapshot it merges into /metrics)
             executor.observe(metrics.registry)
+            metrics.registry.gauge(
+                "repro_serve_problems_held", "Installed problems a worker holds.").set(len(problems))
             send(encode_frame("status_result", {"req_id": req_id, "payload": {
-                "stats": {**metrics.snapshot(), **executor.stats()},
+                "stats": {**metrics.snapshot(), **executor.stats(),
+                          "problems": {"installed": int(installs.total()), "held": len(problems)}},
                 "health": executor.health(),
                 "metrics": metrics.registry.snapshot(),
             }}))
@@ -418,12 +448,14 @@ class _Shard:
         self.process: Optional[mp.process.BaseProcess] = None
         self.conn = None
         self.lock = threading.Lock()  # guards pending/generation/restarts/dead
-        #: serialises writers of ``conn`` and guards ``installed``: marking a
-        #: problem installed and sending its install frame are one critical
-        #: section, so no solve frame can overtake the install it relies on
+        #: serialises writers of ``conn`` and guards ``held``: a solve
+        #: frame, the install frame it needs and the mirror's update are one
+        #: critical section, so no solve frame can overtake its install
         self.send_lock = threading.Lock()
         self.pending: Dict[int, _Ticket] = {}
-        self.installed: set = set()
+        #: the mirror of the worker's table of installed problems (their
+        #: fingerprints, oldest first), kept by the same :func:`_hold`
+        self.held: "OrderedDict[str, None]" = OrderedDict()
         self.generation = 0
         self.restarts = 0
         self.dead = False
@@ -448,7 +480,7 @@ class _Shard:
             "dead": self.dead,
             "restarts": self.restarts,
             "pending": len(self.pending),
-            "installed_problems": len(self.installed),
+            "problems_held": len(self.held),
         }
 
 
@@ -489,9 +521,9 @@ class ProcessExecutor:
         self._ctx = _shard_context(shard_config.start_method)
         self._ring = build_ring(shard_config.workers)
         self._req_ids = itertools.count(1)
-        #: installed problems' segments by fingerprint.  Unbounded: nothing
-        #: evicts a bundle, because a worker may still be reading it (see
-        #: DESIGN.md, "Shared memory ownership")
+        #: directly passed problems' segments by fingerprint.  Unbounded:
+        #: nothing evicts a bundle, because a worker may still be reading it
+        #: (see DESIGN.md, "Shared memory ownership")
         self.problem_bundles: Dict[str, SharedArrayBundle] = {}
         self._bundles_lock = threading.Lock()
         # the cap bounds pipe backlog onto a wedged worker; a healthy one
@@ -530,9 +562,9 @@ class ProcessExecutor:
         )
         process.start()
         child_conn.close()  # the parent's copy; EOF detection needs it closed
-        with shard.send_lock:  # the pipe and its install table change together
+        with shard.send_lock:  # a new worker holds no problem: nor does the mirror
             shard.conn = parent_conn
-            shard.installed = set()
+            shard.held = OrderedDict()
         shard.process = process
         shard.generation += 1
 
@@ -641,56 +673,55 @@ class ProcessExecutor:
             self._start_receiver(shard)
 
     # -- route + execute -------------------------------------------------- #
-    def _ensure_installed(self, shard: _Shard, problem: Problem) -> str:
-        """Install a directly-passed problem's operator on a shard (once).
+    def _install_locked(self, shard: _Shard, request: _Resolved) -> None:
+        """Send the request's problem to ``shard`` unless its table holds
+        it; the caller holds ``send_lock`` and writes the solve frame next.
 
-        The parent packs the arrays into shared memory on first sight of the
-        fingerprint (one copy total) and sends each shard a manifest-only
-        install frame before the first solve that references it.  Marking
-        and sending happen under the shard's send lock, so every solve frame
-        that finds the fingerprint marked is written after its install frame
-        and pipe FIFO ordering makes install-then-solve race-free without
-        acks.
+        A spec's problem (every HTTP request) crosses inline: the frame
+        carries the arrays this process assembled.  A directly passed
+        ``Problem`` crosses as the manifest of a shared-memory bundle,
+        packed on first sight, one copy for every shard.  Pipe order then
+        makes install-then-solve race-free without acks.
         """
-        fingerprint = problem.fingerprint()
-        with self._bundles_lock:
-            if fingerprint not in self.problem_bundles:
-                self.problem_bundles[fingerprint] = problem_to_shm(problem)
-            manifest = self.problem_bundles[fingerprint].manifest
-        with shard.send_lock:
-            if fingerprint not in shard.installed:
-                _shard_send(shard, encode_frame("install_problem", {"manifest": manifest}))
-                shard.installed.add(fingerprint)
-        return fingerprint
+        fingerprint = request.problem.fingerprint()
+        if fingerprint in shard.held:
+            return
+        if request.spec is None:
+            with self._bundles_lock:
+                if fingerprint not in self.problem_bundles:
+                    self.problem_bundles[fingerprint] = problem_to_shm(request.problem)
+                meta = {"manifest": self.problem_bundles[fingerprint].manifest,
+                        "fingerprint": fingerprint}
+                arrays = None
+        else:
+            meta, arrays = problem_frame(request.problem)
+        _shard_send(shard, encode_frame("install_problem", meta, arrays))
+        _hold(shard.held, fingerprint)
 
     def route(self, tickets: List[_Ticket], request: _Resolved) -> Dict[str, int]:
-        """Pick the owning shard of the request's key, make sure it can
-        resolve the problem, and give every ticket its own ``req_id``.
-        The frame meta's spec and config dict are derived once per
-        resolved pair."""
+        """Pick the owning shard of the request's key and give every ticket
+        its own ``req_id``.  The frame meta of the pair — the problem's
+        fingerprint and the config dict — is derived once per resolved
+        pair."""
         shard = self.shards[route(self._ring, tickets[0].key)]
         if shard.dead:
             raise WorkerCrashed(shard.dead_reason or f"worker {shard.slot} is down")
         if request.route_meta is None:
-            request.route_meta = {"problem_spec": request.spec,
+            request.route_meta = {"problem_ref": request.problem.fingerprint(),
                                   "config": request.config.to_dict()}
-        meta = {
-            "key": tickets[0].key,
-            "problem_ref": (self._ensure_installed(shard, request.problem)
-                            if request.spec is None else None),
-            **request.route_meta,
-        }
         for ticket in tickets:
-            ticket.slot, ticket.meta = shard, meta
+            ticket.slot, ticket.resolved = shard, request
             ticket.req_id = next(self._req_ids)
         return {"shard": shard.slot}
 
     def execute(self, tickets: List[_Ticket]) -> None:
         """Write the request's one solve frame — ``b``, or the ``(n, k)``
-        block ``B`` with ``k`` req_ids — to its shard's pipe."""
+        block ``B`` with ``k`` req_ids — to its shard's pipe, after the
+        install of its problem when the shard does not hold it."""
         first = tickets[0]
         shard = first.slot
-        meta = dict(first.meta, req_ids=[ticket.req_id for ticket in tickets])
+        meta = {"key": first.key, **first.resolved.route_meta,
+                "req_ids": [ticket.req_id for ticket in tickets]}
         # the worker gets what is left of the deadline, not a clock reading
         meta["deadline_ms"] = (
             None if first.deadline_at is None
@@ -721,8 +752,9 @@ class ProcessExecutor:
             )
         try:
             with shard.send_lock:
+                self._install_locked(shard, first.resolved)
                 _shard_send(shard, frame_bytes)
-        except WorkerCrashed:
+        except Exception:
             with shard.lock:
                 for ticket in tickets:
                     shard.pending.pop(ticket.req_id, None)
@@ -760,6 +792,8 @@ class ProcessExecutor:
                        stats=self._status(shard).get("stats") or {"error": "unresponsive"})
                   for shard in self.shards]
         answered = [entry["stats"] for entry in shards if "error" not in entry["stats"]]
+        problems = {count: sum(stats["problems"][count] for stats in answered)
+                    for count in ("installed", "held")}
         hits = sum(stats["cache"]["hits"] for stats in answered)
         misses = sum(stats["cache"]["misses"] for stats in answered)
         batches = sum(stats["batches"] for stats in answered)
@@ -771,6 +805,7 @@ class ProcessExecutor:
             "shards": shards,
             "cache": {"hits": hits, "misses": misses, "hit_rate": hit_rate},
             "cache_hit_rate": hit_rate,
+            "problems": problems,
             "mean_batch_size": batched / batches if batches else None,
             "config": {
                 "shard_workers": self.shard_config.workers,

@@ -13,7 +13,10 @@ A problem crosses as its dataclass fields, the mesh's too: an array is a
 block, a sparse matrix its CSR ``data`` / ``indices`` / ``indptr`` blocks
 plus its shape, and a scalar or None goes in the meta.  The rebuild
 constructs the class the bundle names and must reproduce the recorded
-fingerprint bitwise (same session keys on both sides of the fork).  A DSS
+fingerprint bitwise (same session keys on both sides of the fork).  The
+same problem frame (:func:`problem_frame`, :func:`problem_from_frame`) also
+crosses a worker's pipe inline, with no segment: that is how a spec's
+problem, built in the front process, reaches its one owning worker.  A DSS
 crosses as its config and its weights, which the rebuilt model binds
 directly, so N workers share one weight copy.
 
@@ -33,7 +36,7 @@ import dataclasses
 import importlib
 import threading
 from multiprocessing import resource_tracker, shared_memory
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,6 +46,8 @@ from .proto import Frame, decode_frame, write_frame
 
 __all__ = [
     "SharedArrayBundle",
+    "problem_frame",
+    "problem_from_frame",
     "problem_to_shm",
     "problem_from_shm",
     "model_to_shm",
@@ -206,27 +211,40 @@ def _attach_kind(manifest: Dict[str, object], kind: str) -> SharedArrayBundle:
     return bundle
 
 
-def problem_to_shm(problem) -> SharedArrayBundle:
-    """Pack a problem's dataclass fields, and its fingerprint, into shared memory."""
+def problem_frame(problem) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
+    """A problem's frame meta and arrays: its dataclass fields and its fingerprint."""
     arrays: Dict[str, np.ndarray] = {}
     meta = {"problem": _flatten(problem, "problem", arrays), "fingerprint": problem.fingerprint()}
-    return SharedArrayBundle.pack("problem", meta, arrays)
+    return meta, arrays
+
+
+def problem_from_frame(frame: Frame):
+    """Rebuild a problem over a :func:`problem_frame` frame's views (no array
+    is copied).  Its fingerprint must equal the one the sender recorded, so a
+    torn or mismatched frame fails loudly instead of serving wrong operators.
+    """
+    problem = _rebuild(frame.meta["problem"], frame.arrays)
+    if problem.fingerprint() != frame.meta["fingerprint"]:
+        raise ValueError("problem fingerprint mismatch: the rebuilt problem "
+                         "does not reproduce the packed operator")
+    return problem
+
+
+def problem_to_shm(problem) -> SharedArrayBundle:
+    """Pack a problem's frame into shared memory."""
+    return SharedArrayBundle.pack("problem", *problem_frame(problem))
 
 
 def problem_from_shm(manifest: Dict[str, object]):
-    """Rebuild a problem over the shared views (no array is copied).
-
-    The rebuilt problem keeps its bundle alive as ``_shm_bundle``.  Its
-    fingerprint must equal the one the parent recorded, so a torn or
-    mismatched segment fails loudly instead of serving wrong operators.
-    """
+    """Rebuild a problem over the shared views; it keeps its bundle alive as
+    ``_shm_bundle``."""
     bundle = _attach_kind(manifest, "problem")
-    problem = _rebuild(bundle.frame.meta["problem"], bundle.frame.arrays)
-    problem._shm_bundle = bundle
-    if problem.fingerprint() != bundle.frame.meta["fingerprint"]:
+    try:
+        problem = problem_from_frame(bundle.frame)
+    except ValueError:
         bundle.close()
-        raise ValueError("shared-memory problem fingerprint mismatch: the rebuilt problem "
-                         "does not reproduce the packed operator")
+        raise
+    problem._shm_bundle = bundle
     return problem
 
 

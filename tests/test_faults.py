@@ -293,6 +293,25 @@ class TestCircuitBreaker:
         assert breaker.state == "closed"
         assert service.health()["status"] == "ok"
 
+    def test_a_request_only_the_session_build_rejects_spares_the_breaker(
+            self, random_problem, serving):
+        """A config with an argument its Krylov method does not take is the
+        client's error, not the primary's: four such requests used to open
+        the breaker at ``breaker_failures=3`` and reroute the fourth."""
+        service = serving(ServeConfig(workers=1, breaker_failures=3, breaker_reset_s=3600.0))
+        config = SolverConfig(preconditioner="ddm-lu", subdomain_size=80, tolerance=1e-6,
+                              fallback=["ddm-jacobi"], krylov_kwargs={"bogus": 1})
+        for _ in range(4):
+            with pytest.raises(ValueError, match="does not accept") as excinfo:
+                service.solve(random_problem, solver_config=config, timeout=60)
+            assert as_serve_error(excinfo.value).code == InvalidRequest.code
+        breakers = service.health()["breakers"]
+        assert (breakers["total"], breakers["open"], breakers["half_open"]) == (1, 0, 0)
+        (breaker,) = breakers["by_key"].values()
+        # closed throughout, so every request ran the primary: none was rerouted
+        assert breaker["state"] == "closed" and breaker["total_failures"] == 0
+        assert service.stats()["errors"] == 4
+
     def test_failed_probe_reopens(self):
         from repro.serve.breaker import CircuitBreaker
 

@@ -998,8 +998,17 @@ class TestWorkerSignals:
 
 
 # --------------------------------------------------------------------------- #
-# the worker resolves a request's spec and config only to build its session
+# the worker parses a request's config only to build its session, and never
+# resolves a spec: the front process installs the problem it built
 # --------------------------------------------------------------------------- #
+def _respawned(service, pid):
+    """Wait for slot 0's worker ``pid`` to be replaced."""
+    deadline = time.monotonic() + 30.0
+    while service.pids()[0] in (pid, None) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert service.pids()[0] != pid
+
+
 class TestWorkerResolution:
     def test_session_hit_resolves_nothing(self, monkeypatch):
         import multiprocessing as mp
@@ -1033,7 +1042,7 @@ class TestWorkerResolution:
             shard_config=ShardConfig(workers=1, start_method="fork"))
         try:
             service.solve(SPEC, pool[0], solver_config=config)      # the worker's cache miss
-            assert counts[0] == 1 and counts[1] >= 1
+            assert counts[0] == 0 and counts[1] >= 1
             after_miss = list(counts)
             for b in pool:
                 result = service.solve(SPEC, b, solver_config=config)
@@ -1041,14 +1050,175 @@ class TestWorkerResolution:
             assert list(counts) == after_miss
 
             # a restarted worker starts with an empty cache and still resolves
+            # no spec: the front installs the problem again
             pid = service.pids()[0]
             os.kill(pid, signal.SIGKILL)
-            deadline = time.monotonic() + 30.0
-            while service.pids()[0] in (pid, None) and time.monotonic() < deadline:
-                time.sleep(0.05)
-            assert service.pids()[0] != pid
+            _respawned(service, pid)
             result = service.solve(SPEC, pool[1], solver_config=config, timeout=60)
             assert result.solution.tobytes() == session.solve(pool[1]).solution.tobytes()
-            assert counts[0] == after_miss[0] + 1
+            assert counts[0] == 0
+        finally:
+            service.close()
+
+
+class TestProblemInstall:
+    """A spec's problem is built once per service, in the front process: the
+    owning worker gets its arrays in one ``install_problem`` frame and holds
+    at most ``PROBLEM_CAPACITY`` problems, first in, first out."""
+
+    def test_no_worker_builds_and_the_table_stays_bounded(self, monkeypatch):
+        import multiprocessing as mp
+
+        from repro.serve import problems as problems_module
+        from repro.serve.problems import PROBLEM_CAPACITY
+
+        if "fork" not in mp.get_all_start_methods():
+            pytest.skip("counting inside a worker needs fork")
+        builds = mp.get_context("fork").RawValue("i", 0)   # shared with the workers
+        front = os.getpid()
+        build = problems_module.build_problem_from_spec
+
+        def counting_build(spec):
+            if os.getpid() != front:
+                builds.value += 1
+            return build(spec)
+
+        monkeypatch.setattr(problems_module, "build_problem_from_spec", counting_build)
+        specs = [{"family": "poisson", "target_n": 120, "seed": seed}
+                 for seed in range(PROBLEM_CAPACITY + 1)]
+        service = ShardedSolveService(
+            ServeConfig(workers=1), default_solver_config=DDM_LU,
+            shard_config=ShardConfig(workers=1, start_method="fork"))
+        shard = service._shards[0]
+
+        def solve(index, seed):
+            """One request, bitwise the in-process solve; the worker's counts."""
+            problem = build(specs[index])
+            b = np.random.default_rng(seed).standard_normal(problem.num_dofs)
+            got = service.solve(specs[index], b, timeout=120)
+            assert got.solution.tobytes() == prepare(problem, DDM_LU).solve(b).solution.tobytes()
+            stats = service.stats()
+            problems = stats["shards"][0]["stats"]["problems"]
+            assert stats["problems"] == problems
+            assert problems["held"] == len(shard.held) <= PROBLEM_CAPACITY
+            return problems
+
+        try:
+            assert solve(0, 0) == {"installed": 1, "held": 1}    # cold
+            assert solve(0, 1) == {"installed": 1, "held": 1}    # warm: a reference only
+            pid = service.pids()[0]
+            os.kill(pid, signal.SIGKILL)
+            _respawned(service, pid)
+            # the new worker holds nothing, and the front's mirror knows it
+            assert solve(0, 2) == {"installed": 1, "held": 1}
+            for index in range(1, PROBLEM_CAPACITY + 1):
+                counts = solve(index, index)
+            assert counts == {"installed": PROBLEM_CAPACITY + 1, "held": PROBLEM_CAPACITY}
+            first = build(specs[0]).fingerprint()
+            assert first not in shard.held                       # the oldest went first
+            assert solve(0, 3) == {"installed": PROBLEM_CAPACITY + 2, "held": PROBLEM_CAPACITY}
+            assert list(shard.held)[-1] == first
+        finally:
+            service.close()
+        assert builds.value == 0
+
+    def test_install_frame_precedes_both_first_solves_of_a_spec(self, monkeypatch):
+        """Two first submitters of a never-seen spec: the loser of the race
+        to install it must not get its solve frame onto the pipe before the
+        winner's install frame, and the problem is installed once."""
+        from repro.serve import shard as shard_module
+
+        real_send = shard_module._shard_send
+        kinds = []
+
+        def slow_install(shard, frame_bytes):
+            kind = decode_frame(frame_bytes).kind
+            if kind == "install_problem":
+                time.sleep(0.3)  # widen the window between the check and the send
+            kinds.append(kind)
+            real_send(shard, frame_bytes)
+
+        monkeypatch.setattr(shard_module, "_shard_send", slow_install)
+        spec = {"family": "poisson", "target_n": 200, "seed": 21}
+        problem = build_problem_from_spec(spec)
+        service = ShardedSolveService(
+            ServeConfig(workers=1), default_solver_config=DDM_LU,
+            shard_config=ShardConfig(workers=1))
+        try:
+            rng = np.random.default_rng(13)
+            rhs = [rng.standard_normal(problem.num_dofs) for _ in range(2)]
+            barrier = threading.Barrier(2)
+            outcomes = [None, None]
+
+            def client(index):
+                barrier.wait()
+                try:
+                    outcomes[index] = service.solve(spec, b=rhs[index], timeout=120)
+                except Exception as error:  # asserted on below
+                    outcomes[index] = error
+
+            threads = [threading.Thread(target=client, args=(i,)) for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(150)
+            assert not any(thread.is_alive() for thread in threads)
+            assert kinds == ["install_problem", "solve", "solve"]
+            session = prepare(problem, DDM_LU)
+            for b, outcome in zip(rhs, outcomes):
+                assert not isinstance(outcome, Exception), repr(outcome)
+                assert outcome.solution.tobytes() == session.solve(b).solution.tobytes()
+        finally:
+            service.close()
+
+    def test_a_failed_install_fails_its_solves_with_the_cause(self, monkeypatch):
+        """A rebuild that fails in the worker is held in the problem's place:
+        the worker's table stays the front's mirror, and each solve that
+        needs the problem fails with the cause, typed internal, instead of a
+        client error saying the problem is not installed."""
+        import multiprocessing as mp
+
+        from repro.serve import shard as shard_module
+
+        if "fork" not in mp.get_all_start_methods():
+            pytest.skip("failing inside a worker only needs fork")
+        front, rebuild = os.getpid(), shard_module.problem_from_frame
+
+        def failing_rebuild(frame):
+            if os.getpid() != front:
+                raise RuntimeError("injected rebuild failure")
+            return rebuild(frame)
+
+        monkeypatch.setattr(shard_module, "problem_from_frame", failing_rebuild)
+        service = ShardedSolveService(
+            ServeConfig(workers=1), default_solver_config=DDM_LU,
+            shard_config=ShardConfig(workers=1, start_method="fork"))
+        try:
+            for _ in range(2):
+                with pytest.raises(ServeError, match="injected rebuild failure") as excinfo:
+                    service.solve(SPEC, timeout=120)
+                assert excinfo.value.code == "internal"
+            assert service.stats()["problems"] == {"installed": 0, "held": 1}
+            assert len(service._shards[0].held) == 1
+        finally:
+            service.close()
+
+    def test_counts_reach_stats_and_metrics_but_no_response(self):
+        service = ShardedSolveService(
+            ServeConfig(workers=1), default_solver_config=DDM_LU,
+            shard_config=ShardConfig(workers=2))
+        try:
+            results = [service.solve(SPEC, timeout=120) for _ in range(2)]
+            stats = service.stats()
+            assert stats["problems"] == {"installed": 1, "held": 1}
+            served = results[0].info["shard"]
+            assert [entry["stats"]["problems"]["installed"] for entry in stats["shards"]] == [
+                int(slot == served) for slot in range(2)]
+            assert [entry["problems_held"] for entry in stats["shards"]] == [
+                int(slot == served) for slot in range(2)]
+            snapshot = service.metrics_snapshot()      # summed over the workers
+            for name in ("repro_serve_problems_installed_total", "repro_serve_problems_held"):
+                assert [series["value"] for series in snapshot[name]["series"]] == [1.0]
+            assert not any("problem" in name for result in results for name in result.info)
         finally:
             service.close()
